@@ -8,7 +8,7 @@ use rmodp_core::value::Value;
 use rmodp_engineering::behaviour::ServerBehaviour;
 use rmodp_engineering::engine::{EngError, Engine};
 use rmodp_engineering::structure::InterfaceRef;
-use rmodp_information::schema::SchemaError;
+use rmodp_information::schema::{DynamicSchema, InvariantSchema, SchemaError};
 use rmodp_trader::Trader;
 use rmodp_typerepo::TypeRepository;
 
@@ -16,6 +16,25 @@ use crate::computational::{bank_manager, bank_teller, loans_officer};
 use crate::information::{
     account_invariants, deposit_schema, midnight_reset_schema, withdraw_schema, DAILY_LIMIT,
 };
+
+/// The information viewpoint's schemas the branch applies, parsed once
+/// per process rather than on every invocation.
+struct BranchSchemas {
+    deposit: DynamicSchema,
+    withdraw: DynamicSchema,
+    midnight_reset: DynamicSchema,
+    invariants: Vec<InvariantSchema>,
+}
+
+fn schemas() -> &'static BranchSchemas {
+    static SCHEMAS: std::sync::OnceLock<BranchSchemas> = std::sync::OnceLock::new();
+    SCHEMAS.get_or_init(|| BranchSchemas {
+        deposit: deposit_schema(),
+        withdraw: withdraw_schema(),
+        midnight_reset: midnight_reset_schema(),
+        invariants: account_invariants(),
+    })
+}
 
 /// The executable behaviour of the bank branch object.
 ///
@@ -97,10 +116,10 @@ impl ServerBehaviour for BranchBehaviour {
                     return Termination::error("Deposit requires amount d");
                 };
                 Self::with_account(state, a, |account| {
-                    deposit_schema().apply_checked(
+                    schemas().deposit.apply_checked(
                         account,
                         &Value::record([("x", Value::Int(d))]),
-                        &account_invariants(),
+                        &schemas().invariants,
                     )
                 })
             }
@@ -112,10 +131,10 @@ impl ServerBehaviour for BranchBehaviour {
                     return Termination::error("Withdraw requires amount d");
                 };
                 Self::with_account(state, a, |account| {
-                    withdraw_schema().apply_checked(
+                    schemas().withdraw.apply_checked(
                         account,
                         &Value::record([("x", Value::Int(d))]),
-                        &account_invariants(),
+                        &schemas().invariants,
                     )
                 })
             }
@@ -165,10 +184,10 @@ impl ServerBehaviour for BranchBehaviour {
                         .path(&["accounts", &key])
                         .cloned()
                         .expect("key enumerated above");
-                    if let Ok(reset) = midnight_reset_schema().apply_checked(
+                    if let Ok(reset) = schemas().midnight_reset.apply_checked(
                         &account,
                         &Value::record::<&str, _>([]),
-                        &account_invariants(),
+                        &schemas().invariants,
                     ) {
                         state
                             .field_mut("accounts")

@@ -16,6 +16,14 @@
 //! always goes to stdout; it enters the artifact only under
 //! `--measure 1`, which CI never passes.
 //!
+//! Every run is timed, so the suite switches the observe bus **off**
+//! around the matrix (and restores the caller's setting afterwards):
+//! the figures are the kernel's, not the cost of formatting and
+//! buffering an event stream nobody reads. The artifact is computed from
+//! the completion logs and the audited server states, never from the
+//! bus, so it is the same bytes either way; threaded shard workers
+//! inherit the setting from the thread that runs the kernel.
+//!
 //! Cross-shard payloads ride the kernel's `Arc`-backed
 //! [`Payload`](rmodp_kernel::payload::Payload): depositing a message
 //! into another shard's queue clones the `Arc`, never the bytes, so the
@@ -23,6 +31,7 @@
 
 use std::time::Instant;
 
+use rmodp_observe::bus;
 use rmodp_workload::population::{
     run_population, PopulationConfig, PopulationOutcome, PopulationScenario,
 };
@@ -134,6 +143,8 @@ pub fn run_suite(cfg: PopulationBenchConfig) -> String {
         None => MATRIX.to_vec(),
     };
     let scale_name = if cfg.scale == 0 { "ci" } else { "full" };
+    let was_enabled = bus::is_enabled();
+    bus::set_enabled(false);
 
     let mut scenario_blocks = Vec::new();
     let mut total_capsules = 0u64;
@@ -198,6 +209,7 @@ pub fn run_suite(cfg: PopulationBenchConfig) -> String {
         ));
     }
 
+    bus::set_enabled(was_enabled);
     let shard_list = shard_counts
         .iter()
         .map(usize::to_string)

@@ -139,7 +139,7 @@ impl FaultInjector {
                 let now = engine.sim().now();
                 bus::counter_add("chaos.faults_injected", 1);
                 event(Layer::Application, EventKind::FaultInject)
-                    .detail(fault.describe())
+                    .detail_with(|| fault.describe())
                     .emit();
                 self.applied.push(AppliedFault {
                     index: action.index,
@@ -154,7 +154,7 @@ impl FaultInjector {
                 let now = engine.sim().now();
                 bus::counter_add("chaos.faults_cleared", 1);
                 event(Layer::Application, EventKind::FaultClear)
-                    .detail(fault.describe())
+                    .detail_with(|| fault.describe())
                     .emit();
                 if let Some(rec) = self.applied.iter_mut().find(|r| r.index == action.index) {
                     rec.cleared_at = Some(now);

@@ -45,6 +45,10 @@ impl TransferSyntax for BinarySyntax {
         out
     }
 
+    fn encode_into(&self, value: &Value, out: &mut Vec<u8>) {
+        encode_into(value, out);
+    }
+
     fn decode(&self, bytes: &[u8]) -> Result<Value, CodecError> {
         let mut cursor = Cursor { buf: bytes, pos: 0 };
         let v = cursor.value()?;

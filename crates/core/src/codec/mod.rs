@@ -77,6 +77,12 @@ pub trait TransferSyntax: fmt::Debug + Send + Sync {
     /// Encodes a value.
     fn encode(&self, value: &Value) -> Vec<u8>;
 
+    /// Appends the encoding of a value to `out`, so a frame's header and
+    /// payload can share one buffer.
+    fn encode_into(&self, value: &Value, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.encode(value));
+    }
+
     /// Decodes a value.
     ///
     /// # Errors
@@ -136,6 +142,18 @@ mod tests {
                     .decode(&bytes)
                     .unwrap_or_else(|e| panic!("{id}: failed to decode {v}: {e}"));
                 assert_eq!(back, v, "{id}: {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_into_appends_what_encode_returns() {
+        for id in [SyntaxId::Binary, SyntaxId::Text] {
+            let syntax = syntax_for(id);
+            for v in sample_values() {
+                let mut out = b"hdr".to_vec();
+                syntax.encode_into(&v, &mut out);
+                assert_eq!(out, [b"hdr".as_slice(), &syntax.encode(&v)].concat());
             }
         }
     }

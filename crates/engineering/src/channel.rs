@@ -135,7 +135,7 @@ fn emit_marshal(env: &Envelope, from: SyntaxId, to: SyntaxId) {
     )
     .in_context()
     .channel(env.channel.raw())
-    .detail(format!("{from:?} -> {to:?} ({} bytes)", env.payload.len()))
+    .detail_with(|| format!("{from:?} -> {to:?} ({} bytes)", env.payload.len()))
     .emit();
     rmodp_observe::bus::counter_add("engineering.marshals", 1);
 }
@@ -310,7 +310,7 @@ impl Stack {
             )
             .in_context()
             .channel(env.channel.raw())
-            .detail(format!("out:{}", c.name()))
+            .detail_with(|| format!("out:{}", c.name()))
             .emit();
             rmodp_observe::bus::counter_add("engineering.channel_hops", 1);
             c.on_outgoing(env)?;
@@ -331,7 +331,7 @@ impl Stack {
             )
             .in_context()
             .channel(env.channel.raw())
-            .detail(format!("in:{}", c.name()))
+            .detail_with(|| format!("in:{}", c.name()))
             .emit();
             rmodp_observe::bus::counter_add("engineering.channel_hops", 1);
             c.on_incoming(env)?;

@@ -564,17 +564,14 @@ impl Engine {
             .in_context()
             .channel(channel.raw())
             .capsule(to.location.capsule.raw())
-            .detail(format!(
-                "channel rebound to {} epoch={}",
-                to.location.node, to.epoch
-            ))
+            .detail_with(|| format!("channel rebound to {} epoch={}", to.location.node, to.epoch))
             .emit();
         bus::counter_add("engineering.relocations", 1);
         Ok(())
     }
 
     fn encode_invocation(&self, native: SyntaxId, op: &str, args: &Value) -> Vec<u8> {
-        let v = Value::record([("op", Value::text(op.to_owned())), ("args", args.clone())]);
+        let v = Value::record([("op", Value::text(op)), ("args", args.clone())]);
         syntax_for(native).encode(&v)
     }
 
@@ -660,7 +657,7 @@ impl Engine {
             .span(span)
             .parent_from_context()
             .channel(channel.raw())
-            .detail(format!("op={op}"))
+            .detail_with(|| format!("op={op}"))
             .emit();
         let started_us = self.sim.now().as_micros();
         bus::push_context(span);
@@ -678,19 +675,23 @@ impl Engine {
             "engineering.call_us",
             self.sim.now().as_micros().saturating_sub(started_us),
         );
-        let outcome = match &result {
-            Ok(t) => format!("op={op} -> {}", t.name),
-            Err(e) => {
-                bus::counter_add("engineering.call_errors", 1);
-                format!("op={op} -> error: {e}")
-            }
-        };
+        if result.is_err() {
+            bus::counter_add("engineering.call_errors", 1);
+        }
         event(Layer::Engineering, EventKind::CallEnd)
             .span(span)
             .channel(channel.raw())
-            .detail(outcome)
+            .detail_with(|| Self::call_outcome(op, &result))
             .emit();
         result
+    }
+
+    /// The `CallEnd` detail text for a finished call.
+    fn call_outcome(op: &str, result: &Result<Termination, CallError>) -> String {
+        match result {
+            Ok(t) => format!("op={op} -> {}", t.name),
+            Err(e) => format!("op={op} -> error: {e}"),
+        }
     }
 
     /// Gate a call on the channel's circuit breaker: fail fast while
@@ -782,7 +783,7 @@ impl Engine {
         event(Layer::Engineering, EventKind::BreakerTransition)
             .in_context()
             .channel(channel.raw())
-            .detail(format!("{} -> {}: {why}", from.name(), to.name()))
+            .detail_with(|| format!("{} -> {}: {why}", from.name(), to.name()))
             .emit();
         bus::counter_add("engineering.breaker.transitions", 1);
     }
@@ -849,7 +850,7 @@ impl Engine {
                 event(Layer::Engineering, EventKind::Retry)
                     .span(span)
                     .channel(channel.raw())
-                    .detail(format!("op={op} attempt={}", attempt + 1))
+                    .detail_with(|| format!("op={op} attempt={}", attempt + 1))
                     .emit();
                 bus::counter_add("engineering.retries", 1);
                 let cc = self.channels.get_mut(&channel).expect("checked above");
@@ -933,14 +934,17 @@ impl Engine {
                     .map_err(|e| CallError::BadReply {
                         detail: e.to_string(),
                     })?;
-                let name = value
-                    .field("name")
-                    .and_then(|v| v.as_text())
-                    .ok_or_else(|| CallError::BadReply {
+                // Take the decoded record apart rather than copy out of it.
+                let mut fields = match value {
+                    Value::Record(fields) => fields,
+                    _ => Default::default(),
+                };
+                let Some(Value::Text(name)) = fields.remove("name") else {
+                    return Err(CallError::BadReply {
                         detail: "termination has no name".into(),
-                    })?
-                    .to_owned();
-                let results = value.field("results").cloned().unwrap_or(Value::Null);
+                    });
+                };
+                let results = fields.remove("results").unwrap_or(Value::Null);
                 Ok(Termination::new(name, results))
             }
         }
@@ -1039,11 +1043,13 @@ impl Engine {
         event(Layer::Engineering, EventKind::Checkpoint)
             .in_context()
             .capsule(capsule.raw())
-            .detail(format!(
-                "cluster={} objects={} epoch={epoch}",
-                cluster,
-                checkpoint.objects.len()
-            ))
+            .detail_with(|| {
+                format!(
+                    "cluster={} objects={} epoch={epoch}",
+                    cluster,
+                    checkpoint.objects.len()
+                )
+            })
             .emit();
         bus::counter_add("engineering.checkpoints", 1);
         Ok(checkpoint)
@@ -1100,10 +1106,7 @@ impl Engine {
         event(Layer::Engineering, EventKind::Deactivate)
             .in_context()
             .capsule(capsule.raw())
-            .detail(format!(
-                "cluster={cluster} objects={}",
-                checkpoint.objects.len()
-            ))
+            .detail_with(|| format!("cluster={cluster} objects={}", checkpoint.objects.len()))
             .emit();
         Ok(checkpoint)
     }
@@ -1170,10 +1173,12 @@ impl Engine {
         event(Layer::Engineering, EventKind::Reactivate)
             .in_context()
             .capsule(capsule.raw())
-            .detail(format!(
-                "cluster={cluster} objects={} at {node}",
-                checkpoint.objects.len()
-            ))
+            .detail_with(|| {
+                format!(
+                    "cluster={cluster} objects={} at {node}",
+                    checkpoint.objects.len()
+                )
+            })
             .emit();
         Ok(cluster)
     }
@@ -1199,7 +1204,7 @@ impl Engine {
             .span(span)
             .parent_from_context()
             .capsule(from_capsule.raw())
-            .detail(format!("cluster={cluster} {from_node} -> {to_node}"))
+            .detail_with(|| format!("cluster={cluster} {from_node} -> {to_node}"))
             .emit();
         bus::push_context(span);
         let result = (|| {
@@ -1219,7 +1224,7 @@ impl Engine {
         event(Layer::Engineering, EventKind::MigrateEnd)
             .span(span)
             .capsule(to_capsule.raw())
-            .detail(match &result {
+            .detail_with(|| match &result {
                 Ok(new_cluster) => format!("cluster={cluster} -> {new_cluster} at {to_node}"),
                 Err(e) => format!("cluster={cluster} failed: {e} (rolled back)"),
             })
@@ -1319,16 +1324,18 @@ impl Engine {
         event(Layer::Engineering, EventKind::Note)
             .in_context()
             .node(node.raw())
-            .detail(format!(
-                "admission policy={} capacity={} service={}us",
-                config.policy,
-                if config.capacity == usize::MAX {
-                    "inf".to_owned()
-                } else {
-                    config.capacity.to_string()
-                },
-                config.service_time.as_micros()
-            ))
+            .detail_with(|| {
+                format!(
+                    "admission policy={} capacity={} service={}us",
+                    config.policy,
+                    if config.capacity == usize::MAX {
+                        "inf".to_owned()
+                    } else {
+                        config.capacity.to_string()
+                    },
+                    config.service_time.as_micros()
+                )
+            })
             .emit();
         Ok(())
     }
@@ -1392,7 +1399,7 @@ impl Engine {
             .span(span)
             .parent_from_context()
             .channel(channel.raw())
-            .detail(format!("op={op} mode=async"))
+            .detail_with(|| format!("op={op} mode=async"))
             .emit();
         let mut env = Envelope::request(channel, request_id, target, client_native, payload);
         bus::push_context(span);
@@ -1405,7 +1412,7 @@ impl Engine {
             event(Layer::Engineering, EventKind::CallEnd)
                 .span(span)
                 .channel(channel.raw())
-                .detail(format!("op={op} -> error: {e}"))
+                .detail_with(|| format!("op={op} -> error: {e}"))
                 .emit();
             return Err(e.into());
         }
@@ -1458,14 +1465,10 @@ impl Engine {
             bus::pop_context();
         }
         if let Some((span, op)) = pending {
-            let detail = match &outcome {
-                Ok(t) => format!("op={op} -> {}", t.name),
-                Err(e) => format!("op={op} -> error: {e}"),
-            };
             event(Layer::Engineering, EventKind::CallEnd)
                 .span(span)
                 .channel(channel.raw())
-                .detail(detail)
+                .detail_with(|| Self::call_outcome(&op, &outcome))
                 .emit();
         }
         Ok(Some((arrived, outcome)))

@@ -145,7 +145,18 @@ impl Envelope {
 
     /// Serialises the envelope for the network.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40 + self.payload.len() + self.flow.len());
+        self.to_bytes_with(|out| out.put_slice(&self.payload))
+    }
+
+    /// Serialises the envelope with the payload `write_payload` appends,
+    /// in place of `self.payload`: a sender that needs the payload
+    /// nowhere else encodes it straight into the frame, behind the
+    /// header, instead of into a buffer of its own first.
+    pub fn to_bytes_with(&self, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        // Room for the payload held, or for a typical invocation or
+        // termination record when it is still to be written.
+        let payload_room = self.payload.len().max(96);
+        let mut out = Vec::with_capacity(43 + self.flow.len() + payload_room);
         out.put_u8(match self.kind {
             EnvelopeKind::Request => 0,
             EnvelopeKind::Reply => 1,
@@ -167,8 +178,11 @@ impl Envelope {
         out.put_u64_le(self.target.raw());
         out.put_u32_le(self.flow.len() as u32);
         out.put_slice(self.flow.as_bytes());
-        out.put_u32_le(self.payload.len() as u32);
-        out.put_slice(&self.payload);
+        let len_at = out.len();
+        out.put_u32_le(0);
+        write_payload(&mut out);
+        let payload_len = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
         out
     }
 
@@ -249,9 +263,13 @@ impl Envelope {
         need(&bytes, 4)?;
         let flow_len = bytes.get_u32_le() as usize;
         need(&bytes, flow_len)?;
-        let flow = String::from_utf8(bytes[..flow_len].to_vec()).map_err(|_| EnvelopeError {
-            message: "flow name is not utf-8".into(),
-        })?;
+        // Validated in place and copied only when there is a name: every
+        // envelope that is not a flow item has none.
+        let flow = std::str::from_utf8(&bytes[..flow_len])
+            .map_err(|_| EnvelopeError {
+                message: "flow name is not utf-8".into(),
+            })?
+            .to_owned();
         bytes.advance(flow_len);
         need(&bytes, 4)?;
         let payload_len = bytes.get_u32_le() as usize;
@@ -333,6 +351,35 @@ mod tests {
             let bytes = e.to_bytes();
             assert_eq!(Envelope::from_bytes(&bytes).unwrap(), e);
         }
+    }
+
+    #[test]
+    fn to_bytes_with_writes_the_frame_to_bytes_would() {
+        let whole = sample();
+        let mut header = whole.clone();
+        header.payload = Payload::empty();
+        assert_eq!(
+            header.to_bytes_with(|out| out.extend_from_slice(&[1, 2, 3])),
+            whole.to_bytes()
+        );
+        assert_eq!(header.to_bytes_with(|_| {}), header.to_bytes());
+    }
+
+    #[test]
+    fn bad_flow_name_is_rejected() {
+        let flow = Envelope::flow_item(
+            ChannelId::new(1),
+            InterfaceId::new(2),
+            "ab",
+            SyntaxId::Binary,
+            vec![7],
+        );
+        let mut bytes = flow.to_bytes();
+        bytes[39] = 0xff; // first byte of the two-byte flow name
+        assert!(Envelope::from_bytes(&bytes)
+            .unwrap_err()
+            .message
+            .contains("utf-8"));
     }
 
     #[test]

@@ -346,11 +346,13 @@ impl NucleusProcess {
         .in_context()
         .node(self.node.raw())
         .capsule(capsule.raw())
-        .detail(format!(
-            "nucleus installed {} in {cluster} ({} interface(s))",
-            record.object,
-            record.interfaces.len()
-        ))
+        .detail_with(|| {
+            format!(
+                "nucleus installed {} in {cluster} ({} interface(s))",
+                record.object,
+                record.interfaces.len()
+            )
+        })
         .emit();
         rmodp_observe::bus::counter_add("engineering.objects_installed", 1);
         self.behaviours.insert(record.object, behaviour);
@@ -459,28 +461,67 @@ impl NucleusProcess {
         )
         .in_context()
         .node(self.node.raw())
-        .detail(format!(
-            "nucleus dispatch {} -> {object} ({interface})",
-            invocation.operation
-        ))
+        .detail_with(|| {
+            format!(
+                "nucleus dispatch {} -> {object} ({interface})",
+                invocation.operation
+            )
+        })
         .emit();
         rmodp_observe::bus::counter_add("engineering.nucleus_dispatches", 1);
         Some(behaviour.invoke(state, invocation))
     }
 
-    fn decode_invocation(&self, syntax: SyntaxId, payload: &[u8]) -> Option<Invocation> {
-        let value = syntax_for(syntax).decode(payload).ok()?;
-        let op = value.field("op")?.as_text()?.to_owned();
-        let args = value.field("args").cloned().unwrap_or(Value::Null);
+    /// Decodes an invocation record, moving `op` and `args` out of it.
+    fn decode_invocation(syntax: SyntaxId, payload: &[u8]) -> Option<Invocation> {
+        let Value::Record(mut fields) = syntax_for(syntax).decode(payload).ok()? else {
+            return None;
+        };
+        let Value::Text(op) = fields.remove("op")? else {
+            return None;
+        };
+        let args = fields.remove("args").unwrap_or(Value::Null);
         Some(Invocation::new(op, args))
     }
 
-    fn encode_termination(&self, termination: &Termination) -> Vec<u8> {
-        let value = Value::record([
-            ("name", Value::text(termination.name.clone())),
-            ("results", termination.results.clone()),
-        ]);
-        syntax_for(self.native).encode(&value)
+    /// The record a termination travels as; takes the termination apart
+    /// rather than copying its name and results.
+    fn termination_record(termination: Termination) -> Value {
+        Value::record([
+            ("name", Value::Text(termination.name)),
+            ("results", termination.results),
+        ])
+    }
+
+    fn encode_termination(&self, termination: Termination) -> Vec<u8> {
+        syntax_for(self.native).encode(&Self::termination_record(termination))
+    }
+
+    /// Answers a request with a termination.
+    fn reply(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        req: &Envelope,
+        status: ReplyStatus,
+        termination: Termination,
+        reply_to: rmodp_netsim::sim::Addr,
+    ) {
+        if req.channel.raw() == 0 {
+            // The ephemeral default channel has no server stack and no
+            // dedup entry, so only the frame needs the payload: encode it
+            // straight in, behind the header.
+            let record = Self::termination_record(termination);
+            let header = Envelope::reply_to(req, status, self.native, Payload::empty());
+            let syntax = syntax_for(self.native);
+            ctx.send(
+                reply_to,
+                header.to_bytes_with(|out| syntax.encode_into(&record, out)),
+            );
+            return;
+        }
+        let payload = Payload::new(self.encode_termination(termination));
+        self.dedup_done(req, status, &payload);
+        self.send_reply(ctx, req, status, payload, reply_to);
     }
 
     fn send_reply(
@@ -525,12 +566,10 @@ impl NucleusProcess {
             self.send_reply(ctx, &env, ReplyStatus::NotHere, payload, src);
             return;
         };
-        let Some(invocation) = self.decode_invocation(env.syntax, &env.payload) else {
+        let Some(invocation) = Self::decode_invocation(env.syntax, &env.payload) else {
             self.stats.rejected += 1;
-            let payload =
-                Payload::new(self.encode_termination(&Termination::error("bad invocation")));
-            self.dedup_done(&env, ReplyStatus::Rejected, &payload);
-            self.send_reply(ctx, &env, ReplyStatus::Rejected, payload, src);
+            let bad = Termination::error("bad invocation");
+            self.reply(ctx, &env, ReplyStatus::Rejected, bad, src);
             return;
         };
         self.stats.requests += 1;
@@ -542,9 +581,7 @@ impl NucleusProcess {
                 _ => Termination::error("object has no behaviour"),
             }
         };
-        let payload = Payload::new(self.encode_termination(&termination));
-        self.dedup_done(&env, ReplyStatus::Ok, &payload);
-        self.send_reply(ctx, &env, ReplyStatus::Ok, payload, src);
+        self.reply(ctx, &env, ReplyStatus::Ok, termination, src);
     }
 
     /// Publishes the current queue depth as a per-node gauge and tracks
@@ -552,10 +589,12 @@ impl NucleusProcess {
     fn publish_queue_depth(&mut self) {
         let depth = self.queue.len() as u64;
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(depth);
-        rmodp_observe::bus::gauge_set(
-            &format!("engineering.node{}.queue_depth", self.node.raw()),
-            depth as i64,
-        );
+        if rmodp_observe::bus::is_enabled() {
+            rmodp_observe::bus::gauge_set(
+                &format!("engineering.node{}.queue_depth", self.node.raw()),
+                depth as i64,
+            );
+        }
     }
 
     /// Replies `Rejected` with a machine-readable reason to a request the
@@ -576,14 +615,10 @@ impl NucleusProcess {
         .in_context()
         .node(self.node.raw())
         .channel(env.channel.raw())
-        .detail(format!(
-            "admission {reason} (queue at {})",
-            self.queue.len()
-        ))
+        .detail_with(|| format!("admission {reason} (queue at {})", self.queue.len()))
         .emit();
-        let payload = Payload::new(self.encode_termination(&Termination::error(reason)));
-        self.dedup_done(env, ReplyStatus::Rejected, &payload);
-        self.send_reply(ctx, env, ReplyStatus::Rejected, payload, reply_to);
+        let refusal = Termination::error(reason);
+        self.reply(ctx, env, ReplyStatus::Rejected, refusal, reply_to);
     }
 
     /// Routes a request through the bounded admission queue.
@@ -613,7 +648,7 @@ impl NucleusProcess {
         .in_context()
         .node(self.node.raw())
         .channel(env.channel.raw())
-        .detail(format!("queue at {}", self.queue.len() + 1))
+        .detail_with(|| format!("queue at {}", self.queue.len() + 1))
         .emit();
         self.queue.push_back(QueuedRequest {
             env,
@@ -648,7 +683,7 @@ impl NucleusProcess {
             .in_context()
             .node(self.node.raw())
             .channel(queued.env.channel.raw())
-            .detail(format!("waited {wait_us}us"))
+            .detail_with(|| format!("waited {wait_us}us"))
             .emit();
             self.dispatch_request(ctx, queued.reply_to, queued.env);
             if queued.context.is_some() {
@@ -677,9 +712,8 @@ impl NucleusProcess {
                         self.stats.rejected += 1;
                         ctx.note(format!("replay foiled (seq {seq})"));
                         if env.kind == EnvelopeKind::Request {
-                            let payload = Payload::new(
-                                self.encode_termination(&Termination::error("replay")),
-                            );
+                            let payload =
+                                Payload::new(self.encode_termination(Termination::error("replay")));
                             self.send_reply(ctx, &env, ReplyStatus::Rejected, payload, src);
                         }
                         return;
@@ -731,7 +765,7 @@ impl NucleusProcess {
             }
             EnvelopeKind::Announce => {
                 if let Some(&object) = self.routing.get(&env.target) {
-                    if let Some(invocation) = self.decode_invocation(env.syntax, &env.payload) {
+                    if let Some(invocation) = Self::decode_invocation(env.syntax, &env.payload) {
                         self.stats.announcements += 1;
                         if let (Some(b), Some(s)) = (
                             self.behaviours.get_mut(&object),
@@ -846,6 +880,127 @@ mod tests {
             Some(&Value::Int(4))
         );
         assert_eq!(n.stats.requests, 1);
+    }
+
+    /// The record-building paths `decode_invocation` and
+    /// `encode_termination` replaced: copy `op`/`args` out of the decoded
+    /// record, copy name and results into a fresh one.
+    fn decode_by_copying(syntax: SyntaxId, payload: &[u8]) -> Option<Invocation> {
+        let value = syntax_for(syntax).decode(payload).ok()?;
+        let op = value.field("op")?.as_text()?.to_owned();
+        let args = value.field("args").cloned().unwrap_or(Value::Null);
+        Some(Invocation::new(op, args))
+    }
+
+    fn encode_by_copying(syntax: SyntaxId, termination: &Termination) -> Vec<u8> {
+        let value = Value::record([
+            ("name", Value::text(termination.name.clone())),
+            ("results", termination.results.clone()),
+        ]);
+        syntax_for(syntax).encode(&value)
+    }
+
+    #[test]
+    fn moving_out_of_records_keeps_invocations_and_wire_bytes() {
+        let deposit = Value::record([
+            ("account", Value::text("acc-7")),
+            ("amount", Value::Int(25)),
+        ]);
+        let requests = [
+            Value::record([("op", Value::text("Deposit")), ("args", deposit)]),
+            Value::record([("op", Value::text("Audit")), ("args", Value::Null)]),
+            Value::record([("op", Value::text("Audit"))]),
+            Value::record([("op", Value::Int(3)), ("args", Value::Null)]),
+            Value::record([("args", Value::Null)]),
+            Value::text("not a record"),
+        ];
+        let terminations = [
+            Termination::ok(Value::record([("amount", Value::Int(25))])),
+            Termination::error("amount must be an integer"),
+            Termination::new("NotToday", Value::Null),
+        ];
+        for syntax in [SyntaxId::Binary, SyntaxId::Text] {
+            for request in &requests {
+                let bytes = syntax_for(syntax).encode(request);
+                let invocation = NucleusProcess::decode_invocation(syntax, &bytes);
+                assert_eq!(invocation, decode_by_copying(syntax, &bytes), "{request}");
+                if let (Some(i), Some(_)) = (invocation, request.field("args")) {
+                    // A whole invocation encodes back to the bytes it
+                    // arrived as.
+                    let record =
+                        Value::record([("op", Value::Text(i.operation)), ("args", i.args)]);
+                    assert_eq!(syntax_for(syntax).encode(&record), bytes);
+                }
+            }
+            assert!(NucleusProcess::decode_invocation(syntax, &[0xff, 0xfe]).is_none());
+            let nucleus = NucleusProcess::new(NodeId::new(1), syntax);
+            for t in &terminations {
+                assert_eq!(
+                    nucleus.encode_termination(t.clone()),
+                    encode_by_copying(syntax, t),
+                    "{}",
+                    t.name
+                );
+            }
+        }
+    }
+
+    /// A process that keeps every frame it is sent.
+    #[derive(Default)]
+    struct Sink(Vec<Payload>);
+
+    impl Process for Sink {
+        fn on_message(&mut self, _: &mut Ctx<'_>, msg: Message) {
+            self.0.push(msg.payload);
+        }
+    }
+
+    #[test]
+    fn default_channel_reply_frames_match_the_envelope_built_whole() {
+        use rmodp_netsim::sim::{Addr, Sim};
+        let (nucleus, ifc, _) = nucleus_with_counter();
+        let mut sim = Sim::new(5);
+        let node = sim.add_node();
+        let (server, client) = (Addr::new(node, NUCLEUS_PORT), Addr::new(node, DRIVER_PORT));
+        sim.attach(server, nucleus);
+        sim.attach(client, Sink::default());
+        let syntax = syntax_for(SyntaxId::Binary);
+        let add = Value::record([
+            ("op", Value::text("Add")),
+            ("args", Value::record([("k", Value::Int(4))])),
+        ]);
+        let requests = [
+            Envelope::request(
+                ChannelId::new(0),
+                1,
+                ifc,
+                SyntaxId::Binary,
+                syntax.encode(&add),
+            ),
+            Envelope::request(ChannelId::new(0), 2, ifc, SyntaxId::Binary, vec![0xff]),
+        ];
+        for req in &requests {
+            sim.send_from(client, server, req.to_bytes());
+        }
+        sim.run_until_idle();
+        let expected = [
+            (
+                ReplyStatus::Ok,
+                Termination::ok(Value::record([("n", Value::Int(4))])),
+            ),
+            (ReplyStatus::Rejected, Termination::error("bad invocation")),
+        ];
+        let frames = &sim.inspect::<Sink>(client).expect("attached above").0;
+        assert_eq!(frames.len(), 2);
+        for ((req, (status, termination)), frame) in requests.iter().zip(expected).zip(frames) {
+            let whole = Envelope::reply_to(
+                req,
+                status,
+                SyntaxId::Binary,
+                encode_by_copying(SyntaxId::Binary, &termination),
+            );
+            assert_eq!(*frame, whole.to_bytes());
+        }
     }
 
     #[test]

@@ -15,6 +15,18 @@ use rmodp_core::value::Value;
 
 use crate::behaviour::ServerBehaviour;
 
+/// Adds `delta` to an integer field of a state record, in place. A field
+/// that is missing or not an integer counts from zero.
+fn add_to_field(state: &mut Value, name: &str, delta: i64) {
+    match state.field_mut(name) {
+        Some(Value::Int(n)) => *n += delta,
+        Some(other) => *other = Value::Int(delta),
+        None => {
+            state.set_field(name, Value::Int(delta));
+        }
+    }
+}
+
 /// A retail bank branch: an account ledger folded into commutative
 /// totals.
 ///
@@ -33,13 +45,8 @@ impl BankBranchBehaviour {
     }
 
     fn apply(state: &mut Value, delta: i64) {
-        let total = state.field("total").and_then(Value::as_int).unwrap_or(0);
-        let moves = state
-            .field("movements")
-            .and_then(Value::as_int)
-            .unwrap_or(0);
-        state.set_field("total", Value::Int(total + delta));
-        state.set_field("movements", Value::Int(moves + 1));
+        add_to_field(state, "total", delta);
+        add_to_field(state, "movements", 1);
     }
 }
 
@@ -118,10 +125,8 @@ impl ServerBehaviour for TraderDeskBehaviour {
                 let Some(qty) = invocation.args.field("qty").and_then(Value::as_int) else {
                     return Termination::error("qty must be an integer");
                 };
-                let volume = state.field("volume").and_then(Value::as_int).unwrap_or(0);
-                let orders = state.field("orders").and_then(Value::as_int).unwrap_or(0);
-                state.set_field("volume", Value::Int(volume + qty));
-                state.set_field("orders", Value::Int(orders + 1));
+                add_to_field(state, "volume", qty);
+                add_to_field(state, "orders", 1);
                 Termination::ok(Value::record([("qty", Value::Int(qty))]))
             }
             "Audit" => Termination::ok(Value::record([

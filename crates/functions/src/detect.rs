@@ -149,7 +149,7 @@ impl FailureDetector {
                     bus::counter_add("detector.restores", 1);
                     event(Layer::Functions, EventKind::Restore)
                         .in_context()
-                        .detail(format!("member={}", member.raw()))
+                        .detail_with(|| format!("member={}", member.raw()))
                         .emit();
                     transitions.push(Detection::Restored(member));
                 }
@@ -160,7 +160,7 @@ impl FailureDetector {
                     bus::counter_add("detector.suspects", 1);
                     event(Layer::Functions, EventKind::Suspect)
                         .in_context()
-                        .detail(format!("member={} misses={}", member.raw(), health.misses))
+                        .detail_with(|| format!("member={} misses={}", member.raw(), health.misses))
                         .emit();
                     transitions.push(Detection::Suspected(member));
                 }
@@ -213,11 +213,13 @@ impl FailureDetector {
             .is_ok();
         event(Layer::Functions, EventKind::Heartbeat)
             .in_context()
-            .detail(format!(
-                "member={} {}",
-                member.raw(),
-                if answered { "ack" } else { "miss" }
-            ))
+            .detail_with(|| {
+                format!(
+                    "member={} {}",
+                    member.raw(),
+                    if answered { "ack" } else { "miss" }
+                )
+            })
             .emit();
         answered
     }

@@ -34,7 +34,9 @@ pub const PAYLOAD_COPIES: &str = "kernel.payload.copies";
 /// `[u8]`, so read sites need no changes.
 #[derive(Clone)]
 pub struct Payload {
-    data: Arc<[u8]>,
+    /// The backing buffer; `None` only for [`Payload::empty`], which
+    /// therefore allocates nothing.
+    data: Option<Arc<[u8]>>,
     start: usize,
     end: usize,
 }
@@ -43,7 +45,7 @@ impl Payload {
     /// An empty payload (no allocation).
     pub fn empty() -> Self {
         Payload {
-            data: Arc::from([] as [u8; 0]),
+            data: None,
             start: 0,
             end: 0,
         }
@@ -56,7 +58,7 @@ impl Payload {
         bus::counter_add(PAYLOAD_ALLOCS, 1);
         let end = bytes.len();
         Payload {
-            data: Arc::from(bytes),
+            data: Some(Arc::from(bytes)),
             start: 0,
             end,
         }
@@ -68,7 +70,7 @@ impl Payload {
         bus::counter_add(PAYLOAD_COPIES, 1);
         let end = bytes.len();
         Payload {
-            data: Arc::from(bytes.to_vec()),
+            data: Some(Arc::from(bytes)),
             start: 0,
             end,
         }
@@ -82,7 +84,7 @@ impl Payload {
     pub fn slice(&self, start: usize, end: usize) -> Payload {
         assert!(start <= end && end <= self.len(), "slice out of bounds");
         Payload {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + start,
             end: self.start + end,
         }
@@ -90,7 +92,10 @@ impl Payload {
 
     /// The payload's bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 
     /// Number of bytes.
@@ -105,7 +110,10 @@ impl Payload {
 
     /// Whether two payloads share one backing buffer (diagnostic).
     pub fn shares_buffer_with(&self, other: &Payload) -> bool {
-        Arc::ptr_eq(&self.data, &other.data)
+        match (&self.data, &other.data) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
@@ -194,6 +202,15 @@ mod tests {
         assert_eq!(&h[..], b"hello");
         assert_eq!(bus::counter(PAYLOAD_ALLOCS), 1);
         assert_eq!(bus::counter(PAYLOAD_COPIES), 0);
+    }
+
+    #[test]
+    fn empty_payload_has_no_buffer() {
+        let e = Payload::empty();
+        assert!(e.is_empty());
+        assert_eq!(e.as_bytes(), b"");
+        assert_eq!(e.slice(0, 0), e);
+        assert!(!e.shares_buffer_with(&e.clone()), "nothing to share");
     }
 
     #[test]

@@ -326,7 +326,11 @@ impl<W: ShardWorld> ShardedKernel<W> {
                 let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<W::Msg, W::Action>>();
                 let reply_tx = reply_tx.clone();
                 cmd_txs.push(cmd_tx);
+                // The observe bus is thread-local: a worker records only
+                // if the thread driving the kernel does.
+                let recording = rmodp_observe::bus::is_enabled();
                 scope.spawn(move || {
+                    rmodp_observe::bus::set_enabled(recording);
                     while let Ok(cmd) = cmd_rx.recv() {
                         let mut reply = Reply {
                             shard: shard.shard_id(),
@@ -447,6 +451,9 @@ mod tests {
         sent: u64,
         log: Vec<(SimTime, u32)>,
         halted: bool,
+        /// Whether the observe bus was recording on the thread that last
+        /// advanced this shard.
+        bus_recording: Option<bool>,
     }
 
     impl TokenShard {
@@ -459,6 +466,7 @@ mod tests {
                 sent: 0,
                 log: Vec::new(),
                 halted: false,
+                bus_recording: None,
             }
         }
     }
@@ -480,6 +488,7 @@ mod tests {
         }
 
         fn run_before(&mut self, horizon: SimTime) -> u64 {
+            self.bus_recording = Some(rmodp_observe::bus::is_enabled());
             let mut events = 0;
             while self.queue.peek_time().is_some_and(|t| t < horizon) {
                 let (at, ttl) = self.queue.pop().expect("peeked");
@@ -542,6 +551,21 @@ mod tests {
         let stats = kernel.run();
         assert!(stats.events > 0);
         kernel.into_shards().into_iter().map(|s| s.log).collect()
+    }
+
+    #[test]
+    fn threaded_workers_follow_the_callers_bus_setting() {
+        for recording in [false, true] {
+            rmodp_observe::bus::set_enabled(recording);
+            let mut worlds: Vec<TokenShard> = (0..2).map(|i| TokenShard::new(i, 2)).collect();
+            worlds[0].queue.schedule(SimTime::from_micros(1), 3);
+            let mut kernel = ShardedKernel::new(worlds, HOP);
+            kernel.set_threaded(true);
+            kernel.run();
+            for shard in kernel.into_shards() {
+                assert_eq!(shard.bus_recording, Some(recording), "shard {}", shard.id);
+            }
+        }
     }
 
     #[test]

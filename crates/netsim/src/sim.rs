@@ -259,6 +259,9 @@ pub struct Sim {
     trace: Vec<TraceEntry>,
     tracing: bool,
     shard: Option<ShardRouting>,
+    /// The command buffer handlers write into, kept between events so a
+    /// delivery allocates none of its own. Empty whenever no handler runs.
+    commands: Vec<Command>,
 }
 
 impl fmt::Debug for Sim {
@@ -298,6 +301,7 @@ impl Sim {
             trace: Vec::new(),
             tracing: false,
             shard: None,
+            commands: Vec::new(),
         }
     }
 
@@ -470,13 +474,14 @@ impl Sim {
         self.run_until(self.now() + d)
     }
 
-    fn record(&mut self, kind: TraceKind, addr: Addr, detail: impl Into<String>) {
+    /// Appends a trace entry; `detail` runs only while tracing is on.
+    fn record(&mut self, kind: TraceKind, addr: Addr, detail: impl FnOnce() -> String) {
         if self.tracing {
             self.trace.push(TraceEntry {
                 at: self.queue.now(),
                 kind,
                 addr,
-                detail: detail.into(),
+                detail: detail(),
             });
         }
     }
@@ -493,7 +498,7 @@ impl Sim {
     }
 
     fn drop_msg(&mut self, span: u64, at: Addr, reason: &'static str) {
-        self.record(TraceKind::Drop, at, reason);
+        self.record(TraceKind::Drop, at, || reason.into());
         Self::located(EventKind::Drop, at)
             .span(span)
             .detail(reason)
@@ -511,14 +516,12 @@ impl Sim {
         Self::located(EventKind::Send, src)
             .span(span)
             .parent_from_context()
-            .detail(format!("-> {dst} ({} bytes)", payload.len()))
+            .detail_with(|| format!("-> {dst} ({} bytes)", payload.len()))
             .emit();
         bus::counter_add("netsim.sent", 1);
-        self.record(
-            TraceKind::Send,
-            src,
-            format!("-> {dst} ({} bytes)", payload.len()),
-        );
+        self.record(TraceKind::Send, src, || {
+            format!("-> {dst} ({} bytes)", payload.len())
+        });
         if self.topology.is_crashed(dst.node) || self.topology.is_crashed(src.node) {
             self.metrics.dropped_crash += 1;
             self.drop_msg(span, dst, "endpoint crashed");
@@ -582,34 +585,22 @@ impl Sim {
         let dst = msg.dst;
         if self.topology.is_crashed(dst.node) {
             self.metrics.dropped_crash += 1;
-            self.record(TraceKind::Drop, dst, "destination crashed in flight");
-            Self::located(EventKind::Drop, dst)
-                .span(span)
-                .detail("destination crashed in flight")
-                .emit();
-            bus::counter_add("netsim.dropped", 1);
+            self.drop_msg(span, dst, "destination crashed in flight");
             return;
         }
-        let Some(mut process) = self.procs.remove(&dst) else {
+        if !self.procs.contains_key(&dst) {
             self.metrics.dropped_unroutable += 1;
-            self.record(TraceKind::Drop, dst, "no process attached");
-            Self::located(EventKind::Drop, dst)
-                .span(span)
-                .detail("no process attached")
-                .emit();
-            bus::counter_add("netsim.dropped", 1);
+            self.drop_msg(span, dst, "no process attached");
             return;
-        };
+        }
         self.metrics.delivered += 1;
         self.metrics.bytes_delivered += msg.payload.len() as u64;
-        self.record(
-            TraceKind::Deliver,
-            dst,
-            format!("<- {} ({} bytes)", msg.src, msg.payload.len()),
-        );
+        self.record(TraceKind::Deliver, dst, || {
+            format!("<- {} ({} bytes)", msg.src, msg.payload.len())
+        });
         Self::located(EventKind::Deliver, dst)
             .span(span)
-            .detail(format!("<- {} ({} bytes)", msg.src, msg.payload.len()))
+            .detail_with(|| format!("<- {} ({} bytes)", msg.src, msg.payload.len()))
             .emit();
         bus::counter_add("netsim.delivered", 1);
         bus::observe(
@@ -618,22 +609,29 @@ impl Sim {
                 .as_micros()
                 .saturating_sub(msg.sent_at.as_micros()),
         );
-        let mut ctx = Ctx {
-            now: self.now(),
-            self_addr: dst,
-            rng: &mut self.rng,
-            next_timer: &mut self.next_timer,
-            out: Vec::new(),
-        };
         // Handler effects are causally downstream of this delivery.
         bus::push_context(span);
-        process.on_message(&mut ctx, msg);
-        let commands = ctx.out;
-        // Reinsert unless the handler's own node was detached meanwhile —
-        // it cannot have been, since we hold &mut self.
-        self.procs.insert(dst, process);
-        self.apply(dst, commands);
+        self.dispatch(dst, |process, ctx| process.on_message(ctx, msg));
         bus::pop_context();
+    }
+
+    /// Runs one handler of the process attached at `addr`, in place, and
+    /// applies the commands it buffered.
+    fn dispatch(&mut self, addr: Addr, handler: impl FnOnce(&mut dyn AnyProcess, &mut Ctx<'_>)) {
+        let Some(process) = self.procs.get_mut(&addr) else {
+            return;
+        };
+        let mut ctx = Ctx {
+            now: self.queue.now(),
+            self_addr: addr,
+            rng: &mut self.rng,
+            next_timer: &mut self.next_timer,
+            out: std::mem::take(&mut self.commands),
+        };
+        handler(process.as_mut(), &mut ctx);
+        let mut commands = ctx.out;
+        self.apply(addr, &mut commands);
+        self.commands = commands;
     }
 
     fn fire_timer(&mut self, addr: Addr, tag: u64, id: TimerId) {
@@ -641,37 +639,26 @@ impl Sim {
             return;
         }
         if self.topology.is_crashed(addr.node) {
-            self.record(
-                TraceKind::Drop,
-                addr,
-                format!("timer {tag} on crashed node"),
-            );
+            self.record(TraceKind::Drop, addr, || {
+                format!("timer {tag} on crashed node")
+            });
             return;
         }
-        let Some(mut process) = self.procs.remove(&addr) else {
+        if !self.procs.contains_key(&addr) {
             return;
-        };
+        }
         self.metrics.timers_fired += 1;
-        self.record(TraceKind::Timer, addr, format!("tag={tag}"));
+        self.record(TraceKind::Timer, addr, || format!("tag={tag}"));
         Self::located(EventKind::TimerFired, addr)
-            .detail(format!("tag={tag}"))
+            .detail_with(|| format!("tag={tag}"))
             .emit();
         bus::counter_add("netsim.timers_fired", 1);
-        let mut ctx = Ctx {
-            now: self.now(),
-            self_addr: addr,
-            rng: &mut self.rng,
-            next_timer: &mut self.next_timer,
-            out: Vec::new(),
-        };
-        process.on_timer(&mut ctx, tag);
-        let commands = ctx.out;
-        self.procs.insert(addr, process);
-        self.apply(addr, commands);
+        self.dispatch(addr, |process, ctx| process.on_timer(ctx, tag));
     }
 
-    fn apply(&mut self, from: Addr, commands: Vec<Command>) {
-        for cmd in commands {
+    /// Applies and drains the commands a handler at `from` buffered.
+    fn apply(&mut self, from: Addr, commands: &mut Vec<Command>) {
+        for cmd in commands.drain(..) {
             match cmd {
                 Command::Send {
                     dst,
@@ -709,9 +696,9 @@ impl Sim {
                 }
                 Command::Note(detail) => {
                     Self::located(EventKind::Note, from)
-                        .detail(detail.clone())
+                        .detail_with(|| detail.clone())
                         .emit();
-                    self.record(TraceKind::Note, from, detail);
+                    self.record(TraceKind::Note, from, || detail);
                 }
             }
         }
@@ -1011,6 +998,62 @@ mod tests {
         }
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100));
+    }
+
+    #[test]
+    fn trace_renders_every_kind_of_entry() {
+        struct Chatty;
+        impl Process for Chatty {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+                ctx.note(format!("got {} byte(s)", msg.payload.len()));
+                ctx.set_timer(SimDuration::from_millis(1), 7);
+                ctx.send(msg.src, msg.payload);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+                ctx.note(format!("timer {tag}"));
+            }
+        }
+        let link = LinkConfig::with_latency(SimDuration::from_millis(2));
+        let mut sim = Sim::with_topology(1, Topology::full_mesh(link));
+        let (a, b, c) = (sim.add_node(), sim.add_node(), sim.add_node());
+        let (pa, pb) = (Addr::new(a, 0), Addr::new(b, 3));
+        sim.attach(pa, Chatty);
+        sim.attach(pb, Recorder::new(false));
+        sim.set_tracing(true);
+        sim.send_from(pb, pa, vec![1, 2]);
+        sim.send_from(Addr::EXTERNAL, Addr::new(c, 0), vec![9]);
+        sim.schedule_timer(pb, SimDuration::from_millis(9), 4);
+        sim.run_until(SimTime::from_micros(5_000));
+        sim.send_from(pa, pb, vec![3]);
+        sim.topology_mut().crash(b);
+        sim.send_from(pa, pb, vec![4, 4, 4]);
+        sim.run_until_idle();
+        let rendered: Vec<String> = sim.take_trace().iter().map(|e| e.to_string()).collect();
+        assert_eq!(
+            rendered,
+            [
+                "t=0us send n1:3 -> n0:0 (2 bytes)",
+                "t=0us send external -> n2:0 (1 bytes)",
+                "t=1us drop n2:0 no process attached",
+                "t=2000us deliver n0:0 <- n1:3 (2 bytes)",
+                "t=2000us note n0:0 got 2 byte(s)",
+                "t=2000us send n0:0 -> n1:3 (2 bytes)",
+                "t=3000us timer n0:0 tag=7",
+                "t=3000us note n0:0 timer 7",
+                "t=4000us deliver n1:3 <- n0:0 (2 bytes)",
+                "t=5000us send n0:0 -> n1:3 (1 bytes)",
+                "t=5000us send n0:0 -> n1:3 (3 bytes)",
+                "t=5000us drop n1:3 endpoint crashed",
+                "t=7000us drop n1:3 destination crashed in flight",
+                "t=9000us drop n1:3 timer 4 on crashed node",
+            ]
+        );
+        // With tracing off nothing is kept (and nothing is formatted).
+        sim.set_tracing(false);
+        sim.topology_mut().restart(b);
+        sim.send_from(pb, pa, vec![1]);
+        sim.run_until_idle();
+        assert!(sim.take_trace().is_empty());
     }
 
     /// Volleys a counter back and forth `rounds` times, then stops.

@@ -38,7 +38,7 @@
 
 use crate::event::{Event, EventBuilder, SpanId};
 use crate::metrics::{Histogram, Registry};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Bounds on event collection. Default (`None`/`None`) buffers
@@ -70,7 +70,6 @@ impl DropStats {
 
 #[derive(Debug)]
 struct BusState {
-    enabled: bool,
     collect: CollectConfig,
     now_us: u64,
     next_seq: u64,
@@ -93,7 +92,6 @@ struct BusState {
 impl BusState {
     fn fresh() -> Self {
         Self {
-            enabled: true,
             collect: CollectConfig::default(),
             now_us: 0,
             next_seq: 0,
@@ -138,6 +136,10 @@ impl BusState {
 
 thread_local! {
     static BUS: RefCell<BusState> = RefCell::new(BusState::fresh());
+    /// Whether the bus records. Kept outside [`BusState`] so the disabled
+    /// path of every emit, counter and histogram call is one flag read:
+    /// no `RefCell` borrow, no lazy-initialisation check.
+    static ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
 /// The approximate buffered size of one event: the struct itself plus
@@ -171,27 +173,26 @@ pub fn sample_admits(root: SpanId, denom: u64) -> bool {
 /// simulation rebuilds.
 pub fn reset() {
     BUS.with(|b| {
-        let (enabled, collect) = {
-            let s = b.borrow();
-            (s.enabled, s.collect)
-        };
-        let mut fresh = BusState::fresh();
-        fresh.enabled = enabled;
-        fresh.collect = collect;
-        *b.borrow_mut() = fresh;
+        let mut s = b.borrow_mut();
+        let collect = s.collect;
+        *s = BusState::fresh();
+        s.collect = collect;
     });
 }
 
-/// Enables or disables recording. Disabled recording is a cheap no-op;
-/// span allocation still works (ids keep advancing) so code paths do not
-/// branch on the setting.
+/// Enables or disables recording. Disabled recording costs one
+/// thread-local flag read per event, counter or histogram call: nothing
+/// is formatted and nothing is allocated (see
+/// [`EventBuilder::detail_with`]). Span allocation still works (ids keep
+/// advancing) so code paths do not branch on the setting.
 pub fn set_enabled(enabled: bool) {
-    BUS.with(|b| b.borrow_mut().enabled = enabled);
+    ENABLED.with(|e| e.set(enabled));
 }
 
 /// Whether the bus is currently recording.
+#[inline]
 pub fn is_enabled() -> bool {
-    BUS.with(|b| b.borrow().enabled)
+    ENABLED.with(Cell::get)
 }
 
 /// Installs collection bounds (see the module docs). Takes effect for
@@ -262,14 +263,12 @@ pub fn new_span() -> SpanId {
     })
 }
 
-/// Records an event built by [`EventBuilder`]; returns its sequence
-/// number, or `None` if disabled or discarded by sampling.
+/// Records an event built by [`EventBuilder`] (which has already checked
+/// that the bus is recording); returns its sequence number, or `None`
+/// if sampling discarded it.
 pub(crate) fn record(builder: EventBuilder) -> Option<u64> {
     BUS.with(|b| {
         let mut s = b.borrow_mut();
-        if !s.enabled {
-            return None;
-        }
         // Learn the span's parent link before any keep/drop decision, so
         // every later event of this tree resolves to the same root.
         if let (Some(span), Some(parent)) = (builder.span, builder.parent) {
@@ -341,32 +340,23 @@ pub fn take_events() -> Vec<Event> {
 
 /// Adds to a counter in the bus's metrics registry.
 pub fn counter_add(name: &str, v: u64) {
-    BUS.with(|b| {
-        let mut s = b.borrow_mut();
-        if s.enabled {
-            s.metrics.counter_add(name, v);
-        }
-    });
+    if is_enabled() {
+        BUS.with(|b| b.borrow_mut().metrics.counter_add(name, v));
+    }
 }
 
 /// Sets a gauge in the bus's metrics registry.
 pub fn gauge_set(name: &str, v: i64) {
-    BUS.with(|b| {
-        let mut s = b.borrow_mut();
-        if s.enabled {
-            s.metrics.gauge_set(name, v);
-        }
-    });
+    if is_enabled() {
+        BUS.with(|b| b.borrow_mut().metrics.gauge_set(name, v));
+    }
 }
 
 /// Records a histogram sample (typically sim-time microseconds).
 pub fn observe(name: &str, v: u64) {
-    BUS.with(|b| {
-        let mut s = b.borrow_mut();
-        if s.enabled {
-            s.metrics.observe(name, v);
-        }
-    });
+    if is_enabled() {
+        BUS.with(|b| b.borrow_mut().metrics.observe(name, v));
+    }
 }
 
 /// A copy of the metrics registry.
@@ -435,6 +425,42 @@ mod tests {
     }
 
     #[test]
+    fn detail_with_runs_only_when_recording_and_then_exactly_once() {
+        unbounded();
+        let runs = Cell::new(0u32);
+        let emit = |root: SpanId| {
+            EventBuilder::new(Layer::Application, EventKind::Note)
+                .span(root)
+                .detail_with(|| {
+                    runs.set(runs.get() + 1);
+                    format!("root {root}")
+                })
+                .emit()
+        };
+        set_enabled(false);
+        assert_eq!(emit(new_span()), None);
+        assert_eq!(runs.get(), 0, "a disabled bus formats nothing");
+        set_enabled(true);
+        assert_eq!(emit(new_span()), Some(0));
+        assert_eq!(runs.get(), 1);
+        assert_eq!(snapshot_events()[0].detail, "root 2");
+
+        // Under 1/N sampling the detail is built before the keep/drop
+        // decision: once per emit, whichever way it goes.
+        set_collect(CollectConfig {
+            ring_capacity: None,
+            sample_denom: Some(4),
+        });
+        reset();
+        runs.set(0);
+        let kept = (0..32).filter(|_| emit(new_span()).is_some()).count();
+        assert_eq!(runs.get(), 32);
+        assert!(kept > 0 && kept < 32, "kept {kept} of 32");
+        assert_eq!(drop_stats().sampled_out as usize, 32 - kept);
+        unbounded();
+    }
+
+    #[test]
     fn reset_restarts_spans_and_seq() {
         unbounded();
         let a = new_span();
@@ -453,7 +479,7 @@ mod tests {
         });
         for i in 0..10 {
             EventBuilder::new(Layer::Application, EventKind::Note)
-                .detail(format!("e{i}"))
+                .detail_with(|| format!("e{i}"))
                 .emit();
         }
         let evs = snapshot_events();
@@ -514,7 +540,7 @@ mod tests {
                 let root = new_span();
                 EventBuilder::new(Layer::Engineering, EventKind::CallStart)
                     .span(root)
-                    .detail(format!("call{i}"))
+                    .detail_with(|| format!("call{i}"))
                     .emit();
                 let msg = new_span();
                 EventBuilder::new(Layer::Netsim, EventKind::Send)
@@ -588,7 +614,7 @@ mod tests {
         unbounded();
         for i in 0..10 {
             EventBuilder::new(Layer::Application, EventKind::Note)
-                .detail(format!("event number {i}"))
+                .detail_with(|| format!("event number {i}"))
                 .emit();
         }
         let peak = peak_trace_bytes();

@@ -40,6 +40,7 @@ pub mod oracle;
 pub use event::{Event, EventBuilder, EventKind, Layer, SpanId};
 
 /// Shorthand: starts building an event.
+#[inline]
 pub fn event(layer: Layer, kind: EventKind) -> EventBuilder {
     EventBuilder::new(layer, kind)
 }

@@ -171,14 +171,16 @@ impl<M: StableMedia> StoreEngine<M> {
         };
         bus::counter_add("store.recovery_replayed", stats.recovery_replayed);
         EventBuilder::new(Layer::Store, EventKind::StoreRecovery)
-            .detail(format!(
-                "snapshot={} scanned={} replayed={} torn_tail={} unresolved={}",
-                report.snapshot_loaded,
-                report.records_scanned,
-                report.writes_replayed,
-                report.tail_discarded,
-                report.unresolved_txs
-            ))
+            .detail_with(|| {
+                format!(
+                    "snapshot={} scanned={} replayed={} torn_tail={} unresolved={}",
+                    report.snapshot_loaded,
+                    report.records_scanned,
+                    report.writes_replayed,
+                    report.tail_discarded,
+                    report.unresolved_txs
+                )
+            })
             .emit();
 
         let engine = Self {
@@ -321,7 +323,7 @@ impl<M: StableMedia> StoreEngine<M> {
         self.stats.commits += 1;
         bus::counter_add("store.commits", 1);
         EventBuilder::new(Layer::Store, EventKind::WalCommit)
-            .detail(format!("tx={} ops={ops}", batch.tx.raw()))
+            .detail_with(|| format!("tx={} ops={ops}", batch.tx.raw()))
             .emit();
         self.publish_sizes();
         if self.media.wal_len() > self.config.compact_wal_bytes {
@@ -352,7 +354,7 @@ impl<M: StableMedia> StoreEngine<M> {
             .snapshot_write(&encode_snapshot(&self.state, self.next_batch));
         self.media.sync();
         EventBuilder::new(Layer::Store, EventKind::StoreSnapshot)
-            .detail(format!("keys={}", self.state.len()))
+            .detail_with(|| format!("keys={}", self.state.len()))
             .emit();
         // If an uncommitted batch is open its records must survive the
         // reset, or recovery could mistake its later commit frame for a
@@ -374,7 +376,7 @@ impl<M: StableMedia> StoreEngine<M> {
         self.stats.compactions += 1;
         bus::counter_add("store.compactions", 1);
         EventBuilder::new(Layer::Store, EventKind::StoreCompaction)
-            .detail(format!("log_bytes={}", self.media.wal_len()))
+            .detail_with(|| format!("log_bytes={}", self.media.wal_len()))
             .emit();
         self.publish_sizes();
     }

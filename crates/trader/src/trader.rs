@@ -389,10 +389,17 @@ impl Trader {
                 })?;
         }
         let id = self.gen.fresh();
-        let detail = format!(
-            "trader={} offer={id} type={service_type} interface={interface}",
-            self.name
-        );
+        let event = rmodp_observe::event(
+            rmodp_observe::Layer::Trader,
+            rmodp_observe::EventKind::TraderExport,
+        )
+        .in_context()
+        .detail_with(|| {
+            format!(
+                "trader={} offer={id} type={service_type} interface={interface}",
+                self.name
+            )
+        });
         self.store.insert(ServiceOffer {
             id,
             service_type,
@@ -401,13 +408,7 @@ impl Trader {
             held_by: self.name.clone(),
         });
         self.stats.exports += 1;
-        rmodp_observe::event(
-            rmodp_observe::Layer::Trader,
-            rmodp_observe::EventKind::TraderExport,
-        )
-        .in_context()
-        .detail(detail)
-        .emit();
+        event.emit();
         rmodp_observe::bus::counter_add("trader.exports", 1);
         Ok(id)
     }
@@ -480,7 +481,7 @@ impl Trader {
         event(Layer::Trader, EventKind::TraderPlan)
             .span(span)
             .parent_from_context()
-            .detail(format!("trader={} {}", self.name, planned.plan.summary()))
+            .detail_with(|| format!("trader={} {}", self.name, planned.plan.summary()))
             .emit();
         bus::push_context(span);
 
@@ -511,12 +512,14 @@ impl Trader {
 
         event(Layer::Trader, EventKind::TraderLookup)
             .in_context()
-            .detail(format!(
-                "trader={} type={} matches={}",
-                self.name,
-                request.service_type,
-                matches.len()
-            ))
+            .detail_with(|| {
+                format!(
+                    "trader={} type={} matches={}",
+                    self.name,
+                    request.service_type,
+                    matches.len()
+                )
+            })
             .emit();
         bus::counter_add("trader.lookups", 1);
         bus::pop_context();
@@ -560,12 +563,14 @@ impl Trader {
             rmodp_observe::EventKind::TraderLookup,
         )
         .in_context()
-        .detail(format!(
-            "trader={} type={} matches={} mode=scan",
-            self.name,
-            request.service_type,
-            matches.len()
-        ))
+        .detail_with(|| {
+            format!(
+                "trader={} type={} matches={} mode=scan",
+                self.name,
+                request.service_type,
+                matches.len()
+            )
+        })
         .emit();
         rmodp_observe::bus::counter_add("trader.lookups", 1);
         matches

@@ -246,10 +246,12 @@ impl DurableGuard {
             .span(span)
             .parent_from_context()
             .capsule(backup_capsule.raw())
-            .detail(format!(
-                "durable cluster={} {} -> {backup_node} pending_ops={}",
-                self.home.2, self.home.0, self.next_op
-            ))
+            .detail_with(|| {
+                format!(
+                    "durable cluster={} {} -> {backup_node} pending_ops={}",
+                    self.home.2, self.home.0, self.next_op
+                )
+            })
             .emit();
         bus::push_context(span);
         let recovered = self.recover_inner(engine, infra, store, &cp, backup_node, backup_capsule);
@@ -266,10 +268,12 @@ impl DurableGuard {
         event(Layer::Transparency, EventKind::RecoveryEnd)
             .span(span)
             .capsule(backup_capsule.raw())
-            .detail(format!(
-                "durable cluster={new_cluster} recovery #{} replayed={replayed} lost=0",
-                self.recoveries
-            ))
+            .detail_with(|| {
+                format!(
+                    "durable cluster={new_cluster} recovery #{} replayed={replayed} lost=0",
+                    self.recoveries
+                )
+            })
             .emit();
         // Fold the replayed tail into a fresh persisted checkpoint.
         self.checkpoint_now(engine, store)?;

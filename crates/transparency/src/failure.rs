@@ -225,10 +225,7 @@ impl FailureGuard {
             .span(span)
             .parent_from_context()
             .capsule(backup_capsule.raw())
-            .detail(format!(
-                "cluster={} {} -> {backup_node}",
-                self.home.2, self.home.0
-            ))
+            .detail_with(|| format!("cluster={} {} -> {backup_node}", self.home.2, self.home.0))
             .emit();
         bus::push_context(span);
         let recovered = (|| {
@@ -245,10 +242,12 @@ impl FailureGuard {
         event(Layer::Transparency, EventKind::RecoveryEnd)
             .span(span)
             .capsule(backup_capsule.raw())
-            .detail(format!(
-                "cluster={new_cluster} recovery #{} lost={lost}",
-                self.recoveries
-            ))
+            .detail_with(|| {
+                format!(
+                    "cluster={new_cluster} recovery #{} lost={lost}",
+                    self.recoveries
+                )
+            })
             .emit();
         bus::counter_add("transparency.recoveries", 1);
         Ok(new_cluster)

@@ -194,7 +194,7 @@ impl PersistenceManager {
         )
         .in_context()
         .capsule(capsule.raw())
-        .detail(format!("stored label={label} objects={}", cp.objects.len()))
+        .detail_with(|| format!("stored label={label} objects={}", cp.objects.len()))
         .emit();
         rmodp_observe::bus::counter_add("transparency.persists", 1);
         Ok(())
@@ -234,10 +234,7 @@ impl PersistenceManager {
         )
         .in_context()
         .capsule(home.capsule.raw())
-        .detail(format!(
-            "restored label={label} objects={}",
-            cp.objects.len()
-        ))
+        .detail_with(|| format!("restored label={label} objects={}", cp.objects.len()))
         .emit();
         rmodp_observe::bus::counter_add("transparency.restores", 1);
         Ok(engine.reactivate_cluster(home.node, home.capsule, &cp)?)

@@ -297,11 +297,7 @@ impl ReplicatedService {
         event(Layer::Transparency, EventKind::ReplicaUpdate)
             .span(span)
             .parent_from_context()
-            .detail(format!(
-                "group={} op={op} fanout={}",
-                self.group,
-                order.len()
-            ))
+            .detail_with(|| format!("group={} op={op} fanout={}", self.group, order.len()))
             .emit();
         bus::counter_add("transparency.replica_updates", 1);
         // Marshal the invocation once; every replica shares the same
@@ -320,7 +316,7 @@ impl ReplicatedService {
                 Ok(t) => {
                     event(Layer::Transparency, EventKind::ReplicaVote)
                         .span(span)
-                        .detail(format!("replica={replica} applied {op}"))
+                        .detail_with(|| format!("replica={replica} applied {op}"))
                         .emit();
                     if first.is_none() {
                         first = Some(t);
@@ -359,7 +355,7 @@ impl ReplicatedService {
             .ok_or(ReplicationError::Exhausted)?;
         event(Layer::Transparency, EventKind::ReplicaRead)
             .in_context()
-            .detail(format!("group={} op={op} replica={target}", self.group))
+            .detail_with(|| format!("group={} op={op} replica={target}", self.group))
             .emit();
         bus::counter_add("transparency.replica_reads", 1);
         self.call_replica(engine, target, op, args)
@@ -410,7 +406,7 @@ impl ReplicatedService {
         self.channels.remove(&replica);
         event(Layer::Transparency, EventKind::ReplicaVote)
             .in_context()
-            .detail(format!("group={} dropped replica={replica}", self.group))
+            .detail_with(|| format!("group={} dropped replica={replica}", self.group))
             .emit();
         bus::counter_add("transparency.replica_drops", 1);
         Ok(())
@@ -466,12 +462,14 @@ impl ReplicatedService {
         event(Layer::Transparency, EventKind::ReplicaUpdate)
             .span(span)
             .parent_from_context()
-            .detail(format!(
-                "group={} epoch={} seq={seq} k={k} fanout={}",
-                self.group.raw(),
-                self.epoch,
-                view.members.len()
-            ))
+            .detail_with(|| {
+                format!(
+                    "group={} epoch={} seq={seq} k={k} fanout={}",
+                    self.group.raw(),
+                    self.epoch,
+                    view.members.len()
+                )
+            })
             .emit();
         bus::counter_add("transparency.replica_updates", 1);
         let args = Value::record([
@@ -502,7 +500,7 @@ impl ReplicatedService {
                     acks += 1;
                     event(Layer::Transparency, EventKind::ReplicaVote)
                         .span(span)
-                        .detail(format!("replica={} acked seq={seq}", replica.raw()))
+                        .detail_with(|| format!("replica={} acked seq={seq}", replica.raw()))
                         .emit();
                 }
                 Ok(t) if t.name == rmodp_engineering::behaviour::FENCED => {
@@ -516,11 +514,13 @@ impl ReplicatedService {
             bus::counter_add("replication.fenced_writes", 1);
             event(Layer::Transparency, EventKind::FencedWrite)
                 .span(span)
-                .detail(format!(
-                    "group={} epoch={} newer={newer} seq={seq}",
-                    self.group.raw(),
-                    self.epoch
-                ))
+                .detail_with(|| {
+                    format!(
+                        "group={} epoch={} newer={newer} seq={seq}",
+                        self.group.raw(),
+                        self.epoch
+                    )
+                })
                 .emit();
             return Err(ReplicationError::Fenced {
                 epoch: self.epoch,
@@ -539,11 +539,13 @@ impl ReplicatedService {
         bus::counter_add("replication.quorum_commits", 1);
         event(Layer::Transparency, EventKind::QuorumCommit)
             .span(span)
-            .detail(format!(
-                "group={} epoch={} seq={seq} acks={acks}",
-                self.group.raw(),
-                self.epoch
-            ))
+            .detail_with(|| {
+                format!(
+                    "group={} epoch={} seq={seq} acks={acks}",
+                    self.group.raw(),
+                    self.epoch
+                )
+            })
             .emit();
         let commit_args = Value::record([
             ("epoch", Value::Int(self.epoch as i64)),
@@ -587,11 +589,13 @@ impl ReplicatedService {
             bus::counter_add("replication.fenced_writes", 1);
             event(Layer::Transparency, EventKind::FencedWrite)
                 .in_context()
-                .detail(format!(
-                    "group={} epoch={} newer={replica_epoch} read",
-                    self.group.raw(),
-                    self.epoch
-                ))
+                .detail_with(|| {
+                    format!(
+                        "group={} epoch={} newer={replica_epoch} read",
+                        self.group.raw(),
+                        self.epoch
+                    )
+                })
                 .emit();
             return Err(ReplicationError::Fenced {
                 epoch: self.epoch,
@@ -601,14 +605,16 @@ impl ReplicatedService {
         bus::counter_add("transparency.replica_reads", 1);
         event(Layer::Transparency, EventKind::ReplicaRead)
             .in_context()
-            .detail(format!(
-                "group={} epoch={} commit={} n={} replica={}",
-                self.group.raw(),
-                self.epoch,
-                Self::ack_field(&t, "commit"),
-                Self::ack_field(&t, "n"),
-                leader.raw()
-            ))
+            .detail_with(|| {
+                format!(
+                    "group={} epoch={} commit={} n={} replica={}",
+                    self.group.raw(),
+                    self.epoch,
+                    Self::ack_field(&t, "commit"),
+                    Self::ack_field(&t, "n"),
+                    leader.raw()
+                )
+            })
             .emit();
         Ok(t)
     }
@@ -646,11 +652,13 @@ impl ReplicatedService {
         event(Layer::Transparency, EventKind::Note)
             .span(span)
             .parent_from_context()
-            .detail(format!(
-                "election group={} epoch={epoch} roster={}",
-                self.group.raw(),
-                view.members.len()
-            ))
+            .detail_with(|| {
+                format!(
+                    "election group={} epoch={epoch} roster={}",
+                    self.group.raw(),
+                    view.members.len()
+                )
+            })
             .emit();
         bus::push_context(span);
         let ballot = Value::record([("epoch", Value::Int(epoch as i64))]);

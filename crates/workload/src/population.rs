@@ -45,6 +45,7 @@ use rmodp_engineering::envelope::{Envelope, EnvelopeKind, ReplyStatus};
 use rmodp_engineering::nucleus::{NucleusProcess, DRIVER_PORT, NUCLEUS_PORT};
 use rmodp_engineering::population::{BankBranchBehaviour, TraderDeskBehaviour};
 use rmodp_engineering::structure::BeoRecord;
+use rmodp_kernel::payload::Payload;
 use rmodp_kernel::rng::mix;
 use rmodp_kernel::{EpochHook, PartitionMap, ShardedKernel, SyncStats};
 use rmodp_netsim::sim::{Addr, Ctx, Message, NodeIdx, Process, ShardAction, Sim};
@@ -403,16 +404,19 @@ impl ClientHubProcess {
         let h = mix(self.seed, req);
         let (op, args, _code) = self.scenario.op(h);
         let target = self.target_region(req);
-        let payload = syntax_for(SyntaxId::Binary)
-            .encode(&Value::record([("op", Value::text(op)), ("args", args)]));
-        let env = Envelope::request(
+        let invocation = Value::record([("op", Value::text(op)), ("args", args)]);
+        let header = Envelope::request(
             ChannelId::new(0),
             req,
             InterfaceId::new(target as u64 + 1),
             SyntaxId::Binary,
-            payload,
+            Payload::empty(),
         );
-        ctx.send(Addr::new(NodeIdx(2 * target), NUCLEUS_PORT), env.to_bytes());
+        // Nothing but the frame needs the payload: encode it behind the
+        // header, in the frame's own buffer.
+        let frame =
+            header.to_bytes_with(|out| syntax_for(SyntaxId::Binary).encode_into(&invocation, out));
+        ctx.send(Addr::new(NodeIdx(2 * target), NUCLEUS_PORT), frame);
         self.inflight.insert(req, ctx.now());
         self.sent += 1;
     }
