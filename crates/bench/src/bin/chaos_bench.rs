@@ -18,7 +18,6 @@
 
 fn main() {
     let args = rmodp_bench::cli::parse(4_242, "target/BENCH_chaos.json", &[]);
-    args.single_shard("chaos_bench");
     let json = rmodp_bench::chaos_suite::run_suite(args.seed);
     rmodp_bench::cli::write_output(&args.out, &json);
 }

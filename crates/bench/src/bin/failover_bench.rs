@@ -19,7 +19,6 @@
 
 fn main() {
     let args = rmodp_bench::cli::parse(4_242, "target/BENCH_failover.json", &[]);
-    args.single_shard("failover_bench");
     let json = rmodp_bench::failover_suite::run_suite(args.seed);
     rmodp_bench::cli::write_output(&args.out, &json);
 }

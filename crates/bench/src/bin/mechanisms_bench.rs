@@ -21,7 +21,6 @@ fn main() {
         "target/BENCH_mechanisms.json",
         &[],
     );
-    args.single_shard("mechanisms_bench");
     let json = rmodp_bench::mechanisms::run_suite(args.seed);
     rmodp_bench::cli::write_output(&args.out, &json);
 }

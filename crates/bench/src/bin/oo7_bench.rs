@@ -24,7 +24,6 @@ fn main() {
     let mut cfg = Oo7BenchConfig::default();
     let args =
         rmodp_bench::cli::parse(cfg.seed, "target/BENCH_oo7.json", &["--scale", "--updates"]);
-    args.single_shard("oo7_bench");
     cfg.seed = args.seed;
     if let Some(scale) = args.extra[0] {
         cfg.scale = scale.min(2) as u8;

@@ -24,13 +24,13 @@ fn main() {
     let args = rmodp_bench::cli::parse(
         DEFAULT_SEED,
         "target/BENCH_population.json",
-        &["--scale", "--measure"],
+        &["--shards", "--scale", "--measure"],
     );
     let cfg = PopulationBenchConfig {
         seed: args.seed,
-        shards: args.shards.map(|n| n as usize),
-        scale: args.extra[0].map_or(1, |s| s.min(1) as u8),
-        measure: args.extra[1].is_some_and(|m| m != 0),
+        shards: args.extra[0].map(|n| n as usize),
+        scale: args.extra[1].map_or(1, |s| s.min(1) as u8),
+        measure: args.extra[2].is_some_and(|m| m != 0),
     };
     let json = run_suite(cfg);
     rmodp_bench::cli::write_output(&args.out, &json);

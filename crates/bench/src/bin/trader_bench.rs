@@ -26,7 +26,6 @@ fn main() {
         "target/BENCH_trader.json",
         &["--offers", "--imports"],
     );
-    args.single_shard("trader_bench");
     cfg.seed = args.seed;
     if let Some(offers) = args.extra[0] {
         cfg.offers = offers as usize;

@@ -21,7 +21,6 @@ fn main() {
         "target/BENCH_workload.json",
         &[],
     );
-    args.single_shard("workload_bench");
     let json = rmodp_bench::workload_suite::run_suite(args.seed);
     rmodp_bench::cli::write_output(&args.out, &json);
 }

@@ -29,42 +29,18 @@ use rmodp_trader::Trader;
 /// Shared argument parsing for the benchmark binaries: every bin speaks
 /// the same `--seed N <output-path>` interface (CI relies on this), and
 /// a bin may declare extra numeric flags (the trader bench's `--offers`
-/// / `--imports`).
+/// / `--imports`, the population bench's `--shards`).
 pub mod cli {
     /// Parsed benchmark arguments.
     #[derive(Debug)]
     pub struct BenchArgs {
         /// The base seed (`--seed N`).
         pub seed: u64,
-        /// The shard count (`--shards N`; `None` when the flag wasn't
-        /// given). Only the population benchmark runs multi-shard; the
-        /// single-queue benchmarks accept the flag so the interface stays
-        /// uniform, but reject values other than 1 via
-        /// [`BenchArgs::single_shard`] (their pinned fixture bytes are
-        /// single-shard by definition).
-        pub shards: Option<u64>,
         /// The output path (the one positional argument).
         pub out: String,
         /// Values for the declared extra flags, in declaration order;
         /// `None` where the flag wasn't given.
         pub extra: Vec<Option<u64>>,
-    }
-
-    impl BenchArgs {
-        /// Asserts this benchmark was not asked to shard.
-        ///
-        /// # Panics
-        ///
-        /// When `--shards` was given with a value other than 1.
-        pub fn single_shard(&self, bench: &str) {
-            let shards = self.shards.unwrap_or(1);
-            assert!(
-                shards == 1,
-                "{bench} runs on a single shard (its pinned fixtures are \
-                 single-queue runs); multi-shard execution is the population \
-                 benchmark's job: population_bench --shards {shards}"
-            );
-        }
     }
 
     /// Parses `std::env::args()` against the unified interface.
@@ -76,7 +52,6 @@ pub mod cli {
     pub fn parse(default_seed: u64, default_out: &str, extra_flags: &[&str]) -> BenchArgs {
         let mut parsed = BenchArgs {
             seed: default_seed,
-            shards: None,
             out: default_out.to_owned(),
             extra: vec![None; extra_flags.len()],
         };
@@ -90,14 +65,10 @@ pub mod cli {
             };
             if arg == "--seed" {
                 parsed.seed = numeric("--seed");
-            } else if arg == "--shards" {
-                let n = numeric("--shards");
-                assert!(n >= 1, "--shards needs a positive value");
-                parsed.shards = Some(n);
             } else if let Some(i) = extra_flags.iter().position(|f| *f == arg) {
                 parsed.extra[i] = Some(numeric(&arg));
             } else if arg.starts_with("--") {
-                panic!("unknown flag {arg}; expected --seed, --shards{}", {
+                panic!("unknown flag {arg}; expected --seed{}", {
                     let mut s = String::new();
                     for f in extra_flags {
                         s.push_str(", ");

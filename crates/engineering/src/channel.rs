@@ -17,6 +17,7 @@ use std::fmt;
 use rmodp_core::codec::{syntax_for, CodecError, SyntaxId};
 
 use crate::envelope::{Envelope, EnvelopeKind};
+use crate::wire;
 use rmodp_netsim::time::SimDuration;
 
 /// A failure inside a channel component.
@@ -171,12 +172,7 @@ impl ChannelComponent for AuditStub {
 
     fn on_outgoing(&mut self, env: &mut Envelope) -> Result<(), ChannelError> {
         if matches!(env.kind, EnvelopeKind::Request | EnvelopeKind::Announce) {
-            let value = syntax_for(env.syntax).decode(&env.payload)?;
-            let op = value
-                .field("op")
-                .and_then(|v| v.as_text())
-                .unwrap_or("<unknown>")
-                .to_owned();
+            let op = wire::operation_name(env.syntax, &env.payload)?;
             self.entries.push(format!("out {:?} {op}", env.kind));
         }
         Ok(())
@@ -185,12 +181,7 @@ impl ChannelComponent for AuditStub {
     fn on_incoming(&mut self, env: &mut Envelope) -> Result<(), ChannelError> {
         match env.kind {
             EnvelopeKind::Request | EnvelopeKind::Announce => {
-                let value = syntax_for(env.syntax).decode(&env.payload)?;
-                let op = value
-                    .field("op")
-                    .and_then(|v| v.as_text())
-                    .unwrap_or("<unknown>")
-                    .to_owned();
+                let op = wire::operation_name(env.syntax, &env.payload)?;
                 self.entries.push(format!("in {:?} {op}", env.kind));
             }
             EnvelopeKind::Reply => {
@@ -572,11 +563,10 @@ mod tests {
     use rmodp_core::value::Value;
 
     fn invocation_payload(syntax: SyntaxId) -> Vec<u8> {
-        let v = Value::record([
-            ("op", Value::text("Deposit")),
-            ("args", Value::record([("d", Value::Int(100))])),
-        ]);
-        syntax_for(syntax).encode(&v)
+        let mut out = Vec::new();
+        let args = Value::record([("d", Value::Int(100))]);
+        wire::encode_invocation_into(syntax, "Deposit", args, &mut out);
+        out
     }
 
     fn request(syntax: SyntaxId) -> Envelope {

@@ -20,13 +20,14 @@ use crate::behaviour::BehaviourRegistry;
 use crate::channel::{
     BreakerConfig, BreakerPhase, ChannelConfig, ChannelError, RetryPolicy, Stack,
 };
-use crate::envelope::{Envelope, ReplyStatus};
+use crate::envelope::{Envelope, EnvelopeKind, ReplyStatus};
 use crate::nucleus::{
     AdmissionConfig, DriverProcess, NucleusProcess, NucleusStats, DRIVER_PORT, NUCLEUS_PORT,
 };
 use crate::structure::{
     BeoRecord, ClusterCheckpoint, InterfaceRef, Location, ObjectCheckpoint, StructurePolicy,
 };
+use crate::wire;
 
 /// An engineering-level error.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,6 +175,19 @@ impl BreakerState {
     }
 }
 
+/// Where a channel's frames travel, as its client half currently
+/// believes: resolved once per send by [`Engine::route`].
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    /// The client node's native syntax (what the invocation is encoded in).
+    native: SyntaxId,
+    target: InterfaceId,
+    /// The client node's reply collector: every frame is sent from here.
+    driver: Addr,
+    /// The nucleus of the node the target is believed to be on.
+    nucleus: Addr,
+}
+
 struct ClientChannel {
     client: NodeId,
     target: InterfaceId,
@@ -304,10 +318,6 @@ impl Engine {
 
     fn nucleus_addr(&self, node: NodeId) -> Result<Addr, EngError> {
         Ok(Addr::new(self.handle(node)?.sim_node, NUCLEUS_PORT))
-    }
-
-    fn driver_addr(&self, node: NodeId) -> Result<Addr, EngError> {
-        Ok(Addr::new(self.handle(node)?.sim_node, DRIVER_PORT))
     }
 
     fn nucleus_mut(&mut self, node: NodeId) -> Result<&mut NucleusProcess, EngError> {
@@ -570,9 +580,60 @@ impl Engine {
         Ok(())
     }
 
-    fn encode_invocation(&self, native: SyntaxId, op: &str, args: &Value) -> Vec<u8> {
-        let v = Value::record([("op", Value::text(op)), ("args", args.clone())]);
-        syntax_for(native).encode(&v)
+    /// Resolves a channel to the addresses and syntax its frames use.
+    fn route(&self, channel: ChannelId) -> Result<Route, EngError> {
+        let cc = self
+            .channels
+            .get(&channel)
+            .ok_or(EngError::UnknownChannel { channel })?;
+        let client = self.handle(cc.client)?;
+        Ok(Route {
+            native: client.native,
+            target: cc.target,
+            driver: Addr::new(client.sim_node, DRIVER_PORT),
+            nucleus: self.nucleus_addr(cc.believed.location.node)?,
+        })
+    }
+
+    /// The one transmit step every kind of send shares: runs the
+    /// channel's outgoing stack over the envelope, serialises it and
+    /// hands the frame to the network. A request's id is registered with
+    /// the driver first, so the reply has somewhere to land. Returns the
+    /// frame for retransmission.
+    fn transmit(
+        &mut self,
+        channel: ChannelId,
+        route: Route,
+        env: &mut Envelope,
+    ) -> Result<Payload, ChannelError> {
+        let cc = self.channels.get_mut(&channel).expect("routed above");
+        cc.stack.outgoing(env)?;
+        if env.kind == EnvelopeKind::Request {
+            if let Some(d) = self.driver_mut(route.driver) {
+                d.expect_reply(env.request);
+            }
+        }
+        let frame = Payload::new(env.to_bytes());
+        self.sim
+            .send_from(route.driver, route.nucleus, frame.clone());
+        Ok(frame)
+    }
+
+    fn driver_mut(&mut self, driver: Addr) -> Option<&mut DriverProcess> {
+        self.sim.inspect_mut::<DriverProcess>(driver)
+    }
+
+    fn fresh_request(&mut self) -> u64 {
+        let id = self.next_request;
+        self.next_request += 1;
+        id
+    }
+
+    /// The invocation record for `op(args)` in a client's native syntax.
+    fn invocation_payload(native: SyntaxId, op: &str, args: &Value) -> Payload {
+        let mut bytes = Vec::new();
+        wire::encode_invocation_into(native, op, args.clone(), &mut bytes);
+        Payload::new(bytes)
     }
 
     /// Invokes an interrogation through a channel and runs the simulator
@@ -624,7 +685,7 @@ impl Engine {
         args: &Value,
     ) -> Result<Payload, EngError> {
         let native = self.handle(client)?.native;
-        Ok(Payload::new(self.encode_invocation(native, op, args)))
+        Ok(Self::invocation_payload(native, op, args))
     }
 
     /// Like [`Engine::call`], but with a payload already encoded by
@@ -796,39 +857,26 @@ impl Engine {
         prepared: Option<&Payload>,
         span: u64,
     ) -> Result<Termination, CallError> {
-        let (client, target, believed_node, retry) = {
-            let cc = self
-                .channels
-                .get(&channel)
-                .ok_or(EngError::UnknownChannel { channel })?;
-            (cc.client, cc.target, cc.believed.location.node, cc.retry)
-        };
-        let client_native = self.handle(client)?.native;
-        let driver = self.driver_addr(client)?;
-        let dst = self.nucleus_addr(believed_node)?;
+        let route = self.route(channel)?;
+        let retry = self.channels[&channel].retry;
         let payload = match prepared {
             Some(p) => p.clone(),
-            None => Payload::new(self.encode_invocation(client_native, op, args)),
+            None => Self::invocation_payload(route.native, op, args),
         };
         let attempts = retry.retries + 1;
         let overall = self.sim.now() + retry.deadline;
         // One request id for the whole call: retransmissions carry the
         // same id so the server's dedup cache can suppress duplicates.
-        let request_id = self.next_request;
-        self.next_request += 1;
-        let mut made = 0u32;
+        let request_id = self.fresh_request();
 
-        // Marshal once per call, not once per attempt: the envelope runs
-        // the outgoing stack here and the serialised frame is reused for
-        // every retransmission. Only components that must restamp (a
-        // sequence binder issuing a fresh number) touch it again, via the
-        // event-free `Stack::restamp`.
-        let mut env = Envelope::request(channel, request_id, target, client_native, payload);
-        {
-            let cc = self.channels.get_mut(&channel).expect("checked above");
-            cc.stack.outgoing(&mut env)?;
-        }
-        let mut frame = Payload::new(env.to_bytes());
+        // Marshal once per call, not once per attempt: the first
+        // transmission runs the outgoing stack and the serialised frame
+        // is reused for every retransmission. Only components that must
+        // restamp (a sequence binder issuing a fresh number) touch it
+        // again, via the event-free `Stack::restamp`.
+        let mut env = Envelope::request(channel, request_id, route.target, route.native, payload);
+        let mut frame = self.transmit(channel, route, &mut env)?;
+        let mut made = 1u32;
 
         for attempt in 0..attempts {
             if attempt > 0 {
@@ -841,8 +889,8 @@ impl Engine {
                     pause = pause + SimDuration::from_micros(extra);
                 }
                 let resume = (self.sim.now() + pause).min(overall);
-                if let Some(reply) = self.await_reply(driver, request_id, resume) {
-                    return self.accept_reply(channel, target, reply);
+                if let Some(reply) = self.await_reply(route.driver, request_id, resume) {
+                    return self.accept_reply(channel, route.target, reply);
                 }
                 if self.sim.now() >= overall {
                     break;
@@ -857,31 +905,52 @@ impl Engine {
                 if cc.stack.restamp(&mut env) {
                     frame = Payload::new(env.to_bytes());
                 }
+                made += 1;
+                self.sim
+                    .send_from(route.driver, route.nucleus, frame.clone());
             }
-            made += 1;
-            self.sim.send_from(driver, dst, frame.clone());
             let deadline = (self.sim.now() + retry.timeout).min(overall);
-            if let Some(reply) = self.await_reply(driver, request_id, deadline) {
-                return self.accept_reply(channel, target, reply);
+            if let Some(reply) = self.await_reply(route.driver, request_id, deadline) {
+                return self.accept_reply(channel, route.target, reply);
             }
             if self.sim.now() >= overall {
                 break;
             }
         }
+        // Nobody waits for this id any longer: a reply still in flight is
+        // dropped when it lands instead of sitting in the mailbox forever.
+        if let Some(d) = self.driver_mut(route.driver) {
+            d.forget(request_id);
+        }
         Err(CallError::Timeout { attempts: made })
     }
 
+    /// The one reply step: runs the channel's incoming stack over a
+    /// collected reply and reads its status and termination record.
     fn accept_reply(
         &mut self,
         channel: ChannelId,
         target: InterfaceId,
         mut reply: Envelope,
     ) -> Result<Termination, CallError> {
-        {
-            let cc = self.channels.get_mut(&channel).expect("checked above");
-            cc.stack.incoming(&mut reply)?;
+        let cc = self.channels.get_mut(&channel).expect("routed above");
+        cc.stack.incoming(&mut reply)?;
+        match reply.status {
+            ReplyStatus::NotHere => Err(CallError::NotHere { interface: target }),
+            ReplyStatus::Rejected => {
+                let detail = wire::decode_termination(reply.syntax, &reply.payload)
+                    .ok()
+                    .and_then(|t| {
+                        t.results
+                            .field("reason")
+                            .and_then(Value::as_text)
+                            .map(str::to_owned)
+                    })
+                    .unwrap_or_else(|| "rejected".to_owned());
+                Err(CallError::Rejected { detail })
+            }
+            ReplyStatus::Ok => wire::decode_termination(reply.syntax, &reply.payload),
         }
-        self.interpret_reply(target, reply)
     }
 
     fn await_reply(
@@ -891,10 +960,11 @@ impl Engine {
         deadline: SimTime,
     ) -> Option<Envelope> {
         loop {
-            if let Some(d) = self.sim.inspect_mut::<DriverProcess>(driver) {
-                if let Some((reply, _arrived)) = d.mailbox.remove(&request_id) {
-                    return Some(reply);
-                }
+            if let Some((reply, _arrived)) = self
+                .driver_mut(driver)
+                .and_then(|d| d.mailbox.remove(&request_id))
+            {
+                return Some(reply);
             }
             if self.sim.now() > deadline {
                 return None;
@@ -905,47 +975,6 @@ impl Engine {
                 // recovery metrics depend on timeouts not being free).
                 self.sim.run_until(deadline);
                 return None;
-            }
-        }
-    }
-
-    fn interpret_reply(
-        &self,
-        target: InterfaceId,
-        reply: Envelope,
-    ) -> Result<Termination, CallError> {
-        match reply.status {
-            ReplyStatus::NotHere => Err(CallError::NotHere { interface: target }),
-            ReplyStatus::Rejected => {
-                let detail = syntax_for(reply.syntax)
-                    .decode(&reply.payload)
-                    .ok()
-                    .and_then(|v| {
-                        v.path(&["results", "reason"])
-                            .and_then(|r| r.as_text())
-                            .map(str::to_owned)
-                    })
-                    .unwrap_or_else(|| "rejected".to_owned());
-                Err(CallError::Rejected { detail })
-            }
-            ReplyStatus::Ok => {
-                let value = syntax_for(reply.syntax)
-                    .decode(&reply.payload)
-                    .map_err(|e| CallError::BadReply {
-                        detail: e.to_string(),
-                    })?;
-                // Take the decoded record apart rather than copy out of it.
-                let mut fields = match value {
-                    Value::Record(fields) => fields,
-                    _ => Default::default(),
-                };
-                let Some(Value::Text(name)) = fields.remove("name") else {
-                    return Err(CallError::BadReply {
-                        detail: "termination has no name".into(),
-                    });
-                };
-                let results = fields.remove("results").unwrap_or(Value::Null);
-                Ok(Termination::new(name, results))
             }
         }
     }
@@ -962,23 +991,10 @@ impl Engine {
         op: &str,
         args: &Value,
     ) -> Result<(), CallError> {
-        let (client, target, believed_node) = {
-            let cc = self
-                .channels
-                .get(&channel)
-                .ok_or(EngError::UnknownChannel { channel })?;
-            (cc.client, cc.target, cc.believed.location.node)
-        };
-        let client_native = self.handle(client)?.native;
-        let driver = self.driver_addr(client)?;
-        let dst = self.nucleus_addr(believed_node)?;
-        let payload = self.encode_invocation(client_native, op, args);
-        let mut env = Envelope::announce(channel, target, client_native, payload);
-        {
-            let cc = self.channels.get_mut(&channel).expect("checked above");
-            cc.stack.outgoing(&mut env)?;
-        }
-        self.sim.send_from(driver, dst, env.to_bytes());
+        let route = self.route(channel)?;
+        let payload = Self::invocation_payload(route.native, op, args);
+        let mut env = Envelope::announce(channel, route.target, route.native, payload);
+        self.transmit(channel, route, &mut env)?;
         Ok(())
     }
 
@@ -994,23 +1010,10 @@ impl Engine {
         flow: &str,
         item: &Value,
     ) -> Result<(), CallError> {
-        let (client, target, believed_node) = {
-            let cc = self
-                .channels
-                .get(&channel)
-                .ok_or(EngError::UnknownChannel { channel })?;
-            (cc.client, cc.target, cc.believed.location.node)
-        };
-        let client_native = self.handle(client)?.native;
-        let driver = self.driver_addr(client)?;
-        let dst = self.nucleus_addr(believed_node)?;
-        let payload = syntax_for(client_native).encode(item);
-        let mut env = Envelope::flow_item(channel, target, flow, client_native, payload);
-        {
-            let cc = self.channels.get_mut(&channel).expect("checked above");
-            cc.stack.outgoing(&mut env)?;
-        }
-        self.sim.send_from(driver, dst, env.to_bytes());
+        let route = self.route(channel)?;
+        let payload = syntax_for(route.native).encode(item);
+        let mut env = Envelope::flow_item(channel, route.target, flow, route.native, payload);
+        self.transmit(channel, route, &mut env)?;
         Ok(())
     }
 
@@ -1378,19 +1381,9 @@ impl Engine {
         op: &str,
         args: &Value,
     ) -> Result<u64, CallError> {
-        let (client, target, believed_node) = {
-            let cc = self
-                .channels
-                .get(&channel)
-                .ok_or(EngError::UnknownChannel { channel })?;
-            (cc.client, cc.target, cc.believed.location.node)
-        };
-        let client_native = self.handle(client)?.native;
-        let driver = self.driver_addr(client)?;
-        let dst = self.nucleus_addr(believed_node)?;
-        let payload = self.encode_invocation(client_native, op, args);
-        let request_id = self.next_request;
-        self.next_request += 1;
+        let route = self.route(channel)?;
+        let payload = Self::invocation_payload(route.native, op, args);
+        let request_id = self.fresh_request();
         // Async calls get the same span shape as the blocking path —
         // CallStart here, CallEnd when the reply is collected — so the
         // critical-path profiler sees open-loop invocations too.
@@ -1401,14 +1394,11 @@ impl Engine {
             .channel(channel.raw())
             .detail_with(|| format!("op={op} mode=async"))
             .emit();
-        let mut env = Envelope::request(channel, request_id, target, client_native, payload);
+        let mut env = Envelope::request(channel, request_id, route.target, route.native, payload);
         bus::push_context(span);
-        let sent = {
-            let cc = self.channels.get_mut(&channel).expect("checked above");
-            cc.stack.outgoing(&mut env)
-        };
+        let sent = self.transmit(channel, route, &mut env);
+        bus::pop_context();
         if let Err(e) = sent {
-            bus::pop_context();
             event(Layer::Engineering, EventKind::CallEnd)
                 .span(span)
                 .channel(channel.raw())
@@ -1416,8 +1406,6 @@ impl Engine {
                 .emit();
             return Err(e.into());
         }
-        self.sim.send_from(driver, dst, env.to_bytes());
-        bus::pop_context();
         bus::counter_add("engineering.calls_async", 1);
         self.pending_calls.insert(request_id, (span, op.to_owned()));
         Ok(request_id)
@@ -1436,31 +1424,18 @@ impl Engine {
         channel: ChannelId,
         request_id: u64,
     ) -> Result<Option<(SimTime, Result<Termination, CallError>)>, EngError> {
-        let (client, target) = {
-            let cc = self
-                .channels
-                .get(&channel)
-                .ok_or(EngError::UnknownChannel { channel })?;
-            (cc.client, cc.target)
-        };
-        let driver = self.driver_addr(client)?;
-        let Some(d) = self.sim.inspect_mut::<DriverProcess>(driver) else {
-            return Err(EngError::UnknownNode { node: client });
-        };
-        let Some((mut reply, arrived)) = d.mailbox.remove(&request_id) else {
+        let route = self.route(channel)?;
+        let Some((reply, arrived)) = self
+            .driver_mut(route.driver)
+            .and_then(|d| d.mailbox.remove(&request_id))
+        else {
             return Ok(None);
         };
         let pending = self.pending_calls.remove(&request_id);
         if let Some((span, _)) = &pending {
             bus::push_context(*span);
         }
-        let outcome = {
-            let cc = self.channels.get_mut(&channel).expect("checked above");
-            match cc.stack.incoming(&mut reply) {
-                Err(e) => Err(CallError::Channel(e)),
-                Ok(()) => self.interpret_reply(target, reply),
-            }
-        };
+        let outcome = self.accept_reply(channel, route.target, reply);
         if pending.is_some() {
             bus::pop_context();
         }

@@ -11,6 +11,8 @@
 //!   objects (Figure 4): marshalling stubs (access transparency), audit
 //!   stubs, sequence binders (capture-and-replay protection);
 //! - [`envelope`] — the wire format carried by protocol objects;
+//! - [`wire`] — the invocation and termination records an envelope's
+//!   payload holds: the one encoder and decoder of each;
 //! - [`behaviour`] — executable behaviour of basic engineering objects
 //!   and the registry used by reactivation/migration;
 //! - [`nucleus`] — the per-node kernel run as a simulator process;
@@ -52,6 +54,7 @@ pub mod envelope;
 pub mod nucleus;
 pub mod population;
 pub mod structure;
+pub mod wire;
 
 /// Commonly used items.
 pub mod prelude {

@@ -6,7 +6,7 @@
 //! engineering objects, terminates the server halves of channels, and
 //! dispatches incoming invocations to object behaviours.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rmodp_computational::signature::{Invocation, Termination};
 use rmodp_core::codec::{syntax_for, SyntaxId};
@@ -21,6 +21,7 @@ use crate::behaviour::ServerBehaviour;
 use crate::channel::{ChannelError, Stack};
 use crate::envelope::{Envelope, EnvelopeKind, ReplyStatus};
 use crate::structure::{BeoRecord, Cluster, ClusterCheckpoint, NodeStructure, ObjectCheckpoint};
+use crate::wire;
 
 /// The port a node's nucleus listens on.
 pub const NUCLEUS_PORT: u32 = 0;
@@ -154,6 +155,14 @@ struct QueuedRequest {
     context: Option<u64>,
 }
 
+/// A resident object's executable half: what a [`BeoRecord`] in the
+/// structure tree runs as.
+struct Resident {
+    behaviour: Box<dyn ServerBehaviour>,
+    /// The durable state checkpoints capture.
+    state: Value,
+}
+
 /// The per-node engineering kernel, run as a simulator process.
 pub struct NucleusProcess {
     /// Which engineering node this nucleus serves.
@@ -166,10 +175,8 @@ pub struct NucleusProcess {
     pub routing: BTreeMap<InterfaceId, ObjectId>,
     /// Server-side channel stacks, by channel.
     pub server_channels: BTreeMap<ChannelId, Stack>,
-    /// Behaviours of resident objects.
-    behaviours: BTreeMap<ObjectId, Box<dyn ServerBehaviour>>,
-    /// Durable states of resident objects.
-    states: BTreeMap<ObjectId, Value>,
+    /// Behaviour and state of every resident object.
+    objects: BTreeMap<ObjectId, Resident>,
     /// Counters for observability.
     pub stats: NucleusStats,
     /// Admission control for incoming invocations.
@@ -232,8 +239,7 @@ impl NucleusProcess {
             structure: NodeStructure::default(),
             routing: BTreeMap::new(),
             server_channels: BTreeMap::new(),
-            behaviours: BTreeMap::new(),
-            states: BTreeMap::new(),
+            objects: BTreeMap::new(),
             stats: NucleusStats::default(),
             admission: AdmissionConfig::default(),
             queue: VecDeque::new(),
@@ -355,8 +361,8 @@ impl NucleusProcess {
         })
         .emit();
         rmodp_observe::bus::counter_add("engineering.objects_installed", 1);
-        self.behaviours.insert(record.object, behaviour);
-        self.states.insert(record.object, state.clone());
+        self.objects
+            .insert(record.object, Resident { behaviour, state });
         cl.objects.insert(record.object, record);
         true
     }
@@ -376,8 +382,10 @@ impl NucleusProcess {
         for ifc in &record.interfaces {
             self.routing.remove(ifc);
         }
-        self.behaviours.remove(&object);
-        let state = self.states.remove(&object).unwrap_or(Value::Null);
+        let state = self
+            .objects
+            .remove(&object)
+            .map_or(Value::Null, |resident| resident.state);
         Some(ObjectCheckpoint { record, state })
     }
 
@@ -400,8 +408,7 @@ impl NucleusProcess {
             .map(|record| ObjectCheckpoint {
                 record: record.clone(),
                 state: self
-                    .states
-                    .get(&record.object)
+                    .object_state(record.object)
                     .cloned()
                     .unwrap_or(Value::Null),
             })
@@ -432,8 +439,7 @@ impl NucleusProcess {
             for ifc in &record.interfaces {
                 self.routing.remove(ifc);
             }
-            self.behaviours.remove(&record.object);
-            self.states.remove(&record.object);
+            self.objects.remove(&record.object);
         }
         Some(checkpoint)
     }
@@ -441,7 +447,19 @@ impl NucleusProcess {
     /// Direct read access to an object's state (used by management
     /// functions and tests).
     pub fn object_state(&self, object: ObjectId) -> Option<&Value> {
-        self.states.get(&object)
+        self.objects.get(&object).map(|resident| &resident.state)
+    }
+
+    /// The one interface → resident-object lookup every dispatch site
+    /// uses. Takes the two maps rather than `self` so callers can keep
+    /// counting and replying while they hold the object.
+    fn resident<'a>(
+        routing: &BTreeMap<InterfaceId, ObjectId>,
+        objects: &'a mut BTreeMap<ObjectId, Resident>,
+        interface: InterfaceId,
+    ) -> Option<(ObjectId, &'a mut Resident)> {
+        let object = *routing.get(&interface)?;
+        Some((object, objects.get_mut(&object)?))
     }
 
     /// Direct invocation bypassing the network — the engine uses this for
@@ -451,9 +469,7 @@ impl NucleusProcess {
         interface: InterfaceId,
         invocation: &Invocation,
     ) -> Option<Termination> {
-        let object = *self.routing.get(&interface)?;
-        let behaviour = self.behaviours.get_mut(&object)?;
-        let state = self.states.get_mut(&object)?;
+        let (object, resident) = Self::resident(&self.routing, &mut self.objects, interface)?;
         self.stats.requests += 1;
         rmodp_observe::event(
             rmodp_observe::Layer::Engineering,
@@ -469,32 +485,15 @@ impl NucleusProcess {
         })
         .emit();
         rmodp_observe::bus::counter_add("engineering.nucleus_dispatches", 1);
-        Some(behaviour.invoke(state, invocation))
+        Some(resident.behaviour.invoke(&mut resident.state, invocation))
     }
 
-    /// Decodes an invocation record, moving `op` and `args` out of it.
-    fn decode_invocation(syntax: SyntaxId, payload: &[u8]) -> Option<Invocation> {
-        let Value::Record(mut fields) = syntax_for(syntax).decode(payload).ok()? else {
-            return None;
-        };
-        let Value::Text(op) = fields.remove("op")? else {
-            return None;
-        };
-        let args = fields.remove("args").unwrap_or(Value::Null);
-        Some(Invocation::new(op, args))
-    }
-
-    /// The record a termination travels as; takes the termination apart
-    /// rather than copying its name and results.
-    fn termination_record(termination: Termination) -> Value {
-        Value::record([
-            ("name", Value::Text(termination.name)),
-            ("results", termination.results),
-        ])
-    }
-
-    fn encode_termination(&self, termination: Termination) -> Vec<u8> {
-        syntax_for(self.native).encode(&Self::termination_record(termination))
+    /// A termination record in this node's native syntax, as a payload
+    /// of its own (for the dedup cache and the server stack).
+    fn termination_payload(&self, termination: Termination) -> Payload {
+        let mut bytes = Vec::new();
+        wire::encode_termination_into(self.native, termination, &mut bytes);
+        Payload::new(bytes)
     }
 
     /// Answers a request with a termination.
@@ -508,18 +507,14 @@ impl NucleusProcess {
     ) {
         if req.channel.raw() == 0 {
             // The ephemeral default channel has no server stack and no
-            // dedup entry, so only the frame needs the payload: encode it
-            // straight in, behind the header.
-            let record = Self::termination_record(termination);
-            let header = Envelope::reply_to(req, status, self.native, Payload::empty());
-            let syntax = syntax_for(self.native);
+            // dedup entry, so only the frame needs the payload.
             ctx.send(
                 reply_to,
-                header.to_bytes_with(|out| syntax.encode_into(&record, out)),
+                wire::reply_frame(req, status, self.native, termination),
             );
             return;
         }
-        let payload = Payload::new(self.encode_termination(termination));
+        let payload = self.termination_payload(termination);
         self.dedup_done(req, status, &payload);
         self.send_reply(ctx, req, status, payload, reply_to);
     }
@@ -559,28 +554,22 @@ impl NucleusProcess {
                 rmodp_observe::bus::counter_add("engineering.dedup.duplicate_dispatches", 1);
             }
         }
-        let Some(&object) = self.routing.get(&env.target) else {
+        let Some((_, resident)) = Self::resident(&self.routing, &mut self.objects, env.target)
+        else {
             self.stats.not_here += 1;
             let payload = Payload::new(syntax_for(self.native).encode(&Value::Null));
             self.dedup_done(&env, ReplyStatus::NotHere, &payload);
             self.send_reply(ctx, &env, ReplyStatus::NotHere, payload, src);
             return;
         };
-        let Some(invocation) = Self::decode_invocation(env.syntax, &env.payload) else {
+        let Some(invocation) = wire::decode_invocation(env.syntax, &env.payload) else {
             self.stats.rejected += 1;
             let bad = Termination::error("bad invocation");
             self.reply(ctx, &env, ReplyStatus::Rejected, bad, src);
             return;
         };
         self.stats.requests += 1;
-        let termination = {
-            let behaviour = self.behaviours.get_mut(&object);
-            let state = self.states.get_mut(&object);
-            match (behaviour, state) {
-                (Some(b), Some(s)) => b.invoke(s, &invocation),
-                _ => Termination::error("object has no behaviour"),
-            }
-        };
+        let termination = resident.behaviour.invoke(&mut resident.state, &invocation);
         self.reply(ctx, &env, ReplyStatus::Ok, termination, src);
     }
 
@@ -712,8 +701,7 @@ impl NucleusProcess {
                         self.stats.rejected += 1;
                         ctx.note(format!("replay foiled (seq {seq})"));
                         if env.kind == EnvelopeKind::Request {
-                            let payload =
-                                Payload::new(self.encode_termination(Termination::error("replay")));
+                            let payload = self.termination_payload(Termination::error("replay"));
                             self.send_reply(ctx, &env, ReplyStatus::Rejected, payload, src);
                         }
                         return;
@@ -764,28 +752,24 @@ impl NucleusProcess {
                 }
             }
             EnvelopeKind::Announce => {
-                if let Some(&object) = self.routing.get(&env.target) {
-                    if let Some(invocation) = Self::decode_invocation(env.syntax, &env.payload) {
+                if let Some((_, resident)) =
+                    Self::resident(&self.routing, &mut self.objects, env.target)
+                {
+                    if let Some(invocation) = wire::decode_invocation(env.syntax, &env.payload) {
                         self.stats.announcements += 1;
-                        if let (Some(b), Some(s)) = (
-                            self.behaviours.get_mut(&object),
-                            self.states.get_mut(&object),
-                        ) {
-                            let _ = b.invoke(s, &invocation);
-                        }
+                        let _ = resident.behaviour.invoke(&mut resident.state, &invocation);
                     }
                 }
             }
             EnvelopeKind::Flow => {
-                if let Some(&object) = self.routing.get(&env.target) {
+                if let Some((_, resident)) =
+                    Self::resident(&self.routing, &mut self.objects, env.target)
+                {
                     if let Ok(item) = syntax_for(env.syntax).decode(&env.payload) {
                         self.stats.flows += 1;
-                        if let (Some(b), Some(s)) = (
-                            self.behaviours.get_mut(&object),
-                            self.states.get_mut(&object),
-                        ) {
-                            b.on_flow(s, &env.flow, &item);
-                        }
+                        resident
+                            .behaviour
+                            .on_flow(&mut resident.state, &env.flow, &item);
                     }
                 }
             }
@@ -823,15 +807,32 @@ pub struct DriverProcess {
     /// generators can measure latency at the instant of delivery rather
     /// than at the instant of polling).
     pub mailbox: BTreeMap<u64, (Envelope, SimTime)>,
+    /// Request ids the engine has sent and not yet seen answered. Only
+    /// their replies are kept: the second reply to a retransmitted
+    /// request, or one landing after the call timed out, has nobody left
+    /// to collect it.
+    awaiting: BTreeSet<u64>,
+}
+
+impl DriverProcess {
+    /// Registers a request whose reply the engine will collect.
+    pub(crate) fn expect_reply(&mut self, request: u64) {
+        self.awaiting.insert(request);
+    }
+
+    /// Stops waiting for a request that timed out.
+    pub(crate) fn forget(&mut self, request: u64) {
+        self.awaiting.remove(&request);
+    }
 }
 
 impl Process for DriverProcess {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         if let Ok(env) = Envelope::from_payload(&msg.payload) {
-            if env.kind == EnvelopeKind::Reply {
-                // First reply wins; duplicates from retransmission are
-                // dropped here.
-                self.mailbox.entry(env.request).or_insert((env, ctx.now()));
+            // First reply wins: it ends the wait, so duplicates from
+            // retransmission and replies nobody waits for are dropped here.
+            if env.kind == EnvelopeKind::Reply && self.awaiting.remove(&env.request) {
+                self.mailbox.insert(env.request, (env, ctx.now()));
             }
         }
     }
@@ -882,69 +883,6 @@ mod tests {
         assert_eq!(n.stats.requests, 1);
     }
 
-    /// The record-building paths `decode_invocation` and
-    /// `encode_termination` replaced: copy `op`/`args` out of the decoded
-    /// record, copy name and results into a fresh one.
-    fn decode_by_copying(syntax: SyntaxId, payload: &[u8]) -> Option<Invocation> {
-        let value = syntax_for(syntax).decode(payload).ok()?;
-        let op = value.field("op")?.as_text()?.to_owned();
-        let args = value.field("args").cloned().unwrap_or(Value::Null);
-        Some(Invocation::new(op, args))
-    }
-
-    fn encode_by_copying(syntax: SyntaxId, termination: &Termination) -> Vec<u8> {
-        let value = Value::record([
-            ("name", Value::text(termination.name.clone())),
-            ("results", termination.results.clone()),
-        ]);
-        syntax_for(syntax).encode(&value)
-    }
-
-    #[test]
-    fn moving_out_of_records_keeps_invocations_and_wire_bytes() {
-        let deposit = Value::record([
-            ("account", Value::text("acc-7")),
-            ("amount", Value::Int(25)),
-        ]);
-        let requests = [
-            Value::record([("op", Value::text("Deposit")), ("args", deposit)]),
-            Value::record([("op", Value::text("Audit")), ("args", Value::Null)]),
-            Value::record([("op", Value::text("Audit"))]),
-            Value::record([("op", Value::Int(3)), ("args", Value::Null)]),
-            Value::record([("args", Value::Null)]),
-            Value::text("not a record"),
-        ];
-        let terminations = [
-            Termination::ok(Value::record([("amount", Value::Int(25))])),
-            Termination::error("amount must be an integer"),
-            Termination::new("NotToday", Value::Null),
-        ];
-        for syntax in [SyntaxId::Binary, SyntaxId::Text] {
-            for request in &requests {
-                let bytes = syntax_for(syntax).encode(request);
-                let invocation = NucleusProcess::decode_invocation(syntax, &bytes);
-                assert_eq!(invocation, decode_by_copying(syntax, &bytes), "{request}");
-                if let (Some(i), Some(_)) = (invocation, request.field("args")) {
-                    // A whole invocation encodes back to the bytes it
-                    // arrived as.
-                    let record =
-                        Value::record([("op", Value::Text(i.operation)), ("args", i.args)]);
-                    assert_eq!(syntax_for(syntax).encode(&record), bytes);
-                }
-            }
-            assert!(NucleusProcess::decode_invocation(syntax, &[0xff, 0xfe]).is_none());
-            let nucleus = NucleusProcess::new(NodeId::new(1), syntax);
-            for t in &terminations {
-                assert_eq!(
-                    nucleus.encode_termination(t.clone()),
-                    encode_by_copying(syntax, t),
-                    "{}",
-                    t.name
-                );
-            }
-        }
-    }
-
     /// A process that keeps every frame it is sent.
     #[derive(Default)]
     struct Sink(Vec<Payload>);
@@ -964,19 +902,11 @@ mod tests {
         let (server, client) = (Addr::new(node, NUCLEUS_PORT), Addr::new(node, DRIVER_PORT));
         sim.attach(server, nucleus);
         sim.attach(client, Sink::default());
-        let syntax = syntax_for(SyntaxId::Binary);
-        let add = Value::record([
-            ("op", Value::text("Add")),
-            ("args", Value::record([("k", Value::Int(4))])),
-        ]);
+        let mut add = Vec::new();
+        let args = Value::record([("k", Value::Int(4))]);
+        wire::encode_invocation_into(SyntaxId::Binary, "Add", args, &mut add);
         let requests = [
-            Envelope::request(
-                ChannelId::new(0),
-                1,
-                ifc,
-                SyntaxId::Binary,
-                syntax.encode(&add),
-            ),
+            Envelope::request(ChannelId::new(0), 1, ifc, SyntaxId::Binary, add),
             Envelope::request(ChannelId::new(0), 2, ifc, SyntaxId::Binary, vec![0xff]),
         ];
         for req in &requests {
@@ -993,12 +923,9 @@ mod tests {
         let frames = &sim.inspect::<Sink>(client).expect("attached above").0;
         assert_eq!(frames.len(), 2);
         for ((req, (status, termination)), frame) in requests.iter().zip(expected).zip(frames) {
-            let whole = Envelope::reply_to(
-                req,
-                status,
-                SyntaxId::Binary,
-                encode_by_copying(SyntaxId::Binary, &termination),
-            );
+            let mut payload = Vec::new();
+            wire::encode_termination_into(SyntaxId::Binary, termination, &mut payload);
+            let whole = Envelope::reply_to(req, status, SyntaxId::Binary, payload);
             assert_eq!(*frame, whole.to_bytes());
         }
     }

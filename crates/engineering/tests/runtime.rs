@@ -7,7 +7,9 @@ use rmodp_core::id::{CapsuleId, ClusterId, NodeId};
 use rmodp_core::value::Value;
 use rmodp_engineering::channel::{ChannelConfig, RetryPolicy};
 use rmodp_engineering::engine::{CallError, EngError, Engine};
+use rmodp_engineering::nucleus::{DriverProcess, DRIVER_PORT};
 use rmodp_engineering::prelude::*;
+use rmodp_netsim::sim::{Addr, Ctx, Message, Process};
 use rmodp_netsim::time::SimDuration;
 use rmodp_netsim::topology::LinkConfig;
 
@@ -143,11 +145,66 @@ fn lossy_link_times_out_then_retry_succeeds() {
     assert!(t.is_ok());
 }
 
+/// Fires a 1 ms timer a bounded number of times: background activity, so
+/// a waiting call sees its deadline pass instead of stepping straight to
+/// the next delivery.
+struct Ticker(u32);
+
+impl Process for Ticker {
+    fn on_message(&mut self, _: &mut Ctx<'_>, _: Message) {}
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        if self.0 > 0 {
+            self.0 -= 1;
+            ctx.set_timer(SimDuration::from_millis(1), tag);
+        }
+    }
+}
+
+#[test]
+fn driver_keeps_no_reply_nobody_waits_for() {
+    let mut e = engine();
+    let (server, client, _, _, iref) = counter_setup(&mut e);
+    let (s, c) = (e.sim_node(server).unwrap(), e.sim_node(client).unwrap());
+    let ticker = Addr::new(c, 9);
+    e.sim_mut().attach(ticker, Ticker(10_000));
+    e.sim_mut().schedule_timer(ticker, SimDuration::ZERO, 0);
+    // Replies are slower than the per-attempt timeout and a third are
+    // lost: most calls retransmit and are answered twice (the original
+    // reply plus the dedup replay), and some replies land only after the
+    // call has given up.
+    e.sim_mut().topology_mut().set_link(
+        s,
+        c,
+        LinkConfig::with_latency(SimDuration::from_millis(30)).loss(0.3),
+    );
+    let cfg = ChannelConfig {
+        retry: Some(RetryPolicy::reliable().with_deadline(SimDuration::from_millis(70))),
+        ..ChannelConfig::default()
+    };
+    let ch = e.open_channel(client, iref.interface, cfg).unwrap();
+    let (mut answered, mut timed_out) = (0, 0);
+    for k in 0..40 {
+        match e.call(ch, "Add", &add_args(k)) {
+            Ok(_) => answered += 1,
+            Err(CallError::Timeout { .. }) => timed_out += 1,
+            Err(other) => panic!("unexpected {other}"),
+        }
+    }
+    e.run_until_idle();
+    assert!(answered > 0 && timed_out > 0, "{answered} / {timed_out}");
+    assert!(e.node_stats(server).unwrap().dedup_hits > 0);
+    let driver = e
+        .sim()
+        .inspect::<DriverProcess>(Addr::new(c, DRIVER_PORT))
+        .unwrap();
+    assert!(driver.mailbox.is_empty(), "{} left", driver.mailbox.len());
+}
+
 #[test]
 fn sequence_binder_foils_replayed_requests_end_to_end() {
     use rmodp_core::codec::syntax_for;
     use rmodp_engineering::envelope::Envelope;
-    use rmodp_netsim::sim::Addr;
 
     let mut e = engine();
     let (server, client, _, _, iref) = counter_setup(&mut e);

@@ -18,6 +18,8 @@
 //!   the invocation hot path allocation-light (clone = share, slice =
 //!   view, and deep copies are metered so benchmarks can assert there
 //!   are none);
+//! * [`hash`] — the workspace's one FNV-1a (defined in `rmodp-observe`,
+//!   the crate below this one, and re-exported here);
 //! * [`shard`] — partitioned execution: N disjoint shards, each with its
 //!   own queue/clock/RNG stream, synchronized by conservative lookahead
 //!   and a deterministic cross-shard merge ([`ShardedKernel`]).
@@ -28,6 +30,8 @@ pub mod queue;
 pub mod rng;
 pub mod shard;
 pub mod time;
+
+pub use rmodp_observe::hash;
 
 pub use actor::{Actor, Kernel, PartitionMap, World};
 pub use payload::{Payload, PAYLOAD_ALLOCS, PAYLOAD_COPIES};

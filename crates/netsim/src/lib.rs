@@ -54,4 +54,4 @@ pub use rmodp_kernel::payload::Payload;
 pub use sim::{Addr, Ctx, Message, NodeIdx, Process, ShardAction, Sim};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkConfig, Topology};
-pub use trace::{Metrics, TraceEntry, TraceKind};
+pub use trace::Metrics;

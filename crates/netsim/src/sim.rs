@@ -15,7 +15,7 @@ use rmodp_observe::{bus, event, EventKind, Layer};
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{Metrics, TraceEntry, TraceKind};
+use crate::trace::Metrics;
 
 /// Index of a node within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -256,8 +256,6 @@ pub struct Sim {
     nodes: u32,
     cancelled: BTreeSet<TimerId>,
     metrics: Metrics,
-    trace: Vec<TraceEntry>,
-    tracing: bool,
     shard: Option<ShardRouting>,
     /// The command buffer handlers write into, kept between events so a
     /// delivery allocates none of its own. Empty whenever no handler runs.
@@ -298,8 +296,6 @@ impl Sim {
             nodes: 0,
             cancelled: BTreeSet::new(),
             metrics: Metrics::default(),
-            trace: Vec::new(),
-            tracing: false,
             shard: None,
             commands: Vec::new(),
         }
@@ -399,16 +395,6 @@ impl Sim {
         self.metrics
     }
 
-    /// Enables or disables trace collection.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// Takes the collected trace, leaving it empty.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        std::mem::take(&mut self.trace)
-    }
-
     /// Injects a message into the network as if sent by `src` now.
     ///
     /// Drivers typically use [`Addr::EXTERNAL`] as the source.
@@ -474,18 +460,6 @@ impl Sim {
         self.run_until(self.now() + d)
     }
 
-    /// Appends a trace entry; `detail` runs only while tracing is on.
-    fn record(&mut self, kind: TraceKind, addr: Addr, detail: impl FnOnce() -> String) {
-        if self.tracing {
-            self.trace.push(TraceEntry {
-                at: self.queue.now(),
-                kind,
-                addr,
-                detail: detail(),
-            });
-        }
-    }
-
     /// Builds a located event: node/port coordinates attached unless the
     /// address is the external injector.
     fn located(kind: EventKind, addr: Addr) -> rmodp_observe::EventBuilder {
@@ -497,8 +471,7 @@ impl Sim {
         }
     }
 
-    fn drop_msg(&mut self, span: u64, at: Addr, reason: &'static str) {
-        self.record(TraceKind::Drop, at, || reason.into());
+    fn drop_msg(span: u64, at: Addr, reason: &'static str) {
         Self::located(EventKind::Drop, at)
             .span(span)
             .detail(reason)
@@ -519,18 +492,15 @@ impl Sim {
             .detail_with(|| format!("-> {dst} ({} bytes)", payload.len()))
             .emit();
         bus::counter_add("netsim.sent", 1);
-        self.record(TraceKind::Send, src, || {
-            format!("-> {dst} ({} bytes)", payload.len())
-        });
         if self.topology.is_crashed(dst.node) || self.topology.is_crashed(src.node) {
             self.metrics.dropped_crash += 1;
-            self.drop_msg(span, dst, "endpoint crashed");
+            Self::drop_msg(span, dst, "endpoint crashed");
             return;
         }
         let cross_node = src.node != dst.node && src != Addr::EXTERNAL;
         if cross_node && !self.topology.connected(src.node, dst.node) {
             self.metrics.dropped_partition += 1;
-            self.drop_msg(span, dst, "partitioned");
+            Self::drop_msg(span, dst, "partitioned");
             return;
         }
         let latency = if !cross_node {
@@ -539,7 +509,7 @@ impl Sim {
             let link = self.topology.link(src.node, dst.node);
             if link.loss > 0.0 && self.rng.gen::<f64>() < link.loss {
                 self.metrics.dropped_loss += 1;
-                self.drop_msg(span, dst, "random loss");
+                Self::drop_msg(span, dst, "random loss");
                 return;
             }
             let jitter_us = link.jitter.as_micros();
@@ -585,19 +555,16 @@ impl Sim {
         let dst = msg.dst;
         if self.topology.is_crashed(dst.node) {
             self.metrics.dropped_crash += 1;
-            self.drop_msg(span, dst, "destination crashed in flight");
+            Self::drop_msg(span, dst, "destination crashed in flight");
             return;
         }
         if !self.procs.contains_key(&dst) {
             self.metrics.dropped_unroutable += 1;
-            self.drop_msg(span, dst, "no process attached");
+            Self::drop_msg(span, dst, "no process attached");
             return;
         }
         self.metrics.delivered += 1;
         self.metrics.bytes_delivered += msg.payload.len() as u64;
-        self.record(TraceKind::Deliver, dst, || {
-            format!("<- {} ({} bytes)", msg.src, msg.payload.len())
-        });
         Self::located(EventKind::Deliver, dst)
             .span(span)
             .detail_with(|| format!("<- {} ({} bytes)", msg.src, msg.payload.len()))
@@ -639,16 +606,15 @@ impl Sim {
             return;
         }
         if self.topology.is_crashed(addr.node) {
-            self.record(TraceKind::Drop, addr, || {
-                format!("timer {tag} on crashed node")
-            });
+            // Swallowed in silence: no observe event, no counter. Emitting
+            // one here would add lines to every chaos run's event stream
+            // (and so change the pinned chaos fixtures).
             return;
         }
         if !self.procs.contains_key(&addr) {
             return;
         }
         self.metrics.timers_fired += 1;
-        self.record(TraceKind::Timer, addr, || format!("tag={tag}"));
         Self::located(EventKind::TimerFired, addr)
             .detail_with(|| format!("tag={tag}"))
             .emit();
@@ -696,9 +662,8 @@ impl Sim {
                 }
                 Command::Note(detail) => {
                     Self::located(EventKind::Note, from)
-                        .detail_with(|| detail.clone())
+                        .detail_with(|| detail)
                         .emit();
-                    self.record(TraceKind::Note, from, || detail);
                 }
             }
         }
@@ -979,7 +944,7 @@ mod tests {
 
     #[test]
     fn identical_seeds_produce_identical_traces() {
-        fn run(seed: u64) -> Vec<String> {
+        fn run(seed: u64) -> Vec<rmodp_observe::Event> {
             let link = LinkConfig::with_latency(SimDuration::from_millis(1))
                 .jitter(SimDuration::from_millis(2))
                 .loss(0.2);
@@ -989,13 +954,13 @@ mod tests {
             let (pa, pb) = (Addr::new(a, 0), Addr::new(b, 0));
             sim.attach(pa, Recorder::new(true));
             sim.attach(pb, Recorder::new(false));
-            sim.set_tracing(true);
             for i in 0..50 {
                 sim.send_from(pb, pa, vec![i]);
             }
             sim.run_until_idle();
-            sim.take_trace().iter().map(|e| e.to_string()).collect()
+            bus::take_events()
         }
+        assert!(!run(99).is_empty());
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100));
     }
@@ -1019,7 +984,6 @@ mod tests {
         let (pa, pb) = (Addr::new(a, 0), Addr::new(b, 3));
         sim.attach(pa, Chatty);
         sim.attach(pb, Recorder::new(false));
-        sim.set_tracing(true);
         sim.send_from(pb, pa, vec![1, 2]);
         sim.send_from(Addr::EXTERNAL, Addr::new(c, 0), vec![9]);
         sim.schedule_timer(pb, SimDuration::from_millis(9), 4);
@@ -1028,7 +992,16 @@ mod tests {
         sim.topology_mut().crash(b);
         sim.send_from(pa, pb, vec![4, 4, 4]);
         sim.run_until_idle();
-        let rendered: Vec<String> = sim.take_trace().iter().map(|e| e.to_string()).collect();
+        let rendered: Vec<String> = bus::snapshot_events()
+            .iter()
+            .map(|e| {
+                let at = match (e.node, e.port) {
+                    (Some(n), Some(p)) => Addr::new(NodeIdx(n as u32), p as u32),
+                    _ => Addr::EXTERNAL,
+                };
+                format!("t={}us {} {at} {}", e.t_us, e.kind, e.detail)
+            })
+            .collect();
         assert_eq!(
             rendered,
             [
@@ -1038,22 +1011,19 @@ mod tests {
                 "t=2000us deliver n0:0 <- n1:3 (2 bytes)",
                 "t=2000us note n0:0 got 2 byte(s)",
                 "t=2000us send n0:0 -> n1:3 (2 bytes)",
-                "t=3000us timer n0:0 tag=7",
+                "t=3000us timer_fired n0:0 tag=7",
                 "t=3000us note n0:0 timer 7",
                 "t=4000us deliver n1:3 <- n0:0 (2 bytes)",
                 "t=5000us send n0:0 -> n1:3 (1 bytes)",
                 "t=5000us send n0:0 -> n1:3 (3 bytes)",
                 "t=5000us drop n1:3 endpoint crashed",
                 "t=7000us drop n1:3 destination crashed in flight",
-                "t=9000us drop n1:3 timer 4 on crashed node",
             ]
         );
-        // With tracing off nothing is kept (and nothing is formatted).
-        sim.set_tracing(false);
-        sim.topology_mut().restart(b);
-        sim.send_from(pb, pa, vec![1]);
-        sim.run_until_idle();
-        assert!(sim.take_trace().is_empty());
+        // The timer due at 9 ms on the crashed node was popped and
+        // swallowed without an event or a count.
+        assert_eq!(sim.now(), SimTime::from_micros(9_000));
+        assert_eq!(sim.metrics().timers_fired, 1);
     }
 
     /// Volleys a counter back and forth `rounds` times, then stops.
@@ -1178,23 +1148,18 @@ mod tests {
             .jitter(SimDuration::from_millis(4));
         let (mut sim, pa, pb) = two_node_sim(link);
         sim.attach(pa, Recorder::new(false));
-        struct Stamp;
-        // Measure per-message delivery times through the trace.
-        sim.set_tracing(true);
-        let _ = Stamp;
         for _ in 0..100 {
             sim.send_from(pb, pa, vec![0]);
         }
         sim.run_until_idle();
-        let deliveries: Vec<SimTime> = sim
-            .take_trace()
-            .into_iter()
-            .filter(|e| e.kind == TraceKind::Deliver)
-            .map(|e| e.at)
+        let deliveries: Vec<u64> = bus::snapshot_events()
+            .iter()
+            .filter(|e| e.kind == EventKind::Deliver)
+            .map(|e| e.t_us)
             .collect();
         assert_eq!(deliveries.len(), 100);
-        let min = deliveries.iter().min().unwrap().as_micros();
-        let max = deliveries.iter().max().unwrap().as_micros();
+        let min = *deliveries.iter().min().unwrap();
+        let max = *deliveries.iter().max().unwrap();
         assert!(min >= 1_000, "min={min}");
         assert!(max <= 5_000, "max={max}");
         assert!(max > min, "jitter should spread deliveries");

@@ -1,89 +1,12 @@
-//! Legacy trace collection and counters for experiment harnesses.
+//! Per-simulator counters for experiment harnesses.
 //!
-//! This module predates the workspace-wide observability layer
-//! (`rmodp-observe`): the simulator now emits every Send/Deliver/Drop/
-//! Timer/Note as a structured, causally-spanned event on the shared bus,
-//! and [`TraceEntry`] / [`Metrics`] remain as a thin per-`Sim` view of
-//! the same stream. Existing accessors (`Sim::set_tracing`,
-//! `Sim::take_trace`, `Sim::metrics`) keep working unchanged; new code
-//! should read the bus instead (`rmodp_observe::bus::snapshot_events`),
-//! which also carries the cross-layer events this view cannot express.
-//! [`TraceEntry::from_event`] bridges bus events back into this legacy
-//! shape where old tooling expects it.
+//! The record of *what happened* is the observe bus: the simulator emits
+//! every Send/Deliver/Drop/TimerFired/Note as a structured,
+//! causally-spanned event there (`rmodp_observe::bus::snapshot_events`),
+//! alongside the cross-layer events of everything above it. [`Metrics`]
+//! are plain per-`Sim` totals that stay readable with the bus off.
 
 use std::fmt;
-
-use crate::sim::{Addr, NodeIdx};
-use crate::time::SimTime;
-
-/// What kind of simulator event a trace entry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A message was handed to the network.
-    Send,
-    /// A message arrived at its destination process.
-    Deliver,
-    /// A message was dropped (loss, partition or crash).
-    Drop,
-    /// A timer fired.
-    Timer,
-    /// A process emitted an application-level note.
-    Note,
-}
-
-impl fmt::Display for TraceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceKind::Send => write!(f, "send"),
-            TraceKind::Deliver => write!(f, "deliver"),
-            TraceKind::Drop => write!(f, "drop"),
-            TraceKind::Timer => write!(f, "timer"),
-            TraceKind::Note => write!(f, "note"),
-        }
-    }
-}
-
-/// One recorded simulator event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEntry {
-    /// When the event happened (virtual time).
-    pub at: SimTime,
-    /// The kind of event.
-    pub kind: TraceKind,
-    /// The address the event concerns.
-    pub addr: Addr,
-    /// Free-form detail (message size, drop reason, note text…).
-    pub detail: String,
-}
-
-impl TraceEntry {
-    /// Bridges a bus event back into the legacy entry shape. Returns
-    /// `None` for events this view cannot express: cross-layer kinds
-    /// (channel hops, trader lookups, 2PC votes…) or events without a
-    /// node coordinate.
-    pub fn from_event(e: &rmodp_observe::Event) -> Option<Self> {
-        let kind = match e.kind {
-            rmodp_observe::EventKind::Send => TraceKind::Send,
-            rmodp_observe::EventKind::Deliver => TraceKind::Deliver,
-            rmodp_observe::EventKind::Drop => TraceKind::Drop,
-            rmodp_observe::EventKind::TimerFired => TraceKind::Timer,
-            rmodp_observe::EventKind::Note => TraceKind::Note,
-            _ => return None,
-        };
-        Some(TraceEntry {
-            at: SimTime::from_micros(e.t_us),
-            kind,
-            addr: Addr::new(NodeIdx(e.node? as u32), e.port.unwrap_or(0) as u32),
-            detail: e.detail.clone(),
-        })
-    }
-}
-
-impl fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {} {}", self.at, self.kind, self.addr, self.detail)
-    }
-}
 
 /// Cumulative counters maintained by the simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,7 +57,6 @@ impl fmt::Display for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::NodeIdx;
 
     #[test]
     fn dropped_sums_all_reasons() {
@@ -150,15 +72,13 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = TraceEntry {
-            at: SimTime::from_micros(5),
-            kind: TraceKind::Send,
-            addr: Addr::new(NodeIdx(1), 2),
-            detail: "13 bytes".into(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("send"));
-        assert!(s.contains("t=5us"));
-        assert!(!Metrics::default().to_string().is_empty());
+        let s = Metrics {
+            sent: 3,
+            dropped_loss: 1,
+            ..Metrics::default()
+        }
+        .to_string();
+        assert!(s.contains("sent=3"));
+        assert!(s.contains("dropped=1 (loss=1"));
     }
 }

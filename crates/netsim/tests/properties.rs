@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rmodp_netsim::sim::{Addr, Ctx, Message, Process, Sim};
 use rmodp_netsim::time::SimDuration;
 use rmodp_netsim::topology::{LinkConfig, Topology};
-use rmodp_netsim::trace::TraceKind;
+use rmodp_observe::{bus, Event, EventKind};
 
 /// Forwards each message to a fixed next hop a bounded number of times.
 struct Forwarder {
@@ -48,12 +48,13 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
     )
 }
 
-fn run(seed: u64, w: &Workload) -> (Sim, Vec<String>) {
+/// Runs the workload and returns the simulator with the observe stream
+/// it produced (`Sim::with_topology` starts a fresh one).
+fn run(seed: u64, w: &Workload) -> (Sim, Vec<Event>) {
     let link = LinkConfig::with_latency(SimDuration::from_micros(w.latency_us))
         .jitter(SimDuration::from_micros(w.jitter_us))
         .loss(w.loss_permille as f64 / 1_000.0);
     let mut sim = Sim::with_topology(seed, Topology::full_mesh(link));
-    sim.set_tracing(true);
     let mut addrs = Vec::new();
     for _ in 0..w.nodes {
         let n = sim.add_node();
@@ -71,8 +72,7 @@ fn run(seed: u64, w: &Workload) -> (Sim, Vec<String>) {
         );
     }
     sim.run_until_idle();
-    let trace = sim.take_trace().iter().map(|e| e.to_string()).collect();
-    (sim, trace)
+    (sim, bus::take_events())
 }
 
 proptest! {
@@ -94,26 +94,10 @@ proptest! {
 
     #[test]
     fn clock_is_monotone(seed in 0u64..1_000, w in arb_workload()) {
-        let link = LinkConfig::with_latency(SimDuration::from_micros(w.latency_us))
-            .jitter(SimDuration::from_micros(w.jitter_us));
-        let mut sim = Sim::with_topology(seed, Topology::full_mesh(link));
-        sim.set_tracing(true);
-        let mut addrs = Vec::new();
-        for _ in 0..w.nodes {
-            let n = sim.add_node();
-            addrs.push(Addr::new(n, 0));
-        }
-        for (i, addr) in addrs.iter().enumerate() {
-            let next = addrs[(i + 1) % addrs.len()];
-            sim.attach(*addr, Forwarder { next, budget: 2 });
-        }
-        for (_, dst) in &w.messages {
-            sim.send_from(Addr::EXTERNAL, addrs[*dst as usize % addrs.len()], vec![1]);
-        }
-        sim.run_until_idle();
-        let trace = sim.take_trace();
+        let (_, trace) = run(seed, &w);
+        prop_assert!(!trace.is_empty());
         for pair in trace.windows(2) {
-            prop_assert!(pair[0].at <= pair[1].at);
+            prop_assert!(pair[0].t_us <= pair[1].t_us);
         }
     }
 
@@ -141,16 +125,13 @@ proptest! {
 
     #[test]
     fn deliveries_never_precede_sends(seed in 0u64..500, w in arb_workload()) {
-        let (sim, _) = run(seed, &w);
-        let _ = sim;
-        // Structural property asserted by the engine's debug_assert on
-        // time travel; here we assert traces contain no Deliver before
-        // any Send exists.
-        let (mut sim2, _) = run(seed, &w);
-        sim2.set_tracing(true);
-        let trace = sim2.take_trace();
-        let first_deliver = trace.iter().position(|e| e.kind == TraceKind::Deliver);
-        let first_send = trace.iter().position(|e| e.kind == TraceKind::Send);
+        // The engine's debug_assert on time travel covers each message;
+        // here the stream as a whole shows no Deliver before the first
+        // Send.
+        let (_, trace) = run(seed, &w);
+        let first_deliver = trace.iter().position(|e| e.kind == EventKind::Deliver);
+        let first_send = trace.iter().position(|e| e.kind == EventKind::Send);
+        prop_assert!(first_send.is_some());
         if let (Some(d), Some(s)) = (first_deliver, first_send) {
             prop_assert!(s <= d);
         }

@@ -34,6 +34,7 @@
 pub mod bus;
 pub mod event;
 pub mod export;
+pub mod hash;
 pub mod metrics;
 pub mod oracle;
 

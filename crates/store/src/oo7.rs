@@ -30,10 +30,10 @@ use rmodp_core::codec::{syntax_for, SyntaxId};
 use rmodp_core::dtype::DataType;
 use rmodp_core::value::Value;
 use rmodp_information::schema::StaticSchema;
+use rmodp_observe::hash::{fnv1a, FNV_OFFSET_BASIS};
 
 use crate::engine::{StoreEngine, StoreError};
 use crate::media::StableMedia;
-use crate::wal::fnv1a;
 
 /// Deterministic 64-bit mixer (splitmix64 finaliser).
 fn mix(seed: u64, i: u64) -> u64 {
@@ -515,7 +515,7 @@ impl Oo7Workload {
     /// once, ring + cross connections followed).
     pub fn traverse_dense<M: StableMedia>(&self, engine: &StoreEngine<M>) -> TraversalReport {
         let mut report = TraversalReport::default();
-        let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+        let mut checksum = FNV_OFFSET_BASIS;
         let mut stack = vec![0u64];
         while let Some(id) = stack.pop() {
             report.visited += 1;
@@ -557,7 +557,7 @@ impl Oo7Workload {
     /// composite's *root* atomic only.
     pub fn traverse_sparse<M: StableMedia>(&self, engine: &StoreEngine<M>) -> TraversalReport {
         let mut report = TraversalReport::default();
-        let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+        let mut checksum = FNV_OFFSET_BASIS;
         let mut stack = vec![0u64];
         while let Some(id) = stack.pop() {
             report.visited += 1;
@@ -655,7 +655,7 @@ impl Oo7Workload {
         hi: i64,
     ) -> (u64, u64) {
         let mut matches = 0u64;
-        let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+        let mut checksum = FNV_OFFSET_BASIS;
         for (&date, ids) in self.date_index.range(lo..=hi) {
             for &id in ids {
                 let stored = engine
@@ -701,7 +701,7 @@ impl Oo7Workload {
 /// the equality the crash-recovery assertions compare.
 pub fn state_checksum<M: StableMedia>(engine: &StoreEngine<M>) -> u64 {
     let codec = syntax_for(SyntaxId::Binary);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET_BASIS;
     for (key, value) in engine.state() {
         h = fnv1a(&h.to_le_bytes()) ^ fnv1a(key.as_bytes()) ^ fnv1a(&codec.encode(value));
     }

@@ -11,8 +11,7 @@ use std::collections::BTreeMap;
 
 use rmodp_core::codec::{syntax_for, SyntaxId};
 use rmodp_core::value::Value;
-
-use crate::wal::fnv1a;
+use rmodp_observe::hash::fnv1a;
 
 /// A decoded snapshot.
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -18,15 +18,8 @@
 use rmodp_core::codec::{syntax_for, SyntaxId};
 use rmodp_transactions::log::LogRecord;
 
-/// FNV-1a over a byte slice — the per-frame checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The per-frame checksum: FNV-1a over the payload.
+pub use rmodp_observe::hash::fnv1a;
 
 /// Encodes one record as a checksummed frame.
 pub fn encode_frame(record: &LogRecord) -> Vec<u8> {

@@ -348,13 +348,6 @@ impl DurableGuard {
         }
         Ok((new_cluster, replayed))
     }
-
-    /// Designates the *next* backup location, jumping the pool queue.
-    #[deprecated(note = "failover target selection is automatic from the backup pool; \
-                use push_backup to extend the pool instead")]
-    pub fn set_backup(&mut self, backup: (NodeId, CapsuleId)) {
-        self.backups.push_front(backup);
-    }
 }
 
 #[cfg(test)]

@@ -252,14 +252,6 @@ impl FailureGuard {
         bus::counter_add("transparency.recoveries", 1);
         Ok(new_cluster)
     }
-
-    /// Designates the next backup location manually.
-    #[deprecated(note = "failover target selection is automatic from the backup \
-                pool; use push_backup to extend the pool instead")]
-    pub fn set_backup(&mut self, backup: (NodeId, CapsuleId)) {
-        // Kept working: the designated backup jumps the pool queue.
-        self.backups.push_front(backup);
-    }
 }
 
 #[cfg(test)]
@@ -438,19 +430,5 @@ mod tests {
             w.guard.recover(&mut w.engine, &mut w.infra),
             Err(FailureError::NoBackup)
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_set_backup_jumps_the_pool_queue() {
-        let mut w = world();
-        w.guard.checkpoint_now(&mut w.engine).unwrap();
-        let urgent = w.engine.add_node(SyntaxId::Binary);
-        let urgent_capsule = w.engine.add_capsule(urgent).unwrap();
-        w.guard.set_backup((urgent, urgent_capsule));
-        let idx = w.engine.sim_node(w.guard.home().0).unwrap();
-        w.engine.sim_mut().topology_mut().crash(idx);
-        w.guard.recover(&mut w.engine, &mut w.infra).unwrap();
-        assert_eq!(w.guard.home().0, urgent, "manual designation still wins");
     }
 }

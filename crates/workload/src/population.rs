@@ -45,7 +45,8 @@ use rmodp_engineering::envelope::{Envelope, EnvelopeKind, ReplyStatus};
 use rmodp_engineering::nucleus::{NucleusProcess, DRIVER_PORT, NUCLEUS_PORT};
 use rmodp_engineering::population::{BankBranchBehaviour, TraderDeskBehaviour};
 use rmodp_engineering::structure::BeoRecord;
-use rmodp_kernel::payload::Payload;
+use rmodp_engineering::wire;
+use rmodp_kernel::hash::{fnv1a_fold, FNV_OFFSET_BASIS};
 use rmodp_kernel::rng::mix;
 use rmodp_kernel::{EpochHook, PartitionMap, ShardedKernel, SyncStats};
 use rmodp_netsim::sim::{Addr, Ctx, Message, NodeIdx, Process, ShardAction, Sim};
@@ -77,18 +78,6 @@ const ROUTE_SALT: u64 = 0x2077_E221;
 const THINK_SALT: u64 = 0x7417_4B17;
 /// Seed salt splitting the per-shard simulator RNG streams.
 const SHARD_RNG_SALT: u64 = 0x5EED_0001;
-
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into a running FNV-1a 64-bit hash.
-pub fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Which population scenario to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,18 +393,14 @@ impl ClientHubProcess {
         let h = mix(self.seed, req);
         let (op, args, _code) = self.scenario.op(h);
         let target = self.target_region(req);
-        let invocation = Value::record([("op", Value::text(op)), ("args", args)]);
-        let header = Envelope::request(
+        let frame = wire::request_frame(
             ChannelId::new(0),
             req,
             InterfaceId::new(target as u64 + 1),
             SyntaxId::Binary,
-            Payload::empty(),
+            op,
+            args,
         );
-        // Nothing but the frame needs the payload: encode it behind the
-        // header, in the frame's own buffer.
-        let frame =
-            header.to_bytes_with(|out| syntax_for(SyntaxId::Binary).encode_into(&invocation, out));
         ctx.send(Addr::new(NodeIdx(2 * target), NUCLEUS_PORT), frame);
         self.inflight.insert(req, ctx.now());
         self.sent += 1;
@@ -624,8 +609,8 @@ fn collect_outcome(config: &PopulationConfig, sims: &[Sim], sync: SyncStats) -> 
         let state = nucleus
             .object_state(ObjectId::new(r as u64 + 1))
             .expect("server object installed");
-        state_checksum = fnv1a64(state_checksum, &r.to_le_bytes());
-        state_checksum = fnv1a64(state_checksum, &syntax_for(SyntaxId::Binary).encode(state));
+        state_checksum = fnv1a_fold(state_checksum, &r.to_le_bytes());
+        state_checksum = fnv1a_fold(state_checksum, &syntax_for(SyntaxId::Binary).encode(state));
     }
 
     completions.sort_by_key(Completion::sort_key);
@@ -635,8 +620,8 @@ fn collect_outcome(config: &PopulationConfig, sims: &[Sim], sync: SyncStats) -> 
     let mut stats = RunStats::default();
     for c in &completions {
         let line = c.render(config.scenario);
-        export_checksum = fnv1a64(export_checksum, line.as_bytes());
-        export_checksum = fnv1a64(export_checksum, b"\n");
+        export_checksum = fnv1a_fold(export_checksum, line.as_bytes());
+        export_checksum = fnv1a_fold(export_checksum, b"\n");
         if let Some(out) = export.as_mut() {
             out.push_str(&line);
             out.push('\n');
