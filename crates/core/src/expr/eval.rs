@@ -1,5 +1,6 @@
 //! Evaluator for the expression language.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -9,34 +10,33 @@ use crate::value::Value;
 /// An environment binding variable paths to values.
 ///
 /// Implemented for [`Value`] (records resolve dotted paths), for
-/// `BTreeMap<String, Value>` and for `()` (the empty environment).
+/// `BTreeMap<String, Value>`, for [`Scope`](super::Scope) and for `()`
+/// (the empty environment).
 pub trait Env {
     /// Resolves a dotted variable path, or `None` if unbound.
-    fn lookup(&self, path: &[String]) -> Option<Value>;
+    ///
+    /// The value is lent, not copied: an environment hands out what it
+    /// (or the record it refers to) already owns, and the evaluator
+    /// clones a variable only where an owned result needs it — a
+    /// comparison reads its operands in place.
+    fn lookup(&self, path: &[String]) -> Option<&Value>;
 }
 
 impl Env for Value {
-    fn lookup(&self, path: &[String]) -> Option<Value> {
-        let segs: Vec<&str> = path.iter().map(String::as_str).collect();
-        self.path(&segs).cloned()
+    fn lookup(&self, path: &[String]) -> Option<&Value> {
+        self.path(path)
     }
 }
 
 impl Env for BTreeMap<String, Value> {
-    fn lookup(&self, path: &[String]) -> Option<Value> {
+    fn lookup(&self, path: &[String]) -> Option<&Value> {
         let (head, rest) = path.split_first()?;
-        let root = self.get(head)?;
-        if rest.is_empty() {
-            Some(root.clone())
-        } else {
-            let segs: Vec<&str> = rest.iter().map(String::as_str).collect();
-            root.path(&segs).cloned()
-        }
+        self.get(head)?.path(rest)
     }
 }
 
 impl Env for () {
-    fn lookup(&self, _path: &[String]) -> Option<Value> {
+    fn lookup(&self, _path: &[String]) -> Option<&Value> {
         None
     }
 }
@@ -82,53 +82,67 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluates an expression in an environment.
-pub fn eval(expr: &Expr, env: &dyn Env) -> Result<Value, EvalError> {
+/// Evaluates an expression in an environment. Literals and variables
+/// are borrowed (from the expression and the environment); only computed
+/// results are owned.
+pub fn eval<'a>(expr: &'a Expr, env: &'a dyn Env) -> Result<Cow<'a, Value>, EvalError> {
     match expr {
-        Expr::Lit(v) => Ok(v.clone()),
-        Expr::Var(path) => env.lookup(path).ok_or_else(|| EvalError::Undefined {
-            path: path.join("."),
-        }),
-        Expr::SeqLit(items) => {
-            let vals: Result<Vec<Value>, EvalError> = items.iter().map(|e| eval(e, env)).collect();
-            Ok(Value::Seq(vals?))
+        Expr::Lit(v) => Ok(Cow::Borrowed(v)),
+        Expr::Var(path) => {
+            env.lookup(path)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| EvalError::Undefined {
+                    path: path.join("."),
+                })
         }
-        Expr::Unary(UnOp::Neg, e) => match eval(e, env)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Float(x) => Ok(Value::Float(-x)),
-            other => Err(mismatch("negation", &other)),
+        Expr::SeqLit(items) => {
+            let vals: Result<Vec<Value>, EvalError> = items
+                .iter()
+                .map(|e| eval(e, env).map(Cow::into_owned))
+                .collect();
+            owned(Value::Seq(vals?))
+        }
+        Expr::Unary(UnOp::Neg, e) => match &*eval(e, env)? {
+            Value::Int(i) => owned(Value::Int(-i)),
+            Value::Float(x) => owned(Value::Float(-x)),
+            other => Err(mismatch("negation", other)),
         },
-        Expr::Unary(UnOp::Not, e) => match eval(e, env)? {
-            Value::Bool(b) => Ok(Value::Bool(!b)),
-            other => Err(mismatch("logical not", &other)),
+        Expr::Unary(UnOp::Not, e) => match &*eval(e, env)? {
+            Value::Bool(b) => owned(Value::Bool(!b)),
+            other => Err(mismatch("logical not", other)),
         },
         Expr::Binary(BinOp::And, a, b) => {
             // Short-circuit: the right operand is not evaluated when the
             // left is false, so `exists(x) and x > 0` is safe.
-            match eval(a, env)? {
-                Value::Bool(false) => Ok(Value::Bool(false)),
+            match &*eval(a, env)? {
+                Value::Bool(false) => owned(Value::Bool(false)),
                 Value::Bool(true) => expect_bool("and", eval(b, env)?),
-                other => Err(mismatch("and", &other)),
+                other => Err(mismatch("and", other)),
             }
         }
-        Expr::Binary(BinOp::Or, a, b) => match eval(a, env)? {
-            Value::Bool(true) => Ok(Value::Bool(true)),
+        Expr::Binary(BinOp::Or, a, b) => match &*eval(a, env)? {
+            Value::Bool(true) => owned(Value::Bool(true)),
             Value::Bool(false) => expect_bool("or", eval(b, env)?),
-            other => Err(mismatch("or", &other)),
+            other => Err(mismatch("or", other)),
         },
         Expr::Binary(op, a, b) => {
             let va = eval(a, env)?;
             let vb = eval(b, env)?;
-            apply_binary(*op, va, vb)
+            apply_binary(*op, &va, &vb).map(Cow::Owned)
         }
         Expr::Call(name, args) => call(name, args, env),
     }
 }
 
-fn expect_bool(context: &str, v: Value) -> Result<Value, EvalError> {
-    match v {
+/// A computed (hence owned) result.
+fn owned<'a>(v: Value) -> Result<Cow<'a, Value>, EvalError> {
+    Ok(Cow::Owned(v))
+}
+
+fn expect_bool<'a>(context: &str, v: Cow<'a, Value>) -> Result<Cow<'a, Value>, EvalError> {
+    match &*v {
         Value::Bool(_) => Ok(v),
-        other => Err(mismatch(context, &other)),
+        other => Err(mismatch(context, other)),
     }
 }
 
@@ -139,40 +153,37 @@ fn mismatch(context: &str, got: &Value) -> EvalError {
     }
 }
 
-fn apply_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
+fn apply_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
     use BinOp::*;
     match op {
         Add => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_add(y))),
-            (Value::Text(x), Value::Text(y)) => Ok(Value::Text(x + &y)),
-            (Value::Seq(mut x), Value::Seq(y)) => {
-                x.extend(y);
-                Ok(Value::Seq(x))
-            }
-            (x, y) => numeric(op, x, y, |a, b| a + b),
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_add(*y))),
+            (Value::Text(x), Value::Text(y)) => Ok(Value::Text([x.as_str(), y].concat())),
+            (Value::Seq(x), Value::Seq(y)) => Ok(Value::Seq([x.as_slice(), y].concat())),
+            _ => numeric(op, a, b, |a, b| a + b),
         },
         Sub => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_sub(y))),
-            (x, y) => numeric(op, x, y, |a, b| a - b),
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_sub(*y))),
+            _ => numeric(op, a, b, |a, b| a - b),
         },
         Mul => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_mul(y))),
-            (x, y) => numeric(op, x, y, |a, b| a * b),
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_mul(*y))),
+            _ => numeric(op, a, b, |a, b| a * b),
         },
         Div => match (a, b) {
             (Value::Int(_), Value::Int(0)) => Err(EvalError::DivideByZero),
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_div(y))),
-            (x, y) => numeric(op, x, y, |a, b| a / b),
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_div(*y))),
+            _ => numeric(op, a, b, |a, b| a / b),
         },
         Rem => match (a, b) {
             (Value::Int(_), Value::Int(0)) => Err(EvalError::DivideByZero),
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_rem(y))),
-            (x, y) => numeric(op, x, y, |a, b| a % b),
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_rem(*y))),
+            _ => numeric(op, a, b, |a, b| a % b),
         },
-        Eq => Ok(Value::Bool(loose_eq(&a, &b))),
-        Ne => Ok(Value::Bool(!loose_eq(&a, &b))),
+        Eq => Ok(Value::Bool(loose_eq(a, b))),
+        Ne => Ok(Value::Bool(!loose_eq(a, b))),
         Lt | Le | Gt | Ge => {
-            let ord = compare(op, &a, &b)?;
+            let ord = compare(op, a, b)?;
             let pass = match op {
                 Lt => ord == std::cmp::Ordering::Less,
                 Le => ord != std::cmp::Ordering::Greater,
@@ -182,9 +193,9 @@ fn apply_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
             };
             Ok(Value::Bool(pass))
         }
-        In => match &b {
-            Value::Seq(items) => Ok(Value::Bool(items.iter().any(|v| loose_eq(v, &a)))),
-            Value::Text(hay) => match &a {
+        In => match b {
+            Value::Seq(items) => Ok(Value::Bool(items.iter().any(|v| loose_eq(v, a)))),
+            Value::Text(hay) => match a {
                 Value::Text(needle) => Ok(Value::Bool(hay.contains(needle.as_str()))),
                 other => Err(mismatch("in (substring)", other)),
             },
@@ -194,7 +205,12 @@ fn apply_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
     }
 }
 
-fn numeric(op: BinOp, a: Value, b: Value, f: impl Fn(f64, f64) -> f64) -> Result<Value, EvalError> {
+fn numeric(
+    op: BinOp,
+    a: &Value,
+    b: &Value,
+    f: impl Fn(f64, f64) -> f64,
+) -> Result<Value, EvalError> {
     match (a.as_float(), b.as_float()) {
         (Some(x), Some(y)) => Ok(Value::Float(f(x, y))),
         _ => Err(EvalError::TypeMismatch {
@@ -229,7 +245,7 @@ fn compare(op: BinOp, a: &Value, b: &Value) -> Result<std::cmp::Ordering, EvalEr
     }
 }
 
-fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
+fn call<'a>(name: &str, args: &'a [Expr], env: &'a dyn Env) -> Result<Cow<'a, Value>, EvalError> {
     // `exists` is a special form: its argument is a path, not a value.
     if name == "exists" {
         if args.len() != 1 {
@@ -240,7 +256,7 @@ fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
             });
         }
         return match &args[0] {
-            Expr::Var(path) => Ok(Value::Bool(env.lookup(path).is_some())),
+            Expr::Var(path) => owned(Value::Bool(env.lookup(path).is_some())),
             _ => Err(EvalError::TypeMismatch {
                 context: "exists".into(),
                 got: "non-variable argument".into(),
@@ -248,8 +264,8 @@ fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
         };
     }
 
-    let vals: Result<Vec<Value>, EvalError> = args.iter().map(|e| eval(e, env)).collect();
-    let vals = vals?;
+    let vals: Result<Vec<Cow<'a, Value>>, EvalError> = args.iter().map(|e| eval(e, env)).collect();
+    let mut vals = vals?;
     let arity = |n: usize| -> Result<(), EvalError> {
         if vals.len() == n {
             Ok(())
@@ -264,18 +280,18 @@ fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
     match name {
         "len" => {
             arity(1)?;
-            match &vals[0] {
-                Value::Text(s) => Ok(Value::Int(s.chars().count() as i64)),
-                Value::Seq(items) => Ok(Value::Int(items.len() as i64)),
-                Value::Blob(b) => Ok(Value::Int(b.len() as i64)),
+            match &*vals[0] {
+                Value::Text(s) => owned(Value::Int(s.chars().count() as i64)),
+                Value::Seq(items) => owned(Value::Int(items.len() as i64)),
+                Value::Blob(b) => owned(Value::Int(b.len() as i64)),
                 other => Err(mismatch("len", other)),
             }
         }
         "abs" => {
             arity(1)?;
-            match &vals[0] {
-                Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
-                Value::Float(x) => Ok(Value::Float(x.abs())),
+            match &*vals[0] {
+                Value::Int(i) => owned(Value::Int(i.wrapping_abs())),
+                Value::Float(x) => owned(Value::Float(x.abs())),
                 other => Err(mismatch("abs", other)),
             }
         }
@@ -289,23 +305,23 @@ fn call(name: &str, args: &[Expr], env: &dyn Env) -> Result<Value, EvalError> {
                     ord == std::cmp::Ordering::Greater
                 }
             };
-            Ok(vals[if take_first { 0 } else { 1 }].clone())
+            Ok(vals.swap_remove(if take_first { 0 } else { 1 }))
         }
         "contains" => {
             arity(2)?;
-            match (&vals[0], &vals[1]) {
+            match (&*vals[0], &*vals[1]) {
                 (Value::Text(hay), Value::Text(needle)) => {
-                    Ok(Value::Bool(hay.contains(needle.as_str())))
+                    owned(Value::Bool(hay.contains(needle.as_str())))
                 }
-                (Value::Seq(items), v) => Ok(Value::Bool(items.iter().any(|x| loose_eq(x, v)))),
+                (Value::Seq(items), v) => owned(Value::Bool(items.iter().any(|x| loose_eq(x, v)))),
                 (other, _) => Err(mismatch("contains", other)),
             }
         }
         "starts_with" => {
             arity(2)?;
-            match (&vals[0], &vals[1]) {
+            match (&*vals[0], &*vals[1]) {
                 (Value::Text(hay), Value::Text(prefix)) => {
-                    Ok(Value::Bool(hay.starts_with(prefix.as_str())))
+                    owned(Value::Bool(hay.starts_with(prefix.as_str())))
                 }
                 (other, _) => Err(mismatch("starts_with", other)),
             }
@@ -451,6 +467,91 @@ mod tests {
             run("\"a\" < 1", &()),
             Err(EvalError::TypeMismatch { .. })
         ));
+    }
+
+    /// One row per operator family and per error text, pinned as rendered
+    /// text: what the borrowing evaluator returns is what the cloning one
+    /// returned.
+    #[test]
+    fn results_and_error_texts_are_pinned() {
+        let env = Value::record([
+            ("n", Value::Int(7)),
+            ("x", Value::Float(2.5)),
+            ("s", Value::text("bank")),
+            ("q", Value::seq([Value::Int(1), Value::Float(2.0)])),
+            ("r", Value::record([("y", Value::Int(3))])),
+        ]);
+        for (src, expected) in [
+            // Arithmetic, wrapping and widening.
+            ("n + 1 - 2 * 3", "2"),
+            ("n / 2", "3"),
+            ("n % 4", "3"),
+            ("n / x", "2.8"),
+            ("-n + -x", "-9.5"),
+            ("9223372036854775807 + 1", "-9223372036854775808"),
+            // Concatenation leaves its operands alone.
+            ("s + \"-\" + s", "\"bank-bank\""),
+            ("q + [n] + q", "[1, 2.0, 7, 1, 2.0]"),
+            ("q", "[1, 2.0]"),
+            ("r", "{y: 3}"),
+            // Membership and comparison.
+            ("2 in q", "true"),
+            ("r.y in [1, 2]", "false"),
+            ("\"an\" in s", "true"),
+            (
+                "n == 7.0 and s != \"x\" and x < n and s >= \"bank\"",
+                "true",
+            ),
+            ("not (n <= 6) or false", "true"),
+            // Short-circuit: the unbound right operand is never read.
+            ("false and ghost > 0", "false"),
+            ("true or ghost > 0", "true"),
+            ("exists(r.y) and not exists(r.z)", "true"),
+            // Builtins hand back an operand or a fresh value.
+            ("min(n, x)", "2.5"),
+            ("max(s, \"a\")", "\"bank\""),
+            ("len(s) + len(q) + abs(-2)", "8"),
+            ("contains(q, 2) and starts_with(s, \"ba\")", "true"),
+            // Every error text.
+            ("ghost.y + 1", "undefined variable ghost.y"),
+            ("true and ghost", "undefined variable ghost"),
+            ("-s", "type mismatch in negation: got text"),
+            ("not n", "type mismatch in logical not: got int"),
+            ("n and true", "type mismatch in and: got int"),
+            ("false or x", "type mismatch in or: got float"),
+            ("true and s", "type mismatch in and: got text"),
+            ("s + n", "type mismatch in operator +: got text and int"),
+            ("q - q", "type mismatch in operator -: got seq and seq"),
+            ("r < 1", "type mismatch in operator <: got record and int"),
+            ("0.0 / 0.0 < 1", "type mismatch in operator <: got NaN"),
+            ("n in s", "type mismatch in in (substring): got int"),
+            ("n in r", "type mismatch in in (membership): got record"),
+            ("n / 0", "division by zero"),
+            ("n % 0", "division by zero"),
+            ("len()", "len expects 1 argument(s), got 0"),
+            ("min(n)", "min expects 2 argument(s), got 1"),
+            ("exists(n, x)", "exists expects 1 argument(s), got 2"),
+            (
+                "exists(1)",
+                "type mismatch in exists: got non-variable argument",
+            ),
+            ("len(n)", "type mismatch in len: got int"),
+            ("abs(s)", "type mismatch in abs: got text"),
+            ("contains(n, 1)", "type mismatch in contains: got int"),
+            ("starts_with(q, s)", "type mismatch in starts_with: got seq"),
+            ("frobnicate(n)", "unknown function frobnicate"),
+        ] {
+            let got = match run(src, &env) {
+                Ok(v) => v.to_string(),
+                Err(e) => e.to_string(),
+            };
+            assert_eq!(got, expected, "{src}");
+        }
+        let err = Expr::parse("n + 1").unwrap().eval_bool(&env).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "type mismatch in predicate result: got int"
+        );
     }
 
     #[test]

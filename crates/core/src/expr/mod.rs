@@ -168,7 +168,7 @@ impl Expr {
     /// Returns an [`EvalError`] for unbound variables, operand type
     /// mismatches, division by zero, or bad builtin arity.
     pub fn eval(&self, env: &dyn Env) -> Result<Value, EvalError> {
-        eval::eval(self, env)
+        eval::eval(self, env).map(std::borrow::Cow::into_owned)
     }
 
     /// Evaluates and requires a boolean result — the common case for
@@ -178,8 +178,8 @@ impl Expr {
     ///
     /// As [`Self::eval`], plus a type mismatch if the result is not a bool.
     pub fn eval_bool(&self, env: &dyn Env) -> Result<bool, EvalError> {
-        match self.eval(env)? {
-            Value::Bool(b) => Ok(b),
+        match &*eval::eval(self, env)? {
+            Value::Bool(b) => Ok(*b),
             other => Err(EvalError::TypeMismatch {
                 context: "predicate result".to_owned(),
                 got: other.kind().to_owned(),
@@ -307,14 +307,8 @@ impl Scope {
 }
 
 impl Env for Scope {
-    fn lookup(&self, path: &[String]) -> Option<Value> {
-        let (head, rest) = path.split_first()?;
-        let root = self.bindings.get(head)?;
-        if rest.is_empty() {
-            return Some(root.clone());
-        }
-        let segs: Vec<&str> = rest.iter().map(String::as_str).collect();
-        root.path(&segs).cloned()
+    fn lookup(&self, path: &[String]) -> Option<&Value> {
+        self.bindings.lookup(path)
     }
 }
 
@@ -356,8 +350,8 @@ mod tests {
         let mut s = Scope::new();
         s.bind("x", Value::Int(1));
         s.bind("r", Value::record([("y", Value::Int(2))]));
-        assert_eq!(s.lookup(&["x".into()]), Some(Value::Int(1)));
-        assert_eq!(s.lookup(&["r".into(), "y".into()]), Some(Value::Int(2)));
+        assert_eq!(s.lookup(&["x".into()]), Some(&Value::Int(1)));
+        assert_eq!(s.lookup(&["r".into(), "y".into()]), Some(&Value::Int(2)));
         assert_eq!(s.lookup(&["r".into(), "z".into()]), None);
         assert_eq!(s.lookup(&["missing".into()]), None);
     }

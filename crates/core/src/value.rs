@@ -157,11 +157,13 @@ impl Value {
         }
     }
 
-    /// Resolves a dotted path through nested records.
-    pub fn path(&self, segments: &[&str]) -> Option<&Value> {
+    /// Resolves a dotted path through nested records. Segments may be
+    /// `&str` or `String`, so a caller holding either passes its slice as
+    /// it is; the empty path resolves to the value itself.
+    pub fn path<S: AsRef<str>>(&self, segments: &[S]) -> Option<&Value> {
         let mut cur = self;
         for seg in segments {
-            cur = cur.field(seg)?;
+            cur = cur.field(seg.as_ref())?;
         }
         Some(cur)
     }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use rmodp_core::codec::{BinarySyntax, TextSyntax, TransferSyntax};
 use rmodp_core::dtype::DataType;
-use rmodp_core::expr::Expr;
+use rmodp_core::expr::{BinOp, Expr, Scope, UnOp};
 use rmodp_core::naming::{BindingTarget, Name, NamingContext};
 use rmodp_core::value::Value;
 
@@ -54,7 +54,118 @@ fn arb_dtype() -> impl Strategy<Value = DataType> {
     })
 }
 
+/// Strategy for a record environment with one field of every shape the
+/// evaluator treats differently.
+fn arb_env() -> impl Strategy<Value = Value> {
+    (
+        -3i64..4,
+        -2i32..3,
+        "[ab]{0,2}",
+        proptest::collection::vec(-3i64..4, 0..3),
+        -3i64..4,
+    )
+        .prop_map(|(n, halves, s, q, y)| {
+            Value::record([
+                ("n", Value::Int(n)),
+                ("x", Value::Float(f64::from(halves) / 2.0)),
+                ("s", Value::text(s)),
+                ("q", Value::from(q)),
+                ("r", Value::record([("y", Value::Int(y))])),
+            ])
+        })
+}
+
+/// Strategy for expressions over [`arb_env`]'s fields: every operator,
+/// every builtin (and an unknown one, at any arity), every literal kind,
+/// bound, nested and unbound paths.
+fn arb_expr() -> impl Strategy<Value = Expr> {
+    const PATHS: [&[&str]; 7] = [
+        &["n"],
+        &["x"],
+        &["s"],
+        &["q"],
+        &["r"],
+        &["r", "y"],
+        &["ghost"],
+    ];
+    const OPS: [BinOp; 14] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::In,
+    ];
+    const FUNCTIONS: [&str; 8] = [
+        "exists",
+        "len",
+        "abs",
+        "min",
+        "max",
+        "contains",
+        "starts_with",
+        "frobnicate",
+    ];
+    let leaf = prop_oneof![
+        (-3i64..4).prop_map(Expr::lit),
+        (-2i32..3).prop_map(|halves| Expr::lit(f64::from(halves) / 2.0)),
+        any::<bool>().prop_map(Expr::lit),
+        "[ab]{0,2}".prop_map(|s: String| Expr::lit(s)),
+        (0..PATHS.len())
+            .prop_map(|i| Expr::Var(PATHS[i].iter().map(|seg| (*seg).to_owned()).collect())),
+    ];
+    leaf.prop_recursive(3, 24, 3, |inner| {
+        prop_oneof![
+            (any::<bool>(), inner.clone()).prop_map(|(neg, e)| {
+                Expr::Unary(if neg { UnOp::Neg } else { UnOp::Not }, Box::new(e))
+            }),
+            (0..OPS.len(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::Binary(
+                OPS[op],
+                Box::new(a),
+                Box::new(b)
+            )),
+            (
+                0..FUNCTIONS.len(),
+                proptest::collection::vec(inner.clone(), 0..3)
+            )
+                .prop_map(|(f, args)| Expr::Call(FUNCTIONS[f].to_owned(), args)),
+            proptest::collection::vec(inner, 0..3).prop_map(Expr::SeqLit),
+        ]
+    })
+}
+
 proptest! {
+    #[test]
+    fn environments_agree_on_every_expression(e in arb_expr(), record in arb_env()) {
+        // The same bindings behind the three environments that resolve
+        // paths: a record value, a map, a scope. Results are compared as
+        // text (NaN is a legitimate result and is not equal to itself).
+        let map = record.as_record().unwrap().clone();
+        let mut scope = Scope::new();
+        for (name, v) in &map {
+            scope.bind(name.clone(), v.clone());
+        }
+        let by_record = e.eval(&record);
+        let rendered = format!("{by_record:?}");
+        prop_assert_eq!(format!("{:?}", e.eval(&map)), rendered.clone(), "map: {}", e);
+        prop_assert_eq!(format!("{:?}", e.eval(&scope)), rendered, "scope: {}", e);
+        // `eval_bool` is `eval` plus the result check.
+        let as_bool = e.eval_bool(&record);
+        match by_record {
+            Ok(Value::Bool(b)) => prop_assert_eq!(as_bool, Ok(b)),
+            Ok(_) => prop_assert!(as_bool.is_err(), "{}", e),
+            Err(err) => prop_assert_eq!(as_bool, Err(err)),
+        }
+    }
+
     #[test]
     fn binary_codec_round_trips(v in arb_value()) {
         let bytes = BinarySyntax.encode(&v);

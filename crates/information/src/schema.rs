@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use rmodp_core::dtype::{DataType, TypeError};
-use rmodp_core::expr::{EvalError, Expr, ParseError, Scope};
+use rmodp_core::expr::{Env, EvalError, Expr, ParseError};
 use rmodp_core::value::Value;
 
 /// An error raised while building or applying schemas.
@@ -231,6 +231,14 @@ impl DynamicSchema {
     /// Returns [`SchemaError::BadArguments`] on missing, extra or
     /// ill-typed arguments.
     pub fn check_args(&self, args: &Value) -> Result<(), SchemaError> {
+        self.checked_args(args).map(|_| ())
+    }
+
+    /// [`check_args`](Self::check_args), handing back the argument record.
+    fn checked_args<'a>(
+        &self,
+        args: &'a Value,
+    ) -> Result<&'a BTreeMap<String, Value>, SchemaError> {
         let bad = |detail: String| SchemaError::BadArguments {
             schema: self.name.clone(),
             detail,
@@ -251,7 +259,7 @@ impl DynamicSchema {
                 return Err(bad(format!("unexpected argument {key}")));
             }
         }
-        Ok(())
+        Ok(record)
     }
 
     /// Computes the successor state, without checking any invariants
@@ -262,25 +270,13 @@ impl DynamicSchema {
     ///
     /// Returns guard, argument or evaluation failures.
     pub fn apply(&self, state: &Value, args: &Value) -> Result<Value, SchemaError> {
-        self.check_args(args)?;
+        let args = self.checked_args(args)?;
         let record = state
             .as_record()
             .ok_or_else(|| SchemaError::BadDefinition {
                 detail: format!("state must be a record, got {}", state.kind()),
             })?;
-
-        // Environment: state fields and parameters at top level (parameters
-        // shadow state fields), and the whole old state under `old`.
-        let mut scope = Scope::new();
-        for (k, v) in record {
-            scope.bind(k.clone(), v.clone());
-        }
-        if let Some(args_record) = args.as_record() {
-            for (k, v) in args_record {
-                scope.bind(k.clone(), v.clone());
-            }
-        }
-        scope.bind("old", state.clone());
+        let scope = Transition { args, state };
 
         if let Some(guard) = &self.guard {
             if !guard.eval_bool(&scope)? {
@@ -328,6 +324,26 @@ impl DynamicSchema {
             }
         }
         Ok(new_state)
+    }
+}
+
+/// What a guard or an effect sees: parameters and state fields at top
+/// level (parameters shadow state fields), and the whole pre-state under
+/// `old`. Everything is read in place.
+struct Transition<'a> {
+    args: &'a BTreeMap<String, Value>,
+    state: &'a Value,
+}
+
+impl Env for Transition<'_> {
+    fn lookup(&self, path: &[String]) -> Option<&Value> {
+        let (head, rest) = path.split_first()?;
+        let root = if head == "old" {
+            self.state
+        } else {
+            self.args.get(head).or_else(|| self.state.field(head))?
+        };
+        root.path(rest)
     }
 }
 
@@ -503,6 +519,102 @@ mod tests {
             .apply(&state, &Value::record([("balance", Value::Int(5))]))
             .unwrap();
         assert_eq!(new.field("balance"), Some(&Value::Int(15)));
+    }
+
+    /// What guard and effects see, row by row: state fields, parameters
+    /// shadowing them (whole, never merged with the field they hide), the
+    /// pre-state under `old`, and the failures in the order `apply` meets
+    /// them.
+    #[test]
+    fn transition_environment_table() {
+        let state = Value::record([
+            ("balance", Value::Int(10)),
+            ("limit", Value::record([("daily", Value::Int(500))])),
+            ("log", Value::seq([Value::Int(1)])),
+        ]);
+        let schema = |guard: Option<&str>, effects: &[(&str, &str)]| {
+            let mut b = DynamicSchema::builder("T")
+                .param("balance", DataType::Int)
+                .param("limit", DataType::record([("extra", DataType::Int)]));
+            if let Some(g) = guard {
+                b = b.guard(g);
+            }
+            for (field, expr) in effects {
+                b = b.effect(*field, expr);
+            }
+            b.build().unwrap()
+        };
+        let args = Value::record([
+            ("balance", Value::Int(5)),
+            ("limit", Value::record([("extra", Value::Int(7))])),
+        ]);
+        type Effects<'a> = &'a [(&'a str, &'a str)];
+        let rows: [(Option<&str>, Effects<'_>, &str); 9] = [
+            // Simultaneous assignment: both sides read the pre-state.
+            (
+                None,
+                &[
+                    ("balance", "old.balance + balance"),
+                    ("log", "log + [old.balance]"),
+                ],
+                "Ok({balance: 15, limit: {daily: 500}, log: [1, 10]})",
+            ),
+            // `old` alone is the whole pre-state; a parameter record
+            // replaces the field it shadows.
+            (
+                Some("old.limit.daily == 500 and limit.extra == 7"),
+                &[("log", "[old, limit]")],
+                "Ok({balance: 10, limit: {daily: 500}, \
+                 log: [{balance: 10, limit: {daily: 500}, log: [1]}, {extra: 7}]})",
+            ),
+            // The shadowing parameter has no `daily`: unbound, not the
+            // state's.
+            (
+                None,
+                &[("balance", "limit.daily")],
+                "Err(Eval(Undefined { path: \"limit.daily\" }))",
+            ),
+            (
+                Some("exists(limit.daily) or exists(old.limit.extra)"),
+                &[("balance", "0")],
+                "Err(GuardFailed { schema: \"T\" })",
+            ),
+            (
+                Some("balance > old.balance"),
+                &[("balance", "0")],
+                "Err(GuardFailed { schema: \"T\" })",
+            ),
+            (
+                Some("log"),
+                &[("balance", "0")],
+                "Err(Eval(TypeMismatch { context: \"predicate result\", got: \"seq\" }))",
+            ),
+            // The guard runs before any effect is looked at.
+            (
+                Some("false"),
+                &[("ghost", "1")],
+                "Err(GuardFailed { schema: \"T\" })",
+            ),
+            // Effects are checked in order: the unknown field is met
+            // before the failing expression, and after a good one.
+            (
+                None,
+                &[("balance", "1"), ("ghost", "1 / 0")],
+                "Err(UnknownField { schema: \"T\", field: \"ghost\" })",
+            ),
+            (
+                None,
+                &[("balance", "1 / 0"), ("ghost", "1")],
+                "Err(Eval(DivideByZero))",
+            ),
+        ];
+        for (guard, effects, expected) in rows {
+            let got = match schema(guard, effects).apply(&state, &args) {
+                Ok(s) => format!("Ok({s})"),
+                Err(e) => format!("Err({e:?})"),
+            };
+            assert_eq!(got, expected, "{guard:?} {effects:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 
 use rmodp_typerepo::TypeRepository;
 
-use crate::trader::{ImportRequest, Match, Preference, Trader};
+use crate::trader::{first_per_holder, order_matches, ImportRequest, Match, Trader};
 
 /// A federation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,8 +138,7 @@ impl Federation {
         bus::push_context(span);
         let mut visited = BTreeSet::new();
         let mut queue = VecDeque::from([(start.to_owned(), 0usize)]);
-        let mut seen_offers = BTreeSet::new();
-        let mut matches = Vec::new();
+        let mut found = Vec::new();
         while let Some((name, hops)) = queue.pop_front() {
             if !visited.insert(name.clone()) {
                 continue;
@@ -152,11 +151,7 @@ impl Federation {
                 bus::counter_add("trader.federation_hops", 1);
             }
             let trader = self.traders.get_mut(&name).expect("visited traders exist");
-            for m in trader.import(request, repo) {
-                if seen_offers.insert((m.offer.held_by.clone(), m.offer.id)) {
-                    matches.push(m);
-                }
-            }
+            found.extend(trader.import(request, repo));
             if hops < max_hops {
                 for next in self.traders[&name].links.clone() {
                     queue.push_back((next, hops + 1));
@@ -164,21 +159,8 @@ impl Federation {
             }
         }
         bus::pop_context();
-        match &request.preference {
-            Preference::FirstFound => {}
-            Preference::Max(_) => matches.sort_by(|a, b| {
-                b.score
-                    .total_cmp(&a.score)
-                    .then(a.offer.held_by.cmp(&b.offer.held_by))
-                    .then(a.offer.id.cmp(&b.offer.id))
-            }),
-            Preference::Min(_) => matches.sort_by(|a, b| {
-                a.score
-                    .total_cmp(&b.score)
-                    .then(a.offer.held_by.cmp(&b.offer.held_by))
-                    .then(a.offer.id.cmp(&b.offer.id))
-            }),
-        }
+        let mut matches = first_per_holder(&found);
+        order_matches(&mut matches, &request.preference, true);
         matches.truncate(request.max_matches);
         Ok(matches)
     }

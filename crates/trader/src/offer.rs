@@ -25,10 +25,9 @@ impl ServiceOffer {
     /// Whether the offer's properties bind every variable a constraint
     /// mentions (offers lacking a mentioned property never match).
     pub fn binds(&self, variables: &[Vec<String>]) -> bool {
-        variables.iter().all(|path| {
-            let segs: Vec<&str> = path.iter().map(String::as_str).collect();
-            self.properties.path(&segs).is_some()
-        })
+        variables
+            .iter()
+            .all(|path| self.properties.path(path).is_some())
     }
 }
 

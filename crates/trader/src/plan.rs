@@ -151,7 +151,8 @@ impl fmt::Display for QueryPlan {
 
 /// The planner's output: the plan, the candidate ids in ascending
 /// order, and the matched-type set for the caller's per-candidate type
-/// check.
+/// check (a fallback plan's candidates come out of the matching type
+/// buckets and need none).
 #[derive(Debug)]
 pub struct PlannedImport {
     /// The compiled, explainable plan.
@@ -238,12 +239,19 @@ fn atom_postings<'a>(
     }
 }
 
-/// Materialises a path's posting sets as one ascending id run. The
-/// sets are pairwise disjoint (distinct keys of one index), so a
-/// concat-and-sort is enough.
+/// Materialises pairwise disjoint posting sets (distinct keys of one
+/// index, or distinct type buckets) as one ascending id run. Every set
+/// iterates ascending already: one set is copied out as it is, several
+/// are concatenated and merged by the stable sort, which finds the
+/// ascending runs instead of sorting from scratch.
 fn materialise(postings: &[&BTreeSet<OfferId>]) -> Vec<OfferId> {
-    let mut ids: Vec<OfferId> = postings.iter().flat_map(|s| s.iter().copied()).collect();
-    ids.sort_unstable();
+    let mut ids = Vec::with_capacity(postings.iter().map(|s| s.len()).sum());
+    for set in postings {
+        ids.extend(set.iter().copied());
+    }
+    if postings.len() > 1 {
+        ids.sort();
+    }
     ids
 }
 
@@ -311,14 +319,11 @@ pub fn plan_import(
 
     let fallback = paths.is_empty();
     let candidates = if fallback {
-        // Type buckets are pairwise disjoint: concat + sort.
-        let mut ids: Vec<OfferId> = matched_types
+        let buckets: Vec<&BTreeSet<OfferId>> = matched_types
             .iter()
             .filter_map(|t| store.type_postings(t))
-            .flat_map(|s| s.iter().copied())
             .collect();
-        ids.sort_unstable();
-        ids
+        materialise(&buckets)
     } else {
         let driver_count = paths[0].count;
         let mut current: Option<Vec<OfferId>> = None;
@@ -397,6 +402,35 @@ mod tests {
         assert!(planned.plan.fallback);
         assert_eq!(planned.candidates.len(), 75);
         assert!(planned.candidates.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn materialise_is_the_sorted_concatenation() {
+        let s = store();
+        let ppm = s.index("ppm").unwrap();
+        let key = |n: i64| PropKey::of(&Value::Int(n)).unwrap();
+        let sorted_concat = |sets: &[&BTreeSet<OfferId>]| {
+            let mut ids: Vec<OfferId> = sets.iter().flat_map(|s| s.iter().copied()).collect();
+            ids.sort_unstable();
+            ids
+        };
+        // One set, several disjoint sets (their id ranges interleave), and
+        // the type-bucket union a fallback plan scans.
+        let one = vec![ppm.eq_postings(&key(30)).unwrap()];
+        let (lo, hi) = (key(40), key(90));
+        let several = ppm.range_postings(Bound::Included(&lo), Bound::Included(&hi));
+        assert_eq!(several.len(), 6);
+        let buckets: Vec<_> = ["Printer", "Scanner"]
+            .iter()
+            .map(|t| s.type_postings(t).unwrap())
+            .collect();
+        for sets in [&one, &several, &buckets] {
+            let ids = materialise(sets);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(ids, sorted_concat(sets));
+        }
+        assert_eq!(materialise(&buckets).len(), 100);
+        assert!(materialise(&[]).is_empty());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use rmodp_typerepo::TypeRepository;
 
 use crate::federation::{Federation, FederationError};
 use crate::store::IndexKind;
-use crate::trader::{ImportRequest, Match, Preference, Trader, TraderError};
+use crate::trader::{first_per_holder, order_matches, ImportRequest, Match, Trader, TraderError};
 
 /// Routing counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,17 +165,15 @@ impl ShardedFederation {
         self.stats.shard_queries += shards.len() as u64;
         rmodp_observe::bus::counter_add("trader.shard.routed", 1);
         rmodp_observe::bus::counter_add("trader.shard.queries", shards.len() as u64);
-        let mut matches = Vec::new();
-        let mut seen = BTreeSet::new();
+        // Shards are visited in name order, so `FirstFound` comes out in
+        // `(holder, offer id)` order without a sort.
+        let mut found = Vec::new();
         for shard in &shards {
             let trader = self.federation.trader_mut(shard).expect("shards exist");
-            for m in trader.import(request, repo) {
-                if seen.insert((m.offer.held_by.clone(), m.offer.id)) {
-                    matches.push(m);
-                }
-            }
+            found.extend(trader.import(request, repo));
         }
-        order_across_shards(&mut matches, &request.preference);
+        let mut matches = first_per_holder(&found);
+        order_matches(&mut matches, &request.preference, true);
         matches.truncate(request.max_matches);
         matches
     }
@@ -197,31 +195,6 @@ impl ShardedFederation {
         let start = self.names[0].clone();
         self.federation
             .import_federated(&start, request, repo, self.names.len())
-    }
-}
-
-/// The federation-wide ordering: preference score, then holder name,
-/// then offer id — identical to [`Federation::import_federated`].
-fn order_across_shards(matches: &mut [Match], preference: &Preference) {
-    match preference {
-        Preference::FirstFound => matches.sort_by(|a, b| {
-            a.offer
-                .held_by
-                .cmp(&b.offer.held_by)
-                .then(a.offer.id.cmp(&b.offer.id))
-        }),
-        Preference::Max(_) => matches.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.offer.held_by.cmp(&b.offer.held_by))
-                .then(a.offer.id.cmp(&b.offer.id))
-        }),
-        Preference::Min(_) => matches.sort_by(|a, b| {
-            a.score
-                .total_cmp(&b.score)
-                .then(a.offer.held_by.cmp(&b.offer.held_by))
-                .then(a.offer.id.cmp(&b.offer.id))
-        }),
     }
 }
 

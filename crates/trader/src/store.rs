@@ -6,10 +6,12 @@
 //! a directory needs real index structures, not a linear scan. The
 //! store keeps:
 //!
-//! - the **primary map** `OfferId → ServiceOffer` (a `BTreeMap`, so
+//! - the **primary map** `OfferId → Arc<ServiceOffer>` (a `BTreeMap`, so
 //!   iteration order is ascending offer id — the same order the
 //!   original scan matcher observed, which is what keeps index-backed
-//!   matching byte-identical to the scan);
+//!   matching byte-identical to the scan). Offers are shared, so an
+//!   import hands out reference counts, not copies; a modification
+//!   copies on write only while a match still holds the old offer;
 //! - the **service-type index** `type name → id set`;
 //! - optional **per-property secondary indexes**, either exact-match
 //!   hash maps or ordered B-tree maps ([`IndexKind`]), over the
@@ -32,6 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use rmodp_core::id::OfferId;
 use rmodp_core::value::Value;
@@ -170,26 +173,21 @@ impl PropertyIndex {
     }
 
     fn remove(&mut self, key: &PropKey, id: OfferId) {
-        let emptied = match &mut self.postings {
-            Postings::Hash(m) => m.get_mut(key).map(|s| {
-                s.remove(&id);
-                s.is_empty()
-            }),
-            Postings::Ordered(m) => m.get_mut(key).map(|s| {
-                s.remove(&id);
-                s.is_empty()
-            }),
+        let set = match &mut self.postings {
+            Postings::Hash(m) => m.get_mut(key),
+            Postings::Ordered(m) => m.get_mut(key),
         };
-        match emptied {
-            Some(true) => {
-                match &mut self.postings {
-                    Postings::Hash(m) => m.remove(key),
-                    Postings::Ordered(m) => m.remove(key),
-                };
-                self.entries -= 1;
-            }
-            Some(false) => self.entries -= 1,
-            None => {}
+        let Some(set) = set else { return };
+        // Only an id that was posted under the key counts as removed.
+        if !set.remove(&id) {
+            return;
+        }
+        self.entries -= 1;
+        if set.is_empty() {
+            match &mut self.postings {
+                Postings::Hash(m) => m.remove(key),
+                Postings::Ordered(m) => m.remove(key),
+            };
         }
     }
 
@@ -231,7 +229,7 @@ impl PropertyIndex {
 /// declared per-property secondary indexes.
 #[derive(Debug, Default)]
 pub struct OfferStore {
-    offers: BTreeMap<OfferId, ServiceOffer>,
+    offers: BTreeMap<OfferId, Arc<ServiceOffer>>,
     by_type: BTreeMap<String, BTreeSet<OfferId>>,
     indexes: BTreeMap<String, PropertyIndex>,
 }
@@ -252,13 +250,13 @@ impl OfferStore {
         self.offers.is_empty()
     }
 
-    /// One offer by id.
-    pub fn get(&self, id: OfferId) -> Option<&ServiceOffer> {
+    /// One offer by id. Cloning the `Arc` shares the offer as it is now.
+    pub fn get(&self, id: OfferId) -> Option<&Arc<ServiceOffer>> {
         self.offers.get(&id)
     }
 
     /// All offers, ascending by id — the canonical match order.
-    pub fn iter(&self) -> impl Iterator<Item = &ServiceOffer> {
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<ServiceOffer>> {
         self.offers.values()
     }
 
@@ -308,10 +306,11 @@ impl OfferStore {
                 index.insert(key, id);
             }
         }
-        self.offers.insert(id, offer);
+        self.offers.insert(id, Arc::new(offer));
     }
 
-    /// Removes an offer, unthreading it from every index.
+    /// Removes an offer, unthreading it from every index. The offer is
+    /// copied only if a match still shares it.
     pub fn remove(&mut self, id: OfferId) -> Option<ServiceOffer> {
         let offer = self.offers.remove(&id)?;
         if let Some(set) = self.by_type.get_mut(&offer.service_type) {
@@ -325,11 +324,12 @@ impl OfferStore {
                 index.remove(&key, id);
             }
         }
-        Some(offer)
+        Some(Arc::unwrap_or_clone(offer))
     }
 
     /// Replaces an offer's properties, keeping every secondary index
-    /// consistent.
+    /// consistent. A match handed out earlier keeps the offer as it was
+    /// (copy on write).
     ///
     /// Returns `false` if the offer does not exist.
     pub fn replace_properties(&mut self, id: OfferId, properties: Value) -> bool {
@@ -348,7 +348,7 @@ impl OfferStore {
                 }
             }
         }
-        offer.properties = properties;
+        Arc::make_mut(offer).properties = properties;
         true
     }
 }
@@ -463,6 +463,28 @@ mod tests {
         ));
         assert_eq!(s.index("ppm").unwrap().entries(), 2);
         assert!(!s.replace_properties(OfferId::new(77), Value::record::<&str, _>([])));
+    }
+
+    #[test]
+    fn index_remove_counts_only_posted_ids() {
+        let mut index = PropertyIndex::new(IndexKind::Ordered);
+        let k55 = PropKey::of(&Value::Int(55)).unwrap();
+        let k30 = PropKey::of(&Value::Int(30)).unwrap();
+        index.insert(k55.clone(), OfferId::new(2));
+        index.insert(k55.clone(), OfferId::new(3));
+        index.insert(k30.clone(), OfferId::new(1));
+        assert_eq!(index.entries(), 3);
+        // An id that is not under the key (or under another key) is not
+        // a removal.
+        index.remove(&k55, OfferId::new(1));
+        index.remove(&k55, OfferId::new(99));
+        assert_eq!(index.entries(), 3);
+        assert_eq!(index.eq_postings(&k55).unwrap().len(), 2);
+        // Removing twice counts once; the emptied key goes away.
+        index.remove(&k30, OfferId::new(1));
+        index.remove(&k30, OfferId::new(1));
+        assert_eq!(index.entries(), 2);
+        assert_eq!(index.distinct_keys(), 1);
     }
 
     #[test]

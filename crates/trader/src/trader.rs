@@ -9,8 +9,10 @@
 //! (see `tests/plan_equivalence.rs`) and the baseline `trader_bench`
 //! measures.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use rmodp_core::expr::{Expr, ParseError};
 use rmodp_core::id::{IdGen, InterfaceId, OfferId};
@@ -166,8 +168,12 @@ impl ImportRequest {
 /// One import match.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Match {
-    /// The matching offer.
-    pub offer: ServiceOffer,
+    /// The matching offer, shared with the trader that holds it: a match
+    /// costs a reference count, not a copy, and reads like the offer
+    /// itself (`m.offer.interface`). It is a snapshot — a later
+    /// [`Trader::modify`] or [`Trader::withdraw`] leaves it as it was
+    /// when the import ran; a new import sees the change.
+    pub offer: Arc<ServiceOffer>,
     /// The preference score used for ordering (0 for `FirstFound`).
     pub score: f64,
 }
@@ -192,22 +198,40 @@ pub struct TraderStats {
     pub plans_fallback: u64,
 }
 
-/// Preference-orders matches in place: ties (and `FirstFound`) keep
-/// ascending offer-id order, which is the store's iteration order.
-pub(crate) fn order_matches(matches: &mut [Match], preference: &Preference) {
-    match preference {
-        Preference::FirstFound => {}
-        Preference::Max(_) => matches.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.offer.id.cmp(&b.offer.id))
-        }),
-        Preference::Min(_) => matches.sort_by(|a, b| {
-            a.score
-                .total_cmp(&b.score)
-                .then(a.offer.id.cmp(&b.offer.id))
-        }),
-    }
+/// Preference-orders matches in place — the one comparator of the
+/// crate: score (descending for `Max`, ascending for `Min`), then the
+/// holding trader's name when matches of several traders are merged
+/// (`by_holder`), then offer id. `FirstFound` keeps the order the
+/// matches were found in: ascending offer id within a trader, traders in
+/// visiting order.
+pub(crate) fn order_matches(matches: &mut [Match], preference: &Preference, by_holder: bool) {
+    let descending = match preference {
+        Preference::FirstFound => return,
+        Preference::Max(_) => true,
+        Preference::Min(_) => false,
+    };
+    matches.sort_by(|a, b| {
+        let score = a.score.total_cmp(&b.score);
+        let holder = if by_holder {
+            a.offer.held_by.cmp(&b.offer.held_by)
+        } else {
+            Ordering::Equal
+        };
+        (if descending { score.reverse() } else { score })
+            .then(holder)
+            .then(a.offer.id.cmp(&b.offer.id))
+    });
+}
+
+/// The first match of every `(holder, offer id)`, in the order found. The
+/// key borrows the holder's name from the shared offer.
+pub(crate) fn first_per_holder(found: &[Match]) -> Vec<Match> {
+    let mut seen = BTreeSet::new();
+    found
+        .iter()
+        .filter(|m| seen.insert((m.offer.held_by.as_str(), m.offer.id)))
+        .cloned()
+        .collect()
 }
 
 /// The per-offer residual: constraint-variable binding, constraint
@@ -219,7 +243,7 @@ pub(crate) fn order_matches(matches: &mut [Match], preference: &Preference) {
 /// which an expression fails to evaluate, simply do not match — a
 /// malformed *offer* must not fail the *import*.
 fn residual_match(
-    offer: &ServiceOffer,
+    offer: &Arc<ServiceOffer>,
     request: &ImportRequest,
     constraint_vars: &[Vec<String>],
 ) -> Option<Match> {
@@ -239,7 +263,7 @@ fn residual_match(
         }
     };
     Some(Match {
-        offer: offer.clone(),
+        offer: Arc::clone(offer),
         score,
     })
 }
@@ -306,9 +330,10 @@ impl Trader {
     }
 
     /// Declares the property type offers of a service type must carry.
-    /// Subsequent exports of that type are checked against it, and import
-    /// constraints are statically type-checked before any offer is
-    /// examined.
+    /// Subsequent exports and modifications of offers of that type are
+    /// checked against it. An import does not type-check its constraint:
+    /// that is the caller's step, [`Self::check_request`], before it
+    /// imports.
     ///
     /// # Errors
     ///
@@ -380,14 +405,7 @@ impl Trader {
             });
         }
         let service_type = service_type.into();
-        if let Some(ptype) = self.property_types.get(&service_type) {
-            ptype
-                .check(&properties)
-                .map_err(|e| TraderError::PropertyType {
-                    service_type: service_type.clone(),
-                    detail: e.to_string(),
-                })?;
-        }
+        self.check_properties(&service_type, &properties)?;
         let id = self.gen.fresh();
         let event = rmodp_observe::event(
             rmodp_observe::Layer::Trader,
@@ -432,22 +450,41 @@ impl Trader {
     ///
     /// # Errors
     ///
-    /// Unknown offer or non-record properties.
+    /// Unknown offer, non-record properties, or
+    /// [`TraderError::PropertyType`] if the new properties do not satisfy
+    /// the property type declared for the offer's service type.
     pub fn modify(&mut self, offer: OfferId, properties: Value) -> Result<(), TraderError> {
         if properties.as_record().is_none() {
             return Err(TraderError::BadProperties {
                 got: properties.kind().to_owned(),
             });
         }
-        if !self.store.replace_properties(offer, properties) {
-            return Err(TraderError::UnknownOffer { offer });
-        }
+        let held = self
+            .store
+            .get(offer)
+            .ok_or(TraderError::UnknownOffer { offer })?;
+        self.check_properties(&held.service_type, &properties)?;
+        self.store.replace_properties(offer, properties);
         Ok(())
+    }
+
+    /// Checks properties against the type declared for a service type, if
+    /// one is.
+    fn check_properties(&self, service_type: &str, properties: &Value) -> Result<(), TraderError> {
+        let Some(ptype) = self.property_types.get(service_type) else {
+            return Ok(());
+        };
+        ptype
+            .check(properties)
+            .map_err(|e| TraderError::PropertyType {
+                service_type: service_type.to_owned(),
+                detail: e.to_string(),
+            })
     }
 
     /// Looks up an offer.
     pub fn offer(&self, offer: OfferId) -> Option<&ServiceOffer> {
-        self.store.get(offer)
+        self.store.get(offer).map(Arc::as_ref)
     }
 
     /// Compiles an import request into a [`QueryPlan`] without running
@@ -496,18 +533,18 @@ impl Trader {
             let Some(offer) = self.store.get(*id) else {
                 continue;
             };
-            // Candidates come from posting sets, not type buckets: an
-            // index can surface offers of other service types, so the
-            // type check stays per-offer (against the precomputed
-            // conformant set).
-            if !planned.matched_types.contains(&offer.service_type) {
+            // An index can surface offers of other service types, so
+            // its candidates are checked against the precomputed
+            // conformant set; a fallback plan's come out of the matching
+            // type buckets.
+            if !planned.plan.fallback && !planned.matched_types.contains(&offer.service_type) {
                 continue;
             }
             if let Some(m) = residual_match(offer, request, &constraint_vars) {
                 matches.push(m);
             }
         }
-        order_matches(&mut matches, &request.preference);
+        order_matches(&mut matches, &request.preference, false);
         matches.truncate(request.max_matches);
 
         event(Layer::Trader, EventKind::TraderLookup)
@@ -556,7 +593,7 @@ impl Trader {
                 matches.push(m);
             }
         }
-        order_matches(&mut matches, &request.preference);
+        order_matches(&mut matches, &request.preference, false);
         matches.truncate(request.max_matches);
         rmodp_observe::event(
             rmodp_observe::Layer::Trader,
@@ -751,6 +788,37 @@ mod tests {
         assert_eq!(t.len(), 2);
         // The withdrawn offer left the index, too.
         assert_eq!(t.store().index("dpi").unwrap().entries(), 0);
+    }
+
+    #[test]
+    fn a_match_is_a_snapshot_of_the_offer() {
+        let mut t = printer_trader();
+        t.index_property("ppm", IndexKind::Ordered);
+        let fast = ImportRequest::new("Printer")
+            .constraint("ppm >= 50")
+            .unwrap();
+        let before = t.import(&fast, None);
+        assert_eq!(before.len(), 1);
+        let id = before[0].offer.id;
+        let ppm = |o: &ServiceOffer| o.properties.field("ppm").cloned();
+
+        // Modify: the match taken earlier keeps the old properties, the
+        // store and a new import show the new ones.
+        t.modify(id, Value::record([("ppm", Value::Int(70))]))
+            .unwrap();
+        assert_eq!(ppm(&before[0].offer), Some(Value::Int(55)));
+        assert_eq!(ppm(t.offer(id).unwrap()), Some(Value::Int(70)));
+        let after = t.import(&fast, None);
+        assert_eq!(ppm(&after[0].offer), Some(Value::Int(70)));
+        assert_ne!(before, after);
+
+        // Withdraw: the caller gets the offer as it is now, the matches
+        // keep theirs, a new import finds nothing.
+        let withdrawn = t.withdraw(id).unwrap();
+        assert_eq!(withdrawn, *after[0].offer);
+        assert_eq!(ppm(&before[0].offer), Some(Value::Int(55)));
+        assert!(t.offer(id).is_none());
+        assert!(t.import(&fast, None).is_empty());
     }
 
     #[test]

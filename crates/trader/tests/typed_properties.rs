@@ -1,5 +1,6 @@
-//! Tests for declared (typed) service properties: exports validated
-//! against the declaration, constraints statically type-checked.
+//! Tests for declared (typed) service properties: exports and
+//! modifications validated against the declaration, constraints
+//! statically type-checked.
 
 use rmodp_core::dtype::DataType;
 use rmodp_core::id::InterfaceId;
@@ -65,6 +66,38 @@ fn nonconforming_exports_fail() {
         .unwrap_err();
     assert!(matches!(err, TraderError::PropertyType { .. }), "{err}");
     assert!(t.is_empty());
+}
+
+#[test]
+fn modify_is_held_to_the_declaration_too() {
+    let mut t = declared_trader();
+    let good = Value::record([("ppm", Value::Int(30)), ("colour", Value::Bool(true))]);
+    let id = t
+        .export("Printer", InterfaceId::new(1), good.clone())
+        .unwrap();
+    // What `export` would refuse, `modify` refuses: wrong type, missing
+    // property. The offer stays as it was.
+    for bad in [
+        Value::record([("ppm", Value::text("fast")), ("colour", Value::Bool(true))]),
+        Value::record([("ppm", Value::Int(30))]),
+    ] {
+        let err = t.modify(id, bad).unwrap_err();
+        assert!(matches!(err, TraderError::PropertyType { .. }), "{err}");
+        assert_eq!(t.offer(id).unwrap().properties, good);
+    }
+    // A conforming change goes through; an undeclared type stays free.
+    let faster = Value::record([("ppm", Value::Int(60)), ("colour", Value::Bool(true))]);
+    t.modify(id, faster.clone()).unwrap();
+    assert_eq!(t.offer(id).unwrap().properties, faster);
+    let scanner = t
+        .export(
+            "Scanner",
+            InterfaceId::new(2),
+            Value::record([("dpi", Value::Int(600))]),
+        )
+        .unwrap();
+    t.modify(scanner, Value::record([("anything", Value::Null)]))
+        .unwrap();
 }
 
 #[test]
