@@ -17,7 +17,8 @@
 //!   majority acknowledgement;
 //! - [`detect`] — heartbeat failure detection with deterministic
 //!   virtual-time suspicion, feeding view changes;
-//! - [`storage`] — the versioned storage function (§8.3);
+//! - [`storage`] — the storage function (§8.3): the [`PersistentStore`]
+//!   seam and its in-memory implementation;
 //! - [`relation`] — the relationship repository (§8.3);
 //! - [`relocator`] — the white-pages repository of interface locations
 //!   behind relocation transparency (§8.3.3, §9.2);
@@ -38,4 +39,4 @@ pub use events::EventNotifier;
 pub use group::{GroupManager, ReplicationPolicy};
 pub use relocator::Relocator;
 pub use security::{AccessController, Authenticator};
-pub use storage::StorageFunction;
+pub use storage::{PersistentStore, StorageFunction};

@@ -16,11 +16,10 @@
 //! clusters stored through the storage function, restorable as a unit.
 
 use rmodp_core::id::{CapsuleId, ClusterId, NodeId, ObjectId};
-use rmodp_core::naming::Name;
 use rmodp_engineering::engine::{EngError, Engine};
-use rmodp_engineering::structure::{ClusterCheckpoint, ObjectCheckpoint};
+use rmodp_engineering::structure::{encode_checkpoint, ClusterCheckpoint, ObjectCheckpoint};
 
-use crate::storage::StorageFunction;
+use crate::storage::PersistentStore;
 
 /// A named set of cluster checkpoints taken together.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,54 +181,40 @@ impl<'a> ManagementFunctions<'a> {
     }
 }
 
-/// Serialises a coordinated checkpoint into the storage function under
-/// `checkpoints/<label>`, one entry per cluster, using the binary transfer
-/// syntax for object states.
+/// Stores a coordinated checkpoint through the storage function, one
+/// entry per cluster under `checkpoints/<label>/<i>/<node>/<capsule>`:
+/// the bytes are the cluster's [`encode_checkpoint`] form, the key
+/// carries the home to reactivate it at. Returns the keys in set order.
 pub fn store_checkpoint(
-    storage: &mut StorageFunction,
+    storage: &mut impl PersistentStore,
     checkpoint: &CoordinatedCheckpoint,
-) -> Vec<(Name, u64)> {
-    use rmodp_core::codec::{syntax_for, SyntaxId};
-    use rmodp_core::value::Value;
-
-    let mut stored = Vec::new();
-    for (i, (node, capsule, cp)) in checkpoint.clusters.iter().enumerate() {
-        let name: Name = format!("checkpoints/{}/{}", checkpoint.label, i)
-            .parse()
-            .expect("valid checkpoint name");
-        let states = Value::Seq(
-            cp.objects
-                .iter()
-                .map(|o| {
-                    Value::record([
-                        ("object", Value::Int(o.record.object.raw() as i64)),
-                        ("behaviour", Value::text(o.record.behaviour.clone())),
-                        ("state", o.state.clone()),
-                    ])
-                })
-                .collect(),
-        );
-        let meta = Value::record([
-            ("node", Value::Int(node.raw() as i64)),
-            ("capsule", Value::Int(capsule.raw() as i64)),
-            ("cluster", Value::Int(cp.cluster.raw() as i64)),
-            ("epoch", Value::Int(cp.epoch as i64)),
-            ("objects", states),
-        ]);
-        let bytes = syntax_for(SyntaxId::Binary).encode(&meta);
-        let version = storage.put(name.clone(), bytes);
-        stored.push((name, version));
-    }
-    stored
+) -> Vec<String> {
+    checkpoint
+        .clusters
+        .iter()
+        .enumerate()
+        .map(|(i, (node, capsule, cp))| {
+            let key = format!(
+                "checkpoints/{}/{i}/{}/{}",
+                checkpoint.label,
+                node.raw(),
+                capsule.raw()
+            );
+            storage.persist(&key, encode_checkpoint(cp));
+            key
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::StorageFunction;
     use rmodp_core::codec::SyntaxId;
     use rmodp_core::value::Value;
     use rmodp_engineering::behaviour::CounterBehaviour;
     use rmodp_engineering::channel::ChannelConfig;
+    use rmodp_engineering::structure::decode_checkpoint;
 
     fn engine_with_counters() -> (
         Engine,
@@ -310,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn store_checkpoint_persists_states() {
+    fn stored_checkpoints_decode_back_and_damage_never_panics() {
         let (mut e, clusters, _) = engine_with_counters();
         let checkpoint = {
             let mut mgmt = ManagementFunctions::new(&mut e);
@@ -319,10 +304,24 @@ mod tests {
         let mut storage = StorageFunction::new();
         let stored = store_checkpoint(&mut storage, &checkpoint);
         assert_eq!(stored.len(), 2);
-        for (name, version) in stored {
-            assert_eq!(version, 1);
-            let (bytes, _) = storage.get(&name).unwrap();
-            assert!(!bytes.is_empty());
+        for (i, (key, (node, capsule, cp))) in stored.iter().zip(&checkpoint.clusters).enumerate() {
+            assert_eq!(
+                key,
+                &format!("checkpoints/persisted/{i}/{}/{}", node.raw(), capsule.raw()),
+                "the key names the home"
+            );
+            let bytes = storage.fetch(key).unwrap();
+            assert_eq!(decode_checkpoint(&bytes).as_ref(), Ok(cp));
+            for cut in 0..bytes.len() {
+                assert!(decode_checkpoint(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            // No checksum in the form: a flipped bit is an error or some
+            // other well-formed checkpoint, never a panic.
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = decode_checkpoint(&flipped);
+            }
         }
     }
 

@@ -1,54 +1,55 @@
-//! The storage function (§8.3): a versioned repository of named byte
-//! strings used by deactivation (storing cluster checkpoints), the
-//! relocator's persistence, and applications.
+//! The storage function (§8.3): the one seam behind which everything
+//! that outlives a capsule is kept — deactivated cluster checkpoints,
+//! coordinated checkpoints, the durable guard's operation log.
+//!
+//! [`PersistentStore`] is the storage function's interface. It has two
+//! implementations and no adapter between them: [`StorageFunction`]
+//! here, which keeps the bytes in memory (gone with the process), and
+//! `rmodp_store::StoreEngine`, which write-ahead-logs every mutation so
+//! a crash loses nothing committed.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-use rmodp_core::naming::Name;
+/// The storage function's interface: named byte strings.
+///
+/// Keys are opaque strings — by convention slash-separated paths, but
+/// no implementation parses them, so any key one accepts the other
+/// accepts too. Implementations differ only in durability.
+pub trait PersistentStore {
+    /// Stores (or overwrites) bytes under a key.
+    fn persist(&mut self, key: &str, bytes: Vec<u8>);
 
-/// A storage failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StorageError {
-    /// No value is stored under the name.
-    NotFound { name: Name },
-    /// A compare-and-swap expectation failed.
-    VersionMismatch {
-        name: Name,
-        expected: u64,
-        actual: u64,
-    },
-}
+    /// Reads the bytes stored under a key.
+    fn fetch(&self, key: &str) -> Option<Vec<u8>>;
 
-impl fmt::Display for StorageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StorageError::NotFound { name } => write!(f, "nothing stored under {name}"),
-            StorageError::VersionMismatch {
-                name,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "version mismatch for {name}: expected {expected}, found {actual}"
-            ),
-        }
+    /// Removes a key; returns whether it existed.
+    fn remove(&mut self, key: &str) -> bool;
+
+    /// Every stored key, sorted.
+    fn stored_keys(&self) -> Vec<String>;
+
+    /// Runs `f` so that a crash keeps either all of its mutations or
+    /// none of them. A store that keeps nothing across a crash has
+    /// nothing to add, so the provided form just runs `f`; a durable
+    /// store commits the mutations as one batch. Whether a read inside
+    /// `f` already sees `f`'s own mutations is the implementation's
+    /// choice: read first, or touch keys `f` does not read.
+    fn atomically<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R
+    where
+        Self: Sized,
+    {
+        f(self)
     }
 }
 
-impl std::error::Error for StorageError {}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    version: u64,
-    data: Vec<u8>,
-    history: Vec<Vec<u8>>,
-}
-
-/// A versioned key-value store.
+/// The volatile storage function: an in-memory key → bytes map.
+///
+/// It is what [`PersistentStore`] means with durability taken away — the
+/// reference the seam test runs beside the durable engine, and the
+/// default store of a deployment that has no medium to write to.
 #[derive(Debug, Default)]
 pub struct StorageFunction {
-    entries: BTreeMap<Name, Entry>,
+    entries: BTreeMap<String, Vec<u8>>,
 }
 
 impl StorageFunction {
@@ -56,96 +57,23 @@ impl StorageFunction {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Stores (or overwrites) a value; returns the new version (1 for a
-    /// fresh name).
-    pub fn put(&mut self, name: Name, data: Vec<u8>) -> u64 {
-        let entry = self.entries.entry(name).or_insert(Entry {
-            version: 0,
-            data: Vec::new(),
-            history: Vec::new(),
-        });
-        if entry.version > 0 {
-            entry.history.push(std::mem::take(&mut entry.data));
-        }
-        entry.version += 1;
-        entry.data = data;
-        entry.version
+impl PersistentStore for StorageFunction {
+    fn persist(&mut self, key: &str, bytes: Vec<u8>) {
+        self.entries.insert(key.to_owned(), bytes);
     }
 
-    /// Stores only if the current version matches `expected` (0 = must not
-    /// exist). Returns the new version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::VersionMismatch`] on a stale expectation.
-    pub fn put_if(
-        &mut self,
-        name: Name,
-        expected: u64,
-        data: Vec<u8>,
-    ) -> Result<u64, StorageError> {
-        let actual = self.entries.get(&name).map(|e| e.version).unwrap_or(0);
-        if actual != expected {
-            return Err(StorageError::VersionMismatch {
-                name,
-                expected,
-                actual,
-            });
-        }
-        Ok(self.put(name, data))
+    fn fetch(&self, key: &str) -> Option<Vec<u8>> {
+        self.entries.get(key).cloned()
     }
 
-    /// Reads the current value and version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::NotFound`] for unknown names.
-    pub fn get(&self, name: &Name) -> Result<(&[u8], u64), StorageError> {
-        self.entries
-            .get(name)
-            .map(|e| (e.data.as_slice(), e.version))
-            .ok_or_else(|| StorageError::NotFound { name: name.clone() })
+    fn remove(&mut self, key: &str) -> bool {
+        self.entries.remove(key).is_some()
     }
 
-    /// Reads a historical version (1-based; the current version included).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::NotFound`] if the name or version is absent.
-    pub fn get_version(&self, name: &Name, version: u64) -> Result<&[u8], StorageError> {
-        let entry = self
-            .entries
-            .get(name)
-            .ok_or_else(|| StorageError::NotFound { name: name.clone() })?;
-        if version == entry.version {
-            return Ok(&entry.data);
-        }
-        let idx = version.checked_sub(1).map(|v| v as usize);
-        match idx.and_then(|i| entry.history.get(i)) {
-            Some(d) => Ok(d),
-            None => Err(StorageError::NotFound { name: name.clone() }),
-        }
-    }
-
-    /// Deletes a name entirely; returns whether it existed.
-    pub fn delete(&mut self, name: &Name) -> bool {
-        self.entries.remove(name).is_some()
-    }
-
-    /// Names currently stored (sorted).
-    pub fn names(&self) -> impl Iterator<Item = &Name> {
-        self.entries.keys()
-    }
-
-    /// Number of stored names.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    fn stored_keys(&self) -> Vec<String> {
+        self.entries.keys().cloned().collect()
     }
 }
 
@@ -153,57 +81,37 @@ impl StorageFunction {
 mod tests {
     use super::*;
 
-    fn name(s: &str) -> Name {
-        s.parse().unwrap()
+    #[test]
+    fn persist_overwrites_and_remove_forgets() {
+        let mut s = StorageFunction::new();
+        s.persist("a/b", vec![1]);
+        s.persist("a/b", vec![2]);
+        assert_eq!(s.fetch("a/b"), Some(vec![2]));
+        assert!(s.remove("a/b"));
+        assert!(!s.remove("a/b"));
+        assert_eq!(s.fetch("a/b"), None);
+        assert!(s.stored_keys().is_empty());
     }
 
     #[test]
-    fn put_get_versions() {
+    fn keys_are_sorted_and_never_parsed() {
         let mut s = StorageFunction::new();
-        assert_eq!(s.put(name("a/b"), vec![1]), 1);
-        assert_eq!(s.put(name("a/b"), vec![2]), 2);
-        let (data, version) = s.get(&name("a/b")).unwrap();
-        assert_eq!((data, version), (&[2u8][..], 2));
-        assert_eq!(s.get_version(&name("a/b"), 1).unwrap(), &[1]);
-        assert_eq!(s.get_version(&name("a/b"), 2).unwrap(), &[2]);
-        assert!(s.get_version(&name("a/b"), 3).is_err());
+        for key in ["b", "persistent/", "a//x", ""] {
+            s.persist(key, key.as_bytes().to_vec());
+        }
+        assert_eq!(s.stored_keys(), vec!["", "a//x", "b", "persistent/"]);
+        assert_eq!(s.fetch("persistent/"), Some(b"persistent/".to_vec()));
     }
 
     #[test]
-    fn put_if_enforces_versions() {
+    fn atomically_runs_the_closure_and_hands_back_its_result() {
         let mut s = StorageFunction::new();
-        assert_eq!(s.put_if(name("k"), 0, vec![1]).unwrap(), 1);
-        assert!(matches!(
-            s.put_if(name("k"), 0, vec![9]),
-            Err(StorageError::VersionMismatch {
-                expected: 0,
-                actual: 1,
-                ..
-            })
-        ));
-        assert_eq!(s.put_if(name("k"), 1, vec![2]).unwrap(), 2);
-    }
-
-    #[test]
-    fn delete_and_not_found() {
-        let mut s = StorageFunction::new();
-        s.put(name("x"), vec![1]);
-        assert!(s.delete(&name("x")));
-        assert!(!s.delete(&name("x")));
-        assert!(matches!(
-            s.get(&name("x")),
-            Err(StorageError::NotFound { .. })
-        ));
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn names_are_sorted() {
-        let mut s = StorageFunction::new();
-        s.put(name("b"), vec![]);
-        s.put(name("a"), vec![]);
-        let names: Vec<String> = s.names().map(|n| n.to_string()).collect();
-        assert_eq!(names, vec!["a", "b"]);
-        assert_eq!(s.len(), 2);
+        s.persist("old", vec![0]);
+        let removed = s.atomically(|s| {
+            s.persist("new", vec![1]);
+            s.remove("old")
+        });
+        assert!(removed);
+        assert_eq!(s.stored_keys(), vec!["new"]);
     }
 }

@@ -4,16 +4,16 @@
 //! them to.
 
 use rmodp_core::codec::SyntaxId;
-use rmodp_core::naming::Name;
 use rmodp_core::value::Value;
 use rmodp_engineering::behaviour::CounterBehaviour;
 use rmodp_engineering::engine::Engine;
+use rmodp_engineering::structure::decode_checkpoint;
 use rmodp_functions::events::EventNotifier;
 use rmodp_functions::group::{GroupManager, ReplicationPolicy};
 use rmodp_functions::management::{store_checkpoint, CoordinatedCheckpoint, ManagementFunctions};
 use rmodp_functions::relation::RelationshipRepository;
 use rmodp_functions::relocator::Relocator;
-use rmodp_functions::storage::StorageFunction;
+use rmodp_functions::storage::{PersistentStore, StorageFunction};
 
 fn engine_with_counter() -> (
     Engine,
@@ -97,22 +97,21 @@ fn coordinated_checkpoint_flows_into_storage_and_events() {
     let stored = store_checkpoint(&mut storage, &checkpoint);
     let mut events = EventNotifier::new();
     let sub = events.subscribe("checkpoints", true);
-    for (name, version) in &stored {
+    for key in &stored {
         events.emit(
             "checkpoints",
-            Value::record([
-                ("name", Value::text(name.to_string())),
-                ("version", Value::Int(*version as i64)),
-            ]),
+            Value::record([("name", Value::text(key.clone()))]),
         );
     }
     let delivered = events.poll(sub);
     assert_eq!(delivered.len(), stored.len());
-    // The checkpoint bytes are durably addressable.
-    let name: Name = "checkpoints/nightly/0".parse().unwrap();
-    let (bytes, version) = storage.get(&name).unwrap();
-    assert_eq!(version, 1);
-    assert!(!bytes.is_empty());
+    // The checkpoint is addressable by its key and decodes back to the
+    // cut that was taken.
+    let bytes = storage.fetch(&stored[0]).unwrap();
+    assert_eq!(
+        decode_checkpoint(&bytes).as_ref(),
+        Ok(&checkpoint.clusters[0].2)
+    );
 }
 
 #[test]

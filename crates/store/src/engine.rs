@@ -1,15 +1,15 @@
 //! The storage engine: batches in, durable state out.
 //!
 //! [`StoreEngine`] keeps the committed keyspace in memory and makes it
-//! durable through the write-ahead discipline of
-//! [`rmodp_transactions::log`]: every mutation is framed onto the
-//! [`StableMedia`] WAL *before* it touches the in-memory state, a commit
-//! syncs the log, and only then is the batch applied. Recovery is the
-//! inverse — load the last snapshot, scan the log's valid frame prefix,
-//! classify transactions with [`WriteAheadLog::analyze`], and redo the
-//! committed writes in order. Redo is idempotent (writes carry absolute
-//! after-images; [`Value::Null`] is the delete tombstone), so replaying
-//! an over-long log onto a newer snapshot converges to the same state.
+//! durable through the [`WriteAheadLog`] it shares with the resource
+//! manager: every mutation is appended to the log *before* it touches
+//! the in-memory state, a commit flushes the log, and only then is the
+//! batch applied. Recovery is the inverse — load the last snapshot, read
+//! the log's valid frame prefix, classify transactions with [`analyze`],
+//! and redo the [`committed_writes`] in order. Redo is idempotent
+//! (writes carry absolute after-images; [`Value::Null`] is the delete
+//! tombstone), so replaying an over-long log onto a newer snapshot
+//! converges to the same state.
 //!
 //! Compaction bounds the log: when the WAL outgrows
 //! [`StoreConfig::compact_wal_bytes`], the engine stages a snapshot,
@@ -23,11 +23,9 @@ use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
 use rmodp_observe::bus;
 use rmodp_observe::event::{EventBuilder, EventKind, Layer};
-use rmodp_transactions::log::{LogRecord, WriteAheadLog};
+use rmodp_transactions::log::{analyze, committed_writes, LogRecord, StableMedia, WriteAheadLog};
 
-use crate::media::StableMedia;
 use crate::snapshot::{decode_snapshot, encode_snapshot, Snapshot};
-use crate::wal::{decode_frames, encode_frame};
 
 /// A store failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,7 +109,7 @@ pub struct StoreStats {
 /// A durable key→[`Value`] store over some [`StableMedia`].
 #[derive(Debug)]
 pub struct StoreEngine<M: StableMedia> {
-    media: M,
+    log: WriteAheadLog<M>,
     config: StoreConfig,
     state: BTreeMap<String, Value>,
     next_batch: u64,
@@ -138,32 +136,20 @@ impl<M: StableMedia> StoreEngine<M> {
             }
             None => Snapshot::default(),
         };
-        let decoded = decode_frames(media.wal_bytes());
+        let log = WriteAheadLog::new(media);
+        let decoded = log.read();
         report.records_scanned = decoded.records.len();
         report.tail_discarded = decoded.truncated_tail;
 
         let mut state = snapshot.state;
-        let log = WriteAheadLog::from_records(decoded.records);
-        let analysis = log.analyze();
+        let analysis = analyze(&decoded.records);
         report.unresolved_txs = analysis.active.len() + analysis.in_doubt.len();
-        let mut max_tx = 0u64;
-        for record in log.records() {
-            max_tx = max_tx.max(record.tx().raw());
-            if let LogRecord::Write {
-                tx, item, after, ..
-            } = record
-            {
-                if analysis.committed.contains(tx) {
-                    report.writes_replayed += 1;
-                    if matches!(after, Value::Null) {
-                        state.remove(item);
-                    } else {
-                        state.insert(item.clone(), after.clone());
-                    }
-                }
-            }
+        for (item, after) in committed_writes(&decoded.records, &analysis) {
+            report.writes_replayed += 1;
+            apply_write(&mut state, item, after.clone());
         }
-        let next_batch = snapshot.next_batch.max(max_tx + 1);
+        let max_tx = decoded.records.iter().map(|r| r.tx().raw()).max();
+        let next_batch = snapshot.next_batch.max(max_tx.unwrap_or(0) + 1);
 
         let stats = StoreStats {
             recovery_replayed: report.writes_replayed as u64,
@@ -184,7 +170,7 @@ impl<M: StableMedia> StoreEngine<M> {
             .emit();
 
         let engine = Self {
-            media,
+            log,
             config,
             state,
             next_batch,
@@ -233,23 +219,23 @@ impl<M: StableMedia> StoreEngine<M> {
 
     /// Current WAL size in bytes.
     pub fn log_bytes(&self) -> usize {
-        self.media.wal_len()
+        self.log.media().wal_len()
     }
 
     /// Current durable snapshot size in bytes.
     pub fn snapshot_bytes(&self) -> usize {
-        self.media.snapshot_len()
+        self.log.media().snapshot_len()
     }
 
     /// The media, for crash probes in tests.
     pub fn media_mut(&mut self) -> &mut M {
-        &mut self.media
+        self.log.media_mut()
     }
 
     /// Consumes the engine, returning its media (e.g. to reopen after a
     /// simulated crash).
     pub fn into_media(self) -> M {
-        self.media
+        self.log.into_media()
     }
 
     /// Opens a batch.
@@ -263,7 +249,7 @@ impl<M: StableMedia> StoreEngine<M> {
         }
         let tx = TxId::new(self.next_batch);
         self.next_batch += 1;
-        self.append(&LogRecord::Begin { tx });
+        self.log.append(&LogRecord::Begin { tx });
         self.open = Some(OpenBatch {
             tx,
             ops: Vec::new(),
@@ -289,7 +275,7 @@ impl<M: StableMedia> StoreEngine<M> {
             after: value.clone(),
         };
         batch.ops.push((key.to_owned(), value));
-        self.append(&record);
+        self.log.append(&record);
         Ok(())
     }
 
@@ -302,7 +288,7 @@ impl<M: StableMedia> StoreEngine<M> {
         self.put(key, Value::Null)
     }
 
-    /// Commits the open batch: logs the commit record, syncs the WAL
+    /// Commits the open batch: logs the commit record, flushes the log
     /// (the durability point), then applies the staged writes.
     ///
     /// # Errors
@@ -310,15 +296,11 @@ impl<M: StableMedia> StoreEngine<M> {
     /// [`StoreError::NoOpenBatch`] without a batch.
     pub fn commit(&mut self) -> Result<(), StoreError> {
         let batch = self.open.take().ok_or(StoreError::NoOpenBatch)?;
-        self.append(&LogRecord::Commit { tx: batch.tx });
-        self.media.sync();
+        self.log.append(&LogRecord::Commit { tx: batch.tx });
+        self.log.flush();
         let ops = batch.ops.len();
         for (key, value) in batch.ops {
-            if matches!(value, Value::Null) {
-                self.state.remove(&key);
-            } else {
-                self.state.insert(key, value);
-            }
+            apply_write(&mut self.state, key, value);
         }
         self.stats.commits += 1;
         bus::counter_add("store.commits", 1);
@@ -326,7 +308,7 @@ impl<M: StableMedia> StoreEngine<M> {
             .detail_with(|| format!("tx={} ops={ops}", batch.tx.raw()))
             .emit();
         self.publish_sizes();
-        if self.media.wal_len() > self.config.compact_wal_bytes {
+        if self.log_bytes() > self.config.compact_wal_bytes {
             self.compact();
         }
         Ok(())
@@ -340,7 +322,7 @@ impl<M: StableMedia> StoreEngine<M> {
     /// [`StoreError::NoOpenBatch`] without a batch.
     pub fn abort(&mut self) -> Result<(), StoreError> {
         let batch = self.open.take().ok_or(StoreError::NoOpenBatch)?;
-        self.append(&LogRecord::Abort { tx: batch.tx });
+        self.log.append(&LogRecord::Abort { tx: batch.tx });
         self.stats.aborts += 1;
         bus::counter_add("store.aborts", 1);
         Ok(())
@@ -350,51 +332,58 @@ impl<M: StableMedia> StoreEngine<M> {
     /// atomically reset the WAL. Ordering is load-bearing — the reset
     /// must not happen before its covering snapshot is stable.
     pub fn compact(&mut self) {
-        self.media
+        self.log
+            .media_mut()
             .snapshot_write(&encode_snapshot(&self.state, self.next_batch));
-        self.media.sync();
+        self.log.flush();
         EventBuilder::new(Layer::Store, EventKind::StoreSnapshot)
             .detail_with(|| format!("keys={}", self.state.len()))
             .emit();
         // If an uncommitted batch is open its records must survive the
         // reset, or recovery could mistake its later commit frame for a
-        // full transaction. Re-frame the open batch's prefix into the
+        // full transaction. Re-log the open batch's prefix into the
         // fresh log.
-        let mut tail = Vec::new();
-        if let Some(batch) = &self.open {
-            tail.extend_from_slice(&encode_frame(&LogRecord::Begin { tx: batch.tx }));
-            for (key, value) in &batch.ops {
-                tail.extend_from_slice(&encode_frame(&LogRecord::Write {
-                    tx: batch.tx,
-                    item: key.clone(),
-                    before: None,
-                    after: value.clone(),
-                }));
-            }
-        }
-        self.media.wal_reset(&tail);
+        let tail = self.open.iter().flat_map(|batch| {
+            let writes = batch.ops.iter().map(|(key, value)| LogRecord::Write {
+                tx: batch.tx,
+                item: key.clone(),
+                before: None,
+                after: value.clone(),
+            });
+            std::iter::once(LogRecord::Begin { tx: batch.tx }).chain(writes)
+        });
+        self.log.reset(tail);
         self.stats.compactions += 1;
         bus::counter_add("store.compactions", 1);
         EventBuilder::new(Layer::Store, EventKind::StoreCompaction)
-            .detail_with(|| format!("log_bytes={}", self.media.wal_len()))
+            .detail_with(|| format!("log_bytes={}", self.log_bytes()))
             .emit();
         self.publish_sizes();
     }
 
-    fn append(&mut self, record: &LogRecord) {
-        self.media.wal_append(&encode_frame(record));
-    }
-
     fn publish_sizes(&self) {
-        bus::gauge_set("store.log_bytes", self.media.wal_len() as i64);
-        bus::gauge_set("store.snapshot_bytes", self.media.snapshot_len() as i64);
+        bus::gauge_set("store.log_bytes", self.log_bytes() as i64);
+        bus::gauge_set("store.snapshot_bytes", self.snapshot_bytes() as i64);
+    }
+}
+
+/// Applies one after-image to the keyspace — the one place that reads
+/// [`Value::Null`] as a delete, for a commit and for redo alike.
+fn apply_write<K>(state: &mut BTreeMap<String, Value>, key: K, after: Value)
+where
+    K: AsRef<str> + Into<String>,
+{
+    if matches!(after, Value::Null) {
+        state.remove(key.as_ref());
+    } else {
+        state.insert(key.into(), after);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::media::MemMedia;
+    use crate::MemMedia;
 
     fn open_mem() -> StoreEngine<MemMedia> {
         StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap()

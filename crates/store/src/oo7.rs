@@ -33,7 +33,7 @@ use rmodp_information::schema::StaticSchema;
 use rmodp_observe::hash::{fnv1a, FNV_OFFSET_BASIS};
 
 use crate::engine::{StoreEngine, StoreError};
-use crate::media::StableMedia;
+use crate::StableMedia;
 
 /// Deterministic 64-bit mixer (splitmix64 finaliser).
 fn mix(seed: u64, i: u64) -> u64 {
@@ -712,7 +712,7 @@ pub fn state_checksum<M: StableMedia>(engine: &StoreEngine<M>) -> u64 {
 mod tests {
     use super::*;
     use crate::engine::StoreConfig;
-    use crate::media::MemMedia;
+    use crate::MemMedia;
 
     fn loaded() -> (Oo7Workload, StoreEngine<MemMedia>) {
         let mut engine = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();

@@ -2,16 +2,16 @@
 //!
 //! A snapshot is the compaction point — everything the WAL had applied
 //! when it was taken — plus the batch-id high-water mark, so identifiers
-//! stay monotone across restarts. It is framed exactly like a WAL
-//! record (`len`/`fnv1a`/payload), and installation is atomic at the
-//! media layer, so recovery sees either the old or the new snapshot in
-//! full, never a torn one.
+//! stay monotone across restarts. It goes through the same
+//! [`frame`] / [`unframe`] pair as a WAL record, and installation is
+//! atomic at the media layer, so recovery sees either the old or the new
+//! snapshot in full, never a torn one.
 
 use std::collections::BTreeMap;
 
 use rmodp_core::codec::{syntax_for, SyntaxId};
 use rmodp_core::value::Value;
-use rmodp_observe::hash::fnv1a;
+use rmodp_transactions::log::frame::{frame, unframe};
 
 /// A decoded snapshot.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -36,12 +36,7 @@ pub fn encode_snapshot(state: &BTreeMap<String, Value>, next_batch: u64) -> Vec<
         ("entries", entries),
         ("next_batch", Value::Int(next_batch as i64)),
     ]);
-    let payload = syntax_for(SyntaxId::Binary).encode(&doc);
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame(&syntax_for(SyntaxId::Binary).encode(&doc))
 }
 
 /// Decodes a snapshot frame.
@@ -51,15 +46,7 @@ pub fn encode_snapshot(state: &BTreeMap<String, Value>, next_batch: u64) -> Vec<
 /// A description of the first structural problem (truncation, checksum
 /// mismatch, bad payload).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, String> {
-    let header = bytes.get(..12).ok_or("snapshot shorter than its header")?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-    let payload = bytes
-        .get(12..12 + len)
-        .ok_or("snapshot payload truncated")?;
-    if fnv1a(payload) != crc {
-        return Err("snapshot checksum mismatch".to_owned());
-    }
+    let (payload, _) = unframe(bytes).map_err(|e| format!("snapshot {e}"))?;
     let doc = syntax_for(SyntaxId::Binary)
         .decode(payload)
         .map_err(|e| e.to_string())?;

@@ -1,14 +1,35 @@
-//! The write-ahead log.
+//! The write-ahead log: what survives a crash, decided once.
 //!
 //! Permanence (§8.2.1) is realised by logging every effect before it is
-//! applied, then replaying the log after a crash. The log distinguishes
-//! "stable" storage (what survives a crash) from the volatile tail via a
-//! flush point, so tests can exercise crashes with unflushed records.
+//! applied, then replaying the log after a crash. Everything that has to
+//! agree about that lives here, each decision in one place:
+//!
+//! - [`media`] — the crash model: only bytes [`sync`](StableMedia::sync)ed
+//!   onto a [`StableMedia`] survive its [`crash`](StableMedia::crash);
+//! - [`mod@frame`] — the checksummed `[len][fnv1a][payload]` frame;
+//! - [`LogRecord`] and [`encode_frame`] / [`decode_frames`] — the records
+//!   and their byte form, read back as the longest valid frame prefix;
+//! - [`WriteAheadLog`] — frames on a medium and nothing else;
+//! - [`analyze`] and [`committed_writes`] — which transactions a log
+//!   resolves, and the redo walk over the committed ones.
+//!
+//! The [`ResourceManager`](crate::rm::ResourceManager) and the store
+//! engine (`rmodp_store::StoreEngine`) are the two clients: both append
+//! through a [`WriteAheadLog`] and both recover with the same scan,
+//! classification and walk.
 
-use std::collections::{BTreeMap, BTreeSet};
+pub mod frame;
+pub mod media;
 
+pub use media::{FileMedia, MemMedia, StableMedia};
+
+use std::collections::BTreeSet;
+
+use rmodp_core::codec::{syntax_for, SyntaxId};
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
+
+use frame::{frame, unframe};
 
 /// Tags identifying each record shape in the durable [`Value`] form.
 const TAGS: [&str; 5] = ["begin", "write", "prepare", "commit", "abort"];
@@ -123,12 +144,108 @@ impl LogRecord {
     }
 }
 
-/// The write-ahead log with an explicit stable/volatile boundary.
-#[derive(Debug, Default)]
-pub struct WriteAheadLog {
-    records: Vec<LogRecord>,
-    /// Records before this index survive a crash.
-    flushed: usize,
+/// Encodes one record as a checksummed [`frame`](frame::frame()) around
+/// its binary-syntax [`to_value`](LogRecord::to_value) form.
+pub fn encode_frame(record: &LogRecord) -> Vec<u8> {
+    frame(&syntax_for(SyntaxId::Binary).encode(&record.to_value()))
+}
+
+/// The outcome of scanning a WAL image.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecodedWal {
+    /// Every record recovered, in log order.
+    pub records: Vec<LogRecord>,
+    /// How many leading bytes formed valid frames.
+    pub valid_len: usize,
+    /// Whether trailing bytes were discarded (torn frame, bad checksum,
+    /// or undecodable payload).
+    pub truncated_tail: bool,
+}
+
+/// Scans a WAL image, returning the longest valid frame prefix.
+///
+/// Decoding stops at the first frame that is incomplete, fails its
+/// checksum or does not hold a record: whatever a crash left beyond the
+/// last whole frame is discarded, never misread.
+pub fn decode_frames(bytes: &[u8]) -> DecodedWal {
+    let mut records = Vec::new();
+    let mut remaining = bytes;
+    while let Ok((payload, rest)) = unframe(remaining) {
+        let Ok(value) = syntax_for(SyntaxId::Binary).decode(payload) else {
+            break;
+        };
+        let Ok(record) = LogRecord::from_value(&value) else {
+            break;
+        };
+        records.push(record);
+        remaining = rest;
+    }
+    DecodedWal {
+        records,
+        valid_len: bytes.len() - remaining.len(),
+        truncated_tail: !remaining.is_empty(),
+    }
+}
+
+/// The write-ahead log: [`LogRecord`] frames on a [`StableMedia`].
+///
+/// The log keeps no state of its own. What is stable is whatever the
+/// medium has synced, a crash is the medium's crash, and reading is
+/// [`decode_frames`] over the medium's bytes.
+#[derive(Debug)]
+pub struct WriteAheadLog<M: StableMedia> {
+    media: M,
+}
+
+impl<M: StableMedia> WriteAheadLog<M> {
+    /// The log held by `media` (whatever frames it already carries).
+    pub fn new(media: M) -> Self {
+        Self { media }
+    }
+
+    /// Appends a record (volatile until [`flush`](Self::flush)).
+    pub fn append(&mut self, record: &LogRecord) {
+        self.media.wal_append(&encode_frame(record));
+    }
+
+    /// Makes everything appended so far stable.
+    pub fn flush(&mut self) {
+        self.media.sync();
+    }
+
+    /// Simulates a crash: the medium loses what was not synced.
+    pub fn crash(&mut self) {
+        self.media.crash();
+    }
+
+    /// Every record of the longest valid frame prefix.
+    pub fn read(&self) -> DecodedWal {
+        decode_frames(self.media.wal_bytes())
+    }
+
+    /// Atomically replaces the whole log with `records` (compaction).
+    pub fn reset(&mut self, records: impl IntoIterator<Item = LogRecord>) {
+        let mut image = Vec::new();
+        for record in records {
+            image.extend_from_slice(&encode_frame(&record));
+        }
+        self.media.wal_reset(&image);
+    }
+
+    /// The medium under the log.
+    pub fn media(&self) -> &M {
+        &self.media
+    }
+
+    /// The medium, for what is not log: snapshots, and crash probes.
+    pub fn media_mut(&mut self) -> &mut M {
+        &mut self.media
+    }
+
+    /// Consumes the log, returning its medium.
+    pub fn into_media(self) -> M {
+        self.media
+    }
 }
 
 /// What recovery analysis concluded about the logged transactions.
@@ -145,121 +262,63 @@ pub struct RecoveryAnalysis {
     pub active: BTreeSet<TxId>,
 }
 
-impl WriteAheadLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds a log from already-stable records (e.g. decoded from a
-    /// durable medium after a crash): everything is marked flushed.
-    pub fn from_records(records: Vec<LogRecord>) -> Self {
-        let flushed = records.len();
-        Self { records, flushed }
-    }
-
-    /// Appends a record (volatile until [`flush`](Self::flush)).
-    pub fn append(&mut self, record: LogRecord) {
-        self.records.push(record);
-    }
-
-    /// Makes everything appended so far stable.
-    pub fn flush(&mut self) {
-        self.flushed = self.records.len();
-    }
-
-    /// Simulates a crash: the volatile tail is lost.
-    pub fn crash(&mut self) {
-        self.records.truncate(self.flushed);
-    }
-
-    /// All records (stable prefix after a crash).
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
-    }
-
-    /// How many records are stable.
-    pub fn stable_len(&self) -> usize {
-        self.flushed.min(self.records.len())
-    }
-
-    /// Classifies every logged transaction for recovery.
-    pub fn analyze(&self) -> RecoveryAnalysis {
-        let mut analysis = RecoveryAnalysis::default();
-        let mut seen = BTreeSet::new();
-        for r in &self.records {
-            seen.insert(r.tx());
-            match r {
-                LogRecord::Commit { tx } => {
-                    analysis.committed.insert(*tx);
-                    analysis.in_doubt.remove(tx);
+/// Classifies every logged transaction for recovery.
+pub fn analyze(records: &[LogRecord]) -> RecoveryAnalysis {
+    let mut analysis = RecoveryAnalysis::default();
+    for r in records {
+        match r {
+            LogRecord::Commit { tx } => {
+                analysis.committed.insert(*tx);
+                analysis.in_doubt.remove(tx);
+                analysis.active.remove(tx);
+            }
+            LogRecord::Abort { tx } => {
+                analysis.aborted.insert(*tx);
+                analysis.in_doubt.remove(tx);
+                analysis.active.remove(tx);
+            }
+            LogRecord::Prepare { tx } => {
+                if !analysis.committed.contains(tx) && !analysis.aborted.contains(tx) {
+                    analysis.in_doubt.insert(*tx);
                     analysis.active.remove(tx);
                 }
-                LogRecord::Abort { tx } => {
-                    analysis.aborted.insert(*tx);
-                    analysis.in_doubt.remove(tx);
-                    analysis.active.remove(tx);
-                }
-                LogRecord::Prepare { tx } => {
-                    if !analysis.committed.contains(tx) && !analysis.aborted.contains(tx) {
-                        analysis.in_doubt.insert(*tx);
-                        analysis.active.remove(tx);
-                    }
-                }
-                LogRecord::Begin { tx } | LogRecord::Write { tx, .. } => {
-                    if !analysis.committed.contains(tx)
-                        && !analysis.aborted.contains(tx)
-                        && !analysis.in_doubt.contains(tx)
-                    {
-                        analysis.active.insert(*tx);
-                    }
+            }
+            LogRecord::Begin { tx } | LogRecord::Write { tx, .. } => {
+                if !analysis.committed.contains(tx)
+                    && !analysis.aborted.contains(tx)
+                    && !analysis.in_doubt.contains(tx)
+                {
+                    analysis.active.insert(*tx);
                 }
             }
         }
-        analysis
     }
+    analysis
+}
 
-    /// Replays the log into a data store: redo committed writes in order,
-    /// skip writes of aborted/active transactions. In-doubt transactions'
-    /// writes are **not** applied (they are re-applied when the
-    /// coordinator's decision arrives).
-    pub fn replay(&self) -> BTreeMap<String, Value> {
-        let analysis = self.analyze();
-        let mut store = BTreeMap::new();
-        for r in &self.records {
-            if let LogRecord::Write {
-                tx, item, after, ..
-            } = r
-            {
-                if analysis.committed.contains(tx) {
-                    store.insert(item.clone(), after.clone());
-                }
-            }
-        }
-        store
-    }
-
-    /// The undo images of a transaction, newest first.
-    pub fn undo_images(&self, tx: TxId) -> Vec<(String, Option<Value>)> {
-        self.records
-            .iter()
-            .rev()
-            .filter_map(|r| match r {
-                LogRecord::Write {
-                    tx: t,
-                    item,
-                    before,
-                    ..
-                } if *t == tx => Some((item.clone(), before.clone())),
-                _ => None,
-            })
-            .collect()
-    }
+/// The redo walk: the `(item, after-image)` of every write whose
+/// transaction committed, in log order. Writes of aborted, active and
+/// in-doubt transactions are skipped (an in-doubt transaction's writes
+/// are applied when the coordinator's decision arrives).
+///
+/// What an after-image *means* is the caller's: the resource manager
+/// stores it as is, the store engine reads [`Value::Null`] as a delete.
+pub fn committed_writes<'a>(
+    records: &'a [LogRecord],
+    analysis: &'a RecoveryAnalysis,
+) -> impl Iterator<Item = (&'a str, &'a Value)> {
+    records.iter().filter_map(|r| match r {
+        LogRecord::Write {
+            tx, item, after, ..
+        } if analysis.committed.contains(tx) => Some((item.as_str(), after)),
+        _ => None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     const T1: TxId = TxId::new(1);
     const T2: TxId = TxId::new(2);
@@ -274,18 +333,54 @@ mod tests {
         }
     }
 
+    fn log_of(records: &[LogRecord]) -> WriteAheadLog<MemMedia> {
+        let mut log = WriteAheadLog::new(MemMedia::new());
+        for r in records {
+            log.append(r);
+        }
+        log
+    }
+
+    /// The redo walk applied the way the resource manager applies it.
+    fn replay(log: &WriteAheadLog<MemMedia>) -> BTreeMap<String, Value> {
+        let records = log.read().records;
+        let analysis = analyze(&records);
+        let mut store = BTreeMap::new();
+        for (item, after) in committed_writes(&records, &analysis) {
+            store.insert(item.to_owned(), after.clone());
+        }
+        store
+    }
+
+    fn sample() -> Vec<LogRecord> {
+        vec![
+            LogRecord::Begin { tx: T1 },
+            LogRecord::Write {
+                tx: T1,
+                item: "oo7/atomic/3".to_owned(),
+                before: None,
+                after: Value::record([("x", Value::Int(9))]),
+            },
+            LogRecord::Commit { tx: T1 },
+        ]
+    }
+
+    fn image(records: &[LogRecord]) -> Vec<u8> {
+        records.iter().flat_map(encode_frame).collect()
+    }
+
     #[test]
     fn analysis_classifies_transactions() {
-        let mut log = WriteAheadLog::new();
-        log.append(LogRecord::Begin { tx: T1 });
-        log.append(write(T1, "x", None, 1));
-        log.append(LogRecord::Commit { tx: T1 });
-        log.append(LogRecord::Begin { tx: T2 });
-        log.append(write(T2, "y", None, 2));
-        log.append(LogRecord::Prepare { tx: T2 });
-        log.append(LogRecord::Begin { tx: T3 });
-        log.append(write(T3, "z", None, 3));
-        let a = log.analyze();
+        let a = analyze(&[
+            LogRecord::Begin { tx: T1 },
+            write(T1, "x", None, 1),
+            LogRecord::Commit { tx: T1 },
+            LogRecord::Begin { tx: T2 },
+            write(T2, "y", None, 2),
+            LogRecord::Prepare { tx: T2 },
+            LogRecord::Begin { tx: T3 },
+            write(T3, "z", None, 3),
+        ]);
         assert!(a.committed.contains(&T1));
         assert!(a.in_doubt.contains(&T2));
         assert!(a.active.contains(&T3));
@@ -294,53 +389,52 @@ mod tests {
 
     #[test]
     fn replay_applies_only_committed() {
-        let mut log = WriteAheadLog::new();
-        log.append(write(T1, "x", None, 1));
-        log.append(LogRecord::Commit { tx: T1 });
-        log.append(write(T2, "x", Some(1), 99)); // active: lost
-        log.append(write(T3, "y", None, 3));
-        log.append(LogRecord::Abort { tx: T3 });
-        let store = log.replay();
+        let log = log_of(&[
+            write(T1, "x", None, 1),
+            LogRecord::Commit { tx: T1 },
+            write(T2, "x", Some(1), 99), // active: lost
+            write(T3, "y", None, 3),
+            LogRecord::Abort { tx: T3 },
+        ]);
+        let store = replay(&log);
         assert_eq!(store.get("x"), Some(&Value::Int(1)));
         assert_eq!(store.get("y"), None);
     }
 
     #[test]
     fn later_committed_writes_win() {
-        let mut log = WriteAheadLog::new();
-        log.append(write(T1, "x", None, 1));
-        log.append(LogRecord::Commit { tx: T1 });
-        log.append(write(T2, "x", Some(1), 2));
-        log.append(LogRecord::Commit { tx: T2 });
-        assert_eq!(log.replay().get("x"), Some(&Value::Int(2)));
+        let log = log_of(&[
+            write(T1, "x", None, 1),
+            LogRecord::Commit { tx: T1 },
+            write(T2, "x", Some(1), 2),
+            LogRecord::Commit { tx: T2 },
+        ]);
+        assert_eq!(replay(&log).get("x"), Some(&Value::Int(2)));
     }
 
     #[test]
     fn crash_loses_unflushed_tail() {
-        let mut log = WriteAheadLog::new();
-        log.append(write(T1, "x", None, 1));
-        log.append(LogRecord::Commit { tx: T1 });
+        let mut log = log_of(&[write(T1, "x", None, 1), LogRecord::Commit { tx: T1 }]);
         log.flush();
-        log.append(write(T2, "y", None, 2));
-        log.append(LogRecord::Commit { tx: T2 });
+        log.append(&write(T2, "y", None, 2));
+        log.append(&LogRecord::Commit { tx: T2 });
         // T2's commit was never flushed.
         log.crash();
-        let store = log.replay();
+        let store = replay(&log);
         assert_eq!(store.get("x"), Some(&Value::Int(1)));
         assert_eq!(store.get("y"), None);
-        assert_eq!(log.stable_len(), 2);
+        assert_eq!(log.read().records.len(), 2);
     }
 
     #[test]
-    fn undo_images_come_newest_first() {
-        let mut log = WriteAheadLog::new();
-        log.append(write(T1, "x", None, 1));
-        log.append(write(T1, "x", Some(1), 2));
-        log.append(write(T1, "y", Some(7), 8));
-        let undo = log.undo_images(T1);
-        assert_eq!(undo.len(), 3);
-        assert_eq!(undo[0], ("y".to_owned(), Some(Value::Int(7))));
-        assert_eq!(undo[2], ("x".to_owned(), None));
+    fn reset_replaces_the_log_durably() {
+        let mut log = log_of(&sample());
+        log.flush();
+        log.reset([LogRecord::Begin { tx: T2 }]);
+        log.crash();
+        assert_eq!(log.read().records, vec![LogRecord::Begin { tx: T2 }]);
+        log.reset([]);
+        assert_eq!(log.media().wal_len(), 0);
     }
 
     #[test]
@@ -368,22 +462,49 @@ mod tests {
     }
 
     #[test]
-    fn from_records_is_fully_stable() {
-        let log = WriteAheadLog::from_records(vec![
-            write(T1, "x", None, 1),
-            LogRecord::Commit { tx: T1 },
-        ]);
-        assert_eq!(log.stable_len(), 2);
-        assert_eq!(log.replay().get("x"), Some(&Value::Int(1)));
+    fn prepared_then_committed_is_committed() {
+        let a = analyze(&[LogRecord::Prepare { tx: T1 }, LogRecord::Commit { tx: T1 }]);
+        assert!(a.committed.contains(&T1));
+        assert!(!a.in_doubt.contains(&T1));
     }
 
     #[test]
-    fn prepared_then_committed_is_committed() {
-        let mut log = WriteAheadLog::new();
-        log.append(LogRecord::Prepare { tx: T1 });
-        log.append(LogRecord::Commit { tx: T1 });
-        let a = log.analyze();
-        assert!(a.committed.contains(&T1));
-        assert!(!a.in_doubt.contains(&T1));
+    fn frames_round_trip() {
+        let image = image(&sample());
+        let decoded = decode_frames(&image);
+        assert_eq!(decoded.records, sample());
+        assert_eq!(decoded.valid_len, image.len());
+        assert!(!decoded.truncated_tail);
+    }
+
+    #[test]
+    fn truncation_at_every_byte_yields_a_frame_prefix() {
+        let image = image(&sample());
+        let mut boundaries = vec![0usize];
+        for r in sample() {
+            boundaries.push(boundaries.last().unwrap() + encode_frame(&r).len());
+        }
+        for cut in 0..=image.len() {
+            let decoded = decode_frames(&image[..cut]);
+            let frames_complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+            assert_eq!(
+                decoded.records.len(),
+                frames_complete,
+                "cut at byte {cut} must recover exactly the whole frames before it"
+            );
+            assert_eq!(decoded.records, sample()[..frames_complete]);
+        }
+    }
+
+    #[test]
+    fn corrupt_byte_stops_the_scan() {
+        let mut image = image(&sample());
+        // Flip one payload byte of the second frame.
+        let first = encode_frame(&sample()[0]).len();
+        image[first + 13] ^= 0xff;
+        let decoded = decode_frames(&image);
+        assert_eq!(decoded.records.len(), 1, "scan stops at the bad frame");
+        assert!(decoded.truncated_tail);
+        assert_eq!(decoded.valid_len, first);
     }
 }

@@ -1,0 +1,116 @@
+//! The one frame every durable byte string is wrapped in.
+//!
+//! ```text
+//! [len: u32 LE] [fnv1a(payload): u64 LE] [payload]
+//! ```
+//!
+//! This module is the only place that knows the header layout. WAL
+//! records ([`encode_frame`](super::encode_frame)) and the store's
+//! snapshots both go through [`frame`] / [`unframe`], so a length that
+//! points past the end, a checksum that does not match and a header cut
+//! short are each detected once, the same way, for both.
+
+use std::fmt;
+
+use rmodp_observe::hash::fnv1a;
+
+/// Bytes in front of every payload: the length and the checksum.
+pub const HEADER_LEN: usize = 12;
+
+/// Why a byte string does not start with a whole, intact frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// Fewer than [`HEADER_LEN`] bytes.
+    ShortHeader,
+    /// The header's length reaches past the end of the bytes.
+    TruncatedPayload,
+    /// The payload does not hash to the header's checksum.
+    ChecksumMismatch,
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            FrameError::ShortHeader => "shorter than its header",
+            FrameError::TruncatedPayload => "payload truncated",
+            FrameError::ChecksumMismatch => "checksum mismatch",
+        })
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// Wraps a payload in a checksummed frame.
+///
+/// # Panics
+///
+/// If the payload is longer than `u32::MAX` bytes — no record or
+/// snapshot this program writes comes near.
+pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(payload.len()).expect("frame payload fits a u32 length");
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Splits the first frame off `bytes`: its verified payload, and
+/// whatever follows the frame.
+///
+/// # Errors
+///
+/// A [`FrameError`] when `bytes` does not begin with a whole frame whose
+/// checksum holds. Nothing is allocated for a length the bytes cannot
+/// back.
+pub fn unframe(bytes: &[u8]) -> Result<(&[u8], &[u8]), FrameError> {
+    let (header, body) = bytes
+        .split_at_checked(HEADER_LEN)
+        .ok_or(FrameError::ShortHeader)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let crc = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+    let (payload, rest) = body
+        .split_at_checked(len)
+        .ok_or(FrameError::TruncatedPayload)?;
+    if fnv1a(payload) != crc {
+        return Err(FrameError::ChecksumMismatch);
+    }
+    Ok((payload, rest))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frames_split_back_into_payload_and_rest() {
+        let mut bytes = frame(b"first");
+        bytes.extend_from_slice(&frame(b""));
+        bytes.extend_from_slice(b"tail");
+        let (payload, rest) = unframe(&bytes).unwrap();
+        assert_eq!(payload, b"first");
+        let (payload, rest) = unframe(rest).unwrap();
+        assert_eq!(payload, b"");
+        assert_eq!(rest, b"tail");
+        assert_eq!(unframe(rest), Err(FrameError::ShortHeader));
+    }
+
+    #[test]
+    fn every_kind_of_damage_has_its_error() {
+        let whole = frame(b"payload");
+        for cut in 0..HEADER_LEN {
+            assert_eq!(unframe(&whole[..cut]), Err(FrameError::ShortHeader));
+        }
+        for cut in HEADER_LEN..whole.len() {
+            assert_eq!(unframe(&whole[..cut]), Err(FrameError::TruncatedPayload));
+        }
+        for byte in 4..whole.len() {
+            let mut damaged = whole.clone();
+            damaged[byte] ^= 0x40;
+            assert_eq!(unframe(&damaged), Err(FrameError::ChecksumMismatch));
+        }
+        let mut huge = whole.clone();
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(unframe(&huge), Err(FrameError::TruncatedPayload));
+    }
+}

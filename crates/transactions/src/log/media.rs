@@ -1,10 +1,12 @@
 //! Stable media: the boundary between what survives a crash and what
 //! does not.
 //!
-//! The store engine never talks to bytes-at-rest directly; it appends to
-//! a WAL and stages snapshots through a [`StableMedia`], and only what
-//! has been [`sync`](StableMedia::sync)ed is promised to survive
-//! [`crash`](StableMedia::crash). Two implementations:
+//! This is the one crash model: the [`WriteAheadLog`](super::WriteAheadLog)
+//! under the resource manager and under the store engine both append
+//! through a [`StableMedia`] (the engine also stages its snapshots
+//! there), and only what has been [`sync`](StableMedia::sync)ed is
+//! promised to survive [`crash`](StableMedia::crash). Two
+//! implementations:
 //!
 //! - [`MemMedia`] — deterministic in-memory media with an explicit
 //!   synced watermark, the medium every simulation and property test

@@ -9,7 +9,7 @@ use rmodp_core::id::{IdGen, TxId};
 use rmodp_core::value::Value;
 
 use crate::lock::{LockManager, LockMode, LockOutcome};
-use crate::log::{LogRecord, WriteAheadLog};
+use crate::log::{analyze, committed_writes, LogRecord, MemMedia, WriteAheadLog};
 
 /// When other transactions may observe a transaction's writes
 /// (the *visibility* axis of the generalised transaction function).
@@ -122,7 +122,7 @@ pub struct ResourceManager {
     write_sets: BTreeMap<TxId, BTreeMap<String, Value>>,
     tx_states: BTreeMap<TxId, TxState>,
     locks: LockManager,
-    log: WriteAheadLog,
+    log: WriteAheadLog<MemMedia>,
     tx_gen: IdGen<TxId>,
     /// Statistics: (commits, aborts, deadlocks).
     stats: (u64, u64, u64),
@@ -148,7 +148,7 @@ impl ResourceManager {
             write_sets: BTreeMap::new(),
             tx_states: BTreeMap::new(),
             locks: LockManager::new(),
-            log: WriteAheadLog::new(),
+            log: WriteAheadLog::new(MemMedia::new()),
             tx_gen: IdGen::new(),
             stats: (0, 0, 0),
         }
@@ -174,7 +174,7 @@ impl ResourceManager {
         let tx = self.tx_gen.fresh();
         self.tx_states.insert(tx, TxState::Active);
         self.write_sets.insert(tx, BTreeMap::new());
-        self.log.append(LogRecord::Begin { tx });
+        self.log.append(&LogRecord::Begin { tx });
         tx
     }
 
@@ -183,7 +183,7 @@ impl ResourceManager {
     pub fn begin_with_id(&mut self, tx: TxId) {
         self.tx_states.insert(tx, TxState::Active);
         self.write_sets.entry(tx).or_default();
-        self.log.append(LogRecord::Begin { tx });
+        self.log.append(&LogRecord::Begin { tx });
     }
 
     /// Transactionally reads an item.
@@ -235,7 +235,7 @@ impl ResourceManager {
             .and_then(|ws| ws.get(item))
             .or_else(|| self.committed.get(item))
             .cloned();
-        self.log.append(LogRecord::Write {
+        self.log.append(&LogRecord::Write {
             tx,
             item: item.to_owned(),
             before,
@@ -258,7 +258,7 @@ impl ResourceManager {
         match self.tx_states.get(&tx) {
             Some(TxState::Active) => {
                 self.tx_states.insert(tx, TxState::Prepared);
-                self.log.append(LogRecord::Prepare { tx });
+                self.log.append(&LogRecord::Prepare { tx });
                 self.log.flush();
                 Ok(())
             }
@@ -281,7 +281,7 @@ impl ResourceManager {
         for (item, value) in writes {
             self.committed.insert(item, value);
         }
-        self.log.append(LogRecord::Commit { tx });
+        self.log.append(&LogRecord::Commit { tx });
         if self.profile.permanence == Permanence::Durable {
             self.log.flush();
         }
@@ -308,7 +308,7 @@ impl ResourceManager {
                 self.committed.insert(item, value);
             }
         }
-        self.log.append(LogRecord::Abort { tx });
+        self.log.append(&LogRecord::Abort { tx });
         self.locks.release_all(tx);
         self.stats.1 += 1;
         Ok(())
@@ -319,8 +319,8 @@ impl ResourceManager {
         self.tx_states.get(&tx) == Some(&TxState::Prepared)
     }
 
-    /// Simulates a crash: volatile state is lost; the stable log prefix
-    /// survives.
+    /// Simulates a crash: volatile state is lost, and the log's medium
+    /// drops whatever was not synced.
     pub fn crash(&mut self) {
         self.committed.clear();
         self.write_sets.clear();
@@ -329,30 +329,41 @@ impl ResourceManager {
         self.log.crash();
     }
 
-    /// Recovers after a crash: replays committed writes from the log and
-    /// restores in-doubt (prepared) transactions, whose write sets are
-    /// rebuilt from their log records so a later decision can apply them.
+    /// Recovers after a crash, in one scan of the log's valid frame
+    /// prefix: replays committed writes and restores in-doubt (prepared)
+    /// transactions, whose write sets are rebuilt from their log records
+    /// so a later decision can apply them.
     pub fn recover(&mut self) {
         if self.profile.permanence != Permanence::Durable {
             return;
         }
-        self.committed = self.log.replay();
-        let analysis = self.log.analyze();
+        let records = self.log.read().records;
+        let analysis = analyze(&records);
+        self.committed.clear();
+        for (item, after) in committed_writes(&records, &analysis) {
+            self.committed.insert(item.to_owned(), after.clone());
+        }
         for tx in &analysis.in_doubt {
             self.tx_states.insert(*tx, TxState::Prepared);
-            let mut ws = BTreeMap::new();
-            for r in self.log.records() {
-                if let LogRecord::Write {
-                    tx: t, item, after, ..
-                } = r
-                {
-                    if t == tx {
-                        ws.insert(item.clone(), after.clone());
-                    }
+        }
+        for r in &records {
+            if let LogRecord::Write {
+                tx, item, after, ..
+            } = r
+            {
+                if analysis.in_doubt.contains(tx) {
+                    self.write_sets
+                        .entry(*tx)
+                        .or_default()
+                        .insert(item.clone(), after.clone());
                 }
             }
-            self.write_sets.insert(*tx, ws);
         }
+    }
+
+    /// The log's medium, for crash probes in tests.
+    pub fn media_mut(&mut self) -> &mut MemMedia {
+        self.log.media_mut()
     }
 
     /// The in-doubt transactions after [`recover`](Self::recover).

@@ -11,8 +11,9 @@
 //!    [`StoreEngine`](rmodp_store::StoreEngine), the log entry is synced
 //!    to stable media before the operation runs;
 //! 2. a checkpoint ([`DurableGuard::checkpoint_now`]) persists the
-//!    cluster image and prunes the ops it covers (log compaction at the
-//!    transparency layer, mirroring the store's own WAL compaction);
+//!    cluster image and prunes the ops it covers in one atomic step
+//!    (log compaction at the transparency layer, mirroring the store's
+//!    own WAL compaction);
 //! 3. recovery ([`DurableGuard::recover`]) reactivates the persisted
 //!    checkpoint on the backup and **replays the logged tail** through
 //!    ordinary channels — the recovered cluster reaches exactly the
@@ -30,10 +31,10 @@ use rmodp_core::id::{CapsuleId, ClusterId, InterfaceId, NodeId};
 use rmodp_core::value::Value;
 use rmodp_engineering::channel::ChannelConfig;
 use rmodp_engineering::engine::{CallError, EngError, Engine};
+use rmodp_engineering::structure::{decode_checkpoint, encode_checkpoint};
 use rmodp_observe::{bus, event, EventKind, Layer};
 use rmodp_store::PersistentStore;
 
-use crate::persistence::{decode_checkpoint, encode_checkpoint};
 use crate::proxy::OdpInfra;
 
 /// A durable-guard failure.
@@ -179,7 +180,9 @@ impl DurableGuard {
     }
 
     /// Checkpoints the guarded cluster into the store and prunes the op
-    /// log it covers.
+    /// log it covers, as one [`atomically`](PersistentStore::atomically)
+    /// committed step: after a store crash, recovery finds either the
+    /// old checkpoint with every op since, or the new one with none.
     ///
     /// # Errors
     ///
@@ -192,13 +195,17 @@ impl DurableGuard {
     ) -> Result<(), DurableError> {
         let (node, capsule, cluster) = self.home;
         let cp = engine.checkpoint_cluster(node, capsule, cluster)?;
-        store.persist(&self.checkpoint_key(), encode_checkpoint(&cp));
-        let prefix = self.op_prefix();
-        for key in store.stored_keys() {
-            if key.starts_with(&prefix) {
-                store.remove(&key);
+        let (cp_key, prefix) = (self.checkpoint_key(), self.op_prefix());
+        // One atomic step: a store crash that kept the new checkpoint
+        // but not the prune would replay ops the checkpoint contains.
+        store.atomically(|store| {
+            store.persist(&cp_key, encode_checkpoint(&cp));
+            for key in store.stored_keys() {
+                if key.starts_with(&prefix) {
+                    store.remove(&key);
+                }
             }
-        }
+        });
         self.next_op = 0;
         Ok(())
     }

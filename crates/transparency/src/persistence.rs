@@ -14,11 +14,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use rmodp_core::codec::{syntax_for, SyntaxId};
-use rmodp_core::id::{CapsuleId, ClusterId, InterfaceId, NodeId, ObjectId};
-use rmodp_core::value::Value;
+use rmodp_core::id::{CapsuleId, ClusterId, InterfaceId, NodeId};
 use rmodp_engineering::engine::{EngError, Engine};
-use rmodp_engineering::structure::{BeoRecord, ClusterCheckpoint, ObjectCheckpoint};
+use rmodp_engineering::structure::{decode_checkpoint, encode_checkpoint};
 use rmodp_store::PersistentStore;
 
 /// A persistence failure.
@@ -50,97 +48,6 @@ impl From<EngError> for PersistenceError {
     fn from(e: EngError) -> Self {
         PersistenceError::Eng(e)
     }
-}
-
-/// Serialises a cluster checkpoint with the binary transfer syntax.
-pub fn encode_checkpoint(cp: &ClusterCheckpoint) -> Vec<u8> {
-    let objects = Value::Seq(
-        cp.objects
-            .iter()
-            .map(|o| {
-                Value::record([
-                    ("object", Value::Int(o.record.object.raw() as i64)),
-                    ("name", Value::text(o.record.name.clone())),
-                    ("behaviour", Value::text(o.record.behaviour.clone())),
-                    (
-                        "interfaces",
-                        Value::Seq(
-                            o.record
-                                .interfaces
-                                .iter()
-                                .map(|i| Value::Int(i.raw() as i64))
-                                .collect(),
-                        ),
-                    ),
-                    ("state", o.state.clone()),
-                ])
-            })
-            .collect(),
-    );
-    let v = Value::record([
-        ("cluster", Value::Int(cp.cluster.raw() as i64)),
-        ("epoch", Value::Int(cp.epoch as i64)),
-        ("objects", objects),
-    ]);
-    syntax_for(SyntaxId::Binary).encode(&v)
-}
-
-/// Deserialises a cluster checkpoint.
-///
-/// # Errors
-///
-/// Returns a description of the first structural problem found.
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<ClusterCheckpoint, String> {
-    let v = syntax_for(SyntaxId::Binary)
-        .decode(bytes)
-        .map_err(|e| e.to_string())?;
-    let cluster = v
-        .field("cluster")
-        .and_then(Value::as_int)
-        .ok_or("missing cluster id")?;
-    let epoch = v
-        .field("epoch")
-        .and_then(Value::as_int)
-        .ok_or("missing epoch")?;
-    let mut objects = Vec::new();
-    for o in v
-        .field("objects")
-        .and_then(Value::as_seq)
-        .ok_or("missing objects")?
-    {
-        let record = BeoRecord {
-            object: ObjectId::new(
-                o.field("object")
-                    .and_then(Value::as_int)
-                    .ok_or("missing object id")? as u64,
-            ),
-            name: o
-                .field("name")
-                .and_then(Value::as_text)
-                .ok_or("missing object name")?
-                .to_owned(),
-            behaviour: o
-                .field("behaviour")
-                .and_then(Value::as_text)
-                .ok_or("missing behaviour")?
-                .to_owned(),
-            interfaces: o
-                .field("interfaces")
-                .and_then(Value::as_seq)
-                .ok_or("missing interfaces")?
-                .iter()
-                .filter_map(Value::as_int)
-                .map(|i| InterfaceId::new(i as u64))
-                .collect(),
-        };
-        let state = o.field("state").cloned().ok_or("missing state")?;
-        objects.push(ObjectCheckpoint { record, state });
-    }
-    Ok(ClusterCheckpoint {
-        cluster: ClusterId::new(cluster as u64),
-        objects,
-        epoch: epoch as u64,
-    })
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -254,41 +161,12 @@ impl PersistenceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmodp_core::codec::SyntaxId;
+    use rmodp_core::value::Value;
     use rmodp_engineering::behaviour::CounterBehaviour;
     use rmodp_engineering::channel::ChannelConfig;
     use rmodp_functions::storage::StorageFunction;
     use rmodp_store::{MemMedia, StableMedia, StoreConfig, StoreEngine};
-
-    fn checkpoint_sample() -> ClusterCheckpoint {
-        ClusterCheckpoint {
-            cluster: ClusterId::new(3),
-            epoch: 7,
-            objects: vec![ObjectCheckpoint {
-                record: BeoRecord {
-                    object: ObjectId::new(1),
-                    name: "counter".into(),
-                    behaviour: "counter".into(),
-                    interfaces: vec![InterfaceId::new(10), InterfaceId::new(11)],
-                },
-                state: Value::record([("n", Value::Int(42))]),
-            }],
-        }
-    }
-
-    #[test]
-    fn checkpoint_codec_round_trips() {
-        let cp = checkpoint_sample();
-        let bytes = encode_checkpoint(&cp);
-        let back = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(back, cp);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(decode_checkpoint(&[1, 2, 3]).is_err());
-        let not_a_checkpoint = syntax_for(SyntaxId::Binary).encode(&Value::Int(5));
-        assert!(decode_checkpoint(&not_a_checkpoint).is_err());
-    }
 
     #[test]
     fn deactivate_then_restore_preserves_state() {

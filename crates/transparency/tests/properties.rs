@@ -9,9 +9,10 @@ use rmodp_core::codec::SyntaxId;
 use rmodp_core::value::Value;
 use rmodp_engineering::behaviour::CounterBehaviour;
 use rmodp_engineering::engine::Engine;
+use rmodp_engineering::structure::{decode_checkpoint, encode_checkpoint};
 use rmodp_functions::storage::StorageFunction;
 use rmodp_transactions::rm::{ResourceManager, TxProfile};
-use rmodp_transparency::persistence::{decode_checkpoint, encode_checkpoint, PersistenceManager};
+use rmodp_transparency::persistence::PersistenceManager;
 use rmodp_transparency::proxy::{migrate_transparently, OdpInfra};
 use rmodp_transparency::transaction::transfer;
 use rmodp_transparency::{Transparency, TransparencySet, TransparentProxy};

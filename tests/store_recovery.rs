@@ -269,3 +269,110 @@ fn chaos_capsule_kill_with_durable_guard_loses_nothing() {
         "the durable path's measured loss window is zero"
     );
 }
+
+/// The measured defect behind the atomic checkpoint: the guard used to
+/// persist the checkpoint and prune the op log as separate synced
+/// commits, so a store crash between them left the *new* checkpoint
+/// beside ops it already contained, and recovery applied those twice
+/// (44, 34 or 29 instead of 22). Stand at every frame boundary of the
+/// guard store's WAL — inside the second checkpoint included — and the
+/// recovered counter is always the sum of the ops logged by then.
+#[test]
+fn store_crash_at_any_frame_of_a_guard_checkpoint_replays_each_op_once() {
+    use rmodp::store::wal::{decode_frames, encode_frame};
+
+    const OPS: [i64; 3] = [10, 5, 7];
+
+    /// Runs the history; returns the world, the guard, the store and the
+    /// WAL length after the first checkpoint, after each logged op and
+    /// before the second checkpoint.
+    fn history() -> (
+        World,
+        DurableGuard,
+        StoreEngine<MemMedia>,
+        usize,
+        Vec<usize>,
+    ) {
+        let mut w = world(37);
+        let mut store = open_mem();
+        let mut guard = DurableGuard::new(
+            "acct",
+            (w.home, w.home_capsule, w.cluster),
+            (w.backup, w.backup_capsule),
+            vec![w.interface],
+        );
+        let mut proxy = TransparentProxy::new(
+            w.client,
+            w.interface,
+            TransparencySet::none().with(Transparency::Relocation),
+        );
+        guard.checkpoint_now(&mut w.engine, &mut store).unwrap();
+        let first_checkpoint_end = store.log_bytes();
+        let mut op_ends = Vec::new();
+        for k in OPS {
+            let args = Value::record([("k", Value::Int(k))]);
+            guard.log_op(&mut store, w.interface, "Add", &args);
+            op_ends.push(store.log_bytes());
+            proxy
+                .call(&mut w.engine, &mut w.infra, "Add", &args)
+                .unwrap();
+        }
+        guard.checkpoint_now(&mut w.engine, &mut store).unwrap();
+        (w, guard, store, first_checkpoint_end, op_ends)
+    }
+
+    let (_, _, store, first_checkpoint_end, op_ends) = history();
+    let media = store.into_media();
+    let mut boundaries = vec![0usize];
+    for record in decode_frames(media.wal_bytes()).records {
+        boundaries.push(boundaries.last().unwrap() + encode_frame(&record).len());
+    }
+    assert_eq!(*boundaries.last().unwrap(), media.wal_len());
+    let second_checkpoint_start = *op_ends.last().unwrap();
+    assert!(
+        boundaries
+            .iter()
+            .filter(|&&b| b > second_checkpoint_start)
+            .count()
+            >= 3,
+        "the second checkpoint spans several frames to stand between"
+    );
+
+    for &cut in boundaries.iter().filter(|&&b| b >= first_checkpoint_end) {
+        let (mut w, mut guard, store, _, _) = history();
+        let mut media = store.into_media();
+        media.truncate_wal(cut);
+        let mut store = StoreEngine::open(media, StoreConfig::default()).unwrap();
+
+        let home_idx = w.engine.sim_node(w.home).unwrap();
+        w.engine.sim_mut().topology_mut().crash(home_idx);
+        guard
+            .recover(&mut w.engine, &mut w.infra, &mut store)
+            .unwrap();
+        let mut proxy = TransparentProxy::new(
+            w.client,
+            w.interface,
+            TransparencySet::none().with(Transparency::Relocation),
+        );
+        let t = proxy
+            .call(
+                &mut w.engine,
+                &mut w.infra,
+                "Get",
+                &Value::record::<&str, _>([]),
+            )
+            .unwrap();
+        let logged_by_then: i64 = OPS
+            .iter()
+            .zip(&op_ends)
+            .filter(|(_, &end)| end <= cut)
+            .map(|(k, _)| k)
+            .sum();
+        assert_eq!(
+            t.results.field("n").and_then(Value::as_int),
+            Some(logged_by_then),
+            "store cut at byte {cut} of {}",
+            boundaries.last().unwrap()
+        );
+    }
+}
