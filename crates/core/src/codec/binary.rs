@@ -14,6 +14,12 @@
 //! 0x07 record   (u32 count + (text key, value) pairs, keys sorted)
 //! 0x08 ref      (8 bytes, u64 LE)
 //! ```
+//!
+//! [`BinarySyntax`] maps whole [`Value`]s to and from that layout.
+//! [`Writer`] and [`Reader`] are the same layout a piece at a time, for a
+//! caller whose document has a fixed shape and who would otherwise build
+//! a `Value` tree only to encode it and drop it (the write-ahead log and
+//! the store's snapshots).
 
 use bytes::{Buf, BufMut};
 
@@ -41,84 +47,147 @@ impl TransferSyntax for BinarySyntax {
 
     fn encode(&self, value: &Value) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
-        encode_into(value, &mut out);
+        Writer::new(&mut out).value(value);
         out
     }
 
     fn encode_into(&self, value: &Value, out: &mut Vec<u8>) {
-        encode_into(value, out);
+        Writer::new(out).value(value);
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Value, CodecError> {
-        let mut cursor = Cursor { buf: bytes, pos: 0 };
-        let v = cursor.value()?;
-        if cursor.pos != bytes.len() {
-            return Err(cursor.error("trailing bytes after value"));
+        let mut reader = Reader::new(bytes);
+        let v = reader.value()?;
+        if !reader.at_end() {
+            return Err(reader.error("trailing bytes after value"));
         }
         Ok(v)
     }
 }
 
-fn encode_into(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.put_u8(TAG_NULL),
-        Value::Bool(b) => {
-            out.put_u8(TAG_BOOL);
-            out.put_u8(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.put_u8(TAG_INT);
-            out.put_i64_le(*i);
-        }
-        Value::Float(x) => {
-            out.put_u8(TAG_FLOAT);
-            out.put_f64_le(*x);
-        }
-        Value::Text(s) => {
-            out.put_u8(TAG_TEXT);
-            out.put_u32_le(s.len() as u32);
-            out.put_slice(s.as_bytes());
-        }
-        Value::Blob(b) => {
-            out.put_u8(TAG_BLOB);
-            out.put_u32_le(b.len() as u32);
-            out.put_slice(b);
-        }
-        Value::Seq(items) => {
-            out.put_u8(TAG_SEQ);
-            out.put_u32_le(items.len() as u32);
-            for item in items {
-                encode_into(item, out);
+/// The writing half of the streaming pair: appends the syntax's pieces to
+/// a caller's buffer, so a document whose shape is known (a log record, a
+/// snapshot) goes to its bytes without first being built as a [`Value`].
+///
+/// The caller owes the layout its rules: a record header is followed by
+/// exactly that many `key`, value pairs with the keys in ascending order,
+/// a sequence header by exactly that many values. Written that way the
+/// bytes are what [`BinarySyntax::encode`] gives for the same document.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Self { out }
+    }
+
+    /// Opens a record of `fields` key/value pairs.
+    pub fn record_header(&mut self, fields: usize) {
+        self.out.put_u8(TAG_RECORD);
+        self.out.put_u32_le(fields as u32);
+    }
+
+    /// Opens a sequence of `count` values.
+    pub fn seq_header(&mut self, count: usize) {
+        self.out.put_u8(TAG_SEQ);
+        self.out.put_u32_le(count as u32);
+    }
+
+    /// Length-prefixed UTF-8: a record key, or a text behind its tag.
+    fn str(&mut self, s: &str) {
+        self.out.put_u32_le(s.len() as u32);
+        self.out.put_slice(s.as_bytes());
+    }
+
+    /// A record key (its value comes next).
+    pub fn key(&mut self, key: &str) {
+        self.str(key);
+    }
+
+    /// A text value.
+    pub fn text(&mut self, text: &str) {
+        self.out.put_u8(TAG_TEXT);
+        self.str(text);
+    }
+
+    /// Any value.
+    pub fn value(&mut self, value: &Value) {
+        match value {
+            Value::Null => self.out.put_u8(TAG_NULL),
+            Value::Bool(b) => {
+                self.out.put_u8(TAG_BOOL);
+                self.out.put_u8(u8::from(*b));
             }
-        }
-        Value::Record(fields) => {
-            out.put_u8(TAG_RECORD);
-            out.put_u32_le(fields.len() as u32);
-            for (k, v) in fields {
-                out.put_u32_le(k.len() as u32);
-                out.put_slice(k.as_bytes());
-                encode_into(v, out);
+            Value::Int(i) => {
+                self.out.put_u8(TAG_INT);
+                self.out.put_i64_le(*i);
             }
-        }
-        Value::Ref(id) => {
-            out.put_u8(TAG_REF);
-            out.put_u64_le(*id);
+            Value::Float(x) => {
+                self.out.put_u8(TAG_FLOAT);
+                self.out.put_f64_le(*x);
+            }
+            Value::Text(s) => self.text(s),
+            Value::Blob(b) => {
+                self.out.put_u8(TAG_BLOB);
+                self.out.put_u32_le(b.len() as u32);
+                self.out.put_slice(b);
+            }
+            Value::Seq(items) => {
+                self.seq_header(items.len());
+                for item in items {
+                    self.value(item);
+                }
+            }
+            Value::Record(fields) => {
+                self.record_header(fields.len());
+                for (k, v) in fields {
+                    self.key(k);
+                    self.value(v);
+                }
+            }
+            Value::Ref(id) => {
+                self.out.put_u8(TAG_REF);
+                self.out.put_u64_le(*id);
+            }
         }
     }
 }
 
-struct Cursor<'a> {
+/// The reading half of the streaming pair: a cursor over encoded bytes.
+///
+/// [`value`](Self::value) reads anything the syntax can carry. The other
+/// methods read one expected piece each and fail on anything else, so a
+/// reader written against a fixed shape accepts exactly what the matching
+/// [`Writer`] calls produce — no missing, extra, repeated or reordered
+/// field. Counts come back as numbers to loop over; nothing here
+/// allocates for a length the bytes have not yet backed.
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn error(&self, message: impl Into<String>) -> CodecError {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { buf: bytes, pos: 0 }
+    }
+
+    /// An error at the reader's position.
+    pub fn error(&self, message: impl Into<String>) -> CodecError {
         CodecError {
             syntax: SyntaxId::Binary,
             offset: self.pos,
             message: message.into(),
         }
+    }
+
+    /// Whether every byte has been read.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.buf.len()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
@@ -142,18 +211,87 @@ impl<'a> Cursor<'a> {
         Ok(b.get_u32_le())
     }
 
-    fn text(&mut self) -> Result<String, CodecError> {
+    fn i64(&mut self) -> Result<i64, CodecError> {
+        let mut b = self.take(8)?;
+        Ok(b.get_i64_le())
+    }
+
+    /// Length-prefixed UTF-8: a record key, or a text behind its tag.
+    fn str(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         let at = self.pos;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError {
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError {
             syntax: SyntaxId::Binary,
             offset: at,
             message: "invalid utf-8 in text".into(),
         })
     }
 
-    fn value(&mut self) -> Result<Value, CodecError> {
+    fn expect_tag(&mut self, tag: u8, what: &str) -> Result<(), CodecError> {
+        match self.u8()? {
+            found if found == tag => Ok(()),
+            found => Err(self.error(format!("expected {what}, found tag 0x{found:02x}"))),
+        }
+    }
+
+    /// Reads a record header: how many key/value pairs follow.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] if the next value is not a record.
+    pub fn record_header(&mut self) -> Result<usize, CodecError> {
+        self.expect_tag(TAG_RECORD, "a record")?;
+        Ok(self.u32()? as usize)
+    }
+
+    /// Reads a sequence header: how many values follow.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] if the next value is not a sequence.
+    pub fn seq_header(&mut self) -> Result<usize, CodecError> {
+        self.expect_tag(TAG_SEQ, "a sequence")?;
+        Ok(self.u32()? as usize)
+    }
+
+    /// Reads a record key that must be `key`.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] if the next key is any other.
+    pub fn expect_key(&mut self, key: &str) -> Result<(), CodecError> {
+        match self.str()? {
+            found if found == key => Ok(()),
+            found => Err(self.error(format!("expected key `{key}`, found `{found}`"))),
+        }
+    }
+
+    /// Reads a text value, borrowed from the bytes.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] if the next value is not a text.
+    pub fn text(&mut self) -> Result<&'a str, CodecError> {
+        self.expect_tag(TAG_TEXT, "a text")?;
+        self.str()
+    }
+
+    /// Reads an integer value.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] if the next value is not an integer.
+    pub fn int(&mut self) -> Result<i64, CodecError> {
+        self.expect_tag(TAG_INT, "an int")?;
+        self.i64()
+    }
+
+    /// Reads any value.
+    ///
+    /// # Errors
+    ///
+    /// A [`CodecError`] if the bytes do not continue with a whole value.
+    pub fn value(&mut self) -> Result<Value, CodecError> {
         let tag = self.u8()?;
         match tag {
             TAG_NULL => Ok(Value::Null),
@@ -162,15 +300,12 @@ impl<'a> Cursor<'a> {
                 1 => Ok(Value::Bool(true)),
                 other => Err(self.error(format!("bad bool byte {other}"))),
             },
-            TAG_INT => {
-                let mut b = self.take(8)?;
-                Ok(Value::Int(b.get_i64_le()))
-            }
+            TAG_INT => Ok(Value::Int(self.i64()?)),
             TAG_FLOAT => {
                 let mut b = self.take(8)?;
                 Ok(Value::Float(b.get_f64_le()))
             }
-            TAG_TEXT => Ok(Value::Text(self.text()?)),
+            TAG_TEXT => Ok(Value::Text(self.str()?.to_owned())),
             TAG_BLOB => {
                 let len = self.u32()? as usize;
                 Ok(Value::Blob(self.take(len)?.to_vec()))
@@ -187,7 +322,7 @@ impl<'a> Cursor<'a> {
                 let count = self.u32()? as usize;
                 let mut fields = std::collections::BTreeMap::new();
                 for _ in 0..count {
-                    let key = self.text()?;
+                    let key = self.str()?.to_owned();
                     let value = self.value()?;
                     fields.insert(key, value);
                 }
@@ -254,6 +389,63 @@ mod tests {
         let a = Value::record([("b", Value::Int(2)), ("a", Value::Int(1))]);
         let b = Value::record([("a", Value::Int(1)), ("b", Value::Int(2))]);
         assert_eq!(BinarySyntax.encode(&a), BinarySyntax.encode(&b));
+    }
+
+    /// `{a: [1, "x"], b: "t"}` written a piece at a time.
+    fn pieces() -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
+        w.record_header(2);
+        w.key("a");
+        w.seq_header(2);
+        w.value(&Value::Int(1));
+        w.text("x");
+        w.key("b");
+        w.text("t");
+        out
+    }
+
+    #[test]
+    fn writer_pieces_spell_what_encode_gives() {
+        let v = Value::record([
+            ("a", Value::seq([Value::Int(1), Value::text("x")])),
+            ("b", Value::text("t")),
+        ]);
+        assert_eq!(pieces(), BinarySyntax.encode(&v));
+        assert_eq!(BinarySyntax.decode(&pieces()).unwrap(), v);
+    }
+
+    #[test]
+    fn reader_reads_the_expected_pieces_and_nothing_else() {
+        let bytes = pieces();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.record_header().unwrap(), 2);
+        r.expect_key("a").unwrap();
+        assert_eq!(r.seq_header().unwrap(), 2);
+        assert_eq!(r.int().unwrap(), 1);
+        assert_eq!(r.text().unwrap(), "x");
+        r.expect_key("b").unwrap();
+        assert!(!r.at_end());
+        assert_eq!(r.value().unwrap(), Value::text("t"));
+        assert!(r.at_end());
+        assert!(r.value().is_err(), "nothing is left");
+
+        let at_first_key = || {
+            let mut r = Reader::new(&bytes);
+            r.record_header().unwrap();
+            r
+        };
+        assert!(at_first_key().expect_key("b").is_err(), "another key");
+        let at_seq = || {
+            let mut r = at_first_key();
+            r.expect_key("a").unwrap();
+            r
+        };
+        assert!(at_seq().record_header().is_err(), "a seq, not a record");
+        assert!(at_seq().text().is_err(), "a seq, not a text");
+        assert!(at_seq().int().is_err(), "a seq, not an int");
+        assert!(Reader::new(&[TAG_RECORD]).record_header().is_err());
+        assert!(Reader::new(&[TAG_TEXT, 1, 0, 0, 0, 0xff]).text().is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! binary can interwork with a node whose native syntax is text because the
 //! channel negotiates a common transfer syntax.
 
-mod binary;
+pub mod binary;
 mod text;
 
 use std::fmt;

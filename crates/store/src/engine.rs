@@ -5,10 +5,12 @@
 //! manager: every mutation is appended to the log *before* it touches
 //! the in-memory state, a commit flushes the log, and only then is the
 //! batch applied. Recovery is the inverse — load the last snapshot, read
-//! the log's valid frame prefix, classify transactions with [`analyze`],
-//! and redo the [`committed_writes`] in order. Redo is idempotent
-//! (writes carry absolute after-images; [`Value::Null`] is the delete
-//! tombstone), so replaying an over-long log onto a newer snapshot
+//! the log's valid frame prefix (a torn tail is cut off the medium, so
+//! nothing is ever appended behind it), classify transactions with
+//! [`analyze`], and redo the [`committed_writes`] in order, each
+//! after-image moved from the decoded record into the state. Redo is
+//! idempotent (writes carry absolute after-images; [`Value::Null`] is the
+//! delete tombstone), so replaying an over-long log onto a newer snapshot
 //! converges to the same state.
 //!
 //! Compaction bounds the log: when the WAL outgrows
@@ -23,7 +25,10 @@ use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
 use rmodp_observe::bus;
 use rmodp_observe::event::{EventBuilder, EventKind, Layer};
-use rmodp_transactions::log::{analyze, committed_writes, LogRecord, StableMedia, WriteAheadLog};
+use rmodp_transactions::log::{
+    analyze, committed_writes, encode_frame_into, encode_write_into, LogRecord, StableMedia,
+    WriteAheadLog,
+};
 
 use crate::snapshot::{decode_snapshot, encode_snapshot, Snapshot};
 
@@ -136,20 +141,20 @@ impl<M: StableMedia> StoreEngine<M> {
             }
             None => Snapshot::default(),
         };
-        let log = WriteAheadLog::new(media);
-        let decoded = log.read();
+        let mut log = WriteAheadLog::new(media);
+        let decoded = log.recover();
         report.records_scanned = decoded.records.len();
         report.tail_discarded = decoded.truncated_tail;
 
         let mut state = snapshot.state;
         let analysis = analyze(&decoded.records);
         report.unresolved_txs = analysis.active.len() + analysis.in_doubt.len();
-        for (item, after) in committed_writes(&decoded.records, &analysis) {
-            report.writes_replayed += 1;
-            apply_write(&mut state, item, after.clone());
-        }
         let max_tx = decoded.records.iter().map(|r| r.tx().raw()).max();
         let next_batch = snapshot.next_batch.max(max_tx.unwrap_or(0) + 1);
+        for (item, after) in committed_writes(decoded.records, &analysis) {
+            report.writes_replayed += 1;
+            apply_write(&mut state, item, after);
+        }
 
         let stats = StoreStats {
             recovery_replayed: report.writes_replayed as u64,
@@ -266,16 +271,10 @@ impl<M: StableMedia> StoreEngine<M> {
     ///
     /// [`StoreError::NoOpenBatch`] without a batch.
     pub fn put(&mut self, key: &str, value: Value) -> Result<(), StoreError> {
-        let before = self.state.get(key).cloned();
         let batch = self.open.as_mut().ok_or(StoreError::NoOpenBatch)?;
-        let record = LogRecord::Write {
-            tx: batch.tx,
-            item: key.to_owned(),
-            before,
-            after: value.clone(),
-        };
+        self.log
+            .append_write(batch.tx, key, self.state.get(key), &value);
         batch.ops.push((key.to_owned(), value));
-        self.log.append(&record);
         Ok(())
     }
 
@@ -343,16 +342,15 @@ impl<M: StableMedia> StoreEngine<M> {
         // reset, or recovery could mistake its later commit frame for a
         // full transaction. Re-log the open batch's prefix into the
         // fresh log.
-        let tail = self.open.iter().flat_map(|batch| {
-            let writes = batch.ops.iter().map(|(key, value)| LogRecord::Write {
-                tx: batch.tx,
-                item: key.clone(),
-                before: None,
-                after: value.clone(),
-            });
-            std::iter::once(LogRecord::Begin { tx: batch.tx }).chain(writes)
+        let open = self.open.as_ref();
+        self.log.reset(|image| {
+            if let Some(batch) = open {
+                encode_frame_into(image, &LogRecord::Begin { tx: batch.tx });
+                for (key, value) in &batch.ops {
+                    encode_write_into(image, batch.tx, key, None, value);
+                }
+            }
         });
-        self.log.reset(tail);
         self.stats.compactions += 1;
         bus::counter_add("store.compactions", 1);
         EventBuilder::new(Layer::Store, EventKind::StoreCompaction)
@@ -369,14 +367,11 @@ impl<M: StableMedia> StoreEngine<M> {
 
 /// Applies one after-image to the keyspace — the one place that reads
 /// [`Value::Null`] as a delete, for a commit and for redo alike.
-fn apply_write<K>(state: &mut BTreeMap<String, Value>, key: K, after: Value)
-where
-    K: AsRef<str> + Into<String>,
-{
+fn apply_write(state: &mut BTreeMap<String, Value>, key: String, after: Value) {
     if matches!(after, Value::Null) {
-        state.remove(key.as_ref());
+        state.remove(&key);
     } else {
-        state.insert(key.into(), after);
+        state.insert(key, after);
     }
 }
 
@@ -488,12 +483,32 @@ mod tests {
     fn open_batch_survives_compaction() {
         let mut engine = open_mem();
         commit_one(&mut engine, "a", 1);
-        engine.begin().unwrap();
+        let tx = engine.begin().unwrap();
         engine.put("b", Value::Int(2)).unwrap();
+        engine.delete("a").unwrap();
         engine.compact();
+        // The fresh log is the open batch's prefix, re-logged from the
+        // staged operations.
+        let relogged = engine.log.recover().records;
+        assert_eq!(relogged.len(), 3);
+        assert_eq!(relogged[0], LogRecord::Begin { tx });
+        assert_eq!(
+            relogged[2],
+            LogRecord::Write {
+                tx,
+                item: "a".to_owned(),
+                before: None,
+                after: Value::Null,
+            }
+        );
+        engine.put("c", Value::Int(3)).unwrap();
         engine.commit().unwrap();
-        let engine = StoreEngine::open(engine.into_media(), StoreConfig::default()).unwrap();
+        let mut media = engine.into_media();
+        media.crash();
+        let engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
+        assert_eq!(engine.get("a"), None);
         assert_eq!(engine.get("b"), Some(&Value::Int(2)));
+        assert_eq!(engine.get("c"), Some(&Value::Int(3)));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use rmodp_core::codec::{syntax_for, SyntaxId};
+use rmodp_core::codec::{BinarySyntax, TransferSyntax};
 use rmodp_core::dtype::DataType;
 use rmodp_core::value::Value;
 use rmodp_information::schema::StaticSchema;
@@ -700,10 +700,12 @@ impl Oo7Workload {
 /// An order-sensitive checksum of the engine's whole committed state —
 /// the equality the crash-recovery assertions compare.
 pub fn state_checksum<M: StableMedia>(engine: &StoreEngine<M>) -> u64 {
-    let codec = syntax_for(SyntaxId::Binary);
+    let mut encoded = Vec::new();
     let mut h = FNV_OFFSET_BASIS;
     for (key, value) in engine.state() {
-        h = fnv1a(&h.to_le_bytes()) ^ fnv1a(key.as_bytes()) ^ fnv1a(&codec.encode(value));
+        encoded.clear();
+        BinarySyntax.encode_into(value, &mut encoded);
+        h = fnv1a(&h.to_le_bytes()) ^ fnv1a(key.as_bytes()) ^ fnv1a(&encoded);
     }
     h
 }

@@ -3,15 +3,19 @@
 //! A snapshot is the compaction point — everything the WAL had applied
 //! when it was taken — plus the batch-id high-water mark, so identifiers
 //! stay monotone across restarts. It goes through the same
-//! [`frame`] / [`unframe`] pair as a WAL record, and installation is
+//! [`frame_into`] / [`unframe`] pair as a WAL record, and installation is
 //! atomic at the media layer, so recovery sees either the old or the new
-//! snapshot in full, never a torn one.
+//! snapshot in full, never a torn one. Like a WAL record it is written
+//! and read a piece at a time ([`Writer`] / [`Reader`]): the keyspace is
+//! never copied into a document to be encoded, nor a document decoded to
+//! be copied into the keyspace.
 
 use std::collections::BTreeMap;
 
-use rmodp_core::codec::{syntax_for, SyntaxId};
+use rmodp_core::codec::binary::{Reader, Writer};
+use rmodp_core::codec::CodecError;
 use rmodp_core::value::Value;
-use rmodp_transactions::log::frame::{frame, unframe};
+use rmodp_transactions::log::frame::{frame_into, unframe};
 
 /// A decoded snapshot.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -22,24 +26,34 @@ pub struct Snapshot {
     pub next_batch: u64,
 }
 
-/// Encodes a snapshot as one checksummed frame. Takes the live state by
-/// reference so compaction never clones the whole keyspace (values are
-/// cloned entry-wise into the transfer form only).
+/// Encodes a snapshot as one checksummed frame, streamed entry by entry
+/// from the live state into the one buffer returned.
+///
+/// The payload is the binary transfer syntax's encoding of
+/// `{entries: [{k: <key>, v: <value>}, …], next_batch: <id>}`, entries in
+/// key order; [`decode_snapshot`] reads exactly that back.
 pub fn encode_snapshot(state: &BTreeMap<String, Value>, next_batch: u64) -> Vec<u8> {
-    let entries = Value::Seq(
-        state
-            .iter()
-            .map(|(k, v)| Value::record([("k", Value::text(k.clone())), ("v", v.clone())]))
-            .collect(),
-    );
-    let doc = Value::record([
-        ("entries", entries),
-        ("next_batch", Value::Int(next_batch as i64)),
-    ]);
-    frame(&syntax_for(SyntaxId::Binary).encode(&doc))
+    let mut out = Vec::new();
+    frame_into(&mut out, |payload| {
+        let mut w = Writer::new(payload);
+        w.record_header(2);
+        w.key("entries");
+        w.seq_header(state.len());
+        for (key, value) in state {
+            w.record_header(2);
+            w.key("k");
+            w.text(key);
+            w.key("v");
+            w.value(value);
+        }
+        w.key("next_batch");
+        w.value(&Value::Int(next_batch as i64));
+    });
+    out
 }
 
-/// Decodes a snapshot frame.
+/// Decodes a snapshot frame, each entry going from the bytes into the
+/// map as it is read.
 ///
 /// # Errors
 ///
@@ -47,28 +61,36 @@ pub fn encode_snapshot(state: &BTreeMap<String, Value>, next_batch: u64) -> Vec<
 /// mismatch, bad payload).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, String> {
     let (payload, _) = unframe(bytes).map_err(|e| format!("snapshot {e}"))?;
-    let doc = syntax_for(SyntaxId::Binary)
-        .decode(payload)
-        .map_err(|e| e.to_string())?;
+    read_snapshot(payload).map_err(|e| e.to_string())
+}
+
+fn read_snapshot(payload: &[u8]) -> Result<Snapshot, CodecError> {
+    let mut r = Reader::new(payload);
+    expect_fields(&mut r, 2)?;
+    r.expect_key("entries")?;
     let mut state = BTreeMap::new();
-    for entry in doc
-        .field("entries")
-        .and_then(Value::as_seq)
-        .ok_or("snapshot without entries")?
-    {
-        let k = entry
-            .field("k")
-            .and_then(Value::as_text)
-            .ok_or("entry without key")?
-            .to_owned();
-        let v = entry.field("v").cloned().ok_or("entry without value")?;
-        state.insert(k, v);
+    // The count only bounds the loop: a claim the bytes cannot back runs
+    // out of bytes at the first entry that is not there.
+    for _ in 0..r.seq_header()? {
+        expect_fields(&mut r, 2)?;
+        r.expect_key("k")?;
+        let key = r.text()?.to_owned();
+        r.expect_key("v")?;
+        state.insert(key, r.value()?);
     }
-    let next_batch = doc
-        .field("next_batch")
-        .and_then(Value::as_int)
-        .ok_or("snapshot without next_batch")? as u64;
+    r.expect_key("next_batch")?;
+    let next_batch = r.int()? as u64;
+    if !r.at_end() {
+        return Err(r.error("trailing bytes after snapshot"));
+    }
     Ok(Snapshot { state, next_batch })
+}
+
+fn expect_fields(r: &mut Reader<'_>, fields: usize) -> Result<(), CodecError> {
+    match r.record_header()? {
+        n if n == fields => Ok(()),
+        n => Err(r.error(format!("a record of {n} fields where {fields} belong"))),
+    }
 }
 
 #[cfg(test)]

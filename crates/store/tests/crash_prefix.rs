@@ -5,7 +5,9 @@
 //! and any crash point, recovery must reconstruct precisely the state
 //! after the last batch whose commit frame fully survived — never a
 //! torn mixture, never a lost committed write, never a leaked
-//! uncommitted one.
+//! uncommitted one. And what a crash tore is cut off the medium at
+//! recovery, so a batch committed afterwards survives the crash after
+//! that (`TearingMedia`).
 
 use std::collections::BTreeMap;
 
@@ -145,4 +147,96 @@ fn recovery_equals_committed_prefix_across_compaction() {
             .1;
         assert_eq!(recovered.state(), expected, "cut at byte {cut}");
     }
+}
+
+/// [`MemMedia`] whose crash tears: the first `torn_bytes` of the unsynced
+/// WAL tail reach the medium anyway, the way a file keeps the part of an
+/// unsynced write that happened to hit the disk.
+#[derive(Debug)]
+struct TearingMedia {
+    inner: MemMedia,
+    torn_bytes: usize,
+}
+
+impl StableMedia for TearingMedia {
+    fn wal_append(&mut self, bytes: &[u8]) {
+        self.inner.wal_append(bytes);
+    }
+
+    fn wal_bytes(&self) -> &[u8] {
+        self.inner.wal_bytes()
+    }
+
+    fn wal_reset(&mut self, bytes: &[u8]) {
+        self.inner.wal_reset(bytes);
+    }
+
+    fn snapshot_write(&mut self, bytes: &[u8]) {
+        self.inner.snapshot_write(bytes);
+    }
+
+    fn snapshot_bytes(&self) -> Option<&[u8]> {
+        self.inner.snapshot_bytes()
+    }
+
+    fn sync(&mut self) {
+        self.inner.sync();
+    }
+
+    fn crash(&mut self) {
+        let synced = self.inner.synced_len();
+        let kept = (synced + self.torn_bytes).min(self.inner.wal_len());
+        let torn = self.inner.wal_bytes()[synced..kept].to_vec();
+        self.inner.crash();
+        self.inner.wal_append(&torn);
+        self.inner.sync();
+    }
+}
+
+#[test]
+fn a_batch_committed_behind_a_torn_tail_survives_the_next_crash() {
+    // One committed batch, then a crash in the middle of the next one
+    // that leaves every possible part of its unsynced frames behind.
+    let in_flight = {
+        let mut engine = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
+        engine.begin().unwrap();
+        engine.put("torn", Value::text("never committed")).unwrap();
+        engine.log_bytes()
+    };
+    let mut tails_discarded = 0;
+    for torn_bytes in 0..=in_flight {
+        let media = TearingMedia {
+            inner: MemMedia::new(),
+            torn_bytes,
+        };
+        let mut engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
+        engine.begin().unwrap();
+        engine.put("first", Value::Int(1)).unwrap();
+        engine.commit().unwrap();
+        engine.begin().unwrap();
+        engine.put("torn", Value::text("never committed")).unwrap();
+        let mut media = engine.into_media();
+        media.crash();
+
+        let mut engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
+        tails_discarded += usize::from(engine.recovery_report().tail_discarded);
+        engine.begin().unwrap();
+        engine.put("second", Value::Int(2)).unwrap();
+        engine.commit().unwrap();
+        let mut media = engine.into_media();
+        media.torn_bytes = 0;
+        media.crash();
+
+        let engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
+        assert!(!engine.recovery_report().tail_discarded, "{torn_bytes}");
+        assert_eq!(engine.get("first"), Some(&Value::Int(1)), "{torn_bytes}");
+        assert_eq!(
+            engine.get("second"),
+            Some(&Value::Int(2)),
+            "{torn_bytes} torn bytes: the batch committed after recovery is lost"
+        );
+        assert_eq!(engine.get("torn"), None, "{torn_bytes}");
+    }
+    // Every cut but the three on a frame boundary tore a frame.
+    assert_eq!(tails_discarded, in_flight + 1 - 3);
 }

@@ -1,15 +1,23 @@
 //! The byte form of what the store leaves on its medium: pinned images
-//! of one fixed history, and hostile frames through the one `unframe`
-//! both the WAL and the snapshot read with.
+//! of one fixed history, the streamed encoders held byte for byte to the
+//! `Value` documents they replaced, and hostile bytes — damaged frames
+//! through the one `unframe` both the WAL and the snapshot read with,
+//! and well-checksummed frames whose payload is not what the writers
+//! write.
 
 use std::collections::BTreeMap;
 
+use proptest::prelude::*;
+
+use rmodp_core::codec::binary::Writer;
+use rmodp_core::codec::{BinarySyntax, TransferSyntax};
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
 use rmodp_observe::hash::fnv1a;
-use rmodp_store::snapshot::{decode_snapshot, encode_snapshot};
+use rmodp_store::snapshot::{decode_snapshot, encode_snapshot, Snapshot};
 use rmodp_store::wal::{decode_frames, encode_frame};
 use rmodp_store::{MemMedia, StableMedia, StoreConfig, StoreEngine, StoreError};
+use rmodp_transactions::log::frame::HEADER_LEN;
 use rmodp_transactions::log::LogRecord;
 
 /// One fixed history: overwrites, a delete, an abort, an explicit
@@ -123,5 +131,428 @@ fn hostile_frames_stop_the_wal_scan_and_fail_the_snapshot_with_its_error() {
             Err(StoreError::CorruptSnapshot(why)) => assert_eq!(why, err, "{what}"),
             other => panic!("{what}: expected CorruptSnapshot, got {other:?}"),
         }
+    }
+}
+
+/// A whole frame around `payload`: right length, right checksum.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    raw_frame(payload.len() as u32, fnv1a(payload), payload)
+}
+
+/// The document a log record used to be built as before it was encoded:
+/// the reference the streamed encoder is held to.
+fn record_document(record: &LogRecord) -> Value {
+    let tag = match record {
+        LogRecord::Begin { .. } => "begin",
+        LogRecord::Write { .. } => "write",
+        LogRecord::Prepare { .. } => "prepare",
+        LogRecord::Commit { .. } => "commit",
+        LogRecord::Abort { .. } => "abort",
+    };
+    let mut fields = vec![
+        ("rec", Value::text(tag)),
+        ("tx", Value::Int(record.tx().raw() as i64)),
+    ];
+    if let LogRecord::Write {
+        item,
+        before,
+        after,
+        ..
+    } = record
+    {
+        fields.push(("item", Value::text(item.clone())));
+        fields.push(("before", Value::Seq(before.iter().cloned().collect())));
+        fields.push(("after", after.clone()));
+    }
+    Value::record(fields)
+}
+
+/// Likewise for a snapshot.
+fn snapshot_document(state: &BTreeMap<String, Value>, next_batch: u64) -> Value {
+    let entries = state
+        .iter()
+        .map(|(k, v)| Value::record([("k", Value::text(k.clone())), ("v", v.clone())]))
+        .collect();
+    Value::record([
+        ("entries", Value::Seq(entries)),
+        ("next_batch", Value::Int(next_batch as i64)),
+    ])
+}
+
+fn arb_value() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        "[a-z0-9/ ]{0,12}".prop_map(Value::text),
+        proptest::collection::vec(any::<u8>(), 0..16).prop_map(Value::Blob),
+        any::<u64>().prop_map(Value::Ref),
+    ];
+    leaf.prop_recursive(2, 12, 3, |inner| {
+        prop_oneof![
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Seq),
+            proptest::collection::btree_map("[a-z_]{1,6}", inner, 0..4).prop_map(Value::Record),
+        ]
+    })
+}
+
+fn arb_record() -> impl Strategy<Value = LogRecord> {
+    let tx = || any::<u64>().prop_map(TxId::new);
+    prop_oneof![
+        tx().prop_map(|tx| LogRecord::Begin { tx }),
+        tx().prop_map(|tx| LogRecord::Prepare { tx }),
+        tx().prop_map(|tx| LogRecord::Commit { tx }),
+        tx().prop_map(|tx| LogRecord::Abort { tx }),
+        (
+            tx(),
+            "[a-z0-9/]{0,16}",
+            proptest::option::of(arb_value()),
+            arb_value()
+        )
+            .prop_map(|(tx, item, before, after)| LogRecord::Write {
+                tx,
+                item,
+                before,
+                after
+            }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_log_is_the_framed_encoding_of_its_record_documents(
+        records in proptest::collection::vec(arb_record(), 0..8)
+    ) {
+        let image: Vec<u8> = records.iter().flat_map(encode_frame).collect();
+        let reference: Vec<u8> = records
+            .iter()
+            .flat_map(|r| frame(&BinarySyntax.encode(&record_document(r))))
+            .collect();
+        prop_assert_eq!(&image, &reference);
+        let decoded = decode_frames(&image);
+        prop_assert_eq!(decoded.valid_len, image.len());
+        prop_assert!(!decoded.truncated_tail);
+        prop_assert_eq!(decoded.records, records);
+    }
+
+    #[test]
+    fn a_snapshot_is_the_framed_encoding_of_its_document(
+        state in proptest::collection::btree_map("[a-z0-9/]{0,10}", arb_value(), 0..8),
+        next_batch in any::<u64>(),
+    ) {
+        let bytes = encode_snapshot(&state, next_batch);
+        prop_assert_eq!(
+            &bytes,
+            &frame(&BinarySyntax.encode(&snapshot_document(&state, next_batch)))
+        );
+        prop_assert_eq!(decode_snapshot(&bytes), Ok(Snapshot { state, next_batch }));
+    }
+}
+
+/// Where each frame of a WAL image ends, from the records it decodes to.
+fn frame_ends(records: &[LogRecord]) -> Vec<usize> {
+    records
+        .iter()
+        .scan(0, |end, record| {
+            *end += encode_frame(record).len();
+            Some(*end)
+        })
+        .collect()
+}
+
+#[test]
+fn a_wal_image_cut_or_damaged_at_any_byte_decodes_to_the_frames_before_it() {
+    let media = fixed_history();
+    let image = media.wal_bytes();
+    let whole = decode_frames(image);
+    assert_eq!(whole.valid_len, image.len());
+    let ends = frame_ends(&whole.records);
+    for at in 0..image.len() {
+        let intact = ends.iter().filter(|&&end| end <= at).count();
+        let valid_len = intact.checked_sub(1).map_or(0, |last| ends[last]);
+
+        let cut = decode_frames(&image[..at]);
+        assert_eq!(cut.records, whole.records[..intact], "cut at {at}");
+        assert_eq!(cut.valid_len, valid_len, "cut at {at}");
+        assert_eq!(cut.truncated_tail, valid_len != at, "cut at {at}");
+
+        let mut damaged = image.to_vec();
+        damaged[at] ^= 0xff;
+        let flipped = decode_frames(&damaged);
+        assert_eq!(flipped.records, whole.records[..intact], "flip at {at}");
+        assert_eq!(flipped.valid_len, valid_len, "flip at {at}");
+        assert!(flipped.truncated_tail, "flip at {at}");
+    }
+}
+
+#[test]
+fn a_snapshot_image_cut_or_damaged_at_any_byte_is_corrupt() {
+    let media = fixed_history();
+    let image = media.snapshot_bytes().expect("compaction installed one");
+    assert!(decode_snapshot(image).is_ok());
+    for at in 0..image.len() {
+        let mut damaged = image.to_vec();
+        damaged[at] ^= 0xff;
+        for bytes in [&image[..at], &damaged[..]] {
+            let err = decode_snapshot(bytes).expect_err("damage goes unnoticed");
+            let mut media = MemMedia::new();
+            media.snapshot_write(bytes);
+            media.sync();
+            match StoreEngine::open(media, StoreConfig::default()) {
+                Err(StoreError::CorruptSnapshot(why)) => assert_eq!(why, err, "byte {at}"),
+                other => panic!("byte {at}: expected CorruptSnapshot, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Behind a checksum that holds, the payload reader is on its own: cut
+/// or damage the payload at every byte and frame it afresh. Damage may
+/// happen to spell another record or snapshot; nothing may panic, and a
+/// shortened payload is never one.
+#[test]
+fn a_payload_cut_or_damaged_behind_a_good_checksum_never_panics() {
+    let media = fixed_history();
+    let snapshot = &media.snapshot_bytes().expect("compaction installed one")[HEADER_LEN..];
+    for cut in 0..snapshot.len() {
+        assert!(decode_snapshot(&frame(&snapshot[..cut])).is_err(), "{cut}");
+        let mut damaged = snapshot.to_vec();
+        damaged[cut] ^= 0xff;
+        let _ = decode_snapshot(&frame(&damaged));
+    }
+    for record in decode_frames(media.wal_bytes()).records {
+        let payload = &encode_frame(&record)[HEADER_LEN..];
+        for cut in 0..payload.len() {
+            let decoded = decode_frames(&frame(&payload[..cut]));
+            assert!(decoded.records.is_empty(), "{record:?} cut at {cut}");
+            let mut damaged = payload.to_vec();
+            damaged[cut] ^= 0xff;
+            assert!(decode_frames(&frame(&damaged)).records.len() <= 1);
+        }
+    }
+}
+
+/// A payload written piece by piece, the way the log and the snapshot
+/// write theirs — so it can be written wrong.
+fn payload(write: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    write(&mut Writer::new(&mut out));
+    out
+}
+
+#[test]
+fn only_what_the_writers_write_is_read_back() {
+    let int = Value::Int(7);
+    let begin = [("rec", Value::text("begin")), ("tx", int.clone())];
+    let write = [
+        ("after", int.clone()),
+        ("before", Value::seq([])),
+        ("item", Value::text("k")),
+        ("rec", Value::text("write")),
+        ("tx", int.clone()),
+    ];
+    let encode = |fields: Vec<(&str, Value)>| BinarySyntax.encode(&Value::record(fields));
+    let drop = |fields: &[(&'static str, Value)], key: &str| -> Vec<(&'static str, Value)> {
+        fields.iter().filter(|(k, _)| *k != key).cloned().collect()
+    };
+    let without = |fields: &[(&'static str, Value)], key: &str| encode(drop(fields, key));
+    let with = |fields: &[(&'static str, Value)], key: &'static str, value: Value| {
+        let mut fields = drop(fields, key);
+        fields.push((key, value));
+        encode(fields)
+    };
+    // The two well-formed payloads decode: the table below fails for
+    // what it changes, not for how it is built.
+    for good in [&begin[..], &write[..]] {
+        let image = frame(&encode(good.to_vec()));
+        assert_eq!(decode_frames(&image).records.len(), 1);
+    }
+
+    let records: Vec<(&str, Vec<u8>)> = vec![
+        ("not a record", BinarySyntax.encode(&int)),
+        ("missing tx", without(&begin, "tx")),
+        ("missing rec", without(&begin, "rec")),
+        ("extra field", with(&begin, "zz", Value::Null)),
+        ("write without item", without(&write, "item")),
+        ("write without before", without(&write, "before")),
+        ("write without after", without(&write, "after")),
+        ("write with an extra field", with(&write, "zz", Value::Null)),
+        (
+            "write tag on two fields",
+            with(&begin, "rec", Value::text("write")),
+        ),
+        (
+            "begin tag on five fields",
+            with(&write, "rec", Value::text("begin")),
+        ),
+        ("unknown tag", with(&begin, "rec", Value::text("warp"))),
+        ("tag that is no text", with(&begin, "rec", int.clone())),
+        ("tx that is no int", with(&begin, "tx", Value::text("7"))),
+        ("item that is no text", with(&write, "item", int.clone())),
+        (
+            "before that is no sequence",
+            with(&write, "before", Value::Null),
+        ),
+        (
+            "two before-images",
+            with(&write, "before", Value::seq([int.clone(), int.clone()])),
+        ),
+        (
+            // The generic decoder sorts these back; the reader does not.
+            "fields out of order",
+            payload(|w| {
+                w.record_header(2);
+                w.key("tx");
+                w.value(&int);
+                w.key("rec");
+                w.text("begin");
+            }),
+        ),
+        (
+            "a field twice",
+            payload(|w| {
+                w.record_header(2);
+                w.key("rec");
+                w.text("begin");
+                w.key("rec");
+                w.text("begin");
+            }),
+        ),
+        (
+            "bytes after the record",
+            [with(&begin, "tx", int.clone()), vec![0]].concat(),
+        ),
+        (
+            "u32::MAX fields",
+            payload(|w| w.record_header(u32::MAX as usize)),
+        ),
+        (
+            "u32::MAX before-images",
+            payload(|w| {
+                w.record_header(5);
+                w.key("after");
+                w.value(&int);
+                w.key("before");
+                w.seq_header(u32::MAX as usize);
+            }),
+        ),
+    ];
+    let good = encode_frame(&LogRecord::Begin { tx: TxId::new(1) });
+    for (what, bytes) in &records {
+        let image = [&good[..], &frame(bytes), &good[..]].concat();
+        let decoded = decode_frames(&image);
+        assert_eq!(decoded.records.len(), 1, "{what}");
+        assert_eq!(decoded.valid_len, good.len(), "{what}");
+        assert!(decoded.truncated_tail, "{what}");
+    }
+
+    let entry = |w: &mut Writer<'_>| {
+        w.record_header(2);
+        w.key("k");
+        w.text("key");
+        w.key("v");
+        w.value(&int);
+    };
+    let snapshots: Vec<(&str, Vec<u8>)> = vec![
+        ("not a record", BinarySyntax.encode(&int)),
+        (
+            "no next_batch",
+            BinarySyntax.encode(&Value::record([("entries", Value::seq([]))])),
+        ),
+        (
+            "no entries",
+            BinarySyntax.encode(&Value::record([("next_batch", int.clone())])),
+        ),
+        (
+            "an extra field",
+            BinarySyntax.encode(&Value::record([
+                ("entries", Value::seq([])),
+                ("next_batch", int.clone()),
+                ("zz", int.clone()),
+            ])),
+        ),
+        (
+            "an entry without its value",
+            payload(|w| {
+                w.record_header(2);
+                w.key("entries");
+                w.seq_header(1);
+                w.record_header(1);
+                w.key("k");
+                w.text("key");
+                w.key("next_batch");
+                w.value(&int);
+            }),
+        ),
+        (
+            "an entry whose key is no text",
+            payload(|w| {
+                w.record_header(2);
+                w.key("entries");
+                w.seq_header(1);
+                w.record_header(2);
+                w.key("k");
+                w.value(&int);
+                w.key("v");
+                w.value(&int);
+                w.key("next_batch");
+                w.value(&int);
+            }),
+        ),
+        (
+            "fewer entries than counted",
+            payload(|w| {
+                w.record_header(2);
+                w.key("entries");
+                w.seq_header(2);
+                entry(w);
+                w.key("next_batch");
+                w.value(&int);
+            }),
+        ),
+        (
+            "more entries than counted",
+            payload(|w| {
+                w.record_header(2);
+                w.key("entries");
+                w.seq_header(1);
+                entry(w);
+                entry(w);
+                w.key("next_batch");
+                w.value(&int);
+            }),
+        ),
+        (
+            "u32::MAX entries",
+            payload(|w| {
+                w.record_header(2);
+                w.key("entries");
+                w.seq_header(u32::MAX as usize);
+                entry(w);
+            }),
+        ),
+        (
+            "fields out of order",
+            payload(|w| {
+                w.record_header(2);
+                w.key("next_batch");
+                w.value(&int);
+                w.key("entries");
+                w.seq_header(0);
+            }),
+        ),
+        (
+            "bytes after the snapshot",
+            [
+                BinarySyntax.encode(&snapshot_document(&BTreeMap::new(), 1)),
+                vec![0],
+            ]
+            .concat(),
+        ),
+    ];
+    for (what, bytes) in &snapshots {
+        assert!(decode_snapshot(&frame(bytes)).is_err(), "{what}");
     }
 }

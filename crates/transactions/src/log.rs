@@ -8,8 +8,11 @@
 //!   onto a [`StableMedia`] survive its [`crash`](StableMedia::crash);
 //! - [`mod@frame`] — the checksummed `[len][fnv1a][payload]` frame;
 //! - [`LogRecord`] and [`encode_frame`] / [`decode_frames`] — the records
-//!   and their byte form, read back as the longest valid frame prefix;
-//! - [`WriteAheadLog`] — frames on a medium and nothing else;
+//!   and their byte form, written straight from a record's parts (owned,
+//!   or borrowed: [`encode_write_into`]) and read back as the longest
+//!   valid frame prefix;
+//! - [`WriteAheadLog`] — frames on a medium and nothing else; reading it
+//!   back for recovery cuts a torn tail off the medium;
 //! - [`analyze`] and [`committed_writes`] — which transactions a log
 //!   resolves, and the redo walk over the committed ones.
 //!
@@ -25,14 +28,12 @@ pub use media::{FileMedia, MemMedia, StableMedia};
 
 use std::collections::BTreeSet;
 
-use rmodp_core::codec::{syntax_for, SyntaxId};
+use rmodp_core::codec::binary::{Reader, Writer};
+use rmodp_core::codec::CodecError;
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
 
-use frame::{frame, unframe};
-
-/// Tags identifying each record shape in the durable [`Value`] form.
-const TAGS: [&str; 5] = ["begin", "write", "prepare", "commit", "abort"];
+use frame::{frame_into, unframe};
 
 /// One log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,89 +66,119 @@ impl LogRecord {
             LogRecord::Write { tx, .. } => *tx,
         }
     }
+}
 
-    /// The record as a self-describing [`Value`], the form a durable log
-    /// serialises through a transfer syntax. The optional before-image is
-    /// carried as a zero/one-element sequence so that `None` and a stored
-    /// `Null` stay distinguishable.
-    pub fn to_value(&self) -> Value {
-        let (tag, tx) = match self {
-            LogRecord::Begin { tx } => (TAGS[0], tx),
-            LogRecord::Write { tx, .. } => (TAGS[1], tx),
-            LogRecord::Prepare { tx } => (TAGS[2], tx),
-            LogRecord::Commit { tx } => (TAGS[3], tx),
-            LogRecord::Abort { tx } => (TAGS[4], tx),
-        };
-        let mut fields = vec![
-            ("rec".to_owned(), Value::text(tag)),
-            ("tx".to_owned(), Value::Int(tx.raw() as i64)),
-        ];
-        if let LogRecord::Write {
+/// The fields only a write record carries, borrowed: item, before-image,
+/// after-image.
+type WriteFields<'a> = (&'a str, Option<&'a Value>, &'a Value);
+
+/// Writes one record as a frame. With [`read_record`] this is the one
+/// definition of a record's byte form: the binary transfer syntax's
+/// encoding of the record `{rec: <tag>, tx: <id>}`, a write adding
+/// `item`, `after` and `before` — the optional before-image as a
+/// sequence of zero or one element, so that `None` and a stored `Null`
+/// stay distinguishable. It is written field by field, keys in the sorted
+/// order the syntax puts them in, straight from the borrowed parts; no
+/// [`Value`] of the record is built.
+fn write_record(out: &mut Vec<u8>, tag: &str, tx: TxId, write: Option<WriteFields<'_>>) {
+    frame_into(out, |payload| {
+        let mut w = Writer::new(payload);
+        w.record_header(if write.is_some() { 5 } else { 2 });
+        if let Some((item, before, after)) = write {
+            w.key("after");
+            w.value(after);
+            w.key("before");
+            w.seq_header(usize::from(before.is_some()));
+            if let Some(before) = before {
+                w.value(before);
+            }
+            w.key("item");
+            w.text(item);
+        }
+        w.key("rec");
+        w.text(tag);
+        w.key("tx");
+        w.value(&Value::Int(tx.raw() as i64));
+    });
+}
+
+/// Reads back a frame payload [`write_record`] wrote — and only that:
+/// the exact field set in the exact order, nothing after it.
+fn read_record(payload: &[u8]) -> Result<LogRecord, CodecError> {
+    let mut r = Reader::new(payload);
+    let write = match r.record_header()? {
+        2 => None,
+        5 => {
+            r.expect_key("after")?;
+            let after = r.value()?;
+            r.expect_key("before")?;
+            let before = match r.seq_header()? {
+                0 => None,
+                1 => Some(r.value()?),
+                n => return Err(r.error(format!("{n} before-images"))),
+            };
+            r.expect_key("item")?;
+            Some((r.text()?.to_owned(), before, after))
+        }
+        n => return Err(r.error(format!("a log record of {n} fields"))),
+    };
+    r.expect_key("rec")?;
+    let tag = r.text()?;
+    r.expect_key("tx")?;
+    let tx = TxId::new(r.int()? as u64);
+    if !r.at_end() {
+        return Err(r.error("trailing bytes after record"));
+    }
+    match (tag, write) {
+        ("begin", None) => Ok(LogRecord::Begin { tx }),
+        ("prepare", None) => Ok(LogRecord::Prepare { tx }),
+        ("commit", None) => Ok(LogRecord::Commit { tx }),
+        ("abort", None) => Ok(LogRecord::Abort { tx }),
+        ("write", Some((item, before, after))) => Ok(LogRecord::Write {
+            tx,
             item,
             before,
             after,
-            ..
-        } = self
-        {
-            fields.push(("item".to_owned(), Value::text(item.clone())));
-            fields.push((
-                "before".to_owned(),
-                Value::Seq(before.iter().cloned().collect()),
-            ));
-            fields.push(("after".to_owned(), after.clone()));
-        }
-        Value::record(fields)
-    }
-
-    /// Rebuilds a record from its [`to_value`](Self::to_value) form.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first structural problem found.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let tag = v
-            .field("rec")
-            .and_then(Value::as_text)
-            .ok_or("missing record tag")?;
-        let tx = TxId::new(
-            v.field("tx")
-                .and_then(Value::as_int)
-                .ok_or("missing tx id")? as u64,
-        );
-        match tag {
-            "begin" => Ok(LogRecord::Begin { tx }),
-            "prepare" => Ok(LogRecord::Prepare { tx }),
-            "commit" => Ok(LogRecord::Commit { tx }),
-            "abort" => Ok(LogRecord::Abort { tx }),
-            "write" => {
-                let item = v
-                    .field("item")
-                    .and_then(Value::as_text)
-                    .ok_or("write without item")?
-                    .to_owned();
-                let before = v
-                    .field("before")
-                    .and_then(Value::as_seq)
-                    .ok_or("write without before-image slot")?
-                    .first()
-                    .cloned();
-                let after = v.field("after").cloned().ok_or("write without after")?;
-                Ok(LogRecord::Write {
-                    tx,
-                    item,
-                    before,
-                    after,
-                })
-            }
-            other => Err(format!("unknown record tag `{other}`")),
-        }
+        }),
+        (other, _) => Err(r.error(format!("record tag `{other}` on the wrong fields"))),
     }
 }
 
-/// Encodes one record as a checksummed [`frame`](frame::frame()) around
-/// its binary-syntax [`to_value`](LogRecord::to_value) form.
+/// Appends one record to `out` as a checksummed
+/// [`frame`](frame::frame_into()).
+pub fn encode_frame_into(out: &mut Vec<u8>, record: &LogRecord) {
+    match record {
+        LogRecord::Begin { tx } => write_record(out, "begin", *tx, None),
+        LogRecord::Prepare { tx } => write_record(out, "prepare", *tx, None),
+        LogRecord::Commit { tx } => write_record(out, "commit", *tx, None),
+        LogRecord::Abort { tx } => write_record(out, "abort", *tx, None),
+        LogRecord::Write {
+            tx,
+            item,
+            before,
+            after,
+        } => encode_write_into(out, *tx, item, before.as_ref(), after),
+    }
+}
+
+/// Appends the frame of a [`LogRecord::Write`] to `out` from borrowed
+/// parts, for a caller that holds the item and the images elsewhere and
+/// would build the record only to have it encoded.
+pub fn encode_write_into(
+    out: &mut Vec<u8>,
+    tx: TxId,
+    item: &str,
+    before: Option<&Value>,
+    after: &Value,
+) {
+    write_record(out, "write", tx, Some((item, before, after)));
+}
+
+/// Encodes one record as a checksummed frame.
 pub fn encode_frame(record: &LogRecord) -> Vec<u8> {
-    frame(&syntax_for(SyntaxId::Binary).encode(&record.to_value()))
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, record);
+    out
 }
 
 /// The outcome of scanning a WAL image.
@@ -166,15 +197,13 @@ pub struct DecodedWal {
 ///
 /// Decoding stops at the first frame that is incomplete, fails its
 /// checksum or does not hold a record: whatever a crash left beyond the
-/// last whole frame is discarded, never misread.
+/// last whole frame is discarded, never misread. A payload is only
+/// interpreted once its frame's checksum has held.
 pub fn decode_frames(bytes: &[u8]) -> DecodedWal {
     let mut records = Vec::new();
     let mut remaining = bytes;
     while let Ok((payload, rest)) = unframe(remaining) {
-        let Ok(value) = syntax_for(SyntaxId::Binary).decode(payload) else {
-            break;
-        };
-        let Ok(record) = LogRecord::from_value(&value) else {
+        let Ok(record) = read_record(payload) else {
             break;
         };
         records.push(record);
@@ -191,21 +220,37 @@ pub fn decode_frames(bytes: &[u8]) -> DecodedWal {
 ///
 /// The log keeps no state of its own. What is stable is whatever the
 /// medium has synced, a crash is the medium's crash, and reading is
-/// [`decode_frames`] over the medium's bytes.
+/// [`decode_frames`] over the medium's bytes. (`frames` is scratch: each
+/// frame is built in it and handed to the medium from it, so appending
+/// allocates nothing once it has grown to the largest record.)
 #[derive(Debug)]
 pub struct WriteAheadLog<M: StableMedia> {
     media: M,
+    frames: Vec<u8>,
 }
 
 impl<M: StableMedia> WriteAheadLog<M> {
     /// The log held by `media` (whatever frames it already carries).
     pub fn new(media: M) -> Self {
-        Self { media }
+        Self {
+            media,
+            frames: Vec::new(),
+        }
     }
 
     /// Appends a record (volatile until [`flush`](Self::flush)).
     pub fn append(&mut self, record: &LogRecord) {
-        self.media.wal_append(&encode_frame(record));
+        self.frames.clear();
+        encode_frame_into(&mut self.frames, record);
+        self.media.wal_append(&self.frames);
+    }
+
+    /// Appends a [`LogRecord::Write`] from borrowed parts (volatile until
+    /// [`flush`](Self::flush)).
+    pub fn append_write(&mut self, tx: TxId, item: &str, before: Option<&Value>, after: &Value) {
+        self.frames.clear();
+        encode_write_into(&mut self.frames, tx, item, before, after);
+        self.media.wal_append(&self.frames);
     }
 
     /// Makes everything appended so far stable.
@@ -218,18 +263,27 @@ impl<M: StableMedia> WriteAheadLog<M> {
         self.media.crash();
     }
 
-    /// Every record of the longest valid frame prefix.
-    pub fn read(&self) -> DecodedWal {
-        decode_frames(self.media.wal_bytes())
+    /// Reads the log back for recovery: every record of the longest
+    /// valid frame prefix. A torn or damaged tail is cut off the medium
+    /// here, before anything can be appended behind it — the next scan
+    /// would stop at the garbage and never reach a frame written after
+    /// it, however committed.
+    pub fn recover(&mut self) -> DecodedWal {
+        let decoded = decode_frames(self.media.wal_bytes());
+        if decoded.truncated_tail {
+            let valid = self.media.wal_bytes()[..decoded.valid_len].to_vec();
+            self.media.wal_reset(&valid);
+        }
+        decoded
     }
 
-    /// Atomically replaces the whole log with `records` (compaction).
-    pub fn reset(&mut self, records: impl IntoIterator<Item = LogRecord>) {
-        let mut image = Vec::new();
-        for record in records {
-            image.extend_from_slice(&encode_frame(&record));
-        }
-        self.media.wal_reset(&image);
+    /// Atomically replaces the whole log with the frames `refill`
+    /// appends to the empty image it is given — through
+    /// [`encode_frame_into`] and [`encode_write_into`] — (compaction).
+    pub fn reset(&mut self, refill: impl FnOnce(&mut Vec<u8>)) {
+        self.frames.clear();
+        refill(&mut self.frames);
+        self.media.wal_reset(&self.frames);
     }
 
     /// The medium under the log.
@@ -297,20 +351,21 @@ pub fn analyze(records: &[LogRecord]) -> RecoveryAnalysis {
 }
 
 /// The redo walk: the `(item, after-image)` of every write whose
-/// transaction committed, in log order. Writes of aborted, active and
-/// in-doubt transactions are skipped (an in-doubt transaction's writes
-/// are applied when the coordinator's decision arrives).
+/// transaction committed, in log order, moved out of the scanned records.
+/// Writes of aborted, active and in-doubt transactions are skipped (an
+/// in-doubt transaction's writes are applied when the coordinator's
+/// decision arrives).
 ///
 /// What an after-image *means* is the caller's: the resource manager
 /// stores it as is, the store engine reads [`Value::Null`] as a delete.
-pub fn committed_writes<'a>(
-    records: &'a [LogRecord],
-    analysis: &'a RecoveryAnalysis,
-) -> impl Iterator<Item = (&'a str, &'a Value)> {
-    records.iter().filter_map(|r| match r {
+pub fn committed_writes(
+    records: Vec<LogRecord>,
+    analysis: &RecoveryAnalysis,
+) -> impl Iterator<Item = (String, Value)> + '_ {
+    records.into_iter().filter_map(|r| match r {
         LogRecord::Write {
             tx, item, after, ..
-        } if analysis.committed.contains(tx) => Some((item.as_str(), after)),
+        } if analysis.committed.contains(&tx) => Some((item, after)),
         _ => None,
     })
 }
@@ -342,14 +397,10 @@ mod tests {
     }
 
     /// The redo walk applied the way the resource manager applies it.
-    fn replay(log: &WriteAheadLog<MemMedia>) -> BTreeMap<String, Value> {
-        let records = log.read().records;
+    fn replay(log: &mut WriteAheadLog<MemMedia>) -> BTreeMap<String, Value> {
+        let records = log.recover().records;
         let analysis = analyze(&records);
-        let mut store = BTreeMap::new();
-        for (item, after) in committed_writes(&records, &analysis) {
-            store.insert(item.to_owned(), after.clone());
-        }
-        store
+        committed_writes(records, &analysis).collect()
     }
 
     fn sample() -> Vec<LogRecord> {
@@ -389,27 +440,27 @@ mod tests {
 
     #[test]
     fn replay_applies_only_committed() {
-        let log = log_of(&[
+        let mut log = log_of(&[
             write(T1, "x", None, 1),
             LogRecord::Commit { tx: T1 },
             write(T2, "x", Some(1), 99), // active: lost
             write(T3, "y", None, 3),
             LogRecord::Abort { tx: T3 },
         ]);
-        let store = replay(&log);
+        let store = replay(&mut log);
         assert_eq!(store.get("x"), Some(&Value::Int(1)));
         assert_eq!(store.get("y"), None);
     }
 
     #[test]
     fn later_committed_writes_win() {
-        let log = log_of(&[
+        let mut log = log_of(&[
             write(T1, "x", None, 1),
             LogRecord::Commit { tx: T1 },
             write(T2, "x", Some(1), 2),
             LogRecord::Commit { tx: T2 },
         ]);
-        assert_eq!(replay(&log).get("x"), Some(&Value::Int(2)));
+        assert_eq!(replay(&mut log).get("x"), Some(&Value::Int(2)));
     }
 
     #[test]
@@ -420,25 +471,31 @@ mod tests {
         log.append(&LogRecord::Commit { tx: T2 });
         // T2's commit was never flushed.
         log.crash();
-        let store = replay(&log);
+        let store = replay(&mut log);
         assert_eq!(store.get("x"), Some(&Value::Int(1)));
         assert_eq!(store.get("y"), None);
-        assert_eq!(log.read().records.len(), 2);
+        assert_eq!(log.recover().records.len(), 2);
     }
 
     #[test]
     fn reset_replaces_the_log_durably() {
         let mut log = log_of(&sample());
         log.flush();
-        log.reset([LogRecord::Begin { tx: T2 }]);
+        log.reset(|image| {
+            encode_frame_into(image, &LogRecord::Begin { tx: T2 });
+            encode_write_into(image, T2, "x", None, &Value::Int(1));
+        });
         log.crash();
-        assert_eq!(log.read().records, vec![LogRecord::Begin { tx: T2 }]);
-        log.reset([]);
+        assert_eq!(
+            log.recover().records,
+            vec![LogRecord::Begin { tx: T2 }, write(T2, "x", None, 1)]
+        );
+        log.reset(|_| {});
         assert_eq!(log.media().wal_len(), 0);
     }
 
     #[test]
-    fn value_form_round_trips_every_record_shape() {
+    fn every_record_shape_round_trips_owned_or_borrowed() {
         let records = vec![
             LogRecord::Begin { tx: T1 },
             write(T1, "x", None, 1),
@@ -453,12 +510,30 @@ mod tests {
             LogRecord::Commit { tx: T1 },
             LogRecord::Abort { tx: T2 },
         ];
-        for r in &records {
-            let back = LogRecord::from_value(&r.to_value()).unwrap();
-            assert_eq!(&back, r);
-        }
-        assert!(LogRecord::from_value(&Value::Int(3)).is_err());
-        assert!(LogRecord::from_value(&Value::record([("rec", Value::text("warp"))])).is_err());
+        let mut log = log_of(&records);
+        assert_eq!(log.media().wal_bytes(), image(&records));
+        assert_eq!(log.recover().records, records);
+        // The borrowed append writes the bytes the owned record does.
+        let mut borrowed = WriteAheadLog::new(MemMedia::new());
+        borrowed.append_write(T1, "x", Some(&Value::Int(1)), &Value::Int(2));
+        assert_eq!(borrowed.media().wal_bytes(), encode_frame(&records[2]));
+    }
+
+    #[test]
+    fn a_torn_tail_is_cut_before_the_next_append() {
+        let mut log = log_of(&sample());
+        let whole = log.media().wal_len();
+        log.media_mut()
+            .wal_append(&encode_frame(&sample()[1])[..20]);
+        log.flush();
+        let decoded = log.recover();
+        assert!(decoded.truncated_tail);
+        assert_eq!(decoded.valid_len, whole);
+        assert_eq!(log.media().wal_len(), whole, "the torn frame is gone");
+        log.append(&LogRecord::Abort { tx: T2 });
+        let decoded = log.recover();
+        assert!(!decoded.truncated_tail);
+        assert_eq!(decoded.records.last(), Some(&LogRecord::Abort { tx: T2 }));
     }
 
     #[test]

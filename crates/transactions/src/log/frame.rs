@@ -6,7 +6,7 @@
 //!
 //! This module is the only place that knows the header layout. WAL
 //! records ([`encode_frame`](super::encode_frame)) and the store's
-//! snapshots both go through [`frame`] / [`unframe`], so a length that
+//! snapshots both go through [`frame_into`] / [`unframe`], so a length that
 //! points past the end, a checksum that does not match and a header cut
 //! short are each detected once, the same way, for both.
 
@@ -40,19 +40,24 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Wraps a payload in a checksummed frame.
+/// Appends one checksummed frame to `out`, the payload being whatever
+/// `write_payload` appends: the header is reserved first and its length
+/// and checksum filled in afterwards, so a frame is built in the buffer
+/// it is handed to the medium from.
 ///
 /// # Panics
 ///
 /// If the payload is longer than `u32::MAX` bytes — no record or
 /// snapshot this program writes comes near.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("frame payload fits a u32 length");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+pub fn frame_into(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    write_payload(out);
+    let payload = header + HEADER_LEN;
+    let len = u32::try_from(out.len() - payload).expect("frame payload fits a u32 length");
+    let checksum = fnv1a(&out[payload..]);
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..payload].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Splits the first frame off `bytes`: its verified payload, and
@@ -82,6 +87,12 @@ pub fn unframe(bytes: &[u8]) -> Result<(&[u8], &[u8]), FrameError> {
 mod tests {
     use super::*;
 
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame_into(&mut out, |out| out.extend_from_slice(payload));
+        out
+    }
+
     #[test]
     fn frames_split_back_into_payload_and_rest() {
         let mut bytes = frame(b"first");
@@ -93,6 +104,17 @@ mod tests {
         assert_eq!(payload, b"");
         assert_eq!(rest, b"tail");
         assert_eq!(unframe(rest), Err(FrameError::ShortHeader));
+    }
+
+    #[test]
+    fn a_frame_is_built_behind_whatever_the_buffer_holds() {
+        let mut image = frame(b"first");
+        frame_into(&mut image, |payload| {
+            assert!(payload.ends_with(&[0; HEADER_LEN]), "header reserved");
+            payload.extend_from_slice(b"sec");
+            payload.extend_from_slice(b"ond");
+        });
+        assert_eq!(image, [frame(b"first"), frame(b"second")].concat());
     }
 
     #[test]

@@ -233,14 +233,8 @@ impl ResourceManager {
             .write_sets
             .get(&tx)
             .and_then(|ws| ws.get(item))
-            .or_else(|| self.committed.get(item))
-            .cloned();
-        self.log.append(&LogRecord::Write {
-            tx,
-            item: item.to_owned(),
-            before,
-            after: value.clone(),
-        });
+            .or_else(|| self.committed.get(item));
+        self.log.append_write(tx, item, before, &value);
         self.write_sets
             .get_mut(&tx)
             .expect("active tx has a write set")
@@ -330,19 +324,16 @@ impl ResourceManager {
     }
 
     /// Recovers after a crash, in one scan of the log's valid frame
-    /// prefix: replays committed writes and restores in-doubt (prepared)
-    /// transactions, whose write sets are rebuilt from their log records
-    /// so a later decision can apply them.
+    /// prefix (a torn tail is cut off the medium): replays committed
+    /// writes and restores in-doubt (prepared) transactions, whose write
+    /// sets are rebuilt from their log records so a later decision can
+    /// apply them.
     pub fn recover(&mut self) {
         if self.profile.permanence != Permanence::Durable {
             return;
         }
-        let records = self.log.read().records;
+        let records = self.log.recover().records;
         let analysis = analyze(&records);
-        self.committed.clear();
-        for (item, after) in committed_writes(&records, &analysis) {
-            self.committed.insert(item.to_owned(), after.clone());
-        }
         for tx in &analysis.in_doubt {
             self.tx_states.insert(*tx, TxState::Prepared);
         }
@@ -359,6 +350,8 @@ impl ResourceManager {
                 }
             }
         }
+        self.committed.clear();
+        self.committed.extend(committed_writes(records, &analysis));
     }
 
     /// The log's medium, for crash probes in tests.

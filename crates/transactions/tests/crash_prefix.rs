@@ -174,6 +174,19 @@ fn assert_every_prefix_recovers(history: &[Step]) {
                 );
             }
         }
+        // Whatever the cut tore, what commits after recovery survives the
+        // next crash: the torn tail was cut off the medium, so the new
+        // frames sit behind whole frames and the next scan reaches them.
+        let tx = rm.begin();
+        rm.write(tx, "after-crash", Value::Int(cut as i64)).unwrap();
+        rm.commit(tx).unwrap();
+        rm.crash();
+        rm.recover();
+        assert_eq!(
+            rm.read_committed("after-crash"),
+            Some(Value::Int(cut as i64)),
+            "cut at byte {cut}/{total}: a commit after recovery must survive the next crash"
+        );
     }
 }
 
