@@ -13,8 +13,8 @@
 //! ```
 //!
 //! Everything runs on virtual time with seeded RNGs, so the same seed
-//! produces a byte-identical file — CI runs the binary twice and
-//! compares.
+//! produces a byte-identical file; the golden test pins the committed
+//! configuration (`rmodp_bench::artifacts`).
 
 fn main() {
     let args = rmodp_bench::cli::parse(4_242, "target/BENCH_chaos.json", &[]);

@@ -1,8 +1,8 @@
 //! Mechanisms benchmark: measures the unified kernel and the
 //! allocation-light invocation path, emitting `BENCH_mechanisms.json`
 //! (schema `rmodp-bench-mechanisms/1`, documented in `EXPERIMENTS.md`).
-//! The suite itself lives in [`rmodp_bench::mechanisms`] so the
-//! determinism test can run it in-process.
+//! The suite itself lives in [`rmodp_bench::mechanisms`] so the golden
+//! test can run it in-process.
 //!
 //! Usage:
 //!
@@ -11,9 +11,9 @@
 //! ```
 //!
 //! The default output path is `target/BENCH_mechanisms.json`. Every
-//! figure in the file derives from virtual time or metered counters —
-//! wall-clock rates go to stdout only — so the same seed produces a
-//! byte-identical file: CI runs the binary twice and compares.
+//! figure in the file derives from virtual time or metered counters, so
+//! the same seed produces a byte-identical file; the golden test pins
+//! the committed configuration (`rmodp_bench::artifacts`).
 
 fn main() {
     let args = rmodp_bench::cli::parse(

@@ -1,7 +1,7 @@
 //! OO7-class persistent-object benchmark over the durable store,
 //! emitting `BENCH_oo7.json` (schema `rmodp-bench-oo7/1`, documented in
 //! `EXPERIMENTS.md` §E13). The suite itself lives in
-//! [`rmodp_bench::oo7_suite`] so the determinism test can run it
+//! [`rmodp_bench::oo7_suite`] so the golden test can run it
 //! in-process.
 //!
 //! Usage:
@@ -11,12 +11,12 @@
 //!     [--seed N] [--scale 0|1|2] [--updates N] [output-path]
 //! ```
 //!
-//! `--scale` picks the library size: 0 = small (~1.2k objects, the CI
-//! smoke scale), 1 = medium (~100k), 2 = full (~1M, the default). Every
-//! figure in the file derives from deterministic counts and a virtual
-//! cost model — wall-clock rates go to stdout only — so the file is
-//! byte-identical across same-seed runs: CI runs the binary twice at
-//! the small scale and compares bytes.
+//! `--scale` picks the library size: 0 = small (~1.2k objects, the
+//! scale `tests/baselines/` is committed at), 1 = medium (~100k), 2 =
+//! full (~1M, the default). Every figure in the file derives from
+//! deterministic counts and a virtual cost model, so the file is
+//! byte-identical across same-seed runs; the golden test pins the
+//! committed configuration (`rmodp_bench::artifacts`).
 
 use rmodp_bench::oo7_suite::{run_suite, Oo7BenchConfig};
 

@@ -2,7 +2,7 @@
 //! a million-offer repository, emitting `BENCH_trader.json` (schema
 //! `rmodp-bench-trader/1`, documented in `EXPERIMENTS.md` §E11). The
 //! suite itself lives in [`rmodp_bench::trader_suite`] so the
-//! determinism test can run it in-process.
+//! golden test can run it in-process.
 //!
 //! Usage:
 //!
@@ -13,9 +13,9 @@
 //!
 //! The default output path is `target/BENCH_trader.json`, the default
 //! corpus 1,000,000 offers. Every figure in the file derives from
-//! virtual time and the trader's own counters — wall-clock rates go to
-//! stdout only — so the file is byte-identical across runs: CI runs the
-//! binary twice at a reduced offer count and compares.
+//! virtual time and the trader's own counters, so the file is
+//! byte-identical across runs; the golden test pins the committed,
+//! reduced configuration (`rmodp_bench::artifacts`).
 
 use rmodp_bench::trader_suite::{run_suite, TraderBenchConfig};
 

@@ -13,7 +13,8 @@
 //! The default output path is `target/BENCH_workload.json` and the
 //! default seed `1000` (each scenario runs at a fixed offset from the
 //! base). Everything runs on virtual time, so the same seed produces a
-//! byte-identical file — CI runs the binary twice and compares.
+//! byte-identical file; the golden test pins the committed configuration
+//! (`rmodp_bench::artifacts`).
 
 fn main() {
     let args = rmodp_bench::cli::parse(

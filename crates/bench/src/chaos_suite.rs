@@ -7,8 +7,7 @@
 //! `rmodp-bench-chaos/1`, documented in `EXPERIMENTS.md`). Everything
 //! runs on virtual time with seeded RNGs, so the same seed produces a
 //! byte-identical document — the golden test in `tests/golden.rs`
-//! compares it against the committed fixture, and CI runs the binary
-//! twice and compares.
+//! compares it with the committed `tests/baselines/BENCH_chaos.json`.
 
 use rmodp_chaos::prelude::*;
 use rmodp_core::codec::SyntaxId;

@@ -8,12 +8,13 @@
 //! §E14): availability over the whole schedule, the failover-MTTR
 //! distribution, fenced-write and quorum-loss counters, and the
 //! [`GroupOracle`] consistency verdict — whose `lost_committed` and
-//! `split_brain` counts are zero-banded in the perf gate.
+//! `split_brain` counts the suite asserts are zero.
 //!
 //! Everything runs on virtual time with seeded RNGs: probe timeouts,
 //! election fan-outs, and partition windows all consume deterministic
 //! virtual time, so the same seed produces a byte-identical document —
-//! CI runs the binary twice and compares.
+//! the golden test in `tests/golden.rs` compares it with the committed
+//! `tests/baselines/BENCH_failover.json`.
 
 use rmodp_chaos::prelude::*;
 use rmodp_core::codec::SyntaxId;

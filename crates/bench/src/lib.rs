@@ -5,13 +5,17 @@
 //! regenerates each *figure* as a measured workload and quantifies the
 //! cost of every mechanism the model prescribes (see `EXPERIMENTS.md` at
 //! the workspace root for the index). This crate holds the workload
-//! builders the `benches/` targets share, so they are also unit-testable.
+//! builders the `benches/` targets share, so they are also unit-testable,
+//! the seven deterministic suites behind the `*_bench` bins, and the
+//! [`artifacts`] table naming the configuration each published
+//! `BENCH_*.json` is committed at — `tests/golden.rs` pins all seven
+//! byte-for-byte against `tests/baselines/`.
 
+pub mod artifacts;
 pub mod chaos_suite;
 pub mod failover_suite;
 pub mod mechanisms;
 pub mod oo7_suite;
-pub mod perf;
 pub mod population_suite;
 pub mod trader_suite;
 pub mod workload_suite;
@@ -26,10 +30,10 @@ use rmodp_engineering::channel::ChannelConfig;
 use rmodp_engineering::engine::Engine;
 use rmodp_trader::Trader;
 
-/// Shared argument parsing for the benchmark binaries: every bin speaks
-/// the same `--seed N <output-path>` interface (CI relies on this), and
-/// a bin may declare extra numeric flags (the trader bench's `--offers`
-/// / `--imports`, the population bench's `--shards`).
+/// Shared argument parsing for the per-suite binaries: every one speaks
+/// the same `--seed N <output-path>` interface, and a bin may declare
+/// extra numeric flags (the trader bench's `--offers` / `--imports`, the
+/// population bench's `--shards`).
 pub mod cli {
     /// Parsed benchmark arguments.
     #[derive(Debug)]
@@ -198,14 +202,6 @@ pub fn populated_trader(n: usize) -> Trader {
     trader
 }
 
-/// A nested value of the given depth/width for codec benchmarks.
-pub fn nested_value(depth: usize, width: usize) -> Value {
-    if depth == 0 {
-        return Value::Int(42);
-    }
-    Value::record((0..width).map(|i| (format!("f{i}"), nested_value(depth - 1, width))))
-}
-
 /// Per-mechanism metric capture: runs a workload once with the
 /// observability bus recording and reports which instrumented mechanisms
 /// fired, how often, and at what sim-time latency — alongside the
@@ -267,12 +263,6 @@ mod tests {
     #[test]
     fn populated_trader_holds_n_offers() {
         assert_eq!(populated_trader(100).len(), 100);
-    }
-
-    #[test]
-    fn nested_value_size_grows() {
-        assert_eq!(nested_value(0, 4).size(), 1);
-        assert!(nested_value(3, 3).size() > nested_value(2, 3).size());
     }
 
     #[test]

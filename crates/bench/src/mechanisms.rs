@@ -1,20 +1,19 @@
 //! The kernel/invocation mechanisms suite behind `mechanisms_bench`.
 //!
-//! [`run_suite`] measures the machinery PR 5 unified: throughput of the
-//! one deterministic event queue, and the allocation profile of the
-//! invocation hot path now that payloads are shared buffers. It returns
-//! the full `BENCH_mechanisms.json` document (schema
+//! [`run_suite`] measures the machinery PR 5 unified: the total order
+//! of the one deterministic event queue, and the allocation profile of
+//! the invocation hot path now that payloads are shared buffers. It
+//! returns the full `BENCH_mechanisms.json` document (schema
 //! `rmodp-bench-mechanisms/1`, documented in `EXPERIMENTS.md`).
 //!
 //! Every number in the document is derived from virtual time, event
-//! counts, or the metered payload counters — never from wall-clock — so
-//! the document is byte-identical across reruns; wall-clock rates are
-//! printed to stdout only. Alongside each measured counter the document
-//! records the *naive* cost model of the pre-kernel code (marshal once
-//! per attempt, deep-copy once per delivery, encode once per replica),
-//! so the before/after saving is part of the artifact.
-
-use std::time::Instant;
+//! counts, or the metered payload counters, and nothing here reads a
+//! host clock, so the suite is a pure function of its seed (what the
+//! queue costs in wall-clock time is `benchmark/`'s
+//! `kernel.queue.schedule_pop_ns`). Alongside each measured counter the
+//! document records the *naive* cost model of the pre-kernel code
+//! (marshal once per attempt, deep-copy once per delivery, encode once
+//! per replica), so the before/after saving is part of the artifact.
 
 use rmodp_core::codec::SyntaxId;
 use rmodp_core::value::Value;
@@ -28,18 +27,16 @@ use rmodp_transparency::replication::replicated_counters;
 use crate::capture::capture_metrics;
 use crate::{add_one, counter_rig, open};
 
-/// Part 1: raw throughput of the kernel's event queue. `N` entries at
-/// seeded pseudo-random timestamps go in; they must come out in total
+/// Part 1: the kernel's event queue. `N` entries at seeded
+/// pseudo-random timestamps go in; they must come out in total
 /// `(time, seq)` order. The order checksum (a fold over the pop
-/// sequence) lands in the document; the events/sec wall-clock rate goes
-/// to stdout.
+/// sequence) lands in the document.
 fn kernel_queue(seed: u64) -> String {
     use rand::Rng;
 
     const EVENTS: u64 = 200_000;
     let mut rng = KernelRng::seeded(seed);
     let mut queue = EventQueue::new();
-    let started = Instant::now();
     for i in 0..EVENTS {
         // Timestamps collide often (modulus far below N) so the FIFO
         // tie-break is exercised, not just the time ordering.
@@ -58,12 +55,8 @@ fn kernel_queue(seed: u64) -> String {
             .wrapping_add(item);
         popped += 1;
     }
-    let elapsed = started.elapsed();
     assert_eq!(popped, EVENTS);
-    let rate = (EVENTS * 2) as f64 / elapsed.as_secs_f64();
-    println!(
-        "kernel-queue: {EVENTS} schedule+pop pairs in {elapsed:?} ({rate:.0} ops/sec wall-clock)"
-    );
+    println!("kernel-queue: {EVENTS} schedule+pop pairs, order checksum {checksum}");
 
     format!("{{\"events\":{EVENTS},\"order_checksum\":{checksum}}}")
 }
@@ -221,12 +214,12 @@ fn replication(seed: u64) -> String {
     )
 }
 
-/// The base seed CI uses; the parts derive their rig seeds from it.
+/// The base seed `mechanisms_bench` runs at without `--seed`; the parts
+/// derive their rig seeds from it.
 pub const DEFAULT_SEED: u64 = 70;
 
 /// Runs all four parts at the given base seed and returns the
-/// `BENCH_mechanisms.json` document. Wall-clock rates go to stdout only, so the document is
-/// byte-identical across reruns.
+/// `BENCH_mechanisms.json` document.
 ///
 /// # Panics
 ///

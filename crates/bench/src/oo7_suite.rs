@@ -18,11 +18,10 @@
 //!
 //! Every figure in the emitted `BENCH_oo7.json` (schema
 //! `rmodp-bench-oo7/1`, documented in `EXPERIMENTS.md` §E13) derives
-//! from deterministic counts and a virtual cost model — wall-clock
-//! rates go to stdout only — so the file is byte-identical across
-//! same-seed reruns. CI runs the binary twice and diffs the bytes.
-
-use std::time::Instant;
+//! from deterministic counts and a virtual cost model, and nothing here
+//! reads a host clock: the suite is a pure function of its
+//! configuration (what the store costs in wall-clock time is
+//! `benchmark/`'s `store-oo7` and `store.*`).
 
 use rmodp_chaos::prelude::{FaultInjector, FaultKind, FaultPlan};
 use rmodp_core::codec::SyntaxId;
@@ -348,41 +347,33 @@ pub fn run_suite(cfg: Oo7BenchConfig) -> String {
     let mut engine = StoreEngine::open(MemMedia::new(), store_cfg).expect("fresh medium");
     let mut wl = Oo7Workload::new(lib, cfg.seed);
 
-    let started = Instant::now();
     let load = wl.load(&mut engine).expect("engine is healthy");
     let load_us = 2 * load.objects + 50 * load.batches;
     let load_goodput = load.objects as f64 * 1e6 / load_us.max(1) as f64;
     println!(
-        "loaded {} objects ({scale_name}) in {} batches, {:?} wall, {} compactions",
+        "loaded {} objects ({scale_name}) in {} batches, {} compactions",
         load.objects,
         load.batches,
-        started.elapsed(),
         engine.stats().compactions
     );
     let load_compactions = engine.stats().compactions;
     let load_log_bytes = engine.log_bytes();
     let load_snapshot_bytes = engine.snapshot_bytes();
 
-    let started = Instant::now();
     let t1 = wl.traverse_dense(&engine);
     let t6 = wl.traverse_sparse(&engine);
     let t1_us = 1 + t1.visited / 8;
     let t6_us = 1 + t6.visited / 8;
     println!(
-        "T1 dense visited {} / T6 sparse visited {} in {:?} wall",
-        t1.visited,
-        t6.visited,
-        started.elapsed()
+        "T1 dense visited {} / T6 sparse visited {}",
+        t1.visited, t6.visited
     );
 
-    let started = Instant::now();
     let updates = run_updates(&wl, &mut engine, cfg);
     let update_goodput = updates.updated as f64 * 1e6 / updates.busy_us.max(1) as f64;
     println!(
-        "{} update batches ({} objects) in {:?} wall",
-        updates.batches,
-        updates.updated,
-        started.elapsed()
+        "{} update batches ({} objects)",
+        updates.batches, updates.updated
     );
 
     let exact_id = wl.config().composites / 3;
@@ -393,7 +384,6 @@ pub fn run_suite(cfg: Oo7BenchConfig) -> String {
     );
     let (range_matches, range_checksum) = wl.query_range(&engine, lo, hi);
 
-    let started = Instant::now();
     let pre_crash_stats = engine.stats();
     let (mut engine, power) = power_loss_recovery(&wl, engine, cfg);
     // Re-run the interrupted lane as a proper committed batch, then
@@ -409,11 +399,8 @@ pub fn run_suite(cfg: Oo7BenchConfig) -> String {
     );
     println!(
         "power loss: {} staged writes discarded, {} committed writes replayed, \
-         {} redone, {:?} wall",
-        power.staged_then_lost,
-        power.writes_replayed,
-        redone,
-        started.elapsed()
+         {} redone",
+        power.staged_then_lost, power.writes_replayed, redone
     );
 
     let capsule = capsule_kill_section(cfg.seed);

@@ -10,34 +10,31 @@
 //!
 //! Everything in the emitted `BENCH_population.json` (schema
 //! `rmodp-bench-population/1`, documented in `EXPERIMENTS.md` §E15)
-//! derives from virtual time and deterministic counts, so the file is
-//! byte-identical across same-seed reruns at any `--shards` setting on
-//! any host. Wall-clock throughput (events per second, per shard count)
-//! always goes to stdout; it enters the artifact only under
-//! `--measure 1`, which CI never passes.
+//! derives from virtual time and deterministic counts, and nothing here
+//! reads a host clock, so the suite is a pure function of its
+//! configuration: the file is byte-identical across same-seed reruns at
+//! any `--shards` setting on any host. What the same worlds cost in
+//! wall-clock time is `benchmark/`'s `pop-bank-s1` / `pop-bank-s4`.
 //!
-//! Every run is timed, so the suite switches the observe bus **off**
-//! around the matrix (and restores the caller's setting afterwards):
-//! the figures are the kernel's, not the cost of formatting and
-//! buffering an event stream nobody reads. The artifact is computed from
-//! the completion logs and the audited server states, never from the
-//! bus, so it is the same bytes either way; threaded shard workers
-//! inherit the setting from the thread that runs the kernel.
+//! A million capsules would otherwise buffer millions of events nobody
+//! reads, so the suite switches the observe bus **off** around the
+//! matrix (and restores the caller's setting afterwards). The artifact
+//! is computed from the completion logs and the audited server states,
+//! never from the bus, so it is the same bytes either way; threaded
+//! shard workers inherit the setting from the thread that runs the
+//! kernel.
 //!
 //! Cross-shard payloads ride the kernel's `Arc`-backed
 //! [`Payload`](rmodp_kernel::payload::Payload): depositing a message
 //! into another shard's queue clones the `Arc`, never the bytes, so the
 //! exchange stays copy-free however many shards the run spans.
 
-use std::time::Instant;
-
 use rmodp_observe::bus;
 use rmodp_workload::population::{
     run_population, PopulationConfig, PopulationOutcome, PopulationScenario,
 };
 
-/// Suite parameters (`--seed`, `--shards`, `--scale`, `--measure` on the
-/// binary).
+/// Suite parameters (`--seed`, `--shards`, `--scale` on the binary).
 #[derive(Debug, Clone, Copy)]
 pub struct PopulationBenchConfig {
     /// Base seed shared by every run in the matrix.
@@ -46,18 +43,14 @@ pub struct PopulationBenchConfig {
     pub shards: Option<usize>,
     /// 0 = CI scale (thousands of capsules), 1 = full scale (1M+).
     pub scale: u8,
-    /// Include wall-clock figures in the artifact (breaks byte-identity
-    /// across hosts; stdout always gets them).
-    pub measure: bool,
 }
 
 impl Default for PopulationBenchConfig {
     fn default() -> Self {
         Self {
-            seed: 4242,
+            seed: DEFAULT_SEED,
             shards: None,
             scale: 1,
-            measure: false,
         }
     }
 }
@@ -94,16 +87,9 @@ fn scenario_config(
     }
 }
 
-struct MeasuredRun {
-    outcome: PopulationOutcome,
-    wall_ms: u64,
-    events_per_sec: f64,
-}
-
-fn render_run(run: &MeasuredRun, measure: bool) -> String {
-    let o = &run.outcome;
+fn render_run(o: &PopulationOutcome) -> String {
     let (p50, p95, p99) = (o.report.p50_us, o.report.p95_us, o.report.p99_us);
-    let mut json = format!(
+    format!(
         "{{\"shards\":{},\"events\":{},\"epochs\":{},\"cross_shard_messages\":{},\
          \"offered\":{},\"completed\":{},\"lost\":{},\"finished_virtual_us\":{},\
          \"p50_us\":{p50},\"p95_us\":{p95},\"p99_us\":{p99},\
@@ -119,15 +105,7 @@ fn render_run(run: &MeasuredRun, measure: bool) -> String {
         o.export_checksum,
         o.state_checksum,
         o.report.pass,
-    );
-    if measure {
-        json.pop();
-        json.push_str(&format!(
-            ",\"measured\":{{\"wall_ms\":{},\"events_per_sec\":{:.0}}}}}",
-            run.wall_ms, run.events_per_sec
-        ));
-    }
-    json
+    )
 }
 
 /// Runs the suite and renders `BENCH_population.json`.
@@ -149,33 +127,21 @@ pub fn run_suite(cfg: PopulationBenchConfig) -> String {
     let mut scenario_blocks = Vec::new();
     let mut total_capsules = 0u64;
     for scenario in [PopulationScenario::Bank, PopulationScenario::Trader] {
-        let mut runs: Vec<MeasuredRun> = Vec::new();
+        let mut runs: Vec<PopulationOutcome> = Vec::new();
         for &shards in &shard_counts {
-            let config = scenario_config(scenario, &cfg, shards);
-            let start = Instant::now();
-            let outcome = run_population(&config);
-            let wall = start.elapsed();
-            let wall_ms = wall.as_millis() as u64;
-            let events_per_sec = outcome.events as f64 / wall.as_secs_f64().max(1e-9);
+            let outcome = run_population(&scenario_config(scenario, &cfg, shards));
             println!(
-                "population {} shards={} capsules={} events={} wall_ms={} events/sec={:.0}",
+                "population {} shards={} capsules={} events={}",
                 scenario.name(),
                 shards,
                 outcome.capsules,
                 outcome.events,
-                wall_ms,
-                events_per_sec,
             );
-            runs.push(MeasuredRun {
-                outcome,
-                wall_ms,
-                events_per_sec,
-            });
+            runs.push(outcome);
         }
 
-        let base = &runs[0].outcome;
-        for run in &runs[1..] {
-            let o = &run.outcome;
+        let base = &runs[0];
+        for o in &runs[1..] {
             assert_eq!(
                 o.export_checksum,
                 base.export_checksum,
@@ -191,7 +157,7 @@ pub fn run_suite(cfg: PopulationBenchConfig) -> String {
         total_capsules += base.capsules;
 
         let config = scenario_config(scenario, &cfg, shard_counts[0]);
-        let rendered: Vec<String> = runs.iter().map(|r| render_run(r, cfg.measure)).collect();
+        let rendered: Vec<String> = runs.iter().map(render_run).collect();
         scenario_blocks.push(format!(
             "\"{}\":{{\"capsules\":{},\"regions\":{},\"capsules_per_region\":{},\
              \"ops_per_capsule\":{},\"arrival_window_us\":{},\"runs\":[{}],\
@@ -236,17 +202,12 @@ mod tests {
             seed: 99,
             shards: None,
             scale: 0,
-            measure: false,
         };
         let a = run_suite(cfg);
         let b = run_suite(cfg);
         assert_eq!(a, b, "same seed, same bytes");
         assert!(a.contains("\"schema\":\"rmodp-bench-population/1\""));
         assert!(a.contains("\"identical_across_shard_counts\":true"));
-        assert!(
-            !a.contains("\"measured\""),
-            "wall-clock stays out of the artifact"
-        );
     }
 
     #[test]
@@ -255,13 +216,11 @@ mod tests {
             seed: 99,
             shards: None,
             scale: 0,
-            measure: false,
         });
         let single = run_suite(PopulationBenchConfig {
             seed: 99,
             shards: Some(4),
             scale: 0,
-            measure: false,
         });
         // The invariant blocks (checksums) must agree between a matrix
         // run and a single-shard-count run of the same seed.

@@ -14,13 +14,12 @@
 //! Latency is a *virtual* cost model — `1 + offers_examined/64`
 //! microseconds per import, offers_examined read from the trader's own
 //! counters — so every figure in the document derives from
-//! deterministic counts, never wall-clock, and the file is
-//! byte-identical across reruns (wall-clock rates go to stdout only).
+//! deterministic counts and nothing here reads a host clock: the suite
+//! is a pure function of its configuration (what the trader costs in
+//! wall-clock time is `benchmark/`'s `trader-mix` and `trader.*`).
 //! Both engines fold their match streams (ids, order, counts) into a
 //! checksum; the suite asserts the checksums are equal, making every
 //! benchmark run an equivalence test at full scale.
-
-use std::time::Instant;
 
 use rmodp_core::id::InterfaceId;
 use rmodp_core::value::Value;
@@ -158,7 +157,6 @@ struct EngineRun {
     plans_indexed: u64,
     plans_fallback: u64,
     plan_example: String,
-    wall: std::time::Duration,
 }
 
 /// Replays the workload against one trader. `indexed` picks the engine:
@@ -185,9 +183,7 @@ fn run_engine(trader: &mut Trader, cfg: TraderBenchConfig, indexed: bool) -> Eng
         plans_indexed: 0,
         plans_fallback: 0,
         plan_example: String::new(),
-        wall: std::time::Duration::ZERO,
     };
-    let started = Instant::now();
     let mut next_interface = cfg.offers as u64 + 1;
     while let Some((_, k)) = queue.pop() {
         match op_at(k, cfg.offers) {
@@ -236,7 +232,6 @@ fn run_engine(trader: &mut Trader, cfg: TraderBenchConfig, indexed: bool) -> Eng
             }
         }
     }
-    run.wall = started.elapsed();
     run.plans_indexed = trader.stats().plans_indexed;
     run.plans_fallback = trader.stats().plans_fallback;
     run
@@ -309,41 +304,30 @@ pub fn run_suite(cfg: TraderBenchConfig) -> String {
     let was_enabled = rmodp_observe::bus::is_enabled();
     rmodp_observe::bus::set_enabled(false);
 
-    let populate_started = Instant::now();
     let mut naive_trader = Trader::new("bench-naive");
     populate(&mut naive_trader, cfg.offers);
-    println!(
-        "populated {} offers (naive) in {:?}",
-        cfg.offers,
-        populate_started.elapsed()
-    );
+    println!("populated {} offers (naive)", cfg.offers);
     let naive = run_engine(&mut naive_trader, cfg, false);
     drop(naive_trader);
     println!(
-        "naive: {} imports, {} offers examined, busy {}us virtual, {:?} wall",
-        naive.imports, naive.offers_examined, naive.busy_us, naive.wall
+        "naive: {} imports, {} offers examined, busy {}us virtual",
+        naive.imports, naive.offers_examined, naive.busy_us
     );
 
-    let populate_started = Instant::now();
     let mut indexed_trader = Trader::new("bench-indexed");
     indexed_trader.index_property("ppm", IndexKind::Ordered);
     indexed_trader.index_property("region", IndexKind::Hash);
     indexed_trader.index_property("floor", IndexKind::Ordered);
     indexed_trader.index_property("colour", IndexKind::Hash);
     populate(&mut indexed_trader, cfg.offers);
-    println!(
-        "populated {} offers (indexed) in {:?}",
-        cfg.offers,
-        populate_started.elapsed()
-    );
+    println!("populated {} offers (indexed)", cfg.offers);
     let indexed = run_engine(&mut indexed_trader, cfg, true);
     drop(indexed_trader);
     println!(
-        "indexed: {} imports, {} offers examined, busy {}us virtual, {:?} wall ({} planned, {} fallback)",
+        "indexed: {} imports, {} offers examined, busy {}us virtual ({} planned, {} fallback)",
         indexed.imports,
         indexed.offers_examined,
         indexed.busy_us,
-        indexed.wall,
         indexed.plans_indexed,
         indexed.plans_fallback
     );

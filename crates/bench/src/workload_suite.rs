@@ -4,8 +4,8 @@
 //! `BENCH_workload.json` document (schema `rmodp-bench-workload/1`,
 //! documented in `EXPERIMENTS.md`). Everything runs on virtual time with
 //! fixed seeds, so the returned string is byte-identical across runs —
-//! the golden test in `tests/golden.rs` compares it against the
-//! committed fixture, and CI runs the binary twice and compares.
+//! the golden test in `tests/golden.rs` compares it with the committed
+//! `tests/baselines/BENCH_workload.json`.
 
 use std::time::Duration;
 
@@ -136,8 +136,9 @@ fn run_case(case: &Case) -> (SloReport, usize) {
     (report, violations)
 }
 
-/// The base seed CI and the golden fixture use; each scenario runs at a
-/// fixed offset from the base (`seed + 1` .. `seed + 4`).
+/// The base seed `workload_bench` runs at without `--seed`; each
+/// scenario runs at a fixed offset from the base (`seed + 1` ..
+/// `seed + 4`).
 pub const DEFAULT_SEED: u64 = 1_000;
 
 /// Runs the whole suite at the given base seed and returns the

@@ -35,6 +35,7 @@ use rmodp_engineering::structure::{decode_checkpoint, encode_checkpoint};
 use rmodp_observe::{bus, event, EventKind, Layer};
 use rmodp_store::PersistentStore;
 
+use crate::failure::Placement;
 use crate::proxy::OdpInfra;
 
 /// A durable-guard failure.
@@ -86,12 +87,9 @@ impl From<CallError> for DurableError {
 #[derive(Debug)]
 pub struct DurableGuard {
     label: String,
-    home: (NodeId, CapsuleId, ClusterId),
-    backups: std::collections::VecDeque<(NodeId, CapsuleId)>,
-    interfaces: Vec<InterfaceId>,
+    place: Placement,
     /// Sequence number of the next logged op (reset by checkpoints).
     next_op: u64,
-    recoveries: u64,
     replayed: u64,
 }
 
@@ -107,11 +105,8 @@ impl DurableGuard {
     ) -> Self {
         Self {
             label: label.into(),
-            home,
-            backups: std::collections::VecDeque::from([backup]),
-            interfaces,
+            place: Placement::new(home, backup, interfaces),
             next_op: 0,
-            recoveries: 0,
             replayed: 0,
         }
     }
@@ -119,22 +114,22 @@ impl DurableGuard {
     /// Appends a backup location to the failover pool (targets are
     /// taken in pool order, skipping dead nodes).
     pub fn push_backup(&mut self, backup: (NodeId, CapsuleId)) {
-        self.backups.push_back(backup);
+        self.place.backups.push_back(backup);
     }
 
     /// The backup locations still available, in selection order.
     pub fn backup_pool(&self) -> impl Iterator<Item = (NodeId, CapsuleId)> + '_ {
-        self.backups.iter().copied()
+        self.place.backups.iter().copied()
     }
 
     /// The cluster's current home.
     pub fn home(&self) -> (NodeId, CapsuleId, ClusterId) {
-        self.home
+        self.place.home
     }
 
     /// How many recoveries this guard has performed.
     pub fn recoveries(&self) -> u64 {
-        self.recoveries
+        self.place.recoveries
     }
 
     /// Operations replayed across all recoveries.
@@ -193,8 +188,7 @@ impl DurableGuard {
         engine: &mut Engine,
         store: &mut S,
     ) -> Result<(), DurableError> {
-        let (node, capsule, cluster) = self.home;
-        let cp = engine.checkpoint_cluster(node, capsule, cluster)?;
+        let cp = self.place.checkpoint(engine)?;
         let (cp_key, prefix) = (self.checkpoint_key(), self.op_prefix());
         // One atomic step: a store crash that kept the new checkpoint
         // but not the prune would replay ops the checkpoint contains.
@@ -212,10 +206,7 @@ impl DurableGuard {
 
     /// Whether the home node is currently crashed.
     pub fn home_failed(&self, engine: &Engine) -> bool {
-        engine
-            .sim_node(self.home.0)
-            .map(|idx| engine.sim().topology().is_crashed(idx))
-            .unwrap_or(true)
+        self.place.home_failed(engine)
     }
 
     /// Recovers the cluster onto the backup: reactivate the persisted
@@ -245,9 +236,8 @@ impl DurableGuard {
             key: cp_key,
             detail,
         })?;
-        let (backup_node, backup_capsule) =
-            crate::failure::FailureGuard::take_live_backup(&mut self.backups, engine)
-                .map_err(|_| DurableError::NoBackup)?;
+        let backup = self.place.take_live_backup(engine);
+        let (backup_node, backup_capsule) = backup.ok_or(DurableError::NoBackup)?;
         let span = bus::new_span();
         event(Layer::Transparency, EventKind::RecoveryStart)
             .span(span)
@@ -256,7 +246,7 @@ impl DurableGuard {
             .detail_with(|| {
                 format!(
                     "durable cluster={} {} -> {backup_node} pending_ops={}",
-                    self.home.2, self.home.0, self.next_op
+                    self.place.home.2, self.place.home.0, self.next_op
                 )
             })
             .emit();
@@ -264,8 +254,8 @@ impl DurableGuard {
         let recovered = self.recover_inner(engine, infra, store, &cp, backup_node, backup_capsule);
         bus::pop_context();
         let (new_cluster, replayed) = recovered?;
-        self.home = (backup_node, backup_capsule, new_cluster);
-        self.recoveries += 1;
+        self.place.home = (backup_node, backup_capsule, new_cluster);
+        self.place.recoveries += 1;
         self.replayed += replayed;
         // The tail was replayed, not dropped: the loss window is zero.
         // Recording the zero materialises the counter for the gates.
@@ -278,7 +268,7 @@ impl DurableGuard {
             .detail_with(|| {
                 format!(
                     "durable cluster={new_cluster} recovery #{} replayed={replayed} lost=0",
-                    self.recoveries
+                    self.place.recoveries
                 )
             })
             .emit();
@@ -297,9 +287,7 @@ impl DurableGuard {
         backup_capsule: CapsuleId,
     ) -> Result<(ClusterId, u64), DurableError> {
         let new_cluster = engine.reactivate_cluster(backup_node, backup_capsule, cp)?;
-        for ifc in &self.interfaces {
-            infra.publish(engine, *ifc)?;
-        }
+        self.place.republish(engine, infra)?;
         // Replay the logged tail in sequence order (sorted keys).
         let prefix = self.op_prefix();
         let mut channels: BTreeMap<u64, _> = BTreeMap::new();

@@ -18,6 +18,7 @@
 //! [`DurableGuard`](crate::durable::DurableGuard), which write-ahead
 //! logs every operation into a durable store and replays the tail.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use rmodp_core::id::{CapsuleId, ClusterId, InterfaceId, NodeId};
@@ -68,12 +69,66 @@ impl From<EngError> for FailureError {
 /// failures need no manual re-designation.
 #[derive(Debug)]
 pub struct FailureGuard {
-    home: (NodeId, CapsuleId, ClusterId),
-    backups: std::collections::VecDeque<(NodeId, CapsuleId)>,
-    interfaces: Vec<InterfaceId>,
+    place: Placement,
     last_checkpoint: Option<ClusterCheckpoint>,
-    recoveries: u64,
     lost_updates: u64,
+}
+
+/// Where a guarded cluster lives, where it may fail over to and what to
+/// republish once it has — the part [`FailureGuard`] and
+/// [`DurableGuard`](crate::durable::DurableGuard) have in common.
+#[derive(Debug)]
+pub(crate) struct Placement {
+    pub(crate) home: (NodeId, CapsuleId, ClusterId),
+    pub(crate) backups: VecDeque<(NodeId, CapsuleId)>,
+    interfaces: Vec<InterfaceId>,
+    pub(crate) recoveries: u64,
+}
+
+impl Placement {
+    pub(crate) fn new(
+        home: (NodeId, CapsuleId, ClusterId),
+        backup: (NodeId, CapsuleId),
+        interfaces: Vec<InterfaceId>,
+    ) -> Self {
+        Self {
+            home,
+            backups: VecDeque::from([backup]),
+            interfaces,
+            recoveries: 0,
+        }
+    }
+
+    /// The liveness test; a node the engine does not know is not alive.
+    fn alive(engine: &Engine, node: NodeId) -> bool {
+        let up = |idx| !engine.sim().topology().is_crashed(idx);
+        engine.sim_node(node).is_ok_and(up)
+    }
+
+    pub(crate) fn home_failed(&self, engine: &Engine) -> bool {
+        !Self::alive(engine, self.home.0)
+    }
+
+    /// Picks the failover target: the first pool entry whose node is
+    /// currently alive. Only the chosen entry leaves the pool — dead
+    /// entries are skipped but kept, since their nodes may heal.
+    pub(crate) fn take_live_backup(&mut self, engine: &Engine) -> Option<(NodeId, CapsuleId)> {
+        let alive = |(node, _): &(NodeId, CapsuleId)| Self::alive(engine, *node);
+        let first = self.backups.iter().position(alive)?;
+        self.backups.remove(first)
+    }
+
+    pub(crate) fn checkpoint(&self, engine: &mut Engine) -> Result<ClusterCheckpoint, EngError> {
+        let (node, capsule, cluster) = self.home;
+        engine.checkpoint_cluster(node, capsule, cluster)
+    }
+
+    pub(crate) fn republish(&self, engine: &Engine, infra: &mut OdpInfra) -> Result<(), EngError> {
+        for ifc in &self.interfaces {
+            infra.publish(engine, *ifc)?;
+        }
+        Ok(())
+    }
 }
 
 /// Counts the objects whose state diverges between the checkpoint being
@@ -108,11 +163,8 @@ impl FailureGuard {
         interfaces: Vec<InterfaceId>,
     ) -> Self {
         Self {
-            home,
-            backups: std::collections::VecDeque::from([backup]),
-            interfaces,
+            place: Placement::new(home, backup, interfaces),
             last_checkpoint: None,
-            recoveries: 0,
             lost_updates: 0,
         }
     }
@@ -120,39 +172,22 @@ impl FailureGuard {
     /// Appends a backup location to the pool (failover targets are
     /// taken in pool order, skipping dead nodes).
     pub fn push_backup(&mut self, backup: (NodeId, CapsuleId)) {
-        self.backups.push_back(backup);
+        self.place.backups.push_back(backup);
     }
 
     /// The backup locations still available, in selection order.
     pub fn backup_pool(&self) -> impl Iterator<Item = (NodeId, CapsuleId)> + '_ {
-        self.backups.iter().copied()
-    }
-
-    /// Picks the failover target: the first pool entry whose node is
-    /// currently alive. Only the chosen entry leaves the pool — dead
-    /// entries are skipped but kept, since their nodes may heal.
-    pub(crate) fn take_live_backup(
-        backups: &mut std::collections::VecDeque<(NodeId, CapsuleId)>,
-        engine: &Engine,
-    ) -> Result<(NodeId, CapsuleId), FailureError> {
-        let pos = backups.iter().position(|(node, _)| {
-            engine
-                .sim_node(*node)
-                .map(|idx| !engine.sim().topology().is_crashed(idx))
-                .unwrap_or(false)
-        });
-        pos.and_then(|i| backups.remove(i))
-            .ok_or(FailureError::NoBackup)
+        self.place.backups.iter().copied()
     }
 
     /// The cluster's current home.
     pub fn home(&self) -> (NodeId, CapsuleId, ClusterId) {
-        self.home
+        self.place.home
     }
 
     /// How many recoveries this guard has performed.
     pub fn recoveries(&self) -> u64 {
-        self.recoveries
+        self.place.recoveries
     }
 
     /// Objects whose post-checkpoint updates recovery has dropped so
@@ -169,18 +204,13 @@ impl FailureGuard {
     /// Engineering failures (e.g. the home already crashed — then the
     /// previous checkpoint remains the recovery point).
     pub fn checkpoint_now(&mut self, engine: &mut Engine) -> Result<(), FailureError> {
-        let (node, capsule, cluster) = self.home;
-        let cp = engine.checkpoint_cluster(node, capsule, cluster)?;
-        self.last_checkpoint = Some(cp);
+        self.last_checkpoint = Some(self.place.checkpoint(engine)?);
         Ok(())
     }
 
     /// Whether the home node is currently crashed.
     pub fn home_failed(&self, engine: &Engine) -> bool {
-        engine
-            .sim_node(self.home.0)
-            .map(|idx| engine.sim().topology().is_crashed(idx))
-            .unwrap_or(true)
+        self.place.home_failed(engine)
     }
 
     /// Recovers the cluster from the last checkpoint onto the first
@@ -206,46 +236,40 @@ impl FailureGuard {
             .last_checkpoint
             .clone()
             .ok_or(FailureError::NoCheckpoint)?;
-        let backup = Self::take_live_backup(&mut self.backups, engine)?;
+        let backup = self.place.take_live_backup(engine);
+        let (backup_node, backup_capsule) = backup.ok_or(FailureError::NoBackup)?;
+        let home = self.place.home;
         // Post-mortem: the crashed node's structures survive in the
         // simulation, so the loss window is measurable — how many
         // objects moved past the checkpoint we are about to restore?
-        let lost = {
-            let (node, capsule, cluster) = self.home;
-            engine
-                .checkpoint_cluster(node, capsule, cluster)
-                .map(|actual| divergent_objects(&cp, &actual))
-                .unwrap_or(0)
-        };
+        let actual = self.place.checkpoint(engine);
+        let lost = actual.map_or(0, |actual| divergent_objects(&cp, &actual));
         self.lost_updates += lost;
         bus::counter_add("failure.lost_updates", lost);
-        let (backup_node, backup_capsule) = backup;
         let span = bus::new_span();
         event(Layer::Transparency, EventKind::RecoveryStart)
             .span(span)
             .parent_from_context()
             .capsule(backup_capsule.raw())
-            .detail_with(|| format!("cluster={} {} -> {backup_node}", self.home.2, self.home.0))
+            .detail_with(|| format!("cluster={} {} -> {backup_node}", home.2, home.0))
             .emit();
         bus::push_context(span);
         let recovered = (|| {
             let new_cluster = engine.reactivate_cluster(backup_node, backup_capsule, &cp)?;
-            for ifc in &self.interfaces {
-                infra.publish(engine, *ifc)?;
-            }
+            self.place.republish(engine, infra)?;
             Ok::<_, FailureError>(new_cluster)
         })();
         bus::pop_context();
         let new_cluster = recovered?;
-        self.home = (backup_node, backup_capsule, new_cluster);
-        self.recoveries += 1;
+        self.place.home = (backup_node, backup_capsule, new_cluster);
+        self.place.recoveries += 1;
         event(Layer::Transparency, EventKind::RecoveryEnd)
             .span(span)
             .capsule(backup_capsule.raw())
             .detail_with(|| {
                 format!(
                     "cluster={new_cluster} recovery #{} lost={lost}",
-                    self.recoveries
+                    self.place.recoveries
                 )
             })
             .emit();
