@@ -18,8 +18,8 @@
 //!   and applies it, interleaved with simulation progress; it is a
 //!   kernel `Actor`, registered ahead of the load generator so faults
 //!   land at exact virtual instants under load;
-//! - [`shard`] — [`FaultPlanHook`]: the topology-level subset of a plan
-//!   compiled for the sharded kernel's epoch hook, so faults land at
+//! - [`shard`] — [`shard::compile`]: the topology-level subset of a plan
+//!   compiled into the sharded kernel's epoch timeline, so faults land at
 //!   exact instants on every shard's copy of the topology;
 //! - [`oracle`] — [`RecoveryOracle`] / [`RecoveryReport`]: computes
 //!   per-fault MTTR and in-window availability from the observe event
@@ -39,7 +39,6 @@
 //!
 //! [`FaultPlan`]: plan::FaultPlan
 //! [`FaultInjector`]: inject::FaultInjector
-//! [`FaultPlanHook`]: shard::FaultPlanHook
 //! [`RecoveryOracle`]: oracle::RecoveryOracle
 //! [`RecoveryReport`]: oracle::RecoveryReport
 //! [`GroupOracle`]: linear::GroupOracle
@@ -60,5 +59,4 @@ pub mod prelude {
     pub use crate::linear::{ConsistencyReport, GroupConsistency, GroupOracle};
     pub use crate::oracle::{FaultRecovery, RecoveryOracle, RecoveryReport};
     pub use crate::plan::{ChaosProfile, FaultEvent, FaultKind, FaultPlan};
-    pub use crate::shard::FaultPlanHook;
 }

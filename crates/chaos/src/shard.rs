@@ -1,103 +1,70 @@
 //! Fault injection for sharded runs: a [`FaultPlan`] compiled into an
-//! epoch hook.
+//! epoch timeline.
 //!
 //! Under the sharded kernel, faults cannot be injected by a simulator
 //! process (a fault mutates the *topology*, and under sharding every
 //! shard holds its own copy of the topology that must change in
-//! lock-step). Instead, [`FaultPlanHook`] compiles a plan into a sorted
-//! timeline of [`ShardAction`]s and hands it to
-//! [`ShardedKernel::run_with_hook`], which pauses the epoch protocol at
-//! each fault instant and applies the actions to **every** shard before
-//! any event at or after that instant is processed. That barrier is what
-//! keeps fault timing exact — and therefore shard-count invariant: a
-//! message sent before the instant still dies at its crashed destination,
-//! and one sent after dies at the source, exactly as in a single-shard
-//! run.
+//! lock-step). Instead, [`compile`] turns a plan into a sorted timeline
+//! of [`ShardAction`]s for [`ShardedKernel::run_with`], which pauses the
+//! epoch protocol at each fault instant and applies the actions to
+//! **every** shard before any event at or after that instant is
+//! processed. That barrier is what keeps fault timing exact — and
+//! therefore shard-count invariant: a message sent before the instant
+//! still dies at its crashed destination, and one sent after dies at the
+//! source, exactly as in a single-shard run.
 //!
 //! Only *topology-level* faults are expressible as shard actions; plans
 //! that use loss bursts, latency spikes, or capsule kills are rejected at
 //! compile time rather than silently dropped (loss would also reintroduce
 //! per-shard RNG draws, breaking invariance).
 //!
-//! [`ShardedKernel::run_with_hook`]: rmodp_kernel::ShardedKernel::run_with_hook
+//! [`ShardedKernel::run_with`]: rmodp_kernel::ShardedKernel::run_with
 
-use rmodp_kernel::EpochHook;
 use rmodp_netsim::sim::ShardAction;
 use rmodp_netsim::time::SimTime;
 
 use crate::plan::{FaultKind, FaultPlan};
 
-/// A fault plan compiled onto absolute virtual time as epoch-hook
-/// actions. Instants are visited in ascending order; all actions sharing
-/// an instant are applied in one firing (insertion order).
-#[derive(Debug, Clone)]
-pub struct FaultPlanHook {
-    /// `(instant, actions)` ascending by instant.
-    timeline: Vec<(SimTime, Vec<ShardAction>)>,
-    cursor: usize,
-}
-
-impl FaultPlanHook {
-    /// Compiles a plan. The plan epoch is the run origin (`t = 0`).
-    ///
-    /// # Errors
-    ///
-    /// A description of the first fault whose kind cannot be expressed
-    /// as a topology-level shard action.
-    pub fn compile(plan: &FaultPlan) -> Result<Self, String> {
-        let mut actions: Vec<(SimTime, ShardAction)> = Vec::new();
-        for (i, event) in plan.events.iter().enumerate() {
-            let at = SimTime::ZERO + event.at;
-            match &event.fault {
-                FaultKind::CrashRestart { node, down_for } => {
-                    actions.push((at, ShardAction::Crash(*node)));
-                    actions.push((at + *down_for, ShardAction::Restart(*node)));
-                }
-                FaultKind::Partition { a, b, heal_after } => {
-                    actions.push((at, ShardAction::Partition(*a, *b)));
-                    actions.push((at + *heal_after, ShardAction::Heal(*a, *b)));
-                }
-                other => {
-                    return Err(format!(
-                        "event #{i}: {} faults are not supported under sharded \
-                         execution (only crash/restart and partition/heal act on \
-                         the replicated topology)",
-                        other.label()
-                    ));
-                }
+/// Compiles a plan onto absolute virtual time (the plan epoch is the run
+/// origin, `t = 0`): `(instant, actions)` strictly ascending by instant,
+/// all actions sharing an instant grouped in plan insertion order.
+///
+/// # Errors
+///
+/// A description of the first fault whose kind cannot be expressed as a
+/// topology-level shard action.
+pub fn compile(plan: &FaultPlan) -> Result<Vec<(SimTime, Vec<ShardAction>)>, String> {
+    let mut actions: Vec<(SimTime, ShardAction)> = Vec::new();
+    for (i, event) in plan.events.iter().enumerate() {
+        let at = SimTime::ZERO + event.at;
+        match &event.fault {
+            FaultKind::CrashRestart { node, down_for } => {
+                actions.push((at, ShardAction::Crash(*node)));
+                actions.push((at + *down_for, ShardAction::Restart(*node)));
+            }
+            FaultKind::Partition { a, b, heal_after } => {
+                actions.push((at, ShardAction::Partition(*a, *b)));
+                actions.push((at + *heal_after, ShardAction::Heal(*a, *b)));
+            }
+            other => {
+                return Err(format!(
+                    "event #{i}: {} faults are not supported under sharded \
+                     execution (only crash/restart and partition/heal act on \
+                     the replicated topology)",
+                    other.label()
+                ));
             }
         }
-        actions.sort_by_key(|(at, _)| *at);
-        let mut timeline: Vec<(SimTime, Vec<ShardAction>)> = Vec::new();
-        for (at, action) in actions {
-            match timeline.last_mut() {
-                Some((t, group)) if *t == at => group.push(action),
-                _ => timeline.push((at, vec![action])),
-            }
+    }
+    actions.sort_by_key(|(at, _)| *at);
+    let mut timeline: Vec<(SimTime, Vec<ShardAction>)> = Vec::new();
+    for (at, action) in actions {
+        match timeline.last_mut() {
+            Some((t, group)) if *t == at => group.push(action),
+            _ => timeline.push((at, vec![action])),
         }
-        Ok(Self {
-            timeline,
-            cursor: 0,
-        })
     }
-
-    /// Fault instants not yet fired.
-    pub fn remaining(&self) -> usize {
-        self.timeline.len() - self.cursor
-    }
-}
-
-impl EpochHook<ShardAction> for FaultPlanHook {
-    fn next_instant(&self) -> Option<SimTime> {
-        self.timeline.get(self.cursor).map(|(at, _)| *at)
-    }
-
-    fn fire(&mut self, at: SimTime) -> Vec<ShardAction> {
-        let (instant, actions) = &self.timeline[self.cursor];
-        assert_eq!(*instant, at, "hook fired at the wrong instant");
-        self.cursor += 1;
-        actions.clone()
-    }
+    Ok(timeline)
 }
 
 #[cfg(test)]
@@ -128,34 +95,30 @@ mod tests {
                     down_for: us(400),
                 },
             );
-        let mut hook = FaultPlanHook::compile(&plan).expect("compilable plan");
+        // Crash, then partition + restart, then heal. The restart
+        // (100 + 400) and the partition (500) share an instant and fire
+        // together; the stable sort preserves plan insertion order within
+        // an instant, and the partition event was inserted first.
         assert_eq!(
-            hook.remaining(),
-            3,
-            "crash, then partition+restart, then heal"
-        );
-        assert_eq!(hook.next_instant(), Some(SimTime::ZERO + us(100)));
-        assert_eq!(
-            hook.fire(SimTime::ZERO + us(100)),
-            vec![ShardAction::Crash(NodeIdx(4))]
-        );
-        // The restart (100 + 400) and the partition (500) share an
-        // instant and fire together; the stable sort preserves plan
-        // insertion order within an instant, and the partition event was
-        // inserted first.
-        assert_eq!(hook.next_instant(), Some(SimTime::ZERO + us(500)));
-        assert_eq!(
-            hook.fire(SimTime::ZERO + us(500)),
+            compile(&plan).expect("compilable plan"),
             vec![
-                ShardAction::Partition(NodeIdx(0), NodeIdx(2)),
-                ShardAction::Restart(NodeIdx(4)),
+                (
+                    SimTime::ZERO + us(100),
+                    vec![ShardAction::Crash(NodeIdx(4))]
+                ),
+                (
+                    SimTime::ZERO + us(500),
+                    vec![
+                        ShardAction::Partition(NodeIdx(0), NodeIdx(2)),
+                        ShardAction::Restart(NodeIdx(4)),
+                    ]
+                ),
+                (
+                    SimTime::ZERO + us(800),
+                    vec![ShardAction::Heal(NodeIdx(0), NodeIdx(2))]
+                ),
             ]
         );
-        assert_eq!(
-            hook.fire(SimTime::ZERO + us(800)),
-            vec![ShardAction::Heal(NodeIdx(0), NodeIdx(2))]
-        );
-        assert_eq!(hook.next_instant(), None);
     }
 
     #[test]
@@ -169,7 +132,7 @@ mod tests {
                 window: us(200),
             },
         );
-        let err = FaultPlanHook::compile(&plan).unwrap_err();
+        let err = compile(&plan).unwrap_err();
         assert!(err.contains("loss_burst"), "{err}");
     }
 }

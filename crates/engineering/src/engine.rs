@@ -1449,6 +1449,24 @@ impl Engine {
         Ok(Some((arrived, outcome)))
     }
 
+    /// Gives up on a [`Engine::call_send`] request nobody will collect:
+    /// its pending entry, the driver's wait for it and a reply that has
+    /// already landed all go, and a reply still in flight is dropped when
+    /// it lands. Emits no event and moves no counter.
+    pub fn abandon_call(&mut self, channel: ChannelId, request_id: u64) {
+        self.pending_calls.remove(&request_id);
+        if let Ok(route) = self.route(channel) {
+            if let Some(d) = self.driver_mut(route.driver) {
+                d.forget(request_id);
+            }
+        }
+    }
+
+    /// [`Engine::call_send`] requests neither collected nor abandoned.
+    pub fn calls_in_flight(&self) -> usize {
+        self.pending_calls.len()
+    }
+
     /// Direct local invocation on a node, bypassing channels (used by
     /// management functions and intra-node optimisation tests).
     ///

@@ -699,7 +699,7 @@ impl NucleusProcess {
                     Ok(()) => {}
                     Err(ChannelError::Replay { seq }) => {
                         self.stats.rejected += 1;
-                        ctx.note(format!("replay foiled (seq {seq})"));
+                        ctx.note(|| format!("replay foiled (seq {seq})"));
                         if env.kind == EnvelopeKind::Request {
                             let payload = self.termination_payload(Termination::error("replay"));
                             self.send_reply(ctx, &env, ReplyStatus::Rejected, payload, src);
@@ -708,7 +708,7 @@ impl NucleusProcess {
                     }
                     Err(e) => {
                         self.stats.rejected += 1;
-                        ctx.note(format!("channel rejected message: {e}"));
+                        ctx.note(|| format!("channel rejected message: {e}"));
                         return;
                     }
                 }
@@ -726,20 +726,24 @@ impl NucleusProcess {
                             let (status, payload) = (*status, payload.clone());
                             self.stats.dedup_hits += 1;
                             rmodp_observe::bus::counter_add("engineering.dedup.hits", 1);
-                            ctx.note(format!(
-                                "dedup: replayed {status:?} reply for request {}",
-                                env.request
-                            ));
+                            ctx.note(|| {
+                                format!(
+                                    "dedup: replayed {status:?} reply for request {}",
+                                    env.request
+                                )
+                            });
                             self.send_reply(ctx, &env, status, payload, src);
                             return;
                         }
                         Some(DedupEntry::InFlight) => {
                             self.stats.dedup_hits += 1;
                             rmodp_observe::bus::counter_add("engineering.dedup.hits", 1);
-                            ctx.note(format!(
-                                "dedup: suppressed in-flight duplicate of request {}",
-                                env.request
-                            ));
+                            ctx.note(|| {
+                                format!(
+                                    "dedup: suppressed in-flight duplicate of request {}",
+                                    env.request
+                                )
+                            });
                             return;
                         }
                         None => self.dedup_insert(key, DedupEntry::InFlight),
@@ -787,7 +791,7 @@ impl Process for NucleusProcess {
             Ok(env) => self.handle_envelope(ctx, msg.src, env),
             Err(e) => {
                 self.stats.rejected += 1;
-                ctx.note(format!("malformed envelope: {e}"));
+                ctx.note(|| format!("malformed envelope: {e}"));
             }
         }
     }
@@ -820,9 +824,16 @@ impl DriverProcess {
         self.awaiting.insert(request);
     }
 
-    /// Stops waiting for a request that timed out.
+    /// Stops waiting for a request that timed out or was abandoned, and
+    /// drops its reply if that has already landed uncollected.
     pub(crate) fn forget(&mut self, request: u64) {
         self.awaiting.remove(&request);
+        self.mailbox.remove(&request);
+    }
+
+    /// Requests whose reply is still waited for.
+    pub fn awaiting(&self) -> usize {
+        self.awaiting.len()
     }
 }
 

@@ -202,6 +202,38 @@ fn driver_keeps_no_reply_nobody_waits_for() {
 }
 
 #[test]
+fn an_abandoned_async_call_is_forgotten_whenever_its_reply_lands() {
+    let mut e = engine();
+    let (_, client, _, _, iref) = counter_setup(&mut e);
+    let c = e.sim_node(client).unwrap();
+    let ch = e
+        .open_channel(client, iref.interface, ChannelConfig::default())
+        .unwrap();
+    // Abandoned while the reply is still in flight, and abandoned after
+    // it has landed uncollected: either way nothing is kept.
+    let early = e.call_send(ch, "Add", &add_args(1)).unwrap();
+    e.abandon_call(ch, early);
+    let late = e.call_send(ch, "Add", &add_args(2)).unwrap();
+    e.run_until_idle();
+    let driver = |e: &Engine| -> (usize, usize) {
+        let d = e
+            .sim()
+            .inspect::<DriverProcess>(Addr::new(c, DRIVER_PORT))
+            .unwrap();
+        (d.awaiting(), d.mailbox.len())
+    };
+    assert_eq!(driver(&e), (0, 1), "only the reply still wanted is kept");
+    e.abandon_call(ch, late);
+    assert_eq!(driver(&e), (0, 0));
+    assert_eq!(e.calls_in_flight(), 0);
+    assert!(e.take_reply(ch, early).unwrap().is_none());
+    assert!(e.take_reply(ch, late).unwrap().is_none());
+    // Both requests were served; only their replies went uncollected.
+    let t = e.call(ch, "Get", &Value::record::<&str, _>([])).unwrap();
+    assert_eq!(t.results.field("n"), Some(&Value::Int(3)));
+}
+
+#[test]
 fn sequence_binder_foils_replayed_requests_end_to_end() {
     use rmodp_core::codec::syntax_for;
     use rmodp_engineering::envelope::Envelope;

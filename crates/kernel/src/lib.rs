@@ -37,5 +37,5 @@ pub use actor::{Actor, Kernel, PartitionMap, World};
 pub use payload::{Payload, PAYLOAD_ALLOCS, PAYLOAD_COPIES};
 pub use queue::EventQueue;
 pub use rng::KernelRng;
-pub use shard::{CrossShardEvent, EpochHook, ShardWorld, ShardedKernel, SyncStats};
+pub use shard::{CrossShardEvent, ShardWorld, ShardedKernel, SyncStats};
 pub use time::{SimDuration, SimTime};

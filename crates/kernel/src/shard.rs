@@ -13,18 +13,29 @@
 //! * per epoch, let `m` be the global minimum next-event time; every
 //!   shard may safely process all events strictly before the horizon
 //!   `h = m + lookahead`, because a message *sent* during the epoch is
-//!   sent at some `t ≥ m` and thus *arrives* at `t + latency ≥ h`;
-//! * at the epoch barrier, cross-shard messages are exchanged in the
-//!   canonical `(SimTime, src_shard, src_seq)` merge order, so the
+//!   sent at some `t ≥ m` and thus *arrives* at `t + latency ≥ h` —
+//!   checked with an `assert!` on every message, in every build;
+//! * at the epoch barrier, cross-shard messages are sorted into the
+//!   canonical `(SimTime, src_shard, src_seq)` merge order and wait in
+//!   the kernel's hands until their destination's *next* round, which
+//!   deposits them before it does anything else; until then they count
+//!   towards that shard's next-event time, so the sequence of horizons
+//!   is the one a deposit at the barrier itself would give, and the
 //!   target queue's tie-break sequence assignment — and therefore the
 //!   whole run — is independent of thread scheduling.
 //!
-//! The same epoch loop runs serially or on real threads
-//! ([`std::thread::scope`]); both paths perform the identical sequence
-//! of `run_before` / `take_outbox` / `deposit` operations, so a
-//! threaded run is bit-identical to a serial one by construction.
+//! An epoch is one rendezvous: the private `drive` is the only epoch
+//! loop (plan, count, sort, lookahead check, routing) and hands every
+//! shard one `Round`; the private `serve` is the only code that touches
+//! a shard during a run and answers with one `Report`. The serial runner
+//! maps `serve` over the shards in place; the threaded runner sends each
+//! `Round` to a [`std::thread::scope`] worker that calls the same
+//! `serve`. A threaded run is bit-identical to a serial one because both
+//! execute the same two functions.
 
 use std::sync::mpsc;
+
+use rmodp_observe::bus;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -86,38 +97,6 @@ pub trait ShardWorld: Send {
     fn apply_action(&mut self, action: &Self::Action);
 }
 
-/// A pacing hook fired at exact virtual instants between epochs —
-/// the seam fault injectors use to act at precise times against the
-/// merged global clock.
-///
-/// The kernel caps each epoch's horizon at [`EpochHook::next_instant`],
-/// and once every event before that instant has been processed it calls
-/// [`EpochHook::fire`], broadcasting the returned actions to all shards
-/// before any event at or after the instant runs. `fire` must consume
-/// the instant (the next `next_instant` must be strictly later, or
-/// `None`), otherwise the run cannot make progress.
-pub trait EpochHook<A> {
-    /// The next instant this hook wants control at, if any.
-    fn next_instant(&self) -> Option<SimTime>;
-
-    /// Performs the work due at `at`; the returned actions are applied
-    /// to every shard before time passes `at`.
-    fn fire(&mut self, at: SimTime) -> Vec<A>;
-}
-
-/// A hook that never fires (the default).
-pub struct NoHook;
-
-impl<A> EpochHook<A> for NoHook {
-    fn next_instant(&self) -> Option<SimTime> {
-        None
-    }
-
-    fn fire(&mut self, _at: SimTime) -> Vec<A> {
-        Vec::new()
-    }
-}
-
 /// Counters describing one sharded run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncStats {
@@ -127,41 +106,40 @@ pub struct SyncStats {
     pub events: u64,
     /// Messages exchanged across shard boundaries.
     pub cross_shard_messages: u64,
-    /// Epoch-hook firings.
+    /// Timeline instants fired.
     pub hook_firings: u64,
 }
 
 /// What one epoch should do, derived from the global queue state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EpochPlan {
-    /// Nothing queued anywhere and no hook instant: the run is over.
+    /// Nothing queued anywhere and no timeline instant: the run is over.
     Idle,
-    /// Fire the hook at this instant before processing anything else.
-    Fire(SimTime),
+    /// Apply the actions at the head of the timeline before processing
+    /// anything else.
+    Fire,
     /// Advance every shard strictly below this horizon.
     Run(SimTime),
 }
 
 fn plan_epoch(
     next_times: &[Option<SimTime>],
-    hook_next: Option<SimTime>,
+    timeline_next: Option<SimTime>,
     lookahead: SimDuration,
 ) -> EpochPlan {
     let min_next = next_times.iter().flatten().min().copied();
-    match (min_next, hook_next) {
+    match (min_next, timeline_next) {
         (None, None) => EpochPlan::Idle,
-        (None, Some(f)) => EpochPlan::Fire(f),
-        (Some(m), hook) => {
-            if let Some(f) = hook {
-                if f <= m {
-                    // Everything before `f` is already processed (the
-                    // global minimum is at or after it): act now, before
-                    // any event at `f` or later runs.
-                    return EpochPlan::Fire(f);
-                }
+        (None, Some(_)) => EpochPlan::Fire,
+        (Some(m), instant) => {
+            if instant.is_some_and(|f| f <= m) {
+                // Everything before `f` is already processed (the global
+                // minimum is at or after it): act now, before any event
+                // at `f` or later runs.
+                return EpochPlan::Fire;
             }
             let mut horizon = m + lookahead;
-            if let Some(f) = hook {
+            if let Some(f) = instant {
                 horizon = horizon.min(f);
             }
             EpochPlan::Run(horizon)
@@ -169,28 +147,120 @@ fn plan_epoch(
     }
 }
 
-/// Sorts an epoch's cross-shard messages into the canonical merge order.
-fn canonical_sort<M>(outbox: &mut [CrossShardEvent<M>]) {
-    outbox.sort_by_key(|e| (e.at, e.src_shard, e.src_seq));
+/// What the kernel hands one shard at a rendezvous.
+struct Round<M, A> {
+    /// Messages merged at the previous barrier, in canonical order.
+    inbox: Vec<CrossShardEvent<M>>,
+    /// Timeline actions due now (a fire instant; empty otherwise).
+    actions: Vec<A>,
+    /// Run strictly below this horizon; `None` at a fire instant.
+    horizon: Option<SimTime>,
 }
 
-/// Commands sent to a shard worker thread, one round at a time.
-enum Cmd<M, A> {
-    RunBefore(SimTime),
-    Deposit(Vec<CrossShardEvent<M>>),
-    Apply(Vec<A>),
+impl<M, A> Default for Round<M, A> {
+    fn default() -> Self {
+        Self {
+            inbox: Vec::new(),
+            actions: Vec::new(),
+            horizon: None,
+        }
+    }
 }
 
-/// A worker's answer to one command.
-struct Reply<M> {
-    shard: usize,
+/// A shard's answer to one [`Round`].
+struct Report<M> {
     next_time: Option<SimTime>,
     outbox: Vec<CrossShardEvent<M>>,
     events: u64,
 }
 
+/// Performs one round on one shard — the only code that touches a shard
+/// during a run, on either runner. The order is the one a shard has
+/// always seen: merged messages first, then barrier actions, then the
+/// epoch's events. The round's buffers are drained, not dropped, so the
+/// serial runner reuses them.
+fn serve<W: ShardWorld>(shard: &mut W, round: &mut Round<W::Msg, W::Action>) -> Report<W::Msg> {
+    for event in round.inbox.drain(..) {
+        shard.deposit(event);
+    }
+    for action in round.actions.drain(..) {
+        shard.apply_action(&action);
+    }
+    let (events, outbox) = match round.horizon {
+        Some(horizon) => (shard.run_before(horizon), shard.take_outbox()),
+        None => (0, Vec::new()),
+    };
+    Report {
+        next_time: shard.next_event_time(),
+        outbox,
+        events,
+    }
+}
+
+/// The epoch loop, written once: plans each epoch from the shards'
+/// next-event times and the timeline, hands every shard its [`Round`]
+/// through `rendezvous` (which must push one [`Report`] per shard, in
+/// shard order), then counts, sorts and routes what came back.
+fn drive<M, A: Clone>(
+    mut next_times: Vec<Option<SimTime>>,
+    lookahead: SimDuration,
+    timeline: &[(SimTime, Vec<A>)],
+    mut rendezvous: impl FnMut(&mut [Round<M, A>], &mut Vec<Report<M>>),
+) -> SyncStats {
+    let mut stats = SyncStats::default();
+    let mut timeline = timeline.iter().peekable();
+    // Reused every epoch: a run allocates for its rounds only as its
+    // largest barrier grows.
+    let mut rounds: Vec<Round<M, A>> = next_times.iter().map(|_| Round::default()).collect();
+    let mut reports: Vec<Report<M>> = Vec::with_capacity(rounds.len());
+    let mut merged: Vec<CrossShardEvent<M>> = Vec::new();
+    loop {
+        let horizon = match plan_epoch(&next_times, timeline.peek().map(|(at, _)| *at), lookahead) {
+            EpochPlan::Idle => break,
+            EpochPlan::Fire => {
+                let (_, actions) = timeline.next().expect("planned from its head");
+                stats.hook_firings += 1;
+                for round in &mut rounds {
+                    round.actions.extend_from_slice(actions);
+                }
+                None
+            }
+            EpochPlan::Run(horizon) => {
+                stats.epochs += 1;
+                Some(horizon)
+            }
+        };
+        for round in &mut rounds {
+            round.horizon = horizon;
+        }
+        rendezvous(&mut rounds, &mut reports);
+        for (next, mut report) in next_times.iter_mut().zip(reports.drain(..)) {
+            *next = report.next_time;
+            stats.events += report.events;
+            merged.append(&mut report.outbox);
+        }
+        // Only a run round emits; a fire instant leaves nothing to merge.
+        let Some(horizon) = horizon else { continue };
+        merged.sort_by_key(|e| (e.at, e.src_shard, e.src_seq));
+        stats.cross_shard_messages += merged.len() as u64;
+        for event in merged.drain(..) {
+            assert!(
+                event.at >= horizon,
+                "cross-shard message at {} violates the lookahead horizon {horizon}",
+                event.at
+            );
+            // The message waits here for its shard's next round; until
+            // then the planner must see it as that shard's pending work.
+            let next = &mut next_times[event.dst_shard];
+            *next = Some(next.map_or(event.at, |t| t.min(event.at)));
+            rounds[event.dst_shard].inbox.push(event);
+        }
+    }
+    stats
+}
+
 /// The sharded scheduler: owns N [`ShardWorld`]s and drives them epoch
-/// by epoch until every queue is empty and the hook is exhausted.
+/// by epoch until every queue is empty and the timeline is exhausted.
 ///
 /// Construction checks `lookahead > 0`: with zero lookahead the safe
 /// horizon equals the minimum next-event time and no epoch could make
@@ -202,7 +272,8 @@ pub struct ShardedKernel<W: ShardWorld> {
 }
 
 impl<W: ShardWorld> ShardedKernel<W> {
-    /// Creates a kernel over pre-partitioned shards.
+    /// Creates a kernel over pre-partitioned shards; it runs them on the
+    /// calling thread until [`Self::set_threaded`] says otherwise.
     ///
     /// # Panics
     ///
@@ -217,24 +288,18 @@ impl<W: ShardWorld> ShardedKernel<W> {
         for (i, shard) in shards.iter().enumerate() {
             assert_eq!(shard.shard_id(), i, "shard id must equal its index");
         }
-        let threaded = shards.len() > 1;
         Self {
             shards,
             lookahead,
-            threaded,
+            threaded: false,
         }
     }
 
-    /// Chooses between the serial epoch loop and one OS thread per shard
-    /// (the default for more than one shard). Both paths perform the
-    /// identical operation sequence, so results do not depend on this.
+    /// Asks for one OS thread per shard (used when there is more than
+    /// one shard). Both runners execute the same epoch loop and the same
+    /// per-shard round, so results do not depend on this.
     pub fn set_threaded(&mut self, threaded: bool) {
         self.threaded = threaded;
-    }
-
-    /// The configured lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// The shards, for post-run inspection.
@@ -242,210 +307,98 @@ impl<W: ShardWorld> ShardedKernel<W> {
         &self.shards
     }
 
-    /// The shards, mutably (e.g. to seed initial events).
-    pub fn shards_mut(&mut self) -> &mut [W] {
-        &mut self.shards
-    }
-
     /// Consumes the kernel, returning its shards.
     pub fn into_shards(self) -> Vec<W> {
         self.shards
     }
 
-    /// Runs to global quiescence with no epoch hook.
+    /// Runs to global quiescence with an empty timeline.
     pub fn run(&mut self) -> SyncStats {
-        self.run_with_hook(&mut NoHook)
+        self.run_with(&[])
     }
 
-    /// Runs to global quiescence, pacing the given hook against the
-    /// merged global clock.
-    pub fn run_with_hook(&mut self, hook: &mut dyn EpochHook<W::Action>) -> SyncStats {
-        if self.threaded && self.shards.len() > 1 {
-            self.run_threaded(hook)
-        } else {
-            self.run_serial(hook)
-        }
-    }
-
-    fn run_serial(&mut self, hook: &mut dyn EpochHook<W::Action>) -> SyncStats {
-        let mut stats = SyncStats::default();
-        loop {
-            let next_times: Vec<Option<SimTime>> =
-                self.shards.iter().map(|s| s.next_event_time()).collect();
-            match plan_epoch(&next_times, hook.next_instant(), self.lookahead) {
-                EpochPlan::Idle => break,
-                EpochPlan::Fire(at) => {
-                    let actions = hook.fire(at);
-                    stats.hook_firings += 1;
-                    assert!(
-                        hook.next_instant().is_none_or(|n| n > at),
-                        "epoch hook did not consume its instant"
-                    );
-                    for action in &actions {
-                        for shard in &mut self.shards {
-                            shard.apply_action(action);
-                        }
-                    }
-                }
-                EpochPlan::Run(horizon) => {
-                    stats.epochs += 1;
-                    let mut outbox = Vec::new();
-                    for shard in &mut self.shards {
-                        stats.events += shard.run_before(horizon);
-                        outbox.append(&mut shard.take_outbox());
-                    }
-                    canonical_sort(&mut outbox);
-                    stats.cross_shard_messages += outbox.len() as u64;
-                    for event in outbox {
-                        debug_assert!(
-                            event.at >= horizon,
-                            "cross-shard message at {} violates the lookahead \
-                             horizon {horizon}",
-                            event.at
-                        );
-                        self.shards[event.dst_shard].deposit(event);
-                    }
-                }
-            }
-        }
-        stats
-    }
-
-    /// The threaded epoch loop: one persistent worker per shard, two
-    /// command rounds per epoch (advance, then deposit). The main thread
-    /// makes every ordering decision; workers only execute, so the
-    /// operation sequence is identical to [`Self::run_serial`].
-    fn run_threaded(&mut self, hook: &mut dyn EpochHook<W::Action>) -> SyncStats {
-        let mut stats = SyncStats::default();
+    /// Runs to global quiescence, applying each timeline entry's actions
+    /// to every shard at its exact instant of the merged global clock:
+    /// the kernel caps an epoch's horizon at the next instant, and once
+    /// every event before it has been processed, broadcasts its actions
+    /// before any event at or after it runs. This is the seam fault
+    /// injectors use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the timeline's instants are not strictly ascending, or
+    /// if a shard emits a message that arrives below the epoch horizon.
+    pub fn run_with(&mut self, timeline: &[(SimTime, Vec<W::Action>)]) -> SyncStats {
+        assert!(
+            timeline.windows(2).all(|w| w[0].0 < w[1].0),
+            "timeline instants must be strictly ascending"
+        );
         let lookahead = self.lookahead;
-        let n = self.shards.len();
+        let next_times = self.shards.iter().map(|s| s.next_event_time()).collect();
+        if !(self.threaded && self.shards.len() > 1) {
+            return drive(next_times, lookahead, timeline, |rounds, reports| {
+                reports.extend(
+                    self.shards
+                        .iter_mut()
+                        .zip(rounds)
+                        .map(|(shard, round)| serve(shard, round)),
+                );
+            });
+        }
+        // One scoped worker per shard, alive for the whole run. The main
+        // thread makes every ordering decision; a worker only serves.
+        // The observe bus is thread-local: a worker records only if the
+        // thread driving the kernel does.
+        let recording = bus::is_enabled();
         std::thread::scope(|scope| {
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply<W::Msg>>();
-            let mut cmd_txs = Vec::with_capacity(n);
-            for shard in self.shards.iter_mut() {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<W::Msg, W::Action>>();
-                let reply_tx = reply_tx.clone();
-                cmd_txs.push(cmd_tx);
-                // The observe bus is thread-local: a worker records only
-                // if the thread driving the kernel does.
-                let recording = rmodp_observe::bus::is_enabled();
+            let mut round_txs = Vec::with_capacity(self.shards.len());
+            let mut report_rxs = Vec::with_capacity(self.shards.len());
+            for shard in &mut self.shards {
+                let (round_tx, round_rx) = mpsc::channel::<Round<W::Msg, W::Action>>();
+                let (report_tx, report_rx) = mpsc::channel();
+                round_txs.push(round_tx);
+                report_rxs.push(report_rx);
                 scope.spawn(move || {
-                    rmodp_observe::bus::set_enabled(recording);
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        let mut reply = Reply {
-                            shard: shard.shard_id(),
-                            next_time: None,
-                            outbox: Vec::new(),
-                            events: 0,
-                        };
-                        match cmd {
-                            Cmd::RunBefore(horizon) => {
-                                reply.events = shard.run_before(horizon);
-                                reply.outbox = shard.take_outbox();
-                            }
-                            Cmd::Deposit(events) => {
-                                for event in events {
-                                    shard.deposit(event);
-                                }
-                            }
-                            Cmd::Apply(actions) => {
-                                for action in &actions {
-                                    shard.apply_action(action);
-                                }
-                            }
-                        }
-                        reply.next_time = shard.next_event_time();
-                        if reply_tx.send(reply).is_err() {
+                    bus::set_enabled(recording);
+                    while let Ok(mut round) = round_rx.recv() {
+                        if report_tx.send(serve(shard, &mut round)).is_err() {
                             break;
                         }
                     }
                 });
             }
-            drop(reply_tx);
-
-            // One round: broadcast a command per shard, await all replies.
-            let round = |cmds: Vec<Cmd<W::Msg, W::Action>>| -> Vec<Reply<W::Msg>> {
-                for (tx, cmd) in cmd_txs.iter().zip(cmds) {
-                    tx.send(cmd).expect("shard worker alive");
+            drive(next_times, lookahead, timeline, |rounds, reports| {
+                for (tx, round) in round_txs.iter().zip(rounds) {
+                    tx.send(std::mem::take(round)).expect("shard worker alive");
                 }
-                let mut replies: Vec<Option<Reply<W::Msg>>> = (0..n).map(|_| None).collect();
-                for _ in 0..n {
-                    let reply = reply_rx.recv().expect("shard worker alive");
-                    let shard = reply.shard;
-                    replies[shard] = Some(reply);
-                }
-                replies
-                    .into_iter()
-                    .map(|r| r.expect("every shard replied"))
-                    .collect()
-            };
-
-            let mut next_times: Vec<Option<SimTime>> =
-                round((0..n).map(|_| Cmd::Deposit(Vec::new())).collect())
-                    .into_iter()
-                    .map(|r| r.next_time)
-                    .collect();
-
-            loop {
-                match plan_epoch(&next_times, hook.next_instant(), lookahead) {
-                    EpochPlan::Idle => break,
-                    EpochPlan::Fire(at) => {
-                        let actions = hook.fire(at);
-                        stats.hook_firings += 1;
-                        assert!(
-                            hook.next_instant().is_none_or(|n| n > at),
-                            "epoch hook did not consume its instant"
-                        );
-                        let replies = round((0..n).map(|_| Cmd::Apply(actions.clone())).collect());
-                        for reply in replies {
-                            next_times[reply.shard] = reply.next_time;
-                        }
-                    }
-                    EpochPlan::Run(horizon) => {
-                        stats.epochs += 1;
-                        let replies = round((0..n).map(|_| Cmd::RunBefore(horizon)).collect());
-                        let mut outbox = Vec::new();
-                        for mut reply in replies {
-                            stats.events += reply.events;
-                            next_times[reply.shard] = reply.next_time;
-                            outbox.append(&mut reply.outbox);
-                        }
-                        canonical_sort(&mut outbox);
-                        stats.cross_shard_messages += outbox.len() as u64;
-                        let mut per_shard: Vec<Vec<CrossShardEvent<W::Msg>>> =
-                            (0..n).map(|_| Vec::new()).collect();
-                        for event in outbox {
-                            debug_assert!(
-                                event.at >= horizon,
-                                "cross-shard message at {} violates the lookahead \
-                                 horizon {horizon}",
-                                event.at
-                            );
-                            per_shard[event.dst_shard].push(event);
-                        }
-                        let replies = round(per_shard.into_iter().map(Cmd::Deposit).collect());
-                        for reply in replies {
-                            next_times[reply.shard] = reply.next_time;
-                        }
-                    }
-                }
-            }
-        });
-        stats
+                reports.extend(
+                    report_rxs
+                        .iter()
+                        .map(|rx| rx.recv().expect("shard worker alive")),
+                );
+            })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     const HOP: SimDuration = SimDuration::from_micros(100);
 
-    /// A toy shard: tokens hop between shards with latency `HOP`,
-    /// decrementing a time-to-live; every processed hop is logged.
+    /// A toy shard: tokens hop between shards with latency `hop`,
+    /// decrementing a time-to-live; every processed hop is logged. An
+    /// action toggles `halted`, and a halted shard logs but forwards
+    /// nothing.
     struct TokenShard {
         id: usize,
         shards: usize,
+        hop: SimDuration,
         queue: crate::queue::EventQueue<u32>,
         outbox: Vec<CrossShardEvent<u32>>,
         sent: u64,
@@ -454,6 +407,9 @@ mod tests {
         /// Whether the observe bus was recording on the thread that last
         /// advanced this shard.
         bus_recording: Option<bool>,
+        /// `next_event_time` calls: the kernel reads it once before the
+        /// run and once per round served.
+        polled: Cell<u64>,
     }
 
     impl TokenShard {
@@ -461,12 +417,14 @@ mod tests {
             Self {
                 id,
                 shards,
+                hop: HOP,
                 queue: crate::queue::EventQueue::with_seq_stride(id as u64, shards as u64),
                 outbox: Vec::new(),
                 sent: 0,
                 log: Vec::new(),
                 halted: false,
                 bus_recording: None,
+                polled: Cell::new(0),
             }
         }
     }
@@ -484,11 +442,12 @@ mod tests {
         }
 
         fn next_event_time(&self) -> Option<SimTime> {
+            self.polled.set(self.polled.get() + 1);
             self.queue.peek_time()
         }
 
         fn run_before(&mut self, horizon: SimTime) -> u64 {
-            self.bus_recording = Some(rmodp_observe::bus::is_enabled());
+            self.bus_recording = Some(bus::is_enabled());
             let mut events = 0;
             while self.queue.peek_time().is_some_and(|t| t < horizon) {
                 let (at, ttl) = self.queue.pop().expect("peeked");
@@ -497,11 +456,13 @@ mod tests {
                 if ttl == 0 || self.halted {
                     continue;
                 }
-                // Forward the token to the next shard (or locally for a
-                // single shard — still via the queue, so shard counts
-                // only change *where* work runs, not what happens).
-                let dst = (self.id + 1) % self.shards;
-                let arrive = at + HOP;
+                // Forward the token one to three shards on, by its ttl, so
+                // several sources reach one destination at one instant
+                // (or locally when that lands here — still via the queue,
+                // so shard counts only change *where* work runs, not what
+                // happens).
+                let dst = (self.id + 1 + ttl as usize % 3) % self.shards;
+                let arrive = at + self.hop;
                 if dst == self.id {
                     self.queue.schedule(arrive, ttl - 1);
                 } else {
@@ -529,37 +490,137 @@ mod tests {
         }
 
         fn apply_action(&mut self, _action: &()) {
-            self.halted = true;
+            self.halted = !self.halted;
         }
     }
 
-    fn run_tokens(
-        shards: usize,
-        threaded: bool,
-        ttl: u32,
-        tokens: u32,
-    ) -> Vec<Vec<(SimTime, u32)>> {
-        let mut worlds: Vec<TokenShard> = (0..shards).map(|i| TokenShard::new(i, shards)).collect();
-        for t in 0..tokens {
-            // All tokens start on shard 0 at distinct instants.
-            worlds[0]
-                .queue
-                .schedule(SimTime::from_micros(u64::from(t) + 1), ttl);
+    /// The two-phase serial loop this module used before an epoch became
+    /// one rendezvous — run every shard, sort, deposit everything at the
+    /// barrier — kept as the reference `drive`/`serve` are compared with.
+    fn reference_run<W: ShardWorld>(
+        shards: &mut [W],
+        lookahead: SimDuration,
+        timeline: &[(SimTime, Vec<W::Action>)],
+    ) -> SyncStats {
+        let mut stats = SyncStats::default();
+        loop {
+            let next_times: Vec<Option<SimTime>> =
+                shards.iter().map(|s| s.next_event_time()).collect();
+            let pending = timeline.get(stats.hook_firings as usize);
+            match plan_epoch(&next_times, pending.map(|(at, _)| *at), lookahead) {
+                EpochPlan::Idle => break,
+                EpochPlan::Fire => {
+                    stats.hook_firings += 1;
+                    for action in &pending.expect("planned from it").1 {
+                        for shard in shards.iter_mut() {
+                            shard.apply_action(action);
+                        }
+                    }
+                }
+                EpochPlan::Run(horizon) => {
+                    stats.epochs += 1;
+                    let mut outbox = Vec::new();
+                    for shard in shards.iter_mut() {
+                        stats.events += shard.run_before(horizon);
+                        outbox.append(&mut shard.take_outbox());
+                    }
+                    outbox.sort_by_key(|e| (e.at, e.src_shard, e.src_seq));
+                    stats.cross_shard_messages += outbox.len() as u64;
+                    for event in outbox {
+                        assert!(event.at >= horizon, "below the horizon");
+                        shards[event.dst_shard].deposit(event);
+                    }
+                }
+            }
         }
+        stats
+    }
+
+    type Logs = Vec<Vec<(SimTime, u32)>>;
+
+    /// `tokens` are `(start shard, start instant in µs, ttl)`.
+    fn token_worlds(shards: usize, tokens: &[(usize, u64, u32)]) -> Vec<TokenShard> {
+        let mut worlds: Vec<TokenShard> = (0..shards).map(|i| TokenShard::new(i, shards)).collect();
+        for &(shard, at_us, ttl) in tokens {
+            worlds[shard % shards]
+                .queue
+                .schedule(SimTime::from_micros(at_us), ttl);
+        }
+        worlds
+    }
+
+    fn run_kernel(
+        worlds: Vec<TokenShard>,
+        threaded: bool,
+        timeline: &[(SimTime, Vec<()>)],
+    ) -> (Logs, SyncStats) {
         let mut kernel = ShardedKernel::new(worlds, HOP);
         kernel.set_threaded(threaded);
-        let stats = kernel.run();
+        let stats = kernel.run_with(timeline);
+        for shard in kernel.shards() {
+            assert_eq!(
+                shard.polled.get(),
+                1 + stats.epochs + stats.hook_firings,
+                "an epoch is one round per shard (threaded: {threaded})"
+            );
+        }
+        let logs = kernel.into_shards().into_iter().map(|s| s.log).collect();
+        (logs, stats)
+    }
+
+    fn run_tokens(shards: usize, threaded: bool, ttl: u32, tokens: u32) -> Logs {
+        // All tokens start on shard 0 at distinct instants.
+        let tokens: Vec<(usize, u64, u32)> =
+            (0..tokens).map(|t| (0, u64::from(t) + 1, ttl)).collect();
+        let (logs, stats) = run_kernel(token_worlds(shards, &tokens), threaded, &[]);
         assert!(stats.events > 0);
-        kernel.into_shards().into_iter().map(|s| s.log).collect()
+        logs
+    }
+
+    proptest! {
+        /// The one loop against the two-phase reference, on both runners:
+        /// every shard's log and every counter agree, with same-instant
+        /// arrivals from several sources and timeline instants that fall
+        /// on an event time, between events and after quiescence.
+        #[test]
+        fn one_loop_matches_the_two_phase_reference(
+            shards in 1usize..=4,
+            tokens in proptest::collection::vec((0usize..4, 1u64..5, 0u32..14), 1..8),
+            instants in proptest::collection::vec((0u8..3, 0usize..8, 0u64..1_800), 0..=3),
+        ) {
+            let mut times: Vec<SimTime> = instants
+                .iter()
+                .map(|&(kind, pick, us)| match kind {
+                    // A token's start: an instant with an event on it.
+                    0 => SimTime::from_micros(tokens[pick % tokens.len()].1),
+                    1 => SimTime::from_micros(us),
+                    // The longest chain ends before 1.5 ms.
+                    _ => SimTime::from_micros(1_000_000 + us),
+                })
+                .collect();
+            times.sort();
+            times.dedup();
+            let timeline: Vec<(SimTime, Vec<()>)> =
+                times.into_iter().map(|at| (at, vec![()])).collect();
+
+            let mut worlds = token_worlds(shards, &tokens);
+            let expected_stats = reference_run(&mut worlds, HOP, &timeline);
+            let expected: Logs = worlds.into_iter().map(|s| s.log).collect();
+            prop_assert_eq!(expected_stats.hook_firings, timeline.len() as u64);
+
+            for threaded in [false, true] {
+                let (logs, stats) = run_kernel(token_worlds(shards, &tokens), threaded, &timeline);
+                prop_assert_eq!(&logs, &expected, "threaded: {}", threaded);
+                prop_assert_eq!(stats, expected_stats, "threaded: {}", threaded);
+            }
+        }
     }
 
     #[test]
     fn threaded_workers_follow_the_callers_bus_setting() {
         for recording in [false, true] {
-            rmodp_observe::bus::set_enabled(recording);
-            let mut worlds: Vec<TokenShard> = (0..2).map(|i| TokenShard::new(i, 2)).collect();
-            worlds[0].queue.schedule(SimTime::from_micros(1), 3);
-            let mut kernel = ShardedKernel::new(worlds, HOP);
+            bus::set_enabled(recording);
+            let mut kernel = ShardedKernel::new(token_worlds(2, &[(0, 1, 3)]), HOP);
             kernel.set_threaded(true);
             kernel.run();
             for shard in kernel.into_shards() {
@@ -589,7 +650,7 @@ mod tests {
 
     #[test]
     fn total_hops_are_shard_count_invariant() {
-        let total = |logs: Vec<Vec<(SimTime, u32)>>| -> usize { logs.iter().map(Vec::len).sum() };
+        let total = |logs: Logs| -> usize { logs.iter().map(Vec::len).sum() };
         let one = total(run_tokens(1, false, 9, 3));
         let two = total(run_tokens(2, true, 9, 3));
         let four = total(run_tokens(4, true, 9, 3));
@@ -659,7 +720,6 @@ mod tests {
         shards[2].queue.schedule(SimTime::from_micros(1), 0);
         shards[1].queue.schedule(SimTime::from_micros(1), 0);
         let mut kernel = ShardedKernel::new(shards, HOP);
-        kernel.set_threaded(false);
         kernel.run();
         assert_eq!(
             kernel.shards()[0].deposits,
@@ -672,29 +732,11 @@ mod tests {
 
     #[test]
     fn hook_fires_at_exact_instants_and_halts_tokens() {
-        struct At {
-            at: Option<SimTime>,
-        }
-        impl EpochHook<()> for At {
-            fn next_instant(&self) -> Option<SimTime> {
-                self.at
-            }
-            fn fire(&mut self, at: SimTime) -> Vec<()> {
-                assert_eq!(Some(at), self.at.take());
-                vec![()]
-            }
-        }
-        let run = |threaded: bool| -> Vec<Vec<(SimTime, u32)>> {
-            let mut worlds: Vec<TokenShard> = (0..2).map(|i| TokenShard::new(i, 2)).collect();
-            worlds[0].queue.schedule(SimTime::from_micros(1), 50);
-            let mut kernel = ShardedKernel::new(worlds, HOP);
-            kernel.set_threaded(threaded);
-            let mut hook = At {
-                at: Some(SimTime::from_micros(450)),
-            };
-            let stats = kernel.run_with_hook(&mut hook);
+        let run = |threaded: bool| -> Logs {
+            let timeline = [(SimTime::from_micros(450), vec![()])];
+            let (logs, stats) = run_kernel(token_worlds(2, &[(0, 1, 50)]), threaded, &timeline);
             assert_eq!(stats.hook_firings, 1);
-            kernel.into_shards().into_iter().map(|s| s.log).collect()
+            logs
         };
         let serial = run(false);
         let threaded = run(true);
@@ -704,6 +746,46 @@ mod tests {
         // is logged), but stops propagating there.
         let hops: usize = serial.iter().map(Vec::len).sum();
         assert_eq!(hops, 6, "five hops before the halt plus one in flight");
+    }
+
+    /// A shard whose links are faster than the kernel was told: its first
+    /// message arrives at 51 µs, below the first horizon (101 µs).
+    fn run_with_a_link_shorter_than_the_lookahead(threaded: bool) {
+        let mut worlds = token_worlds(2, &[(0, 1, 3)]);
+        worlds[0].hop = SimDuration::from_micros(50);
+        let mut kernel = ShardedKernel::new(worlds, HOP);
+        kernel.set_threaded(threaded);
+        kernel.run();
+    }
+
+    // Leg 1 of the determinism argument is checked in every build: on the
+    // parent these two pass in debug and fail under `cargo test --release`,
+    // where its `debug_assert!` compiles out.
+    #[test]
+    #[should_panic(expected = "violates the lookahead horizon")]
+    fn a_message_below_the_horizon_panics_on_the_serial_runner() {
+        run_with_a_link_shorter_than_the_lookahead(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "violates the lookahead horizon")]
+    fn a_message_below_the_horizon_panics_on_the_threaded_runner() {
+        run_with_a_link_shorter_than_the_lookahead(true);
+    }
+
+    #[test]
+    fn a_timeline_that_does_not_strictly_ascend_is_rejected() {
+        let at = SimTime::from_micros;
+        for instants in [[at(300), at(200)], [at(200), at(200)]] {
+            let timeline: Vec<(SimTime, Vec<()>)> =
+                instants.iter().map(|&t| (t, vec![()])).collect();
+            let refused = std::panic::catch_unwind(|| {
+                ShardedKernel::new(token_worlds(2, &[(0, 1, 3)]), HOP).run_with(&timeline)
+            })
+            .expect_err("accepted");
+            let text = refused.downcast_ref::<&str>().expect("a literal message");
+            assert!(text.contains("strictly ascending"), "{text}");
+        }
     }
 
     #[test]

@@ -184,9 +184,12 @@ impl<'a> Ctx<'a> {
         self.rng.gen_range(0..bound)
     }
 
-    /// Records an application-level note in the trace.
-    pub fn note(&mut self, detail: impl Into<String>) {
-        self.out.push(Command::Note(detail.into()));
+    /// Records an application-level note in the trace. The text is
+    /// built only while the observe bus is recording.
+    pub fn note(&mut self, detail: impl FnOnce() -> String) {
+        if bus::is_enabled() {
+            self.out.push(Command::Note(detail()));
+        }
     }
 }
 
@@ -328,13 +331,6 @@ impl Sim {
             outbox: Vec::new(),
             sent: 0,
         });
-    }
-
-    /// Which shard owns a node (shard 0 when routing is disabled).
-    pub fn owning_shard(&self, node: NodeIdx) -> usize {
-        self.shard
-            .as_ref()
-            .map_or(0, |s| s.map.owner(node.0 as usize))
     }
 
     /// Adds a node and returns its index.
@@ -970,12 +966,12 @@ mod tests {
         struct Chatty;
         impl Process for Chatty {
             fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-                ctx.note(format!("got {} byte(s)", msg.payload.len()));
+                ctx.note(|| format!("got {} byte(s)", msg.payload.len()));
                 ctx.set_timer(SimDuration::from_millis(1), 7);
                 ctx.send(msg.src, msg.payload);
             }
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-                ctx.note(format!("timer {tag}"));
+                ctx.note(|| format!("timer {tag}"));
             }
         }
         let link = LinkConfig::with_latency(SimDuration::from_millis(2));

@@ -182,10 +182,7 @@ impl Coordinator {
             },
             1,
         );
-        ctx.note(format!(
-            "{tx} decided {}",
-            if commit { "commit" } else { "abort" }
-        ));
+        ctx.note(|| format!("{tx} decided {}", if commit { "commit" } else { "abort" }));
         self.send_decision(ctx, tx, commit);
     }
 }
@@ -266,7 +263,7 @@ impl Process for Coordinator {
                     progress.acked.len() >= self.participants.len()
                 };
                 if all {
-                    ctx.note(format!("{tx} fully acknowledged"));
+                    ctx.note(|| format!("{tx} fully acknowledged"));
                 }
             }
             _ => {}

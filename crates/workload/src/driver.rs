@@ -198,6 +198,16 @@ impl<'a> Driver<'a> {
         }
         freed
     }
+
+    /// Ends the run: whatever is still in flight is counted lost, and the
+    /// engine is told nobody will collect it, so the request leaves no
+    /// state behind.
+    fn give_up_on_the_rest(&mut self, engine: &mut Engine) {
+        self.stats.lost = self.inflight.len() as u64;
+        for &id in self.inflight.keys() {
+            engine.abandon_call(self.channel, id);
+        }
+    }
 }
 
 /// The open-loop load generator as a kernel actor: one due instant per
@@ -253,7 +263,7 @@ fn open_loop(
     }
     engine.run_until_idle();
     actor.driver.drain(engine);
-    actor.driver.stats.lost = actor.driver.inflight.len() as u64;
+    actor.driver.give_up_on_the_rest(engine);
 }
 
 /// The closed-loop population as a kernel actor: a client becomes due
@@ -344,7 +354,7 @@ fn closed_loop(
         // `finished` must record that instant, not a later idle point.
         kernel.run(engine);
     }
-    actor.driver.stats.lost = actor.driver.inflight.len() as u64;
+    actor.driver.give_up_on_the_rest(engine);
 }
 
 #[cfg(test)]
@@ -464,6 +474,59 @@ mod tests {
         assert!(ns.peak_queue_depth >= 4);
         // Queueing delay shows up in the completed requests' latency.
         assert!(stats.latency.max() >= 2_000);
+    }
+
+    #[test]
+    fn requests_counted_lost_leave_nothing_behind() {
+        use rmodp_engineering::nucleus::{DriverProcess, DRIVER_PORT};
+        use rmodp_netsim::sim::{Addr, NodeIdx};
+
+        // (request ids still waited for, replies kept) over both nodes'
+        // drivers.
+        fn driver_leftovers(engine: &Engine) -> (usize, usize) {
+            (0..2).fold((0, 0), |(waiting, kept), node| {
+                let driver = engine
+                    .sim()
+                    .inspect::<DriverProcess>(Addr::new(NodeIdx(node), DRIVER_PORT))
+                    .expect("every node has a driver");
+                (waiting + driver.awaiting(), kept + driver.mailbox.len())
+            })
+        }
+
+        for load in [
+            LoadModel::Open {
+                arrivals: ArrivalProcess::Constant { rate_per_sec: 50.0 },
+            },
+            LoadModel::Closed {
+                population: 4,
+                think_time: SimDuration::from_millis(10),
+            },
+        ] {
+            let (mut engine, server, channel) = counter_setup(6);
+            let scenario = Scenario::new("down", 5, load)
+                .lasting(SimDuration::from_secs(1))
+                .with_mix(add_mix());
+            // The server is down for the whole run: nothing is answered.
+            let node = engine.sim_node(server).unwrap();
+            engine.sim_mut().topology_mut().crash(node);
+            let stats = execute(&mut engine, channel, &scenario);
+            assert!(
+                stats.offered > 0 && stats.lost == stats.offered,
+                "{stats:?}"
+            );
+            assert_eq!(engine.calls_in_flight(), 0, "engine pending table");
+            assert_eq!(driver_leftovers(&engine), (0, 0));
+
+            // Restarted, the same channel serves a second run in full.
+            engine.sim_mut().topology_mut().restart(node);
+            let stats = execute(&mut engine, channel, &scenario);
+            assert!(
+                stats.completed > 0 && stats.completed == stats.offered,
+                "{stats:?}"
+            );
+            assert_eq!(engine.calls_in_flight(), 0);
+            assert_eq!(driver_leftovers(&engine), (0, 0));
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use rmodp_engineering::structure::BeoRecord;
 use rmodp_engineering::wire;
 use rmodp_kernel::hash::{fnv1a_fold, FNV_OFFSET_BASIS};
 use rmodp_kernel::rng::mix;
-use rmodp_kernel::{EpochHook, PartitionMap, ShardedKernel, SyncStats};
+use rmodp_kernel::{PartitionMap, ShardedKernel, SyncStats};
 use rmodp_netsim::sim::{Addr, Ctx, Message, NodeIdx, Process, ShardAction, Sim};
 use rmodp_netsim::time::{SimDuration, SimTime};
 use rmodp_netsim::topology::{LinkConfig, Topology};
@@ -175,8 +175,14 @@ pub struct PopulationConfig {
     pub ops_per_capsule: u32,
     /// Virtual window over which capsule activations are spread.
     pub arrival_window: SimDuration,
-    /// Run shards on real threads (`std::thread::scope`); the serial
-    /// path is byte-identical, so this only affects wall-clock time.
+    /// Run each shard on its own OS thread (`std::thread::scope`; used
+    /// when there is more than one shard). Both settings execute the same
+    /// epoch loop and yield the same bytes. What differs is measured by
+    /// `benchmark/`'s probes `kernel.shard.epoch_serial_ns` and
+    /// `kernel.shard.epoch_threaded_ns`: where an epoch carries ~11
+    /// events (the committed CI scale) the threaded rendezvous costs more
+    /// than the epoch's work and `true` is several times slower
+    /// (EXPERIMENTS.md §E15).
     pub threaded: bool,
     /// Keep the rendered JSONL export in the outcome (tests and smoke
     /// runs; full-scale runs should rely on the checksum instead).
@@ -484,7 +490,7 @@ pub struct PopulationOutcome {
     pub epochs: u64,
     /// Messages that crossed a shard boundary.
     pub cross_shard_messages: u64,
-    /// Epoch-hook firings (fault injections etc.).
+    /// Timeline instants fired (fault injections etc.).
     pub hook_firings: u64,
     /// Virtual time of the last processed event, µs.
     pub finished_us: u64,
@@ -517,13 +523,14 @@ pub fn population_partition(regions: u32, shards: usize) -> PartitionMap {
 
 /// Runs a population scenario to quiescence.
 pub fn run_population(config: &PopulationConfig) -> PopulationOutcome {
-    run_population_with_hook(config, &mut rmodp_kernel::shard::NoHook)
+    run_population_with(config, &[])
 }
 
-/// Runs a population scenario with an epoch hook (fault injection).
-pub fn run_population_with_hook(
+/// Runs a population scenario under an epoch timeline (fault injection;
+/// see [`ShardedKernel::run_with`]).
+pub fn run_population_with(
     config: &PopulationConfig,
-    hook: &mut dyn EpochHook<ShardAction>,
+    timeline: &[(SimTime, Vec<ShardAction>)],
 ) -> PopulationOutcome {
     config.validate();
     let regions = config.regions;
@@ -580,8 +587,8 @@ pub fn run_population_with_hook(
     }
 
     let mut kernel = ShardedKernel::new(sims, lookahead);
-    kernel.set_threaded(config.threaded && config.shards > 1);
-    let sync: SyncStats = kernel.run_with_hook(hook);
+    kernel.set_threaded(config.threaded);
+    let sync: SyncStats = kernel.run_with(timeline);
     let sims = kernel.into_shards();
 
     collect_outcome(config, &sims, sync)

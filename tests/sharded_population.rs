@@ -1,13 +1,13 @@
 //! Cross-crate determinism of the sharded kernel: the same seed must
 //! produce byte-identical observable results at any shard count, with
-//! and without fault injection, on serial and threaded execution.
+//! and without fault injection, on serial and threaded execution (each
+//! sharded run below is made both ways).
 
 use rmodp_chaos::plan::{FaultKind, FaultPlan};
-use rmodp_chaos::shard::FaultPlanHook;
 use rmodp_netsim::sim::NodeIdx;
 use rmodp_netsim::time::SimDuration;
 use rmodp_workload::population::{
-    run_population, run_population_with_hook, PopulationConfig, PopulationScenario,
+    run_population, run_population_with, PopulationConfig, PopulationScenario,
 };
 
 fn config(scenario: PopulationScenario, shards: usize) -> PopulationConfig {
@@ -27,23 +27,20 @@ fn bank_branch_runs_are_identical_at_shard_counts_1_2_4() {
     assert_eq!(base.stats.lost, 0, "no faults, no losses");
     assert!(base.report.pass, "{}", base.report.render());
 
-    for shards in [2, 4] {
-        let run = run_population(&config(PopulationScenario::Bank, shards));
+    for (shards, threaded) in [(2, false), (2, true), (4, false), (4, true)] {
+        let at = format!("at {shards} shards, threaded: {threaded}");
+        let mut config = config(PopulationScenario::Bank, shards);
+        config.threaded = threaded;
+        let run = run_population(&config);
         assert!(
             run.cross_shard_messages > 0,
-            "{shards}-shard run must exercise the cross-shard merge"
+            "must exercise the cross-shard merge {at}"
         );
-        assert_eq!(
-            run.export, base.export,
-            "JSONL observe export differs at {shards} shards"
-        );
-        assert_eq!(run.export_checksum, base.export_checksum);
-        assert_eq!(run.state_checksum, base.state_checksum);
-        assert_eq!(run.events, base.events, "event count at {shards} shards");
-        assert_eq!(
-            run.report, base.report,
-            "SLO verdict differs at {shards} shards"
-        );
+        assert_eq!(run.export, base.export, "JSONL observe export differs {at}");
+        assert_eq!(run.export_checksum, base.export_checksum, "{at}");
+        assert_eq!(run.state_checksum, base.state_checksum, "{at}");
+        assert_eq!(run.events, base.events, "event count {at}");
+        assert_eq!(run.report, base.report, "SLO verdict differs {at}");
     }
 }
 
@@ -60,21 +57,25 @@ fn fault_injection_stays_shard_count_invariant() {
         },
     );
 
-    let run_at = |shards: usize| {
-        let mut hook = FaultPlanHook::compile(&plan).expect("topology-level plan");
-        run_population_with_hook(&config(PopulationScenario::Bank, shards), &mut hook)
+    let timeline = rmodp_chaos::shard::compile(&plan).expect("topology-level plan");
+    let run_at = |shards: usize, threaded: bool| {
+        let mut config = config(PopulationScenario::Bank, shards);
+        config.threaded = threaded;
+        run_population_with(&config, &timeline)
     };
 
-    let base = run_at(1);
+    let base = run_at(1, false);
     assert!(base.stats.lost > 0, "the crash must actually cost requests");
     assert_eq!(base.hook_firings, 2, "crash + restart");
 
-    for shards in [2, 3] {
-        let run = run_at(shards);
-        assert_eq!(run.export, base.export, "faulted export at {shards} shards");
-        assert_eq!(run.export_checksum, base.export_checksum);
-        assert_eq!(run.state_checksum, base.state_checksum);
-        assert_eq!(run.stats.lost, base.stats.lost);
-        assert_eq!(run.report, base.report);
+    for (shards, threaded) in [(2, false), (2, true), (3, false), (3, true)] {
+        let at = format!("at {shards} shards, threaded: {threaded}");
+        let run = run_at(shards, threaded);
+        assert_eq!(run.export, base.export, "faulted export {at}");
+        assert_eq!(run.export_checksum, base.export_checksum, "{at}");
+        assert_eq!(run.state_checksum, base.state_checksum, "{at}");
+        assert_eq!(run.stats.lost, base.stats.lost, "{at}");
+        assert_eq!(run.hook_firings, base.hook_firings, "{at}");
+        assert_eq!(run.report, base.report, "{at}");
     }
 }

@@ -1,0 +1,333 @@
+//! Source rules: the "one way to do it" decisions of earlier changes,
+//! kept from coming back by a scan of the tree. Each row of [`RULES`]
+//! names the text that must not reappear, where, and why; a hit is
+//! reported as `file:line`. Plain `std::fs` and string matching, so it
+//! runs wherever `cargo test` does (CI carries no copy of these rules).
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// How a rule recognises an offending line.
+enum Pattern {
+    /// The line contains this text.
+    Literal(&'static str),
+    /// The line contains `open` and, later, `then`, with no `|` between
+    /// the two: text formatted as a plain argument rather than inside a
+    /// closure.
+    EagerArgument {
+        open: &'static str,
+        then: &'static str,
+    },
+}
+
+impl Pattern {
+    fn matches(&self, line: &str) -> bool {
+        match self {
+            Pattern::Literal(text) => line.contains(text),
+            Pattern::EagerArgument { open, then } => line.match_indices(open).any(|(at, _)| {
+                let rest = &line[at + open.len()..];
+                rest.find(then)
+                    .is_some_and(|end| !rest[..end].contains('|'))
+            }),
+        }
+    }
+}
+
+struct Rule {
+    name: &'static str,
+    /// What to do instead; printed with every hit.
+    why: &'static str,
+    /// Directories (searched recursively for `.rs` files) or single
+    /// files, relative to the repository root; one `*` stands for every
+    /// directory at that level.
+    roots: &'static [&'static str],
+    patterns: &'static [Pattern],
+    /// Files the rule does not apply to (where the one copy lives).
+    exempt: &'static [&'static str],
+    /// Only the part of a file above its `#[cfg(test)]` line is held to
+    /// the rule.
+    above_tests_only: bool,
+}
+
+use Pattern::{EagerArgument, Literal};
+
+const SRC: &[&str] = &["crates/*/src", "src"];
+
+const RULES: &[Rule] = &[
+    Rule {
+        name: "event details are closures",
+        why: "`.detail(format!(…))` and `.record(…, format!(…))` build their text whether or \
+              not anyone records it: use `.detail_with(|| format!(…))` / a closure argument \
+              (DESIGN.md, \"Observability\")",
+        roots: SRC,
+        patterns: &[
+            Literal(".detail(format!"),
+            EagerArgument {
+                open: ".record(",
+                then: "format!",
+            },
+        ],
+        exempt: &[],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "notes are closures",
+        why: "`Ctx::note` takes a closure and calls it only while the bus records: write \
+              `ctx.note(|| format!(…))`",
+        roots: SRC,
+        patterns: &[Literal(".note(format!")],
+        exempt: &[],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "imports share offers",
+        why: "an import shares offers (`Arc::clone`), it never copies one",
+        roots: &["crates/trader/src"],
+        patterns: &[Literal("offer.clone()")],
+        exempt: &[],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "one hash module",
+        why: "FNV-1a lives in crates/observe/src/hash.rs (re-exported as rmodp_kernel::hash): \
+              use it instead of a private copy",
+        roots: &["crates", "src"],
+        patterns: &[Literal("cbf2_9ce4_8422_2325")],
+        exempt: &["crates/observe/src/hash.rs"],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "one netsim trace",
+        why: "the observe bus is the only netsim trace: read rmodp_observe::bus",
+        roots: SRC,
+        patterns: &[Literal("TraceEntry"), Literal("set_tracing")],
+        exempt: &[],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "one frame",
+        why: "the [len][fnv1a][payload] header is assembled in log/frame.rs and nowhere else: \
+              call log::frame::frame_into / unframe",
+        roots: &["crates/store/src", "crates/transactions/src"],
+        patterns: &[Literal("len() as u32).to_le_bytes()")],
+        exempt: &["crates/transactions/src/log/frame.rs"],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "log records are not Value documents",
+        why: "a log record goes from its parts to the media bytes: write it with \
+              codec::binary::Writer (DESIGN.md, \"The byte path\")",
+        roots: &["crates/transactions/src/log.rs"],
+        patterns: &[Literal("to_value("), Literal("from_value(")],
+        exempt: &[],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "the store copies no Value",
+        why: "outside their tests the engine and the snapshot codec neither copy a Value nor \
+              call the whole-document codec (DESIGN.md, \"The byte path\")",
+        roots: &["crates/store/src/engine.rs", "crates/store/src/snapshot.rs"],
+        patterns: &[
+            Literal("syntax_for(SyntaxId::Binary)"),
+            Literal(".cloned()"),
+            Literal(".clone()"),
+        ],
+        exempt: &[],
+        above_tests_only: true,
+    },
+    Rule {
+        name: "one log, one storage seam",
+        why: "the in-memory log and the versioned storage function are gone (DESIGN.md, \
+              \"Durable state: one log, one crash model\")",
+        roots: &["crates/*/src"],
+        patterns: &[
+            Literal("from_records"),
+            Literal("stable_len"),
+            Literal("put_if"),
+            Literal("get_version"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "one golden gate",
+        why: "tests/baselines is the only committed copy of the artifacts and \
+              crates/bench/tests/golden.rs compares it with == on bytes: add a row to \
+              crates/bench/src/artifacts.rs, not a second gate or fixture copy",
+        roots: &["crates/*/src", "crates/*/tests", "src", "tests"],
+        patterns: &[
+            Literal("tests/fixtures"),
+            Literal("perf_gate"),
+            Literal("struct Band"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "no host clock in a deterministic suite",
+        why: "wall-clock time is measured in benchmark/, not under crates/bench/src",
+        roots: &["crates/bench/src"],
+        patterns: &[
+            Literal("Instant"),
+            Literal("SystemTime"),
+            Literal("--measure"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "one epoch loop",
+        why: "the sharded kernel's loop is `drive` and its per-shard round is `serve`, shared \
+              by both runners; the fault hook is a timeline value, not a trait (DESIGN.md, \
+              \"Sharded kernel\")",
+        roots: &["crates/kernel/src"],
+        patterns: &[
+            Literal("fn run_serial"),
+            Literal("fn run_threaded"),
+            Literal("enum Cmd"),
+            Literal("trait EpochHook"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+    },
+];
+
+/// This file quotes every forbidden text.
+const SELF: &str = "tests/source_rules.rs";
+
+/// The 1-based numbers of the lines of `text` that break `rule`.
+fn offending_lines(rule: &Rule, text: &str) -> Vec<usize> {
+    text.lines()
+        .take_while(|line| !(rule.above_tests_only && line.trim() == "#[cfg(test)]"))
+        .enumerate()
+        .filter(|(_, line)| rule.patterns.iter().any(|p| p.matches(line)))
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+/// Expands one root (see [`Rule::roots`]) into the `.rs` files under it,
+/// sorted, skipping build output.
+fn rust_files(repo: &Path, root: &str) -> Vec<PathBuf> {
+    let mut dirs = vec![repo.to_path_buf()];
+    for part in root.split('/') {
+        dirs = dirs
+            .into_iter()
+            .flat_map(|dir| match part {
+                "*" => children(&dir),
+                _ => vec![dir.join(part)],
+            })
+            .filter(|p| p.exists())
+            .collect();
+    }
+    let mut files = Vec::new();
+    while let Some(path) = dirs.pop() {
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                dirs.extend(children(&path));
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            files.push(path);
+        }
+    }
+    files.sort();
+    files
+}
+
+fn children(dir: &Path) -> Vec<PathBuf> {
+    fs::read_dir(dir)
+        .map(|entries| entries.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default()
+}
+
+#[test]
+fn the_tree_keeps_every_source_rule() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut report = String::new();
+    let mut scanned = 0;
+    for rule in RULES {
+        for root in rule.roots {
+            let files = rust_files(repo, root);
+            assert!(
+                !files.is_empty(),
+                "rule {:?}: nothing under {root}",
+                rule.name
+            );
+            for file in files {
+                let shown = file.strip_prefix(repo).expect("under the repository");
+                let shown = shown.to_string_lossy().replace('\\', "/");
+                if shown == SELF || rule.exempt.contains(&shown.as_str()) {
+                    continue;
+                }
+                scanned += 1;
+                let text = fs::read_to_string(&file).expect("readable source file");
+                for line in offending_lines(rule, &text) {
+                    report.push_str(&format!("{shown}:{line}: {} — {}\n", rule.name, rule.why));
+                }
+            }
+        }
+    }
+    if repo.join("tests/fixtures").exists() {
+        report.push_str("tests/fixtures: a second copy of the artifacts (one golden gate)\n");
+    }
+    assert!(scanned > 100, "only {scanned} files scanned");
+    assert!(report.is_empty(), "source rules broken:\n{report}");
+}
+
+fn rule_with(patterns: &'static [Pattern], above_tests_only: bool) -> Rule {
+    Rule {
+        name: "sample",
+        why: "",
+        roots: &[],
+        patterns,
+        exempt: &[],
+        above_tests_only,
+    }
+}
+
+#[test]
+fn a_literal_matches_anywhere_on_a_line() {
+    let rule = rule_with(&[Literal("offer.clone()"), Literal("put_if")], false);
+    let text = "let a = offer.clone();\nlet b = Arc::clone(&offer);\n    store.put_if(k, v);\n";
+    assert_eq!(offending_lines(&rule, text), vec![1, 3]);
+}
+
+#[test]
+fn an_eager_argument_is_text_formatted_outside_a_closure() {
+    let rule = rule_with(
+        &[EagerArgument {
+            open: ".record(",
+            then: "format!",
+        }],
+        false,
+    );
+    let text = "\
+        bus.record(kind, format!(\"{x}\"));\n\
+        bus.record(kind, || format!(\"{x}\"));\n\
+        bus.record(kind, text);\n\
+        let s = format!(\"{x}\"); bus.record(kind, s);\n\
+        a.record(k, || t); b.record(k, format!(\"{y}\"));\n";
+    assert_eq!(offending_lines(&rule, text), vec![1, 5]);
+}
+
+#[test]
+fn a_rule_can_stop_at_the_test_module() {
+    let text = "fn a() { x.clone() }\n\n    #[cfg(test)]\nmod tests { fn b() { y.clone() } }\n";
+    let whole = rule_with(&[Literal(".clone()")], false);
+    let above = rule_with(&[Literal(".clone()")], true);
+    assert_eq!(offending_lines(&whole, text), vec![1, 4]);
+    assert_eq!(offending_lines(&above, text), vec![1]);
+}
+
+#[test]
+fn a_root_expands_a_star_and_finds_only_rust_files() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = rust_files(repo, "crates/*/src");
+    let has = |suffix: &str| files.iter().any(|f| f.ends_with(suffix));
+    assert!(has("crates/kernel/src/shard.rs") && has("crates/netsim/src/sim.rs"));
+    assert!(files
+        .iter()
+        .all(|f| f.extension().is_some_and(|e| e == "rs")));
+    // A single file is a root too; a missing one is simply empty.
+    assert_eq!(rust_files(repo, "crates/kernel/src/shard.rs").len(), 1);
+    assert!(rust_files(repo, "crates/kernel/src/no_such.rs").is_empty());
+}
