@@ -62,16 +62,18 @@ impl BranchBehaviour {
         format!("acct{a}")
     }
 
+    /// Applies `f` to account `a`, read where it lies in `state`, and
+    /// puts what it answers in the account's place.
     fn with_account(
         state: &mut Value,
         a: i64,
         f: impl FnOnce(&Value) -> Result<Value, SchemaError>,
     ) -> Termination {
         let key = Self::account_key(a);
-        let Some(account) = state.field("accounts").and_then(|r| r.field(&key)).cloned() else {
+        let Some(account) = state.field("accounts").and_then(|r| r.field(&key)) else {
             return Termination::error(format!("no such account {a}"));
         };
-        match f(&account) {
+        match f(account) {
             Ok(new_account) => {
                 let balance = new_account.field("balance").cloned().unwrap_or(Value::Null);
                 state
@@ -174,25 +176,20 @@ impl ServerBehaviour for BranchBehaviour {
             }
             "ResetDay" => {
                 // The midnight performative: reset every account.
-                let keys: Vec<String> = state
-                    .field("accounts")
-                    .and_then(Value::as_record)
-                    .map(|r| r.keys().cloned().collect())
-                    .unwrap_or_default();
-                for key in keys {
-                    let account = state
-                        .path(&["accounts", &key])
-                        .cloned()
-                        .expect("key enumerated above");
-                    if let Ok(reset) = schemas().midnight_reset.apply_checked(
-                        &account,
-                        &Value::record::<&str, _>([]),
-                        &schemas().invariants,
-                    ) {
-                        state
-                            .field_mut("accounts")
-                            .expect("state has accounts")
-                            .set_field(key, reset);
+                if let Some(accounts) = state.field_mut("accounts") {
+                    let keys: Vec<String> = accounts
+                        .as_record()
+                        .map(|r| r.keys().cloned().collect())
+                        .unwrap_or_default();
+                    for key in keys {
+                        let account = accounts.field(&key).expect("key enumerated above");
+                        if let Ok(reset) = schemas().midnight_reset.apply_checked(
+                            account,
+                            &Value::record::<&str, _>([]),
+                            &schemas().invariants,
+                        ) {
+                            accounts.set_field(key, reset);
+                        }
                     }
                 }
                 Termination::ok(Value::record::<&str, _>([]))

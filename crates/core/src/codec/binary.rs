@@ -23,7 +23,7 @@
 
 use bytes::{Buf, BufMut};
 
-use super::{CodecError, SyntaxId, TransferSyntax};
+use super::{too_deep, CodecError, SyntaxId, TransferSyntax, MAX_NESTING, TYPICAL_ENCODING};
 use crate::value::Value;
 
 const TAG_NULL: u8 = 0x00;
@@ -36,6 +36,10 @@ const TAG_SEQ: u8 = 0x06;
 const TAG_RECORD: u8 = 0x07;
 const TAG_REF: u8 = 0x08;
 
+/// The most elements a container's header gets room for before any of
+/// them has been read: a header is four bytes and may claim 2³² elements.
+const MAX_PREALLOCATED: usize = 1024;
+
 /// The compact binary transfer syntax (see module docs for the layout).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BinarySyntax;
@@ -46,7 +50,7 @@ impl TransferSyntax for BinarySyntax {
     }
 
     fn encode(&self, value: &Value) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
+        let mut out = Vec::with_capacity(TYPICAL_ENCODING);
         Writer::new(&mut out).value(value);
         out
     }
@@ -290,8 +294,14 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// A [`CodecError`] if the bytes do not continue with a whole value.
+    /// A [`CodecError`] if the bytes do not continue with a whole value,
+    /// or nest containers deeper than [`MAX_NESTING`] levels.
     pub fn value(&mut self) -> Result<Value, CodecError> {
+        self.value_at(0)
+    }
+
+    /// [`value`](Self::value) inside `depth` enclosing containers.
+    fn value_at(&mut self, depth: usize) -> Result<Value, CodecError> {
         let tag = self.u8()?;
         match tag {
             TAG_NULL => Ok(Value::Null),
@@ -310,23 +320,29 @@ impl<'a> Reader<'a> {
                 let len = self.u32()? as usize;
                 Ok(Value::Blob(self.take(len)?.to_vec()))
             }
+            TAG_SEQ | TAG_RECORD if depth == MAX_NESTING => Err(CodecError {
+                syntax: SyntaxId::Binary,
+                offset: self.pos - 1,
+                message: too_deep(),
+            }),
             TAG_SEQ => {
                 let count = self.u32()? as usize;
-                let mut items = Vec::with_capacity(count.min(1024));
+                let mut items = Vec::with_capacity(count.min(MAX_PREALLOCATED));
                 for _ in 0..count {
-                    items.push(self.value()?);
+                    items.push(self.value_at(depth + 1)?);
                 }
                 Ok(Value::Seq(items))
             }
             TAG_RECORD => {
+                // Canonical bytes carry the keys in order, so this is a
+                // push per field; `Record::from` sorts only if they do not.
                 let count = self.u32()? as usize;
-                let mut fields = std::collections::BTreeMap::new();
+                let mut fields = Vec::with_capacity(count.min(MAX_PREALLOCATED));
                 for _ in 0..count {
                     let key = self.str()?.to_owned();
-                    let value = self.value()?;
-                    fields.insert(key, value);
+                    fields.push((key, self.value_at(depth + 1)?));
                 }
-                Ok(Value::Record(fields))
+                Ok(Value::Record(fields.into()))
             }
             TAG_REF => {
                 let mut b = self.take(8)?;

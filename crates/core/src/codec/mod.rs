@@ -14,7 +14,7 @@
 //! channel negotiates a common transfer syntax.
 
 pub mod binary;
-mod text;
+pub mod text;
 
 use std::fmt;
 
@@ -65,6 +65,22 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// How many containers (sequences, records) may enclose a value in bytes
+/// a decoder accepts. Both decoders descend one call per level, so what
+/// bounds the nesting bounds their stack: deeper input is a
+/// [`CodecError`] at the container that goes too far, whatever its size.
+pub const MAX_NESTING: usize = 128;
+
+/// Room for a typical invocation or termination record in either syntax:
+/// what `encode`, a stand-alone wire record and a frame's payload start
+/// their buffer at, so that writing one does not grow it a doubling at a
+/// time.
+pub const TYPICAL_ENCODING: usize = 96;
+
+fn too_deep() -> String {
+    format!("nesting deeper than {MAX_NESTING} levels")
+}
 
 /// A transfer syntax: a bidirectional mapping between [`Value`]s and bytes.
 ///

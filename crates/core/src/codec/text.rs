@@ -8,11 +8,14 @@
 //!
 //! Floats always carry a `.` or exponent so they are distinguishable from
 //! ints. Record keys that are valid identifiers render bare; others quoted.
+//!
+//! [`TextSyntax`] maps whole [`Value`]s to and from that notation;
+//! [`Writer`] is the rendering half a piece at a time, as
+//! [`binary::Writer`](super::binary::Writer) is for the binary layout.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
-use super::{CodecError, SyntaxId, TransferSyntax};
+use super::{too_deep, CodecError, SyntaxId, TransferSyntax, MAX_NESTING, TYPICAL_ENCODING};
 use crate::value::Value;
 
 /// The self-describing text transfer syntax (see module docs).
@@ -25,9 +28,13 @@ impl TransferSyntax for TextSyntax {
     }
 
     fn encode(&self, value: &Value) -> Vec<u8> {
-        let mut s = String::with_capacity(32);
-        render(value, &mut s);
-        s.into_bytes()
+        let mut out = Vec::with_capacity(TYPICAL_ENCODING);
+        Writer::new(&mut out).value(value);
+        out
+    }
+
+    fn encode_into(&self, value: &Value, out: &mut Vec<u8>) {
+        Writer::new(out).value(value);
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Value, CodecError> {
@@ -37,8 +44,7 @@ impl TransferSyntax for TextSyntax {
             message: "encoding is not utf-8".into(),
         })?;
         let mut p = TextParser { src, pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != src.len() {
             return Err(p.error("trailing characters after value"));
@@ -47,87 +53,146 @@ impl TransferSyntax for TextSyntax {
     }
 }
 
-fn render(value: &Value, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::Float(x) => {
-            if x.is_nan() {
-                out.push_str("nan");
-            } else if x.is_infinite() {
-                out.push_str(if *x > 0.0 { "inf" } else { "-inf" });
-            } else {
-                // Debug formatting prints the shortest round-trippable form
-                // and always marks floats (".0" or an exponent).
-                let _ = write!(out, "{x:?}");
-            }
-        }
-        Value::Text(s) => render_quoted(s, out),
-        Value::Blob(b) => {
-            out.push_str("b\"");
-            for byte in b {
-                let _ = write!(out, "{byte:02x}");
-            }
-            out.push('"');
-        }
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, v) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                render(v, out);
-            }
-            out.push(']');
-        }
-        Value::Record(fields) => {
-            out.push('{');
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                if is_ident(k) {
-                    out.push_str(k);
-                } else {
-                    render_quoted(k, out);
-                }
-                out.push_str(": ");
-                render(v, out);
-            }
-            out.push('}');
-        }
-        Value::Ref(id) => {
-            let _ = write!(out, "ref({id})");
-        }
-    }
+/// Renders the notation straight into a caller's buffer, a piece at a
+/// time: a document whose shape is known (the invocation wire records)
+/// goes to its bytes without first being built as a [`Value`].
+///
+/// A record is [`record_open`](Self::record_open), then for each field
+/// [`key`](Self::key) and its value, keys in ascending order, then
+/// [`record_close`](Self::record_close); the writer puts the `, ` between
+/// fields. Written that way the bytes are what [`TextSyntax::encode`]
+/// gives for the same document — which is itself written through here.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+    /// A record was opened and has no field yet.
+    first_field: bool,
 }
 
-fn render_quoted(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Self {
+            out,
+            first_field: false,
         }
     }
-    out.push('"');
+
+    /// Opens a record.
+    pub fn record_open(&mut self) {
+        self.out.push(b'{');
+        self.first_field = true;
+    }
+
+    /// A record key (its value comes next): bare if it is an identifier,
+    /// quoted otherwise.
+    pub fn key(&mut self, key: &str) {
+        if !std::mem::take(&mut self.first_field) {
+            self.out.extend_from_slice(b", ");
+        }
+        if is_ident(key) {
+            self.out.extend_from_slice(key.as_bytes());
+        } else {
+            self.text(key);
+        }
+        self.out.extend_from_slice(b": ");
+    }
+
+    /// Closes the record opened last.
+    pub fn record_close(&mut self) {
+        self.out.push(b'}');
+        self.first_field = false;
+    }
+
+    /// A text value: quoted, with `"`, `\` and the three control
+    /// characters escaped and everything between copied as it is.
+    pub fn text(&mut self, text: &str) {
+        self.out.push(b'"');
+        let mut rest = text.as_bytes();
+        while let Some(at) = rest
+            .iter()
+            .position(|b| matches!(b, b'"' | b'\\' | b'\n' | b'\t' | b'\r'))
+        {
+            self.out.extend_from_slice(&rest[..at]);
+            self.out.extend_from_slice(match rest[at] {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\t' => b"\\t",
+                _ => b"\\r",
+            });
+            rest = &rest[at + 1..];
+        }
+        self.out.extend_from_slice(rest);
+        self.out.push(b'"');
+    }
+
+    /// Any value.
+    pub fn value(&mut self, value: &Value) {
+        // Writing to a `Vec` cannot fail.
+        match value {
+            Value::Null => self.out.extend_from_slice(b"null"),
+            Value::Bool(b) => self
+                .out
+                .extend_from_slice(if *b { b"true" } else { b"false" }),
+            Value::Int(i) => {
+                let _ = write!(self.out, "{i}");
+            }
+            Value::Float(x) => {
+                if x.is_nan() {
+                    self.out.extend_from_slice(b"nan");
+                } else if x.is_infinite() {
+                    self.out
+                        .extend_from_slice(if *x > 0.0 { b"inf" } else { b"-inf" });
+                } else {
+                    // Debug formatting prints the shortest round-trippable form
+                    // and always marks floats (".0" or an exponent).
+                    let _ = write!(self.out, "{x:?}");
+                }
+            }
+            Value::Text(s) => self.text(s),
+            Value::Blob(b) => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                self.out.extend_from_slice(b"b\"");
+                for byte in b {
+                    self.out.push(HEX[usize::from(byte >> 4)]);
+                    self.out.push(HEX[usize::from(byte & 0xf)]);
+                }
+                self.out.push(b'"');
+            }
+            Value::Seq(items) => {
+                self.out.push(b'[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        self.out.extend_from_slice(b", ");
+                    }
+                    self.value(v);
+                }
+                self.out.push(b']');
+            }
+            Value::Record(fields) => {
+                self.record_open();
+                for (k, v) in fields {
+                    self.key(k);
+                    self.value(v);
+                }
+                self.record_close();
+            }
+            Value::Ref(id) => {
+                let _ = write!(self.out, "ref({id})");
+            }
+        }
+    }
 }
 
 fn is_ident(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    let bytes = s.as_bytes();
+    bytes
+        .first()
+        .is_some_and(|b| b.is_ascii_alphabetic() || *b == b'_')
+        && bytes
+            .iter()
+            .all(|b| b.is_ascii_alphanumeric() || *b == b'_')
         && !matches!(s, "null" | "true" | "false" | "nan" | "inf" | "ref")
 }
 
@@ -149,10 +214,21 @@ impl<'a> TextParser<'a> {
         &self.src[self.pos..]
     }
 
-    fn skip_ws(&mut self) {
-        while self.rest().starts_with([' ', '\t', '\n', '\r']) {
+    /// The byte at the cursor. The cursor only ever stops on a character
+    /// boundary, so an ASCII match here is a whole character.
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// Moves the cursor over every leading byte `wanted` accepts.
+    fn skip_while(&mut self, wanted: impl Fn(u8) -> bool) {
+        while self.peek().is_some_and(&wanted) {
             self.pos += 1;
         }
+    }
+
+    fn skip_ws(&mut self) {
+        self.skip_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
 
     fn eat(&mut self, prefix: &str) -> bool {
@@ -172,64 +248,49 @@ impl<'a> TextParser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, CodecError> {
+    /// A value inside `depth` enclosing containers. The first byte says
+    /// which kind it can be; the keywords are then matched whole.
+    fn value(&mut self, depth: usize) -> Result<Value, CodecError> {
         self.skip_ws();
-        if self.eat("null") {
-            return Ok(Value::Null);
-        }
-        if self.eat("true") {
-            return Ok(Value::Bool(true));
-        }
-        if self.eat("false") {
-            return Ok(Value::Bool(false));
-        }
-        if self.eat("nan") {
-            return Ok(Value::Float(f64::NAN));
-        }
-        if self.eat("inf") {
-            return Ok(Value::Float(f64::INFINITY));
-        }
-        if self.eat("-inf") {
-            return Ok(Value::Float(f64::NEG_INFINITY));
-        }
-        if self.eat("ref(") {
-            let n = self.unsigned()?;
-            self.expect(")")?;
-            return Ok(Value::Ref(n));
-        }
-        if self.rest().starts_with("b\"") {
-            self.pos += 2;
-            return self.blob_body();
-        }
-        match self.rest().chars().next() {
-            Some('"') => {
+        match self.peek() {
+            Some(b'"') => {
                 self.pos += 1;
                 Ok(Value::Text(self.string_body()?))
             }
-            Some('[') => {
+            Some(b'[' | b'{') if depth == MAX_NESTING => Err(self.error(too_deep())),
+            Some(b'[') => {
                 self.pos += 1;
-                self.seq_body()
+                self.seq_body(depth + 1)
             }
-            Some('{') => {
+            Some(b'{') => {
                 self.pos += 1;
-                self.record_body()
+                self.record_body(depth + 1)
             }
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.error(format!("unexpected character {c:?}"))),
+            Some(b'0'..=b'9') => self.number(),
+            Some(b'-') if self.eat("-inf") => Ok(Value::Float(f64::NEG_INFINITY)),
+            Some(b'-') => self.number(),
+            Some(b'n') if self.eat("null") => Ok(Value::Null),
+            Some(b'n') if self.eat("nan") => Ok(Value::Float(f64::NAN)),
+            Some(b't') if self.eat("true") => Ok(Value::Bool(true)),
+            Some(b'f') if self.eat("false") => Ok(Value::Bool(false)),
+            Some(b'i') if self.eat("inf") => Ok(Value::Float(f64::INFINITY)),
+            Some(b'r') if self.eat("ref(") => {
+                let n = self.unsigned()?;
+                self.expect(")")?;
+                Ok(Value::Ref(n))
+            }
+            Some(b'b') if self.eat("b\"") => self.blob_body(),
+            Some(_) => {
+                let c = self.rest().chars().next().expect("a byte is left");
+                Err(self.error(format!("unexpected character {c:?}")))
+            }
             None => Err(self.error("unexpected end of input")),
         }
     }
 
     fn unsigned(&mut self) -> Result<u64, CodecError> {
         let start = self.pos;
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_digit())
-        {
-            self.pos += 1;
-        }
+        self.skip_while(|b| b.is_ascii_digit());
         self.src[start..self.pos]
             .parse()
             .map_err(|_| self.error("expected unsigned integer"))
@@ -237,20 +298,18 @@ impl<'a> TextParser<'a> {
 
     fn number(&mut self) -> Result<Value, CodecError> {
         let start = self.pos;
-        if self.rest().starts_with('-') {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         let mut is_float = false;
-        while let Some(c) = self.rest().chars().next() {
-            match c {
-                '0'..='9' => self.pos += 1,
-                '.' | 'e' | 'E' | '+' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                '-' if is_float => self.pos += 1,
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' => is_float = true,
+                b'-' if is_float => {}
                 _ => break,
             }
+            self.pos += 1;
         }
         let text = &self.src[start..self.pos];
         if is_float {
@@ -264,34 +323,40 @@ impl<'a> TextParser<'a> {
         }
     }
 
+    /// The rest of a string whose opening quote has been read. Runs
+    /// between escapes are copied whole (both delimiters are ASCII, so
+    /// every run is cut on character boundaries).
     fn string_body(&mut self) -> Result<String, CodecError> {
         let mut s = String::new();
+        let mut run = self.pos;
         loop {
-            let c = self
-                .rest()
-                .chars()
-                .next()
-                .ok_or_else(|| self.error("unterminated string"))?;
-            self.pos += c.len_utf8();
-            match c {
-                '"' => return Ok(s),
-                '\\' => {
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    s.push_str(&self.src[run..self.pos]);
+                    self.pos += 1;
+                    return Ok(s);
+                }
+                Some(b'\\') => {
+                    s.push_str(&self.src[run..self.pos]);
+                    self.pos += 1;
                     let esc = self
                         .rest()
                         .chars()
                         .next()
                         .ok_or_else(|| self.error("dangling escape"))?;
                     self.pos += esc.len_utf8();
-                    match esc {
-                        '"' => s.push('"'),
-                        '\\' => s.push('\\'),
-                        'n' => s.push('\n'),
-                        't' => s.push('\t'),
-                        'r' => s.push('\r'),
+                    s.push(match esc {
+                        '"' => '"',
+                        '\\' => '\\',
+                        'n' => '\n',
+                        't' => '\t',
+                        'r' => '\r',
                         other => return Err(self.error(format!("unknown escape \\{other}"))),
-                    }
+                    });
+                    run = self.pos;
                 }
-                c => s.push(c),
+                Some(_) => self.pos += 1,
             }
         }
     }
@@ -314,14 +379,14 @@ impl<'a> TextParser<'a> {
         }
     }
 
-    fn seq_body(&mut self) -> Result<Value, CodecError> {
+    fn seq_body(&mut self, depth: usize) -> Result<Value, CodecError> {
         let mut items = Vec::new();
         self.skip_ws();
         if self.eat("]") {
             return Ok(Value::Seq(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             if self.eat(",") {
                 continue;
@@ -331,11 +396,13 @@ impl<'a> TextParser<'a> {
         }
     }
 
-    fn record_body(&mut self) -> Result<Value, CodecError> {
-        let mut fields = BTreeMap::new();
+    /// Fields are kept in arrival order — canonical text has them sorted —
+    /// and `Record::from` sorts at the closing brace only if they are not.
+    fn record_body(&mut self, depth: usize) -> Result<Value, CodecError> {
+        let mut fields = Vec::new();
         self.skip_ws();
         if self.eat("}") {
-            return Ok(Value::Record(fields));
+            return Ok(Value::Record(fields.into()));
         }
         loop {
             self.skip_ws();
@@ -343,14 +410,7 @@ impl<'a> TextParser<'a> {
                 self.string_body()?
             } else {
                 let start = self.pos;
-                while self
-                    .rest()
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
-                {
-                    self.pos += 1;
-                }
+                self.skip_while(|b| b.is_ascii_alphanumeric() || b == b'_');
                 if start == self.pos {
                     return Err(self.error("expected record key"));
                 }
@@ -358,14 +418,13 @@ impl<'a> TextParser<'a> {
             };
             self.skip_ws();
             self.expect(":")?;
-            let value = self.value()?;
-            fields.insert(key, value);
+            fields.push((key, self.value(depth)?));
             self.skip_ws();
             if self.eat(",") {
                 continue;
             }
             self.expect("}")?;
-            return Ok(Value::Record(fields));
+            return Ok(Value::Record(fields.into()));
         }
     }
 }

@@ -5,13 +5,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use super::{BinOp, Expr, UnOp};
-use crate::value::Value;
+use crate::value::{Record, Value};
 
 /// An environment binding variable paths to values.
 ///
-/// Implemented for [`Value`] (records resolve dotted paths), for
-/// `BTreeMap<String, Value>`, for [`Scope`](super::Scope) and for `()`
-/// (the empty environment).
+/// Implemented for [`Value`] (records resolve dotted paths), for a
+/// [`Record`] on its own, for `BTreeMap<String, Value>`, for
+/// [`Scope`](super::Scope) and for `()` (the empty environment).
 pub trait Env {
     /// Resolves a dotted variable path, or `None` if unbound.
     ///
@@ -25,6 +25,13 @@ pub trait Env {
 impl Env for Value {
     fn lookup(&self, path: &[String]) -> Option<&Value> {
         self.path(path)
+    }
+}
+
+impl Env for Record {
+    fn lookup(&self, path: &[String]) -> Option<&Value> {
+        let (head, rest) = path.split_first()?;
+        self.get(head)?.path(rest)
     }
 }
 

@@ -1,13 +1,15 @@
 //! Property-based tests for the core data model, codecs and expression
 //! language.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use rmodp_core::codec::{BinarySyntax, TextSyntax, TransferSyntax};
 use rmodp_core::dtype::DataType;
 use rmodp_core::expr::{BinOp, Expr, Scope, UnOp};
 use rmodp_core::naming::{BindingTarget, Name, NamingContext};
-use rmodp_core::value::Value;
+use rmodp_core::value::{Record, Value};
 
 /// Strategy for arbitrary values, with bounded depth and width.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -27,8 +29,30 @@ fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Seq),
             proptest::collection::btree_map("[a-z_][a-z0-9_]{0,6}", inner, 0..4)
-                .prop_map(Value::Record),
+                .prop_map(|m| Value::Record(m.into())),
         ]
+    })
+}
+
+/// One step of the record-against-map model test.
+#[derive(Debug, Clone)]
+enum RecordOp {
+    Insert(String, i64),
+    SetField(String, i64),
+    Remove(String),
+    Get(String),
+    Bump(String),
+}
+
+/// Strategy for [`RecordOp`]s over an alphabet small enough that names
+/// collide: replacing, removing and missing all happen.
+fn arb_record_op() -> impl Strategy<Value = RecordOp> {
+    ("[a-d]{1,2}", 0..5usize, any::<i64>()).prop_map(|(name, op, n)| match op {
+        0 => RecordOp::Insert(name, n),
+        1 => RecordOp::SetField(name, n),
+        2 => RecordOp::Remove(name),
+        3 => RecordOp::Get(name),
+        _ => RecordOp::Bump(name),
     })
 }
 
@@ -145,16 +169,19 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 proptest! {
     #[test]
     fn environments_agree_on_every_expression(e in arb_expr(), record in arb_env()) {
-        // The same bindings behind the three environments that resolve
-        // paths: a record value, a map, a scope. Results are compared as
-        // text (NaN is a legitimate result and is not equal to itself).
-        let map = record.as_record().unwrap().clone();
+        // The same bindings behind the four environments that resolve
+        // paths: a record value, its fields alone, a map, a scope. Results
+        // are compared as text (NaN is a legitimate result and is not
+        // equal to itself).
+        let fields = record.as_record().unwrap();
+        let map: BTreeMap<String, Value> = fields.clone().into_iter().collect();
         let mut scope = Scope::new();
         for (name, v) in &map {
             scope.bind(name.clone(), v.clone());
         }
         let by_record = e.eval(&record);
         let rendered = format!("{by_record:?}");
+        prop_assert_eq!(format!("{:?}", e.eval(fields)), rendered.clone(), "fields: {}", e);
         prop_assert_eq!(format!("{:?}", e.eval(&map)), rendered.clone(), "map: {}", e);
         prop_assert_eq!(format!("{:?}", e.eval(&scope)), rendered, "scope: {}", e);
         // `eval_bool` is `eval` plus the result check.
@@ -164,6 +191,69 @@ proptest! {
             Ok(_) => prop_assert!(as_bool.is_err(), "{}", e),
             Err(err) => prop_assert_eq!(as_bool, Err(err)),
         }
+    }
+
+    #[test]
+    fn a_record_is_the_map_it_stands_for(ops in proptest::collection::vec(arb_record_op(), 0..40)) {
+        let mut record = Value::Record(Record::new());
+        let mut model: BTreeMap<String, Value> = BTreeMap::new();
+        for op in ops {
+            let Value::Record(fields) = &mut record else { unreachable!() };
+            match op.clone() {
+                RecordOp::Insert(name, n) => prop_assert_eq!(
+                    fields.insert(name.as_str(), Value::Int(n)),
+                    model.insert(name, Value::Int(n))
+                ),
+                RecordOp::SetField(name, n) => prop_assert_eq!(
+                    record.set_field(&name, Value::Int(n)),
+                    model.insert(name, Value::Int(n))
+                ),
+                RecordOp::Remove(name) => {
+                    prop_assert_eq!(fields.remove(&name), model.remove(&name));
+                }
+                RecordOp::Get(name) => {
+                    prop_assert_eq!(fields.get(&name), model.get(&name));
+                    prop_assert_eq!(fields.contains_key(&name), model.contains_key(&name));
+                    prop_assert_eq!(record.field(&name), model.get(&name));
+                }
+                RecordOp::Bump(name) => {
+                    let (ours, theirs) = (fields.get_mut(&name), model.get_mut(&name));
+                    prop_assert_eq!(&ours, &theirs);
+                    for slot in ours.into_iter().chain(theirs) {
+                        *slot = Value::seq([slot.clone()]);
+                    }
+                }
+            }
+            // After every step the record is the map: size, order,
+            // equality, `{:?}`, and the bytes of both syntaxes.
+            let fields = record.as_record().unwrap();
+            let rebuilt = Value::Record(model.clone().into());
+            prop_assert_eq!(fields.len(), model.len(), "after {:?}", op);
+            prop_assert_eq!(fields.is_empty(), model.is_empty());
+            prop_assert!(fields.iter().eq(model.iter()), "order after {:?}", op);
+            prop_assert!(fields.keys().eq(model.keys()) && fields.values().eq(model.values()));
+            prop_assert_eq!(&record, &rebuilt);
+            prop_assert_eq!(format!("{fields:?}"), format!("{model:?}"));
+            prop_assert_eq!(format!("{fields:#?}"), format!("{model:#?}"));
+            prop_assert_eq!(BinarySyntax.encode(&record), BinarySyntax.encode(&rebuilt));
+            prop_assert_eq!(TextSyntax.encode(&record), TextSyntax.encode(&rebuilt));
+            prop_assert_eq!(&BinarySyntax.decode(&BinarySyntax.encode(&record)).unwrap(), &record);
+        }
+    }
+
+    #[test]
+    fn pairs_in_any_order_build_the_record_a_map_would(
+        pairs in proptest::collection::vec(("[a-e]{1,2}", any::<i64>()), 0..24),
+    ) {
+        // Unsorted, with repeats: the later duplicate wins, as on insertion.
+        let pairs: Vec<(String, Value)> =
+            pairs.into_iter().map(|(k, n)| (k, Value::Int(n))).collect();
+        let model: BTreeMap<String, Value> = pairs.iter().cloned().collect();
+        let by_map = Value::Record(model.clone().into());
+        prop_assert_eq!(&Value::record(pairs.clone()), &by_map);
+        prop_assert_eq!(&Value::Record(pairs.iter().cloned().collect()), &by_map);
+        prop_assert_eq!(&Value::Record(Record::from(pairs)), &by_map);
+        prop_assert!(by_map.as_record().unwrap().iter().eq(model.iter()));
     }
 
     #[test]

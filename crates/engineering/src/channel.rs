@@ -565,7 +565,7 @@ mod tests {
     fn invocation_payload(syntax: SyntaxId) -> Vec<u8> {
         let mut out = Vec::new();
         let args = Value::record([("d", Value::Int(100))]);
-        wire::encode_invocation_into(syntax, "Deposit", args, &mut out);
+        wire::encode_invocation_into(syntax, "Deposit", &args, &mut out);
         out
     }
 

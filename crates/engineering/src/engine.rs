@@ -632,7 +632,7 @@ impl Engine {
     /// The invocation record for `op(args)` in a client's native syntax.
     fn invocation_payload(native: SyntaxId, op: &str, args: &Value) -> Payload {
         let mut bytes = Vec::new();
-        wire::encode_invocation_into(native, op, args.clone(), &mut bytes);
+        wire::encode_invocation_into(native, op, args, &mut bytes);
         Payload::new(bytes)
     }
 

@@ -2,7 +2,7 @@
 //! objects over the communications interface (§6.1).
 
 use bytes::{Buf, BufMut};
-use rmodp_core::codec::SyntaxId;
+use rmodp_core::codec::{SyntaxId, TYPICAL_ENCODING};
 use rmodp_core::id::{ChannelId, InterfaceId};
 use rmodp_kernel::payload::Payload;
 use std::fmt;
@@ -155,7 +155,7 @@ impl Envelope {
     pub fn to_bytes_with(&self, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         // Room for the payload held, or for a typical invocation or
         // termination record when it is still to be written.
-        let payload_room = self.payload.len().max(96);
+        let payload_room = self.payload.len().max(TYPICAL_ENCODING);
         let mut out = Vec::with_capacity(43 + self.flow.len() + payload_room);
         out.put_u8(match self.kind {
             EnvelopeKind::Request => 0,

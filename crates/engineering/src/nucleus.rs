@@ -490,7 +490,7 @@ impl NucleusProcess {
 
     /// A termination record in this node's native syntax, as a payload
     /// of its own (for the dedup cache and the server stack).
-    fn termination_payload(&self, termination: Termination) -> Payload {
+    fn termination_payload(&self, termination: &Termination) -> Payload {
         let mut bytes = Vec::new();
         wire::encode_termination_into(self.native, termination, &mut bytes);
         Payload::new(bytes)
@@ -510,11 +510,11 @@ impl NucleusProcess {
             // dedup entry, so only the frame needs the payload.
             ctx.send(
                 reply_to,
-                wire::reply_frame(req, status, self.native, termination),
+                wire::reply_frame(req, status, self.native, &termination),
             );
             return;
         }
-        let payload = self.termination_payload(termination);
+        let payload = self.termination_payload(&termination);
         self.dedup_done(req, status, &payload);
         self.send_reply(ctx, req, status, payload, reply_to);
     }
@@ -701,7 +701,7 @@ impl NucleusProcess {
                         self.stats.rejected += 1;
                         ctx.note(|| format!("replay foiled (seq {seq})"));
                         if env.kind == EnvelopeKind::Request {
-                            let payload = self.termination_payload(Termination::error("replay"));
+                            let payload = self.termination_payload(&Termination::error("replay"));
                             self.send_reply(ctx, &env, ReplyStatus::Rejected, payload, src);
                         }
                         return;
@@ -915,10 +915,18 @@ mod tests {
         sim.attach(client, Sink::default());
         let mut add = Vec::new();
         let args = Value::record([("k", Value::Int(4))]);
-        wire::encode_invocation_into(SyntaxId::Binary, "Add", args, &mut add);
+        wire::encode_invocation_into(SyntaxId::Binary, "Add", &args, &mut add);
         let requests = [
             Envelope::request(ChannelId::new(0), 1, ifc, SyntaxId::Binary, add),
             Envelope::request(ChannelId::new(0), 2, ifc, SyntaxId::Binary, vec![0xff]),
+            // Nested far past the decoder's limit: refused, not fatal.
+            Envelope::request(
+                ChannelId::new(0),
+                3,
+                ifc,
+                SyntaxId::Binary,
+                [0x06, 1, 0, 0, 0].repeat(200_000),
+            ),
         ];
         for req in &requests {
             sim.send_from(client, server, req.to_bytes());
@@ -930,12 +938,13 @@ mod tests {
                 Termination::ok(Value::record([("n", Value::Int(4))])),
             ),
             (ReplyStatus::Rejected, Termination::error("bad invocation")),
+            (ReplyStatus::Rejected, Termination::error("bad invocation")),
         ];
         let frames = &sim.inspect::<Sink>(client).expect("attached above").0;
-        assert_eq!(frames.len(), 2);
+        assert_eq!(frames.len(), 3);
         for ((req, (status, termination)), frame) in requests.iter().zip(expected).zip(frames) {
             let mut payload = Vec::new();
-            wire::encode_termination_into(SyntaxId::Binary, termination, &mut payload);
+            wire::encode_termination_into(SyntaxId::Binary, &termination, &mut payload);
             let whole = Envelope::reply_to(req, status, SyntaxId::Binary, payload);
             assert_eq!(*frame, whole.to_bytes());
         }

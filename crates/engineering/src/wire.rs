@@ -13,7 +13,7 @@
 //! refusal, never a panic.
 
 use rmodp_computational::signature::{Invocation, Termination};
-use rmodp_core::codec::{syntax_for, CodecError, SyntaxId};
+use rmodp_core::codec::{binary, syntax_for, text, CodecError, SyntaxId, TYPICAL_ENCODING};
 use rmodp_core::id::{ChannelId, InterfaceId};
 use rmodp_core::value::Value;
 use rmodp_kernel::payload::Payload;
@@ -21,22 +21,51 @@ use rmodp_kernel::payload::Payload;
 use crate::engine::CallError;
 use crate::envelope::{Envelope, ReplyStatus};
 
-/// Appends `record` to `out`. An empty `out` takes the encoder's own
-/// buffer, so a stand-alone payload costs exactly what `encode` costs;
-/// behind a frame header the record is written in place.
-fn append(syntax: SyntaxId, record: &Value, out: &mut Vec<u8>) {
-    let syntax = syntax_for(syntax);
-    if out.is_empty() {
-        *out = syntax.encode(record);
-    } else {
-        syntax.encode_into(record, out);
+/// One field of a wire record, borrowed from whoever holds it.
+enum Field<'a> {
+    Text(&'a str),
+    Value(&'a Value),
+}
+
+/// Appends the two-field record `fields` — names in ascending order — to
+/// `out`, a piece at a time: the bytes the whole-document encoder gives
+/// for the same record, without the record ever being built.
+fn append(syntax: SyntaxId, fields: [(&str, Field<'_>); 2], out: &mut Vec<u8>) {
+    debug_assert!(fields[0].0 < fields[1].0);
+    if out.capacity() == 0 {
+        out.reserve(TYPICAL_ENCODING);
+    }
+    match syntax {
+        SyntaxId::Binary => {
+            let mut w = binary::Writer::new(out);
+            w.record_header(fields.len());
+            for (name, field) in fields {
+                w.key(name);
+                match field {
+                    Field::Text(text) => w.text(text),
+                    Field::Value(value) => w.value(value),
+                }
+            }
+        }
+        SyntaxId::Text => {
+            let mut w = text::Writer::new(out);
+            w.record_open();
+            for (name, field) in fields {
+                w.key(name);
+                match field {
+                    Field::Text(text) => w.text(text),
+                    Field::Value(value) => w.value(value),
+                }
+            }
+            w.record_close();
+        }
     }
 }
 
 /// Appends the invocation record for `op(args)` to `out`.
-pub fn encode_invocation_into(syntax: SyntaxId, op: &str, args: Value, out: &mut Vec<u8>) {
-    let record = Value::record([("op", Value::text(op)), ("args", args)]);
-    append(syntax, &record, out);
+pub fn encode_invocation_into(syntax: SyntaxId, op: &str, args: &Value, out: &mut Vec<u8>) {
+    let fields = [("args", Field::Value(args)), ("op", Field::Text(op))];
+    append(syntax, fields, out);
 }
 
 /// Decodes an invocation record, moving `op` and `args` out of it. A
@@ -65,14 +94,13 @@ pub fn operation_name(syntax: SyntaxId, payload: &[u8]) -> Result<String, CodecE
     Ok(op.unwrap_or("<unknown>").to_owned())
 }
 
-/// Appends the termination record to `out`, taking the termination
-/// apart rather than copying its name and results.
-pub fn encode_termination_into(syntax: SyntaxId, termination: Termination, out: &mut Vec<u8>) {
-    let record = Value::record([
-        ("name", Value::Text(termination.name)),
-        ("results", termination.results),
-    ]);
-    append(syntax, &record, out);
+/// Appends the termination record to `out`.
+pub fn encode_termination_into(syntax: SyntaxId, termination: &Termination, out: &mut Vec<u8>) {
+    let fields = [
+        ("name", Field::Text(&termination.name)),
+        ("results", Field::Value(&termination.results)),
+    ];
+    append(syntax, fields, out);
 }
 
 /// Decodes a termination record, moving `name` and `results` out of it.
@@ -111,7 +139,7 @@ pub fn request_frame(
     target: InterfaceId,
     syntax: SyntaxId,
     op: &str,
-    args: Value,
+    args: &Value,
 ) -> Vec<u8> {
     Envelope::request(channel, request, target, syntax, Payload::empty())
         .to_bytes_with(|out| encode_invocation_into(syntax, op, args, out))
@@ -123,7 +151,7 @@ pub fn reply_frame(
     req: &Envelope,
     status: ReplyStatus,
     syntax: SyntaxId,
-    termination: Termination,
+    termination: &Termination,
 ) -> Vec<u8> {
     Envelope::reply_to(req, status, syntax, Payload::empty())
         .to_bytes_with(|out| encode_termination_into(syntax, termination, out))
@@ -133,9 +161,9 @@ pub fn reply_frame(
 mod tests {
     use super::*;
 
-    /// The reference the move-out decoder and the consuming encoder are
-    /// held to: copy `op`/`args` out of the decoded record, copy name and
-    /// results into a fresh one.
+    /// The reference the move-out decoder and the piecewise encoders are
+    /// held to: copy `op`/`args` out of the decoded record, copy the parts
+    /// into a fresh record and encode that whole.
     fn decode_by_copying(syntax: SyntaxId, payload: &[u8]) -> Option<Invocation> {
         let value = syntax_for(syntax).decode(payload).ok()?;
         let op = value.field("op")?.as_text()?.to_owned();
@@ -151,9 +179,15 @@ mod tests {
         syntax_for(syntax).encode(&value)
     }
 
-    fn invocation_bytes(syntax: SyntaxId, op: &str, args: Value) -> Vec<u8> {
+    fn invocation_by_copying(syntax: SyntaxId, op: &str, args: &Value) -> Vec<u8> {
+        let value = Value::record([("op", Value::text(op)), ("args", args.clone())]);
+        syntax_for(syntax).encode(&value)
+    }
+
+    fn invocation_bytes(syntax: SyntaxId, op: &str, args: &Value) -> Vec<u8> {
         let mut out = Vec::new();
         encode_invocation_into(syntax, op, args, &mut out);
+        assert_eq!(out, invocation_by_copying(syntax, op, args), "{op}");
         out
     }
 
@@ -170,7 +204,7 @@ mod tests {
         for syntax in [SyntaxId::Binary, SyntaxId::Text] {
             let codec = syntax_for(syntax);
             for (op, args) in [("Deposit", deposit.clone()), ("Audit", Value::Null)] {
-                let bytes = invocation_bytes(syntax, op, args.clone());
+                let bytes = invocation_bytes(syntax, op, &args);
                 let decoded = decode_invocation(syntax, &bytes);
                 assert_eq!(decoded, Some(Invocation::new(op, args)));
                 assert_eq!(decoded, decode_by_copying(syntax, &bytes));
@@ -204,7 +238,7 @@ mod tests {
                 Termination::new("NotToday", Value::Null),
             ] {
                 let mut bytes = Vec::new();
-                encode_termination_into(syntax, t.clone(), &mut bytes);
+                encode_termination_into(syntax, &t, &mut bytes);
                 assert_eq!(bytes, encode_by_copying(syntax, &t), "{}", t.name);
                 assert_eq!(decode_termination(syntax, &bytes), Ok(t));
                 for cut in 0..bytes.len() {
@@ -227,19 +261,52 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_nested_past_the_limit_is_refused_like_any_malformed_record() {
+        // A megabyte of sequence openers, whole and wrapped as `args`: the
+        // decoders refuse it, so the record decoders answer as they do
+        // for a truncated payload. (Unbounded, this ended the process.)
+        let binary = [0x06, 1, 0, 0, 0].repeat(200_000);
+        let mut wrapped = vec![0x07, 1, 0, 0, 0, 4, 0, 0, 0];
+        wrapped.extend_from_slice(b"args");
+        wrapped.extend_from_slice(&binary);
+        let text = "[".repeat(200_000).into_bytes();
+        let wrapped_text = [b"{args: ".as_slice(), &text].concat();
+        for (syntax, payload) in [
+            (SyntaxId::Binary, &binary),
+            (SyntaxId::Binary, &wrapped),
+            (SyntaxId::Text, &text),
+            (SyntaxId::Text, &wrapped_text),
+        ] {
+            assert_eq!(decode_invocation(syntax, payload), None);
+            let refusal = operation_name(syntax, payload).unwrap_err();
+            assert!(refusal.message.contains("nesting deeper"), "{refusal}");
+            assert_eq!(bad_reply(syntax, payload), refusal.to_string());
+            let env = Envelope::request(
+                ChannelId::new(0),
+                1,
+                InterfaceId::new(3),
+                syntax,
+                payload.clone(),
+            );
+            let arrived = Envelope::from_bytes(&env.to_bytes()).unwrap();
+            assert_eq!(decode_invocation(arrived.syntax, &arrived.payload), None);
+        }
+    }
+
+    #[test]
     fn frames_written_in_place_equal_the_envelope_built_whole() {
         let args = Value::record([("amount", Value::Int(25))]);
         let (channel, target) = (ChannelId::new(0), InterfaceId::new(3));
         for syntax in [SyntaxId::Binary, SyntaxId::Text] {
-            let payload = invocation_bytes(syntax, "Deposit", args.clone());
+            let payload = invocation_bytes(syntax, "Deposit", &args);
             let whole = Envelope::request(channel, 77, target, syntax, payload);
-            let frame = request_frame(channel, 77, target, syntax, "Deposit", args.clone());
+            let frame = request_frame(channel, 77, target, syntax, "Deposit", &args);
             assert_eq!(frame, whole.to_bytes());
 
             let refusal = Termination::error("overdrawn");
             let payload = encode_by_copying(syntax, &refusal);
             let reply = Envelope::reply_to(&whole, ReplyStatus::Rejected, syntax, payload);
-            let frame = reply_frame(&whole, ReplyStatus::Rejected, syntax, refusal);
+            let frame = reply_frame(&whole, ReplyStatus::Rejected, syntax, &refusal);
             assert_eq!(frame, reply.to_bytes());
         }
     }

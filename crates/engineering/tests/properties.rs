@@ -18,7 +18,8 @@ fn arb_payload_value() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
     ];
     leaf.prop_recursive(2, 12, 3, |inner| {
-        proptest::collection::btree_map("[a-z]{1,5}", inner, 0..3).prop_map(Value::Record)
+        proptest::collection::btree_map("[a-z]{1,5}", inner, 0..3)
+            .prop_map(|m| Value::Record(m.into()))
     })
 }
 

@@ -5,7 +5,7 @@ use std::fmt;
 
 use rmodp_core::dtype::{DataType, TypeError};
 use rmodp_core::expr::{Env, EvalError, Expr, ParseError};
-use rmodp_core::value::Value;
+use rmodp_core::value::{Record, Value};
 
 /// An error raised while building or applying schemas.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,10 +235,7 @@ impl DynamicSchema {
     }
 
     /// [`check_args`](Self::check_args), handing back the argument record.
-    fn checked_args<'a>(
-        &self,
-        args: &'a Value,
-    ) -> Result<&'a BTreeMap<String, Value>, SchemaError> {
+    fn checked_args<'a>(&self, args: &'a Value) -> Result<&'a Record, SchemaError> {
         let bad = |detail: String| SchemaError::BadArguments {
             schema: self.name.clone(),
             detail,
@@ -295,7 +292,7 @@ impl DynamicSchema {
                 });
             }
             let v = expr.eval(&scope)?;
-            new_state.set_field(field.clone(), v);
+            new_state.set_field(field, v);
         }
         Ok(new_state)
     }
@@ -331,7 +328,7 @@ impl DynamicSchema {
 /// level (parameters shadow state fields), and the whole pre-state under
 /// `old`. Everything is read in place.
 struct Transition<'a> {
-    args: &'a BTreeMap<String, Value>,
+    args: &'a Record,
     state: &'a Value,
 }
 

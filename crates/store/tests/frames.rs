@@ -191,7 +191,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(2, 12, 3, |inner| {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Seq),
-            proptest::collection::btree_map("[a-z_]{1,6}", inner, 0..4).prop_map(Value::Record),
+            proptest::collection::btree_map("[a-z_]{1,6}", inner, 0..4)
+                .prop_map(|m| Value::Record(m.into())),
         ]
     })
 }

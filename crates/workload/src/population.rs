@@ -405,7 +405,7 @@ impl ClientHubProcess {
             InterfaceId::new(target as u64 + 1),
             SyntaxId::Binary,
             op,
-            args,
+            &args,
         );
         ctx.send(Addr::new(NodeIdx(2 * target), NUCLEUS_PORT), frame);
         self.inflight.insert(req, ctx.now());

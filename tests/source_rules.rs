@@ -190,6 +190,32 @@ const RULES: &[Rule] = &[
         exempt: &[],
         above_tests_only: false,
     },
+    Rule {
+        name: "records are flat",
+        why: "a record is `value::Record`, one vector sorted by name: neither the value model \
+              nor a decoder builds a map (DESIGN.md, \"The value model: a record is a sorted \
+              vector\")",
+        roots: &["crates/core/src/value.rs", "crates/core/src/codec"],
+        patterns: &[
+            Literal("BTreeMap<String, Value>"),
+            Literal("BTreeMap::new()"),
+        ],
+        exempt: &[],
+        above_tests_only: true,
+    },
+    Rule {
+        name: "wire records are written from their parts",
+        why: "an invocation or termination record goes to its bytes through the codecs' \
+              `Writer`s, borrowing `args` and `results`: no `{op, args}` wrapper value, no copy \
+              of the arguments for the encoder (DESIGN.md, \"One invocation path\")",
+        roots: &[
+            "crates/engineering/src/wire.rs",
+            "crates/engineering/src/engine.rs",
+        ],
+        patterns: &[Literal("Value::record("), Literal("args.clone(), &mut")],
+        exempt: &[],
+        above_tests_only: true,
+    },
 ];
 
 /// This file quotes every forbidden text.
