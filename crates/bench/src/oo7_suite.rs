@@ -11,7 +11,7 @@
 //!   batch vanishes whole);
 //! - **capsule kill**: a chaos [`FaultPlan`] kills a guarded cluster's
 //!   capsule and crashes its node mid-update-stream; the
-//!   [`DurableGuard`] recovers onto a backup from its store-backed
+//!   [`FailureGuard`] recovers onto a backup from its store-backed
 //!   checkpoint + write-ahead op log, and the suite asserts *zero*
 //!   committed updates were lost while measuring the recovery MTTR on
 //!   virtual time.
@@ -34,7 +34,7 @@ use rmodp_observe::bus;
 use rmodp_store::{
     state_checksum, MemMedia, Oo7Config, Oo7Workload, StableMedia, StoreConfig, StoreEngine,
 };
-use rmodp_transparency::durable::DurableGuard;
+use rmodp_transparency::failure::FailureGuard;
 use rmodp_transparency::{OdpInfra, Transparency, TransparencySet, TransparentProxy};
 use rmodp_workload::arrival::ArrivalProcess;
 
@@ -186,7 +186,7 @@ fn power_loss_recovery(
 
 /// The capsule-kill scenario: a guarded counter cluster takes a logged
 /// update stream; a chaos plan kills its capsule and crashes its node
-/// mid-stream; the [`DurableGuard`] recovers onto the backup and the
+/// mid-stream; the [`FailureGuard`] recovers onto the backup and the
 /// stream resumes. Returns the JSON section.
 ///
 /// The plan's windows are far beyond any `apply_until` target and
@@ -221,7 +221,7 @@ fn capsule_kill_section(seed: u64) -> String {
     infra
         .publish(&engine, interface)
         .expect("interface is live");
-    let mut guard = DurableGuard::new(
+    let mut guard = FailureGuard::new(
         "oo7",
         (home, home_capsule, cluster),
         (backup, backup_capsule),
@@ -285,7 +285,7 @@ fn capsule_kill_section(seed: u64) -> String {
             failed_at_op = Some(i);
             let killed_at = injector.applied()[0].injected_at;
             guard
-                .recover(&mut engine, &mut infra, &mut store)
+                .recover(&mut engine, &mut infra.relocator, &mut store)
                 .expect("durable recovery succeeds");
             mttr_us = engine.sim().now().as_micros() - killed_at.as_micros();
             replayed = guard.replayed();

@@ -1,7 +1,7 @@
 //! Compiling a [`FaultPlan`] onto virtual time and applying it.
 //!
-//! The [`FaultInjector`] turns a plan into a sorted list of apply/clear
-//! actions anchored at an epoch. It is a kernel [`Actor`]: registered on
+//! The [`FaultInjector`] walks a plan's apply/clear steps, sorted by
+//! time and anchored at an epoch. It is a kernel [`Actor`]: registered on
 //! the same [`Kernel`] as a load generator (ahead of it, so equal-time
 //! ties resolve fault-first), its actions land at exact virtual instants
 //! regardless of the load pattern. [`FaultInjector::apply_until`] and
@@ -14,29 +14,13 @@ use std::collections::BTreeMap;
 
 use rmodp_engineering::engine::Engine;
 use rmodp_engineering::structure::ClusterCheckpoint;
-use rmodp_kernel::{Actor, Kernel};
+use rmodp_kernel::{Actor, Kernel, ShardWorld};
 use rmodp_netsim::sim::NodeIdx;
 use rmodp_netsim::time::SimTime;
 use rmodp_netsim::topology::LinkConfig;
 use rmodp_observe::{bus, event, EventKind, Layer};
 
-use crate::plan::{FaultKind, FaultPlan};
-
-/// Which half of a fault an action performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Apply,
-    Clear,
-}
-
-/// One compiled action: at absolute virtual time `at`, apply or clear
-/// fault `index` of the plan.
-#[derive(Debug, Clone, Copy)]
-struct Action {
-    at: SimTime,
-    index: usize,
-    phase: Phase,
-}
+use crate::plan::{FaultKind, FaultPlan, Phase, Step};
 
 /// The record of one fault as it actually played out.
 #[derive(Debug, Clone)]
@@ -57,9 +41,8 @@ pub struct AppliedFault {
 /// simulation progress.
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Compiled actions, sorted by time (stable, so plan order breaks
-    /// ties deterministically).
-    actions: Vec<Action>,
+    /// The plan's steps, sorted by time (plan order breaks ties).
+    steps: Vec<Step>,
     next: usize,
     /// Saved link configs for faults that perturb links, keyed by fault
     /// index: `(a→b, b→a)`.
@@ -74,24 +57,9 @@ impl FaultInjector {
     /// Compiles a plan against epoch `t0`: each fault applies at
     /// `t0 + at` and clears at `t0 + at + window`.
     pub fn new(plan: FaultPlan, t0: SimTime) -> Self {
-        let mut actions = Vec::with_capacity(plan.events.len() * 2);
-        for (index, ev) in plan.events.iter().enumerate() {
-            let start = t0 + ev.at;
-            actions.push(Action {
-                at: start,
-                index,
-                phase: Phase::Apply,
-            });
-            actions.push(Action {
-                at: start + ev.fault.window(),
-                index,
-                phase: Phase::Clear,
-            });
-        }
-        actions.sort_by_key(|a| a.at);
         Self {
+            steps: plan.steps(t0),
             plan,
-            actions,
             next: 0,
             saved_links: BTreeMap::new(),
             checkpoints: BTreeMap::new(),
@@ -111,7 +79,7 @@ impl FaultInjector {
 
     /// Whether every scheduled action has been performed.
     pub fn exhausted(&self) -> bool {
-        self.next >= self.actions.len()
+        self.next >= self.steps.len()
     }
 
     /// Advances the simulation to `target`, performing every fault
@@ -131,18 +99,23 @@ impl FaultInjector {
         kernel.finish(engine);
     }
 
-    fn perform(&mut self, engine: &mut Engine, action: Action) {
-        let fault = self.plan.events[action.index].fault.clone();
-        match action.phase {
+    fn perform(&mut self, engine: &mut Engine, step: Step) {
+        let fault = self.plan.events[step.index].fault.clone();
+        // Topology faults go through the action the sharded run applies.
+        match (fault.topology_action(step.phase), step.phase) {
+            (Some(action), _) => engine.sim_mut().apply_action(&action),
+            (None, Phase::Apply) => self.apply_fault(engine, step.index, &fault),
+            (None, Phase::Clear) => self.clear_fault(engine, step.index, &fault),
+        }
+        match step.phase {
             Phase::Apply => {
-                self.apply_fault(engine, action.index, &fault);
                 let now = engine.sim().now();
                 bus::counter_add("chaos.faults_injected", 1);
                 event(Layer::Application, EventKind::FaultInject)
                     .detail_with(|| fault.describe())
                     .emit();
                 self.applied.push(AppliedFault {
-                    index: action.index,
+                    index: step.index,
                     label: fault.label(),
                     detail: fault.describe(),
                     injected_at: now,
@@ -150,13 +123,12 @@ impl FaultInjector {
                 });
             }
             Phase::Clear => {
-                self.clear_fault(engine, action.index, &fault);
                 let now = engine.sim().now();
                 bus::counter_add("chaos.faults_cleared", 1);
                 event(Layer::Application, EventKind::FaultClear)
                     .detail_with(|| fault.describe())
                     .emit();
-                if let Some(rec) = self.applied.iter_mut().find(|r| r.index == action.index) {
+                if let Some(rec) = self.applied.iter_mut().find(|r| r.index == step.index) {
                     rec.cleared_at = Some(now);
                 }
             }
@@ -179,11 +151,8 @@ impl FaultInjector {
 
     fn apply_fault(&mut self, engine: &mut Engine, index: usize, fault: &FaultKind) {
         match *fault {
-            FaultKind::CrashRestart { node, .. } => {
-                engine.sim_mut().topology_mut().crash(node);
-            }
-            FaultKind::Partition { a, b, .. } => {
-                engine.sim_mut().topology_mut().partition(a, b);
+            FaultKind::CrashRestart { .. } | FaultKind::Partition { .. } => {
+                unreachable!("topology faults are shard actions")
             }
             FaultKind::LossBurst { a, b, loss, .. } => {
                 self.stash_links(engine, index, a, b);
@@ -241,11 +210,8 @@ impl FaultInjector {
 
     fn clear_fault(&mut self, engine: &mut Engine, index: usize, fault: &FaultKind) {
         match *fault {
-            FaultKind::CrashRestart { node, .. } => {
-                engine.sim_mut().topology_mut().restart(node);
-            }
-            FaultKind::Partition { a, b, .. } => {
-                engine.sim_mut().topology_mut().heal(a, b);
+            FaultKind::CrashRestart { .. } | FaultKind::Partition { .. } => {
+                unreachable!("topology faults are shard actions")
             }
             FaultKind::LossBurst { a, b, .. } | FaultKind::LatencySpike { a, b, .. } => {
                 self.restore_links(engine, index, a, b);
@@ -264,17 +230,17 @@ impl FaultInjector {
     }
 }
 
-/// One kernel tick performs one compiled action; equal-time actions fire
-/// as consecutive ticks at the same instant, preserving plan order.
+/// One kernel tick performs one step; equal-time steps fire as
+/// consecutive ticks at the same instant, preserving plan order.
 impl Actor<Engine> for FaultInjector {
     fn next_due(&self, _world: &Engine) -> Option<SimTime> {
-        self.actions.get(self.next).map(|a| a.at)
+        self.steps.get(self.next).map(|step| step.at)
     }
 
     fn tick(&mut self, world: &mut Engine, _at: SimTime) {
-        let action = self.actions[self.next];
+        let step = self.steps[self.next];
         self.next += 1;
-        self.perform(world, action);
+        self.perform(world, step);
     }
 
     fn name(&self) -> &'static str {

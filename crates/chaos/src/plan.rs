@@ -10,8 +10,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmodp_core::id::{CapsuleId, ClusterId, NodeId};
-use rmodp_netsim::sim::NodeIdx;
-use rmodp_netsim::time::SimDuration;
+use rmodp_netsim::sim::{NodeIdx, ShardAction};
+use rmodp_netsim::time::{SimDuration, SimTime};
 
 /// A typed fault. Node-level faults act on the netsim topology; capsule
 /// kill acts on the engineering structure (deactivate + reactivate), so
@@ -88,7 +88,38 @@ pub enum FaultKind {
     },
 }
 
+/// Which half of a fault a [`Step`] performs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    Apply,
+    Clear,
+}
+
+/// One step of a plan laid out on virtual time: at absolute time `at`,
+/// apply or clear fault `index` of the plan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) at: SimTime,
+    pub(crate) index: usize,
+    pub(crate) phase: Phase,
+}
+
 impl FaultKind {
+    /// This half of the fault as an action on the network topology, if
+    /// that is all it is: crash/restart and partition/heal. The other
+    /// kinds perturb link characteristics or the engineering structure
+    /// and have no such form.
+    pub(crate) fn topology_action(&self, phase: Phase) -> Option<ShardAction> {
+        use Phase::{Apply, Clear};
+        Some(match (self, phase) {
+            (FaultKind::CrashRestart { node, .. }, Apply) => ShardAction::Crash(*node),
+            (FaultKind::CrashRestart { node, .. }, Clear) => ShardAction::Restart(*node),
+            (FaultKind::Partition { a, b, .. }, Apply) => ShardAction::Partition(*a, *b),
+            (FaultKind::Partition { a, b, .. }, Clear) => ShardAction::Heal(*a, *b),
+            _ => return None,
+        })
+    }
+
     /// Short machine-friendly label for the fault type.
     pub fn label(&self) -> &'static str {
         match self {
@@ -168,7 +199,7 @@ pub struct FaultEvent {
 }
 
 /// An ordered schedule of faults. Events are kept in insertion order;
-/// the injector stable-sorts by time when compiling, so ties resolve in
+/// its consumers walk them stable-sorted by time, so ties resolve in
 /// insertion order and the plan stays deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
@@ -211,6 +242,24 @@ impl FaultPlan {
     pub fn with(mut self, at: SimDuration, fault: FaultKind) -> Self {
         self.events.push(FaultEvent { at, fault });
         self
+    }
+
+    /// Lays the plan out against epoch `t0`: each fault applies at
+    /// `t0 + at` and clears at `t0 + at + window`. Steps come sorted by
+    /// instant; within an instant they keep plan order (a fault's apply
+    /// before its clear). Every consumer of a plan walks this list.
+    pub(crate) fn steps(&self, t0: SimTime) -> Vec<Step> {
+        let mut steps = Vec::with_capacity(self.events.len() * 2);
+        for (index, ev) in self.events.iter().enumerate() {
+            let start = t0 + ev.at;
+            let halves = [
+                (start, Phase::Apply),
+                (start + ev.fault.window(), Phase::Clear),
+            ];
+            steps.extend(halves.map(|(at, phase)| Step { at, index, phase }));
+        }
+        steps.sort_by_key(|step| step.at);
+        steps
     }
 
     /// Checks the plan's static invariants: every fault window is
@@ -455,6 +504,55 @@ mod tests {
 
         // A generated plan always validates.
         assert!(FaultPlan::generate(9, &profile()).validate().is_ok());
+    }
+
+    #[test]
+    fn steps_are_anchored_sorted_and_keep_plan_order_within_an_instant() {
+        let ms = SimDuration::from_millis;
+        let plan = FaultPlan::new()
+            .with(
+                ms(5),
+                FaultKind::LossBurst {
+                    a: NodeIdx(0),
+                    b: NodeIdx(1),
+                    loss: 0.5,
+                    window: ms(10),
+                },
+            )
+            .with(
+                ms(1),
+                FaultKind::CrashRestart {
+                    node: NodeIdx(1),
+                    down_for: ms(4),
+                },
+            );
+        let t0 = SimTime::ZERO + ms(100);
+        let steps: Vec<_> = plan
+            .steps(t0)
+            .into_iter()
+            .map(|s| (s.at.as_micros() - t0.as_micros(), s.index, s.phase))
+            .collect();
+        // The restart (1 + 4) and the burst (5) share an instant: the
+        // burst was inserted first, so it goes first.
+        assert_eq!(
+            steps,
+            [
+                (1_000, 1, Phase::Apply),
+                (5_000, 0, Phase::Apply),
+                (5_000, 1, Phase::Clear),
+                (15_000, 0, Phase::Clear),
+            ]
+        );
+        let crash = &plan.events[1].fault;
+        assert_eq!(
+            crash.topology_action(Phase::Apply),
+            Some(ShardAction::Crash(NodeIdx(1)))
+        );
+        assert_eq!(
+            crash.topology_action(Phase::Clear),
+            Some(ShardAction::Restart(NodeIdx(1)))
+        );
+        assert_eq!(plan.events[0].fault.topology_action(Phase::Apply), None);
     }
 
     #[test]

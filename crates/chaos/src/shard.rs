@@ -23,7 +23,7 @@
 use rmodp_netsim::sim::ShardAction;
 use rmodp_netsim::time::SimTime;
 
-use crate::plan::{FaultKind, FaultPlan};
+use crate::plan::{FaultPlan, Phase};
 
 /// Compiles a plan onto absolute virtual time (the plan epoch is the run
 /// origin, `t = 0`): `(instant, actions)` strictly ascending by instant,
@@ -34,34 +34,23 @@ use crate::plan::{FaultKind, FaultPlan};
 /// A description of the first fault whose kind cannot be expressed as a
 /// topology-level shard action.
 pub fn compile(plan: &FaultPlan) -> Result<Vec<(SimTime, Vec<ShardAction>)>, String> {
-    let mut actions: Vec<(SimTime, ShardAction)> = Vec::new();
     for (i, event) in plan.events.iter().enumerate() {
-        let at = SimTime::ZERO + event.at;
-        match &event.fault {
-            FaultKind::CrashRestart { node, down_for } => {
-                actions.push((at, ShardAction::Crash(*node)));
-                actions.push((at + *down_for, ShardAction::Restart(*node)));
-            }
-            FaultKind::Partition { a, b, heal_after } => {
-                actions.push((at, ShardAction::Partition(*a, *b)));
-                actions.push((at + *heal_after, ShardAction::Heal(*a, *b)));
-            }
-            other => {
-                return Err(format!(
-                    "event #{i}: {} faults are not supported under sharded \
-                     execution (only crash/restart and partition/heal act on \
-                     the replicated topology)",
-                    other.label()
-                ));
-            }
+        if event.fault.topology_action(Phase::Apply).is_none() {
+            return Err(format!(
+                "event #{i}: {} faults are not supported under sharded \
+                 execution (only crash/restart and partition/heal act on \
+                 the replicated topology)",
+                event.fault.label()
+            ));
         }
     }
-    actions.sort_by_key(|(at, _)| *at);
     let mut timeline: Vec<(SimTime, Vec<ShardAction>)> = Vec::new();
-    for (at, action) in actions {
+    for step in plan.steps(SimTime::ZERO) {
+        let action = plan.events[step.index].fault.topology_action(step.phase);
+        let action = action.expect("every fault was checked above");
         match timeline.last_mut() {
-            Some((t, group)) if *t == at => group.push(action),
-            _ => timeline.push((at, vec![action])),
+            Some((t, group)) if *t == step.at => group.push(action),
+            _ => timeline.push((step.at, vec![action])),
         }
     }
     Ok(timeline)
@@ -70,6 +59,7 @@ pub fn compile(plan: &FaultPlan) -> Result<Vec<(SimTime, Vec<ShardAction>)>, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::FaultKind;
     use rmodp_netsim::sim::NodeIdx;
     use rmodp_netsim::time::SimDuration;
 

@@ -9,8 +9,12 @@
 //! (which has its own crate, mirroring its separate standardisation) and
 //! the transaction function (crate `rmodp-transactions`):
 //!
-//! - [`management`] — node / capsule / cluster / object management (§8.1)
-//!   and coordinated checkpointing over the engineering engine;
+//! - [`management`] — coordinated checkpointing over the engineering
+//!   engine, whose methods are the §8.1 node / capsule / cluster / object
+//!   management functions;
+//! - [`checkpoints`] — storing a cluster checkpoint under a key, loading
+//!   it back and republishing locations: the part persistence, failure
+//!   and coordinated recovery share;
 //! - [`events`] — event notification (§8.2);
 //! - [`group`] — groups and replication membership with views and primary
 //!   election (§8.2), plus epoch-numbered elected views installed by
@@ -25,6 +29,7 @@
 //! - [`security`] — authentication, access control and audit, after the
 //!   OSI security frameworks (§8.4).
 
+pub mod checkpoints;
 pub mod detect;
 pub mod events;
 pub mod group;

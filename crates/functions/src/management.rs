@@ -11,14 +11,18 @@
 //! - **object management** (the BEO itself) — checkpointing and deleting
 //!   objects.
 //!
-//! [`ManagementFunctions`] groups those APIs and adds the coordination
-//! function's *coordinated checkpoint*: a consistent snapshot of several
-//! clusters stored through the storage function, restorable as a unit.
+//! Each of those is a method of [`Engine`] (`add_capsule`,
+//! `add_cluster`, `checkpoint_cluster`, `deactivate_cluster`,
+//! `reactivate_cluster`, `migrate_cluster`, `delete_object`). What this
+//! module adds is the coordination function's *coordinated checkpoint*: a
+//! consistent snapshot of several clusters, restorable as a unit and
+//! stored through [`checkpoints`].
 
-use rmodp_core::id::{CapsuleId, ClusterId, NodeId, ObjectId};
+use rmodp_core::id::{CapsuleId, ClusterId, NodeId};
 use rmodp_engineering::engine::{EngError, Engine};
-use rmodp_engineering::structure::{encode_checkpoint, ClusterCheckpoint, ObjectCheckpoint};
+use rmodp_engineering::structure::ClusterCheckpoint;
 
+use crate::checkpoints;
 use crate::storage::PersistentStore;
 
 /// A named set of cluster checkpoints taken together.
@@ -30,161 +34,56 @@ pub struct CoordinatedCheckpoint {
     pub clusters: Vec<(NodeId, CapsuleId, ClusterCheckpoint)>,
 }
 
-/// The §8.1 management functions over an [`Engine`].
-#[derive(Debug)]
-pub struct ManagementFunctions<'a> {
-    engine: &'a mut Engine,
+/// Coordination function: checkpoints several clusters as one
+/// consistent set. The engine is quiescent between
+/// [`Engine::run_until_idle`] calls, so snapshotting the clusters
+/// back-to-back yields a consistent cut.
+///
+/// # Errors
+///
+/// Fails atomically: if any cluster cannot be checkpointed, no
+/// checkpoint set is produced.
+pub fn coordinated_checkpoint(
+    engine: &mut Engine,
+    label: impl Into<String>,
+    clusters: &[(NodeId, CapsuleId, ClusterId)],
+) -> Result<CoordinatedCheckpoint, EngError> {
+    engine.run_until_idle();
+    let mut out = Vec::with_capacity(clusters.len());
+    for &(node, capsule, cluster) in clusters {
+        let cp = engine.checkpoint_cluster(node, capsule, cluster)?;
+        out.push((node, capsule, cp));
+    }
+    Ok(CoordinatedCheckpoint {
+        label: label.into(),
+        clusters: out,
+    })
 }
 
-impl<'a> ManagementFunctions<'a> {
-    /// Wraps an engine.
-    pub fn new(engine: &'a mut Engine) -> Self {
-        Self { engine }
+/// Recovery: deactivates whatever remains of the checkpointed clusters
+/// and reactivates every cluster of the set at its recorded
+/// node/capsule. Returns the new cluster ids in set order.
+///
+/// # Errors
+///
+/// Propagates reactivation failures (e.g. unregistered behaviours).
+pub fn coordinated_restore(
+    engine: &mut Engine,
+    checkpoint: &CoordinatedCheckpoint,
+) -> Result<Vec<ClusterId>, EngError> {
+    let mut new_ids = Vec::with_capacity(checkpoint.clusters.len());
+    for (node, capsule, cp) in &checkpoint.clusters {
+        // Best effort: the old cluster may already be gone (crash).
+        let _ = engine.deactivate_cluster(*node, *capsule, cp.cluster);
+        new_ids.push(engine.reactivate_cluster(*node, *capsule, cp)?);
     }
-
-    /// Node management: creates a capsule (provided by the nucleus).
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::add_capsule`].
-    pub fn create_capsule(&mut self, node: NodeId) -> Result<CapsuleId, EngError> {
-        self.engine.add_capsule(node)
-    }
-
-    /// Capsule management: instantiates a cluster.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::add_cluster`].
-    pub fn instantiate_cluster(
-        &mut self,
-        node: NodeId,
-        capsule: CapsuleId,
-    ) -> Result<ClusterId, EngError> {
-        self.engine.add_cluster(node, capsule)
-    }
-
-    /// Cluster management: checkpoints a cluster.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::checkpoint_cluster`].
-    pub fn checkpoint(
-        &mut self,
-        node: NodeId,
-        capsule: CapsuleId,
-        cluster: ClusterId,
-    ) -> Result<ClusterCheckpoint, EngError> {
-        self.engine.checkpoint_cluster(node, capsule, cluster)
-    }
-
-    /// Cluster management: deactivates a cluster.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::deactivate_cluster`].
-    pub fn deactivate(
-        &mut self,
-        node: NodeId,
-        capsule: CapsuleId,
-        cluster: ClusterId,
-    ) -> Result<ClusterCheckpoint, EngError> {
-        self.engine.deactivate_cluster(node, capsule, cluster)
-    }
-
-    /// Capsule management: reactivates a cluster from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::reactivate_cluster`].
-    pub fn reactivate(
-        &mut self,
-        node: NodeId,
-        capsule: CapsuleId,
-        checkpoint: &ClusterCheckpoint,
-    ) -> Result<ClusterId, EngError> {
-        self.engine.reactivate_cluster(node, capsule, checkpoint)
-    }
-
-    /// Cluster management: migrates a cluster.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::migrate_cluster`].
-    pub fn migrate(
-        &mut self,
-        from: (NodeId, CapsuleId, ClusterId),
-        to: (NodeId, CapsuleId),
-    ) -> Result<ClusterId, EngError> {
-        self.engine
-            .migrate_cluster(from.0, from.1, from.2, to.0, to.1)
-    }
-
-    /// Object management: deletes an object.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::delete_object`].
-    pub fn delete_object(
-        &mut self,
-        node: NodeId,
-        object: ObjectId,
-    ) -> Result<ObjectCheckpoint, EngError> {
-        self.engine.delete_object(node, object)
-    }
-
-    /// Coordination function: checkpoints several clusters as one
-    /// consistent set. The engine is quiescent between
-    /// [`Engine::run_until_idle`] calls, so snapshotting the clusters
-    /// back-to-back yields a consistent cut.
-    ///
-    /// # Errors
-    ///
-    /// Fails atomically: if any cluster cannot be checkpointed, no
-    /// checkpoint set is produced.
-    pub fn coordinated_checkpoint(
-        &mut self,
-        label: impl Into<String>,
-        clusters: &[(NodeId, CapsuleId, ClusterId)],
-    ) -> Result<CoordinatedCheckpoint, EngError> {
-        self.engine.run_until_idle();
-        let mut out = Vec::with_capacity(clusters.len());
-        for &(node, capsule, cluster) in clusters {
-            let cp = self.engine.checkpoint_cluster(node, capsule, cluster)?;
-            out.push((node, capsule, cp));
-        }
-        Ok(CoordinatedCheckpoint {
-            label: label.into(),
-            clusters: out,
-        })
-    }
-
-    /// Recovery: deactivates whatever remains of the checkpointed
-    /// clusters and reactivates every cluster of the set at its recorded
-    /// node/capsule. Returns the new cluster ids in set order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reactivation failures (e.g. unregistered behaviours).
-    pub fn coordinated_restore(
-        &mut self,
-        checkpoint: &CoordinatedCheckpoint,
-    ) -> Result<Vec<ClusterId>, EngError> {
-        let mut new_ids = Vec::with_capacity(checkpoint.clusters.len());
-        for (node, capsule, cp) in &checkpoint.clusters {
-            // Best effort: the old cluster may already be gone (crash).
-            let _ = self.engine.deactivate_cluster(*node, *capsule, cp.cluster);
-            let id = self.engine.reactivate_cluster(*node, *capsule, cp)?;
-            new_ids.push(id);
-        }
-        Ok(new_ids)
-    }
+    Ok(new_ids)
 }
 
 /// Stores a coordinated checkpoint through the storage function, one
-/// entry per cluster under `checkpoints/<label>/<i>/<node>/<capsule>`:
-/// the bytes are the cluster's [`encode_checkpoint`] form, the key
-/// carries the home to reactivate it at. Returns the keys in set order.
+/// [`checkpoints::store`] entry per cluster under
+/// `checkpoints/<label>/<i>/<node>/<capsule>` (the key carries the home
+/// to reactivate it at). Returns the keys in set order.
 pub fn store_checkpoint(
     storage: &mut impl PersistentStore,
     checkpoint: &CoordinatedCheckpoint,
@@ -200,7 +99,7 @@ pub fn store_checkpoint(
                 node.raw(),
                 capsule.raw()
             );
-            storage.persist(&key, encode_checkpoint(cp));
+            checkpoints::store(storage, &key, cp);
             key
         })
         .collect()
@@ -209,12 +108,12 @@ pub fn store_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoints::LoadError;
     use crate::storage::StorageFunction;
     use rmodp_core::codec::SyntaxId;
     use rmodp_core::value::Value;
     use rmodp_engineering::behaviour::CounterBehaviour;
     use rmodp_engineering::channel::ChannelConfig;
-    use rmodp_engineering::structure::decode_checkpoint;
 
     fn engine_with_counters() -> (
         Engine,
@@ -262,19 +161,13 @@ mod tests {
         e.call(ch1, "Add", &Value::record([("k", Value::Int(20))]))
             .unwrap();
 
-        let checkpoint = {
-            let mut mgmt = ManagementFunctions::new(&mut e);
-            mgmt.coordinated_checkpoint("daily", &clusters).unwrap()
-        };
+        let checkpoint = coordinated_checkpoint(&mut e, "daily", &clusters).unwrap();
         assert_eq!(checkpoint.clusters.len(), 2);
 
         // More work happens, then disaster: restore the coordinated cut.
         e.call(ch0, "Add", &Value::record([("k", Value::Int(999))]))
             .unwrap();
-        {
-            let mut mgmt = ManagementFunctions::new(&mut e);
-            mgmt.coordinated_restore(&checkpoint).unwrap();
-        }
+        coordinated_restore(&mut e, &checkpoint).unwrap();
         // Redirect to the reactivated interfaces and observe the cut.
         let r0 = e.lookup(refs[0].interface).unwrap();
         let r1 = e.lookup(refs[1].interface).unwrap();
@@ -290,17 +183,13 @@ mod tests {
     fn checkpoint_fails_atomically_on_unknown_cluster() {
         let (mut e, mut clusters, _) = engine_with_counters();
         clusters.push((clusters[0].0, clusters[0].1, ClusterId::new(999)));
-        let mut mgmt = ManagementFunctions::new(&mut e);
-        assert!(mgmt.coordinated_checkpoint("bad", &clusters).is_err());
+        assert!(coordinated_checkpoint(&mut e, "bad", &clusters).is_err());
     }
 
     #[test]
     fn stored_checkpoints_decode_back_and_damage_never_panics() {
         let (mut e, clusters, _) = engine_with_counters();
-        let checkpoint = {
-            let mut mgmt = ManagementFunctions::new(&mut e);
-            mgmt.coordinated_checkpoint("persisted", &clusters).unwrap()
-        };
+        let checkpoint = coordinated_checkpoint(&mut e, "persisted", &clusters).unwrap();
         let mut storage = StorageFunction::new();
         let stored = store_checkpoint(&mut storage, &checkpoint);
         assert_eq!(stored.len(), 2);
@@ -310,33 +199,26 @@ mod tests {
                 &format!("checkpoints/persisted/{i}/{}/{}", node.raw(), capsule.raw()),
                 "the key names the home"
             );
+            assert_eq!(checkpoints::load(&storage, key).as_ref(), Ok(cp));
             let bytes = storage.fetch(key).unwrap();
-            assert_eq!(decode_checkpoint(&bytes).as_ref(), Ok(cp));
             for cut in 0..bytes.len() {
-                assert!(decode_checkpoint(&bytes[..cut]).is_err(), "cut at {cut}");
+                storage.persist(key, bytes[..cut].to_vec());
+                assert!(
+                    matches!(
+                        checkpoints::load(&storage, key),
+                        Err(LoadError::Corrupt { key: k, .. }) if &k == key
+                    ),
+                    "cut at {cut}"
+                );
             }
             // No checksum in the form: a flipped bit is an error or some
             // other well-formed checkpoint, never a panic.
             for bit in 0..bytes.len() * 8 {
                 let mut flipped = bytes.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);
-                let _ = decode_checkpoint(&flipped);
+                storage.persist(key, flipped);
+                let _ = checkpoints::load(&storage, key);
             }
         }
-    }
-
-    #[test]
-    fn management_facade_migrates() {
-        let (mut e, clusters, refs) = engine_with_counters();
-        let (node0, capsule0, cluster0) = clusters[0];
-        let target = e.add_node(SyntaxId::Text);
-        let target_capsule = e.add_capsule(target).unwrap();
-        let new_cluster = {
-            let mut mgmt = ManagementFunctions::new(&mut e);
-            mgmt.migrate((node0, capsule0, cluster0), (target, target_capsule))
-                .unwrap()
-        };
-        assert_ne!(new_cluster, cluster0);
-        assert_eq!(e.lookup(refs[0].interface).unwrap().location.node, target);
     }
 }

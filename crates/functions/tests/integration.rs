@@ -7,13 +7,13 @@ use rmodp_core::codec::SyntaxId;
 use rmodp_core::value::Value;
 use rmodp_engineering::behaviour::CounterBehaviour;
 use rmodp_engineering::engine::Engine;
-use rmodp_engineering::structure::decode_checkpoint;
+use rmodp_functions::checkpoints;
 use rmodp_functions::events::EventNotifier;
 use rmodp_functions::group::{GroupManager, ReplicationPolicy};
-use rmodp_functions::management::{store_checkpoint, CoordinatedCheckpoint, ManagementFunctions};
+use rmodp_functions::management::{coordinated_checkpoint, store_checkpoint};
 use rmodp_functions::relation::RelationshipRepository;
 use rmodp_functions::relocator::Relocator;
-use rmodp_functions::storage::{PersistentStore, StorageFunction};
+use rmodp_functions::storage::StorageFunction;
 
 fn engine_with_counter() -> (
     Engine,
@@ -89,10 +89,7 @@ fn coordinated_checkpoint_flows_into_storage_and_events() {
             &Value::record([("k", Value::Int(9))]),
         )
         .unwrap();
-    let checkpoint: CoordinatedCheckpoint = {
-        let mut mgmt = ManagementFunctions::new(&mut engine);
-        mgmt.coordinated_checkpoint("nightly", &[home]).unwrap()
-    };
+    let checkpoint = coordinated_checkpoint(&mut engine, "nightly", &[home]).unwrap();
     let mut storage = StorageFunction::new();
     let stored = store_checkpoint(&mut storage, &checkpoint);
     let mut events = EventNotifier::new();
@@ -105,11 +102,10 @@ fn coordinated_checkpoint_flows_into_storage_and_events() {
     }
     let delivered = events.poll(sub);
     assert_eq!(delivered.len(), stored.len());
-    // The checkpoint is addressable by its key and decodes back to the
+    // The checkpoint is addressable by its key and loads back as the
     // cut that was taken.
-    let bytes = storage.fetch(&stored[0]).unwrap();
     assert_eq!(
-        decode_checkpoint(&bytes).as_ref(),
+        checkpoints::load(&storage, &stored[0]).as_ref(),
         Ok(&checkpoint.clusters[0].2)
     );
 }

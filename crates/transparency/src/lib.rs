@@ -14,11 +14,10 @@
 //! | relocation | on `NotHere`, the proxy requeries the relocator, reconnects the channel and **replays** the interaction (§9.2) |
 //! | migration | cluster migration keeps interface identity; combined with relocation the moved object *and its peers* are unaware ([`proxy::migrate_transparently`]) |
 //! | persistence | deactivated clusters are restored on demand from any [`PersistentStore`](rmodp_store::PersistentStore) — in-memory or write-ahead durable ([`persistence`]) |
-//! | failure | a [`FailureGuard`](failure::FailureGuard) checkpoints a cluster and recovers it on a backup node when its home crashes, measuring the loss window; a [`DurableGuard`](durable::DurableGuard) write-ahead logs operations into the store and replays the tail, losing nothing ([`failure`], [`durable`]) |
+//! | failure | a [`FailureGuard`](failure::FailureGuard) checkpoints a cluster into any [`PersistentStore`](rmodp_store::PersistentStore) and recovers it on a backup node when its home crashes; without an op log it rolls back to the checkpoint and measures the loss window, with every operation write-ahead logged it replays the tail and loses nothing ([`failure`]) |
 //! | replication | a [`ReplicatedService`](replication::ReplicatedService) keeps a group of replicas consistent behind one interface ([`replication`]) |
 //! | transaction | behaviour refinements report *actions of interest* to the transaction function; [`transaction::in_transaction`] brackets application code (§9.3) |
 
-pub mod durable;
 pub mod failure;
 pub mod persistence;
 pub mod proxy;

@@ -16,7 +16,7 @@ use std::fmt;
 
 use rmodp_core::id::{CapsuleId, ClusterId, InterfaceId, NodeId};
 use rmodp_engineering::engine::{EngError, Engine};
-use rmodp_engineering::structure::{decode_checkpoint, encode_checkpoint};
+use rmodp_functions::checkpoints::{self, LoadError};
 use rmodp_store::PersistentStore;
 
 /// A persistence failure.
@@ -24,20 +24,16 @@ use rmodp_store::PersistentStore;
 pub enum PersistenceError {
     /// Engineering failure during deactivate/reactivate.
     Eng(EngError),
-    /// Nothing stored under this name.
-    NotStored { name: String },
-    /// Stored bytes could not be decoded as a checkpoint.
-    Corrupt { name: String, detail: String },
+    /// The label was never deactivated, or its checkpoint is missing
+    /// from the store or does not decode.
+    Load(LoadError),
 }
 
 impl fmt::Display for PersistenceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PersistenceError::Eng(e) => write!(f, "{e}"),
-            PersistenceError::NotStored { name } => write!(f, "no checkpoint stored as {name}"),
-            PersistenceError::Corrupt { name, detail } => {
-                write!(f, "checkpoint {name} is corrupt: {detail}")
-            }
+            PersistenceError::Load(e) => write!(f, "{e}"),
         }
     }
 }
@@ -50,17 +46,22 @@ impl From<EngError> for PersistenceError {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Home {
-    node: NodeId,
-    capsule: CapsuleId,
+impl From<LoadError> for PersistenceError {
+    fn from(e: LoadError) -> Self {
+        PersistenceError::Load(e)
+    }
+}
+
+fn storage_key(label: &str) -> String {
+    format!("persistent/{label}")
 }
 
 /// Manages persistent clusters: deactivation to the storage function and
 /// (transparent) reactivation from it.
 #[derive(Debug, Default)]
 pub struct PersistenceManager {
-    homes: BTreeMap<String, Home>,
+    /// Where each persistent cluster is restored.
+    homes: BTreeMap<String, (NodeId, CapsuleId)>,
     /// Which persistent cluster each interface belongs to (so a proxy can
     /// restore by interface).
     interface_index: BTreeMap<InterfaceId, String>,
@@ -88,8 +89,8 @@ impl PersistenceManager {
         cluster: ClusterId,
     ) -> Result<(), PersistenceError> {
         let cp = engine.deactivate_cluster(node, capsule, cluster)?;
-        storage.persist(&format!("persistent/{label}"), encode_checkpoint(&cp));
-        self.homes.insert(label.to_owned(), Home { node, capsule });
+        checkpoints::store(storage, &storage_key(label), &cp);
+        self.homes.insert(label.to_owned(), (node, capsule));
         for o in &cp.objects {
             for ifc in &o.record.interfaces {
                 self.interface_index.insert(*ifc, label.to_owned());
@@ -119,32 +120,20 @@ impl PersistenceManager {
         storage: &S,
         label: &str,
     ) -> Result<ClusterId, PersistenceError> {
-        let home = self
-            .homes
-            .get(label)
-            .copied()
-            .ok_or_else(|| PersistenceError::NotStored {
-                name: label.to_owned(),
-            })?;
-        let bytes = storage
-            .fetch(&format!("persistent/{label}"))
-            .ok_or_else(|| PersistenceError::NotStored {
-                name: label.to_owned(),
-            })?;
-        let cp = decode_checkpoint(&bytes).map_err(|detail| PersistenceError::Corrupt {
-            name: label.to_owned(),
-            detail,
-        })?;
+        let key = storage_key(label);
+        let home = self.homes.get(label).copied();
+        let (node, capsule) = home.ok_or(LoadError::NotStored { key: key.clone() })?;
+        let cp = checkpoints::load(storage, &key)?;
         rmodp_observe::event(
             rmodp_observe::Layer::Transparency,
             rmodp_observe::EventKind::Persist,
         )
         .in_context()
-        .capsule(home.capsule.raw())
+        .capsule(capsule.raw())
         .detail_with(|| format!("restored label={label} objects={}", cp.objects.len()))
         .emit();
         rmodp_observe::bus::counter_add("transparency.restores", 1);
-        Ok(engine.reactivate_cluster(home.node, home.capsule, &cp)?)
+        Ok(engine.reactivate_cluster(node, capsule, &cp)?)
     }
 
     /// The persistent label covering an interface, if any.
@@ -254,7 +243,7 @@ mod tests {
         let mut pm = PersistenceManager::new();
         assert!(matches!(
             pm.restore(&mut engine, &storage, "ghost"),
-            Err(PersistenceError::NotStored { .. })
+            Err(PersistenceError::Load(LoadError::NotStored { .. }))
         ));
     }
 }

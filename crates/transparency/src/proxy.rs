@@ -21,6 +21,7 @@ use rmodp_core::codec::SyntaxId;
 use rmodp_core::id::{CapsuleId, ChannelId, ClusterId, InterfaceId, NodeId};
 use rmodp_core::value::Value;
 use rmodp_engineering::engine::{CallError, EngError, Engine};
+use rmodp_functions::checkpoints;
 use rmodp_functions::events::EventNotifier;
 use rmodp_functions::group::GroupManager;
 use rmodp_functions::relocator::Relocator;
@@ -58,13 +59,7 @@ impl OdpInfra {
     ///
     /// Unknown interface.
     pub fn publish(&mut self, engine: &Engine, interface: InterfaceId) -> Result<(), EngError> {
-        let r = engine
-            .lookup(interface)
-            .ok_or(EngError::UnknownInterface { interface })?;
-        // Stale registrations are fine to ignore: the relocator already
-        // knows something at least as new.
-        let _ = self.relocator.register(r);
-        Ok(())
+        checkpoints::republish(engine, &mut self.relocator, &[interface])
     }
 }
 
@@ -315,9 +310,7 @@ pub fn migrate_transparently(
     interfaces: &[InterfaceId],
 ) -> Result<ClusterId, EngError> {
     let new_cluster = engine.migrate_cluster(from.0, from.1, from.2, to.0, to.1)?;
-    for ifc in interfaces {
-        infra.publish(engine, *ifc)?;
-    }
+    checkpoints::republish(engine, &mut infra.relocator, interfaces)?;
     infra.events.emit(
         "migrations",
         Value::record([

@@ -15,7 +15,7 @@ use rmodp_core::codec::SyntaxId;
 use rmodp_core::id::{ChannelId, GroupId, InterfaceId, NodeId};
 use rmodp_core::value::Value;
 use rmodp_engineering::channel::ChannelConfig;
-use rmodp_engineering::engine::{CallError, Engine};
+use rmodp_engineering::engine::{CallError, EngError, Engine};
 use rmodp_functions::group::{GroupError, ReplicationPolicy};
 use rmodp_kernel::payload::Payload;
 use rmodp_observe::{bus, event, EventKind, Layer};
@@ -124,6 +124,20 @@ pub struct ReplicatedService {
 }
 
 impl ReplicatedService {
+    /// A front with cold quorum state over channels already opened.
+    fn over(client: NodeId, group: GroupId, channels: BTreeMap<InterfaceId, ChannelId>) -> Self {
+        Self {
+            client,
+            group,
+            channels,
+            reads: 0,
+            epoch: 0,
+            seq: 0,
+            committed: 0,
+            value: 0,
+        }
+    }
+
     /// Creates the front and a group containing the given replicas.
     pub fn new(
         engine: &mut Engine,
@@ -143,16 +157,7 @@ impl ReplicatedService {
                 })?;
             channels.insert(r, ch);
         }
-        Ok(Self {
-            client,
-            group,
-            channels,
-            reads: 0,
-            epoch: 0,
-            seq: 0,
-            committed: 0,
-            value: 0,
-        })
+        Ok(Self::over(client, group, channels))
     }
 
     /// Creates a quorum-replicated front: an [`ReplicationPolicy::Active`]
@@ -190,16 +195,7 @@ impl ReplicatedService {
                 channels.insert(*r, ch);
             }
         }
-        let mut svc = Self {
-            client,
-            group,
-            channels,
-            reads: 0,
-            epoch: 0,
-            seq: 0,
-            committed: 0,
-            value: 0,
-        };
+        let mut svc = Self::over(client, group, channels);
         svc.fail_over(engine, infra)?;
         Ok(svc)
     }
@@ -737,6 +733,41 @@ impl ReplicatedService {
     }
 }
 
+/// Deploys `n` replicas of one behaviour, each alone in a cluster on a
+/// fresh node, and publishes their interfaces.
+fn deploy_replicas(
+    engine: &mut Engine,
+    infra: &mut OdpInfra,
+    n: usize,
+    behaviour: &str,
+    initial_state: &Value,
+) -> Result<Vec<InterfaceId>, ReplicationError> {
+    let fail = |e: EngError| ReplicationError::UpdateFailed {
+        replica: InterfaceId::new(0),
+        error: e.to_string(),
+    };
+    let mut replicas = Vec::with_capacity(n);
+    for _ in 0..n {
+        let node = engine.add_node(SyntaxId::Binary);
+        let capsule = engine.add_capsule(node).map_err(fail)?;
+        let cluster = engine.add_cluster(node, capsule).map_err(fail)?;
+        let (_, refs) = engine
+            .create_object(
+                node,
+                capsule,
+                cluster,
+                "replica",
+                behaviour,
+                initial_state.clone(),
+                1,
+            )
+            .map_err(fail)?;
+        let _ = infra.publish(engine, refs[0].interface);
+        replicas.push(refs[0].interface);
+    }
+    Ok(replicas)
+}
+
 /// Convenience: build `n` counter replicas spread over fresh nodes and a
 /// replicated front for them. Returns the service and the replica
 /// interfaces.
@@ -748,39 +779,8 @@ pub fn replicated_counters(
     n: usize,
 ) -> Result<(ReplicatedService, Vec<InterfaceId>), ReplicationError> {
     use rmodp_engineering::behaviour::CounterBehaviour;
-    let mut replicas = Vec::with_capacity(n);
-    for _ in 0..n {
-        let node = engine.add_node(SyntaxId::Binary);
-        let capsule = engine
-            .add_capsule(node)
-            .map_err(|e| ReplicationError::UpdateFailed {
-                replica: InterfaceId::new(0),
-                error: e.to_string(),
-            })?;
-        let cluster =
-            engine
-                .add_cluster(node, capsule)
-                .map_err(|e| ReplicationError::UpdateFailed {
-                    replica: InterfaceId::new(0),
-                    error: e.to_string(),
-                })?;
-        let (_, refs) = engine
-            .create_object(
-                node,
-                capsule,
-                cluster,
-                "replica",
-                "counter",
-                CounterBehaviour::initial_state(),
-                1,
-            )
-            .map_err(|e| ReplicationError::UpdateFailed {
-                replica: InterfaceId::new(0),
-                error: e.to_string(),
-            })?;
-        let _ = infra.publish(engine, refs[0].interface);
-        replicas.push(refs[0].interface);
-    }
+    let state = CounterBehaviour::initial_state();
+    let replicas = deploy_replicas(engine, infra, n, "counter", &state)?;
     let service = ReplicatedService::new(engine, infra, client, policy, replicas.clone())?;
     Ok((service, replicas))
 }
@@ -800,29 +800,8 @@ pub fn quorum_counters(
     engine
         .behaviours_mut()
         .register("quorum_counter", QuorumCounterBehaviour::default);
-    let mut replicas = Vec::with_capacity(n);
-    for _ in 0..n {
-        let node = engine.add_node(SyntaxId::Binary);
-        let fail = |e: &dyn std::fmt::Display| ReplicationError::UpdateFailed {
-            replica: InterfaceId::new(0),
-            error: e.to_string(),
-        };
-        let capsule = engine.add_capsule(node).map_err(|e| fail(&e))?;
-        let cluster = engine.add_cluster(node, capsule).map_err(|e| fail(&e))?;
-        let (_, refs) = engine
-            .create_object(
-                node,
-                capsule,
-                cluster,
-                "replica",
-                "quorum_counter",
-                QuorumCounterBehaviour::initial_state(),
-                1,
-            )
-            .map_err(|e| fail(&e))?;
-        let _ = infra.publish(engine, refs[0].interface);
-        replicas.push(refs[0].interface);
-    }
+    let state = QuorumCounterBehaviour::initial_state();
+    let replicas = deploy_replicas(engine, infra, n, "quorum_counter", &state)?;
     let service = ReplicatedService::quorum(engine, infra, client, replicas.clone())?;
     Ok((service, replicas))
 }

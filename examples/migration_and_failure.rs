@@ -79,18 +79,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // failover target is selected automatically — recovery skips the
     // dead pool head and lands on the spare.
     let mut guard = FailureGuard::new(
+        "counter",
         (target, target_capsule, new_cluster),
         (backup, backup_capsule),
         vec![interface],
     );
     guard.push_backup((spare, spare_capsule));
-    guard.checkpoint_now(&mut sys.engine)?;
+    guard.checkpoint_now(&mut sys.engine, &mut sys.infra.storage)?;
     let idx = sys.engine.sim_node(target)?;
     sys.engine.sim_mut().topology_mut().crash(idx);
     let idx = sys.engine.sim_node(backup)?;
     sys.engine.sim_mut().topology_mut().crash(idx);
     println!("node {target} and backup {backup} crashed; recovering from the pool…");
-    guard.recover(&mut sys.engine, &mut sys.infra)?;
+    guard.recover(
+        &mut sys.engine,
+        &mut sys.infra.relocator,
+        &mut sys.infra.storage,
+    )?;
     assert_eq!(
         guard.home().0,
         spare,

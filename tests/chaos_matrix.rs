@@ -9,14 +9,14 @@ use rmodp::core::value::Value;
 use rmodp::engineering::behaviour::CounterBehaviour;
 use rmodp::engineering::channel::{ChannelConfig, RetryPolicy};
 use rmodp::engineering::engine::Engine;
+use rmodp::functions::StorageFunction;
 use rmodp::netsim::sim::{Addr, NodeIdx, Sim};
 use rmodp::netsim::time::{SimDuration, SimTime};
 use rmodp::netsim::topology::{LinkConfig, Topology};
 use rmodp::observe::{bus, export};
-use rmodp::store::{MemMedia, StoreConfig, StoreEngine};
+use rmodp::store::{MemMedia, PersistentStore, StableMedia, StoreConfig, StoreEngine};
 use rmodp::transactions::twopc::{Coordinator, Participant, TxOutcome, TxRequest};
-use rmodp::transparency::durable::DurableGuard;
-use rmodp::transparency::failure::FailureGuard;
+use rmodp::transparency::failure::{FailureError, FailureGuard};
 use rmodp::transparency::{OdpInfra, Transparency, TransparencySet, TransparentProxy};
 use rmodp::workload::prelude::*;
 
@@ -361,6 +361,7 @@ fn crash_home_via_plan(w: &mut GuardWorld) {
 fn in_memory_recovery_loses_the_tail_and_the_counter_measures_it() {
     let mut w = guard_world(61);
     let mut guard = FailureGuard::new(
+        "cmp",
         (w.home, w.home_capsule, w.cluster),
         (w.backup, w.backup_capsule),
         vec![w.interface],
@@ -369,14 +370,18 @@ fn in_memory_recovery_loses_the_tail_and_the_counter_measures_it() {
     w.proxy
         .call(&mut w.engine, &mut w.infra, "Add", &add(10))
         .unwrap();
-    guard.checkpoint_now(&mut w.engine).unwrap();
-    // Post-checkpoint work the in-memory checkpoint cannot cover.
+    guard
+        .checkpoint_now(&mut w.engine, &mut w.infra.storage)
+        .unwrap();
+    // Post-checkpoint work nobody logged: the checkpoint cannot cover it.
     w.proxy
         .call(&mut w.engine, &mut w.infra, "Add", &add(5))
         .unwrap();
 
     crash_home_via_plan(&mut w);
-    guard.recover(&mut w.engine, &mut w.infra).unwrap();
+    guard
+        .recover(&mut w.engine, &mut w.infra.relocator, &mut w.infra.storage)
+        .unwrap();
 
     assert!(
         guard.lost_updates() > 0,
@@ -403,7 +408,7 @@ fn in_memory_recovery_loses_the_tail_and_the_counter_measures_it() {
 fn durable_recovery_replays_the_tail_and_the_counter_stays_zero() {
     let mut w = guard_world(61);
     let mut store = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
-    let mut guard = DurableGuard::new(
+    let mut guard = FailureGuard::new(
         "cmp",
         (w.home, w.home_capsule, w.cluster),
         (w.backup, w.backup_capsule),
@@ -423,7 +428,7 @@ fn durable_recovery_replays_the_tail_and_the_counter_stays_zero() {
 
     crash_home_via_plan(&mut w);
     guard
-        .recover(&mut w.engine, &mut w.infra, &mut store)
+        .recover(&mut w.engine, &mut w.infra.relocator, &mut store)
         .unwrap();
 
     assert_eq!(
@@ -445,6 +450,95 @@ fn durable_recovery_replays_the_tail_and_the_counter_stays_zero() {
         t.results.field("n").and_then(Value::as_int),
         Some(15),
         "10 + 5: nothing lost"
+    );
+}
+
+/// What one run of [`logged_guard_script`] leaves behind.
+#[derive(Debug, PartialEq)]
+struct GuardOutcome {
+    counter: Option<i64>,
+    replayed: u64,
+    recoveries: u64,
+    lost_updates: u64,
+}
+
+/// One guard script over any store: checkpoint, logged ops, a home
+/// crash from a fault plan, recovery, read back. `between` stands
+/// between the last `log_op` and the call it announces.
+fn logged_guard_script<S: PersistentStore>(
+    mut store: S,
+    between: impl FnOnce(S) -> S,
+) -> Result<GuardOutcome, FailureError> {
+    let mut w = guard_world(61);
+    let mut guard = FailureGuard::new(
+        "diff",
+        (w.home, w.home_capsule, w.cluster),
+        (w.backup, w.backup_capsule),
+        vec![w.interface],
+    );
+    let add = |k: i64| Value::record([("k", Value::Int(k))]);
+    for (k, pause) in [(10, None), (5, None), (7, Some(between))] {
+        guard.log_op(&mut store, w.interface, "Add", &add(k));
+        if let Some(between) = pause {
+            store = between(store);
+        }
+        w.proxy
+            .call(&mut w.engine, &mut w.infra, "Add", &add(k))
+            .unwrap();
+        if k == 10 {
+            guard.checkpoint_now(&mut w.engine, &mut store).unwrap();
+        }
+    }
+    crash_home_via_plan(&mut w);
+    guard.recover(&mut w.engine, &mut w.infra.relocator, &mut store)?;
+    let none = Value::record::<&str, _>([]);
+    let t = w
+        .proxy
+        .call(&mut w.engine, &mut w.infra, "Get", &none)
+        .unwrap();
+    Ok(GuardOutcome {
+        counter: t.results.field("n").and_then(Value::as_int),
+        replayed: guard.replayed(),
+        recoveries: guard.recoveries(),
+        lost_updates: bus::counter("failure.lost_updates"),
+    })
+}
+
+fn power_cycle(store: StoreEngine<MemMedia>) -> StoreEngine<MemMedia> {
+    let mut media = store.into_media();
+    media.crash();
+    StoreEngine::open(media, StoreConfig::default()).unwrap()
+}
+
+#[test]
+fn one_guard_script_ends_alike_on_the_volatile_and_the_durable_store() {
+    let durable = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
+    let on_memory = logged_guard_script(StorageFunction::new(), |s| s).unwrap();
+    let on_disk = logged_guard_script(durable, |s| s).unwrap();
+    assert_eq!(on_memory, on_disk);
+    assert_eq!(
+        on_disk,
+        GuardOutcome {
+            counter: Some(22),
+            replayed: 2,
+            recoveries: 1,
+            lost_updates: 0,
+        }
+    );
+}
+
+#[test]
+fn a_logged_op_outlives_its_medium_only_on_the_durable_store() {
+    // The durable store synced the entry before `log_op` returned.
+    let durable = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
+    let on_disk = logged_guard_script(durable, power_cycle).unwrap();
+    assert_eq!((on_disk.counter, on_disk.replayed), (Some(22), 2));
+    // The volatile store's medium is the process: checkpoint and log
+    // are gone together, and the guard says so instead of guessing.
+    let on_memory = logged_guard_script(StorageFunction::new(), |_| StorageFunction::new());
+    assert!(
+        matches!(on_memory, Err(FailureError::Load(_))),
+        "{on_memory:?}"
     );
 }
 

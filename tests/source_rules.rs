@@ -216,6 +216,33 @@ const RULES: &[Rule] = &[
         exempt: &[],
         above_tests_only: true,
     },
+    Rule {
+        name: "one guard",
+        why: "`FailureGuard` over any `PersistentStore`, with or without `log_op`, is the only \
+              guard, and the §8.1 management functions are `Engine`'s own methods (DESIGN.md, \
+              \"Failure and persistence: one guard, one checkpoint store\")",
+        roots: &["crates/*/src"],
+        patterns: &[
+            Literal("DurableGuard"),
+            Literal("DurableError"),
+            Literal("struct ManagementFunctions"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+    },
+    Rule {
+        name: "one checkpoint store",
+        why: "a cluster checkpoint goes into and out of a store through \
+              rmodp_functions::checkpoints::{store, load}, which own the byte form's use and the \
+              NotStored/Corrupt answers",
+        roots: &["crates/*/src"],
+        patterns: &[Literal("encode_checkpoint("), Literal("decode_checkpoint(")],
+        exempt: &[
+            "crates/engineering/src/structure.rs",
+            "crates/functions/src/checkpoints.rs",
+        ],
+        above_tests_only: true,
+    },
 ];
 
 /// This file quotes every forbidden text.

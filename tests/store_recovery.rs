@@ -1,10 +1,10 @@
 //! Cross-crate recovery invariants of the durable object store: the
 //! longest committed prefix is exactly what every restart reproduces,
 //! the persistence transparency rides the store through a media crash,
-//! and a chaos-plan capsule kill recovered by the [`DurableGuard`]
-//! loses zero committed updates.
+//! and a chaos-plan capsule kill recovered by a [`FailureGuard`] that
+//! logs every operation loses zero committed updates.
 //!
-//! [`DurableGuard`]: rmodp::transparency::durable::DurableGuard
+//! [`FailureGuard`]: rmodp::transparency::failure::FailureGuard
 
 use rmodp::chaos::prelude::{FaultInjector, FaultKind, FaultPlan};
 use rmodp::core::codec::SyntaxId;
@@ -15,7 +15,7 @@ use rmodp::netsim::time::SimDuration;
 use rmodp::observe::bus;
 use rmodp::store::oo7::{state_checksum, Oo7Config, Oo7Workload};
 use rmodp::store::{MemMedia, PersistentStore, StableMedia, StoreConfig, StoreEngine};
-use rmodp::transparency::durable::DurableGuard;
+use rmodp::transparency::failure::FailureGuard;
 use rmodp::transparency::persistence::PersistenceManager;
 use rmodp::transparency::{OdpInfra, Transparency, TransparencySet, TransparentProxy};
 
@@ -177,7 +177,7 @@ fn persistence_transparency_survives_a_store_media_crash() {
 fn chaos_capsule_kill_with_durable_guard_loses_nothing() {
     let mut w = world(31);
     let mut store = open_mem();
-    let mut guard = DurableGuard::new(
+    let mut guard = FailureGuard::new(
         "kill",
         (w.home, w.home_capsule, w.cluster),
         (w.backup, w.backup_capsule),
@@ -237,7 +237,7 @@ fn chaos_capsule_kill_with_durable_guard_loses_nothing() {
         if call.is_err() {
             assert!(!recovered, "exactly one kill in the plan");
             guard
-                .recover(&mut w.engine, &mut w.infra, &mut store)
+                .recover(&mut w.engine, &mut w.infra.relocator, &mut store)
                 .unwrap();
             recovered = true;
         }
@@ -288,14 +288,14 @@ fn store_crash_at_any_frame_of_a_guard_checkpoint_replays_each_op_once() {
     /// before the second checkpoint.
     fn history() -> (
         World,
-        DurableGuard,
+        FailureGuard,
         StoreEngine<MemMedia>,
         usize,
         Vec<usize>,
     ) {
         let mut w = world(37);
         let mut store = open_mem();
-        let mut guard = DurableGuard::new(
+        let mut guard = FailureGuard::new(
             "acct",
             (w.home, w.home_capsule, w.cluster),
             (w.backup, w.backup_capsule),
@@ -347,7 +347,7 @@ fn store_crash_at_any_frame_of_a_guard_checkpoint_replays_each_op_once() {
         let home_idx = w.engine.sim_node(w.home).unwrap();
         w.engine.sim_mut().topology_mut().crash(home_idx);
         guard
-            .recover(&mut w.engine, &mut w.infra, &mut store)
+            .recover(&mut w.engine, &mut w.infra.relocator, &mut store)
             .unwrap();
         let mut proxy = TransparentProxy::new(
             w.client,

@@ -188,14 +188,20 @@ fn failure_on_vs_off() {
 
         let backup = w.sys.engine.add_node(SyntaxId::Binary);
         let backup_capsule = w.sys.engine.add_capsule(backup).unwrap();
-        let mut guard = FailureGuard::new(w.home, (backup, backup_capsule), vec![w.interface]);
+        let mut guard =
+            FailureGuard::new("acct", w.home, (backup, backup_capsule), vec![w.interface]);
         if guarded {
-            guard.checkpoint_now(&mut w.sys.engine).unwrap();
+            guard
+                .checkpoint_now(&mut w.sys.engine, &mut w.sys.infra.storage)
+                .unwrap();
         }
         let idx = w.sys.engine.sim_node(w.home.0).unwrap();
         w.sys.engine.sim_mut().topology_mut().crash(idx);
         if guarded {
-            guard.recover(&mut w.sys.engine, &mut w.sys.infra).unwrap();
+            let infra = &mut w.sys.infra;
+            guard
+                .recover(&mut w.sys.engine, &mut infra.relocator, &mut infra.storage)
+                .unwrap();
             let t = proxy
                 .call(&mut w.sys.engine, &mut w.sys.infra, "Get", &get())
                 .unwrap();
