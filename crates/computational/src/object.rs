@@ -9,7 +9,6 @@
 
 use std::fmt;
 
-use rmodp_core::contract::QosRequirement;
 use rmodp_core::id::{IdGen, InterfaceId, ObjectId};
 use rmodp_core::value::Value;
 
@@ -25,8 +24,6 @@ pub struct InterfaceTemplate {
     pub signature: InterfaceSignature,
     /// The role the owner plays at this interface.
     pub causality: Causality,
-    /// What this interface requires of its environment (§5.3).
-    pub environment: QosRequirement,
 }
 
 impl InterfaceTemplate {
@@ -53,14 +50,7 @@ impl InterfaceTemplate {
             name: name.into(),
             signature,
             causality,
-            environment: QosRequirement::none(),
         })
-    }
-
-    /// Builder: sets the environment contract requirement.
-    pub fn with_environment(mut self, environment: QosRequirement) -> Self {
-        self.environment = environment;
-        self
     }
 }
 

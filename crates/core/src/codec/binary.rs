@@ -20,10 +20,20 @@
 //! caller whose document has a fixed shape and who would otherwise build
 //! a `Value` tree only to encode it and drop it (the write-ahead log and
 //! the store's snapshots).
+//!
+//! The layout is read in one place, `Reader::value_at`, a parser folded
+//! over a `Builder` (see the [module above](super)): with the `Value`
+//! builder it is `decode`, with a `Writer` it is
+//! [`transcode`](super::transcode).
+
+use std::borrow::Cow;
 
 use bytes::{Buf, BufMut};
 
-use super::{too_deep, CodecError, SyntaxId, TransferSyntax, MAX_NESTING, TYPICAL_ENCODING};
+use super::{
+    too_deep, Builder, CodecError, LastKey, SyntaxId, TransferSyntax, ValueBuilder, MAX_NESTING,
+    TYPICAL_ENCODING,
+};
 use crate::value::Value;
 
 const TAG_NULL: u8 = 0x00;
@@ -35,10 +45,6 @@ const TAG_BLOB: u8 = 0x05;
 const TAG_SEQ: u8 = 0x06;
 const TAG_RECORD: u8 = 0x07;
 const TAG_REF: u8 = 0x08;
-
-/// The most elements a container's header gets room for before any of
-/// them has been read: a header is four bytes and may claim 2³² elements.
-const MAX_PREALLOCATED: usize = 1024;
 
 /// The compact binary transfer syntax (see module docs for the layout).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,13 +66,21 @@ impl TransferSyntax for BinarySyntax {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Value, CodecError> {
-        let mut reader = Reader::new(bytes);
-        let v = reader.value()?;
-        if !reader.at_end() {
-            return Err(reader.error("trailing bytes after value"));
-        }
-        Ok(v)
+        parse(bytes, &mut ValueBuilder)
     }
+}
+
+/// Folds the one value `bytes` hold into `builder`.
+pub(super) fn parse<'a, B: Builder<'a>>(
+    bytes: &'a [u8],
+    builder: &mut B,
+) -> Result<B::Value, CodecError> {
+    let mut reader = Reader::new(bytes);
+    let v = reader.value_at(builder, 0)?;
+    if !reader.at_end() {
+        return Err(reader.error("trailing bytes after value"));
+    }
+    Ok(v)
 }
 
 /// The writing half of the streaming pair: appends the syntax's pieces to
@@ -80,12 +94,17 @@ impl TransferSyntax for BinarySyntax {
 #[derive(Debug)]
 pub struct Writer<'a> {
     out: &'a mut Vec<u8>,
+    /// As a `Builder`: no record so far had a key out of order.
+    pub(super) canonical: bool,
 }
 
 impl<'a> Writer<'a> {
     /// A writer appending to `out`.
     pub fn new(out: &'a mut Vec<u8>) -> Self {
-        Self { out }
+        Self {
+            out,
+            canonical: true,
+        }
     }
 
     /// Opens a record of `fields` key/value pairs.
@@ -117,6 +136,12 @@ impl<'a> Writer<'a> {
         self.str(text);
     }
 
+    fn blob(&mut self, bytes: &[u8]) {
+        self.out.put_u8(TAG_BLOB);
+        self.out.put_u32_le(bytes.len() as u32);
+        self.out.put_slice(bytes);
+    }
+
     /// Any value.
     pub fn value(&mut self, value: &Value) {
         match value {
@@ -134,11 +159,7 @@ impl<'a> Writer<'a> {
                 self.out.put_f64_le(*x);
             }
             Value::Text(s) => self.text(s),
-            Value::Blob(b) => {
-                self.out.put_u8(TAG_BLOB);
-                self.out.put_u32_le(b.len() as u32);
-                self.out.put_slice(b);
-            }
+            Value::Blob(b) => self.blob(b),
             Value::Seq(items) => {
                 self.seq_header(items.len());
                 for item in items {
@@ -157,6 +178,85 @@ impl<'a> Writer<'a> {
                 self.out.put_u64_le(*id);
             }
         }
+    }
+}
+
+/// A container whose header was written before its elements were
+/// counted: where the count sits in the output, and the count so far.
+pub(super) struct Open {
+    count_at: usize,
+    count: usize,
+}
+
+impl Writer<'_> {
+    fn open(&mut self, tag: u8) -> Open {
+        self.out.put_u8(tag);
+        let count_at = self.out.len();
+        self.out.put_u32_le(0);
+        Open { count_at, count: 0 }
+    }
+
+    fn close(&mut self, open: Open) {
+        let count = (open.count as u32).to_le_bytes();
+        self.out[open.count_at..open.count_at + 4].copy_from_slice(&count);
+    }
+}
+
+/// The writer as what another encoding is parsed into: the pieces go to
+/// the output as they are read, and a container's count — which the text
+/// syntax states nowhere — is patched into its header at the close.
+impl<'a> Builder<'a> for Writer<'_> {
+    type Value = ();
+    type Seq = Open;
+    type Record = (Open, LastKey<'a>);
+
+    fn scalar(&mut self, value: Value) {
+        self.value(&value);
+    }
+
+    fn text(&mut self, text: Cow<'a, str>) {
+        Writer::text(self, &text);
+    }
+
+    fn blob(&mut self, bytes: Cow<'a, [u8]>) {
+        Writer::blob(self, &bytes);
+    }
+
+    fn seq_open(&mut self, _hint: usize) -> Open {
+        self.open(TAG_SEQ)
+    }
+
+    fn item(
+        &mut self,
+        seq: &mut Open,
+        item: impl FnOnce(&mut Self) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        seq.count += 1;
+        item(self)
+    }
+
+    fn seq_close(&mut self, seq: Open) {
+        self.close(seq);
+    }
+
+    fn record_open(&mut self, _hint: usize) -> Self::Record {
+        (self.open(TAG_RECORD), LastKey::default())
+    }
+
+    fn field(
+        &mut self,
+        (open, last): &mut Self::Record,
+        key: Cow<'a, str>,
+        value: impl FnOnce(&mut Self) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        open.count += 1;
+        self.key(&key);
+        self.canonical &= last.ascends_to(key);
+        value(self)
+    }
+
+    fn record_close(&mut self, (open, _): Self::Record) {
+        self.close(open);
     }
 }
 
@@ -297,59 +397,64 @@ impl<'a> Reader<'a> {
     /// A [`CodecError`] if the bytes do not continue with a whole value,
     /// or nest containers deeper than [`MAX_NESTING`] levels.
     pub fn value(&mut self) -> Result<Value, CodecError> {
-        self.value_at(0)
+        self.value_at(&mut ValueBuilder, 0)
     }
 
-    /// [`value`](Self::value) inside `depth` enclosing containers.
-    fn value_at(&mut self, depth: usize) -> Result<Value, CodecError> {
+    /// Folds the next value, which sits inside `depth` enclosing
+    /// containers, into `b`: the layout's one reading.
+    fn value_at<B: Builder<'a>>(
+        &mut self,
+        b: &mut B,
+        depth: usize,
+    ) -> Result<B::Value, CodecError> {
         let tag = self.u8()?;
-        match tag {
-            TAG_NULL => Ok(Value::Null),
+        Ok(match tag {
+            TAG_NULL => b.scalar(Value::Null),
             TAG_BOOL => match self.u8()? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                other => Err(self.error(format!("bad bool byte {other}"))),
+                0 => b.scalar(Value::Bool(false)),
+                1 => b.scalar(Value::Bool(true)),
+                other => return Err(self.error(format!("bad bool byte {other}"))),
             },
-            TAG_INT => Ok(Value::Int(self.i64()?)),
+            TAG_INT => b.scalar(Value::Int(self.i64()?)),
             TAG_FLOAT => {
-                let mut b = self.take(8)?;
-                Ok(Value::Float(b.get_f64_le()))
+                let mut bits = self.take(8)?;
+                b.scalar(Value::Float(bits.get_f64_le()))
             }
-            TAG_TEXT => Ok(Value::Text(self.str()?.to_owned())),
+            TAG_TEXT => b.text(Cow::Borrowed(self.str()?)),
             TAG_BLOB => {
                 let len = self.u32()? as usize;
-                Ok(Value::Blob(self.take(len)?.to_vec()))
+                b.blob(Cow::Borrowed(self.take(len)?))
             }
-            TAG_SEQ | TAG_RECORD if depth == MAX_NESTING => Err(CodecError {
-                syntax: SyntaxId::Binary,
-                offset: self.pos - 1,
-                message: too_deep(),
-            }),
+            TAG_SEQ | TAG_RECORD if depth == MAX_NESTING => {
+                return Err(CodecError {
+                    syntax: SyntaxId::Binary,
+                    offset: self.pos - 1,
+                    message: too_deep(),
+                })
+            }
             TAG_SEQ => {
                 let count = self.u32()? as usize;
-                let mut items = Vec::with_capacity(count.min(MAX_PREALLOCATED));
+                let mut seq = b.seq_open(count);
                 for _ in 0..count {
-                    items.push(self.value_at(depth + 1)?);
+                    b.item(&mut seq, |b| self.value_at(b, depth + 1))?;
                 }
-                Ok(Value::Seq(items))
+                b.seq_close(seq)
             }
             TAG_RECORD => {
-                // Canonical bytes carry the keys in order, so this is a
-                // push per field; `Record::from` sorts only if they do not.
                 let count = self.u32()? as usize;
-                let mut fields = Vec::with_capacity(count.min(MAX_PREALLOCATED));
+                let mut record = b.record_open(count);
                 for _ in 0..count {
-                    let key = self.str()?.to_owned();
-                    fields.push((key, self.value_at(depth + 1)?));
+                    let key = Cow::Borrowed(self.str()?);
+                    b.field(&mut record, key, |b| self.value_at(b, depth + 1))?;
                 }
-                Ok(Value::Record(fields.into()))
+                b.record_close(record)
             }
             TAG_REF => {
-                let mut b = self.take(8)?;
-                Ok(Value::Ref(b.get_u64_le()))
+                let mut id = self.take(8)?;
+                b.scalar(Value::Ref(id.get_u64_le()))
             }
-            other => Err(self.error(format!("unknown tag 0x{other:02x}"))),
-        }
+            other => return Err(self.error(format!("unknown tag 0x{other:02x}"))),
+        })
     }
 }
 

@@ -12,10 +12,17 @@
 //! Both round-trip every [`Value`]; a stub on a node whose native syntax is
 //! binary can interwork with a node whose native syntax is text because the
 //! channel negotiates a common transfer syntax.
+//!
+//! Each syntax's grammar is written once, as a parser folded over a
+//! `Builder`: the builder that makes [`Value`]s is
+//! [`decode`](TransferSyntax::decode), the other syntax's `Writer` as the
+//! builder is [`transcode`], which takes a payload from one syntax to the
+//! other without the document in between.
 
 pub mod binary;
 pub mod text;
 
+use std::borrow::Cow;
 use std::fmt;
 
 pub use binary::BinarySyntax;
@@ -80,6 +87,188 @@ pub const TYPICAL_ENCODING: usize = 96;
 
 fn too_deep() -> String {
     format!("nesting deeper than {MAX_NESTING} levels")
+}
+
+/// The most elements a container gets room for before any of them has
+/// been read: a binary header is four bytes and may claim 2³² elements.
+const MAX_PREALLOCATED: usize = 1024;
+
+/// What a parser folds a document into, piece by piece in document order.
+/// A parser owns its syntax's grammar and every refusal; a builder cannot
+/// fail, and decides only what the pieces become: a [`Value`]
+/// ([`ValueBuilder`]), or the same document's bytes in a syntax (the two
+/// `Writer`s), in which case [`Value`](Self::Value) is `()`.
+///
+/// `'a` is the input's lifetime: texts, keys and blobs arrive borrowed
+/// from it unless the parser had to rewrite them (an escape, hex pairs).
+trait Builder<'a> {
+    /// A finished value.
+    type Value;
+    /// An open sequence.
+    type Seq;
+    /// An open record.
+    type Record;
+
+    /// `Null`, `Bool`, `Int`, `Float` or `Ref`: a value that owns no heap.
+    fn scalar(&mut self, value: Value) -> Self::Value;
+
+    fn text(&mut self, text: Cow<'a, str>) -> Self::Value;
+
+    fn blob(&mut self, bytes: Cow<'a, [u8]>) -> Self::Value;
+
+    /// Opens a sequence; `hint` is the element count if the syntax states
+    /// one up front (unchecked: room for it is the builder's to bound).
+    fn seq_open(&mut self, hint: usize) -> Self::Seq;
+
+    /// The sequence's next element is whatever `item` parses.
+    fn item(
+        &mut self,
+        seq: &mut Self::Seq,
+        item: impl FnOnce(&mut Self) -> Result<Self::Value, CodecError>,
+    ) -> Result<(), CodecError>;
+
+    fn seq_close(&mut self, seq: Self::Seq) -> Self::Value;
+
+    /// Opens a record; `hint` as for [`seq_open`](Self::seq_open).
+    fn record_open(&mut self, hint: usize) -> Self::Record;
+
+    /// The record's next field is `key` with whatever `value` parses.
+    /// Keys come as the input has them: in any order, possibly repeated.
+    fn field(
+        &mut self,
+        record: &mut Self::Record,
+        key: Cow<'a, str>,
+        value: impl FnOnce(&mut Self) -> Result<Self::Value, CodecError>,
+    ) -> Result<(), CodecError>;
+
+    fn record_close(&mut self, record: Self::Record) -> Self::Value;
+}
+
+/// The builder that makes a parser a decoder. Fields are pushed in
+/// arrival order — canonical input has them sorted — and `Record::from`
+/// sorts at the close only if they are not.
+struct ValueBuilder;
+
+impl<'a> Builder<'a> for ValueBuilder {
+    type Value = Value;
+    type Seq = Vec<Value>;
+    type Record = Vec<(String, Value)>;
+
+    fn scalar(&mut self, value: Value) -> Value {
+        value
+    }
+
+    fn text(&mut self, text: Cow<'a, str>) -> Value {
+        Value::Text(text.into_owned())
+    }
+
+    fn blob(&mut self, bytes: Cow<'a, [u8]>) -> Value {
+        Value::Blob(bytes.into_owned())
+    }
+
+    fn seq_open(&mut self, hint: usize) -> Vec<Value> {
+        Vec::with_capacity(hint.min(MAX_PREALLOCATED))
+    }
+
+    fn item(
+        &mut self,
+        seq: &mut Vec<Value>,
+        item: impl FnOnce(&mut Self) -> Result<Value, CodecError>,
+    ) -> Result<(), CodecError> {
+        seq.push(item(self)?);
+        Ok(())
+    }
+
+    fn seq_close(&mut self, seq: Vec<Value>) -> Value {
+        Value::Seq(seq)
+    }
+
+    fn record_open(&mut self, hint: usize) -> Vec<(String, Value)> {
+        Vec::with_capacity(hint.min(MAX_PREALLOCATED))
+    }
+
+    fn field(
+        &mut self,
+        record: &mut Vec<(String, Value)>,
+        key: Cow<'a, str>,
+        value: impl FnOnce(&mut Self) -> Result<Value, CodecError>,
+    ) -> Result<(), CodecError> {
+        let key = key.into_owned();
+        record.push((key, value(self)?));
+        Ok(())
+    }
+
+    fn record_close(&mut self, record: Vec<(String, Value)>) -> Value {
+        Value::Record(record.into())
+    }
+}
+
+/// The last key written to a record being transcoded. Canonical bytes
+/// carry a record's keys strictly ascending; a writer can only copy the
+/// order it is given, so each key is held against the one before it.
+#[derive(Default)]
+struct LastKey<'a>(Option<Cow<'a, str>>);
+
+impl<'a> LastKey<'a> {
+    /// Whether `key` sorts after every key before it; remembers `key`.
+    fn ascends_to(&mut self, key: Cow<'a, str>) -> bool {
+        let ascends = self.0.as_deref().is_none_or(|last| last < &*key);
+        self.0 = Some(key);
+        ascends
+    }
+}
+
+/// Folds the one value `bytes` hold in `from` into `builder`.
+fn parse<'a, B: Builder<'a>>(
+    from: SyntaxId,
+    bytes: &'a [u8],
+    builder: &mut B,
+) -> Result<B::Value, CodecError> {
+    match from {
+        SyntaxId::Binary => binary::parse(bytes, builder),
+        SyntaxId::Text => text::parse(bytes, builder),
+    }
+}
+
+/// Appends to `out` the `to` encoding of the document `bytes` hold in
+/// `from`, in one pass and without building the document: `out` gains
+/// exactly what `syntax_for(to).encode(&syntax_for(from).decode(bytes)?)`
+/// returns. Text and keys that need no rewriting are copied from `bytes`
+/// straight to `out`.
+///
+/// Input whose records do not carry their keys strictly ascending (which
+/// `decode` accepts and sorts, keeping the last of equal names) is taken
+/// through the [`Value`] it stands for instead, so the output is
+/// canonical either way.
+///
+/// # Errors
+///
+/// The [`CodecError`] `decode` gives for the same bytes, and `out` as it
+/// was.
+pub fn transcode(
+    from: SyntaxId,
+    to: SyntaxId,
+    bytes: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let start = out.len();
+    let canonical = match to {
+        SyntaxId::Binary => {
+            let mut writer = binary::Writer::new(out);
+            parse(from, bytes, &mut writer).map(|()| writer.canonical)
+        }
+        SyntaxId::Text => {
+            let mut writer = text::Writer::new(out);
+            parse(from, bytes, &mut writer).map(|()| writer.canonical)
+        }
+    };
+    if canonical == Ok(true) {
+        return Ok(());
+    }
+    out.truncate(start);
+    canonical?;
+    syntax_for(to).encode_into(&syntax_for(from).decode(bytes)?, out);
+    Ok(())
 }
 
 /// A transfer syntax: a bidirectional mapping between [`Value`]s and bytes.

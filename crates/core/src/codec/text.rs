@@ -12,10 +12,18 @@
 //! [`TextSyntax`] maps whole [`Value`]s to and from that notation;
 //! [`Writer`] is the rendering half a piece at a time, as
 //! [`binary::Writer`](super::binary::Writer) is for the binary layout.
+//!
+//! The notation is read in one place, `TextParser`, a parser folded over
+//! a `Builder` (see the [module above](super)): with the `Value` builder
+//! it is `decode`, with a `Writer` it is [`transcode`](super::transcode).
 
+use std::borrow::Cow;
 use std::io::Write as _;
 
-use super::{too_deep, CodecError, SyntaxId, TransferSyntax, MAX_NESTING, TYPICAL_ENCODING};
+use super::{
+    too_deep, Builder, CodecError, LastKey, SyntaxId, TransferSyntax, ValueBuilder, MAX_NESTING,
+    TYPICAL_ENCODING,
+};
 use crate::value::Value;
 
 /// The self-describing text transfer syntax (see module docs).
@@ -38,19 +46,27 @@ impl TransferSyntax for TextSyntax {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Value, CodecError> {
-        let src = std::str::from_utf8(bytes).map_err(|e| CodecError {
-            syntax: SyntaxId::Text,
-            offset: e.valid_up_to(),
-            message: "encoding is not utf-8".into(),
-        })?;
-        let mut p = TextParser { src, pos: 0 };
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != src.len() {
-            return Err(p.error("trailing characters after value"));
-        }
-        Ok(v)
+        parse(bytes, &mut ValueBuilder)
     }
+}
+
+/// Folds the one value `bytes` spell into `builder`.
+pub(super) fn parse<'a, B: Builder<'a>>(
+    bytes: &'a [u8],
+    builder: &mut B,
+) -> Result<B::Value, CodecError> {
+    let src = std::str::from_utf8(bytes).map_err(|e| CodecError {
+        syntax: SyntaxId::Text,
+        offset: e.valid_up_to(),
+        message: "encoding is not utf-8".into(),
+    })?;
+    let mut p = TextParser { src, pos: 0 };
+    let v = p.value(builder, 0)?;
+    p.skip_ws();
+    if p.pos != src.len() {
+        return Err(p.error("trailing characters after value"));
+    }
+    Ok(v)
 }
 
 /// Renders the notation straight into a caller's buffer, a piece at a
@@ -67,6 +83,8 @@ pub struct Writer<'a> {
     out: &'a mut Vec<u8>,
     /// A record was opened and has no field yet.
     first_field: bool,
+    /// As a `Builder`: no record so far had a key out of order.
+    pub(super) canonical: bool,
 }
 
 impl<'a> Writer<'a> {
@@ -75,6 +93,7 @@ impl<'a> Writer<'a> {
         Self {
             out,
             first_field: false,
+            canonical: true,
         }
     }
 
@@ -127,6 +146,16 @@ impl<'a> Writer<'a> {
         self.out.push(b'"');
     }
 
+    fn blob(&mut self, bytes: &[u8]) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.out.extend_from_slice(b"b\"");
+        for byte in bytes {
+            self.out.push(HEX[usize::from(byte >> 4)]);
+            self.out.push(HEX[usize::from(byte & 0xf)]);
+        }
+        self.out.push(b'"');
+    }
+
     /// Any value.
     pub fn value(&mut self, value: &Value) {
         // Writing to a `Vec` cannot fail.
@@ -151,15 +180,7 @@ impl<'a> Writer<'a> {
                 }
             }
             Value::Text(s) => self.text(s),
-            Value::Blob(b) => {
-                const HEX: &[u8; 16] = b"0123456789abcdef";
-                self.out.extend_from_slice(b"b\"");
-                for byte in b {
-                    self.out.push(HEX[usize::from(byte >> 4)]);
-                    self.out.push(HEX[usize::from(byte & 0xf)]);
-                }
-                self.out.push(b'"');
-            }
+            Value::Blob(b) => self.blob(b),
             Value::Seq(items) => {
                 self.out.push(b'[');
                 for (i, v) in items.iter().enumerate() {
@@ -182,6 +203,67 @@ impl<'a> Writer<'a> {
                 let _ = write!(self.out, "ref({id})");
             }
         }
+    }
+}
+
+/// The writer as what another encoding is parsed into: the pieces are
+/// rendered as they are read.
+impl<'a> Builder<'a> for Writer<'_> {
+    type Value = ();
+    /// No element written yet.
+    type Seq = bool;
+    type Record = LastKey<'a>;
+
+    fn scalar(&mut self, value: Value) {
+        self.value(&value);
+    }
+
+    fn text(&mut self, text: Cow<'a, str>) {
+        Writer::text(self, &text);
+    }
+
+    fn blob(&mut self, bytes: Cow<'a, [u8]>) {
+        Writer::blob(self, &bytes);
+    }
+
+    fn seq_open(&mut self, _hint: usize) -> bool {
+        self.out.push(b'[');
+        true
+    }
+
+    fn item(
+        &mut self,
+        first: &mut bool,
+        item: impl FnOnce(&mut Self) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        if !std::mem::take(first) {
+            self.out.extend_from_slice(b", ");
+        }
+        item(self)
+    }
+
+    fn seq_close(&mut self, _first: bool) {
+        self.out.push(b']');
+    }
+
+    fn record_open(&mut self, _hint: usize) -> LastKey<'a> {
+        Writer::record_open(self);
+        LastKey::default()
+    }
+
+    fn field(
+        &mut self,
+        last: &mut LastKey<'a>,
+        key: Cow<'a, str>,
+        value: impl FnOnce(&mut Self) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        self.key(&key);
+        self.canonical &= last.ascends_to(key);
+        value(self)
+    }
+
+    fn record_close(&mut self, _last: LastKey<'a>) {
+        Writer::record_close(self);
     }
 }
 
@@ -248,44 +330,46 @@ impl<'a> TextParser<'a> {
         }
     }
 
-    /// A value inside `depth` enclosing containers. The first byte says
-    /// which kind it can be; the keywords are then matched whole.
-    fn value(&mut self, depth: usize) -> Result<Value, CodecError> {
+    /// Folds a value inside `depth` enclosing containers into `b`. The
+    /// first byte says which kind it can be; the keywords are then
+    /// matched whole.
+    fn value<B: Builder<'a>>(&mut self, b: &mut B, depth: usize) -> Result<B::Value, CodecError> {
         self.skip_ws();
-        match self.peek() {
+        let scalar = match self.peek() {
             Some(b'"') => {
                 self.pos += 1;
-                Ok(Value::Text(self.string_body()?))
+                return Ok(b.text(self.string_body()?));
             }
-            Some(b'[' | b'{') if depth == MAX_NESTING => Err(self.error(too_deep())),
+            Some(b'[' | b'{') if depth == MAX_NESTING => return Err(self.error(too_deep())),
             Some(b'[') => {
                 self.pos += 1;
-                self.seq_body(depth + 1)
+                return self.seq_body(b, depth + 1);
             }
             Some(b'{') => {
                 self.pos += 1;
-                self.record_body(depth + 1)
+                return self.record_body(b, depth + 1);
             }
-            Some(b'0'..=b'9') => self.number(),
-            Some(b'-') if self.eat("-inf") => Ok(Value::Float(f64::NEG_INFINITY)),
-            Some(b'-') => self.number(),
-            Some(b'n') if self.eat("null") => Ok(Value::Null),
-            Some(b'n') if self.eat("nan") => Ok(Value::Float(f64::NAN)),
-            Some(b't') if self.eat("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat("false") => Ok(Value::Bool(false)),
-            Some(b'i') if self.eat("inf") => Ok(Value::Float(f64::INFINITY)),
+            Some(b'0'..=b'9') => self.number()?,
+            Some(b'-') if self.eat("-inf") => Value::Float(f64::NEG_INFINITY),
+            Some(b'-') => self.number()?,
+            Some(b'n') if self.eat("null") => Value::Null,
+            Some(b'n') if self.eat("nan") => Value::Float(f64::NAN),
+            Some(b't') if self.eat("true") => Value::Bool(true),
+            Some(b'f') if self.eat("false") => Value::Bool(false),
+            Some(b'i') if self.eat("inf") => Value::Float(f64::INFINITY),
             Some(b'r') if self.eat("ref(") => {
                 let n = self.unsigned()?;
                 self.expect(")")?;
-                Ok(Value::Ref(n))
+                Value::Ref(n)
             }
-            Some(b'b') if self.eat("b\"") => self.blob_body(),
+            Some(b'b') if self.eat("b\"") => return Ok(b.blob(Cow::Owned(self.blob_body()?))),
             Some(_) => {
                 let c = self.rest().chars().next().expect("a byte is left");
-                Err(self.error(format!("unexpected character {c:?}")))
+                return Err(self.error(format!("unexpected character {c:?}")));
             }
-            None => Err(self.error("unexpected end of input")),
-        }
+            None => return Err(self.error("unexpected end of input")),
+        };
+        Ok(b.scalar(scalar))
     }
 
     fn unsigned(&mut self) -> Result<u64, CodecError> {
@@ -323,19 +407,25 @@ impl<'a> TextParser<'a> {
         }
     }
 
-    /// The rest of a string whose opening quote has been read. Runs
-    /// between escapes are copied whole (both delimiters are ASCII, so
-    /// every run is cut on character boundaries).
-    fn string_body(&mut self) -> Result<String, CodecError> {
+    /// The rest of a string whose opening quote has been read: borrowed
+    /// from the input if it holds no escape, else the runs between
+    /// escapes copied whole (both delimiters are ASCII, so every run is
+    /// cut on character boundaries).
+    fn string_body(&mut self) -> Result<Cow<'a, str>, CodecError> {
+        // Every escape pushes a character, so empty means none was met.
         let mut s = String::new();
         let mut run = self.pos;
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
-                    s.push_str(&self.src[run..self.pos]);
+                    let tail = &self.src[run..self.pos];
                     self.pos += 1;
-                    return Ok(s);
+                    if s.is_empty() {
+                        return Ok(Cow::Borrowed(tail));
+                    }
+                    s.push_str(tail);
+                    return Ok(Cow::Owned(s));
                 }
                 Some(b'\\') => {
                     s.push_str(&self.src[run..self.pos]);
@@ -361,12 +451,12 @@ impl<'a> TextParser<'a> {
         }
     }
 
-    fn blob_body(&mut self) -> Result<Value, CodecError> {
+    fn blob_body(&mut self) -> Result<Vec<u8>, CodecError> {
         let mut bytes = Vec::new();
         loop {
             self.skip_ws();
             if self.eat("\"") {
-                return Ok(Value::Blob(bytes));
+                return Ok(bytes);
             }
             let hex = self
                 .rest()
@@ -379,30 +469,36 @@ impl<'a> TextParser<'a> {
         }
     }
 
-    fn seq_body(&mut self, depth: usize) -> Result<Value, CodecError> {
-        let mut items = Vec::new();
+    fn seq_body<B: Builder<'a>>(
+        &mut self,
+        b: &mut B,
+        depth: usize,
+    ) -> Result<B::Value, CodecError> {
+        let mut seq = b.seq_open(0);
         self.skip_ws();
         if self.eat("]") {
-            return Ok(Value::Seq(items));
+            return Ok(b.seq_close(seq));
         }
         loop {
-            items.push(self.value(depth)?);
+            b.item(&mut seq, |b| self.value(b, depth))?;
             self.skip_ws();
             if self.eat(",") {
                 continue;
             }
             self.expect("]")?;
-            return Ok(Value::Seq(items));
+            return Ok(b.seq_close(seq));
         }
     }
 
-    /// Fields are kept in arrival order — canonical text has them sorted —
-    /// and `Record::from` sorts at the closing brace only if they are not.
-    fn record_body(&mut self, depth: usize) -> Result<Value, CodecError> {
-        let mut fields = Vec::new();
+    fn record_body<B: Builder<'a>>(
+        &mut self,
+        b: &mut B,
+        depth: usize,
+    ) -> Result<B::Value, CodecError> {
+        let mut record = b.record_open(0);
         self.skip_ws();
         if self.eat("}") {
-            return Ok(Value::Record(fields.into()));
+            return Ok(b.record_close(record));
         }
         loop {
             self.skip_ws();
@@ -414,17 +510,17 @@ impl<'a> TextParser<'a> {
                 if start == self.pos {
                     return Err(self.error("expected record key"));
                 }
-                self.src[start..self.pos].to_owned()
+                Cow::Borrowed(&self.src[start..self.pos])
             };
             self.skip_ws();
             self.expect(":")?;
-            fields.push((key, self.value(depth)?));
+            b.field(&mut record, key, |b| self.value(b, depth))?;
             self.skip_ws();
             if self.eat(",") {
                 continue;
             }
             self.expect("}")?;
-            return Ok(Value::Record(fields.into()));
+            return Ok(b.record_close(record));
         }
     }
 }

@@ -122,14 +122,6 @@ impl Value {
         }
     }
 
-    /// Returns the raw reference inside, if this is a `Ref`.
-    pub fn as_ref_id(&self) -> Option<u64> {
-        match self {
-            Value::Ref(id) => Some(*id),
-            _ => None,
-        }
-    }
-
     /// Looks up a field of a record value.
     pub fn field(&self, name: &str) -> Option<&Value> {
         self.as_record().and_then(|r| r.get(name))

@@ -14,7 +14,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use rmodp_core::codec::{syntax_for, CodecError, SyntaxId};
+use rmodp_core::codec::{self, CodecError, SyntaxId, TYPICAL_ENCODING};
 
 use crate::envelope::{Envelope, EnvelopeKind};
 use crate::wire;
@@ -88,7 +88,8 @@ pub trait ChannelComponent: Send + 'static {
 
 /// The stub providing **access transparency** (§9.1): marshals payloads
 /// between the object's native transfer syntax and the channel's wire
-/// syntax.
+/// syntax. It holds no document: [`codec::transcode`] reads the payload
+/// in one syntax and writes it in the other in the same pass.
 #[derive(Debug)]
 pub struct MarshallingStub {
     /// The owner's native syntax.
@@ -107,29 +108,24 @@ impl ChannelComponent for MarshallingStub {
     }
 
     fn on_outgoing(&mut self, env: &mut Envelope) -> Result<(), ChannelError> {
-        if env.syntax != self.wire {
-            let from = env.syntax;
-            let value = syntax_for(env.syntax).decode(&env.payload)?;
-            env.payload = syntax_for(self.wire).encode(&value).into();
-            env.syntax = self.wire;
-            emit_marshal(env, from, self.wire);
-        }
-        Ok(())
+        marshal(env, self.wire)
     }
 
     fn on_incoming(&mut self, env: &mut Envelope) -> Result<(), ChannelError> {
-        if env.syntax != self.native {
-            let from = env.syntax;
-            let value = syntax_for(env.syntax).decode(&env.payload)?;
-            env.payload = syntax_for(self.native).encode(&value).into();
-            env.syntax = self.native;
-            emit_marshal(env, from, self.native);
-        }
-        Ok(())
+        marshal(env, self.native)
     }
 }
 
-fn emit_marshal(env: &Envelope, from: SyntaxId, to: SyntaxId) {
+/// Puts the envelope's payload into the syntax `to`, if it is in another.
+fn marshal(env: &mut Envelope, to: SyntaxId) -> Result<(), ChannelError> {
+    let from = env.syntax;
+    if from == to {
+        return Ok(());
+    }
+    let mut payload = Vec::with_capacity(TYPICAL_ENCODING);
+    codec::transcode(from, to, &env.payload, &mut payload)?;
+    env.payload = payload.into();
+    env.syntax = to;
     rmodp_observe::event(
         rmodp_observe::Layer::Engineering,
         rmodp_observe::EventKind::Marshal,
@@ -139,6 +135,7 @@ fn emit_marshal(env: &Envelope, from: SyntaxId, to: SyntaxId) {
     .detail_with(|| format!("{from:?} -> {to:?} ({} bytes)", env.payload.len()))
     .emit();
     rmodp_observe::bus::counter_add("engineering.marshals", 1);
+    Ok(())
 }
 
 /// A stub maintaining an operation log for an audit trail — the paper's
@@ -195,10 +192,18 @@ impl ChannelComponent for AuditStub {
 
 /// A binder that stamps outgoing messages with sequence numbers and
 /// rejects incoming duplicates — foiling capture-and-replay (§6.1).
+///
+/// What it has seen is kept as a low-water mark plus the numbers that
+/// arrived ahead of it, so a peer that sends in order costs no memory
+/// however long the binding lives; a number lost for good (a
+/// retransmission is stamped afresh) keeps the mark where it is.
 #[derive(Debug)]
 pub struct SequenceBinder {
     next_out: u64,
-    seen_in: BTreeSet<u64>,
+    /// Every number from 1 up to this one has been seen.
+    seen_through: u64,
+    /// The numbers seen above `seen_through + 1`.
+    seen_ahead: BTreeSet<u64>,
 }
 
 impl SequenceBinder {
@@ -206,7 +211,8 @@ impl SequenceBinder {
     pub fn new() -> Self {
         Self {
             next_out: 1,
-            seen_in: BTreeSet::new(),
+            seen_through: 0,
+            seen_ahead: BTreeSet::new(),
         }
     }
 }
@@ -243,7 +249,12 @@ impl ChannelComponent for SequenceBinder {
             // Peer has no sequence binder; nothing to check.
             return Ok(());
         }
-        if !self.seen_in.insert(env.seq) {
+        if env.seq == self.seen_through + 1 {
+            self.seen_through += 1;
+            while self.seen_ahead.remove(&(self.seen_through + 1)) {
+                self.seen_through += 1;
+            }
+        } else if env.seq <= self.seen_through || !self.seen_ahead.insert(env.seq) {
             return Err(ChannelError::Replay { seq: env.seq });
         }
         Ok(())
@@ -423,19 +434,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the exponential backoff base and cap.
-    pub fn with_backoff(mut self, base: SimDuration, cap: SimDuration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Sets the maximum jitter added to each backoff pause.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
     /// Sets the total call budget.
     pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
         self.deadline = deadline;
@@ -559,6 +557,7 @@ impl ChannelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmodp_core::codec::syntax_for;
     use rmodp_core::id::{ChannelId, InterfaceId};
     use rmodp_core::value::Value;
 
@@ -623,6 +622,38 @@ mod tests {
         client.on_outgoing(&mut env2).unwrap();
         assert_eq!(env2.seq, 2);
         server.on_incoming(&mut env2).unwrap();
+    }
+
+    #[test]
+    fn sequence_binder_remembers_only_what_arrived_ahead() {
+        let mut server = SequenceBinder::new();
+        let mut env = request(SyntaxId::Binary);
+        let mut receive = |server: &mut SequenceBinder, seq| {
+            env.seq = seq;
+            server.on_incoming(&mut env)
+        };
+        for seq in 1..=1_000_000 {
+            receive(&mut server, seq).unwrap();
+        }
+        assert!(server.seen_ahead.is_empty());
+        assert_eq!(server.seen_through, 1_000_000);
+        let replay = |seq| Err(ChannelError::Replay { seq });
+        assert_eq!(receive(&mut server, 1), replay(1));
+        assert_eq!(receive(&mut server, 1_000_000), replay(1_000_000));
+
+        // 1_000_001 is late: what overtakes it is accepted once, and so
+        // is the late one when it fills the gap.
+        receive(&mut server, 1_000_003).unwrap();
+        receive(&mut server, 1_000_002).unwrap();
+        assert_eq!(receive(&mut server, 1_000_003), replay(1_000_003));
+        assert_eq!(server.seen_ahead.len(), 2);
+        receive(&mut server, 1_000_001).unwrap();
+        assert!(server.seen_ahead.is_empty());
+        assert_eq!(server.seen_through, 1_000_003);
+        for seq in 1_000_001..=1_000_003 {
+            assert_eq!(receive(&mut server, seq), replay(seq));
+        }
+        receive(&mut server, 1_000_004).unwrap();
     }
 
     #[test]
@@ -735,5 +766,15 @@ mod tests {
         env.payload = vec![0xff, 0xff].into();
         let err = stub.on_outgoing(&mut env).unwrap_err();
         assert!(matches!(err, ChannelError::Codec(_)));
+        assert_eq!(
+            err.to_string(),
+            "channel codec failure: text decode error at byte 0: encoding is not utf-8"
+        );
+        assert_eq!(
+            env.syntax,
+            SyntaxId::Text,
+            "a refused envelope is untouched"
+        );
+        assert_eq!(env.payload.as_bytes(), [0xff, 0xff]);
     }
 }

@@ -24,9 +24,7 @@ use crate::envelope::{Envelope, EnvelopeKind, ReplyStatus};
 use crate::nucleus::{
     AdmissionConfig, DriverProcess, NucleusProcess, NucleusStats, DRIVER_PORT, NUCLEUS_PORT,
 };
-use crate::structure::{
-    BeoRecord, ClusterCheckpoint, InterfaceRef, Location, ObjectCheckpoint, StructurePolicy,
-};
+use crate::structure::{BeoRecord, ClusterCheckpoint, InterfaceRef, Location, StructurePolicy};
 use crate::wire;
 
 /// An engineering-level error.
@@ -40,8 +38,6 @@ pub enum EngError {
     UnknownCluster { cluster: ClusterId },
     /// No such interface is active anywhere.
     UnknownInterface { interface: InterfaceId },
-    /// No such object resides on the node.
-    UnknownObject { object: ObjectId },
     /// No such channel.
     UnknownChannel { channel: ChannelId },
     /// The behaviour name is not registered.
@@ -59,7 +55,6 @@ impl fmt::Display for EngError {
             EngError::UnknownInterface { interface } => {
                 write!(f, "unknown interface {interface}")
             }
-            EngError::UnknownObject { object } => write!(f, "unknown object {object}"),
             EngError::UnknownChannel { channel } => write!(f, "unknown channel {channel}"),
             EngError::UnknownBehaviour { behaviour } => {
                 write!(f, "behaviour {behaviour:?} is not registered")
@@ -298,15 +293,6 @@ impl Engine {
     /// Unknown node.
     pub fn sim_node(&self, node: NodeId) -> Result<NodeIdx, EngError> {
         Ok(self.handle(node)?.sim_node)
-    }
-
-    /// A node's native transfer syntax.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node.
-    pub fn native_syntax(&self, node: NodeId) -> Result<SyntaxId, EngError> {
-        Ok(self.handle(node)?.native)
     }
 
     fn handle(&self, node: NodeId) -> Result<NodeHandle, EngError> {
@@ -1233,27 +1219,6 @@ impl Engine {
             })
             .emit();
         result
-    }
-
-    /// Deletes one object (§8.1's object management), returning its final
-    /// checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node or object.
-    pub fn delete_object(
-        &mut self,
-        node: NodeId,
-        object: ObjectId,
-    ) -> Result<ObjectCheckpoint, EngError> {
-        let checkpoint = self
-            .nucleus_mut(node)?
-            .remove_object(object)
-            .ok_or(EngError::UnknownObject { object })?;
-        for ifc in &checkpoint.record.interfaces {
-            self.locations.remove(ifc);
-        }
-        Ok(checkpoint)
     }
 
     /// Reads an object's current state.

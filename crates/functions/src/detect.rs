@@ -100,11 +100,6 @@ impl FailureDetector {
         });
     }
 
-    /// Stops watching an interface and forgets its health.
-    pub fn unwatch(&mut self, member: InterfaceId) {
-        self.members.remove(&member);
-    }
-
     /// Whether a member is currently suspected.
     pub fn is_suspected(&self, member: InterfaceId) -> bool {
         self.members

@@ -13,8 +13,8 @@
 //!
 //! Each of those is a method of [`Engine`] (`add_capsule`,
 //! `add_cluster`, `checkpoint_cluster`, `deactivate_cluster`,
-//! `reactivate_cluster`, `migrate_cluster`, `delete_object`). What this
-//! module adds is the coordination function's *coordinated checkpoint*: a
+//! `reactivate_cluster`, `migrate_cluster`; an object is deleted at its
+//! nucleus, `Nucleus::remove_object`). What this module adds is the coordination function's *coordinated checkpoint*: a
 //! consistent snapshot of several clusters, restorable as a unit and
 //! stored through [`checkpoints`].
 

@@ -380,12 +380,6 @@ impl DynamicSchemaBuilder {
         self
     }
 
-    /// Adds an effect with an already-parsed expression.
-    pub fn effect_expr(mut self, field: impl Into<String>, expr: Expr) -> Self {
-        self.effects.push((field.into(), expr));
-        self
-    }
-
     /// Finishes the schema.
     ///
     /// # Errors

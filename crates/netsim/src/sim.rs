@@ -169,11 +169,6 @@ impl<'a> Ctx<'a> {
         self.out.push(Command::CancelTimer(id));
     }
 
-    /// Draws a deterministic random float in `[0, 1)`.
-    pub fn random_f64(&mut self) -> f64 {
-        self.rng.gen()
-    }
-
     /// Draws a deterministic random integer in `[0, bound)`.
     ///
     /// # Panics
@@ -338,11 +333,6 @@ impl Sim {
         let idx = NodeIdx(self.nodes);
         self.nodes += 1;
         idx
-    }
-
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> u32 {
-        self.nodes
     }
 
     /// Attaches a process at an address, replacing any previous process

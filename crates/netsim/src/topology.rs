@@ -70,7 +70,6 @@ impl LinkConfig {
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     default_link: LinkConfig,
-    local_latency: SimDuration,
     overrides: BTreeMap<(NodeIdx, NodeIdx), LinkConfig>,
     partitions: BTreeSet<(NodeIdx, NodeIdx)>,
     crashed: BTreeSet<NodeIdx>,
@@ -82,21 +81,15 @@ impl Topology {
     pub fn full_mesh(default_link: LinkConfig) -> Self {
         Self {
             default_link,
-            local_latency: SimDuration::from_micros(1),
             overrides: BTreeMap::new(),
             partitions: BTreeSet::new(),
             crashed: BTreeSet::new(),
         }
     }
 
-    /// Sets the delivery latency for messages that stay on one node.
-    pub fn set_local_latency(&mut self, latency: SimDuration) {
-        self.local_latency = latency;
-    }
-
     /// The delivery latency for messages that stay on one node.
     pub fn local_latency(&self) -> SimDuration {
-        self.local_latency
+        SimDuration::from_micros(1)
     }
 
     /// Overrides the link configuration for the directed pair `src → dst`.

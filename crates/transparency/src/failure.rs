@@ -111,8 +111,9 @@ pub struct FailureGuard {
     home: (NodeId, CapsuleId, ClusterId),
     backups: VecDeque<(NodeId, CapsuleId)>,
     interfaces: Vec<InterfaceId>,
-    /// Sequence number of the next logged op (reset by checkpoints).
-    next_op: u64,
+    /// Sequence number of the next logged op (reset by checkpoints);
+    /// `None` until the guard has asked the store what it already holds.
+    next_op: Option<u64>,
     recoveries: u64,
     replayed: u64,
     lost_updates: u64,
@@ -160,7 +161,7 @@ impl FailureGuard {
             home,
             backups: VecDeque::from([backup]),
             interfaces,
-            next_op: 0,
+            next_op: None,
             recoveries: 0,
             replayed: 0,
             lost_updates: 0,
@@ -193,9 +194,11 @@ impl FailureGuard {
         self.replayed
     }
 
-    /// Ops logged since the last checkpoint.
+    /// Ops logged since the last checkpoint, as far as this guard has
+    /// looked: one rebuilt over a store that holds a log reads it at its
+    /// first [`log_op`](Self::log_op).
     pub fn pending_ops(&self) -> u64 {
-        self.next_op
+        self.next_op.unwrap_or(0)
     }
 
     /// Objects whose post-checkpoint updates recovery has dropped so
@@ -220,6 +223,9 @@ impl FailureGuard {
     /// Logs one state-changing operation write-ahead. Call this *before*
     /// issuing the operation; a durable store syncs the entry before
     /// returning, so a crash at any later instant finds it in the log.
+    /// The first op of a guard's life is numbered after the highest the
+    /// store already holds under the guard's label, so a guard rebuilt
+    /// after a restart appends to the log it finds.
     pub fn log_op<S: PersistentStore>(
         &mut self,
         store: &mut S,
@@ -232,8 +238,15 @@ impl FailureGuard {
             ("op", Value::text(op)),
             ("args", args.clone()),
         ]);
-        let key = format!("{}{:08}", self.op_prefix(), self.next_op);
-        self.next_op += 1;
+        let prefix = self.op_prefix();
+        let seq = self.next_op.unwrap_or_else(|| {
+            let stored = store.stored_keys();
+            let numbers = stored.iter().filter_map(|key| key.strip_prefix(&prefix));
+            let highest = numbers.filter_map(|n| n.parse::<u64>().ok()).max();
+            highest.map_or(0, |n| n + 1)
+        });
+        self.next_op = Some(seq + 1);
+        let key = format!("{prefix}{seq:08}");
         store.persist(&key, syntax_for(SyntaxId::Binary).encode(&entry));
     }
 
@@ -296,7 +309,7 @@ impl FailureGuard {
                 }
             }
         });
-        self.next_op = 0;
+        self.next_op = Some(0);
         Ok(())
     }
 

@@ -140,11 +140,6 @@ impl PersistenceManager {
     pub fn label_for(&self, interface: InterfaceId) -> Option<&str> {
         self.interface_index.get(&interface).map(String::as_str)
     }
-
-    /// Labels of all persistent clusters.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.homes.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]

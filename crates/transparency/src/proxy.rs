@@ -12,7 +12,7 @@
 //! [`TransparentProxy`] is exactly that binder behaviour exposed as a
 //! client-side object: the caller supplies only an interface identity and
 //! operation; stale locations are detected (`NotHere`), requeried,
-//! reconnected and replayed — bounded by `max_replays`.
+//! reconnected and replayed — at most `MAX_REPLAYS` times a call.
 
 use std::fmt;
 
@@ -124,11 +124,13 @@ pub struct TransparentProxy {
     client: NodeId,
     target: InterfaceId,
     selection: TransparencySet,
-    wire_syntax: SyntaxId,
     channel: Option<ChannelId>,
-    max_replays: u32,
     stats: ProxyStats,
 }
+
+/// How many times one call is reconnected and replayed before the proxy
+/// gives up with [`ProxyError::ReplaysExhausted`].
+const MAX_REPLAYS: u32 = 4;
 
 impl TransparentProxy {
     /// Creates a proxy from a client node to a target interface with the
@@ -138,23 +140,9 @@ impl TransparentProxy {
             client,
             target,
             selection,
-            wire_syntax: SyntaxId::Binary,
             channel: None,
-            max_replays: 4,
             stats: ProxyStats::default(),
         }
-    }
-
-    /// Builder: sets the wire syntax.
-    pub fn with_wire_syntax(mut self, syntax: SyntaxId) -> Self {
-        self.wire_syntax = syntax;
-        self
-    }
-
-    /// Builder: bounds the replay attempts.
-    pub fn with_max_replays(mut self, n: u32) -> Self {
-        self.max_replays = n;
-        self
     }
 
     /// The target interface.
@@ -180,7 +168,7 @@ impl TransparentProxy {
         if infra.relocator.lookup(self.target).is_none() {
             self.try_restore(engine, infra)?;
         }
-        let config = self.selection.channel_config(self.wire_syntax);
+        let config = self.selection.channel_config(SyntaxId::Binary);
         let ch = engine
             .open_channel(self.client, self.target, config)
             .map_err(|e| match e {
@@ -246,7 +234,7 @@ impl TransparentProxy {
                             .is_some_and(|(fresh, believed)| fresh.epoch > believed.epoch) =>
                 {
                     attempts += 1;
-                    if attempts > self.max_replays {
+                    if attempts > MAX_REPLAYS {
                         return Err(ProxyError::ReplaysExhausted { attempts });
                     }
                     let fresh = infra.relocator.lookup(self.target).expect("peeked above");
@@ -259,7 +247,7 @@ impl TransparentProxy {
                         || self.selection.has(Transparency::Migration) =>
                 {
                     attempts += 1;
-                    if attempts > self.max_replays {
+                    if attempts > MAX_REPLAYS {
                         return Err(ProxyError::ReplaysExhausted { attempts });
                     }
                     // §9.2: obtain the new location, reconnect, replay.

@@ -3,7 +3,7 @@
 //! path must keep its safety invariants while faults are in flight.
 
 use rmodp::chaos::prelude::*;
-use rmodp::core::codec::SyntaxId;
+use rmodp::core::codec::{syntax_for, SyntaxId};
 use rmodp::core::id::TxId;
 use rmodp::core::value::Value;
 use rmodp::engineering::behaviour::CounterBehaviour;
@@ -525,6 +525,69 @@ fn one_guard_script_ends_alike_on_the_volatile_and_the_durable_store() {
             lost_updates: 0,
         }
     );
+}
+
+/// Three ops logged by one guard, a fourth by a guard rebuilt over the
+/// same store (a restarted process knows the label, not the count):
+/// recovery must find four entries, in the order logged, and replay them.
+fn rebuilt_guard_script<S: PersistentStore>(mut store: S) -> (Option<i64>, u64) {
+    let mut w = guard_world(61);
+    let rebuild = |w: &GuardWorld| {
+        FailureGuard::new(
+            "rebuilt",
+            (w.home, w.home_capsule, w.cluster),
+            (w.backup, w.backup_capsule),
+            vec![w.interface],
+        )
+    };
+    let mut guard = rebuild(&w);
+    guard.checkpoint_now(&mut w.engine, &mut store).unwrap();
+    for k in 1..=4 {
+        if k == 4 {
+            guard = rebuild(&w);
+            assert_eq!(guard.pending_ops(), 0, "it has not looked yet");
+        }
+        let args = Value::record([("k", Value::Int(k))]);
+        guard.log_op(&mut store, w.interface, "Add", &args);
+        w.proxy
+            .call(&mut w.engine, &mut w.infra, "Add", &args)
+            .unwrap();
+    }
+    assert_eq!(guard.pending_ops(), 4);
+    // Sorted keys are replay order: the fourth op sits behind the three.
+    let logged = |store: &S| -> Vec<i64> {
+        let keys = store.stored_keys().into_iter();
+        keys.filter(|key| key.starts_with("guard/rebuilt/op/"))
+            .map(|key| {
+                let entry = store.fetch(&key).unwrap();
+                let entry = syntax_for(SyntaxId::Binary).decode(&entry).unwrap();
+                let k = entry.field("args").and_then(|args| args.field("k"));
+                k.and_then(Value::as_int).unwrap()
+            })
+            .collect()
+    };
+    assert_eq!(logged(&store), [1, 2, 3, 4]);
+    crash_home_via_plan(&mut w);
+    guard
+        .recover(&mut w.engine, &mut w.infra.relocator, &mut store)
+        .unwrap();
+    assert_eq!(logged(&store), [], "recovery folded the tail");
+    let none = Value::record::<&str, _>([]);
+    let t = w
+        .proxy
+        .call(&mut w.engine, &mut w.infra, "Get", &none)
+        .unwrap();
+    (
+        t.results.field("n").and_then(Value::as_int),
+        guard.replayed(),
+    )
+}
+
+#[test]
+fn a_rebuilt_guard_appends_to_the_log_it_finds() {
+    let durable = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
+    assert_eq!(rebuilt_guard_script(StorageFunction::new()), (Some(10), 4));
+    assert_eq!(rebuilt_guard_script(durable), (Some(10), 4));
 }
 
 #[test]

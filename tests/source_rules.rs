@@ -1,8 +1,9 @@
 //! Source rules: the "one way to do it" decisions of earlier changes,
 //! kept from coming back by a scan of the tree. Each row of [`RULES`]
-//! names the text that must not reappear, where, and why; a hit is
-//! reported as `file:line`. Plain `std::fs` and string matching, so it
-//! runs wherever `cargo test` does (CI carries no copy of these rules).
+//! names the text that must not reappear (or must stay the only copy),
+//! where, and why; a hit is reported as `file:line`. Plain `std::fs` and
+//! string matching, so it runs wherever `cargo test` does (CI carries no
+//! copy of these rules).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -47,6 +48,9 @@ struct Rule {
     /// Only the part of a file above its `#[cfg(test)]` line is held to
     /// the rule.
     above_tests_only: bool,
+    /// How many lines under the roots hold one of the patterns: 0 for
+    /// text that is gone, 1 for text whose one copy must stay the only one.
+    copies: usize,
 }
 
 use Pattern::{EagerArgument, Literal};
@@ -69,6 +73,7 @@ const RULES: &[Rule] = &[
         ],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "notes are closures",
@@ -78,6 +83,7 @@ const RULES: &[Rule] = &[
         patterns: &[Literal(".note(format!")],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "imports share offers",
@@ -86,6 +92,7 @@ const RULES: &[Rule] = &[
         patterns: &[Literal("offer.clone()")],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "one hash module",
@@ -95,6 +102,7 @@ const RULES: &[Rule] = &[
         patterns: &[Literal("cbf2_9ce4_8422_2325")],
         exempt: &["crates/observe/src/hash.rs"],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "one netsim trace",
@@ -103,6 +111,7 @@ const RULES: &[Rule] = &[
         patterns: &[Literal("TraceEntry"), Literal("set_tracing")],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "one frame",
@@ -112,6 +121,7 @@ const RULES: &[Rule] = &[
         patterns: &[Literal("len() as u32).to_le_bytes()")],
         exempt: &["crates/transactions/src/log/frame.rs"],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "log records are not Value documents",
@@ -121,6 +131,7 @@ const RULES: &[Rule] = &[
         patterns: &[Literal("to_value("), Literal("from_value(")],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "the store copies no Value",
@@ -134,6 +145,7 @@ const RULES: &[Rule] = &[
         ],
         exempt: &[],
         above_tests_only: true,
+        copies: 0,
     },
     Rule {
         name: "one log, one storage seam",
@@ -148,6 +160,7 @@ const RULES: &[Rule] = &[
         ],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "one golden gate",
@@ -162,6 +175,7 @@ const RULES: &[Rule] = &[
         ],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "no host clock in a deterministic suite",
@@ -174,6 +188,7 @@ const RULES: &[Rule] = &[
         ],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "one epoch loop",
@@ -189,6 +204,7 @@ const RULES: &[Rule] = &[
         ],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "records are flat",
@@ -202,6 +218,7 @@ const RULES: &[Rule] = &[
         ],
         exempt: &[],
         above_tests_only: true,
+        copies: 0,
     },
     Rule {
         name: "wire records are written from their parts",
@@ -215,6 +232,7 @@ const RULES: &[Rule] = &[
         patterns: &[Literal("Value::record("), Literal("args.clone(), &mut")],
         exempt: &[],
         above_tests_only: true,
+        copies: 0,
     },
     Rule {
         name: "one guard",
@@ -229,6 +247,7 @@ const RULES: &[Rule] = &[
         ],
         exempt: &[],
         above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "one checkpoint store",
@@ -242,13 +261,46 @@ const RULES: &[Rule] = &[
             "crates/functions/src/checkpoints.rs",
         ],
         above_tests_only: true,
+        copies: 0,
+    },
+    Rule {
+        name: "the stub holds no document",
+        why: "a marshalling stub takes a payload from one syntax to the other with \
+              codec::transcode, in one pass: it decodes nothing (DESIGN.md, \"One invocation \
+              path\")",
+        roots: &["crates/engineering/src/channel.rs"],
+        patterns: &[Literal(".decode(")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 0,
+    },
+    Rule {
+        name: "the text grammar is written once",
+        why: "a syntax is read by one parser folded over a `Builder` — `decode` and `transcode` \
+              are two builders, not two parsers (DESIGN.md, \"A decoder is a parser folded over \
+              a builder\")",
+        roots: &["crates/core/src/codec"],
+        patterns: &[Literal("fn string_body")],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 1,
+    },
+    Rule {
+        name: "the binary layout is read once",
+        why: "as for the text grammar: `Reader::value_at` is the one reading of the layout",
+        roots: &["crates/core/src/codec"],
+        patterns: &[Literal("TAG_RECORD =>")],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 1,
     },
 ];
 
 /// This file quotes every forbidden text.
 const SELF: &str = "tests/source_rules.rs";
 
-/// The 1-based numbers of the lines of `text` that break `rule`.
+/// The 1-based numbers of the lines of `text` that hold one of the
+/// rule's patterns.
 fn offending_lines(rule: &Rule, text: &str) -> Vec<usize> {
     text.lines()
         .take_while(|line| !(rule.above_tests_only && line.trim() == "#[cfg(test)]"))
@@ -298,6 +350,7 @@ fn the_tree_keeps_every_source_rule() {
     let mut report = String::new();
     let mut scanned = 0;
     for rule in RULES {
+        let mut hits = Vec::new();
         for root in rule.roots {
             let files = rust_files(repo, root);
             assert!(
@@ -313,10 +366,17 @@ fn the_tree_keeps_every_source_rule() {
                 }
                 scanned += 1;
                 let text = fs::read_to_string(&file).expect("readable source file");
-                for line in offending_lines(rule, &text) {
-                    report.push_str(&format!("{shown}:{line}: {} — {}\n", rule.name, rule.why));
-                }
+                let lines = offending_lines(rule, &text).into_iter();
+                hits.extend(lines.map(|line| format!("{shown}:{line}")));
             }
+        }
+        if rule.copies == 0 {
+            for hit in hits {
+                report.push_str(&format!("{hit}: {} — {}\n", rule.name, rule.why));
+            }
+        } else if hits.len() != rule.copies {
+            let found = format!("{} copies, not {}: {hits:?}", hits.len(), rule.copies);
+            report.push_str(&format!("{}: {found} — {}\n", rule.name, rule.why));
         }
     }
     if repo.join("tests/fixtures").exists() {
@@ -334,6 +394,7 @@ fn rule_with(patterns: &'static [Pattern], above_tests_only: bool) -> Rule {
         patterns,
         exempt: &[],
         above_tests_only,
+        copies: 0,
     }
 }
 
