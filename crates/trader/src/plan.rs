@@ -15,8 +15,9 @@
 //!    if they are within `INTERSECT_FACTOR`× of the driver — beyond
 //!    that, re-checking them per candidate (which the residual does
 //!    anyway) is cheaper than materialising them.
-//! 3. **Intersection.** Used paths are materialised as ascending
-//!    `OfferId` runs and merge-intersected, yielding candidates in
+//! 3. **Intersection.** Posting lists are ascending `OfferId` slices: a
+//!    path of one list is used as it lies, one of several is merged into
+//!    one run. The runs are merge-intersected, yielding candidates in
 //!    ascending id order — the same order the naive scan visits
 //!    offers, which is what keeps planned matching byte-identical.
 //! 4. **Residual filter** (performed by the caller, `Trader::import`):
@@ -31,6 +32,7 @@
 //! type-bucket union alone, which degenerates to the original full
 //! scan restricted to type-conformant offers.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Bound;
@@ -163,21 +165,21 @@ pub struct PlannedImport {
     pub matched_types: BTreeSet<String>,
 }
 
-/// One access path with its materialisable posting sets.
+/// One access path with its posting lists.
 struct Path<'a> {
     step: IndexStep,
-    postings: Vec<&'a BTreeSet<OfferId>>,
+    postings: Vec<&'a [OfferId]>,
     count: usize,
 }
 
-/// Collects the posting sets for one sargable atom, or `None` when the
+/// Collects the posting lists for one sargable atom, or `None` when the
 /// declared index cannot serve it (range atom on a hash index).
 /// Lookups over-approximate: all range bounds are inclusive, and
 /// numeric keys unify int/float exactly as the evaluator does.
 fn atom_postings<'a>(
     store: &'a OfferStore,
     atom: &Atom,
-) -> Option<(String, IndexKind, String, Vec<&'a BTreeSet<OfferId>>)> {
+) -> Option<(String, IndexKind, String, Vec<&'a [OfferId]>)> {
     let [property] = atom.path() else {
         return None; // only top-level properties are indexed
     };
@@ -239,20 +241,21 @@ fn atom_postings<'a>(
     }
 }
 
-/// Materialises pairwise disjoint posting sets (distinct keys of one
-/// index, or distinct type buckets) as one ascending id run. Every set
-/// iterates ascending already: one set is copied out as it is, several
-/// are concatenated and merged by the stable sort, which finds the
-/// ascending runs instead of sorting from scratch.
-fn materialise(postings: &[&BTreeSet<OfferId>]) -> Vec<OfferId> {
+/// Pairwise disjoint posting lists (distinct keys of one index, or
+/// distinct type buckets) as one ascending id run. Every list is
+/// ascending already: one list is the run as it lies, several are
+/// concatenated and merged by the stable sort, which finds the ascending
+/// runs instead of sorting from scratch.
+fn materialise<'a>(postings: &[&'a [OfferId]]) -> Cow<'a, [OfferId]> {
+    if let [one] = postings {
+        return Cow::Borrowed(one);
+    }
     let mut ids = Vec::with_capacity(postings.iter().map(|s| s.len()).sum());
-    for set in postings {
-        ids.extend(set.iter().copied());
+    for list in postings {
+        ids.extend_from_slice(list);
     }
-    if postings.len() > 1 {
-        ids.sort();
-    }
-    ids
+    ids.sort();
+    Cow::Owned(ids)
 }
 
 /// Merge-intersects two ascending runs.
@@ -319,14 +322,14 @@ pub fn plan_import(
 
     let fallback = paths.is_empty();
     let candidates = if fallback {
-        let buckets: Vec<&BTreeSet<OfferId>> = matched_types
+        let buckets: Vec<&[OfferId]> = matched_types
             .iter()
             .filter_map(|t| store.type_postings(t))
             .collect();
         materialise(&buckets)
     } else {
         let driver_count = paths[0].count;
-        let mut current: Option<Vec<OfferId>> = None;
+        let mut current: Option<Cow<'_, [OfferId]>> = None;
         for path in &mut paths {
             let within_budget = path.count <= driver_count.saturating_mul(INTERSECT_FACTOR);
             match &mut current {
@@ -336,13 +339,14 @@ pub fn plan_import(
                 }
                 Some(ids) if within_budget && !ids.is_empty() => {
                     path.step.used = true;
-                    *ids = intersect(ids, &materialise(&path.postings));
+                    *ids = Cow::Owned(intersect(ids, &materialise(&path.postings)));
                 }
                 Some(_) => {} // residual filter re-checks this atom
             }
         }
         current.unwrap_or_default()
-    };
+    }
+    .into_owned();
 
     let plan = QueryPlan {
         service_type: request.service_type.clone(),
@@ -409,7 +413,7 @@ mod tests {
         let s = store();
         let ppm = s.index("ppm").unwrap();
         let key = |n: i64| PropKey::of(&Value::Int(n)).unwrap();
-        let sorted_concat = |sets: &[&BTreeSet<OfferId>]| {
+        let sorted_concat = |sets: &[&[OfferId]]| {
             let mut ids: Vec<OfferId> = sets.iter().flat_map(|s| s.iter().copied()).collect();
             ids.sort_unstable();
             ids
@@ -427,7 +431,7 @@ mod tests {
         for sets in [&one, &several, &buckets] {
             let ids = materialise(sets);
             assert!(ids.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(ids, sorted_concat(sets));
+            assert_eq!(ids.as_ref(), sorted_concat(sets));
         }
         assert_eq!(materialise(&buckets).len(), 100);
         assert!(materialise(&[]).is_empty());

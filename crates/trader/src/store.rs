@@ -2,20 +2,33 @@
 //!
 //! An [`OfferStore`] is the engineering-viewpoint realisation of the
 //! trader's offer database: the tutorial's §8.3.2 describes the trader
-//! as a *directory of service advertisements*, and at federation scale
-//! a directory needs real index structures, not a linear scan. The
-//! store keeps:
+//! as a *directory of service advertisements*, read far more often than
+//! written, so its containers are flat — an import reads rows, it does
+//! not chase tree nodes. The store keeps:
 //!
-//! - the **primary map** `OfferId → Arc<ServiceOffer>` (a `BTreeMap`, so
-//!   iteration order is ascending offer id — the same order the
-//!   original scan matcher observed, which is what keeps index-backed
-//!   matching byte-identical to the scan). Offers are shared, so an
-//!   import hands out reference counts, not copies; a modification
-//!   copies on write only while a match still holds the old offer;
-//! - the **service-type index** `type name → id set`;
-//! - optional **per-property secondary indexes**, either exact-match
-//!   hash maps or ordered B-tree maps ([`IndexKind`]), over the
-//!   offers' top-level scalar properties.
+//! - the **offer slab** `Vec<Option<Arc<ServiceOffer>>>` indexed by the
+//!   raw [`OfferId`] (the holding trader's generator counts up from 1):
+//!   a candidate costs one indexed load, a withdrawn offer leaves a
+//!   hole, an id past the end is absent and a lookup never grows the
+//!   slab. Iteration is ascending offer id, the order the original scan
+//!   matcher observed, which is what keeps index-backed matching
+//!   byte-identical to the scan. Offers are shared, so an import hands
+//!   out reference counts, not copies; a modification copies on write
+//!   only while a match still holds the old offer;
+//! - the **service-type index** `type name → posting list`;
+//! - optional **per-property secondary indexes** `key → posting list`,
+//!   either exact-match hash maps or ordered B-tree maps
+//!   ([`IndexKind`]), over the offers' top-level scalar properties.
+//!
+//! # What a write costs
+//!
+//! A posting list is one strictly ascending `Vec<OfferId>`, which the
+//! planner copies and intersects as a slice. Posting an id above the
+//! list's last — every export's fresh id — is an append. Anything else
+//! (a withdrawal; a modify unposts the old key, posts the new) is a
+//! binary search and a `memmove` of the tail, O(list) per list touched:
+//! ~32 KB and a few microseconds to withdraw from an 8,000-id type
+//! bucket (`trader-mix`'s `Printer`) — the price of the dense reads.
 //!
 //! # Key normalisation and soundness
 //!
@@ -31,7 +44,7 @@
 //! non-match (harmless), but never misses a match — see
 //! `DESIGN.md` §Trader for the full argument.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -115,10 +128,27 @@ impl fmt::Display for IndexKind {
     }
 }
 
+/// Adds an id to an ascending posting list: appended when it is the
+/// largest, placed by binary search otherwise. `false` if already there.
+fn post(list: &mut Vec<OfferId>, id: OfferId) -> bool {
+    if list.last() < Some(&id) {
+        list.push(id);
+        return true;
+    }
+    list.binary_search(&id)
+        .map_err(|at| list.insert(at, id))
+        .is_err()
+}
+
+/// Takes an id out of an ascending posting list. `false` if not there.
+fn unpost(list: &mut Vec<OfferId>, id: OfferId) -> bool {
+    list.binary_search(&id).map(|at| list.remove(at)).is_ok()
+}
+
 #[derive(Debug)]
 enum Postings {
-    Hash(HashMap<PropKey, BTreeSet<OfferId>>),
-    Ordered(BTreeMap<PropKey, BTreeSet<OfferId>>),
+    Hash(HashMap<PropKey, Vec<OfferId>>),
+    Ordered(BTreeMap<PropKey, Vec<OfferId>>),
 }
 
 /// One secondary index over a top-level property.
@@ -163,27 +193,27 @@ impl PropertyIndex {
     }
 
     fn insert(&mut self, key: PropKey, id: OfferId) {
-        let set = match &mut self.postings {
+        let list = match &mut self.postings {
             Postings::Hash(m) => m.entry(key).or_default(),
             Postings::Ordered(m) => m.entry(key).or_default(),
         };
-        if set.insert(id) {
+        if post(list, id) {
             self.entries += 1;
         }
     }
 
     fn remove(&mut self, key: &PropKey, id: OfferId) {
-        let set = match &mut self.postings {
+        let list = match &mut self.postings {
             Postings::Hash(m) => m.get_mut(key),
             Postings::Ordered(m) => m.get_mut(key),
         };
-        let Some(set) = set else { return };
+        let Some(list) = list else { return };
         // Only an id that was posted under the key counts as removed.
-        if !set.remove(&id) {
+        if !unpost(list, id) {
             return;
         }
         self.entries -= 1;
-        if set.is_empty() {
+        if list.is_empty() {
             match &mut self.postings {
                 Postings::Hash(m) => m.remove(key),
                 Postings::Ordered(m) => m.remove(key),
@@ -191,12 +221,13 @@ impl PropertyIndex {
         }
     }
 
-    /// The posting set for an exact key, if any.
-    pub fn eq_postings(&self, key: &PropKey) -> Option<&BTreeSet<OfferId>> {
+    /// The posting list for an exact key, ascending, if any.
+    pub fn eq_postings(&self, key: &PropKey) -> Option<&[OfferId]> {
         match &self.postings {
             Postings::Hash(m) => m.get(key),
             Postings::Ordered(m) => m.get(key),
         }
+        .map(Vec::as_slice)
     }
 
     /// Whether the index can serve range lookups.
@@ -204,15 +235,11 @@ impl PropertyIndex {
         matches!(self.postings, Postings::Ordered(_))
     }
 
-    /// The posting sets in a key band (ordered indexes only),
+    /// The posting lists in a key band (ordered indexes only),
     /// ascending by key.
-    pub fn range_postings(
-        &self,
-        lo: Bound<&PropKey>,
-        hi: Bound<&PropKey>,
-    ) -> Vec<&BTreeSet<OfferId>> {
+    pub fn range_postings(&self, lo: Bound<&PropKey>, hi: Bound<&PropKey>) -> Vec<&[OfferId]> {
         match &self.postings {
-            Postings::Ordered(m) => m.range((lo, hi)).map(|(_, s)| s).collect(),
+            Postings::Ordered(m) => m.range((lo, hi)).map(|(_, s)| s.as_slice()).collect(),
             Postings::Hash(_) => Vec::new(),
         }
     }
@@ -225,13 +252,21 @@ impl PropertyIndex {
     }
 }
 
-/// The trader's offer repository: primary map, service-type index,
+/// The trader's offer repository: offer slab, service-type index,
 /// declared per-property secondary indexes.
 #[derive(Debug, Default)]
 pub struct OfferStore {
-    offers: BTreeMap<OfferId, Arc<ServiceOffer>>,
-    by_type: BTreeMap<String, BTreeSet<OfferId>>,
+    /// Slot `n` holds offer `n`, or `None` (never exported, withdrawn);
+    /// `live` counts the offers.
+    offers: Vec<Option<Arc<ServiceOffer>>>,
+    live: usize,
+    by_type: BTreeMap<String, Vec<OfferId>>,
     indexes: BTreeMap<String, PropertyIndex>,
+}
+
+/// The slab slot of an id, if the address space has one.
+fn slot(id: OfferId) -> Option<usize> {
+    usize::try_from(id.raw()).ok()
 }
 
 impl OfferStore {
@@ -242,22 +277,22 @@ impl OfferStore {
 
     /// Number of live offers.
     pub fn len(&self) -> usize {
-        self.offers.len()
+        self.live
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.offers.is_empty()
+        self.live == 0
     }
 
     /// One offer by id. Cloning the `Arc` shares the offer as it is now.
     pub fn get(&self, id: OfferId) -> Option<&Arc<ServiceOffer>> {
-        self.offers.get(&id)
+        self.offers.get(slot(id)?)?.as_ref()
     }
 
     /// All offers, ascending by id — the canonical match order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<ServiceOffer>> {
-        self.offers.values()
+        self.offers.iter().flatten()
     }
 
     /// The service types currently present, with their offer counts.
@@ -265,9 +300,9 @@ impl OfferStore {
         self.by_type.iter().map(|(t, s)| (t.as_str(), s.len()))
     }
 
-    /// The id set for one service type.
-    pub fn type_postings(&self, service_type: &str) -> Option<&BTreeSet<OfferId>> {
-        self.by_type.get(service_type)
+    /// The posting list of one service type, ascending.
+    pub fn type_postings(&self, service_type: &str) -> Option<&[OfferId]> {
+        self.by_type.get(service_type).map(Vec::as_slice)
     }
 
     /// The secondary index on a property, if declared.
@@ -286,36 +321,47 @@ impl OfferStore {
     pub fn create_index(&mut self, property: impl Into<String>, kind: IndexKind) {
         let property = property.into();
         let mut index = PropertyIndex::new(kind);
-        for (id, offer) in &self.offers {
+        for offer in self.iter() {
             if let Some(key) = offer.properties.field(&property).and_then(PropKey::of) {
-                index.insert(key, *id);
+                index.insert(key, offer.id);
             }
         }
         self.indexes.insert(property, index);
     }
 
-    /// Inserts an offer (the caller has already validated it).
+    /// Inserts an offer (the caller has already validated it), replacing
+    /// a live one of its id. The slab grows to the largest id: keep ids dense.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not fit the address space.
     pub fn insert(&mut self, offer: ServiceOffer) {
         let id = offer.id;
-        self.by_type
-            .entry(offer.service_type.clone())
-            .or_default()
-            .insert(id);
+        let at = slot(id).expect("offer ids are dense and fit the address space");
+        self.remove(id);
+        if let Some(list) = self.by_type.get_mut(&offer.service_type) {
+            post(list, id);
+        } else {
+            self.by_type.insert(offer.service_type.clone(), vec![id]);
+        }
         for (property, index) in &mut self.indexes {
             if let Some(key) = offer.properties.field(property).and_then(PropKey::of) {
                 index.insert(key, id);
             }
         }
-        self.offers.insert(id, Arc::new(offer));
+        self.offers.resize(self.offers.len().max(at + 1), None);
+        self.offers[at] = Some(Arc::new(offer));
+        self.live += 1;
     }
 
     /// Removes an offer, unthreading it from every index. The offer is
     /// copied only if a match still shares it.
     pub fn remove(&mut self, id: OfferId) -> Option<ServiceOffer> {
-        let offer = self.offers.remove(&id)?;
-        if let Some(set) = self.by_type.get_mut(&offer.service_type) {
-            set.remove(&id);
-            if set.is_empty() {
+        let offer = self.offers.get_mut(slot(id)?)?.take()?;
+        self.live -= 1;
+        if let Some(list) = self.by_type.get_mut(&offer.service_type) {
+            unpost(list, id);
+            if list.is_empty() {
                 self.by_type.remove(&offer.service_type);
             }
         }
@@ -333,7 +379,7 @@ impl OfferStore {
     ///
     /// Returns `false` if the offer does not exist.
     pub fn replace_properties(&mut self, id: OfferId, properties: Value) -> bool {
-        let Some(offer) = self.offers.get_mut(&id) else {
+        let Some(offer) = slot(id).and_then(|at| self.offers.get_mut(at)?.as_mut()) else {
             return false;
         };
         for (property, index) in &mut self.indexes {
@@ -356,7 +402,14 @@ impl OfferStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trader::{Trader, TraderError};
+    use proptest::prelude::*;
     use rmodp_core::id::InterfaceId;
+    use std::collections::BTreeSet;
+
+    fn none() -> Value {
+        Value::record::<&str, _>([])
+    }
 
     fn offer(id: u64, service_type: &str, props: Value) -> ServiceOffer {
         ServiceOffer {
@@ -485,6 +538,98 @@ mod tests {
         index.remove(&k30, OfferId::new(1));
         assert_eq!(index.entries(), 2);
         assert_eq!(index.distinct_keys(), 1);
+    }
+
+    #[test]
+    fn hostile_ids_are_absent_and_lookups_never_grow_the_slab() {
+        // Ids 1 to 3 in a bare store and in a trader's; 2 withdrawn from both.
+        let mut s = store();
+        let mut t = Trader::new("t");
+        for interface in 1..=3 {
+            t.export("Printer", InterfaceId::new(interface), none())
+                .unwrap();
+        }
+        s.remove(OfferId::new(2)).unwrap();
+        t.withdraw(OfferId::new(2)).unwrap();
+        let slots = s.offers.len();
+        for raw in [0, 2, slots as u64, slots as u64 + 1, u64::MAX] {
+            let id = OfferId::new(raw);
+            assert!(s.get(id).is_none(), "{raw}");
+            assert!(s.remove(id).is_none(), "{raw}");
+            assert!(!s.replace_properties(id, none()), "{raw}");
+            assert!(t.offer(id).is_none(), "{raw}");
+            let unknown = Err(TraderError::UnknownOffer { offer: id });
+            assert_eq!(t.withdraw(id).map(|_| ()), unknown, "{raw}");
+            assert_eq!(t.modify(id, none()), unknown, "{raw}");
+        }
+        assert_eq!((s.offers.len(), s.len()), (slots, 2));
+        assert_eq!((t.store().offers.len(), t.len()), (slots, 2));
+        assert_eq!(t.stats().withdrawals, 1);
+    }
+
+    #[test]
+    fn len_counts_live_offers_and_iteration_skips_holes() {
+        let mut s = OfferStore::new();
+        assert!(s.is_empty());
+        let ids = |s: &OfferStore| s.iter().map(|o| o.id.raw()).collect::<Vec<_>>();
+        for id in [5, 2, 9] {
+            s.insert(offer(id, "Printer", none()));
+        }
+        assert_eq!((s.len(), ids(&s)), (3, vec![2, 5, 9]));
+        s.remove(OfferId::new(5)).unwrap();
+        assert_eq!((s.len(), ids(&s)), (2, vec![2, 9]));
+        // Insert-again fills the hole; inserting over a live id replaces
+        // the offer and re-threads its postings.
+        s.insert(offer(5, "Printer", none()));
+        s.insert(offer(9, "Scanner", none()));
+        assert_eq!((s.len(), ids(&s)), (3, vec![2, 5, 9]));
+        assert_eq!(
+            s.type_postings("Printer").unwrap(),
+            [2, 5].map(OfferId::new)
+        );
+        assert_eq!(s.type_postings("Scanner").unwrap(), [OfferId::new(9)]);
+        for id in [2, 5, 9] {
+            s.remove(OfferId::new(id)).unwrap();
+        }
+        assert!(s.is_empty() && s.iter().next().is_none() && s.types().next().is_none());
+    }
+
+    proptest! {
+        /// The posting lists of both index shapes against the sets they
+        /// replaced: any interleaving of posts and unposts — duplicates,
+        /// absent ids, ids out of order — leaves the same members under
+        /// the same keys, strictly ascending, counted the same.
+        #[test]
+        fn posting_lists_model_id_sets(
+            ops in proptest::collection::vec((any::<bool>(), 0i64..4, 0u64..12), 0..80),
+        ) {
+            let key = |k: i64| PropKey::of(&Value::Int(k)).unwrap();
+            for kind in [IndexKind::Hash, IndexKind::Ordered] {
+                let mut index = PropertyIndex::new(kind);
+                let mut model: BTreeMap<PropKey, BTreeSet<OfferId>> = BTreeMap::new();
+                for &(post, k, id) in &ops {
+                    let id = OfferId::new(id);
+                    if post {
+                        index.insert(key(k), id);
+                        model.entry(key(k)).or_default().insert(id);
+                    } else {
+                        index.remove(&key(k), id);
+                        model.get_mut(&key(k)).map(|set| set.remove(&id));
+                        model.retain(|_, set| !set.is_empty());
+                    }
+                    prop_assert_eq!(index.distinct_keys(), model.len());
+                    let entries = model.values().map(BTreeSet::len).sum::<usize>();
+                    prop_assert_eq!(index.entries(), entries);
+                    let ranged = index.range_count(Bound::Unbounded, Bound::Unbounded);
+                    prop_assert_eq!(ranged, if index.supports_range() { entries } else { 0 });
+                    for k in 0..4 {
+                        let listed = index.eq_postings(&key(k)).map(<[OfferId]>::to_vec);
+                        let expected = model.get(&key(k)).map(|set| set.iter().copied().collect());
+                        prop_assert_eq!(listed, expected, "{} key {}", kind, k);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

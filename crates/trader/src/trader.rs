@@ -499,8 +499,9 @@ impl Trader {
     /// cardinality bound.
     ///
     /// The request is compiled into an index-backed query plan first;
-    /// only the plan's candidates reach constraint evaluation. The
-    /// result — members *and* ordering — is identical to
+    /// only the plan's candidates reach constraint evaluation, and a
+    /// [`Preference::FirstFound`] request stops at its `max_matches`-th
+    /// match. The result — members *and* ordering — is identical to
     /// [`Self::import_scan`]. The plan is traced as a span
     /// (`trader_plan`), with the lookup event inside it.
     pub fn import(&mut self, request: &ImportRequest, repo: Option<&TypeRepository>) -> Vec<Match> {
@@ -527,8 +528,13 @@ impl Trader {
             .as_ref()
             .map(|c| c.variables())
             .unwrap_or_default();
+        // Only an unordered request's matches are final as they are found.
+        let unordered = matches!(request.preference, Preference::FirstFound);
         let mut matches: Vec<Match> = Vec::new();
         for id in &planned.candidates {
+            if unordered && matches.len() >= request.max_matches {
+                break;
+            }
             self.stats.offers_considered += 1;
             let Some(offer) = self.store.get(*id) else {
                 continue;
@@ -849,6 +855,38 @@ mod tests {
         assert_eq!(s.offers_considered, 2);
         assert_eq!(s.plans_fallback, 1);
         assert_eq!(s.plans_indexed, 0);
+    }
+
+    #[test]
+    fn a_bounded_first_found_import_stops_at_its_bound() {
+        let mut t = Trader::new("bound");
+        for i in 1..=20 {
+            let ppm = if i == 3 { 10 } else { 50 };
+            t.export(
+                "Printer",
+                InterfaceId::new(i),
+                Value::record([("ppm", Value::Int(ppm))]),
+            )
+            .unwrap();
+        }
+        let examined = |t: &mut Trader, request: &ImportRequest| {
+            let before = t.stats().offers_considered;
+            let found = t.import(request, None);
+            let examined = t.stats().offers_considered - before;
+            assert_eq!(found, t.import_scan(request, None));
+            (found.len() as u64, examined)
+        };
+        // The first n candidates match: exactly n are examined.
+        let all = ImportRequest::new("Printer");
+        assert_eq!(examined(&mut t, &all.clone().at_most(2)), (2, 2));
+        assert_eq!(examined(&mut t, &all.clone().at_most(0)), (0, 0));
+        assert_eq!(examined(&mut t, &all), (20, 20));
+        // A non-match among them is examined too, and costs no match.
+        let fast = all.clone().constraint("ppm >= 40").unwrap();
+        assert_eq!(examined(&mut t, &fast.clone().at_most(4)), (4, 5));
+        // An ordered request has to see every candidate before it cuts.
+        let best = fast.prefer_max("ppm").unwrap().at_most(4);
+        assert_eq!(examined(&mut t, &best), (4, 20));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use rmodp_core::id::InterfaceId;
+use rmodp_core::id::{InterfaceId, OfferId};
 use rmodp_core::value::Value;
 use rmodp_trader::{ImportRequest, IndexKind, Trader};
 
@@ -209,6 +209,37 @@ proptest! {
         let planned = t.import(&request, None);
         let scanned = t.import_scan(&request, None);
         prop_assert_eq!(planned, scanned);
+    }
+
+    /// Equivalence survives the early stop: a bounded first-found import
+    /// ends at its `limit`-th match, over slab holes and re-threaded
+    /// postings, and still returns what the unbounded scan truncates to.
+    #[test]
+    fn bounded_first_found_equals_the_truncated_scan(
+        offers in arb_offers(),
+        constraint in arb_constraint(),
+        indexes in arb_indexes(),
+        limit in 0usize..6,
+        churn in proptest::collection::vec((any::<bool>(), 0u64..60, 0i64..100), 0..12),
+    ) {
+        let mut t = trader_with(&offers, &indexes);
+        for (withdraw, raw, new_ppm) in churn {
+            // Ids past the population, or withdrawn already, are refused.
+            let id = OfferId::new(raw + 1);
+            if withdraw {
+                let _ = t.withdraw(id);
+            } else {
+                let _ = t.modify(id, Value::record([("ppm", Value::Int(new_ppm))]));
+            }
+        }
+        let request = ImportRequest::new("Printer")
+            .constraint(&constraint)
+            .unwrap()
+            .at_most(limit);
+        let planned = t.import(&request, None);
+        prop_assert!(planned.len() <= limit);
+        let scanned = t.import_scan(&request, None);
+        prop_assert_eq!(planned, scanned, "constraint={} indexes={:?}", constraint, indexes);
     }
 }
 

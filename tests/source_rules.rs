@@ -95,6 +95,17 @@ const RULES: &[Rule] = &[
         copies: 0,
     },
     Rule {
+        name: "flat offer repository",
+        why: "offers live in a slab indexed by the raw offer id and every posting list is one \
+              ascending `Vec<OfferId>`: no node-per-entry container keyed by or holding offer \
+              ids (DESIGN.md, \"Trader at scale\")",
+        roots: &["crates/trader/src"],
+        patterns: &[Literal("BTreeSet<OfferId>"), Literal("BTreeMap<OfferId")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 0,
+    },
+    Rule {
         name: "one hash module",
         why: "FNV-1a lives in crates/observe/src/hash.rs (re-exported as rmodp_kernel::hash): \
               use it instead of a private copy",
