@@ -227,7 +227,7 @@ fn run_engine(trader: &mut Trader, cfg: TraderBenchConfig, indexed: bool) -> Eng
                         .wrapping_add(m.score.to_bits() >> 17);
                 }
                 if indexed && run.plan_example.is_empty() {
-                    run.plan_example = trader.explain(&req, None).summary();
+                    run.plan_example = trader.explain(&req, None).summary().to_string();
                 }
             }
         }

@@ -112,7 +112,7 @@ impl FaultInjector {
                 let now = engine.sim().now();
                 bus::counter_add("chaos.faults_injected", 1);
                 event(Layer::Application, EventKind::FaultInject)
-                    .detail_with(|| fault.describe())
+                    .detail_fmt(format_args!("{fault}"))
                     .emit();
                 self.applied.push(AppliedFault {
                     index: step.index,
@@ -126,7 +126,7 @@ impl FaultInjector {
                 let now = engine.sim().now();
                 bus::counter_add("chaos.faults_cleared", 1);
                 event(Layer::Application, EventKind::FaultClear)
-                    .detail_with(|| fault.describe())
+                    .detail_fmt(format_args!("{fault}"))
                     .emit();
                 if let Some(rec) = self.applied.iter_mut().find(|r| r.index == step.index) {
                     rec.cleared_at = Some(now);

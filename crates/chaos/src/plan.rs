@@ -7,6 +7,8 @@
 //! the plan is a plain value that renders deterministically, so two runs
 //! from the same seed produce byte-identical fault traces.
 
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmodp_core::id::{CapsuleId, ClusterId, NodeId};
@@ -132,48 +134,10 @@ impl FaultKind {
         }
     }
 
-    /// Deterministic one-line description of the fault parameters.
+    /// Deterministic one-line description of the fault parameters (the
+    /// `Display` text).
     pub fn describe(&self) -> String {
-        match self {
-            FaultKind::CrashRestart { node, down_for } => {
-                format!("crash {node} for {}us", down_for.as_micros())
-            }
-            FaultKind::Partition { a, b, heal_after } => {
-                format!("partition {a}<->{b} for {}us", heal_after.as_micros())
-            }
-            FaultKind::LossBurst { a, b, loss, window } => format!(
-                "loss burst {a}<->{b} p={loss:.2} for {}us",
-                window.as_micros()
-            ),
-            FaultKind::OneWayLoss {
-                from,
-                to,
-                loss,
-                window,
-            } => format!(
-                "one-way loss {from}->{to} p={loss:.2} for {}us",
-                window.as_micros()
-            ),
-            FaultKind::LatencySpike {
-                a,
-                b,
-                extra,
-                window,
-            } => format!(
-                "latency spike {a}<->{b} +{}us for {}us",
-                extra.as_micros(),
-                window.as_micros()
-            ),
-            FaultKind::CapsuleKill {
-                node,
-                capsule,
-                cluster,
-                down_for,
-            } => format!(
-                "kill capsule {capsule} cluster {cluster} at {node} for {}us",
-                down_for.as_micros()
-            ),
-        }
+        self.to_string()
     }
 
     /// The duration of the fault window (time until the clearing action).
@@ -185,6 +149,55 @@ impl FaultKind {
             FaultKind::OneWayLoss { window, .. } => *window,
             FaultKind::LatencySpike { window, .. } => *window,
             FaultKind::CapsuleKill { down_for, .. } => *down_for,
+        }
+    }
+}
+
+impl fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FaultKind::CrashRestart { node, down_for } => {
+                write!(f, "crash {node} for {}us", down_for.as_micros())
+            }
+            FaultKind::Partition { a, b, heal_after } => {
+                write!(f, "partition {a}<->{b} for {}us", heal_after.as_micros())
+            }
+            FaultKind::LossBurst { a, b, loss, window } => write!(
+                f,
+                "loss burst {a}<->{b} p={loss:.2} for {}us",
+                window.as_micros()
+            ),
+            FaultKind::OneWayLoss {
+                from,
+                to,
+                loss,
+                window,
+            } => write!(
+                f,
+                "one-way loss {from}->{to} p={loss:.2} for {}us",
+                window.as_micros()
+            ),
+            FaultKind::LatencySpike {
+                a,
+                b,
+                extra,
+                window,
+            } => write!(
+                f,
+                "latency spike {a}<->{b} +{}us for {}us",
+                extra.as_micros(),
+                window.as_micros()
+            ),
+            FaultKind::CapsuleKill {
+                node,
+                capsule,
+                cluster,
+                down_for,
+            } => write!(
+                f,
+                "kill capsule {capsule} cluster {cluster} at {node} for {}us",
+                down_for.as_micros()
+            ),
         }
     }
 }

@@ -132,7 +132,10 @@ fn marshal(env: &mut Envelope, to: SyntaxId) -> Result<(), ChannelError> {
     )
     .in_context()
     .channel(env.channel.raw())
-    .detail_with(|| format!("{from:?} -> {to:?} ({} bytes)", env.payload.len()))
+    .detail_fmt(format_args!(
+        "{from:?} -> {to:?} ({} bytes)",
+        env.payload.len()
+    ))
     .emit();
     rmodp_observe::bus::counter_add("engineering.marshals", 1);
     Ok(())
@@ -312,7 +315,7 @@ impl Stack {
             )
             .in_context()
             .channel(env.channel.raw())
-            .detail_with(|| format!("out:{}", c.name()))
+            .detail_fmt(format_args!("out:{}", c.name()))
             .emit();
             rmodp_observe::bus::counter_add("engineering.channel_hops", 1);
             c.on_outgoing(env)?;
@@ -333,7 +336,7 @@ impl Stack {
             )
             .in_context()
             .channel(env.channel.raw())
-            .detail_with(|| format!("in:{}", c.name()))
+            .detail_fmt(format_args!("in:{}", c.name()))
             .emit();
             rmodp_observe::bus::counter_add("engineering.channel_hops", 1);
             c.on_incoming(env)?;

@@ -560,7 +560,10 @@ impl Engine {
             .in_context()
             .channel(channel.raw())
             .capsule(to.location.capsule.raw())
-            .detail_with(|| format!("channel rebound to {} epoch={}", to.location.node, to.epoch))
+            .detail_fmt(format_args!(
+                "channel rebound to {} epoch={}",
+                to.location.node, to.epoch
+            ))
             .emit();
         bus::counter_add("engineering.relocations", 1);
         Ok(())
@@ -704,7 +707,7 @@ impl Engine {
             .span(span)
             .parent_from_context()
             .channel(channel.raw())
-            .detail_with(|| format!("op={op}"))
+            .detail_fmt(format_args!("op={op}"))
             .emit();
         let started_us = self.sim.now().as_micros();
         bus::push_context(span);
@@ -728,17 +731,20 @@ impl Engine {
         event(Layer::Engineering, EventKind::CallEnd)
             .span(span)
             .channel(channel.raw())
-            .detail_with(|| Self::call_outcome(op, &result))
+            .detail_fmt(format_args!("{}", Self::call_outcome(op, &result)))
             .emit();
         result
     }
 
     /// The `CallEnd` detail text for a finished call.
-    fn call_outcome(op: &str, result: &Result<Termination, CallError>) -> String {
-        match result {
-            Ok(t) => format!("op={op} -> {}", t.name),
-            Err(e) => format!("op={op} -> error: {e}"),
-        }
+    fn call_outcome<'a>(
+        op: &'a str,
+        result: &'a Result<Termination, CallError>,
+    ) -> impl fmt::Display + 'a {
+        fmt::from_fn(move |f| match result {
+            Ok(t) => write!(f, "op={op} -> {}", t.name),
+            Err(e) => write!(f, "op={op} -> error: {e}"),
+        })
     }
 
     /// Gate a call on the channel's circuit breaker: fail fast while
@@ -830,7 +836,7 @@ impl Engine {
         event(Layer::Engineering, EventKind::BreakerTransition)
             .in_context()
             .channel(channel.raw())
-            .detail_with(|| format!("{} -> {}: {why}", from.name(), to.name()))
+            .detail_fmt(format_args!("{} -> {}: {why}", from.name(), to.name()))
             .emit();
         bus::counter_add("engineering.breaker.transitions", 1);
     }
@@ -884,7 +890,7 @@ impl Engine {
                 event(Layer::Engineering, EventKind::Retry)
                     .span(span)
                     .channel(channel.raw())
-                    .detail_with(|| format!("op={op} attempt={}", attempt + 1))
+                    .detail_fmt(format_args!("op={op} attempt={}", attempt + 1))
                     .emit();
                 bus::counter_add("engineering.retries", 1);
                 let cc = self.channels.get_mut(&channel).expect("checked above");
@@ -1032,13 +1038,11 @@ impl Engine {
         event(Layer::Engineering, EventKind::Checkpoint)
             .in_context()
             .capsule(capsule.raw())
-            .detail_with(|| {
-                format!(
-                    "cluster={} objects={} epoch={epoch}",
-                    cluster,
-                    checkpoint.objects.len()
-                )
-            })
+            .detail_fmt(format_args!(
+                "cluster={} objects={} epoch={epoch}",
+                cluster,
+                checkpoint.objects.len()
+            ))
             .emit();
         bus::counter_add("engineering.checkpoints", 1);
         Ok(checkpoint)
@@ -1095,7 +1099,10 @@ impl Engine {
         event(Layer::Engineering, EventKind::Deactivate)
             .in_context()
             .capsule(capsule.raw())
-            .detail_with(|| format!("cluster={cluster} objects={}", checkpoint.objects.len()))
+            .detail_fmt(format_args!(
+                "cluster={cluster} objects={}",
+                checkpoint.objects.len()
+            ))
             .emit();
         Ok(checkpoint)
     }
@@ -1162,12 +1169,10 @@ impl Engine {
         event(Layer::Engineering, EventKind::Reactivate)
             .in_context()
             .capsule(capsule.raw())
-            .detail_with(|| {
-                format!(
-                    "cluster={cluster} objects={} at {node}",
-                    checkpoint.objects.len()
-                )
-            })
+            .detail_fmt(format_args!(
+                "cluster={cluster} objects={} at {node}",
+                checkpoint.objects.len()
+            ))
             .emit();
         Ok(cluster)
     }
@@ -1193,7 +1198,7 @@ impl Engine {
             .span(span)
             .parent_from_context()
             .capsule(from_capsule.raw())
-            .detail_with(|| format!("cluster={cluster} {from_node} -> {to_node}"))
+            .detail_fmt(format_args!("cluster={cluster} {from_node} -> {to_node}"))
             .emit();
         bus::push_context(span);
         let result = (|| {
@@ -1210,14 +1215,19 @@ impl Engine {
         })();
         bus::pop_context();
         bus::counter_add("engineering.migrations", 1);
-        event(Layer::Engineering, EventKind::MigrateEnd)
+        let end = event(Layer::Engineering, EventKind::MigrateEnd)
             .span(span)
-            .capsule(to_capsule.raw())
-            .detail_with(|| match &result {
-                Ok(new_cluster) => format!("cluster={cluster} -> {new_cluster} at {to_node}"),
-                Err(e) => format!("cluster={cluster} failed: {e} (rolled back)"),
-            })
-            .emit();
+            .capsule(to_capsule.raw());
+        match &result {
+            Ok(new_cluster) => end
+                .detail_fmt(format_args!(
+                    "cluster={cluster} -> {new_cluster} at {to_node}"
+                ))
+                .emit(),
+            Err(e) => end
+                .detail_fmt(format_args!("cluster={cluster} failed: {e} (rolled back)"))
+                .emit(),
+        };
         result
     }
 
@@ -1292,18 +1302,15 @@ impl Engine {
         event(Layer::Engineering, EventKind::Note)
             .in_context()
             .node(node.raw())
-            .detail_with(|| {
-                format!(
-                    "admission policy={} capacity={} service={}us",
-                    config.policy,
-                    if config.capacity == usize::MAX {
-                        "inf".to_owned()
-                    } else {
-                        config.capacity.to_string()
-                    },
-                    config.service_time.as_micros()
-                )
-            })
+            .detail_fmt(format_args!(
+                "admission policy={} capacity={} service={}us",
+                config.policy,
+                fmt::from_fn(|f| match config.capacity {
+                    usize::MAX => f.write_str("inf"),
+                    n => write!(f, "{n}"),
+                }),
+                config.service_time.as_micros()
+            ))
             .emit();
         Ok(())
     }
@@ -1357,7 +1364,7 @@ impl Engine {
             .span(span)
             .parent_from_context()
             .channel(channel.raw())
-            .detail_with(|| format!("op={op} mode=async"))
+            .detail_fmt(format_args!("op={op} mode=async"))
             .emit();
         let mut env = Envelope::request(channel, request_id, route.target, route.native, payload);
         bus::push_context(span);
@@ -1367,7 +1374,7 @@ impl Engine {
             event(Layer::Engineering, EventKind::CallEnd)
                 .span(span)
                 .channel(channel.raw())
-                .detail_with(|| format!("op={op} -> error: {e}"))
+                .detail_fmt(format_args!("op={op} -> error: {e}"))
                 .emit();
             return Err(e.into());
         }
@@ -1408,7 +1415,7 @@ impl Engine {
             event(Layer::Engineering, EventKind::CallEnd)
                 .span(span)
                 .channel(channel.raw())
-                .detail_with(|| Self::call_outcome(&op, &outcome))
+                .detail_fmt(format_args!("{}", Self::call_outcome(&op, &outcome)))
                 .emit();
         }
         Ok(Some((arrived, outcome)))

@@ -352,13 +352,11 @@ impl NucleusProcess {
         .in_context()
         .node(self.node.raw())
         .capsule(capsule.raw())
-        .detail_with(|| {
-            format!(
-                "nucleus installed {} in {cluster} ({} interface(s))",
-                record.object,
-                record.interfaces.len()
-            )
-        })
+        .detail_fmt(format_args!(
+            "nucleus installed {} in {cluster} ({} interface(s))",
+            record.object,
+            record.interfaces.len()
+        ))
         .emit();
         rmodp_observe::bus::counter_add("engineering.objects_installed", 1);
         self.objects
@@ -477,12 +475,10 @@ impl NucleusProcess {
         )
         .in_context()
         .node(self.node.raw())
-        .detail_with(|| {
-            format!(
-                "nucleus dispatch {} -> {object} ({interface})",
-                invocation.operation
-            )
-        })
+        .detail_fmt(format_args!(
+            "nucleus dispatch {} -> {object} ({interface})",
+            invocation.operation
+        ))
         .emit();
         rmodp_observe::bus::counter_add("engineering.nucleus_dispatches", 1);
         Some(resident.behaviour.invoke(&mut resident.state, invocation))
@@ -604,7 +600,10 @@ impl NucleusProcess {
         .in_context()
         .node(self.node.raw())
         .channel(env.channel.raw())
-        .detail_with(|| format!("admission {reason} (queue at {})", self.queue.len()))
+        .detail_fmt(format_args!(
+            "admission {reason} (queue at {})",
+            self.queue.len()
+        ))
         .emit();
         let refusal = Termination::error(reason);
         self.reply(ctx, env, ReplyStatus::Rejected, refusal, reply_to);
@@ -637,7 +636,7 @@ impl NucleusProcess {
         .in_context()
         .node(self.node.raw())
         .channel(env.channel.raw())
-        .detail_with(|| format!("queue at {}", self.queue.len() + 1))
+        .detail_fmt(format_args!("queue at {}", self.queue.len() + 1))
         .emit();
         self.queue.push_back(QueuedRequest {
             env,
@@ -672,7 +671,7 @@ impl NucleusProcess {
             .in_context()
             .node(self.node.raw())
             .channel(queued.env.channel.raw())
-            .detail_with(|| format!("waited {wait_us}us"))
+            .detail_fmt(format_args!("waited {wait_us}us"))
             .emit();
             self.dispatch_request(ctx, queued.reply_to, queued.env);
             if queued.context.is_some() {

@@ -144,7 +144,7 @@ impl FailureDetector {
                     bus::counter_add("detector.restores", 1);
                     event(Layer::Functions, EventKind::Restore)
                         .in_context()
-                        .detail_with(|| format!("member={}", member.raw()))
+                        .detail_fmt(format_args!("member={}", member.raw()))
                         .emit();
                     transitions.push(Detection::Restored(member));
                 }
@@ -155,7 +155,11 @@ impl FailureDetector {
                     bus::counter_add("detector.suspects", 1);
                     event(Layer::Functions, EventKind::Suspect)
                         .in_context()
-                        .detail_with(|| format!("member={} misses={}", member.raw(), health.misses))
+                        .detail_fmt(format_args!(
+                            "member={} misses={}",
+                            member.raw(),
+                            health.misses
+                        ))
                         .emit();
                     transitions.push(Detection::Suspected(member));
                 }
@@ -208,13 +212,11 @@ impl FailureDetector {
             .is_ok();
         event(Layer::Functions, EventKind::Heartbeat)
             .in_context()
-            .detail_with(|| {
-                format!(
-                    "member={} {}",
-                    member.raw(),
-                    if answered { "ack" } else { "miss" }
-                )
-            })
+            .detail_fmt(format_args!(
+                "member={} {}",
+                member.raw(),
+                if answered { "ack" } else { "miss" }
+            ))
             .emit();
         answered
     }

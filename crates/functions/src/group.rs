@@ -312,17 +312,15 @@ impl GroupManager {
         bus::counter_add("group.view_changes", 1);
         event(Layer::Functions, EventKind::ViewChange)
             .in_context()
-            .detail_with(|| {
-                format!(
-                    "group={} epoch={} leader={} members={} acks={} watermark={}",
-                    group.raw(),
-                    epoch,
-                    leader.raw(),
-                    g.members.len(),
-                    acks,
-                    commit_watermark,
-                )
-            })
+            .detail_fmt(format_args!(
+                "group={} epoch={} leader={} members={} acks={} watermark={}",
+                group.raw(),
+                epoch,
+                leader.raw(),
+                g.members.len(),
+                acks,
+                commit_watermark,
+            ))
             .emit();
         Ok(g.current_view())
     }

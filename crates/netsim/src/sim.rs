@@ -448,7 +448,7 @@ impl Sim {
 
     /// Builds a located event: node/port coordinates attached unless the
     /// address is the external injector.
-    fn located(kind: EventKind, addr: Addr) -> rmodp_observe::EventBuilder {
+    fn located<'a>(kind: EventKind, addr: Addr) -> rmodp_observe::EventBuilder<'a> {
         let b = event(Layer::Netsim, kind);
         if addr == Addr::EXTERNAL {
             b
@@ -475,7 +475,7 @@ impl Sim {
         Self::located(EventKind::Send, src)
             .span(span)
             .parent_from_context()
-            .detail_with(|| format!("-> {dst} ({} bytes)", payload.len()))
+            .detail_fmt(format_args!("-> {dst} ({} bytes)", payload.len()))
             .emit();
         bus::counter_add("netsim.sent", 1);
         if self.topology.is_crashed(dst.node) || self.topology.is_crashed(src.node) {
@@ -553,7 +553,7 @@ impl Sim {
         self.metrics.bytes_delivered += msg.payload.len() as u64;
         Self::located(EventKind::Deliver, dst)
             .span(span)
-            .detail_with(|| format!("<- {} ({} bytes)", msg.src, msg.payload.len()))
+            .detail_fmt(format_args!("<- {} ({} bytes)", msg.src, msg.payload.len()))
             .emit();
         bus::counter_add("netsim.delivered", 1);
         bus::observe(
@@ -602,7 +602,7 @@ impl Sim {
         }
         self.metrics.timers_fired += 1;
         Self::located(EventKind::TimerFired, addr)
-            .detail_with(|| format!("tag={tag}"))
+            .detail_fmt(format_args!("tag={tag}"))
             .emit();
         bus::counter_add("netsim.timers_fired", 1);
         self.dispatch(addr, |process, ctx| process.on_timer(ctx, tag));
@@ -647,9 +647,7 @@ impl Sim {
                     self.cancelled.insert(id);
                 }
                 Command::Note(detail) => {
-                    Self::located(EventKind::Note, from)
-                        .detail_with(|| detail)
-                        .emit();
+                    Self::located(EventKind::Note, from).detail(detail).emit();
                 }
             }
         }

@@ -28,13 +28,18 @@
 //! - **Ring buffer** (`ring_capacity = Some(n)`): at most `n` events are
 //!   buffered; the oldest is evicted as new ones arrive.
 //!
-//! Both modes count what they discard — [`drop_stats`] and the
-//! `observe.drop.sampled` / `observe.drop.ring` counters — so truncation
-//! is never silent. Sequence numbers are allocated *before* the sampling
-//! decision: a sampled trace is exactly the full trace filtered to the
-//! admitted roots, gaps and all. The config survives [`reset`] (like the
-//! enabled flag); the drop counters, sampling state, and peak trackers
-//! do not.
+//! Both modes count what they discard, once, in [`DropStats`], which
+//! [`counter`] and [`snapshot_metrics`] also show as `observe.drop.sampled`
+//! / `observe.drop.ring`, so truncation is never silent. Sequence numbers
+//! are allocated *before* the sampling decision: a sampled trace is
+//! exactly the full trace filtered to the admitted roots, gaps and all.
+//! The config survives [`reset`] (like the enabled flag); the drop
+//! counters, sampling state, and peak trackers do not.
+//!
+//! An emit is one flag read when disabled, else one borrow of the bus
+//! that decides keep/drop first and formats the text last, once, into
+//! the buffer of the event the ring evicts: on a full ring an event, a
+//! counter, a gauge and a sample in a seen bucket allocate nothing.
 
 use crate::event::{Event, EventBuilder, SpanId};
 use crate::hash::fnv1a;
@@ -67,9 +72,43 @@ impl DropStats {
     pub fn total(&self) -> u64 {
         self.sampled_out + self.ring_evicted
     }
+
+    /// The registry counters the two fields are read as.
+    fn counters(&self) -> [(&'static str, u64); 2] {
+        let sampled = ("observe.drop.sampled", self.sampled_out);
+        [sampled, ("observe.drop.ring", self.ring_evicted)]
+    }
 }
 
-#[derive(Debug)]
+/// A span-to-span map. Ids the bus allocated index a dense vector (0 =
+/// none); any other id (`.span(u64::MAX)` is legal) and a link to span 0
+/// stay in an ordered map, so no caller-chosen id sizes anything.
+#[derive(Debug, Default)]
+struct SpanTable {
+    dense: Vec<SpanId>,
+    foreign: BTreeMap<SpanId, SpanId>,
+}
+
+impl SpanTable {
+    fn get(&self, span: SpanId) -> Option<SpanId> {
+        let dense = usize::try_from(span).ok().and_then(|i| self.dense.get(i));
+        let dense = dense.copied().filter(|&to| to != 0);
+        dense.or_else(|| self.foreign.get(&span).copied())
+    }
+
+    /// Links `span` to `to`; `allocated` is the bus's `next_span`.
+    fn set(&mut self, span: SpanId, to: SpanId, allocated: SpanId) {
+        if span >= allocated || to == 0 {
+            self.foreign.insert(span, to);
+        } else {
+            let i = span as usize;
+            self.dense.resize(self.dense.len().max(i + 1), 0);
+            self.dense[i] = to;
+        }
+    }
+}
+
+#[derive(Debug, Default)]
 struct BusState {
     collect: CollectConfig,
     now_us: u64,
@@ -82,9 +121,9 @@ struct BusState {
     /// First-declared parent of each span (learned from every event,
     /// sampled-out ones included, so late events of a rejected tree
     /// still resolve to the same root).
-    parent_of: BTreeMap<SpanId, SpanId>,
-    /// Memoised root of each span's parent chain.
-    root_of: BTreeMap<SpanId, SpanId>,
+    parent_of: SpanTable,
+    /// Memoised root of each span's parent chain (sampling only).
+    root_of: SpanTable,
     cur_bytes: usize,
     peak_bytes: usize,
     peak_events: usize,
@@ -93,45 +132,31 @@ struct BusState {
 impl BusState {
     fn fresh() -> Self {
         Self {
-            collect: CollectConfig::default(),
-            now_us: 0,
-            next_seq: 0,
             // Span 0 is reserved as "no span" in renderings.
             next_span: 1,
-            context: Vec::new(),
-            events: VecDeque::new(),
-            metrics: Registry::new(),
-            drops: DropStats::default(),
-            parent_of: BTreeMap::new(),
-            root_of: BTreeMap::new(),
-            cur_bytes: 0,
-            peak_bytes: 0,
-            peak_events: 0,
+            ..Self::default()
         }
     }
 
-    /// Resolves (and memoises) the root of a span's parent chain.
+    /// Resolves (and memoises) the root of a span's parent chain: the
+    /// first memoised root, parentless span or (defensively) cycle met.
     fn root(&mut self, span: SpanId) -> SpanId {
-        if let Some(&r) = self.root_of.get(&span) {
-            return r;
-        }
-        let mut chain = vec![span];
+        let mut chain = Vec::new();
         let mut cur = span;
-        while let Some(&p) = self.parent_of.get(&cur) {
-            if let Some(&r) = self.root_of.get(&p) {
-                cur = r;
-                break;
+        let root = loop {
+            if let Some(root) = self.root_of.get(cur) {
+                break root;
             }
-            if chain.contains(&p) {
-                break; // defensive: a cycle would otherwise hang us
+            chain.push(cur);
+            match self.parent_of.get(cur) {
+                Some(parent) if !chain.contains(&parent) => cur = parent,
+                _ => break cur,
             }
-            chain.push(p);
-            cur = p;
-        }
+        };
         for s in chain {
-            self.root_of.insert(s, cur);
+            self.root_of.set(s, root, self.next_span);
         }
-        cur
+        root
     }
 }
 
@@ -175,7 +200,7 @@ pub fn reset() {
 /// Enables or disables recording. Disabled recording costs one
 /// thread-local flag read per event, counter or histogram call: nothing
 /// is formatted and nothing is allocated (see
-/// [`EventBuilder::detail_with`]). Span allocation still works (ids keep
+/// [`EventBuilder::detail_fmt`]). Span allocation still works (ids keep
 /// advancing) so code paths do not branch on the setting.
 pub fn set_enabled(enabled: bool) {
     ENABLED.with(|e| e.set(enabled));
@@ -258,53 +283,56 @@ pub fn new_span() -> SpanId {
 /// Records an event built by [`EventBuilder`] (which has already checked
 /// that the bus is recording); returns its sequence number, or `None`
 /// if sampling discarded it.
-pub(crate) fn record(builder: EventBuilder) -> Option<u64> {
+pub(crate) fn record(builder: EventBuilder<'_>) -> Option<u64> {
     BUS.with(|b| {
-        let mut s = b.borrow_mut();
+        let s = &mut *b.borrow_mut();
+        let ctx = |wanted: bool| s.context.last().copied().filter(|_| wanted);
+        let mut event = builder.event;
+        event.span = event.span.or_else(|| ctx(builder.span_from_context));
+        event.parent = event.parent.or_else(|| ctx(builder.parent_from_context));
         // Learn the span's parent link before any keep/drop decision, so
         // every later event of this tree resolves to the same root.
-        if let (Some(span), Some(parent)) = (builder.span, builder.parent) {
-            s.parent_of.entry(span).or_insert(parent);
+        if let (Some(span), Some(parent)) = (event.span, event.parent) {
+            if s.parent_of.get(span).is_none() {
+                s.parent_of.set(span, parent, s.next_span);
+            }
         }
         // Sequence numbers are allocated unconditionally: a sampled
         // trace is the full trace filtered, gaps and all.
         let seq = s.next_seq;
         s.next_seq += 1;
+        (event.seq, event.t_us) = (seq, s.now_us);
         if let Some(denom) = s.collect.sample_denom {
-            if let Some(key) = builder.span.or(builder.parent) {
+            if let Some(key) = event.span.or(event.parent) {
                 let root = s.root(key);
                 if !sample_admits(root, denom) {
                     s.drops.sampled_out += 1;
-                    s.metrics.counter_add("observe.drop.sampled", 1);
                     return None;
                 }
             }
         }
-        let t_us = s.now_us;
-        let event = Event {
-            seq,
-            t_us,
-            layer: builder.layer,
-            kind: builder.kind,
-            span: builder.span,
-            parent: builder.parent,
-            node: builder.node,
-            port: builder.port,
-            channel: builder.channel,
-            capsule: builder.capsule,
-            detail: builder.detail,
-        };
+        // Make room first: a kept event's text is written into the buffer
+        // the evicted one leaves behind, so a full ring allocates nothing.
+        let cap = s.collect.ring_capacity.map_or(usize::MAX, |cap| cap.max(1));
+        let mut text = String::new();
+        while s.events.len() >= cap {
+            let old = s.events.pop_front().expect("len >= cap >= 1");
+            s.cur_bytes -= approx_event_bytes(&old);
+            s.drops.ring_evicted += 1;
+            text = old.detail;
+        }
+        text.clear();
+        match builder.detail_fmt {
+            Some(args) if text.capacity() == 0 => event.detail = std::fmt::format(args),
+            Some(args) => {
+                std::fmt::Write::write_fmt(&mut text, args).expect("a Display impl failed");
+                event.detail = text;
+            }
+            None if event.detail.is_empty() => event.detail = text,
+            None => {}
+        }
         s.cur_bytes += approx_event_bytes(&event);
         s.events.push_back(event);
-        if let Some(cap) = s.collect.ring_capacity {
-            while s.events.len() > cap.max(1) {
-                if let Some(old) = s.events.pop_front() {
-                    s.cur_bytes -= approx_event_bytes(&old);
-                    s.drops.ring_evicted += 1;
-                    s.metrics.counter_add("observe.drop.ring", 1);
-                }
-            }
-        }
         s.peak_events = s.peak_events.max(s.events.len());
         s.peak_bytes = s.peak_bytes.max(s.cur_bytes);
         Some(seq)
@@ -351,14 +379,25 @@ pub fn observe(name: &str, v: u64) {
     }
 }
 
-/// A copy of the metrics registry.
+/// A copy of the metrics registry, [`DropStats`]' two counters included.
 pub fn snapshot_metrics() -> Registry {
-    BUS.with(|b| b.borrow().metrics.clone())
+    BUS.with(|b| {
+        let s = b.borrow();
+        let mut metrics = s.metrics.clone();
+        for (name, n) in s.drops.counters().into_iter().filter(|c| c.1 > 0) {
+            metrics.counter_add(name, n);
+        }
+        metrics
+    })
 }
 
-/// Reads one counter (0 if absent).
+/// Reads one counter (0 if absent), as [`snapshot_metrics`] would show it.
 pub fn counter(name: &str) -> u64 {
-    BUS.with(|b| b.borrow().metrics.counter(name))
+    BUS.with(|b| {
+        let s = b.borrow();
+        let dropped = s.drops.counters().into_iter().find(|c| c.0 == name);
+        s.metrics.counter(name) + dropped.map_or(0, |c| c.1)
+    })
 }
 
 /// Reads one histogram (cloned; `None` if absent).
@@ -416,17 +455,24 @@ mod tests {
         assert_eq!(event_count(), 1);
     }
 
+    /// A `Display` argument that counts how often it is formatted.
+    struct Counted<'a>(&'a Cell<u32>, SpanId);
+
+    impl std::fmt::Display for Counted<'_> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.0.set(self.0.get() + 1);
+            write!(f, "root {}", self.1)
+        }
+    }
+
     #[test]
-    fn detail_with_runs_only_when_recording_and_then_exactly_once() {
+    fn detail_is_formatted_once_for_a_kept_event_and_never_for_a_dropped_one() {
         unbounded();
         let runs = Cell::new(0u32);
         let emit = |root: SpanId| {
             EventBuilder::new(Layer::Application, EventKind::Note)
                 .span(root)
-                .detail_with(|| {
-                    runs.set(runs.get() + 1);
-                    format!("root {root}")
-                })
+                .detail_fmt(format_args!("{}", Counted(&runs, root)))
                 .emit()
         };
         set_enabled(false);
@@ -437,8 +483,8 @@ mod tests {
         assert_eq!(runs.get(), 1);
         assert_eq!(snapshot_events()[0].detail, "root 2");
 
-        // Under 1/N sampling the detail is built before the keep/drop
-        // decision: once per emit, whichever way it goes.
+        // Under 1/N sampling the keep/drop decision comes first: only
+        // the kept events are formatted.
         set_collect(CollectConfig {
             ring_capacity: None,
             sample_denom: Some(4),
@@ -446,9 +492,22 @@ mod tests {
         reset();
         runs.set(0);
         let kept = (0..32).filter(|_| emit(new_span()).is_some()).count();
-        assert_eq!(runs.get(), 32);
         assert!(kept > 0 && kept < 32, "kept {kept} of 32");
+        assert_eq!(runs.get() as usize, kept);
         assert_eq!(drop_stats().sampled_out as usize, 32 - kept);
+
+        // A full ring formats each event once, into a recycled buffer.
+        set_collect(CollectConfig {
+            ring_capacity: Some(2),
+            sample_denom: None,
+        });
+        reset();
+        runs.set(0);
+        for _ in 0..8 {
+            emit(new_span());
+        }
+        assert_eq!(runs.get(), 8);
+        assert_eq!(snapshot_events()[1].detail, "root 8");
         unbounded();
     }
 
@@ -471,7 +530,7 @@ mod tests {
         });
         for i in 0..10 {
             EventBuilder::new(Layer::Application, EventKind::Note)
-                .detail_with(|| format!("e{i}"))
+                .detail_fmt(format_args!("e{i}"))
                 .emit();
         }
         let evs = snapshot_events();
@@ -522,6 +581,52 @@ mod tests {
     }
 
     #[test]
+    fn a_span_the_bus_did_not_allocate_never_sizes_the_span_tables() {
+        unbounded();
+        set_collect(CollectConfig {
+            ring_capacity: None,
+            sample_denom: Some(2),
+        });
+        let (a, b) = (new_span(), new_span());
+        // (span, parent): ids far beyond any the bus handed out, a span
+        // that is its own parent, a second parent for it (the first
+        // wins), a parent above its span, a two-span cycle, links to 0.
+        let links = [
+            (u64::MAX, a),
+            (u64::MAX - 1, u64::MAX),
+            (a, a),
+            (a, b),
+            (b, 1 << 40),
+            (1 << 40, b),
+            (b + 1, 0),
+            (0, u64::MAX),
+        ];
+        for (span, parent) in links {
+            EventBuilder::new(Layer::Application, EventKind::Note)
+                .span(span)
+                .parent(parent)
+                .emit();
+        }
+        assert_eq!(
+            event_count() as u64 + drop_stats().sampled_out,
+            links.len() as u64
+        );
+        BUS.with(|bus| {
+            let s = bus.borrow();
+            for table in [&s.parent_of, &s.root_of] {
+                assert!(table.dense.len() as u64 <= s.next_span, "{table:?}");
+                assert!(table.foreign.len() <= links.len());
+            }
+            assert_eq!(s.parent_of.get(u64::MAX), Some(a));
+            assert_eq!(s.parent_of.get(a), Some(a), "the first parent wins");
+            assert_eq!(s.parent_of.get(b + 1), Some(0));
+            assert_eq!(s.parent_of.dense, [u64::MAX, a, 1 << 40]);
+            assert_eq!(s.root_of.get(u64::MAX - 1), Some(a));
+        });
+        unbounded();
+    }
+
+    #[test]
     fn sampled_trace_is_filtered_full_trace() {
         // Run the same emission twice: once unbounded, once sampled.
         // The sampled stream must equal the full stream filtered to
@@ -532,7 +637,7 @@ mod tests {
                 let root = new_span();
                 EventBuilder::new(Layer::Engineering, EventKind::CallStart)
                     .span(root)
-                    .detail_with(|| format!("call{i}"))
+                    .detail_fmt(format_args!("call{i}"))
                     .emit();
                 let msg = new_span();
                 EventBuilder::new(Layer::Netsim, EventKind::Send)
@@ -606,7 +711,7 @@ mod tests {
         unbounded();
         for i in 0..10 {
             EventBuilder::new(Layer::Application, EventKind::Note)
-                .detail_with(|| format!("event number {i}"))
+                .detail_fmt(format_args!("event number {i}"))
                 .emit();
         }
         let peak = peak_trace_bytes();

@@ -1,5 +1,7 @@
 //! The structured event model: one cross-layer taxonomy of everything
-//! the RM-ODP stack does that is worth seeing.
+//! the RM-ODP stack does that is worth seeing, and the builder call sites
+//! emit it with. The builder carries text as unformatted
+//! `format_args!`; whether and where it is formatted is the bus's call.
 
 use std::fmt;
 
@@ -289,123 +291,137 @@ impl fmt::Display for Event {
 /// On a disabled bus every method below is a field store or a no-op:
 /// nothing is formatted, nothing is allocated and [`emit`](Self::emit)
 /// returns `None` without touching the bus again.
+///
+/// The lifetime is [`detail_fmt`](Self::detail_fmt)'s [`format_args!`]: it
+/// borrows temporaries that die with their statement, so a builder kept
+/// in a `let` to be emitted later does not compile.
 #[derive(Debug, Clone)]
-pub struct EventBuilder {
+pub struct EventBuilder<'a> {
     /// Whether the bus was recording when this builder was created.
     live: bool,
-    pub(crate) layer: Layer,
-    pub(crate) kind: EventKind,
-    pub(crate) span: Option<SpanId>,
-    pub(crate) parent: Option<SpanId>,
-    pub(crate) node: Option<u64>,
-    pub(crate) port: Option<u64>,
-    pub(crate) channel: Option<u64>,
-    pub(crate) capsule: Option<u64>,
-    pub(crate) detail: String,
+    /// The event so far; the bus fills in `seq`, `t_us` and formatted text.
+    pub(crate) event: Event,
+    /// Take a missing span / parent from the context stack at emit.
+    pub(crate) span_from_context: bool,
+    pub(crate) parent_from_context: bool,
+    /// Unformatted text; it wins over `event.detail`.
+    pub(crate) detail_fmt: Option<fmt::Arguments<'a>>,
 }
 
-impl EventBuilder {
+impl<'a> EventBuilder<'a> {
     /// Starts an event of the given layer and kind.
-    // Inlined (with `bus::is_enabled` and `event`) so the flag read is a
-    // thread-local load in the caller and the builder is built in place;
-    // out of line, an enabled emit costs ~10 ns more.
+    // Inlined (with `bus::is_enabled`, `event` and every setter) so the
+    // flag read is a thread-local load in the caller and the builder is
+    // built in place; out of line, an enabled emit costs ~10 ns more.
     #[inline]
     pub fn new(layer: Layer, kind: EventKind) -> Self {
         Self {
             live: crate::bus::is_enabled(),
-            layer,
-            kind,
-            span: None,
-            parent: None,
-            node: None,
-            port: None,
-            channel: None,
-            capsule: None,
-            detail: String::new(),
+            event: Event {
+                seq: 0,
+                t_us: 0,
+                layer,
+                kind,
+                span: None,
+                parent: None,
+                node: None,
+                port: None,
+                channel: None,
+                capsule: None,
+                detail: String::new(),
+            },
+            span_from_context: false,
+            parent_from_context: false,
+            detail_fmt: None,
         }
     }
 
     /// Attaches the causal span.
+    #[inline]
     pub fn span(mut self, span: SpanId) -> Self {
-        self.span = Some(span);
+        self.event.span = Some(span);
         self
     }
 
     /// Attaches the parent span.
+    #[inline]
     pub fn parent(mut self, parent: SpanId) -> Self {
-        self.parent = Some(parent);
+        self.event.parent = Some(parent);
         self
     }
 
     /// Attaches the node coordinate.
+    #[inline]
     pub fn node(mut self, node: u64) -> Self {
-        self.node = Some(node);
+        self.event.node = Some(node);
         self
     }
 
     /// Attaches the port coordinate.
+    #[inline]
     pub fn port(mut self, port: u64) -> Self {
-        self.port = Some(port);
+        self.event.port = Some(port);
         self
     }
 
     /// Attaches the channel coordinate.
+    #[inline]
     pub fn channel(mut self, channel: u64) -> Self {
-        self.channel = Some(channel);
+        self.event.channel = Some(channel);
         self
     }
 
     /// Attaches the capsule coordinate.
+    #[inline]
     pub fn capsule(mut self, capsule: u64) -> Self {
-        self.capsule = Some(capsule);
+        self.event.capsule = Some(capsule);
         self
     }
 
-    /// Attaches the bus's current context span as this event's span
-    /// (no-op if a span is already set or no context is active). Lets
-    /// mid-activity events — a checkpoint inside a migration, a vote
+    /// Attaches the context span current at [`emit`](Self::emit) as this
+    /// event's span (no-op if a span is set or no context is active).
+    /// Lets mid-activity events — a checkpoint inside a migration, a vote
     /// inside a transaction — land on the enclosing causal span.
+    #[inline]
     pub fn in_context(mut self) -> Self {
-        if self.live && self.span.is_none() {
-            self.span = crate::bus::current_context();
-        }
+        self.span_from_context = true;
         self
     }
 
-    /// Attaches the bus's current context span as this event's *parent*
-    /// (no-op if a parent is already set or no context is active).
+    /// Attaches the context span current at [`emit`](Self::emit) as this
+    /// event's *parent* (no-op if a parent is set or no context is active).
+    #[inline]
     pub fn parent_from_context(mut self) -> Self {
-        if self.live && self.parent.is_none() {
-            self.parent = crate::bus::current_context();
-        }
+        self.parent_from_context = true;
         self
     }
 
-    /// Attaches constant detail text. Text that has to be formatted
-    /// goes through [`detail_with`](Self::detail_with), so a disabled bus
-    /// never pays for it.
+    /// Attaches text the caller already owns. Text that has to be
+    /// formatted goes through [`detail_fmt`](Self::detail_fmt), so a
+    /// disabled bus never pays for it.
+    #[inline]
     pub fn detail(mut self, detail: impl Into<String>) -> Self {
         if self.live {
-            self.detail = detail.into();
+            self.event.detail = detail.into();
         }
         self
     }
 
-    /// Attaches detail text built by `detail`, which runs here, at the
-    /// call site, exactly once if the bus is recording and not at all if
-    /// it is disabled. Sampling and the ring decide later, in
-    /// [`emit`](Self::emit), so a recorded stream reads the same as if
-    /// the text had been built eagerly.
-    pub fn detail_with(mut self, detail: impl FnOnce() -> String) -> Self {
-        if self.live {
-            self.detail = detail();
-        }
+    /// Attaches text as `format_args!(…)`. Nothing is formatted here:
+    /// the bus does it in [`emit`](Self::emit), once, only if it keeps the
+    /// event, into the buffer of the event the ring evicts; the recorded
+    /// stream reads as if the text had been built eagerly. The arguments'
+    /// `Display` code runs inside the bus and must not call back into it.
+    #[inline]
+    pub fn detail_fmt(mut self, detail: fmt::Arguments<'a>) -> Self {
+        self.detail_fmt = Some(detail);
         self
     }
 
     /// Records the event on the thread's bus. Returns the sequence
     /// number, or `None` if the bus is disabled or sampling discarded
     /// the event.
+    #[inline]
     pub fn emit(self) -> Option<u64> {
         if !self.live {
             return None;

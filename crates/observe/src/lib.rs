@@ -42,7 +42,7 @@ pub use event::{Event, EventBuilder, EventKind, Layer, SpanId};
 
 /// Shorthand: starts building an event.
 #[inline]
-pub fn event(layer: Layer, kind: EventKind) -> EventBuilder {
+pub fn event<'a>(layer: Layer, kind: EventKind) -> EventBuilder<'a> {
     EventBuilder::new(layer, kind)
 }
 

@@ -154,6 +154,14 @@ impl Histogram {
     }
 }
 
+/// Writes `name`'s entry (default if absent); only a name's first use allocates.
+fn upsert<T: Default>(map: &mut BTreeMap<String, T>, name: &str, write: impl FnOnce(&mut T)) {
+    match map.get_mut(name) {
+        Some(entry) => write(entry),
+        None => write(map.entry(name.to_owned()).or_default()),
+    }
+}
+
 /// The registry: hierarchically-named counters, gauges, and histograms.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
@@ -170,20 +178,17 @@ impl Registry {
 
     /// Adds to a counter, creating it at 0 first if absent.
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += v;
+        upsert(&mut self.counters, name, |counter| *counter += v);
     }
 
     /// Sets a gauge.
     pub fn gauge_set(&mut self, name: &str, v: i64) {
-        self.gauges.insert(name.to_owned(), v);
+        upsert(&mut self.gauges, name, |gauge| *gauge = v);
     }
 
     /// Records a histogram sample.
     pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(v);
+        upsert(&mut self.histograms, name, |histogram| histogram.observe(v));
     }
 
     /// Reads a counter (0 if absent).

@@ -162,16 +162,14 @@ impl<M: StableMedia> StoreEngine<M> {
         };
         bus::counter_add("store.recovery_replayed", stats.recovery_replayed);
         EventBuilder::new(Layer::Store, EventKind::StoreRecovery)
-            .detail_with(|| {
-                format!(
-                    "snapshot={} scanned={} replayed={} torn_tail={} unresolved={}",
-                    report.snapshot_loaded,
-                    report.records_scanned,
-                    report.writes_replayed,
-                    report.tail_discarded,
-                    report.unresolved_txs
-                )
-            })
+            .detail_fmt(format_args!(
+                "snapshot={} scanned={} replayed={} torn_tail={} unresolved={}",
+                report.snapshot_loaded,
+                report.records_scanned,
+                report.writes_replayed,
+                report.tail_discarded,
+                report.unresolved_txs
+            ))
             .emit();
 
         let engine = Self {
@@ -304,7 +302,7 @@ impl<M: StableMedia> StoreEngine<M> {
         self.stats.commits += 1;
         bus::counter_add("store.commits", 1);
         EventBuilder::new(Layer::Store, EventKind::WalCommit)
-            .detail_with(|| format!("tx={} ops={ops}", batch.tx.raw()))
+            .detail_fmt(format_args!("tx={} ops={ops}", batch.tx.raw()))
             .emit();
         self.publish_sizes();
         if self.log_bytes() > self.config.compact_wal_bytes {
@@ -336,7 +334,7 @@ impl<M: StableMedia> StoreEngine<M> {
             .snapshot_write(&encode_snapshot(&self.state, self.next_batch));
         self.log.flush();
         EventBuilder::new(Layer::Store, EventKind::StoreSnapshot)
-            .detail_with(|| format!("keys={}", self.state.len()))
+            .detail_fmt(format_args!("keys={}", self.state.len()))
             .emit();
         // If an uncommitted batch is open its records must survive the
         // reset, or recovery could mistake its later commit frame for a
@@ -354,7 +352,7 @@ impl<M: StableMedia> StoreEngine<M> {
         self.stats.compactions += 1;
         bus::counter_add("store.compactions", 1);
         EventBuilder::new(Layer::Store, EventKind::StoreCompaction)
-            .detail_with(|| format!("log_bytes={}", self.log_bytes()))
+            .detail_fmt(format_args!("log_bytes={}", self.log_bytes()))
             .emit();
         self.publish_sizes();
     }

@@ -128,12 +128,10 @@ impl Federation {
         event(Layer::Trader, EventKind::TraderLookup)
             .span(span)
             .parent_from_context()
-            .detail_with(|| {
-                format!(
-                    "federated start={start} type={} max_hops={max_hops}",
-                    request.service_type
-                )
-            })
+            .detail_fmt(format_args!(
+                "federated start={start} type={} max_hops={max_hops}",
+                request.service_type
+            ))
             .emit();
         bus::push_context(span);
         let mut visited = BTreeSet::new();
@@ -146,7 +144,7 @@ impl Federation {
             if hops > 0 {
                 event(Layer::Trader, EventKind::FederationHop)
                     .in_context()
-                    .detail_with(|| format!("-> {name} (hop {hops})"))
+                    .detail_fmt(format_args!("-> {name} (hop {hops})"))
                     .emit();
                 bus::counter_add("trader.federation_hops", 1);
             }

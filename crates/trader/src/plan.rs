@@ -91,22 +91,25 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// A one-line summary for event details.
-    pub fn summary(&self) -> String {
-        let mode = if self.fallback {
-            "fallback-scan"
-        } else {
-            "indexed"
-        };
-        let used = self.steps.iter().filter(|s| s.used).count();
-        format!(
-            "{mode} type={} buckets={} index_paths={used}/{} candidates={}/{}",
-            self.service_type,
-            self.types.len(),
-            self.steps.len(),
-            self.candidates,
-            self.store_len,
-        )
+    /// A one-line summary for event details; formats on demand.
+    pub fn summary(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            let mode = if self.fallback {
+                "fallback-scan"
+            } else {
+                "indexed"
+            };
+            let used = self.steps.iter().filter(|s| s.used).count();
+            write!(
+                f,
+                "{mode} type={} buckets={} index_paths={used}/{} candidates={}/{}",
+                self.service_type,
+                self.types.len(),
+                self.steps.len(),
+                self.candidates,
+                self.store_len,
+            )
+        })
     }
 }
 
@@ -486,6 +489,6 @@ mod tests {
         assert!(text.contains("btree-index ppm"), "{text}");
         assert!(text.contains("hash-index region"), "{text}");
         assert!(text.contains("residual filter"), "{text}");
-        assert!(planned.plan.summary().contains("indexed"));
+        assert!(planned.plan.summary().to_string().contains("indexed"));
     }
 }

@@ -407,17 +407,18 @@ impl Trader {
         let service_type = service_type.into();
         self.check_properties(&service_type, &properties)?;
         let id = self.gen.fresh();
-        let event = rmodp_observe::event(
+        // Emitted while the type name is still here to borrow: the
+        // offer takes it below (and storing an offer emits nothing).
+        rmodp_observe::event(
             rmodp_observe::Layer::Trader,
             rmodp_observe::EventKind::TraderExport,
         )
         .in_context()
-        .detail_with(|| {
-            format!(
-                "trader={} offer={id} type={service_type} interface={interface}",
-                self.name
-            )
-        });
+        .detail_fmt(format_args!(
+            "trader={} offer={id} type={service_type} interface={interface}",
+            self.name
+        ))
+        .emit();
         self.store.insert(ServiceOffer {
             id,
             service_type,
@@ -426,7 +427,6 @@ impl Trader {
             held_by: self.name.clone(),
         });
         self.stats.exports += 1;
-        event.emit();
         rmodp_observe::bus::counter_add("trader.exports", 1);
         Ok(id)
     }
@@ -519,7 +519,11 @@ impl Trader {
         event(Layer::Trader, EventKind::TraderPlan)
             .span(span)
             .parent_from_context()
-            .detail_with(|| format!("trader={} {}", self.name, planned.plan.summary()))
+            .detail_fmt(format_args!(
+                "trader={} {}",
+                self.name,
+                planned.plan.summary()
+            ))
             .emit();
         bus::push_context(span);
 
@@ -555,14 +559,12 @@ impl Trader {
 
         event(Layer::Trader, EventKind::TraderLookup)
             .in_context()
-            .detail_with(|| {
-                format!(
-                    "trader={} type={} matches={}",
-                    self.name,
-                    request.service_type,
-                    matches.len()
-                )
-            })
+            .detail_fmt(format_args!(
+                "trader={} type={} matches={}",
+                self.name,
+                request.service_type,
+                matches.len()
+            ))
             .emit();
         bus::counter_add("trader.lookups", 1);
         bus::pop_context();
@@ -606,14 +608,12 @@ impl Trader {
             rmodp_observe::EventKind::TraderLookup,
         )
         .in_context()
-        .detail_with(|| {
-            format!(
-                "trader={} type={} matches={} mode=scan",
-                self.name,
-                request.service_type,
-                matches.len()
-            )
-        })
+        .detail_fmt(format_args!(
+            "trader={} type={} matches={} mode=scan",
+            self.name,
+            request.service_type,
+            matches.len()
+        ))
         .emit();
         rmodp_observe::bus::counter_add("trader.lookups", 1);
         matches

@@ -132,7 +132,7 @@ impl Coordinator {
                 .in_context()
                 .node(addr.node.0 as u64)
                 .port(addr.port as u64)
-                .detail_with(|| format!("{tx} prepare -> participant {i}"))
+                .detail_fmt(format_args!("{tx} prepare -> participant {i}"))
                 .emit();
             bus::counter_add("transactions.prepares", 1);
             let writes = self.writes_for(tx, i);
@@ -172,7 +172,7 @@ impl Coordinator {
         let votes = progress.votes.len();
         event(Layer::Transactions, kind)
             .in_context()
-            .detail_with(|| format!("{tx} decided with {votes} vote(s) in"))
+            .detail_fmt(format_args!("{tx} decided with {votes} vote(s) in"))
             .emit();
         bus::counter_add(
             if commit {
@@ -241,7 +241,7 @@ impl Process for Coordinator {
                     .in_context()
                     .node(m.src.node.0 as u64)
                     .port(m.src.port as u64)
-                    .detail_with(|| format!("{tx} vote yes={yes}"))
+                    .detail_fmt(format_args!("{tx} vote yes={yes}"))
                     .emit();
                 bus::counter_add("transactions.votes", 1);
                 if !yes {

@@ -361,14 +361,12 @@ impl FailureGuard {
             .span(span)
             .parent_from_context()
             .capsule(backup_capsule.raw())
-            .detail_with(|| {
-                format!(
-                    "cluster={} {} -> {backup_node} logged_ops={}",
-                    home.2,
-                    home.0,
-                    tail.len()
-                )
-            })
+            .detail_fmt(format_args!(
+                "cluster={} {} -> {backup_node} logged_ops={}",
+                home.2,
+                home.0,
+                tail.len()
+            ))
             .emit();
         bus::push_context(span);
         let raised = self.raise(engine, relocator, &cp, &tail, (backup_node, backup_capsule));
@@ -386,12 +384,10 @@ impl FailureGuard {
         event(Layer::Transparency, EventKind::RecoveryEnd)
             .span(span)
             .capsule(backup_capsule.raw())
-            .detail_with(|| {
-                format!(
-                    "cluster={new_cluster} recovery #{} replayed={replayed} lost={lost}",
-                    self.recoveries
-                )
-            })
+            .detail_fmt(format_args!(
+                "cluster={new_cluster} recovery #{} replayed={replayed} lost={lost}",
+                self.recoveries
+            ))
             .emit();
         self.checkpoint_now(engine, store)?;
         Ok(new_cluster)

@@ -102,7 +102,10 @@ impl PersistenceManager {
         )
         .in_context()
         .capsule(capsule.raw())
-        .detail_with(|| format!("stored label={label} objects={}", cp.objects.len()))
+        .detail_fmt(format_args!(
+            "stored label={label} objects={}",
+            cp.objects.len()
+        ))
         .emit();
         rmodp_observe::bus::counter_add("transparency.persists", 1);
         Ok(())
@@ -130,7 +133,10 @@ impl PersistenceManager {
         )
         .in_context()
         .capsule(capsule.raw())
-        .detail_with(|| format!("restored label={label} objects={}", cp.objects.len()))
+        .detail_fmt(format_args!(
+            "restored label={label} objects={}",
+            cp.objects.len()
+        ))
         .emit();
         rmodp_observe::bus::counter_add("transparency.restores", 1);
         Ok(engine.reactivate_cluster(node, capsule, &cp)?)

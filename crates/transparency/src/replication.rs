@@ -293,7 +293,11 @@ impl ReplicatedService {
         event(Layer::Transparency, EventKind::ReplicaUpdate)
             .span(span)
             .parent_from_context()
-            .detail_with(|| format!("group={} op={op} fanout={}", self.group, order.len()))
+            .detail_fmt(format_args!(
+                "group={} op={op} fanout={}",
+                self.group,
+                order.len()
+            ))
             .emit();
         bus::counter_add("transparency.replica_updates", 1);
         // Marshal the invocation once; every replica shares the same
@@ -312,7 +316,7 @@ impl ReplicatedService {
                 Ok(t) => {
                     event(Layer::Transparency, EventKind::ReplicaVote)
                         .span(span)
-                        .detail_with(|| format!("replica={replica} applied {op}"))
+                        .detail_fmt(format_args!("replica={replica} applied {op}"))
                         .emit();
                     if first.is_none() {
                         first = Some(t);
@@ -351,7 +355,10 @@ impl ReplicatedService {
             .ok_or(ReplicationError::Exhausted)?;
         event(Layer::Transparency, EventKind::ReplicaRead)
             .in_context()
-            .detail_with(|| format!("group={} op={op} replica={target}", self.group))
+            .detail_fmt(format_args!(
+                "group={} op={op} replica={target}",
+                self.group
+            ))
             .emit();
         bus::counter_add("transparency.replica_reads", 1);
         self.call_replica(engine, target, op, args)
@@ -402,7 +409,10 @@ impl ReplicatedService {
         self.channels.remove(&replica);
         event(Layer::Transparency, EventKind::ReplicaVote)
             .in_context()
-            .detail_with(|| format!("group={} dropped replica={replica}", self.group))
+            .detail_fmt(format_args!(
+                "group={} dropped replica={replica}",
+                self.group
+            ))
             .emit();
         bus::counter_add("transparency.replica_drops", 1);
         Ok(())
@@ -458,14 +468,12 @@ impl ReplicatedService {
         event(Layer::Transparency, EventKind::ReplicaUpdate)
             .span(span)
             .parent_from_context()
-            .detail_with(|| {
-                format!(
-                    "group={} epoch={} seq={seq} k={k} fanout={}",
-                    self.group.raw(),
-                    self.epoch,
-                    view.members.len()
-                )
-            })
+            .detail_fmt(format_args!(
+                "group={} epoch={} seq={seq} k={k} fanout={}",
+                self.group.raw(),
+                self.epoch,
+                view.members.len()
+            ))
             .emit();
         bus::counter_add("transparency.replica_updates", 1);
         let args = Value::record([
@@ -496,7 +504,7 @@ impl ReplicatedService {
                     acks += 1;
                     event(Layer::Transparency, EventKind::ReplicaVote)
                         .span(span)
-                        .detail_with(|| format!("replica={} acked seq={seq}", replica.raw()))
+                        .detail_fmt(format_args!("replica={} acked seq={seq}", replica.raw()))
                         .emit();
                 }
                 Ok(t) if t.name == rmodp_engineering::behaviour::FENCED => {
@@ -510,13 +518,11 @@ impl ReplicatedService {
             bus::counter_add("replication.fenced_writes", 1);
             event(Layer::Transparency, EventKind::FencedWrite)
                 .span(span)
-                .detail_with(|| {
-                    format!(
-                        "group={} epoch={} newer={newer} seq={seq}",
-                        self.group.raw(),
-                        self.epoch
-                    )
-                })
+                .detail_fmt(format_args!(
+                    "group={} epoch={} newer={newer} seq={seq}",
+                    self.group.raw(),
+                    self.epoch
+                ))
                 .emit();
             return Err(ReplicationError::Fenced {
                 epoch: self.epoch,
@@ -535,13 +541,11 @@ impl ReplicatedService {
         bus::counter_add("replication.quorum_commits", 1);
         event(Layer::Transparency, EventKind::QuorumCommit)
             .span(span)
-            .detail_with(|| {
-                format!(
-                    "group={} epoch={} seq={seq} acks={acks}",
-                    self.group.raw(),
-                    self.epoch
-                )
-            })
+            .detail_fmt(format_args!(
+                "group={} epoch={} seq={seq} acks={acks}",
+                self.group.raw(),
+                self.epoch
+            ))
             .emit();
         let commit_args = Value::record([
             ("epoch", Value::Int(self.epoch as i64)),
@@ -585,13 +589,11 @@ impl ReplicatedService {
             bus::counter_add("replication.fenced_writes", 1);
             event(Layer::Transparency, EventKind::FencedWrite)
                 .in_context()
-                .detail_with(|| {
-                    format!(
-                        "group={} epoch={} newer={replica_epoch} read",
-                        self.group.raw(),
-                        self.epoch
-                    )
-                })
+                .detail_fmt(format_args!(
+                    "group={} epoch={} newer={replica_epoch} read",
+                    self.group.raw(),
+                    self.epoch
+                ))
                 .emit();
             return Err(ReplicationError::Fenced {
                 epoch: self.epoch,
@@ -601,16 +603,14 @@ impl ReplicatedService {
         bus::counter_add("transparency.replica_reads", 1);
         event(Layer::Transparency, EventKind::ReplicaRead)
             .in_context()
-            .detail_with(|| {
-                format!(
-                    "group={} epoch={} commit={} n={} replica={}",
-                    self.group.raw(),
-                    self.epoch,
-                    Self::ack_field(&t, "commit"),
-                    Self::ack_field(&t, "n"),
-                    leader.raw()
-                )
-            })
+            .detail_fmt(format_args!(
+                "group={} epoch={} commit={} n={} replica={}",
+                self.group.raw(),
+                self.epoch,
+                Self::ack_field(&t, "commit"),
+                Self::ack_field(&t, "n"),
+                leader.raw()
+            ))
             .emit();
         Ok(t)
     }
@@ -648,13 +648,11 @@ impl ReplicatedService {
         event(Layer::Transparency, EventKind::Note)
             .span(span)
             .parent_from_context()
-            .detail_with(|| {
-                format!(
-                    "election group={} epoch={epoch} roster={}",
-                    self.group.raw(),
-                    view.members.len()
-                )
-            })
+            .detail_fmt(format_args!(
+                "election group={} epoch={epoch} roster={}",
+                self.group.raw(),
+                view.members.len()
+            ))
             .emit();
         bus::push_context(span);
         let ballot = Value::record([("epoch", Value::Int(epoch as i64))]);

@@ -112,7 +112,7 @@ pub fn in_transaction<T>(
                 rm.commit(tx).map_err(TxError::Resource)?;
                 event(Layer::Transparency, EventKind::TxCommit)
                     .in_context()
-                    .detail_with(|| format!("tx={tx} attempts={attempts}"))
+                    .detail_fmt(format_args!("tx={tx} attempts={attempts}"))
                     .emit();
                 bus::counter_add("transparency.tx_commits", 1);
                 return Ok(out);
@@ -125,7 +125,7 @@ pub fn in_transaction<T>(
                 let _ = rm.abort(tx);
                 event(Layer::Transparency, EventKind::TxAbort)
                     .in_context()
-                    .detail_with(|| format!("tx={tx} attempt={attempts}: {app_err}"))
+                    .detail_fmt(format_args!("tx={tx} attempt={attempts}: {app_err}"))
                     .emit();
                 bus::counter_add("transparency.tx_aborts", 1);
                 if was_deadlock && attempts < max_attempts {

@@ -59,13 +59,16 @@ const SRC: &[&str] = &["crates/*/src", "src"];
 
 const RULES: &[Rule] = &[
     Rule {
-        name: "event details are closures",
-        why: "`.detail(format!(…))` and `.record(…, format!(…))` build their text whether or \
-              not anyone records it: use `.detail_with(|| format!(…))` / a closure argument \
-              (DESIGN.md, \"Observability\")",
+        name: "event details are format arguments",
+        why: "formatted event text has one way in, `.detail_fmt(format_args!(…))`, which the \
+              bus formats only for an event it keeps; `.detail(format!(…))` builds it whether \
+              or not anyone records it, and so does `.record(…, format!(…))`: pass a closure \
+              there (DESIGN.md, \"Observability\")",
         roots: SRC,
         patterns: &[
             Literal(".detail(format!"),
+            Literal(".detail(&format!"),
+            Literal(".detail_with("),
             EagerArgument {
                 open: ".record(",
                 then: "format!",
