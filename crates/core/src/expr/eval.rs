@@ -163,43 +163,10 @@ fn mismatch(context: &str, got: &Value) -> EvalError {
 fn apply_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
     use BinOp::*;
     match op {
-        Add => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_add(*y))),
-            (Value::Text(x), Value::Text(y)) => Ok(Value::Text([x.as_str(), y].concat())),
-            (Value::Seq(x), Value::Seq(y)) => Ok(Value::Seq([x.as_slice(), y].concat())),
-            _ => numeric(op, a, b, |a, b| a + b),
-        },
-        Sub => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_sub(*y))),
-            _ => numeric(op, a, b, |a, b| a - b),
-        },
-        Mul => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_mul(*y))),
-            _ => numeric(op, a, b, |a, b| a * b),
-        },
-        Div => match (a, b) {
-            (Value::Int(_), Value::Int(0)) => Err(EvalError::DivideByZero),
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_div(*y))),
-            _ => numeric(op, a, b, |a, b| a / b),
-        },
-        Rem => match (a, b) {
-            (Value::Int(_), Value::Int(0)) => Err(EvalError::DivideByZero),
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_rem(*y))),
-            _ => numeric(op, a, b, |a, b| a % b),
-        },
-        Eq => Ok(Value::Bool(loose_eq(a, b))),
-        Ne => Ok(Value::Bool(!loose_eq(a, b))),
-        Lt | Le | Gt | Ge => {
-            let ord = compare(op, a, b)?;
-            let pass = match op {
-                Lt => ord == std::cmp::Ordering::Less,
-                Le => ord != std::cmp::Ordering::Greater,
-                Gt => ord == std::cmp::Ordering::Greater,
-                Ge => ord != std::cmp::Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(pass))
-        }
+        Add | Sub | Mul | Div | Rem => arithmetic(op, a, b).map_err(|f| f.error(op, a, b)),
+        Eq | Ne | Lt | Le | Gt | Ge => comparison(op, a, b)
+            .map(Value::Bool)
+            .map_err(|f| f.error(op, a, b)),
         In => match b {
             Value::Seq(items) => Ok(Value::Bool(items.iter().any(|v| loose_eq(v, a)))),
             Value::Text(hay) => match a {
@@ -212,19 +179,83 @@ fn apply_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
     }
 }
 
-fn numeric(
-    op: BinOp,
-    a: &Value,
-    b: &Value,
-    f: impl Fn(f64, f64) -> f64,
-) -> Result<Value, EvalError> {
-    match (a.as_float(), b.as_float()) {
-        (Some(x), Some(y)) => Ok(Value::Float(f(x, y))),
-        _ => Err(EvalError::TypeMismatch {
-            context: format!("operator {}", op.symbol()),
-            got: format!("{} and {}", a.kind(), b.kind()),
-        }),
+/// Why an arithmetic step or a comparison has no result. It carries no
+/// text: the tree walker renders it into an [`EvalError`] with
+/// [`Fault::error`], a compiled predicate only needs to know it failed.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Fault {
+    /// The operand kinds do not fit the operator.
+    Kinds,
+    /// A float comparison met NaN.
+    NaN,
+    /// Integer division or remainder by zero.
+    DivideByZero,
+}
+
+impl Fault {
+    fn error(self, op: BinOp, a: &Value, b: &Value) -> EvalError {
+        let context = || format!("operator {}", op.symbol());
+        match self {
+            Fault::DivideByZero => EvalError::DivideByZero,
+            Fault::NaN => EvalError::TypeMismatch {
+                context: context(),
+                got: "NaN".to_owned(),
+            },
+            Fault::Kinds => EvalError::TypeMismatch {
+                context: context(),
+                got: format!("{} and {}", a.kind(), b.kind()),
+            },
+        }
     }
+}
+
+/// `a op b` for `+ - * / %`: wrapping on two ints, concatenation of two
+/// texts or two sequences under `+`, otherwise widened to float.
+pub(super) fn arithmetic(op: BinOp, a: &Value, b: &Value) -> Result<Value, Fault> {
+    use BinOp::*;
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        let (x, y) = (*x, *y);
+        return match op {
+            Div | Rem if y == 0 => Err(Fault::DivideByZero),
+            Add => Ok(Value::Int(x.wrapping_add(y))),
+            Sub => Ok(Value::Int(x.wrapping_sub(y))),
+            Mul => Ok(Value::Int(x.wrapping_mul(y))),
+            Div => Ok(Value::Int(x.wrapping_div(y))),
+            Rem => Ok(Value::Int(x.wrapping_rem(y))),
+            _ => unreachable!("not an arithmetic operator: {op:?}"),
+        };
+    }
+    match (op, a, b) {
+        (Add, Value::Text(x), Value::Text(y)) => return Ok(Value::Text([x.as_str(), y].concat())),
+        (Add, Value::Seq(x), Value::Seq(y)) => return Ok(Value::Seq([x.as_slice(), y].concat())),
+        _ => {}
+    }
+    let (Some(x), Some(y)) = (a.as_float(), b.as_float()) else {
+        return Err(Fault::Kinds);
+    };
+    Ok(Value::Float(match op {
+        Add => x + y,
+        Sub => x - y,
+        Mul => x * y,
+        Div => x / y,
+        Rem => x % y,
+        _ => unreachable!("not an arithmetic operator: {op:?}"),
+    }))
+}
+
+/// `a op b` for `== != < <= > >=`.
+pub(super) fn comparison(op: BinOp, a: &Value, b: &Value) -> Result<bool, Fault> {
+    use std::cmp::Ordering::{Greater, Less};
+    use BinOp::*;
+    Ok(match op {
+        Eq => loose_eq(a, b),
+        Ne => !loose_eq(a, b),
+        Lt => compare(a, b)? == Less,
+        Le => compare(a, b)? != Greater,
+        Gt => compare(a, b)? == Greater,
+        Ge => compare(a, b)? != Less,
+        _ => unreachable!("not a comparison operator: {op:?}"),
+    })
 }
 
 /// Equality with Int/Float unification (`1 == 1.0` is true).
@@ -235,19 +266,13 @@ fn loose_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn compare(op: BinOp, a: &Value, b: &Value) -> Result<std::cmp::Ordering, EvalError> {
+fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering, Fault> {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => Ok(x.cmp(y)),
         (Value::Text(x), Value::Text(y)) => Ok(x.cmp(y)),
         _ => match (a.as_float(), b.as_float()) {
-            (Some(x), Some(y)) => x.partial_cmp(&y).ok_or_else(|| EvalError::TypeMismatch {
-                context: format!("operator {}", op.symbol()),
-                got: "NaN".to_owned(),
-            }),
-            _ => Err(EvalError::TypeMismatch {
-                context: format!("operator {}", op.symbol()),
-                got: format!("{} and {}", a.kind(), b.kind()),
-            }),
+            (Some(x), Some(y)) => x.partial_cmp(&y).ok_or(Fault::NaN),
+            _ => Err(Fault::Kinds),
         },
     }
 }
@@ -305,7 +330,8 @@ fn call<'a>(name: &str, args: &'a [Expr], env: &'a dyn Env) -> Result<Cow<'a, Va
         "min" | "max" => {
             arity(2)?;
             let take_first = {
-                let ord = compare(BinOp::Lt, &vals[0], &vals[1])?;
+                let (a, b) = (&*vals[0], &*vals[1]);
+                let ord = compare(a, b).map_err(|f| f.error(BinOp::Lt, a, b))?;
                 if name == "min" {
                     ord != std::cmp::Ordering::Greater
                 } else {

@@ -11,7 +11,10 @@
 //!
 //! The pipeline is conventional: lex → [`parse`](Expr::parse)
 //! → [`eval`](Expr::eval) with optional static [`infer`](Expr::infer)ence
-//! against a record [`DataType`](crate::dtype::DataType).
+//! against a record [`DataType`](crate::dtype::DataType). An expression
+//! evaluated against many environments — a trader import's constraint
+//! over every candidate offer — is compiled once into a [`Predicate`] or
+//! [`Term`] that agrees with the evaluator and skips its per-node work.
 //!
 //! # Grammar
 //!
@@ -28,6 +31,7 @@
 //! ```
 
 mod analyze;
+mod compile;
 mod eval;
 mod infer;
 mod parser;
@@ -39,6 +43,7 @@ use std::fmt;
 use crate::value::Value;
 
 pub use analyze::{Atom, Comparison};
+pub use compile::{Predicate, Term};
 pub use eval::{Env, EvalError};
 pub use infer::InferError;
 pub use parser::ParseError;

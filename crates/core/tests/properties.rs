@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use rmodp_core::codec::{BinarySyntax, TextSyntax, TransferSyntax};
 use rmodp_core::dtype::DataType;
-use rmodp_core::expr::{BinOp, Expr, Scope, UnOp};
+use rmodp_core::expr::{BinOp, Expr, Predicate, Scope, Term, UnOp};
 use rmodp_core::naming::{BindingTarget, Name, NamingContext};
 use rmodp_core::value::{Record, Value};
 
@@ -186,6 +186,17 @@ proptest! {
         prop_assert_eq!(format!("{:?}", e.eval(&scope)), rendered, "scope: {}", e);
         // `eval_bool` is `eval` plus the result check.
         let as_bool = e.eval_bool(&record);
+        // Compiled once, the expression agrees with the walker: the
+        // predicate holds iff `eval_bool` is `Ok(true)` (and then binds
+        // every variable it claims to require), the term is `eval(..)`.
+        let predicate = Predicate::compile(&e);
+        let holds = predicate.holds(&record);
+        prop_assert_eq!(holds, as_bool == Ok(true), "predicate: {}", e);
+        for path in e.variables().iter().filter(|p| holds && predicate.requires(p)) {
+            prop_assert!(record.path(path).is_some(), "{} requires {:?}", e, path);
+        }
+        let term = Term::compile(&e).value(&record).map(|v| v.into_owned());
+        prop_assert_eq!(format!("{term:?}"), format!("{:?}", by_record.as_ref().ok()), "term: {}", e);
         match by_record {
             Ok(Value::Bool(b)) => prop_assert_eq!(as_bool, Ok(b)),
             Ok(_) => prop_assert!(as_bool.is_err(), "{}", e),

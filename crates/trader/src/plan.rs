@@ -16,13 +16,14 @@
 //!    that, re-checking them per candidate (which the residual does
 //!    anyway) is cheaper than materialising them.
 //! 3. **Intersection.** Posting lists are ascending `OfferId` slices: a
-//!    path of one list is used as it lies, one of several is merged into
-//!    one run. The runs are merge-intersected, yielding candidates in
-//!    ascending id order — the same order the naive scan visits
-//!    offers, which is what keeps planned matching byte-identical.
+//!    lone path of one list is the candidates as it lies. A path of
+//!    several lists, or a second path, sets bits in a word map over the
+//!    id span of the lists involved; maps are ANDed and the set bits read
+//!    back ascending — the same order the naive scan visits offers,
+//!    which is what keeps planned matching byte-identical.
 //! 4. **Residual filter** (performed by the caller, `Trader::import`):
-//!    the *full* original constraint is re-evaluated on every
-//!    candidate. Index lookups are deliberately over-approximate
+//!    the *full* original constraint, compiled once, is re-evaluated on
+//!    every candidate. Index lookups are deliberately over-approximate
 //!    (inclusive bounds at float boundaries, lossy `i64→f64` key
 //!    unification), so the residual is what makes the planner exactly
 //!    — not just approximately — equivalent to the scan.
@@ -32,7 +33,6 @@
 //! type-bucket union alone, which degenerates to the original full
 //! scan restricted to type-conformant offers.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Bound;
@@ -206,7 +206,14 @@ fn atom_postings<'a>(
                             let key = PropKey::of(&c.rhs)?;
                             let (num_lo, num_hi) = PropKey::num_band();
                             let (lo, hi) = if upper { (num_lo, key) } else { (key, num_hi) };
-                            index.range_postings(Bound::Included(&lo), Bound::Included(&hi))
+                            // A NaN literal's key sorts above the band, so
+                            // `> NaN` / `>= NaN` bounds cross: no offer
+                            // compares with NaN, the atom matches nothing.
+                            if lo > hi {
+                                Vec::new()
+                            } else {
+                                index.range_postings(Bound::Included(&lo), Bound::Included(&hi))
+                            }
                         }
                         Value::Text(s) => {
                             let key = PropKey::Text(s.clone());
@@ -244,39 +251,92 @@ fn atom_postings<'a>(
     }
 }
 
-/// Pairwise disjoint posting lists (distinct keys of one index, or
-/// distinct type buckets) as one ascending id run. Every list is
-/// ascending already: one list is the run as it lies, several are
-/// concatenated and merged by the stable sort, which finds the ascending
-/// runs instead of sorting from scratch.
-fn materialise<'a>(postings: &[&'a [OfferId]]) -> Cow<'a, [OfferId]> {
-    if let [one] = postings {
-        return Cow::Borrowed(one);
-    }
-    let mut ids = Vec::with_capacity(postings.iter().map(|s| s.len()).sum());
-    for list in postings {
-        ids.extend_from_slice(list);
-    }
-    ids.sort();
-    Cow::Owned(ids)
+/// The candidate ids of the paths combined so far. A path of one posting
+/// list is that list as it lies. A path of several lists (distinct keys
+/// of one index, or distinct type buckets: pairwise disjoint), or a
+/// second path to intersect, becomes a word map over the id span of the
+/// lists involved — bit `i` of word `w` is id `lo + 64·w + i`: setting
+/// the bits orders the union, ANDing two maps intersects them, and the
+/// set bits read back ascending, in time linear in the ids and the
+/// span's words.
+enum Candidates<'a> {
+    List(&'a [OfferId]),
+    Map { lo: u64, words: Vec<u64> },
 }
 
-/// Merge-intersects two ascending runs.
-fn intersect(a: &[OfferId], b: &[OfferId]) -> Vec<OfferId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+impl<'a> Candidates<'a> {
+    /// One path's candidates.
+    fn of(lists: &[&'a [OfferId]]) -> Self {
+        match lists {
+            [one] => Candidates::List(one),
+            _ => Candidates::map(lists),
         }
     }
-    out
+
+    /// A word map spanning the lists' smallest id to their largest.
+    fn map(lists: &[&[OfferId]]) -> Self {
+        let lo = lists.iter().filter_map(|l| l.first()).min();
+        let hi = lists.iter().filter_map(|l| l.last()).max();
+        let (Some(lo), Some(hi)) = (lo, hi) else {
+            return Candidates::List(&[]);
+        };
+        let (lo, span) = (lo.raw(), hi.raw() - lo.raw());
+        let len = usize::try_from(span / 64 + 1).expect("posted ids are slab slots");
+        let mut words = vec![0; len];
+        mark(&mut words, lo, lists);
+        Candidates::Map { lo, words }
+    }
+
+    fn is_empty(&self) -> bool {
+        match self {
+            Candidates::List(ids) => ids.is_empty(),
+            Candidates::Map { words, .. } => words.iter().all(|w| *w == 0),
+        }
+    }
+
+    /// Keeps the candidates some list of a further path also holds.
+    fn intersect(&mut self, lists: &[&[OfferId]]) {
+        if let Candidates::List(ids) = *self {
+            *self = Candidates::map(&[ids]);
+        }
+        let Candidates::Map { lo, words } = self else {
+            return; // no candidates: nothing to keep
+        };
+        let mut other = vec![0; words.len()];
+        mark(&mut other, *lo, lists);
+        for (word, also) in words.iter_mut().zip(other) {
+            *word &= also;
+        }
+    }
+
+    /// The candidates, ascending.
+    fn into_ids(self) -> Vec<OfferId> {
+        let (lo, words) = match self {
+            Candidates::List(ids) => return ids.to_vec(),
+            Candidates::Map { lo, words } => (lo, words),
+        };
+        let count = words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut ids = Vec::with_capacity(count);
+        for (w, mut word) in (0u64..).zip(words) {
+            while word != 0 {
+                ids.push(OfferId::new(lo + 64 * w + u64::from(word.trailing_zeros())));
+                word &= word - 1;
+            }
+        }
+        ids
+    }
+}
+
+/// Sets the bit of every listed id that falls inside the map's span.
+fn mark(words: &mut [u64], lo: u64, lists: &[&[OfferId]]) {
+    for id in lists.iter().flat_map(|l| l.iter()) {
+        let Some(at) = id.raw().checked_sub(lo) else {
+            continue;
+        };
+        if let Some(word) = usize::try_from(at / 64).ok().and_then(|w| words.get_mut(w)) {
+            *word |= 1 << (at % 64);
+        }
+    }
 }
 
 /// Compiles and executes the candidate-producing half of an import.
@@ -329,27 +389,21 @@ pub fn plan_import(
             .iter()
             .filter_map(|t| store.type_postings(t))
             .collect();
-        materialise(&buckets)
+        Candidates::of(&buckets)
     } else {
-        let driver_count = paths[0].count;
-        let mut current: Option<Cow<'_, [OfferId]>> = None;
-        for path in &mut paths {
-            let within_budget = path.count <= driver_count.saturating_mul(INTERSECT_FACTOR);
-            match &mut current {
-                None => {
-                    path.step.used = true;
-                    current = Some(materialise(&path.postings));
-                }
-                Some(ids) if within_budget && !ids.is_empty() => {
-                    path.step.used = true;
-                    *ids = Cow::Owned(intersect(ids, &materialise(&path.postings)));
-                }
-                Some(_) => {} // residual filter re-checks this atom
+        let budget = paths[0].count.saturating_mul(INTERSECT_FACTOR);
+        paths[0].step.used = true;
+        let mut combined = Candidates::of(&paths[0].postings);
+        for path in &mut paths[1..] {
+            // Past the budget the residual filter re-checks this atom.
+            if path.count <= budget && !combined.is_empty() {
+                path.step.used = true;
+                combined.intersect(&path.postings);
             }
         }
-        current.unwrap_or_default()
+        combined
     }
-    .into_owned();
+    .into_ids();
 
     let plan = QueryPlan {
         service_type: request.service_type.clone(),
@@ -431,13 +485,103 @@ mod tests {
             .iter()
             .map(|t| s.type_postings(t).unwrap())
             .collect();
-        for sets in [&one, &several, &buckets] {
-            let ids = materialise(sets);
+        // Lists at the top of a sparse id space: the map spans the lists,
+        // two words here, not the ids below them.
+        let ids = |raw: &[u64]| raw.iter().map(|&r| OfferId::new(r)).collect::<Vec<_>>();
+        let (top, below) = (
+            ids(&[u64::MAX - 70, u64::MAX - 3]),
+            ids(&[u64::MAX - 64, u64::MAX]),
+        );
+        let sparse = vec![top.as_slice(), below.as_slice(), &[]];
+        for sets in [&one, &several, &buckets, &sparse] {
+            let ids = Candidates::of(sets).into_ids();
             assert!(ids.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(ids.as_ref(), sorted_concat(sets));
+            assert_eq!(ids, sorted_concat(sets));
         }
-        assert_eq!(materialise(&buckets).len(), 100);
-        assert!(materialise(&[]).is_empty());
+        assert!(
+            matches!(Candidates::of(&sparse), Candidates::Map { words, .. } if words.len() == 2)
+        );
+        assert!(matches!(Candidates::of(&one), Candidates::List(_)));
+        assert_eq!(Candidates::of(&buckets).into_ids().len(), 100);
+        assert!(Candidates::of(&[]).into_ids().is_empty());
+        assert!(Candidates::of(&[&[], &[]]).is_empty());
+    }
+
+    proptest::proptest! {
+        /// Combining paths — the first path's lists, then each further
+        /// path's, ANDed in — is the intersection of the paths' unions,
+        /// ascending, however the lists split and wherever the ids sit.
+        #[test]
+        fn combined_paths_are_the_intersection_of_their_unions(
+            base in proptest::prop_oneof![
+                proptest::prelude::Just(0u64),
+                proptest::prelude::Just(1 << 40),
+                proptest::prelude::Just(u64::MAX - 300),
+            ],
+            paths in proptest::collection::vec(
+                (proptest::collection::vec(0u64..300, 0..60), 1u64..4),
+                1..4,
+            ),
+        ) {
+            // A path: disjoint ascending lists, id `n` in list `n % lists`.
+            let paths: Vec<Vec<Vec<OfferId>>> = paths
+                .iter()
+                .map(|(ids, lists)| {
+                    let ids: BTreeSet<u64> = ids.iter().copied().collect();
+                    (0..*lists)
+                        .map(|l| {
+                            let mine = ids.iter().filter(|&&n| n % lists == l);
+                            mine.map(|n| OfferId::new(base + n)).collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            let lists: Vec<Vec<&[OfferId]>> = paths
+                .iter()
+                .map(|p| p.iter().map(Vec::as_slice).collect())
+                .collect();
+            let mut combined = Candidates::of(&lists[0]);
+            for path in &lists[1..] {
+                combined.intersect(path);
+            }
+            let union = |p: &Vec<Vec<OfferId>>| -> BTreeSet<OfferId> {
+                p.iter().flatten().copied().collect()
+            };
+            let mut model = union(&paths[0]);
+            for path in &paths[1..] {
+                model = model.intersection(&union(path)).copied().collect();
+            }
+            proptest::prop_assert_eq!(combined.into_ids(), model.into_iter().collect::<Vec<_>>());
+        }
+    }
+
+    /// Withdrawn offers leave every posting list with their slot: no
+    /// plan — fallback, one list, a range of several, an intersection —
+    /// names one.
+    #[test]
+    fn a_withdrawn_offer_is_never_a_candidate() {
+        let mut s = store();
+        for id in (3..=100).step_by(7) {
+            s.remove(OfferId::new(id)).unwrap();
+        }
+        let live = |keep: &dyn Fn(&ServiceOffer) -> bool| -> Vec<OfferId> {
+            s.iter().filter(|o| keep(o)).map(|o| o.id).collect()
+        };
+        let ppm = |o: &ServiceOffer| o.properties.field("ppm").and_then(Value::as_int);
+        let bne = |o: &ServiceOffer| o.properties.field("region") == Some(&Value::text("bne"));
+        for (constraint, expected) in [
+            ("ppm + 0 >= 0", live(&|o| o.service_type == "Printer")),
+            ("ppm < 1000", live(&|_| true)),
+            ("ppm == 30", live(&|o| ppm(o) == Some(30))),
+            ("ppm >= 40", live(&|o| ppm(o) >= Some(40))),
+            (
+                "ppm >= 40 and region == \"bne\"",
+                live(&|o| ppm(o) >= Some(40) && bne(o)),
+            ),
+        ] {
+            let planned = plan_import(&s, &req(constraint), None);
+            assert_eq!(planned.candidates, expected, "{constraint}");
+        }
     }
 
     #[test]

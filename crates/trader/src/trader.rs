@@ -3,18 +3,19 @@
 //!
 //! Imports no longer scan every offer: [`Trader::import`] compiles the
 //! request through [`crate::plan::plan_import`] against the trader's
-//! [`OfferStore`] and only evaluates the constraint on the plan's
-//! candidates. [`Trader::import_scan`] keeps the original full scan —
-//! it is the executable specification the planner is tested against
-//! (see `tests/plan_equivalence.rs`) and the baseline `trader_bench`
-//! measures.
+//! [`OfferStore`] and only evaluates the constraint — compiled once per
+//! import — on the plan's candidates. [`Trader::import_scan`] keeps the
+//! original full scan on the tree walker — it is the executable
+//! specification the planner and the compiled residual are tested
+//! against (see `tests/plan_equivalence.rs`) and the baseline
+//! `trader_bench` measures.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use rmodp_core::expr::{Expr, ParseError};
+use rmodp_core::expr::{Expr, ParseError, Predicate, Term};
 use rmodp_core::id::{IdGen, InterfaceId, OfferId};
 use rmodp_core::value::Value;
 use rmodp_typerepo::TypeRepository;
@@ -234,10 +235,9 @@ pub(crate) fn first_per_holder(found: &[Match]) -> Vec<Match> {
         .collect()
 }
 
-/// The per-offer residual: constraint-variable binding, constraint
-/// evaluation, preference scoring. Identical between the planned path
-/// and the reference scan — that sharing is half of the equivalence
-/// argument (the other half is candidate ordering; see DESIGN.md).
+/// The per-offer residual on the tree walker: constraint-variable
+/// binding, constraint evaluation, preference scoring. It is the
+/// reference scan's, and the specification [`Residual`] is held to.
 ///
 /// Offers whose properties do not bind every constraint variable, or on
 /// which an expression fails to evaluate, simply do not match — a
@@ -266,6 +266,59 @@ fn residual_match(
         offer: Arc::clone(offer),
         score,
     })
+}
+
+/// [`residual_match`] compiled once per import: the same offers match
+/// with the same scores. The constraint is a [`Predicate`], which holds
+/// exactly when the walker returns `Ok(true)`; `binds` is asked only
+/// about the variables the predicate does not itself require (those
+/// reached only through an `or`'s right operand or a call such as
+/// `exists(x)`), since a predicate that holds has bound the rest; the
+/// preference is a [`Term`].
+struct Residual<'r> {
+    constraint: Option<Predicate<'r>>,
+    unrequired: Vec<Vec<String>>,
+    score: Option<Term<'r>>,
+}
+
+impl<'r> Residual<'r> {
+    fn compile(request: &'r ImportRequest) -> Self {
+        let (constraint, unrequired) = match &request.constraint {
+            Some(expr) => {
+                let predicate = Predicate::compile(expr);
+                let mut vars = expr.variables();
+                vars.retain(|path| !predicate.requires(path));
+                (Some(predicate), vars)
+            }
+            None => (None, Vec::new()),
+        };
+        let score = match &request.preference {
+            Preference::FirstFound => None,
+            Preference::Max(e) | Preference::Min(e) => Some(Term::compile(e)),
+        };
+        Self {
+            constraint,
+            unrequired,
+            score,
+        }
+    }
+
+    fn matches(&self, offer: &Arc<ServiceOffer>) -> Option<Match> {
+        let properties = &offer.properties;
+        if !self.constraint.as_ref().is_none_or(|p| p.holds(properties))
+            || !offer.binds(&self.unrequired)
+        {
+            return None;
+        }
+        let score = match &self.score {
+            None => 0.0,
+            Some(term) => term.value(properties)?.as_float()?,
+        };
+        Some(Match {
+            offer: Arc::clone(offer),
+            score,
+        })
+    }
 }
 
 /// A trader: an indexed repository of service offers with type-safe,
@@ -499,7 +552,8 @@ impl Trader {
     /// cardinality bound.
     ///
     /// The request is compiled into an index-backed query plan first;
-    /// only the plan's candidates reach constraint evaluation, and a
+    /// only the plan's candidates reach the residual (the constraint and
+    /// preference, compiled once for the whole import), and a
     /// [`Preference::FirstFound`] request stops at its `max_matches`-th
     /// match. The result — members *and* ordering — is identical to
     /// [`Self::import_scan`]. The plan is traced as a span
@@ -527,11 +581,7 @@ impl Trader {
             .emit();
         bus::push_context(span);
 
-        let constraint_vars = request
-            .constraint
-            .as_ref()
-            .map(|c| c.variables())
-            .unwrap_or_default();
+        let residual = Residual::compile(request);
         // Only an unordered request's matches are final as they are found.
         let unordered = matches!(request.preference, Preference::FirstFound);
         let mut matches: Vec<Match> = Vec::new();
@@ -550,7 +600,7 @@ impl Trader {
             if !planned.plan.fallback && !planned.matched_types.contains(&offer.service_type) {
                 continue;
             }
-            if let Some(m) = residual_match(offer, request, &constraint_vars) {
+            if let Some(m) = residual.matches(offer) {
                 matches.push(m);
             }
         }
@@ -887,6 +937,25 @@ mod tests {
         // An ordered request has to see every candidate before it cuts.
         let best = fast.prefer_max("ppm").unwrap().at_most(4);
         assert_eq!(examined(&mut t, &best), (4, 20));
+    }
+
+    #[test]
+    fn a_nan_range_literal_matches_nothing() {
+        use rmodp_core::expr::BinOp;
+        let mut t = printer_trader();
+        t.index_property("ppm", IndexKind::Ordered);
+        // Built directly: the parser has no NaN literal, a caller can.
+        for op in [BinOp::Gt, BinOp::Ge, BinOp::Lt, BinOp::Le] {
+            let nan = Expr::Binary(
+                op,
+                Box::new(Expr::var("ppm")),
+                Box::new(Expr::lit(f64::NAN)),
+            );
+            let mut request = ImportRequest::new("Printer");
+            request.constraint = Some(nan);
+            assert_eq!(t.import(&request, None), [], "{op:?}");
+            assert_eq!(t.import_scan(&request, None), [], "{op:?}");
+        }
     }
 
     #[test]

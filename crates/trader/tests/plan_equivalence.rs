@@ -8,7 +8,9 @@
 //! executable: candidates are produced in ascending offer-id order (the
 //! scan's visiting order) and the residual filter re-evaluates the full
 //! constraint, so indexes can only skip non-matches, never reorder or
-//! drop matches.
+//! drop matches. The planned import runs the residual compiled once per
+//! import while the scan walks the expression tree, so every case is
+//! also a compiled-versus-walker differential test.
 
 use proptest::prelude::*;
 
@@ -76,9 +78,25 @@ fn arb_constraint() -> impl Strategy<Value = String> {
         Just("region in [\"bne\", \"mel\"]".to_owned()),
         // Planner-opaque shapes: must fall back, still agree.
         threshold.clone().prop_map(|t| format!("ppm + 0 >= {t}")),
-        threshold.prop_map(|t| format!("ppm >= {t} or colour == true")),
+        threshold
+            .clone()
+            .prop_map(|t| format!("ppm >= {t} or colour == true")),
         Just("not (colour == true)".to_owned()),
         Just("ppm != 50".to_owned()),
+        // Shapes that reach each node of the compiled residual: a
+        // flipped literal, arithmetic, `or` (whose right operand binds
+        // must still check), `not` over `or`, and a walker leaf.
+        threshold.clone().prop_map(|t| format!("{t} <= ppm")),
+        threshold
+            .clone()
+            .prop_map(|t| format!("ppm * 2 - 1 >= {t}")),
+        threshold
+            .clone()
+            .prop_map(|t| format!("ppm >= {t} or ghost > 0")),
+        threshold
+            .clone()
+            .prop_map(|t| format!("not (ppm >= {t} or colour == true)")),
+        threshold.prop_map(|t| format!("exists(ghost) or ppm >= {t}")),
         // Type-error-on-some-offers shape: ordering floor (sometimes
         // absent) — absent kills the match via binds().
         Just("floor >= 2".to_owned()),
@@ -163,15 +181,17 @@ proptest! {
         constraint in arb_constraint(),
         indexes in arb_indexes(),
         limit in 1usize..6,
-        maximise in any::<bool>(),
+        preference in 0usize..3,
     ) {
         let mut t = trader_with(&offers, &indexes);
         let base = ImportRequest::new("Printer").constraint(&constraint).unwrap();
-        let request = if maximise {
-            base.prefer_max("ppm").unwrap()
-        } else {
-            base.prefer_min("ppm").unwrap()
+        // The last scores arithmetic over a sometimes-absent property.
+        let request = match preference {
+            0 => base.prefer_max("ppm"),
+            1 => base.prefer_min("ppm"),
+            _ => base.prefer_max("ppm + floor"),
         }
+        .unwrap()
         .at_most(limit);
         let planned = t.import(&request, None);
         let scanned = t.import_scan(&request, None);

@@ -19,6 +19,9 @@ enum Pattern {
         open: &'static str,
         then: &'static str,
     },
+    /// The line calls the function of this name: `name(` appears, and not
+    /// as its definition `fn name(`.
+    Call(&'static str),
 }
 
 impl Pattern {
@@ -29,6 +32,9 @@ impl Pattern {
                 let rest = &line[at + open.len()..];
                 rest.find(then)
                     .is_some_and(|end| !rest[..end].contains('|'))
+            }),
+            Pattern::Call(name) => line.match_indices(name).any(|(at, _)| {
+                line[at + name.len()..].starts_with('(') && !line[..at].ends_with("fn ")
             }),
         }
     }
@@ -53,7 +59,7 @@ struct Rule {
     copies: usize,
 }
 
-use Pattern::{EagerArgument, Literal};
+use Pattern::{Call, EagerArgument, Literal};
 
 const SRC: &[&str] = &["crates/*/src", "src"];
 
@@ -107,6 +113,18 @@ const RULES: &[Rule] = &[
         exempt: &[],
         above_tests_only: true,
         copies: 0,
+    },
+    Rule {
+        name: "the residual is compiled once",
+        why: "`Trader::import` runs the request compiled once (`Residual`, a \
+              `rmodp_core::expr::Predicate` and `Term`); the tree-walking `residual_match` is \
+              the reference scan's alone, called once, in `import_scan` (DESIGN.md, \"Trader at \
+              scale\")",
+        roots: &["crates/trader/src"],
+        patterns: &[Call("residual_match")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 1,
     },
     Rule {
         name: "one hash module",
@@ -435,6 +453,17 @@ fn an_eager_argument_is_text_formatted_outside_a_closure() {
         let s = format!(\"{x}\"); bus.record(kind, s);\n\
         a.record(k, || t); b.record(k, format!(\"{y}\"));\n";
     assert_eq!(offending_lines(&rule, text), vec![1, 5]);
+}
+
+#[test]
+fn a_call_is_not_the_definition() {
+    let rule = rule_with(&[Call("residual_match")], false);
+    let text = "\
+        fn residual_match(\n\
+        if let Some(m) = residual_match(offer, request) {}\n\
+        let f = residual_match;\n\
+        pub(crate) fn residual_match(o: &O) -> bool { o.residual_match(x) }\n";
+    assert_eq!(offending_lines(&rule, text), vec![2, 4]);
 }
 
 #[test]

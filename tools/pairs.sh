@@ -5,8 +5,10 @@
 # of one length; every workload is then run as N pairs of the driver's
 # command (BENCHMARK.json "command"), a process per run, alternating which
 # side goes first; and the runs' result lines are rendered as one table of
-# median (Q1-Q3) per side, the change of the median, and the pairs the
-# change won (a tie counts for neither side).
+# median (Q1-Q3) per side, the change of the median, the pairs the
+# change won (a tie counts for neither side), and whether a gain holds:
+# yes when the change won at least ceil(0.9 * pairs) pairs and its median
+# differs from the parent's by more than the parent's Q3 - Q1.
 #
 #   tools/pairs.sh <parent-rev> <change-rev> [--pairs N] [--seconds S]
 #       [--seed N] [--trace 0|1] [--quick] [--workload W]... [--dir D]
@@ -97,8 +99,8 @@ done
 echo "parent \`$parent_rev\`, change \`$change_rev\`: $pairs alternated pairs," \
     "\`--seed $seed --seconds $seconds --trace $trace ${quick[*]}\`"
 echo
-echo "| workload | metric | parent median (Q1–Q3) | change median (Q1–Q3) | Δ median | pairs won |"
-echo "|---|---|---|---|---|---|"
+echo "| workload | metric | parent median (Q1–Q3) | change median (Q1–Q3) | Δ median | pairs won | holds |"
+echo "|---|---|---|---|---|---|---|"
 awk -v pairs="$pairs" -v runs="$dir/runs" -v workloads="${workloads[*]}" '
     # BENCHMARK.json: one metric a line, in the order the table keeps.
     /"better"/ {
@@ -154,8 +156,13 @@ awk -v pairs="$pairs" -v runs="$dir/runs" -v workloads="${workloads[*]}" '
                 before = summary(a, pairs)
                 after = summary(b, pairs)
                 base = quantile(a, pairs, 0.5)
-                delta = base ? sprintf("%+.1f %%", 100 * (quantile(b, pairs, 0.5) - base) / base) : "–"
-                printf "| %s | %s | %s | %s | %s | %d/%d |\n", workload[w], name, before, after, delta, won, pairs
+                moved = quantile(b, pairs, 0.5) - base
+                delta = base ? sprintf("%+.1f %%", 100 * moved / base) : "–"
+                # The claim rule: ceil(0.9 * pairs) pairs won, and the
+                # medians further apart than the IQR of the parent runs.
+                iqr = quantile(a, pairs, 0.75) - quantile(a, pairs, 0.25)
+                holds = won >= int((9 * pairs + 9) / 10) && (moved < 0 ? -moved : moved) > iqr
+                printf "| %s | %s | %s | %s | %s | %d/%d | %s |\n", workload[w], name, before, after, delta, won, pairs, holds ? "yes" : "no"
             }
         }
     }
