@@ -62,24 +62,17 @@ impl BranchBehaviour {
         format!("acct{a}")
     }
 
-    /// Applies `f` to account `a`, read where it lies in `state`, and
-    /// puts what it answers in the account's place.
-    fn with_account(
-        state: &mut Value,
-        a: i64,
-        f: impl FnOnce(&Value) -> Result<Value, SchemaError>,
-    ) -> Termination {
+    /// Steps account `a` where it lies in `state` by `schema` with
+    /// amount `d`, checked against the account invariants.
+    fn with_account(state: &mut Value, a: i64, schema: &DynamicSchema, d: i64) -> Termination {
         let key = Self::account_key(a);
-        let Some(account) = state.field("accounts").and_then(|r| r.field(&key)) else {
+        let Some(account) = state.field_mut("accounts").and_then(|r| r.field_mut(&key)) else {
             return Termination::error(format!("no such account {a}"));
         };
-        match f(account) {
-            Ok(new_account) => {
-                let balance = new_account.field("balance").cloned().unwrap_or(Value::Null);
-                state
-                    .field_mut("accounts")
-                    .expect("state has accounts")
-                    .set_field(key, new_account);
+        let args = Value::record([("x", Value::Int(d))]);
+        match schema.step(account, &args, &schemas().invariants) {
+            Ok(()) => {
+                let balance = account.field("balance").cloned().unwrap_or(Value::Null);
                 Termination::ok(Value::record([("new_balance", balance)]))
             }
             Err(SchemaError::InvariantViolated { invariant }) if invariant == "DailyLimit" => {
@@ -117,13 +110,7 @@ impl ServerBehaviour for BranchBehaviour {
                 let Some(d) = Self::int_arg(invocation, "d") else {
                     return Termination::error("Deposit requires amount d");
                 };
-                Self::with_account(state, a, |account| {
-                    schemas().deposit.apply_checked(
-                        account,
-                        &Value::record([("x", Value::Int(d))]),
-                        &schemas().invariants,
-                    )
-                })
+                Self::with_account(state, a, &schemas().deposit, d)
             }
             "Withdraw" => {
                 let Some(a) = Self::int_arg(invocation, "a") else {
@@ -132,13 +119,7 @@ impl ServerBehaviour for BranchBehaviour {
                 let Some(d) = Self::int_arg(invocation, "d") else {
                     return Termination::error("Withdraw requires amount d");
                 };
-                Self::with_account(state, a, |account| {
-                    schemas().withdraw.apply_checked(
-                        account,
-                        &Value::record([("x", Value::Int(d))]),
-                        &schemas().invariants,
-                    )
-                })
+                Self::with_account(state, a, &schemas().withdraw, d)
             }
             "CreateAccount" => {
                 let Some(c) = Self::int_arg(invocation, "c") else {
@@ -175,21 +156,12 @@ impl ServerBehaviour for BranchBehaviour {
                 }
             }
             "ResetDay" => {
-                // The midnight performative: reset every account.
-                if let Some(accounts) = state.field_mut("accounts") {
-                    let keys: Vec<String> = accounts
-                        .as_record()
-                        .map(|r| r.keys().cloned().collect())
-                        .unwrap_or_default();
-                    for key in keys {
-                        let account = accounts.field(&key).expect("key enumerated above");
-                        if let Ok(reset) = schemas().midnight_reset.apply_checked(
-                            account,
-                            &Value::record::<&str, _>([]),
-                            &schemas().invariants,
-                        ) {
-                            accounts.set_field(key, reset);
-                        }
+                // The midnight performative: reset every account (one the
+                // reset would leave inconsistent keeps its state).
+                let (reset, no_args) = (&schemas().midnight_reset, Value::record::<&str, _>([]));
+                if let Some(Value::Record(accounts)) = state.field_mut("accounts") {
+                    for account in accounts.values_mut() {
+                        let _ = reset.step(account, &no_args, &schemas().invariants);
                     }
                 }
                 Termination::ok(Value::record::<&str, _>([]))

@@ -30,22 +30,22 @@ enum Truth {
 
 /// A compiled operand: the value an expression evaluates to, or `None`
 /// where the walker returns an error.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Term<'e>(Operand<'e>);
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Operand<'e> {
-    Var(&'e [String]),
-    Lit(&'e Value),
+    Var(Cow<'e, [String]>),
+    Lit(Cow<'e, Value>),
     Arith(BinOp, Box<Operand<'e>>, Box<Operand<'e>>),
-    Walk(&'e Expr),
+    Walk(Cow<'e, Expr>),
 }
 
 impl<'e> Operand<'e> {
     fn compile(expr: &'e Expr) -> Self {
         match expr {
-            Expr::Var(path) => Operand::Var(path),
-            Expr::Lit(v) => Operand::Lit(v),
+            Expr::Var(path) => Operand::Var(Cow::Borrowed(path)),
+            Expr::Lit(v) => Operand::Lit(Cow::Borrowed(v)),
             Expr::Binary(
                 op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem),
                 a,
@@ -55,7 +55,17 @@ impl<'e> Operand<'e> {
                 Box::new(Operand::compile(a)),
                 Box::new(Operand::compile(b)),
             ),
-            other => Operand::Walk(other),
+            other => Operand::Walk(Cow::Borrowed(other)),
+        }
+    }
+
+    fn into_owned(self) -> Operand<'static> {
+        let owned = |o: Box<Operand<'e>>| Box::new(o.into_owned());
+        match self {
+            Operand::Var(path) => Operand::Var(Cow::Owned(path.into_owned())),
+            Operand::Lit(v) => Operand::Lit(Cow::Owned(v.into_owned())),
+            Operand::Arith(op, a, b) => Operand::Arith(op, owned(a), owned(b)),
+            Operand::Walk(expr) => Operand::Walk(Cow::Owned(expr.into_owned())),
         }
     }
 
@@ -73,9 +83,9 @@ impl<'e> Operand<'e> {
     }
 
     /// The variables every successful evaluation has read.
-    fn read(&self, out: &mut Vec<&'e [String]>) {
+    fn read(&self, out: &mut Vec<Cow<'e, [String]>>) {
         match self {
-            Operand::Var(path) => out.push(path),
+            Operand::Var(path) => out.push(path.clone()),
             Operand::Arith(_, a, b) => {
                 a.read(out);
                 b.read(out);
@@ -91,6 +101,11 @@ impl<'e> Term<'e> {
         Term(Operand::compile(expr))
     }
 
+    /// The same term, owning what it borrowed from the expression.
+    pub fn into_owned(self) -> Term<'static> {
+        Term(self.0.into_owned())
+    }
+
     /// The expression's value in `env`: `eval(env).ok()`, borrowed where
     /// the walker would borrow it.
     pub fn value<'a>(&'a self, env: &'a dyn Env) -> Option<Cow<'a, Value>> {
@@ -98,14 +113,14 @@ impl<'e> Term<'e> {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Test<'e> {
     /// Every test true, tried in order; the first that is not decides.
     All(Vec<Test<'e>>),
     Or(Box<Test<'e>>, Box<Test<'e>>),
     Not(Box<Test<'e>>),
     Cmp(BinOp, Operand<'e>, Operand<'e>),
-    Walk(&'e Expr),
+    Walk(Cow<'e, Expr>),
 }
 
 impl<'e> Test<'e> {
@@ -123,7 +138,18 @@ impl<'e> Test<'e> {
                 a,
                 b,
             ) => Test::Cmp(*op, Operand::compile(a), Operand::compile(b)),
-            other => Test::Walk(other),
+            other => Test::Walk(Cow::Borrowed(other)),
+        }
+    }
+
+    fn into_owned(self) -> Test<'static> {
+        let owned = |t: Box<Test<'e>>| Box::new(t.into_owned());
+        match self {
+            Test::All(tests) => Test::All(tests.into_iter().map(Test::into_owned).collect()),
+            Test::Or(a, b) => Test::Or(owned(a), owned(b)),
+            Test::Not(a) => Test::Not(owned(a)),
+            Test::Cmp(op, a, b) => Test::Cmp(op, a.into_owned(), b.into_owned()),
+            Test::Walk(expr) => Test::Walk(Cow::Owned(expr.into_owned())),
         }
     }
 
@@ -166,7 +192,7 @@ impl<'e> Test<'e> {
     /// every such evaluation counts: an `or`'s left operand, not its
     /// right; an `and`'s first test when it may have stopped there; never
     /// what a walker leaf reads (`exists(x)` holds with `x` unbound).
-    fn bound(&self, either: bool, out: &mut Vec<&'e [String]>) {
+    fn bound(&self, either: bool, out: &mut Vec<Cow<'e, [String]>>) {
         match self {
             Test::All(tests) if either => tests[0].bound(true, out),
             Test::All(tests) => tests.iter().for_each(|t| t.bound(false, out)),
@@ -199,16 +225,24 @@ impl<'e> Test<'e> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Predicate<'e> {
     test: Test<'e>,
-    required: Vec<&'e [String]>,
+    required: Vec<Cow<'e, [String]>>,
 }
 
 impl<'e> Predicate<'e> {
     /// Compiles a boolean expression.
     pub fn compile(expr: &'e Expr) -> Self {
-        let test = Test::compile(expr);
+        Predicate::new(Test::compile(expr))
+    }
+
+    /// The same predicate, owning what it borrowed from the expression.
+    pub fn into_owned(self) -> Predicate<'static> {
+        Predicate::new(self.test.into_owned())
+    }
+
+    fn new(test: Test<'e>) -> Self {
         let mut required = Vec::new();
         test.bound(false, &mut required);
         Predicate { test, required }
@@ -221,7 +255,7 @@ impl<'e> Predicate<'e> {
 
     /// Whether every environment the predicate holds in binds `path`.
     pub fn requires(&self, path: &[String]) -> bool {
-        self.required.contains(&path)
+        self.required.iter().any(|r| **r == *path)
     }
 }
 

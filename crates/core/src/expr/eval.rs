@@ -10,8 +10,8 @@ use crate::value::{Record, Value};
 /// An environment binding variable paths to values.
 ///
 /// Implemented for [`Value`] (records resolve dotted paths), for a
-/// [`Record`] on its own, for `BTreeMap<String, Value>`, for
-/// [`Scope`](super::Scope) and for `()` (the empty environment).
+/// [`Record`] on its own, for `BTreeMap<String, Value>` and for `()` (the
+/// empty environment).
 pub trait Env {
     /// Resolves a dotted variable path, or `None` if unbound.
     ///

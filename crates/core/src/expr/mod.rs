@@ -13,8 +13,9 @@
 //! → [`eval`](Expr::eval) with optional static [`infer`](Expr::infer)ence
 //! against a record [`DataType`](crate::dtype::DataType). An expression
 //! evaluated against many environments — a trader import's constraint
-//! over every candidate offer — is compiled once into a [`Predicate`] or
-//! [`Term`] that agrees with the evaluator and skips its per-node work.
+//! over every candidate offer, a schema's guard on every transition — is
+//! compiled once into a [`Predicate`] or [`Term`] that agrees with the
+//! evaluator and skips its per-node work.
 //!
 //! # Grammar
 //!
@@ -37,7 +38,6 @@ mod infer;
 mod parser;
 mod token;
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::value::Value;
@@ -151,7 +151,8 @@ impl Expr {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] locating the offending character or token.
+    /// Returns a [`ParseError`] locating the offending character or token,
+    /// or the first of more than 128 nested levels.
     pub fn parse(src: &str) -> Result<Expr, ParseError> {
         parser::parse(src)
     }
@@ -159,11 +160,6 @@ impl Expr {
     /// Shorthand for a literal.
     pub fn lit(v: impl Into<Value>) -> Expr {
         Expr::Lit(v.into())
-    }
-
-    /// Shorthand for a simple (undotted) variable.
-    pub fn var(name: impl Into<String>) -> Expr {
-        Expr::Var(vec![name.into()])
     }
 
     /// Evaluates the expression against an environment.
@@ -269,54 +265,6 @@ impl fmt::Display for Expr {
     }
 }
 
-/// A convenient layered environment: named top-level bindings, with dotted
-/// paths descending into record values.
-///
-/// # Example
-///
-/// ```
-/// use rmodp_core::expr::{Expr, Scope};
-/// use rmodp_core::value::Value;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut scope = Scope::new();
-/// scope.bind("old", Value::record([("balance", Value::Int(500))]));
-/// scope.bind("new", Value::record([("balance", Value::Int(400))]));
-/// scope.bind("amount", Value::Int(100));
-/// let e = Expr::parse("new.balance == old.balance - amount")?;
-/// assert_eq!(e.eval(&scope)?, Value::Bool(true));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Scope {
-    bindings: BTreeMap<String, Value>,
-}
-
-impl Scope {
-    /// Creates an empty scope.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Binds (or rebinds) a name.
-    pub fn bind(&mut self, name: impl Into<String>, value: Value) -> &mut Self {
-        self.bindings.insert(name.into(), value);
-        self
-    }
-
-    /// Returns the value bound to a top-level name.
-    pub fn get(&self, name: &str) -> Option<&Value> {
-        self.bindings.get(name)
-    }
-}
-
-impl Env for Scope {
-    fn lookup(&self, path: &[String]) -> Option<&Value> {
-        self.bindings.lookup(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,16 +296,5 @@ mod tests {
                 vec!["d".to_owned()],
             ]
         );
-    }
-
-    #[test]
-    fn scope_layers_names_over_records() {
-        let mut s = Scope::new();
-        s.bind("x", Value::Int(1));
-        s.bind("r", Value::record([("y", Value::Int(2))]));
-        assert_eq!(s.lookup(&["x".into()]), Some(&Value::Int(1)));
-        assert_eq!(s.lookup(&["r".into(), "y".into()]), Some(&Value::Int(2)));
-        assert_eq!(s.lookup(&["r".into(), "z".into()]), None);
-        assert_eq!(s.lookup(&["missing".into()]), None);
     }
 }

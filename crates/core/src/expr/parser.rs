@@ -32,6 +32,36 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deep a parsed expression may be: brackets, calls and unary operators
+/// open around any token, and operator, call or sequence nodes on any path
+/// from the root. The parser, walker, compiler and `Drop` recurse once per
+/// level, so deeper text is a [`ParseError`], never a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// The binary operators by precedence, loosest first.
+const LEVELS: [&[(Token, BinOp)]; 5] = [
+    &[(Token::Or, BinOp::Or)],
+    &[(Token::And, BinOp::And)],
+    &[
+        (Token::EqEq, BinOp::Eq),
+        (Token::Ne, BinOp::Ne),
+        (Token::Lt, BinOp::Lt),
+        (Token::Le, BinOp::Le),
+        (Token::Gt, BinOp::Gt),
+        (Token::Ge, BinOp::Ge),
+        (Token::In, BinOp::In),
+    ],
+    &[(Token::Plus, BinOp::Add), (Token::Minus, BinOp::Sub)],
+    &[
+        (Token::Star, BinOp::Mul),
+        (Token::Slash, BinOp::Div),
+        (Token::Percent, BinOp::Rem),
+    ],
+];
+
+/// The comparisons' level: they do not chain.
+const COMPARISONS: usize = 2;
+
 /// Parses a complete expression; trailing tokens are an error.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
@@ -39,8 +69,9 @@ pub fn parse(src: &str) -> Result<Expr, ParseError> {
         tokens,
         pos: 0,
         end: src.len(),
+        open: 0,
     };
-    let e = p.or_expr()?;
+    let (e, _) = p.binary(0)?;
     if let Some(t) = p.peek() {
         return Err(ParseError {
             offset: t.offset,
@@ -54,6 +85,22 @@ struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
     end: usize,
+    /// Brackets, calls and unary operators open around the current token.
+    open: usize,
+}
+
+/// A parsed expression and its height: the nodes on its longest path
+/// from the root down to a leaf, not counting the leaf.
+type Parsed = Result<(Expr, usize), ParseError>;
+
+/// One level deeper than `depth`, gone to by the token at `offset`.
+fn deeper(depth: usize, offset: usize) -> Result<usize, ParseError> {
+    (depth < MAX_DEPTH)
+        .then_some(depth + 1)
+        .ok_or_else(|| ParseError {
+            offset,
+            message: format!("expression nested deeper than {MAX_DEPTH} levels"),
+        })
 }
 
 impl Parser {
@@ -85,10 +132,7 @@ impl Parser {
                 offset: s.offset,
                 message: format!("expected {want}, found {}", s.token),
             }),
-            None => Err(ParseError {
-                offset: self.end,
-                message: format!("expected {want}, found end of input"),
-            }),
+            None => Err(self.unexpected_end(&want.to_string())),
         }
     }
 
@@ -99,116 +143,67 @@ impl Parser {
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&Token::Or) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    /// What `inner` parses one bracket further in, opened at `offset`.
+    fn nested(&mut self, offset: usize, inner: impl FnOnce(&mut Self) -> Parsed) -> Parsed {
+        self.open = deeper(self.open, offset)?;
+        let parsed = inner(self);
+        self.open -= 1;
+        parsed
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat(&Token::And) {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek().map(|s| &s.token) {
-            Some(Token::EqEq) => Some(BinOp::Eq),
-            Some(Token::Ne) => Some(BinOp::Ne),
-            Some(Token::Lt) => Some(BinOp::Lt),
-            Some(Token::Le) => Some(BinOp::Le),
-            Some(Token::Gt) => Some(BinOp::Gt),
-            Some(Token::Ge) => Some(BinOp::Ge),
-            Some(Token::In) => Some(BinOp::In),
-            _ => None,
+    /// `operand (op operand)*` for the operators of [`LEVELS`]`[level]`,
+    /// associating to the left; an operand is the next level's.
+    fn binary(&mut self, level: usize) -> Parsed {
+        let Some(ops) = LEVELS.get(level) else {
+            return self.unary_expr();
         };
-        if let Some(op) = op {
+        let (mut lhs, mut height) = self.binary(level + 1)?;
+        while let Some((op, offset)) = self.peek().and_then(|s| {
+            let (_, op) = ops.iter().find(|(t, _)| *t == s.token)?;
+            Some((*op, s.offset))
+        }) {
             self.pos += 1;
-            let rhs = self.add_expr()?;
-            Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek().map(|s| &s.token) {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.mul_expr()?;
+            let (rhs, h) = self.binary(level + 1)?;
+            height = deeper(height.max(h), offset)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek().map(|s| &s.token) {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                Some(Token::Percent) => BinOp::Rem,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().map(|s| &s.token) {
-            Some(Token::Minus) => {
-                self.pos += 1;
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
+            if level == COMPARISONS {
+                break;
             }
-            Some(Token::Not) => {
-                self.pos += 1;
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Not, Box::new(e)))
-            }
-            _ => self.primary(),
         }
+        Ok((lhs, height))
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn unary_expr(&mut self) -> Parsed {
+        let (op, offset) = match self.peek() {
+            Some(s) if s.token == Token::Minus => (UnOp::Neg, s.offset),
+            Some(s) if s.token == Token::Not => (UnOp::Not, s.offset),
+            _ => return self.primary(),
+        };
+        self.pos += 1;
+        let (e, height) = self.nested(offset, Self::unary_expr)?;
+        Ok((Expr::Unary(op, Box::new(e)), deeper(height, offset)?))
+    }
+
+    fn primary(&mut self) -> Parsed {
         let t = self
             .next()
             .ok_or_else(|| self.unexpected_end("expression"))?;
+        let leaf = |e| Ok((e, 0));
         match t.token {
-            Token::Int(i) => Ok(Expr::Lit(Value::Int(i))),
-            Token::Float(x) => Ok(Expr::Lit(Value::Float(x))),
-            Token::Str(s) => Ok(Expr::Lit(Value::Text(s))),
-            Token::True => Ok(Expr::Lit(Value::Bool(true))),
-            Token::False => Ok(Expr::Lit(Value::Bool(false))),
-            Token::Null => Ok(Expr::Lit(Value::Null)),
-            Token::LParen => {
-                let e = self.or_expr()?;
-                self.expect(&Token::RParen)?;
-                Ok(e)
-            }
-            Token::LBracket => {
-                let items = self.expr_list(&Token::RBracket)?;
-                Ok(Expr::SeqLit(items))
-            }
+            Token::Int(i) => leaf(Expr::Lit(Value::Int(i))),
+            Token::Float(x) => leaf(Expr::Lit(Value::Float(x))),
+            Token::Str(s) => leaf(Expr::Lit(Value::Text(s))),
+            Token::True => leaf(Expr::Lit(Value::Bool(true))),
+            Token::False => leaf(Expr::Lit(Value::Bool(false))),
+            Token::Null => leaf(Expr::Lit(Value::Null)),
+            Token::LParen => self.nested(t.offset, |p| {
+                let e = p.binary(0)?;
+                p.expect(&Token::RParen).map(|()| e)
+            }),
+            Token::LBracket => self.list(t.offset, &Token::RBracket, Expr::SeqLit),
             Token::Ident(name) => {
                 if self.eat(&Token::LParen) {
-                    let args = self.expr_list(&Token::RParen)?;
-                    return Ok(Expr::Call(name, args));
+                    return self.list(t.offset, &Token::RParen, |args| Expr::Call(name, args));
                 }
                 let mut path = vec![name];
                 while self.eat(&Token::Dot) {
@@ -229,7 +224,7 @@ impl Parser {
                         None => return Err(self.unexpected_end("field name after '.'")),
                     }
                 }
-                Ok(Expr::Var(path))
+                leaf(Expr::Var(path))
             }
             other => Err(ParseError {
                 offset: t.offset,
@@ -238,21 +233,29 @@ impl Parser {
         }
     }
 
-    /// Parses a comma-separated list terminated by `close` (already past the
-    /// opening delimiter). Allows the empty list.
-    fn expr_list(&mut self, close: &Token) -> Result<Vec<Expr>, ParseError> {
-        let mut items = Vec::new();
-        if self.eat(close) {
-            return Ok(items);
-        }
-        loop {
-            items.push(self.or_expr()?);
-            if self.eat(&Token::Comma) {
-                continue;
+    /// What `build` makes of a comma-separated list, possibly empty, opened
+    /// at `offset` and ended by `close`.
+    fn list(
+        &mut self,
+        offset: usize,
+        close: &Token,
+        build: impl FnOnce(Vec<Expr>) -> Expr,
+    ) -> Parsed {
+        self.nested(offset, |p| {
+            let (mut items, mut height) = (Vec::new(), 0);
+            if !p.eat(close) {
+                loop {
+                    let (item, h) = p.binary(0)?;
+                    items.push(item);
+                    height = height.max(h);
+                    if !p.eat(&Token::Comma) {
+                        break;
+                    }
+                }
+                p.expect(close)?;
             }
-            self.expect(close)?;
-            return Ok(items);
-        }
+            Ok((build(items), deeper(height, offset)?))
+        })
     }
 }
 
@@ -323,5 +326,55 @@ mod tests {
     fn error_offsets_point_at_problem() {
         let err = parse("a + + b").unwrap_err();
         assert_eq!(err.offset, 4);
+    }
+
+    /// Each way of nesting, at the bound, one past it (the error at the
+    /// level that goes too far) and ten times past it: text that once
+    /// overflowed the stack is an error, and what parses also evaluates.
+    #[test]
+    fn nesting_is_bounded() {
+        type Shape = fn(usize) -> String;
+        // The last column is where the level past the bound starts.
+        let rows: [(&str, Shape, usize); 7] = [
+            (
+                "parentheses",
+                |n| format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+                128,
+            ),
+            (
+                "sequences",
+                |n| format!("{}1{}", "[".repeat(n), "]".repeat(n)),
+                128,
+            ),
+            (
+                "calls",
+                |n| format!("{}1{}", "abs(".repeat(n), ")".repeat(n)),
+                512,
+            ),
+            ("not", |n| format!("{}true", "not ".repeat(n)), 512),
+            ("negation", |n| format!("{}1", "-".repeat(n)), 128),
+            ("sums", |n| format!("1{}", " + 1".repeat(n)), 514),
+            (
+                "conjunctions",
+                |n| format!("true{}", " and true".repeat(n)),
+                1157,
+            ),
+        ];
+        for (shape, text, offending) in rows {
+            let at_bound = parse(&text(MAX_DEPTH)).unwrap_or_else(|e| panic!("{shape}: {e}"));
+            assert!(at_bound.eval(&()).is_ok(), "{shape}");
+            let err = parse(&text(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.offset, offending, "{shape}");
+            assert_eq!(err.message, "expression nested deeper than 128 levels");
+            assert!(parse(&text(10 * MAX_DEPTH)).is_err(), "{shape}");
+        }
+        for text in [
+            format!("{}1{}", "(".repeat(10_000), ")".repeat(10_000)),
+            format!("{}1{}", "[".repeat(10_000), "]".repeat(10_000)),
+            format!("{}true", "not ".repeat(100_000)),
+            format!("{}1", "-".repeat(100_000)),
+        ] {
+            assert!(parse(&text).is_err());
+        }
     }
 }

@@ -380,6 +380,11 @@ impl Record {
     pub fn values(&self) -> impl Iterator<Item = &Value> {
         self.fields.iter().map(|(_, v)| v)
     }
+
+    /// The field values in name order, mutably.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        self.fields.iter_mut().map(|(_, v)| v)
+    }
 }
 
 /// Borrowing iterator over a [`Record`]'s fields.

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use rmodp_core::codec::{BinarySyntax, TextSyntax, TransferSyntax};
 use rmodp_core::dtype::DataType;
-use rmodp_core::expr::{BinOp, Expr, Predicate, Scope, Term, UnOp};
+use rmodp_core::expr::{BinOp, Expr, Predicate, Term, UnOp};
 use rmodp_core::naming::{BindingTarget, Name, NamingContext};
 use rmodp_core::value::{Record, Value};
 
@@ -169,21 +169,16 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 proptest! {
     #[test]
     fn environments_agree_on_every_expression(e in arb_expr(), record in arb_env()) {
-        // The same bindings behind the four environments that resolve
-        // paths: a record value, its fields alone, a map, a scope. Results
-        // are compared as text (NaN is a legitimate result and is not
-        // equal to itself).
+        // The same bindings behind the three environments that resolve
+        // paths: a record value, its fields alone, a map. Results are
+        // compared as text (NaN is a legitimate result and is not equal to
+        // itself).
         let fields = record.as_record().unwrap();
         let map: BTreeMap<String, Value> = fields.clone().into_iter().collect();
-        let mut scope = Scope::new();
-        for (name, v) in &map {
-            scope.bind(name.clone(), v.clone());
-        }
         let by_record = e.eval(&record);
         let rendered = format!("{by_record:?}");
         prop_assert_eq!(format!("{:?}", e.eval(fields)), rendered.clone(), "fields: {}", e);
-        prop_assert_eq!(format!("{:?}", e.eval(&map)), rendered.clone(), "map: {}", e);
-        prop_assert_eq!(format!("{:?}", e.eval(&scope)), rendered, "scope: {}", e);
+        prop_assert_eq!(format!("{:?}", e.eval(&map)), rendered, "map: {}", e);
         // `eval_bool` is `eval` plus the result check.
         let as_bool = e.eval_bool(&record);
         // Compiled once, the expression agrees with the walker: the
@@ -197,6 +192,17 @@ proptest! {
         }
         let term = Term::compile(&e).value(&record).map(|v| v.into_owned());
         prop_assert_eq!(format!("{term:?}"), format!("{:?}", by_record.as_ref().ok()), "term: {}", e);
+        // Detached from the expression, both forms are what they were.
+        let owned = Predicate::compile(&e).into_owned();
+        prop_assert_eq!(&owned, &predicate, "owned predicate: {}", e);
+        prop_assert_eq!(owned.holds(&record), holds, "owned predicate: {}", e);
+        for path in e.variables() {
+            prop_assert_eq!(owned.requires(&path), predicate.requires(&path));
+        }
+        let owned_term = Term::compile(&e).into_owned();
+        prop_assert_eq!(&owned_term, &Term::compile(&e), "owned term: {}", e);
+        let owned_value = owned_term.value(&record).map(|v| v.into_owned());
+        prop_assert_eq!(format!("{owned_value:?}"), format!("{term:?}"), "owned term: {}", e);
         match by_record {
             Ok(Value::Bool(b)) => prop_assert_eq!(as_bool, Ok(b)),
             Ok(_) => prop_assert!(as_bool.is_err(), "{}", e),
@@ -323,7 +329,7 @@ proptest! {
             Box::new(Expr::Binary(
                 rmodp_core::expr::BinOp::Mul,
                 Box::new(Expr::lit(y)),
-                Box::new(Expr::var("k")),
+                Box::new(Expr::Var(vec!["k".to_owned()])),
             )),
         );
         let printed = e.to_string();

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use rmodp_core::dtype::{DataType, TypeError};
-use rmodp_core::expr::{Env, EvalError, Expr, ParseError};
+use rmodp_core::expr::{Env, EvalError, Expr, ParseError, Predicate, Term};
 use rmodp_core::value::{Record, Value};
 
 /// An error raised while building or applying schemas.
@@ -143,11 +143,13 @@ impl StaticSchema {
     }
 }
 
-/// An invariant schema: a predicate that must hold in every state.
+/// An invariant schema: a predicate that must hold in every state,
+/// compiled once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvariantSchema {
     name: String,
     predicate: Expr,
+    compiled: Predicate<'static>,
 }
 
 impl InvariantSchema {
@@ -155,6 +157,7 @@ impl InvariantSchema {
     pub fn new(name: impl Into<String>, predicate: Expr) -> Self {
         Self {
             name: name.into(),
+            compiled: Predicate::compile(&predicate).into_owned(),
             predicate,
         }
     }
@@ -178,14 +181,15 @@ impl InvariantSchema {
         &self.predicate
     }
 
-    /// Evaluates the invariant in a state.
+    /// Evaluates the invariant in a state (or any environment): compiled,
+    /// with the walker only to render an error.
     ///
     /// # Errors
     ///
     /// Returns [`SchemaError::Eval`] if the predicate cannot be evaluated
     /// in this state (e.g. missing fields).
-    pub fn holds(&self, state: &Value) -> Result<bool, SchemaError> {
-        Ok(self.predicate.eval_bool(state)?)
+    pub fn holds(&self, state: &dyn Env) -> Result<bool, SchemaError> {
+        Ok(self.compiled.holds(state) || self.predicate.eval_bool(state)?)
     }
 }
 
@@ -193,13 +197,14 @@ impl InvariantSchema {
 ///
 /// Effects are *simultaneous assignments*: every right-hand side is
 /// evaluated against the **old** state (plus parameters, plus `old.`-
-/// prefixed paths), then all assignments are applied at once.
+/// prefixed paths), then all assignments are applied at once. The guard
+/// and effects are compiled once, when the schema is built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicSchema {
     name: String,
     params: Vec<(String, DataType)>,
-    guard: Option<Expr>,
-    effects: Vec<(String, Expr)>,
+    guard: Option<(Predicate<'static>, Expr)>,
+    effects: Vec<(String, Term<'static>, Expr)>,
 }
 
 impl DynamicSchema {
@@ -219,22 +224,8 @@ impl DynamicSchema {
         &self.name
     }
 
-    /// The declared parameters.
-    pub fn params(&self) -> &[(String, DataType)] {
-        &self.params
-    }
-
-    /// Validates arguments against the declared parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemaError::BadArguments`] on missing, extra or
-    /// ill-typed arguments.
-    pub fn check_args(&self, args: &Value) -> Result<(), SchemaError> {
-        self.checked_args(args).map(|_| ())
-    }
-
-    /// [`check_args`](Self::check_args), handing back the argument record.
+    /// The argument record, once it has every declared parameter, with its
+    /// type, and nothing else.
     fn checked_args<'a>(&self, args: &'a Value) -> Result<&'a Record, SchemaError> {
         let bad = |detail: String| SchemaError::BadArguments {
             schema: self.name.clone(),
@@ -267,34 +258,7 @@ impl DynamicSchema {
     ///
     /// Returns guard, argument or evaluation failures.
     pub fn apply(&self, state: &Value, args: &Value) -> Result<Value, SchemaError> {
-        let args = self.checked_args(args)?;
-        let record = state
-            .as_record()
-            .ok_or_else(|| SchemaError::BadDefinition {
-                detail: format!("state must be a record, got {}", state.kind()),
-            })?;
-        let scope = Transition { args, state };
-
-        if let Some(guard) = &self.guard {
-            if !guard.eval_bool(&scope)? {
-                return Err(SchemaError::GuardFailed {
-                    schema: self.name.clone(),
-                });
-            }
-        }
-
-        let mut new_state = state.clone();
-        for (field, expr) in &self.effects {
-            if record.get(field).is_none() {
-                return Err(SchemaError::UnknownField {
-                    schema: self.name.clone(),
-                    field: field.clone(),
-                });
-            }
-            let v = expr.eval(&scope)?;
-            new_state.set_field(field, v);
-        }
-        Ok(new_state)
+        self.apply_checked(state, args, &[])
     }
 
     /// Computes the successor state and checks it against a set of
@@ -312,15 +276,65 @@ impl DynamicSchema {
         args: &Value,
         invariants: &[InvariantSchema],
     ) -> Result<Value, SchemaError> {
-        let new_state = self.apply(state, args)?;
+        let mut new_state = state.clone();
+        self.step(&mut new_state, args, invariants)?;
+        Ok(new_state)
+    }
+
+    /// [`apply_checked`](Self::apply_checked) in place: checks the
+    /// arguments, the guard, each effect's field and value (computed from
+    /// the old state), then each invariant over the successor, and writes
+    /// the effects into `state` only once every check has passed. On an
+    /// error `state` is untouched.
+    ///
+    /// # Errors
+    ///
+    /// As [`apply_checked`](Self::apply_checked).
+    pub fn step(
+        &self,
+        state: &mut Value,
+        args: &Value,
+        invariants: &[InvariantSchema],
+    ) -> Result<(), SchemaError> {
+        let args = self.checked_args(args)?;
+        let record = state
+            .as_record()
+            .ok_or_else(|| SchemaError::BadDefinition {
+                detail: format!("state must be a record, got {}", state.kind()),
+            })?;
+        let old = Transition { args, state };
+        if let Some((guard, expr)) = &self.guard {
+            if !(guard.holds(&old) || expr.eval_bool(&old)?) {
+                return Err(SchemaError::GuardFailed {
+                    schema: self.name.clone(),
+                });
+            }
+        }
+        let mut new = Vec::with_capacity(self.effects.len());
+        for (field, term, expr) in &self.effects {
+            if record.get(field).is_none() {
+                return Err(SchemaError::UnknownField {
+                    schema: self.name.clone(),
+                    field: field.clone(),
+                });
+            }
+            let v = term
+                .value(&old)
+                .map_or_else(|| expr.eval(&old), |v| Ok(v.into_owned()))?;
+            new.push((field.as_str(), v));
+        }
+        let successor = Successor { new: &new, state };
         for inv in invariants {
-            if !inv.holds(&new_state)? {
+            if !inv.holds(&successor)? {
                 return Err(SchemaError::InvariantViolated {
                     invariant: inv.name().to_owned(),
                 });
             }
         }
-        Ok(new_state)
+        for (field, v) in new {
+            state.set_field(field, v);
+        }
+        Ok(())
     }
 }
 
@@ -344,14 +358,32 @@ impl Env for Transition<'_> {
     }
 }
 
+/// What an invariant sees after a step, before it is written: each
+/// effected field's new value, every other field as it was.
+struct Successor<'a> {
+    new: &'a [(&'a str, Value)],
+    state: &'a Value,
+}
+
+impl Env for Successor<'_> {
+    fn lookup(&self, path: &[String]) -> Option<&Value> {
+        let (head, rest) = path.split_first()?;
+        let root = match self.new.iter().find(|(field, _)| field == head) {
+            Some((_, v)) => v,
+            None => self.state.field(head)?,
+        };
+        root.path(rest)
+    }
+}
+
 /// Builder for [`DynamicSchema`]; parse errors are deferred to
 /// [`build`](Self::build) so construction can be written fluently.
 #[derive(Debug)]
 pub struct DynamicSchemaBuilder {
     name: String,
     params: Vec<(String, DataType)>,
-    guard: Option<Expr>,
-    effects: Vec<(String, Expr)>,
+    guard: Option<(Predicate<'static>, Expr)>,
+    effects: Vec<(String, Term<'static>, Expr)>,
     error: Option<SchemaError>,
 }
 
@@ -365,7 +397,7 @@ impl DynamicSchemaBuilder {
     /// Sets the guard predicate (source text).
     pub fn guard(mut self, predicate: &str) -> Self {
         match Expr::parse(predicate) {
-            Ok(e) => self.guard = Some(e),
+            Ok(e) => self.guard = Some((Predicate::compile(&e).into_owned(), e)),
             Err(e) => self.error = self.error.or(Some(SchemaError::Parse(e))),
         }
         self
@@ -374,7 +406,9 @@ impl DynamicSchemaBuilder {
     /// Adds an effect `field := expr` (source text).
     pub fn effect(mut self, field: impl Into<String>, expr: &str) -> Self {
         match Expr::parse(expr) {
-            Ok(e) => self.effects.push((field.into(), e)),
+            Ok(e) => self
+                .effects
+                .push((field.into(), Term::compile(&e).into_owned(), e)),
             Err(e) => self.error = self.error.or(Some(SchemaError::Parse(e))),
         }
         self
@@ -385,8 +419,9 @@ impl DynamicSchemaBuilder {
     /// # Errors
     ///
     /// Returns the first deferred parse error, or
-    /// [`SchemaError::BadDefinition`] for duplicate parameters/effects or
-    /// an effect-free schema.
+    /// [`SchemaError::BadDefinition`] for duplicate parameters/effects, a
+    /// parameter named `old` (that name reads the pre-state), or an
+    /// effect-free schema.
     pub fn build(self) -> Result<DynamicSchema, SchemaError> {
         if let Some(e) = self.error {
             return Err(e);
@@ -398,14 +433,15 @@ impl DynamicSchemaBuilder {
         }
         let mut seen = BTreeMap::new();
         for (p, _) in &self.params {
-            if seen.insert(p.clone(), ()).is_some() {
+            // `old` is declared already: it is the pre-state.
+            if p == "old" || seen.insert(p.clone(), ()).is_some() {
                 return Err(SchemaError::BadDefinition {
                     detail: format!("duplicate parameter {p}"),
                 });
             }
         }
         let mut seen = BTreeMap::new();
-        for (f, _) in &self.effects {
+        for (f, ..) in &self.effects {
             if seen.insert(f.clone(), ()).is_some() {
                 return Err(SchemaError::BadDefinition {
                     detail: format!("duplicate effect on field {f}"),
@@ -443,6 +479,8 @@ pub fn violated<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rmodp_core::expr::{BinOp, UnOp};
 
     fn account_schema() -> StaticSchema {
         StaticSchema::new(
@@ -713,6 +751,15 @@ mod tests {
                 .build(),
             Err(SchemaError::BadDefinition { .. })
         ));
+        // `old` names the pre-state, so a parameter of that name could
+        // never be read.
+        assert!(matches!(
+            DynamicSchema::builder("E")
+                .param("old", DataType::Int)
+                .effect("x", "old")
+                .build(),
+            Err(SchemaError::BadDefinition { .. })
+        ));
     }
 
     #[test]
@@ -733,5 +780,202 @@ mod tests {
         let inv = InvariantSchema::parse("Bad", "missing > 0").unwrap();
         let err = inv.holds(&Value::record::<&str, _>([])).unwrap_err();
         assert!(matches!(err, SchemaError::Eval(_)));
+    }
+
+    /// The tree-walking transition the compiled, in-place
+    /// [`DynamicSchema::step`] is held to: guard and effects walked over
+    /// the pre-state, effects assigned into a copy, invariants walked over
+    /// the copy.
+    fn reference(
+        schema: &DynamicSchema,
+        state: &Value,
+        args: &Value,
+        invariants: &[InvariantSchema],
+    ) -> Result<Value, SchemaError> {
+        let args = schema.checked_args(args)?;
+        let record = state
+            .as_record()
+            .ok_or_else(|| SchemaError::BadDefinition {
+                detail: format!("state must be a record, got {}", state.kind()),
+            })?;
+        let scope = Transition { args, state };
+        if let Some((_, guard)) = &schema.guard {
+            if !guard.eval_bool(&scope)? {
+                return Err(SchemaError::GuardFailed {
+                    schema: schema.name.clone(),
+                });
+            }
+        }
+        let mut new_state = state.clone();
+        for (field, _, expr) in &schema.effects {
+            if record.get(field).is_none() {
+                return Err(SchemaError::UnknownField {
+                    schema: schema.name.clone(),
+                    field: field.clone(),
+                });
+            }
+            let v = expr.eval(&scope)?;
+            new_state.set_field(field.as_str(), v);
+        }
+        for inv in invariants {
+            if !inv.predicate().eval_bool(&new_state)? {
+                return Err(SchemaError::InvariantViolated {
+                    invariant: inv.name().to_owned(),
+                });
+            }
+        }
+        Ok(new_state)
+    }
+
+    fn binary(op: BinOp, a: Expr, b: Expr) -> Expr {
+        Expr::Binary(op, Box::new(a), Box::new(b))
+    }
+
+    /// What guards and effects read: the account's fields, the argument
+    /// `x`, the parameter `balance` that may shadow its field, `old.`
+    /// paths, the whole pre-state and unbound names (repeats weight the
+    /// draw).
+    const BEFORE: &[&str] = &[
+        "balance",
+        "balance",
+        "withdrawn_today",
+        "withdrawn_today",
+        "x",
+        "x",
+        "old.balance",
+        "old.withdrawn_today",
+        "old",
+        "ghost",
+        "old.ghost",
+    ];
+
+    /// What invariants read: mostly the successor's fields.
+    const AFTER: &[&str] = &[
+        "balance",
+        "balance",
+        "balance",
+        "withdrawn_today",
+        "withdrawn_today",
+        "withdrawn_today",
+        "x",
+    ];
+
+    /// Arithmetic over `paths` and literals small enough that division by
+    /// zero is common.
+    fn arb_term(paths: &'static [&'static str]) -> BoxedStrategy<Expr> {
+        const OPS: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem];
+        let leaf = prop_oneof![
+            (-2i64..6).prop_map(Expr::lit),
+            (0..paths.len())
+                .prop_map(|i| Expr::Var(paths[i].split('.').map(str::to_owned).collect())),
+        ];
+        leaf.prop_recursive(2, 8, 2, |inner| {
+            (0..OPS.len(), inner.clone(), inner).prop_map(|(op, a, b)| binary(OPS[op], a, b))
+        })
+    }
+
+    /// Comparisons of [`arb_term`]s under `and`, `or` and `not`, with the
+    /// odd bare term or literal a predicate may not be.
+    fn arb_test(paths: &'static [&'static str]) -> BoxedStrategy<Expr> {
+        const OPS: [BinOp; 6] = [
+            BinOp::Le,
+            BinOp::Ge,
+            BinOp::Lt,
+            BinOp::Gt,
+            BinOp::Eq,
+            BinOp::Ne,
+        ];
+        let cmp = (0..OPS.len(), arb_term(paths), arb_term(paths))
+            .prop_map(|(op, a, b)| binary(OPS[op], a, b));
+        let leaf = prop_oneof![
+            cmp.clone(),
+            cmp.clone(),
+            cmp.clone(),
+            cmp,
+            arb_term(paths),
+            any::<bool>().prop_map(Expr::lit)
+        ];
+        leaf.prop_recursive(2, 8, 2, |inner| {
+            prop_oneof![
+                inner
+                    .clone()
+                    .prop_map(|e| Expr::Unary(UnOp::Not, Box::new(e))),
+                (any::<bool>(), inner.clone(), inner).prop_map(|(and, a, b)| binary(
+                    if and { BinOp::And } else { BinOp::Or },
+                    a,
+                    b
+                )),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The compiled step in place and the walker on a copy give the
+        /// same `Ok` state or the same error, and an error leaves the
+        /// state as it was.
+        #[test]
+        fn the_step_is_the_walker_in_place(
+            guard in proptest::option::of(arb_test(BEFORE)),
+            effects in proptest::collection::vec((0..5usize, arb_term(BEFORE)), 1..3),
+            invariants in proptest::collection::vec(arb_test(AFTER), 0..3),
+            shadow in any::<bool>(),
+            fields in (-2i64..6, -2i64..6),
+            x in -2i64..6,
+            odd in 0..16u32,
+        ) {
+            let mut b = DynamicSchema::builder("S").param("x", DataType::Int);
+            if shadow {
+                b = b.param("balance", DataType::Int);
+            }
+            if let Some(g) = &guard {
+                b = b.guard(&g.to_string());
+            }
+            let mut assigned = Vec::new();
+            for (field, e) in &effects {
+                let field = ["balance", "withdrawn_today", "balance", "withdrawn_today", "ghost"][*field];
+                if !assigned.contains(&field) {
+                    assigned.push(field);
+                    b = b.effect(field, &e.to_string());
+                }
+            }
+            let schema = b.build().unwrap();
+            let invariants: Vec<InvariantSchema> = invariants
+                .into_iter()
+                .enumerate()
+                .map(|(i, e)| InvariantSchema::new(format!("I{i}"), e))
+                .collect();
+            // Now and then a state that is no record, a stray or missing
+            // argument, an ill-typed one.
+            let state = match odd {
+                0 => Value::Int(fields.0),
+                _ => Value::record([
+                    ("balance", Value::Int(fields.0)),
+                    ("withdrawn_today", Value::Int(fields.1)),
+                ]),
+            };
+            let mut args = vec![("x", if odd == 1 { Value::text("x") } else { Value::Int(x) })];
+            if shadow != (odd == 2) {
+                args.push(("balance", Value::Int(x - 1)));
+            }
+            let args = Value::record(args);
+
+            let want = reference(&schema, &state, &args, &invariants);
+            let mut stepped = state.clone();
+            let got = schema.step(&mut stepped, &args, &invariants).map(|()| stepped.clone());
+            prop_assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{:?} on {} with {} under {:?}",
+                schema,
+                state,
+                args,
+                invariants
+            );
+            if got.is_err() {
+                prop_assert_eq!(&stepped, &state);
+            }
+        }
     }
 }

@@ -948,7 +948,7 @@ mod tests {
         for op in [BinOp::Gt, BinOp::Ge, BinOp::Lt, BinOp::Le] {
             let nan = Expr::Binary(
                 op,
-                Box::new(Expr::var("ppm")),
+                Box::new(Expr::Var(vec!["ppm".to_owned()])),
                 Box::new(Expr::lit(f64::NAN)),
             );
             let mut request = ImportRequest::new("Printer");

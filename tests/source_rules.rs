@@ -127,6 +127,27 @@ const RULES: &[Rule] = &[
         copies: 1,
     },
     Rule {
+        name: "schemas evaluate compiled",
+        why: "invariants, guards and effects run their `Predicate`/`Term`, compiled when the \
+              schema is built; the walker only renders the error of one that fails — one \
+              fallback each (DESIGN.md, \"Schemas run compiled, transitions in place\")",
+        roots: &["crates/information/src"],
+        patterns: &[Literal(".eval("), Literal(".eval_bool(")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 3,
+    },
+    Rule {
+        name: "`Scope` does not come back",
+        why: "`expr::Scope` is gone: a transition reads through `Transition`/`Successor`, a \
+              plain binding set is a `Value` record or a `BTreeMap`",
+        roots: &["crates/*/src"],
+        patterns: &[Literal("Scope")],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 0,
+    },
+    Rule {
         name: "one hash module",
         why: "FNV-1a lives in crates/observe/src/hash.rs (re-exported as rmodp_kernel::hash): \
               use it instead of a private copy",
