@@ -44,6 +44,9 @@ pub enum StoreError {
     NoOpenBatch,
     /// `begin` was called while a batch was already open.
     BatchAlreadyOpen,
+    /// `begin` found every batch id below `u64::MAX` handed out (or a
+    /// log already holding `u64::MAX`, which the engine never hands out).
+    BatchIdsExhausted,
 }
 
 impl std::fmt::Display for StoreError {
@@ -52,6 +55,7 @@ impl std::fmt::Display for StoreError {
             StoreError::CorruptSnapshot(why) => write!(f, "corrupt snapshot: {why}"),
             StoreError::NoOpenBatch => write!(f, "no open batch"),
             StoreError::BatchAlreadyOpen => write!(f, "a batch is already open"),
+            StoreError::BatchIdsExhausted => write!(f, "batch ids exhausted"),
         }
     }
 }
@@ -150,7 +154,11 @@ impl<M: StableMedia> StoreEngine<M> {
         let analysis = analyze(&decoded.records);
         report.unresolved_txs = analysis.active.len() + analysis.in_doubt.len();
         let max_tx = decoded.records.iter().map(|r| r.tx().raw()).max();
-        let next_batch = snapshot.next_batch.max(max_tx.unwrap_or(0) + 1);
+        // Saturating: a log holding `u64::MAX` still opens and reads, and
+        // `begin` refuses, since `u64::MAX` is never handed out.
+        let next_batch = snapshot
+            .next_batch
+            .max(max_tx.unwrap_or(0).saturating_add(1));
         for (item, after) in committed_writes(decoded.records, &analysis) {
             report.writes_replayed += 1;
             apply_write(&mut state, item, after);
@@ -245,13 +253,17 @@ impl<M: StableMedia> StoreEngine<M> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::BatchAlreadyOpen`] if one is already open.
+    /// [`StoreError::BatchAlreadyOpen`] if one is already open;
+    /// [`StoreError::BatchIdsExhausted`] once the next id is `u64::MAX`.
     pub fn begin(&mut self) -> Result<TxId, StoreError> {
         if self.open.is_some() {
             return Err(StoreError::BatchAlreadyOpen);
         }
         let tx = TxId::new(self.next_batch);
-        self.next_batch += 1;
+        self.next_batch = self
+            .next_batch
+            .checked_add(1)
+            .ok_or(StoreError::BatchIdsExhausted)?;
         self.log.append(&LogRecord::Begin { tx });
         self.open = Some(OpenBatch {
             tx,

@@ -52,8 +52,8 @@ pub fn encode_snapshot(state: &BTreeMap<String, Value>, next_batch: u64) -> Vec<
     out
 }
 
-/// Decodes a snapshot frame, each entry going from the bytes into the
-/// map as it is read.
+/// Decodes a snapshot frame: the entries are read into one vector, and
+/// the map is built from it in one pass.
 ///
 /// # Errors
 ///
@@ -68,7 +68,7 @@ fn read_snapshot(payload: &[u8]) -> Result<Snapshot, CodecError> {
     let mut r = Reader::new(payload);
     expect_fields(&mut r, 2)?;
     r.expect_key("entries")?;
-    let mut state = BTreeMap::new();
+    let mut entries = Vec::new();
     // The count only bounds the loop: a claim the bytes cannot back runs
     // out of bytes at the first entry that is not there.
     for _ in 0..r.seq_header()? {
@@ -76,13 +76,16 @@ fn read_snapshot(payload: &[u8]) -> Result<Snapshot, CodecError> {
         r.expect_key("k")?;
         let key = r.text()?.to_owned();
         r.expect_key("v")?;
-        state.insert(key, r.value()?);
+        entries.push((key, r.value()?));
     }
     r.expect_key("next_batch")?;
     let next_batch = r.int()? as u64;
     if !r.at_end() {
         return Err(r.error("trailing bytes after snapshot"));
     }
+    // One bulk build from the entries, which the writer put in key order;
+    // of equal keys the last wins, as repeated inserts would have it.
+    let state = BTreeMap::from_iter(entries);
     Ok(Snapshot { state, next_batch })
 }
 
@@ -111,6 +114,31 @@ mod tests {
         };
         let bytes = encode_snapshot(&snap.state, snap.next_batch);
         assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
+    }
+
+    #[test]
+    fn of_equal_keys_the_last_wins() {
+        let entry = |w: &mut Writer<'_>, v: i64| {
+            w.record_header(2);
+            w.key("k");
+            w.text("key");
+            w.key("v");
+            w.value(&Value::Int(v));
+        };
+        let mut payload = Vec::new();
+        let mut w = Writer::new(&mut payload);
+        w.record_header(2);
+        w.key("entries");
+        w.seq_header(2);
+        entry(&mut w, 1);
+        entry(&mut w, 2);
+        w.key("next_batch");
+        w.value(&Value::Int(3));
+        let snapshot = read_snapshot(&payload).unwrap();
+        assert_eq!(
+            snapshot.state,
+            BTreeMap::from([("key".to_owned(), Value::Int(2))])
+        );
     }
 
     #[test]

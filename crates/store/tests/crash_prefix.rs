@@ -7,7 +7,10 @@
 //! torn mixture, never a lost committed write, never a leaked
 //! uncommitted one. And what a crash tore is cut off the medium at
 //! recovery, so a batch committed afterwards survives the crash after
-//! that (`TearingMedia`).
+//! that (`TearingMedia`). A log an older build began, in the legacy frame
+//! form, and this build went on with holds the same property.
+
+mod legacy;
 
 use std::collections::BTreeMap;
 
@@ -15,6 +18,8 @@ use proptest::prelude::*;
 
 use rmodp_core::value::Value;
 use rmodp_store::{MemMedia, StableMedia, StoreConfig, StoreEngine};
+
+use legacy::to_legacy;
 
 /// One staged operation: `Some(v)` puts, `None` deletes.
 type Op = (u8, Option<i64>);
@@ -43,9 +48,19 @@ type CommitPoint = (usize, BTreeMap<String, Value>);
 /// Runs the history, recording after each committed batch the WAL length
 /// at which its commit frame ends and the expected state at that point.
 fn run_history(history: &[Batch]) -> (MemMedia, Vec<CommitPoint>) {
-    let mut engine = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
-    let mut shadow: BTreeMap<String, Value> = BTreeMap::new();
-    let mut commit_points = vec![(0usize, shadow.clone())];
+    continue_history(MemMedia::new(), vec![(0, BTreeMap::new())], history)
+}
+
+/// [`run_history`] on top of `media`, whose WAL already ends at the last
+/// of `commit_points`.
+fn continue_history(
+    media: MemMedia,
+    mut commit_points: Vec<CommitPoint>,
+    history: &[Batch],
+) -> (MemMedia, Vec<CommitPoint>) {
+    let mut engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
+    let mut shadow = commit_points.last().expect("a start point").1.clone();
+    assert_eq!(engine.state(), &shadow);
     for (ops, commits) in history {
         engine.begin().unwrap();
         for (k, op) in ops {
@@ -76,6 +91,12 @@ fn run_history(history: &[Batch]) -> (MemMedia, Vec<CommitPoint>) {
 
 fn assert_every_prefix_recovers(history: &[Batch]) {
     let (media, commit_points) = run_history(history);
+    assert_every_cut_recovers(&media, &commit_points);
+}
+
+/// Cuts the WAL of `media` at every byte and reopens it: the state must
+/// be that of the last commit point at or before the cut.
+fn assert_every_cut_recovers(media: &MemMedia, commit_points: &[CommitPoint]) {
     let total = media.wal_len();
     for cut in 0..=total {
         let mut crashed = media.clone();
@@ -116,6 +137,33 @@ fn recovery_equals_committed_prefix_for_a_dense_history() {
         (vec![(1, Some(20)), (0, None)], true),
     ];
     assert_every_prefix_recovers(&history);
+}
+
+#[test]
+fn recovery_equals_committed_prefix_on_a_log_begun_in_legacy_frames() {
+    // An older build wrote the first batches: the same records, every
+    // frame unflagged and FNV-1a checked. This build opens that medium
+    // and appends flagged frames behind them.
+    let (written, commit_points) = run_history(&[
+        (vec![(0, Some(1)), (1, Some(2))], true),
+        (vec![(2, Some(3))], false), // aborted
+        (vec![(0, Some(10)), (1, None)], true),
+    ]);
+    let mut old = MemMedia::new();
+    old.wal_append(&to_legacy(written.wal_bytes()));
+    old.sync();
+    assert_ne!(old.wal_bytes(), written.wal_bytes());
+    let (mixed, commit_points) = continue_history(
+        old,
+        commit_points,
+        &[
+            (vec![(1, Some(20)), (3, Some(4))], true),
+            (vec![(0, Some(-5))], false), // aborted
+            (vec![(0, None), (2, Some(7))], true),
+        ],
+    );
+    assert_eq!(commit_points.len(), 5);
+    assert_every_cut_recovers(&mixed, &commit_points);
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! The byte form of what the store leaves on its medium: pinned images
-//! of one fixed history, the streamed encoders held byte for byte to the
-//! `Value` documents they replaced, and hostile bytes — damaged frames
-//! through the one `unframe` both the WAL and the snapshot read with,
-//! and well-checksummed frames whose payload is not what the writers
-//! write.
+//! of one fixed history, in the current and the legacy frame form, the
+//! streamed encoders held byte for byte to the `Value` documents they
+//! replaced, and hostile bytes — damaged frames of either form through
+//! the one `unframe` both the WAL and the snapshot read with, and
+//! well-checksummed frames whose payload is not what the writers write.
+
+mod legacy;
 
 use std::collections::BTreeMap;
 
@@ -13,12 +15,14 @@ use rmodp_core::codec::binary::Writer;
 use rmodp_core::codec::{BinarySyntax, TransferSyntax};
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
-use rmodp_observe::hash::fnv1a;
+use rmodp_observe::hash::{fnv1a, word_checksum};
 use rmodp_store::snapshot::{decode_snapshot, encode_snapshot, Snapshot};
 use rmodp_store::wal::{decode_frames, encode_frame};
 use rmodp_store::{MemMedia, StableMedia, StoreConfig, StoreEngine, StoreError};
-use rmodp_transactions::log::frame::HEADER_LEN;
+use rmodp_transactions::log::frame::{unframe, HEADER_LEN, WORD_CHECKSUM_FLAG};
 use rmodp_transactions::log::LogRecord;
+
+use legacy::to_legacy;
 
 /// One fixed history: overwrites, a delete, an abort, an explicit
 /// compaction with a batch open across it, and a tail after it.
@@ -51,17 +55,39 @@ fn fixed_history() -> MemMedia {
     engine.into_media()
 }
 
-/// The lengths and FNV-1a hashes were read off the commit before the
-/// frame codec, the log and the media moved into `rmodp_transactions`:
-/// a medium written then is read back unchanged now.
+/// The legacy lengths and FNV-1a hashes were read off the commit before
+/// the frame codec, the log and the media moved into
+/// `rmodp_transactions`, and the legacy images still hash to them once
+/// their headers are put back in the unflagged form: a medium written
+/// then is read back unchanged now. The flagged images beside them are
+/// what the store writes today, at the same lengths.
 #[test]
 fn wal_and_snapshot_images_are_pinned() {
     let media = fixed_history();
-    assert_eq!(media.wal_len(), 459);
-    assert_eq!(fnv1a(media.wal_bytes()), 0x0d8c_3f4e_afec_09e6);
+    let wal = media.wal_bytes();
     let snapshot = media.snapshot_bytes().expect("compaction installed one");
+    assert_eq!(wal.len(), 459);
     assert_eq!(snapshot.len(), 126);
-    assert_eq!(fnv1a(snapshot), 0x8961_2042_581e_1e46);
+    assert_eq!(fnv1a(wal), 0x5dcf_cd03_32f5_e20f);
+    assert_eq!(fnv1a(snapshot), 0xd15a_50e5_adf4_d62b);
+
+    let legacy_wal = to_legacy(wal);
+    let legacy_snapshot = to_legacy(snapshot);
+    assert_eq!(legacy_wal.len(), 459);
+    assert_eq!(fnv1a(&legacy_wal), 0x0d8c_3f4e_afec_09e6);
+    assert_eq!(legacy_snapshot.len(), 126);
+    assert_eq!(fnv1a(&legacy_snapshot), 0x8961_2042_581e_1e46);
+
+    let mut old = MemMedia::new();
+    old.wal_append(&legacy_wal);
+    old.snapshot_write(&legacy_snapshot);
+    old.sync();
+    let old = StoreEngine::open(old, StoreConfig::default()).unwrap();
+    let new = StoreEngine::open(media, StoreConfig::default()).unwrap();
+    assert_eq!(old.state(), new.state());
+    assert_eq!(old.recovery_report(), new.recovery_report());
+    assert!(new.recovery_report().snapshot_loaded);
+    assert_eq!(new.recovery_report().records_scanned, 6);
 }
 
 /// A frame whose header is `len` / `checksum` over `payload`, however
@@ -76,37 +102,65 @@ fn raw_frame(len: u32, checksum: u64, payload: &[u8]) -> Vec<u8> {
 #[test]
 fn hostile_frames_stop_the_wal_scan_and_fail_the_snapshot_with_its_error() {
     let payload = b"not a record, not a snapshot";
+    let len = payload.len() as u32;
     let good_record = encode_frame(&LogRecord::Begin { tx: TxId::new(1) });
     let good_snapshot = encode_snapshot(&BTreeMap::new(), 1);
     assert!(decode_snapshot(&good_snapshot).is_ok());
+    assert!(decode_snapshot(&to_legacy(&good_snapshot)).is_ok());
 
-    let hostile: [(&str, Vec<u8>, &str); 5] = [
-        (
-            "length past the end",
-            raw_frame(payload.len() as u32 + 1, fnv1a(payload), payload),
-            "snapshot payload truncated",
-        ),
-        (
-            "u32::MAX length",
-            raw_frame(u32::MAX, fnv1a(payload), payload),
-            "snapshot payload truncated",
-        ),
-        (
-            "bad checksum",
-            raw_frame(payload.len() as u32, !fnv1a(payload), payload),
-            "snapshot checksum mismatch",
-        ),
-        (
-            "header cut short",
-            good_record[..7].to_vec(),
-            "snapshot shorter than its header",
-        ),
-        (
-            "valid frame, undecodable payload",
-            raw_frame(payload.len() as u32, fnv1a(payload), payload),
-            "",
-        ),
+    let mut hostile = vec![(
+        "header cut short".to_owned(),
+        good_record[..7].to_vec(),
+        "snapshot shorter than its header",
+    )];
+    // The same damage to a flagged frame and to a legacy one, each
+    // checked with its own checksum; and each checksum under the other
+    // form's flag.
+    type Sum = fn(&[u8]) -> u64;
+    let forms: [(&str, u32, Sum, Sum); 2] = [
+        ("flagged", WORD_CHECKSUM_FLAG, word_checksum, fnv1a),
+        ("legacy", 0, fnv1a, word_checksum),
     ];
+    for (form, flag, sum, other) in forms {
+        let rows = [
+            (
+                "length past the end",
+                raw_frame((len + 1) | flag, sum(payload), payload),
+                "snapshot payload truncated",
+            ),
+            (
+                "longest length",
+                raw_frame((u32::MAX >> 1) | flag, sum(payload), payload),
+                "snapshot payload truncated",
+            ),
+            (
+                "bad checksum",
+                raw_frame(len | flag, !sum(payload), payload),
+                "snapshot checksum mismatch",
+            ),
+            (
+                "the other form's checksum",
+                raw_frame(len | flag, other(payload), payload),
+                "snapshot checksum mismatch",
+            ),
+            (
+                "valid frame, undecodable payload",
+                raw_frame(len | flag, sum(payload), payload),
+                "",
+            ),
+        ];
+        hostile.extend(
+            rows.into_iter()
+                .map(|(what, bytes, error)| (format!("{form}: {what}"), bytes, error)),
+        );
+    }
+    // The well-checksummed rows pass the frame check in either form —
+    // the legacy one as a legacy frame — and fail only in the payload.
+    for (what, bytes, snapshot_error) in &hostile {
+        if snapshot_error.is_empty() {
+            assert_eq!(unframe(bytes), Ok((&payload[..], &[][..])), "{what}");
+        }
+    }
     for (what, bytes, snapshot_error) in &hostile {
         // WAL: the scan stops at the hostile frame and keeps what came
         // before it.
@@ -134,9 +188,14 @@ fn hostile_frames_stop_the_wal_scan_and_fail_the_snapshot_with_its_error() {
     }
 }
 
-/// A whole frame around `payload`: right length, right checksum.
+/// A whole frame around `payload` as the store writes it: right length,
+/// flagged, right word checksum.
 fn frame(payload: &[u8]) -> Vec<u8> {
-    raw_frame(payload.len() as u32, fnv1a(payload), payload)
+    raw_frame(
+        payload.len() as u32 | WORD_CHECKSUM_FLAG,
+        word_checksum(payload),
+        payload,
+    )
 }
 
 /// The document a log record used to be built as before it was encoded:
@@ -235,7 +294,9 @@ proptest! {
         let decoded = decode_frames(&image);
         prop_assert_eq!(decoded.valid_len, image.len());
         prop_assert!(!decoded.truncated_tail);
-        prop_assert_eq!(decoded.records, records);
+        prop_assert_eq!(&decoded.records, &records);
+        // The same log written by an older build reads back the same.
+        prop_assert_eq!(decode_frames(&to_legacy(&image)), decoded);
     }
 
     #[test]
@@ -248,6 +309,7 @@ proptest! {
             &bytes,
             &frame(&BinarySyntax.encode(&snapshot_document(&state, next_batch)))
         );
+        prop_assert_eq!(decode_snapshot(&to_legacy(&bytes)), decode_snapshot(&bytes));
         prop_assert_eq!(decode_snapshot(&bytes), Ok(Snapshot { state, next_batch }));
     }
 }
@@ -441,12 +503,39 @@ fn only_what_the_writers_write_is_read_back() {
         ),
     ];
     let good = encode_frame(&LogRecord::Begin { tx: TxId::new(1) });
+    // One committed batch, for the engine to keep in front of each.
+    let committed: Vec<u8> = [
+        LogRecord::Begin { tx: TxId::new(1) },
+        LogRecord::Write {
+            tx: TxId::new(1),
+            item: "k".to_owned(),
+            before: None,
+            after: int.clone(),
+        },
+        LogRecord::Commit { tx: TxId::new(1) },
+    ]
+    .iter()
+    .flat_map(encode_frame)
+    .collect();
     for (what, bytes) in &records {
         let image = [&good[..], &frame(bytes), &good[..]].concat();
         let decoded = decode_frames(&image);
         assert_eq!(decoded.records.len(), 1, "{what}");
         assert_eq!(decoded.valid_len, good.len(), "{what}");
         assert!(decoded.truncated_tail, "{what}");
+
+        // Recovery stops at it too, keeps the frames before it and cuts
+        // the rest; the next id follows the ones it kept.
+        let mut media = MemMedia::new();
+        media.wal_append(&[&committed[..], &frame(bytes), &good[..]].concat());
+        media.sync();
+        let mut engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
+        let report = engine.recovery_report();
+        assert_eq!(report.records_scanned, 3, "{what}");
+        assert!(report.tail_discarded, "{what}");
+        assert_eq!(engine.get("k"), Some(&int), "{what}");
+        assert_eq!(engine.log_bytes(), committed.len(), "{what}");
+        assert_eq!(engine.begin(), Ok(TxId::new(2)), "{what}");
     }
 
     let entry = |w: &mut Writer<'_>| {
@@ -554,6 +643,95 @@ fn only_what_the_writers_write_is_read_back() {
         ),
     ];
     for (what, bytes) in &snapshots {
-        assert!(decode_snapshot(&frame(bytes)).is_err(), "{what}");
+        let err = decode_snapshot(&frame(bytes)).expect_err(what);
+        let mut media = MemMedia::new();
+        media.snapshot_write(&frame(bytes));
+        media.sync();
+        match StoreEngine::open(media, StoreConfig::default()) {
+            Err(StoreError::CorruptSnapshot(why)) => assert_eq!(why, err, "{what}"),
+            other => panic!("{what}: expected CorruptSnapshot, got {other:?}"),
+        }
     }
+}
+
+/// The frames of batch `tx` putting `key` = `value` and committing.
+fn committed_batch(tx: u64, key: &str, value: i64) -> Vec<u8> {
+    let tx = TxId::new(tx);
+    [
+        LogRecord::Begin { tx },
+        LogRecord::Write {
+            tx,
+            item: key.to_owned(),
+            before: None,
+            after: Value::Int(value),
+        },
+        LogRecord::Commit { tx },
+    ]
+    .iter()
+    .flat_map(encode_frame)
+    .collect()
+}
+
+fn reopen(media: MemMedia) -> StoreEngine<MemMedia> {
+    StoreEngine::open(media, StoreConfig::default()).unwrap()
+}
+
+fn open_wal(image: &[u8]) -> StoreEngine<MemMedia> {
+    let mut media = MemMedia::new();
+    media.wal_append(image);
+    media.sync();
+    reopen(media)
+}
+
+/// Ids of 2⁶³ and more are written as negative ints and read back as the
+/// ids they were, in a log record and in a snapshot's high-water mark.
+/// The engine hands out every id below `u64::MAX` and then refuses; a
+/// log holding `u64::MAX` itself opens whole and refuses the same way.
+#[test]
+fn batch_ids_past_i64_max_survive_recovery_and_compaction() {
+    let first = i64::MAX as u64;
+    let mut engine = open_wal(&committed_batch(first, "a", 1));
+    assert_eq!(engine.begin(), Ok(TxId::new(first + 1)));
+    engine.put("b", Value::Int(2)).unwrap();
+    engine.commit().unwrap();
+    // From the log alone.
+    let mut engine = reopen(engine.into_media());
+    assert!(!engine.recovery_report().tail_discarded);
+    assert_eq!(engine.len(), 2);
+    assert_eq!(engine.begin(), Ok(TxId::new(first + 2)));
+    engine.put("c", Value::Int(3)).unwrap();
+    engine.commit().unwrap();
+    engine.compact();
+    // From the snapshot alone.
+    let mut engine = reopen(engine.into_media());
+    assert_eq!(engine.recovery_report().records_scanned, 0);
+    assert_eq!(engine.len(), 3);
+    assert_eq!(engine.begin(), Ok(TxId::new(first + 3)));
+
+    let mut engine = open_wal(&committed_batch(u64::MAX - 2, "a", 1));
+    assert_eq!(engine.begin(), Ok(TxId::new(u64::MAX - 1)));
+    engine.commit().unwrap();
+    let logged = engine.log_bytes();
+    assert_eq!(engine.begin(), Err(StoreError::BatchIdsExhausted));
+    assert!(!engine.has_open_batch());
+    let mut engine = reopen(engine.into_media());
+    assert_eq!(
+        engine.log_bytes(),
+        logged,
+        "the refused begin logged nothing"
+    );
+    assert_eq!(engine.begin(), Err(StoreError::BatchIdsExhausted));
+
+    // `tx: -1` on the medium: recovery's next id used to overflow here.
+    let image = [
+        committed_batch(1, "a", 1),
+        committed_batch(u64::MAX, "b", 2),
+        committed_batch(2, "c", 3),
+    ]
+    .concat();
+    let mut engine = open_wal(&image);
+    assert!(!engine.recovery_report().tail_discarded);
+    assert_eq!(engine.log_bytes(), image.len());
+    assert_eq!(engine.len(), 3);
+    assert_eq!(engine.begin(), Err(StoreError::BatchIdsExhausted));
 }

@@ -6,7 +6,10 @@
 //!
 //! - [`media`] — the crash model: only bytes [`sync`](StableMedia::sync)ed
 //!   onto a [`StableMedia`] survive its [`crash`](StableMedia::crash);
-//! - [`mod@frame`] — the checksummed `[len][fnv1a][payload]` frame;
+//! - [`mod@frame`] — the checksummed `[len][checksum][payload]` frame:
+//!   bit 31 of the length flags the word-at-a-time checksum every frame
+//!   is written with, and a frame without the flag (older media) is
+//!   checked with FNV-1a;
 //! - [`LogRecord`] and [`encode_frame`] / [`decode_frames`] — the records
 //!   and their byte form, written straight from a record's parts (owned,
 //!   or borrowed: [`encode_write_into`]) and read back as the longest
@@ -103,7 +106,9 @@ fn write_record(out: &mut Vec<u8>, tag: &str, tx: TxId, write: Option<WriteField
 }
 
 /// Reads back a frame payload [`write_record`] wrote — and only that:
-/// the exact field set in the exact order, nothing after it.
+/// the exact field set in the exact order, nothing after it. The id is
+/// read back as the `u64` it was written from, so every id round-trips,
+/// those of 2⁶³ and more (stored as negative ints) included.
 fn read_record(payload: &[u8]) -> Result<LogRecord, CodecError> {
     let mut r = Reader::new(payload);
     let write = match r.record_header()? {

@@ -533,6 +533,28 @@ mod tests {
     }
 
     #[test]
+    fn caller_chosen_ids_past_i64_max_survive_crash() {
+        // Written as negative ints, read back as the ids they were: the
+        // records after them are not cut off either.
+        let mut rm = acid();
+        let (high, max, after) = (TxId::new(1 << 63), TxId::new(u64::MAX), TxId::new(1));
+        for (tx, item) in [(high, "x"), (max, "y"), (after, "z")] {
+            rm.begin_with_id(tx);
+            rm.write(tx, item, Value::Int(1)).unwrap();
+            rm.prepare(tx).unwrap();
+        }
+        rm.commit(high).unwrap();
+        rm.commit(after).unwrap();
+        rm.crash();
+        rm.recover();
+        assert_eq!(rm.read_committed("x"), Some(Value::Int(1)));
+        assert_eq!(rm.read_committed("z"), Some(Value::Int(1)));
+        assert_eq!(rm.in_doubt(), BTreeSet::from([max]));
+        rm.commit(max).unwrap();
+        assert_eq!(rm.read_committed("y"), Some(Value::Int(1)));
+    }
+
+    #[test]
     fn unflushed_commit_is_lost_by_crash() {
         // Commit flushes under Durable, so force the scenario through an
         // active transaction instead: its writes must not survive.

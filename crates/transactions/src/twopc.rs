@@ -486,6 +486,26 @@ mod tests {
     }
 
     #[test]
+    fn client_ids_past_i64_max_survive_a_participant_crash() {
+        let mut net = build(7, 2, LinkConfig::with_latency(SimDuration::from_millis(1)));
+        for (tx, v) in [(1 << 63, 1), (u64::MAX, 2), (3, 3)] {
+            submit(&mut net, tx, vec![(0, "x", v), (1, "y", v)]);
+            net.sim.run_until_idle();
+            assert_eq!(outcome(&net, tx), TxOutcome::Committed);
+        }
+        let p1 = net.parts[1];
+        net.sim.topology_mut().crash(p1.node);
+        {
+            let part = net.sim.inspect_mut::<Participant>(p1).unwrap();
+            part.rm.crash();
+            part.rm.recover();
+        }
+        net.sim.topology_mut().restart(p1.node);
+        // The last commit, logged behind the two high ids, is kept.
+        assert_eq!(committed(&net, 1, "y"), Some(Value::Int(3)));
+    }
+
+    #[test]
     fn sequential_transactions_on_same_items() {
         let mut net = build(5, 2, LinkConfig::with_latency(SimDuration::from_millis(1)));
         submit(&mut net, 1, vec![(0, "x", 1), (1, "x", 1)]);

@@ -149,8 +149,8 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "one hash module",
-        why: "FNV-1a lives in crates/observe/src/hash.rs (re-exported as rmodp_kernel::hash): \
-              use it instead of a private copy",
+        why: "FNV-1a and the word-wise checksum live in crates/observe/src/hash.rs (re-exported \
+              as rmodp_kernel::hash): use them instead of a private copy",
         roots: &["crates", "src"],
         patterns: &[Literal("cbf2_9ce4_8422_2325")],
         exempt: &["crates/observe/src/hash.rs"],
@@ -168,13 +168,28 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "one frame",
-        why: "the [len][fnv1a][payload] header is assembled in log/frame.rs and nowhere else: \
-              call log::frame::frame_into / unframe",
+        why: "the [flagged len][checksum][payload] header is assembled in log/frame.rs and \
+              nowhere else: call log::frame::frame_into / unframe",
         roots: &["crates/store/src", "crates/transactions/src"],
         patterns: &[Literal("len() as u32).to_le_bytes()")],
         exempt: &["crates/transactions/src/log/frame.rs"],
         above_tests_only: false,
         copies: 0,
+    },
+    Rule {
+        name: "frames are checksummed word-wise",
+        why: "a frame is written with hash::word_checksum (frame_into sets the version flag); \
+              byte-at-a-time FNV-1a is read only by unframe, for unflagged frames of older \
+              media (DESIGN.md, \"Durable state: one log, one crash model\")",
+        roots: &[
+            "crates/transactions/src",
+            "crates/store/src/engine.rs",
+            "crates/store/src/snapshot.rs",
+        ],
+        patterns: &[Call("fnv1a")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 1,
     },
     Rule {
         name: "log records are not Value documents",
