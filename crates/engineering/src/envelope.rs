@@ -317,6 +317,7 @@ impl std::error::Error for EnvelopeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmodp_core::value::Value;
 
     fn sample() -> Envelope {
         let mut e = Envelope::request(
@@ -429,6 +430,55 @@ mod tests {
         assert_eq!(env, sample());
         assert!(env.payload.shares_buffer_with(&frame));
         assert_eq!(rmodp_observe::bus::counter("kernel.payload.copies"), 0);
+    }
+
+    /// Every truncation, every single-bit flip, each length word at
+    /// `u32::MAX` and one trailing byte, of a request frame and a flow
+    /// frame: each is refused or parses to an envelope that writes back
+    /// the very bytes it came from, and the wire records of whatever
+    /// parses decode or are refused without a panic.
+    #[test]
+    fn hostile_frames_are_refused_or_parse_whole() {
+        let args = Value::record([("amount", Value::Int(25))]);
+        let (channel, target) = (ChannelId::new(3), InterfaceId::new(9));
+        let request =
+            crate::wire::request_frame(channel, 42, target, SyntaxId::Binary, "Deposit", &args);
+        let flow = Envelope::flow_item(channel, target, "audio", SyntaxId::Binary, vec![1, 2, 3]);
+        let mut cases = Vec::new();
+        for frame in [request, flow.to_bytes()] {
+            // Three discriminant bytes and four u64s, then the flow name's
+            // length word, the name, and the payload's length word.
+            let mut rest = &frame[35..];
+            let payload_len_at = 39 + rest.get_u32_le() as usize;
+            for at in [35, payload_len_at] {
+                let mut inflated = frame.clone();
+                inflated[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                cases.push(inflated);
+            }
+            cases.extend((0..frame.len()).map(|cut| frame[..cut].to_vec()));
+            for bit in 0..8 * frame.len() {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                cases.push(flipped);
+            }
+            cases.push([frame.as_slice(), &[0]].concat());
+        }
+        let mut parsed = 0;
+        for case in &cases {
+            let copied = Envelope::from_bytes(case);
+            let shared = Envelope::from_payload(&Payload::copy_of(case));
+            assert_eq!(copied, shared);
+            let Ok(env) = copied else { continue };
+            parsed += 1;
+            assert_eq!(&env.to_bytes(), case);
+            let _ = crate::wire::decode_invocation(env.syntax, &env.payload);
+            let _ = crate::wire::decode_termination(env.syntax, &env.payload);
+        }
+        assert!(
+            cases.len() > 1_000 && parsed > 100,
+            "{parsed} of {}",
+            cases.len()
+        );
     }
 
     #[test]

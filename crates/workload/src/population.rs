@@ -33,7 +33,6 @@
 //!
 //! [`mix`]: rmodp_kernel::rng::mix
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use rmodp_core::codec::{syntax_for, SyntaxId};
@@ -257,13 +256,29 @@ fn request_id(region: u32, capsule: u32, op_seq: u32) -> u64 {
     ((region as u64) << 40) | ((capsule as u64) << 16) | (op_seq as u64 + 1)
 }
 
-/// The inverse of [`request_id`].
+/// The inverse of [`request_id`]. An op field of 0, which no request id
+/// has, reads as op `u32::MAX`, which no capsule reaches.
 fn decode_request_id(req: u64) -> (u32, u32, u32) {
     (
         ((req >> 40) & 0xFF_FFFF) as u32,
         ((req >> 16) & 0xFF_FFFF) as u32,
-        ((req & 0xFFFF) - 1) as u32,
+        ((req & 0xFFFF) as u32).wrapping_sub(1),
     )
+}
+
+/// Appends `v` in decimal, the digits `{}` formats it with.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// One completed (answered) operation, as recorded by a client hub.
@@ -299,17 +314,23 @@ impl Completion {
         }
     }
 
-    fn render(&self, scenario: PopulationScenario) -> String {
-        format!(
-            "{{\"t_us\":{},\"region\":{},\"capsule\":{},\"seq\":{},\"op\":\"{}\",\"status\":\"{}\",\"latency_us\":{}}}",
-            self.t_us,
-            self.region,
-            self.capsule,
-            self.op_seq,
-            scenario.op_name(self.op),
-            self.status_name(),
-            self.latency_us,
-        )
+    /// Appends the completion's export line, without its newline.
+    fn render_into(&self, scenario: PopulationScenario, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"t_us\":");
+        push_decimal(out, self.t_us);
+        out.extend_from_slice(b",\"region\":");
+        push_decimal(out, self.region.into());
+        out.extend_from_slice(b",\"capsule\":");
+        push_decimal(out, self.capsule.into());
+        out.extend_from_slice(b",\"seq\":");
+        push_decimal(out, self.op_seq.into());
+        out.extend_from_slice(b",\"op\":\"");
+        out.extend_from_slice(scenario.op_name(self.op).as_bytes());
+        out.extend_from_slice(b"\",\"status\":\"");
+        out.extend_from_slice(self.status_name().as_bytes());
+        out.extend_from_slice(b"\",\"latency_us\":");
+        push_decimal(out, self.latency_us);
+        out.push(b'}');
     }
 }
 
@@ -327,8 +348,9 @@ pub struct ClientHubProcess {
     next_activation: usize,
     /// Operations completed per capsule (the next op's index).
     ops_done: Vec<u16>,
-    /// Outstanding requests: request id → send time.
-    inflight: BTreeMap<u64, SimTime>,
+    /// Per capsule, when its outstanding request was sent, or
+    /// `SimTime::MAX` while none is: a closed chain has at most one out.
+    sent_at: Vec<SimTime>,
     sent: u64,
     completions: Vec<Completion>,
 }
@@ -358,7 +380,7 @@ impl ClientHubProcess {
             schedule,
             next_activation: 0,
             ops_done: vec![0; capsules],
-            inflight: BTreeMap::new(),
+            sent_at: vec![SimTime::MAX; capsules],
             sent: 0,
             completions: Vec::new(),
         }
@@ -408,7 +430,7 @@ impl ClientHubProcess {
             &args,
         );
         ctx.send(Addr::new(NodeIdx(2 * target), NUCLEUS_PORT), frame);
-        self.inflight.insert(req, ctx.now());
+        self.sent_at[capsule as usize] = ctx.now();
         self.sent += 1;
     }
 }
@@ -421,11 +443,20 @@ impl Process for ClientHubProcess {
         if env.kind != EnvelopeKind::Reply {
             return;
         }
-        let Some(sent_at) = self.inflight.remove(&env.request) else {
-            return;
-        };
+        // Only the reply to a capsule's outstanding request counts: this
+        // region, one of its capsules, the op `ops_done` names, still out.
         let (region, capsule, op_seq) = decode_request_id(env.request);
-        debug_assert_eq!(region, self.region);
+        let c = capsule as usize;
+        let outstanding = region == self.region
+            && self
+                .ops_done
+                .get(c)
+                .is_some_and(|&done| op_seq == u32::from(done))
+            && self.sent_at[c] != SimTime::MAX;
+        if !outstanding {
+            return;
+        }
+        let sent_at = std::mem::replace(&mut self.sent_at[c], SimTime::MAX);
         let h = mix(self.seed, env.request);
         let (_, _, code) = self.scenario.op(h);
         let now = ctx.now();
@@ -442,8 +473,8 @@ impl Process for ClientHubProcess {
             },
             latency_us: now.since(sent_at).as_micros(),
         });
-        self.ops_done[capsule as usize] += 1;
-        if (self.ops_done[capsule as usize] as u32) < self.ops_per_capsule {
+        self.ops_done[c] += 1;
+        if (self.ops_done[c] as u32) < self.ops_per_capsule {
             let think = 500 + mix(self.seed ^ THINK_SALT, env.request) % 2000;
             ctx.set_timer(
                 SimDuration::from_micros(think),
@@ -622,30 +653,8 @@ fn collect_outcome(config: &PopulationConfig, sims: &[Sim], sync: SyncStats) -> 
 
     completions.sort_by_key(Completion::sort_key);
 
-    let mut export_checksum = FNV_OFFSET_BASIS;
-    let mut export = config.collect_export.then(String::new);
-    let mut stats = RunStats::default();
-    for c in &completions {
-        let line = c.render(config.scenario);
-        export_checksum = fnv1a_fold(export_checksum, line.as_bytes());
-        export_checksum = fnv1a_fold(export_checksum, b"\n");
-        if let Some(out) = export.as_mut() {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        match c.status {
-            0 => {
-                stats.completed += 1;
-                stats.latency.observe(c.latency_us);
-                *stats
-                    .completed_per_op
-                    .entry(config.scenario.op_name(c.op).to_string())
-                    .or_insert(0) += 1;
-            }
-            1 => stats.rejected += 1,
-            _ => stats.errors += 1,
-        }
-    }
+    let (export_checksum, export, mut stats) =
+        render_export(config.scenario, &completions, config.collect_export);
     stats.offered = offered;
     stats.lost = offered - completions.len() as u64;
     stats.started = SimTime::ZERO;
@@ -690,6 +699,48 @@ fn collect_outcome(config: &PopulationConfig, sims: &[Sim], sync: SyncStats) -> 
     }
 }
 
+/// Renders the sorted completions as JSONL — every line into one reused
+/// buffer, folded into the export checksum and kept only when `keep` —
+/// and tallies them into the run statistics.
+fn render_export(
+    scenario: PopulationScenario,
+    completions: &[Completion],
+    keep: bool,
+) -> (u64, Option<String>, RunStats) {
+    let mut checksum = FNV_OFFSET_BASIS;
+    let mut export = keep.then(Vec::new);
+    let mut line = Vec::new();
+    // By op code: `op_name` gives code 0 one name and every other code one.
+    let mut completed_per_op = [0u64; 2];
+    let mut stats = RunStats::default();
+    for c in completions {
+        line.clear();
+        c.render_into(scenario, &mut line);
+        line.push(b'\n');
+        checksum = fnv1a_fold(checksum, &line);
+        if let Some(out) = export.as_mut() {
+            out.extend_from_slice(&line);
+        }
+        match c.status {
+            0 => {
+                stats.completed += 1;
+                stats.latency.observe(c.latency_us);
+                completed_per_op[usize::from(c.op != 0)] += 1;
+            }
+            1 => stats.rejected += 1,
+            _ => stats.errors += 1,
+        }
+    }
+    for (code, n) in (0..).zip(completed_per_op) {
+        if n > 0 {
+            let name = scenario.op_name(code).to_owned();
+            stats.completed_per_op.insert(name, n);
+        }
+    }
+    let export = export.map(|bytes| String::from_utf8(bytes).expect("the export is ASCII"));
+    (checksum, export, stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,6 +762,173 @@ mod tests {
             assert_ne!(req, 0);
             assert_eq!(decode_request_id(req), (r, c, s));
         }
+    }
+
+    /// The line and tally as they were written before the one-buffer
+    /// render: a `format!`ed `String` and a `to_string()` key per
+    /// completion. The reference `render_export` is held to.
+    fn render_by_formatting(c: &Completion, scenario: PopulationScenario) -> String {
+        format!(
+            "{{\"t_us\":{},\"region\":{},\"capsule\":{},\"seq\":{},\"op\":\"{}\",\"status\":\"{}\",\"latency_us\":{}}}",
+            c.t_us,
+            c.region,
+            c.capsule,
+            c.op_seq,
+            scenario.op_name(c.op),
+            c.status_name(),
+            c.latency_us,
+        )
+    }
+
+    fn render_export_by_formatting(
+        scenario: PopulationScenario,
+        completions: &[Completion],
+        keep: bool,
+    ) -> (u64, Option<String>, RunStats) {
+        let mut checksum = FNV_OFFSET_BASIS;
+        let mut export = keep.then(String::new);
+        let mut stats = RunStats::default();
+        for c in completions {
+            let line = render_by_formatting(c, scenario);
+            checksum = fnv1a_fold(checksum, line.as_bytes());
+            checksum = fnv1a_fold(checksum, b"\n");
+            if let Some(out) = export.as_mut() {
+                out.push_str(&line);
+                out.push('\n');
+            }
+            match c.status {
+                0 => {
+                    stats.completed += 1;
+                    stats.latency.observe(c.latency_us);
+                    *stats
+                        .completed_per_op
+                        .entry(scenario.op_name(c.op).to_string())
+                        .or_insert(0) += 1;
+                }
+                1 => stats.rejected += 1,
+                _ => stats.errors += 1,
+            }
+        }
+        (checksum, export, stats)
+    }
+
+    #[test]
+    fn the_export_is_the_bytes_format_wrote() {
+        let wide = [0, 9, 10, u64::from(u32::MAX), u64::MAX];
+        let narrow = [0, 9, 10, u32::MAX];
+        for scenario in [PopulationScenario::Bank, PopulationScenario::Trader] {
+            let mut table = Vec::new();
+            for t_us in wide {
+                for latency_us in wide {
+                    for status in 0..3 {
+                        for op in 0..2 {
+                            let i = table.len();
+                            table.push(Completion {
+                                t_us,
+                                region: narrow[i % 4],
+                                capsule: narrow[(i + 1) % 4],
+                                op_seq: narrow[(i + 2) % 4],
+                                op,
+                                status,
+                                latency_us,
+                            });
+                        }
+                    }
+                }
+            }
+            let mut line = Vec::new();
+            for c in &table {
+                line.clear();
+                c.render_into(scenario, &mut line);
+                assert_eq!(line, render_by_formatting(c, scenario).as_bytes(), "{c:?}");
+            }
+            for rows in [&table[..], &table[..7], &table[..0]] {
+                for keep in [true, false] {
+                    let (sum, export, stats) = render_export(scenario, rows, keep);
+                    let (want_sum, want_export, want) =
+                        render_export_by_formatting(scenario, rows, keep);
+                    assert_eq!(sum, want_sum);
+                    assert_eq!(export, want_export);
+                    assert_eq!(stats.completed_per_op, want.completed_per_op);
+                    assert_eq!(format!("{stats:?}"), format!("{want:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hub_counts_only_the_reply_to_an_outstanding_request() {
+        let mut config = PopulationConfig::new(PopulationScenario::Bank, 7, 1);
+        config.regions = 2;
+        config.capsules_per_region = 2;
+        let mut sim = Sim::with_topology(1, population_topology());
+        for _ in 0..4 {
+            sim.add_node();
+        }
+        // Nothing serves the requests: every reply below is the test's.
+        let server = Addr::new(NodeIdx(0), NUCLEUS_PORT);
+        let hub = Addr::new(NodeIdx(1), DRIVER_PORT);
+        let process = ClientHubProcess::new(0, &config);
+        let first = process.first_activation().expect("two capsules");
+        sim.attach(hub, process);
+        sim.schedule_timer(hub, first, TAG_ACTIVATE);
+        let request = |req| {
+            Envelope::request(
+                ChannelId::new(0),
+                req,
+                InterfaceId::new(1),
+                SyntaxId::Binary,
+                vec![],
+            )
+        };
+        let reply = |req| {
+            Envelope::reply_to(&request(req), ReplyStatus::Ok, SyntaxId::Binary, vec![]).to_bytes()
+        };
+        let deliver = |sim: &mut Sim, frames: Vec<Vec<u8>>| {
+            for frame in frames {
+                sim.send_from(server, hub, frame);
+            }
+            sim.run_for(CROSS_LATENCY);
+            let hub = sim.inspect::<ClientHubProcess>(hub).expect("attached");
+            let done: Vec<_> = hub
+                .completions()
+                .iter()
+                .map(|c| (c.capsule, c.op_seq))
+                .collect();
+            (done, hub.ops_done.clone(), hub.sent())
+        };
+        sim.run_until_idle();
+        assert_eq!(deliver(&mut sim, vec![]), (vec![], vec![0, 0], 2));
+
+        // Capsule 0's op 0 is out. None of these answers it.
+        let mut truncated = reply(request_id(0, 0, 0));
+        truncated.pop();
+        let hostile = vec![
+            reply(request_id(1, 0, 0)),              // another region's
+            reply(request_id(0, 2, 0)),              // past the region's capsules
+            reply(request_id(0, 0xFF_FFFF, 0)),      // far past them
+            reply(request_id(0, 0, 0) & !0xFFFF),    // op field 0
+            reply(request_id(0, 1, 0) & !0xFFFF),    // op field 0, capsule 1
+            reply(request_id(0, 0, 1)),              // an op not yet sent
+            request(request_id(0, 0, 0)).to_bytes(), // not a reply
+            truncated,                               // undecodable
+            vec![0xff, 0, 1],                        // undecodable
+        ];
+        assert_eq!(deliver(&mut sim, hostile), (vec![], vec![0, 0], 2));
+
+        // The right reply and a second one in the same instant: one counts.
+        let answered = vec![reply(request_id(0, 0, 0)), reply(request_id(0, 0, 0))];
+        assert_eq!(deliver(&mut sim, answered), (vec![(0, 0)], vec![1, 0], 2));
+        // After the think time capsule 0 sends op 1; op 0's reply is stale.
+        sim.run_until_idle();
+        let stale = vec![reply(request_id(0, 0, 0))];
+        assert_eq!(deliver(&mut sim, stale), (vec![(0, 0)], vec![1, 0], 3));
+        let last = vec![reply(request_id(0, 0, 1)), reply(request_id(0, 0, 1))];
+        let both = vec![(0, 0), (0, 1)];
+        assert_eq!(deliver(&mut sim, last), (both.clone(), vec![2, 0], 3));
+        // Past the chain's last op, and the first op again: nothing moves.
+        let after = vec![reply(request_id(0, 0, 2)), reply(request_id(0, 0, 0))];
+        assert_eq!(deliver(&mut sim, after), (both, vec![2, 0], 3));
     }
 
     #[test]

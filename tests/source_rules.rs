@@ -454,6 +454,72 @@ fn the_tree_keeps_every_source_rule() {
     assert!(report.is_empty(), "source rules broken:\n{report}");
 }
 
+/// The vendored `bytes` shim, whose accessors every codec calls per byte.
+const BYTE_SHIM: &str = "crates/compat/bytes/src/lib.rs";
+
+/// The 1-based lines, above the test module, of each `fn` that has a body
+/// but no `#[inline]` on the line before it; and how many bodies there are.
+fn uninlined_bodies(text: &str) -> (Vec<usize>, usize) {
+    let lines: Vec<&str> = text
+        .lines()
+        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .collect();
+    let mut bare = Vec::new();
+    let mut bodies = 0;
+    for (i, line) in lines.iter().enumerate() {
+        let code = line.trim_start().trim_start_matches("pub ");
+        if !code.starts_with("fn ") {
+            continue;
+        }
+        // A declaration ends at `;`, a definition at the `{` of its body.
+        let end = lines[i..]
+            .iter()
+            .flat_map(|line| line.chars())
+            .find(|c| matches!(c, '{' | ';'));
+        if end == Some('{') {
+            bodies += 1;
+            if i == 0 || lines[i - 1].trim() != "#[inline]" {
+                bare.push(i + 1);
+            }
+        }
+    }
+    (bare, bodies)
+}
+
+/// clippy's `missing_inline_in_public_items` cannot hold this: the compat
+/// crates are outside the workspace, so `cargo clippy --workspace` never
+/// lints them.
+#[test]
+fn the_byte_shim_inlines_every_method() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(repo.join(BYTE_SHIM)).expect("readable shim");
+    let (bare, bodies) = uninlined_bodies(&text);
+    assert!(
+        bodies >= 15,
+        "only {bodies} method bodies found in {BYTE_SHIM}"
+    );
+    assert!(
+        bare.is_empty(),
+        "{BYTE_SHIM} lines {bare:?}: a shim method with a body needs `#[inline]` on the line \
+         above it, as upstream `bytes` has; without LTO every codec byte is otherwise an \
+         out-of-line call (DESIGN.md, \"Dependencies\")"
+    );
+}
+
+#[test]
+fn an_uninlined_body_is_found_and_a_declaration_is_not() {
+    let text = "\
+        fn remaining(&self) -> usize;\n\
+        #[inline]\n\
+        fn get_u8(&mut self) -> u8 {\n\
+        fn put_u8(&mut self, v: u8) {\n\
+        /// doc\n\
+        pub fn split(\n    a: u8,\n) -> u8 {\n\
+        #[cfg(test)]\n\
+        fn test_only() {}\n";
+    assert_eq!(uninlined_bodies(text), (vec![4, 6], 3));
+}
+
 fn rule_with(patterns: &'static [Pattern], above_tests_only: bool) -> Rule {
     Rule {
         name: "sample",

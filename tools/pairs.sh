@@ -10,8 +10,16 @@
 # yes when the change won at least ceil(0.9 * pairs) pairs and its median
 # differs from the parent's by more than the parent's Q3 - Q1.
 #
+# --layout adds an A/A control against code layout: the parent is built a
+# second time in a sibling directory whose path has another length, and
+# runs as a third side in every pair (the order rotates). Identical source
+# then reads differently only by where the linker put it; the table's
+# `layout` column is that parent-against-parent |change of the median|,
+# and a gain holds only if it also exceeds that.
+#
 #   tools/pairs.sh <parent-rev> <change-rev> [--pairs N] [--seconds S]
 #       [--seed N] [--trace 0|1] [--quick] [--workload W]... [--dir D]
+#       [--layout]
 #
 # Defaults: 10 pairs, BENCHMARK.json's run_seconds, seed 4242, trace 0,
 # every workload of BENCHMARK.json, D = target/pairs under the repository.
@@ -25,7 +33,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 manifest="$root/BENCHMARK.json"
 
 usage() {
-    sed -n '2,19s/^# \{0,1\}//p' "${BASH_SOURCE[0]}" >&2
+    sed -n '2,29s/^# \{0,1\}//p' "${BASH_SOURCE[0]}" >&2
     exit 2
 }
 
@@ -41,6 +49,7 @@ trace=0
 quick=()
 workloads=()
 dir="$root/target/pairs"
+sides=(parent change)
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="$2"; shift 2 ;;
@@ -50,6 +59,7 @@ while [ $# -gt 0 ]; do
         --quick) quick=(--quick); shift ;;
         --workload) workloads+=("$2"); shift 2 ;;
         --dir) dir="$2"; shift 2 ;;
+        --layout) sides=(parent change parent_layout); shift ;;
         *) usage ;;
     esac
 done
@@ -62,10 +72,10 @@ mapfile -t command < <(awk -F'"' '/"command"/ { for (i = 4; i < NF; i += 2) prin
 
 mkdir -p "$dir"
 dir="$(cd "$dir" && pwd)"
-rm -rf "$dir/parent" "$dir/change" "$dir/runs"
+rm -rf "$dir/parent" "$dir/change" "$dir/parent_layout" "$dir/runs"
 mkdir -p "$dir/runs"
-for side in parent change; do
-    rev="${side}_rev"
+for side in "${sides[@]}"; do
+    rev="${side%_layout}_rev"
     echo "pairs: unpacking and building $side (${!rev})" >&2
     mkdir "$dir/$side"
     git -C "$root" archive "${!rev}" | tar -x -C "$dir/$side"
@@ -86,22 +96,20 @@ run() { # side workload pair
 for workload in "${workloads[@]}"; do
     for pair in $(seq 1 "$pairs"); do
         echo "pairs: $workload $pair/$pairs" >&2
-        if [ $((pair % 2)) -eq 1 ]; then
-            run parent "$workload" "$pair"
-            run change "$workload" "$pair"
-        else
-            run change "$workload" "$pair"
-            run parent "$workload" "$pair"
-        fi
+        # Each pair starts one side later than the last: with two sides
+        # they alternate, with three every side takes every place.
+        for i in "${!sides[@]}"; do
+            run "${sides[(pair - 1 + i) % ${#sides[@]}]}" "$workload" "$pair"
+        done
     done
 done
 
 echo "parent \`$parent_rev\`, change \`$change_rev\`: $pairs alternated pairs," \
-    "\`--seed $seed --seconds $seconds --trace $trace ${quick[*]}\`"
+    "\`--seed $seed --seconds $seconds --trace $trace ${quick[*]}${sides[2]:+ --layout}\`"
 echo
-echo "| workload | metric | parent median (Q1–Q3) | change median (Q1–Q3) | Δ median | pairs won | holds |"
-echo "|---|---|---|---|---|---|---|"
-awk -v pairs="$pairs" -v runs="$dir/runs" -v workloads="${workloads[*]}" '
+echo "| workload | metric | parent median (Q1–Q3) | change median (Q1–Q3) | Δ median | pairs won | layout | holds |"
+echo "|---|---|---|---|---|---|---|---|"
+awk -v pairs="$pairs" -v runs="$dir/runs" -v workloads="${workloads[*]}" -v layout="${#sides[@]}" '
     # BENCHMARK.json: one metric a line, in the order the table keeps.
     /"better"/ {
         split($0, q, "\"")
@@ -130,6 +138,9 @@ awk -v pairs="$pairs" -v runs="$dir/runs" -v workloads="${workloads[*]}" '
         lo = int(h)
         return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
     }
+    function abs(x) {
+        return x < 0 ? -x : x
+    }
     function shown(x) {
         return x >= 1000 ? sprintf("%.0f", x) : sprintf("%.4g", x)
     }
@@ -143,6 +154,8 @@ awk -v pairs="$pairs" -v runs="$dir/runs" -v workloads="${workloads[*]}" '
             for (pair = 1; pair <= pairs; pair++) {
                 parent[pair] = result(runs "/" workload[w] "." pair ".parent.json")
                 change[pair] = result(runs "/" workload[w] "." pair ".change.json")
+                if (layout == 3)
+                    twin[pair] = result(runs "/" workload[w] "." pair ".parent_layout.json")
             }
             for (m = 1; m <= metrics; m++) {
                 name = names[m]
@@ -159,10 +172,20 @@ awk -v pairs="$pairs" -v runs="$dir/runs" -v workloads="${workloads[*]}" '
                 moved = quantile(b, pairs, 0.5) - base
                 delta = base ? sprintf("%+.1f %%", 100 * moved / base) : "–"
                 # The claim rule: ceil(0.9 * pairs) pairs won, and the
-                # medians further apart than the IQR of the parent runs.
+                # medians further apart than the IQR of the parent runs
+                # and, under --layout, than the parent from its twin.
                 iqr = quantile(a, pairs, 0.75) - quantile(a, pairs, 0.25)
-                holds = won >= int((9 * pairs + 9) / 10) && (moved < 0 ? -moved : moved) > iqr
-                printf "| %s | %s | %s | %s | %s | %d/%d | %s |\n", workload[w], name, before, after, delta, won, pairs, holds ? "yes" : "no"
+                spread = 0
+                shift = "–"
+                if (layout == 3) {
+                    for (pair = 1; pair <= pairs; pair++)
+                        c[pair] = value(twin[pair], name)
+                    sort(c, pairs)
+                    spread = abs(quantile(c, pairs, 0.5) - base)
+                    shift = base ? sprintf("%.1f %%", 100 * spread / base) : "–"
+                }
+                holds = won >= int((9 * pairs + 9) / 10) && abs(moved) > iqr && abs(moved) > spread
+                printf "| %s | %s | %s | %s | %s | %d/%d | %s | %s |\n", workload[w], name, before, after, delta, won, pairs, shift, holds ? "yes" : "no"
             }
         }
     }
