@@ -113,8 +113,9 @@ mod tests {
         let manager = branch.interface("manager").unwrap();
         // Both can deposit and withdraw; only the manager creates
         // accounts.
-        let teller_sig = branch.signature_of(teller.id).unwrap();
-        let manager_sig = branch.signature_of(manager.id).unwrap();
+        let signature = |template| &branch.template().interface(template).unwrap().signature;
+        let teller_sig = signature(&teller.template);
+        let manager_sig = signature(&manager.template);
         match (teller_sig, manager_sig) {
             (InterfaceSignature::Operational(t), InterfaceSignature::Operational(m)) => {
                 assert!(t.operation("Deposit").is_some());

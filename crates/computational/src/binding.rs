@@ -143,12 +143,6 @@ impl BindingEndpoint {
             requirement: QosRequirement::none(),
         }
     }
-
-    /// Builder: sets the QoS requirement.
-    pub fn with_requirement(mut self, requirement: QosRequirement) -> Self {
-        self.requirement = requirement;
-        self
-    }
 }
 
 /// A primitive binding between two complementary interfaces.
@@ -294,14 +288,6 @@ impl BindingObject {
     pub fn endpoints(&self) -> &[BindingEndpoint] {
         &self.endpoints
     }
-
-    /// Endpoints with a given causality.
-    pub fn endpoints_with(&self, causality: Causality) -> Vec<&BindingEndpoint> {
-        self.endpoints
-            .iter()
-            .filter(|e| e.causality == causality)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -388,10 +374,10 @@ mod tests {
 
     #[test]
     fn contract_combines_both_requirements() {
-        let user = BindingEndpoint::new(InterfaceId::new(1), op_sig(), Causality::Client)
-            .with_requirement(QosRequirement::none().with_max_latency(Duration::from_millis(10)));
-        let provider = BindingEndpoint::new(InterfaceId::new(2), op_sig(), Causality::Server)
-            .with_requirement(QosRequirement::none().with_max_latency(Duration::from_millis(2)));
+        let mut user = BindingEndpoint::new(InterfaceId::new(1), op_sig(), Causality::Client);
+        user.requirement = QosRequirement::none().with_max_latency(Duration::from_millis(10));
+        let mut provider = BindingEndpoint::new(InterfaceId::new(2), op_sig(), Causality::Server);
+        provider.requirement = QosRequirement::none().with_max_latency(Duration::from_millis(2));
         // The offer satisfies the user's 10ms but not the provider's 2ms.
         let offer = QosOffer {
             latency: Duration::from_millis(5),
@@ -439,10 +425,16 @@ mod tests {
             &eq_resolver,
         )
         .unwrap();
+        let consumers = |bo: &BindingObject| {
+            let endpoints = bo.endpoints().iter();
+            endpoints
+                .filter(|e| e.causality == Causality::Consumer)
+                .count()
+        };
         assert_eq!(bo.endpoints().len(), 3);
-        assert_eq!(bo.endpoints_with(Causality::Consumer).len(), 2);
+        assert_eq!(consumers(&bo), 2);
         bo.remove_endpoint(InterfaceId::new(2)).unwrap();
-        assert_eq!(bo.endpoints_with(Causality::Consumer).len(), 1);
+        assert_eq!(consumers(&bo), 1);
         assert!(matches!(
             bo.remove_endpoint(InterfaceId::new(2)),
             Err(BindingError::UnknownEndpoint { .. })

@@ -73,11 +73,13 @@ impl<'a> P<'a> {
             while self.rest().starts_with([' ', '\t', '\n', '\r']) {
                 self.pos += 1;
             }
-            // Line comments.
+            // Line comments, which may hold any UTF-8: skip to the newline
+            // whole, never a byte at a time into a character.
             if self.rest().starts_with("//") {
-                while !self.rest().is_empty() && !self.rest().starts_with('\n') {
-                    self.pos += 1;
-                }
+                self.pos = self
+                    .rest()
+                    .find('\n')
+                    .map_or(self.src.len(), |n| self.pos + n);
             }
             if self.pos == before {
                 return;

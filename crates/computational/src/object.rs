@@ -256,14 +256,6 @@ impl ComputationalObject {
         self.interfaces.retain(|i| i.id != id);
         before != self.interfaces.len()
     }
-
-    /// The signature offered at an interface instance.
-    pub fn signature_of(&self, id: InterfaceId) -> Option<&InterfaceSignature> {
-        let inst = self.interfaces.iter().find(|i| i.id == id)?;
-        self.template
-            .interface(&inst.template)
-            .map(|t| &t.signature)
-    }
 }
 
 #[cfg(test)]
@@ -304,11 +296,10 @@ mod tests {
         let teller = branch.interface("teller").unwrap();
         let manager = branch.interface("manager").unwrap();
         assert_ne!(teller.id, manager.id);
-        assert_eq!(branch.signature_of(teller.id).unwrap().name(), "BankTeller");
-        assert_eq!(
-            branch.signature_of(manager.id).unwrap().name(),
-            "BankManager"
-        );
+        let signature =
+            |i: &InterfaceInstance| &branch.template().interface(&i.template).unwrap().signature;
+        assert_eq!(signature(teller).name(), "BankTeller");
+        assert_eq!(signature(manager).name(), "BankManager");
     }
 
     #[test]

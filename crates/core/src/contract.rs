@@ -82,12 +82,6 @@ impl QosRequirement {
         self.reliable_delivery = true;
         self
     }
-
-    /// Builder: demands a security level.
-    pub fn with_security(mut self, level: SecurityLevel) -> Self {
-        self.security = level;
-        self
-    }
 }
 
 /// What an environment (a channel over a particular network path) *offers*.
@@ -296,14 +290,16 @@ mod tests {
     fn security_levels_are_ordered() {
         let mut offer = fast_offer();
         offer.security = SecurityLevel::Authenticated;
+        let demanding = |security| QosRequirement {
+            security,
+            ..QosRequirement::none()
+        };
+        assert!(offer.satisfies(&demanding(SecurityLevel::None)).is_ok());
         assert!(offer
-            .satisfies(&QosRequirement::none().with_security(SecurityLevel::None))
-            .is_ok());
-        assert!(offer
-            .satisfies(&QosRequirement::none().with_security(SecurityLevel::Authenticated))
+            .satisfies(&demanding(SecurityLevel::Authenticated))
             .is_ok());
         assert!(matches!(
-            offer.satisfies(&QosRequirement::none().with_security(SecurityLevel::ReplayProtected)),
+            offer.satisfies(&demanding(SecurityLevel::ReplayProtected)),
             Err(ContractViolation::Security { .. })
         ));
     }

@@ -168,14 +168,6 @@ impl<T: From<u64>> IdGen<T> {
         }
     }
 
-    /// Creates a generator whose first identifier is `start`.
-    pub fn starting_at(start: u64) -> Self {
-        Self {
-            next: AtomicU64::new(start),
-            _kind: PhantomData,
-        }
-    }
-
     /// Allocates the next identifier.
     pub fn fresh(&self) -> T {
         T::from(self.next.fetch_add(1, Ordering::Relaxed))
@@ -211,13 +203,6 @@ mod tests {
             assert_eq!(id.raw(), i as u64 + 1);
         }
         assert_eq!(gen.allocated(), 100);
-    }
-
-    #[test]
-    fn starting_at_controls_first_id() {
-        let gen = IdGen::<NodeId>::starting_at(42);
-        assert_eq!(gen.fresh(), NodeId::new(42));
-        assert_eq!(gen.fresh(), NodeId::new(43));
     }
 
     #[test]

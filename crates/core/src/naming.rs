@@ -166,11 +166,6 @@ impl NamingContext {
         Ok(())
     }
 
-    /// Binds or replaces a name, returning the previous target if any.
-    pub fn rebind(&mut self, name: &Name, target: BindingTarget) -> Option<BindingTarget> {
-        self.node_mut(name).binding.replace(target)
-    }
-
     /// Resolves a name to its target.
     pub fn resolve(&self, name: &Name) -> Option<&BindingTarget> {
         self.node(name)?.binding.as_ref()
@@ -236,8 +231,8 @@ impl NamingContext {
 /// A binding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BindError {
-    /// The name already has a binding; use
-    /// [`rebind`](NamingContext::rebind) to replace it.
+    /// The name already has a binding; [`unbind`](NamingContext::unbind)
+    /// it first to replace it.
     AlreadyBound { name: Name },
 }
 
@@ -295,14 +290,15 @@ mod tests {
     }
 
     #[test]
-    fn double_bind_fails_rebind_replaces() {
+    fn double_bind_fails_unbind_then_bind_replaces() {
         let mut ctx = NamingContext::new();
         ctx.bind(&name("t"), target(1)).unwrap();
         assert_eq!(
             ctx.bind(&name("t"), target(2)),
             Err(BindError::AlreadyBound { name: name("t") })
         );
-        assert_eq!(ctx.rebind(&name("t"), target(3)).unwrap().id, 1);
+        assert_eq!(ctx.unbind(&name("t")).unwrap().id, 1);
+        ctx.bind(&name("t"), target(3)).unwrap();
         assert_eq!(ctx.resolve(&name("t")).unwrap().id, 3);
     }
 

@@ -431,12 +431,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the retransmission count.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
     /// Sets the total call budget.
     pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
         self.deadline = deadline;

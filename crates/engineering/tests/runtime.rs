@@ -132,12 +132,12 @@ fn lossy_link_times_out_then_retry_succeeds() {
         LinkConfig::with_latency(SimDuration::from_millis(1)).loss(0.6),
     );
     let cfg = ChannelConfig {
-        retry: Some(
-            RetryPolicy::reliable()
-                .with_timeout(SimDuration::from_millis(10))
-                .with_retries(20)
-                .with_deadline(SimDuration::from_secs(2)),
-        ),
+        retry: Some(RetryPolicy {
+            timeout: SimDuration::from_millis(10),
+            retries: 20,
+            deadline: SimDuration::from_secs(2),
+            ..RetryPolicy::reliable()
+        }),
         ..ChannelConfig::default()
     };
     let ch2 = e.open_channel(client, iref.interface, cfg).unwrap();

@@ -117,15 +117,6 @@ impl FailureDetector {
             .collect()
     }
 
-    /// All members that are watched and *not* suspected, in id order.
-    pub fn trusted(&self) -> Vec<InterfaceId> {
-        self.members
-            .iter()
-            .filter(|(_, h)| !h.suspected)
-            .map(|(m, _)| *m)
-            .collect()
-    }
-
     /// Probes every watched member once, in id order, then idles the
     /// simulation to one detector period past the round's start (so
     /// repeated rounds tick deterministically even when every member
@@ -269,7 +260,6 @@ mod tests {
             vec![Detection::Suspected(interface)]
         );
         assert_eq!(detector.suspected(), vec![interface]);
-        assert!(detector.trusted().is_empty());
         // Stays suspected without re-announcing.
         assert!(detector.run_round(&mut engine).is_empty());
 

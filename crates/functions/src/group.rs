@@ -23,8 +23,9 @@ pub const VIEW_LOG_CAP: usize = 64;
 /// How updates are propagated to the group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationPolicy {
-    /// All updates go to the primary, which is re-elected on failure;
-    /// reads may go anywhere.
+    /// Every update goes to the primary first, then on to the other
+    /// members; the primary is re-elected on failure, and reads may go
+    /// anywhere.
     PrimaryCopy,
     /// Every update goes to every member.
     Active,
@@ -226,22 +227,6 @@ impl GroupManager {
         Ok(g.current_view())
     }
 
-    /// The members an *update* must reach under the group's policy.
-    ///
-    /// # Errors
-    ///
-    /// Unknown group.
-    pub fn update_targets(&self, group: GroupId) -> Result<Vec<InterfaceId>, GroupError> {
-        let g = self
-            .groups
-            .get(&group)
-            .ok_or(GroupError::UnknownGroup { group })?;
-        Ok(match g.policy {
-            ReplicationPolicy::Active => g.members.clone(),
-            ReplicationPolicy::PrimaryCopy => g.members.iter().min().copied().into_iter().collect(),
-        })
-    }
-
     /// A deterministic member to serve a *read* (round-robin by request
     /// number so load spreads yet stays reproducible).
     ///
@@ -383,18 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn update_targets_follow_policy() {
-        let mut gm = GroupManager::new();
-        let active = gm.create(ReplicationPolicy::Active, [ifc(1), ifc(2), ifc(3)]);
-        let primary = gm.create(ReplicationPolicy::PrimaryCopy, [ifc(5), ifc(4)]);
-        assert_eq!(
-            gm.update_targets(active).unwrap(),
-            vec![ifc(1), ifc(2), ifc(3)]
-        );
-        assert_eq!(gm.update_targets(primary).unwrap(), vec![ifc(4)]);
-    }
-
-    #[test]
     fn read_targets_round_robin() {
         let mut gm = GroupManager::new();
         let g = gm.create(ReplicationPolicy::Active, [ifc(1), ifc(2)]);
@@ -467,7 +440,7 @@ mod tests {
             Err(GroupError::UnknownGroup { .. })
         ));
         assert!(matches!(
-            gm.update_targets(ghost),
+            gm.policy(ghost),
             Err(GroupError::UnknownGroup { .. })
         ));
         assert!(gm.view_log(ghost).is_empty());

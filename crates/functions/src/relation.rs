@@ -1,5 +1,5 @@
 //! The relationship repository (§8.3): a general store of typed
-//! relationships between identified entities, queryable from either end.
+//! relationships between identified entities, queried from the subject.
 
 use std::collections::BTreeSet;
 
@@ -62,24 +62,6 @@ impl RelationshipRepository {
             .collect()
     }
 
-    /// Subjects related to an object under a kind.
-    pub fn subjects_of(&self, kind: &str, object: u64) -> Vec<u64> {
-        self.triples
-            .iter()
-            .filter(|r| r.kind == kind && r.object == object)
-            .map(|r| r.subject)
-            .collect()
-    }
-
-    /// Removes every relationship an entity participates in (either
-    /// role); returns how many were removed.
-    pub fn purge_entity(&mut self, entity: u64) -> usize {
-        let before = self.triples.len();
-        self.triples
-            .retain(|r| r.subject != entity && r.object != entity);
-        before - self.triples.len()
-    }
-
     /// The transitive closure of a kind from a subject (e.g. nested
     /// community membership).
     pub fn reachable(&self, kind: &str, from: u64) -> Vec<u64> {
@@ -119,7 +101,6 @@ mod tests {
         repo.relate("owns", 2, 100);
         assert!(repo.holds("owns", 1, 100));
         assert_eq!(repo.objects_of("owns", 1), vec![100, 101]);
-        assert_eq!(repo.subjects_of("owns", 100), vec![1, 2]);
         assert!(repo.unrelate("owns", 1, 100));
         assert!(!repo.holds("owns", 1, 100));
     }
@@ -132,16 +113,6 @@ mod tests {
         assert_eq!(repo.objects_of("owns", 1), vec![2]);
         assert_eq!(repo.objects_of("manages", 1), vec![3]);
         assert!(!repo.holds("owns", 1, 3));
-    }
-
-    #[test]
-    fn purge_removes_both_roles() {
-        let mut repo = RelationshipRepository::new();
-        repo.relate("a", 1, 2);
-        repo.relate("a", 2, 3);
-        repo.relate("a", 4, 5);
-        assert_eq!(repo.purge_entity(2), 2);
-        assert_eq!(repo.len(), 1);
     }
 
     #[test]

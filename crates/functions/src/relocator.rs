@@ -129,11 +129,6 @@ impl Relocator {
         self.locations.get(&interface).copied()
     }
 
-    /// The highest epoch ever registered for an interface.
-    pub fn epoch_of(&self, interface: InterfaceId) -> Option<u64> {
-        self.epochs.get(&interface).copied()
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> RelocatorStats {
         self.stats
@@ -181,7 +176,7 @@ mod tests {
             r.lookup(InterfaceId::new(1)).unwrap().location.node,
             NodeId::new(2)
         );
-        assert_eq!(r.epoch_of(InterfaceId::new(1)), Some(2));
+        assert_eq!(r.peek(InterfaceId::new(1)).unwrap().epoch, 2);
         assert_eq!(r.stats().lookups, 2);
         assert_eq!(r.stats().updates, 2);
     }
@@ -217,7 +212,10 @@ mod tests {
         assert!(!r.deactivate(InterfaceId::new(1)));
         assert_eq!(r.lookup(InterfaceId::new(1)), None);
         assert_eq!(r.stats().misses, 1);
-        assert_eq!(r.epoch_of(InterfaceId::new(1)), Some(3));
+        assert!(matches!(
+            r.register(iref(1, 2, 2)),
+            Err(RelocatorError::StaleUpdate { current: 3, .. })
+        ));
         // Reactivation at a later epoch succeeds; at the same epoch while
         // inactive it is also accepted (epoch equal but no active entry).
         r.register(iref(1, 2, 4)).unwrap();

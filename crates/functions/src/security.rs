@@ -42,16 +42,10 @@ impl fmt::Display for AuthError {
 
 impl std::error::Error for AuthError {}
 
-#[derive(Debug)]
-struct PrincipalRecord {
-    name: String,
-    secret: String,
-}
-
 /// The authentication function.
 #[derive(Debug, Default)]
 pub struct Authenticator {
-    principals: BTreeMap<PrincipalId, PrincipalRecord>,
+    secrets: BTreeMap<PrincipalId, String>,
     by_name: BTreeMap<String, PrincipalId>,
     tokens: BTreeMap<u64, Token>,
     gen: IdGen<PrincipalId>,
@@ -74,24 +68,12 @@ impl Authenticator {
     /// Enrols a principal; returns its identity. Re-enrolling a name
     /// replaces its secret.
     pub fn enrol(&mut self, name: impl Into<String>, secret: impl Into<String>) -> PrincipalId {
-        let name = name.into();
         let id = *self
             .by_name
-            .entry(name.clone())
+            .entry(name.into())
             .or_insert_with(|| self.gen.fresh());
-        self.principals.insert(
-            id,
-            PrincipalRecord {
-                name,
-                secret: secret.into(),
-            },
-        );
+        self.secrets.insert(id, secret.into());
         id
-    }
-
-    /// The name of a principal.
-    pub fn name_of(&self, principal: PrincipalId) -> Option<&str> {
-        self.principals.get(&principal).map(|r| r.name.as_str())
     }
 
     /// Exchanges credentials for a token.
@@ -101,8 +83,7 @@ impl Authenticator {
     /// [`AuthError::BadCredentials`] for unknown names or wrong secrets.
     pub fn authenticate(&mut self, name: &str, secret: &str, now: u64) -> Result<Token, AuthError> {
         let id = self.by_name.get(name).ok_or(AuthError::BadCredentials)?;
-        let record = self.principals.get(id).ok_or(AuthError::BadCredentials)?;
-        if record.secret != secret {
+        if self.secrets.get(id).ok_or(AuthError::BadCredentials)? != secret {
             return Err(AuthError::BadCredentials);
         }
         let token = Token {
@@ -226,7 +207,6 @@ mod tests {
             auth.validate(token.value, 1_100),
             Err(AuthError::InvalidToken)
         );
-        assert_eq!(auth.name_of(alice), Some("alice"));
     }
 
     #[test]

@@ -162,24 +162,6 @@ impl AssociationSet {
         before != self.links.len()
     }
 
-    /// The right participants linked to a left participant.
-    pub fn rights_of(&self, left: u64) -> Vec<u64> {
-        self.links
-            .iter()
-            .filter(|(l, _)| *l == left)
-            .map(|(_, r)| *r)
-            .collect()
-    }
-
-    /// The left participants linked to a right participant.
-    pub fn lefts_of(&self, right: u64) -> Vec<u64> {
-        self.links
-            .iter()
-            .filter(|(_, r)| *r == right)
-            .map(|(l, _)| *l)
-            .collect()
-    }
-
     /// All links.
     pub fn links(&self) -> &[(u64, u64)] {
         &self.links
@@ -299,9 +281,7 @@ mod tests {
             err,
             AssociationError::RightCardinality { right: 100, .. }
         ));
-        assert_eq!(set.rights_of(1), vec![100, 101]);
-        assert_eq!(set.lefts_of(100), vec![1]);
-        assert_eq!(set.len(), 2);
+        assert_eq!(set.links(), [(1, 100), (1, 101)]);
     }
 
     #[test]

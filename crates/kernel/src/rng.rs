@@ -1,9 +1,8 @@
 //! Seeded randomness handles.
 //!
 //! Every stochastic decision in the workspace draws from a [`KernelRng`]
-//! seeded from the run's seed (possibly salted so independent concerns
-//! get independent streams without consuming each other's draws). The
-//! wrapper derefs to the underlying [`StdRng`], so existing `Rng` call
+//! seeded from the run's seed, or from [`mix`] where a decision must not
+//! depend on anyone else's draws. The wrapper derefs to the underlying [`StdRng`], so existing `Rng` call
 //! sites keep their exact draw order — and therefore their bit-identical
 //! streams — across the kernel refactor.
 
@@ -34,13 +33,6 @@ impl KernelRng {
     /// A stream seeded directly from `seed`.
     pub fn seeded(seed: u64) -> Self {
         KernelRng(StdRng::seed_from_u64(seed))
-    }
-
-    /// An independent stream derived from `seed` by XOR-ing a salt, so
-    /// two concerns sharing one run seed never consume each other's
-    /// draws.
-    pub fn salted(seed: u64, salt: u64) -> Self {
-        KernelRng(StdRng::seed_from_u64(seed ^ salt))
     }
 }
 
@@ -82,12 +74,5 @@ mod tests {
         let a = mix(7, 100);
         let b = mix(7, 101);
         assert!((a ^ b).count_ones() > 16, "poor avalanche: {a:x} vs {b:x}");
-    }
-
-    #[test]
-    fn salted_matches_xored_seed() {
-        let mut a = KernelRng::salted(7, 0xdead_beef);
-        let mut b = StdRng::seed_from_u64(7 ^ 0xdead_beef);
-        assert_eq!(a.gen::<f64>(), b.gen::<f64>());
     }
 }

@@ -341,14 +341,10 @@ impl Sim {
         self.procs.insert(addr, Box::new(process)).is_some()
     }
 
-    /// Detaches the process at an address (used by migration).
+    /// Detaches the process at an address; messages sent there are then
+    /// dropped as unroutable. Returns `true` if a process was attached.
     pub fn detach(&mut self, addr: Addr) -> bool {
         self.procs.remove(&addr).is_some()
-    }
-
-    /// Whether a process is attached at the address.
-    pub fn is_attached(&self, addr: Addr) -> bool {
-        self.procs.contains_key(&addr)
     }
 
     /// Immutable access to an attached process of a known concrete type.
@@ -1120,7 +1116,6 @@ mod tests {
         let (mut sim, pa, pb) = two_node_sim(LinkConfig::ideal());
         assert!(sim.detach(pa));
         assert!(!sim.detach(pa));
-        assert!(!sim.is_attached(pa));
         sim.send_from(pb, pa, vec![1]);
         sim.run_until_idle();
         assert_eq!(sim.metrics().dropped_unroutable, 1);

@@ -16,8 +16,9 @@
 //!   repository's subtype lattice and queries only the shards owning
 //!   those types — usually a small subset of the federation;
 //! - a **broadcast** ([`ShardedFederation::import_all`]) walks every
-//!   shard through the underlying [`Federation`]'s links, which is the
-//!   escape hatch when the type set cannot be bounded.
+//!   shard through the underlying [`Federation`]'s links. No import is
+//!   routed there: it is the unrouted reference that the routed import is
+//!   tested against.
 //!
 //! Results from multiple shards are deduplicated and preference-ordered
 //! with the same `(score, holder, offer id)` tie-break as
@@ -179,8 +180,8 @@ impl ShardedFederation {
     }
 
     /// Broadcasts an import to every shard by walking the federation's
-    /// ring links — the unrouted baseline, and the fallback when the
-    /// conformant type set cannot be derived.
+    /// ring links: the unrouted reference a routed [`import`](Self::import)
+    /// must agree with.
     ///
     /// # Errors
     ///

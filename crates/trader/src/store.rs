@@ -184,14 +184,6 @@ impl PropertyIndex {
         self.entries
     }
 
-    /// Distinct keys present.
-    pub fn distinct_keys(&self) -> usize {
-        match &self.postings {
-            Postings::Hash(m) => m.len(),
-            Postings::Ordered(m) => m.len(),
-        }
-    }
-
     fn insert(&mut self, key: PropKey, id: OfferId) {
         let list = match &mut self.postings {
             Postings::Hash(m) => m.entry(key).or_default(),
@@ -242,13 +234,6 @@ impl PropertyIndex {
             Postings::Ordered(m) => m.range((lo, hi)).map(|(_, s)| s.as_slice()).collect(),
             Postings::Hash(_) => Vec::new(),
         }
-    }
-
-    /// The number of offers in a key band (ordered indexes only).
-    /// Exact and cheap (posting sizes are summed without touching
-    /// offers) — the planner's selectivity estimate.
-    pub fn range_count(&self, lo: Bound<&PropKey>, hi: Bound<&PropKey>) -> usize {
-        self.range_postings(lo, hi).iter().map(|s| s.len()).sum()
     }
 }
 
@@ -454,10 +439,8 @@ mod tests {
         assert_eq!(ppm.eq_postings(&k55).unwrap().len(), 2);
         let lo = PropKey::of(&Value::Int(40)).unwrap();
         let (_, hi) = PropKey::num_band();
-        assert_eq!(
-            ppm.range_count(Bound::Included(&lo), Bound::Included(&hi)),
-            2
-        );
+        let band = ppm.range_postings(Bound::Included(&lo), Bound::Included(&hi));
+        assert_eq!(band.concat().len(), 2);
         let region = s.index("region").unwrap();
         let bne = PropKey::of(&Value::text("bne")).unwrap();
         assert_eq!(region.eq_postings(&bne).unwrap().len(), 2);
@@ -502,9 +485,10 @@ mod tests {
         let (_, hi) = PropKey::num_band();
         let lo = PropKey::of(&Value::Int(50)).unwrap();
         let count = |s: &OfferStore| {
-            s.index("ppm")
-                .unwrap()
-                .range_count(Bound::Included(&lo), Bound::Included(&hi))
+            let ppm = s.index("ppm").unwrap();
+            ppm.range_postings(Bound::Included(&lo), Bound::Included(&hi))
+                .concat()
+                .len()
         };
         assert_eq!(count(&s), 2);
         assert!(s.replace_properties(OfferId::new(1), Value::record([("ppm", Value::Int(90))])));
@@ -537,7 +521,7 @@ mod tests {
         index.remove(&k30, OfferId::new(1));
         index.remove(&k30, OfferId::new(1));
         assert_eq!(index.entries(), 2);
-        assert_eq!(index.distinct_keys(), 1);
+        assert!(index.eq_postings(&k30).is_none());
     }
 
     #[test]
@@ -617,11 +601,10 @@ mod tests {
                         model.get_mut(&key(k)).map(|set| set.remove(&id));
                         model.retain(|_, set| !set.is_empty());
                     }
-                    prop_assert_eq!(index.distinct_keys(), model.len());
                     let entries = model.values().map(BTreeSet::len).sum::<usize>();
                     prop_assert_eq!(index.entries(), entries);
-                    let ranged = index.range_count(Bound::Unbounded, Bound::Unbounded);
-                    prop_assert_eq!(ranged, if index.supports_range() { entries } else { 0 });
+                    let ranged = index.range_postings(Bound::Unbounded, Bound::Unbounded).concat();
+                    prop_assert_eq!(ranged.len(), if index.supports_range() { entries } else { 0 });
                     for k in 0..4 {
                         let listed = index.eq_postings(&key(k)).map(<[OfferId]>::to_vec);
                         let expected = model.get(&key(k)).map(|set| set.iter().copied().collect());

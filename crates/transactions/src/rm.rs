@@ -63,15 +63,6 @@ impl TxProfile {
             permanence: Permanence::Durable,
         }
     }
-
-    /// A deliberately weak profile: dirty reads, no undo, volatile.
-    pub fn best_effort() -> Self {
-        Self {
-            visibility: Visibility::ReadUncommitted,
-            recoverability: Recoverability::None,
-            permanence: Permanence::Volatile,
-        }
-    }
 }
 
 /// A resource-manager failure.
@@ -427,10 +418,14 @@ mod tests {
     }
 
     #[test]
-    fn best_effort_abort_leaks_effects() {
+    fn unrecoverable_abort_leaks_effects() {
         // The generalised function's weakest recoverability: effects of
         // failed transactions are not undone.
-        let mut rm = ResourceManager::new("weak", TxProfile::best_effort());
+        let profile = TxProfile {
+            recoverability: Recoverability::None,
+            ..TxProfile::acid()
+        };
+        let mut rm = ResourceManager::new("weak", profile);
         let tx = rm.begin();
         rm.write(tx, "x", Value::Int(9)).unwrap();
         rm.abort(tx).unwrap();
@@ -523,7 +518,11 @@ mod tests {
         rm.recover();
         assert_eq!(rm.read_committed("x"), Some(Value::Int(1)));
 
-        let mut weak = ResourceManager::new("v", TxProfile::best_effort());
+        let profile = TxProfile {
+            permanence: Permanence::Volatile,
+            ..TxProfile::acid()
+        };
+        let mut weak = ResourceManager::new("v", profile);
         let tx = weak.begin();
         weak.write(tx, "x", Value::Int(1)).unwrap();
         weak.commit(tx).unwrap();

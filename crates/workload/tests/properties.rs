@@ -84,7 +84,9 @@ proptest! {
         // length variance (looser bound than Poisson for that reason).
         let secs = 60u64;
         let arr = offsets(p, seed, SimDuration::from_secs(secs));
-        let expected = p.mean_rate() * secs as f64;
+        // The long-run rate: on_rate for the on share of the time.
+        let on_share = on_ms as f64 / (on_ms + off_ms) as f64;
+        let expected = on_rate * on_share * secs as f64;
         let got = arr.len() as f64;
         prop_assert!(
             (got - expected).abs() / expected < 0.25,

@@ -276,9 +276,9 @@ fn engine_construction_resets_drop_stats_but_keeps_collect_config() {
     assert_eq!(bus::drop_stats().total(), 0, "drop counters reset");
     assert_eq!(bus::peak_trace_events(), 0, "peak gauges reset");
     assert_eq!(bus::event_count(), 0, "trace cleared");
-    assert_eq!(
-        bus::collect_config().ring_capacity,
-        Some(4),
+    let events = counter_scenario(9, 3, false, false);
+    assert!(
+        events.len() <= 4 && bus::drop_stats().ring_evicted > 0,
         "collection config survives reset like `enabled` does"
     );
     bus::set_collect(CollectConfig::default());

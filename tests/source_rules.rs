@@ -3,8 +3,11 @@
 //! names the text that must not reappear (or must stay the only copy),
 //! where, and why; a hit is reported as `file:line`. Plain `std::fs` and
 //! string matching, so it runs wherever `cargo test` does (CI carries no
-//! copy of these rules).
+//! copy of these rules). A second scan, the public-surface census, holds
+//! every library `pub fn` to a caller outside tests or a [`KEEP`] row
+//! that says why it stays.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -452,6 +455,207 @@ fn the_tree_keeps_every_source_rule() {
     }
     assert!(scanned > 100, "only {scanned} files scanned");
     assert!(report.is_empty(), "source rules broken:\n{report}");
+}
+
+/// The code outside tests that may call a library `pub fn`: the library
+/// itself and what runs it.
+const CALLERS: &[&str] = &[
+    "crates/*/src",
+    "src",
+    "examples",
+    "benchmark/src",
+    "crates/bench/benches",
+];
+
+/// The library `pub fn`s no code in [`CALLERS`] calls, kept on purpose:
+/// each row is `name: why it stays`. Any other `pub fn` under [`SRC`]
+/// without a caller fails the census: delete it, or add a row here.
+const KEEP: &[&str] = &[
+    // Named by the paper: the viewpoint languages and the ODP functions.
+    "unassign: §3, an object leaves a community role",
+    "unlink: §4, removing an association link",
+    "branch_composite: §4, the bank branch as a composite schema",
+    "parse_interface_type: §5.1, the interface-type notation",
+    "check_args: §5.1, an invocation checked against its signature",
+    "check_termination: §5.1, a termination checked against its signature",
+    "is_subtype_of: §5.1.1, data subtyping with interface refs equal by name",
+    "instantiate: §5.2, creating an object",
+    "state_mut: §5.2, writing the state of an object",
+    "create_interface: §5.2, creating an interface",
+    "destroy_interface: §5.2, deleting an interface",
+    "add_endpoint: §5, a binding object gains a party",
+    "remove_endpoint: §5, a binding object loses a party",
+    "branch_template: Figure 2, the bank branch object template",
+    "single_object_capsules: §6, the one-object-per-capsule profile the paper mentions",
+    "remove_object: §6.2, the nucleus deletes an object",
+    "coordinated_checkpoint: §8.1, checkpointing a set of clusters",
+    "coordinated_restore: §8.1, recovering a set of clusters",
+    "store_checkpoint: §8.1, a checkpoint put in the storage function",
+    "subscribe: §8.2, event notification",
+    "unsubscribe: §8.2, event notification",
+    "relate: §8.3, the relationship repository; §8.3.1, type relationships",
+    "unrelate: §8.3, the relationship repository",
+    "reachable: §8.3, the relationship repository's closure query",
+    "unregister: §8.3.1, the type repository",
+    "declare_property_type: §8.3.2, a service type's property types",
+    "property_type: §8.3.2, a service type's property types",
+    "check_request: §8.3.2, an import type-checked against its service type",
+    "resolve: §8.3.3, naming for the relocator's white pages",
+    "unbind: §8.3.3, naming for the relocator's white pages",
+    "enrol: §8.4, authentication",
+    "authenticate: §8.4, authentication",
+    "allow_principal: §8.4, access control",
+    "allow_role: §8.4, access control",
+    "assign_role: §8.4, access control",
+    "deactivate_to_storage: §9, persistence transparency",
+    "drop_replica: §9, replication transparency drops a failed member",
+    "transfer: §9.3, the transaction transparency example",
+    // Observation points: what tests read behaviour through.
+    "backup_pool: the failure guard's remaining backups",
+    "pending_ops: the failure guard's ops logged since its checkpoint",
+    "calls_in_flight: the engine's uncollected asynchronous calls",
+    "node_stats: a nucleus's counters",
+    "synced_len: the WAL bytes a crash keeps",
+    "truncate_wal: the crash point of the crash-at-every-prefix tests",
+    "shares_buffer_with: whether a payload was copied",
+    "round_robin: the partition the kernel's shard tests run under",
+    "detach: how a test makes an address unroutable",
+    "take_events: the bus's buffered events, drained",
+    "peak_trace_events: the bus's bounded-collection high-water mark",
+    "peak_trace_bytes: the bus's bounded-collection high-water mark",
+    "bucket_count: a histogram's footprint",
+    "segment_sum: a profile's attribution, summed",
+    "attribution_table: the profile rendered, pinned byte for byte",
+    "folded_stacks: the profile rendered, pinned byte for byte",
+    "summary_table: the trace rendered per node",
+    // References a test compares against.
+    "import_all: the unrouted broadcast the routed sharded import must agree with",
+    "from_bytes: the copying envelope decode the shared-buffer one must agree with",
+    "replay_consistent: the replayed transition log the recovered state must equal",
+];
+
+/// The name a line defines as a `pub fn` (or `pub const fn`), if any.
+fn defined_pub_fn(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    let rest = rest.strip_prefix("fn ")?;
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end])
+}
+
+/// The identifiers a line uses: those of its code before any `//`,
+/// except a name that follows `fn ` (which it defines).
+fn used_names(line: &str) -> Vec<&str> {
+    let code = line.split("//").next().unwrap_or_default();
+    let mut names = Vec::new();
+    let mut start = None;
+    for (at, c) in code.char_indices().chain([(code.len(), ' ')]) {
+        match (start, c.is_alphanumeric() || c == '_') {
+            (None, true) => start = Some(at),
+            (Some(from), false) => {
+                if !code[..from].ends_with("fn ") {
+                    names.push(&code[from..at]);
+                }
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    names
+}
+
+/// The lines of a file above its `#[cfg(test)]`, numbered from 1, and
+/// the file as shown in a report.
+fn lines_above_tests(repo: &Path, file: &Path) -> (String, Vec<(usize, String)>) {
+    let shown = file.strip_prefix(repo).expect("under the repository");
+    let text = fs::read_to_string(file).expect("readable source file");
+    let lines = text
+        .lines()
+        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .enumerate()
+        .map(|(i, line)| (i + 1, line.to_owned()))
+        .collect();
+    (shown.to_string_lossy().replace('\\', "/"), lines)
+}
+
+/// A name counts as called when a line above the test module of a file
+/// under [`CALLERS`] uses it as a word outside a comment, other than as
+/// its own definition: the census works by name, so one caller keeps
+/// every `pub fn` of that name.
+#[test]
+fn every_pub_fn_has_a_caller_or_a_reason() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut defined = BTreeMap::new();
+    for file in SRC.iter().flat_map(|root| rust_files(repo, root)) {
+        let (shown, lines) = lines_above_tests(repo, &file);
+        for (number, line) in lines {
+            if let Some(name) = defined_pub_fn(&line) {
+                let at = format!("{shown}:{number}");
+                defined.entry(name.to_owned()).or_insert(at);
+            }
+        }
+    }
+    let mut called = BTreeSet::new();
+    for file in CALLERS.iter().flat_map(|root| rust_files(repo, root)) {
+        for (_, line) in lines_above_tests(repo, &file).1 {
+            let used = used_names(&line).into_iter();
+            called.extend(
+                used.filter(|name| defined.contains_key(*name))
+                    .map(str::to_owned),
+            );
+        }
+    }
+    assert!(
+        defined.len() > 500,
+        "only {} pub fn names found",
+        defined.len()
+    );
+    let kept: Vec<&str> = KEEP
+        .iter()
+        .map(|row| {
+            row.split_once(": ")
+                .expect("a KEEP row reads `name: why`")
+                .0
+        })
+        .collect();
+    let mut report = String::new();
+    for (name, at) in &defined {
+        if !called.contains(name) && !kept.contains(&name.as_str()) {
+            report.push_str(&format!(
+                "{at}: `pub fn {name}` has no caller outside tests — delete it, or add a KEEP \
+                 row saying why it stays\n"
+            ));
+        }
+    }
+    for name in kept {
+        if called.contains(name) || !defined.contains_key(name) {
+            report.push_str(&format!(
+                "KEEP row {name:?}: stale — the name is now called, or no `pub fn` has it\n"
+            ));
+        }
+    }
+    assert!(report.is_empty(), "public-surface census:\n{report}");
+}
+
+#[test]
+fn the_census_reads_definitions_and_uses() {
+    assert_eq!(
+        defined_pub_fn("    pub fn with_retries(mut self) -> Self {"),
+        Some("with_retries")
+    );
+    assert_eq!(
+        defined_pub_fn("pub const fn new(raw: u64) -> Self {"),
+        Some("new")
+    );
+    assert_eq!(defined_pub_fn("pub fn push<T>(x: T) {"), Some("push"));
+    assert_eq!(defined_pub_fn("pub(crate) fn hidden() {"), None);
+    assert_eq!(defined_pub_fn("    fn private() {"), None);
+    assert_eq!(
+        used_names("pub fn a(b: B) -> C { d.e(Self::f) } // g(h)"),
+        ["pub", "fn", "b", "B", "C", "d", "e", "Self", "f"]
+    );
 }
 
 /// The vendored `bytes` shim, whose accessors every codec calls per byte.
