@@ -9,12 +9,10 @@ use rmodp_bench::capture::{capture_metrics, mechanism_report};
 use rmodp_bench::{add_one, counter_rig, open};
 use rmodp_core::codec::SyntaxId;
 use rmodp_core::value::Value;
-use rmodp_engineering::behaviour::CounterBehaviour;
 use rmodp_engineering::channel::ChannelConfig;
 use rmodp_engineering::engine::Engine;
-use rmodp_functions::group::ReplicationPolicy;
 use rmodp_transparency::proxy::{migrate_transparently, OdpInfra};
-use rmodp_transparency::replication::replicated_counters;
+use rmodp_transparency::replication::quorum_counters;
 use rmodp_transparency::{Transparency, TransparencySet, TransparentProxy};
 
 /// E5a — invocation cost through the proxy as transparencies accrue, vs
@@ -116,36 +114,20 @@ fn e5_relocation_recovery(c: &mut Criterion) {
     group.finish();
 }
 
-/// E5c — replication fan-out: update cost vs replica count under active
-/// and primary-copy policies (the DESIGN.md ablation #5).
+/// E5c — replication fan-out: quorum update cost vs replica count.
 fn e5_replication_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_replication_fanout");
     group
         .measurement_time(Duration::from_secs(3))
         .sample_size(20);
-    for (policy_name, policy) in [
-        ("active", ReplicationPolicy::Active),
-        ("primary_copy", ReplicationPolicy::PrimaryCopy),
-    ] {
-        for replicas in [1usize, 3, 5] {
-            let mut engine = Engine::new(14);
-            engine
-                .behaviours_mut()
-                .register("counter", CounterBehaviour::default);
-            let client = engine.add_node(SyntaxId::Binary);
-            let mut infra = OdpInfra::new();
-            let (mut svc, _) =
-                replicated_counters(&mut engine, &mut infra, client, policy, replicas).unwrap();
-            group.bench_function(
-                BenchmarkId::new(format!("update_{policy_name}"), replicas),
-                |b| {
-                    b.iter(|| {
-                        svc.update(&mut engine, &mut infra, "Add", &add_one())
-                            .unwrap()
-                    });
-                },
-            );
-        }
+    for replicas in [1usize, 3, 5] {
+        let mut engine = Engine::new(14);
+        let client = engine.add_node(SyntaxId::Binary);
+        let mut infra = OdpInfra::new();
+        let (mut svc, _) = quorum_counters(&mut engine, &mut infra, client, replicas).unwrap();
+        group.bench_function(BenchmarkId::new("quorum_update", replicas), |b| {
+            b.iter(|| svc.quorum_update(&mut engine, &mut infra, 1).unwrap());
+        });
     }
     group.finish();
 }
@@ -233,27 +215,16 @@ fn e5_mechanism_metrics(_c: &mut Criterion) {
 
     let (_, registry) = capture_metrics(|| {
         let mut engine = Engine::new(14);
-        engine
-            .behaviours_mut()
-            .register("counter", CounterBehaviour::default);
         let client = engine.add_node(SyntaxId::Binary);
         let mut infra = OdpInfra::new();
-        let (mut svc, _) = replicated_counters(
-            &mut engine,
-            &mut infra,
-            client,
-            ReplicationPolicy::Active,
-            5,
-        )
-        .unwrap();
+        let (mut svc, _) = quorum_counters(&mut engine, &mut infra, client, 5).unwrap();
         for _ in 0..20 {
-            svc.update(&mut engine, &mut infra, "Add", &add_one())
-                .unwrap();
+            svc.quorum_update(&mut engine, &mut infra, 1).unwrap();
         }
     });
     println!(
         "{}",
-        mechanism_report("active_replication_5x20_updates", &registry)
+        mechanism_report("quorum_replication_5x20_updates", &registry)
     );
 }
 

@@ -18,11 +18,10 @@
 use rmodp_core::codec::SyntaxId;
 use rmodp_core::value::Value;
 use rmodp_engineering::channel::{ChannelConfig, RetryPolicy};
-use rmodp_functions::group::ReplicationPolicy;
 use rmodp_kernel::{EventQueue, KernelRng, SimTime, PAYLOAD_ALLOCS, PAYLOAD_COPIES};
 use rmodp_netsim::topology::LinkConfig;
 use rmodp_transparency::proxy::OdpInfra;
-use rmodp_transparency::replication::replicated_counters;
+use rmodp_transparency::replication::quorum_counters;
 
 use crate::capture::capture_metrics;
 use crate::{add_one, counter_rig, open};
@@ -158,43 +157,26 @@ fn retransmission(seed: u64) -> String {
     )
 }
 
-/// Part 4: replication fan-out. One update to an actively replicated
-/// group marshals the invocation once and shares it across every
-/// replica — the old path re-encoded the arguments per replica.
+/// Part 4: replication fan-out. One update to a quorum group marshals
+/// its `Apply` once and shares it across every replica — the old path
+/// re-encoded the arguments per replica.
 fn replication(seed: u64) -> String {
     const REPLICAS: usize = 5;
     const UPDATES: u64 = 20;
     let ((), registry) = capture_metrics(|| {
         let mut engine = rmodp_engineering::engine::Engine::new(seed);
-        engine.behaviours_mut().register(
-            "counter",
-            rmodp_engineering::behaviour::CounterBehaviour::default,
-        );
         let client = engine.add_node(SyntaxId::Binary);
         let mut infra = OdpInfra::new();
-        let (mut svc, _) = replicated_counters(
-            &mut engine,
-            &mut infra,
-            client,
-            ReplicationPolicy::Active,
-            REPLICAS,
-        )
-        .expect("fresh replicas");
+        let (mut svc, _) =
+            quorum_counters(&mut engine, &mut infra, client, REPLICAS).expect("fresh replicas");
         for _ in 0..UPDATES {
-            svc.update(&mut engine, &mut infra, "Add", &add_one())
+            svc.quorum_update(&mut engine, &mut infra, 1)
                 .expect("all replicas live");
         }
-        let all = svc
-            .read_all(
-                &mut engine,
-                &mut infra,
-                "Get",
-                &Value::record::<&str, _>([]),
-            )
-            .expect("all replicas live");
-        for t in all {
-            assert_eq!(t.results.field("n"), Some(&Value::Int(UPDATES as i64)));
-        }
+        let t = svc
+            .quorum_read(&mut engine, &mut infra)
+            .expect("the leader is live");
+        assert_eq!(t.results.field("n"), Some(&Value::Int(UPDATES as i64)));
     });
     let updates = registry.counter("transparency.replica_updates");
     let calls = registry.counter("engineering.calls");

@@ -117,7 +117,7 @@ impl FaultInjector {
                 self.applied.push(AppliedFault {
                     index: step.index,
                     label: fault.label(),
-                    detail: fault.describe(),
+                    detail: fault.to_string(),
                     injected_at: now,
                     cleared_at: None,
                 });

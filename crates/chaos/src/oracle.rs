@@ -19,6 +19,7 @@
 //! at-most-once execution guarantee).
 
 use rmodp_engineering::nucleus::DRIVER_PORT;
+use rmodp_observe::export::escape_into;
 use rmodp_observe::{bus, Event, EventKind, Layer};
 
 use crate::inject::AppliedFault;
@@ -229,10 +230,12 @@ impl RecoveryReport {
                     Some(t) => t.to_string(),
                     None => "null".to_string(),
                 };
+                let mut detail = String::new();
+                escape_into(&mut detail, &f.detail);
                 format!(
                     "{{\"fault\":\"{}\",\"detail\":\"{}\",\"injected_us\":{},\"cleared_us\":{},\"recovered\":{},\"mttr_us\":{},\"sent_in_window\":{},\"delivered_in_window\":{},\"availability\":{}}}",
                     f.label,
-                    f.detail.replace('"', "'"),
+                    detail,
                     f.injected_us,
                     cleared,
                     f.recovered,
@@ -337,5 +340,21 @@ mod tests {
         let out = oracle.analyse(&events, &[fault(1_000, 1_500)]);
         assert_eq!(out[0].sent_in_window, 0);
         assert!((out[0].availability - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn json_escapes_a_fault_detail_instead_of_rewriting_it() {
+        let mut faults = RecoveryOracle::new(2).analyse(&[], &[fault(1_000, 1_500)]);
+        faults[0].detail = "cut \"a\"\tb".into();
+        let report = RecoveryReport {
+            faults,
+            dedup_hits: 0,
+            duplicate_dispatches: 0,
+            breaker_transitions: 0,
+            mean_mttr_us: 0,
+        };
+        assert!(report
+            .to_json()
+            .contains("\"detail\":\"cut \\\"a\\\"\\tb\","));
     }
 }

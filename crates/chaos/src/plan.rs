@@ -134,12 +134,6 @@ impl FaultKind {
         }
     }
 
-    /// Deterministic one-line description of the fault parameters (the
-    /// `Display` text).
-    pub fn describe(&self) -> String {
-        self.to_string()
-    }
-
     /// The duration of the fault window (time until the clearing action).
     pub fn window(&self) -> SimDuration {
         match self {
@@ -428,7 +422,7 @@ impl FaultPlan {
         sorted.sort_by_key(|e| e.at.as_micros());
         let mut out = String::new();
         for e in sorted {
-            out.push_str(&format!("+{}us {}\n", e.at.as_micros(), e.fault.describe()));
+            out.push_str(&format!("+{}us {}\n", e.at.as_micros(), e.fault));
         }
         out
     }

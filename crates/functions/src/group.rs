@@ -2,9 +2,9 @@
 //!
 //! Replication transparency (§9) needs a *group* abstraction: a set of
 //! replica interfaces presented behind a common interface. This module
-//! manages group membership as numbered **views** with deterministic
-//! primary election; the transparency layer disseminates updates to the
-//! members of the current view.
+//! manages group membership as numbered **views**, and installs the
+//! **epochs** a quorum election wins; the transparency layer commits
+//! updates on a majority of the current view.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -20,17 +20,6 @@ use rmodp_observe::{bus, event, EventKind, Layer};
 /// [`view_log`]: GroupManager::view_log
 pub const VIEW_LOG_CAP: usize = 64;
 
-/// How updates are propagated to the group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationPolicy {
-    /// Every update goes to the primary first, then on to the other
-    /// members; the primary is re-elected on failure, and reads may go
-    /// anywhere.
-    PrimaryCopy,
-    /// Every update goes to every member.
-    Active,
-}
-
 /// One numbered membership view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
@@ -42,9 +31,6 @@ pub struct View {
     pub epoch: u64,
     /// Members in deterministic (insertion) order.
     pub members: Vec<InterfaceId>,
-    /// The primary (lowest-id member) — meaningful under
-    /// [`ReplicationPolicy::PrimaryCopy`].
-    pub primary: Option<InterfaceId>,
     /// The elected leader holding this view's epoch, once a quorum
     /// election has run ([`GroupManager::install_view`]); `None` for
     /// purely membership-managed groups.
@@ -94,7 +80,6 @@ impl std::error::Error for GroupError {}
 
 #[derive(Debug)]
 struct Group {
-    policy: ReplicationPolicy,
     members: Vec<InterfaceId>,
     view_number: u64,
     epoch: u64,
@@ -109,7 +94,6 @@ impl Group {
             number: self.view_number,
             epoch: self.epoch,
             members: self.members.clone(),
-            primary: self.members.iter().min().copied(),
             leader: self.leader,
         }
     }
@@ -142,14 +126,9 @@ impl GroupManager {
     }
 
     /// Creates a group with initial members.
-    pub fn create(
-        &mut self,
-        policy: ReplicationPolicy,
-        members: impl IntoIterator<Item = InterfaceId>,
-    ) -> GroupId {
+    pub fn create(&mut self, members: impl IntoIterator<Item = InterfaceId>) -> GroupId {
         let id = self.gen.fresh();
         let mut group = Group {
-            policy,
             members: members.into_iter().collect(),
             view_number: 0,
             epoch: 0,
@@ -175,19 +154,6 @@ impl GroupManager {
             .current_view())
     }
 
-    /// The group's replication policy.
-    ///
-    /// # Errors
-    ///
-    /// Unknown group.
-    pub fn policy(&self, group: GroupId) -> Result<ReplicationPolicy, GroupError> {
-        Ok(self
-            .groups
-            .get(&group)
-            .ok_or(GroupError::UnknownGroup { group })?
-            .policy)
-    }
-
     /// Adds a member, creating a new view.
     ///
     /// # Errors
@@ -207,8 +173,6 @@ impl GroupManager {
     }
 
     /// Removes a member (e.g. on failure detection), creating a new view.
-    /// Primary re-election is implicit: the new view's primary is its
-    /// lowest-id member.
     ///
     /// # Errors
     ///
@@ -225,29 +189,6 @@ impl GroupManager {
         }
         g.bump();
         Ok(g.current_view())
-    }
-
-    /// A deterministic member to serve a *read* (round-robin by request
-    /// number so load spreads yet stays reproducible).
-    ///
-    /// # Errors
-    ///
-    /// Unknown group.
-    pub fn read_target(
-        &self,
-        group: GroupId,
-        request_no: u64,
-    ) -> Result<Option<InterfaceId>, GroupError> {
-        let g = self
-            .groups
-            .get(&group)
-            .ok_or(GroupError::UnknownGroup { group })?;
-        if g.members.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(
-            g.members[(request_no % g.members.len() as u64) as usize],
-        ))
     }
 
     /// Installs an **elected** view at a strictly higher epoch, on the
@@ -339,17 +280,17 @@ mod tests {
     #[test]
     fn create_and_view() {
         let mut gm = GroupManager::new();
-        let g = gm.create(ReplicationPolicy::Active, [ifc(3), ifc(1), ifc(2)]);
+        let g = gm.create([ifc(3), ifc(1), ifc(2)]);
         let v = gm.view(g).unwrap();
         assert_eq!(v.number, 1);
         assert_eq!(v.members, vec![ifc(3), ifc(1), ifc(2)]);
-        assert_eq!(v.primary, Some(ifc(1)));
+        assert_eq!((v.epoch, v.leader), (0, None));
     }
 
     #[test]
     fn join_and_leave_bump_views() {
         let mut gm = GroupManager::new();
-        let g = gm.create(ReplicationPolicy::PrimaryCopy, [ifc(1), ifc(2)]);
+        let g = gm.create([ifc(1), ifc(2)]);
         let v = gm.join(g, ifc(3)).unwrap();
         assert_eq!(v.number, 2);
         assert!(matches!(
@@ -358,8 +299,7 @@ mod tests {
         ));
         let v = gm.leave(g, ifc(1)).unwrap();
         assert_eq!(v.number, 3);
-        // Primary re-elected deterministically.
-        assert_eq!(v.primary, Some(ifc(2)));
+        assert_eq!(v.members, vec![ifc(2), ifc(3)]);
         assert!(matches!(
             gm.leave(g, ifc(1)),
             Err(GroupError::NotMember { .. })
@@ -368,20 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn read_targets_round_robin() {
-        let mut gm = GroupManager::new();
-        let g = gm.create(ReplicationPolicy::Active, [ifc(1), ifc(2)]);
-        assert_eq!(gm.read_target(g, 0).unwrap(), Some(ifc(1)));
-        assert_eq!(gm.read_target(g, 1).unwrap(), Some(ifc(2)));
-        assert_eq!(gm.read_target(g, 2).unwrap(), Some(ifc(1)));
-        let empty = gm.create(ReplicationPolicy::Active, []);
-        assert_eq!(gm.read_target(empty, 0).unwrap(), None);
-    }
-
-    #[test]
     fn install_view_demands_majority_and_fresh_epoch() {
         let mut gm = GroupManager::new();
-        let g = gm.create(ReplicationPolicy::Active, [ifc(1), ifc(2), ifc(3)]);
+        let g = gm.create([ifc(1), ifc(2), ifc(3)]);
         // 1 ack of a 3-member view is short of the majority (2).
         assert_eq!(
             gm.install_view(g, 1, ifc(2), vec![ifc(2), ifc(3)], 1, 0),
@@ -415,7 +344,7 @@ mod tests {
     #[test]
     fn view_log_is_a_bounded_ring() {
         let mut gm = GroupManager::new();
-        let g = gm.create(ReplicationPolicy::Active, [ifc(1)]);
+        let g = gm.create([ifc(1)]);
         for i in 0..(VIEW_LOG_CAP as u64 + 20) {
             gm.join(g, ifc(100 + i)).unwrap();
             gm.leave(g, ifc(100 + i)).unwrap();
@@ -433,14 +362,14 @@ mod tests {
 
     #[test]
     fn unknown_group_errors() {
-        let gm = GroupManager::new();
+        let mut gm = GroupManager::new();
         let ghost = GroupId::new(99);
         assert!(matches!(
             gm.view(ghost),
             Err(GroupError::UnknownGroup { .. })
         ));
         assert!(matches!(
-            gm.policy(ghost),
+            gm.leave(ghost, ifc(1)),
             Err(GroupError::UnknownGroup { .. })
         ));
         assert!(gm.view_log(ghost).is_empty());

@@ -16,9 +16,9 @@
 //!   it back and republishing locations: the part persistence, failure
 //!   and coordinated recovery share;
 //! - [`events`] — event notification (§8.2);
-//! - [`group`] — groups and replication membership with views and primary
-//!   election (§8.2), plus epoch-numbered elected views installed by
-//!   majority acknowledgement;
+//! - [`group`] — groups and replication membership with numbered views
+//!   (§8.2), plus epoch-numbered elected views installed by majority
+//!   acknowledgement;
 //! - [`detect`] — heartbeat failure detection with deterministic
 //!   virtual-time suspicion, feeding view changes;
 //! - [`storage`] — the storage function (§8.3): the [`PersistentStore`]
@@ -41,7 +41,7 @@ pub mod storage;
 
 pub use detect::{Detection, DetectorConfig, FailureDetector};
 pub use events::EventNotifier;
-pub use group::{GroupManager, ReplicationPolicy};
+pub use group::GroupManager;
 pub use relocator::Relocator;
 pub use security::{AccessController, Authenticator};
 pub use storage::{PersistentStore, StorageFunction};

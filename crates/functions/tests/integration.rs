@@ -9,7 +9,7 @@ use rmodp_engineering::behaviour::CounterBehaviour;
 use rmodp_engineering::engine::Engine;
 use rmodp_functions::checkpoints;
 use rmodp_functions::events::EventNotifier;
-use rmodp_functions::group::{GroupManager, ReplicationPolicy};
+use rmodp_functions::group::GroupManager;
 use rmodp_functions::management::{coordinated_checkpoint, store_checkpoint};
 use rmodp_functions::relation::RelationshipRepository;
 use rmodp_functions::relocator::Relocator;
@@ -129,16 +129,13 @@ fn group_views_survive_member_churn_deterministically() {
     let mut gm = GroupManager::new();
     let members: Vec<rmodp_core::id::InterfaceId> =
         (1..=5).map(rmodp_core::id::InterfaceId::new).collect();
-    let g = gm.create(ReplicationPolicy::PrimaryCopy, members.clone());
-    // Kill the primary repeatedly; the next-lowest member takes over.
-    for expected_primary in 2..=5u64 {
-        let view = gm
-            .leave(g, rmodp_core::id::InterfaceId::new(expected_primary - 1))
-            .unwrap();
-        assert_eq!(
-            view.primary,
-            Some(rmodp_core::id::InterfaceId::new(expected_primary))
-        );
+    let g = gm.create(members.clone());
+    // Drop the oldest member repeatedly; each leave is one more view and
+    // the survivors keep their insertion order.
+    for gone in 1..=4 {
+        let view = gm.leave(g, members[gone - 1]).unwrap();
+        assert_eq!(view.number, gone as u64 + 1);
+        assert_eq!(view.members, members[gone..]);
     }
     assert_eq!(gm.view(g).unwrap().members.len(), 1);
     assert_eq!(gm.view_log(g).len(), 5);

@@ -8,7 +8,10 @@ use crate::event::{Event, EventKind, Layer};
 use crate::metrics::Registry;
 use std::collections::BTreeMap;
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as the body of a JSON string: quote, backslash
+/// and control characters escaped, everything else verbatim. The one
+/// escaper every hand-written JSON renderer calls.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -213,11 +216,6 @@ pub fn timeline_capped(events: &[Event], max_events: usize) -> String {
         out.push_str(&format!("(+{} more events)\n", events.len() - max_events));
     }
     out
-}
-
-/// Renders the metrics registry (delegates to [`Registry::render`]).
-pub fn metrics_table(registry: &Registry) -> String {
-    registry.render()
 }
 
 /// Renders the durable store's health block: WAL/snapshot footprint and

@@ -16,6 +16,8 @@
 //!
 //! [`QosRequirement`]: rmodp_core::contract::QosRequirement
 
+use rmodp_observe::export::escape_into;
+
 use crate::driver::RunStats;
 use crate::scenario::Scenario;
 
@@ -227,10 +229,11 @@ impl SloReport {
     /// Serialises the report as deterministic JSON: fixed field order,
     /// integer microseconds, 3-decimal floats. Same run, same bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"scenario\":{:?}", self.scenario));
+        let mut s = String::from("{\"scenario\":");
+        push_json_str(&mut s, &self.scenario);
         s.push_str(&format!(",\"seed\":{}", self.seed));
-        s.push_str(&format!(",\"load\":{:?}", self.load));
+        s.push_str(",\"load\":");
+        push_json_str(&mut s, &self.load);
         s.push_str(&format!(",\"duration_us\":{}", self.duration_us));
         s.push_str(&format!(",\"elapsed_us\":{}", self.elapsed_us));
         s.push_str(&format!(",\"offered\":{}", self.offered));
@@ -261,16 +264,26 @@ impl SloReport {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!(
-                "{{\"name\":{:?},\"bound\":{:?},\"achieved\":{:?},\"pass\":{}}}",
-                c.name, c.bound, c.achieved, c.pass
-            ));
+            s.push_str("{\"name\":");
+            push_json_str(&mut s, &c.name);
+            s.push_str(",\"bound\":");
+            push_json_str(&mut s, &c.bound);
+            s.push_str(",\"achieved\":");
+            push_json_str(&mut s, &c.achieved);
+            s.push_str(&format!(",\"pass\":{}}}", c.pass));
         }
         s.push(']');
         s.push_str(&format!(",\"pass\":{}", self.pass));
         s.push('}');
         s
     }
+}
+
+/// Appends `text` to `out` as a quoted JSON string.
+fn push_json_str(out: &mut String, text: &str) {
+    out.push('"');
+    escape_into(out, text);
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -359,5 +372,14 @@ mod tests {
         assert!(a.starts_with('{') && a.ends_with('}'));
         assert!(a.contains("\"latency_us\":{\"p50\":"));
         assert!(a.contains("\"pass\":true"));
+    }
+
+    #[test]
+    fn json_escapes_a_scenario_name_as_json_does() {
+        let mut sc = scenario_with(QosRequirement::none());
+        sc.name = "a\u{7}\"b\u{200b}".into();
+        let json = evaluate(&sc, &stats(1, 1, &[10])).to_json();
+        // Debug formatting would write `\u{7}` and `\u{200b}`, neither JSON.
+        assert!(json.starts_with("{\"scenario\":\"a\\u0007\\\"b\u{200b}\","));
     }
 }

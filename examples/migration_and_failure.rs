@@ -165,7 +165,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Capped exports: the tail of a long run is noise here, and the
     // `(+N more)` markers make the truncation explicit.
     println!("\n{}", export::summary_table_capped(&events, 12));
-    println!("{}", export::metrics_table(&bus::snapshot_metrics()));
+    println!("{}", bus::snapshot_metrics().render());
     println!("{}", export::timeline_capped(&events, 80));
     Ok(())
 }

@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Capped exports keep the epilogue readable; `(+N more)` marks
     // anything truncated.
     println!("\n{}", export::summary_table_capped(&events, 12));
-    println!("{}", export::metrics_table(&bus::snapshot_metrics()));
+    println!("{}", bus::snapshot_metrics().render());
     println!("{}", export::timeline_capped(&events, 80));
     Ok(())
 }

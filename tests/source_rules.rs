@@ -357,6 +357,23 @@ const RULES: &[Rule] = &[
         copies: 1,
     },
     Rule {
+        name: "one replication path",
+        why: "replication transparency is the quorum group alone: `quorum_counters`, \
+              `quorum_update`, `quorum_read`, `fail_over`; the no-quorum fan-out, its policy \
+              enum and round-robin reads are gone (DESIGN.md, \"One invocation path\", the \
+              collapse triage)",
+        roots: &["crates/*/src", "src", "examples"],
+        patterns: &[
+            Literal("ReplicationPolicy"),
+            Literal("replicated_counters"),
+            Literal("read_target"),
+            Literal("fn read_all"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 0,
+    },
+    Rule {
         name: "the binary layout is read once",
         why: "as for the text grammar: `Reader::value_at` is the one reading of the layout",
         roots: &["crates/core/src/codec"],
@@ -493,6 +510,7 @@ const KEEP: &[&str] = &[
     "store_checkpoint: §8.1, a checkpoint put in the storage function",
     "subscribe: §8.2, event notification",
     "unsubscribe: §8.2, event notification",
+    "leave: §8.2, a failed member drops out of a replica group's view",
     "relate: §8.3, the relationship repository; §8.3.1, type relationships",
     "unrelate: §8.3, the relationship repository",
     "reachable: §8.3, the relationship repository's closure query",
@@ -508,7 +526,6 @@ const KEEP: &[&str] = &[
     "allow_role: §8.4, access control",
     "assign_role: §8.4, access control",
     "deactivate_to_storage: §9, persistence transparency",
-    "drop_replica: §9, replication transparency drops a failed member",
     "transfer: §9.3, the transaction transparency example",
     // Observation points: what tests read behaviour through.
     "backup_pool: the failure guard's remaining backups",

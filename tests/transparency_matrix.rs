@@ -4,14 +4,13 @@
 
 use rmodp::engineering::behaviour::CounterBehaviour;
 use rmodp::engineering::engine::CallError;
-use rmodp::functions::group::ReplicationPolicy;
 use rmodp::netsim::time::SimDuration;
 use rmodp::netsim::topology::LinkConfig;
 use rmodp::prelude::*;
 use rmodp::transactions::rm::{ResourceManager, TxProfile};
 use rmodp::transparency::failure::FailureGuard;
 use rmodp::transparency::proxy::{migrate_transparently, ProxyError};
-use rmodp::transparency::replication::replicated_counters;
+use rmodp::transparency::replication::quorum_counters;
 use rmodp::transparency::transaction::{in_transaction, transfer};
 use rmodp::OdpSystem;
 
@@ -218,40 +217,30 @@ fn failure_on_vs_off() {
 #[test]
 fn replication_group_stays_consistent_and_masks_replica_loss_for_reads() {
     let mut sys = OdpSystem::new(6);
-    sys.engine
-        .behaviours_mut()
-        .register("counter", CounterBehaviour::default);
     let client = sys.engine.add_node(SyntaxId::Binary);
-    let (mut svc, replicas) = replicated_counters(
-        &mut sys.engine,
-        &mut sys.infra,
-        client,
-        ReplicationPolicy::Active,
-        3,
-    )
-    .unwrap();
+    let (mut svc, replicas) = quorum_counters(&mut sys.engine, &mut sys.infra, client, 3).unwrap();
     for k in 1..=5 {
-        svc.update(&mut sys.engine, &mut sys.infra, "Add", &add(k))
+        svc.quorum_update(&mut sys.engine, &mut sys.infra, k)
             .unwrap();
     }
-    // All replicas agree.
-    let all = svc
-        .read_all(&mut sys.engine, &mut sys.infra, "Get", &get())
-        .unwrap();
-    for t in &all {
-        assert_eq!(t.results.field("n"), Some(&Value::Int(15)));
+    // All replicas agree on the committed state.
+    for &replica in &replicas {
+        let node = sys.engine.lookup(replica).unwrap().location.node;
+        let t = sys.engine.invoke_local(node, replica, "Get", &get());
+        assert_eq!(t.unwrap().results.field("n"), Some(&Value::Int(15)));
     }
-    // Lose one replica: reads still served after the view change.
-    let dead = replicas[2];
+    // Lose one replica that is not the leader: the majority still commits
+    // and the leader still serves reads.
+    let leader = sys.infra.groups.view(svc.group()).unwrap().leader;
+    let dead = *replicas.iter().find(|r| Some(**r) != leader).unwrap();
     let node = sys.engine.lookup(dead).unwrap().location.node;
     let idx = sys.engine.sim_node(node).unwrap();
     sys.engine.sim_mut().topology_mut().crash(idx);
-    svc.drop_replica(&mut sys.infra, dead).unwrap();
+    svc.quorum_update(&mut sys.engine, &mut sys.infra, 6)
+        .unwrap();
     for _ in 0..4 {
-        let t = svc
-            .read(&mut sys.engine, &mut sys.infra, "Get", &get())
-            .unwrap();
-        assert_eq!(t.results.field("n"), Some(&Value::Int(15)));
+        let t = svc.quorum_read(&mut sys.engine, &mut sys.infra).unwrap();
+        assert_eq!(t.results.field("n"), Some(&Value::Int(21)));
     }
 }
 
