@@ -119,27 +119,27 @@ impl<'a> Writer<'a> {
         self.out.put_u32_le(count as u32);
     }
 
-    /// Length-prefixed UTF-8: a record key, or a text behind its tag.
-    fn str(&mut self, s: &str) {
-        self.out.put_u32_le(s.len() as u32);
-        self.out.put_slice(s.as_bytes());
+    /// Length-prefixed bytes: a record key, or a text or blob behind its
+    /// tag.
+    fn counted(&mut self, bytes: &[u8]) {
+        self.out.put_u32_le(bytes.len() as u32);
+        self.out.put_slice(bytes);
     }
 
     /// A record key (its value comes next).
     pub fn key(&mut self, key: &str) {
-        self.str(key);
+        self.counted(key.as_bytes());
     }
 
     /// A text value.
     pub fn text(&mut self, text: &str) {
         self.out.put_u8(TAG_TEXT);
-        self.str(text);
+        self.counted(text.as_bytes());
     }
 
     fn blob(&mut self, bytes: &[u8]) {
         self.out.put_u8(TAG_BLOB);
-        self.out.put_u32_le(bytes.len() as u32);
-        self.out.put_slice(bytes);
+        self.counted(bytes);
     }
 
     /// Any value.
@@ -168,8 +168,8 @@ impl<'a> Writer<'a> {
             }
             Value::Record(fields) => {
                 self.record_header(fields.len());
-                for (k, v) in fields {
-                    self.key(k);
+                for (name, v) in fields.fields() {
+                    self.counted(name.as_bytes());
                     self.value(v);
                 }
             }

@@ -28,7 +28,7 @@ use std::fmt;
 pub use binary::BinarySyntax;
 pub use text::TextSyntax;
 
-use crate::value::Value;
+use crate::value::{Name, Record, Value};
 
 /// Identifies a transfer syntax on the wire.
 #[derive(
@@ -145,14 +145,15 @@ trait Builder<'a> {
 }
 
 /// The builder that makes a parser a decoder. Fields are pushed in
-/// arrival order — canonical input has them sorted — and `Record::from`
-/// sorts at the close only if they are not.
+/// arrival order — canonical input has them sorted — and the record sorts
+/// them at the close only if they are not. A name is copied from the
+/// borrowed key into its entry: one of up to 22 bytes allocates nothing.
 struct ValueBuilder;
 
 impl<'a> Builder<'a> for ValueBuilder {
     type Value = Value;
     type Seq = Vec<Value>;
-    type Record = Vec<(String, Value)>;
+    type Record = Vec<(Name, Value)>;
 
     fn scalar(&mut self, value: Value) -> Value {
         value
@@ -183,23 +184,23 @@ impl<'a> Builder<'a> for ValueBuilder {
         Value::Seq(seq)
     }
 
-    fn record_open(&mut self, hint: usize) -> Vec<(String, Value)> {
+    fn record_open(&mut self, hint: usize) -> Vec<(Name, Value)> {
         Vec::with_capacity(hint.min(MAX_PREALLOCATED))
     }
 
     fn field(
         &mut self,
-        record: &mut Vec<(String, Value)>,
+        record: &mut Vec<(Name, Value)>,
         key: Cow<'a, str>,
         value: impl FnOnce(&mut Self) -> Result<Value, CodecError>,
     ) -> Result<(), CodecError> {
-        let key = key.into_owned();
-        record.push((key, value(self)?));
+        let name = Name::new(&key);
+        record.push((name, value(self)?));
         Ok(())
     }
 
-    fn record_close(&mut self, record: Vec<(String, Value)>) -> Value {
-        Value::Record(record.into())
+    fn record_close(&mut self, record: Vec<(Name, Value)>) -> Value {
+        Value::Record(Record::from_fields(record))
     }
 }
 

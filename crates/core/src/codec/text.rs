@@ -106,13 +106,18 @@ impl<'a> Writer<'a> {
     /// A record key (its value comes next): bare if it is an identifier,
     /// quoted otherwise.
     pub fn key(&mut self, key: &str) {
+        self.key_bytes(key.as_bytes());
+    }
+
+    /// [`key`](Self::key) of a name's UTF-8 bytes.
+    fn key_bytes(&mut self, key: &[u8]) {
         if !std::mem::take(&mut self.first_field) {
             self.out.extend_from_slice(b", ");
         }
         if is_ident(key) {
-            self.out.extend_from_slice(key.as_bytes());
+            self.out.extend_from_slice(key);
         } else {
-            self.text(key);
+            self.quoted(key);
         }
         self.out.extend_from_slice(b": ");
     }
@@ -126,8 +131,14 @@ impl<'a> Writer<'a> {
     /// A text value: quoted, with `"`, `\` and the three control
     /// characters escaped and everything between copied as it is.
     pub fn text(&mut self, text: &str) {
+        self.quoted(text.as_bytes());
+    }
+
+    /// [`text`](Self::text) of UTF-8 bytes: every byte escaped is ASCII,
+    /// so the runs between escapes are copied whole.
+    fn quoted(&mut self, text: &[u8]) {
         self.out.push(b'"');
-        let mut rest = text.as_bytes();
+        let mut rest = text;
         while let Some(at) = rest
             .iter()
             .position(|b| matches!(b, b'"' | b'\\' | b'\n' | b'\t' | b'\r'))
@@ -193,8 +204,8 @@ impl<'a> Writer<'a> {
             }
             Value::Record(fields) => {
                 self.record_open();
-                for (k, v) in fields {
-                    self.key(k);
+                for (name, v) in fields.fields() {
+                    self.key_bytes(name.as_bytes());
                     self.value(v);
                 }
                 self.record_close();
@@ -267,15 +278,17 @@ impl<'a> Builder<'a> for Writer<'_> {
     }
 }
 
-fn is_ident(s: &str) -> bool {
-    let bytes = s.as_bytes();
+fn is_ident(bytes: &[u8]) -> bool {
     bytes
         .first()
         .is_some_and(|b| b.is_ascii_alphabetic() || *b == b'_')
         && bytes
             .iter()
             .all(|b| b.is_ascii_alphanumeric() || *b == b'_')
-        && !matches!(s, "null" | "true" | "false" | "nan" | "inf" | "ref")
+        && !matches!(
+            bytes,
+            b"null" | b"true" | b"false" | b"nan" | b"inf" | b"ref"
+        )
 }
 
 struct TextParser<'a> {

@@ -103,15 +103,18 @@ impl DataType {
     /// Returns a [`TypeError`] naming the path at which the value failed to
     /// conform.
     pub fn check(&self, value: &Value) -> Result<(), TypeError> {
-        self.check_at(value, &mut Vec::new())
+        self.check_at(value, &Path::Root)
     }
 
-    fn check_at(&self, value: &Value, path: &mut Vec<String>) -> Result<(), TypeError> {
-        let fail = |path: &[String], expected: &DataType, got: &Value| {
+    /// [`check`](Self::check) of the value found at `path`. The path is
+    /// borrowed segments on the stack: a check that passes allocates
+    /// nothing, and one that fails renders its path once.
+    fn check_at(&self, value: &Value, path: &Path<'_>) -> Result<(), TypeError> {
+        let fail = |expected: String, got: String| {
             Err(TypeError {
-                path: path.join("."),
-                expected: expected.to_string(),
-                got: got.kind().to_owned(),
+                path: path.to_string(),
+                expected,
+                got,
             })
         };
         match (self, value) {
@@ -134,42 +137,26 @@ impl DataType {
                 if labels.iter().any(|l| l == s) {
                     Ok(())
                 } else {
-                    Err(TypeError {
-                        path: path.join("."),
-                        expected: self.to_string(),
-                        got: format!("label {s:?}"),
-                    })
+                    fail(self.to_string(), format!("label {s:?}"))
                 }
             }
             (DataType::Seq(elem), Value::Seq(items)) => {
                 for (i, item) in items.iter().enumerate() {
-                    path.push(format!("[{i}]"));
-                    elem.check_at(item, path)?;
-                    path.pop();
+                    elem.check_at(item, &Path::Item(path, i))?;
                 }
                 Ok(())
             }
             (DataType::Record(fields), Value::Record(values)) => {
                 for (name, ftype) in fields {
                     match values.get(name) {
-                        Some(v) => {
-                            path.push(name.clone());
-                            ftype.check_at(v, path)?;
-                            path.pop();
-                        }
+                        Some(v) => ftype.check_at(v, &Path::Field(path, name))?,
                         None if matches!(ftype, DataType::Optional(_)) => {}
-                        None => {
-                            return Err(TypeError {
-                                path: path.join("."),
-                                expected: format!("field {name:?}"),
-                                got: "missing".to_owned(),
-                            })
-                        }
+                        None => return fail(format!("field {name:?}"), "missing".to_owned()),
                     }
                 }
                 Ok(())
             }
-            (expected, got) => fail(path, expected, got),
+            (expected, got) => fail(expected.to_string(), got.kind().to_owned()),
         }
     }
 
@@ -249,6 +236,32 @@ impl fmt::Display for DataType {
     }
 }
 
+/// Where a check stands in the value it was given: the value itself, or
+/// a field or item of a place. It renders as [`TypeError::path`] does.
+enum Path<'a> {
+    Root,
+    Field(&'a Path<'a>, &'a str),
+    Item(&'a Path<'a>, usize),
+}
+
+/// The segments from the root, joined by `.`: `tags.[0]`.
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let parent = match self {
+            Path::Root => return Ok(()),
+            Path::Field(parent, _) | Path::Item(parent, _) => parent,
+        };
+        if !matches!(parent, Path::Root) {
+            write!(f, "{parent}.")?;
+        }
+        match self {
+            Path::Field(_, name) => f.write_str(name),
+            Path::Item(_, i) => write!(f, "[{i}]"),
+            Path::Root => Ok(()),
+        }
+    }
+}
+
 /// A value failed to conform to a [`DataType`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypeError {
@@ -308,6 +321,36 @@ mod tests {
         let err = account_type().check(&v).unwrap_err();
         assert_eq!(err.path, "tags.[0]");
         assert_eq!(err.got, "int");
+    }
+
+    #[test]
+    fn check_renders_the_path_it_failed_at() {
+        let t = DataType::record([(
+            "a",
+            DataType::seq(DataType::record([(
+                "",
+                DataType::record([("b", DataType::Int)]),
+            )])),
+        )]);
+        let item = |b: Value| Value::record([("", Value::record([("b", b)]))]);
+        let v = Value::record([("a", Value::seq([item(Value::Int(1)), item(Value::Null)]))]);
+        let err = t.check(&v).unwrap_err();
+        // An empty name is still a segment, as `join(".")` made it.
+        assert_eq!(err.path, "a.[1]..b");
+        assert_eq!(err.to_string(), "at a.[1]..b: expected int, got null");
+        let err = t
+            .check(&Value::record([("a", Value::seq([Value::Int(1)]))]))
+            .unwrap_err();
+        assert_eq!((err.path.as_str(), err.got.as_str()), ("a.[0]", "int"));
+        assert_eq!(DataType::Int.check(&Value::Null).unwrap_err().path, "");
+        let missing = t.check(&Value::record([(
+            "a",
+            Value::seq([Value::record::<&str, _>([])]),
+        )]));
+        assert_eq!(
+            missing.unwrap_err().to_string(),
+            "at a.[0]: expected field \"\", got missing"
+        );
     }
 
     #[test]

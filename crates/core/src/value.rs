@@ -64,8 +64,8 @@ impl Value {
     ///
     /// Later duplicates overwrite earlier ones, mirroring map insertion.
     /// Pairs already in ascending name order are taken as they come.
-    pub fn record<K: Into<String>, I: IntoIterator<Item = (K, Value)>>(fields: I) -> Self {
-        Value::Record(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    pub fn record<K: AsRef<str>, I: IntoIterator<Item = (K, Value)>>(fields: I) -> Self {
+        Value::Record(fields.into_iter().collect())
     }
 
     /// Convenience constructor for a sequence.
@@ -138,18 +138,14 @@ impl Value {
     /// Sets (or inserts) a field on a record value.
     ///
     /// Returns the previous value if the field existed. The name is
-    /// looked up as a `&str` and becomes a `String` only when the field
-    /// is new, so replacing a field allocates nothing.
+    /// looked up as a `&str` and copied only when the field is new, so
+    /// replacing a field allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `self` is not a `Record`; mutating a non-record as a record
     /// is a logic error in the caller.
-    pub fn set_field(
-        &mut self,
-        name: impl Into<String> + AsRef<str>,
-        value: Value,
-    ) -> Option<Value> {
+    pub fn set_field(&mut self, name: impl AsRef<str>, value: Value) -> Option<Value> {
         match self {
             Value::Record(fields) => fields.insert(name, value),
             other => panic!("set_field on non-record value {other:?}"),
@@ -287,9 +283,13 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 /// moves every later entry, up to `len()` of them, so a collection that
 /// grows key by key to thousands of entries belongs in a `BTreeMap`, as
 /// the store's keyspace is.
+///
+/// A name of up to 22 bytes is held in the entry itself, so building,
+/// cloning and dropping a record of such names allocates only its one
+/// vector.
 #[derive(Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Record {
-    fields: Vec<(String, Value)>,
+    fields: Vec<(Name, Value)>,
 }
 
 impl Record {
@@ -303,6 +303,31 @@ impl Record {
         Self {
             fields: Vec::with_capacity(fields),
         }
+    }
+
+    /// Pairs in any order, any name any number of times: the record a
+    /// map would hold after inserting them one by one (a later duplicate
+    /// wins). Pairs already strictly ascending are kept as they are;
+    /// anything else is sorted once.
+    pub(crate) fn from_fields(mut fields: Vec<(Name, Value)>) -> Self {
+        if !fields.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            // Stable, so a name's occurrences stay in arrival order and
+            // the last of each run is the one to keep.
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            fields.dedup_by(|later, kept| {
+                let repeated = later.0 == kept.0;
+                if repeated {
+                    std::mem::swap(later, kept);
+                }
+                repeated
+            });
+        }
+        Self { fields }
+    }
+
+    /// The entries themselves, for a writer that copies each name's bytes.
+    pub(crate) fn fields(&self) -> &[(Name, Value)] {
+        &self.fields
     }
 
     /// The number of fields.
@@ -319,13 +344,25 @@ impl Record {
     /// rather than `binary_search_by`, which probes without branching and
     /// never stops early: with a string comparison per probe, and the
     /// same few names asked for again and again, that took four times as
-    /// long in a 64-field record (`core.value.field_get_set_ns`).
+    /// long in a 64-field record (`core.value.field_get_set_ns`). A name
+    /// of up to 22 bytes is ranked once and each probe compares three
+    /// integers; a longer one compares bytes, which is `str` order. Inlined
+    /// into each lookup: called, it read slower than the string compare
+    /// it replaced.
+    #[inline(always)]
     fn position(&self, name: &str) -> Result<usize, usize> {
         use std::cmp::Ordering::{Equal, Greater, Less};
+        let name = name.as_bytes();
+        let wanted = Rank::of(name);
         let (mut low, mut high) = (0, self.fields.len());
         while low < high {
             let mid = low + (high - low) / 2;
-            match self.fields[mid].0.as_str().cmp(name) {
+            let here = &self.fields[mid].0;
+            let order = match (here.rank(), wanted) {
+                (Some(here), Some(wanted)) => here.cmp(&wanted),
+                _ => here.as_bytes().cmp(name),
+            };
+            match order {
                 Less => low = mid + 1,
                 Greater => high = mid,
                 Equal => return Ok(mid),
@@ -350,12 +387,19 @@ impl Record {
     }
 
     /// Sets the field `name`, returning the value it replaces. Only a
-    /// new field turns `name` into a `String`.
-    pub fn insert(&mut self, name: impl Into<String> + AsRef<str>, value: Value) -> Option<Value> {
-        match self.position(name.as_ref()) {
+    /// new field copies `name`, and only one longer than 22 bytes
+    /// allocates.
+    pub fn insert(&mut self, name: impl AsRef<str>, value: Value) -> Option<Value> {
+        self.insert_str(name.as_ref(), value)
+    }
+
+    /// [`insert`](Self::insert), compiled once here rather than in every
+    /// caller.
+    fn insert_str(&mut self, name: &str, value: Value) -> Option<Value> {
+        match self.position(name) {
             Ok(i) => Some(std::mem::replace(&mut self.fields[i].1, value)),
             Err(i) => {
-                self.fields.insert(i, (name.into(), value));
+                self.fields.insert(i, (Name::new(name), value));
                 None
             }
         }
@@ -368,12 +412,12 @@ impl Record {
 
     /// The fields in name order.
     pub fn iter(&self) -> Iter<'_> {
-        self.fields.iter().map(|(k, v)| (k, v))
+        Iter(self.fields.iter())
     }
 
     /// The field names in order.
-    pub fn keys(&self) -> impl Iterator<Item = &String> {
-        self.fields.iter().map(|(k, _)| k)
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.fields.iter().map(|(k, _)| k.as_str())
     }
 
     /// The field values in name order.
@@ -388,10 +432,41 @@ impl Record {
 }
 
 /// Borrowing iterator over a [`Record`]'s fields.
-pub type Iter<'a> = std::iter::Map<
-    std::slice::Iter<'a, (String, Value)>,
-    fn(&'a (String, Value)) -> (&'a String, &'a Value),
->;
+#[derive(Debug, Clone)]
+pub struct Iter<'a>(std::slice::Iter<'a, (Name, Value)>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a str, &'a Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k.as_str(), v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+/// Owning iterator over a [`Record`]'s fields: each name becomes a
+/// `String` as it is taken.
+#[derive(Debug)]
+pub struct IntoIter(std::vec::IntoIter<(Name, Value)>);
+
+impl Iterator for IntoIter {
+    type Item = (String, Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k.as_str().to_owned(), v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for IntoIter {}
 
 /// Prints as the map it stands for: `{"a": Int(1)}`.
 impl fmt::Debug for Record {
@@ -402,54 +477,148 @@ impl fmt::Debug for Record {
 
 /// Pairs in any order, any name any number of times: the record a map
 /// would hold after inserting them one by one (a later duplicate wins).
-/// Pairs already strictly ascending are kept as they are; anything else
-/// is sorted once.
-impl From<Vec<(String, Value)>> for Record {
-    fn from(mut fields: Vec<(String, Value)>) -> Self {
-        if !fields.windows(2).all(|pair| pair[0].0 < pair[1].0) {
-            // Stable, so a name's occurrences stay in arrival order and
-            // the last of each run is the one to keep.
-            fields.sort_by(|a, b| a.0.cmp(&b.0));
-            fields.dedup_by(|later, kept| {
-                let repeated = later.0 == kept.0;
-                if repeated {
-                    std::mem::swap(later, kept);
-                }
-                repeated
-            });
-        }
-        Self { fields }
-    }
-}
-
-impl FromIterator<(String, Value)> for Record {
-    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        Self::from(iter.into_iter().collect::<Vec<_>>())
+impl<K: AsRef<str>> FromIterator<(K, Value)> for Record {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        let fields = iter.into_iter().map(|(k, v)| (Name::new(k.as_ref()), v));
+        Self::from_fields(fields.collect())
     }
 }
 
 /// A map's entries, whatever type names its keys.
-impl<K: Into<String>> From<BTreeMap<K, Value>> for Record {
+impl<K: AsRef<str>> From<BTreeMap<K, Value>> for Record {
     fn from(map: BTreeMap<K, Value>) -> Self {
-        map.into_iter().map(|(k, v)| (k.into(), v)).collect()
+        map.into_iter().collect()
     }
 }
 
 impl IntoIterator for Record {
     type Item = (String, Value);
-    type IntoIter = std::vec::IntoIter<(String, Value)>;
+    type IntoIter = IntoIter;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.fields.into_iter()
+        IntoIter(self.fields.into_iter())
     }
 }
 
 impl<'a> IntoIterator for &'a Record {
-    type Item = (&'a String, &'a Value);
+    type Item = (&'a str, &'a Value);
     type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
+    }
+}
+
+/// The most bytes a [`Name`] holds in place: a `String`'s 24 bytes, less
+/// the variant's tag and the length.
+const INLINE: usize = 22;
+
+/// A record field name: one of up to [`INLINE`] bytes is held in place, a
+/// longer one on the heap. A `Name` is the size of a `String`, so a
+/// record's entry is the size it had when names were `String`s.
+///
+/// A name has one form for its length, and the bytes an inline one does
+/// not use are zero, so equality of the two forms is equality of the
+/// names. Names are ordered as bytes, which is `str` order; the writers
+/// copy the bytes as they are. Only what hands a name out as a `&str`
+/// checks an inline one's bytes as UTF-8 again, at most 22 of them: they
+/// were copied whole from a `str`.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) enum Name {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Heap(Box<str>),
+}
+
+impl Name {
+    pub(crate) fn new(name: &str) -> Self {
+        match padded(name.as_bytes()) {
+            Some((len, bytes)) => Name::Inline { len, bytes },
+            None => Name::Heap(name.into()),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        match self {
+            Name::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Name::Heap(name) => name.as_bytes(),
+        }
+    }
+
+    pub(crate) fn as_str(&self) -> &str {
+        match self {
+            Name::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("copied whole from a str")
+            }
+            Name::Heap(name) => name,
+        }
+    }
+
+    /// The rank of an inline name.
+    #[inline]
+    fn rank(&self) -> Option<Rank> {
+        match self {
+            Name::Inline { len, bytes } => Some(Rank::new(*len, bytes)),
+            Name::Heap(_) => None,
+        }
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        match (self.rank(), other.rank()) {
+            (Some(a), Some(b)) => a.cmp(&b),
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// Up to [`INLINE`] bytes as an inline name holds them: the length, and
+/// the bytes followed by zeros.
+#[inline]
+fn padded(name: &[u8]) -> Option<(u8, [u8; INLINE])> {
+    let len = u8::try_from(name.len())
+        .ok()
+        .filter(|&n| usize::from(n) <= INLINE)?;
+    let mut bytes = [0; INLINE];
+    bytes[..name.len()].copy_from_slice(name);
+    Some((len, bytes))
+}
+
+/// Where a name of up to [`INLINE`] bytes sorts, as three integers
+/// ordered as its bytes are: the zero-padded bytes 0–7 and 8–15 as
+/// big-endian words, then bytes 15–21 and the length in a third (byte 15
+/// is already equal when the third is reached). The length puts a name
+/// before a longer one it is a prefix of, whatever bytes follow.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank(u64, u64, u64);
+
+impl Rank {
+    #[inline]
+    fn new(len: u8, bytes: &[u8; INLINE]) -> Self {
+        let word = |at: usize| {
+            let mut word = [0; 8];
+            word.copy_from_slice(&bytes[at..at + 8]);
+            u64::from_be_bytes(word)
+        };
+        Rank(word(0), word(8), (word(INLINE - 8) << 8) | u64::from(len))
+    }
+
+    #[inline]
+    fn of(name: &[u8]) -> Option<Self> {
+        padded(name).map(|(len, bytes)| Rank::new(len, &bytes))
     }
 }
 
@@ -498,12 +667,12 @@ mod tests {
 
     #[test]
     fn replacing_a_field_keeps_every_allocation_it_had() {
-        // The name is looked up as a `&str`: the key `String` the record
-        // holds and the vector around it are the ones it held before.
+        // The name is looked up as a `&str`: the names the record holds
+        // and the vector around them are the ones it held before.
         let mut v = Value::record([("acct17", Value::Int(1)), ("acct52", Value::Int(2))]);
         let layout = |v: &Value| {
             let fields = &v.as_record().unwrap().fields;
-            let keys: Vec<*const u8> = fields.iter().map(|(k, _)| k.as_ptr()).collect();
+            let keys: Vec<*const u8> = fields.iter().map(|(k, _)| k.as_bytes().as_ptr()).collect();
             (fields.as_ptr(), fields.capacity(), keys)
         };
         let before = layout(&v);
@@ -531,14 +700,80 @@ mod tests {
             format!("{record:?}"),
             r#"{"a": Int(5), "b": Int(3), "c": Int(4)}"#
         );
-        assert!(record.iter().eq(map.iter()));
-        assert!((&record).into_iter().eq(&map));
+        let by_str = || map.iter().map(|(k, v)| (k.as_str(), v));
+        assert!(record.iter().eq(by_str()));
+        assert!((&record).into_iter().eq(by_str()));
+        assert_eq!(record.iter().len(), map.len());
+        assert!(record.keys().eq(map.keys()));
         assert!(record.clone().into_iter().eq(map));
         assert!(Record::new().is_empty() && Record::with_capacity(3).is_empty());
         // Already ascending: taken as it comes, nothing moved.
-        let sorted: Vec<(String, Value)> = record.clone().into_iter().collect();
+        let sorted = record.fields.clone();
         let at = sorted.as_ptr();
-        assert_eq!(Record::from(sorted).fields.as_ptr(), at);
+        assert_eq!(Record::from_fields(sorted).fields.as_ptr(), at);
+    }
+
+    #[test]
+    fn a_name_is_the_size_of_a_string_and_a_field_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<Name>(), std::mem::size_of::<String>());
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+        assert_eq!(std::mem::size_of::<(Name, Value)>(), 56);
+    }
+
+    #[test]
+    fn a_name_is_inline_up_to_22_bytes() {
+        let inline = |name: &Name| matches!(name, Name::Inline { .. });
+        for (name, held_in_place) in [
+            (String::new(), true),
+            ("a".to_owned(), true),
+            ("a".repeat(21), true),
+            ("a".repeat(22), true),
+            ("a".repeat(23), false),
+            ("a".repeat(300), false),
+            // 20 ASCII bytes and a two-byte `é` end at byte 22; one more
+            // ASCII byte pushes the `é` across it.
+            (format!("{}é", "a".repeat(20)), true),
+            (format!("{}é", "a".repeat(21)), false),
+        ] {
+            let held = Name::new(&name);
+            assert_eq!(inline(&held), held_in_place, "{} bytes", name.len());
+            assert_eq!(held.as_str(), name);
+            assert_eq!(held.as_bytes(), name.as_bytes());
+            assert_eq!(format!("{held:?}"), format!("{name:?}"));
+            assert_eq!(held.clone(), held);
+        }
+        // Byte order is `str` order, within and across the two forms: a
+        // prefix, a trailing NUL (which the zero padding must not hide),
+        // bytes past 15 and past 22, the largest scalar value.
+        let long = "a".repeat(30);
+        let names = [
+            "",
+            "\0",
+            "\0\0",
+            "a",
+            "a\0",
+            "a\0b",
+            "ab",
+            "aé",
+            "b",
+            "\u{10ffff}",
+            &long,
+            "aaaaaaaaaaaaaaaa",
+            "aaaaaaaaaaaaaaaab",
+            "aaaaaaaaaaaaaaaa\0",
+            "aaaaaaaaaaaaaaaaaaaaaa",
+            "aaaaaaaaaaaaaaaaaaaaab",
+            "aaaaaaaaaaaaaaaaaaaaaa\0",
+        ];
+        for a in names {
+            for b in names {
+                let (held_a, held_b) = (Name::new(a), Name::new(b));
+                assert_eq!(held_a.cmp(&held_b), a.cmp(b), "{a:?} against {b:?}");
+                assert_eq!(held_a == held_b, a == b, "{a:?} against {b:?}");
+                let record = Value::record([(a, Value::Int(1))]);
+                assert_eq!(record.field(b).is_some(), a == b, "{a:?} against {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! repeated, and nesting past the limit. The tables were read off the
 //! decoders before they were rewritten and must not move.
 
-use rmodp_core::codec::{BinarySyntax, TextSyntax, TransferSyntax, MAX_NESTING};
+use rmodp_core::codec::{
+    syntax_for, transcode, BinarySyntax, CodecError, SyntaxId, TextSyntax, TransferSyntax,
+    MAX_NESTING,
+};
 use rmodp_core::value::Value;
 
 /// One of every kind of value, a quoted key, a two-byte character and a
@@ -251,6 +254,82 @@ fn text_decoder_keeps_accepting_what_it_accepted() {
             value,
             "{input:?}"
         );
+    }
+}
+
+/// `(syntax, input, offset, message)`: record names no encoder writes —
+/// invalid UTF-8 inside one, a length that overruns the input, a length
+/// of 2³² − 1 — and what either decoder answers, `transcode` included.
+/// The names sit on both sides of the 22 bytes a decoded name holds in
+/// place.
+const NAME_REFUSALS: &[(SyntaxId, &[u8], usize, &str)] = &[
+    (
+        SyntaxId::Binary,
+        b"\x07\x01\0\0\0\x02\0\0\0a\xff\0",
+        9,
+        "invalid utf-8 in text",
+    ),
+    (
+        SyntaxId::Binary,
+        b"\x07\x01\0\0\0\x16\0\0\0aaaaaaaaaaaaaaaaaaaaa\xc3\0",
+        9,
+        "invalid utf-8 in text",
+    ),
+    (
+        SyntaxId::Binary,
+        b"\x07\x01\0\0\0\x17\0\0\0aaaaaaaaaaaaaaaaaaaaaa",
+        9,
+        "need 23 bytes, only 22 remain",
+    ),
+    (
+        SyntaxId::Binary,
+        b"\x07\x01\0\0\0\xff\xff\xff\xffa",
+        9,
+        "need 4294967295 bytes, only 1 remain",
+    ),
+    (
+        SyntaxId::Binary,
+        b"\x07\xff\xff\xff\xff\x01\0\0\0a\0",
+        11,
+        "need 4 bytes, only 0 remain",
+    ),
+    (
+        SyntaxId::Text,
+        b"{\"a\xff\": 1}",
+        3,
+        "encoding is not utf-8",
+    ),
+    (
+        SyntaxId::Text,
+        b"{\"aaaaaaaaaaaaaaaaaaaa\xc3\xa9\xc3\": 1}",
+        24,
+        "encoding is not utf-8",
+    ),
+    (
+        SyntaxId::Text,
+        b"{\"aaaaaaaaaaaaaaaaaaaaaaa",
+        25,
+        "unterminated string",
+    ),
+    (SyntaxId::Text, b"{a\xc3\xa9: 1}", 2, "expected \":\""),
+];
+
+#[test]
+fn hostile_record_names_keep_their_errors() {
+    for &(syntax, input, offset, message) in NAME_REFUSALS {
+        let err = syntax_for(syntax).decode(input).expect_err(message);
+        let expected = CodecError {
+            syntax,
+            offset,
+            message: message.to_owned(),
+        };
+        assert_eq!(err, expected, "{syntax}: {input:?}");
+        for to in [SyntaxId::Binary, SyntaxId::Text] {
+            let mut out = b"kept".to_vec();
+            let err = transcode(syntax, to, input, &mut out).unwrap_err();
+            assert_eq!(err, expected, "{syntax} -> {to}: {input:?}");
+            assert_eq!(out, b"kept");
+        }
     }
 }
 

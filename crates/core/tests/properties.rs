@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use rmodp_core::codec::{BinarySyntax, TextSyntax, TransferSyntax};
+use rmodp_core::codec::{transcode, BinarySyntax, SyntaxId, TextSyntax, TransferSyntax};
 use rmodp_core::dtype::DataType;
 use rmodp_core::expr::{BinOp, Expr, Predicate, Term, UnOp};
 use rmodp_core::naming::{BindingTarget, Name, NamingContext};
@@ -44,10 +44,27 @@ enum RecordOp {
     Bump(String),
 }
 
-/// Strategy for [`RecordOp`]s over an alphabet small enough that names
-/// collide: replacing, removing and missing all happen.
+/// A record name either side of the 22 bytes a name holds in place: 0,
+/// 1, 21, 22, 23 and 300 bytes, and a two-byte `é` that ends at byte 22
+/// (20 ASCII bytes before it: in place) or straddles it (21: on the heap).
+fn boundary_name(i: usize) -> String {
+    match i {
+        0 => String::new(),
+        1 => "a".to_owned(),
+        2 => "a".repeat(21),
+        3 => "a".repeat(22),
+        4 => "a".repeat(23),
+        5 => "a".repeat(300),
+        6 => format!("{}é", "a".repeat(20)),
+        _ => format!("{}é", "a".repeat(21)),
+    }
+}
+
+/// Strategy for [`RecordOp`]s over names few enough that they collide —
+/// replacing, removing and missing all happen — and the boundary names.
 fn arb_record_op() -> impl Strategy<Value = RecordOp> {
-    ("[a-d]{1,2}", 0..5usize, any::<i64>()).prop_map(|(name, op, n)| match op {
+    let name = prop_oneof!["[a-d]{1,2}", (0..8usize).prop_map(boundary_name)];
+    (name, 0..5usize, any::<i64>()).prop_map(|(name, op, n)| match op {
         0 => RecordOp::Insert(name, n),
         1 => RecordOp::SetField(name, n),
         2 => RecordOp::Remove(name),
@@ -242,19 +259,32 @@ proptest! {
                 }
             }
             // After every step the record is the map: size, order,
-            // equality, `{:?}`, and the bytes of both syntaxes.
+            // equality, `{:?}`, and the bytes of both syntaxes, which
+            // decode and transcode back to it.
             let fields = record.as_record().unwrap();
             let rebuilt = Value::Record(model.clone().into());
+            let by_str = model.iter().map(|(k, v)| (k.as_str(), v));
             prop_assert_eq!(fields.len(), model.len(), "after {:?}", op);
             prop_assert_eq!(fields.is_empty(), model.is_empty());
-            prop_assert!(fields.iter().eq(model.iter()), "order after {:?}", op);
+            prop_assert!(fields.iter().eq(by_str), "order after {:?}", op);
             prop_assert!(fields.keys().eq(model.keys()) && fields.values().eq(model.values()));
             prop_assert_eq!(&record, &rebuilt);
             prop_assert_eq!(format!("{fields:?}"), format!("{model:?}"));
             prop_assert_eq!(format!("{fields:#?}"), format!("{model:#?}"));
-            prop_assert_eq!(BinarySyntax.encode(&record), BinarySyntax.encode(&rebuilt));
-            prop_assert_eq!(TextSyntax.encode(&record), TextSyntax.encode(&rebuilt));
-            prop_assert_eq!(&BinarySyntax.decode(&BinarySyntax.encode(&record)).unwrap(), &record);
+            let binary = BinarySyntax.encode(&record);
+            let text = TextSyntax.encode(&record);
+            prop_assert_eq!(&binary, &BinarySyntax.encode(&rebuilt));
+            prop_assert_eq!(&text, &TextSyntax.encode(&rebuilt));
+            prop_assert_eq!(&BinarySyntax.decode(&binary).unwrap(), &record);
+            prop_assert_eq!(&TextSyntax.decode(&text).unwrap(), &record);
+            for (from, to, bytes, expected) in [
+                (SyntaxId::Binary, SyntaxId::Text, &binary, &text),
+                (SyntaxId::Text, SyntaxId::Binary, &text, &binary),
+            ] {
+                let mut out = Vec::new();
+                transcode(from, to, bytes, &mut out).unwrap();
+                prop_assert_eq!(&out, expected, "{} -> {}", from, to);
+            }
         }
     }
 
@@ -269,8 +299,8 @@ proptest! {
         let by_map = Value::Record(model.clone().into());
         prop_assert_eq!(&Value::record(pairs.clone()), &by_map);
         prop_assert_eq!(&Value::Record(pairs.iter().cloned().collect()), &by_map);
-        prop_assert_eq!(&Value::Record(Record::from(pairs)), &by_map);
-        prop_assert!(by_map.as_record().unwrap().iter().eq(model.iter()));
+        let by_str = model.iter().map(|(k, v)| (k.as_str(), v));
+        prop_assert!(by_map.as_record().unwrap().iter().eq(by_str));
     }
 
     #[test]

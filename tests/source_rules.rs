@@ -292,6 +292,32 @@ const RULES: &[Rule] = &[
         copies: 0,
     },
     Rule {
+        name: "record names are inline",
+        why: "a record's entry is `(Name, Value)`: a name of up to 22 bytes is held in place, \
+              and a decoder copies the borrowed key into it (`Name::new`) rather than owning a \
+              `String` per field (DESIGN.md, \"The value model: a record is a sorted vector\")",
+        roots: &["crates/core/src/value.rs", "crates/core/src/codec"],
+        patterns: &[Literal("Vec<(String, Value)>"), Literal("key.into_owned()")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 0,
+    },
+    Rule {
+        name: "no unsafe in the library",
+        why: "the library is safe Rust: an inline name is checked as UTF-8 where it becomes a \
+              `&str`, not trusted (DESIGN.md, \"The value model: a record is a sorted vector\"); \
+              a test's counting allocator lives under its crate's tests/",
+        roots: SRC,
+        patterns: &[
+            Literal("unsafe {"),
+            Literal("unsafe fn"),
+            Literal("unsafe impl"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 0,
+    },
+    Rule {
         name: "wire records are written from their parts",
         why: "an invocation or termination record goes to its bytes through the codecs' \
               `Writer`s, borrowing `args` and `results`: no `{op, args}` wrapper value, no copy \
