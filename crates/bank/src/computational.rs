@@ -88,7 +88,7 @@ pub fn branch_template() -> ObjectTemplate {
 mod tests {
     use super::*;
     use rmodp_computational::subtype::is_operational_subtype;
-    use rmodp_core::id::IdGen;
+    use rmodp_core::id::{IdGen, InterfaceId};
 
     #[test]
     fn figure3_subtype_lattice() {
@@ -105,15 +105,16 @@ mod tests {
     #[test]
     fn figure2_branch_offers_teller_and_manager() {
         let template = branch_template();
-        assert_eq!(template.interfaces().len(), 2);
         let objects = IdGen::new();
         let interfaces = IdGen::new();
         let branch = template.instantiate(&objects, &interfaces);
+        // Exactly two interfaces: instantiation drew ids 1 and 2 only.
+        assert_eq!(interfaces.fresh(), InterfaceId::new(3));
         let teller = branch.interface("teller").unwrap();
         let manager = branch.interface("manager").unwrap();
         // Both can deposit and withdraw; only the manager creates
         // accounts.
-        let signature = |template| &branch.template().interface(template).unwrap().signature;
+        let signature = |name| &template.interface(name).unwrap().signature;
         let teller_sig = signature(&teller.template);
         let manager_sig = signature(&manager.template);
         match (teller_sig, manager_sig) {

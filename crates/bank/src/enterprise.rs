@@ -125,15 +125,19 @@ mod tests {
     fn community_has_papers_shape() {
         let roster = BranchRoster::default();
         let c = branch_community(&roster);
+        let everyone = [roster.manager]
+            .into_iter()
+            .chain(roster.tellers)
+            .chain(roster.customers);
         let filling = |role: &str| {
-            c.members()
-                .into_iter()
-                .filter(|&m| c.fills(m, role))
+            everyone
+                .clone()
+                .filter(|&m| c.roles_of(m).contains(&role))
                 .count()
         };
         assert_eq!(filling("teller"), 2);
         assert_eq!(filling("customer"), 3);
-        assert!(c.fills(roster.manager, "manager"));
+        assert_eq!(c.roles_of(roster.manager), ["manager"]);
     }
 
     #[test]
@@ -146,8 +150,12 @@ mod tests {
         // The paper's exact afternoon scenario at the policy level.
         let blocked = withdraw_request(roster.customers[0], 200, 400);
         let d = engine.decide(&community, &blocked).unwrap();
-        assert!(!d.is_allowed());
-        assert_eq!(d.by(), "daily-limit");
+        assert_eq!(
+            d,
+            Decision::Denied {
+                by: "daily-limit".into()
+            }
+        );
     }
 
     #[test]
@@ -203,6 +211,6 @@ mod tests {
         let mut engine = branch_policies();
         let req = ActionRequest::new(roster.customers[0], "get_balance");
         let d = engine.decide(&community, &req).unwrap();
-        assert_eq!(d.by(), "default");
+        assert!(matches!(d, Decision::Allowed { by } | Decision::Denied { by } if by == "default"));
     }
 }

@@ -18,7 +18,7 @@ use rmodp_engineering::channel::{BreakerConfig, ChannelConfig, RetryPolicy};
 use rmodp_engineering::engine::CallError;
 use rmodp_netsim::sim::{Addr, Sim};
 use rmodp_netsim::time::SimDuration;
-use rmodp_observe::{bus, oracle};
+use rmodp_observe::{bus, json, json_into, oracle};
 use rmodp_transactions::twopc::{Coordinator, Participant, TxOutcome, TxRequest};
 use rmodp_workload::prelude::*;
 
@@ -27,7 +27,7 @@ use crate::{add_one, counter_rig, open};
 /// Part 1: an open-loop workload riding through a generated plan with a
 /// crash+restart, a partition+heal, a loss burst, and a latency spike.
 /// The recovery oracle must see every fault recover.
-fn workload_under_faults(seed: u64) -> String {
+fn workload_under_faults(seed: u64) -> impl ToJson {
     let mut rig = counter_rig(seed, SyntaxId::Text);
     let channel = open(&mut rig, ChannelConfig::default());
     let server_idx = rig.engine.sim_node(rig.server).expect("server exists");
@@ -80,17 +80,19 @@ fn workload_under_faults(seed: u64) -> String {
     );
     assert!(outcome.report.pass, "{}", outcome.report.render());
 
-    format!(
-        "{{\"causality_violations\":{violations},\"recovery\":{},\"report\":{}}}",
-        outcome.recovery.to_json(),
-        outcome.report.to_json()
-    )
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "causality_violations": violations,
+            "recovery": outcome.recovery,
+            "report": outcome.report,
+        })
+    })
 }
 
 /// Part 2: synchronous reliable calls through a loss burst and a
 /// crash+restart. Retransmissions may deliver the same request twice;
 /// the server dedup cache must execute each call at most once.
-fn exactly_once_under_loss(seed: u64) -> String {
+fn exactly_once_under_loss(seed: u64) -> impl ToJson {
     let mut rig = counter_rig(seed.wrapping_add(1), SyntaxId::Binary);
     let server_idx = rig.engine.sim_node(rig.server).expect("server exists");
     let client_idx = rig.engine.sim_node(rig.client).expect("client exists");
@@ -189,15 +191,23 @@ fn exactly_once_under_loss(seed: u64) -> String {
         "reply-path loss must force duplicate arrivals for the cache to absorb"
     );
 
-    format!(
-        "{{\"calls\":{total},\"ok\":{ok},\"errors\":{errors},\"applied\":{n},\"dedup_hits\":{dedup_hits},\"duplicate_dispatches\":{duplicate_dispatches},\"retries\":{retries}}}"
-    )
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "calls": total,
+            "ok": ok,
+            "errors": errors,
+            "applied": n,
+            "dedup_hits": dedup_hits,
+            "duplicate_dispatches": duplicate_dispatches,
+            "retries": retries,
+        })
+    })
 }
 
 /// Part 3: 2PC safety under chaos. A committed transaction survives a
 /// participant crash+restart; a partition during prepare forces abort
 /// (the coordinator must never report commit).
-fn twopc_under_partition_and_crash(seed: u64) -> String {
+fn twopc_under_partition_and_crash(seed: u64) -> impl ToJson {
     use rmodp_netsim::topology::{LinkConfig, Topology};
 
     let link = LinkConfig::with_latency(SimDuration::from_millis(1));
@@ -287,14 +297,18 @@ fn twopc_under_partition_and_crash(seed: u64) -> String {
     );
     assert_eq!(lost_commits, 0, "a committed transaction was lost");
 
-    format!(
-        "{{\"lost_commits\":{lost_commits},\"premature_commits\":{premature_commits},\"post_heal_commit\":true}}"
-    )
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "lost_commits": lost_commits,
+            "premature_commits": premature_commits,
+            "post_heal_commit": true,
+        })
+    })
 }
 
 /// Part 4: the circuit-breaker lifecycle. A dead server opens the
 /// breaker (fail-fast), a restart plus cooldown lets a probe close it.
-fn breaker_lifecycle(seed: u64) -> String {
+fn breaker_lifecycle(seed: u64) -> impl ToJson {
     use rmodp_engineering::channel::BreakerPhase;
 
     let mut rig = counter_rig(seed.wrapping_add(3), SyntaxId::Binary);
@@ -348,9 +362,14 @@ fn breaker_lifecycle(seed: u64) -> String {
         "closed->open, open->half-open, half-open->closed all observed"
     );
 
-    format!(
-        "{{\"timeouts\":{timeouts},\"fast_fails\":{counted_fast_fails},\"transitions\":{transitions},\"closed_after_probe\":true}}"
-    )
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "timeouts": timeouts,
+            "fast_fails": counted_fast_fails,
+            "transitions": transitions,
+            "closed_after_probe": true,
+        })
+    })
 }
 
 /// Runs all four parts against `seed` and returns the
@@ -366,7 +385,12 @@ pub fn run_suite(seed: u64) -> String {
     let twopc = twopc_under_partition_and_crash(seed);
     let breaker = breaker_lifecycle(seed);
 
-    format!(
-        "{{\"schema\":\"rmodp-bench-chaos/1\",\"seed\":{seed},\"workload\":{workload},\"exactly_once\":{exactly_once},\"twopc\":{twopc},\"breaker\":{breaker}}}\n"
-    )
+    json!({
+        "schema": "rmodp-bench-chaos/1",
+        "seed": seed,
+        "workload": workload,
+        "exactly_once": exactly_once,
+        "twopc": twopc,
+        "breaker": breaker,
+    }) + "\n"
 }

@@ -22,7 +22,8 @@ use rmodp_core::id::InterfaceId;
 use rmodp_engineering::engine::Engine;
 use rmodp_functions::{DetectorConfig, FailureDetector};
 use rmodp_netsim::sim::NodeIdx;
-use rmodp_observe::bus;
+use rmodp_observe::json::Fixed;
+use rmodp_observe::{bus, json, json_into};
 use rmodp_transparency::replication::{quorum_counters, ReplicatedService, ReplicationError};
 use rmodp_transparency::OdpInfra;
 
@@ -32,11 +33,6 @@ const REPLICAS: usize = 5;
 const ROUNDS: usize = 3;
 /// Committed updates attempted between failure injections.
 const UPDATES_PER_ROUND: usize = 4;
-
-/// Formats a float with three decimals (deterministic, locale-free).
-fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
 
 fn sim_idx(engine: &Engine, replica: InterfaceId) -> NodeIdx {
     let node = engine
@@ -57,7 +53,7 @@ fn sim_idx(engine: &Engine, replica: InterfaceId) -> NodeIdx {
 /// staged, uncommitted sequence numbers, which is exactly the state an
 /// interrupted commit leaves behind; the retry after healing must fold
 /// those idempotently.
-fn group_run(label: &str, seed: u64, update_k: i64) -> String {
+fn group_run(label: &'static str, seed: u64, update_k: i64) -> impl ToJson {
     let mut engine = Engine::new(seed);
     let client = engine.add_node(SyntaxId::Binary);
     let mut infra = OdpInfra::new();
@@ -232,22 +228,27 @@ fn group_run(label: &str, seed: u64, update_k: i64) -> String {
     println!(
         "{label}: attempts={attempts} commits={commits} availability={} mttr_us={mttr_us:?} \
          fenced={fenced_writes} quorum_losses={quorum_losses} failovers={failovers}",
-        f3(availability)
+        Fixed::<3>(availability)
     );
     println!("{}", oracle.render());
 
-    let samples: Vec<String> = mttr_us.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"label\":\"{label}\",\"replicas\":{REPLICAS},\"rounds\":{ROUNDS},\
-         \"attempts\":{attempts},\"commits\":{commits},\"availability\":{},\
-         \"mttr_us\":{{\"samples\":[{}],\"min\":{min},\"mean\":{mean},\"max\":{max}}},\
-         \"fenced_writes\":{fenced_writes},\"quorum_losses\":{quorum_losses},\
-         \"failovers\":{failovers},\"suspects\":{suspects},\"sync_repairs\":{sync_repairs},\
-         \"oracle\":{}}}",
-        f3(availability),
-        samples.join(","),
-        oracle.to_json()
-    )
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "label": label,
+            "replicas": REPLICAS,
+            "rounds": ROUNDS,
+            "attempts": attempts,
+            "commits": commits,
+            "availability": Fixed::<3>(availability),
+            "mttr_us": {"samples": mttr_us, "min": min, "mean": mean, "max": max},
+            "fenced_writes": fenced_writes,
+            "quorum_losses": quorum_losses,
+            "failovers": failovers,
+            "suspects": suspects,
+            "sync_repairs": sync_repairs,
+            "oracle": oracle,
+        })
+    })
 }
 
 /// Runs the bank and trader group schedules against `seed` and returns
@@ -260,7 +261,5 @@ fn group_run(label: &str, seed: u64, update_k: i64) -> String {
 pub fn run_suite(seed: u64) -> String {
     let bank = group_run("bank", seed, 25);
     let trader = group_run("trader", seed.wrapping_add(1), 1);
-    format!(
-        "{{\"schema\":\"rmodp-bench-failover/1\",\"seed\":{seed},\"groups\":[{bank},{trader}]}}\n"
-    )
+    json!({"schema": "rmodp-bench-failover/1", "seed": seed, "groups": [bank, trader]}) + "\n"
 }

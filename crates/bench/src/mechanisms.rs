@@ -20,6 +20,8 @@ use rmodp_core::value::Value;
 use rmodp_engineering::channel::{ChannelConfig, RetryPolicy};
 use rmodp_kernel::{EventQueue, KernelRng, SimTime, PAYLOAD_ALLOCS, PAYLOAD_COPIES};
 use rmodp_netsim::topology::LinkConfig;
+use rmodp_observe::json::ToJson;
+use rmodp_observe::{json, json_into};
 use rmodp_transparency::proxy::OdpInfra;
 use rmodp_transparency::replication::quorum_counters;
 
@@ -30,7 +32,7 @@ use crate::{add_one, counter_rig, open};
 /// pseudo-random timestamps go in; they must come out in total
 /// `(time, seq)` order. The order checksum (a fold over the pop
 /// sequence) lands in the document.
-fn kernel_queue(seed: u64) -> String {
+fn kernel_queue(seed: u64) -> impl ToJson {
     use rand::Rng;
 
     const EVENTS: u64 = 200_000;
@@ -57,13 +59,13 @@ fn kernel_queue(seed: u64) -> String {
     assert_eq!(popped, EVENTS);
     println!("kernel-queue: {EVENTS} schedule+pop pairs, order checksum {checksum}");
 
-    format!("{{\"events\":{EVENTS},\"order_checksum\":{checksum}}}")
+    json::from_fn(move |out| json_into!(out, {"events": EVENTS, "order_checksum": checksum}))
 }
 
 /// Part 2: the uncontended invocation path. Under the old code every
 /// delivered envelope was parsed with a deep payload copy; now parsing
 /// slices the delivered frame, so the copy counter must read zero.
-fn invocation(seed: u64) -> String {
+fn invocation(seed: u64) -> impl ToJson {
     const CALLS: u64 = 500;
     let ((), registry) = capture_metrics(|| {
         let mut rig = counter_rig(seed, SyntaxId::Text);
@@ -88,16 +90,23 @@ fn invocation(seed: u64) -> String {
     );
 
     // The pre-kernel parse path copied every delivered payload.
-    format!(
-        "{{\"calls\":{calls},\"messages_sent\":{sent},\"messages_delivered\":{delivered},\"payload_allocs\":{allocs},\"payload_copies\":{copies},\"naive_parse_copies\":{delivered}}}"
-    )
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "calls": calls,
+            "messages_sent": sent,
+            "messages_delivered": delivered,
+            "payload_allocs": allocs,
+            "payload_copies": copies,
+            "naive_parse_copies": delivered,
+        })
+    })
 }
 
 /// Part 3: retransmission under loss. Reliable calls over a lossy link
 /// retransmit; each retransmission reuses the marshalled frame (an
 /// `Arc` clone), so payload allocations must not scale with retries —
 /// where the old code re-marshalled once per attempt.
-fn retransmission(seed: u64) -> String {
+fn retransmission(seed: u64) -> impl ToJson {
     const CALLS: u64 = 200;
     let ((), registry) = capture_metrics(|| {
         let mut rig = counter_rig(seed, SyntaxId::Text);
@@ -152,15 +161,24 @@ fn retransmission(seed: u64) -> String {
         "retransmission: calls={calls} retries={retries} dedup_hits={dedup_hits} frames_sent={frames_sent} payload_allocs={allocs} payload_copies={copies}"
     );
 
-    format!(
-        "{{\"calls\":{calls},\"retries\":{retries},\"dedup_hits\":{dedup_hits},\"duplicate_dispatches\":{duplicate_dispatches},\"frames_sent\":{frames_sent},\"payload_allocs\":{allocs},\"payload_copies\":{copies},\"naive_marshal_ops\":{naive_marshal_ops}}}"
-    )
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "calls": calls,
+            "retries": retries,
+            "dedup_hits": dedup_hits,
+            "duplicate_dispatches": duplicate_dispatches,
+            "frames_sent": frames_sent,
+            "payload_allocs": allocs,
+            "payload_copies": copies,
+            "naive_marshal_ops": naive_marshal_ops,
+        })
+    })
 }
 
 /// Part 4: replication fan-out. One update to a quorum group marshals
 /// its `Apply` once and shares it across every replica — the old path
 /// re-encoded the arguments per replica.
-fn replication(seed: u64) -> String {
+fn replication(seed: u64) -> impl ToJson {
     const REPLICAS: usize = 5;
     const UPDATES: u64 = 20;
     let ((), registry) = capture_metrics(|| {
@@ -191,9 +209,17 @@ fn replication(seed: u64) -> String {
         "replication: updates={updates} replicas={REPLICAS} calls={calls} payload_allocs={allocs} payload_copies={copies}"
     );
 
-    format!(
-        "{{\"replicas\":{REPLICAS},\"updates\":{updates},\"calls\":{calls},\"payload_allocs\":{allocs},\"payload_copies\":{copies},\"invocation_encodes\":{updates},\"naive_invocation_encodes\":{naive_encodes}}}"
-    )
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "replicas": REPLICAS,
+            "updates": updates,
+            "calls": calls,
+            "payload_allocs": allocs,
+            "payload_copies": copies,
+            "invocation_encodes": updates,
+            "naive_invocation_encodes": naive_encodes,
+        })
+    })
 }
 
 /// The base seed `mechanisms_bench` runs at without `--seed`; the parts
@@ -213,7 +239,11 @@ pub fn run_suite(seed: u64) -> String {
     let retransmission = retransmission(seed.wrapping_mul(100) + 2);
     let replication = replication(seed.wrapping_mul(100) + 3);
 
-    format!(
-        "{{\"schema\":\"rmodp-bench-mechanisms/1\",\"kernel\":{kernel},\"invocation\":{invocation},\"retransmission\":{retransmission},\"replication\":{replication}}}\n"
-    )
+    json!({
+        "schema": "rmodp-bench-mechanisms/1",
+        "kernel": kernel,
+        "invocation": invocation,
+        "retransmission": retransmission,
+        "replication": replication,
+    }) + "\n"
 }

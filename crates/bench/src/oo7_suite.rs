@@ -30,7 +30,8 @@ use rmodp_engineering::behaviour::CounterBehaviour;
 use rmodp_engineering::engine::Engine;
 use rmodp_kernel::{EventQueue, SimTime};
 use rmodp_netsim::time::SimDuration;
-use rmodp_observe::bus;
+use rmodp_observe::json::{Fixed, ToJson};
+use rmodp_observe::{bus, json, json_into};
 use rmodp_store::{
     state_checksum, MemMedia, Oo7Config, Oo7Workload, StableMedia, StoreConfig, StoreEngine,
 };
@@ -192,7 +193,7 @@ fn power_loss_recovery(
 /// The plan's windows are far beyond any `apply_until` target and
 /// `finish` is never called, so the injector's own stale reactivation
 /// never masks the guard's recovery.
-fn capsule_kill_section(seed: u64) -> String {
+fn capsule_kill_section(seed: u64) -> impl ToJson {
     let mut engine = Engine::new(seed);
     engine
         .behaviours_mut()
@@ -319,12 +320,19 @@ fn capsule_kill_section(seed: u64) -> String {
         "capsule kill at op {failed_at_op}: recovered in {mttr_us}us virtual, \
          {replayed} ops replayed, sum {observed} (expected {expected})"
     );
-    format!(
-        "{{\"ops\":{OPS},\"killed_at_op\":{failed_at_op},\"mttr_virtual_us\":{mttr_us},\
-         \"replayed_ops\":{replayed},\"recoveries\":{},\"lost_updates\":{lost},\
-         \"sum_expected\":{expected},\"sum_observed\":{observed}}}",
-        guard.recoveries()
-    )
+    let recoveries = guard.recoveries();
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "ops": OPS,
+            "killed_at_op": failed_at_op,
+            "mttr_virtual_us": mttr_us,
+            "replayed_ops": replayed,
+            "recoveries": recoveries,
+            "lost_updates": lost,
+            "sum_expected": expected,
+            "sum_observed": observed,
+        })
+    })
 }
 
 /// Runs the full suite and returns the `BENCH_oo7.json` document.
@@ -425,36 +433,69 @@ pub fn run_suite(cfg: Oo7BenchConfig) -> String {
     );
     bus::set_enabled(was_enabled);
 
-    format!(
-        "{{\"schema\":\"rmodp-bench-oo7/1\",\"config\":{{\"scale\":\"{scale_name}\",\"objects\":{},\"assemblies\":{},\"composites\":{},\"atomics_per_composite\":{},\"update_batches\":{},\"seed\":{},\"compact_wal_bytes\":{},\"arrival\":\"poisson 50/s\",\"cost_model\":\"load 2us/object + 50us/commit; traverse visited/8 us; update 10us + 2us/write; reopen 100us + 2us/record + snap_bytes/4096 us\"}},\"load\":{{\"objects\":{},\"batches\":{},\"virtual_us\":{load_us},\"goodput_objects_per_virtual_sec\":{load_goodput:.1},\"log_bytes\":{load_log_bytes},\"snapshot_bytes\":{load_snapshot_bytes},\"compactions\":{load_compactions}}},\"traversals\":{{\"t1_dense\":{{\"visited\":{},\"checksum\":{},\"virtual_us\":{t1_us}}},\"t6_sparse\":{{\"visited\":{},\"checksum\":{},\"virtual_us\":{t6_us}}}}},\"updates\":{{\"batches\":{},\"objects_updated\":{},\"busy_virtual_us\":{},\"makespan_virtual_us\":{},\"goodput_updates_per_virtual_sec\":{update_goodput:.1}}},\"queries\":{{\"exact\":{{\"id\":{exact_id},\"checksum\":{exact_checksum}}},\"range\":{{\"lo\":{lo},\"hi\":{hi},\"matches\":{range_matches},\"checksum\":{range_checksum}}}}},\"recovery\":{{\"power_loss\":{{\"staged_then_lost\":{},\"records_scanned\":{},\"writes_replayed\":{},\"snapshot_loaded\":{},\"mttr_virtual_us\":{},\"lost_committed_updates\":0}},\"capsule_kill\":{capsule}}},\"store\":{{\"log_bytes\":{},\"snapshot_bytes\":{},\"compactions\":{},\"commits\":{},\"recovery_replayed\":{}}},\"determinism\":{{\"state_checksum\":{final_checksum},\"dense_checksum\":{dense_checksum},\"objects_validated\":{validated}}}}}\n",
-        wl.config().total_objects(),
-        wl.config().assemblies(),
-        wl.config().composites,
-        wl.config().atomics_per_composite,
-        cfg.update_batches,
-        cfg.seed,
-        compact_threshold(cfg.scale),
-        load.objects,
-        load.batches,
-        t1.visited,
-        t1.checksum,
-        t6.visited,
-        t6.checksum,
-        updates.batches,
-        updates.updated,
-        updates.busy_us,
-        updates.makespan_us,
-        power.staged_then_lost,
-        power.records_scanned,
-        power.writes_replayed,
-        power.snapshot_loaded,
-        power.reopen_us,
-        engine.log_bytes(),
-        engine.snapshot_bytes(),
-        pre_crash_stats.compactions + stats.compactions,
-        pre_crash_stats.commits + stats.commits,
-        stats.recovery_replayed,
-    )
+    json!({
+        "schema": "rmodp-bench-oo7/1",
+        "config": {
+            "scale": scale_name,
+            "objects": wl.config().total_objects(),
+            "assemblies": wl.config().assemblies(),
+            "composites": wl.config().composites,
+            "atomics_per_composite": wl.config().atomics_per_composite,
+            "update_batches": cfg.update_batches,
+            "seed": cfg.seed,
+            "compact_wal_bytes": compact_threshold(cfg.scale),
+            "arrival": "poisson 50/s",
+            "cost_model": "load 2us/object + 50us/commit; traverse visited/8 us; \
+                update 10us + 2us/write; reopen 100us + 2us/record + snap_bytes/4096 us",
+        },
+        "load": {
+            "objects": load.objects,
+            "batches": load.batches,
+            "virtual_us": load_us,
+            "goodput_objects_per_virtual_sec": Fixed::<1>(load_goodput),
+            "log_bytes": load_log_bytes,
+            "snapshot_bytes": load_snapshot_bytes,
+            "compactions": load_compactions,
+        },
+        "traversals": {
+            "t1_dense": {"visited": t1.visited, "checksum": t1.checksum, "virtual_us": t1_us},
+            "t6_sparse": {"visited": t6.visited, "checksum": t6.checksum, "virtual_us": t6_us},
+        },
+        "updates": {
+            "batches": updates.batches,
+            "objects_updated": updates.updated,
+            "busy_virtual_us": updates.busy_us,
+            "makespan_virtual_us": updates.makespan_us,
+            "goodput_updates_per_virtual_sec": Fixed::<1>(update_goodput),
+        },
+        "queries": {
+            "exact": {"id": exact_id, "checksum": exact_checksum},
+            "range": {"lo": lo, "hi": hi, "matches": range_matches, "checksum": range_checksum},
+        },
+        "recovery": {
+            "power_loss": {
+                "staged_then_lost": power.staged_then_lost,
+                "records_scanned": power.records_scanned,
+                "writes_replayed": power.writes_replayed,
+                "snapshot_loaded": power.snapshot_loaded,
+                "mttr_virtual_us": power.reopen_us,
+                "lost_committed_updates": 0,
+            },
+            "capsule_kill": capsule,
+        },
+        "store": {
+            "log_bytes": engine.log_bytes(),
+            "snapshot_bytes": engine.snapshot_bytes(),
+            "compactions": pre_crash_stats.compactions + stats.compactions,
+            "commits": pre_crash_stats.commits + stats.commits,
+            "recovery_replayed": stats.recovery_replayed,
+        },
+        "determinism": {
+            "state_checksum": final_checksum,
+            "dense_checksum": dense_checksum,
+            "objects_validated": validated,
+        },
+    }) + "\n"
 }
 
 #[cfg(test)]
@@ -474,9 +515,9 @@ mod tests {
         let a = run_suite(small());
         let b = run_suite(small());
         assert_eq!(a, b, "suite must be byte-identical across reruns");
-        assert!(a.contains("\"schema\":\"rmodp-bench-oo7/1\""));
-        assert!(a.contains("\"lost_committed_updates\":0"));
-        assert!(a.contains("\"lost_updates\":0"));
+        assert!(a.contains(r#""schema":"rmodp-bench-oo7/1""#));
+        assert!(a.contains(r#""lost_committed_updates":0"#));
+        assert!(a.contains(r#""lost_updates":0"#));
         assert!(a.ends_with('\n'));
     }
 
@@ -490,9 +531,9 @@ mod tests {
     #[test]
     fn capsule_kill_recovers_with_finite_mttr() {
         bus::reset();
-        let section = capsule_kill_section(11);
-        assert!(section.contains("\"lost_updates\":0"), "{section}");
-        assert!(section.contains("\"recoveries\":1"), "{section}");
-        assert!(!section.contains("\"mttr_virtual_us\":0"), "{section}");
+        let section = capsule_kill_section(11).to_json();
+        assert!(section.contains(r#""lost_updates":0"#), "{section}");
+        assert!(section.contains(r#""recoveries":1"#), "{section}");
+        assert!(!section.contains(r#""mttr_virtual_us":0"#), "{section}");
     }
 }

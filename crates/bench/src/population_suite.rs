@@ -29,7 +29,8 @@
 //! into another shard's queue clones the `Arc`, never the bytes, so the
 //! exchange stays copy-free however many shards the run spans.
 
-use rmodp_observe::bus;
+use rmodp_observe::json::ToJson;
+use rmodp_observe::{bus, json, json_into};
 use rmodp_workload::population::{
     run_population, PopulationConfig, PopulationOutcome, PopulationScenario,
 };
@@ -87,25 +88,79 @@ fn scenario_config(
     }
 }
 
-fn render_run(o: &PopulationOutcome) -> String {
-    let (p50, p95, p99) = (o.report.p50_us, o.report.p95_us, o.report.p99_us);
-    format!(
-        "{{\"shards\":{},\"events\":{},\"epochs\":{},\"cross_shard_messages\":{},\
-         \"offered\":{},\"completed\":{},\"lost\":{},\"finished_virtual_us\":{},\
-         \"p50_us\":{p50},\"p95_us\":{p95},\"p99_us\":{p99},\
-         \"export_checksum\":{},\"state_checksum\":{},\"slo_pass\":{}}}",
-        o.shards,
-        o.events,
-        o.epochs,
-        o.cross_shard_messages,
-        o.stats.offered,
-        o.stats.completed,
-        o.stats.lost,
-        o.finished_us,
-        o.export_checksum,
-        o.state_checksum,
-        o.report.pass,
-    )
+/// Runs one scenario at every shard count, asserts that the runs agree,
+/// and returns its capsule count and its block of the document.
+///
+/// # Panics
+///
+/// If any run's export checksum, state checksum, event count or SLO
+/// verdict differs from the first run's.
+fn scenario_block(
+    scenario: PopulationScenario,
+    cfg: &PopulationBenchConfig,
+    shard_counts: &[usize],
+) -> (u64, impl ToJson) {
+    let mut runs: Vec<PopulationOutcome> = Vec::new();
+    for &shards in shard_counts {
+        let outcome = run_population(&scenario_config(scenario, cfg, shards));
+        println!(
+            "population {} shards={} capsules={} events={}",
+            scenario.name(),
+            shards,
+            outcome.capsules,
+            outcome.events,
+        );
+        runs.push(outcome);
+    }
+
+    let base = &runs[0];
+    for o in &runs[1..] {
+        assert_eq!(
+            o.export_checksum,
+            base.export_checksum,
+            "{} export checksum differs between {} and {} shards",
+            scenario.name(),
+            base.shards,
+            o.shards
+        );
+        assert_eq!(o.state_checksum, base.state_checksum);
+        assert_eq!(o.events, base.events);
+        assert_eq!(o.report, base.report);
+    }
+    let capsules = base.capsules;
+    let config = scenario_config(scenario, cfg, shard_counts[0]);
+    let block = json::from_fn(move |out| {
+        let base = &runs[0];
+        json_into!(out, {
+            "capsules": base.capsules,
+            "regions": config.regions,
+            "capsules_per_region": config.capsules_per_region,
+            "ops_per_capsule": config.ops_per_capsule,
+            "arrival_window_us": config.arrival_window.as_micros(),
+            "runs": [for o in &runs => {
+                "shards": o.shards,
+                "events": o.events,
+                "epochs": o.epochs,
+                "cross_shard_messages": o.cross_shard_messages,
+                "offered": o.stats.offered,
+                "completed": o.stats.completed,
+                "lost": o.stats.lost,
+                "finished_virtual_us": o.finished_us,
+                "p50_us": o.report.p50_us,
+                "p95_us": o.report.p95_us,
+                "p99_us": o.report.p99_us,
+                "export_checksum": o.export_checksum,
+                "state_checksum": o.state_checksum,
+                "slo_pass": o.report.pass,
+            }],
+            "invariant": {
+                "export_checksum": base.export_checksum,
+                "state_checksum": base.state_checksum,
+                "identical_across_shard_counts": true,
+            },
+        })
+    });
+    (capsules, block)
 }
 
 /// Runs the suite and renders `BENCH_population.json`.
@@ -120,76 +175,23 @@ pub fn run_suite(cfg: PopulationBenchConfig) -> String {
         Some(n) => vec![n],
         None => MATRIX.to_vec(),
     };
-    let scale_name = if cfg.scale == 0 { "ci" } else { "full" };
     let was_enabled = bus::is_enabled();
     bus::set_enabled(false);
-
-    let mut scenario_blocks = Vec::new();
-    let mut total_capsules = 0u64;
-    for scenario in [PopulationScenario::Bank, PopulationScenario::Trader] {
-        let mut runs: Vec<PopulationOutcome> = Vec::new();
-        for &shards in &shard_counts {
-            let outcome = run_population(&scenario_config(scenario, &cfg, shards));
-            println!(
-                "population {} shards={} capsules={} events={}",
-                scenario.name(),
-                shards,
-                outcome.capsules,
-                outcome.events,
-            );
-            runs.push(outcome);
-        }
-
-        let base = &runs[0];
-        for o in &runs[1..] {
-            assert_eq!(
-                o.export_checksum,
-                base.export_checksum,
-                "{} export checksum differs between {} and {} shards",
-                scenario.name(),
-                base.shards,
-                o.shards
-            );
-            assert_eq!(o.state_checksum, base.state_checksum);
-            assert_eq!(o.events, base.events);
-            assert_eq!(o.report, base.report);
-        }
-        total_capsules += base.capsules;
-
-        let config = scenario_config(scenario, &cfg, shard_counts[0]);
-        let rendered: Vec<String> = runs.iter().map(render_run).collect();
-        scenario_blocks.push(format!(
-            "\"{}\":{{\"capsules\":{},\"regions\":{},\"capsules_per_region\":{},\
-             \"ops_per_capsule\":{},\"arrival_window_us\":{},\"runs\":[{}],\
-             \"invariant\":{{\"export_checksum\":{},\"state_checksum\":{},\
-             \"identical_across_shard_counts\":true}}}}",
-            scenario.name(),
-            base.capsules,
-            config.regions,
-            config.capsules_per_region,
-            config.ops_per_capsule,
-            config.arrival_window.as_micros(),
-            rendered.join(","),
-            base.export_checksum,
-            base.state_checksum,
-        ));
-    }
-
+    let (bank_capsules, bank) = scenario_block(PopulationScenario::Bank, &cfg, &shard_counts);
+    let (trader_capsules, trader) = scenario_block(PopulationScenario::Trader, &cfg, &shard_counts);
     bus::set_enabled(was_enabled);
-    let shard_list = shard_counts
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"schema\":\"rmodp-bench-population/1\",\"config\":{{\"seed\":{},\
-         \"scale\":\"{scale_name}\",\"shard_counts\":[{shard_list}],\
-         \"lookahead_us\":{},\"total_capsules\":{total_capsules}}},\
-         \"scenarios\":{{{}}}}}\n",
-        cfg.seed,
-        rmodp_workload::population::CROSS_LATENCY.as_micros(),
-        scenario_blocks.join(","),
-    )
+
+    json!({
+        "schema": "rmodp-bench-population/1",
+        "config": {
+            "seed": cfg.seed,
+            "scale": if cfg.scale == 0 { "ci" } else { "full" },
+            "shard_counts": shard_counts,
+            "lookahead_us": rmodp_workload::population::CROSS_LATENCY.as_micros(),
+            "total_capsules": bank_capsules + trader_capsules,
+        },
+        "scenarios": {"bank": bank, "trader": trader},
+    }) + "\n"
 }
 
 #[cfg(test)]
@@ -206,8 +208,8 @@ mod tests {
         let a = run_suite(cfg);
         let b = run_suite(cfg);
         assert_eq!(a, b, "same seed, same bytes");
-        assert!(a.contains("\"schema\":\"rmodp-bench-population/1\""));
-        assert!(a.contains("\"identical_across_shard_counts\":true"));
+        assert!(a.contains(r#""schema":"rmodp-bench-population/1""#));
+        assert!(a.contains(r#""identical_across_shard_counts":true"#));
     }
 
     #[test]
@@ -225,7 +227,7 @@ mod tests {
         // The invariant blocks (checksums) must agree between a matrix
         // run and a single-shard-count run of the same seed.
         let pick = |s: &str| {
-            s.split("\"invariant\":")
+            s.split(r#""invariant":"#)
                 .skip(1)
                 .map(|tail| tail.split('}').next().unwrap().to_string())
                 .collect::<Vec<_>>()

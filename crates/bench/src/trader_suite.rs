@@ -24,7 +24,9 @@
 use rmodp_core::id::InterfaceId;
 use rmodp_core::value::Value;
 use rmodp_kernel::{EventQueue, SimTime};
+use rmodp_observe::json::{Fixed, ToJson};
 use rmodp_observe::metrics::Histogram;
+use rmodp_observe::{json, json_into};
 use rmodp_trader::shard::ShardedFederation;
 use rmodp_trader::{ImportRequest, IndexKind, Trader};
 use rmodp_workload::arrival::ArrivalProcess;
@@ -237,19 +239,26 @@ fn run_engine(trader: &mut Trader, cfg: TraderBenchConfig, indexed: bool) -> Eng
     run
 }
 
-fn engine_json(run: &EngineRun) -> String {
-    let (p50, p95, p99) = run.latency.quantiles();
-    let throughput = run.imports as f64 * 1e6 / run.busy_us.max(1) as f64;
-    format!(
-        "{{\"imports\":{},\"matches\":{},\"offers_examined\":{},\"busy_virtual_us\":{},\"latency_us\":{{\"p50\":{p50},\"p95\":{p95},\"p99\":{p99}}},\"throughput_per_virtual_sec\":{throughput:.1},\"checksum\":{}}}",
-        run.imports, run.matches, run.offers_examined, run.busy_us, run.checksum
-    )
+impl ToJson for EngineRun {
+    fn write_json(&self, out: &mut String) {
+        let (p50, p95, p99) = self.latency.quantiles();
+        let throughput = self.imports as f64 * 1e6 / self.busy_us.max(1) as f64;
+        json_into!(out, {
+            "imports": self.imports,
+            "matches": self.matches,
+            "offers_examined": self.offers_examined,
+            "busy_virtual_us": self.busy_us,
+            "latency_us": {"p50": p50, "p95": p95, "p99": p99},
+            "throughput_per_virtual_sec": Fixed::<1>(throughput),
+            "checksum": self.checksum,
+        });
+    }
 }
 
 /// The sharded-federation section: the same corpus spread over 16
 /// shards, showing type-directed routing touching a bounded shard set
 /// instead of every trader.
-fn sharded_section(cfg: TraderBenchConfig) -> String {
+fn sharded_section(cfg: TraderBenchConfig) -> impl ToJson {
     const SHARDS: usize = 16;
     let offers = (cfg.offers / 8).max(1_000);
     let mut fed = ShardedFederation::new("shard", SHARDS);
@@ -283,12 +292,17 @@ fn sharded_section(cfg: TraderBenchConfig) -> String {
         stats.shard_queries,
         stats.routed_imports * SHARDS as u64
     );
-    format!(
-        "{{\"shards\":{SHARDS},\"offers\":{offers},\"routed_imports\":{},\"shard_queries\":{},\"broadcast_equivalent_queries\":{},\"matches\":{matches_total},\"checksum\":{checksum}}}",
-        stats.routed_imports,
-        stats.shard_queries,
-        stats.routed_imports * SHARDS as u64
-    )
+    json::from_fn(move |out| {
+        json_into!(out, {
+            "shards": SHARDS,
+            "offers": offers,
+            "routed_imports": stats.routed_imports,
+            "shard_queries": stats.shard_queries,
+            "broadcast_equivalent_queries": stats.routed_imports * SHARDS as u64,
+            "matches": matches_total,
+            "checksum": checksum,
+        })
+    })
 }
 
 /// Runs the full suite and returns the `BENCH_trader.json` document.
@@ -353,18 +367,28 @@ pub fn run_suite(cfg: TraderBenchConfig) -> String {
         "speedup: {examined_ratio:.1}x fewer offers examined, {throughput_ratio:.1}x match throughput"
     );
 
-    format!(
-        "{{\"schema\":\"rmodp-bench-trader/1\",\"config\":{{\"offers\":{},\"imports\":{},\"seed\":{},\"arrival\":\"poisson 500/s\",\"latency_model\":\"1 + examined/64 us\"}},\"naive\":{},\"indexed\":{},\"plans\":{{\"indexed\":{},\"fallback\":{},\"example\":\"{}\"}},\"speedup\":{{\"offers_examined_ratio\":{examined_ratio:.1},\"throughput_ratio\":{throughput_ratio:.1}}},\"sharded\":{}}}\n",
-        cfg.offers,
-        cfg.imports,
-        cfg.seed,
-        engine_json(&naive),
-        engine_json(&indexed),
-        indexed.plans_indexed,
-        indexed.plans_fallback,
-        indexed.plan_example,
-        sharded
-    )
+    json!({
+        "schema": "rmodp-bench-trader/1",
+        "config": {
+            "offers": cfg.offers,
+            "imports": cfg.imports,
+            "seed": cfg.seed,
+            "arrival": "poisson 500/s",
+            "latency_model": "1 + examined/64 us",
+        },
+        "naive": naive,
+        "indexed": indexed,
+        "plans": {
+            "indexed": indexed.plans_indexed,
+            "fallback": indexed.plans_fallback,
+            "example": indexed.plan_example,
+        },
+        "speedup": {
+            "offers_examined_ratio": Fixed::<1>(examined_ratio),
+            "throughput_ratio": Fixed::<1>(throughput_ratio),
+        },
+        "sharded": sharded,
+    }) + "\n"
 }
 
 #[cfg(test)]
@@ -381,7 +405,7 @@ mod tests {
         let a = run_suite(cfg);
         let b = run_suite(cfg);
         assert_eq!(a, b, "suite must be byte-identical across reruns");
-        assert!(a.contains("\"schema\":\"rmodp-bench-trader/1\""));
+        assert!(a.contains(r#""schema":"rmodp-bench-trader/1""#));
         assert!(a.ends_with('\n'));
     }
 }

@@ -14,7 +14,7 @@ use rmodp_core::contract::QosRequirement;
 use rmodp_engineering::channel::ChannelConfig;
 use rmodp_engineering::nucleus::AdmissionConfig;
 use rmodp_netsim::time::SimDuration;
-use rmodp_observe::{bus, oracle};
+use rmodp_observe::{bus, json, oracle};
 use rmodp_workload::prelude::*;
 
 use crate::{add_one, counter_rig, open};
@@ -163,18 +163,18 @@ pub fn run_suite(seed: u64) -> String {
         if report.admission_shed > 0 {
             tripped_admission = true;
         }
-        entries.push(format!(
-            "{{\"causality_violations\":{violations},\"report\":{}}}",
-            report.to_json()
-        ));
+        entries.push((violations, report));
     }
     assert!(
         tripped_admission,
         "the suite must contain at least one scenario that trips admission control"
     );
 
-    format!(
-        "{{\"schema\":\"rmodp-bench-workload/1\",\"scenarios\":[{}]}}\n",
-        entries.join(",")
-    )
+    json!({
+        "schema": "rmodp-bench-workload/1",
+        "scenarios": [for (violations, report) in &entries => {
+            "causality_violations": violations,
+            "report": report,
+        }],
+    }) + "\n"
 }

@@ -77,11 +77,6 @@ impl FaultInjector {
         self.applied
     }
 
-    /// Whether every scheduled action has been performed.
-    pub fn exhausted(&self) -> bool {
-        self.next >= self.steps.len()
-    }
-
     /// Advances the simulation to `target`, performing every fault
     /// action that falls due on the way. The simulator never runs past a
     /// pending action, so faults take effect at exact virtual instants.

@@ -59,4 +59,5 @@ pub mod prelude {
     pub use crate::linear::{ConsistencyReport, GroupConsistency, GroupOracle};
     pub use crate::oracle::{FaultRecovery, RecoveryOracle, RecoveryReport};
     pub use crate::plan::{ChaosProfile, FaultEvent, FaultKind, FaultPlan};
+    pub use rmodp_observe::json::ToJson;
 }

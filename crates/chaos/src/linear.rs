@@ -29,7 +29,8 @@
 
 use std::collections::BTreeMap;
 
-use rmodp_observe::{bus, Event, EventKind};
+use rmodp_observe::json::ToJson;
+use rmodp_observe::{bus, json_into, Event, EventKind};
 
 /// Extracts the integer after `key=` in a `k=v`-style detail string.
 fn field(detail: &str, key: &str) -> Option<u64> {
@@ -220,37 +221,30 @@ impl ConsistencyReport {
         ));
         out
     }
+}
 
-    /// Deterministic JSON rendering with a fixed field order.
-    pub fn to_json(&self) -> String {
-        let groups: Vec<String> = self
-            .groups
-            .iter()
-            .map(|g| {
-                format!(
-                    "{{\"group\":{},\"view_changes\":{},\"max_epoch\":{},\"commits\":{},\"max_committed\":{},\"fenced_writes\":{},\"reads\":{},\"split_brain\":{},\"lost_committed\":{},\"epoch_regressions\":{},\"dirty_reads\":{}}}",
-                    g.group,
-                    g.view_changes,
-                    g.max_epoch,
-                    g.commits,
-                    g.max_committed,
-                    g.fenced_writes,
-                    g.reads,
-                    g.split_brain,
-                    g.lost_committed,
-                    g.epoch_regressions,
-                    g.dirty_reads,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"groups\":[{}],\"clean\":{},\"split_brain\":{},\"lost_committed\":{},\"fenced_writes\":{}}}",
-            groups.join(","),
-            self.clean(),
-            self.split_brain(),
-            self.lost_committed(),
-            self.fenced_writes(),
-        )
+/// Deterministic JSON with a fixed field order.
+impl ToJson for ConsistencyReport {
+    fn write_json(&self, out: &mut String) {
+        json_into!(out, {
+            "groups": [for g in &self.groups => {
+                "group": g.group,
+                "view_changes": g.view_changes,
+                "max_epoch": g.max_epoch,
+                "commits": g.commits,
+                "max_committed": g.max_committed,
+                "fenced_writes": g.fenced_writes,
+                "reads": g.reads,
+                "split_brain": g.split_brain,
+                "lost_committed": g.lost_committed,
+                "epoch_regressions": g.epoch_regressions,
+                "dirty_reads": g.dirty_reads,
+            }],
+            "clean": self.clean(),
+            "split_brain": self.split_brain(),
+            "lost_committed": self.lost_committed(),
+            "fenced_writes": self.fenced_writes(),
+        });
     }
 }
 
@@ -313,7 +307,7 @@ mod tests {
         assert_eq!(g.fenced_writes, 1);
         assert_eq!(g.reads, 1);
         assert_eq!(report.fenced_writes(), 1);
-        assert!(report.to_json().contains("\"clean\":true"));
+        assert!(report.to_json().contains(r#""clean":true"#));
     }
 
     #[test]

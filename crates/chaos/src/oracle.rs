@@ -19,15 +19,10 @@
 //! at-most-once execution guarantee).
 
 use rmodp_engineering::nucleus::DRIVER_PORT;
-use rmodp_observe::export::escape_into;
-use rmodp_observe::{bus, Event, EventKind, Layer};
+use rmodp_observe::json::{Fixed, ToJson};
+use rmodp_observe::{bus, json_into, Event, EventKind, Layer};
 
 use crate::inject::AppliedFault;
-
-/// Formats a float with three decimals (deterministic, locale-free).
-fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
 
 /// Per-fault recovery verdict.
 #[derive(Debug, Clone)]
@@ -208,7 +203,7 @@ impl RecoveryReport {
                 cleared,
                 f.recovered,
                 f.mttr_us,
-                f3(f.availability),
+                Fixed::<3>(f.availability),
                 f.delivered_in_window,
                 f.sent_in_window,
             ));
@@ -219,41 +214,28 @@ impl RecoveryReport {
         ));
         out
     }
+}
 
-    /// Deterministic JSON rendering with a fixed field order.
-    pub fn to_json(&self) -> String {
-        let faults: Vec<String> = self
-            .faults
-            .iter()
-            .map(|f| {
-                let cleared = match f.cleared_us {
-                    Some(t) => t.to_string(),
-                    None => "null".to_string(),
-                };
-                let mut detail = String::new();
-                escape_into(&mut detail, &f.detail);
-                format!(
-                    "{{\"fault\":\"{}\",\"detail\":\"{}\",\"injected_us\":{},\"cleared_us\":{},\"recovered\":{},\"mttr_us\":{},\"sent_in_window\":{},\"delivered_in_window\":{},\"availability\":{}}}",
-                    f.label,
-                    detail,
-                    f.injected_us,
-                    cleared,
-                    f.recovered,
-                    f.mttr_us,
-                    f.sent_in_window,
-                    f.delivered_in_window,
-                    f3(f.availability),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"faults\":[{}],\"dedup_hits\":{},\"duplicate_dispatches\":{},\"breaker_transitions\":{},\"mean_mttr_us\":{}}}",
-            faults.join(","),
-            self.dedup_hits,
-            self.duplicate_dispatches,
-            self.breaker_transitions,
-            self.mean_mttr_us
-        )
+/// Deterministic JSON with a fixed field order.
+impl ToJson for RecoveryReport {
+    fn write_json(&self, out: &mut String) {
+        json_into!(out, {
+            "faults": [for f in &self.faults => {
+                "fault": f.label,
+                "detail": f.detail,
+                "injected_us": f.injected_us,
+                "cleared_us": f.cleared_us,
+                "recovered": f.recovered,
+                "mttr_us": f.mttr_us,
+                "sent_in_window": f.sent_in_window,
+                "delivered_in_window": f.delivered_in_window,
+                "availability": Fixed::<3>(f.availability),
+            }],
+            "dedup_hits": self.dedup_hits,
+            "duplicate_dispatches": self.duplicate_dispatches,
+            "breaker_transitions": self.breaker_transitions,
+            "mean_mttr_us": self.mean_mttr_us,
+        });
     }
 }
 
@@ -340,21 +322,5 @@ mod tests {
         let out = oracle.analyse(&events, &[fault(1_000, 1_500)]);
         assert_eq!(out[0].sent_in_window, 0);
         assert!((out[0].availability - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn json_escapes_a_fault_detail_instead_of_rewriting_it() {
-        let mut faults = RecoveryOracle::new(2).analyse(&[], &[fault(1_000, 1_500)]);
-        faults[0].detail = "cut \"a\"\tb".into();
-        let report = RecoveryReport {
-            faults,
-            dedup_hits: 0,
-            duplicate_dispatches: 0,
-            breaker_transitions: 0,
-            mean_mttr_us: 0,
-        };
-        assert!(report
-            .to_json()
-            .contains("\"detail\":\"cut \\\"a\\\"\\tb\","));
     }
 }

@@ -122,11 +122,6 @@ impl Activity {
         })
     }
 
-    /// Shorthand for a sequence.
-    pub fn seq<I: IntoIterator<Item = Activity>>(items: I) -> Activity {
-        Activity::Seq(items.into_iter().collect())
-    }
-
     /// Total number of basic actions in the activity.
     pub fn action_count(&self) -> usize {
         match self {
@@ -332,7 +327,7 @@ mod tests {
 
     #[test]
     fn sequence_preserves_order() {
-        let a = Activity::seq([act("a"), act("b"), act("c")]);
+        let a = Activity::Seq(vec![act("a"), act("b"), act("c")]);
         let t = execute(&a);
         assert_eq!(names(&t), ["a", "b", "c"]);
         assert_eq!(t.threads, 1);
@@ -341,11 +336,11 @@ mod tests {
 
     #[test]
     fn fork_interleaves_and_joins() {
-        let a = Activity::seq([
+        let a = Activity::Seq(vec![
             act("before"),
             Activity::Fork(vec![
-                Activity::seq([act("l1"), act("l2")]),
-                Activity::seq([act("r1"), act("r2")]),
+                Activity::Seq(vec![act("l1"), act("l2")]),
+                Activity::Seq(vec![act("r1"), act("r2")]),
             ]),
             act("after"),
         ]);
@@ -362,9 +357,9 @@ mod tests {
 
     #[test]
     fn nested_forks_join_inside_out() {
-        let a = Activity::seq([
+        let a = Activity::Seq(vec![
             Activity::Fork(vec![
-                Activity::seq([
+                Activity::Seq(vec![
                     Activity::Fork(vec![act("inner1"), act("inner2")]),
                     act("after-inner"),
                 ]),
@@ -385,8 +380,8 @@ mod tests {
 
     #[test]
     fn spawn_does_not_block_the_spawner() {
-        let a = Activity::seq([
-            Activity::Spawn(Box::new(Activity::seq([act("s1"), act("s2")]))),
+        let a = Activity::Seq(vec![
+            Activity::Spawn(Box::new(Activity::Seq(vec![act("s1"), act("s2")]))),
             act("main"),
         ]);
         let t = execute(&a);
@@ -414,7 +409,7 @@ mod tests {
 
     #[test]
     fn empty_fork_is_a_no_op() {
-        let a = Activity::seq([act("x"), Activity::Fork(vec![]), act("y")]);
+        let a = Activity::Seq(vec![act("x"), Activity::Fork(vec![]), act("y")]);
         let t = execute(&a);
         assert_eq!(names(&t), ["x", "y"]);
         assert_eq!(t.threads, 1);
@@ -422,7 +417,7 @@ mod tests {
 
     #[test]
     fn every_action_appears_exactly_once() {
-        let a = Activity::seq([
+        let a = Activity::Seq(vec![
             Activity::Fork(vec![act("a"), act("b"), act("c")]),
             Activity::Spawn(Box::new(act("d"))),
             act("e"),
@@ -440,7 +435,7 @@ mod tests {
 
     #[test]
     fn action_count_and_display() {
-        let a = Activity::seq([
+        let a = Activity::Seq(vec![
             Activity::invoke("teller", "Deposit"),
             Activity::Action(BasicAction::Trade("BankTeller".into())),
             Activity::Fork(vec![Activity::Action(BasicAction::Bind(
@@ -462,10 +457,10 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = Activity::seq([
+        let a = Activity::Seq(vec![
             Activity::Fork(vec![
-                Activity::seq([act("a1"), act("a2"), act("a3")]),
-                Activity::seq([act("b1"), act("b2")]),
+                Activity::Seq(vec![act("a1"), act("a2"), act("a3")]),
+                Activity::Seq(vec![act("b1"), act("b2")]),
                 Activity::Spawn(Box::new(act("c1"))),
             ]),
             act("tail"),

@@ -283,11 +283,6 @@ impl BindingObject {
         }
         Ok(())
     }
-
-    /// The current endpoints.
-    pub fn endpoints(&self) -> &[BindingEndpoint] {
-        &self.endpoints
-    }
 }
 
 #[cfg(test)]
@@ -426,12 +421,12 @@ mod tests {
         )
         .unwrap();
         let consumers = |bo: &BindingObject| {
-            let endpoints = bo.endpoints().iter();
+            let endpoints = bo.endpoints.iter();
             endpoints
                 .filter(|e| e.causality == Causality::Consumer)
                 .count()
         };
-        assert_eq!(bo.endpoints().len(), 3);
+        assert_eq!(bo.endpoints.len(), 3);
         assert_eq!(consumers(&bo), 2);
         bo.remove_endpoint(InterfaceId::new(2)).unwrap();
         assert_eq!(consumers(&bo), 1);

@@ -131,24 +131,9 @@ impl ObjectTemplate {
         Ok(self)
     }
 
-    /// The template name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The interface templates.
-    pub fn interfaces(&self) -> &[InterfaceTemplate] {
-        &self.interfaces
-    }
-
     /// Looks up an interface template by name.
     pub fn interface(&self, name: &str) -> Option<&InterfaceTemplate> {
         self.interfaces.iter().find(|i| i.name == name)
-    }
-
-    /// The initial state.
-    pub fn initial_state(&self) -> &Value {
-        &self.initial_state
     }
 
     /// Instantiates the template (§5.2 "creating an object"), allocating
@@ -200,11 +185,6 @@ impl ComputationalObject {
         self.id
     }
 
-    /// The template this object instantiates.
-    pub fn template(&self) -> &ObjectTemplate {
-        &self.template
-    }
-
     /// The object state (§5.2 "reading the state of the object").
     pub fn state(&self) -> &Value {
         &self.state
@@ -213,11 +193,6 @@ impl ComputationalObject {
     /// Mutable state access (§5.2 "writing the state of the object").
     pub fn state_mut(&mut self) -> &mut Value {
         &mut self.state
-    }
-
-    /// The instantiated interfaces.
-    pub fn interfaces(&self) -> &[InterfaceInstance] {
-        &self.interfaces
     }
 
     /// The interface instance for a template name.
@@ -292,12 +267,12 @@ mod tests {
         let objects = IdGen::new();
         let interfaces = IdGen::new();
         let branch = branch_template().instantiate(&objects, &interfaces);
-        assert_eq!(branch.interfaces().len(), 2);
+        assert_eq!(branch.interfaces.len(), 2);
         let teller = branch.interface("teller").unwrap();
         let manager = branch.interface("manager").unwrap();
         assert_ne!(teller.id, manager.id);
         let signature =
-            |i: &InterfaceInstance| &branch.template().interface(&i.template).unwrap().signature;
+            |i: &InterfaceInstance| &branch.template.interface(&i.template).unwrap().signature;
         assert_eq!(signature(teller).name(), "BankTeller");
         assert_eq!(signature(manager).name(), "BankManager");
     }
@@ -350,10 +325,10 @@ mod tests {
         let interfaces = IdGen::new();
         let mut branch = branch_template().instantiate(&objects, &interfaces);
         let extra = branch.create_interface("teller", &interfaces).unwrap();
-        assert_eq!(branch.interfaces().len(), 3);
+        assert_eq!(branch.interfaces.len(), 3);
         assert!(branch.destroy_interface(extra));
         assert!(!branch.destroy_interface(extra));
-        assert_eq!(branch.interfaces().len(), 2);
+        assert_eq!(branch.interfaces.len(), 2);
         assert!(matches!(
             branch.create_interface("nope", &interfaces),
             Err(ObjectError::UnknownInterface { .. })

@@ -177,16 +177,6 @@ impl EnvironmentContract {
         provided.satisfies(&required)?;
         Ok(Self { required, provided })
     }
-
-    /// The requirement side of the contract.
-    pub fn required(&self) -> &QosRequirement {
-        &self.required
-    }
-
-    /// The offered side of the contract.
-    pub fn provided(&self) -> &QosOffer {
-        &self.provided
-    }
 }
 
 /// A clause of a QoS requirement that an offer failed to meet.
@@ -308,8 +298,8 @@ mod tests {
     fn establish_captures_both_sides() {
         let req = QosRequirement::none().with_max_latency(Duration::from_millis(10));
         let contract = EnvironmentContract::establish(req.clone(), fast_offer()).unwrap();
-        assert_eq!(contract.required(), &req);
-        assert_eq!(contract.provided(), &fast_offer());
+        assert_eq!(contract.required, req);
+        assert_eq!(contract.provided, fast_offer());
     }
 
     #[test]

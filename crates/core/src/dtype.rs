@@ -81,21 +81,6 @@ impl DataType {
         DataType::Seq(Box::new(elem))
     }
 
-    /// Convenience constructor for an optional type.
-    pub fn optional(inner: DataType) -> Self {
-        DataType::Optional(Box::new(inner))
-    }
-
-    /// Convenience constructor for an enumeration type.
-    ///
-    /// Labels are deduplicated and sorted so the representation is canonical.
-    pub fn labels<S: Into<String>, I: IntoIterator<Item = S>>(labels: I) -> Self {
-        let mut v: Vec<String> = labels.into_iter().map(Into::into).collect();
-        v.sort();
-        v.dedup();
-        DataType::Enum(v)
-    }
-
     /// Checks a value against this type.
     ///
     /// # Errors
@@ -371,7 +356,7 @@ mod tests {
 
     #[test]
     fn optional_fields_may_be_absent_or_null() {
-        let t = DataType::record([("note", DataType::optional(DataType::Text))]);
+        let t = DataType::record([("note", DataType::Optional(Box::new(DataType::Text)))]);
         assert!(t.check(&Value::record::<&str, _>([])).is_ok());
         assert!(t.check(&Value::record([("note", Value::Null)])).is_ok());
         assert!(t
@@ -388,7 +373,7 @@ mod tests {
 
     #[test]
     fn enum_checks_labels() {
-        let t = DataType::labels(["ok", "error"]);
+        let t = DataType::Enum(vec!["error".into(), "ok".into()]);
         assert!(t.check(&Value::text("ok")).is_ok());
         let err = t.check(&Value::text("warn")).unwrap_err();
         assert!(err.got.contains("warn"));
@@ -414,7 +399,7 @@ mod tests {
     fn record_with_optional_sup_field_absent_in_sub() {
         let sup = DataType::record([
             ("a", DataType::Int),
-            ("note", DataType::optional(DataType::Text)),
+            ("note", DataType::Optional(Box::new(DataType::Text))),
         ]);
         let sub = DataType::record([("a", DataType::Int)]);
         assert!(sub.is_subtype_of(&sup));
@@ -428,8 +413,8 @@ mod tests {
 
     #[test]
     fn enum_subtyping_by_label_subset() {
-        let small = DataType::labels(["ok"]);
-        let big = DataType::labels(["ok", "error"]);
+        let small = DataType::Enum(vec!["ok".into()]);
+        let big = DataType::Enum(vec!["error".into(), "ok".into()]);
         assert!(small.is_subtype_of(&big));
         assert!(!big.is_subtype_of(&small));
         assert!(big.is_subtype_of(&DataType::Text));
@@ -449,12 +434,11 @@ mod tests {
 
     #[test]
     fn optional_subtyping() {
-        let t = DataType::optional(DataType::Int);
+        let t = DataType::Optional(Box::new(DataType::Int));
         assert!(DataType::Null.is_subtype_of(&t));
         assert!(DataType::Int.is_subtype_of(&t));
-        assert!(
-            DataType::optional(DataType::Int).is_subtype_of(&DataType::optional(DataType::Float))
-        );
+        assert!(DataType::Optional(Box::new(DataType::Int))
+            .is_subtype_of(&DataType::Optional(Box::new(DataType::Float))));
         assert!(!t.is_subtype_of(&DataType::Int));
     }
 
@@ -462,7 +446,10 @@ mod tests {
     fn display_formats_compound_types() {
         let t = DataType::record([("xs", DataType::seq(DataType::Int))]);
         assert_eq!(t.to_string(), "{xs: seq<int>}");
-        assert_eq!(DataType::labels(["b", "a"]).to_string(), "enum(a|b)");
+        assert_eq!(
+            DataType::Enum(vec!["a".into(), "b".into()]).to_string(),
+            "enum(a|b)"
+        );
         assert_eq!(DataType::Ref(Some("T".into())).to_string(), "interface<T>");
     }
 }

@@ -157,11 +157,6 @@ impl Expr {
         parser::parse(src)
     }
 
-    /// Shorthand for a literal.
-    pub fn lit(v: impl Into<Value>) -> Expr {
-        Expr::Lit(v.into())
-    }
-
     /// Evaluates the expression against an environment.
     ///
     /// # Errors

@@ -172,11 +172,6 @@ impl<T: From<u64>> IdGen<T> {
     pub fn fresh(&self) -> T {
         T::from(self.next.fetch_add(1, Ordering::Relaxed))
     }
-
-    /// Returns how many identifiers have been allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.next.load(Ordering::Relaxed).saturating_sub(1)
-    }
 }
 
 impl<T: From<u64>> Default for IdGen<T> {
@@ -202,7 +197,7 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(id.raw(), i as u64 + 1);
         }
-        assert_eq!(gen.allocated(), 100);
+        assert_eq!(gen.fresh().raw(), 101);
     }
 
     #[test]

@@ -60,21 +60,6 @@ impl Name {
     pub fn leaf(&self) -> &str {
         self.segments.last().expect("names are non-empty")
     }
-
-    /// The name with one more segment appended.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the segment is empty or contains `'/'`.
-    pub fn child(&self, segment: impl Into<String>) -> Result<Name, NameError> {
-        let segment = segment.into();
-        if segment.is_empty() || segment.contains('/') {
-            return Err(NameError::BadSegment { segment });
-        }
-        let mut segments = self.segments.clone();
-        segments.push(segment);
-        Ok(Name { segments })
-    }
 }
 
 impl std::str::FromStr for Name {
@@ -134,7 +119,7 @@ struct ContextNode {
 /// use rmodp_core::naming::{BindingTarget, Name, NamingContext};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut ctx = NamingContext::new();
+/// let mut ctx = NamingContext::default();
 /// let name: Name = "traders/brisbane".parse()?;
 /// ctx.bind(&name, BindingTarget { id: 7, kind: "interface".into() })?;
 /// assert_eq!(ctx.resolve(&name).unwrap().id, 7);
@@ -147,11 +132,6 @@ pub struct NamingContext {
 }
 
 impl NamingContext {
-    /// Creates an empty context.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Binds a name, creating intermediate contexts as needed.
     ///
     /// # Errors
@@ -274,13 +254,11 @@ mod tests {
         assert!("".parse::<Name>().is_err());
         assert!("a//b".parse::<Name>().is_err());
         assert!(Name::from_segments(Vec::<String>::new()).is_err());
-        assert!(name("a").child("b/c").is_err());
-        assert!(name("a").child("").is_err());
     }
 
     #[test]
     fn bind_resolve_unbind() {
-        let mut ctx = NamingContext::new();
+        let mut ctx = NamingContext::default();
         ctx.bind(&name("x/y"), target(1)).unwrap();
         assert_eq!(ctx.resolve(&name("x/y")).unwrap().id, 1);
         assert_eq!(ctx.resolve(&name("x")), None);
@@ -291,7 +269,7 @@ mod tests {
 
     #[test]
     fn double_bind_fails_unbind_then_bind_replaces() {
-        let mut ctx = NamingContext::new();
+        let mut ctx = NamingContext::default();
         ctx.bind(&name("t"), target(1)).unwrap();
         assert_eq!(
             ctx.bind(&name("t"), target(2)),
@@ -304,7 +282,7 @@ mod tests {
 
     #[test]
     fn interior_nodes_can_be_bound_too() {
-        let mut ctx = NamingContext::new();
+        let mut ctx = NamingContext::default();
         ctx.bind(&name("a/b"), target(1)).unwrap();
         ctx.bind(&name("a"), target(2)).unwrap();
         assert_eq!(ctx.resolve(&name("a")).unwrap().id, 2);
@@ -316,7 +294,7 @@ mod tests {
 
     #[test]
     fn list_shows_children_and_bound_flags() {
-        let mut ctx = NamingContext::new();
+        let mut ctx = NamingContext::default();
         ctx.bind(&name("svc/trader"), target(1)).unwrap();
         ctx.bind(&name("svc/relocator"), target(2)).unwrap();
         assert_eq!(
@@ -329,7 +307,7 @@ mod tests {
 
     #[test]
     fn len_counts_bindings() {
-        let mut ctx = NamingContext::new();
+        let mut ctx = NamingContext::default();
         assert!(ctx.is_empty());
         ctx.bind(&name("a/b"), target(1)).unwrap();
         ctx.bind(&name("a/c"), target(2)).unwrap();

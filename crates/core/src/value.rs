@@ -298,13 +298,6 @@ impl Record {
         Self::default()
     }
 
-    /// An empty record with room for `fields` fields.
-    pub fn with_capacity(fields: usize) -> Self {
-        Self {
-            fields: Vec::with_capacity(fields),
-        }
-    }
-
     /// Pairs in any order, any name any number of times: the record a
     /// map would hold after inserting them one by one (a later duplicate
     /// wins). Pairs already strictly ascending are kept as they are;
@@ -706,7 +699,7 @@ mod tests {
         assert_eq!(record.iter().len(), map.len());
         assert!(record.keys().eq(map.keys()));
         assert!(record.clone().into_iter().eq(map));
-        assert!(Record::new().is_empty() && Record::with_capacity(3).is_empty());
+        assert!(Record::new().is_empty());
         // Already ascending: taken as it comes, nothing moved.
         let sorted = record.fields.clone();
         let at = sorted.as_ptr();

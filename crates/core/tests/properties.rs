@@ -83,13 +83,17 @@ fn arb_dtype() -> impl Strategy<Value = DataType> {
         Just(DataType::Float),
         Just(DataType::Text),
         Just(DataType::Blob),
-        proptest::collection::vec("[a-z]{1,4}", 1..3).prop_map(DataType::labels),
+        proptest::collection::vec("[a-z]{1,4}", 1..3).prop_map(|mut labels| {
+            labels.sort();
+            labels.dedup();
+            DataType::Enum(labels)
+        }),
         proptest::option::of("[A-Z][a-z]{0,5}").prop_map(DataType::Ref),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
             inner.clone().prop_map(DataType::seq),
-            inner.clone().prop_map(DataType::optional),
+            inner.clone().prop_map(|t| DataType::Optional(Box::new(t))),
             proptest::collection::btree_map("[a-z]{1,4}", inner, 0..3).prop_map(DataType::Record),
         ]
     })
@@ -156,10 +160,10 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
         "frobnicate",
     ];
     let leaf = prop_oneof![
-        (-3i64..4).prop_map(Expr::lit),
-        (-2i32..3).prop_map(|halves| Expr::lit(f64::from(halves) / 2.0)),
-        any::<bool>().prop_map(Expr::lit),
-        "[ab]{0,2}".prop_map(|s: String| Expr::lit(s)),
+        (-3i64..4).prop_map(|v| Expr::Lit(v.into())),
+        (-2i32..3).prop_map(|halves| Expr::Lit(Value::from(f64::from(halves) / 2.0))),
+        any::<bool>().prop_map(|v| Expr::Lit(v.into())),
+        "[ab]{0,2}".prop_map(|s: String| Expr::Lit(Value::from(s))),
         (0..PATHS.len())
             .prop_map(|i| Expr::Var(PATHS[i].iter().map(|seg| (*seg).to_owned()).collect())),
     ];
@@ -355,10 +359,10 @@ proptest! {
         // Build expressions programmatically and check print→parse fidelity.
         let e = Expr::Binary(
             rmodp_core::expr::BinOp::Add,
-            Box::new(Expr::lit(x)),
+            Box::new(Expr::Lit(Value::from(x))),
             Box::new(Expr::Binary(
                 rmodp_core::expr::BinOp::Mul,
-                Box::new(Expr::lit(y)),
+                Box::new(Expr::Lit(Value::from(y))),
                 Box::new(Expr::Var(vec!["k".to_owned()])),
             )),
         );
@@ -400,7 +404,7 @@ proptest! {
         id in any::<u64>(),
     ) {
         let name = Name::from_segments(segs).unwrap();
-        let mut ctx = NamingContext::new();
+        let mut ctx = NamingContext::default();
         ctx.bind(&name, BindingTarget { id, kind: "t".into() }).unwrap();
         prop_assert_eq!(ctx.resolve(&name).map(|t| t.id), Some(id));
         prop_assert_eq!(ctx.unbind(&name).map(|t| t.id), Some(id));

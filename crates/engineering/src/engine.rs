@@ -281,11 +281,6 @@ impl Engine {
         self.policy
     }
 
-    /// All node identities.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
-    }
-
     /// The netsim index of a node (for topology manipulation).
     ///
     /// # Errors

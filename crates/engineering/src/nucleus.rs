@@ -131,15 +131,6 @@ impl AdmissionConfig {
             service_time,
         }
     }
-
-    /// An unbounded queue: overload turns into queueing delay.
-    pub fn delay(service_time: SimDuration) -> Self {
-        Self {
-            policy: AdmissionPolicy::Delay,
-            capacity: usize::MAX,
-            service_time,
-        }
-    }
 }
 
 /// A request parked in the nucleus's admission queue.

@@ -63,11 +63,6 @@ impl Community {
         &self.name
     }
 
-    /// The community's objective.
-    pub fn objective(&self) -> &str {
-        &self.objective
-    }
-
     /// Declares a role.
     ///
     /// # Errors
@@ -79,11 +74,6 @@ impl Community {
             return Err(CommunityError::DuplicateRole { role });
         }
         Ok(())
-    }
-
-    /// The declared roles.
-    pub fn roles(&self) -> impl Iterator<Item = &str> {
-        self.roles.iter().map(String::as_str)
     }
 
     /// Assigns an object to a role (objects may fill several roles).
@@ -123,18 +113,6 @@ impl Community {
             .map(|r| r.iter().map(String::as_str).collect())
             .unwrap_or_default()
     }
-
-    /// All member objects.
-    pub fn members(&self) -> Vec<u64> {
-        self.members.keys().copied().collect()
-    }
-
-    /// Whether the object fills the role.
-    pub fn fills(&self, object: u64, role: &str) -> bool {
-        self.members
-            .get(&object)
-            .is_some_and(|roles| roles.contains(role))
-    }
 }
 
 impl fmt::Display for Community {
@@ -171,7 +149,7 @@ mod tests {
                 role: "teller".into()
             })
         );
-        assert_eq!(c.roles().count(), 3);
+        assert_eq!(c.roles.len(), 3);
     }
 
     #[test]
@@ -182,11 +160,10 @@ mod tests {
         c.assign(3, "teller").unwrap();
         // One object can fill several roles (a manager can also tell).
         c.assign(1, "teller").unwrap();
-        assert!([1, 2, 3].iter().all(|&m| c.fills(m, "teller")));
+        assert!([1, 2, 3].iter().all(|&m| c.roles_of(m).contains(&"teller")));
         assert_eq!(c.roles_of(1), vec!["manager", "teller"]);
-        assert!(c.fills(1, "manager"));
-        assert!(!c.fills(2, "manager"));
-        assert_eq!(c.members(), vec![1, 2, 3]);
+        assert_eq!(c.roles_of(2), vec!["teller"]);
+        assert!(c.members.keys().eq(&[1, 2, 3]));
     }
 
     #[test]
@@ -214,7 +191,7 @@ mod tests {
         c.assign(1, "teller").unwrap();
         assert!(c.unassign(1, "teller"));
         assert!(!c.unassign(1, "teller"));
-        assert!(!c.fills(1, "teller"));
-        assert!(c.members().is_empty());
+        assert!(c.roles_of(1).is_empty());
+        assert!(c.members.is_empty());
     }
 }

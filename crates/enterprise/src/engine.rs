@@ -333,11 +333,6 @@ impl PolicyEngine {
             .collect()
     }
 
-    /// All obligation instances.
-    pub fn obligations(&self) -> &[Obligation] {
-        &self.obligations
-    }
-
     /// The audit trail.
     pub fn audit(&self) -> &[AuditEntry] {
         &self.audit

@@ -101,11 +101,6 @@ impl Policy {
         self.kind
     }
 
-    /// The constrained role.
-    pub fn role(&self) -> &str {
-        &self.role
-    }
-
     /// The action the policy concerns (`"*"` matches any action).
     pub fn action(&self) -> &str {
         &self.action
@@ -150,13 +145,6 @@ impl Decision {
     /// Whether the action may proceed.
     pub fn is_allowed(&self) -> bool {
         matches!(self, Decision::Allowed { .. })
-    }
-
-    /// The policy name responsible for the decision.
-    pub fn by(&self) -> &str {
-        match self {
-            Decision::Allowed { by } | Decision::Denied { by } => by,
-        }
     }
 }
 
@@ -265,6 +253,5 @@ mod tests {
     fn decision_accessors() {
         let d = Decision::Denied { by: "limit".into() };
         assert!(!d.is_allowed());
-        assert_eq!(d.by(), "limit");
     }
 }

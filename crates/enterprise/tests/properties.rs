@@ -126,8 +126,7 @@ proptest! {
             prop_assert!(engine.revoke(&name));
         }
         let d = engine.decide(&community, &request(actor, action, 0)).unwrap();
-        prop_assert!(!d.is_allowed());
-        prop_assert_eq!(d.by(), "default");
+        prop_assert_eq!(d, Decision::Denied { by: "default".into() });
     }
 
     /// Obligation lifecycle: created → exactly one of fulfilled/violated;

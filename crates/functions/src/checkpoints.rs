@@ -107,7 +107,7 @@ mod tests {
         let interface = refs[0].interface;
         let cp = engine.checkpoint_cluster(node, capsule, cluster).unwrap();
 
-        let mut storage = StorageFunction::new();
+        let mut storage = StorageFunction::default();
         store(&mut storage, "any/key", &cp);
         assert_eq!(load(&storage, "any/key"), Ok(cp));
         let absent = load(&storage, "other").unwrap_err();
@@ -120,9 +120,9 @@ mod tests {
 
         // Republishing follows the engine: the first publication lands,
         // an interface the engine does not know is an error.
-        let mut relocator = Relocator::new();
+        let mut relocator = Relocator::default();
         republish(&engine, &mut relocator, &[interface]).unwrap();
-        assert_eq!(relocator.peek(interface), engine.lookup(interface));
+        assert_eq!(relocator.lookup(interface), engine.lookup(interface));
         let ghost = InterfaceId::new(9_999);
         assert_eq!(
             republish(&engine, &mut relocator, &[interface, ghost]),

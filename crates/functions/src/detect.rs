@@ -86,11 +86,6 @@ impl FailureDetector {
         }
     }
 
-    /// The timing configuration in force.
-    pub fn config(&self) -> DetectorConfig {
-        self.config
-    }
-
     /// Starts watching an interface (idempotent).
     pub fn watch(&mut self, member: InterfaceId) {
         self.members.entry(member).or_insert(MemberHealth {
@@ -106,15 +101,6 @@ impl FailureDetector {
             .get(&member)
             .map(|h| h.suspected)
             .unwrap_or(false)
-    }
-
-    /// All currently suspected members, in id order.
-    pub fn suspected(&self) -> Vec<InterfaceId> {
-        self.members
-            .iter()
-            .filter(|(_, h)| h.suspected)
-            .map(|(m, _)| *m)
-            .collect()
     }
 
     /// Probes every watched member once, in id order, then idles the
@@ -259,7 +245,7 @@ mod tests {
             detector.run_round(&mut engine),
             vec![Detection::Suspected(interface)]
         );
-        assert_eq!(detector.suspected(), vec![interface]);
+        assert!(detector.is_suspected(interface));
         // Stays suspected without re-announcing.
         assert!(detector.run_round(&mut engine).is_empty());
 

@@ -36,11 +36,6 @@ pub struct EventNotifier {
 }
 
 impl EventNotifier {
-    /// Creates an empty notifier.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Emits an event on a topic; returns its offset.
     pub fn emit(&mut self, topic: impl Into<String>, payload: Value) -> u64 {
         let history = self.topics.entry(topic.into()).or_default();
@@ -91,11 +86,6 @@ impl EventNotifier {
     pub fn history(&self, topic: &str) -> &[Value] {
         self.topics.get(topic).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// The topics that have ever seen an event.
-    pub fn topics(&self) -> impl Iterator<Item = &str> {
-        self.topics.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +94,7 @@ mod tests {
 
     #[test]
     fn emit_then_poll_in_order() {
-        let mut n = EventNotifier::new();
+        let mut n = EventNotifier::default();
         let sub = n.subscribe("rates", true);
         assert_eq!(n.emit("rates", Value::Float(5.0)), 0);
         assert_eq!(n.emit("rates", Value::Float(5.5)), 1);
@@ -120,7 +110,7 @@ mod tests {
 
     #[test]
     fn late_subscribers_miss_history_unless_from_start() {
-        let mut n = EventNotifier::new();
+        let mut n = EventNotifier::default();
         n.emit("t", Value::Int(1));
         let fresh = n.subscribe("t", false);
         let replay = n.subscribe("t", true);
@@ -130,17 +120,16 @@ mod tests {
 
     #[test]
     fn topics_are_independent() {
-        let mut n = EventNotifier::new();
+        let mut n = EventNotifier::default();
         let a = n.subscribe("a", true);
         n.emit("b", Value::Int(1));
         assert!(n.poll(a).is_empty());
         assert_eq!(n.history("b").len(), 1);
-        assert_eq!(n.topics().collect::<Vec<_>>(), vec!["b"]);
     }
 
     #[test]
     fn unsubscribe_stops_delivery() {
-        let mut n = EventNotifier::new();
+        let mut n = EventNotifier::default();
         let sub = n.subscribe("t", true);
         assert!(n.unsubscribe(sub));
         assert!(!n.unsubscribe(sub));

@@ -12,14 +12,6 @@ use std::fmt;
 use rmodp_core::id::{GroupId, IdGen, InterfaceId};
 use rmodp_observe::{bus, event, EventKind, Layer};
 
-/// How many views a group's [`view_log`] retains before evicting the
-/// oldest: long chaos soaks churn views without bounding memory
-/// otherwise. Evictions are counted per group and on the
-/// `group.view_log_evicted` bus counter.
-///
-/// [`view_log`]: GroupManager::view_log
-pub const VIEW_LOG_CAP: usize = 64;
-
 /// One numbered membership view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
@@ -84,8 +76,6 @@ struct Group {
     view_number: u64,
     epoch: u64,
     leader: Option<InterfaceId>,
-    view_log: Vec<View>,
-    view_log_evicted: u64,
 }
 
 impl Group {
@@ -100,14 +90,6 @@ impl Group {
 
     fn bump(&mut self) {
         self.view_number += 1;
-        let v = self.current_view();
-        self.view_log.push(v);
-        // The log is a ring of the most recent VIEW_LOG_CAP views.
-        while self.view_log.len() > VIEW_LOG_CAP {
-            self.view_log.remove(0);
-            self.view_log_evicted += 1;
-            bus::counter_add("group.view_log_evicted", 1);
-        }
     }
 }
 
@@ -120,11 +102,6 @@ pub struct GroupManager {
 }
 
 impl GroupManager {
-    /// Creates an empty manager.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a group with initial members.
     pub fn create(&mut self, members: impl IntoIterator<Item = InterfaceId>) -> GroupId {
         let id = self.gen.fresh();
@@ -133,8 +110,6 @@ impl GroupManager {
             view_number: 0,
             epoch: 0,
             leader: None,
-            view_log: Vec::new(),
-            view_log_evicted: 0,
         };
         group.bump();
         self.groups.insert(id, group);
@@ -250,23 +225,6 @@ impl GroupManager {
             .emit();
         Ok(g.current_view())
     }
-
-    /// The full view history of a group.
-    pub fn view_log(&self, group: GroupId) -> &[View] {
-        self.groups
-            .get(&group)
-            .map(|g| g.view_log.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// How many old views have been evicted from a group's bounded
-    /// view log (ring of the last [`VIEW_LOG_CAP`]).
-    pub fn view_log_evicted(&self, group: GroupId) -> u64 {
-        self.groups
-            .get(&group)
-            .map(|g| g.view_log_evicted)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -279,7 +237,7 @@ mod tests {
 
     #[test]
     fn create_and_view() {
-        let mut gm = GroupManager::new();
+        let mut gm = GroupManager::default();
         let g = gm.create([ifc(3), ifc(1), ifc(2)]);
         let v = gm.view(g).unwrap();
         assert_eq!(v.number, 1);
@@ -289,7 +247,7 @@ mod tests {
 
     #[test]
     fn join_and_leave_bump_views() {
-        let mut gm = GroupManager::new();
+        let mut gm = GroupManager::default();
         let g = gm.create([ifc(1), ifc(2)]);
         let v = gm.join(g, ifc(3)).unwrap();
         assert_eq!(v.number, 2);
@@ -304,12 +262,11 @@ mod tests {
             gm.leave(g, ifc(1)),
             Err(GroupError::NotMember { .. })
         ));
-        assert_eq!(gm.view_log(g).len(), 3);
     }
 
     #[test]
     fn install_view_demands_majority_and_fresh_epoch() {
-        let mut gm = GroupManager::new();
+        let mut gm = GroupManager::default();
         let g = gm.create([ifc(1), ifc(2), ifc(3)]);
         // 1 ack of a 3-member view is short of the majority (2).
         assert_eq!(
@@ -342,27 +299,8 @@ mod tests {
     }
 
     #[test]
-    fn view_log_is_a_bounded_ring() {
-        let mut gm = GroupManager::new();
-        let g = gm.create([ifc(1)]);
-        for i in 0..(VIEW_LOG_CAP as u64 + 20) {
-            gm.join(g, ifc(100 + i)).unwrap();
-            gm.leave(g, ifc(100 + i)).unwrap();
-        }
-        let log = gm.view_log(g);
-        assert_eq!(log.len(), VIEW_LOG_CAP);
-        // 1 create + 2 per iteration, minus what the ring retains.
-        let total = 1 + 2 * (VIEW_LOG_CAP as u64 + 20);
-        assert_eq!(gm.view_log_evicted(g), total - VIEW_LOG_CAP as u64);
-        // The retained suffix is the most recent views, in order.
-        assert_eq!(log.last().unwrap().number, total);
-        assert_eq!(log.first().unwrap().number, total - VIEW_LOG_CAP as u64 + 1);
-        assert_eq!(gm.view_log_evicted(GroupId::new(77)), 0);
-    }
-
-    #[test]
     fn unknown_group_errors() {
-        let mut gm = GroupManager::new();
+        let mut gm = GroupManager::default();
         let ghost = GroupId::new(99);
         assert!(matches!(
             gm.view(ghost),
@@ -372,6 +310,5 @@ mod tests {
             gm.leave(ghost, ifc(1)),
             Err(GroupError::UnknownGroup { .. })
         ));
-        assert!(gm.view_log(ghost).is_empty());
     }
 }

@@ -190,7 +190,7 @@ mod tests {
     fn stored_checkpoints_decode_back_and_damage_never_panics() {
         let (mut e, clusters, _) = engine_with_counters();
         let checkpoint = coordinated_checkpoint(&mut e, "persisted", &clusters).unwrap();
-        let mut storage = StorageFunction::new();
+        let mut storage = StorageFunction::default();
         let stored = store_checkpoint(&mut storage, &checkpoint);
         assert_eq!(stored.len(), 2);
         for (i, (key, (node, capsule, cp))) in stored.iter().zip(&checkpoint.clusters).enumerate() {

@@ -21,11 +21,6 @@ pub struct RelationshipRepository {
 }
 
 impl RelationshipRepository {
-    /// Creates an empty repository.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records a relationship; returns `false` if it already existed.
     pub fn relate(&mut self, kind: impl Into<String>, subject: u64, object: u64) -> bool {
         self.triples.insert(Relationship {
@@ -94,7 +89,7 @@ mod tests {
 
     #[test]
     fn relate_query_unrelate() {
-        let mut repo = RelationshipRepository::new();
+        let mut repo = RelationshipRepository::default();
         assert!(repo.relate("owns", 1, 100));
         assert!(!repo.relate("owns", 1, 100)); // duplicate
         repo.relate("owns", 1, 101);
@@ -107,7 +102,7 @@ mod tests {
 
     #[test]
     fn kinds_are_disjoint() {
-        let mut repo = RelationshipRepository::new();
+        let mut repo = RelationshipRepository::default();
         repo.relate("owns", 1, 2);
         repo.relate("manages", 1, 3);
         assert_eq!(repo.objects_of("owns", 1), vec![2]);
@@ -117,7 +112,7 @@ mod tests {
 
     #[test]
     fn reachable_computes_transitive_closure() {
-        let mut repo = RelationshipRepository::new();
+        let mut repo = RelationshipRepository::default();
         repo.relate("in", 1, 2);
         repo.relate("in", 2, 3);
         repo.relate("in", 3, 4);

@@ -45,19 +45,6 @@ impl fmt::Display for RelocatorError {
 
 impl std::error::Error for RelocatorError {}
 
-/// Counters for the relocator's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RelocatorStats {
-    /// Successful lookups.
-    pub lookups: u64,
-    /// Lookups for unknown or deactivated interfaces.
-    pub misses: u64,
-    /// Location updates accepted.
-    pub updates: u64,
-    /// Updates rejected as stale.
-    pub stale_updates: u64,
-}
-
 /// The white-pages repository of interface locations.
 #[derive(Debug, Default)]
 pub struct Relocator {
@@ -65,15 +52,9 @@ pub struct Relocator {
     locations: BTreeMap<InterfaceId, InterfaceRef>,
     /// Highest epoch ever seen per interface (survives deactivation).
     epochs: BTreeMap<InterfaceId, u64>,
-    stats: RelocatorStats,
 }
 
 impl Relocator {
-    /// Creates an empty relocator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers or updates an interface's location. Epochs must be
     /// strictly increasing across updates.
     ///
@@ -83,7 +64,6 @@ impl Relocator {
     pub fn register(&mut self, r: InterfaceRef) -> Result<(), RelocatorError> {
         let current = self.epochs.get(&r.interface).copied().unwrap_or(0);
         if r.epoch <= current && self.locations.contains_key(&r.interface) {
-            self.stats.stale_updates += 1;
             return Err(RelocatorError::StaleUpdate {
                 interface: r.interface,
                 current,
@@ -91,7 +71,6 @@ impl Relocator {
             });
         }
         if r.epoch < current {
-            self.stats.stale_updates += 1;
             return Err(RelocatorError::StaleUpdate {
                 interface: r.interface,
                 current,
@@ -100,7 +79,6 @@ impl Relocator {
         }
         self.epochs.insert(r.interface, r.epoch);
         self.locations.insert(r.interface, r);
-        self.stats.updates += 1;
         Ok(())
     }
 
@@ -111,27 +89,8 @@ impl Relocator {
     }
 
     /// Looks up the current location.
-    pub fn lookup(&mut self, interface: InterfaceId) -> Option<InterfaceRef> {
-        match self.locations.get(&interface) {
-            Some(r) => {
-                self.stats.lookups += 1;
-                Some(*r)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Looks up without touching the counters (for diagnostics).
-    pub fn peek(&self, interface: InterfaceId) -> Option<InterfaceRef> {
+    pub fn lookup(&self, interface: InterfaceId) -> Option<InterfaceRef> {
         self.locations.get(&interface).copied()
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> RelocatorStats {
-        self.stats
     }
 
     /// Number of active registrations.
@@ -165,7 +124,7 @@ mod tests {
 
     #[test]
     fn register_lookup_update() {
-        let mut r = Relocator::new();
+        let mut r = Relocator::default();
         r.register(iref(1, 1, 1)).unwrap();
         assert_eq!(
             r.lookup(InterfaceId::new(1)).unwrap().location.node,
@@ -176,14 +135,12 @@ mod tests {
             r.lookup(InterfaceId::new(1)).unwrap().location.node,
             NodeId::new(2)
         );
-        assert_eq!(r.peek(InterfaceId::new(1)).unwrap().epoch, 2);
-        assert_eq!(r.stats().lookups, 2);
-        assert_eq!(r.stats().updates, 2);
+        assert_eq!(r.lookup(InterfaceId::new(1)).unwrap().epoch, 2);
     }
 
     #[test]
     fn stale_updates_rejected() {
-        let mut r = Relocator::new();
+        let mut r = Relocator::default();
         r.register(iref(1, 1, 5)).unwrap();
         let err = r.register(iref(1, 2, 5)).unwrap_err();
         assert!(matches!(
@@ -196,22 +153,20 @@ mod tests {
         ));
         let err = r.register(iref(1, 2, 3)).unwrap_err();
         assert!(matches!(err, RelocatorError::StaleUpdate { .. }));
-        assert_eq!(r.stats().stale_updates, 2);
         // The good registration is untouched.
         assert_eq!(
-            r.peek(InterfaceId::new(1)).unwrap().location.node,
+            r.lookup(InterfaceId::new(1)).unwrap().location.node,
             NodeId::new(1)
         );
     }
 
     #[test]
     fn deactivate_hides_but_remembers_epoch() {
-        let mut r = Relocator::new();
+        let mut r = Relocator::default();
         r.register(iref(1, 1, 3)).unwrap();
         assert!(r.deactivate(InterfaceId::new(1)));
         assert!(!r.deactivate(InterfaceId::new(1)));
         assert_eq!(r.lookup(InterfaceId::new(1)), None);
-        assert_eq!(r.stats().misses, 1);
         assert!(matches!(
             r.register(iref(1, 2, 2)),
             Err(RelocatorError::StaleUpdate { current: 3, .. })
@@ -224,9 +179,8 @@ mod tests {
 
     #[test]
     fn unknown_lookup_is_a_miss() {
-        let mut r = Relocator::new();
+        let r = Relocator::default();
         assert!(r.lookup(InterfaceId::new(9)).is_none());
-        assert_eq!(r.stats().misses, 1);
         assert!(r.is_empty());
     }
 }

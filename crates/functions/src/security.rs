@@ -144,11 +144,6 @@ pub struct AccessController {
 }
 
 impl AccessController {
-    /// Creates an empty controller (default deny).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Grants an operation (or `"*"`) to a principal.
     pub fn allow_principal(&mut self, principal: PrincipalId, operation: impl Into<String>) {
         self.rules
@@ -248,7 +243,7 @@ mod tests {
         let mut auth = Authenticator::new(1_000);
         let manager = auth.enrol("mgr", "s");
         let teller = auth.enrol("tlr", "s");
-        let mut ac = AccessController::new();
+        let mut ac = AccessController::default();
         ac.allow_role("teller", "Deposit");
         ac.allow_role("teller", "Withdraw");
         ac.allow_principal(manager, "*");

@@ -52,13 +52,6 @@ pub struct StorageFunction {
     entries: BTreeMap<String, Vec<u8>>,
 }
 
-impl StorageFunction {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl PersistentStore for StorageFunction {
     fn persist(&mut self, key: &str, bytes: Vec<u8>) {
         self.entries.insert(key.to_owned(), bytes);
@@ -83,7 +76,7 @@ mod tests {
 
     #[test]
     fn persist_overwrites_and_remove_forgets() {
-        let mut s = StorageFunction::new();
+        let mut s = StorageFunction::default();
         s.persist("a/b", vec![1]);
         s.persist("a/b", vec![2]);
         assert_eq!(s.fetch("a/b"), Some(vec![2]));
@@ -95,7 +88,7 @@ mod tests {
 
     #[test]
     fn keys_are_sorted_and_never_parsed() {
-        let mut s = StorageFunction::new();
+        let mut s = StorageFunction::default();
         for key in ["b", "persistent/", "a//x", ""] {
             s.persist(key, key.as_bytes().to_vec());
         }
@@ -105,7 +98,7 @@ mod tests {
 
     #[test]
     fn atomically_runs_the_closure_and_hands_back_its_result() {
-        let mut s = StorageFunction::new();
+        let mut s = StorageFunction::default();
         s.persist("old", vec![0]);
         let removed = s.atomically(|s| {
             s.persist("new", vec![1]);

@@ -57,7 +57,7 @@ proptest! {
     ) {
         let mut auth = Authenticator::new(1_000);
         let p = auth.enrol("p", "s");
-        let mut ac = AccessController::new();
+        let mut ac = AccessController::default();
         for role in &principal_roles {
             ac.assign_role(p, format!("role{role}"));
         }

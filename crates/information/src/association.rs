@@ -162,11 +162,6 @@ impl AssociationSet {
         before != self.links.len()
     }
 
-    /// All links.
-    pub fn links(&self) -> &[(u64, u64)] {
-        &self.links
-    }
-
     /// Number of links.
     pub fn len(&self) -> usize {
         self.links.len()
@@ -281,7 +276,7 @@ mod tests {
             err,
             AssociationError::RightCardinality { right: 100, .. }
         ));
-        assert_eq!(set.links(), [(1, 100), (1, 101)]);
+        assert_eq!(set.links, [(1, 100), (1, 101)]);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl InformationObject {
         }
     }
 
-    /// The object identity.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The static schema.
     pub fn schema(&self) -> &StaticSchema {
         &self.schema
@@ -106,26 +101,6 @@ impl InformationObject {
         self.state = new_state;
         self.log.push(record);
         Ok(self.log.last().expect("just pushed"))
-    }
-
-    /// Replaces the state wholesale (used by checkpoint restore), still
-    /// subject to the static schema and invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns typing or invariant violations; the state is unchanged on
-    /// error.
-    pub fn restore(&mut self, state: Value) -> Result<(), SchemaError> {
-        self.schema.check(&state)?;
-        for inv in &self.invariants {
-            if !inv.holds(&state)? {
-                return Err(SchemaError::InvariantViolated {
-                    invariant: inv.name().to_owned(),
-                });
-            }
-        }
-        self.state = state;
-        Ok(())
     }
 
     /// Replays the transition log from the initial state and checks it
@@ -196,19 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_checks_type_and_invariants() {
-        let mut obj = counter();
-        assert!(obj.restore(Value::record([("n", Value::Int(9))])).is_ok());
-        assert_eq!(obj.state().field("n"), Some(&Value::Int(9)));
-        assert!(obj.restore(Value::record([("n", Value::Int(-1))])).is_err());
-        assert!(obj
-            .restore(Value::record([("n", Value::text("x"))]))
-            .is_err());
-        // Failed restores leave the state alone.
-        assert_eq!(obj.state().field("n"), Some(&Value::Int(9)));
-    }
-
-    #[test]
     fn replay_reproduces_state() {
         let mut obj = counter();
         for k in [1, 2, 3] {
@@ -217,9 +179,8 @@ mod tests {
         }
         assert!(obj.replay_consistent());
         assert_eq!(obj.state().field("n"), Some(&Value::Int(6)));
-        // A restore that bypasses the log breaks replay consistency.
-        obj.restore(Value::record([("n", Value::Int(100))]))
-            .unwrap();
+        // A state written around the log breaks replay consistency.
+        obj.state = Value::record([("n", Value::Int(100))]);
         assert!(!obj.replay_consistent());
     }
 

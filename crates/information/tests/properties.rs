@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rmodp_core::dtype::DataType;
 use rmodp_core::value::Value;
 use rmodp_information::object::InformationObject;
-use rmodp_information::schema::{violated, DynamicSchema, InvariantSchema, StaticSchema};
+use rmodp_information::schema::{DynamicSchema, InvariantSchema, StaticSchema};
 
 fn account(opening: i64) -> InformationObject {
     let schema = StaticSchema::new(
@@ -66,8 +66,9 @@ proptest! {
         for (is_withdraw, amount) in ops {
             let schema = if is_withdraw { &w } else { &d };
             let _ = obj.apply(schema, Value::record([("x", Value::Int(amount))]));
-            let broken = violated(obj.invariants(), obj.state()).unwrap();
-            prop_assert!(broken.is_empty(), "violated: {:?}", broken);
+            for inv in obj.invariants() {
+                prop_assert!(inv.holds(obj.state()).unwrap(), "violated: {}", inv.name());
+            }
         }
     }
 

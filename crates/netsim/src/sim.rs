@@ -121,7 +121,6 @@ impl<T: Process + Any> AnyProcess for T {
 /// after the handler returns, which keeps event handling deterministic.
 pub struct Ctx<'a> {
     now: SimTime,
-    self_addr: Addr,
     rng: &'a mut StdRng,
     next_timer: &'a mut u64,
     out: Vec<Command>,
@@ -131,11 +130,6 @@ impl<'a> Ctx<'a> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The address of the process handling this event.
-    pub fn self_addr(&self) -> Addr {
-        self.self_addr
     }
 
     /// Sends a message from this process. The causal context active
@@ -572,7 +566,6 @@ impl Sim {
         };
         let mut ctx = Ctx {
             now: self.queue.now(),
-            self_addr: addr,
             rng: &mut self.rng,
             next_timer: &mut self.next_timer,
             out: std::mem::take(&mut self.commands),

@@ -1,68 +1,34 @@
 //! Exporters: deterministic JSONL trace dump, per-node / per-channel
 //! summary tables, and a causal timeline report.
 //!
-//! JSON is written by hand with a fixed field order and no whitespace,
-//! so the same event stream always renders to the same bytes.
+//! An event renders through the one JSON writer ([`crate::json`](mod@crate::json)) with
+//! a fixed field order and no whitespace, so the same event stream
+//! always renders to the same bytes.
 
 use crate::event::{Event, EventKind, Layer};
+use crate::json::ToJson;
+use crate::json_into;
 use crate::metrics::Registry;
 use std::collections::BTreeMap;
 
-/// Appends `s` to `out` as the body of a JSON string: quote, backslash
-/// and control characters escaped, everything else verbatim. The one
-/// escaper every hand-written JSON renderer calls.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// An event is one JSON object. Field order is fixed; absent
+/// coordinates and an empty detail are omitted.
+impl ToJson for Event {
+    fn write_json(&self, out: &mut String) {
+        json_into!(out, {
+            "seq": self.seq,
+            "t_us": self.t_us,
+            "layer": self.layer.name(),
+            "kind": self.kind.name(),
+            "span"?: self.span,
+            "parent"?: self.parent,
+            "node"?: self.node,
+            "port"?: self.port,
+            "channel"?: self.channel,
+            "capsule"?: self.capsule,
+            "detail"?: (!self.detail.is_empty()).then_some(&self.detail),
+        });
     }
-}
-
-/// Renders one event as a single JSON object (no trailing newline).
-/// Field order is fixed; absent coordinates are omitted.
-pub fn event_to_json(e: &Event) -> String {
-    let mut out = String::with_capacity(96 + e.detail.len());
-    out.push_str(&format!(
-        "{{\"seq\":{},\"t_us\":{},\"layer\":\"{}\",\"kind\":\"{}\"",
-        e.seq,
-        e.t_us,
-        e.layer.name(),
-        e.kind.name()
-    ));
-    if let Some(v) = e.span {
-        out.push_str(&format!(",\"span\":{v}"));
-    }
-    if let Some(v) = e.parent {
-        out.push_str(&format!(",\"parent\":{v}"));
-    }
-    if let Some(v) = e.node {
-        out.push_str(&format!(",\"node\":{v}"));
-    }
-    if let Some(v) = e.port {
-        out.push_str(&format!(",\"port\":{v}"));
-    }
-    if let Some(v) = e.channel {
-        out.push_str(&format!(",\"channel\":{v}"));
-    }
-    if let Some(v) = e.capsule {
-        out.push_str(&format!(",\"capsule\":{v}"));
-    }
-    if !e.detail.is_empty() {
-        out.push_str(",\"detail\":\"");
-        escape_into(&mut out, &e.detail);
-        out.push('"');
-    }
-    out.push('}');
-    out
 }
 
 /// Renders the whole stream as JSON Lines (one object per line,
@@ -70,7 +36,7 @@ pub fn event_to_json(e: &Event) -> String {
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&event_to_json(e));
+        e.write_json(&mut out);
         out.push('\n');
     }
     out
@@ -87,15 +53,9 @@ struct NodeRow {
 
 /// Renders a per-node summary table (message traffic and all other
 /// events located at each node), followed by a per-channel hop count
-/// table and per-layer event-kind totals. Unbounded — at federation
-/// scale prefer [`summary_table_capped`].
-pub fn summary_table(events: &[Event]) -> String {
-    summary_table_capped(events, usize::MAX)
-}
-
-/// [`summary_table`] with each table truncated to `max_rows` rows; a
-/// `(+N more)` marker makes the truncation explicit.
-pub fn summary_table_capped(events: &[Event], max_rows: usize) -> String {
+/// table and per-layer event-kind totals, each truncated to `max_rows`
+/// rows; a `(+N more)` marker makes the truncation explicit.
+pub fn summary_table(events: &[Event], max_rows: usize) -> String {
     let mut nodes: BTreeMap<u64, NodeRow> = BTreeMap::new();
     let mut channels: BTreeMap<u64, u64> = BTreeMap::new();
     let mut kinds: BTreeMap<(Layer, EventKind), u64> = BTreeMap::new();
@@ -162,17 +122,11 @@ pub fn summary_table_capped(events: &[Event], max_rows: usize) -> String {
 /// Renders a causal timeline: events in emission order, indented by the
 /// depth of their span in the parent chain, so a migration's checkpoint,
 /// transfer messages, and reactivation visually nest under the
-/// migration's own span. Unbounded — at federation scale prefer
-/// [`timeline_capped`].
-pub fn timeline(events: &[Event]) -> String {
-    timeline_capped(events, usize::MAX)
-}
-
-/// [`timeline`] truncated to the first `max_events` events, with a
-/// `(+N more events)` marker making the truncation explicit. Span
+/// migration's own span. Only the first `max_events` events are shown,
+/// with a `(+N more events)` marker making the truncation explicit; span
 /// depths are still computed over the whole stream, so the shown prefix
 /// indents exactly as it would untruncated.
-pub fn timeline_capped(events: &[Event], max_events: usize) -> String {
+pub fn timeline(events: &[Event], max_events: usize) -> String {
     // A span's parent is taken from the first event that declares it.
     let mut parent_of: BTreeMap<u64, u64> = BTreeMap::new();
     for e in events {
@@ -267,13 +221,18 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_deterministic_and_escaped() {
+    fn jsonl_is_deterministic_and_in_field_order() {
         let mut e = ev(0, EventKind::Send, Some(1), None);
-        e.detail = "say \"hi\"\nline2\\".into();
-        let line = event_to_json(&e);
+        e.detail = "say \"hi\"".into();
+        let line = e.to_json();
         assert_eq!(
             line,
-            "{\"seq\":0,\"t_us\":0,\"layer\":\"netsim\",\"kind\":\"send\",\"span\":1,\"node\":0,\"channel\":3,\"detail\":\"say \\\"hi\\\"\\nline2\\\\\"}"
+            r#"{"seq":0,"t_us":0,"layer":"netsim","kind":"send","span":1,"node":0,"channel":3,"detail":"say \"hi\""}"#
+        );
+        e.detail.clear();
+        assert!(
+            e.to_json().ends_with(r#""channel":3}"#),
+            "an empty detail is left out"
         );
         let evs = vec![
             ev(0, EventKind::Send, Some(1), None),
@@ -291,7 +250,7 @@ mod tests {
             ev(2, EventKind::Drop, Some(2), None),
             ev(3, EventKind::TimerFired, None, None),
         ];
-        let s = summary_table(&evs);
+        let s = summary_table(&evs, usize::MAX);
         assert!(s.contains("events: 4"));
         assert!(s.contains("channel"));
         assert!(s.contains("netsim"));
@@ -302,23 +261,23 @@ mod tests {
         let evs: Vec<Event> = (0..20)
             .map(|i| ev(i, EventKind::Send, Some(1), None))
             .collect();
-        let t = timeline_capped(&evs, 5);
+        let t = timeline(&evs, 5);
         assert_eq!(t.lines().count(), 6);
         assert!(t.ends_with("(+15 more events)\n"));
-        // Under the cap: no marker, identical to the unbounded render.
-        assert_eq!(timeline_capped(&evs, 20), timeline(&evs));
-        assert!(!timeline_capped(&evs, 20).contains("more events"));
+        // Under the cap: no marker, every event shown.
+        assert_eq!(timeline(&evs, 20).lines().count(), 20);
+        assert!(!timeline(&evs, 20).contains("more events"));
 
         // 20 events over nodes 0/1, channel 3 — capping rows to 1 marks
         // the hidden node row.
-        let s = summary_table_capped(&evs, 1);
+        let s = summary_table(&evs, 1);
         assert!(s.contains("(+1 more)"));
-        assert_eq!(summary_table_capped(&evs, 100), summary_table(&evs));
+        assert!(!summary_table(&evs, 100).contains("more)"));
     }
 
     #[test]
     fn store_summary_collects_store_metrics_only() {
-        let mut reg = Registry::new();
+        let mut reg = Registry::default();
         assert_eq!(store_summary(&reg), "", "no store metrics, no block");
         reg.gauge_set("store.log_bytes", 4096);
         reg.gauge_set("store.snapshot_bytes", 1024);
@@ -343,7 +302,7 @@ mod tests {
             ev(1, EventKind::Send, Some(2), Some(1)),
             ev(2, EventKind::Deliver, Some(2), Some(1)),
         ];
-        let t = timeline(&evs);
+        let t = timeline(&evs, usize::MAX);
         let lines: Vec<&str> = t.lines().collect();
         assert!(lines[1].contains("  [netsim] send"));
         assert!(!lines[0].contains("  [netsim]"));

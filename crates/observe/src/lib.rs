@@ -10,7 +10,8 @@
 //!
 //! Three things come out of that single stream:
 //!
-//! * **Traces** — a deterministic JSONL dump ([`export::to_jsonl`]), a
+//! * **Traces** — a deterministic JSONL dump ([`export::to_jsonl`],
+//!   written by [`json`](mod@json), the workspace's one JSON writer), a
 //!   per-node / per-channel [`export::summary_table`], and a causal
 //!   [`export::timeline`] in which an invocation's marshalling, channel
 //!   hops, retries, and the migration it raced against all nest under
@@ -35,6 +36,7 @@ pub mod bus;
 pub mod event;
 pub mod export;
 pub mod hash;
+pub mod json;
 pub mod metrics;
 pub mod oracle;
 
@@ -85,12 +87,12 @@ mod tests {
 
         let jsonl = export::to_jsonl(&events);
         assert_eq!(jsonl.lines().count(), 4);
-        assert!(jsonl.contains("\"kind\":\"call_start\""));
+        assert!(jsonl.contains(r#""kind":"call_start""#));
 
-        let summary = export::summary_table(&events);
+        let summary = export::summary_table(&events, usize::MAX);
         assert!(summary.contains("events: 4"));
 
-        let tl = export::timeline(&events);
+        let tl = export::timeline(&events, usize::MAX);
         assert!(tl.contains("send"));
 
         let m = bus::snapshot_metrics();

@@ -146,12 +146,6 @@ impl Histogram {
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
     }
-
-    /// Occupied buckets as `(upper_bound_inclusive, count)` pairs in
-    /// ascending value order — the raw material for external renderings.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(|(&idx, &n)| (bucket_upper(idx), n))
-    }
 }
 
 /// Writes `name`'s entry (default if absent); only a name's first use allocates.
@@ -171,11 +165,6 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds to a counter, creating it at 0 first if absent.
     pub fn counter_add(&mut self, name: &str, v: u64) {
         upsert(&mut self.counters, name, |counter| *counter += v);
@@ -335,7 +324,7 @@ mod tests {
         assert!(h.bucket_count() < 320, "got {}", h.bucket_count());
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 99_999);
-        let total: u64 = h.buckets().map(|(_, n)| n).sum();
+        let total: u64 = h.buckets.values().sum();
         assert_eq!(total, 100_000);
     }
 
@@ -356,7 +345,7 @@ mod tests {
 
     #[test]
     fn registry_round_trip() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.counter_add("a.b", 2);
         r.counter_add("a.b", 3);
         r.gauge_set("g", -7);

@@ -129,7 +129,7 @@ proptest! {
         denom in 1u64..6,
     ) {
         let full = run(&script, CollectConfig::default());
-        prop_assert_eq!(bus::drop_stats().total(), 0);
+        prop_assert_eq!(bus::drop_stats(), bus::DropStats::default());
 
         let ring = run(&script, CollectConfig { ring_capacity: Some(cap), sample_denom: None });
         prop_assert_eq!(&ring[..], last(&full, cap));

@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn both_implementations_answer_alike() {
-        let in_memory = exercise(&mut StorageFunction::new());
+        let in_memory = exercise(&mut StorageFunction::default());
         let mut engine = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
         let durable = exercise(&mut engine);
         assert_eq!(in_memory, durable);

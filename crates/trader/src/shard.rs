@@ -87,11 +87,6 @@ impl ShardedFederation {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.names.len()
-    }
-
     /// Routing counters.
     pub fn stats(&self) -> ShardStats {
         self.stats
@@ -224,7 +219,7 @@ mod tests {
         let f = populated(4);
         let printer_shard = f.shard_of("Printer").to_owned();
         // Every printer offer lives on the owning shard, nowhere else.
-        let held: usize = (0..f.shards())
+        let held: usize = (0..f.names.len())
             .map(|i| {
                 let t = f.shard(i).unwrap();
                 let n = t.store().type_postings("Printer").map_or(0, |s| s.len());

@@ -295,11 +295,6 @@ impl OfferStore {
         self.indexes.get(property)
     }
 
-    /// The declared secondary indexes, by property name.
-    pub fn indexes(&self) -> impl Iterator<Item = (&str, &PropertyIndex)> {
-        self.indexes.iter().map(|(p, i)| (p.as_str(), i))
-    }
-
     /// Declares a secondary index on a top-level property and
     /// backfills it from the live offers. Re-declaring a property
     /// rebuilds it with the new kind.

@@ -949,7 +949,7 @@ mod tests {
             let nan = Expr::Binary(
                 op,
                 Box::new(Expr::Var(vec!["ppm".to_owned()])),
-                Box::new(Expr::lit(f64::NAN)),
+                Box::new(Expr::Lit(Value::from(f64::NAN))),
             );
             let mut request = ImportRequest::new("Printer");
             request.constraint = Some(nan);

@@ -11,7 +11,7 @@ fn printer_type() -> DataType {
     DataType::record([
         ("ppm", DataType::Int),
         ("colour", DataType::Bool),
-        ("location", DataType::optional(DataType::Text)),
+        ("location", DataType::Optional(Box::new(DataType::Text))),
     ])
 }
 

@@ -163,18 +163,6 @@ impl LockManager {
         woken
     }
 
-    /// Whether the transaction currently holds a lock on the item with at
-    /// least the given mode.
-    pub fn holds(&self, tx: TxId, item: &str, mode: LockMode) -> bool {
-        self.items
-            .get(item)
-            .and_then(|l| l.holders.get(&tx))
-            .is_some_and(|held| match mode {
-                LockMode::Shared => true,
-                LockMode::Exclusive => *held == LockMode::Exclusive,
-            })
-    }
-
     /// Current holders of an item's locks.
     pub fn holders(&self, item: &str) -> Vec<(TxId, LockMode)> {
         self.items
@@ -208,6 +196,14 @@ impl LockManager {
 mod tests {
     use super::*;
 
+    /// Whether `tx` holds `item` in at least `mode`.
+    fn holds(lm: &LockManager, tx: TxId, item: &str, mode: LockMode) -> bool {
+        let strong_enough = |held| mode == LockMode::Shared || held == LockMode::Exclusive;
+        lm.holders(item)
+            .iter()
+            .any(|&(t, held)| t == tx && strong_enough(held))
+    }
+
     const T1: TxId = TxId::new(1);
     const T2: TxId = TxId::new(2);
     const T3: TxId = TxId::new(3);
@@ -217,8 +213,8 @@ mod tests {
         let mut lm = LockManager::new();
         assert_eq!(lm.acquire(T1, "x", LockMode::Shared), LockOutcome::Granted);
         assert_eq!(lm.acquire(T2, "x", LockMode::Shared), LockOutcome::Granted);
-        assert!(lm.holds(T1, "x", LockMode::Shared));
-        assert!(!lm.holds(T1, "x", LockMode::Exclusive));
+        assert!(holds(&lm, T1, "x", LockMode::Shared));
+        assert!(!holds(&lm, T1, "x", LockMode::Exclusive));
     }
 
     #[test]
@@ -235,7 +231,7 @@ mod tests {
         // Release grants the waiter.
         let woken = lm.release_all(T1);
         assert_eq!(woken, vec![T2]);
-        assert!(lm.holds(T2, "x", LockMode::Shared));
+        assert!(holds(&lm, T2, "x", LockMode::Shared));
     }
 
     #[test]
@@ -248,10 +244,10 @@ mod tests {
             lm.acquire(T1, "x", LockMode::Exclusive),
             LockOutcome::Granted
         );
-        assert!(lm.holds(T1, "x", LockMode::Exclusive));
+        assert!(holds(&lm, T1, "x", LockMode::Exclusive));
         // Exclusive holder may "downgrade-request" shared: still granted.
         assert_eq!(lm.acquire(T1, "x", LockMode::Shared), LockOutcome::Granted);
-        assert!(lm.holds(T1, "x", LockMode::Exclusive));
+        assert!(holds(&lm, T1, "x", LockMode::Exclusive));
     }
 
     #[test]
@@ -265,7 +261,7 @@ mod tests {
         }
         lm.release_all(T2);
         // T1's queued upgrade is granted on release.
-        assert!(lm.holds(T1, "x", LockMode::Exclusive));
+        assert!(holds(&lm, T1, "x", LockMode::Exclusive));
     }
 
     #[test]
@@ -284,7 +280,7 @@ mod tests {
         // T2 aborts; T1 proceeds.
         let woken = lm.release_all(T2);
         assert_eq!(woken, vec![T1]);
-        assert!(lm.holds(T1, "y", LockMode::Exclusive));
+        assert!(holds(&lm, T1, "y", LockMode::Exclusive));
     }
 
     #[test]
@@ -323,7 +319,7 @@ mod tests {
         ));
         let woken = lm.release_all(T1);
         assert_eq!(woken, vec![T2]);
-        assert!(lm.holds(T2, "x", LockMode::Exclusive));
+        assert!(holds(&lm, T2, "x", LockMode::Exclusive));
         let woken = lm.release_all(T2);
         assert_eq!(woken, vec![T3]);
     }

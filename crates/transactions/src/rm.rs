@@ -115,8 +115,6 @@ pub struct ResourceManager {
     locks: LockManager,
     log: WriteAheadLog<MemMedia>,
     tx_gen: IdGen<TxId>,
-    /// Statistics: (commits, aborts, deadlocks).
-    stats: (u64, u64, u64),
 }
 
 impl fmt::Debug for ResourceManager {
@@ -141,23 +139,12 @@ impl ResourceManager {
             locks: LockManager::new(),
             log: WriteAheadLog::new(MemMedia::new()),
             tx_gen: IdGen::new(),
-            stats: (0, 0, 0),
         }
-    }
-
-    /// The manager's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The profile in force.
     pub fn profile(&self) -> TxProfile {
         self.profile
-    }
-
-    /// (commits, aborts, deadlock-aborts) so far.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        self.stats
     }
 
     /// Begins a transaction.
@@ -271,7 +258,6 @@ impl ResourceManager {
             self.log.flush();
         }
         self.locks.release_all(tx);
-        self.stats.0 += 1;
         Ok(())
     }
 
@@ -295,7 +281,6 @@ impl ResourceManager {
         }
         self.log.append(&LogRecord::Abort { tx });
         self.locks.release_all(tx);
-        self.stats.1 += 1;
         Ok(())
     }
 
@@ -377,7 +362,6 @@ impl ResourceManager {
             }),
             LockOutcome::Deadlock { cycle } => {
                 self.abort(tx).ok();
-                self.stats.2 += 1;
                 Err(RmError::Deadlock { tx, cycle })
             }
         }
@@ -483,7 +467,6 @@ mod tests {
         ));
         rm.write(t1, "b", Value::Int(3)).unwrap();
         rm.commit(t1).unwrap();
-        assert_eq!(rm.stats().2, 1);
     }
 
     #[test]

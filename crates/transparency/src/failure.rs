@@ -537,7 +537,7 @@ mod tests {
     #[test]
     fn crash_then_recover_masks_failure_up_to_the_checkpoint() {
         let mut w = world();
-        let mut store = rmodp_functions::StorageFunction::new();
+        let mut store = rmodp_functions::StorageFunction::default();
         w.add(10);
         w.guard.checkpoint_now(&mut w.engine, &mut store).unwrap();
         // Post-checkpoint work that will be lost by the failure.
@@ -618,7 +618,7 @@ mod tests {
             );
             assert_eq!(w.guard.recoveries(), 0, "{why}");
             assert_eq!(w.engine.census(w.backup.0).unwrap(), (1, 0, 0), "{why}");
-            let published = w.infra.relocator.peek(w.interface).unwrap();
+            let published = w.infra.relocator.lookup(w.interface).unwrap();
             assert_eq!(published.location.node, old_home.0, "{why}");
         };
 
@@ -671,7 +671,7 @@ mod tests {
     #[test]
     fn guard_survives_successive_failures_with_new_backups() {
         let mut w = world();
-        let mut store = rmodp_functions::StorageFunction::new();
+        let mut store = rmodp_functions::StorageFunction::default();
         w.add(1);
         w.guard.checkpoint_now(&mut w.engine, &mut store).unwrap();
 
@@ -692,7 +692,7 @@ mod tests {
     #[test]
     fn recovery_skips_dead_backups_deterministically() {
         let mut w = world();
-        let mut store = rmodp_functions::StorageFunction::new();
+        let mut store = rmodp_functions::StorageFunction::default();
         w.guard.checkpoint_now(&mut w.engine, &mut store).unwrap();
         // Queue a second backup behind the seeded one, then kill the
         // seeded one: recovery must skip it and land on the second.

@@ -68,11 +68,6 @@ pub struct PersistenceManager {
 }
 
 impl PersistenceManager {
-    /// Creates an empty manager.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Deactivates a cluster to storage under a label, remembering its
     /// home so it can be restored there.
     ///
@@ -186,8 +181,8 @@ mod tests {
             .call(ch, "Add", &Value::record([("k", Value::Int(33))]))
             .unwrap();
 
-        let mut storage = StorageFunction::new();
-        let mut pm = PersistenceManager::new();
+        let mut storage = StorageFunction::default();
+        let mut pm = PersistenceManager::default();
         pm.deactivate_to_storage(&mut engine, &mut storage, "acct", node, capsule, cluster)
             .unwrap();
         assert_eq!(engine.lookup(refs[0].interface), None);
@@ -224,7 +219,7 @@ mod tests {
             .unwrap();
 
         let mut store = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
-        let mut pm = PersistenceManager::new();
+        let mut pm = PersistenceManager::default();
         pm.deactivate_to_storage(&mut engine, &mut store, "acct", node, capsule, cluster)
             .unwrap();
 
@@ -240,8 +235,8 @@ mod tests {
     #[test]
     fn restore_of_unknown_label_fails() {
         let mut engine = Engine::new(1);
-        let storage = StorageFunction::new();
-        let mut pm = PersistenceManager::new();
+        let storage = StorageFunction::default();
+        let mut pm = PersistenceManager::default();
         assert!(matches!(
             pm.restore(&mut engine, &storage, "ghost"),
             Err(PersistenceError::Load(LoadError::NotStored { .. }))

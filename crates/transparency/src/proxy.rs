@@ -145,11 +145,6 @@ impl TransparentProxy {
         }
     }
 
-    /// The target interface.
-    pub fn target(&self) -> InterfaceId {
-        self.target
-    }
-
     /// What the proxy has masked so far.
     pub fn stats(&self) -> ProxyStats {
         self.stats
@@ -229,7 +224,7 @@ impl TransparentProxy {
                         || self.selection.has(Transparency::Failure))
                         && infra
                             .relocator
-                            .peek(self.target)
+                            .lookup(self.target)
                             .zip(engine.channel_believes(ch))
                             .is_some_and(|(fresh, believed)| fresh.epoch > believed.epoch) =>
                 {

@@ -195,12 +195,6 @@ impl ReplicatedService {
         self.group
     }
 
-    /// The fencing epoch this front currently holds (0 before any
-    /// election).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The highest sequence number this front knows to be committed.
     pub fn committed(&self) -> u64 {
         self.committed
@@ -622,7 +616,7 @@ mod tests {
     #[test]
     fn quorum_update_commits_and_reads_committed_state() {
         let (mut e, mut infra, mut svc, _) = quorum_world(3);
-        assert_eq!(svc.epoch(), 1);
+        assert_eq!(svc.epoch, 1);
         svc.quorum_update(&mut e, &mut infra, 5).unwrap();
         svc.quorum_update(&mut e, &mut infra, 7).unwrap();
         let t = svc.quorum_read(&mut e, &mut infra).unwrap();
@@ -658,7 +652,7 @@ mod tests {
         let client2 = e.add_node(SyntaxId::Binary);
         let mut new_front =
             ReplicatedService::attach(&mut e, &mut infra, client2, old_front.group()).unwrap();
-        assert_eq!(new_front.epoch(), 2);
+        assert_eq!(new_front.epoch, 2);
         // The committed prefix survived the takeover.
         let t = new_front.quorum_read(&mut e, &mut infra).unwrap();
         assert_eq!(t.results.field("n"), Some(&Value::Int(10)));

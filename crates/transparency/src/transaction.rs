@@ -51,11 +51,6 @@ impl<'a> TxContext<'a> {
         self.reported.push(format!("write {item}"));
         self.rm.write(self.tx, item, value)
     }
-
-    /// The actions of interest reported so far (for tests and audits).
-    pub fn reported(&self) -> &[String] {
-        &self.reported
-    }
 }
 
 /// Why a transparent transaction ultimately failed.
@@ -215,7 +210,7 @@ mod tests {
             ctx.read("alice").map_err(|e| e.to_string())?;
             ctx.write("alice", Value::Int(0))
                 .map_err(|e| e.to_string())?;
-            observed = ctx.reported().to_vec();
+            observed = ctx.reported.clone();
             Ok(())
         })
         .unwrap();
@@ -241,23 +236,34 @@ mod tests {
     #[test]
     fn retry_count_is_bounded() {
         let mut rm = bank();
-        let err = in_transaction(&mut rm, 3, |_ctx| {
+        let mut attempts = 0;
+        let err = in_transaction(&mut rm, 3, |ctx| {
+            attempts += 1;
+            // Each attempt locks alice; a skipped abort would leave the
+            // lock behind and fail the next attempt's write.
+            ctx.write("alice", Value::Int(0))
+                .map_err(|e| e.to_string())?;
             Err::<(), _>("deadlock: synthetic".to_owned())
         })
         .unwrap_err();
         assert_eq!(err, TxError::RetriesExhausted { attempts: 3 });
-        // All three attempts were aborted cleanly.
-        assert_eq!(rm.stats().1, 3);
+        assert_eq!(attempts, 3);
+        // All three attempts were aborted cleanly: nothing was written
+        // and their locks are free.
+        assert_eq!(rm.read_committed("alice"), Some(Value::Int(100)));
+        assert!(transfer(&mut rm, "alice", "bob", 1).is_ok());
     }
 
     #[test]
     fn commit_happens_exactly_once_per_success() {
         let mut rm = bank();
-        let before = rm.stats().0;
+        let mut runs = 0;
         in_transaction(&mut rm, 3, |ctx| {
+            runs += 1;
             ctx.write("alice", Value::Int(1)).map_err(|e| e.to_string())
         })
         .unwrap();
-        assert_eq!(rm.stats().0, before + 1);
+        assert_eq!(runs, 1);
+        assert_eq!(rm.read_committed("alice"), Some(Value::Int(1)));
     }
 }

@@ -85,8 +85,8 @@ proptest! {
                 .invoke_local(node, refs[0].interface, "Add", &Value::record([("k", Value::Int(*k))]))
                 .unwrap();
         }
-        let mut storage = StorageFunction::new();
-        let mut pm = PersistenceManager::new();
+        let mut storage = StorageFunction::default();
+        let mut pm = PersistenceManager::default();
         pm.deactivate_to_storage(&mut engine, &mut storage, "x", node, capsule, cluster)
             .unwrap();
         pm.restore(&mut engine, &storage, "x").unwrap();

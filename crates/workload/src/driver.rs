@@ -366,7 +366,7 @@ mod tests {
     use rmodp_core::value::Value;
     use rmodp_engineering::behaviour::CounterBehaviour;
     use rmodp_engineering::channel::ChannelConfig;
-    use rmodp_engineering::nucleus::AdmissionConfig;
+    use rmodp_engineering::nucleus::{AdmissionConfig, AdmissionPolicy};
     use rmodp_netsim::time::SimDuration;
 
     fn counter_setup(seed: u64) -> (Engine, rmodp_core::id::NodeId, ChannelId) {
@@ -536,7 +536,14 @@ mod tests {
                 AdmissionConfig::shed_oldest(4, SimDuration::from_millis(2)),
                 true,
             ),
-            (AdmissionConfig::delay(SimDuration::from_millis(2)), false),
+            (
+                AdmissionConfig {
+                    policy: AdmissionPolicy::Delay,
+                    capacity: usize::MAX,
+                    service_time: SimDuration::from_millis(2),
+                },
+                false,
+            ),
         ] {
             let (mut engine, server, channel) = counter_setup(4);
             engine.set_admission(server, config).unwrap();

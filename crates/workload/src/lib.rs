@@ -93,4 +93,5 @@ pub mod prelude {
     pub use crate::run_scenario;
     pub use crate::scenario::{LoadModel, OpMixEntry, OperationMix, Scenario};
     pub use crate::slo::{evaluate, SloClause, SloReport};
+    pub use rmodp_observe::json::ToJson;
 }

@@ -51,6 +51,7 @@ use rmodp_kernel::{PartitionMap, ShardedKernel, SyncStats};
 use rmodp_netsim::sim::{Addr, Ctx, Message, NodeIdx, Process, ShardAction, Sim};
 use rmodp_netsim::time::{SimDuration, SimTime};
 use rmodp_netsim::topology::{LinkConfig, Topology};
+use rmodp_observe::json_into;
 
 use crate::arrival::ArrivalProcess;
 use crate::driver::RunStats;
@@ -266,21 +267,6 @@ fn decode_request_id(req: u64) -> (u32, u32, u32) {
     )
 }
 
-/// Appends `v` in decimal, the digits `{}` formats it with.
-fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[at..]);
-}
-
 /// One completed (answered) operation, as recorded by a client hub.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
@@ -315,22 +301,16 @@ impl Completion {
     }
 
     /// Appends the completion's export line, without its newline.
-    fn render_into(&self, scenario: PopulationScenario, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"t_us\":");
-        push_decimal(out, self.t_us);
-        out.extend_from_slice(b",\"region\":");
-        push_decimal(out, self.region.into());
-        out.extend_from_slice(b",\"capsule\":");
-        push_decimal(out, self.capsule.into());
-        out.extend_from_slice(b",\"seq\":");
-        push_decimal(out, self.op_seq.into());
-        out.extend_from_slice(b",\"op\":\"");
-        out.extend_from_slice(scenario.op_name(self.op).as_bytes());
-        out.extend_from_slice(b"\",\"status\":\"");
-        out.extend_from_slice(self.status_name().as_bytes());
-        out.extend_from_slice(b"\",\"latency_us\":");
-        push_decimal(out, self.latency_us);
-        out.push(b'}');
+    fn render_into(&self, scenario: PopulationScenario, out: &mut String) {
+        json_into!(out, {
+            "t_us": self.t_us,
+            "region": self.region,
+            "capsule": self.capsule,
+            "seq": self.op_seq,
+            "op": scenario.op_name(self.op),
+            "status": self.status_name(),
+            "latency_us": self.latency_us,
+        });
     }
 }
 
@@ -708,18 +688,18 @@ fn render_export(
     keep: bool,
 ) -> (u64, Option<String>, RunStats) {
     let mut checksum = FNV_OFFSET_BASIS;
-    let mut export = keep.then(Vec::new);
-    let mut line = Vec::new();
+    let mut export = keep.then(String::new);
+    let mut line = String::new();
     // By op code: `op_name` gives code 0 one name and every other code one.
     let mut completed_per_op = [0u64; 2];
     let mut stats = RunStats::default();
     for c in completions {
         line.clear();
         c.render_into(scenario, &mut line);
-        line.push(b'\n');
-        checksum = fnv1a_fold(checksum, &line);
+        line.push('\n');
+        checksum = fnv1a_fold(checksum, line.as_bytes());
         if let Some(out) = export.as_mut() {
-            out.extend_from_slice(&line);
+            out.push_str(&line);
         }
         match c.status {
             0 => {
@@ -737,7 +717,6 @@ fn render_export(
             stats.completed_per_op.insert(name, n);
         }
     }
-    let export = export.map(|bytes| String::from_utf8(bytes).expect("the export is ASCII"));
     (checksum, export, stats)
 }
 
@@ -769,7 +748,7 @@ mod tests {
     /// completion. The reference `render_export` is held to.
     fn render_by_formatting(c: &Completion, scenario: PopulationScenario) -> String {
         format!(
-            "{{\"t_us\":{},\"region\":{},\"capsule\":{},\"seq\":{},\"op\":\"{}\",\"status\":\"{}\",\"latency_us\":{}}}",
+            r#"{{"t_us":{},"region":{},"capsule":{},"seq":{},"op":"{}","status":"{}","latency_us":{}}}"#,
             c.t_us,
             c.region,
             c.capsule,
@@ -836,11 +815,11 @@ mod tests {
                     }
                 }
             }
-            let mut line = Vec::new();
+            let mut line = String::new();
             for c in &table {
                 line.clear();
                 c.render_into(scenario, &mut line);
-                assert_eq!(line, render_by_formatting(c, scenario).as_bytes(), "{c:?}");
+                assert_eq!(line, render_by_formatting(c, scenario), "{c:?}");
             }
             for rows in [&table[..], &table[..7], &table[..0]] {
                 for keep in [true, false] {

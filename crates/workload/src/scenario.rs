@@ -45,11 +45,6 @@ impl OperationMix {
         self
     }
 
-    /// The entries, in insertion order.
-    pub fn entries(&self) -> &[OpMixEntry] {
-        &self.entries
-    }
-
     /// Whether the mix has no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -221,7 +216,7 @@ mod tests {
         .with_warmup(SimDuration::from_millis(100))
         .with_mix(OperationMix::new().with("Ping", Value::Null, 1));
         assert_eq!(s.duration, SimDuration::from_secs(2));
-        assert_eq!(s.mix.entries().len(), 1);
+        assert_eq!(s.mix, OperationMix::new().with("Ping", Value::Null, 1));
         assert!(s.load.describe().starts_with("closed"));
     }
 }

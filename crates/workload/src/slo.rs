@@ -16,7 +16,8 @@
 //!
 //! [`QosRequirement`]: rmodp_core::contract::QosRequirement
 
-use rmodp_observe::export::escape_into;
+use rmodp_observe::json::{Fixed, ToJson};
+use rmodp_observe::json_into;
 
 use crate::driver::RunStats;
 use crate::scenario::Scenario;
@@ -81,11 +82,6 @@ pub struct SloReport {
     pub pass: bool,
 }
 
-/// Formats a float deterministically for reports (3 decimal places).
-fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 /// Evaluates a finished run against its scenario's contract.
 pub fn evaluate(scenario: &Scenario, stats: &RunStats) -> SloReport {
     let duration_us = scenario.duration.as_micros();
@@ -117,8 +113,8 @@ pub fn evaluate(scenario: &Scenario, stats: &RunStats) -> SloReport {
     if let Some(min) = contract.min_throughput {
         clauses.push(SloClause {
             name: "throughput_per_sec".into(),
-            bound: format!(">= {}", f3(min)),
-            achieved: f3(achieved_per_sec),
+            bound: format!(">= {}", Fixed::<3>(min)),
+            achieved: Fixed::<3>(achieved_per_sec).to_string(),
             pass: achieved_per_sec >= min,
         });
     }
@@ -130,8 +126,8 @@ pub fn evaluate(scenario: &Scenario, stats: &RunStats) -> SloReport {
         };
         clauses.push(SloClause {
             name: "availability".into(),
-            bound: format!(">= {}", f3(min)),
-            achieved: f3(availability),
+            bound: format!(">= {}", Fixed::<3>(min)),
+            achieved: Fixed::<3>(availability).to_string(),
             pass: availability >= min,
         });
     }
@@ -185,9 +181,9 @@ impl SloReport {
         out.push_str(&format!(
             "  offered {} ({}/s)  completed {} ({}/s)  rejected {}  errors {}  lost {}  shed {}\n",
             self.offered,
-            f3(self.offered_per_sec),
+            Fixed::<3>(self.offered_per_sec),
             self.completed,
-            f3(self.achieved_per_sec),
+            Fixed::<3>(self.achieved_per_sec),
             self.rejected,
             self.errors,
             self.lost,
@@ -199,7 +195,7 @@ impl SloReport {
             self.p50_us,
             self.p95_us,
             self.p99_us,
-            f3(self.mean_us),
+            Fixed::<3>(self.mean_us),
             self.max_us,
         ));
         if self.clauses.is_empty() {
@@ -225,65 +221,43 @@ impl SloReport {
         ));
         out
     }
-
-    /// Serialises the report as deterministic JSON: fixed field order,
-    /// integer microseconds, 3-decimal floats. Same run, same bytes.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"scenario\":");
-        push_json_str(&mut s, &self.scenario);
-        s.push_str(&format!(",\"seed\":{}", self.seed));
-        s.push_str(",\"load\":");
-        push_json_str(&mut s, &self.load);
-        s.push_str(&format!(",\"duration_us\":{}", self.duration_us));
-        s.push_str(&format!(",\"elapsed_us\":{}", self.elapsed_us));
-        s.push_str(&format!(",\"offered\":{}", self.offered));
-        s.push_str(&format!(",\"completed\":{}", self.completed));
-        s.push_str(&format!(",\"rejected\":{}", self.rejected));
-        s.push_str(&format!(",\"errors\":{}", self.errors));
-        s.push_str(&format!(",\"lost\":{}", self.lost));
-        s.push_str(&format!(",\"admission_shed\":{}", self.admission_shed));
-        s.push_str(&format!(
-            ",\"offered_per_sec\":{}",
-            f3(self.offered_per_sec)
-        ));
-        s.push_str(&format!(
-            ",\"achieved_per_sec\":{}",
-            f3(self.achieved_per_sec)
-        ));
-        s.push_str(&format!(",\"latency_samples\":{}", self.latency_samples));
-        s.push_str(&format!(
-            ",\"latency_us\":{{\"p50\":{},\"p95\":{},\"p99\":{},\"mean\":{},\"max\":{}}}",
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            f3(self.mean_us),
-            self.max_us
-        ));
-        s.push_str(",\"clauses\":[");
-        for (i, c) in self.clauses.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"name\":");
-            push_json_str(&mut s, &c.name);
-            s.push_str(",\"bound\":");
-            push_json_str(&mut s, &c.bound);
-            s.push_str(",\"achieved\":");
-            push_json_str(&mut s, &c.achieved);
-            s.push_str(&format!(",\"pass\":{}}}", c.pass));
-        }
-        s.push(']');
-        s.push_str(&format!(",\"pass\":{}", self.pass));
-        s.push('}');
-        s
-    }
 }
 
-/// Appends `text` to `out` as a quoted JSON string.
-fn push_json_str(out: &mut String, text: &str) {
-    out.push('"');
-    escape_into(out, text);
-    out.push('"');
+/// Deterministic JSON: fixed field order, integer microseconds,
+/// 3-decimal floats. Same run, same bytes.
+impl ToJson for SloReport {
+    fn write_json(&self, out: &mut String) {
+        json_into!(out, {
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "load": self.load,
+            "duration_us": self.duration_us,
+            "elapsed_us": self.elapsed_us,
+            "offered": self.offered,
+            "completed": self.completed,
+            "rejected": self.rejected,
+            "errors": self.errors,
+            "lost": self.lost,
+            "admission_shed": self.admission_shed,
+            "offered_per_sec": Fixed::<3>(self.offered_per_sec),
+            "achieved_per_sec": Fixed::<3>(self.achieved_per_sec),
+            "latency_samples": self.latency_samples,
+            "latency_us": {
+                "p50": self.p50_us,
+                "p95": self.p95_us,
+                "p99": self.p99_us,
+                "mean": Fixed::<3>(self.mean_us),
+                "max": self.max_us,
+            },
+            "clauses": [for c in &self.clauses => {
+                "name": c.name,
+                "bound": c.bound,
+                "achieved": c.achieved,
+                "pass": c.pass,
+            }],
+            "pass": self.pass,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -370,16 +344,7 @@ mod tests {
         let b = evaluate(&sc, &s).to_json();
         assert_eq!(a, b);
         assert!(a.starts_with('{') && a.ends_with('}'));
-        assert!(a.contains("\"latency_us\":{\"p50\":"));
-        assert!(a.contains("\"pass\":true"));
-    }
-
-    #[test]
-    fn json_escapes_a_scenario_name_as_json_does() {
-        let mut sc = scenario_with(QosRequirement::none());
-        sc.name = "a\u{7}\"b\u{200b}".into();
-        let json = evaluate(&sc, &stats(1, 1, &[10])).to_json();
-        // Debug formatting would write `\u{7}` and `\u{200b}`, neither JSON.
-        assert!(json.starts_with("{\"scenario\":\"a\\u0007\\\"b\u{200b}\","));
+        assert!(a.contains(r#""latency_us":{"p50":"#));
+        assert!(a.contains(r#""pass":true"#));
     }
 }

@@ -164,8 +164,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Capped exports: the tail of a long run is noise here, and the
     // `(+N more)` markers make the truncation explicit.
-    println!("\n{}", export::summary_table_capped(&events, 12));
+    println!("\n{}", export::summary_table(&events, 12));
     println!("{}", bus::snapshot_metrics().render());
-    println!("{}", export::timeline_capped(&events, 80));
+    println!("{}", export::timeline(&events, 80));
     Ok(())
 }

@@ -83,8 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let events = bus::snapshot_events();
     // Capped exports keep the epilogue readable; `(+N more)` marks
     // anything truncated.
-    println!("\n{}", export::summary_table_capped(&events, 12));
+    println!("\n{}", export::summary_table(&events, 12));
     println!("{}", bus::snapshot_metrics().render());
-    println!("{}", export::timeline_capped(&events, 80));
+    println!("{}", export::timeline(&events, 80));
     Ok(())
 }

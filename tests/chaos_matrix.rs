@@ -513,7 +513,7 @@ fn power_cycle(store: StoreEngine<MemMedia>) -> StoreEngine<MemMedia> {
 #[test]
 fn one_guard_script_ends_alike_on_the_volatile_and_the_durable_store() {
     let durable = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
-    let on_memory = logged_guard_script(StorageFunction::new(), |s| s).unwrap();
+    let on_memory = logged_guard_script(StorageFunction::default(), |s| s).unwrap();
     let on_disk = logged_guard_script(durable, |s| s).unwrap();
     assert_eq!(on_memory, on_disk);
     assert_eq!(
@@ -586,7 +586,10 @@ fn rebuilt_guard_script<S: PersistentStore>(mut store: S) -> (Option<i64>, u64) 
 #[test]
 fn a_rebuilt_guard_appends_to_the_log_it_finds() {
     let durable = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
-    assert_eq!(rebuilt_guard_script(StorageFunction::new()), (Some(10), 4));
+    assert_eq!(
+        rebuilt_guard_script(StorageFunction::default()),
+        (Some(10), 4)
+    );
     assert_eq!(rebuilt_guard_script(durable), (Some(10), 4));
 }
 
@@ -598,7 +601,7 @@ fn a_logged_op_outlives_its_medium_only_on_the_durable_store() {
     assert_eq!((on_disk.counter, on_disk.replayed), (Some(22), 2));
     // The volatile store's medium is the process: checkpoint and log
     // are gone together, and the guard says so instead of guessing.
-    let on_memory = logged_guard_script(StorageFunction::new(), |_| StorageFunction::new());
+    let on_memory = logged_guard_script(StorageFunction::default(), |_| StorageFunction::default());
     assert!(
         matches!(on_memory, Err(FailureError::Load(_))),
         "{on_memory:?}"

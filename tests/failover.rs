@@ -7,7 +7,7 @@
 //! the engineering dedup cache to a tiny capacity and demands
 //! at-most-once execution *across* evictions.
 
-use rmodp::chaos::prelude::ConsistencyReport;
+use rmodp::chaos::prelude::{ConsistencyReport, ToJson};
 use rmodp::core::codec::SyntaxId;
 use rmodp::core::id::InterfaceId;
 use rmodp::core::value::Value;

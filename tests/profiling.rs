@@ -273,7 +273,11 @@ fn engine_construction_resets_drop_stats_but_keeps_collect_config() {
     assert!(bus::peak_trace_events() > 0);
 
     let _fresh = Engine::new(10); // resets the bus via Sim::new
-    assert_eq!(bus::drop_stats().total(), 0, "drop counters reset");
+    assert_eq!(
+        bus::drop_stats(),
+        bus::DropStats::default(),
+        "drop counters reset"
+    );
     assert_eq!(bus::peak_trace_events(), 0, "peak gauges reset");
     assert_eq!(bus::event_count(), 0, "trace cleared");
     let events = counter_scenario(9, 3, false, false);

@@ -25,10 +25,16 @@ enum Pattern {
     /// The line calls the function of this name: `name(` appears, and not
     /// as its definition `fn name(`.
     Call(&'static str),
+    /// The line spells a JSON key inside a string literal: `\"`, a key,
+    /// then `\":` in an ordinary literal, or `"`, a key, then `":` inside
+    /// a raw one (`r"…"`, `r#"…"#`). A key is a word (letters, digits,
+    /// `_`, `.`, `-`) or a format placeholder (`{}`, `{name}`, `{:?}`).
+    JsonKey,
 }
 
 impl Pattern {
-    fn matches(&self, line: &str) -> bool {
+    /// `raw` is the part of `line` that lies inside raw string literals.
+    fn matches(&self, line: &str, raw: &str) -> bool {
         match self {
             Pattern::Literal(text) => line.contains(text),
             Pattern::EagerArgument { open, then } => line.match_indices(open).any(|(at, _)| {
@@ -39,8 +45,67 @@ impl Pattern {
             Pattern::Call(name) => line.match_indices(name).any(|(at, _)| {
                 line[at + name.len()..].starts_with('(') && !line[..at].ends_with("fn ")
             }),
+            Pattern::JsonKey => spells_key(line, "\\\"") || spells_key(raw, "\""),
         }
     }
+}
+
+/// Whether `text` holds `quote`, a key (see [`Pattern::JsonKey`]),
+/// `quote` again and a colon.
+fn spells_key(text: &str, quote: &str) -> bool {
+    text.match_indices(quote).any(|(at, _)| {
+        let key = &text[at + quote.len()..];
+        let end = key
+            .find(|c: char| !(c.is_alphanumeric() || "_.-{}:?".contains(c)))
+            .unwrap_or(key.len());
+        end > 0 && key[end..].starts_with(quote) && key[end + quote.len()..].starts_with(':')
+    })
+}
+
+/// For each line of `text`, the characters that lie inside a raw string
+/// literal (`r"…"`, `r#"…"#`, `br"…"`), which may span lines.
+fn raw_string_parts(text: &str) -> Vec<String> {
+    let mut closer: Option<String> = None;
+    let mut parts = Vec::new();
+    for line in text.lines() {
+        let mut part = String::new();
+        let mut rest = line;
+        loop {
+            if let Some(close) = &closer {
+                let Some(end) = rest.find(close.as_str()) else {
+                    part.push_str(rest);
+                    break;
+                };
+                part.push_str(&rest[..end]);
+                part.push(' ');
+                rest = &rest[end + close.len()..];
+                closer = None;
+            } else {
+                let Some((at, hashes)) = raw_string_opener(rest) else {
+                    break;
+                };
+                rest = &rest[at + 2 + hashes..];
+                closer = Some(format!("\"{}", "#".repeat(hashes)));
+            }
+        }
+        parts.push(part);
+    }
+    parts
+}
+
+/// The first `r`, `#`s, `"` in `line` that opens a raw string: its offset
+/// and how many `#`s it has. The `r` may follow `b`, not another word
+/// character.
+fn raw_string_opener(line: &str) -> Option<(usize, usize)> {
+    line.match_indices('r').find_map(|(at, _)| {
+        let before = line[..at].strip_suffix('b').unwrap_or(&line[..at]);
+        if before.ends_with(|c: char| c.is_alphanumeric() || c == '_') {
+            return None;
+        }
+        let after = &line[at + 1..];
+        let hashes = after.len() - after.trim_start_matches('#').len();
+        after[hashes..].starts_with('"').then_some((at, hashes))
+    })
 }
 
 struct Rule {
@@ -62,7 +127,7 @@ struct Rule {
     copies: usize,
 }
 
-use Pattern::{Call, EagerArgument, Literal};
+use Pattern::{Call, EagerArgument, JsonKey, Literal};
 
 const SRC: &[&str] = &["crates/*/src", "src"];
 
@@ -400,6 +465,17 @@ const RULES: &[Rule] = &[
         copies: 0,
     },
     Rule {
+        name: "one JSON writer",
+        why: "JSON syntax lives in rmodp_observe::json alone: render an artifact, report or \
+              trace line with `json!`/`json_into!` or a `ToJson` impl, not a string that \
+              spells its keys (DESIGN.md, \"One JSON writer\")",
+        roots: SRC,
+        patterns: &[JsonKey],
+        exempt: &["crates/observe/src/json.rs"],
+        above_tests_only: true,
+        copies: 0,
+    },
+    Rule {
         name: "the binary layout is read once",
         why: "as for the text grammar: `Reader::value_at` is the one reading of the layout",
         roots: &["crates/core/src/codec"],
@@ -416,10 +492,11 @@ const SELF: &str = "tests/source_rules.rs";
 /// The 1-based numbers of the lines of `text` that hold one of the
 /// rule's patterns.
 fn offending_lines(rule: &Rule, text: &str) -> Vec<usize> {
+    let raw = raw_string_parts(text);
     text.lines()
         .take_while(|line| !(rule.above_tests_only && line.trim() == "#[cfg(test)]"))
         .enumerate()
-        .filter(|(_, line)| rule.patterns.iter().any(|p| p.matches(line)))
+        .filter(|(i, line)| rule.patterns.iter().any(|p| p.matches(line, &raw[*i])))
         .map(|(i, _)| i + 1)
         .collect()
 }
@@ -511,70 +588,114 @@ const CALLERS: &[&str] = &[
 ];
 
 /// The library `pub fn`s no code in [`CALLERS`] calls, kept on purpose:
-/// each row is `name: why it stays`. Any other `pub fn` under [`SRC`]
-/// without a caller fails the census: delete it, or add a row here.
+/// each row is `Owner::name: why it stays`, the owner being the type
+/// whose `impl` defines it or a free function's module (see
+/// [`census`]). Any other `pub fn` under [`SRC`] without a caller fails
+/// the census: delete it, or add a row here.
 const KEEP: &[&str] = &[
     // Named by the paper: the viewpoint languages and the ODP functions.
-    "unassign: §3, an object leaves a community role",
-    "unlink: §4, removing an association link",
-    "branch_composite: §4, the bank branch as a composite schema",
-    "parse_interface_type: §5.1, the interface-type notation",
-    "check_args: §5.1, an invocation checked against its signature",
-    "check_termination: §5.1, a termination checked against its signature",
-    "is_subtype_of: §5.1.1, data subtyping with interface refs equal by name",
-    "instantiate: §5.2, creating an object",
-    "state_mut: §5.2, writing the state of an object",
-    "create_interface: §5.2, creating an interface",
-    "destroy_interface: §5.2, deleting an interface",
-    "add_endpoint: §5, a binding object gains a party",
-    "remove_endpoint: §5, a binding object loses a party",
-    "branch_template: Figure 2, the bank branch object template",
-    "single_object_capsules: §6, the one-object-per-capsule profile the paper mentions",
-    "remove_object: §6.2, the nucleus deletes an object",
-    "coordinated_checkpoint: §8.1, checkpointing a set of clusters",
-    "coordinated_restore: §8.1, recovering a set of clusters",
-    "store_checkpoint: §8.1, a checkpoint put in the storage function",
-    "subscribe: §8.2, event notification",
-    "unsubscribe: §8.2, event notification",
-    "leave: §8.2, a failed member drops out of a replica group's view",
-    "relate: §8.3, the relationship repository; §8.3.1, type relationships",
-    "unrelate: §8.3, the relationship repository",
-    "reachable: §8.3, the relationship repository's closure query",
-    "unregister: §8.3.1, the type repository",
-    "declare_property_type: §8.3.2, a service type's property types",
-    "property_type: §8.3.2, a service type's property types",
-    "check_request: §8.3.2, an import type-checked against its service type",
-    "resolve: §8.3.3, naming for the relocator's white pages",
-    "unbind: §8.3.3, naming for the relocator's white pages",
-    "enrol: §8.4, authentication",
-    "authenticate: §8.4, authentication",
-    "allow_principal: §8.4, access control",
-    "allow_role: §8.4, access control",
-    "assign_role: §8.4, access control",
-    "deactivate_to_storage: §9, persistence transparency",
-    "transfer: §9.3, the transaction transparency example",
+    "PolicyEngine::revoke: §3, a performative action withdrawing a policy",
+    "Community::unassign: §3, an object leaves a community role",
+    "AssociationSet::new: §4, an association's set of links",
+    "AssociationSet::link: §4, adding an association link under its cardinalities",
+    "AssociationSet::unlink: §4, removing an association link",
+    "CompositeSchema::components: §4, the component schemas a composition relates",
+    "CompositeSchema::associations: §4, the associations of a composition",
+    "information::branch_composite: §4, the bank branch as a composite schema",
+    "activity::execute: §5, an activity (sequence, fork, join, spawn) run",
+    "Binding::establish: §5, a primitive binding between compatible interfaces",
+    "BindingEndpoint::new: §5, a party to a binding",
+    "BindingObject::new: §5, a binding object",
+    "BindingObject::control: §5, a binding object's control interface",
+    "BindingObject::add_endpoint: §5, a binding object gains a party",
+    "BindingObject::remove_endpoint: §5, a binding object loses a party",
+    "Engine::announce: §5.1, an announcement: an invocation with no termination",
+    "notation::parse_interface_type: §5.1, the interface-type notation",
+    "SignalSignature::signal: §5.1, a signal interface's signals",
+    "OperationSignature::check_args: §5.1, an invocation checked against its signature",
+    "OperationSignature::check_termination: §5.1, a termination checked against its signature",
+    "DataType::is_subtype_of: §5.1.1, data subtyping with interface refs equal by name",
+    "ObjectTemplate::instantiate: §5.2, creating an object",
+    "ComputationalObject::state: §5.2, reading the state of an object",
+    "ComputationalObject::state_mut: §5.2, writing the state of an object",
+    "ComputationalObject::create_interface: §5.2, creating an interface",
+    "ComputationalObject::destroy_interface: §5.2, deleting an interface",
+    "computational::branch_template: Figure 2, the bank branch object template",
+    "AuditStub::entries: Figure 4, the log an auditing stub keeps of what crosses it",
+    "StructurePolicy::single_object_capsules: §6, the one-object-per-capsule profile",
+    "NodeStructure::validate: §6.2, the engineering structuring rules checked",
+    "NucleusProcess::remove_object: §6.2, the nucleus deletes an object",
+    "management::coordinated_checkpoint: §8.1, checkpointing a set of clusters",
+    "management::coordinated_restore: §8.1, recovering a set of clusters",
+    "management::store_checkpoint: §8.1, a checkpoint put in the storage function",
+    "EventNotifier::subscribe: §8.2, event notification",
+    "EventNotifier::unsubscribe: §8.2, event notification",
+    "GroupManager::create: §8.2, creating a replica group",
+    "GroupManager::leave: §8.2, a failed member drops out of a replica group's view",
+    "StoreEngine::abort: §8.2.1, a transaction aborted on the durable store",
+    "RelationshipRepository::relate: §8.3, the relationship repository",
+    "RelationshipRepository::unrelate: §8.3, the relationship repository",
+    "RelationshipRepository::holds: §8.3, the relationship repository's query",
+    "RelationshipRepository::reachable: §8.3, the relationship repository's closure query",
+    "TypeRepository::relate: §8.3.1, a relationship between types",
+    "TypeRepository::relationships: §8.3.1, the recorded relationships between types",
+    "TypeRepository::unregister: §8.3.1, the type repository",
+    "Trader::declare_property_type: §8.3.2, a service type's property types",
+    "Trader::property_type: §8.3.2, a service type's property types",
+    "Trader::check_request: §8.3.2, an import type-checked against its service type",
+    "NamingContext::bind: §8.3.3, naming for the relocator's white pages",
+    "NamingContext::resolve: §8.3.3, naming for the relocator's white pages",
+    "NamingContext::unbind: §8.3.3, naming for the relocator's white pages",
+    "Authenticator::new: §8.4, authentication, with a token lifetime",
+    "Authenticator::enrol: §8.4, authentication",
+    "Authenticator::authenticate: §8.4, authentication",
+    "Authenticator::validate: §8.4, a token checked against virtual time",
+    "Authenticator::revoke: §8.4, withdrawing a credential",
+    "AccessController::allow_principal: §8.4, access control",
+    "AccessController::allow_role: §8.4, access control",
+    "AccessController::assign_role: §8.4, access control",
+    "AccessController::check: §8.4, an access-control decision, audited",
+    "AccessController::audit: §8.4, the security audit trail",
+    "PersistenceManager::deactivate_to_storage: §9, persistence transparency",
+    "Relocator::deactivate: §9.2, a deactivated interface leaves the white pages",
+    "transaction::transfer: §9.3, the transaction transparency example",
     // Observation points: what tests read behaviour through.
-    "backup_pool: the failure guard's remaining backups",
-    "pending_ops: the failure guard's ops logged since its checkpoint",
-    "calls_in_flight: the engine's uncollected asynchronous calls",
-    "node_stats: a nucleus's counters",
-    "synced_len: the WAL bytes a crash keeps",
-    "truncate_wal: the crash point of the crash-at-every-prefix tests",
-    "shares_buffer_with: whether a payload was copied",
-    "round_robin: the partition the kernel's shard tests run under",
-    "detach: how a test makes an address unroutable",
-    "take_events: the bus's buffered events, drained",
-    "peak_trace_events: the bus's bounded-collection high-water mark",
-    "peak_trace_bytes: the bus's bounded-collection high-water mark",
-    "bucket_count: a histogram's footprint",
-    "segment_sum: a profile's attribution, summed",
-    "attribution_table: the profile rendered, pinned byte for byte",
-    "folded_stacks: the profile rendered, pinned byte for byte",
-    "summary_table: the trace rendered per node",
+    "FailureGuard::backup_pool: the failure guard's remaining backups",
+    "FailureGuard::pending_ops: the failure guard's ops logged since its checkpoint",
+    "FailureGuard::lost_updates: the loss window of a guard that logs nothing, measured",
+    "Engine::calls_in_flight: the engine's uncollected asynchronous calls",
+    "Engine::node_stats: a nucleus's counters",
+    "DriverProcess::awaiting: the replies a node's driver still waits for",
+    "Stack::component: a channel component read by type, such as an audit stub",
+    "EventNotifier::history: the notifications a topic has carried",
+    "LockManager::holders: the lock table the no-conflicting-grants property reads",
+    "ResourceManager::in_doubt: the prepared transactions a recovered manager holds",
+    "PolicyEngine::audit: the policy engine's decision trail",
+    "PropertyIndex::entries: an index's size, held to the offers it indexes",
+    "MemMedia::synced_len: the WAL bytes a crash keeps",
+    "MemMedia::truncate_wal: the crash point of the crash-at-every-prefix tests",
+    "Payload::shares_buffer_with: whether a payload was copied",
+    "PartitionMap::round_robin: the partition the kernel's shard tests run under",
+    "Sim::detach: how a test makes an address unroutable",
+    "bus::now_us: the bus's clock, which the event queue's pops drive",
+    "bus::take_events: the bus's buffered events, drained",
+    "bus::peak_trace_events: the bus's bounded-collection high-water mark",
+    "bus::peak_trace_bytes: the bus's bounded-collection high-water mark",
+    "Registry::gauge: a gauge read by name, as counters and histograms are",
+    "Histogram::bucket_count: a histogram's footprint",
+    "InvocationProfile::segment: a profile's attribution to one segment",
+    "InvocationProfile::segment_sum: a profile's attribution, summed",
+    "rmodp_profile::attribution_table: the profile rendered, pinned byte for byte",
+    "rmodp_profile::folded_stacks: the profile rendered, pinned byte for byte",
     // References a test compares against.
-    "import_all: the unrouted broadcast the routed sharded import must agree with",
-    "from_bytes: the copying envelope decode the shared-buffer one must agree with",
-    "replay_consistent: the replayed transition log the recovered state must equal",
+    "ShardedFederation::import_all: the unrouted broadcast the routed sharded import must \
+     agree with",
+    "Envelope::from_bytes: the copying envelope decode the shared-buffer one must agree with",
+    "InformationObject::replay_consistent: the replayed transition log the recovered state \
+     must equal",
+    // Built on by an open ROADMAP item, and held by a tier-1 test today.
+    "shard::compile: ROADMAP items 2 and 11 run the oracles on a sharded population under a \
+     crash-restart plan, which this compiles onto the kernel's timeline",
 ];
 
 /// The name a line defines as a `pub fn` (or `pub const fn`), if any.
@@ -588,94 +709,297 @@ fn defined_pub_fn(line: &str) -> Option<&str> {
     Some(&rest[..end])
 }
 
-/// The identifiers a line uses: those of its code before any `//`,
-/// except a name that follows `fn ` (which it defines).
-fn used_names(line: &str) -> Vec<&str> {
+/// The identifiers of a line's code before any `//`, each with the byte
+/// offset it starts at.
+fn words(line: &str) -> Vec<(usize, &str)> {
     let code = line.split("//").next().unwrap_or_default();
-    let mut names = Vec::new();
+    let mut words = Vec::new();
     let mut start = None;
     for (at, c) in code.char_indices().chain([(code.len(), ' ')]) {
         match (start, c.is_alphanumeric() || c == '_') {
             (None, true) => start = Some(at),
             (Some(from), false) => {
-                if !code[..from].ends_with("fn ") {
-                    names.push(&code[from..at]);
-                }
+                words.push((from, &code[from..at]));
                 start = None;
             }
             _ => {}
         }
     }
-    names
+    words
 }
 
-/// The lines of a file above its `#[cfg(test)]`, numbered from 1, and
-/// the file as shown in a report.
-fn lines_above_tests(repo: &Path, file: &Path) -> (String, Vec<(usize, String)>) {
-    let shown = file.strip_prefix(repo).expect("under the repository");
-    let text = fs::read_to_string(file).expect("readable source file");
-    let lines = text
-        .lines()
-        .take_while(|line| line.trim() != "#[cfg(test)]")
-        .enumerate()
-        .map(|(i, line)| (i + 1, line.to_owned()))
-        .collect();
-    (shown.to_string_lossy().replace('\\', "/"), lines)
+/// The identifiers a line uses: those of its code before any `//`,
+/// except a name that follows `fn ` (which it defines).
+fn used_names(line: &str) -> Vec<&str> {
+    words(line)
+        .into_iter()
+        .filter(|&(at, _)| !line[..at].ends_with("fn "))
+        .map(|(_, name)| name)
+        .collect()
 }
 
-/// A name counts as called when a line above the test module of a file
-/// under [`CALLERS`] uses it as a word outside a comment, other than as
-/// its own definition: the census works by name, so one caller keeps
-/// every `pub fn` of that name.
+/// The names a line calls or refers to as functions: a word followed by
+/// `(` or by `::<…>(`, a word after `::`, and every word of a `use` item
+/// (`in_use`); not a variable, a field or a definition. Each comes with
+/// the type it is called on when the line spells one (`Type::name`).
+fn called_names(line: &str, in_use: bool) -> Vec<(Option<&str>, &str)> {
+    let mut calls = Vec::new();
+    for (at, name) in words(line) {
+        let (before, after) = (&line[..at], line[at + name.len()..].trim_start());
+        let turbofish_call = after.strip_prefix("::").is_some_and(|generics| {
+            let mut depth = 0;
+            let close = generics.char_indices().find_map(|(at, c)| {
+                depth += i32::from(c == '<') - i32::from(c == '>');
+                (depth == 0).then_some(at)
+            });
+            close.is_some_and(|at| generics[at + 1..].trim_start().starts_with('('))
+        });
+        if before.ends_with("fn ")
+            || !(in_use || before.ends_with("::") || after.starts_with('(') || turbofish_call)
+        {
+            continue;
+        }
+        let on_type = qualifier(before).filter(|owner| {
+            *owner != "Self" && owner.starts_with(|c: char| c.is_ascii_uppercase())
+        });
+        calls.push((on_type, name));
+    }
+    calls
+}
+
+/// The path segment a call is spelled on: `Type` in `Type::name(` and in
+/// `Type::<T>::name(`.
+fn qualifier(before: &str) -> Option<&str> {
+    let mut path = before.strip_suffix("::")?;
+    if path.ends_with('>') {
+        let mut depth = 0;
+        let open = path.char_indices().rev().find_map(|(at, c)| {
+            depth += i32::from(c == '>') - i32::from(c == '<');
+            (depth == 0).then_some(at)
+        })?;
+        path = path[..open].trim_end_matches("::");
+    }
+    let start = path.rfind(|c: char| !(c.is_alphanumeric() || c == '_'));
+    Some(&path[start.map_or(0, |at| at + 1)..])
+}
+
+/// One file as the census reads it: the path shown in a report and its
+/// lines above `#[cfg(test)]`.
+#[derive(Clone)]
+struct Source {
+    shown: String,
+    lines: Vec<String>,
+}
+
+impl Source {
+    fn new(shown: &str, text: &str) -> Self {
+        let lines = text
+            .lines()
+            .take_while(|line| line.trim() != "#[cfg(test)]");
+        let lines = lines.map(str::to_owned).collect();
+        Source {
+            shown: shown.to_owned(),
+            lines,
+        }
+    }
+
+    fn read(repo: &Path, file: &Path) -> Self {
+        let shown = file.strip_prefix(repo).expect("under the repository");
+        let text = fs::read_to_string(file).expect("readable source file");
+        Source::new(&shown.to_string_lossy().replace('\\', "/"), &text)
+    }
+
+    /// The module a free function of this file belongs to: an inline
+    /// `mod`'s name, else the file stem, the directory of a `mod.rs`, or
+    /// the crate (`rmodp_<dir>`, or `rmodp` for `src/lib.rs`) of a root.
+    fn module(&self) -> String {
+        let parts: Vec<&str> = self.shown.trim_end_matches(".rs").split('/').collect();
+        match parts[..] {
+            ["src", "lib"] => "rmodp".to_owned(),
+            ["crates", krate, "src", "lib"] => format!("rmodp_{krate}"),
+            [.., dir, "mod"] => dir.to_owned(),
+            [.., stem] => stem.to_owned(),
+            [] => unreachable!("a path has a file name"),
+        }
+    }
+
+    /// Each line with the names it calls (see [`called_names`]), a `use`
+    /// item running on until its `;`.
+    fn calls(&self) -> impl Iterator<Item = Vec<(Option<&str>, &str)>> {
+        let mut in_use = false;
+        self.lines.iter().map(move |line| {
+            let code = line.trim_start();
+            in_use |= code.starts_with("use ") || code.starts_with("pub use ");
+            let names = called_names(line, in_use);
+            in_use &= !line.contains(';');
+            names
+        })
+    }
+}
+
+/// The type an `impl` line is for: the first path after `impl` and its
+/// generics, or after ` for `; its last segment.
+fn impl_type(line: &str) -> Option<&str> {
+    let mut rest = line.trim_start().strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let end = rest.char_indices().find_map(|(at, c)| {
+            depth += i32::from(c == '<') - i32::from(c == '>');
+            (depth == 0).then_some(at + 1)
+        })?;
+        rest = &rest[end..];
+    }
+    if let Some((_, target)) = rest.split_once(" for ") {
+        rest = target;
+    }
+    let path = rest.trim_start().split(['<', ' ', '{']).next()?;
+    path.rsplit("::").next().filter(|name| !name.is_empty())
+}
+
+/// A library `pub fn` as the census keys it: the type whose `impl`
+/// defines it (its owner), or a free function's module, and its name.
+type Def = (String, String);
+
+/// The `pub fn`s a file defines, each with its `file:line`. A `pub fn`
+/// indented under an `impl` or `mod` line belongs to it.
+fn definitions(source: &Source) -> Vec<(Def, String)> {
+    let mut open: Vec<(usize, String)> = Vec::new();
+    let mut found = Vec::new();
+    for (i, line) in source.lines.iter().enumerate() {
+        let indent = line.len() - line.trim_start().len();
+        let code = line.trim_start();
+        if code.starts_with('}') {
+            open.retain(|&(at, _)| at < indent);
+        }
+        let module = code.trim_start_matches("pub ").strip_prefix("mod ");
+        if let Some(module) = module.and_then(|m| m.strip_suffix(" {")) {
+            open.push((indent, module.to_owned()));
+        } else if code.starts_with("impl") {
+            let owner = impl_type(code).unwrap_or(code);
+            open.push((indent, owner.to_owned()));
+        } else if let Some(name) = defined_pub_fn(line) {
+            let owner = match open.last() {
+                Some((at, owner)) if *at < indent => owner.clone(),
+                _ => source.module(),
+            };
+            let at = format!("{}:{}", source.shown, i + 1);
+            found.push(((owner, name.to_owned()), at));
+        }
+    }
+    found
+}
+
+/// For each function name defined exactly once under [`CALLERS`], the
+/// identifiers of its return type: a file that calls `behaviours_mut()`
+/// names `BehaviourRegistry` though it never spells it.
+fn unique_returns(sources: &[Source]) -> BTreeMap<String, Option<Vec<String>>> {
+    let mut returns = BTreeMap::new();
+    for source in sources {
+        for (i, line) in source.lines.iter().enumerate() {
+            let Some(at) = line.find("fn ").filter(|&at| !line[..at].contains("//")) else {
+                continue;
+            };
+            let Some(&(_, name)) = words(&line[at + 3..]).first() else {
+                continue;
+            };
+            let mut signature = String::new();
+            for line in &source.lines[i..] {
+                signature.push_str(line.split("//").next().unwrap_or_default());
+                if line.contains(['{', ';']) {
+                    break;
+                }
+            }
+            let signature = signature.split(['{', ';']).next().unwrap_or_default();
+            let signature = signature.split(" where ").next().unwrap_or_default();
+            let returned = signature.split_once("->").map_or("", |(_, r)| r);
+            let types = used_names(returned).into_iter().map(str::to_owned);
+            returns
+                .entry(name.to_owned())
+                .and_modify(|seen| *seen = None)
+                .or_insert_with(|| Some(types.collect()));
+        }
+    }
+    returns
+}
+
+/// The census: every `pub fn` the `defining` files declare, with where,
+/// and those a `calling` file calls. A call spelled on a type
+/// (`Type::name`) counts for that type's `name` alone. Any other call of
+/// a name counts for a definition of it when the calling file is the
+/// defining one, when no other owner defines that name, or when the file
+/// names the owner — spelling it, or calling a once-defined function that
+/// returns it; a crate root's functions are named by their crate's files
+/// and by the crate's name or alias. So a local variable never counts,
+/// and `.name()` on one type does not keep another type's `name`.
+fn census(defining: &[Source], calling: &[Source]) -> (BTreeMap<Def, String>, BTreeSet<Def>) {
+    let defined: BTreeMap<Def, String> = defining.iter().flat_map(definitions).collect();
+    let mut owners: BTreeMap<&str, Vec<&Def>> = BTreeMap::new();
+    for def in defined.keys() {
+        owners.entry(def.1.as_str()).or_default().push(def);
+    }
+    let returns = unique_returns(calling);
+    let mut called = BTreeSet::new();
+    for source in calling {
+        let calls: Vec<Vec<(Option<&str>, &str)>> = source.calls().collect();
+        let mut named: BTreeSet<&str> = source.lines.iter().flat_map(|l| used_names(l)).collect();
+        for (_, name) in calls.iter().flatten() {
+            if let Some(Some(types)) = returns.get(*name) {
+                named.extend(types.iter().map(String::as_str));
+            }
+        }
+        let krate = source.shown.split('/').nth(1).unwrap_or_default();
+        let names_owner = |def: &Def| {
+            let root = def.0.strip_prefix("rmodp_");
+            named.contains(def.0.as_str())
+                || root.is_some_and(|dir| named.contains(dir) || dir == krate)
+                || (def.0 == "rmodp" && source.shown.starts_with("src/"))
+                || defined[def].starts_with(&format!("{}:", source.shown))
+        };
+        for &(on_type, name) in calls.iter().flatten() {
+            let Some(defs) = owners.get(name) else {
+                continue;
+            };
+            let counts = |def: &&&Def| match on_type {
+                Some(owner) => def.0 == owner,
+                None => defs.len() == 1 || names_owner(def),
+            };
+            called.extend(defs.iter().filter(counts).map(|def| (*def).clone()));
+        }
+    }
+    (defined, called)
+}
+
 #[test]
 fn every_pub_fn_has_a_caller_or_a_reason() {
     let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut defined = BTreeMap::new();
-    for file in SRC.iter().flat_map(|root| rust_files(repo, root)) {
-        let (shown, lines) = lines_above_tests(repo, &file);
-        for (number, line) in lines {
-            if let Some(name) = defined_pub_fn(&line) {
-                let at = format!("{shown}:{number}");
-                defined.entry(name.to_owned()).or_insert(at);
-            }
-        }
-    }
-    let mut called = BTreeSet::new();
-    for file in CALLERS.iter().flat_map(|root| rust_files(repo, root)) {
-        for (_, line) in lines_above_tests(repo, &file).1 {
-            let used = used_names(&line).into_iter();
-            called.extend(
-                used.filter(|name| defined.contains_key(*name))
-                    .map(str::to_owned),
-            );
-        }
-    }
-    assert!(
-        defined.len() > 500,
-        "only {} pub fn names found",
-        defined.len()
-    );
-    let kept: Vec<&str> = KEEP
-        .iter()
-        .map(|row| {
-            row.split_once(": ")
-                .expect("a KEEP row reads `name: why`")
-                .0
-        })
-        .collect();
+    let read = |roots: &[&str]| -> Vec<Source> {
+        let files = roots.iter().flat_map(|root| rust_files(repo, root));
+        files.map(|file| Source::read(repo, &file)).collect()
+    };
+    let (defined, called) = census(&read(SRC), &read(CALLERS));
+    assert!(defined.len() > 500, "only {} pub fns found", defined.len());
+    let mut kept = BTreeSet::new();
     let mut report = String::new();
-    for (name, at) in &defined {
-        if !called.contains(name) && !kept.contains(&name.as_str()) {
+    for row in KEEP {
+        let (key, _why) = row
+            .split_once(": ")
+            .expect("a KEEP row reads `Owner::name: why`");
+        let (owner, name) = key
+            .split_once("::")
+            .expect("a KEEP row names `Owner::name`");
+        let def = (owner.to_owned(), name.to_owned());
+        if called.contains(&def) || !defined.contains_key(&def) {
             report.push_str(&format!(
-                "{at}: `pub fn {name}` has no caller outside tests — delete it, or add a KEEP \
-                 row saying why it stays\n"
+                "KEEP row {key:?}: stale — it is now called, or no `pub fn` is {key}\n"
             ));
         }
+        kept.insert(def);
     }
-    for name in kept {
-        if called.contains(name) || !defined.contains_key(name) {
+    for (def @ (owner, name), at) in &defined {
+        if !called.contains(def) && !kept.contains(def) {
             report.push_str(&format!(
-                "KEEP row {name:?}: stale — the name is now called, or no `pub fn` has it\n"
+                "{at}: `{owner}::{name}` has no caller outside tests — delete it, or add a \
+                 KEEP row saying why it stays\n"
             ));
         }
     }
@@ -699,6 +1023,99 @@ fn the_census_reads_definitions_and_uses() {
         used_names("pub fn a(b: B) -> C { d.e(Self::f) } // g(h)"),
         ["pub", "fn", "b", "B", "C", "d", "e", "Self", "f"]
     );
+    assert_eq!(
+        called_names("pub fn a(b: B) -> C { d.e(Self::f) } // g(h)", false),
+        [(None, "e"), (None, "f")]
+    );
+    assert_eq!(
+        called_names("let timeline = x.timeline; y.len::<u8>(z.name ())", false),
+        [(None, "len"), (None, "name")]
+    );
+    assert_eq!(
+        called_names(
+            "let v = Vec::new(); export::timeline(&e); Vec::<Vec<u8>>::new()",
+            false
+        ),
+        [
+            (Some("Vec"), "new"),
+            (None, "timeline"),
+            (Some("Vec"), "new")
+        ]
+    );
+    assert_eq!(
+        called_names("    timeline, summary_table,", true),
+        [(None, "timeline"), (None, "summary_table")]
+    );
+    assert_eq!(impl_type("impl<T: Into<u8>> Wrapper<T> {"), Some("Wrapper"));
+    assert_eq!(
+        impl_type("impl fmt::Display for super::Name {"),
+        Some("Name")
+    );
+    assert_eq!(impl_type("impl Engine {"), Some("Engine"));
+}
+
+/// One name defined on two types, only one of them called: the census
+/// keeps the one whose type the calling file names, and no local
+/// variable keeps a free function.
+#[test]
+fn a_name_on_two_types_counts_only_where_the_type_is_named() {
+    let library = Source::new(
+        "crates/demo/src/shapes.rs",
+        "impl Alpha {\n    pub fn size(&self) -> u8 {\n        1\n    }\n}\n\
+         impl<T> Beta<T> {\n    pub fn size(&self) -> u8 {\n        2\n    }\n}\n\
+         pub fn timeline() {}\n\
+         pub mod inner {\n    pub fn helper() {}\n}\n\
+         #[cfg(test)]\nmod tests {\n    pub fn size() { Beta::size(); }\n}\n",
+    );
+    let demo_root = Source::new("crates/demo/src/lib.rs", "pub fn root() {}\n");
+    let caller = Source::new(
+        "examples/use_alpha.rs",
+        "use demo::shapes::Alpha;\nfn f(a: &Alpha) -> u8 {\n    let timeline = 3;\n    a.size()\n}\n\
+         fn g() { inner::helper(); demo::root() }\n",
+    );
+    let (defined, called) = census(&[library.clone(), demo_root.clone()], &[library, caller]);
+    let def = |owner: &str, name: &str| (owner.to_owned(), name.to_owned());
+    let keys: Vec<&Def> = defined.keys().collect();
+    assert_eq!(
+        keys,
+        [
+            &def("Alpha", "size"),
+            &def("Beta", "size"),
+            &def("inner", "helper"),
+            &def("rmodp_demo", "root"),
+            &def("shapes", "timeline"),
+        ]
+    );
+    assert_eq!(defined[&def("Beta", "size")], "crates/demo/src/shapes.rs:7");
+    assert!(called.contains(&def("Alpha", "size")));
+    assert!(
+        !called.contains(&def("Beta", "size")),
+        "Beta is never named"
+    );
+    assert!(
+        !called.contains(&def("shapes", "timeline")),
+        "a variable is no call"
+    );
+    assert!(called.contains(&def("inner", "helper")));
+    assert!(called.contains(&def("rmodp_demo", "root")));
+
+    // A file that obtains a Beta from a once-defined function names it.
+    let maker = Source::new(
+        "src/maker.rs",
+        "fn make_beta() -> Beta<u8> {\n    todo!()\n}\nfn h() -> u8 {\n    make_beta().size()\n}\n",
+    );
+    let (_, called) = census(&[Source::new("crates/demo/src/shapes.rs", "impl Beta {\n    pub fn size(&self) {}\n}\nimpl Alpha {\n    pub fn size(&self) {}\n}\n")], &[maker]);
+    assert!(called.contains(&def("Beta", "size")));
+    assert!(!called.contains(&def("Alpha", "size")));
+
+    // A call spelled on one type keeps that type's function alone.
+    let library = Source::new(
+        "crates/demo/src/beta.rs",
+        "impl Beta {\n    pub fn new() {}\n}\n",
+    );
+    let caller = Source::new("src/user.rs", "fn f(_: Beta) {\n    Vec::<u8>::new();\n}\n");
+    let (_, called) = census(&[library], &[caller]);
+    assert!(called.is_empty(), "{called:?}");
 }
 
 /// The vendored `bytes` shim, whose accessors every codec calls per byte.
@@ -813,6 +1230,47 @@ fn a_call_is_not_the_definition() {
         let f = residual_match;\n\
         pub(crate) fn residual_match(o: &O) -> bool { o.residual_match(x) }\n";
     assert_eq!(offending_lines(&rule, text), vec![2, 4]);
+}
+
+#[test]
+fn a_json_key_is_a_quoted_word_and_a_colon_in_a_literal() {
+    let rule = rule_with(&[JsonKey], true);
+    let text = r##"out.push_str(&format!("{{\"a\":{}}}", x));
+let s = format!(",\"p50_us\":{p50}");
+b'"' => b"\\\"",
+b'\\' => b"\\\\",
+self.out.extend_from_slice(b"b\"");
+if self.eat("\"") {
+let key = if self.eat("\"") {
+out.push_str("\"");
+let k = "{\"has space\": 1}";
+json_into!(out, {"a": x});
+let line = r#"{"k":1}"#;
+write!(out, "\"{}\":{}", name, v);
+let both = [r"x", r#"y"#, br#"{"z": 2}"#];
+let span = r#"
+  {"opens": 1}
+"#;
+let per = format!("\"{name}\":{{\"ops\":{n}}}");
+let dbg = format!("\"{:?}\":0", k);
+let spaced = r#"{"has space": 1}"#;
+let parts = r"a", "b";
+let lifetime: &'r str = "{\"x\"}";
+#[cfg(test)]
+assert_eq!(s, "{\"has space\": 1, \"true\": 2}");
+"##;
+    assert_eq!(
+        offending_lines(&rule, text),
+        vec![1, 2, 11, 12, 13, 15, 17, 18]
+    );
+    // The text codec's quoting, as it stands, holds no key.
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let codec = fs::read_to_string(repo.join("crates/core/src/codec/text.rs")).unwrap();
+    assert!(
+        codec.contains("b'\"' => b\"\\\\\\\"\","),
+        "the quote escape moved"
+    );
+    assert_eq!(offending_lines(&rule, &codec), Vec::<usize>::new());
 }
 
 #[test]

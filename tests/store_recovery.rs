@@ -135,7 +135,7 @@ fn world(seed: u64) -> World {
 fn persistence_transparency_survives_a_store_media_crash() {
     let mut w = world(29);
     let mut store = open_mem();
-    let mut manager = PersistenceManager::new();
+    let mut manager = PersistenceManager::default();
     manager
         .deactivate_to_storage(
             &mut w.engine,
