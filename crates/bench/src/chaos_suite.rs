@@ -63,9 +63,6 @@ fn workload_under_faults(seed: u64) -> impl ToJson {
 
     let outcome = run_scenario_under_faults(&mut rig.engine, rig.client, channel, &scenario, plan)
         .expect("client node exists");
-    println!("{}", outcome.report.render());
-    println!("{}", outcome.recovery.render());
-
     let violations = oracle::verify_causality(&bus::snapshot_events()).len();
     assert_eq!(violations, 0, "chaos workload violated causality");
     assert_eq!(outcome.faults.len(), 4, "all four faults were injected");
@@ -73,12 +70,8 @@ fn workload_under_faults(seed: u64) -> impl ToJson {
         outcome.faults.iter().all(|f| f.cleared_at.is_some()),
         "every fault window closed"
     );
-    assert!(
-        outcome.recovery.clean(),
-        "recovery oracle unclean:\n{}",
-        outcome.recovery.render()
-    );
-    assert!(outcome.report.pass, "{}", outcome.report.render());
+    outcome.recovery.assert_clean("the recovery oracle");
+    outcome.report.assert_clean("the chaos workload's contract");
 
     json::from_fn(move |out| {
         json_into!(out, {
@@ -170,9 +163,6 @@ fn exactly_once_under_loss(seed: u64) -> impl ToJson {
     let dedup_hits = bus::counter("engineering.dedup.hits");
     let duplicate_dispatches = bus::counter("engineering.dedup.duplicate_dispatches");
     let retries = bus::counter("engineering.retries");
-    println!(
-        "exactly-once: ok={ok} errors={errors} n={n} dedup_hits={dedup_hits} duplicate_dispatches={duplicate_dispatches} retries={retries}"
-    );
 
     // At-most-once execution: the counter may exceed `ok` (a timed-out
     // call can have executed with its reply lost) but never `total`,
@@ -292,9 +282,6 @@ fn twopc_under_partition_and_crash(seed: u64) -> impl ToJson {
     assert_eq!(outcome(&sim, 3), TxOutcome::Committed);
     assert_eq!(committed(&sim, 1, "y"), Some(Value::Int(31)));
 
-    println!(
-        "2pc: lost_commits={lost_commits} premature_commits={premature_commits} outcome2={o2:?}"
-    );
     assert_eq!(lost_commits, 0, "a committed transaction was lost");
 
     json::from_fn(move |out| {
@@ -356,7 +343,6 @@ fn breaker_lifecycle(seed: u64) -> impl ToJson {
 
     let transitions = bus::counter("engineering.breaker.transitions");
     let counted_fast_fails = bus::counter("engineering.breaker.fast_fails");
-    println!("breaker: timeouts={timeouts} fast_fails={fast_fails} transitions={transitions}");
     assert!(
         transitions >= 3,
         "closed->open, open->half-open, half-open->closed all observed"
@@ -373,7 +359,7 @@ fn breaker_lifecycle(seed: u64) -> impl ToJson {
 }
 
 /// Runs all four parts against `seed` and returns the
-/// `BENCH_chaos.json` document. Per-part summaries go to stdout.
+/// `BENCH_chaos.json` document.
 ///
 /// # Panics
 ///

@@ -7,7 +7,7 @@
 //! (schema `rmodp-bench-failover/1`, documented in `EXPERIMENTS.md`
 //! §E14): availability over the whole schedule, the failover-MTTR
 //! distribution, fenced-write and quorum-loss counters, and the
-//! [`GroupOracle`] consistency verdict — whose `lost_committed` and
+//! [`verify_consistency`] verdict — whose `lost_committed` and
 //! `split_brain` counts the suite asserts are zero.
 //!
 //! Everything runs on virtual time with seeded RNGs: probe timeouts,
@@ -199,12 +199,8 @@ fn group_run(label: &'static str, seed: u64, update_k: i64) -> impl ToJson {
         .expect("group serves after the takeover");
 
     // The oracle audits the whole schedule from the event stream.
-    let oracle = ConsistencyReport::gather();
-    assert!(
-        oracle.clean(),
-        "{label}: consistency oracle unclean:\n{}",
-        oracle.render()
-    );
+    let oracle = verify_consistency(&bus::snapshot_events());
+    oracle.assert_clean(&format!("{label}: the consistency oracle"));
     assert!(
         oracle.fenced_writes() > 0,
         "{label}: the schedule must exercise fencing"
@@ -225,12 +221,6 @@ fn group_run(label: &'static str, seed: u64, update_k: i64) -> impl ToJson {
     } else {
         mttr_us.iter().sum::<u64>() / mttr_us.len() as u64
     };
-    println!(
-        "{label}: attempts={attempts} commits={commits} availability={} mttr_us={mttr_us:?} \
-         fenced={fenced_writes} quorum_losses={quorum_losses} failovers={failovers}",
-        Fixed::<3>(availability)
-    );
-    println!("{}", oracle.render());
 
     json::from_fn(move |out| {
         json_into!(out, {
@@ -252,8 +242,7 @@ fn group_run(label: &'static str, seed: u64, update_k: i64) -> impl ToJson {
 }
 
 /// Runs the bank and trader group schedules against `seed` and returns
-/// the `BENCH_failover.json` document. Per-group summaries go to
-/// stdout.
+/// the `BENCH_failover.json` document.
 ///
 /// # Panics
 ///

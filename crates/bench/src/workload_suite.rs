@@ -142,8 +142,7 @@ fn run_case(case: &Case) -> (SloReport, usize) {
 pub const DEFAULT_SEED: u64 = 1_000;
 
 /// Runs the whole suite at the given base seed and returns the
-/// `BENCH_workload.json` document. Per-scenario reports go to stdout as
-/// they complete.
+/// `BENCH_workload.json` document.
 ///
 /// # Panics
 ///
@@ -154,7 +153,6 @@ pub fn run_suite(seed: u64) -> String {
     let mut tripped_admission = false;
     for case in suite(seed) {
         let (report, violations) = run_case(&case);
-        println!("{}", report.render());
         assert_eq!(
             violations, 0,
             "scenario {} violated causality",

@@ -4,17 +4,19 @@
 //! compiles a [`FaultPlan`] onto the engine's current virtual time, runs
 //! a `rmodp-workload` scenario with the injector registered as an actor
 //! ahead of the load generator on the same kernel, and judges the result
-//! with the [`RecoveryOracle`]. Same engine seed, scenario, and plan →
-//! byte-identical traces and reports.
+//! with [`verify_recovery`] over the run's event stream and metrics.
+//! Same engine seed, scenario, and plan → byte-identical traces and
+//! reports.
 
 use rmodp_core::id::{ChannelId, NodeId};
 use rmodp_engineering::engine::{EngError, Engine};
+use rmodp_observe::bus;
 use rmodp_workload::driver::{execute_with, RunStats};
 use rmodp_workload::scenario::Scenario;
 use rmodp_workload::slo::{self, SloReport};
 
 use crate::inject::{AppliedFault, FaultInjector};
-use crate::oracle::{RecoveryOracle, RecoveryReport};
+use crate::oracle::{verify_recovery, RecoveryReport};
 use crate::plan::FaultPlan;
 
 /// Everything a chaos run produces.
@@ -52,8 +54,12 @@ pub fn run_scenario_under_faults(
     let stats = execute_with(engine, channel, scenario, &mut [&mut injector]);
     let report = slo::evaluate(scenario, &stats);
     let faults = injector.into_applied();
-    let oracle = RecoveryOracle::new(client_idx.0 as u64);
-    let recovery = RecoveryReport::gather(&oracle, &faults);
+    let recovery = verify_recovery(
+        &bus::snapshot_events(),
+        &bus::snapshot_metrics(),
+        client_idx.0 as u64,
+        &faults,
+    );
     Ok(ChaosOutcome {
         stats,
         report,

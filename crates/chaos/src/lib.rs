@@ -21,17 +21,21 @@
 //! - [`shard`] — [`shard::compile`]: the topology-level subset of a plan
 //!   compiled into the sharded kernel's epoch timeline, so faults land at
 //!   exact instants on every shard's copy of the topology;
-//! - [`oracle`] — [`RecoveryOracle`] / [`RecoveryReport`]: computes
-//!   per-fault MTTR and in-window availability from the observe event
-//!   stream, and snapshots the at-most-once counters
-//!   (`duplicate_dispatches` must stay zero);
-//! - [`linear`] — [`GroupOracle`] / [`ConsistencyReport`]: replays the
-//!   event stream of quorum-replicated groups and audits the
+//! - [`oracle`] — [`verify_recovery`] → [`RecoveryReport`]: computes
+//!   per-fault MTTR and in-window availability from the event stream it
+//!   is handed, and reads the at-most-once counters from the metrics it
+//!   is handed (`duplicate_dispatches` must stay zero);
+//! - [`linear`] — [`verify_consistency`] → [`ConsistencyReport`]:
+//!   replays the event stream of quorum-replicated groups and audits the
 //!   consensus-safety invariants (epochs strictly increase, at most one
 //!   leader per epoch, committed updates survive view changes, reads
 //!   observe committed state only);
 //! - [`driver`] — [`run_scenario_under_faults`]: the one-call harness
 //!   tying a workload scenario, a fault plan, and the oracles together.
+//!
+//! Both reports are [`Verdict`]s, as the observe layer's causality check
+//! is: `clean()` is the verdict, `assert_clean` fails with the report's
+//! JSON, and JSON is the only rendering.
 //!
 //! Everything runs on `rmodp-netsim` virtual time with dedicated seeded
 //! RNGs: the same seed produces the same fault trace, the same observe
@@ -39,10 +43,11 @@
 //!
 //! [`FaultPlan`]: plan::FaultPlan
 //! [`FaultInjector`]: inject::FaultInjector
-//! [`RecoveryOracle`]: oracle::RecoveryOracle
+//! [`verify_recovery`]: oracle::verify_recovery
 //! [`RecoveryReport`]: oracle::RecoveryReport
-//! [`GroupOracle`]: linear::GroupOracle
+//! [`verify_consistency`]: linear::verify_consistency
 //! [`ConsistencyReport`]: linear::ConsistencyReport
+//! [`Verdict`]: rmodp_observe::oracle::Verdict
 //! [`run_scenario_under_faults`]: driver::run_scenario_under_faults
 
 pub mod driver;
@@ -56,8 +61,9 @@ pub mod shard;
 pub mod prelude {
     pub use crate::driver::{run_scenario_under_faults, ChaosOutcome};
     pub use crate::inject::{AppliedFault, FaultInjector};
-    pub use crate::linear::{ConsistencyReport, GroupConsistency, GroupOracle};
-    pub use crate::oracle::{FaultRecovery, RecoveryOracle, RecoveryReport};
+    pub use crate::linear::{verify_consistency, ConsistencyReport, GroupConsistency};
+    pub use crate::oracle::{verify_recovery, FaultRecovery, RecoveryReport};
     pub use crate::plan::{ChaosProfile, FaultEvent, FaultKind, FaultPlan};
     pub use rmodp_observe::json::ToJson;
+    pub use rmodp_observe::oracle::Verdict;
 }

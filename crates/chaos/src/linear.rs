@@ -4,10 +4,10 @@
 //! The quorum machinery (`rmodp-functions` views + elections,
 //! `rmodp-transparency` replication) *claims* three safety properties:
 //! at most one leader per epoch, no committed update ever lost across a
-//! view change, and reads that only ever observe committed state. The
-//! [`GroupOracle`] checks those claims **independently** — it never
-//! inspects replica state, only the observe event stream the layers
-//! already emit (`view_change`, `quorum_commit`, `fenced_write`,
+//! view change, and reads that only ever observe committed state.
+//! [`verify_consistency`] checks those claims **independently** — it
+//! never inspects replica state, only the event stream it is handed, as
+//! the layers emit it (`view_change`, `quorum_commit`, `fenced_write`,
 //! `replica_read`), replayed in virtual-time order per group:
 //!
 //! - **epochs strictly increase** — a `view_change` that does not raise
@@ -30,7 +30,8 @@
 use std::collections::BTreeMap;
 
 use rmodp_observe::json::ToJson;
-use rmodp_observe::{bus, json_into, Event, EventKind};
+use rmodp_observe::oracle::Verdict;
+use rmodp_observe::{json_into, Event, EventKind};
 
 /// Extracts the integer after `key=` in a `k=v`-style detail string.
 fn field(detail: &str, key: &str) -> Option<u64> {
@@ -81,83 +82,77 @@ impl GroupConsistency {
     }
 }
 
-/// Replays the observe event stream and audits every replicated group
-/// found in it. See the module docs for the invariants.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GroupOracle;
-
-impl GroupOracle {
-    /// Audits `events` (in stream order, which is virtual-time order)
-    /// and returns one verdict per group, in group-id order.
-    pub fn analyse(events: &[Event]) -> ConsistencyReport {
-        #[derive(Default)]
-        struct Track {
-            verdict: GroupConsistency,
-            leaders_by_epoch: BTreeMap<u64, u64>,
-        }
-        let mut tracks: BTreeMap<u64, Track> = BTreeMap::new();
-        for e in events {
-            let Some(group) = field(&e.detail, "group") else {
-                continue;
-            };
-            match e.kind {
-                EventKind::ViewChange => {
-                    let t = tracks.entry(group).or_default();
-                    t.verdict.group = group;
-                    t.verdict.view_changes += 1;
-                    let epoch = field(&e.detail, "epoch").unwrap_or(0);
-                    let leader = field(&e.detail, "leader").unwrap_or(0);
-                    let watermark = field(&e.detail, "watermark").unwrap_or(0);
-                    if epoch <= t.verdict.max_epoch && t.verdict.view_changes > 1 {
-                        t.verdict.epoch_regressions += 1;
-                    }
-                    match t.leaders_by_epoch.get(&epoch) {
-                        Some(&known) if known != leader => t.verdict.split_brain += 1,
-                        _ => {
-                            t.leaders_by_epoch.insert(epoch, leader);
-                        }
-                    }
-                    if watermark < t.verdict.max_committed {
-                        t.verdict.lost_committed += 1;
-                    }
-                    t.verdict.max_epoch = t.verdict.max_epoch.max(epoch);
-                    t.verdict.max_committed = t.verdict.max_committed.max(watermark);
+/// Replays `events` (in stream order, which is virtual-time order) and
+/// audits every replicated group found in it: one verdict per group, in
+/// group-id order. See the module docs for the invariants.
+pub fn verify_consistency(events: &[Event]) -> ConsistencyReport {
+    #[derive(Default)]
+    struct Track {
+        verdict: GroupConsistency,
+        leaders_by_epoch: BTreeMap<u64, u64>,
+    }
+    let mut tracks: BTreeMap<u64, Track> = BTreeMap::new();
+    for e in events {
+        let Some(group) = field(&e.detail, "group") else {
+            continue;
+        };
+        match e.kind {
+            EventKind::ViewChange => {
+                let t = tracks.entry(group).or_default();
+                t.verdict.group = group;
+                t.verdict.view_changes += 1;
+                let epoch = field(&e.detail, "epoch").unwrap_or(0);
+                let leader = field(&e.detail, "leader").unwrap_or(0);
+                let watermark = field(&e.detail, "watermark").unwrap_or(0);
+                if epoch <= t.verdict.max_epoch && t.verdict.view_changes > 1 {
+                    t.verdict.epoch_regressions += 1;
                 }
-                EventKind::QuorumCommit => {
-                    let t = tracks.entry(group).or_default();
-                    t.verdict.group = group;
-                    t.verdict.commits += 1;
-                    let epoch = field(&e.detail, "epoch").unwrap_or(0);
-                    let seq = field(&e.detail, "seq").unwrap_or(0);
-                    // A commit under an epoch older than the installed
-                    // one means a deposed leader assembled a quorum —
-                    // exactly the split-brain the fencing must prevent.
-                    if epoch < t.verdict.max_epoch {
-                        t.verdict.split_brain += 1;
-                    }
-                    t.verdict.max_committed = t.verdict.max_committed.max(seq);
-                }
-                EventKind::FencedWrite => {
-                    let t = tracks.entry(group).or_default();
-                    t.verdict.group = group;
-                    t.verdict.fenced_writes += 1;
-                }
-                EventKind::ReplicaRead => {
-                    let t = tracks.entry(group).or_default();
-                    t.verdict.group = group;
-                    t.verdict.reads += 1;
-                    if let Some(commit) = field(&e.detail, "commit") {
-                        if commit > t.verdict.max_committed {
-                            t.verdict.dirty_reads += 1;
-                        }
+                match t.leaders_by_epoch.get(&epoch) {
+                    Some(&known) if known != leader => t.verdict.split_brain += 1,
+                    _ => {
+                        t.leaders_by_epoch.insert(epoch, leader);
                     }
                 }
-                _ => {}
+                if watermark < t.verdict.max_committed {
+                    t.verdict.lost_committed += 1;
+                }
+                t.verdict.max_epoch = t.verdict.max_epoch.max(epoch);
+                t.verdict.max_committed = t.verdict.max_committed.max(watermark);
             }
+            EventKind::QuorumCommit => {
+                let t = tracks.entry(group).or_default();
+                t.verdict.group = group;
+                t.verdict.commits += 1;
+                let epoch = field(&e.detail, "epoch").unwrap_or(0);
+                let seq = field(&e.detail, "seq").unwrap_or(0);
+                // A commit under an epoch older than the installed
+                // one means a deposed leader assembled a quorum —
+                // exactly the split-brain the fencing must prevent.
+                if epoch < t.verdict.max_epoch {
+                    t.verdict.split_brain += 1;
+                }
+                t.verdict.max_committed = t.verdict.max_committed.max(seq);
+            }
+            EventKind::FencedWrite => {
+                let t = tracks.entry(group).or_default();
+                t.verdict.group = group;
+                t.verdict.fenced_writes += 1;
+            }
+            EventKind::ReplicaRead => {
+                let t = tracks.entry(group).or_default();
+                t.verdict.group = group;
+                t.verdict.reads += 1;
+                if let Some(commit) = field(&e.detail, "commit") {
+                    if commit > t.verdict.max_committed {
+                        t.verdict.dirty_reads += 1;
+                    }
+                }
+            }
+            _ => {}
         }
-        ConsistencyReport {
-            groups: tracks.into_values().map(|t| t.verdict).collect(),
-        }
+    }
+    ConsistencyReport {
+        groups: tracks.into_values().map(|t| t.verdict).collect(),
     }
 }
 
@@ -169,17 +164,14 @@ pub struct ConsistencyReport {
     pub groups: Vec<GroupConsistency>,
 }
 
-impl ConsistencyReport {
-    /// Audits the current observe event stream.
-    pub fn gather() -> Self {
-        GroupOracle::analyse(&bus::snapshot_events())
-    }
-
-    /// Whether every group satisfied every safety invariant.
-    pub fn clean(&self) -> bool {
+/// Clean when every group satisfied every safety invariant.
+impl Verdict for ConsistencyReport {
+    fn clean(&self) -> bool {
         self.groups.iter().all(GroupConsistency::clean)
     }
+}
 
+impl ConsistencyReport {
     /// Total split-brain observations across groups (must be zero).
     pub fn split_brain(&self) -> u64 {
         self.groups.iter().map(|g| g.split_brain).sum()
@@ -193,33 +185,6 @@ impl ConsistencyReport {
     /// Total fenced stale writes/reads across groups.
     pub fn fenced_writes(&self) -> u64 {
         self.groups.iter().map(|g| g.fenced_writes).sum()
-    }
-
-    /// Deterministic text rendering: one line per group plus a verdict.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for g in &self.groups {
-            out.push_str(&format!(
-                "group {} views={} max_epoch={} commits={} max_committed={} fenced={} reads={} \
-                 split_brain={} lost_committed={} epoch_regressions={} dirty_reads={}\n",
-                g.group,
-                g.view_changes,
-                g.max_epoch,
-                g.commits,
-                g.max_committed,
-                g.fenced_writes,
-                g.reads,
-                g.split_brain,
-                g.lost_committed,
-                g.epoch_regressions,
-                g.dirty_reads,
-            ));
-        }
-        out.push_str(&format!(
-            "consistency={}\n",
-            if self.clean() { "clean" } else { "VIOLATED" }
-        ));
-        out
     }
 }
 
@@ -298,10 +263,10 @@ mod tests {
             ),
             commit(60, "group=1 epoch=2 seq=3 acks=2"),
         ];
-        let report = GroupOracle::analyse(&events);
+        let report = verify_consistency(&events);
         assert_eq!(report.groups.len(), 1);
         let g = &report.groups[0];
-        assert!(g.clean(), "{}", report.render());
+        report.assert_clean("a clean history");
         assert_eq!(g.max_epoch, 2);
         assert_eq!(g.max_committed, 3);
         assert_eq!(g.fenced_writes, 1);
@@ -318,7 +283,7 @@ mod tests {
             // The old leader somehow still commits under epoch 1.
             commit(30, "group=1 epoch=1 seq=1 acks=2"),
         ];
-        let report = GroupOracle::analyse(&events);
+        let report = verify_consistency(&events);
         assert_eq!(report.split_brain(), 1);
         assert!(!report.clean());
     }
@@ -329,7 +294,7 @@ mod tests {
             view(10, "group=1 epoch=1 leader=4 members=3 acks=2 watermark=0"),
             view(20, "group=1 epoch=1 leader=9 members=3 acks=2 watermark=0"),
         ];
-        let report = GroupOracle::analyse(&events);
+        let report = verify_consistency(&events);
         assert_eq!(report.split_brain(), 1);
         // The non-raising second install is also an epoch regression.
         assert_eq!(report.groups[0].epoch_regressions, 1);
@@ -343,7 +308,7 @@ mod tests {
             // New view elected a leader that never saw seq 5.
             view(30, "group=1 epoch=2 leader=5 members=3 acks=2 watermark=3"),
         ];
-        let report = GroupOracle::analyse(&events);
+        let report = verify_consistency(&events);
         assert_eq!(report.lost_committed(), 1);
         assert!(!report.clean());
     }
@@ -360,7 +325,7 @@ mod tests {
                 "group=1 epoch=1 commit=4 n=9 replica=4",
             ),
         ];
-        let report = GroupOracle::analyse(&events);
+        let report = verify_consistency(&events);
         assert_eq!(report.groups[0].dirty_reads, 1);
         assert!(!report.clean());
     }
@@ -373,7 +338,7 @@ mod tests {
             commit(30, "group=2 epoch=1 seq=1 acks=2"),
             view(40, "group=2 epoch=1 leader=8 members=3 acks=2 watermark=1"),
         ];
-        let report = GroupOracle::analyse(&events);
+        let report = verify_consistency(&events);
         assert_eq!(report.groups.len(), 2);
         assert!(report.groups[0].clean());
         assert_eq!(report.groups[1].split_brain, 1);

@@ -1,8 +1,8 @@
 //! Recovery oracles: judging whether the system actually recovered.
 //!
-//! The [`RecoveryOracle`] reads the observe bus's event stream — the
-//! same stream every layer already emits into — and computes, per
-//! applied fault:
+//! [`verify_recovery`] reads the event stream it is handed — the same
+//! stream every layer already emits into — and computes, per applied
+//! fault:
 //!
 //! - **MTTR**: virtual time from fault injection to the first reply
 //!   delivered to the client afterwards (the client-visible moment
@@ -13,14 +13,16 @@
 //!
 //! Safety invariants (no lost committed transactions, no duplicate
 //! side-effects) are judged by the callers that know the application
-//! semantics; this module supplies the counter-based half
-//! ([`RecoveryReport::gather`] snapshots the dedup and breaker
-//! counters, whose invariant `duplicate_dispatches == 0` is the
-//! at-most-once execution guarantee).
+//! semantics; this module supplies the counter-based half (the dedup
+//! and breaker counters of the [`Registry`] it is handed, whose
+//! invariant `duplicate_dispatches == 0` is the at-most-once execution
+//! guarantee).
 
 use rmodp_engineering::nucleus::DRIVER_PORT;
 use rmodp_observe::json::{Fixed, ToJson};
-use rmodp_observe::{bus, json_into, Event, EventKind, Layer};
+use rmodp_observe::metrics::Registry;
+use rmodp_observe::oracle::Verdict;
+use rmodp_observe::{json_into, Event, EventKind, Layer};
 
 use crate::inject::AppliedFault;
 
@@ -50,97 +52,6 @@ pub struct FaultRecovery {
     pub availability: f64,
 }
 
-/// Judges client-visible recovery from the observe event stream.
-///
-/// The measurement basis: netsim emits `Send` events located at the
-/// source address and `Deliver` events located at the destination, so
-/// the client's outbound requests are `Send` at `(client, DRIVER_PORT)`
-/// and the replies it actually received are `Deliver` at the same
-/// coordinates.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryOracle {
-    /// Netsim node index of the client, as recorded in event metadata.
-    pub client_node: u64,
-}
-
-impl RecoveryOracle {
-    /// An oracle watching the given client sim-node index.
-    pub fn new(client_node: u64) -> Self {
-        Self { client_node }
-    }
-
-    fn is_client_send(&self, e: &Event) -> bool {
-        e.layer == Layer::Netsim
-            && e.kind == EventKind::Send
-            && e.node == Some(self.client_node)
-            && e.port == Some(DRIVER_PORT as u64)
-    }
-
-    fn is_client_deliver(&self, e: &Event) -> bool {
-        e.layer == Layer::Netsim
-            && e.kind == EventKind::Deliver
-            && e.node == Some(self.client_node)
-            && e.port == Some(DRIVER_PORT as u64)
-    }
-
-    /// Analyses the event stream against the applied faults.
-    pub fn analyse(&self, events: &[Event], faults: &[AppliedFault]) -> Vec<FaultRecovery> {
-        let trace_end = events.iter().map(|e| e.t_us).max().unwrap_or(0);
-        let send_times: Vec<u64> = events
-            .iter()
-            .filter(|e| self.is_client_send(e))
-            .map(|e| e.t_us)
-            .collect();
-        let deliver_times: Vec<u64> = events
-            .iter()
-            .filter(|e| self.is_client_deliver(e))
-            .map(|e| e.t_us)
-            .collect();
-        faults
-            .iter()
-            .map(|f| {
-                let injected = f.injected_at.as_micros();
-                let cleared = f.cleared_at.map(|t| t.as_micros());
-                let window_end = cleared.unwrap_or(trace_end);
-                // Request/reply payloads are opaque at this layer, so
-                // availability is the window's goodput ratio: replies
-                // delivered during the window over requests sent during
-                // it. A healthy window has roughly one delivery per
-                // send; a dead server yields sends with no deliveries.
-                let sent_in_window = send_times
-                    .iter()
-                    .filter(|&&t| t >= injected && t < window_end)
-                    .count() as u64;
-                let delivered_in_window = deliver_times
-                    .iter()
-                    .filter(|&&t| t >= injected && t < window_end)
-                    .count() as u64;
-                let first_recovery = deliver_times.iter().find(|&&d| d >= injected).copied();
-                let (recovered, mttr_us) = match first_recovery {
-                    Some(d) => (true, d - injected),
-                    None => (false, trace_end.saturating_sub(injected)),
-                };
-                let availability = if sent_in_window == 0 {
-                    1.0
-                } else {
-                    (delivered_in_window as f64 / sent_in_window as f64).min(1.0)
-                };
-                FaultRecovery {
-                    label: f.label.to_string(),
-                    detail: f.detail.clone(),
-                    injected_us: injected,
-                    cleared_us: cleared,
-                    recovered,
-                    mttr_us,
-                    sent_in_window,
-                    delivered_in_window,
-                    availability,
-                }
-            })
-            .collect()
-    }
-}
-
 /// The full recovery verdict for a chaos run: per-fault recoveries plus
 /// the hardened-path counters whose values are the safety half of the
 /// chaos invariants.
@@ -159,60 +70,98 @@ pub struct RecoveryReport {
     pub mean_mttr_us: u64,
 }
 
-impl RecoveryReport {
-    /// Builds the report: analyses the current observe event stream
-    /// against the applied faults and snapshots the hardened-path
-    /// counters.
-    pub fn gather(oracle: &RecoveryOracle, faults: &[AppliedFault]) -> Self {
-        let events = bus::snapshot_events();
-        let verdicts = oracle.analyse(&events, faults);
-        let recovered: Vec<&FaultRecovery> = verdicts.iter().filter(|v| v.recovered).collect();
-        let mean_mttr_us = if recovered.is_empty() {
-            0
-        } else {
-            recovered.iter().map(|v| v.mttr_us).sum::<u64>() / recovered.len() as u64
-        };
-        Self {
-            faults: verdicts,
-            dedup_hits: bus::counter("engineering.dedup.hits"),
-            duplicate_dispatches: bus::counter("engineering.dedup.duplicate_dispatches"),
-            breaker_transitions: bus::counter("engineering.breaker.transitions"),
-            mean_mttr_us,
-        }
-    }
-
-    /// Whether every fault recovered and no duplicate side-effects were
-    /// observed.
-    pub fn clean(&self) -> bool {
-        self.duplicate_dispatches == 0 && self.faults.iter().all(|f| f.recovered)
-    }
-
-    /// Deterministic text rendering: one line per fault plus a counter
-    /// summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for f in &self.faults {
-            let cleared = match f.cleared_us {
-                Some(t) => format!("{t}"),
-                None => "-".to_string(),
+/// Judges client-visible recovery from `events` against the applied
+/// faults, and reads the hardened-path counters from `metrics`.
+///
+/// The measurement basis: netsim emits `Send` events located at the
+/// source address and `Deliver` events located at the destination, so
+/// the client's outbound requests are `Send` at `(client_node,
+/// DRIVER_PORT)` and the replies it actually received are `Deliver` at
+/// the same coordinates (`client_node` is the client's netsim node
+/// index, as recorded in event metadata).
+pub fn verify_recovery(
+    events: &[Event],
+    metrics: &Registry,
+    client_node: u64,
+    faults: &[AppliedFault],
+) -> RecoveryReport {
+    let trace_end = events.iter().map(|e| e.t_us).max().unwrap_or(0);
+    let client_times = |kind: EventKind| -> Vec<u64> {
+        events
+            .iter()
+            .filter(|e| {
+                e.layer == Layer::Netsim
+                    && e.kind == kind
+                    && e.node == Some(client_node)
+                    && e.port == Some(DRIVER_PORT as u64)
+            })
+            .map(|e| e.t_us)
+            .collect()
+    };
+    let send_times = client_times(EventKind::Send);
+    let deliver_times = client_times(EventKind::Deliver);
+    let verdicts: Vec<FaultRecovery> = faults
+        .iter()
+        .map(|f| {
+            let injected = f.injected_at.as_micros();
+            let cleared = f.cleared_at.map(|t| t.as_micros());
+            let window_end = cleared.unwrap_or(trace_end);
+            // Request/reply payloads are opaque at this layer, so
+            // availability is the window's goodput ratio: replies
+            // delivered during the window over requests sent during
+            // it. A healthy window has roughly one delivery per
+            // send; a dead server yields sends with no deliveries.
+            let sent_in_window = send_times
+                .iter()
+                .filter(|&&t| t >= injected && t < window_end)
+                .count() as u64;
+            let delivered_in_window = deliver_times
+                .iter()
+                .filter(|&&t| t >= injected && t < window_end)
+                .count() as u64;
+            let first_recovery = deliver_times.iter().find(|&&d| d >= injected).copied();
+            let (recovered, mttr_us) = match first_recovery {
+                Some(d) => (true, d - injected),
+                None => (false, trace_end.saturating_sub(injected)),
             };
-            out.push_str(&format!(
-                "{:<14} inject={}us clear={}us recovered={} mttr={}us avail={} ({}/{})\n",
-                f.label,
-                f.injected_us,
-                cleared,
-                f.recovered,
-                f.mttr_us,
-                Fixed::<3>(f.availability),
-                f.delivered_in_window,
-                f.sent_in_window,
-            ));
-        }
-        out.push_str(&format!(
-            "dedup_hits={} duplicate_dispatches={} breaker_transitions={} mean_mttr={}us\n",
-            self.dedup_hits, self.duplicate_dispatches, self.breaker_transitions, self.mean_mttr_us
-        ));
-        out
+            let availability = if sent_in_window == 0 {
+                1.0
+            } else {
+                (delivered_in_window as f64 / sent_in_window as f64).min(1.0)
+            };
+            FaultRecovery {
+                label: f.label.to_string(),
+                detail: f.detail.clone(),
+                injected_us: injected,
+                cleared_us: cleared,
+                recovered,
+                mttr_us,
+                sent_in_window,
+                delivered_in_window,
+                availability,
+            }
+        })
+        .collect();
+    let recovered: Vec<&FaultRecovery> = verdicts.iter().filter(|v| v.recovered).collect();
+    let mean_mttr_us = if recovered.is_empty() {
+        0
+    } else {
+        recovered.iter().map(|v| v.mttr_us).sum::<u64>() / recovered.len() as u64
+    };
+    RecoveryReport {
+        faults: verdicts,
+        dedup_hits: metrics.counter("engineering.dedup.hits"),
+        duplicate_dispatches: metrics.counter("engineering.dedup.duplicate_dispatches"),
+        breaker_transitions: metrics.counter("engineering.breaker.transitions"),
+        mean_mttr_us,
+    }
+}
+
+/// Clean when every fault recovered and no duplicate side-effects were
+/// observed.
+impl Verdict for RecoveryReport {
+    fn clean(&self) -> bool {
+        self.duplicate_dispatches == 0 && self.faults.iter().all(|f| f.recovered)
     }
 }
 
@@ -270,6 +219,12 @@ mod tests {
         }
     }
 
+    /// The per-fault verdicts for client node 2 and one fault held from
+    /// 1 000 to 1 500 us.
+    fn analyse(events: &[Event]) -> Vec<FaultRecovery> {
+        verify_recovery(events, &Registry::default(), 2, &[fault(1_000, 1_500)]).faults
+    }
+
     #[test]
     fn mttr_is_first_delivery_after_injection() {
         let events = vec![
@@ -278,8 +233,7 @@ mod tests {
             ev(EventKind::Send, 1_100, 2, 1),
             ev(EventKind::Deliver, 1_700, 2, 1),
         ];
-        let oracle = RecoveryOracle::new(2);
-        let out = oracle.analyse(&events, &[fault(1_000, 1_500)]);
+        let out = analyse(&events);
         assert_eq!(out.len(), 1);
         assert!(out[0].recovered);
         assert_eq!(out[0].mttr_us, 700);
@@ -296,8 +250,7 @@ mod tests {
             ev(EventKind::Send, 1_200, 2, 1),
             ev(EventKind::Deliver, 1_150, 2, 1),
         ];
-        let oracle = RecoveryOracle::new(2);
-        let out = oracle.analyse(&events, &[fault(1_000, 1_500)]);
+        let out = analyse(&events);
         assert_eq!(out[0].sent_in_window, 2);
         assert_eq!(out[0].delivered_in_window, 1);
         assert!((out[0].availability - 0.5).abs() < 1e-9);
@@ -306,10 +259,21 @@ mod tests {
     #[test]
     fn no_delivery_means_not_recovered() {
         let events = vec![ev(EventKind::Send, 1_100, 2, 1)];
-        let oracle = RecoveryOracle::new(2);
-        let out = oracle.analyse(&events, &[fault(1_000, 1_500)]);
+        let out = analyse(&events);
         assert!(!out[0].recovered);
         assert_eq!(out[0].mttr_us, 100);
+    }
+
+    #[test]
+    fn counters_come_from_the_registry_handed_in() {
+        let mut metrics = Registry::default();
+        metrics.counter_add("engineering.dedup.hits", 3);
+        metrics.counter_add("engineering.dedup.duplicate_dispatches", 1);
+        let events = vec![ev(EventKind::Deliver, 1_100, 2, 1)];
+        let report = verify_recovery(&events, &metrics, 2, &[fault(1_000, 1_500)]);
+        assert_eq!(report.dedup_hits, 3);
+        assert!(report.faults[0].recovered);
+        assert!(!report.clean(), "a duplicate dispatch is unclean");
     }
 
     #[test]
@@ -318,8 +282,7 @@ mod tests {
             ev(EventKind::Send, 1_100, 7, 1),
             ev(EventKind::Deliver, 1_200, 7, 1),
         ];
-        let oracle = RecoveryOracle::new(2);
-        let out = oracle.analyse(&events, &[fault(1_000, 1_500)]);
+        let out = analyse(&events);
         assert_eq!(out[0].sent_in_window, 0);
         assert!((out[0].availability - 1.0).abs() < 1e-9);
     }

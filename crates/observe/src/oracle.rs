@@ -3,9 +3,31 @@
 //! A trace is not just for reading: it encodes invariants the stack must
 //! uphold. [`verify_causality`] checks them and is run by the property
 //! tests over every scenario's trace.
+//!
+//! Every oracle in the workspace has the one shape [`Verdict`] names: a
+//! function of the events and counters it is handed (never of the bus,
+//! so it judges a merged shard stream or a replayed one unchanged) that
+//! returns a report which says whether it is clean and renders only as
+//! JSON (DESIGN.md, "One verdict shape").
 
 use crate::event::{Event, EventKind};
+use crate::json::ToJson;
+use crate::json_into;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// An oracle's report: whether the invariants it checks held, and the
+/// evidence as JSON.
+pub trait Verdict: ToJson {
+    /// Whether every invariant held.
+    fn clean(&self) -> bool;
+
+    /// Panics unless the report is clean, with `what` and the report's
+    /// JSON as the message.
+    #[track_caller]
+    fn assert_clean(&self, what: &str) {
+        assert!(self.clean(), "{what}: {}", self.to_json());
+    }
+}
 
 /// Violations found by [`verify_causality`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,25 +55,31 @@ pub enum CausalityViolation {
     },
 }
 
-impl std::fmt::Display for CausalityViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
+/// One JSON object per violation: its kind, and the event or span where
+/// the trace breaks.
+impl ToJson for CausalityViolation {
+    fn write_json(&self, out: &mut String) {
+        match *self {
             CausalityViolation::DeliverWithoutSend { seq } => {
-                write!(
-                    f,
-                    "deliver #{seq} has no causally-preceding send in its span"
-                )
+                json_into!(out, {"violation": "deliver_without_send", "seq": seq})
             }
             CausalityViolation::DeliverBeforeSend { seq } => {
-                write!(f, "deliver #{seq} precedes its send in sim time")
+                json_into!(out, {"violation": "deliver_before_send", "seq": seq})
             }
             CausalityViolation::SpanCycle { span } => {
-                write!(f, "span {span} participates in a parent cycle")
+                json_into!(out, {"violation": "span_cycle", "span": span})
             }
             CausalityViolation::DisorderedStream { seq } => {
-                write!(f, "event stream loses order at #{seq}")
+                json_into!(out, {"violation": "disordered_stream", "seq": seq})
             }
         }
+    }
+}
+
+/// The causality verdict is the list of violations: clean when empty.
+impl Verdict for Vec<CausalityViolation> {
+    fn clean(&self) -> bool {
+        self.is_empty()
     }
 }
 
@@ -184,5 +212,39 @@ mod tests {
         ];
         let v = verify_causality(&evs);
         assert!(matches!(v[0], CausalityViolation::SpanCycle { .. }));
+    }
+
+    #[test]
+    fn each_violation_renders_its_kind_and_place() {
+        let table = [
+            (
+                CausalityViolation::DeliverWithoutSend { seq: 3 },
+                r#"{"violation":"deliver_without_send","seq":3}"#,
+            ),
+            (
+                CausalityViolation::DeliverBeforeSend { seq: 4 },
+                r#"{"violation":"deliver_before_send","seq":4}"#,
+            ),
+            (
+                CausalityViolation::SpanCycle { span: 9 },
+                r#"{"violation":"span_cycle","span":9}"#,
+            ),
+            (
+                CausalityViolation::DisorderedStream { seq: 12 },
+                r#"{"violation":"disordered_stream","seq":12}"#,
+            ),
+        ];
+        for (violation, want) in table {
+            assert_eq!(violation.to_json(), want);
+        }
+        assert!(Vec::<CausalityViolation>::new().clean());
+        assert_eq!(Vec::<CausalityViolation>::new().to_json(), "[]");
+    }
+
+    #[test]
+    #[should_panic(expected = r#"orphan trace: [{"violation":"deliver_without_send","seq":0}]"#)]
+    fn assert_clean_names_the_violation_as_json() {
+        let evs = vec![ev(0, 3, EventKind::Deliver, Some(7), None)];
+        verify_causality(&evs).assert_clean("orphan trace");
     }
 }

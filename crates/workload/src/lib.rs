@@ -17,8 +17,8 @@
 //!   contract to judge against;
 //! - [`driver`] — executes a scenario against an [`Engine`] channel on
 //!   simulated time, keeping many requests in flight;
-//! - [`slo`] — evaluates the run against the contract and renders a
-//!   deterministic verdict report (text table and JSON).
+//! - [`slo`] — evaluates the run against the contract into a
+//!   deterministic verdict report, rendered as JSON.
 //!
 //! Everything runs on `rmodp-netsim` virtual time with seeded RNG: the
 //! same scenario and seed on the same deployment yields a byte-identical
@@ -61,7 +61,7 @@
 //!
 //! let (stats, report) = run_scenario(&mut engine, channel, &scenario);
 //! assert_eq!(stats.lost, 0);
-//! assert!(report.pass, "{}", report.render());
+//! report.assert_clean("the smoke scenario's contract");
 //! # Ok(())
 //! # }
 //! ```
@@ -94,4 +94,5 @@ pub mod prelude {
     pub use crate::scenario::{LoadModel, OpMixEntry, OperationMix, Scenario};
     pub use crate::slo::{evaluate, SloClause, SloReport};
     pub use rmodp_observe::json::ToJson;
+    pub use rmodp_observe::oracle::Verdict;
 }

@@ -723,6 +723,7 @@ fn render_export(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmodp_observe::oracle::Verdict;
 
     fn small(scenario: PopulationScenario, shards: usize) -> PopulationConfig {
         let mut config = PopulationConfig::new(scenario, 7, shards);
@@ -915,7 +916,7 @@ mod tests {
         let base = run_population(&small(PopulationScenario::Bank, 1));
         assert_eq!(base.stats.offered, 4 * 8 * 2);
         assert_eq!(base.stats.lost, 0);
-        assert!(base.report.pass, "{}", base.report.render());
+        base.report.assert_clean("the unsharded bank run");
         for shards in [2, 4] {
             let run = run_population(&small(PopulationScenario::Bank, shards));
             assert!(run.cross_shard_messages > 0, "routing exercises shards");

@@ -11,13 +11,15 @@
 //!   admission rejections and losses count against availability;
 //! * `reliable_delivery` — demands zero lost (unanswered) requests.
 //!
-//! Rendering and JSON are fully deterministic: integer microseconds,
-//! fixed-precision floats, fields in a fixed order.
+//! The report is a [`Verdict`] whose one rendering is JSON, fully
+//! deterministic: integer microseconds, fixed-precision floats, fields
+//! in a fixed order.
 //!
 //! [`QosRequirement`]: rmodp_core::contract::QosRequirement
 
 use rmodp_observe::json::{Fixed, ToJson};
 use rmodp_observe::json_into;
+use rmodp_observe::oracle::Verdict;
 
 use crate::driver::RunStats;
 use crate::scenario::Scenario;
@@ -166,60 +168,10 @@ pub fn evaluate(scenario: &Scenario, stats: &RunStats) -> SloReport {
     }
 }
 
-impl SloReport {
-    /// Renders the report as an aligned, deterministic text table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "scenario {:<24} seed {:<8} {}\n",
-            self.scenario, self.seed, self.load
-        ));
-        out.push_str(&format!(
-            "  window {}us  elapsed {}us\n",
-            self.duration_us, self.elapsed_us
-        ));
-        out.push_str(&format!(
-            "  offered {} ({}/s)  completed {} ({}/s)  rejected {}  errors {}  lost {}  shed {}\n",
-            self.offered,
-            Fixed::<3>(self.offered_per_sec),
-            self.completed,
-            Fixed::<3>(self.achieved_per_sec),
-            self.rejected,
-            self.errors,
-            self.lost,
-            self.admission_shed,
-        ));
-        out.push_str(&format!(
-            "  latency (us, {} samples): p50 {}  p95 {}  p99 {}  mean {}  max {}\n",
-            self.latency_samples,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            Fixed::<3>(self.mean_us),
-            self.max_us,
-        ));
-        if self.clauses.is_empty() {
-            out.push_str("  contract: (none)\n");
-        } else {
-            out.push_str(&format!(
-                "  {:<22} {:>14} {:>14}  verdict\n",
-                "clause", "bound", "achieved"
-            ));
-            for c in &self.clauses {
-                out.push_str(&format!(
-                    "  {:<22} {:>14} {:>14}  {}\n",
-                    c.name,
-                    c.bound,
-                    c.achieved,
-                    if c.pass { "PASS" } else { "FAIL" }
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "  verdict: {}\n",
-            if self.pass { "PASS" } else { "FAIL" }
-        ));
-        out
+/// Clean when every contract clause held.
+impl Verdict for SloReport {
+    fn clean(&self) -> bool {
+        self.pass
     }
 }
 
@@ -305,7 +257,7 @@ mod tests {
         );
         let report = evaluate(&sc, &stats(100, 100, &[1000, 2000, 3000]));
         assert_eq!(report.clauses.len(), 4);
-        assert!(report.pass, "{}", report.render());
+        report.assert_clean("every clause holds");
         assert_eq!(report.achieved_per_sec, 100.0);
     }
 
@@ -333,7 +285,7 @@ mod tests {
         let report = evaluate(&sc, &stats(1, 1, &[10]));
         assert!(report.clauses.is_empty());
         assert!(report.pass);
-        assert!(report.render().contains("contract: (none)"));
+        assert!(report.to_json().contains(r#""clauses":[]"#));
     }
 
     #[test]

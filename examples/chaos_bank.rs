@@ -135,10 +135,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The recovery timeline, judged from the observe stream.
-    let oracle = RecoveryOracle::new(customer_idx.0 as u64);
-    let report = RecoveryReport::gather(&oracle, injector.applied());
+    let report = verify_recovery(
+        &bus::snapshot_events(),
+        &bus::snapshot_metrics(),
+        customer_idx.0 as u64,
+        injector.applied(),
+    );
     println!("\nrecovery timeline:");
-    print!("{}", report.render());
+    println!("{}", report.to_json());
     for f in &report.faults {
         let verdict = if f.recovered { "RECOVERED" } else { "STUCK" };
         println!(
@@ -148,7 +152,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             f.availability * 100.0,
         );
     }
-    assert!(report.clean(), "chaos invariants violated");
+    report.assert_clean("chaos invariants");
     assert_eq!(report.duplicate_dispatches, 0);
     println!(
         "\nSLO verdict: all faults recovered, no duplicate side-effects \
@@ -156,6 +160,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.dedup_hits, report.breaker_transitions
     );
     println!("network: {}", sys.engine.sim().metrics());
-    let _ = bus::snapshot_events();
     Ok(())
 }

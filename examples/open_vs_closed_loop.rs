@@ -11,7 +11,7 @@
 //!   their reply (plus a think time), so offered load self-limits and
 //!   nothing is shed.
 //!
-//! Both runs print the SLO verdict table; the contrast *is* the lesson:
+//! Both runs print the SLO verdict as JSON; the contrast *is* the lesson:
 //! identical system, identical contract, different load model, opposite
 //! verdicts on availability.
 //!
@@ -116,14 +116,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_contract(contract());
         let (stats, report) = run_scenario(&mut sys.engine, teller_ch, &scenario);
         let violations = oracle::verify_causality(&bus::snapshot_events());
-        println!("{}", report.render());
+        println!("{}", report.to_json());
         println!(
             "  causal oracle: {} violations; server shed {} of {} offered\n",
             violations.len(),
             stats.admission_shed,
             stats.offered
         );
-        assert!(violations.is_empty(), "causality must hold under overload");
+        violations.assert_clean("causality under overload");
     }
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! the engineering dedup cache to a tiny capacity and demands
 //! at-most-once execution *across* evictions.
 
-use rmodp::chaos::prelude::{ConsistencyReport, ToJson};
+use rmodp::chaos::prelude::{verify_consistency, ToJson, Verdict};
 use rmodp::core::codec::SyntaxId;
 use rmodp::core::id::InterfaceId;
 use rmodp::core::value::Value;
@@ -80,8 +80,8 @@ fn quorum_schedule(seed: u64) -> String {
         "the fenced write was never committed"
     );
 
-    let oracle = ConsistencyReport::gather();
-    assert!(oracle.clean(), "oracle unclean:\n{}", oracle.render());
+    let oracle = verify_consistency(&bus::snapshot_events());
+    oracle.assert_clean("the consistency oracle");
     assert!(oracle.fenced_writes() > 0, "the schedule exercised fencing");
     assert_eq!(oracle.split_brain(), 0, "at most one leader per epoch");
     assert_eq!(oracle.lost_committed(), 0, "no committed update was lost");

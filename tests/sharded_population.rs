@@ -6,6 +6,7 @@
 use rmodp_chaos::plan::{FaultKind, FaultPlan};
 use rmodp_netsim::sim::NodeIdx;
 use rmodp_netsim::time::SimDuration;
+use rmodp_observe::oracle::Verdict;
 use rmodp_workload::population::{
     run_population, run_population_with, PopulationConfig, PopulationScenario,
 };
@@ -25,7 +26,7 @@ fn bank_branch_runs_are_identical_at_shard_counts_1_2_4() {
     let base = run_population(&config(PopulationScenario::Bank, 1));
     assert_eq!(base.stats.offered, 6 * 32 * 3, "every op was issued");
     assert_eq!(base.stats.lost, 0, "no faults, no losses");
-    assert!(base.report.pass, "{}", base.report.render());
+    base.report.assert_clean("the unsharded bank run");
 
     for (shards, threaded) in [(2, false), (2, true), (4, false), (4, true)] {
         let at = format!("at {shards} shards, threaded: {threaded}");

@@ -476,6 +476,23 @@ const RULES: &[Rule] = &[
         copies: 0,
     },
     Rule {
+        name: "an oracle judges what it is handed",
+        why: "an oracle is a function of the events and counters its caller passes \
+              (`bus::snapshot_events()`, `bus::snapshot_metrics()` at the call site), so it \
+              judges a merged shard stream or a replayed one unchanged; its report is a \
+              `Verdict` that renders only through `ToJson` (DESIGN.md, \"One verdict shape\")",
+        roots: &[
+            "crates/observe/src/oracle.rs",
+            "crates/chaos/src/oracle.rs",
+            "crates/chaos/src/linear.rs",
+            "crates/workload/src/slo.rs",
+        ],
+        patterns: &[Literal("bus::"), Literal("fn render")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 0,
+    },
+    Rule {
         name: "the binary layout is read once",
         why: "as for the text grammar: `Reader::value_at` is the one reading of the layout",
         roots: &["crates/core/src/codec"],
@@ -1271,6 +1288,22 @@ assert_eq!(s, "{\"has space\": 1, \"true\": 2}");
         "the quote escape moved"
     );
     assert_eq!(offending_lines(&rule, &codec), Vec::<usize>::new());
+}
+
+#[test]
+fn an_oracle_that_reads_the_bus_or_renders_text_is_flagged() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "an oracle judges what it is handed")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        use rmodp_observe::json::ToJson;\n\
+        let events = bus::snapshot_events();\n\
+        pub fn render(&self) -> String {\n\
+        pub fn verify_consistency(events: &[Event]) -> ConsistencyReport {\n\
+        #[cfg(test)]\n\
+        let events = bus::snapshot_events();\n";
+    assert_eq!(offending_lines(rule, text), vec![2, 3]);
 }
 
 #[test]
