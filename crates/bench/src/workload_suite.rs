@@ -127,8 +127,9 @@ fn run_case(case: &Case) -> (SloReport, usize) {
     let mut rig = counter_rig(case.scenario.seed, SyntaxId::Text);
     if let Some(admission) = case.admission {
         rig.engine
-            .set_admission(rig.server, admission)
-            .expect("server node exists");
+            .nucleus_mut(rig.server)
+            .expect("server node exists")
+            .set_admission(admission);
     }
     let channel = open(&mut rig, ChannelConfig::default());
     let (_stats, report) = run_scenario(&mut rig.engine, channel, &case.scenario);

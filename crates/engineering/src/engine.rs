@@ -11,6 +11,7 @@ use rmodp_core::codec::{syntax_for, SyntaxId};
 use rmodp_core::id::{CapsuleId, ChannelId, ClusterId, IdGen, InterfaceId, NodeId, ObjectId};
 use rmodp_core::value::Value;
 use rmodp_kernel::payload::Payload;
+use rmodp_kernel::shard::ShardWorld;
 use rmodp_kernel::World;
 use rmodp_netsim::sim::{Addr, NodeIdx, Sim};
 use rmodp_netsim::time::{SimDuration, SimTime};
@@ -21,9 +22,7 @@ use crate::channel::{
     BreakerConfig, BreakerPhase, ChannelConfig, ChannelError, RetryPolicy, Stack,
 };
 use crate::envelope::{Envelope, EnvelopeKind, ReplyStatus};
-use crate::nucleus::{
-    AdmissionConfig, DriverProcess, NucleusProcess, NucleusStats, DRIVER_PORT, NUCLEUS_PORT,
-};
+use crate::nucleus::{DriverProcess, NucleusProcess, DRIVER_PORT, NUCLEUS_PORT};
 use crate::structure::{BeoRecord, ClusterCheckpoint, InterfaceRef, Location, StructurePolicy};
 use crate::wire;
 
@@ -183,6 +182,21 @@ struct Route {
     nucleus: Addr,
 }
 
+/// One interrogation between its `CallStart` and its `CallEnd`: what
+/// [`Engine::open`] made and [`Engine::close`] needs. A blocking call
+/// keeps it on the stack; an asynchronous one waits in the engine's
+/// pending table until its reply is collected.
+#[derive(Debug, Clone, Copy)]
+struct Call {
+    channel: ChannelId,
+    route: Route,
+    /// One id for the whole call: retransmissions carry it too, so the
+    /// server's dedup cache can suppress duplicates.
+    request: u64,
+    span: u64,
+    started: SimTime,
+}
+
 struct ClientChannel {
     client: NodeId,
     target: InterfaceId,
@@ -212,10 +226,11 @@ pub struct Engine {
     object_gen: IdGen<ObjectId>,
     interface_gen: IdGen<InterfaceId>,
     channel_gen: IdGen<ChannelId>,
+    /// The last request id handed out; the first is 1.
     next_request: u64,
-    /// Call spans of in-flight [`Engine::call_send`] requests, so
-    /// [`Engine::take_reply`] can close them with a `CallEnd` event.
-    pending_calls: BTreeMap<u64, (u64, String)>,
+    /// In-flight [`Engine::call_send`] requests by id, with their
+    /// operation names, so [`Engine::take_reply`] can close them.
+    pending_calls: BTreeMap<u64, (Call, String)>,
     /// Deterministic jitter for retransmission backoff; a separate
     /// stream from the simulator's RNG so retry pacing never perturbs
     /// loss/latency draws.
@@ -254,7 +269,7 @@ impl Engine {
             object_gen: IdGen::new(),
             interface_gen: IdGen::new(),
             channel_gen: IdGen::new(),
-            next_request: 1,
+            next_request: 0,
             pending_calls: BTreeMap::new(),
             jitter_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
         }
@@ -301,14 +316,25 @@ impl Engine {
         Ok(Addr::new(self.handle(node)?.sim_node, NUCLEUS_PORT))
     }
 
-    fn nucleus_mut(&mut self, node: NodeId) -> Result<&mut NucleusProcess, EngError> {
+    /// A node's nucleus, to configure (admission control, the dedup
+    /// cache's bound) or to read (its structure, counters and caches).
+    ///
+    /// # Errors
+    ///
+    /// Unknown node.
+    pub fn nucleus_mut(&mut self, node: NodeId) -> Result<&mut NucleusProcess, EngError> {
         let addr = self.nucleus_addr(node)?;
         self.sim
             .inspect_mut::<NucleusProcess>(addr)
             .ok_or(EngError::UnknownNode { node })
     }
 
-    fn nucleus(&self, node: NodeId) -> Result<&NucleusProcess, EngError> {
+    /// A node's nucleus, read-only: see [`Engine::nucleus_mut`].
+    ///
+    /// # Errors
+    ///
+    /// Unknown node.
+    pub fn nucleus(&self, node: NodeId) -> Result<&NucleusProcess, EngError> {
         let addr = self.nucleus_addr(node)?;
         self.sim
             .inspect::<NucleusProcess>(addr)
@@ -607,12 +633,6 @@ impl Engine {
         self.sim.inspect_mut::<DriverProcess>(driver)
     }
 
-    fn fresh_request(&mut self) -> u64 {
-        let id = self.next_request;
-        self.next_request += 1;
-        id
-    }
-
     /// The invocation record for `op(args)` in a client's native syntax.
     fn invocation_payload(native: SyntaxId, op: &str, args: &Value) -> Payload {
         let mut bytes = Vec::new();
@@ -652,7 +672,9 @@ impl Engine {
         op: &str,
         args: &Value,
     ) -> Result<Termination, CallError> {
-        self.call_inner(channel, op, args, None)
+        self.call_blocking(channel, op, |native| {
+            Self::invocation_payload(native, op, args)
+        })
     }
 
     /// Encodes an invocation once in a client node's native syntax. Pair
@@ -687,48 +709,87 @@ impl Engine {
         op: &str,
         prepared: &Payload,
     ) -> Result<Termination, CallError> {
-        self.call_inner(channel, op, &Value::Null, Some(prepared))
+        self.call_blocking(channel, op, |_| prepared.clone())
     }
 
-    fn call_inner(
+    /// Opens an interrogation: resolves the channel, takes a fresh
+    /// request id, emits the one `CallStart` and pushes the call's span
+    /// as the causal context until [`Engine::close`] pops it. `encode`
+    /// writes the invocation in the client's native syntax. Returns the
+    /// record and the request envelope, not yet transmitted: a blocking
+    /// call passes its circuit breaker first.
+    fn open(
         &mut self,
         channel: ChannelId,
         op: &str,
-        args: &Value,
-        prepared: Option<&Payload>,
-    ) -> Result<Termination, CallError> {
-        let span = bus::new_span();
+        encode: impl FnOnce(SyntaxId) -> Payload,
+    ) -> Result<(Call, Envelope), EngError> {
+        let route = self.route(channel)?;
+        self.next_request += 1;
+        let call = Call {
+            channel,
+            route,
+            request: self.next_request,
+            span: bus::new_span(),
+            started: self.sim.now(),
+        };
         event(Layer::Engineering, EventKind::CallStart)
-            .span(span)
+            .span(call.span)
             .parent_from_context()
             .channel(channel.raw())
             .detail_fmt(format_args!("op={op}"))
             .emit();
-        let started_us = self.sim.now().as_micros();
-        bus::push_context(span);
-        let result = match self.breaker_admit(channel) {
-            Err(e) => Err(e),
-            Ok(()) => {
-                let r = self.call_attempts(channel, op, args, prepared, span);
-                self.breaker_note(channel, matches!(&r, Err(CallError::Timeout { .. })));
-                r
-            }
-        };
+        bus::push_context(call.span);
+        let (target, native) = (route.target, route.native);
+        let env = Envelope::request(channel, call.request, target, native, encode(native));
+        Ok((call, env))
+    }
+
+    /// Closes an interrogation: reads the reply through
+    /// [`Engine::accept_reply`] (or takes the error that ended the call
+    /// first), pops the call's span, emits the one `CallEnd` and counts
+    /// the call.
+    fn close(
+        &mut self,
+        call: Call,
+        op: &str,
+        reply: Result<Envelope, CallError>,
+    ) -> Result<Termination, CallError> {
+        let result = reply.and_then(|reply| self.accept_reply(call, reply));
         bus::pop_context();
         bus::counter_add("engineering.calls", 1);
         bus::observe(
             "engineering.call_us",
-            self.sim.now().as_micros().saturating_sub(started_us),
+            self.sim.now().since(call.started).as_micros(),
         );
         if result.is_err() {
             bus::counter_add("engineering.call_errors", 1);
         }
         event(Layer::Engineering, EventKind::CallEnd)
-            .span(span)
-            .channel(channel.raw())
+            .span(call.span)
+            .channel(call.channel.raw())
             .detail_fmt(format_args!("{}", Self::call_outcome(op, &result)))
             .emit();
         result
+    }
+
+    /// The blocking path: open, pass the circuit breaker, transmit and
+    /// await the reply under the retry policy, note the outcome with the
+    /// breaker, close. Retries and the breaker are blocking-only: they
+    /// count timeouts, and an asynchronous call has none.
+    fn call_blocking(
+        &mut self,
+        channel: ChannelId,
+        op: &str,
+        encode: impl FnOnce(SyntaxId) -> Payload,
+    ) -> Result<Termination, CallError> {
+        let (call, env) = self.open(channel, op, encode)?;
+        let reply = self.breaker_admit(channel).and_then(|()| {
+            let reply = self.transmit_and_await(call, op, env);
+            self.breaker_note(channel, matches!(reply, Err(CallError::Timeout { .. })));
+            reply
+        });
+        self.close(call, op, reply)
     }
 
     /// The `CallEnd` detail text for a finished call.
@@ -746,10 +807,11 @@ impl Engine {
     /// open, move to half-open once the cooldown has elapsed.
     fn breaker_admit(&mut self, channel: ChannelId) -> Result<(), CallError> {
         let now = self.sim.now();
-        let Some(cc) = self.channels.get_mut(&channel) else {
-            return Ok(()); // unknown channel surfaces in call_attempts
-        };
-        let Some(b) = cc.breaker.as_mut() else {
+        let Some(b) = self
+            .channels
+            .get_mut(&channel)
+            .and_then(|cc| cc.breaker.as_mut())
+        else {
             return Ok(());
         };
         if b.phase == BreakerPhase::Open {
@@ -836,36 +898,34 @@ impl Engine {
         bus::counter_add("engineering.breaker.transitions", 1);
     }
 
-    fn call_attempts(
+    /// Transmits a blocking call's request and waits for the reply,
+    /// retransmitting under the channel's retry policy until one arrives
+    /// or the policy's total deadline passes.
+    fn transmit_and_await(
         &mut self,
-        channel: ChannelId,
+        call: Call,
         op: &str,
-        args: &Value,
-        prepared: Option<&Payload>,
-        span: u64,
-    ) -> Result<Termination, CallError> {
-        let route = self.route(channel)?;
+        mut env: Envelope,
+    ) -> Result<Envelope, CallError> {
+        let Call {
+            channel,
+            route,
+            request,
+            span,
+            ..
+        } = call;
         let retry = self.channels[&channel].retry;
-        let payload = match prepared {
-            Some(p) => p.clone(),
-            None => Self::invocation_payload(route.native, op, args),
-        };
-        let attempts = retry.retries + 1;
         let overall = self.sim.now() + retry.deadline;
-        // One request id for the whole call: retransmissions carry the
-        // same id so the server's dedup cache can suppress duplicates.
-        let request_id = self.fresh_request();
 
         // Marshal once per call, not once per attempt: the first
         // transmission runs the outgoing stack and the serialised frame
         // is reused for every retransmission. Only components that must
         // restamp (a sequence binder issuing a fresh number) touch it
         // again, via the event-free `Stack::restamp`.
-        let mut env = Envelope::request(channel, request_id, route.target, route.native, payload);
         let mut frame = self.transmit(channel, route, &mut env)?;
         let mut made = 1u32;
 
-        for attempt in 0..attempts {
+        for attempt in 0..retry.retries + 1 {
             if attempt > 0 {
                 // Exponential backoff with deterministic jitter. A late
                 // reply landing during the pause is consumed instead of
@@ -876,8 +936,8 @@ impl Engine {
                     pause = pause + SimDuration::from_micros(extra);
                 }
                 let resume = (self.sim.now() + pause).min(overall);
-                if let Some(reply) = self.await_reply(route.driver, request_id, resume) {
-                    return self.accept_reply(channel, route.target, reply);
+                if let Some(reply) = self.await_reply(route.driver, request, resume) {
+                    return Ok(reply);
                 }
                 if self.sim.now() >= overall {
                     break;
@@ -897,8 +957,8 @@ impl Engine {
                     .send_from(route.driver, route.nucleus, frame.clone());
             }
             let deadline = (self.sim.now() + retry.timeout).min(overall);
-            if let Some(reply) = self.await_reply(route.driver, request_id, deadline) {
-                return self.accept_reply(channel, route.target, reply);
+            if let Some(reply) = self.await_reply(route.driver, request, deadline) {
+                return Ok(reply);
             }
             if self.sim.now() >= overall {
                 break;
@@ -907,23 +967,20 @@ impl Engine {
         // Nobody waits for this id any longer: a reply still in flight is
         // dropped when it lands instead of sitting in the mailbox forever.
         if let Some(d) = self.driver_mut(route.driver) {
-            d.forget(request_id);
+            d.forget(request);
         }
         Err(CallError::Timeout { attempts: made })
     }
 
     /// The one reply step: runs the channel's incoming stack over a
     /// collected reply and reads its status and termination record.
-    fn accept_reply(
-        &mut self,
-        channel: ChannelId,
-        target: InterfaceId,
-        mut reply: Envelope,
-    ) -> Result<Termination, CallError> {
-        let cc = self.channels.get_mut(&channel).expect("routed above");
+    fn accept_reply(&mut self, call: Call, mut reply: Envelope) -> Result<Termination, CallError> {
+        let cc = self.channels.get_mut(&call.channel).expect("routed above");
         cc.stack.incoming(&mut reply)?;
         match reply.status {
-            ReplyStatus::NotHere => Err(CallError::NotHere { interface: target }),
+            ReplyStatus::NotHere => Err(CallError::NotHere {
+                interface: call.route.target,
+            }),
             ReplyStatus::Rejected => {
                 let detail = wire::decode_termination(reply.syntax, &reply.payload)
                     .ok()
@@ -940,6 +997,12 @@ impl Engine {
         }
     }
 
+    /// Runs the simulator until the reply to `request_id` lands at
+    /// `driver` or the clock reaches `deadline`, whichever comes first.
+    /// Only events at or before the deadline are stepped, so a timed-out
+    /// wait ends at its deadline however late the next event is; the
+    /// clock is then idled forward to it (breaker cooldowns and recovery
+    /// windows are measured from it, so a timeout is not free).
     fn await_reply(
         &mut self,
         driver: Addr,
@@ -953,17 +1016,78 @@ impl Engine {
             {
                 return Some(reply);
             }
-            if self.sim.now() > deadline {
-                return None;
-            }
-            if !self.sim.step() {
-                // Nothing left to process: idle the clock forward so the
-                // timeout consumes virtual time (breaker cooldowns and
-                // recovery metrics depend on timeouts not being free).
+            if self.sim.next_event_time().is_none_or(|at| at > deadline) {
                 self.sim.run_until(deadline);
                 return None;
             }
+            self.sim.step();
         }
+    }
+
+    /// Sends an interrogation through a channel *without* waiting for the
+    /// reply, returning the request id. The message is queued in the
+    /// simulator; run it (e.g. [`Engine::run_until_idle`] or
+    /// `sim_mut().run_until`) to make progress, then collect the outcome
+    /// with [`Engine::take_reply`].
+    ///
+    /// This is the open-loop primitive load generators need: many
+    /// requests can be in flight at once, so a server's admission queue
+    /// actually fills. No retransmission is performed (an unanswered
+    /// request simply never produces a reply).
+    ///
+    /// # Errors
+    ///
+    /// Unknown channel/node or a client-side channel failure.
+    pub fn call_send(
+        &mut self,
+        channel: ChannelId,
+        op: &str,
+        args: &Value,
+    ) -> Result<u64, CallError> {
+        let (call, mut env) = self.open(channel, op, |native| {
+            Self::invocation_payload(native, op, args)
+        })?;
+        if let Err(e) = self.transmit(channel, call.route, &mut env) {
+            let failed = self.close(call, op, Err(e.into()));
+            return Err(failed.expect_err("a call closed with an error fails"));
+        }
+        // The span is pushed again when the reply is collected.
+        bus::pop_context();
+        self.pending_calls
+            .insert(call.request, (call, op.to_owned()));
+        Ok(call.request)
+    }
+
+    /// Collects the reply to a [`Engine::call_send`] request if it has
+    /// arrived: `None` while still in flight (and once collected or
+    /// abandoned), otherwise the arrival time and the interpreted
+    /// outcome. Does not advance the simulator.
+    pub fn take_reply(
+        &mut self,
+        request: u64,
+    ) -> Option<(SimTime, Result<Termination, CallError>)> {
+        let driver = self.pending_calls.get(&request)?.0.route.driver;
+        let (reply, arrived) = self.driver_mut(driver)?.mailbox.remove(&request)?;
+        let (call, op) = self.pending_calls.remove(&request)?;
+        bus::push_context(call.span);
+        Some((arrived, self.close(call, &op, Ok(reply))))
+    }
+
+    /// Gives up on a [`Engine::call_send`] request nobody will collect:
+    /// its pending entry, the driver's wait for it and a reply that has
+    /// already landed all go, and a reply still in flight is dropped when
+    /// it lands. Emits no event and moves no counter.
+    pub fn abandon_call(&mut self, request: u64) {
+        if let Some((call, _)) = self.pending_calls.remove(&request) {
+            if let Some(d) = self.driver_mut(call.route.driver) {
+                d.forget(request);
+            }
+        }
+    }
+
+    /// [`Engine::call_send`] requests neither collected nor abandoned.
+    pub fn calls_in_flight(&self) -> usize {
+        self.pending_calls.len()
     }
 
     /// Sends an announcement (no reply) through a channel. The message is
@@ -1244,194 +1368,6 @@ impl Engine {
     pub fn validate_node(&self, node: NodeId) -> Result<Vec<String>, EngError> {
         let nucleus = self.nucleus(node)?;
         Ok(nucleus.structure.validate(&self.policy, &nucleus.routing))
-    }
-
-    /// A node's (capsules, clusters, objects) census.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node.
-    pub fn census(&self, node: NodeId) -> Result<(usize, usize, usize), EngError> {
-        Ok(self.nucleus(node)?.structure.census())
-    }
-
-    /// A node's nucleus counters.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node.
-    pub fn node_stats(&self, node: NodeId) -> Result<NucleusStats, EngError> {
-        Ok(self.nucleus(node)?.stats)
-    }
-
-    /// Overrides a node's request-id dedup cache capacity (default
-    /// [`crate::nucleus::DEDUP_CAPACITY`]); shrinking evicts
-    /// oldest-first immediately.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node.
-    pub fn set_dedup_capacity(&mut self, node: NodeId, capacity: usize) -> Result<(), EngError> {
-        self.nucleus_mut(node)?.set_dedup_capacity(capacity);
-        Ok(())
-    }
-
-    /// How many request outcomes a node's dedup cache currently holds.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node.
-    pub fn dedup_len(&self, node: NodeId) -> Result<usize, EngError> {
-        Ok(self.nucleus(node)?.dedup_len())
-    }
-
-    /// Sets a node's admission control (bounded invocation queue). The
-    /// default is [`crate::nucleus::AdmissionPolicy::Unbounded`], the
-    /// historical dispatch-on-delivery behaviour.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node.
-    pub fn set_admission(&mut self, node: NodeId, config: AdmissionConfig) -> Result<(), EngError> {
-        self.nucleus_mut(node)?.set_admission(config);
-        event(Layer::Engineering, EventKind::Note)
-            .in_context()
-            .node(node.raw())
-            .detail_fmt(format_args!(
-                "admission policy={} capacity={} service={}us",
-                config.policy,
-                fmt::from_fn(|f| match config.capacity {
-                    usize::MAX => f.write_str("inf"),
-                    n => write!(f, "{n}"),
-                }),
-                config.service_time.as_micros()
-            ))
-            .emit();
-        Ok(())
-    }
-
-    /// A node's current admission configuration.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node.
-    pub fn admission(&self, node: NodeId) -> Result<AdmissionConfig, EngError> {
-        Ok(self.nucleus(node)?.admission())
-    }
-
-    /// How many invocations are parked in a node's admission queue.
-    ///
-    /// # Errors
-    ///
-    /// Unknown node.
-    pub fn queue_depth(&self, node: NodeId) -> Result<usize, EngError> {
-        Ok(self.nucleus(node)?.queue_depth())
-    }
-
-    /// Sends an interrogation through a channel *without* waiting for the
-    /// reply, returning the request id. The message is queued in the
-    /// simulator; run it (e.g. [`Engine::run_until_idle`] or
-    /// `sim_mut().run_until`) to make progress, then collect the outcome
-    /// with [`Engine::take_reply`].
-    ///
-    /// This is the open-loop primitive load generators need: many
-    /// requests can be in flight at once, so a server's admission queue
-    /// actually fills. No retransmission is performed (an unanswered
-    /// request simply never produces a reply).
-    ///
-    /// # Errors
-    ///
-    /// Unknown channel/node or a client-side channel failure.
-    pub fn call_send(
-        &mut self,
-        channel: ChannelId,
-        op: &str,
-        args: &Value,
-    ) -> Result<u64, CallError> {
-        let route = self.route(channel)?;
-        let payload = Self::invocation_payload(route.native, op, args);
-        let request_id = self.fresh_request();
-        // Async calls get the same span shape as the blocking path —
-        // CallStart here, CallEnd when the reply is collected — so the
-        // critical-path profiler sees open-loop invocations too.
-        let span = bus::new_span();
-        event(Layer::Engineering, EventKind::CallStart)
-            .span(span)
-            .parent_from_context()
-            .channel(channel.raw())
-            .detail_fmt(format_args!("op={op} mode=async"))
-            .emit();
-        let mut env = Envelope::request(channel, request_id, route.target, route.native, payload);
-        bus::push_context(span);
-        let sent = self.transmit(channel, route, &mut env);
-        bus::pop_context();
-        if let Err(e) = sent {
-            event(Layer::Engineering, EventKind::CallEnd)
-                .span(span)
-                .channel(channel.raw())
-                .detail_fmt(format_args!("op={op} -> error: {e}"))
-                .emit();
-            return Err(e.into());
-        }
-        bus::counter_add("engineering.calls_async", 1);
-        self.pending_calls.insert(request_id, (span, op.to_owned()));
-        Ok(request_id)
-    }
-
-    /// Collects the reply to a [`Engine::call_send`] request if it has
-    /// arrived: `None` while still in flight, otherwise the arrival time
-    /// and the interpreted outcome. Does not advance the simulator.
-    ///
-    /// # Errors
-    ///
-    /// Unknown channel.
-    #[allow(clippy::type_complexity)] // (arrival, outcome) is the natural shape
-    pub fn take_reply(
-        &mut self,
-        channel: ChannelId,
-        request_id: u64,
-    ) -> Result<Option<(SimTime, Result<Termination, CallError>)>, EngError> {
-        let route = self.route(channel)?;
-        let Some((reply, arrived)) = self
-            .driver_mut(route.driver)
-            .and_then(|d| d.mailbox.remove(&request_id))
-        else {
-            return Ok(None);
-        };
-        let pending = self.pending_calls.remove(&request_id);
-        if let Some((span, _)) = &pending {
-            bus::push_context(*span);
-        }
-        let outcome = self.accept_reply(channel, route.target, reply);
-        if pending.is_some() {
-            bus::pop_context();
-        }
-        if let Some((span, op)) = pending {
-            event(Layer::Engineering, EventKind::CallEnd)
-                .span(span)
-                .channel(channel.raw())
-                .detail_fmt(format_args!("{}", Self::call_outcome(&op, &outcome)))
-                .emit();
-        }
-        Ok(Some((arrived, outcome)))
-    }
-
-    /// Gives up on a [`Engine::call_send`] request nobody will collect:
-    /// its pending entry, the driver's wait for it and a reply that has
-    /// already landed all go, and a reply still in flight is dropped when
-    /// it lands. Emits no event and moves no counter.
-    pub fn abandon_call(&mut self, channel: ChannelId, request_id: u64) {
-        self.pending_calls.remove(&request_id);
-        if let Ok(route) = self.route(channel) {
-            if let Some(d) = self.driver_mut(route.driver) {
-                d.forget(request_id);
-            }
-        }
-    }
-
-    /// [`Engine::call_send`] requests neither collected nor abandoned.
-    pub fn calls_in_flight(&self) -> usize {
-        self.pending_calls.len()
     }
 
     /// Direct local invocation on a node, bypassing channels (used by

@@ -283,20 +283,28 @@ impl NucleusProcess {
         }
     }
 
-    /// The admission configuration in force.
-    pub fn admission(&self) -> AdmissionConfig {
-        self.admission
-    }
-
-    /// Replaces the admission configuration. Requests already queued stay
-    /// queued and drain under the new service time.
+    /// Replaces the admission configuration (the default is
+    /// [`AdmissionPolicy::Unbounded`], dispatch on delivery) and notes
+    /// the change. Requests already queued stay queued and drain under
+    /// the new service time.
     pub fn set_admission(&mut self, config: AdmissionConfig) {
         self.admission = config;
-    }
-
-    /// Requests currently parked in the admission queue.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        rmodp_observe::event(
+            rmodp_observe::Layer::Engineering,
+            rmodp_observe::EventKind::Note,
+        )
+        .in_context()
+        .node(self.node.raw())
+        .detail_fmt(format_args!(
+            "admission policy={} capacity={} service={}us",
+            config.policy,
+            std::fmt::from_fn(|f| match config.capacity {
+                usize::MAX => f.write_str("inf"),
+                n => write!(f, "{n}"),
+            }),
+            config.service_time.as_micros()
+        ))
+        .emit();
     }
 
     /// Adds a capsule.

@@ -88,7 +88,7 @@ fn announcements_are_fire_and_forget() {
     e.run_until_idle();
     let t = e.call(ch, "Get", &Value::record::<&str, _>([])).unwrap();
     assert_eq!(t.results.field("n"), Some(&Value::Int(11)));
-    assert_eq!(e.node_stats(server).unwrap().announcements, 2);
+    assert_eq!(e.nucleus(server).unwrap().stats.announcements, 2);
 }
 
 #[test]
@@ -104,7 +104,7 @@ fn flows_drive_on_flow() {
     e.run_until_idle();
     let t = e.call(ch, "Get", &Value::record::<&str, _>([])).unwrap();
     assert_eq!(t.results.field("n"), Some(&Value::Int(6)));
-    assert_eq!(e.node_stats(server).unwrap().flows, 3);
+    assert_eq!(e.nucleus(server).unwrap().stats.flows, 3);
 }
 
 #[test]
@@ -193,7 +193,7 @@ fn driver_keeps_no_reply_nobody_waits_for() {
     }
     e.run_until_idle();
     assert!(answered > 0 && timed_out > 0, "{answered} / {timed_out}");
-    assert!(e.node_stats(server).unwrap().dedup_hits > 0);
+    assert!(e.nucleus(server).unwrap().stats.dedup_hits > 0);
     let driver = e
         .sim()
         .inspect::<DriverProcess>(Addr::new(c, DRIVER_PORT))
@@ -212,7 +212,7 @@ fn an_abandoned_async_call_is_forgotten_whenever_its_reply_lands() {
     // Abandoned while the reply is still in flight, and abandoned after
     // it has landed uncollected: either way nothing is kept.
     let early = e.call_send(ch, "Add", &add_args(1)).unwrap();
-    e.abandon_call(ch, early);
+    e.abandon_call(early);
     let late = e.call_send(ch, "Add", &add_args(2)).unwrap();
     e.run_until_idle();
     let driver = |e: &Engine| -> (usize, usize) {
@@ -223,11 +223,11 @@ fn an_abandoned_async_call_is_forgotten_whenever_its_reply_lands() {
         (d.awaiting(), d.mailbox.len())
     };
     assert_eq!(driver(&e), (0, 1), "only the reply still wanted is kept");
-    e.abandon_call(ch, late);
+    e.abandon_call(late);
     assert_eq!(driver(&e), (0, 0));
     assert_eq!(e.calls_in_flight(), 0);
-    assert!(e.take_reply(ch, early).unwrap().is_none());
-    assert!(e.take_reply(ch, late).unwrap().is_none());
+    assert!(e.take_reply(early).is_none());
+    assert!(e.take_reply(late).is_none());
     // Both requests were served; only their replies went uncollected.
     let t = e.call(ch, "Get", &Value::record::<&str, _>([])).unwrap();
     assert_eq!(t.results.field("n"), Some(&Value::Int(3)));
@@ -247,7 +247,7 @@ fn sequence_binder_foils_replayed_requests_end_to_end() {
     let ch = e.open_channel(client, iref.interface, cfg).unwrap();
     // A legitimate call consumes sequence number 1 at the server binder.
     e.call(ch, "Add", &add_args(100)).unwrap();
-    assert_eq!(e.node_stats(server).unwrap().requests, 1);
+    assert_eq!(e.nucleus(server).unwrap().stats.requests, 1);
 
     // An attacker who captured the seq=1 request replays equivalent bytes.
     let payload = syntax_for(SyntaxId::Binary).encode(&Value::record([
@@ -262,7 +262,7 @@ fn sequence_binder_foils_replayed_requests_end_to_end() {
     e.run_until_idle();
 
     // The binder rejected the replay: no second Add was executed.
-    assert_eq!(e.node_stats(server).unwrap().rejected, 1);
+    assert_eq!(e.nucleus(server).unwrap().stats.rejected, 1);
     let t = e.call(ch, "Get", &Value::record::<&str, _>([])).unwrap();
     assert_eq!(t.results.field("n"), Some(&Value::Int(100)));
 }
@@ -399,7 +399,7 @@ fn validate_node_passes_for_live_engine() {
     let mut e = engine();
     let (server, _, _, _, _) = counter_setup(&mut e);
     assert_eq!(e.validate_node(server).unwrap(), Vec::<String>::new());
-    assert_eq!(e.census(server).unwrap(), (1, 1, 1));
+    assert_eq!(e.nucleus(server).unwrap().structure.census(), (1, 1, 1));
 }
 
 #[test]
@@ -526,4 +526,176 @@ fn same_engine_same_seed_is_deterministic() {
         (e.sim().now().as_micros(), t.results.clone())
     }
     assert_eq!(run(), run());
+}
+
+#[test]
+fn a_timed_out_attempt_ends_at_its_deadline() {
+    let mut e = engine();
+    let (server, client, _, _, iref) = counter_setup(&mut e);
+    let (s, c) = (e.sim_node(server).unwrap(), e.sim_node(client).unwrap());
+    // The request lands long after the one-shot policy's 50 ms timeout.
+    let slow = LinkConfig::with_latency(SimDuration::from_millis(200));
+    e.sim_mut().topology_mut().set_link(c, s, slow);
+    e.sim_mut().topology_mut().set_link(s, c, slow);
+    let ch = e
+        .open_channel(client, iref.interface, ChannelConfig::default())
+        .unwrap();
+    let t0 = e.now();
+    let err = e.call(ch, "Add", &add_args(1)).unwrap_err();
+    assert_eq!(err, CallError::Timeout { attempts: 1 });
+    assert_eq!(e.now(), t0 + SimDuration::from_millis(50));
+}
+
+/// The `engineering.*` counters one call may move, and the samples of
+/// its latency histogram.
+const CALL_COUNTERS: [&str; 5] = [
+    "engineering.calls",
+    "engineering.call_errors",
+    "engineering.calls_async",
+    "engineering.retries",
+    "engineering.breaker.fast_fails",
+];
+
+/// The span one call leaves: its `CallStart` and `CallEnd` details, the
+/// kinds of the events in its span and of those it parents, and how far
+/// it moved [`CALL_COUNTERS`] and the `engineering.call_us` samples.
+#[derive(Debug, PartialEq)]
+struct SpanShape {
+    start: String,
+    end: String,
+    within: Vec<String>,
+    children: Vec<String>,
+    counters: Vec<u64>,
+    call_us_samples: usize,
+}
+
+/// Runs `call` against a fresh bus stream and reads the shape of the one
+/// call it makes.
+fn shape_of(call: impl FnOnce()) -> SpanShape {
+    use rmodp_observe::{bus, EventKind};
+
+    let before = CALL_COUNTERS.map(bus::counter);
+    let samples = || bus::histogram("engineering.call_us").map_or(0, |h| h.count());
+    let samples_before = samples();
+    bus::take_events();
+    call();
+    let events = bus::take_events();
+    let starts: Vec<_> = events
+        .iter()
+        .filter(|ev| ev.kind == EventKind::CallStart)
+        .collect();
+    assert_eq!(starts.len(), 1, "one call, one CallStart");
+    let (start, span) = (starts[0], starts[0].span);
+    assert_eq!(start.parent, None, "no outer context");
+    let end = events
+        .iter()
+        .find(|ev| ev.kind == EventKind::CallEnd)
+        .expect("the call ended");
+    assert_eq!((end.span, end.parent), (span, None));
+    let kinds = |keep: &dyn Fn(&rmodp_observe::Event) -> bool| {
+        let kept = events.iter().filter(|ev| keep(ev));
+        kept.map(|ev| ev.kind.to_string()).collect::<Vec<_>>()
+    };
+    let is_call =
+        |ev: &rmodp_observe::Event| matches!(ev.kind, EventKind::CallStart | EventKind::CallEnd);
+    SpanShape {
+        start: start.detail.clone(),
+        end: end.detail.clone(),
+        within: kinds(&|ev| ev.span == span && !is_call(ev)),
+        children: kinds(&|ev| ev.parent == span),
+        counters: CALL_COUNTERS
+            .iter()
+            .zip(before)
+            .map(|(name, was)| bus::counter(name) - was)
+            .collect(),
+        call_us_samples: samples() - samples_before,
+    }
+}
+
+#[test]
+fn every_kind_of_call_leaves_one_span_shape() {
+    use rmodp_engineering::channel::BreakerConfig;
+
+    let mut e = engine();
+    let (server, client, _, _, iref) = counter_setup(&mut e);
+    let s = e.sim_node(server).unwrap();
+    let ch = e
+        .open_channel(client, iref.interface, ChannelConfig::default())
+        .unwrap();
+    let breaker = ChannelConfig {
+        breaker: Some(BreakerConfig::default()),
+        ..ChannelConfig::default()
+    };
+    let guarded = e.open_channel(client, iref.interface, breaker).unwrap();
+    let round_trip = ["channel_hop", "marshal", "channel_hop", "marshal"];
+    let shape =
+        |start: &str, end: &str, within: &[&str], children: &[&str], counters, samples| SpanShape {
+            start: start.to_owned(),
+            end: end.to_owned(),
+            within: within.iter().map(|k| k.to_string()).collect(),
+            children: children.iter().map(|k| k.to_string()).collect(),
+            counters: Vec::from(counters),
+            call_us_samples: samples,
+        };
+
+    // Blocking, answered.
+    let answered = shape_of(|| {
+        e.call(ch, "Add", &add_args(1)).unwrap();
+    });
+    let expected = shape(
+        "op=Add",
+        "op=Add -> OK",
+        &round_trip,
+        &["send"],
+        [1, 0, 0, 0, 0],
+        1,
+    );
+    assert_eq!(answered, expected);
+
+    // Blocking, timed out: the server is down.
+    e.sim_mut().topology_mut().crash(s);
+    let timed_out = shape_of(|| {
+        e.call(ch, "Add", &add_args(1)).unwrap_err();
+    });
+    let expected = shape(
+        "op=Add",
+        "op=Add -> error: no reply after 1 attempt(s)",
+        &round_trip[..2],
+        &["send"],
+        [1, 1, 0, 0, 0],
+        1,
+    );
+    assert_eq!(timed_out, expected);
+
+    // Three timeouts open the breaker; the next call fails fast, without
+    // touching the network.
+    for _ in 0..3 {
+        e.call(guarded, "Add", &add_args(1)).unwrap_err();
+    }
+    let fast_fail = shape_of(|| {
+        e.call(guarded, "Add", &add_args(1)).unwrap_err();
+    });
+    let open_until = e.now() + BreakerConfig::default().cooldown;
+    let expected = shape(
+        "op=Add",
+        &format!(
+            "op=Add -> error: circuit breaker open (next probe at {}us)",
+            open_until.as_micros()
+        ),
+        &[],
+        &[],
+        [1, 1, 0, 0, 1],
+        1,
+    );
+    assert_eq!(fast_fail, expected);
+
+    // Asynchronous, collected: the same shape as a blocking answer.
+    e.sim_mut().topology_mut().restart(s);
+    let collected = shape_of(|| {
+        let request = e.call_send(ch, "Add", &add_args(1)).unwrap();
+        e.run_until_idle();
+        let (_, outcome) = e.take_reply(request).unwrap();
+        outcome.unwrap();
+    });
+    assert_eq!(collected, answered);
 }

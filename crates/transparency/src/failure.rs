@@ -617,7 +617,11 @@ mod tests {
                 "{why}"
             );
             assert_eq!(w.guard.recoveries(), 0, "{why}");
-            assert_eq!(w.engine.census(w.backup.0).unwrap(), (1, 0, 0), "{why}");
+            assert_eq!(
+                w.engine.nucleus(w.backup.0).unwrap().structure.census(),
+                (1, 0, 0),
+                "{why}"
+            );
             let published = w.infra.relocator.lookup(w.interface).unwrap();
             assert_eq!(published.location.node, old_home.0, "{why}");
         };
@@ -642,14 +646,20 @@ mod tests {
         assert!(matches!(w.recover(&mut store), Err(FailureError::Eng(_))));
         assert_eq!(w.guard.home(), old_home);
         assert_eq!(w.guard.backup_pool().collect::<Vec<_>>(), [w.backup]);
-        assert_eq!(w.engine.census(w.backup.0).unwrap(), (1, 0, 0));
+        assert_eq!(
+            w.engine.nucleus(w.backup.0).unwrap().structure.census(),
+            (1, 0, 0)
+        );
 
         // Repaired, the same recovery goes through.
         assert!(store.remove("guard/acct/op/00000002"));
         w.recover(&mut store).unwrap();
         assert_eq!(w.guard.home().0, w.backup.0);
         assert_eq!(w.guard.replayed(), 2);
-        assert_eq!(w.engine.census(w.backup.0).unwrap(), (1, 1, 1));
+        assert_eq!(
+            w.engine.nucleus(w.backup.0).unwrap().structure.census(),
+            (1, 1, 1)
+        );
         assert_eq!(w.get(), Some(12));
     }
 

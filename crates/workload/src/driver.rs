@@ -168,7 +168,7 @@ impl<'a> Driver<'a> {
         let ids: Vec<u64> = self.inflight.keys().copied().collect();
         let mut freed = Vec::new();
         for id in ids {
-            let Ok(Some((arrived, outcome))) = engine.take_reply(self.channel, id) else {
+            let Some((arrived, outcome)) = engine.take_reply(id) else {
                 continue;
             };
             let fl = self.inflight.remove(&id).expect("tracked above");
@@ -205,7 +205,7 @@ impl<'a> Driver<'a> {
     fn give_up_on_the_rest(&mut self, engine: &mut Engine) {
         self.stats.lost = self.inflight.len() as u64;
         for &id in self.inflight.keys() {
-            engine.abandon_call(self.channel, id);
+            engine.abandon_call(id);
         }
     }
 }
@@ -448,11 +448,9 @@ mod tests {
         // Serve one request per 2ms with room for 4 — but offer one per
         // 1ms: the queue must overflow and reject.
         engine
-            .set_admission(
-                server,
-                AdmissionConfig::reject(4, SimDuration::from_millis(2)),
-            )
-            .unwrap();
+            .nucleus_mut(server)
+            .unwrap()
+            .set_admission(AdmissionConfig::reject(4, SimDuration::from_millis(2)));
         let scenario = Scenario::new(
             "overload",
             9,
@@ -469,7 +467,7 @@ mod tests {
         assert_eq!(stats.rejected, stats.admission_shed);
         assert_eq!(stats.offered, stats.completed + stats.rejected);
         assert_eq!(stats.lost, 0);
-        let ns = engine.node_stats(server).unwrap();
+        let ns = engine.nucleus(server).unwrap().stats;
         assert_eq!(ns.shed, stats.rejected);
         assert!(ns.peak_queue_depth >= 4);
         // Queueing delay shows up in the completed requests' latency.
@@ -546,7 +544,7 @@ mod tests {
             ),
         ] {
             let (mut engine, server, channel) = counter_setup(4);
-            engine.set_admission(server, config).unwrap();
+            engine.nucleus_mut(server).unwrap().set_admission(config);
             let scenario = Scenario::new(
                 "policy",
                 9,

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sys = OdpSystem::new(11);
     let branch = bank::deploy_branch(&mut sys.engine, SyntaxId::Binary)?;
     sys.publish(branch.teller.interface)?;
-    let (capsules, clusters, objects) = sys.engine.census(branch.node)?;
+    let (capsules, clusters, objects) = sys.engine.nucleus(branch.node)?.structure.census();
     println!(
         "node {}: {capsules} capsule(s), {clusters} cluster(s), {objects} object(s)",
         branch.node

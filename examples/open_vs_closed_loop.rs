@@ -32,10 +32,9 @@ fn build(seed: u64) -> Result<(OdpSystem, ChannelId, i64), Box<dyn std::error::E
     let branch = bank::deploy_branch(&mut sys.engine, SyntaxId::Binary)?;
     // Serve one request per 800us from a queue of at most 8; refuse the
     // rest. (Unbounded is the default — this example opts in.)
-    sys.engine.set_admission(
-        branch.node,
-        AdmissionConfig::reject(8, SimDuration::from_micros(800)),
-    )?;
+    sys.engine
+        .nucleus_mut(branch.node)?
+        .set_admission(AdmissionConfig::reject(8, SimDuration::from_micros(800)));
 
     let manager = sys.engine.add_node(SyntaxId::Binary);
     let manager_ch =

@@ -187,11 +187,12 @@ fn bursty_run(seed: u64) -> (String, usize, u64) {
     let mut sys = OdpSystem::new(seed);
     let dep = bank::deploy_branch(&mut sys.engine, SyntaxId::Binary).unwrap();
     sys.engine
-        .set_admission(
-            dep.node,
-            AdmissionConfig::shed_oldest(8, SimDuration::from_micros(900)),
-        )
-        .unwrap();
+        .nucleus_mut(dep.node)
+        .unwrap()
+        .set_admission(AdmissionConfig::shed_oldest(
+            8,
+            SimDuration::from_micros(900),
+        ));
 
     let manager = sys.engine.add_node(SyntaxId::Binary);
     let manager_ch = sys

@@ -133,7 +133,7 @@ fn dedup_cache_sustains_load_within_a_bounded_footprint() {
             .unwrap();
         // A tiny cache: sustained load must evict constantly while the
         // at-most-once guarantee holds for every *live* retransmission.
-        engine.set_dedup_capacity(server, 4).unwrap();
+        engine.nucleus_mut(server).unwrap().set_dedup_capacity(4);
         let channel = engine
             .open_channel(
                 client,
@@ -165,7 +165,7 @@ fn dedup_cache_sustains_load_within_a_bounded_footprint() {
             let _ = engine.call(channel, "Add", &Value::record([("k", Value::Int(1))]));
             // The cache never outgrows its capacity, at any point in
             // the sustained stream.
-            let len = engine.dedup_len(server).unwrap();
+            let len = engine.nucleus(server).unwrap().dedup_len();
             assert!(len <= 4, "call {i}: dedup cache grew to {len}");
         }
         engine
@@ -179,7 +179,7 @@ fn dedup_cache_sustains_load_within_a_bounded_footprint() {
 
         let hits = bus::counter("engineering.dedup.hits");
         let dupes = bus::counter("engineering.dedup.duplicate_dispatches");
-        (engine.dedup_len(server).unwrap(), hits, dupes, n)
+        (engine.nucleus(server).unwrap().dedup_len(), hits, dupes, n)
     };
 
     let (len, hits, dupes, n) = run(17);

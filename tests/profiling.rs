@@ -48,11 +48,9 @@ fn counter_scenario(seed: u64, calls: u32, queued: bool, loss: bool) -> Vec<Even
         .unwrap();
     if queued {
         engine
-            .set_admission(
-                server,
-                AdmissionConfig::reject(64, SimDuration::from_millis(1)),
-            )
-            .unwrap();
+            .nucleus_mut(server)
+            .unwrap()
+            .set_admission(AdmissionConfig::reject(64, SimDuration::from_millis(1)));
     }
     let mut config = ChannelConfig::default();
     if loss {

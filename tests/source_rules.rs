@@ -131,6 +131,11 @@ use Pattern::{Call, EagerArgument, JsonKey, Literal};
 
 const SRC: &[&str] = &["crates/*/src", "src"];
 
+const ONE_CALL_PATH: &str = "an interrogation, blocking or asynchronous, opens in \
+                             `Engine::open` and closes in `Engine::close`: one `CallStart` \
+                             site, one `CallEnd` site, one place that counts a call \
+                             (DESIGN.md, \"One call record, two steps\")";
+
 const RULES: &[Rule] = &[
     Rule {
         name: "event details are format arguments",
@@ -493,6 +498,38 @@ const RULES: &[Rule] = &[
         copies: 0,
     },
     Rule {
+        name: "one call path opens a call",
+        why: ONE_CALL_PATH,
+        roots: &["crates/engineering/src/engine.rs"],
+        patterns: &[Literal("EventKind::CallStart")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 1,
+    },
+    Rule {
+        name: "one call path closes a call",
+        why: ONE_CALL_PATH,
+        roots: &["crates/engineering/src/engine.rs"],
+        patterns: &[Literal("EventKind::CallEnd")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 1,
+    },
+    Rule {
+        name: "one call path, no second one",
+        why: ONE_CALL_PATH,
+        roots: SRC,
+        patterns: &[
+            Literal("fn call_inner"),
+            Literal("fn call_attempts"),
+            Literal("calls_async"),
+            Literal("mode=async"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 0,
+    },
+    Rule {
         name: "the binary layout is read once",
         why: "as for the text grammar: `Reader::value_at` is the one reading of the layout",
         roots: &["crates/core/src/codec"],
@@ -681,7 +718,9 @@ const KEEP: &[&str] = &[
     "FailureGuard::pending_ops: the failure guard's ops logged since its checkpoint",
     "FailureGuard::lost_updates: the loss window of a guard that logs nothing, measured",
     "Engine::calls_in_flight: the engine's uncollected asynchronous calls",
-    "Engine::node_stats: a nucleus's counters",
+    "NucleusProcess::dedup_len: how many request outcomes a nucleus's dedup cache holds",
+    "NucleusProcess::set_dedup_capacity: the dedup cache's bound, which the sustained-load \
+     test shrinks so that eviction happens",
     "DriverProcess::awaiting: the replies a node's driver still waits for",
     "Stack::component: a channel component read by type, such as an audit stub",
     "EventNotifier::history: the notifications a topic has carried",
@@ -1304,6 +1343,22 @@ fn an_oracle_that_reads_the_bus_or_renders_text_is_flagged() {
         #[cfg(test)]\n\
         let events = bus::snapshot_events();\n";
     assert_eq!(offending_lines(rule, text), vec![2, 3]);
+}
+
+#[test]
+fn a_second_call_end_is_counted() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "one call path closes a call")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        event(Layer::Engineering, EventKind::CallStart)\n\
+        event(Layer::Engineering, EventKind::CallEnd)\n\
+        let end = EventKind::CallEnd;\n\
+        #[cfg(test)]\n\
+        event(Layer::Engineering, EventKind::CallEnd)\n";
+    assert_eq!(offending_lines(rule, text), vec![2, 3]);
+    assert_eq!(rule.copies, 1, "two lines are one too many");
 }
 
 #[test]
