@@ -1,4 +1,4 @@
-//! The chaos benchmark suite behind `chaos_bench`.
+//! The chaos benchmark suite behind `BENCH_chaos.json`.
 //!
 //! [`run_suite`] drives workloads and protocols through seeded fault
 //! plans and returns the full `BENCH_chaos.json` document — per-fault

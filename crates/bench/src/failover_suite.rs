@@ -1,4 +1,4 @@
-//! The failover benchmark suite behind `failover_bench`.
+//! The failover benchmark suite behind `BENCH_failover.json`.
 //!
 //! [`run_suite`] drives two quorum-replicated groups — a *bank* group
 //! (deposit-sized updates) and a *trader* group (offer-sized updates) —

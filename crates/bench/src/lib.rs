@@ -6,9 +6,9 @@
 //! cost of every mechanism the model prescribes (see `EXPERIMENTS.md` at
 //! the workspace root for the index). This crate holds the workload
 //! builders the `benches/` targets share, so they are also unit-testable,
-//! the seven deterministic suites behind the `*_bench` bins, and the
-//! [`artifacts`] table naming the configuration each published
-//! `BENCH_*.json` is committed at — `tests/golden.rs` pins all seven
+//! the seven deterministic suites, and the [`artifacts`] table naming the
+//! configurations each published `BENCH_*.json` is run at — committed and
+//! full — which the `baselines` bin writes and `tests/golden.rs` pins
 //! byte-for-byte against `tests/baselines/`.
 
 pub mod artifacts;
@@ -29,79 +29,6 @@ use rmodp_engineering::behaviour::CounterBehaviour;
 use rmodp_engineering::channel::ChannelConfig;
 use rmodp_engineering::engine::Engine;
 use rmodp_trader::Trader;
-
-/// Shared argument parsing for the per-suite binaries: every one speaks
-/// the same `--seed N <output-path>` interface, and a bin may declare
-/// extra numeric flags (the trader bench's `--offers` / `--imports`, the
-/// population bench's `--shards`).
-pub mod cli {
-    /// Parsed benchmark arguments.
-    #[derive(Debug)]
-    pub struct BenchArgs {
-        /// The base seed (`--seed N`).
-        pub seed: u64,
-        /// The output path (the one positional argument).
-        pub out: String,
-        /// Values for the declared extra flags, in declaration order;
-        /// `None` where the flag wasn't given.
-        pub extra: Vec<Option<u64>>,
-    }
-
-    /// Parses `std::env::args()` against the unified interface.
-    ///
-    /// # Panics
-    ///
-    /// On an unknown flag, a flag without its numeric value, or more
-    /// than one positional argument.
-    pub fn parse(default_seed: u64, default_out: &str, extra_flags: &[&str]) -> BenchArgs {
-        let mut parsed = BenchArgs {
-            seed: default_seed,
-            out: default_out.to_owned(),
-            extra: vec![None; extra_flags.len()],
-        };
-        let mut saw_out = false;
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            let mut numeric = |name: &str| {
-                args.next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or_else(|| panic!("{name} needs a numeric argument"))
-            };
-            if arg == "--seed" {
-                parsed.seed = numeric("--seed");
-            } else if let Some(i) = extra_flags.iter().position(|f| *f == arg) {
-                parsed.extra[i] = Some(numeric(&arg));
-            } else if arg.starts_with("--") {
-                panic!("unknown flag {arg}; expected --seed{}", {
-                    let mut s = String::new();
-                    for f in extra_flags {
-                        s.push_str(", ");
-                        s.push_str(f);
-                    }
-                    s
-                });
-            } else {
-                assert!(!saw_out, "more than one output path given: {arg}");
-                parsed.out = arg;
-                saw_out = true;
-            }
-        }
-        parsed
-    }
-
-    /// Writes a benchmark document, creating parent directories.
-    ///
-    /// # Panics
-    ///
-    /// On I/O failure — benchmarks have no one to report errors to.
-    pub fn write_output(out: &str, json: &str) {
-        if let Some(dir) = std::path::Path::new(out).parent() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-        std::fs::write(out, json).expect("write benchmark output");
-        println!("wrote {out}");
-    }
-}
 
 /// A deployed counter reachable from a client node — the standard unit of
 /// invocation benchmarks.

@@ -1,4 +1,4 @@
-//! The kernel/invocation mechanisms suite behind `mechanisms_bench`.
+//! The kernel/invocation mechanisms suite behind `BENCH_mechanisms.json`.
 //!
 //! [`run_suite`] measures the machinery PR 5 unified: the total order
 //! of the one deterministic event queue, and the allocation profile of
@@ -222,12 +222,8 @@ fn replication(seed: u64) -> impl ToJson {
     })
 }
 
-/// The base seed `mechanisms_bench` runs at without `--seed`; the parts
-/// derive their rig seeds from it.
-pub const DEFAULT_SEED: u64 = 70;
-
-/// Runs all four parts at the given base seed and returns the
-/// `BENCH_mechanisms.json` document.
+/// Runs all four parts at the given base seed, from which they derive
+/// their rig seeds, and returns the `BENCH_mechanisms.json` document.
 ///
 /// # Panics
 ///

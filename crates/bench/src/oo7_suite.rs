@@ -1,9 +1,9 @@
-//! The OO7-class persistent-object suite behind `oo7_bench`.
+//! The OO7-class persistent-object suite behind `BENCH_oo7.json`.
 //!
-//! [`run_suite`] loads the full OO7 design library (~1M typed
-//! information objects at the default scale) through the durable
-//! [`StoreEngine`], runs the classic traversal/update/query mix, and
-//! then breaks things on purpose twice:
+//! [`run_suite`] loads the OO7 design library (~1M typed information
+//! objects at full scale) through the durable [`StoreEngine`], runs the
+//! classic traversal/update/query mix, and then breaks things on purpose
+//! twice:
 //!
 //! - **power loss**: the stable medium crashes in the middle of an
 //!   uncommitted update batch; reopening replays the WAL and must
@@ -39,26 +39,15 @@ use rmodp_transparency::failure::FailureGuard;
 use rmodp_transparency::{OdpInfra, Transparency, TransparencySet, TransparentProxy};
 use rmodp_workload::arrival::ArrivalProcess;
 
-/// Suite parameters (`--scale`, `--updates`, `--seed` on the binary).
+/// Suite parameters (a row of `rmodp_bench::artifacts::ARTIFACTS`).
 #[derive(Debug, Clone, Copy)]
 pub struct Oo7BenchConfig {
-    /// Library scale: 0 = small (~1.2k objects), 1 = medium (~100k),
-    /// 2 = full (~1M).
+    /// Library scale: 0 = small (~1.2k objects), any other = full (~1M).
     pub scale: u8,
     /// Update batches driven after the traversals.
     pub update_batches: u64,
     /// Seed for the library attributes and the arrival process.
     pub seed: u64,
-}
-
-impl Default for Oo7BenchConfig {
-    fn default() -> Self {
-        Self {
-            scale: 2,
-            update_batches: 24,
-            seed: 4242,
-        }
-    }
 }
 
 /// Composite lanes touched per update batch (`id % STRIDE` selects).
@@ -67,7 +56,6 @@ const STRIDE: u32 = 16;
 fn shape(scale: u8) -> (Oo7Config, &'static str) {
     match scale {
         0 => (Oo7Config::small(), "small"),
-        1 => (Oo7Config::medium(), "medium"),
         _ => (Oo7Config::full(), "full"),
     }
 }
@@ -77,7 +65,6 @@ fn shape(scale: u8) -> (Oo7Config, &'static str) {
 fn compact_threshold(scale: u8) -> usize {
     match scale {
         0 => 64 << 10,
-        1 => 8 << 20,
         _ => 48 << 20,
     }
 }

@@ -1,4 +1,4 @@
-//! The population-scale sharded-kernel suite behind `population_bench`.
+//! The population-scale sharded-kernel suite behind `BENCH_population.json`.
 //!
 //! [`run_suite`] drives the bank-branch and trader-desk population
 //! scenarios (the full scale simulates **1,245,184 client capsules**:
@@ -12,9 +12,9 @@
 //! `rmodp-bench-population/1`, documented in `EXPERIMENTS.md` §E15)
 //! derives from virtual time and deterministic counts, and nothing here
 //! reads a host clock, so the suite is a pure function of its
-//! configuration: the file is byte-identical across same-seed reruns at
-//! any `--shards` setting on any host. What the same worlds cost in
-//! wall-clock time is `benchmark/`'s `pop-bank-s1` / `pop-bank-s4`.
+//! configuration: the file is byte-identical across same-seed reruns on
+//! any host. What the same worlds cost in wall-clock time is
+//! `benchmark/`'s `pop-bank-s1` / `pop-bank-s4`.
 //!
 //! A million capsules would otherwise buffer millions of events nobody
 //! reads, so the suite switches the observe bus **off** around the
@@ -35,32 +35,17 @@ use rmodp_workload::population::{
     run_population, PopulationConfig, PopulationOutcome, PopulationScenario,
 };
 
-/// Suite parameters (`--seed`, `--shards`, `--scale` on the binary).
+/// Suite parameters (a row of `rmodp_bench::artifacts::ARTIFACTS`).
 #[derive(Debug, Clone, Copy)]
 pub struct PopulationBenchConfig {
     /// Base seed shared by every run in the matrix.
     pub seed: u64,
-    /// `None` runs the full matrix {1, 2, 4}; `Some(n)` runs only `n`.
-    pub shards: Option<usize>,
     /// 0 = CI scale (thousands of capsules), 1 = full scale (1M+).
     pub scale: u8,
 }
 
-impl Default for PopulationBenchConfig {
-    fn default() -> Self {
-        Self {
-            seed: DEFAULT_SEED,
-            shards: None,
-            scale: 1,
-        }
-    }
-}
-
-/// The default seed `population_bench` runs with.
-pub const DEFAULT_SEED: u64 = 4242;
-
-/// The shard counts the full matrix exercises.
-pub const MATRIX: [usize; 3] = [1, 2, 4];
+/// The shard counts every scenario runs at.
+const MATRIX: [usize; 3] = [1, 2, 4];
 
 fn scenario_config(
     scenario: PopulationScenario,
@@ -88,20 +73,17 @@ fn scenario_config(
     }
 }
 
-/// Runs one scenario at every shard count, asserts that the runs agree,
-/// and returns its capsule count and its block of the document.
+/// Runs one scenario at every shard count of [`MATRIX`], asserts that
+/// the runs agree, and returns its capsule count and its block of the
+/// document.
 ///
 /// # Panics
 ///
 /// If any run's export checksum, state checksum, event count or SLO
 /// verdict differs from the first run's.
-fn scenario_block(
-    scenario: PopulationScenario,
-    cfg: &PopulationBenchConfig,
-    shard_counts: &[usize],
-) -> (u64, impl ToJson) {
+fn scenario_block(scenario: PopulationScenario, cfg: &PopulationBenchConfig) -> (u64, impl ToJson) {
     let mut runs: Vec<PopulationOutcome> = Vec::new();
-    for &shards in shard_counts {
+    for shards in MATRIX {
         let outcome = run_population(&scenario_config(scenario, cfg, shards));
         println!(
             "population {} shards={} capsules={} events={}",
@@ -128,7 +110,7 @@ fn scenario_block(
         assert_eq!(o.report, base.report);
     }
     let capsules = base.capsules;
-    let config = scenario_config(scenario, cfg, shard_counts[0]);
+    let config = scenario_config(scenario, cfg, MATRIX[0]);
     let block = json::from_fn(move |out| {
         let base = &runs[0];
         json_into!(out, {
@@ -171,14 +153,10 @@ fn scenario_block(
 /// verdict differs between shard counts — that would mean the sharded
 /// kernel broke its determinism contract.
 pub fn run_suite(cfg: PopulationBenchConfig) -> String {
-    let shard_counts: Vec<usize> = match cfg.shards {
-        Some(n) => vec![n],
-        None => MATRIX.to_vec(),
-    };
     let was_enabled = bus::is_enabled();
     bus::set_enabled(false);
-    let (bank_capsules, bank) = scenario_block(PopulationScenario::Bank, &cfg, &shard_counts);
-    let (trader_capsules, trader) = scenario_block(PopulationScenario::Trader, &cfg, &shard_counts);
+    let (bank_capsules, bank) = scenario_block(PopulationScenario::Bank, &cfg);
+    let (trader_capsules, trader) = scenario_block(PopulationScenario::Trader, &cfg);
     bus::set_enabled(was_enabled);
 
     json!({
@@ -186,7 +164,7 @@ pub fn run_suite(cfg: PopulationBenchConfig) -> String {
         "config": {
             "seed": cfg.seed,
             "scale": if cfg.scale == 0 { "ci" } else { "full" },
-            "shard_counts": shard_counts,
+            "shard_counts": MATRIX,
             "lookahead_us": rmodp_workload::population::CROSS_LATENCY.as_micros(),
             "total_capsules": bank_capsules + trader_capsules,
         },
@@ -200,38 +178,11 @@ mod tests {
 
     #[test]
     fn ci_scale_suite_is_deterministic_and_invariant() {
-        let cfg = PopulationBenchConfig {
-            seed: 99,
-            shards: None,
-            scale: 0,
-        };
+        let cfg = PopulationBenchConfig { seed: 99, scale: 0 };
         let a = run_suite(cfg);
         let b = run_suite(cfg);
         assert_eq!(a, b, "same seed, same bytes");
         assert!(a.contains(r#""schema":"rmodp-bench-population/1""#));
         assert!(a.contains(r#""identical_across_shard_counts":true"#));
-    }
-
-    #[test]
-    fn restricting_the_matrix_keeps_the_same_checksums() {
-        let full = run_suite(PopulationBenchConfig {
-            seed: 99,
-            shards: None,
-            scale: 0,
-        });
-        let single = run_suite(PopulationBenchConfig {
-            seed: 99,
-            shards: Some(4),
-            scale: 0,
-        });
-        // The invariant blocks (checksums) must agree between a matrix
-        // run and a single-shard-count run of the same seed.
-        let pick = |s: &str| {
-            s.split(r#""invariant":"#)
-                .skip(1)
-                .map(|tail| tail.split('}').next().unwrap().to_string())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(pick(&full), pick(&single));
     }
 }

@@ -1,9 +1,9 @@
-//! The trading-at-scale suite behind `trader_bench`.
+//! The trading-at-scale suite behind `BENCH_trader.json`.
 //!
-//! [`run_suite`] populates a trader with a large offer corpus (1M+ by
-//! default), replays the *same* seeded, mixed export/import workload —
-//! arrivals from `rmodp-workload` scheduled on the kernel's event queue
-//! — against two matching engines, and emits the full
+//! [`run_suite`] populates a trader with a large offer corpus (a million
+//! offers at full scale), replays the *same* seeded, mixed export/import
+//! workload — arrivals from `rmodp-workload` scheduled on the kernel's
+//! event queue — against two matching engines, and emits the full
 //! `BENCH_trader.json` document (schema `rmodp-bench-trader/1`,
 //! documented in `EXPERIMENTS.md` §E11):
 //!
@@ -31,7 +31,7 @@ use rmodp_trader::shard::ShardedFederation;
 use rmodp_trader::{ImportRequest, IndexKind, Trader};
 use rmodp_workload::arrival::ArrivalProcess;
 
-/// Suite parameters (`--offers`, `--imports`, `--seed` on the binary).
+/// Suite parameters (a row of `rmodp_bench::artifacts::ARTIFACTS`).
 #[derive(Debug, Clone, Copy)]
 pub struct TraderBenchConfig {
     /// Initial offer corpus size.
@@ -40,16 +40,6 @@ pub struct TraderBenchConfig {
     pub imports: usize,
     /// Seed for the corpus and the arrival process.
     pub seed: u64,
-}
-
-impl Default for TraderBenchConfig {
-    fn default() -> Self {
-        Self {
-            offers: 1_000_000,
-            imports: 200,
-            seed: 42,
-        }
-    }
 }
 
 const REGIONS: [&str; 4] = ["bne", "syd", "mel", "per"];

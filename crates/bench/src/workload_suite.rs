@@ -1,4 +1,4 @@
-//! The standard workload scenario suite behind `workload_bench`.
+//! The standard workload scenario suite behind `BENCH_workload.json`.
 //!
 //! [`run_suite`] runs every scenario and returns the full
 //! `BENCH_workload.json` document (schema `rmodp-bench-workload/1`,
@@ -137,13 +137,9 @@ fn run_case(case: &Case) -> (SloReport, usize) {
     (report, violations)
 }
 
-/// The base seed `workload_bench` runs at without `--seed`; each
-/// scenario runs at a fixed offset from the base (`seed + 1` ..
-/// `seed + 4`).
-pub const DEFAULT_SEED: u64 = 1_000;
-
 /// Runs the whole suite at the given base seed and returns the
-/// `BENCH_workload.json` document.
+/// `BENCH_workload.json` document. Each scenario runs at a fixed offset
+/// from the base (`seed + 1` .. `seed + 4`).
 ///
 /// # Panics
 ///

@@ -3,7 +3,7 @@
 //!
 //! `tests/baselines/` at the workspace root holds what this
 //! reproduction publishes — seven `BENCH_*.json` documents, each a pure
-//! function of the configuration named in
+//! function of the committed configuration named in
 //! [`rmodp_bench::artifacts::ARTIFACTS`]. Same seed → same events in the
 //! same order → the same JSON, byte for byte, in debug and in release:
 //! the comparison is `==` on bytes, nothing is parsed and nothing is
@@ -63,7 +63,7 @@ fn name_mismatches(dir: &Path) -> Vec<String> {
         .map(|entry| entry.expect("directory entry").file_name())
         .map(|name| name.to_string_lossy().into_owned())
         .collect();
-    let named: BTreeSet<String> = ARTIFACTS.iter().map(|(name, _)| name.to_string()).collect();
+    let named: BTreeSet<String> = ARTIFACTS.iter().map(|row| row.name.to_string()).collect();
     let orphans = present
         .difference(&named)
         .map(|name| format!("{name}: in {} but not in the artifact table", dir.display()));
@@ -98,7 +98,7 @@ fn every_artifact_reproduces_its_committed_bytes() {
     assert_matches_baselines(
         ARTIFACTS
             .iter()
-            .map(|(name, render)| (*name, render().into_bytes())),
+            .map(|row| (row.name, (row.committed)().into_bytes())),
     );
 }
 
@@ -112,12 +112,31 @@ fn baselines_bin_writes_the_committed_directory() {
         .expect("spawn baselines");
     assert!(run.status.success(), "baselines {}: {run:?}", dir.display());
     assert_eq!(name_mismatches(&dir), Vec::<String>::new());
-    assert_matches_baselines(ARTIFACTS.iter().map(|(name, _)| {
-        let written = std::fs::read(dir.join(name)).expect("bin wrote the row");
-        (*name, written)
+    assert_matches_baselines(ARTIFACTS.iter().map(|row| {
+        let written = std::fs::read(dir.join(row.name)).expect("bin wrote the row");
+        (row.name, written)
     }));
 
-    // The directory is required and there are no flags.
+    // A named row alone, at its full configuration: a seed-only suite's
+    // full run is its committed one.
+    let dir = scratch_dir("bin-full");
+    let run = std::process::Command::new(bin)
+        .args([
+            "--full".as_ref(),
+            dir.as_os_str(),
+            "BENCH_mechanisms.json".as_ref(),
+        ])
+        .output()
+        .expect("spawn baselines");
+    assert!(run.status.success(), "baselines --full: {run:?}");
+    let written: Vec<_> = std::fs::read_dir(&dir).expect("read").flatten().collect();
+    assert_eq!(written.len(), 1, "{written:?}");
+    let committed = std::fs::read(baselines_dir().join("BENCH_mechanisms.json")).expect("read");
+    let full = std::fs::read(dir.join("BENCH_mechanisms.json")).expect("bin wrote the row");
+    assert_eq!(mismatch("BENCH_mechanisms.json", &committed, &full), None);
+
+    // The directory is required; `--full` is the only flag and a second
+    // argument must name a row.
     let refused: [&[&str]; 3] = [&[], &["--seed", "7"], &["a", "b"]];
     for args in refused {
         let run = std::process::Command::new(bin)
@@ -125,7 +144,11 @@ fn baselines_bin_writes_the_committed_directory() {
             .output()
             .expect("spawn baselines");
         assert_eq!(run.status.code(), Some(2), "baselines {args:?}");
-        assert!(String::from_utf8_lossy(&run.stderr).contains("usage: baselines <DIR>"));
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            stderr.contains("usage: baselines [--full] <DIR> [NAME…]"),
+            "{stderr}"
+        );
     }
 }
 
@@ -162,8 +185,8 @@ fn comparator_reports_every_edit_at_its_offset() {
 #[test]
 fn directory_check_refuses_an_orphan_and_a_missing_file() {
     let dir = scratch_dir("names");
-    for (name, _) in ARTIFACTS {
-        std::fs::write(dir.join(name), b"{}\n").expect("write");
+    for row in ARTIFACTS {
+        std::fs::write(dir.join(row.name), b"{}\n").expect("write");
     }
     assert_eq!(name_mismatches(&dir), Vec::<String>::new());
 
@@ -176,11 +199,11 @@ fn directory_check_refuses_an_orphan_and_a_missing_file() {
     );
 
     std::fs::remove_file(dir.join("BENCH_orphan.json")).expect("remove");
-    std::fs::remove_file(dir.join(ARTIFACTS[3].0)).expect("remove");
+    std::fs::remove_file(dir.join(ARTIFACTS[3].name)).expect("remove");
     let report = name_mismatches(&dir);
     assert_eq!(report.len(), 1, "{report:?}");
     assert!(
-        report[0].starts_with(ARTIFACTS[3].0)
+        report[0].starts_with(ARTIFACTS[3].name)
             && report[0].contains("in the artifact table but not in")
     );
 }

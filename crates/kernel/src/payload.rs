@@ -24,7 +24,7 @@ use rmodp_observe::bus;
 pub const PAYLOAD_ALLOCS: &str = "kernel.payload.allocs";
 
 /// Counter name for deep copies of borrowed bytes. The hot path must
-/// keep this at zero; `mechanisms_bench` asserts it.
+/// keep this at zero; the `BENCH_mechanisms.json` suite asserts it.
 pub const PAYLOAD_COPIES: &str = "kernel.payload.copies";
 
 /// An immutable, cheaply shareable byte payload.

@@ -85,21 +85,6 @@ impl Oo7Config {
         }
     }
 
-    /// Medium scale: ~100k objects.
-    pub fn medium() -> Self {
-        Self {
-            assembly_levels: 5,
-            assembly_fanout: 3,
-            composites: 2_000,
-            atomics_per_composite: 50,
-            connections_per_atomic: 3,
-            composites_per_base: 3,
-            doc_chars: 500,
-            load_batch: 2_000,
-            date_range: 400,
-        }
-    }
-
     /// Full scale: ~1M typed information objects.
     pub fn full() -> Self {
         Self {

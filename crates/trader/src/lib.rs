@@ -39,8 +39,8 @@
 //! scan [`trader::Trader::import_scan`]. Property tests
 //! (`tests/plan_equivalence.rs`) hold them equal — members *and*
 //! ordering — over randomized populations, constraints, and index
-//! declarations; `trader_bench` measures the gap between them at a
-//! million offers.
+//! declarations; the `BENCH_trader.json` suite measures the gap between
+//! them, at a million offers with `baselines --full`.
 //!
 //! # Example
 //!

@@ -7,8 +7,8 @@
 //! import — on the plan's candidates. [`Trader::import_scan`] keeps the
 //! original full scan on the tree walker — it is the executable
 //! specification the planner and the compiled residual are tested
-//! against (see `tests/plan_equivalence.rs`) and the baseline
-//! `trader_bench` measures.
+//! against (see `tests/plan_equivalence.rs`) and the baseline the
+//! `BENCH_trader.json` suite measures.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -624,8 +624,8 @@ impl Trader {
     /// The reference implementation of import: a full linear scan of
     /// every offer, exactly as the trader matched before indexes
     /// existed. Kept as the executable specification the planner is
-    /// property-tested against, and as the baseline side of
-    /// `trader_bench`.
+    /// property-tested against, and as the baseline side of the
+    /// `BENCH_trader.json` suite.
     pub fn import_scan(
         &mut self,
         request: &ImportRequest,

@@ -136,6 +136,11 @@ const ONE_CALL_PATH: &str = "an interrogation, blocking or asynchronous, opens i
                              site, one `CallEnd` site, one place that counts a call \
                              (DESIGN.md, \"One call record, two steps\")";
 
+const ONE_ENTRY_POINT: &str = "every suite configuration, committed and full, is a row of \
+                               `ARTIFACTS` (crates/bench/src/artifacts.rs) and the \
+                               `baselines` bin is the one way to run it: `baselines \
+                               [--full] <DIR> [NAME…]`, read by `artifacts::select`";
+
 const RULES: &[Rule] = &[
     Rule {
         name: "event details are format arguments",
@@ -326,6 +331,30 @@ const RULES: &[Rule] = &[
             Literal("Instant"),
             Literal("SystemTime"),
             Literal("--measure"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 0,
+    },
+    Rule {
+        name: "one artifact entry point",
+        why: ONE_ENTRY_POINT,
+        roots: &["crates/bench/src"],
+        patterns: &[Call("env::args")],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 1,
+    },
+    Rule {
+        name: "one artifact entry point, no second set of defaults",
+        why: ONE_ENTRY_POINT,
+        roots: &["crates/bench/src"],
+        patterns: &[
+            Literal("pub mod cli"),
+            Literal("DEFAULT_SEED"),
+            Literal("impl Default for TraderBenchConfig"),
+            Literal("impl Default for Oo7BenchConfig"),
+            Literal("impl Default for PopulationBenchConfig"),
         ],
         exempt: &[],
         above_tests_only: false,
@@ -1359,6 +1388,24 @@ fn a_second_call_end_is_counted() {
         event(Layer::Engineering, EventKind::CallEnd)\n";
     assert_eq!(offending_lines(rule, text), vec![2, 3]);
     assert_eq!(rule.copies, 1, "two lines are one too many");
+}
+
+#[test]
+fn a_second_entry_point_is_counted() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "one artifact entry point")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        //! Reads `std::env::args` once.\n\
+        let selection = artifacts::select(std::env::args().skip(1));\n\
+        let mut args = std::env::args().skip(1);\n\
+        for arg in env::args() {}\n";
+    assert_eq!(offending_lines(rule, text), vec![2, 3, 4]);
+    assert_eq!(
+        rule.copies, 1,
+        "a second reader of the arguments is one too many"
+    );
 }
 
 #[test]
