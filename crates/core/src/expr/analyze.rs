@@ -9,15 +9,17 @@
 //!   if every conjunct evaluates to `true` on it (a conjunct that
 //!   evaluates to `false` or to an error makes the whole constraint
 //!   false-or-error — either way, no match), so any single conjunct is
-//!   a sound pre-filter;
+//!   a sound pre-filter, and a conjunct known to be true on an offer
+//!   can be left out of what is evaluated there;
 //! - which conjuncts are **sargable atoms**: comparisons of one
-//!   property path against one scalar literal
-//!   ([`Expr::index_atoms`]), the shapes a secondary index can serve.
+//!   property path against one scalar literal ([`Atom::of`]), the
+//!   shapes a secondary index can serve.
 //!
 //! The analysis is purely syntactic and err on the side of returning
 //! *fewer* atoms: anything it cannot classify simply stays in the
 //! residual predicate and is evaluated per candidate, so planning can
-//! never change a query's meaning.
+//! never change a query's meaning. An atom borrows its path and
+//! literals from the conjunct it was read from.
 
 use super::{BinOp, Expr};
 use crate::value::Value;
@@ -26,35 +28,69 @@ use crate::value::Value;
 /// variable path is always on the left (`10 <= ppm` becomes
 /// `ppm >= 10`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
+pub struct Comparison<'e> {
     /// The (dotted) property path being constrained.
-    pub path: Vec<String>,
+    pub path: &'e [String],
     /// The comparison operator, variable on the left.
     pub op: BinOp,
     /// The scalar literal on the right.
-    pub rhs: Value,
+    pub rhs: &'e Value,
 }
 
-/// A sargable atom extracted from one conjunct.
+/// A sargable atom: one conjunct of an index-servable shape.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Atom {
+pub enum Atom<'e> {
     /// `path op literal` for `==`, `<`, `<=`, `>`, `>=`.
-    Cmp(Comparison),
+    Cmp(Comparison<'e>),
     /// `path in [lit, lit, …]`: a disjunction of point lookups.
     InSet {
         /// The constrained property path.
-        path: Vec<String>,
+        path: &'e [String],
         /// The literal members, in source order.
-        values: Vec<Value>,
+        values: Vec<&'e Value>,
     },
 }
 
-impl Atom {
+impl<'e> Atom<'e> {
     /// The property path the atom constrains.
-    pub fn path(&self) -> &[String] {
+    pub fn path(&self) -> &'e [String] {
         match self {
-            Atom::Cmp(c) => &c.path,
+            Atom::Cmp(c) => c.path,
             Atom::InSet { path, .. } => path,
+        }
+    }
+
+    /// The atom a conjunct (see [`Expr::conjuncts`]) is, if it has the
+    /// shape `path op scalar-literal` (either side) or
+    /// `path in [literals]`. Everything else is planner-opaque and must
+    /// be handled by residual evaluation.
+    pub fn of(conjunct: &'e Expr) -> Option<Self> {
+        let Expr::Binary(op, lhs, rhs) = conjunct else {
+            return None;
+        };
+        match op {
+            BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                let (path, op, rhs) = match (lhs.as_ref(), rhs.as_ref()) {
+                    (Expr::Var(path), Expr::Lit(lit)) => (path, *op, lit),
+                    (Expr::Lit(lit), Expr::Var(path)) => (path, flip(*op), lit),
+                    _ => return None,
+                };
+                scalar(rhs).then_some(Atom::Cmp(Comparison { path, op, rhs }))
+            }
+            BinOp::In => {
+                let (Expr::Var(path), Expr::SeqLit(items)) = (lhs.as_ref(), rhs.as_ref()) else {
+                    return None;
+                };
+                let values = items
+                    .iter()
+                    .map(|item| match item {
+                        Expr::Lit(v) if scalar(v) => Some(v),
+                        _ => None,
+                    })
+                    .collect::<Option<_>>()?;
+                Some(Atom::InSet { path, values })
+            }
+            _ => None,
         }
     }
 }
@@ -79,46 +115,6 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
-fn as_atom(e: &Expr) -> Option<Atom> {
-    let Expr::Binary(op, lhs, rhs) = e else {
-        return None;
-    };
-    match op {
-        BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let (path, op, lit) = match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Var(path), Expr::Lit(lit)) => (path, *op, lit),
-                (Expr::Lit(lit), Expr::Var(path)) => (path, flip(*op), lit),
-                _ => return None,
-            };
-            if !scalar(lit) {
-                return None;
-            }
-            Some(Atom::Cmp(Comparison {
-                path: path.clone(),
-                op,
-                rhs: lit.clone(),
-            }))
-        }
-        BinOp::In => {
-            let (Expr::Var(path), Expr::SeqLit(items)) = (lhs.as_ref(), rhs.as_ref()) else {
-                return None;
-            };
-            let mut values = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    Expr::Lit(v) if scalar(v) => values.push(v.clone()),
-                    _ => return None,
-                }
-            }
-            Some(Atom::InSet {
-                path: path.clone(),
-                values,
-            })
-        }
-        _ => None,
-    }
-}
-
 impl Expr {
     /// The operands of the top-level `and` tree, left to right. An
     /// expression that is not a conjunction is its own single conjunct.
@@ -136,14 +132,6 @@ impl Expr {
         walk(self, &mut out);
         out
     }
-
-    /// The sargable atoms among this expression's conjuncts: conjuncts
-    /// of the shape `path op scalar-literal` (either side) or
-    /// `path in [literals]`. Everything else is planner-opaque and
-    /// must be handled by residual evaluation.
-    pub fn index_atoms(&self) -> Vec<Atom> {
-        self.conjuncts().into_iter().filter_map(as_atom).collect()
-    }
 }
 
 #[cfg(test)]
@@ -152,6 +140,11 @@ mod tests {
 
     fn parse(src: &str) -> Expr {
         Expr::parse(src).unwrap()
+    }
+
+    /// The atoms among an expression's conjuncts, in order.
+    fn atoms(e: &Expr) -> Vec<Atom<'_>> {
+        e.conjuncts().into_iter().filter_map(Atom::of).collect()
     }
 
     #[test]
@@ -166,14 +159,14 @@ mod tests {
     #[test]
     fn atoms_extract_simple_comparisons() {
         let e = parse("ppm >= 40 and region == \"bne\" and colour == true");
-        let atoms = e.index_atoms();
+        let atoms = atoms(&e);
         assert_eq!(atoms.len(), 3);
         assert_eq!(
             atoms[0],
             Atom::Cmp(Comparison {
-                path: vec!["ppm".into()],
+                path: &["ppm".into()],
                 op: BinOp::Ge,
-                rhs: Value::Int(40),
+                rhs: &Value::Int(40),
             })
         );
         assert_eq!(atoms[1].path(), ["region".to_owned()]);
@@ -181,32 +174,33 @@ mod tests {
 
     #[test]
     fn flipped_literals_normalise() {
-        let atoms = parse("10 <= ppm").index_atoms();
+        let e = parse("10 <= ppm");
         assert_eq!(
-            atoms,
+            atoms(&e),
             vec![Atom::Cmp(Comparison {
-                path: vec!["ppm".into()],
+                path: &["ppm".into()],
                 op: BinOp::Ge,
-                rhs: Value::Int(10),
+                rhs: &Value::Int(10),
             })]
         );
         // Symmetric equality keeps ==.
-        let atoms = parse("\"x\" == region").index_atoms();
+        let e = parse("\"x\" == region");
+        let atoms = atoms(&e);
         assert!(matches!(&atoms[0], Atom::Cmp(c) if c.op == BinOp::Eq));
     }
 
     #[test]
     fn in_sets_of_literals_are_atoms() {
-        let atoms = parse("floor in [1, 2, 3]").index_atoms();
+        let e = parse("floor in [1, 2, 3]");
         assert_eq!(
-            atoms,
+            atoms(&e),
             vec![Atom::InSet {
-                path: vec!["floor".into()],
-                values: vec![Value::Int(1), Value::Int(2), Value::Int(3)],
+                path: &["floor".into()],
+                values: vec![&Value::Int(1), &Value::Int(2), &Value::Int(3)],
             }]
         );
         // Non-literal members disqualify the atom.
-        assert!(parse("floor in [1, x]").index_atoms().is_empty());
+        assert!(atoms(&parse("floor in [1, x]")).is_empty());
     }
 
     #[test]
@@ -221,17 +215,19 @@ mod tests {
             "tags == [1, 2]", // non-scalar literal (SeqLit rhs)
             "starts_with(n, \"a\")",
         ] {
-            assert!(parse(src).index_atoms().is_empty(), "{src}");
+            assert!(atoms(&parse(src)).is_empty(), "{src}");
         }
         // Mixed: the sargable half still surfaces.
-        let atoms = parse("(a > 1 or b > 2) and ppm >= 40").index_atoms();
+        let e = parse("(a > 1 or b > 2) and ppm >= 40");
+        let atoms = atoms(&e);
         assert_eq!(atoms.len(), 1);
         assert_eq!(atoms[0].path(), ["ppm".to_owned()]);
     }
 
     #[test]
     fn dotted_paths_survive_extraction() {
-        let atoms = parse("qos.latency_ms <= 20").index_atoms();
+        let e = parse("qos.latency_ms <= 20");
+        let atoms = atoms(&e);
         assert_eq!(atoms[0].path(), ["qos".to_owned(), "latency_ms".to_owned()]);
     }
 }

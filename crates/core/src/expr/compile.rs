@@ -237,6 +237,17 @@ impl<'e> Predicate<'e> {
         Predicate::new(Test::compile(expr))
     }
 
+    /// Compiles the conjunction of `conjuncts`, in order: it holds
+    /// exactly when each of them evaluates to `true`, as the `and` of
+    /// them would. The planner's residual is the conjuncts of a
+    /// constraint its indexes did not answer exactly.
+    pub fn all(conjuncts: &[&'e Expr]) -> Self {
+        Predicate::new(match conjuncts {
+            [one] => Test::compile(one),
+            _ => Test::All(conjuncts.iter().map(|c| Test::compile(c)).collect()),
+        })
+    }
+
     /// The same predicate, owning what it borrowed from the expression.
     pub fn into_owned(self) -> Predicate<'static> {
         Predicate::new(self.test.into_owned())

@@ -211,6 +211,12 @@ proptest! {
         for path in e.variables().iter().filter(|p| holds && predicate.requires(p)) {
             prop_assert!(record.path(path).is_some(), "{} requires {:?}", e, path);
         }
+        // Its conjuncts compiled as one conjunction are the same predicate
+        // (the trader's residual is such a list, less the conjuncts an
+        // index answered).
+        let conjunction = Predicate::all(&e.conjuncts());
+        prop_assert_eq!(&conjunction, &predicate, "conjunction: {}", e);
+        prop_assert_eq!(conjunction.holds(&record), holds, "conjunction: {}", e);
         let term = Term::compile(&e).value(&record).map(|v| v.into_owned());
         prop_assert_eq!(format!("{term:?}"), format!("{:?}", by_record.as_ref().ok()), "term: {}", e);
         // Detached from the expression, both forms are what they were.

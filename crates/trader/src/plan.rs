@@ -2,7 +2,8 @@
 //!
 //! [`plan_import`] compiles an [`ImportRequest`] against an
 //! [`OfferStore`] into a [`QueryPlan`] — which access paths to use, in
-//! what order — and executes its candidate-producing half:
+//! what order, and what is left for the residual filter — and executes
+//! its candidate-producing half:
 //!
 //! 1. **Access paths.** The service-type index always provides one
 //!    path (the union of matching type buckets). Every sargable atom
@@ -13,36 +14,44 @@
 //!    known exactly (posting sizes are maintained by the store), so
 //!    the cheapest path drives; other paths join the intersection only
 //!    if they are within `INTERSECT_FACTOR`× of the driver — beyond
-//!    that, re-checking them per candidate (which the residual does
-//!    anyway) is cheaper than materialising them.
+//!    that, re-checking them per candidate in the residual is cheaper
+//!    than materialising them.
 //! 3. **Intersection.** Posting lists are ascending `OfferId` slices: a
-//!    lone path of one list is the candidates as it lies. A path of
+//!    lone path of one list is the candidates, read in place. A path of
 //!    several lists, or a second path, sets bits in a word map over the
 //!    id span of the lists involved; maps are ANDed and the set bits read
 //!    back ascending — the same order the naive scan visits offers,
 //!    which is what keeps planned matching byte-identical.
 //! 4. **Residual filter** (performed by the caller, `Trader::import`):
-//!    the *full* original constraint, compiled once, is re-evaluated on
-//!    every candidate. Index lookups are deliberately over-approximate
-//!    (inclusive bounds at float boundaries, lossy `i64→f64` key
-//!    unification), so the residual is what makes the planner exactly
-//!    — not just approximately — equivalent to the scan.
+//!    the conjuncts of the constraint that no used path answers
+//!    *exactly*, compiled once, are evaluated on every candidate. A
+//!    lookup answers its atom exactly when the offers it posts are the
+//!    offers the atom holds on, no more ([`serves_exactly`] says when);
+//!    every candidate lies on every used path, so such an atom is true
+//!    on it and re-evaluating it could only say so again. Every other
+//!    lookup over-approximates — strict bounds looked up inclusively,
+//!    `in`-sets, a numeric key shared by a lossy `Int` (beyond ±2⁵³) and
+//!    its `f64` neighbour — and its conjunct stays in the residual,
+//!    which is what makes the planner exactly — not just approximately —
+//!    equivalent to the scan.
 //!
 //! When no atom is servable (no constraint, no declared indexes, or
 //! only opaque conjuncts), the plan is a transparent **fallback**: the
 //! type-bucket union alone, which degenerates to the original full
-//! scan restricted to type-conformant offers.
+//! scan restricted to type-conformant offers, with the whole
+//! constraint as its residual.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::ops::Bound;
 
-use rmodp_core::expr::{Atom, BinOp};
+use rmodp_core::expr::{Atom, BinOp, Expr};
 use rmodp_core::id::OfferId;
 use rmodp_core::value::Value;
 use rmodp_typerepo::TypeRepository;
 
-use crate::store::{IndexKind, OfferStore, PropKey};
+use crate::store::{lossy, IndexKind, OfferStore, PropKey, PropertyIndex};
 use crate::trader::ImportRequest;
 
 /// A path whose candidate count exceeds the driver's by more than this
@@ -63,12 +72,15 @@ pub struct IndexStep {
     /// Whether the path joined the intersection (`false`: served by
     /// the residual filter instead).
     pub used: bool,
+    /// Whether the path answers its atom exactly, so that the residual
+    /// filter does not re-check it (see [`serves_exactly`]).
+    pub exact: bool,
 }
 
 /// The compiled plan for one import. Everything needed to explain the
 /// query: matched type buckets, considered index paths, whether the
-/// planner fell back to a type-bucket scan, and the candidate count
-/// the residual filter received.
+/// planner fell back to a type-bucket scan, the residual that runs and
+/// the candidate count it received.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     /// The requested service type.
@@ -79,7 +91,8 @@ pub struct QueryPlan {
     pub type_total: usize,
     /// Index paths considered, in selectivity order.
     pub steps: Vec<IndexStep>,
-    /// The residual predicate (the full constraint), rendered.
+    /// The residual predicate that runs per candidate — the conjuncts
+    /// no step answers exactly, rendered — or `None` when none is left.
     pub residual: Option<String>,
     /// `true` when no secondary index pruned the search and the plan
     /// degenerated to the type-bucket scan.
@@ -135,12 +148,13 @@ impl fmt::Display for QueryPlan {
         for s in &self.steps {
             writeln!(
                 f,
-                "  {} {}-index {}: ({}) -> {} offers",
+                "  {} {}-index {}: ({}) -> {} offers{}",
                 if s.used { "use " } else { "skip" },
                 s.kind,
                 s.property,
                 s.atom,
-                s.postings
+                s.postings,
+                if s.exact { ", exact" } else { "" }
             )?;
         }
         if self.fallback {
@@ -155,24 +169,31 @@ impl fmt::Display for QueryPlan {
 }
 
 /// The planner's output: the plan, the candidate ids in ascending
-/// order, and the matched-type set for the caller's per-candidate type
+/// order, the matched-type set for the caller's per-candidate type
 /// check (a fallback plan's candidates come out of the matching type
-/// buckets and need none).
+/// buckets and need none), and the conjuncts the residual evaluates.
 #[derive(Debug)]
-pub struct PlannedImport {
+pub struct PlannedImport<'a> {
     /// The compiled, explainable plan.
     pub plan: QueryPlan,
-    /// Candidate offer ids, ascending.
-    pub candidates: Vec<OfferId>,
+    /// Candidate offer ids, ascending: a lone posting list in place, or
+    /// the ids read out of the word map.
+    pub candidates: Cow<'a, [OfferId]>,
     /// The service types that conform to the request.
     pub matched_types: BTreeSet<String>,
+    /// The constraint's conjuncts no used path answers exactly, in
+    /// order: what the residual filter evaluates per candidate.
+    pub residual: Vec<&'a Expr>,
 }
 
-/// One access path with its posting lists.
+/// One access path with its posting lists, the atom it serves and the
+/// position of that atom's conjunct.
 struct Path<'a> {
     step: IndexStep,
     postings: Vec<&'a [OfferId]>,
     count: usize,
+    atom: Atom<'a>,
+    conjunct: usize,
 }
 
 /// Collects the posting lists for one sargable atom, or `None` when the
@@ -181,7 +202,7 @@ struct Path<'a> {
 /// numeric keys unify int/float exactly as the evaluator does.
 fn atom_postings<'a>(
     store: &'a OfferStore,
-    atom: &Atom,
+    atom: &Atom<'_>,
 ) -> Option<(String, IndexKind, String, Vec<&'a [OfferId]>)> {
     let [property] = atom.path() else {
         return None; // only top-level properties are indexed
@@ -192,7 +213,7 @@ fn atom_postings<'a>(
             let rendered = format!("{} {} {}", property, c.op.symbol(), c.rhs);
             match c.op {
                 BinOp::Eq => {
-                    let key = PropKey::of(&c.rhs)?;
+                    let key = PropKey::of(c.rhs)?;
                     let sets = index.eq_postings(&key).into_iter().collect();
                     Some((property.clone(), index.kind(), rendered, sets))
                 }
@@ -201,9 +222,9 @@ fn atom_postings<'a>(
                         return None;
                     }
                     let upper = matches!(c.op, BinOp::Lt | BinOp::Le);
-                    let sets = match &c.rhs {
+                    let sets = match c.rhs {
                         Value::Int(_) | Value::Float(_) => {
-                            let key = PropKey::of(&c.rhs)?;
+                            let key = PropKey::of(c.rhs)?;
                             let (num_lo, num_hi) = PropKey::num_band();
                             let (lo, hi) = if upper { (num_lo, key) } else { (key, num_hi) };
                             // A NaN literal's key sorts above the band, so
@@ -235,7 +256,7 @@ fn atom_postings<'a>(
             }
         }
         Atom::InSet { values, .. } => {
-            let keys: BTreeSet<PropKey> = values.iter().filter_map(PropKey::of).collect();
+            let keys: BTreeSet<PropKey> = values.iter().copied().filter_map(PropKey::of).collect();
             let sets = keys.iter().filter_map(|k| index.eq_postings(k)).collect();
             let rendered = format!(
                 "{} in [{}]",
@@ -249,6 +270,35 @@ fn atom_postings<'a>(
             Some((property.clone(), index.kind(), rendered, sets))
         }
     }
+}
+
+/// Whether a step answers its atom exactly, so that no candidate needs
+/// it re-checked: the one place that decides which conjuncts leave the
+/// residual. The step is used (every candidate lies on it), its index is
+/// exact (no lossy `Int` posted), and the atom is `==` against a non-NaN
+/// number that widens exactly, a text or a bool, or `>=`/`<=` against
+/// such a number or a text: lookups whose keys say what the evaluator
+/// would (DESIGN.md, "Trader at scale", step 4). Strict bounds are
+/// looked up inclusively and `in`-sets are not judged: both stay.
+fn serves_exactly(store: &OfferStore, step: &IndexStep, atom: &Atom<'_>) -> bool {
+    let Atom::Cmp(c) = atom else {
+        return false;
+    };
+    let number = match c.rhs {
+        Value::Int(_) => !lossy(c.rhs),
+        Value::Float(x) => !x.is_nan(),
+        _ => false,
+    };
+    let literal = match c.op {
+        BinOp::Eq => number || matches!(c.rhs, Value::Text(_) | Value::Bool(_)),
+        BinOp::Ge | BinOp::Le => number || matches!(c.rhs, Value::Text(_)),
+        _ => false,
+    };
+    step.used
+        && literal
+        && store
+            .index(&step.property)
+            .is_some_and(PropertyIndex::is_exact)
 }
 
 /// The candidate ids of the paths combined so far. A path of one posting
@@ -309,10 +359,10 @@ impl<'a> Candidates<'a> {
         }
     }
 
-    /// The candidates, ascending.
-    fn into_ids(self) -> Vec<OfferId> {
+    /// The candidates, ascending: a lone list as it lies.
+    fn into_ids(self) -> Cow<'a, [OfferId]> {
         let (lo, words) = match self {
-            Candidates::List(ids) => return ids.to_vec(),
+            Candidates::List(ids) => return Cow::Borrowed(ids),
             Candidates::Map { lo, words } => (lo, words),
         };
         let count = words.iter().map(|w| w.count_ones() as usize).sum();
@@ -323,7 +373,7 @@ impl<'a> Candidates<'a> {
                 word &= word - 1;
             }
         }
-        ids
+        Cow::Owned(ids)
     }
 }
 
@@ -340,11 +390,11 @@ fn mark(words: &mut [u64], lo: u64, lists: &[&[OfferId]]) {
 }
 
 /// Compiles and executes the candidate-producing half of an import.
-pub fn plan_import(
-    store: &OfferStore,
-    request: &ImportRequest,
+pub fn plan_import<'a>(
+    store: &'a OfferStore,
+    request: &'a ImportRequest,
     repo: Option<&TypeRepository>,
-) -> PlannedImport {
+) -> PlannedImport<'a> {
     // Matching type buckets: the requested type plus, under subtype
     // substitution, every present subtype the repository derives.
     let types: Vec<(String, usize)> = store
@@ -360,23 +410,33 @@ pub fn plan_import(
     let type_total: usize = types.iter().map(|(_, n)| n).sum();
 
     // Secondary-index access paths from the constraint's atoms.
+    let mut conjuncts = request
+        .constraint
+        .as_ref()
+        .map(Expr::conjuncts)
+        .unwrap_or_default();
     let mut paths: Vec<Path<'_>> = Vec::new();
-    if let Some(constraint) = &request.constraint {
-        for atom in constraint.index_atoms() {
-            if let Some((property, kind, atom_text, postings)) = atom_postings(store, &atom) {
-                let count = postings.iter().map(|s| s.len()).sum();
-                paths.push(Path {
-                    step: IndexStep {
-                        property,
-                        kind,
-                        atom: atom_text,
-                        postings: count,
-                        used: false,
-                    },
-                    postings,
-                    count,
-                });
-            }
+    for (conjunct, atom) in conjuncts
+        .iter()
+        .enumerate()
+        .filter_map(|(at, c)| Some((at, Atom::of(c)?)))
+    {
+        if let Some((property, kind, atom_text, postings)) = atom_postings(store, &atom) {
+            let count = postings.iter().map(|s| s.len()).sum();
+            paths.push(Path {
+                step: IndexStep {
+                    property,
+                    kind,
+                    atom: atom_text,
+                    postings: count,
+                    used: false,
+                    exact: false,
+                },
+                postings,
+                count,
+                atom,
+                conjunct,
+            });
         }
     }
     // Selectivity order: cheapest first; ties break on the rendered
@@ -405,12 +465,30 @@ pub fn plan_import(
     }
     .into_ids();
 
+    // What the paths answer exactly leaves the residual.
+    for path in &mut paths {
+        path.step.exact = serves_exactly(store, &path.step, &path.atom);
+    }
+    let mut positions = 0..;
+    conjuncts.retain(|_| {
+        let at = positions.next();
+        !paths.iter().any(|p| p.step.exact && Some(p.conjunct) == at)
+    });
+    let residual = (!conjuncts.is_empty()).then(|| {
+        let mut text = String::new();
+        for (at, conjunct) in conjuncts.iter().enumerate() {
+            let and = if at == 0 { "" } else { " and " };
+            write!(text, "{and}{conjunct}").expect("writing to a String cannot fail");
+        }
+        text
+    });
+
     let plan = QueryPlan {
         service_type: request.service_type.clone(),
         types,
         type_total,
         steps: paths.into_iter().map(|p| p.step).collect(),
-        residual: request.constraint.as_ref().map(|c| c.to_string()),
+        residual,
         fallback,
         candidates: candidates.len(),
         store_len: store.len(),
@@ -419,6 +497,7 @@ pub fn plan_import(
         plan,
         candidates,
         matched_types,
+        residual: conjuncts,
     }
 }
 
@@ -459,7 +538,8 @@ mod tests {
     #[test]
     fn unconstrained_imports_fall_back_to_type_buckets() {
         let s = store();
-        let planned = plan_import(&s, &ImportRequest::new("Printer"), None);
+        let request = ImportRequest::new("Printer");
+        let planned = plan_import(&s, &request, None);
         assert!(planned.plan.fallback);
         assert_eq!(planned.candidates.len(), 75);
         assert!(planned.candidates.windows(2).all(|w| w[0] < w[1]));
@@ -579,7 +659,8 @@ mod tests {
                 live(&|o| ppm(o) >= Some(40) && bne(o)),
             ),
         ] {
-            let planned = plan_import(&s, &req(constraint), None);
+            let request = req(constraint);
+            let planned = plan_import(&s, &request, None);
             assert_eq!(planned.candidates, expected, "{constraint}");
         }
     }
@@ -587,7 +668,8 @@ mod tests {
     #[test]
     fn equality_drives_through_the_hash_index() {
         let s = store();
-        let planned = plan_import(&s, &req("region == \"bne\""), None);
+        let request = req("region == \"bne\"");
+        let planned = plan_import(&s, &request, None);
         assert!(!planned.plan.fallback);
         assert_eq!(planned.plan.steps.len(), 1);
         assert!(planned.plan.steps[0].used);
@@ -598,18 +680,21 @@ mod tests {
     fn ranges_need_an_ordered_index() {
         let s = store();
         // ppm has a btree index: servable.
-        let planned = plan_import(&s, &req("ppm >= 50"), None);
+        let request = req("ppm >= 50");
+        let planned = plan_import(&s, &request, None);
         assert!(!planned.plan.fallback);
         assert_eq!(planned.candidates.len(), 50);
         // region is hash-only: a range on it is planner-opaque.
-        let planned = plan_import(&s, &req("region >= \"bne\""), None);
+        let request = req("region >= \"bne\"");
+        let planned = plan_import(&s, &request, None);
         assert!(planned.plan.fallback);
     }
 
     #[test]
     fn intersection_multiplies_selectivity() {
         let s = store();
-        let planned = plan_import(&s, &req("ppm == 30 and region == \"syd\""), None);
+        let request = req("ppm == 30 and region == \"syd\"");
+        let planned = plan_import(&s, &request, None);
         assert!(!planned.plan.fallback);
         assert_eq!(planned.plan.steps.iter().filter(|st| st.used).count(), 2);
         // ppm==30 ⇒ i%10==3 ⇒ odd ⇒ all syd: 10 offers.
@@ -619,7 +704,8 @@ mod tests {
     #[test]
     fn incomparable_range_prunes_everything() {
         let s = store();
-        let planned = plan_import(&s, &req("ppm < true"), None);
+        let request = req("ppm < true");
+        let planned = plan_import(&s, &request, None);
         assert!(!planned.plan.fallback);
         assert!(planned.candidates.is_empty());
     }
@@ -627,12 +713,118 @@ mod tests {
     #[test]
     fn explain_renders_every_section() {
         let s = store();
-        let planned = plan_import(&s, &req("ppm >= 50 and region == \"bne\""), None);
+        let request = req("ppm >= 50 and region == \"bne\"");
+        let planned = plan_import(&s, &request, None);
         let text = planned.plan.to_string();
         assert!(text.contains("type-index"), "{text}");
         assert!(text.contains("btree-index ppm"), "{text}");
         assert!(text.contains("hash-index region"), "{text}");
         assert!(text.contains("residual filter"), "{text}");
         assert!(planned.plan.summary().to_string().contains("indexed"));
+    }
+
+    /// The rendered residual of a plan and which steps are exact.
+    fn residual_of(s: &OfferStore, constraint: &str) -> (Option<String>, Vec<bool>) {
+        let request = req(constraint);
+        let planned = plan_import(s, &request, None);
+        let rendered = planned.plan.residual.clone();
+        let kept: Vec<String> = planned.residual.iter().map(|c| c.to_string()).collect();
+        assert_eq!(rendered, (!kept.is_empty()).then(|| kept.join(" and ")));
+        let exact = planned.plan.steps.iter().map(|st| st.exact).collect();
+        (rendered, exact)
+    }
+
+    #[test]
+    fn exactly_answered_atoms_leave_the_residual() {
+        let s = store();
+        let none = |exact: Vec<bool>| (None, exact);
+        let kept = |text: &str, exact: Vec<bool>| (Some(text.to_owned()), exact);
+        for (constraint, expected) in [
+            // Equality against an int, a text, a bool; both sides of a
+            // range against an int, a float and a text.
+            ("ppm == 30", none(vec![true])),
+            ("ppm >= 50 and region == \"bne\"", none(vec![true, true])),
+            ("50 <= ppm and ppm <= 80.5", none(vec![true, true])),
+            // Strict bounds and in-sets are looked up inclusively.
+            ("ppm > 50", kept("(ppm > 50)", vec![false])),
+            ("ppm < 50", kept("(ppm < 50)", vec![false])),
+            ("ppm in [30, 40]", kept("(ppm in [30, 40])", vec![false])),
+            // A literal beyond ±2⁵³ keys with its f64 neighbours.
+            (
+                "ppm >= 9007199254740993",
+                kept("(ppm >= 9007199254740993)", vec![false]),
+            ),
+            // A path past the budget is not intersected: its candidates
+            // are not all on it.
+            (
+                "ppm == 30 and ppm >= 0",
+                kept("(ppm >= 0)", vec![true, false]),
+            ),
+            // Opaque conjuncts stay, in order, around the exact one.
+            (
+                "ppm + 0 >= 1 and ppm >= 50 and region != \"bne\"",
+                kept("((ppm + 0) >= 1) and (region != \"bne\")", vec![true]),
+            ),
+        ] {
+            assert_eq!(residual_of(&s, constraint), expected, "{constraint}");
+        }
+        // A fallback plan keeps the whole constraint; no constraint, no residual.
+        assert_eq!(
+            residual_of(&s, "ppm + 0 >= 1 and colour == true"),
+            kept("((ppm + 0) >= 1) and (colour == true)", vec![])
+        );
+        let request = ImportRequest::new("Printer");
+        assert!(plan_import(&s, &request, None).plan.residual.is_none());
+    }
+
+    /// An index that posts an int beyond ±2⁵³ is inexact: every atom it
+    /// serves stays in the residual, until the offer leaves.
+    #[test]
+    fn an_inexact_index_keeps_its_atoms_in_the_residual() {
+        let mut s = store();
+        let wide = |ppm: i64| ServiceOffer {
+            id: OfferId::new(101),
+            service_type: "Printer".into(),
+            interface: InterfaceId::new(101),
+            properties: Value::record([("ppm", Value::Int(ppm)), ("region", Value::text("bne"))]),
+            held_by: "t".into(),
+        };
+        s.insert(wide((1 << 53) + 1));
+        assert!(!s.index("ppm").unwrap().is_exact());
+        assert!(s.index("region").unwrap().is_exact());
+        // Both paths are used (51 offers each, ppm's first); only
+        // region's answers its atom.
+        let constraint = "ppm >= 50 and region == \"bne\"";
+        assert_eq!(
+            residual_of(&s, constraint),
+            (Some("(ppm >= 50)".to_owned()), vec![false, true])
+        );
+        // 2⁵³ widens exactly: replacing the offer's value re-counts it.
+        assert!(s.replace_properties(OfferId::new(101), wide(1 << 53).properties));
+        assert_eq!(residual_of(&s, constraint), (None, vec![true, true]));
+        s.insert(wide(i64::MIN));
+        assert_eq!(
+            residual_of(&s, "ppm == 30"),
+            (Some("(ppm == 30)".to_owned()), vec![false])
+        );
+        s.remove(OfferId::new(101)).unwrap();
+        assert_eq!(residual_of(&s, "ppm == 30"), (None, vec![true]));
+    }
+
+    #[test]
+    fn explain_marks_exact_steps_and_renders_the_residual_that_runs() {
+        let s = store();
+        let request = req("ppm >= 50 and region == \"bne\"");
+        let text = plan_import(&s, &request, None).plan.to_string();
+        assert!(text.contains("(ppm >= 50) -> 50 offers, exact"), "{text}");
+        assert!(
+            text.contains("(region == \"bne\") -> 50 offers, exact"),
+            "{text}"
+        );
+        assert!(text.contains("residual filter: (none)"), "{text}");
+        let request = req("ppm > 50 and region == \"bne\"");
+        let text = plan_import(&s, &request, None).plan.to_string();
+        assert!(text.contains("(ppm > 50) -> 50 offers\n"), "{text}");
+        assert!(text.contains("residual filter: (ppm > 50)\n"), "{text}");
     }
 }

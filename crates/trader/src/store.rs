@@ -23,26 +23,36 @@
 //! # What a write costs
 //!
 //! A posting list is one strictly ascending `Vec<OfferId>`, which the
-//! planner copies and intersects as a slice. Posting an id above the
-//! list's last — every export's fresh id — is an append. Anything else
+//! planner reads in place and intersects as a slice. Posting an id above
+//! the list's last — every export's fresh id — is an append. Anything else
 //! (a withdrawal; a modify unposts the old key, posts the new) is a
 //! binary search and a `memmove` of the tail, O(list) per list touched:
 //! ~32 KB and a few microseconds to withdraw from an 8,000-id type
 //! bucket (`trader-mix`'s `Printer`) — the price of the dense reads.
 //!
-//! # Key normalisation and soundness
+//! # Key normalisation, soundness and exactness
 //!
 //! Secondary index keys are [`PropKey`]s: scalar property values
 //! normalised so that key equality/order *over-approximates* the
 //! constraint evaluator's semantics. Numbers (int or float) share one
 //! key band keyed by the total-order bits of their `f64` widening —
 //! exactly the widening `Expr::eval` applies when comparing mixed
-//! numerics. Because `i64 → f64` is lossy above 2⁵³, two distinct
-//! values may share a key; the planner therefore treats every index
-//! lookup as a *candidate pre-filter* and re-evaluates the full
-//! constraint on each candidate. An index lookup may return a
-//! non-match (harmless), but never misses a match — see
-//! `DESIGN.md` §Trader for the full argument.
+//! numerics. An index lookup may therefore return a non-match, but
+//! never misses a match.
+//!
+//! The widening is lossy only for an `Int` beyond ±2⁵³, which may share
+//! a key with a value it does not equal (`2⁵³ + 1` keys as `2⁵³`). Each
+//! [`PropertyIndex`] counts the offers it posts under such an `Int`,
+//! on insert, removal and property replacement alike; while the count
+//! is 0 the index is *exact* ([`PropertyIndex::is_exact`]): every key
+//! stands for one number, one text or one bool, and the ids under a key
+//! — or a key range — are exactly the offers whose value the evaluator
+//! finds equal to — or ordered within — a literal of that key. A `NaN`
+//! keys above `+inf`, outside every numeric range, and equals no
+//! non-NaN literal, so it needs no count. The planner lets an exact
+//! index answer an atom without re-evaluating it per candidate, and
+//! keeps every other atom in the residual — see `DESIGN.md` §Trader for
+//! the full argument.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -151,6 +161,13 @@ enum Postings {
     Ordered(BTreeMap<PropKey, Vec<OfferId>>),
 }
 
+/// Whether a value is an `Int` beyond ±2⁵³, whose `f64` widening is
+/// lossy: the only scalar whose key may be shared with a value it does
+/// not equal (`2⁵³ + 1` keys as `2⁵³`).
+pub(crate) fn lossy(v: &Value) -> bool {
+    matches!(v, Value::Int(i) if i.unsigned_abs() > 1 << 53)
+}
+
 /// One secondary index over a top-level property.
 #[derive(Debug)]
 pub struct PropertyIndex {
@@ -159,6 +176,9 @@ pub struct PropertyIndex {
     /// Offers currently indexed (those whose value for the property is
     /// a scalar).
     entries: usize,
+    /// Offers indexed under a [lossy](lossy) `Int`: while there are
+    /// none, the index is exact.
+    lossy: usize,
 }
 
 impl PropertyIndex {
@@ -171,6 +191,7 @@ impl PropertyIndex {
             kind,
             postings,
             entries: 0,
+            lossy: 0,
         }
     }
 
@@ -184,20 +205,37 @@ impl PropertyIndex {
         self.entries
     }
 
-    fn insert(&mut self, key: PropKey, id: OfferId) {
+    /// Whether no offer is posted under a [lossy](lossy) `Int`, so that
+    /// every key stands for one number, text or bool (module docs).
+    pub fn is_exact(&self) -> bool {
+        self.lossy == 0
+    }
+
+    /// Posts an offer under its value for the property, if scalar.
+    fn insert(&mut self, value: &Value, id: OfferId) {
+        let Some(key) = PropKey::of(value) else {
+            return;
+        };
         let list = match &mut self.postings {
             Postings::Hash(m) => m.entry(key).or_default(),
             Postings::Ordered(m) => m.entry(key).or_default(),
         };
         if post(list, id) {
             self.entries += 1;
+            self.lossy += usize::from(lossy(value));
         }
     }
 
-    fn remove(&mut self, key: &PropKey, id: OfferId) {
+    /// Unposts an offer from under its value for the property: the
+    /// value it was posted with, so that the lossy count stays true (the
+    /// store re-threads a replaced value by value, not by key).
+    fn remove(&mut self, value: &Value, id: OfferId) {
+        let Some(key) = PropKey::of(value) else {
+            return;
+        };
         let list = match &mut self.postings {
-            Postings::Hash(m) => m.get_mut(key),
-            Postings::Ordered(m) => m.get_mut(key),
+            Postings::Hash(m) => m.get_mut(&key),
+            Postings::Ordered(m) => m.get_mut(&key),
         };
         let Some(list) = list else { return };
         // Only an id that was posted under the key counts as removed.
@@ -205,10 +243,11 @@ impl PropertyIndex {
             return;
         }
         self.entries -= 1;
+        self.lossy -= usize::from(lossy(value));
         if list.is_empty() {
             match &mut self.postings {
-                Postings::Hash(m) => m.remove(key),
-                Postings::Ordered(m) => m.remove(key),
+                Postings::Hash(m) => m.remove(&key),
+                Postings::Ordered(m) => m.remove(&key),
             };
         }
     }
@@ -302,8 +341,8 @@ impl OfferStore {
         let property = property.into();
         let mut index = PropertyIndex::new(kind);
         for offer in self.iter() {
-            if let Some(key) = offer.properties.field(&property).and_then(PropKey::of) {
-                index.insert(key, offer.id);
+            if let Some(value) = offer.properties.field(&property) {
+                index.insert(value, offer.id);
             }
         }
         self.indexes.insert(property, index);
@@ -325,8 +364,8 @@ impl OfferStore {
             self.by_type.insert(offer.service_type.clone(), vec![id]);
         }
         for (property, index) in &mut self.indexes {
-            if let Some(key) = offer.properties.field(property).and_then(PropKey::of) {
-                index.insert(key, id);
+            if let Some(value) = offer.properties.field(property) {
+                index.insert(value, id);
             }
         }
         self.offers.resize(self.offers.len().max(at + 1), None);
@@ -346,8 +385,8 @@ impl OfferStore {
             }
         }
         for (property, index) in &mut self.indexes {
-            if let Some(key) = offer.properties.field(property).and_then(PropKey::of) {
-                index.remove(&key, id);
+            if let Some(value) = offer.properties.field(property) {
+                index.remove(value, id);
             }
         }
         Some(Arc::unwrap_or_clone(offer))
@@ -363,14 +402,16 @@ impl OfferStore {
             return false;
         };
         for (property, index) in &mut self.indexes {
-            let old = offer.properties.field(property).and_then(PropKey::of);
-            let new = properties.field(property).and_then(PropKey::of);
+            // Values, not keys: `2⁵³ + 1` shares `2⁵³`'s key but not its
+            // count of lossy ints.
+            let old = offer.properties.field(property);
+            let new = properties.field(property);
             if old != new {
-                if let Some(key) = old {
-                    index.remove(&key, id);
+                if let Some(value) = old {
+                    index.remove(value, id);
                 }
-                if let Some(key) = new {
-                    index.insert(key, id);
+                if let Some(value) = new {
+                    index.insert(value, id);
                 }
             }
         }
@@ -500,21 +541,22 @@ mod tests {
     #[test]
     fn index_remove_counts_only_posted_ids() {
         let mut index = PropertyIndex::new(IndexKind::Ordered);
-        let k55 = PropKey::of(&Value::Int(55)).unwrap();
-        let k30 = PropKey::of(&Value::Int(30)).unwrap();
-        index.insert(k55.clone(), OfferId::new(2));
-        index.insert(k55.clone(), OfferId::new(3));
-        index.insert(k30.clone(), OfferId::new(1));
+        let (v55, v30) = (Value::Int(55), Value::Int(30));
+        let k55 = PropKey::of(&v55).unwrap();
+        let k30 = PropKey::of(&v30).unwrap();
+        index.insert(&v55, OfferId::new(2));
+        index.insert(&v55, OfferId::new(3));
+        index.insert(&v30, OfferId::new(1));
         assert_eq!(index.entries(), 3);
         // An id that is not under the key (or under another key) is not
         // a removal.
-        index.remove(&k55, OfferId::new(1));
-        index.remove(&k55, OfferId::new(99));
+        index.remove(&v55, OfferId::new(1));
+        index.remove(&v55, OfferId::new(99));
         assert_eq!(index.entries(), 3);
         assert_eq!(index.eq_postings(&k55).unwrap().len(), 2);
         // Removing twice counts once; the emptied key goes away.
-        index.remove(&k30, OfferId::new(1));
-        index.remove(&k30, OfferId::new(1));
+        index.remove(&v30, OfferId::new(1));
+        index.remove(&v30, OfferId::new(1));
         assert_eq!(index.entries(), 2);
         assert!(index.eq_postings(&k30).is_none());
     }
@@ -589,10 +631,10 @@ mod tests {
                 for &(post, k, id) in &ops {
                     let id = OfferId::new(id);
                     if post {
-                        index.insert(key(k), id);
+                        index.insert(&Value::Int(k), id);
                         model.entry(key(k)).or_default().insert(id);
                     } else {
-                        index.remove(&key(k), id);
+                        index.remove(&Value::Int(k), id);
                         model.get_mut(&key(k)).map(|set| set.remove(&id));
                         model.retain(|_, set| !set.is_empty());
                     }
@@ -607,6 +649,49 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// An index is exact exactly while no live offer holds a lossy
+        /// `Int` under it, whatever sequence of inserts, removals and
+        /// property replacements brought it there — `2⁵³ + 1` shares
+        /// `2⁵³`'s key, so a replacement between the two must re-thread
+        /// by value, not by key — and a backfilled index counts the same.
+        #[test]
+        fn an_index_is_exact_while_no_lossy_int_is_posted(
+            ops in proptest::collection::vec((0u8..3, 1u64..6, 0usize..9), 0..60),
+        ) {
+            let values = [
+                Some(Value::Int(0)),
+                Some(Value::Int(1 << 53)),
+                Some(Value::Int((1 << 53) + 1)),
+                Some(Value::Int(-(1 << 53) - 1)),
+                Some(Value::Int(i64::MIN)),
+                Some(Value::Int(i64::MAX)),
+                Some(Value::Float(9_007_199_254_740_993.0)),
+                Some(Value::Float(f64::NAN)),
+                None,
+            ];
+            let mut s = OfferStore::new();
+            s.create_index("n", IndexKind::Ordered);
+            let exact = |s: &OfferStore| {
+                let lossy_live = s.iter().any(|o| o.properties.field("n").is_some_and(lossy));
+                (s.index("n").unwrap().is_exact(), !lossy_live)
+            };
+            for (op, id, v) in ops {
+                let props = Value::record(values[v].clone().map(|v| ("n", v)));
+                match op {
+                    0 => s.insert(offer(id, "Printer", props)),
+                    1 => drop(s.remove(OfferId::new(id))),
+                    _ => drop(s.replace_properties(OfferId::new(id), props)),
+                }
+                let (index, model) = exact(&s);
+                prop_assert_eq!(index, model);
+            }
+            let incremental = exact(&s).0;
+            s.create_index("n", IndexKind::Hash);
+            prop_assert_eq!(exact(&s).0, incremental);
         }
     }
 

@@ -3,9 +3,10 @@
 //!
 //! Imports no longer scan every offer: [`Trader::import`] compiles the
 //! request through [`crate::plan::plan_import`] against the trader's
-//! [`OfferStore`] and only evaluates the constraint — compiled once per
-//! import — on the plan's candidates. [`Trader::import_scan`] keeps the
-//! original full scan on the tree walker — it is the executable
+//! [`OfferStore`] and only evaluates what the plan's indexes did not
+//! answer exactly — compiled once per import — on the plan's
+//! candidates. [`Trader::import_scan`] keeps the original full scan on
+//! the tree walker — it is the executable
 //! specification the planner and the compiled residual are tested
 //! against (see `tests/plan_equivalence.rs`) and the baseline the
 //! `BENCH_trader.json` suite measures.
@@ -268,13 +269,18 @@ fn residual_match(
     })
 }
 
-/// [`residual_match`] compiled once per import: the same offers match
-/// with the same scores. The constraint is a [`Predicate`], which holds
-/// exactly when the walker returns `Ok(true)`; `binds` is asked only
-/// about the variables the predicate does not itself require (those
+/// [`residual_match`] compiled once per import, on the plan's
+/// candidates: the same offers match with the same scores. The
+/// constraint is a [`Predicate`] over the conjuncts the plan did not
+/// answer exactly (`PlannedImport::residual`): every candidate satisfies
+/// the others, so it holds exactly when the walker returns `Ok(true)` on
+/// the whole constraint. `binds` is asked only about the variables of
+/// those conjuncts that the predicate does not itself require (those
 /// reached only through an `or`'s right operand or a call such as
-/// `exists(x)`), since a predicate that holds has bound the rest; the
-/// preference is a [`Term`].
+/// `exists(x)`), since a predicate that holds has bound the rest, and an
+/// exactly answered atom's path is bound on every candidate — an index
+/// posts only offers with a scalar value there. The preference is a
+/// [`Term`].
 struct Residual<'r> {
     constraint: Option<Predicate<'r>>,
     unrequired: Vec<Vec<String>>,
@@ -282,15 +288,18 @@ struct Residual<'r> {
 }
 
 impl<'r> Residual<'r> {
-    fn compile(request: &'r ImportRequest) -> Self {
-        let (constraint, unrequired) = match &request.constraint {
-            Some(expr) => {
-                let predicate = Predicate::compile(expr);
-                let mut vars = expr.variables();
-                vars.retain(|path| !predicate.requires(path));
+    fn compile(conjuncts: &[&'r Expr], request: &'r ImportRequest) -> Self {
+        let (constraint, unrequired) = match conjuncts {
+            [] => (None, Vec::new()),
+            _ => {
+                let predicate = Predicate::all(conjuncts);
+                let vars = conjuncts
+                    .iter()
+                    .flat_map(|c| c.variables())
+                    .filter(|path| !predicate.requires(path))
+                    .collect();
                 (Some(predicate), vars)
             }
-            None => (None, Vec::new()),
         };
         let score = match &request.preference {
             Preference::FirstFound => None,
@@ -552,12 +561,12 @@ impl Trader {
     /// cardinality bound.
     ///
     /// The request is compiled into an index-backed query plan first;
-    /// only the plan's candidates reach the residual (the constraint and
-    /// preference, compiled once for the whole import), and a
-    /// [`Preference::FirstFound`] request stops at its `max_matches`-th
-    /// match. The result — members *and* ordering — is identical to
-    /// [`Self::import_scan`]. The plan is traced as a span
-    /// (`trader_plan`), with the lookup event inside it.
+    /// only the plan's candidates reach the residual (the conjuncts no
+    /// index answered exactly, and the preference, compiled once for the
+    /// whole import), and a [`Preference::FirstFound`] request stops at
+    /// its `max_matches`-th match. The result — members *and* ordering —
+    /// is identical to [`Self::import_scan`]. The plan is traced as a
+    /// span (`trader_plan`), with the lookup event inside it.
     pub fn import(&mut self, request: &ImportRequest, repo: Option<&TypeRepository>) -> Vec<Match> {
         use rmodp_observe::{bus, event, EventKind, Layer};
         self.stats.imports += 1;
@@ -581,11 +590,11 @@ impl Trader {
             .emit();
         bus::push_context(span);
 
-        let residual = Residual::compile(request);
+        let residual = Residual::compile(&planned.residual, request);
         // Only an unordered request's matches are final as they are found.
         let unordered = matches!(request.preference, Preference::FirstFound);
         let mut matches: Vec<Match> = Vec::new();
-        for id in &planned.candidates {
+        for id in planned.candidates.iter() {
             if unordered && matches.len() >= request.max_matches {
                 break;
             }

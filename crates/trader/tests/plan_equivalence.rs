@@ -10,22 +10,29 @@
 //! constraint, so indexes can only skip non-matches, never reorder or
 //! drop matches. The planned import runs the residual compiled once per
 //! import while the scan walks the expression tree, so every case is
-//! also a compiled-versus-walker differential test.
+//! also a compiled-versus-walker differential test. The residual leaves
+//! out the atoms an exact index answered, so the populations and
+//! literals include the values exactness rests on: ints on either side
+//! of ±2⁵³ (where `f64` widening turns lossy) and at ±2⁶³, `NaN` and
+//! `-0.0`.
 
 use proptest::prelude::*;
 
+use rmodp_core::expr::{BinOp, Expr};
 use rmodp_core::id::{InterfaceId, OfferId};
 use rmodp_core::value::Value;
-use rmodp_trader::{ImportRequest, IndexKind, Trader};
+use rmodp_trader::{ImportRequest, IndexKind, Match, Trader};
 
 /// One randomized offer: mixed property shapes on purpose — ints and
 /// floats under the same key (the evaluator unifies them), a missing
-/// property sometimes, and a text region.
+/// property sometimes, an edge value of [`EDGES`] in place of `ppm`
+/// sometimes, and a text region.
 #[derive(Debug, Clone)]
 struct OfferSpec {
     service: u8, // 0 = "Printer", 1 = "Scanner", 2 = "Plotter"
     ppm: i64,
     float_ppm: bool,
+    edge: u8,   // index into EDGES; past its end, `ppm` stands
     region: u8, // index into REGIONS
     floor: Option<i64>,
     colour: bool,
@@ -34,21 +41,45 @@ struct OfferSpec {
 const REGIONS: [&str; 4] = ["bne", "syd", "mel", "per"];
 const SERVICES: [&str; 3] = ["Printer", "Scanner", "Plotter"];
 
+/// 2⁵³: the largest magnitude whose every `i64` widens to `f64` exactly.
+const EXACT: i64 = 1 << 53;
+
+/// Numbers where key and value can part: ints either side of ±2⁵³ and
+/// at ±2⁶³, `NaN`, `-0.0`, and the float every one of 2⁵³ ± 1 rounds to
+/// or from. Offers hold them as `ppm`; constraints compare `ppm` with them.
+fn edges() -> [Value; 11] {
+    [
+        Value::Int(EXACT - 1),
+        Value::Int(EXACT),
+        Value::Int(EXACT + 1),
+        Value::Int(-EXACT - 1),
+        Value::Int(i64::MAX),
+        Value::Int(i64::MIN),
+        Value::Float(EXACT as f64),
+        Value::Float(9_223_372_036_854_775_808.0),
+        Value::Float(f64::NAN),
+        Value::Float(-0.0),
+        Value::Int(0),
+    ]
+}
+
 fn arb_offers() -> impl Strategy<Value = Vec<OfferSpec>> {
     proptest::collection::vec(
         (
             0u8..3,
             0i64..100,
             any::<bool>(),
+            0u8..32,
             0u8..4,
             proptest::option::of(0i64..10),
             any::<bool>(),
         )
             .prop_map(
-                |(service, ppm, float_ppm, region, floor, colour)| OfferSpec {
+                |(service, ppm, float_ppm, edge, region, floor, colour)| OfferSpec {
                     service,
                     ppm,
                     float_ppm,
+                    edge,
                     region,
                     floor,
                     colour,
@@ -58,9 +89,34 @@ fn arb_offers() -> impl Strategy<Value = Vec<OfferSpec>> {
     )
 }
 
+/// `path op literal`, built rather than parsed: the grammar has no
+/// negative literal (`-1` is a negation, which the planner cannot see
+/// through).
+fn compare(path: &str, op: BinOp, literal: Value) -> Expr {
+    let path = Expr::Var(vec![path.to_owned()]);
+    Expr::Binary(op, Box::new(path), Box::new(Expr::Lit(literal)))
+}
+
 /// Constraints spanning the planner's whole range: fully sargable,
-/// partly sargable, and completely opaque.
-fn arb_constraint() -> impl Strategy<Value = String> {
+/// partly sargable, and completely opaque, exact and inexact.
+fn arb_constraint() -> impl Strategy<Value = Expr> {
+    let parsed = arb_constraint_text().prop_map(|src| Expr::parse(&src).unwrap());
+    const OPS: [BinOp; 5] = [BinOp::Eq, BinOp::Ge, BinOp::Le, BinOp::Gt, BinOp::Lt];
+    let edge =
+        (0usize..11, 0usize..5).prop_map(|(v, op)| compare("ppm", OPS[op], edges()[v].clone()));
+    // An edge comparison beside an exact region atom: intersected, so
+    // whether the edge atom is answered exactly decides the residual.
+    let edge_and_region = (0usize..11, 0usize..5, 0usize..4).prop_map(|(v, op, r)| {
+        let region = compare("region", BinOp::Eq, Value::text(REGIONS[r]));
+        let edge = compare("ppm", OPS[op], edges()[v].clone());
+        Expr::Binary(BinOp::And, Box::new(edge), Box::new(region))
+    });
+    // The parsed shapes twice: half the cases.
+    prop_oneof![parsed.clone(), parsed, edge, edge_and_region]
+}
+
+/// The parsed half of [`arb_constraint`].
+fn arb_constraint_text() -> impl Strategy<Value = String> {
     let threshold = 0i64..100;
     prop_oneof![
         threshold.clone().prop_map(|t| format!("ppm >= {t}")),
@@ -73,6 +129,15 @@ fn arb_constraint() -> impl Strategy<Value = String> {
             a.max(b)
         )),
         threshold.clone().prop_map(|t| format!("ppm >= {}.5", t)), // float literal vs int property
+        // Strict bounds, looked up inclusively, stay in the residual.
+        threshold.clone().prop_map(|t| format!("ppm > {t}")),
+        (threshold.clone(), 0usize..4)
+            .prop_map(|(t, r)| format!("ppm > {t} and region == \"{}\"", REGIONS[r])),
+        // Text ranges (on an ordered region index), both sides, strict too.
+        Just("region >= \"m\"".to_owned()),
+        Just("region <= \"m\" and ppm <= 50".to_owned()),
+        Just("region > \"mel\"".to_owned()),
+        Just("\"mel\" >= region".to_owned()),
         Just("colour == true".to_owned()),
         Just("floor in [1, 3, 5]".to_owned()),
         Just("region in [\"bne\", \"mel\"]".to_owned()),
@@ -113,6 +178,7 @@ fn arb_indexes() -> impl Strategy<Value = Vec<(&'static str, IndexKind)>> {
             Just(("ppm", IndexKind::Ordered)),
             Just(("ppm", IndexKind::Hash)), // ranges on ppm become opaque
             Just(("region", IndexKind::Hash)),
+            Just(("region", IndexKind::Ordered)), // text ranges become sargable
             Just(("floor", IndexKind::Ordered)),
             Just(("colour", IndexKind::Hash)),
         ],
@@ -126,15 +192,13 @@ fn trader_with(offers: &[OfferSpec], indexes: &[(&str, IndexKind)]) -> Trader {
         t.index_property(*property, *kind);
     }
     for (i, o) in offers.iter().enumerate() {
+        let ppm = match edges().get(usize::from(o.edge)) {
+            Some(edge) => edge.clone(),
+            None if o.float_ppm => Value::Float(o.ppm as f64),
+            None => Value::Int(o.ppm),
+        };
         let mut fields = vec![
-            (
-                "ppm",
-                if o.float_ppm {
-                    Value::Float(o.ppm as f64)
-                } else {
-                    Value::Int(o.ppm)
-                },
-            ),
+            ("ppm", ppm),
             ("region", Value::text(REGIONS[o.region as usize])),
             ("colour", Value::Bool(o.colour)),
         ];
@@ -151,8 +215,27 @@ fn trader_with(offers: &[OfferSpec], indexes: &[(&str, IndexKind)]) -> Trader {
     t
 }
 
+/// Matches as their `Debug` text: an offer holding `NaN` (or a `NaN`
+/// score) is not equal to itself, so results are compared as text.
+fn text(matches: &[Match]) -> String {
+    format!("{matches:?}")
+}
+
+/// Whether a value is an int whose `f64` widening is lossy.
+fn lossy(v: &Value) -> bool {
+    matches!(v, Value::Int(i) if i.unsigned_abs() > EXACT.unsigned_abs())
+}
+
+/// A request for a service type under a constraint.
+fn request(service: &str, constraint: &Expr) -> ImportRequest {
+    ImportRequest {
+        constraint: Some(constraint.clone()),
+        ..ImportRequest::new(service)
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(320))]
 
     /// The core equivalence: planned import ≡ reference scan, members
     /// and ordering, across random populations, constraints, and index
@@ -165,12 +248,10 @@ proptest! {
         service in 0usize..3,
     ) {
         let mut t = trader_with(&offers, &indexes);
-        let request = ImportRequest::new(SERVICES[service])
-            .constraint(&constraint)
-            .unwrap();
+        let request = request(SERVICES[service], &constraint);
         let planned = t.import(&request, None);
         let scanned = t.import_scan(&request, None);
-        prop_assert_eq!(planned, scanned, "constraint={} indexes={:?}", constraint, indexes);
+        prop_assert_eq!(text(&planned), text(&scanned), "constraint={} indexes={:?}", constraint, indexes);
     }
 
     /// Equivalence survives preference ordering and truncation: the
@@ -184,7 +265,7 @@ proptest! {
         preference in 0usize..3,
     ) {
         let mut t = trader_with(&offers, &indexes);
-        let base = ImportRequest::new("Printer").constraint(&constraint).unwrap();
+        let base = request("Printer", &constraint);
         // The last scores arithmetic over a sometimes-absent property.
         let request = match preference {
             0 => base.prefer_max("ppm"),
@@ -195,7 +276,7 @@ proptest! {
         .at_most(limit);
         let planned = t.import(&request, None);
         let scanned = t.import_scan(&request, None);
-        prop_assert_eq!(planned, scanned);
+        prop_assert_eq!(text(&planned), text(&scanned));
     }
 
     /// Equivalence survives mutation: withdrawals and property
@@ -225,10 +306,10 @@ proptest! {
             ]),
         )
         .unwrap();
-        let request = ImportRequest::new("Printer").constraint(&constraint).unwrap();
+        let request = request("Printer", &constraint);
         let planned = t.import(&request, None);
         let scanned = t.import_scan(&request, None);
-        prop_assert_eq!(planned, scanned);
+        prop_assert_eq!(text(&planned), text(&scanned));
     }
 
     /// Equivalence survives the early stop: a bounded first-found import
@@ -252,14 +333,66 @@ proptest! {
                 let _ = t.modify(id, Value::record([("ppm", Value::Int(new_ppm))]));
             }
         }
-        let request = ImportRequest::new("Printer")
-            .constraint(&constraint)
-            .unwrap()
-            .at_most(limit);
+        let request = request("Printer", &constraint).at_most(limit);
         let planned = t.import(&request, None);
         prop_assert!(planned.len() <= limit);
         let scanned = t.import_scan(&request, None);
-        prop_assert_eq!(planned, scanned, "constraint={} indexes={:?}", constraint, indexes);
+        prop_assert_eq!(text(&planned), text(&scanned), "constraint={} indexes={:?}", constraint, indexes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(320))]
+
+    /// Equivalence survives an index going inexact and back: a modify
+    /// posts an int beyond ±2⁵³ under `ppm` (its key is shared with a
+    /// number it does not equal), then a withdrawal, or a modify to 2⁵³
+    /// itself — the same key, a different count — takes it away again;
+    /// every import on the way agrees with the scan.
+    #[test]
+    fn equivalence_survives_a_lossy_int_coming_and_going(
+        mut offers in arb_offers(),
+        constraint in arb_constraint(),
+        target in 0usize..60,
+        wide in 0usize..4,
+        withdraw in any::<bool>(),
+    ) {
+        // No lossy int to start with: the index starts exact, beside
+        // the values that share a key with the one about to come.
+        for offer in &mut offers {
+            if edges().get(usize::from(offer.edge)).is_some_and(lossy) {
+                offer.edge = u8::MAX;
+            }
+        }
+        let mut t = trader_with(
+            &offers,
+            &[("ppm", IndexKind::Ordered), ("region", IndexKind::Hash)],
+        );
+        let printers: Vec<OfferId> = t
+            .store()
+            .iter()
+            .filter(|o| o.service_type == "Printer")
+            .map(|o| o.id)
+            .collect();
+        prop_assume!(!printers.is_empty());
+        let id = printers[target % printers.len()];
+        let request = request("Printer", &constraint);
+        let props = |ppm: i64| {
+            Value::record([("ppm", Value::Int(ppm)), ("region", Value::text("bne"))])
+        };
+        let wide = [EXACT + 1, -EXACT - 1, i64::MAX, i64::MIN][wide];
+        for step in 0..3 {
+            match step {
+                0 => {}
+                1 => t.modify(id, props(wide)).unwrap(),
+                _ if withdraw => drop(t.withdraw(id).unwrap()),
+                _ => t.modify(id, props(EXACT)).unwrap(),
+            }
+            prop_assert_eq!(t.store().index("ppm").unwrap().is_exact(), step != 1);
+            let planned = t.import(&request, None);
+            let scanned = t.import_scan(&request, None);
+            prop_assert_eq!(text(&planned), text(&scanned), "step {} constraint={}", step, constraint);
+        }
     }
 }
 
@@ -272,6 +405,7 @@ fn empty_index_fallback_equals_scan() {
             service: (i % 3) as u8,
             ppm: (i * 7) % 100,
             float_ppm: i % 2 == 0,
+            edge: u8::MAX,
             region: (i % 4) as u8,
             floor: if i % 5 == 0 { None } else { Some(i % 10) },
             colour: i % 2 == 1,

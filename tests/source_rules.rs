@@ -205,6 +205,25 @@ const RULES: &[Rule] = &[
         copies: 1,
     },
     Rule {
+        name: "one judge of an exact atom",
+        why: "`plan::serves_exactly` alone decides which conjuncts leave the residual: it is \
+              called once, on the one line that sets `IndexStep::exact`, and `Trader::import` \
+              compiles its residual only from the conjuncts the plan kept \
+              (`PlannedImport::residual`, one `Predicate::all`); a second caller, a second \
+              writer of `exact`, or a `Predicate::compile` of the whole constraint is a second \
+              way to drop or keep a conjunct (DESIGN.md, \"Trader at scale\", step 4)",
+        roots: &["crates/trader/src"],
+        patterns: &[
+            Call("serves_exactly"),
+            Literal("exact ="),
+            Call("Predicate::all"),
+            Literal("Predicate::compile("),
+        ],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 2,
+    },
+    Rule {
         name: "schemas evaluate compiled",
         why: "invariants, guards and effects run their `Predicate`/`Term`, compiled when the \
               schema is built; the walker only renders the error of one that fails — one \
@@ -1388,6 +1407,28 @@ fn a_second_call_end_is_counted() {
         event(Layer::Engineering, EventKind::CallEnd)\n";
     assert_eq!(offending_lines(rule, text), vec![2, 3]);
     assert_eq!(rule.copies, 1, "two lines are one too many");
+}
+
+#[test]
+fn a_second_judge_of_exactness_is_counted() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "one judge of an exact atom")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        path.step.exact = serves_exactly(store, &path.step, &path.atom);\n\
+        fn serves_exactly(store: &OfferStore, step: &IndexStep, atom: &Atom<'_>) -> bool {\n\
+        exact: false,\n\
+        let predicate = Predicate::all(conjuncts);\n\
+        step.exact = step.used && matches!(c.op, BinOp::Eq);\n\
+        let predicate = Predicate::compile(expr);\n\
+        #[cfg(test)]\n\
+        assert!(serves_exactly(&s, &step, &atom));\n";
+    assert_eq!(offending_lines(rule, text), vec![1, 4, 5, 6]);
+    assert_eq!(
+        rule.copies, 2,
+        "one judge and one compile of what it left: a third line is one too many"
+    );
 }
 
 #[test]
