@@ -11,7 +11,7 @@ use std::fmt;
 
 use rmodp_typerepo::TypeRepository;
 
-use crate::trader::{first_per_holder, order_matches, ImportRequest, Match, Trader};
+use crate::trader::{first_per_holder, keep_best, ImportRequest, Match, Trader};
 
 /// A federation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,8 +158,13 @@ impl Federation {
         }
         bus::pop_context();
         let mut matches = first_per_holder(&found);
-        order_matches(&mut matches, &request.preference, true);
-        matches.truncate(request.max_matches);
+        keep_best(
+            &mut matches,
+            &request.preference,
+            true,
+            request.max_matches,
+            |m| (m.score, &m.offer),
+        );
         Ok(matches)
     }
 }
@@ -233,7 +238,7 @@ mod tests {
             .import_federated("brisbane", &req.clone().at_most(1), None, 2)
             .unwrap();
         assert_eq!(best.len(), 1);
-        assert_eq!(best[0].offer.held_by, "melbourne");
+        assert_eq!(&*best[0].offer.held_by, "melbourne");
     }
 
     #[test]

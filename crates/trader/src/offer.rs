@@ -1,24 +1,33 @@
 //! Service offers.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rmodp_core::id::{InterfaceId, OfferId};
 use rmodp_core::value::Value;
 
 /// A service advertisement held by a trader.
+///
+/// The two names are shared, not owned: `service_type` is the store's
+/// type-index key for that type and `held_by` the holding trader's name,
+/// so exporting, copying (copy-on-write `modify`, a withdrawal while a
+/// match still holds the offer) and dropping an offer never copy or free
+/// either string.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceOffer {
     /// The offer identity (assigned at export).
     pub id: OfferId,
     /// The advertised interface type name (resolved against the type
-    /// repository for subtype matching).
-    pub service_type: String,
+    /// repository for subtype matching), shared with every offer of
+    /// the type in the holding trader.
+    pub service_type: Arc<str>,
     /// The interface the service is obtained at.
     pub interface: InterfaceId,
     /// Service attributes: a record the importer's constraint ranges over.
     pub properties: Value,
-    /// Which trader currently holds the offer (set by federation).
-    pub held_by: String,
+    /// Which trader currently holds the offer (set by federation),
+    /// shared with the trader's own name.
+    pub held_by: Arc<str>,
 }
 
 impl ServiceOffer {

@@ -45,6 +45,7 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt::{self, Write};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use rmodp_core::expr::{Atom, BinOp, Expr};
 use rmodp_core::id::OfferId;
@@ -85,8 +86,9 @@ pub struct IndexStep {
 pub struct QueryPlan {
     /// The requested service type.
     pub service_type: String,
-    /// Matching type buckets `(type, offers)`, in name order.
-    pub types: Vec<(String, usize)>,
+    /// Matching type buckets `(type, offers)`, in name order; each name
+    /// is the one the store's offers of the type share.
+    pub types: Vec<(Arc<str>, usize)>,
     /// Total offers across matching buckets.
     pub type_total: usize,
     /// Index paths considered, in selectivity order.
@@ -179,8 +181,9 @@ pub struct PlannedImport<'a> {
     /// Candidate offer ids, ascending: a lone posting list in place, or
     /// the ids read out of the word map.
     pub candidates: Cow<'a, [OfferId]>,
-    /// The service types that conform to the request.
-    pub matched_types: BTreeSet<String>,
+    /// The service types that conform to the request (the store's
+    /// shared names).
+    pub matched_types: BTreeSet<Arc<str>>,
     /// The constraint's conjuncts no used path answers exactly, in
     /// order: what the residual filter evaluates per candidate.
     pub residual: Vec<&'a Expr>,
@@ -397,16 +400,16 @@ pub fn plan_import<'a>(
 ) -> PlannedImport<'a> {
     // Matching type buckets: the requested type plus, under subtype
     // substitution, every present subtype the repository derives.
-    let types: Vec<(String, usize)> = store
+    let types: Vec<(Arc<str>, usize)> = store
         .types()
         .filter(|(t, _)| {
-            *t == request.service_type
+            ***t == *request.service_type
                 || (request.allow_subtypes
                     && repo.is_some_and(|r| r.is_subtype(t, &request.service_type)))
         })
-        .map(|(t, n)| (t.to_owned(), n))
+        .map(|(t, n)| (Arc::clone(t), n))
         .collect();
-    let matched_types: BTreeSet<String> = types.iter().map(|(t, _)| t.clone()).collect();
+    let matched_types: BTreeSet<Arc<str>> = types.iter().map(|(t, _)| Arc::clone(t)).collect();
     let type_total: usize = types.iter().map(|(_, n)| n).sum();
 
     // Secondary-index access paths from the constraint's atoms.
@@ -650,7 +653,7 @@ mod tests {
         let ppm = |o: &ServiceOffer| o.properties.field("ppm").and_then(Value::as_int);
         let bne = |o: &ServiceOffer| o.properties.field("region") == Some(&Value::text("bne"));
         for (constraint, expected) in [
-            ("ppm + 0 >= 0", live(&|o| o.service_type == "Printer")),
+            ("ppm + 0 >= 0", live(&|o| &*o.service_type == "Printer")),
             ("ppm < 1000", live(&|_| true)),
             ("ppm == 30", live(&|o| ppm(o) == Some(30))),
             ("ppm >= 40", live(&|o| ppm(o) >= Some(40))),

@@ -34,7 +34,7 @@ use rmodp_typerepo::TypeRepository;
 
 use crate::federation::{Federation, FederationError};
 use crate::store::IndexKind;
-use crate::trader::{first_per_holder, order_matches, ImportRequest, Match, Trader, TraderError};
+use crate::trader::{first_per_holder, keep_best, ImportRequest, Match, Trader, TraderError};
 
 /// Routing counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -127,12 +127,12 @@ impl ShardedFederation {
     /// As [`Trader::export`].
     pub fn export(
         &mut self,
-        service_type: impl Into<String>,
+        service_type: impl AsRef<str>,
         interface: InterfaceId,
         properties: Value,
     ) -> Result<(String, OfferId), TraderError> {
-        let service_type = service_type.into();
-        let shard = self.shard_of(&service_type).to_owned();
+        let service_type = service_type.as_ref();
+        let shard = self.shard_of(service_type).to_owned();
         let id = self
             .federation
             .trader_mut(&shard)
@@ -169,8 +169,13 @@ impl ShardedFederation {
             found.extend(trader.import(request, repo));
         }
         let mut matches = first_per_holder(&found);
-        order_matches(&mut matches, &request.preference, true);
-        matches.truncate(request.max_matches);
+        keep_best(
+            &mut matches,
+            &request.preference,
+            true,
+            request.max_matches,
+            |m| (m.score, &m.offer),
+        );
         matches
     }
 

@@ -15,7 +15,11 @@
 //!   byte-identical to the scan. Offers are shared, so an import hands
 //!   out reference counts, not copies; a modification copies on write
 //!   only while a match still holds the old offer;
-//! - the **service-type index** `type name → posting list`;
+//! - the **service-type index** `type name → posting list`. Its key is
+//!   the one copy of a type's name: every offer of the type shares it
+//!   (`ServiceOffer::service_type`, an `Arc<str>`), and so do the type
+//!   buckets a plan reports, so an export of a known type allocates no
+//!   name and a withdrawal frees none;
 //! - optional **per-property secondary indexes** `key → posting list`,
 //!   either exact-match hash maps or ordered B-tree maps
 //!   ([`IndexKind`]), over the offers' top-level scalar properties.
@@ -278,13 +282,17 @@ impl PropertyIndex {
 
 /// The trader's offer repository: offer slab, service-type index,
 /// declared per-property secondary indexes.
+///
+/// The slab holds each offer once, behind an `Arc` an import shares
+/// rather than copies; the type index's keys are the names the offers of
+/// each type share (module docs).
 #[derive(Debug, Default)]
 pub struct OfferStore {
     /// Slot `n` holds offer `n`, or `None` (never exported, withdrawn);
     /// `live` counts the offers.
     offers: Vec<Option<Arc<ServiceOffer>>>,
     live: usize,
-    by_type: BTreeMap<String, Vec<OfferId>>,
+    by_type: BTreeMap<Arc<str>, Vec<OfferId>>,
     indexes: BTreeMap<String, PropertyIndex>,
 }
 
@@ -320,8 +328,19 @@ impl OfferStore {
     }
 
     /// The service types currently present, with their offer counts.
-    pub fn types(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.by_type.iter().map(|(t, s)| (t.as_str(), s.len()))
+    /// Each name is the one its offers share.
+    pub fn types(&self) -> impl Iterator<Item = (&Arc<str>, usize)> {
+        self.by_type.iter().map(|(t, s)| (t, s.len()))
+    }
+
+    /// The name an offer of `service_type` shares: the type index's key
+    /// while the type has offers, a new one otherwise (which the offer's
+    /// insertion makes the key).
+    pub(crate) fn type_name(&self, service_type: &str) -> Arc<str> {
+        match self.by_type.get_key_value(service_type) {
+            Some((name, _)) => Arc::clone(name),
+            None => Arc::from(service_type),
+        }
     }
 
     /// The posting list of one service type, ascending.
@@ -358,11 +377,8 @@ impl OfferStore {
         let id = offer.id;
         let at = slot(id).expect("offer ids are dense and fit the address space");
         self.remove(id);
-        if let Some(list) = self.by_type.get_mut(&offer.service_type) {
-            post(list, id);
-        } else {
-            self.by_type.insert(offer.service_type.clone(), vec![id]);
-        }
+        let name = Arc::clone(&offer.service_type);
+        post(self.by_type.entry(name).or_default(), id);
         for (property, index) in &mut self.indexes {
             if let Some(value) = offer.properties.field(property) {
                 index.insert(value, id);
@@ -374,14 +390,15 @@ impl OfferStore {
     }
 
     /// Removes an offer, unthreading it from every index. The offer is
-    /// copied only if a match still shares it.
+    /// copied only if a match still shares it, and then its names are
+    /// shared, not copied.
     pub fn remove(&mut self, id: OfferId) -> Option<ServiceOffer> {
         let offer = self.offers.get_mut(slot(id)?)?.take()?;
         self.live -= 1;
-        if let Some(list) = self.by_type.get_mut(&offer.service_type) {
+        if let Some(list) = self.by_type.get_mut(&*offer.service_type) {
             unpost(list, id);
             if list.is_empty() {
-                self.by_type.remove(&offer.service_type);
+                self.by_type.remove(&*offer.service_type);
             }
         }
         for (property, index) in &mut self.indexes {

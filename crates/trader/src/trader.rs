@@ -168,13 +168,19 @@ impl ImportRequest {
 }
 
 /// One import match.
+///
+/// An import builds a `Match` only for an offer it hands out: an ordered
+/// request scores its candidates against borrowed offers, picks its
+/// `max_matches` best, and only then takes a reference count on each
+/// winner ([`Trader::import`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Match {
     /// The matching offer, shared with the trader that holds it: a match
-    /// costs a reference count, not a copy, and reads like the offer
-    /// itself (`m.offer.interface`). It is a snapshot — a later
-    /// [`Trader::modify`] or [`Trader::withdraw`] leaves it as it was
-    /// when the import ran; a new import sees the change.
+    /// costs a reference count, not a copy — its names, too, are the
+    /// trader's — and reads like the offer itself (`m.offer.interface`).
+    /// It is a snapshot — a later [`Trader::modify`] or
+    /// [`Trader::withdraw`] leaves it as it was when the import ran; a
+    /// new import sees the change.
     pub offer: Arc<ServiceOffer>,
     /// The preference score used for ordering (0 for `FirstFound`).
     pub score: f64,
@@ -200,29 +206,69 @@ pub struct TraderStats {
     pub plans_fallback: u64,
 }
 
-/// Preference-orders matches in place — the one comparator of the
-/// crate: score (descending for `Max`, ascending for `Min`), then the
-/// holding trader's name when matches of several traders are merged
-/// (`by_holder`), then offer id. `FirstFound` keeps the order the
-/// matches were found in: ascending offer id within a trader, traders in
-/// visiting order.
-pub(crate) fn order_matches(matches: &mut [Match], preference: &Preference, by_holder: bool) {
+/// What the match order reads of a match or a scored candidate: its
+/// score and its offer.
+type Ranked<'o> = (f64, &'o ServiceOffer);
+
+/// The one match order of the crate, for a preference-ordered request:
+/// score (descending for `Max`, ascending for `Min`), then the holding
+/// trader's name when matches of several traders are merged
+/// (`by_holder`), then offer id — a total order on distinct offers, so
+/// any sort of it agrees with any other. `None` for `FirstFound`, whose
+/// matches keep the order they were found in: ascending offer id within
+/// a trader, traders in visiting order.
+fn match_order(
+    preference: &Preference,
+    by_holder: bool,
+) -> Option<impl Fn(Ranked<'_>, Ranked<'_>) -> Ordering> {
     let descending = match preference {
-        Preference::FirstFound => return,
+        Preference::FirstFound => return None,
         Preference::Max(_) => true,
         Preference::Min(_) => false,
     };
-    matches.sort_by(|a, b| {
-        let score = a.score.total_cmp(&b.score);
+    Some(move |(a_score, a): Ranked<'_>, (b_score, b): Ranked<'_>| {
+        let score = a_score.total_cmp(&b_score);
         let holder = if by_holder {
-            a.offer.held_by.cmp(&b.offer.held_by)
+            a.held_by.cmp(&b.held_by)
         } else {
             Ordering::Equal
         };
         (if descending { score.reverse() } else { score })
             .then(holder)
-            .then(a.offer.id.cmp(&b.offer.id))
-    });
+            .then(a.id.cmp(&b.id))
+    })
+}
+
+/// Preference-orders every match in place: the reference scan's full
+/// sort, which [`keep_best`] is held to.
+fn order_matches(matches: &mut [Match], preference: &Preference) {
+    if let Some(order) = match_order(preference, false) {
+        matches.sort_by(|a, b| order((a.score, &a.offer), (b.score, &b.offer)));
+    }
+}
+
+/// Cuts `found` to the first `k` in [`match_order`], `view` reading an
+/// item's score and offer: a `FirstFound` request's first `k` as found,
+/// an ordered one's best `k`, picked by `select_nth_unstable_by` and
+/// then sorted — only the winners are — in the order a full sort would
+/// give them.
+pub(crate) fn keep_best<T>(
+    found: &mut Vec<T>,
+    preference: &Preference,
+    by_holder: bool,
+    k: usize,
+    view: impl Fn(&T) -> Ranked<'_>,
+) {
+    let Some(order) = match_order(preference, by_holder) else {
+        found.truncate(k);
+        return;
+    };
+    let order = |a: &T, b: &T| order(view(a), view(b));
+    if (1..found.len()).contains(&k) {
+        found.select_nth_unstable_by(k - 1, order);
+    }
+    found.truncate(k);
+    found.sort_unstable_by(order);
 }
 
 /// The first match of every `(holder, offer id)`, in the order found. The
@@ -231,7 +277,7 @@ pub(crate) fn first_per_holder(found: &[Match]) -> Vec<Match> {
     let mut seen = BTreeSet::new();
     found
         .iter()
-        .filter(|m| seen.insert((m.offer.held_by.as_str(), m.offer.id)))
+        .filter(|m| seen.insert((&*m.offer.held_by, m.offer.id)))
         .cloned()
         .collect()
 }
@@ -312,21 +358,19 @@ impl<'r> Residual<'r> {
         }
     }
 
-    fn matches(&self, offer: &Arc<ServiceOffer>) -> Option<Match> {
+    /// The offer's score if it matches: borrowed, not shared, until the
+    /// import knows it hands the offer out.
+    fn score(&self, offer: &ServiceOffer) -> Option<f64> {
         let properties = &offer.properties;
         if !self.constraint.as_ref().is_none_or(|p| p.holds(properties))
             || !offer.binds(&self.unrequired)
         {
             return None;
         }
-        let score = match &self.score {
-            None => 0.0,
-            Some(term) => term.value(properties)?.as_float()?,
-        };
-        Some(Match {
-            offer: Arc::clone(offer),
-            score,
-        })
+        match &self.score {
+            None => Some(0.0),
+            Some(term) => term.value(properties)?.as_float(),
+        }
     }
 }
 
@@ -334,7 +378,8 @@ impl<'r> Residual<'r> {
 /// constrained, preference-ordered lookup.
 #[derive(Debug)]
 pub struct Trader {
-    name: String,
+    /// Shared with every offer the trader holds (`held_by`).
+    name: Arc<str>,
     store: OfferStore,
     /// Declared property types per service type (optional strictness).
     property_types: BTreeMap<String, rmodp_core::dtype::DataType>,
@@ -348,7 +393,7 @@ impl Trader {
     /// Creates an empty trader.
     pub fn new(name: impl Into<String>) -> Self {
         Self {
-            name: name.into(),
+            name: Arc::from(name.into()),
             store: OfferStore::new(),
             property_types: BTreeMap::new(),
             gen: IdGen::new(),
@@ -448,7 +493,9 @@ impl Trader {
         Ok(())
     }
 
-    /// Exports a service offer.
+    /// Exports a service offer. The offer shares its type's name with
+    /// the offers of that type already held, and the trader's name: an
+    /// export of a known type copies neither.
     ///
     /// # Errors
     ///
@@ -457,7 +504,7 @@ impl Trader {
     /// type for the service type is not satisfied.
     pub fn export(
         &mut self,
-        service_type: impl Into<String>,
+        service_type: impl AsRef<str>,
         interface: InterfaceId,
         properties: Value,
     ) -> Result<OfferId, TraderError> {
@@ -466,11 +513,9 @@ impl Trader {
                 got: properties.kind().to_owned(),
             });
         }
-        let service_type = service_type.into();
-        self.check_properties(&service_type, &properties)?;
+        let service_type = service_type.as_ref();
+        self.check_properties(service_type, &properties)?;
         let id = self.gen.fresh();
-        // Emitted while the type name is still here to borrow: the
-        // offer takes it below (and storing an offer emits nothing).
         rmodp_observe::event(
             rmodp_observe::Layer::Trader,
             rmodp_observe::EventKind::TraderExport,
@@ -483,10 +528,10 @@ impl Trader {
         .emit();
         self.store.insert(ServiceOffer {
             id,
-            service_type,
+            service_type: self.store.type_name(service_type),
             interface,
             properties,
-            held_by: self.name.clone(),
+            held_by: Arc::clone(&self.name),
         });
         self.stats.exports += 1;
         rmodp_observe::bus::counter_add("trader.exports", 1);
@@ -564,9 +609,12 @@ impl Trader {
     /// only the plan's candidates reach the residual (the conjuncts no
     /// index answered exactly, and the preference, compiled once for the
     /// whole import), and a [`Preference::FirstFound`] request stops at
-    /// its `max_matches`-th match. The result — members *and* ordering —
-    /// is identical to [`Self::import_scan`]. The plan is traced as a
-    /// span (`trader_plan`), with the lookup event inside it.
+    /// its `max_matches`-th match. Matching candidates are scored as
+    /// borrowed offers; an ordered request picks its `max_matches` best
+    /// of them (`keep_best`) and only the matches returned share their
+    /// offer. The result — members *and* ordering — is identical to
+    /// [`Self::import_scan`]. The plan is traced as a span
+    /// (`trader_plan`), with the lookup event inside it.
     pub fn import(&mut self, request: &ImportRequest, repo: Option<&TypeRepository>) -> Vec<Match> {
         use rmodp_observe::{bus, event, EventKind, Layer};
         self.stats.imports += 1;
@@ -592,10 +640,14 @@ impl Trader {
 
         let residual = Residual::compile(&planned.residual, request);
         // Only an unordered request's matches are final as they are found.
-        let unordered = matches!(request.preference, Preference::FirstFound);
-        let mut matches: Vec<Match> = Vec::new();
+        let enough = match request.preference {
+            Preference::FirstFound => request.max_matches,
+            _ => usize::MAX,
+        };
+        let mut found: Vec<(f64, &Arc<ServiceOffer>)> =
+            Vec::with_capacity(enough.min(planned.candidates.len()));
         for id in planned.candidates.iter() {
-            if unordered && matches.len() >= request.max_matches {
+            if found.len() >= enough {
                 break;
             }
             self.stats.offers_considered += 1;
@@ -609,12 +661,24 @@ impl Trader {
             if !planned.plan.fallback && !planned.matched_types.contains(&offer.service_type) {
                 continue;
             }
-            if let Some(m) = residual.matches(offer) {
-                matches.push(m);
+            if let Some(score) = residual.score(offer) {
+                found.push((score, offer));
             }
         }
-        order_matches(&mut matches, &request.preference, false);
-        matches.truncate(request.max_matches);
+        keep_best(
+            &mut found,
+            &request.preference,
+            false,
+            request.max_matches,
+            |&(score, offer)| (score, offer),
+        );
+        let matches: Vec<Match> = found
+            .into_iter()
+            .map(|(score, offer)| Match {
+                offer: Arc::clone(offer),
+                score,
+            })
+            .collect();
 
         event(Layer::Trader, EventKind::TraderLookup)
             .in_context()
@@ -649,7 +713,7 @@ impl Trader {
         let mut matches: Vec<Match> = Vec::new();
         for offer in self.store.iter() {
             self.stats.offers_considered += 1;
-            let type_ok = offer.service_type == request.service_type
+            let type_ok = *offer.service_type == *request.service_type
                 || (request.allow_subtypes
                     && repo
                         .is_some_and(|r| r.is_subtype(&offer.service_type, &request.service_type)));
@@ -660,7 +724,7 @@ impl Trader {
                 matches.push(m);
             }
         }
-        order_matches(&mut matches, &request.preference, false);
+        order_matches(&mut matches, &request.preference);
         matches.truncate(request.max_matches);
         rmodp_observe::event(
             rmodp_observe::Layer::Trader,
@@ -884,6 +948,55 @@ mod tests {
         assert_eq!(ppm(&before[0].offer), Some(Value::Int(55)));
         assert!(t.offer(id).is_none());
         assert!(t.import(&fast, None).is_empty());
+    }
+
+    #[test]
+    fn offers_share_their_type_and_trader_names() {
+        let mut t = printer_trader();
+        let printers = t.store().type_postings("Printer").unwrap().to_vec();
+        let [a, b] = printers[..] else {
+            panic!("two printers: {printers:?}")
+        };
+        let shared = |id| Arc::clone(t.store().get(id).unwrap());
+        let (a, b) = (shared(a), shared(b));
+        assert!(Arc::ptr_eq(&a.service_type, &b.service_type));
+        assert!(Arc::ptr_eq(&a.held_by, &b.held_by));
+        let (name, _) = t.store().types().find(|(n, _)| &***n == "Printer").unwrap();
+        assert!(Arc::ptr_eq(name, &a.service_type));
+        let scanner = t.import(&ImportRequest::new("Scanner"), None)[0].clone();
+        assert!(Arc::ptr_eq(&scanner.offer.held_by, &a.held_by));
+        assert!(!Arc::ptr_eq(&scanner.offer.service_type, &a.service_type));
+
+        // The type's last offer leaves, and its name with it; the type
+        // comes back under a new one and explains as before.
+        let request = ImportRequest::new("Scanner")
+            .constraint("dpi >= 600")
+            .unwrap();
+        let explained = t.explain(&request, None).to_string();
+        let withdrawn = t.withdraw(scanner.offer.id).unwrap();
+        assert_eq!(withdrawn, *scanner.offer);
+        assert!(t.store().type_postings("Scanner").is_none());
+        let id = t
+            .export(
+                "Scanner",
+                InterfaceId::new(3),
+                Value::record([("dpi", Value::Int(600))]),
+            )
+            .unwrap();
+        assert_eq!(t.explain(&request, None).to_string(), explained);
+        let again = t.offer(id).unwrap();
+        assert_eq!(&*again.service_type, "Scanner");
+        assert!(!Arc::ptr_eq(
+            &again.service_type,
+            &scanner.offer.service_type
+        ));
+        assert_eq!(
+            ServiceOffer {
+                id: scanner.offer.id,
+                ..again.clone()
+            },
+            withdrawn
+        );
     }
 
     #[test]

@@ -371,7 +371,7 @@ proptest! {
         let printers: Vec<OfferId> = t
             .store()
             .iter()
-            .filter(|o| o.service_type == "Printer")
+            .filter(|o| &*o.service_type == "Printer")
             .map(|o| o.id)
             .collect();
         prop_assume!(!printers.is_empty());
@@ -424,4 +424,116 @@ fn empty_index_fallback_equals_scan() {
     }
     assert_eq!(t.stats().plans_indexed, 0);
     assert_eq!(t.stats().plans_fallback, 3);
+}
+
+/// Top-k selection against the full sort: scores with many ties, `NaN`
+/// of both signs, `±inf` and a text score (not a number: the offer is
+/// not a match) under `prefer_max` and `prefer_min`, cut at every
+/// interesting `k` — 0 (where a naive `select_nth(k - 1)` would panic),
+/// 1, 5, one short of the matches, all of them, one past, unbounded.
+/// The planned import returns exactly the scan's members and order,
+/// through a fallback plan and an indexed one; a federated import of
+/// three traders holding tied offers under the same ids returns the
+/// scans' merge in `(score, holder, offer id)` order; a sharded import
+/// returns one trader's scan, and the broadcast agrees with it.
+#[test]
+fn top_k_selection_equals_the_full_sort() {
+    use rmodp_trader::{Federation, ShardedFederation};
+    let speeds = [
+        Value::Int(3),
+        Value::Int(1),
+        Value::Float(f64::NAN),
+        Value::Float(3.0),
+        Value::Float(f64::INFINITY),
+        Value::text("fast"),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Int(1),
+        Value::Float(-f64::NAN),
+        Value::Int(2),
+        Value::Int(3),
+    ];
+    let offer = |i: usize| {
+        Value::record([
+            ("speed", speeds[i % speeds.len()].clone()),
+            ("region", Value::text(REGIONS[i % 2])),
+        ])
+    };
+    const OFFERS: usize = 40;
+    const HOLDERS: [&str; 3] = ["a", "b", "c"];
+    let mut single = Trader::new("single");
+    single.index_property("region", IndexKind::Hash);
+    let mut federation = Federation::new();
+    for name in HOLDERS {
+        federation.add_trader(name).unwrap();
+        federation
+            .trader_mut(name)
+            .unwrap()
+            .index_property("region", IndexKind::Hash);
+    }
+    federation.link("a", "b").unwrap();
+    federation.link("b", "c").unwrap();
+    let mut sharded = ShardedFederation::new("shard", 3);
+    for i in 0..OFFERS {
+        let interface = InterfaceId::new(i as u64 + 1);
+        single.export("Printer", interface, offer(i)).unwrap();
+        sharded.export("Printer", interface, offer(i)).unwrap();
+        // Round robin: every holder has ids 1, 2, … with tied scores.
+        federation
+            .trader_mut(HOLDERS[i % HOLDERS.len()])
+            .unwrap()
+            .export("Printer", interface, offer(i))
+            .unwrap();
+    }
+    let ids_and_scores = |matches: &[Match]| -> Vec<(OfferId, u64)> {
+        let score = |m: &Match| m.score.to_bits();
+        matches.iter().map(|m| (m.offer.id, score(m))).collect()
+    };
+    for constraint in [None, Some("region == \"bne\"")] {
+        for max in [true, false] {
+            let mut base = ImportRequest::new("Printer");
+            if let Some(src) = constraint {
+                base = base.constraint(src).unwrap();
+            }
+            let base = if max {
+                base.prefer_max("speed")
+            } else {
+                base.prefer_min("speed")
+            }
+            .unwrap();
+            let all = single.import_scan(&base, None).len();
+            assert!(all > 6, "{all}: the text score is excluded, the rest match");
+            // The federation's model: every holder's scan, merged by the
+            // one order, written out here.
+            let mut merged: Vec<Match> = HOLDERS
+                .iter()
+                .flat_map(|name| {
+                    let trader = federation.trader_mut(name).unwrap();
+                    trader.import_scan(&base, None)
+                })
+                .collect();
+            merged.sort_by(|a, b| {
+                let score = a.score.total_cmp(&b.score);
+                (if max { score.reverse() } else { score })
+                    .then(a.offer.held_by.cmp(&b.offer.held_by))
+                    .then(a.offer.id.cmp(&b.offer.id))
+            });
+            for k in [0, 1, 5, all - 1, all, all + 1, usize::MAX] {
+                let request = base.clone().at_most(k);
+                let what = format!("constraint={constraint:?} max={max} k={k}");
+                let scanned = single.import_scan(&request, None);
+                assert_eq!(scanned.len(), k.min(all), "{what}");
+                let planned = single.import(&request, None);
+                assert_eq!(text(&planned), text(&scanned), "{what}");
+
+                let federated = federation.import_federated("a", &request, None, 2).unwrap();
+                let expected = &merged[..k.min(merged.len())];
+                assert_eq!(text(&federated), text(expected), "{what}");
+
+                let routed = sharded.import(&request, None);
+                assert_eq!(ids_and_scores(&routed), ids_and_scores(&scanned), "{what}");
+                let broadcast = sharded.import_all(&request, None).unwrap();
+                assert_eq!(text(&broadcast), text(&routed), "{what}");
+            }
+        }
+    }
 }

@@ -51,7 +51,7 @@ proptest! {
         let matches = t.import(&request, None);
         // Soundness: every match is a printer above the threshold.
         for m in &matches {
-            prop_assert_eq!(m.offer.service_type.as_str(), "Printer");
+            prop_assert_eq!(&*m.offer.service_type, "Printer");
             let ppm = m.offer.properties.field("ppm").unwrap().as_int().unwrap();
             prop_assert!(ppm >= threshold);
         }

@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nbest federation-wide: {} ({}) at {}ms",
         best.offer.service_type, best.offer.held_by, best.score
     );
-    assert_eq!(best.offer.service_type, "LoansOfficer");
+    assert_eq!(&*best.offer.service_type, "LoansOfficer");
 
     // ── Observability epilogue: what did the trading layer do? ──────
     let events = bus::snapshot_events();

@@ -224,6 +224,18 @@ const RULES: &[Rule] = &[
         copies: 2,
     },
     Rule {
+        name: "one match order",
+        why: "matches are ordered by `trader::match_order` alone — the one `total_cmp` of a \
+              score — and cut by `keep_best`, which picks an ordered request's best `k` before \
+              any offer is shared; the full sort and truncate (`order_matches`) is the \
+              reference scan's, called once, in `import_scan` (DESIGN.md, \"Trader at scale\")",
+        roots: &["crates/trader/src"],
+        patterns: &[Literal("total_cmp("), Call("order_matches")],
+        exempt: &[],
+        above_tests_only: true,
+        copies: 2,
+    },
+    Rule {
         name: "schemas evaluate compiled",
         why: "invariants, guards and effects run their `Predicate`/`Term`, compiled when the \
               schema is built; the walker only renders the error of one that fails — one \
@@ -1428,6 +1440,27 @@ fn a_second_judge_of_exactness_is_counted() {
     assert_eq!(
         rule.copies, 2,
         "one judge and one compile of what it left: a third line is one too many"
+    );
+}
+
+#[test]
+fn a_second_match_order_is_counted() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "one match order")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        let score = a_score.total_cmp(&b_score);\n\
+        fn order_matches(matches: &mut [Match], preference: &Preference) {\n\
+        order_matches(&mut matches, &request.preference);\n\
+        matches.sort_by(|a, b| b.score.total_cmp(&a.score));\n\
+        crate::trader::order_matches(&mut merged, &request.preference);\n\
+        #[cfg(test)]\n\
+        merged.sort_by(|a, b| a.score.total_cmp(&b.score));\n";
+    assert_eq!(offending_lines(rule, text), vec![1, 3, 4, 5]);
+    assert_eq!(
+        rule.copies, 2,
+        "one comparator and the scan's one full sort: a third line is one too many"
     );
 }
 
