@@ -65,11 +65,6 @@ fn workload_under_faults(seed: u64) -> impl ToJson {
         .expect("client node exists");
     let violations = oracle::verify_causality(&bus::snapshot_events()).len();
     assert_eq!(violations, 0, "chaos workload violated causality");
-    assert_eq!(outcome.faults.len(), 4, "all four faults were injected");
-    assert!(
-        outcome.faults.iter().all(|f| f.cleared_at.is_some()),
-        "every fault window closed"
-    );
     outcome.recovery.assert_clean("the recovery oracle");
     outcome.report.assert_clean("the chaos workload's contract");
 
@@ -89,9 +84,8 @@ fn exactly_once_under_loss(seed: u64) -> impl ToJson {
     let mut rig = counter_rig(seed.wrapping_add(1), SyntaxId::Binary);
     let server_idx = rig.engine.sim_node(rig.server).expect("server exists");
     let client_idx = rig.engine.sim_node(rig.client).expect("client exists");
-    // A short total deadline keeps one doomed call (against the crashed
-    // server) from blocking the injector long enough to swallow the
-    // later fault windows.
+    // A short total deadline bounds how long one doomed call (against
+    // the crashed server) keeps retrying.
     let channel = open(
         &mut rig,
         ChannelConfig {
@@ -130,27 +124,27 @@ fn exactly_once_under_loss(seed: u64) -> impl ToJson {
                 window: SimDuration::from_millis(300),
             },
         );
-    let mut injector = FaultInjector::new(plan, rig.engine.sim().now());
+    let t0 = rig.engine.sim().now();
+    plan.schedule_on(rig.engine.sim_mut());
 
     let total = 40u64;
     let mut ok = 0u64;
     let mut errors = 0u64;
-    let t0 = rig.engine.sim().now();
     for i in 0..total {
         // Pace one call every 25ms so the call stream spans every fault
-        // window; the injector performs whatever fell due on the way.
-        // Calls themselves also consume virtual time through timeouts
-        // and backoff, so a paced instant may already be in the past —
-        // pace to "now" instead then, so overdue clears still apply.
-        let due = t0 + SimDuration::from_millis(25 * i);
-        let target = due.max(rig.engine.sim().now());
-        injector.apply_until(&mut rig.engine, target);
+        // window; the simulator applies each fault at its instant, inside
+        // a blocking call too. A call slowed by timeouts and backoff may
+        // end past the next paced instant; the next call then starts at
+        // once.
+        rig.engine
+            .sim_mut()
+            .run_until(t0 + SimDuration::from_millis(25 * i));
         match rig.engine.call(channel, "Add", &add_one()) {
             Ok(t) if t.is_ok() => ok += 1,
             _ => errors += 1,
         }
     }
-    injector.finish(&mut rig.engine);
+    rig.engine.run_until_idle();
 
     // Read the counter through a fresh call: the network is healed by
     // now, so this must succeed.

@@ -9,8 +9,8 @@
 //!   uncommitted update batch; reopening replays the WAL and must
 //!   reproduce the committed state checksum exactly (the uncommitted
 //!   batch vanishes whole);
-//! - **capsule kill**: a chaos [`FaultPlan`] kills a guarded cluster's
-//!   capsule and crashes its node mid-update-stream; the
+//! - **capsule kill**: mid-update-stream a guarded cluster's capsule is
+//!   deactivated and a chaos [`FaultPlan`] crashes its node; the
 //!   [`FailureGuard`] recovers onto a backup from its store-backed
 //!   checkpoint + write-ahead op log, and the suite asserts *zero*
 //!   committed updates were lost while measuring the recovery MTTR on
@@ -23,7 +23,7 @@
 //! configuration (what the store costs in wall-clock time is
 //! `benchmark/`'s `store-oo7` and `store.*`).
 
-use rmodp_chaos::prelude::{FaultInjector, FaultKind, FaultPlan};
+use rmodp_chaos::prelude::{FaultKind, FaultPlan};
 use rmodp_core::codec::SyntaxId;
 use rmodp_core::value::Value;
 use rmodp_engineering::behaviour::CounterBehaviour;
@@ -173,13 +173,13 @@ fn power_loss_recovery(
 }
 
 /// The capsule-kill scenario: a guarded counter cluster takes a logged
-/// update stream; a chaos plan kills its capsule and crashes its node
-/// mid-stream; the [`FailureGuard`] recovers onto the backup and the
-/// stream resumes. Returns the JSON section.
+/// update stream; mid-stream its capsule is killed and a chaos plan
+/// crashes its node; the [`FailureGuard`] recovers onto the backup and
+/// the stream resumes. Returns the JSON section.
 ///
-/// The plan's windows are far beyond any `apply_until` target and
-/// `finish` is never called, so the injector's own stale reactivation
-/// never masks the guard's recovery.
+/// The kill is a deactivation with no reactivation, and the crash's
+/// window is far beyond the run, so only the guard's recovery can bring
+/// the service back.
 fn capsule_kill_section(seed: u64) -> impl ToJson {
     let mut engine = Engine::new(seed);
     engine
@@ -228,24 +228,17 @@ fn capsule_kill_section(seed: u64) -> impl ToJson {
     let kill_at = SimDuration::from_millis(40);
     let beyond_horizon = SimDuration::from_secs(300);
     let home_idx = engine.sim_node(home).expect("home is simulated");
-    let plan = FaultPlan::new()
-        .with(
-            kill_at,
-            FaultKind::CapsuleKill {
-                node: home,
-                capsule: home_capsule,
-                cluster,
-                down_for: beyond_horizon,
-            },
-        )
+    FaultPlan::new()
         .with(
             kill_at,
             FaultKind::CrashRestart {
                 node: home_idx,
                 down_for: beyond_horizon,
             },
-        );
-    let mut injector = FaultInjector::new(plan, epoch);
+        )
+        .schedule_on(engine.sim_mut());
+    let killed_at = epoch + kill_at;
+    let mut killed = false;
 
     const OPS: u64 = 24;
     let mut expected = 0i64;
@@ -253,7 +246,15 @@ fn capsule_kill_section(seed: u64) -> impl ToJson {
     let mut mttr_us = 0u64;
     let mut replayed = 0u64;
     for i in 0..OPS {
-        injector.apply_until(&mut engine, epoch + SimDuration::from_millis(3 * (i + 1)));
+        let target = epoch + SimDuration::from_millis(3 * (i + 1));
+        if !killed && killed_at <= target {
+            engine.sim_mut().run_until(killed_at);
+            engine
+                .deactivate_cluster(home, home_capsule, cluster)
+                .expect("the cluster is active until its kill");
+            killed = true;
+        }
+        engine.sim_mut().run_until(target);
         let k = i as i64 + 1;
         let args = Value::record([("k", Value::Int(k))]);
         // Write-ahead: the op is in the durable log before it is issued,
@@ -271,7 +272,6 @@ fn capsule_kill_section(seed: u64) -> impl ToJson {
         if call.is_err() {
             assert!(failed_at_op.is_none(), "one kill, one detection");
             failed_at_op = Some(i);
-            let killed_at = injector.applied()[0].injected_at;
             guard
                 .recover(&mut engine, &mut infra.relocator, &mut store)
                 .expect("durable recovery succeeds");

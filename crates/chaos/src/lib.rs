@@ -4,7 +4,7 @@
 //! possible recovery of objects" is masked from applications — a
 //! promise that can only be *tested* by making objects fail. This crate
 //! supplies the failure half of that contract check: typed, seeded
-//! fault schedules applied to the engineering model on virtual time,
+//! fault schedules played on the simulated network on virtual time,
 //! plus oracles that judge whether the transparency machinery (retries,
 //! circuit breakers, dedup, relocation, 2PC) actually delivered
 //! recovery.
@@ -12,15 +12,13 @@
 //! The pieces, bottom-up:
 //!
 //! - [`plan`] — [`FaultPlan`]: a schedule of typed faults (node
-//!   crash/restart, link partition/heal, loss bursts, latency spikes,
-//!   capsule kill) written by hand or drawn from a seeded RNG;
-//! - [`inject`] — [`FaultInjector`]: compiles a plan onto virtual time
-//!   and applies it, interleaved with simulation progress; it is a
-//!   kernel `Actor`, registered ahead of the load generator so faults
-//!   land at exact virtual instants under load;
-//! - [`shard`] — [`shard::compile`]: the topology-level subset of a plan
-//!   compiled into the sharded kernel's epoch timeline, so faults land at
-//!   exact instants on every shard's copy of the topology;
+//!   crash/restart, link partition/heal, loss bursts, one-way loss,
+//!   latency spikes) written by hand or drawn from a seeded RNG, and
+//!   [`FaultPlan::timeline`], the one compiler of a plan: absolute
+//!   network actions on virtual time, which a single simulator plays
+//!   from its own event queue ([`FaultPlan::schedule_on`]) and a sharded
+//!   run applies at its epoch barriers, so faults land at their planned
+//!   instants on every shard count;
 //! - [`oracle`] — [`verify_recovery`] → [`RecoveryReport`]: computes
 //!   per-fault MTTR and in-window availability from the event stream it
 //!   is handed, and reads the at-most-once counters from the metrics it
@@ -42,7 +40,8 @@
 //! stream, and byte-identical reports.
 //!
 //! [`FaultPlan`]: plan::FaultPlan
-//! [`FaultInjector`]: inject::FaultInjector
+//! [`FaultPlan::timeline`]: plan::FaultPlan::timeline
+//! [`FaultPlan::schedule_on`]: plan::FaultPlan::schedule_on
 //! [`verify_recovery`]: oracle::verify_recovery
 //! [`RecoveryReport`]: oracle::RecoveryReport
 //! [`verify_consistency`]: linear::verify_consistency
@@ -51,16 +50,13 @@
 //! [`run_scenario_under_faults`]: driver::run_scenario_under_faults
 
 pub mod driver;
-pub mod inject;
 pub mod linear;
 pub mod oracle;
 pub mod plan;
-pub mod shard;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::driver::{run_scenario_under_faults, ChaosOutcome};
-    pub use crate::inject::{AppliedFault, FaultInjector};
     pub use crate::linear::{verify_consistency, ConsistencyReport, GroupConsistency};
     pub use crate::oracle::{verify_recovery, FaultRecovery, RecoveryReport};
     pub use crate::plan::{ChaosProfile, FaultEvent, FaultKind, FaultPlan};

@@ -1,8 +1,8 @@
 //! Recovery oracles: judging whether the system actually recovered.
 //!
 //! [`verify_recovery`] reads the event stream it is handed — the same
-//! stream every layer already emits into — and computes, per applied
-//! fault:
+//! stream every layer already emits into — and computes, per fault of
+//! the plan it is handed (whose windows the run played exactly):
 //!
 //! - **MTTR**: virtual time from fault injection to the first reply
 //!   delivered to the client afterwards (the client-visible moment
@@ -19,12 +19,13 @@
 //! guarantee).
 
 use rmodp_engineering::nucleus::DRIVER_PORT;
+use rmodp_netsim::time::SimTime;
 use rmodp_observe::json::{Fixed, ToJson};
 use rmodp_observe::metrics::Registry;
 use rmodp_observe::oracle::Verdict;
 use rmodp_observe::{json_into, Event, EventKind, Layer};
 
-use crate::inject::AppliedFault;
+use crate::plan::FaultPlan;
 
 /// Per-fault recovery verdict.
 #[derive(Debug, Clone)]
@@ -35,8 +36,8 @@ pub struct FaultRecovery {
     pub detail: String,
     /// Injection time (virtual microseconds).
     pub injected_us: u64,
-    /// Clear time, if the fault window closed.
-    pub cleared_us: Option<u64>,
+    /// Clear time (virtual microseconds).
+    pub cleared_us: u64,
     /// Whether the client saw any reply after injection.
     pub recovered: bool,
     /// Time from injection to first post-injection client delivery; if
@@ -70,8 +71,9 @@ pub struct RecoveryReport {
     pub mean_mttr_us: u64,
 }
 
-/// Judges client-visible recovery from `events` against the applied
-/// faults, and reads the hardened-path counters from `metrics`.
+/// Judges client-visible recovery from `events` against the faults of
+/// `plan`, played from epoch `t0`, and reads the hardened-path counters
+/// from `metrics`.
 ///
 /// The measurement basis: netsim emits `Send` events located at the
 /// source address and `Deliver` events located at the destination, so
@@ -83,7 +85,8 @@ pub fn verify_recovery(
     events: &[Event],
     metrics: &Registry,
     client_node: u64,
-    faults: &[AppliedFault],
+    plan: &FaultPlan,
+    t0: SimTime,
 ) -> RecoveryReport {
     let trace_end = events.iter().map(|e| e.t_us).max().unwrap_or(0);
     let client_times = |kind: EventKind| -> Vec<u64> {
@@ -100,12 +103,12 @@ pub fn verify_recovery(
     };
     let send_times = client_times(EventKind::Send);
     let deliver_times = client_times(EventKind::Deliver);
-    let verdicts: Vec<FaultRecovery> = faults
-        .iter()
+    let verdicts: Vec<FaultRecovery> = plan
+        .in_time_order()
+        .into_iter()
         .map(|f| {
-            let injected = f.injected_at.as_micros();
-            let cleared = f.cleared_at.map(|t| t.as_micros());
-            let window_end = cleared.unwrap_or(trace_end);
+            let injected = (t0 + f.at).as_micros();
+            let cleared = injected + f.fault.window().as_micros();
             // Request/reply payloads are opaque at this layer, so
             // availability is the window's goodput ratio: replies
             // delivered during the window over requests sent during
@@ -113,11 +116,11 @@ pub fn verify_recovery(
             // send; a dead server yields sends with no deliveries.
             let sent_in_window = send_times
                 .iter()
-                .filter(|&&t| t >= injected && t < window_end)
+                .filter(|&&t| t >= injected && t < cleared)
                 .count() as u64;
             let delivered_in_window = deliver_times
                 .iter()
-                .filter(|&&t| t >= injected && t < window_end)
+                .filter(|&&t| t >= injected && t < cleared)
                 .count() as u64;
             let first_recovery = deliver_times.iter().find(|&&d| d >= injected).copied();
             let (recovered, mttr_us) = match first_recovery {
@@ -130,8 +133,8 @@ pub fn verify_recovery(
                 (delivered_in_window as f64 / sent_in_window as f64).min(1.0)
             };
             FaultRecovery {
-                label: f.label.to_string(),
-                detail: f.detail.clone(),
+                label: f.fault.label().to_string(),
+                detail: f.fault.to_string(),
                 injected_us: injected,
                 cleared_us: cleared,
                 recovered,
@@ -191,7 +194,9 @@ impl ToJson for RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmodp_netsim::time::SimTime;
+    use crate::plan::FaultKind;
+    use rmodp_netsim::sim::NodeIdx;
+    use rmodp_netsim::time::SimDuration;
 
     fn ev(kind: EventKind, t_us: u64, node: u64, port: u64) -> Event {
         Event {
@@ -209,20 +214,20 @@ mod tests {
         }
     }
 
-    fn fault(injected_us: u64, cleared_us: u64) -> AppliedFault {
-        AppliedFault {
-            index: 0,
-            label: "crash_restart",
-            detail: "crash n0".into(),
-            injected_at: SimTime::from_micros(injected_us),
-            cleared_at: Some(SimTime::from_micros(cleared_us)),
-        }
+    /// One crash held from 1 000 to 1 500 us of a run that starts at 0.
+    fn crash() -> FaultPlan {
+        FaultPlan::new().with(
+            SimDuration::from_micros(1_000),
+            FaultKind::CrashRestart {
+                node: NodeIdx(0),
+                down_for: SimDuration::from_micros(500),
+            },
+        )
     }
 
-    /// The per-fault verdicts for client node 2 and one fault held from
-    /// 1 000 to 1 500 us.
+    /// The per-fault verdicts for client node 2 and [`crash`].
     fn analyse(events: &[Event]) -> Vec<FaultRecovery> {
-        verify_recovery(events, &Registry::default(), 2, &[fault(1_000, 1_500)]).faults
+        verify_recovery(events, &Registry::default(), 2, &crash(), SimTime::ZERO).faults
     }
 
     #[test]
@@ -270,7 +275,7 @@ mod tests {
         metrics.counter_add("engineering.dedup.hits", 3);
         metrics.counter_add("engineering.dedup.duplicate_dispatches", 1);
         let events = vec![ev(EventKind::Deliver, 1_100, 2, 1)];
-        let report = verify_recovery(&events, &metrics, 2, &[fault(1_000, 1_500)]);
+        let report = verify_recovery(&events, &metrics, 2, &crash(), SimTime::ZERO);
         assert_eq!(report.dedup_hits, 3);
         assert!(report.faults[0].recovered);
         assert!(!report.clean(), "a duplicate dispatch is unclean");

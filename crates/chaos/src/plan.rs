@@ -6,18 +6,21 @@
 //! or drawn from a seeded RNG with [`FaultPlan::generate`]; either way
 //! the plan is a plain value that renders deterministically, so two runs
 //! from the same seed produce byte-identical fault traces.
+//!
+//! [`FaultPlan::timeline`] is the one compiler of a plan: every run, on
+//! one queue ([`FaultPlan::schedule_on`]) or on N shards
+//! (`ShardedKernel::run_with`), plays the actions it returns.
 
 use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rmodp_core::id::{CapsuleId, ClusterId, NodeId};
-use rmodp_netsim::sim::{NodeIdx, ShardAction};
+use rmodp_netsim::sim::{NodeIdx, ShardAction, Sim};
 use rmodp_netsim::time::{SimDuration, SimTime};
+use rmodp_netsim::topology::{LinkConfig, Topology};
 
-/// A typed fault. Node-level faults act on the netsim topology; capsule
-/// kill acts on the engineering structure (deactivate + reactivate), so
-/// recovery exercises checkpointing rather than mere reachability.
+/// A typed fault on the netsim topology: a node, a pair's connectivity,
+/// or the characteristics of a link, for a window.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Crash a node, dropping everything in flight to or from it, then
@@ -75,24 +78,11 @@ pub enum FaultKind {
         /// Spike duration.
         window: SimDuration,
     },
-    /// Kill a capsule's cluster (deactivate, discarding the running
-    /// instance but keeping the checkpoint), reactivating after
-    /// `down_for`.
-    CapsuleKill {
-        /// Engineering node hosting the capsule.
-        node: NodeId,
-        /// The capsule whose cluster dies.
-        capsule: CapsuleId,
-        /// The cluster to deactivate.
-        cluster: ClusterId,
-        /// How long until reactivation.
-        down_for: SimDuration,
-    },
 }
 
 /// Which half of a fault a [`Step`] performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
+enum Phase {
     Apply,
     Clear,
 }
@@ -100,26 +90,22 @@ pub(crate) enum Phase {
 /// One step of a plan laid out on virtual time: at absolute time `at`,
 /// apply or clear fault `index` of the plan.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Step {
-    pub(crate) at: SimTime,
-    pub(crate) index: usize,
-    pub(crate) phase: Phase,
+struct Step {
+    at: SimTime,
+    index: usize,
+    phase: Phase,
 }
 
 impl FaultKind {
-    /// This half of the fault as an action on the network topology, if
-    /// that is all it is: crash/restart and partition/heal. The other
-    /// kinds perturb link characteristics or the engineering structure
-    /// and have no such form.
-    pub(crate) fn topology_action(&self, phase: Phase) -> Option<ShardAction> {
-        use Phase::{Apply, Clear};
-        Some(match (self, phase) {
-            (FaultKind::CrashRestart { node, .. }, Apply) => ShardAction::Crash(*node),
-            (FaultKind::CrashRestart { node, .. }, Clear) => ShardAction::Restart(*node),
-            (FaultKind::Partition { a, b, .. }, Apply) => ShardAction::Partition(*a, *b),
-            (FaultKind::Partition { a, b, .. }, Clear) => ShardAction::Heal(*a, *b),
-            _ => return None,
-        })
+    /// The directed links a link fault perturbs; none for the others.
+    fn links(&self) -> Vec<(NodeIdx, NodeIdx)> {
+        match *self {
+            FaultKind::LossBurst { a, b, .. } | FaultKind::LatencySpike { a, b, .. } => {
+                vec![(a, b), (b, a)]
+            }
+            FaultKind::OneWayLoss { from, to, .. } => vec![(from, to)],
+            FaultKind::CrashRestart { .. } | FaultKind::Partition { .. } => Vec::new(),
+        }
     }
 
     /// Short machine-friendly label for the fault type.
@@ -130,7 +116,6 @@ impl FaultKind {
             FaultKind::LossBurst { .. } => "loss_burst",
             FaultKind::OneWayLoss { .. } => "one_way_loss",
             FaultKind::LatencySpike { .. } => "latency_spike",
-            FaultKind::CapsuleKill { .. } => "capsule_kill",
         }
     }
 
@@ -142,7 +127,6 @@ impl FaultKind {
             FaultKind::LossBurst { window, .. } => *window,
             FaultKind::OneWayLoss { window, .. } => *window,
             FaultKind::LatencySpike { window, .. } => *window,
-            FaultKind::CapsuleKill { down_for, .. } => *down_for,
         }
     }
 }
@@ -181,16 +165,6 @@ impl fmt::Display for FaultKind {
                 "latency spike {a}<->{b} +{}us for {}us",
                 extra.as_micros(),
                 window.as_micros()
-            ),
-            FaultKind::CapsuleKill {
-                node,
-                capsule,
-                cluster,
-                down_for,
-            } => write!(
-                f,
-                "kill capsule {capsule} cluster {cluster} at {node} for {}us",
-                down_for.as_micros()
             ),
         }
     }
@@ -254,8 +228,8 @@ impl FaultPlan {
     /// Lays the plan out against epoch `t0`: each fault applies at
     /// `t0 + at` and clears at `t0 + at + window`. Steps come sorted by
     /// instant; within an instant they keep plan order (a fault's apply
-    /// before its clear). Every consumer of a plan walks this list.
-    pub(crate) fn steps(&self, t0: SimTime) -> Vec<Step> {
+    /// before its clear).
+    fn steps(&self, t0: SimTime) -> Vec<Step> {
         let mut steps = Vec::with_capacity(self.events.len() * 2);
         for (index, ev) in self.events.iter().enumerate() {
             let start = t0 + ev.at;
@@ -267,6 +241,110 @@ impl FaultPlan {
         }
         steps.sort_by_key(|step| step.at);
         steps
+    }
+
+    /// Compiles the plan against epoch `t0` into the timeline every run
+    /// plays: `(instant, actions)` strictly ascending by instant, the
+    /// actions of an instant in plan order. Each fault applies at
+    /// `t0 + at` and clears `window` later.
+    ///
+    /// Crash/restart and partition/heal are actions of their own. A link
+    /// fault sets each directed link it covers to an absolute value,
+    /// computed at that instant from the link in `topology` and every
+    /// link fault then active: latency is the base plus the sum of the
+    /// active spikes, loss the highest active burst (the base loss when
+    /// none is). Overlapping faults thus never restore a stale value, and
+    /// a fault alone sets and restores only its own field.
+    pub fn timeline(&self, t0: SimTime, topology: &Topology) -> Vec<(SimTime, Vec<ShardAction>)> {
+        let mut timeline: Vec<(SimTime, Vec<ShardAction>)> = Vec::new();
+        for step in self.steps(t0) {
+            if timeline.last().is_none_or(|(at, _)| *at != step.at) {
+                timeline.push((step.at, Vec::new()));
+            }
+            let fault = &self.events[step.index].fault;
+            let actions = match (fault, step.phase) {
+                (FaultKind::CrashRestart { node, .. }, Phase::Apply) => {
+                    vec![ShardAction::Crash(*node)]
+                }
+                (FaultKind::CrashRestart { node, .. }, Phase::Clear) => {
+                    vec![ShardAction::Restart(*node)]
+                }
+                (FaultKind::Partition { a, b, .. }, Phase::Apply) => {
+                    vec![ShardAction::Partition(*a, *b)]
+                }
+                (FaultKind::Partition { a, b, .. }, Phase::Clear) => {
+                    vec![ShardAction::Heal(*a, *b)]
+                }
+                _ => fault
+                    .links()
+                    .into_iter()
+                    .map(|(from, to)| {
+                        ShardAction::SetLink(
+                            from,
+                            to,
+                            self.link_at(t0, step.at, topology, (from, to)),
+                        )
+                    })
+                    .collect(),
+            };
+            let group = &mut timeline.last_mut().expect("pushed above").1;
+            for action in actions {
+                // Two faults moving one link at one instant set it once.
+                if !group.contains(&action) {
+                    group.push(action);
+                }
+            }
+        }
+        timeline
+    }
+
+    /// The directed link `link` at instant `at`: its value in `topology`
+    /// under every link fault active then (see [`Self::timeline`]).
+    fn link_at(
+        &self,
+        t0: SimTime,
+        at: SimTime,
+        topology: &Topology,
+        link: (NodeIdx, NodeIdx),
+    ) -> LinkConfig {
+        let base = topology.link(link.0, link.1);
+        let mut value = base;
+        let mut burst: Option<f64> = None;
+        for event in &self.events {
+            let start = t0 + event.at;
+            let active = start <= at && at < start + event.fault.window();
+            if !active || !event.fault.links().contains(&link) {
+                continue;
+            }
+            match event.fault {
+                FaultKind::LossBurst { loss, .. } | FaultKind::OneWayLoss { loss, .. } => {
+                    burst = Some(burst.map_or(loss, |highest| highest.max(loss)));
+                }
+                FaultKind::LatencySpike { extra, .. } => value.latency = value.latency + extra,
+                FaultKind::CrashRestart { .. } | FaultKind::Partition { .. } => {}
+            }
+        }
+        value.loss = burst.unwrap_or(base.loss);
+        value
+    }
+
+    /// Compiles the plan against the simulator's current instant and puts
+    /// every action into its queue ([`Sim::schedule_action`]): whatever
+    /// advances the clock from here plays the plan. Schedule it before
+    /// the load, so an action precedes that load's events at its instant.
+    pub fn schedule_on(&self, sim: &mut Sim) {
+        for (at, actions) in self.timeline(sim.now(), sim.topology()) {
+            for action in actions {
+                sim.schedule_action(at, action);
+            }
+        }
+    }
+
+    /// The faults in injection order: by offset, ties in plan order.
+    pub fn in_time_order(&self) -> Vec<&FaultEvent> {
+        let mut sorted: Vec<&FaultEvent> = self.events.iter().collect();
+        sorted.sort_by_key(|e| e.at);
+        sorted
     }
 
     /// Checks the plan's static invariants: every fault window is
@@ -313,7 +391,7 @@ impl FaultPlan {
                         return Err(what("loss probability outside [0, 1]"));
                     }
                 }
-                FaultKind::CrashRestart { .. } | FaultKind::CapsuleKill { .. } => {}
+                FaultKind::CrashRestart { .. } => {}
             }
         }
         Ok(())
@@ -418,10 +496,8 @@ impl FaultPlan {
     /// Deterministic multi-line description of the plan, one fault per
     /// line in schedule order.
     pub fn describe(&self) -> String {
-        let mut sorted: Vec<&FaultEvent> = self.events.iter().collect();
-        sorted.sort_by_key(|e| e.at.as_micros());
         let mut out = String::new();
-        for e in sorted {
+        for e in self.in_time_order() {
             out.push_str(&format!("+{}us {}\n", e.at.as_micros(), e.fault));
         }
         out
@@ -514,14 +590,15 @@ mod tests {
     }
 
     #[test]
-    fn steps_are_anchored_sorted_and_keep_plan_order_within_an_instant() {
+    fn the_timeline_is_anchored_sorted_and_keeps_plan_order_within_an_instant() {
         let ms = SimDuration::from_millis;
+        let (n0, n1) = (NodeIdx(0), NodeIdx(1));
         let plan = FaultPlan::new()
             .with(
                 ms(5),
                 FaultKind::LossBurst {
-                    a: NodeIdx(0),
-                    b: NodeIdx(1),
+                    a: n0,
+                    b: n1,
                     loss: 0.5,
                     window: ms(10),
                 },
@@ -529,37 +606,102 @@ mod tests {
             .with(
                 ms(1),
                 FaultKind::CrashRestart {
-                    node: NodeIdx(1),
+                    node: n1,
                     down_for: ms(4),
                 },
+            )
+            .with(
+                ms(20),
+                FaultKind::Partition {
+                    a: n0,
+                    b: n1,
+                    heal_after: ms(3),
+                },
             );
+        let base = LinkConfig::with_latency(SimDuration::from_micros(800));
+        let lossy = base.loss(0.5);
         let t0 = SimTime::ZERO + ms(100);
-        let steps: Vec<_> = plan
-            .steps(t0)
-            .into_iter()
-            .map(|s| (s.at.as_micros() - t0.as_micros(), s.index, s.phase))
-            .collect();
+        let at = |offset: u64| t0 + ms(offset);
         // The restart (1 + 4) and the burst (5) share an instant: the
-        // burst was inserted first, so it goes first.
+        // burst was inserted first, so it goes first. A lone burst sets
+        // only the loss, both ways, and restores the base.
         assert_eq!(
-            steps,
-            [
-                (1_000, 1, Phase::Apply),
-                (5_000, 0, Phase::Apply),
-                (5_000, 1, Phase::Clear),
-                (15_000, 0, Phase::Clear),
+            plan.timeline(t0, &Topology::full_mesh(base)),
+            vec![
+                (at(1), vec![ShardAction::Crash(n1)]),
+                (
+                    at(5),
+                    vec![
+                        ShardAction::SetLink(n0, n1, lossy),
+                        ShardAction::SetLink(n1, n0, lossy),
+                        ShardAction::Restart(n1),
+                    ]
+                ),
+                (
+                    at(15),
+                    vec![
+                        ShardAction::SetLink(n0, n1, base),
+                        ShardAction::SetLink(n1, n0, base),
+                    ]
+                ),
+                (at(20), vec![ShardAction::Partition(n0, n1)]),
+                (at(23), vec![ShardAction::Heal(n0, n1)]),
             ]
         );
-        let crash = &plan.events[1].fault;
+    }
+
+    #[test]
+    fn overlapping_link_faults_never_restore_a_stale_link() {
+        use rmodp_observe::{bus, EventKind};
+
+        let ms = SimDuration::from_millis;
+        let mut sim = Sim::new(3);
+        let (a, b) = (sim.add_node(), sim.add_node());
+        let base = sim.topology().link(a, b);
+        let plan = FaultPlan::new()
+            .with(
+                ms(1),
+                FaultKind::LossBurst {
+                    a,
+                    b,
+                    loss: 0.9,
+                    window: ms(10),
+                },
+            )
+            .with(
+                ms(5),
+                FaultKind::LatencySpike {
+                    a,
+                    b,
+                    extra: ms(7),
+                    window: ms(10),
+                },
+            );
+        plan.schedule_on(&mut sim);
+        let spiked = LinkConfig {
+            latency: base.latency + ms(7),
+            ..base
+        };
+        for (until, expect) in [
+            (3, base.loss(0.9)),
+            (6, spiked.loss(0.9)),
+            (12, spiked),
+            (16, base),
+        ] {
+            sim.run_until(SimTime::ZERO + ms(until));
+            assert_eq!(sim.topology().link(a, b), expect, "at {until} ms");
+            assert_eq!(sim.topology().link(b, a), expect, "at {until} ms");
+        }
+        // One fault event per applied action, at its instant.
+        let fault_times: Vec<u64> = bus::snapshot_events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::FaultInject | EventKind::FaultClear))
+            .map(|e| e.t_us)
+            .collect();
         assert_eq!(
-            crash.topology_action(Phase::Apply),
-            Some(ShardAction::Crash(NodeIdx(1)))
+            fault_times,
+            [1_000, 1_000, 5_000, 5_000, 11_000, 11_000, 15_000, 15_000]
         );
-        assert_eq!(
-            crash.topology_action(Phase::Clear),
-            Some(ShardAction::Restart(NodeIdx(1)))
-        );
-        assert_eq!(plan.events[0].fault.topology_action(Phase::Apply), None);
     }
 
     #[test]

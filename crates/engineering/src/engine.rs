@@ -1390,9 +1390,8 @@ impl Engine {
     }
 }
 
-/// The engine is a kernel [`World`]: load generators and fault injectors
-/// run as actors on one scheduler instead of pacing the simulator
-/// themselves.
+/// The engine is a kernel [`World`]: load generators run as actors on
+/// one scheduler instead of pacing the simulator themselves.
 impl World for Engine {
     fn now(&self) -> SimTime {
         self.sim.now()

@@ -1,11 +1,11 @@
 //! Actors scheduled on one kernel.
 //!
 //! RM-ODP's engineering viewpoint gives each node a *nucleus* that owns
-//! scheduling and communication. Before this crate, three drivers each
-//! advanced virtual time on their own (the network simulator, the
-//! workload loops, the chaos injector); here they become [`Actor`]s
-//! registered on one [`Kernel`], which interleaves their due instants
-//! with simulation progress in a single totally ordered schedule.
+//! scheduling and communication. A driver that needs the clock beside
+//! the network simulator (the workload loops) is an [`Actor`] registered
+//! on one [`Kernel`], which interleaves its due instants with
+//! simulation progress in a single totally ordered schedule. A fault
+//! plan is no actor: its actions are entries of the world's own queue.
 //!
 //! Determinism rules:
 //! * due actors fire in time order; equal times fire in registration
@@ -160,8 +160,8 @@ impl<'a, W: World> Kernel<'a, W> {
     }
 
     /// Registers an actor. Registration order breaks equal-time ties, so
-    /// register higher-priority actors (e.g. fault injectors) first.
-    /// Per-actor metric names are formatted once here, not per tick.
+    /// register higher-priority actors first. Per-actor metric names are
+    /// formatted once here, not per tick.
     pub fn register(&mut self, actor: &'a mut dyn Actor<W>) -> &mut Self {
         let name = actor.name();
         self.actors.push(Slot {

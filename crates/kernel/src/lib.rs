@@ -12,8 +12,8 @@
 //!   the observe bus;
 //! * [`rng`] — seeded randomness handles ([`KernelRng`]);
 //! * [`actor`] — the [`World`]/[`Actor`]/[`Kernel`] traits that let the
-//!   network simulator, workload loops, and fault injectors share one
-//!   schedule instead of each advancing time on their own;
+//!   network simulator and the workload loops share one schedule
+//!   instead of each advancing time on their own;
 //! * [`payload`] — shared immutable byte buffers ([`Payload`]) that make
 //!   the invocation hot path allocation-light (clone = share, slice =
 //!   view, and deep copies are metered so benchmarks can assert there

@@ -321,8 +321,8 @@ impl<W: ShardWorld> ShardedKernel<W> {
     /// to every shard at its exact instant of the merged global clock:
     /// the kernel caps an epoch's horizon at the next instant, and once
     /// every event before it has been processed, broadcasts its actions
-    /// before any event at or after it runs. This is the seam fault
-    /// injectors use.
+    /// before any event at or after it runs. A fault plan's timeline
+    /// plays here.
     ///
     /// # Panics
     ///

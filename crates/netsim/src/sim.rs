@@ -14,7 +14,7 @@ use rmodp_kernel::{PartitionMap, World};
 use rmodp_observe::{bus, event, EventKind, Layer};
 
 use crate::time::{SimDuration, SimTime};
-use crate::topology::Topology;
+use crate::topology::{LinkConfig, Topology};
 use crate::trace::Metrics;
 
 /// Index of a node within one simulation.
@@ -203,14 +203,18 @@ enum Command {
 enum Pending {
     Deliver { msg: Message, span: u64 },
     Timer { addr: Addr, tag: u64, id: TimerId },
+    Action(ShardAction),
 }
 
-/// A topology/fault action applied identically to every shard of a
-/// sharded run at an epoch barrier, so all shards keep the same view of
-/// the shared network state. Only the deterministic fault kinds appear
-/// here: loss and latency changes would either consume RNG draws or
-/// invalidate the lookahead bound mid-run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A change to the shared network state at one instant: a fault, or the
+/// end of one. On one queue it is an entry of the simulator's own
+/// schedule ([`Sim::schedule_action`]); in a sharded run every shard
+/// applies it at an epoch barrier, so all shards keep the same view of
+/// the network. A `SetLink` that only moves latency is a shard action
+/// like the others: a fault can only lengthen a link, which keeps the
+/// lookahead bound. One with loss or jitter would draw from each shard's
+/// own RNG, so sharded runs refuse it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShardAction {
     /// Crash a node (messages and timers dropped).
     Crash(NodeIdx),
@@ -220,6 +224,26 @@ pub enum ShardAction {
     Partition(NodeIdx, NodeIdx),
     /// Restore connectivity between two nodes.
     Heal(NodeIdx, NodeIdx),
+    /// Give the directed link `from → to` this configuration.
+    SetLink(NodeIdx, NodeIdx, LinkConfig),
+}
+
+impl fmt::Display for ShardAction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShardAction::Crash(node) => write!(f, "crash {node}"),
+            ShardAction::Restart(node) => write!(f, "restart {node}"),
+            ShardAction::Partition(a, b) => write!(f, "partition {a}<->{b}"),
+            ShardAction::Heal(a, b) => write!(f, "heal {a}<->{b}"),
+            ShardAction::SetLink(from, to, link) => write!(
+                f,
+                "set link {from}->{to} latency={}us jitter={}us loss={:.2}",
+                link.latency.as_micros(),
+                link.jitter.as_micros(),
+                link.loss
+            ),
+        }
+    }
 }
 
 /// State a [`Sim`] keeps when acting as one shard of a
@@ -387,6 +411,16 @@ impl Sim {
         id
     }
 
+    /// Schedules a network action at `at` in this simulator's own queue,
+    /// so whatever advances the clock applies it at its instant, with one
+    /// fault event in the trace. Equal instants keep submission order:
+    /// scheduled before the load it perturbs, an action precedes every
+    /// event that load queues at its instant, as a sharded run's barrier
+    /// does.
+    pub fn schedule_action(&mut self, at: SimTime, action: ShardAction) {
+        self.queue.schedule(at, Pending::Action(action));
+    }
+
     /// Executes the next event, if any. Returns `false` when the queue is
     /// empty. Popping advances the kernel clock (and the observe bus's
     /// time) to the event's timestamp.
@@ -397,6 +431,16 @@ impl Sim {
         match pending {
             Pending::Deliver { msg, span } => self.deliver(msg, span),
             Pending::Timer { addr, tag, id } => self.fire_timer(addr, tag, id),
+            Pending::Action(action) => {
+                let kind = match action {
+                    ShardAction::Restart(_) | ShardAction::Heal(..) => EventKind::FaultClear,
+                    _ => EventKind::FaultInject,
+                };
+                event(Layer::Netsim, kind)
+                    .detail_fmt(format_args!("{action}"))
+                    .emit();
+                self.apply_action(&action);
+            }
         }
         true
     }
@@ -706,12 +750,13 @@ impl ShardWorld for Sim {
             ShardAction::Restart(node) => self.topology.restart(node),
             ShardAction::Partition(a, b) => self.topology.partition(a, b),
             ShardAction::Heal(a, b) => self.topology.heal(a, b),
+            ShardAction::SetLink(from, to, link) => self.topology.set_link(from, to, link),
         }
     }
 }
 
 /// The simulator is a kernel [`World`]: its queue is the one schedule
-/// actors (workload loops, fault injectors) interleave with.
+/// actors (the workload loops) interleave with.
 impl World for Sim {
     fn now(&self) -> SimTime {
         Sim::now(self)
@@ -737,7 +782,6 @@ impl World for Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::LinkConfig;
 
     /// Records everything it receives; replies when `echo` is set.
     struct Recorder {

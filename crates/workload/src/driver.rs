@@ -70,22 +70,10 @@ struct InFlight {
 
 /// Executes a scenario over an already-open channel and returns the raw
 /// statistics. The channel's client node is the population's home; the
-/// target interface is whatever the channel was opened to.
+/// target interface is whatever the channel was opened to. Actions
+/// already in the simulator's queue (a fault plan's timeline) play at
+/// their instants as the run advances the clock.
 pub fn execute(engine: &mut Engine, channel: ChannelId, scenario: &Scenario) -> RunStats {
-    execute_with(engine, channel, scenario, &mut [])
-}
-
-/// Executes a scenario like [`execute`], with extra [`Actor`]s — most
-/// importantly `rmodp-chaos`'s fault injector — registered *ahead of*
-/// the load generator on the same kernel, so their due instants
-/// interleave with load generation in one totally ordered virtual-time
-/// schedule (equal instants fire the extras first).
-pub fn execute_with(
-    engine: &mut Engine,
-    channel: ChannelId,
-    scenario: &Scenario,
-    extras: &mut [&mut dyn Actor<Engine>],
-) -> RunStats {
     assert!(
         !scenario.mix.is_empty(),
         "scenario {:?} has an empty operation mix",
@@ -97,14 +85,12 @@ pub fn execute_with(
         ..RunStats::default()
     };
     match scenario.load.clone() {
-        LoadModel::Open { arrivals } => {
-            open_loop(engine, channel, scenario, arrivals, &mut stats, extras)
-        }
+        LoadModel::Open { arrivals } => open_loop(engine, channel, scenario, arrivals, &mut stats),
         LoadModel::Closed {
             population,
             think_time,
         } => closed_loop(
-            engine, channel, scenario, population, think_time, &mut stats, extras,
+            engine, channel, scenario, population, think_time, &mut stats,
         ),
     }
     stats.finished = engine.sim().now();
@@ -240,7 +226,6 @@ fn open_loop(
     scenario: &Scenario,
     arrivals: crate::arrival::ArrivalProcess,
     stats: &mut RunStats,
-    extras: &mut [&mut dyn Actor<Engine>],
 ) {
     let t0 = engine.sim().now();
     let arrivals: Vec<SimTime> = arrivals
@@ -253,14 +238,7 @@ fn open_loop(
         arrivals,
         next: 0,
     };
-    {
-        let mut kernel = Kernel::new();
-        for extra in extras.iter_mut() {
-            kernel.register(&mut **extra);
-        }
-        kernel.register(&mut actor);
-        kernel.run(engine);
-    }
+    Kernel::new().register(&mut actor).run(engine);
     engine.run_until_idle();
     actor.driver.drain(engine);
     actor.driver.give_up_on_the_rest(engine);
@@ -333,7 +311,6 @@ fn closed_loop(
     population: usize,
     think_time: SimDuration,
     stats: &mut RunStats,
-    extras: &mut [&mut dyn Actor<Engine>],
 ) {
     assert!(population > 0, "closed loop needs at least one client");
     let t0 = engine.sim().now();
@@ -343,17 +320,10 @@ fn closed_loop(
         end: t0 + scenario.duration,
         think_time,
     };
-    {
-        let mut kernel = Kernel::new();
-        for extra in extras.iter_mut() {
-            kernel.register(&mut **extra);
-        }
-        kernel.register(&mut actor);
-        // No trailing `run_until_idle`: a closed run ends when every
-        // client is past `end` and the in-flight tail has drained, and
-        // `finished` must record that instant, not a later idle point.
-        kernel.run(engine);
-    }
+    // No trailing `run_until_idle`: a closed run ends when every client
+    // is past `end` and the in-flight tail has drained, and `finished`
+    // must record that instant, not a later idle point.
+    Kernel::new().register(&mut actor).run(engine);
     actor.driver.give_up_on_the_rest(engine);
 }
 

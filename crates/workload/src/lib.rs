@@ -89,7 +89,7 @@ pub fn run_scenario(
 /// Commonly used items.
 pub mod prelude {
     pub use crate::arrival::{ArrivalProcess, ArrivalStream};
-    pub use crate::driver::{execute, execute_with, RunStats};
+    pub use crate::driver::{execute, RunStats};
     pub use crate::run_scenario;
     pub use crate::scenario::{LoadModel, OpMixEntry, OperationMix, Scenario};
     pub use crate::slo::{evaluate, SloClause, SloReport};

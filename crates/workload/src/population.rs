@@ -534,16 +534,32 @@ pub fn population_partition(regions: u32, shards: usize) -> PartitionMap {
 
 /// Runs a population scenario to quiescence.
 pub fn run_population(config: &PopulationConfig) -> PopulationOutcome {
-    run_population_with(config, &[])
+    run_population_with(config, &[]).expect("an empty timeline has nothing to refuse")
 }
 
-/// Runs a population scenario under an epoch timeline (fault injection;
+/// Runs a population scenario under an epoch timeline (a fault plan's;
 /// see [`ShardedKernel::run_with`]).
+///
+/// # Errors
+///
+/// Before the first event, the first `SetLink` with loss or jitter above
+/// zero, named: each shard would draw it from its own RNG stream, so the
+/// run would depend on the shard count.
 pub fn run_population_with(
     config: &PopulationConfig,
     timeline: &[(SimTime, Vec<ShardAction>)],
-) -> PopulationOutcome {
+) -> Result<PopulationOutcome, String> {
     config.validate();
+    let draws = |action: &&ShardAction| {
+        matches!(action, ShardAction::SetLink(_, _, link)
+            if link.loss > 0.0 || link.jitter > SimDuration::ZERO)
+    };
+    if let Some(action) = timeline.iter().flat_map(|(_, actions)| actions).find(draws) {
+        return Err(format!(
+            "`{action}` would draw loss or jitter from each shard's own RNG; \
+             a sharded run plays only deterministic actions"
+        ));
+    }
     let regions = config.regions;
     let map = population_partition(regions, config.shards);
     let lookahead = population_topology()
@@ -602,7 +618,7 @@ pub fn run_population_with(
     let sync: SyncStats = kernel.run_with(timeline);
     let sims = kernel.into_shards();
 
-    collect_outcome(config, &sims, sync)
+    Ok(collect_outcome(config, &sims, sync))
 }
 
 /// Gathers completions and audited state from the finished shards and

@@ -79,9 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     println!("fault plan:\n{}", plan.describe());
 
-    // Thirty $10 deposits, one every 20ms, riding through the plan.
-    let mut injector = FaultInjector::new(plan, sys.engine.sim().now());
+    // Thirty $10 deposits, one every 20ms, riding through the plan: the
+    // simulator applies each fault at its planned instant.
     let t0 = sys.engine.sim().now();
+    plan.schedule_on(sys.engine.sim_mut());
     let deposit = Value::record([
         ("c", Value::Int(1)),
         ("a", Value::Int(acct)),
@@ -91,12 +92,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ok = 0u64;
     let mut failed = 0u64;
     for i in 0..total {
-        // Pace to the deposit's due time — or to "now" if a slow retry
-        // battle already pushed the clock past it, so fault clears that
-        // fell due in the meantime (the restart!) are still applied.
-        let due = t0 + SimDuration::from_millis(20 * i);
-        let target = due.max(sys.engine.sim().now());
-        injector.apply_until(&mut sys.engine, target);
+        // Pace to the deposit's due time; if a slow retry battle already
+        // pushed the clock past it, the deposit goes at once.
+        sys.engine
+            .sim_mut()
+            .run_until(t0 + SimDuration::from_millis(20 * i));
         let at_us = sys.engine.sim().now().as_micros();
         match sys.engine.call(teller_ch, "Deposit", &deposit) {
             Ok(t) if t.is_ok() => ok += 1,
@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    injector.finish(&mut sys.engine);
+    sys.engine.run_until_idle();
     println!("\n{ok} deposits acknowledged, {failed} failed at the counter");
 
     // Give any open breaker time to probe again, then prove exactly-once
@@ -139,7 +139,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &bus::snapshot_events(),
         &bus::snapshot_metrics(),
         customer_idx.0 as u64,
-        injector.applied(),
+        &plan,
+        t0,
     );
     println!("\nrecovery timeline:");
     println!("{}", report.to_json());

@@ -4,16 +4,16 @@
 
 use rmodp::chaos::prelude::*;
 use rmodp::core::codec::{syntax_for, SyntaxId};
-use rmodp::core::id::TxId;
+use rmodp::core::id::{ChannelId, NodeId, TxId};
 use rmodp::core::value::Value;
 use rmodp::engineering::behaviour::CounterBehaviour;
 use rmodp::engineering::channel::{ChannelConfig, RetryPolicy};
 use rmodp::engineering::engine::Engine;
 use rmodp::functions::StorageFunction;
 use rmodp::netsim::sim::{Addr, NodeIdx, Sim};
-use rmodp::netsim::time::{SimDuration, SimTime};
+use rmodp::netsim::time::SimDuration;
 use rmodp::netsim::topology::{LinkConfig, Topology};
-use rmodp::observe::{bus, export};
+use rmodp::observe::{bus, export, EventKind};
 use rmodp::store::{MemMedia, PersistentStore, StableMedia, StoreConfig, StoreEngine};
 use rmodp::transactions::twopc::{Coordinator, Participant, TxOutcome, TxRequest};
 use rmodp::transparency::failure::{FailureError, FailureGuard};
@@ -53,15 +53,19 @@ fn same_seed_same_fault_plan() {
     );
 }
 
-/// One full chaos run: counter rig, open-loop load, generated plan.
-/// Returns the complete observe trace as JSONL plus the recovery JSON.
-fn chaos_run(seed: u64) -> (String, String) {
+/// A counter object on node 0 (the server) and a channel to it from
+/// node 1 (the client).
+fn counter_world(
+    seed: u64,
+    client_syntax: SyntaxId,
+    config: ChannelConfig,
+) -> (Engine, NodeId, NodeId, ChannelId) {
     let mut engine = Engine::new(seed);
     engine
         .behaviours_mut()
         .register("counter", CounterBehaviour::default);
     let server = engine.add_node(SyntaxId::Binary);
-    let client = engine.add_node(SyntaxId::Text);
+    let client = engine.add_node(client_syntax);
     let capsule = engine.add_capsule(server).unwrap();
     let cluster = engine.add_cluster(server, capsule).unwrap();
     let (_obj, refs) = engine
@@ -76,8 +80,20 @@ fn chaos_run(seed: u64) -> (String, String) {
         )
         .unwrap();
     let channel = engine
-        .open_channel(client, refs[0].interface, ChannelConfig::default())
+        .open_channel(client, refs[0].interface, config)
         .unwrap();
+    (engine, server, client, channel)
+}
+
+fn add_one() -> Value {
+    Value::record([("k", Value::Int(1))])
+}
+
+/// One full chaos run: counter rig, open-loop load, generated plan.
+/// Returns the complete observe trace as JSONL plus the recovery JSON.
+fn chaos_run(seed: u64) -> (String, String) {
+    let (mut engine, server, client, channel) =
+        counter_world(seed, SyntaxId::Text, ChannelConfig::default());
 
     let scenario = Scenario::new(
         "chaos_trace",
@@ -89,7 +105,7 @@ fn chaos_run(seed: u64) -> (String, String) {
         },
     )
     .lasting(SimDuration::from_secs(1))
-    .with_mix(OperationMix::new().with("Add", Value::record([("k", Value::Int(1))]), 1));
+    .with_mix(OperationMix::new().with("Add", add_one(), 1));
 
     let plan = FaultPlan::generate(
         seed,
@@ -129,37 +145,54 @@ fn faults_recover_and_execution_stays_at_most_once() {
     );
 }
 
+fn reliable() -> ChannelConfig {
+    ChannelConfig {
+        retry: Some(RetryPolicy::reliable()),
+        ..ChannelConfig::default()
+    }
+}
+
 #[test]
-fn retransmission_under_loss_executes_each_call_once() {
-    let mut engine = Engine::new(77);
-    engine
-        .behaviours_mut()
-        .register("counter", CounterBehaviour::default);
-    let server = engine.add_node(SyntaxId::Binary);
-    let client = engine.add_node(SyntaxId::Binary);
-    let capsule = engine.add_capsule(server).unwrap();
-    let cluster = engine.add_cluster(server, capsule).unwrap();
-    let (_obj, refs) = engine
-        .create_object(
-            server,
-            capsule,
-            cluster,
-            "counter",
-            "counter",
-            CounterBehaviour::initial_state(),
-            1,
-        )
-        .unwrap();
-    let channel = engine
-        .open_channel(
-            client,
-            refs[0].interface,
-            ChannelConfig {
-                retry: Some(RetryPolicy::reliable()),
-                ..ChannelConfig::default()
+fn a_closed_loop_under_a_brief_spike_completes_like_a_clean_run() {
+    let completed = |plan: FaultPlan| {
+        let (mut engine, _server, client, channel) =
+            counter_world(8, SyntaxId::Binary, ChannelConfig::default());
+        let scenario = Scenario::new(
+            "closed_spike",
+            8,
+            LoadModel::Closed {
+                population: 4,
+                think_time: SimDuration::from_millis(5),
             },
         )
-        .unwrap();
+        .lasting(SimDuration::from_secs(1))
+        .with_mix(OperationMix::new().with("Add", add_one(), 1));
+        let outcome =
+            run_scenario_under_faults(&mut engine, client, channel, &scenario, plan).unwrap();
+        outcome.stats.completed
+    };
+    let clean = completed(FaultPlan::new());
+    // Every client is blocked on a reply whenever the spike falls due:
+    // the loop must still harvest its replies.
+    let spiked = completed(FaultPlan::new().with(
+        SimDuration::from_millis(900),
+        FaultKind::LatencySpike {
+            a: NodeIdx(0),
+            b: NodeIdx(1),
+            extra: SimDuration::from_micros(1),
+            window: SimDuration::from_millis(1),
+        },
+    ));
+    assert!(clean > 400, "clean run completed {clean}");
+    assert!(
+        clean.abs_diff(spiked) * 100 <= clean,
+        "a 1 us spike completed {spiked} against {clean} clean"
+    );
+}
+
+#[test]
+fn retransmission_under_loss_executes_each_call_once() {
+    let (mut engine, server, client, channel) = counter_world(77, SyntaxId::Binary, reliable());
 
     // Latency above the retransmit timeout guarantees genuine duplicate
     // arrivals at the server; loss makes some of them necessary.
@@ -173,10 +206,7 @@ fn retransmission_under_loss_executes_each_call_once() {
 
     let mut ok = 0;
     for _ in 0..20 {
-        if engine
-            .call(channel, "Add", &Value::record([("k", Value::Int(1))]))
-            .is_ok()
-        {
+        if engine.call(channel, "Add", &add_one()).is_ok() {
             ok += 1;
         }
     }
@@ -337,24 +367,23 @@ fn guard_world(seed: u64) -> GuardWorld {
 }
 
 /// Crashes the home node via a chaos plan whose window outlasts the
-/// test (apply only, never cleared), so the guard — not the injector —
-/// must perform recovery.
+/// test, so the guard — not the plan's restart — must perform recovery.
 fn crash_home_via_plan(w: &mut GuardWorld) {
     let epoch = w.engine.sim().now();
-    let plan = FaultPlan::new().with(
-        SimDuration::from_millis(1),
-        FaultKind::CrashRestart {
-            node: w.engine.sim_node(w.home).unwrap(),
-            down_for: SimDuration::from_secs(600),
-        },
-    );
-    let mut injector = FaultInjector::new(plan, epoch);
-    injector.apply_until(&mut w.engine, epoch + SimDuration::from_millis(2));
-    assert!(w
-        .engine
-        .sim()
-        .topology()
-        .is_crashed(w.engine.sim_node(w.home).unwrap()));
+    let home = w.engine.sim_node(w.home).unwrap();
+    FaultPlan::new()
+        .with(
+            SimDuration::from_millis(1),
+            FaultKind::CrashRestart {
+                node: home,
+                down_for: SimDuration::from_secs(600),
+            },
+        )
+        .schedule_on(w.engine.sim_mut());
+    w.engine
+        .sim_mut()
+        .run_until(epoch + SimDuration::from_millis(2));
+    assert!(w.engine.sim().topology().is_crashed(home));
 }
 
 #[test]
@@ -610,34 +639,51 @@ fn a_logged_op_outlives_its_medium_only_on_the_durable_store() {
 
 #[test]
 fn injector_lands_faults_at_exact_virtual_instants() {
-    let mut engine = Engine::new(31);
-    let a = engine.add_node(SyntaxId::Binary);
-    let _b = engine.add_node(SyntaxId::Binary);
-    let na = engine.sim_node(a).unwrap();
-    let plan = FaultPlan::new()
+    let (mut engine, server, client, channel) = counter_world(31, SyntaxId::Binary, reliable());
+    let (s, c) = (
+        engine.sim_node(server).unwrap(),
+        engine.sim_node(client).unwrap(),
+    );
+    let ms = SimDuration::from_millis;
+    let t0 = engine.sim().now();
+    FaultPlan::new()
         .with(
-            SimDuration::from_millis(10),
+            ms(10),
             FaultKind::CrashRestart {
-                node: na,
-                down_for: SimDuration::from_millis(20),
+                node: s,
+                down_for: ms(20),
             },
         )
         .with(
-            SimDuration::from_millis(15),
+            ms(15),
             FaultKind::Partition {
-                a: na,
-                b: engine.sim_node(_b).unwrap(),
-                heal_after: SimDuration::from_millis(5),
+                a: s,
+                b: c,
+                heal_after: ms(5),
             },
-        );
-    let mut injector = FaultInjector::new(plan, engine.sim().now());
-    injector.finish(&mut engine);
-    let applied = injector.into_applied();
-    assert_eq!(applied.len(), 2);
-    assert_eq!(applied[0].injected_at, SimTime::from_micros(10_000));
-    assert_eq!(applied[0].cleared_at, Some(SimTime::from_micros(30_000)));
-    assert_eq!(applied[1].injected_at, SimTime::from_micros(15_000));
-    assert_eq!(applied[1].cleared_at, Some(SimTime::from_micros(20_000)));
-    assert_eq!(bus::counter("chaos.faults_injected"), 2);
-    assert_eq!(bus::counter("chaos.faults_cleared"), 2);
+        )
+        .schedule_on(engine.sim_mut());
+    // A blocking call, retrying through the crash, spans the restart:
+    // the simulator applies every fault inside it, at its instant.
+    engine.sim_mut().run_until(t0 + ms(11));
+    let reply = engine.call(channel, "Add", &add_one());
+    assert!(matches!(&reply, Ok(t) if t.is_ok()), "{reply:?}");
+    assert!(
+        engine.sim().now() > t0 + ms(30),
+        "the call spans the restart"
+    );
+    let faults: Vec<(u64, EventKind)> = bus::snapshot_events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::FaultInject | EventKind::FaultClear))
+        .map(|e| (e.t_us - t0.as_micros(), e.kind))
+        .collect();
+    assert_eq!(
+        faults,
+        [
+            (10_000, EventKind::FaultInject),
+            (15_000, EventKind::FaultInject),
+            (20_000, EventKind::FaultClear),
+            (30_000, EventKind::FaultClear),
+        ]
+    );
 }

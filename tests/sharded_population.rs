@@ -4,11 +4,12 @@
 //! sharded run below is made both ways).
 
 use rmodp_chaos::plan::{FaultKind, FaultPlan};
-use rmodp_netsim::sim::NodeIdx;
-use rmodp_netsim::time::SimDuration;
+use rmodp_netsim::sim::{NodeIdx, ShardAction};
+use rmodp_netsim::time::{SimDuration, SimTime};
+use rmodp_netsim::topology::{LinkConfig, Topology};
 use rmodp_observe::oracle::Verdict;
 use rmodp_workload::population::{
-    run_population, run_population_with, PopulationConfig, PopulationScenario,
+    run_population, run_population_with, PopulationConfig, PopulationScenario, CROSS_LATENCY,
 };
 
 fn config(scenario: PopulationScenario, shards: usize) -> PopulationConfig {
@@ -45,29 +46,47 @@ fn bank_branch_runs_are_identical_at_shard_counts_1_2_4() {
     }
 }
 
+/// The timeline of `plan` on the population's network, from `t = 0`.
+fn timeline(plan: &FaultPlan) -> Vec<(SimTime, Vec<ShardAction>)> {
+    let topology = Topology::full_mesh(LinkConfig::with_latency(CROSS_LATENCY));
+    plan.timeline(SimTime::ZERO, &topology)
+}
+
 #[test]
 fn fault_injection_stays_shard_count_invariant() {
     // Crash region 1's server (node 2) mid-run: requests in flight to it
-    // die, the capsules that targeted it stall, and the verdict flips —
-    // identically at every shard count.
-    let plan = FaultPlan::new().with(
-        SimDuration::from_millis(20),
-        FaultKind::CrashRestart {
-            node: NodeIdx(2),
-            down_for: SimDuration::from_millis(40),
-        },
-    );
+    // die, the capsules that targeted it stall, and the verdict flips.
+    // Before it, a latency spike slows region 0 (nodes 0 and 1). Both
+    // land identically at every shard count.
+    let ms = SimDuration::from_millis;
+    let plan = FaultPlan::new()
+        .with(
+            ms(20),
+            FaultKind::CrashRestart {
+                node: NodeIdx(2),
+                down_for: ms(40),
+            },
+        )
+        .with(
+            ms(10),
+            FaultKind::LatencySpike {
+                a: NodeIdx(0),
+                b: NodeIdx(1),
+                extra: ms(3),
+                window: ms(30),
+            },
+        );
 
-    let timeline = rmodp_chaos::shard::compile(&plan).expect("topology-level plan");
+    let timeline = timeline(&plan);
     let run_at = |shards: usize, threaded: bool| {
         let mut config = config(PopulationScenario::Bank, shards);
         config.threaded = threaded;
-        run_population_with(&config, &timeline)
+        run_population_with(&config, &timeline).expect("latency and crashes are shard actions")
     };
 
     let base = run_at(1, false);
     assert!(base.stats.lost > 0, "the crash must actually cost requests");
-    assert_eq!(base.hook_firings, 2, "crash + restart");
+    assert_eq!(base.hook_firings, 4, "spike, crash, spike clear, restart");
 
     for (shards, threaded) in [(2, false), (2, true), (3, false), (3, true)] {
         let at = format!("at {shards} shards, threaded: {threaded}");
@@ -78,5 +97,32 @@ fn fault_injection_stays_shard_count_invariant() {
         assert_eq!(run.stats.lost, base.stats.lost, "{at}");
         assert_eq!(run.hook_firings, base.hook_firings, "{at}");
         assert_eq!(run.report, base.report, "{at}");
+    }
+}
+
+#[test]
+fn loss_and_jitter_are_refused_before_the_first_event() {
+    // Each shard would draw them from its own RNG stream.
+    let burst = FaultPlan::new().with(
+        SimDuration::from_millis(10),
+        FaultKind::LossBurst {
+            a: NodeIdx(0),
+            b: NodeIdx(1),
+            loss: 0.5,
+            window: SimDuration::from_millis(20),
+        },
+    );
+    let jitter = LinkConfig::with_latency(CROSS_LATENCY).jitter(SimDuration::from_micros(1));
+    let jittery = vec![(
+        SimTime::from_micros(10_000),
+        vec![ShardAction::SetLink(NodeIdx(1), NodeIdx(0), jitter)],
+    )];
+    let config = config(PopulationScenario::Bank, 2);
+    for (timeline, names) in [
+        (timeline(&burst), "set link n0->n1"),
+        (jittery, "set link n1->n0"),
+    ] {
+        let err = run_population_with(&config, &timeline).unwrap_err();
+        assert!(err.contains(names), "{err}");
     }
 }

@@ -394,8 +394,9 @@ const RULES: &[Rule] = &[
     Rule {
         name: "one epoch loop",
         why: "the sharded kernel's loop is `drive` and its per-shard round is `serve`, shared \
-              by both runners; the fault hook is a timeline value, not a trait (DESIGN.md, \
-              \"Sharded kernel\")",
+              by both runners; faults are a timeline value, not a trait: `FaultPlan::timeline` \
+              compiles it, and one queue plays the same value through `Sim::schedule_action` \
+              (DESIGN.md, \"Sharded kernel\")",
         roots: &["crates/kernel/src"],
         patterns: &[
             Literal("fn run_serial"),
@@ -538,6 +539,24 @@ const RULES: &[Rule] = &[
         patterns: &[JsonKey],
         exempt: &["crates/observe/src/json.rs"],
         above_tests_only: true,
+        copies: 0,
+    },
+    Rule {
+        name: "one fault path",
+        why: "a fault plan compiles once, in `FaultPlan::timeline`, to network actions that \
+              `Sim::apply_action` alone applies: one queue plays them from its own schedule \
+              (`FaultPlan::schedule_on`), N shards at their barriers; no actor steps a run \
+              to a fault, and no chaos code edits a link itself (DESIGN.md, \"One fault \
+              timeline\")",
+        roots: &["crates/chaos"],
+        patterns: &[
+            Literal("FaultInjector"),
+            Literal("impl Actor<Engine>"),
+            Call("execute_with"),
+            Literal("topology_mut().set_link("),
+        ],
+        exempt: &[],
+        above_tests_only: false,
         copies: 0,
     },
     Rule {
@@ -809,9 +828,6 @@ const KEEP: &[&str] = &[
     "Envelope::from_bytes: the copying envelope decode the shared-buffer one must agree with",
     "InformationObject::replay_consistent: the replayed transition log the recovered state \
      must equal",
-    // Built on by an open ROADMAP item, and held by a tier-1 test today.
-    "shard::compile: ROADMAP items 2 and 11 run the oracles on a sharded population under a \
-     crash-restart plan, which this compiles onto the kernel's timeline",
 ];
 
 /// The name a line defines as a `pub fn` (or `pub const fn`), if any.
@@ -1403,6 +1419,23 @@ fn an_oracle_that_reads_the_bus_or_renders_text_is_flagged() {
         #[cfg(test)]\n\
         let events = bus::snapshot_events();\n";
     assert_eq!(offending_lines(rule, text), vec![2, 3]);
+}
+
+#[test]
+fn a_second_fault_path_is_flagged() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "one fault path")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        let mut injector = FaultInjector::new(plan, t0);\n\
+        impl Actor<Engine> for Injector {\n\
+        let stats = execute_with(engine, channel, scenario, &mut [&mut injector]);\n\
+        engine.sim_mut().topology_mut().set_link(a, b, lossy);\n\
+        plan.schedule_on(engine.sim_mut());\n\
+        let stats = execute(engine, channel, scenario);\n\
+        sim.schedule_action(at, action);\n";
+    assert_eq!(offending_lines(rule, text), vec![1, 2, 3, 4]);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //!
 //! [`FailureGuard`]: rmodp::transparency::failure::FailureGuard
 
-use rmodp::chaos::prelude::{FaultInjector, FaultKind, FaultPlan};
+use rmodp::chaos::prelude::{FaultKind, FaultPlan};
 use rmodp::core::codec::SyntaxId;
 use rmodp::core::value::Value;
 use rmodp::engineering::behaviour::CounterBehaviour;
@@ -197,35 +197,36 @@ fn chaos_capsule_kill_with_durable_guard_loses_nothing() {
         TransparencySet::none().with(Transparency::Relocation),
     );
 
-    // The chaos plan kills the capsule *and* crashes its node mid-way
-    // through the update stream. Both windows outlast every
-    // `apply_until` target and `finish` is never called, so the
-    // injector's own stale reactivation cannot mask the guard.
+    // Mid-way through the update stream the capsule is killed and a
+    // chaos plan crashes its node. Nothing reactivates the capsule, and
+    // the crash outlasts the test, so only the guard can bring the
+    // service back: a reactivation would restore the in-memory instance,
+    // which the guard must not rely on.
     let epoch = w.engine.sim().now();
-    let beyond = SimDuration::from_secs(600);
-    let plan = FaultPlan::new()
-        .with(
-            SimDuration::from_millis(25),
-            FaultKind::CapsuleKill {
-                node: w.home,
-                capsule: w.home_capsule,
-                cluster: w.cluster,
-                down_for: beyond,
-            },
-        )
+    let killed_at = epoch + SimDuration::from_millis(25);
+    FaultPlan::new()
         .with(
             SimDuration::from_millis(25),
             FaultKind::CrashRestart {
                 node: w.engine.sim_node(w.home).unwrap(),
-                down_for: beyond,
+                down_for: SimDuration::from_secs(600),
             },
-        );
-    let mut injector = FaultInjector::new(plan, epoch);
+        )
+        .schedule_on(w.engine.sim_mut());
 
     let mut expected = 0i64;
     let mut recovered = false;
+    let mut killed = false;
     for i in 0..16u64 {
-        injector.apply_until(&mut w.engine, epoch + SimDuration::from_millis(4 * (i + 1)));
+        let target = epoch + SimDuration::from_millis(4 * (i + 1));
+        if !killed && killed_at <= target {
+            w.engine.sim_mut().run_until(killed_at);
+            w.engine
+                .deactivate_cluster(w.home, w.home_capsule, w.cluster)
+                .unwrap();
+            killed = true;
+        }
+        w.engine.sim_mut().run_until(target);
         let k = i as i64 + 1;
         let args = Value::record([("k", Value::Int(k))]);
         guard.log_op(&mut store, w.interface, "Add", &args);
