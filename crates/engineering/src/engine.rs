@@ -12,7 +12,6 @@ use rmodp_core::id::{CapsuleId, ChannelId, ClusterId, IdGen, InterfaceId, NodeId
 use rmodp_core::value::Value;
 use rmodp_kernel::payload::Payload;
 use rmodp_kernel::shard::ShardWorld;
-use rmodp_kernel::World;
 use rmodp_netsim::sim::{Addr, NodeIdx, Sim};
 use rmodp_netsim::time::{SimDuration, SimTime};
 use rmodp_observe::{bus, event, EventKind, Layer};
@@ -1387,29 +1386,5 @@ impl Engine {
         self.nucleus_mut(node)?
             .invoke_local(interface, &invocation)
             .ok_or(EngError::UnknownInterface { interface })
-    }
-}
-
-/// The engine is a kernel [`World`]: load generators run as actors on
-/// one scheduler instead of pacing the simulator themselves.
-impl World for Engine {
-    fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    fn advance_to(&mut self, at: SimTime) {
-        self.sim.run_until(at);
-    }
-
-    fn run_until_idle(&mut self) {
-        self.sim.run_until_idle();
-    }
-
-    fn step(&mut self) -> bool {
-        self.sim.step()
-    }
-
-    fn queue_len(&self) -> usize {
-        World::queue_len(&self.sim)
     }
 }

@@ -9,11 +9,11 @@
 //!   [`SimDuration`]);
 //! * [`queue`] — the one totally ordered event queue, keyed by
 //!   `(SimTime, seq)` with a stable FIFO tie-break, whose clock feeds
-//!   the observe bus;
+//!   the observe bus. It is the one schedule: the network simulator
+//!   runs on it, a fault plan's actions are entries of it, and the
+//!   workload loops step the simulator over it themselves, so no
+//!   scheduler sits on top;
 //! * [`rng`] — seeded randomness handles ([`KernelRng`]);
-//! * [`actor`] — the [`World`]/[`Actor`]/[`Kernel`] traits that let the
-//!   network simulator and the workload loops share one schedule
-//!   instead of each advancing time on their own;
 //! * [`payload`] — shared immutable byte buffers ([`Payload`]) that make
 //!   the invocation hot path allocation-light (clone = share, slice =
 //!   view, and deep copies are metered so benchmarks can assert there
@@ -22,9 +22,9 @@
 //!   the crate below this one, and re-exported here);
 //! * [`shard`] — partitioned execution: N disjoint shards, each with its
 //!   own queue/clock/RNG stream, synchronized by conservative lookahead
-//!   and a deterministic cross-shard merge ([`ShardedKernel`]).
+//!   and a deterministic cross-shard merge ([`ShardedKernel`]), over a
+//!   static node-to-shard assignment ([`PartitionMap`]).
 
-pub mod actor;
 pub mod payload;
 pub mod queue;
 pub mod rng;
@@ -33,9 +33,8 @@ pub mod time;
 
 pub use rmodp_observe::hash;
 
-pub use actor::{Actor, Kernel, PartitionMap, World};
 pub use payload::{Payload, PAYLOAD_ALLOCS, PAYLOAD_COPIES};
 pub use queue::EventQueue;
 pub use rng::KernelRng;
-pub use shard::{CrossShardEvent, ShardWorld, ShardedKernel, SyncStats};
+pub use shard::{CrossShardEvent, PartitionMap, ShardWorld, ShardedKernel, SyncStats};
 pub use time::{SimDuration, SimTime};

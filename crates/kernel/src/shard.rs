@@ -3,10 +3,9 @@
 //!
 //! The single [`crate::queue::EventQueue`] was the last serial advance
 //! site in the workspace. This module splits a world into N *shards*,
-//! each owning a disjoint partition of nodes (see
-//! [`crate::actor::PartitionMap`]) with its own queue, clock, and RNG
-//! stream, and synchronizes them with the classic conservative
-//! (Chandy–Misra–Bryant style) argument:
+//! each owning a disjoint partition of nodes (see [`PartitionMap`])
+//! with its own queue, clock, and RNG stream, and synchronizes them
+//! with the classic conservative (Chandy–Misra–Bryant style) argument:
 //!
 //! * every cross-shard interaction travels over a link whose one-way
 //!   latency is at least `lookahead` (> 0);
@@ -38,6 +37,60 @@ use std::sync::mpsc;
 use rmodp_observe::bus;
 
 use crate::time::{SimDuration, SimTime};
+
+/// Assignment of a world's nodes to shards: node `i` belongs to shard
+/// `owner[i]`. The map is built once, before any event runs, and never
+/// changes mid-run: conservative synchronization depends on the
+/// ownership relation being static.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartitionMap {
+    shards: usize,
+    owner: Vec<usize>,
+}
+
+impl PartitionMap {
+    /// Builds a map from an explicit owner-per-node table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero or any owner is out of range.
+    pub fn new(shards: usize, owner: Vec<usize>) -> Self {
+        assert!(shards > 0, "at least one shard");
+        assert!(
+            owner.iter().all(|&s| s < shards),
+            "owner out of range for {shards} shard(s)"
+        );
+        Self { shards, owner }
+    }
+
+    /// Round-robin assignment: node `i` goes to shard `i % shards`.
+    pub fn round_robin(nodes: usize, shards: usize) -> Self {
+        Self::new(shards, (0..nodes).map(|i| i % shards).collect())
+    }
+
+    /// The number of shards.
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The number of mapped nodes.
+    pub fn nodes(&self) -> usize {
+        self.owner.len()
+    }
+
+    /// The shard owning `node`. Nodes beyond the mapped range (e.g. an
+    /// external injector pseudo-node) fold onto shard 0 so every address
+    /// has a deterministic owner.
+    pub fn owner(&self, node: usize) -> usize {
+        self.owner.get(node).copied().unwrap_or(0)
+    }
+
+    /// Whether two nodes live on the same shard (their messages need no
+    /// cross-shard exchange).
+    pub fn co_located(&self, a: usize, b: usize) -> bool {
+        self.owner(a) == self.owner(b)
+    }
+}
 
 /// A message crossing from one shard to another, carried through the
 /// epoch barrier. `src_seq` is the sending shard's deterministic

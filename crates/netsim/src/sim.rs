@@ -4,13 +4,12 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use rand::rngs::StdRng;
 use rand::Rng;
 use rmodp_kernel::payload::Payload;
 use rmodp_kernel::queue::EventQueue;
 use rmodp_kernel::rng::KernelRng;
 use rmodp_kernel::shard::{CrossShardEvent, ShardWorld};
-use rmodp_kernel::{PartitionMap, World};
+use rmodp_kernel::PartitionMap;
 use rmodp_observe::{bus, event, EventKind, Layer};
 
 use crate::time::{SimDuration, SimTime};
@@ -121,7 +120,6 @@ impl<T: Process + Any> AnyProcess for T {
 /// after the handler returns, which keeps event handling deterministic.
 pub struct Ctx<'a> {
     now: SimTime,
-    rng: &'a mut StdRng,
     next_timer: &'a mut u64,
     out: Vec<Command>,
 }
@@ -161,16 +159,6 @@ impl<'a> Ctx<'a> {
     /// a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.out.push(Command::CancelTimer(id));
-    }
-
-    /// Draws a deterministic random integer in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn random_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "random_below(0)");
-        self.rng.gen_range(0..bound)
     }
 
     /// Records an application-level note in the trace. The text is
@@ -610,7 +598,6 @@ impl Sim {
         };
         let mut ctx = Ctx {
             now: self.queue.now(),
-            rng: &mut self.rng,
             next_timer: &mut self.next_timer,
             out: std::mem::take(&mut self.commands),
         };
@@ -752,30 +739,6 @@ impl ShardWorld for Sim {
             ShardAction::Heal(a, b) => self.topology.heal(a, b),
             ShardAction::SetLink(from, to, link) => self.topology.set_link(from, to, link),
         }
-    }
-}
-
-/// The simulator is a kernel [`World`]: its queue is the one schedule
-/// actors (the workload loops) interleave with.
-impl World for Sim {
-    fn now(&self) -> SimTime {
-        Sim::now(self)
-    }
-
-    fn advance_to(&mut self, at: SimTime) {
-        self.run_until(at);
-    }
-
-    fn run_until_idle(&mut self) {
-        Sim::run_until_idle(self);
-    }
-
-    fn step(&mut self) -> bool {
-        Sim::step(self)
-    }
-
-    fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -1130,7 +1093,7 @@ mod tests {
         // a (shard 0, local): scheduled. b (shard 1): diverted.
         sim.send_from(Addr::EXTERNAL, Addr::new(a, 0), vec![1]);
         sim.send_from(Addr::EXTERNAL, Addr::new(b, 0), vec![2]);
-        assert_eq!(sim.queue_len(), 1);
+        assert_eq!(sim.queue.len(), 1);
         let outbox = ShardWorld::take_outbox(&mut sim);
         assert_eq!(outbox.len(), 1);
         assert_eq!(outbox[0].dst_shard, 1);

@@ -7,6 +7,12 @@
 //! admission queue) and harvests correlated replies with
 //! [`Engine::take_reply`], timestamped at delivery.
 //!
+//! Each loop model is a plain loop over the simulator's own event queue,
+//! the one schedule: it runs the simulator to its next send instant
+//! (`run_until`) or, while it waits on replies, one event at a time
+//! (`step`). A fault plan scheduled on that queue lands at its instants
+//! however the loop advances the clock; no scheduler sits on top.
+//!
 //! Latency accounting differs by loop model, deliberately:
 //!
 //! * **open loop** — measured from the *scheduled* arrival, so server
@@ -22,7 +28,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rmodp_core::id::ChannelId;
 use rmodp_engineering::engine::{CallError, Engine};
-use rmodp_kernel::{Actor, Kernel};
 use rmodp_netsim::time::{SimDuration, SimTime};
 use rmodp_observe::bus;
 use rmodp_observe::metrics::Histogram;
@@ -196,30 +201,10 @@ impl<'a> Driver<'a> {
     }
 }
 
-/// The open-loop load generator as a kernel actor: one due instant per
-/// scheduled arrival; each tick harvests replies and sends one request.
-struct OpenLoopActor<'a> {
-    driver: Driver<'a>,
-    arrivals: Vec<SimTime>,
-    next: usize,
-}
-
-impl Actor<Engine> for OpenLoopActor<'_> {
-    fn next_due(&self, _world: &Engine) -> Option<SimTime> {
-        self.arrivals.get(self.next).copied()
-    }
-
-    fn tick(&mut self, world: &mut Engine, at: SimTime) {
-        self.next += 1;
-        self.driver.drain(world);
-        self.driver.send_one(world, at, None);
-    }
-
-    fn name(&self) -> &'static str {
-        "open_loop"
-    }
-}
-
+/// The open-loop generator: each scheduled arrival, read from the
+/// stream as the run reaches it, advances the simulator to its instant,
+/// harvests what has arrived and sends one request. Then the tail drains
+/// to quiescence.
 fn open_loop(
     engine: &mut Engine,
     channel: ChannelId,
@@ -228,82 +213,27 @@ fn open_loop(
     stats: &mut RunStats,
 ) {
     let t0 = engine.sim().now();
-    let arrivals: Vec<SimTime> = arrivals
+    let mut driver = Driver::new(scenario, channel, t0, stats);
+    for offset in arrivals
         .stream(scenario.seed)
         .take_while(|&o| o < scenario.duration)
-        .map(|o| t0 + o)
-        .collect();
-    let mut actor = OpenLoopActor {
-        driver: Driver::new(scenario, channel, t0, stats),
-        arrivals,
-        next: 0,
-    };
-    Kernel::new().register(&mut actor).run(engine);
+    {
+        let at = t0 + offset;
+        engine.sim_mut().run_until(at);
+        driver.drain(engine);
+        driver.send_one(engine, at, None);
+    }
     engine.run_until_idle();
-    actor.driver.drain(engine);
-    actor.driver.give_up_on_the_rest(engine);
+    driver.drain(engine);
+    driver.give_up_on_the_rest(engine);
 }
 
-/// The closed-loop population as a kernel actor: a client becomes due
-/// `think_time` after its previous reply; each tick harvests replies and
-/// sends for every due client. While all clients are blocked on
-/// in-flight requests the actor reports [`Actor::pending`], letting the
-/// kernel single-step the simulation and poll for completions.
-struct ClosedLoopActor<'a> {
-    driver: Driver<'a>,
-    /// Each client's next send target; `None` while a request is
-    /// outstanding.
-    due: Vec<Option<SimTime>>,
-    end: SimTime,
-    think_time: SimDuration,
-}
-
-impl ClosedLoopActor<'_> {
-    /// Harvests arrived replies and schedules the freed clients' next
-    /// sends.
-    fn harvest(&mut self, world: &mut Engine) {
-        for (c, arrived) in self.driver.drain(world) {
-            self.due[c] = Some(arrived + self.think_time);
-        }
-    }
-}
-
-impl Actor<Engine> for ClosedLoopActor<'_> {
-    fn next_due(&self, _world: &Engine) -> Option<SimTime> {
-        self.due
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|&d| d < self.end)
-            .min()
-    }
-
-    fn tick(&mut self, world: &mut Engine, _at: SimTime) {
-        self.harvest(world);
-        let now = world.now();
-        for c in 0..self.due.len() {
-            if let Some(d) = self.due[c] {
-                if d <= now && d < self.end {
-                    self.due[c] = None;
-                    self.driver.send_one(world, now, Some(c));
-                }
-            }
-        }
-    }
-
-    fn pending(&self, _world: &Engine) -> bool {
-        !self.driver.inflight.is_empty()
-    }
-
-    fn poll(&mut self, world: &mut Engine) {
-        self.harvest(world);
-    }
-
-    fn name(&self) -> &'static str {
-        "closed_loop"
-    }
-}
-
+/// The closed-loop population: a client is due `think_time` after its
+/// previous reply. While some client is due before `end`, the simulator
+/// runs to the earliest such instant, replies are harvested and every
+/// due client sends, in index order. Otherwise, while requests are in
+/// flight, the simulator takes one step at a time and replies are
+/// harvested after each.
 fn closed_loop(
     engine: &mut Engine,
     channel: ChannelId,
@@ -314,17 +244,37 @@ fn closed_loop(
 ) {
     assert!(population > 0, "closed loop needs at least one client");
     let t0 = engine.sim().now();
-    let mut actor = ClosedLoopActor {
-        driver: Driver::new(scenario, channel, t0, stats),
-        due: vec![Some(t0); population],
-        end: t0 + scenario.duration,
-        think_time,
-    };
+    let end = t0 + scenario.duration;
+    let mut driver = Driver::new(scenario, channel, t0, stats);
+    // Each client's next send target; `None` while a request is
+    // outstanding.
+    let mut due = vec![Some(t0); population];
     // No trailing `run_until_idle`: a closed run ends when every client
     // is past `end` and the in-flight tail has drained, and `finished`
     // must record that instant, not a later idle point.
-    Kernel::new().register(&mut actor).run(engine);
-    actor.driver.give_up_on_the_rest(engine);
+    loop {
+        let next = due.iter().flatten().copied().filter(|&d| d < end).min();
+        match next {
+            Some(at) => {
+                engine.sim_mut().run_until(at);
+            }
+            None if !driver.inflight.is_empty() && engine.sim_mut().step() => {}
+            None => break,
+        }
+        for (c, arrived) in driver.drain(engine) {
+            due[c] = Some(arrived + think_time);
+        }
+        if next.is_some() {
+            let now = engine.now();
+            for (c, d) in due.iter_mut().enumerate() {
+                if d.is_some_and(|d| d <= now && d < end) {
+                    *d = None;
+                    driver.send_one(engine, now, Some(c));
+                }
+            }
+        }
+    }
+    driver.give_up_on_the_rest(engine);
 }
 
 #[cfg(test)]
@@ -494,6 +444,71 @@ mod tests {
             );
             assert_eq!(engine.calls_in_flight(), 0);
             assert_eq!(driver_leftovers(&engine), (0, 0));
+        }
+    }
+
+    #[test]
+    fn each_loop_ends_where_its_model_says_around_queued_actions() {
+        use rmodp_netsim::sim::ShardAction;
+
+        let open = LoadModel::Open {
+            arrivals: ArrivalProcess::Constant { rate_per_sec: 50.0 },
+        };
+        let closed = LoadModel::Closed {
+            population: 4,
+            think_time: SimDuration::from_millis(10),
+        };
+        // The tenth arrival's instant, read from the stream `execute` reads.
+        let tenth = ArrivalProcess::Constant { rate_per_sec: 50.0 }
+            .stream(5)
+            .nth(9)
+            .unwrap();
+        let late = SimDuration::from_secs(5);
+        let tick = SimDuration::from_micros(1);
+        // (load, actions at offsets from the run's start, requests lost,
+        // whether the last action is still queued when the run ends).
+        let table = [
+            // A closed run ends when its in-flight tail drains, before an
+            // action well past `end`.
+            (closed, vec![(late, false)], 0, true),
+            // An open run ends idle, after the same action.
+            (open.clone(), vec![(late, false)], 0, false),
+            // An arrival at a crash's instant sees the crash first: its
+            // send is dropped, though the node is back before the request
+            // could have reached it.
+            (open, vec![(tenth, false), (tenth + tick, true)], 1, false),
+        ];
+        for (load, actions, lost, still_queued) in table {
+            let (mut engine, server, channel) = counter_setup(7);
+            let node = engine.sim_node(server).unwrap();
+            let t0 = engine.now();
+            for &(offset, restart) in &actions {
+                let action = if restart {
+                    ShardAction::Restart(node)
+                } else {
+                    ShardAction::Crash(node)
+                };
+                engine.sim_mut().schedule_action(t0 + offset, action);
+            }
+            let last = t0 + actions.last().unwrap().0;
+            let scenario = Scenario::new("ends", 5, load.clone())
+                .lasting(SimDuration::from_secs(1))
+                .with_mix(add_mix());
+            let stats = execute(&mut engine, channel, &scenario);
+            assert_eq!(stats.lost, lost, "{load:?}: {stats:?}");
+            assert_eq!(stats.completed + lost, stats.offered, "{load:?}");
+            if still_queued {
+                assert!(stats.finished < last, "{load:?}: {stats:?}");
+                assert!(!engine.sim().topology().is_crashed(node), "{load:?}");
+                assert!(engine.run_until_idle() > 0, "{load:?}");
+                assert_eq!(engine.now(), last, "{load:?}");
+            } else {
+                assert!(stats.finished >= last, "{load:?}: {stats:?}");
+                assert_eq!(engine.run_until_idle(), 0, "{load:?}: ended idle");
+            }
+            // Every action has played by now; the last one decides.
+            let restarted = actions.last().unwrap().1;
+            assert_eq!(engine.sim().topology().is_crashed(node), !restarted);
         }
     }
 

@@ -525,7 +525,7 @@ fn population_topology() -> Topology {
 
 /// The region-to-shard partition: region `r` (nodes `2r` and `2r + 1`)
 /// lives on shard `r % shards`.
-pub fn population_partition(regions: u32, shards: usize) -> PartitionMap {
+fn population_partition(regions: u32, shards: usize) -> PartitionMap {
     let owner = (0..2 * regions as usize)
         .map(|n| (n / 2) % shards)
         .collect();

@@ -15,6 +15,9 @@ use std::path::{Path, PathBuf};
 enum Pattern {
     /// The line contains this text.
     Literal(&'static str),
+    /// The line contains this text as whole words: no letter, digit or
+    /// `_` touches either end of it.
+    Word(&'static str),
     /// The line contains `open` and, later, `then`, with no `|` between
     /// the two: text formatted as a plain argument rather than inside a
     /// closure.
@@ -37,6 +40,10 @@ impl Pattern {
     fn matches(&self, line: &str, raw: &str) -> bool {
         match self {
             Pattern::Literal(text) => line.contains(text),
+            Pattern::Word(text) => line.match_indices(text).any(|(at, _)| {
+                let word = |c: char| c.is_alphanumeric() || c == '_';
+                !line[..at].ends_with(word) && !line[at + text.len()..].starts_with(word)
+            }),
             Pattern::EagerArgument { open, then } => line.match_indices(open).any(|(at, _)| {
                 let rest = &line[at + open.len()..];
                 rest.find(then)
@@ -127,7 +134,7 @@ struct Rule {
     copies: usize,
 }
 
-use Pattern::{Call, EagerArgument, JsonKey, Literal};
+use Pattern::{Call, EagerArgument, JsonKey, Literal, Word};
 
 const SRC: &[&str] = &["crates/*/src", "src"];
 
@@ -545,15 +552,33 @@ const RULES: &[Rule] = &[
         name: "one fault path",
         why: "a fault plan compiles once, in `FaultPlan::timeline`, to network actions that \
               `Sim::apply_action` alone applies: one queue plays them from its own schedule \
-              (`FaultPlan::schedule_on`), N shards at their barriers; no actor steps a run \
-              to a fault, and no chaos code edits a link itself (DESIGN.md, \"One fault \
+              (`FaultPlan::schedule_on`), N shards at their barriers; no injector steps a \
+              run to a fault, and no chaos code edits a link itself (DESIGN.md, \"One fault \
               timeline\")",
         roots: &["crates/chaos"],
         patterns: &[
             Literal("FaultInjector"),
-            Literal("impl Actor<Engine>"),
             Call("execute_with"),
             Literal("topology_mut().set_link("),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 0,
+    },
+    Rule {
+        name: "one schedule",
+        why: "the simulator's event queue is the one schedule: a load driver is a loop that \
+              runs it to its next instant (`run_until`) or steps it while replies are due, \
+              and a fault plan's actions are entries of it; no scheduler, actor or world \
+              trait sits on top (DESIGN.md, \"Who plays it\")",
+        roots: &["crates/*/src", "src", "examples"],
+        patterns: &[
+            Word("trait Actor"),
+            Word("trait World"),
+            Word("impl World for"),
+            Word("struct Kernel"),
+            Word("Kernel::new("),
+            Word("impl Actor<Engine>"),
         ],
         exempt: &[],
         above_tests_only: false,
@@ -763,6 +788,7 @@ const KEEP: &[&str] = &[
     "management::store_checkpoint: §8.1, a checkpoint put in the storage function",
     "EventNotifier::subscribe: §8.2, event notification",
     "EventNotifier::unsubscribe: §8.2, event notification",
+    "EventNotifier::poll: §8.2, event notification",
     "GroupManager::create: §8.2, creating a replica group",
     "GroupManager::leave: §8.2, a failed member drops out of a replica group's view",
     "StoreEngine::abort: §8.2.1, a transaction aborted on the durable store",
@@ -1354,6 +1380,13 @@ fn an_eager_argument_is_text_formatted_outside_a_closure() {
 }
 
 #[test]
+fn a_word_is_not_part_of_a_longer_name() {
+    let rule = rule_with(&[Word("Kernel::new(")], false);
+    let text = "Kernel::new()\nShardedKernel::new(w, h)\nlet k = rmodp_kernel::Kernel::new();\n";
+    assert_eq!(offending_lines(&rule, text), vec![1, 3]);
+}
+
+#[test]
 fn a_call_is_not_the_definition() {
     let rule = rule_with(&[Call("residual_match")], false);
     let text = "\
@@ -1429,13 +1462,33 @@ fn a_second_fault_path_is_flagged() {
         .expect("the rule is a row of RULES");
     let text = "\
         let mut injector = FaultInjector::new(plan, t0);\n\
-        impl Actor<Engine> for Injector {\n\
         let stats = execute_with(engine, channel, scenario, &mut [&mut injector]);\n\
         engine.sim_mut().topology_mut().set_link(a, b, lossy);\n\
         plan.schedule_on(engine.sim_mut());\n\
         let stats = execute(engine, channel, scenario);\n\
         sim.schedule_action(at, action);\n";
-    assert_eq!(offending_lines(rule, text), vec![1, 2, 3, 4]);
+    assert_eq!(offending_lines(rule, text), vec![1, 2, 3]);
+}
+
+#[test]
+fn a_scheduler_on_top_of_the_queue_is_flagged() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "one schedule")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        pub trait World {\n\
+        pub trait Actor<W: World + ?Sized> {\n\
+        impl World for Sim {\n\
+        pub struct Kernel<'a, W: World> {\n\
+        Kernel::new().register(&mut actor).run(engine);\n\
+        impl Actor<Engine> for Injector {\n\
+        pub trait ShardWorld: Send {\n\
+        impl ShardWorld for Sim {\n\
+        pub struct KernelRng {\n\
+        let mut kernel = ShardedKernel::new(sims, lookahead);\n\
+        engine.sim_mut().run_until(at);\n";
+    assert_eq!(offending_lines(rule, text), vec![1, 2, 3, 4, 5, 6]);
 }
 
 #[test]
