@@ -3,18 +3,22 @@
 //! The trader (§8.3.2) evaluates one importer constraint against every
 //! candidate offer of an import. The tree walker ([`Expr::eval`]) pays,
 //! per offer, for the recursion, for a `Result<Cow<Value>>` at every
-//! node and for an owned `Bool` at every comparison. A [`Predicate`] is
-//! the constraint's shape decided once: `and` chains flattened into one
-//! list, comparisons holding their operands as a borrowed variable path,
-//! a borrowed literal or arithmetic over those. Whatever the compiler
-//! does not know — calls, sequences, `in`, negation, a bare variable —
-//! stays a leaf the tree walker evaluates, and the comparison and
-//! arithmetic themselves are the walker's own helpers, so the two cannot
-//! drift apart.
+//! node and for a `Value` at every arithmetic step and comparison. A
+//! [`Predicate`] is the constraint's shape decided once: `and` chains
+//! flattened into one list, comparisons holding their operands as a
+//! borrowed variable path, a borrowed literal or arithmetic over those.
+//! Each operand evaluates once, to a number where it holds one: two
+//! numbers go through the evaluator's numeric kernel unboxed, building
+//! no `Value`, and anything else (text, sequences, bools) takes the
+//! walker's own comparison and arithmetic with the values already in
+//! hand. Whatever the compiler does not know — calls, sequences, `in`,
+//! negation, a bare variable — stays a leaf the tree walker evaluates.
+//! No numeric rule is written here: the kernel is the walker's, so the
+//! two cannot drift apart.
 
 use std::borrow::Cow;
 
-use super::eval::{arithmetic, comparison, eval, Env};
+use super::eval::{arithmetic, comparison, eval, Env, Num};
 use super::{BinOp, Expr, UnOp};
 use crate::value::Value;
 
@@ -39,6 +43,48 @@ enum Operand<'e> {
     Lit(Cow<'e, Value>),
     Arith(BinOp, Box<Operand<'e>>, Box<Operand<'e>>),
     Walk(Cow<'e, Expr>),
+}
+
+/// What an operand came to: a number, unboxed for the kernel, or any
+/// other value, lent by the environment or the expression, or computed.
+/// A computed one is boxed: it is rare (text or sequence arithmetic, a
+/// walker leaf's non-number), and with it boxed an `Option<Val>` is two
+/// words where an inline `Value` made it five — about a quarter of what
+/// the compiled form gains on an opaque `ppm + 0 >= 96` (EXPERIMENTS.md,
+/// §E11).
+enum Val<'a> {
+    Num(Num),
+    Lent(&'a Value),
+    Owned(Box<Value>),
+}
+
+impl<'a> Val<'a> {
+    /// A `match`, not `Option::map_or`, which stayed a call inside the
+    /// comparison that inlines this.
+    #[inline]
+    fn lent(v: &'a Value) -> Self {
+        match Num::of(v) {
+            Some(n) => Val::Num(n),
+            None => Val::Lent(v),
+        }
+    }
+
+    #[inline]
+    fn owned(v: Value) -> Self {
+        match Num::of(&v) {
+            Some(n) => Val::Num(n),
+            None => Val::Owned(Box::new(v)),
+        }
+    }
+
+    /// The value itself, for the walker's route and for a [`Term`].
+    fn value(self) -> Cow<'a, Value> {
+        match self {
+            Val::Num(n) => Cow::Owned(n.value()),
+            Val::Lent(v) => Cow::Borrowed(v),
+            Val::Owned(v) => Cow::Owned(*v),
+        }
+    }
 }
 
 impl<'e> Operand<'e> {
@@ -69,16 +115,29 @@ impl<'e> Operand<'e> {
         }
     }
 
-    fn value<'a>(&'a self, env: &'a dyn Env) -> Option<Cow<'a, Value>> {
+    /// What the operand comes to in `env`, evaluated once; `None` where
+    /// the walker returns an error. A variable or a literal is read in
+    /// line, inside the comparison; arithmetic, which recurses, is one
+    /// call to [`Self::arith`], kept out of line so that inlining stops
+    /// there.
+    #[inline(always)]
+    fn eval<'a>(&'a self, env: &'a dyn Env) -> Option<Val<'a>> {
         match self {
-            Operand::Var(path) => env.lookup(path).map(Cow::Borrowed),
-            Operand::Lit(v) => Some(Cow::Borrowed(v)),
-            Operand::Arith(op, a, b) => {
-                let a = a.value(env)?;
-                let b = b.value(env)?;
-                arithmetic(*op, &a, &b).ok().map(Cow::Owned)
-            }
-            Operand::Walk(expr) => eval(expr, env).ok(),
+            Operand::Var(path) => env.lookup(path).map(Val::lent),
+            Operand::Lit(v) => Some(Val::lent(v)),
+            Operand::Arith(op, a, b) => Operand::arith(*op, a, b, env),
+            Operand::Walk(expr) => match eval(expr, env).ok()? {
+                Cow::Borrowed(v) => Some(Val::lent(v)),
+                Cow::Owned(v) => Some(Val::owned(v)),
+            },
+        }
+    }
+
+    #[inline(never)]
+    fn arith<'a>(op: BinOp, a: &'a Self, b: &'a Self, env: &'a dyn Env) -> Option<Val<'a>> {
+        match (a.eval(env)?, b.eval(env)?) {
+            (Val::Num(x), Val::Num(y)) => x.arithmetic(op, y).ok().map(Val::Num),
+            (a, b) => arithmetic(op, &a.value(), &b.value()).ok().map(Val::owned),
         }
     }
 
@@ -107,9 +166,9 @@ impl<'e> Term<'e> {
     }
 
     /// The expression's value in `env`: `eval(env).ok()`, borrowed where
-    /// the walker would borrow it.
+    /// the walker would borrow it, a number copied.
     pub fn value<'a>(&'a self, env: &'a dyn Env) -> Option<Cow<'a, Value>> {
-        self.0.value(env)
+        self.0.eval(env).map(Val::value)
     }
 }
 
@@ -170,10 +229,14 @@ impl<'e> Test<'e> {
                 Truth::Fail => Truth::Fail,
             },
             Test::Cmp(op, a, b) => {
-                let (Some(a), Some(b)) = (a.value(env), b.value(env)) else {
+                let (Some(a), Some(b)) = (a.eval(env), b.eval(env)) else {
                     return Truth::Fail;
                 };
-                match comparison(*op, &a, &b) {
+                let decided = match (a, b) {
+                    (Val::Num(x), Val::Num(y)) => x.comparison(*op, y),
+                    (a, b) => comparison(*op, &a.value(), &b.value()),
+                };
+                match decided {
                     Ok(true) => Truth::True,
                     Ok(false) => Truth::False,
                     Err(_) => Truth::Fail,
@@ -274,46 +337,99 @@ impl<'e> Predicate<'e> {
 mod tests {
     use super::*;
 
+    /// One field of every kind, and the numbers where the kernel's rules
+    /// show: `i64::MAX` (wrapping), NaN, ±inf, −0.0 and 2⁵³ + 1 (the
+    /// first int whose widening to `f64` is lossy).
     fn env() -> Value {
         Value::record([
             ("n", Value::Int(7)),
             ("x", Value::Float(f64::NAN)),
             ("s", Value::text("bank")),
             ("b", Value::Bool(false)),
+            ("big", Value::Int(i64::MAX)),
+            ("nan", Value::Float(f64::NAN)),
+            ("inf", Value::Float(f64::INFINITY)),
+            ("ninf", Value::Float(f64::NEG_INFINITY)),
+            ("neg0", Value::Float(-0.0)),
+            ("p53", Value::Int((1 << 53) + 1)),
         ])
     }
 
     /// Each compiled node against the walker, where `false` and an error
-    /// part ways.
+    /// part ways; each row pins the walker's answer too, so a change to
+    /// the numeric kernel both share (`>` for `>=`, checked arithmetic
+    /// for wrapping, a quiet NaN ordering) fails here.
     #[test]
     fn every_node_holds_exactly_when_the_walker_says_true() {
         let env = env();
-        for src in [
-            "n >= 7",
-            "7 <= n",
-            "n * 2 - 1 >= 13",
-            "n + 0.5 > 7",
-            "n / 0 == 0",
-            "x < 1",
-            "not (x < 1)",
-            "not (n < 1)",
-            "s == \"bank\" and n > 1 and b == false",
-            "n > 1 and ghost > 0",
-            "ghost > 0 or n > 1",
-            "n < 1 or ghost > 0",
-            "n > 1 or ghost > 0",
-            "not (n < 1 or b == true)",
-            "exists(ghost) or n > 1",
-            "b or n > 1",
-            "n or true",
-            "n",
-            "true",
-            "s + \"!\" == \"bank!\"",
-            "len(s) == 4 and n in [7]",
-            "-n < 0",
+        for (src, expected) in [
+            ("n >= 7", true),
+            ("n > 7", false),
+            ("7 <= n", true),
+            ("n <= 6", false),
+            ("n < 8", true),
+            ("n * 2 - 1 >= 13", true),
+            ("n * 2 - 1 > 13", false),
+            ("n + 0.5 > 7", true),
+            ("n + 0.5 >= 7.5", true),
+            ("n + 0.5 > 7.5", false),
+            ("n / 0 == 0", false),
+            ("n % 0 == 0", false),
+            ("not (n / 0 == 0)", false),
+            ("n / 2 == 3", true),
+            ("n % 4 == 3", true),
+            ("n / 0.0 > 0", true),
+            ("n / 0.0 == inf", true),
+            ("big + 1 < big", true),
+            ("big * 2 == -2", true),
+            ("big - big + 1 >= 1", true),
+            ("big >= big", true),
+            ("big > big", false),
+            ("nan == nan", false),
+            ("nan != nan", true),
+            ("nan < 1", false),
+            ("not (nan < 1)", false),
+            ("not (nan == 1)", true),
+            ("x < 1", false),
+            ("not (x < 1)", false),
+            ("inf - inf == 0", false),
+            ("inf - inf != 0", true),
+            ("ninf < inf", true),
+            ("ninf * 0 >= 0", false),
+            ("neg0 == 0", true),
+            ("neg0 >= 0 and neg0 <= 0", true),
+            ("neg0 < 0", false),
+            ("p53 == 9007199254740992.0", true),
+            ("p53 == 9007199254740992", false),
+            ("p53 > 9007199254740992", true),
+            ("p53 > 9007199254740992.0", false),
+            ("not (n < 1)", true),
+            ("s == \"bank\" and n > 1 and b == false", true),
+            ("s == n", false),
+            ("s != n", true),
+            ("s < n", false),
+            ("not (s < n)", false),
+            ("s + n == s", false),
+            ("n + s != s", false),
+            ("s + \"!\" == \"bank!\"", true),
+            ("s < \"bank!\"", true),
+            ("n > 1 and ghost > 0", false),
+            ("ghost > 0 or n > 1", false),
+            ("n < 1 or ghost > 0", false),
+            ("n > 1 or ghost > 0", true),
+            ("not (n < 1 or b == true)", true),
+            ("exists(ghost) or n > 1", true),
+            ("b or n > 1", true),
+            ("n or true", false),
+            ("n", false),
+            ("true", true),
+            ("len(s) == 4 and n in [7]", true),
+            ("abs(n) >= 7", true),
+            ("-n < 0", true),
         ] {
             let e = Expr::parse(src).unwrap();
             let walker = e.eval_bool(&env) == Ok(true);
+            assert_eq!(walker, expected, "walker: {src}");
             assert_eq!(Predicate::compile(&e).holds(&env), walker, "{src}");
         }
     }
@@ -342,24 +458,46 @@ mod tests {
     }
 
     #[test]
+    fn an_operand_result_is_two_words() {
+        assert!(std::mem::size_of::<Option<Val<'_>>>() <= 16);
+    }
+
+    /// Each compiled term against the walker, and the walker's value
+    /// pinned as text (NaN is not equal to itself).
+    #[test]
     fn a_term_is_the_walker_value() {
         let env = env();
-        for src in [
-            "n",
-            "n * 2 + 1",
-            "s + s",
-            "n / 0",
-            "ghost + 1",
-            "len(s)",
-            "3",
+        for (src, expected) in [
+            ("n", Some("7")),
+            ("n * 2 + 1", Some("15")),
+            ("s + s", Some("\"bankbank\"")),
+            ("n / 0", None),
+            ("n % 0", None),
+            ("n / 0.0", Some("inf")),
+            ("ghost + 1", None),
+            ("len(s)", Some("4")),
+            ("3", Some("3")),
+            ("big + 1", Some("-9223372036854775808")),
+            ("big * 2", Some("-2")),
+            ("nan", Some("NaN")),
+            ("nan + 1", Some("NaN")),
+            ("inf - inf", Some("NaN")),
+            ("ninf * -1", Some("inf")),
+            ("neg0", Some("-0.0")),
+            ("neg0 * 1", Some("-0.0")),
+            ("neg0 + 0", Some("0.0")),
+            ("p53 + 0.0", Some("9007199254740992.0")),
+            ("p53 - 1", Some("9007199254740992")),
+            ("n + 0.5", Some("7.5")),
+            ("s + n", None),
+            ("n - s", None),
+            ("b + 1", None),
         ] {
             let e = Expr::parse(src).unwrap();
-            let term = Term::compile(&e);
-            assert_eq!(
-                term.value(&env).map(Cow::into_owned),
-                e.eval(&env).ok(),
-                "{src}"
-            );
+            let walker = e.eval(&env).ok().map(|v| v.to_string());
+            assert_eq!(walker.as_deref(), expected, "walker: {src}");
+            let term = Term::compile(&e).value(&env).map(|v| v.to_string());
+            assert_eq!(term, walker, "{src}");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Evaluator for the expression language.
 
 use std::borrow::Cow;
+use std::cmp::Ordering::{self, Greater, Less};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -110,7 +111,7 @@ pub fn eval<'a>(expr: &'a Expr, env: &'a dyn Env) -> Result<Cow<'a, Value>, Eval
             owned(Value::Seq(vals?))
         }
         Expr::Unary(UnOp::Neg, e) => match &*eval(e, env)? {
-            Value::Int(i) => owned(Value::Int(-i)),
+            Value::Int(i) => owned(Value::Int(i.wrapping_neg())),
             Value::Float(x) => owned(Value::Float(-x)),
             other => Err(mismatch("negation", other)),
         },
@@ -209,71 +210,148 @@ impl Fault {
     }
 }
 
-/// `a op b` for `+ - * / %`: wrapping on two ints, concatenation of two
-/// texts or two sequences under `+`, otherwise widened to float.
-pub(super) fn arithmetic(op: BinOp, a: &Value, b: &Value) -> Result<Value, Fault> {
-    use BinOp::*;
-    if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        let (x, y) = (*x, *y);
-        return match op {
-            Div | Rem if y == 0 => Err(Fault::DivideByZero),
-            Add => Ok(Value::Int(x.wrapping_add(y))),
-            Sub => Ok(Value::Int(x.wrapping_sub(y))),
-            Mul => Ok(Value::Int(x.wrapping_mul(y))),
-            Div => Ok(Value::Int(x.wrapping_div(y))),
-            Rem => Ok(Value::Int(x.wrapping_rem(y))),
-            _ => unreachable!("not an arithmetic operator: {op:?}"),
-        };
-    }
-    match (op, a, b) {
-        (Add, Value::Text(x), Value::Text(y)) => return Ok(Value::Text([x.as_str(), y].concat())),
-        (Add, Value::Seq(x), Value::Seq(y)) => return Ok(Value::Seq([x.as_slice(), y].concat())),
-        _ => {}
-    }
-    let (Some(x), Some(y)) = (a.as_float(), b.as_float()) else {
-        return Err(Fault::Kinds);
-    };
-    Ok(Value::Float(match op {
-        Add => x + y,
-        Sub => x - y,
-        Mul => x * y,
-        Div => x / y,
-        Rem => x % y,
-        _ => unreachable!("not an arithmetic operator: {op:?}"),
-    }))
+/// A number as the one numeric kernel reads it, unboxed. The walker's
+/// [`arithmetic`] and [`comparison`] hand it every pair of numbers, and a
+/// compiled predicate runs it without building a [`Value`], so the two
+/// share one numeric semantics: wrapping on two ints, an int division by
+/// zero a fault, a mixed pair widened to `f64`, `==` unifying `Int` with
+/// `Float`, an ordering against NaN a fault.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Num {
+    Int(i64),
+    Float(f64),
 }
 
-/// `a op b` for `== != < <= > >=`.
-pub(super) fn comparison(op: BinOp, a: &Value, b: &Value) -> Result<bool, Fault> {
-    use std::cmp::Ordering::{Greater, Less};
+impl Num {
+    /// The number `v` holds, if it is an `Int` or a `Float`.
+    #[inline]
+    pub(super) fn of(v: &Value) -> Option<Num> {
+        match v {
+            Value::Int(i) => Some(Num::Int(*i)),
+            Value::Float(x) => Some(Num::Float(*x)),
+            _ => None,
+        }
+    }
+
+    /// The number as a value.
+    #[inline]
+    pub(super) fn value(self) -> Value {
+        match self {
+            Num::Int(i) => Value::Int(i),
+            Num::Float(x) => Value::Float(x),
+        }
+    }
+
+    #[inline]
+    fn widen(self) -> f64 {
+        match self {
+            Num::Int(i) => i as f64,
+            Num::Float(x) => x,
+        }
+    }
+
+    /// `self op other` for `+ - * / %`.
+    #[inline]
+    pub(super) fn arithmetic(self, op: BinOp, other: Num) -> Result<Num, Fault> {
+        use BinOp::*;
+        if let (Num::Int(x), Num::Int(y)) = (self, other) {
+            return match op {
+                Div | Rem if y == 0 => Err(Fault::DivideByZero),
+                Add => Ok(Num::Int(x.wrapping_add(y))),
+                Sub => Ok(Num::Int(x.wrapping_sub(y))),
+                Mul => Ok(Num::Int(x.wrapping_mul(y))),
+                Div => Ok(Num::Int(x.wrapping_div(y))),
+                Rem => Ok(Num::Int(x.wrapping_rem(y))),
+                _ => unreachable!("not an arithmetic operator: {op:?}"),
+            };
+        }
+        let (x, y) = (self.widen(), other.widen());
+        Ok(Num::Float(match op {
+            Add => x + y,
+            Sub => x - y,
+            Mul => x * y,
+            Div => x / y,
+            Rem => x % y,
+            _ => unreachable!("not an arithmetic operator: {op:?}"),
+        }))
+    }
+
+    /// `self op other` for `== != < <= > >=`.
+    #[inline]
+    pub(super) fn comparison(self, op: BinOp, other: Num) -> Result<bool, Fault> {
+        decide(op, || self.equals(other), || self.order(other))
+    }
+
+    #[inline]
+    fn equals(self, other: Num) -> bool {
+        match (self, other) {
+            (Num::Int(x), Num::Int(y)) => x == y,
+            _ => self.widen() == other.widen(),
+        }
+    }
+
+    #[inline]
+    fn order(self, other: Num) -> Result<Ordering, Fault> {
+        match (self, other) {
+            (Num::Int(x), Num::Int(y)) => Ok(x.cmp(&y)),
+            _ => self.widen().partial_cmp(&other.widen()).ok_or(Fault::NaN),
+        }
+    }
+}
+
+/// A comparison operator read off an equality and an ordering, each
+/// asked only if the operator needs it.
+#[inline]
+fn decide(
+    op: BinOp,
+    equal: impl FnOnce() -> bool,
+    order: impl FnOnce() -> Result<Ordering, Fault>,
+) -> Result<bool, Fault> {
     use BinOp::*;
     Ok(match op {
-        Eq => loose_eq(a, b),
-        Ne => !loose_eq(a, b),
-        Lt => compare(a, b)? == Less,
-        Le => compare(a, b)? != Greater,
-        Gt => compare(a, b)? == Greater,
-        Ge => compare(a, b)? != Less,
+        Eq => equal(),
+        Ne => !equal(),
+        Lt => order()? == Less,
+        Le => order()? != Greater,
+        Gt => order()? == Greater,
+        Ge => order()? != Less,
         _ => unreachable!("not a comparison operator: {op:?}"),
     })
 }
 
+/// `a op b` for `+ - * / %`: the kernel on two numbers, concatenation of
+/// two texts or two sequences under `+`.
+pub(super) fn arithmetic(op: BinOp, a: &Value, b: &Value) -> Result<Value, Fault> {
+    if let (Some(x), Some(y)) = (Num::of(a), Num::of(b)) {
+        return x.arithmetic(op, y).map(Num::value);
+    }
+    match (op, a, b) {
+        (BinOp::Add, Value::Text(x), Value::Text(y)) => Ok(Value::Text([x.as_str(), y].concat())),
+        (BinOp::Add, Value::Seq(x), Value::Seq(y)) => Ok(Value::Seq([x.as_slice(), y].concat())),
+        _ => Err(Fault::Kinds),
+    }
+}
+
+/// `a op b` for `== != < <= > >=`.
+pub(super) fn comparison(op: BinOp, a: &Value, b: &Value) -> Result<bool, Fault> {
+    decide(op, || loose_eq(a, b), || compare(a, b))
+}
+
 /// Equality with Int/Float unification (`1 == 1.0` is true).
 fn loose_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Int(x), Value::Float(y)) | (Value::Float(y), Value::Int(x)) => *x as f64 == *y,
+    match (Num::of(a), Num::of(b)) {
+        (Some(x), Some(y)) => x.equals(y),
         _ => a == b,
     }
 }
 
-fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering, Fault> {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => Ok(x.cmp(y)),
-        (Value::Text(x), Value::Text(y)) => Ok(x.cmp(y)),
-        _ => match (a.as_float(), b.as_float()) {
-            (Some(x), Some(y)) => x.partial_cmp(&y).ok_or(Fault::NaN),
-            _ => Err(Fault::Kinds),
-        },
+fn compare(a: &Value, b: &Value) -> Result<Ordering, Fault> {
+    if let (Value::Text(x), Value::Text(y)) = (a, b) {
+        return Ok(x.cmp(y));
+    }
+    match (Num::of(a), Num::of(b)) {
+        (Some(x), Some(y)) => x.order(y),
+        _ => Err(Fault::Kinds),
     }
 }
 
@@ -333,9 +411,9 @@ fn call<'a>(name: &str, args: &'a [Expr], env: &'a dyn Env) -> Result<Cow<'a, Va
                 let (a, b) = (&*vals[0], &*vals[1]);
                 let ord = compare(a, b).map_err(|f| f.error(BinOp::Lt, a, b))?;
                 if name == "min" {
-                    ord != std::cmp::Ordering::Greater
+                    ord != Greater
                 } else {
-                    ord == std::cmp::Ordering::Greater
+                    ord == Greater
                 }
             };
             Ok(vals.swap_remove(if take_first { 0 } else { 1 }))
@@ -522,6 +600,7 @@ mod tests {
             ("n / x", "2.8"),
             ("-n + -x", "-9.5"),
             ("9223372036854775807 + 1", "-9223372036854775808"),
+            ("-(-9223372036854775807 - 1)", "-9223372036854775808"),
             // Concatenation leaves its operands alone.
             ("s + \"-\" + s", "\"bank-bank\""),
             ("q + [n] + q", "[1, 2.0, 7, 1, 2.0]"),

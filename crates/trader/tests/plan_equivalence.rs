@@ -537,3 +537,72 @@ fn top_k_selection_equals_the_full_sort() {
         }
     }
 }
+
+/// The opaque residuals the planner leaves whole — arithmetic over
+/// `ppm` — against offers holding `ppm` as every kind the numeric kernel
+/// meets: ints, floats, NaN, ±inf, `i64::MAX` (where `* 2` wraps), text,
+/// and nothing. Plain and under `prefer_max("ppm")`, with and without
+/// indexes, the planned import (the compiled residual) returns the scan's
+/// (the walker's) members in the scan's order; the counts pin what the
+/// walker says (every match has a number to rank by).
+#[test]
+fn opaque_residuals_over_every_numeric_kind_equal_the_scan() {
+    let speeds = [
+        Some(Value::Int(97)),
+        Some(Value::Int(10)),
+        Some(Value::Int(3)),
+        Some(Value::Float(96.0)),
+        Some(Value::Float(17.0)),
+        Some(Value::Float(10.5)),
+        Some(Value::Float(f64::NAN)),
+        Some(Value::Float(f64::INFINITY)),
+        Some(Value::Float(f64::NEG_INFINITY)),
+        Some(Value::Int(i64::MAX)),
+        Some(Value::text("fast")),
+        None,
+    ];
+    for indexes in [
+        &[][..],
+        &[("ppm", IndexKind::Ordered), ("region", IndexKind::Hash)],
+    ] {
+        let mut t = Trader::new("opaque");
+        for (property, kind) in indexes {
+            t.index_property(*property, *kind);
+        }
+        for (i, speed) in speeds.iter().chain(&speeds).enumerate() {
+            let mut fields = vec![("region", Value::text(REGIONS[i % 2]))];
+            fields.extend(speed.clone().map(|v| ("ppm", v)));
+            t.export(
+                "Printer",
+                InterfaceId::new(i as u64 + 1),
+                Value::record(fields),
+            )
+            .unwrap();
+        }
+        for (constraint, expected) in [
+            // 97, 96.0, inf twice each; `i64::MAX` and text are not ≥ 96.
+            ("ppm + 0 >= 96", 8),
+            // 97, 96.0, inf; `i64::MAX * 2` wraps to −2.
+            ("ppm * 2 - 1 > 150", 6),
+            // An int division by zero is a fault; a float one is ±inf or NaN.
+            ("ppm / 0 == 0", 0),
+            // 3, 10 and 17.0; `i64::MAX % 7` is 0.
+            ("ppm % 7 == 3", 6),
+            // 10, 3, 17.0, 10.5, −inf.
+            ("ppm - 0.5 < 20", 10),
+        ] {
+            let plain_request = ImportRequest::new("Printer")
+                .constraint(constraint)
+                .unwrap();
+            assert!(t.explain(&plain_request, None).fallback, "{constraint}");
+            let ranked_request = plain_request.clone().prefer_max("ppm").unwrap();
+            for request in [plain_request, ranked_request] {
+                let scanned = t.import_scan(&request, None);
+                let planned = t.import(&request, None);
+                let what = format!("{constraint} indexes={indexes:?}");
+                assert_eq!(text(&planned), text(&scanned), "{what}");
+                assert_eq!(scanned.len(), expected, "{what}");
+            }
+        }
+    }
+}

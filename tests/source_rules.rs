@@ -203,8 +203,9 @@ const RULES: &[Rule] = &[
         name: "the residual is compiled once",
         why: "`Trader::import` runs the request compiled once (`Residual`, a \
               `rmodp_core::expr::Predicate` and `Term`); the tree-walking `residual_match` is \
-              the reference scan's alone, called once, in `import_scan` (DESIGN.md, \"Trader at \
-              scale\")",
+              the reference scan's alone, called once, in `import_scan`. The two share only the \
+              numeric kernel (\"one numeric semantics\"), whose answers compile.rs's edge rows \
+              pin (DESIGN.md, \"Trader at scale\")",
         roots: &["crates/trader/src"],
         patterns: &[Call("residual_match")],
         exempt: &[],
@@ -243,10 +244,31 @@ const RULES: &[Rule] = &[
         copies: 2,
     },
     Rule {
+        name: "one numeric semantics",
+        why: "numbers are combined and compared by one kernel, `Num` in \
+              crates/core/src/expr/eval.rs, which the walker's `arithmetic` and `comparison` \
+              call for every pair of numbers; the compiled form reads its operands to a `Num` \
+              and calls the same kernel. A wrapping op, an ordering of floats or a widening \
+              cast in compile.rs is a second copy of those rules, free to drift from the \
+              walker that `import_scan` and the schema fallbacks run, and a \
+              walker-against-compiled test would not say which one is right (DESIGN.md, \
+              \"Trader at scale\", step 4)",
+        roots: &["crates/core/src/expr/compile.rs"],
+        patterns: &[
+            Literal("wrapping_"),
+            Literal("partial_cmp"),
+            Literal("as f64"),
+        ],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 0,
+    },
+    Rule {
         name: "schemas evaluate compiled",
         why: "invariants, guards and effects run their `Predicate`/`Term`, compiled when the \
-              schema is built; the walker only renders the error of one that fails — one \
-              fallback each (DESIGN.md, \"Schemas run compiled, transitions in place\")",
+              schema is built and computing numbers through the walker's own kernel; the walker \
+              only renders the error of one that fails — one fallback each (DESIGN.md, \
+              \"Schemas run compiled, transitions in place\")",
         roots: &["crates/information/src"],
         patterns: &[Literal(".eval("), Literal(".eval_bool(")],
         exempt: &[],
@@ -1489,6 +1511,23 @@ fn a_scheduler_on_top_of_the_queue_is_flagged() {
         let mut kernel = ShardedKernel::new(sims, lookahead);\n\
         engine.sim_mut().run_until(at);\n";
     assert_eq!(offending_lines(rule, text), vec![1, 2, 3, 4, 5, 6]);
+}
+
+#[test]
+fn numeric_rules_written_into_the_compiled_form_are_flagged() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "one numeric semantics")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        (Val::Int(x), Val::Int(y)) => Val::Int(x.wrapping_add(y)),\n\
+        (Val::Float(x), Val::Float(y)) => x.partial_cmp(&y),\n\
+        (Val::Int(x), Val::Float(y)) => (x as f64) == y,\n\
+        (Val::Num(x), Val::Num(y)) => x.comparison(*op, *y),\n\
+        #[cfg(test)]\n\
+        let big = i64::MAX.wrapping_add(1);\n";
+    assert_eq!(offending_lines(rule, text), vec![1, 2, 3, 6]);
+    assert!(!rule.above_tests_only, "the tests pin answers, not rules");
 }
 
 #[test]
