@@ -53,11 +53,6 @@ impl Community {
         }
     }
 
-    /// The community identity.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The community name.
     pub fn name(&self) -> &str {
         &self.name

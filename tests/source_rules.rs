@@ -120,8 +120,8 @@ struct Rule {
     /// What to do instead; printed with every hit.
     why: &'static str,
     /// Directories (searched recursively for `.rs` files) or single
-    /// files, relative to the repository root; one `*` stands for every
-    /// directory at that level.
+    /// files of any kind, relative to the repository root; one `*` stands
+    /// for every directory at that level.
     roots: &'static [&'static str],
     patterns: &'static [Pattern],
     /// Files the rule does not apply to (where the one copy lives).
@@ -147,6 +147,11 @@ const ONE_ENTRY_POINT: &str = "every suite configuration, committed and full, is
                                `ARTIFACTS` (crates/bench/src/artifacts.rs) and the \
                                `baselines` bin is the one way to run it: `baselines \
                                [--full] <DIR> [NAME…]`, read by `artifacts::select`";
+
+const ONE_MEASUREMENT_SYSTEM: &str = "a count is pinned in a row of `ARTIFACTS` \
+                                      (crates/bench/src/artifacts.rs) and wall-clock time \
+                                      is measured in benchmark/: no `[[bench]]` target, no \
+                                      criterion, no crates/*/benches";
 
 const RULES: &[Rule] = &[
     Rule {
@@ -379,6 +384,19 @@ const RULES: &[Rule] = &[
             Literal("perf_gate"),
             Literal("struct Band"),
         ],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 0,
+    },
+    Rule {
+        name: "one measurement system",
+        why: ONE_MEASUREMENT_SYSTEM,
+        roots: &[
+            "Cargo.toml",
+            "crates/*/Cargo.toml",
+            "crates/compat/*/Cargo.toml",
+        ],
+        patterns: &[Literal("[[bench]]"), Word("criterion")],
         exempt: &[],
         above_tests_only: false,
         copies: 0,
@@ -682,7 +700,7 @@ fn offending_lines(rule: &Rule, text: &str) -> Vec<usize> {
 }
 
 /// Expands one root (see [`Rule::roots`]) into the `.rs` files under it,
-/// sorted, skipping build output.
+/// or the file it names, sorted, skipping build output.
 fn rust_files(repo: &Path, root: &str) -> Vec<PathBuf> {
     let mut dirs = vec![repo.to_path_buf()];
     for part in root.split('/') {
@@ -695,7 +713,7 @@ fn rust_files(repo: &Path, root: &str) -> Vec<PathBuf> {
             .filter(|p| p.exists())
             .collect();
     }
-    let mut files = Vec::new();
+    let (mut dirs, mut files): (Vec<_>, Vec<_>) = dirs.into_iter().partition(|p| p.is_dir());
     while let Some(path) = dirs.pop() {
         if path.is_dir() {
             if path.file_name().is_some_and(|n| n != "target") {
@@ -707,6 +725,16 @@ fn rust_files(repo: &Path, root: &str) -> Vec<PathBuf> {
     }
     files.sort();
     files
+}
+
+/// The `crates/*/benches` directories under `repo`: where a bench target
+/// of a second measurement system would live.
+fn bench_dirs(repo: &Path) -> Vec<PathBuf> {
+    let crates = children(&repo.join("crates")).into_iter();
+    crates
+        .map(|c| c.join("benches"))
+        .filter(|d| d.is_dir())
+        .collect()
 }
 
 fn children(dir: &Path) -> Vec<PathBuf> {
@@ -753,19 +781,22 @@ fn the_tree_keeps_every_source_rule() {
     if repo.join("tests/fixtures").exists() {
         report.push_str("tests/fixtures: a second copy of the artifacts (one golden gate)\n");
     }
+    for dir in bench_dirs(repo) {
+        let shown = dir
+            .strip_prefix(repo)
+            .expect("under the repository")
+            .display();
+        report.push_str(&format!(
+            "{shown}: one measurement system — {ONE_MEASUREMENT_SYSTEM}\n"
+        ));
+    }
     assert!(scanned > 100, "only {scanned} files scanned");
     assert!(report.is_empty(), "source rules broken:\n{report}");
 }
 
 /// The code outside tests that may call a library `pub fn`: the library
 /// itself and what runs it.
-const CALLERS: &[&str] = &[
-    "crates/*/src",
-    "src",
-    "examples",
-    "benchmark/src",
-    "crates/bench/benches",
-];
+const CALLERS: &[&str] = &["crates/*/src", "src", "examples", "benchmark/src"];
 
 /// The library `pub fn`s no code in [`CALLERS`] calls, kept on purpose:
 /// each row is `Owner::name: why it stays`, the owner being the type
@@ -775,6 +806,9 @@ const CALLERS: &[&str] = &[
 const KEEP: &[&str] = &[
     // Named by the paper: the viewpoint languages and the ODP functions.
     "PolicyEngine::revoke: §3, a performative action withdrawing a policy",
+    "ActionRequest::with_context: §3, the context of an action, which a policy's condition \
+     ranges over",
+    "Decision::is_allowed: §3, whether permissions and prohibitions let an action proceed",
     "Community::unassign: §3, an object leaves a community role",
     "AssociationSet::new: §4, an association's set of links",
     "AssociationSet::link: §4, adding an association link under its cardinalities",
@@ -1605,6 +1639,35 @@ fn a_second_entry_point_is_counted() {
         rule.copies, 1,
         "a second reader of the arguments is one too many"
     );
+}
+
+#[test]
+fn a_second_measurement_system_is_flagged() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "one measurement system")
+        .expect("the rule is a row of RULES");
+    let manifest = "\
+        [dev-dependencies]\n\
+        criterion.workspace = true\n\
+        criterion_stub = { path = \"x\" }\n\
+        \n\
+        [[bench]]\n\
+        name = \"figures\"\n";
+    assert_eq!(offending_lines(rule, manifest), vec![2, 5]);
+    // The rule reaches every crate's manifest, not only `.rs` files.
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifests = rust_files(repo, rule.roots[1]);
+    assert!(manifests
+        .iter()
+        .any(|f| f.ends_with("crates/bench/Cargo.toml")));
+    // A benches directory is found as `tests/fixtures` is.
+    let planted = Path::new(env!("CARGO_TARGET_TMPDIR")).join("planted-benches");
+    fs::create_dir_all(planted.join("crates/demo/benches")).expect("writable target dir");
+    fs::create_dir_all(planted.join("crates/other/src")).expect("writable target dir");
+    let found = bench_dirs(&planted);
+    fs::remove_dir_all(&planted).expect("remove what was planted");
+    assert_eq!(found, vec![planted.join("crates/demo/benches")]);
 }
 
 #[test]
