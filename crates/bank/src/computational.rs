@@ -132,7 +132,10 @@ mod tests {
     fn withdraw_declares_not_today_termination() {
         let teller = bank_teller();
         let w = teller.operation("Withdraw").unwrap();
-        let nt = w.termination("NotToday").unwrap();
+        let OperationKind::Interrogation { terminations } = &w.kind else {
+            panic!("Withdraw is an interrogation");
+        };
+        let nt = terminations.iter().find(|t| t.name == "NotToday").unwrap();
         let names: Vec<&str> = nt.results.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["today", "daily_limit"]);
     }

@@ -50,7 +50,7 @@ pub fn branch_community(roster: &BranchRoster) -> Community {
 /// - plus the §5 structural rule that accounts are created only through
 ///   the manager interface.
 pub fn branch_policies() -> PolicyEngine {
-    let mut e = PolicyEngine::new(Default::default());
+    let mut e = PolicyEngine::default();
     e.adopt(
         Policy::permission("deposit-open-account", "*", "deposit")
             .when("account_open")

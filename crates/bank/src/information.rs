@@ -12,7 +12,7 @@ pub const DAILY_LIMIT: i64 = 500;
 /// The account static schema: "a bank account consists of a balance and
 /// the amount withdrawn today"; at midnight the amount-withdrawn-today is
 /// $0.
-pub fn account_schema(opening_balance: i64) -> StaticSchema {
+fn account_schema(opening_balance: i64) -> StaticSchema {
     StaticSchema::new(
         "Account",
         DataType::record([
@@ -76,7 +76,7 @@ pub fn new_account(id: u64, opening_balance: i64) -> InformationObject {
 
 /// The *owns account* association: a customer may own many accounts, an
 /// account has exactly one owner.
-pub fn owns_account() -> AssociationSchema {
+fn owns_account() -> AssociationSchema {
     AssociationSchema::new(
         "owns_account",
         "customer",
@@ -204,6 +204,6 @@ mod tests {
         let branch = branch_composite();
         assert_eq!(branch.components().len(), 2);
         assert_eq!(branch.associations().len(), 1);
-        assert_eq!(branch.associations()[0].name(), "owns_account");
+        assert_eq!(branch.associations()[0], owns_account());
     }
 }

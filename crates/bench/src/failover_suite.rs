@@ -20,7 +20,7 @@ use rmodp_chaos::prelude::*;
 use rmodp_core::codec::SyntaxId;
 use rmodp_core::id::InterfaceId;
 use rmodp_engineering::engine::Engine;
-use rmodp_functions::{DetectorConfig, FailureDetector};
+use rmodp_functions::FailureDetector;
 use rmodp_netsim::sim::NodeIdx;
 use rmodp_observe::json::Fixed;
 use rmodp_observe::{bus, json, json_into};
@@ -60,7 +60,7 @@ fn group_run(label: &'static str, seed: u64, update_k: i64) -> impl ToJson {
     let (mut svc, replicas) =
         quorum_counters(&mut engine, &mut infra, client, REPLICAS).expect("group deploys");
     let monitor = engine.add_node(SyntaxId::Binary);
-    let mut detector = FailureDetector::new(monitor, DetectorConfig::default());
+    let mut detector = FailureDetector::new(monitor);
     for r in &replicas {
         detector.watch(*r);
     }

@@ -357,7 +357,7 @@ impl FaultPlan {
     ///
     /// The first violation found, as a human-readable description
     /// naming the offending event.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         for (i, e) in self.events.iter().enumerate() {
             let what = |msg: &str| {
                 format!(
@@ -401,7 +401,7 @@ impl FaultPlan {
     /// not the simulator's RNG), and draws happen in a fixed order —
     /// crashes, then partitions, then loss bursts, then latency spikes —
     /// so the same seed and profile always yield the same plan. The
-    /// drawn plan is [`validate`](Self::validate)d before being
+    /// drawn plan is `validate`d before being
     /// returned, so a profile that would produce degenerate faults
     /// (e.g. the client listed among the servers, making a
     /// self-partition possible) fails loudly instead of silently

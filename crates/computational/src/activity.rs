@@ -121,17 +121,6 @@ impl Activity {
             operation: operation.into(),
         })
     }
-
-    /// Total number of basic actions in the activity.
-    pub fn action_count(&self) -> usize {
-        match self {
-            Activity::Action(_) => 1,
-            Activity::Seq(items) | Activity::Fork(items) => {
-                items.iter().map(Activity::action_count).sum()
-            }
-            Activity::Spawn(inner) => inner.action_count(),
-        }
-    }
 }
 
 /// Identifies one thread of control in an execution.
@@ -423,7 +412,7 @@ mod tests {
             act("e"),
         ]);
         let t = execute(&a);
-        assert_eq!(t.events.len(), a.action_count());
+        assert_eq!(t.events.len(), 5);
         let mut ns = names(&t);
         ns.sort();
         assert_eq!(ns, ["a", "b", "c", "d", "e"]);
@@ -434,17 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn action_count_and_display() {
-        let a = Activity::Seq(vec![
-            Activity::invoke("teller", "Deposit"),
-            Activity::Action(BasicAction::Trade("BankTeller".into())),
-            Activity::Fork(vec![Activity::Action(BasicAction::Bind(
-                "c".into(),
-                "s".into(),
-            ))]),
-        ]);
-        assert_eq!(a.action_count(), 3);
-        assert_eq!(Activity::invoke("t", "Op").action_count(), 1);
+    fn basic_actions_display() {
         assert_eq!(
             BasicAction::Invoke {
                 interface: "t".into(),

@@ -28,7 +28,7 @@ pub enum Causality {
 
 impl Causality {
     /// The causality the peer interface must have for a binding.
-    pub fn complement(self) -> Causality {
+    fn complement(self) -> Causality {
         match self {
             Causality::Client => Causality::Server,
             Causality::Server => Causality::Client,
@@ -231,12 +231,6 @@ impl BindingObject {
             endpoints: Vec::new(),
         }
     }
-
-    /// The binding identity.
-    pub fn id(&self) -> BindingId {
-        self.id
-    }
-
     /// The control interface through which the binding is managed.
     pub fn control(&self) -> InterfaceId {
         self.control

@@ -180,11 +180,6 @@ pub struct ComputationalObject {
 }
 
 impl ComputationalObject {
-    /// The object identity.
-    pub fn id(&self) -> ObjectId {
-        self.id
-    }
-
     /// The object state (§5.2 "reading the state of the object").
     pub fn state(&self) -> &Value {
         &self.state
@@ -283,7 +278,7 @@ mod tests {
         let interfaces = IdGen::new();
         let a = branch_template().instantiate(&objects, &interfaces);
         let b = branch_template().instantiate(&objects, &interfaces);
-        assert_ne!(a.id(), b.id());
+        assert_ne!(a.id, b.id);
         assert_ne!(
             a.interface("teller").unwrap().id,
             b.interface("teller").unwrap().id

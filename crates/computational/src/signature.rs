@@ -60,7 +60,7 @@ pub struct OperationSignature {
 
 impl OperationSignature {
     /// The parameter type as a record.
-    pub fn param_type(&self) -> DataType {
+    fn param_type(&self) -> DataType {
         DataType::record(self.params.iter().map(|(n, t)| (n.clone(), t.clone())))
     }
 
@@ -74,7 +74,7 @@ impl OperationSignature {
     }
 
     /// Finds a termination by name (interrogations only).
-    pub fn termination(&self, name: &str) -> Option<&TerminationSignature> {
+    pub(crate) fn termination(&self, name: &str) -> Option<&TerminationSignature> {
         match &self.kind {
             OperationKind::Announcement => None,
             OperationKind::Interrogation { terminations } => {
@@ -298,7 +298,7 @@ impl SignalSignature {
     }
 
     /// The signature name.
-    pub fn name(&self) -> &str {
+    fn name(&self) -> &str {
         &self.name
     }
 

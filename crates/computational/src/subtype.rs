@@ -120,7 +120,7 @@ pub fn is_operational_subtype(
 /// # Errors
 ///
 /// See [`is_subtype`].
-pub fn is_operational_subtype_with(
+fn is_operational_subtype_with(
     sub: &OperationalSignature,
     sup: &OperationalSignature,
     resolver: RefResolver<'_>,
@@ -211,7 +211,7 @@ pub fn is_operational_subtype_with(
 /// # Errors
 ///
 /// See [`is_subtype`].
-pub fn is_stream_subtype_with(
+fn is_stream_subtype_with(
     sub: &StreamSignature,
     sup: &StreamSignature,
     resolver: RefResolver<'_>,
@@ -258,7 +258,7 @@ pub fn is_stream_subtype_with(
 /// # Errors
 ///
 /// See [`is_subtype`].
-pub fn is_signal_subtype_with(
+fn is_signal_subtype_with(
     sub: &SignalSignature,
     sup: &SignalSignature,
     resolver: RefResolver<'_>,

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let n: Name = "bank/branches/toowong".parse()?;
-/// assert_eq!(n.segments().len(), 3);
+/// assert_eq!(n.leaf(), "toowong");
 /// assert_eq!(n.to_string(), "bank/branches/toowong");
 /// # Ok(())
 /// # }
@@ -36,7 +36,7 @@ impl Name {
     ///
     /// Fails if there are no segments or any segment is empty or contains
     /// `'/'`.
-    pub fn from_segments<S: Into<String>, I: IntoIterator<Item = S>>(
+    fn from_segments<S: Into<String>, I: IntoIterator<Item = S>>(
         segments: I,
     ) -> Result<Self, NameError> {
         let segments: Vec<String> = segments.into_iter().map(Into::into).collect();
@@ -52,7 +52,7 @@ impl Name {
     }
 
     /// The segments of the name.
-    pub fn segments(&self) -> &[String] {
+    fn segments(&self) -> &[String] {
         &self.segments
     }
 
@@ -177,20 +177,6 @@ impl NamingContext {
             None => Vec::new(),
         }
     }
-
-    /// Total number of bindings in the context.
-    pub fn len(&self) -> usize {
-        fn count(node: &ContextNode) -> usize {
-            usize::from(node.binding.is_some()) + node.children.values().map(count).sum::<usize>()
-        }
-        count(&self.root)
-    }
-
-    /// Whether the context has no bindings.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn node(&self, name: &Name) -> Option<&ContextNode> {
         let mut node = &self.root;
         for seg in name.segments() {
@@ -303,16 +289,5 @@ mod tests {
         );
         assert_eq!(ctx.list(None), vec![("svc".to_owned(), false)]);
         assert_eq!(ctx.list(Some(&name("nope"))), vec![]);
-    }
-
-    #[test]
-    fn len_counts_bindings() {
-        let mut ctx = NamingContext::default();
-        assert!(ctx.is_empty());
-        ctx.bind(&name("a/b"), target(1)).unwrap();
-        ctx.bind(&name("a/c"), target(2)).unwrap();
-        ctx.bind(&name("a"), target(3)).unwrap();
-        assert_eq!(ctx.len(), 3);
-        assert!(!ctx.is_empty());
     }
 }

@@ -434,7 +434,7 @@ proptest! {
         segs in proptest::collection::vec("[a-z]{1,6}", 1..4),
         id in any::<u64>(),
     ) {
-        let name = Name::from_segments(segs).unwrap();
+        let name = segs.join("/").parse::<Name>().unwrap();
         let mut ctx = NamingContext::default();
         ctx.bind(&name, BindingTarget { id, kind: "t".into() }).unwrap();
         prop_assert_eq!(ctx.resolve(&name).map(|t| t.id), Some(id));

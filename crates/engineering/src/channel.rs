@@ -151,7 +151,7 @@ pub struct AuditStub {
 
 impl AuditStub {
     /// Creates an empty audit stub.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -211,7 +211,7 @@ pub struct SequenceBinder {
 
 impl SequenceBinder {
     /// Creates a fresh binder.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             next_out: 1,
             seen_through: 0,
@@ -281,7 +281,7 @@ impl fmt::Debug for Stack {
 
 impl Stack {
     /// An empty (pass-through) stack.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 

@@ -186,19 +186,6 @@ impl Envelope {
         out
     }
 
-    /// Deserialises an envelope from borrowed bytes, deep-copying the
-    /// payload. Hot paths that hold the frame as a [`Payload`] should
-    /// use [`Envelope::from_payload`], which slices instead of copying.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EnvelopeError`] on truncation or bad discriminants.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, EnvelopeError> {
-        let (mut env, off, len) = Self::parse_frame(bytes)?;
-        env.payload = Payload::copy_of(&bytes[off..off + len]);
-        Ok(env)
-    }
-
     /// Deserialises an envelope from a shared frame: the returned
     /// envelope's payload is a zero-copy slice of `frame`'s buffer.
     ///
@@ -319,6 +306,13 @@ mod tests {
     use super::*;
     use rmodp_core::value::Value;
 
+    /// The copying decode the shared-buffer one must agree with.
+    fn from_bytes(bytes: &[u8]) -> Result<Envelope, EnvelopeError> {
+        let (mut env, off, len) = Envelope::parse_frame(bytes)?;
+        env.payload = Payload::from(&bytes[off..off + len]);
+        Ok(env)
+    }
+
     fn sample() -> Envelope {
         let mut e = Envelope::request(
             ChannelId::new(7),
@@ -350,7 +344,7 @@ mod tests {
         );
         for e in [req, reply, ann, flow] {
             let bytes = e.to_bytes();
-            assert_eq!(Envelope::from_bytes(&bytes).unwrap(), e);
+            assert_eq!(from_bytes(&bytes).unwrap(), e);
         }
     }
 
@@ -377,10 +371,7 @@ mod tests {
         );
         let mut bytes = flow.to_bytes();
         bytes[39] = 0xff; // first byte of the two-byte flow name
-        assert!(Envelope::from_bytes(&bytes)
-            .unwrap_err()
-            .message
-            .contains("utf-8"));
+        assert!(from_bytes(&bytes).unwrap_err().message.contains("utf-8"));
     }
 
     #[test]
@@ -396,7 +387,7 @@ mod tests {
     fn truncation_is_rejected_everywhere() {
         let bytes = sample().to_bytes();
         for cut in 0..bytes.len() {
-            assert!(Envelope::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -404,22 +395,13 @@ mod tests {
     fn bad_discriminants_rejected() {
         let mut bytes = sample().to_bytes();
         bytes[0] = 9;
-        assert!(Envelope::from_bytes(&bytes)
-            .unwrap_err()
-            .message
-            .contains("kind"));
+        assert!(from_bytes(&bytes).unwrap_err().message.contains("kind"));
         let mut bytes = sample().to_bytes();
         bytes[1] = 9;
-        assert!(Envelope::from_bytes(&bytes)
-            .unwrap_err()
-            .message
-            .contains("status"));
+        assert!(from_bytes(&bytes).unwrap_err().message.contains("status"));
         let mut bytes = sample().to_bytes();
         bytes[2] = 9;
-        assert!(Envelope::from_bytes(&bytes)
-            .unwrap_err()
-            .message
-            .contains("syntax"));
+        assert!(from_bytes(&bytes).unwrap_err().message.contains("syntax"));
     }
 
     #[test]
@@ -465,8 +447,8 @@ mod tests {
         }
         let mut parsed = 0;
         for case in &cases {
-            let copied = Envelope::from_bytes(case);
-            let shared = Envelope::from_payload(&Payload::copy_of(case));
+            let copied = from_bytes(case);
+            let shared = Envelope::from_payload(&Payload::from(case.as_slice()));
             assert_eq!(copied, shared);
             let Ok(env) = copied else { continue };
             parsed += 1;
@@ -485,9 +467,6 @@ mod tests {
     fn trailing_garbage_rejected() {
         let mut bytes = sample().to_bytes();
         bytes.push(0);
-        assert!(Envelope::from_bytes(&bytes)
-            .unwrap_err()
-            .message
-            .contains("trailing"));
+        assert!(from_bytes(&bytes).unwrap_err().message.contains("trailing"));
     }
 }

@@ -103,7 +103,7 @@ impl TraderDeskBehaviour {
 
     /// The quoted price for an instrument: pure, so a quote reply never
     /// leaks execution order.
-    pub fn price_of(instrument: i64) -> i64 {
+    fn price_of(instrument: i64) -> i64 {
         100 + (instrument.wrapping_mul(0x5DEECE66D).rem_euclid(900))
     }
 }

@@ -288,7 +288,7 @@ mod tests {
                 syntax,
                 payload.clone(),
             );
-            let arrived = Envelope::from_bytes(&env.to_bytes()).unwrap();
+            let arrived = Envelope::from_payload(&env.to_bytes().into()).unwrap();
             assert_eq!(decode_invocation(arrived.syntax, &arrived.payload), None);
         }
     }

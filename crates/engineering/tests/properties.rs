@@ -44,13 +44,13 @@ proptest! {
             payload,
         );
         env.seq = seq;
-        let back = Envelope::from_bytes(&env.to_bytes()).unwrap();
+        let back = Envelope::from_payload(&env.to_bytes().into()).unwrap();
         prop_assert_eq!(back, env);
     }
 
     #[test]
     fn envelope_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = Envelope::from_bytes(&bytes);
+        let _ = Envelope::from_payload(&bytes.into());
     }
 
     /// A marshalling round trip through any wire syntax preserves the

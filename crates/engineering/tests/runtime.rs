@@ -575,7 +575,11 @@ fn shape_of(call: impl FnOnce()) -> SpanShape {
     use rmodp_observe::{bus, EventKind};
 
     let before = CALL_COUNTERS.map(bus::counter);
-    let samples = || bus::histogram("engineering.call_us").map_or(0, |h| h.count());
+    let samples = || {
+        bus::snapshot_metrics()
+            .histogram("engineering.call_us")
+            .map_or(0, |h| h.count())
+    };
     let samples_before = samples();
     bus::take_events();
     call();

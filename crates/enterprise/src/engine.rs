@@ -36,14 +36,6 @@ impl ActionRequest {
     }
 }
 
-/// Engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineConfig {
-    /// Whether actions with no applicable permission are allowed.
-    /// Enterprise specifications usually close the world: deny by default.
-    pub allow_by_default: bool,
-}
-
 /// A policy-engine failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicyError {
@@ -104,7 +96,6 @@ pub enum AuditEntry {
 /// deterministic simulator.
 #[derive(Debug)]
 pub struct PolicyEngine {
-    config: EngineConfig,
     policies: Vec<Policy>,
     obligations: Vec<Obligation>,
     audit: Vec<AuditEntry>,
@@ -114,15 +105,7 @@ pub struct PolicyEngine {
 
 impl Default for PolicyEngine {
     fn default() -> Self {
-        Self::new(EngineConfig::default())
-    }
-}
-
-impl PolicyEngine {
-    /// Creates an engine.
-    pub fn new(config: EngineConfig) -> Self {
         Self {
-            config,
             policies: Vec::new(),
             obligations: Vec::new(),
             audit: Vec::new(),
@@ -130,7 +113,9 @@ impl PolicyEngine {
             now: 0,
         }
     }
+}
 
+impl PolicyEngine {
     /// Advances logical time (checks obligation deadlines).
     pub fn tick(&mut self, now: u64) {
         self.now = self.now.max(now);
@@ -190,9 +175,9 @@ impl PolicyEngine {
 
     /// Decides whether a request may proceed.
     ///
-    /// Prohibitions dominate permissions; with no applicable policy the
-    /// configured default applies. The actor's roles come from the
-    /// community.
+    /// Prohibitions dominate permissions; the world is closed, so an
+    /// action no permission covers is denied. The actor's roles come from
+    /// the community.
     ///
     /// # Errors
     ///
@@ -249,14 +234,8 @@ impl PolicyEngine {
                 });
             }
         }
-        Ok(if self.config.allow_by_default {
-            Decision::Allowed {
-                by: "default".to_owned(),
-            }
-        } else {
-            Decision::Denied {
-                by: "default".to_owned(),
-            }
+        Ok(Decision::Denied {
+            by: "default".to_owned(),
         })
     }
 
@@ -355,7 +334,7 @@ mod tests {
     }
 
     fn engine() -> PolicyEngine {
-        let mut e = PolicyEngine::new(EngineConfig::default());
+        let mut e = PolicyEngine::default();
         e.adopt(Policy::permission("deposit-open", "*", "deposit"))
             .unwrap();
         e.adopt(
@@ -425,16 +404,6 @@ mod tests {
             }
         );
         let req = ActionRequest::new(1, "create_account");
-        assert!(e.decide(&c, &req).unwrap().is_allowed());
-    }
-
-    #[test]
-    fn allow_by_default_flips_the_open_world() {
-        let c = branch();
-        let mut e = PolicyEngine::new(EngineConfig {
-            allow_by_default: true,
-        });
-        let req = ActionRequest::new(2, "anything");
         assert!(e.decide(&c, &req).unwrap().is_allowed());
     }
 

@@ -28,7 +28,7 @@
 //! community.add_role("teller")?;
 //! community.assign(10, "teller")?;
 //!
-//! let mut engine = PolicyEngine::new(Default::default());
+//! let mut engine = PolicyEngine::default();
 //! engine.adopt(Policy::permission("teller-ops", "teller", "withdraw")
 //!     .when("amount <= 500")?)?;
 //! engine.adopt(Policy::prohibition("limit", "teller", "withdraw")

@@ -37,7 +37,7 @@ fn build(policies: &[PolicySpec]) -> (Community, PolicyEngine) {
     for r in 0..3u8 {
         community.assign(r as u64, format!("r{r}")).unwrap();
     }
-    let mut engine = PolicyEngine::new(Default::default());
+    let mut engine = PolicyEngine::default();
     for (i, p) in policies.iter().enumerate() {
         let name = format!("p{i}");
         let role = format!("r{}", p.role);
@@ -136,7 +136,7 @@ proptest! {
         deadline in 1u64..100,
         discharge_at in 0u64..200,
     ) {
-        let mut engine = PolicyEngine::new(Default::default());
+        let mut engine = PolicyEngine::default();
         engine.adopt(Policy::obligation("ob", "r0", "act")).unwrap();
         let id = engine.create_obligation("ob", 1, "do it", Some(deadline)).unwrap();
         engine.tick(discharge_at);

@@ -8,11 +8,10 @@
 //! not, so detection latency — and everything downstream of it, like
 //! failover MTTR — is exactly reproducible for a given seed.
 //!
-//! A member missing [`DetectorConfig::suspect_after`] consecutive
-//! probes becomes **suspected** (a `suspect` event, counted on
-//! `detector.suspects`); a suspected member that answers again is
-//! **restored** (`restore`, `detector.restores`). Suspicion is the
-//! trigger for a quorum election
+//! A member missing two consecutive probes becomes **suspected** (a
+//! `suspect` event, counted on `detector.suspects`); a suspected member
+//! that answers again is **restored** (`restore`, `detector.restores`).
+//! Suspicion is the trigger for a quorum election
 //! ([`ReplicatedService::fail_over`]); it is deliberately only a
 //! *hint* — safety never depends on the detector being right, only
 //! liveness does, because a wrongly suspected leader is fenced by the
@@ -29,27 +28,15 @@ use rmodp_engineering::engine::Engine;
 use rmodp_netsim::time::SimDuration;
 use rmodp_observe::{bus, event, EventKind, Layer};
 
-/// Deterministic timing knobs of the [`FailureDetector`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetectorConfig {
-    /// Virtual-time gap between probe rounds ([`FailureDetector::run_round`]
-    /// idles the simulation up to one period from the round's start).
-    pub period: SimDuration,
-    /// How long a single probe waits for an answer.
-    pub timeout: SimDuration,
-    /// Consecutive misses before a member is suspected.
-    pub suspect_after: u32,
-}
+/// Virtual-time gap between probe rounds ([`FailureDetector::run_round`]
+/// idles the simulation up to one period from the round's start).
+const PERIOD: SimDuration = SimDuration::from_millis(20);
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        Self {
-            period: SimDuration::from_millis(20),
-            timeout: SimDuration::from_millis(10),
-            suspect_after: 2,
-        }
-    }
-}
+/// How long a single probe waits for an answer.
+const TIMEOUT: SimDuration = SimDuration::from_millis(10);
+
+/// Consecutive misses before a member is suspected.
+const SUSPECT_AFTER: u32 = 2;
 
 /// What a probe round observed about one member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,16 +59,14 @@ struct MemberHealth {
 #[derive(Debug)]
 pub struct FailureDetector {
     monitor: NodeId,
-    config: DetectorConfig,
     members: BTreeMap<InterfaceId, MemberHealth>,
 }
 
 impl FailureDetector {
     /// Creates a detector probing from `monitor`.
-    pub fn new(monitor: NodeId, config: DetectorConfig) -> Self {
+    pub fn new(monitor: NodeId) -> Self {
         Self {
             monitor,
-            config,
             members: BTreeMap::new(),
         }
     }
@@ -127,7 +112,7 @@ impl FailureDetector {
                 }
             } else {
                 health.misses += 1;
-                if !health.suspected && health.misses >= self.config.suspect_after {
+                if !health.suspected && health.misses >= SUSPECT_AFTER {
                     health.suspected = true;
                     bus::counter_add("detector.suspects", 1);
                     event(Layer::Functions, EventKind::Suspect)
@@ -142,27 +127,11 @@ impl FailureDetector {
                 }
             }
         }
-        let next = round_start + self.config.period;
+        let next = round_start + PERIOD;
         if engine.now() < next {
             engine.sim_mut().run_until(next);
         }
         transitions
-    }
-
-    /// Runs rounds until `deadline` (at least one). Convenience for
-    /// soaks: the detector self-paces on its period.
-    pub fn run_until(
-        &mut self,
-        engine: &mut Engine,
-        deadline: rmodp_netsim::time::SimTime,
-    ) -> Vec<Detection> {
-        let mut all = Vec::new();
-        loop {
-            all.extend(self.run_round(engine));
-            if engine.now() >= deadline {
-                return all;
-            }
-        }
     }
 
     /// One probe: any termination (even an application `Error`) counts
@@ -173,8 +142,8 @@ impl FailureDetector {
             let config = ChannelConfig {
                 retry: Some(
                     RetryPolicy::one_shot()
-                        .with_timeout(self.config.timeout)
-                        .with_deadline(self.config.timeout),
+                        .with_timeout(TIMEOUT)
+                        .with_deadline(TIMEOUT),
                 ),
                 ..ChannelConfig::default()
             };
@@ -230,8 +199,7 @@ mod tests {
     #[test]
     fn suspects_after_threshold_and_restores_on_answer() {
         let (mut engine, server, interface) = world();
-        let mut detector =
-            FailureDetector::new(engine.add_node(SyntaxId::Binary), DetectorConfig::default());
+        let mut detector = FailureDetector::new(engine.add_node(SyntaxId::Binary));
         detector.watch(interface);
         assert!(detector.run_round(&mut engine).is_empty());
         assert!(!detector.is_suspected(interface));
@@ -264,14 +232,14 @@ mod tests {
     fn rounds_consume_deterministic_virtual_time() {
         let (mut engine, _server, interface) = world();
         let monitor = engine.add_node(SyntaxId::Binary);
-        let mut detector = FailureDetector::new(monitor, DetectorConfig::default());
+        let mut detector = FailureDetector::new(monitor);
         detector.watch(interface);
         let t0 = engine.now();
         detector.run_round(&mut engine);
         let after_one = engine.now();
         // A healthy round still advances exactly one period.
-        assert_eq!(after_one, t0 + DetectorConfig::default().period);
+        assert_eq!(after_one, t0 + PERIOD);
         detector.run_round(&mut engine);
-        assert_eq!(engine.now(), after_one + DetectorConfig::default().period);
+        assert_eq!(engine.now(), after_one + PERIOD);
     }
 }

@@ -39,7 +39,7 @@ pub mod relocator;
 pub mod security;
 pub mod storage;
 
-pub use detect::{Detection, DetectorConfig, FailureDetector};
+pub use detect::{Detection, FailureDetector};
 pub use events::EventNotifier;
 pub use group::GroupManager;
 pub use relocator::Relocator;

@@ -49,7 +49,7 @@ impl RelationshipRepository {
     }
 
     /// Objects related to a subject under a kind.
-    pub fn objects_of(&self, kind: &str, subject: u64) -> Vec<u64> {
+    fn objects_of(&self, kind: &str, subject: u64) -> Vec<u64> {
         self.triples
             .iter()
             .filter(|r| r.kind == kind && r.subject == subject)
@@ -70,16 +70,6 @@ impl RelationshipRepository {
             }
         }
         seen.into_iter().collect()
-    }
-
-    /// Number of stored relationships.
-    pub fn len(&self) -> usize {
-        self.triples.len()
-    }
-
-    /// Whether the repository is empty.
-    pub fn is_empty(&self) -> bool {
-        self.triples.is_empty()
     }
 }
 

@@ -53,17 +53,17 @@ impl AssociationSchema {
     }
 
     /// The association name.
-    pub fn name(&self) -> &str {
+    fn name(&self) -> &str {
         &self.name
     }
 
     /// The left role name.
-    pub fn left_role(&self) -> &str {
+    fn left_role(&self) -> &str {
         &self.left_role
     }
 
     /// The right role name.
-    pub fn right_role(&self) -> &str {
+    fn right_role(&self) -> &str {
         &self.right_role
     }
 }
@@ -161,16 +161,6 @@ impl AssociationSet {
         self.links.retain(|&l| l != (left, right));
         before != self.links.len()
     }
-
-    /// Number of links.
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Whether there are no links.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
-    }
 }
 
 /// A composite schema: named component schemas plus the associations that
@@ -230,11 +220,6 @@ impl CompositeSchema {
         }
         self.associations.push(assoc);
         Ok(self)
-    }
-
-    /// The composite name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The component schemas by role.
@@ -310,7 +295,7 @@ mod tests {
         ));
         assert!(set.unlink(1, 100));
         assert!(!set.unlink(1, 100));
-        assert!(set.is_empty());
+        assert!(set.links.is_empty());
         // After unlinking, the slot is free again.
         set.link(2, 100).unwrap();
     }

@@ -154,7 +154,7 @@ pub struct InvariantSchema {
 
 impl InvariantSchema {
     /// Creates an invariant from an already-parsed predicate.
-    pub fn new(name: impl Into<String>, predicate: Expr) -> Self {
+    fn new(name: impl Into<String>, predicate: Expr) -> Self {
         Self {
             name: name.into(),
             compiled: Predicate::compile(&predicate).into_owned(),

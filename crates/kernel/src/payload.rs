@@ -6,8 +6,8 @@
 //! clones with a reference-counted slice of one immutable buffer:
 //! cloning shares, [`Payload::slice`] reslices without copying, and the
 //! only ways to touch bytes are [`Payload::new`] (materialise a fresh
-//! buffer from an owned `Vec<u8>`) and [`Payload::copy_of`] (deep-copy
-//! borrowed bytes).
+//! buffer from an owned `Vec<u8>`) and `From<&[u8]>` (deep-copy borrowed
+//! bytes).
 //!
 //! Both materialisation paths are metered on the observe bus —
 //! `kernel.payload.allocs` for fresh buffers, `kernel.payload.copies`
@@ -56,18 +56,6 @@ impl Payload {
     /// allocation, not a copy.
     pub fn new(bytes: Vec<u8>) -> Self {
         bus::counter_add(PAYLOAD_ALLOCS, 1);
-        let end = bytes.len();
-        Payload {
-            data: Some(Arc::from(bytes)),
-            start: 0,
-            end,
-        }
-    }
-
-    /// Deep-copies borrowed bytes into a fresh payload. Metered as a
-    /// copy — the invocation hot path must never take this route.
-    pub fn copy_of(bytes: &[u8]) -> Self {
-        bus::counter_add(PAYLOAD_COPIES, 1);
         let end = bytes.len();
         Payload {
             data: Some(Arc::from(bytes)),
@@ -137,15 +125,23 @@ impl From<Vec<u8>> for Payload {
     }
 }
 
+/// Deep-copies borrowed bytes into a fresh payload. Metered as a copy —
+/// the invocation hot path must never take this route.
 impl From<&[u8]> for Payload {
     fn from(bytes: &[u8]) -> Self {
-        Payload::copy_of(bytes)
+        bus::counter_add(PAYLOAD_COPIES, 1);
+        let end = bytes.len();
+        Payload {
+            data: Some(Arc::from(bytes)),
+            start: 0,
+            end,
+        }
     }
 }
 
 impl<const N: usize> From<&[u8; N]> for Payload {
     fn from(bytes: &[u8; N]) -> Self {
-        Payload::copy_of(bytes)
+        Payload::from(&bytes[..])
     }
 }
 
@@ -214,9 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn copy_of_is_metered_as_a_copy() {
+    fn a_borrowed_copy_is_metered_as_a_copy() {
         bus::reset();
-        let p = Payload::copy_of(b"abc");
+        let p = Payload::from(b"abc");
         assert_eq!(p, b"abc".to_vec());
         assert_eq!(bus::counter(PAYLOAD_COPIES), 1);
     }

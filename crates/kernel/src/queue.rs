@@ -121,6 +121,14 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.item))
     }
 
+    /// Removes the earliest entries while `skip` accepts them, without
+    /// moving the clock: what was cancelled before it fell due.
+    pub fn drop_while(&mut self, mut skip: impl FnMut(&E) -> bool) {
+        while self.heap.peek().is_some_and(|e| skip(&e.item)) {
+            self.heap.pop();
+        }
+    }
+
     /// Idles the clock forward to `at` (never backward) without firing
     /// anything, publishing the new time to the observe bus.
     ///

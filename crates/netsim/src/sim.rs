@@ -347,12 +347,6 @@ impl Sim {
         self.procs.insert(addr, Box::new(process)).is_some()
     }
 
-    /// Detaches the process at an address; messages sent there are then
-    /// dropped as unroutable. Returns `true` if a process was attached.
-    pub fn detach(&mut self, addr: Addr) -> bool {
-        self.procs.remove(&addr).is_some()
-    }
-
     /// Immutable access to an attached process of a known concrete type.
     pub fn inspect<P: Process>(&self, addr: Addr) -> Option<&P> {
         self.procs.get(&addr)?.as_any().downcast_ref::<P>()
@@ -411,14 +405,16 @@ impl Sim {
 
     /// Executes the next event, if any. Returns `false` when the queue is
     /// empty. Popping advances the kernel clock (and the observe bus's
-    /// time) to the event's timestamp.
+    /// time) to the event's timestamp; a cancelled timer is dropped
+    /// unfired and moves no clock.
     pub fn step(&mut self) -> bool {
-        let Some((_, pending)) = self.queue.pop() else {
+        if self.next_due().is_none() {
             return false;
-        };
+        }
+        let (_, pending) = self.queue.pop().expect("an entry is due");
         match pending {
             Pending::Deliver { msg, span } => self.deliver(msg, span),
-            Pending::Timer { addr, tag, id } => self.fire_timer(addr, tag, id),
+            Pending::Timer { addr, tag, .. } => self.fire_timer(addr, tag),
             Pending::Action(action) => {
                 let kind = match action {
                     ShardAction::Restart(_) | ShardAction::Heal(..) => EventKind::FaultClear,
@@ -452,7 +448,7 @@ impl Sim {
     /// queued); the clock is advanced to the deadline.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut steps = 0u64;
-        while let Some(next) = self.queue.peek_time() {
+        while let Some(next) = self.next_due() {
             if next > deadline {
                 break;
             }
@@ -607,10 +603,18 @@ impl Sim {
         self.commands = commands;
     }
 
-    fn fire_timer(&mut self, addr: Addr, tag: u64, id: TimerId) {
-        if self.cancelled.remove(&id) {
-            return;
+    /// Drops the cancelled timers at the head of the queue; returns when
+    /// the next live entry is due.
+    fn next_due(&mut self) -> Option<SimTime> {
+        if !self.cancelled.is_empty() {
+            let cancelled = &mut self.cancelled;
+            self.queue
+                .drop_while(|p| matches!(p, Pending::Timer { id, .. } if cancelled.remove(id)));
         }
+        self.queue.peek_time()
+    }
+
+    fn fire_timer(&mut self, addr: Addr, tag: u64) {
         if self.topology.is_crashed(addr.node) {
             // Swallowed in silence: no observe event, no counter. Emitting
             // one here would add lines to every chaos run's event stream
@@ -699,7 +703,7 @@ impl ShardWorld for Sim {
 
     fn run_before(&mut self, horizon: SimTime) -> u64 {
         let mut events = 0;
-        while self.queue.peek_time().is_some_and(|t| t < horizon) {
+        while self.next_due().is_some_and(|t| t < horizon) {
             self.step();
             events += 1;
         }
@@ -1114,8 +1118,7 @@ mod tests {
     #[test]
     fn detach_makes_address_unroutable() {
         let (mut sim, pa, pb) = two_node_sim(LinkConfig::ideal());
-        assert!(sim.detach(pa));
-        assert!(!sim.detach(pa));
+        assert!(sim.procs.remove(&pa).is_some());
         sim.send_from(pb, pa, vec![1]);
         sim.run_until_idle();
         assert_eq!(sim.metrics().dropped_unroutable, 1);

@@ -28,7 +28,7 @@ impl Default for LinkConfig {
 
 impl LinkConfig {
     /// A perfect, instantaneous link (useful in unit tests).
-    pub fn ideal() -> Self {
+    pub(crate) fn ideal() -> Self {
         Self {
             latency: SimDuration::ZERO,
             jitter: SimDuration::ZERO,

@@ -31,7 +31,7 @@ pub struct Metrics {
 
 impl Metrics {
     /// All drops combined.
-    pub fn dropped(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.dropped_loss + self.dropped_partition + self.dropped_crash + self.dropped_unroutable
     }
 }

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use rmodp_netsim::sim::{Addr, Ctx, Message, Process, Sim};
 use rmodp_netsim::time::SimDuration;
 use rmodp_netsim::topology::{LinkConfig, Topology};
+use rmodp_netsim::trace::Metrics;
 use rmodp_observe::{bus, Event, EventKind};
 
 /// Forwards each message to a fixed next hop a bounded number of times.
@@ -75,6 +76,11 @@ fn run(seed: u64, w: &Workload) -> (Sim, Vec<Event>) {
     (sim, bus::take_events())
 }
 
+/// All drops combined.
+fn dropped(m: &Metrics) -> u64 {
+    m.dropped_loss + m.dropped_partition + m.dropped_crash + m.dropped_unroutable
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -82,7 +88,7 @@ proptest! {
     fn messages_are_conserved(seed in 0u64..1_000, w in arb_workload()) {
         let (sim, _) = run(seed, &w);
         let m = sim.metrics();
-        prop_assert_eq!(m.sent, m.delivered + m.dropped());
+        prop_assert_eq!(m.sent, m.delivered + dropped(&m));
     }
 
     #[test]
@@ -120,7 +126,7 @@ proptest! {
         }
         sim.run_until_idle();
         prop_assert_eq!(sim.metrics().delivered, count as u64);
-        prop_assert_eq!(sim.metrics().dropped(), 0);
+        prop_assert_eq!(dropped(&sim.metrics()), 0);
     }
 
     #[test]

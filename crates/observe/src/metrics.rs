@@ -138,14 +138,6 @@ impl Histogram {
             self.percentile(99.0),
         )
     }
-
-    /// Number of distinct buckets currently occupied — the histogram's
-    /// memory footprint is proportional to this, never to [`count`].
-    ///
-    /// [`count`]: Self::count
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 /// Writes `name`'s entry (default if absent); only a name's first use allocates.
@@ -185,11 +177,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Reads a gauge.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Reads a histogram.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -204,12 +191,6 @@ impl Registry {
     pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
-
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Clears everything.
     pub fn clear(&mut self) {
         self.counters.clear();
@@ -321,7 +302,7 @@ mod tests {
         }
         assert_eq!(h.count(), 100_000);
         // 128 identity buckets + 16 per octave for ~10 octaves.
-        assert!(h.bucket_count() < 320, "got {}", h.bucket_count());
+        assert!(h.buckets.len() < 320, "got {}", h.buckets.len());
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 99_999);
         let total: u64 = h.buckets.values().sum();
@@ -352,7 +333,7 @@ mod tests {
         r.observe("h", 10);
         r.observe("h", 20);
         assert_eq!(r.counter("a.b"), 5);
-        assert_eq!(r.gauge("g"), Some(-7));
+        assert_eq!(r.gauges.get("g"), Some(&-7));
         assert_eq!(r.histogram("h").unwrap().count(), 2);
         let rendered = r.render();
         assert!(rendered.contains("a.b"));

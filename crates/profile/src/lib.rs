@@ -61,13 +61,11 @@ pub struct InvocationProfile {
 
 impl InvocationProfile {
     /// End-to-end virtual-time latency, µs.
-    pub fn total_us(&self) -> u64 {
+    fn total_us(&self) -> u64 {
         self.end_us - self.start_us
     }
 
-    /// Sum of attributed segments — equals [`total_us`] by construction.
-    ///
-    /// [`total_us`]: Self::total_us
+    /// Sum of attributed segments — equals `total_us` by construction.
     pub fn segment_sum(&self) -> u64 {
         self.segments.iter().map(|&(_, v)| v).sum()
     }

@@ -238,11 +238,6 @@ impl<M: StableMedia> StoreEngine<M> {
         self.log.media().snapshot_len()
     }
 
-    /// The media, for crash probes in tests.
-    pub fn media_mut(&mut self) -> &mut M {
-        self.log.media_mut()
-    }
-
     /// Consumes the engine, returning its media (e.g. to reopen after a
     /// simulated crash).
     pub fn into_media(self) -> M {
@@ -465,7 +460,7 @@ mod tests {
         let mut engine = open_mem();
         commit_one(&mut engine, "a", 1);
         let snap_bytes = encode_snapshot(engine.state(), 5);
-        let media = engine.media_mut();
+        let media = engine.log.media_mut();
         media.snapshot_write(&snap_bytes);
         media.sync();
         // Crash: snapshot installed, full WAL still present.

@@ -135,9 +135,9 @@ pub struct Oo7Schemas {
     pub document: StaticSchema,
 }
 
-impl Oo7Schemas {
+impl Default for Oo7Schemas {
     /// Builds the four schemas.
-    pub fn new() -> Self {
+    fn default() -> Self {
         let atomic = StaticSchema::new(
             "oo7.atomic",
             DataType::record([
@@ -211,12 +211,6 @@ impl Oo7Schemas {
     }
 }
 
-impl Default for Oo7Schemas {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// What the load pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadReport {
@@ -252,7 +246,7 @@ impl Oo7Workload {
         Self {
             config,
             seed,
-            schemas: Oo7Schemas::new(),
+            schemas: Oo7Schemas::default(),
             date_index: BTreeMap::new(),
         }
     }

@@ -60,7 +60,7 @@ fn atomic() -> Value {
 
 #[test]
 fn a_passing_check_of_an_atomic_part_allocates_nothing() {
-    let schemas = Oo7Schemas::new();
+    let schemas = Oo7Schemas::default();
     let part = atomic();
     let (checked, allocs) = counted(|| schemas.atomic.check(&part));
     assert!(checked.is_ok());

@@ -26,7 +26,7 @@
 //!    the conjuncts of the constraint that no used path answers
 //!    *exactly*, compiled once, are evaluated on every candidate. A
 //!    lookup answers its atom exactly when the offers it posts are the
-//!    offers the atom holds on, no more ([`serves_exactly`] says when);
+//!    offers the atom holds on, no more (`serves_exactly` says when);
 //!    every candidate lies on every used path, so such an atom is true
 //!    on it and re-evaluating it could only say so again. Every other
 //!    lookup over-approximates — strict bounds looked up inclusively,
@@ -74,7 +74,7 @@ pub struct IndexStep {
     /// the residual filter instead).
     pub used: bool,
     /// Whether the path answers its atom exactly, so that the residual
-    /// filter does not re-check it (see [`serves_exactly`]).
+    /// filter does not re-check it (see `serves_exactly`).
     pub exact: bool,
 }
 

@@ -98,7 +98,7 @@ impl ShardedFederation {
     }
 
     /// The shard that owns a service type.
-    pub fn shard_of(&self, service_type: &str) -> &str {
+    fn shard_of(&self, service_type: &str) -> &str {
         let i = (fnv1a(service_type.as_bytes()) % self.names.len() as u64) as usize;
         &self.names[i]
     }

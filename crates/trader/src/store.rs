@@ -209,7 +209,7 @@ impl PropertyIndex {
         self.entries
     }
 
-    /// Whether no offer is posted under a [lossy](lossy) `Int`, so that
+    /// Whether no offer is posted under a lossy `Int`, so that
     /// every key stands for one number, text or bool (module docs).
     pub fn is_exact(&self) -> bool {
         self.lossy == 0

@@ -163,14 +163,6 @@ impl LockManager {
         woken
     }
 
-    /// Current holders of an item's locks.
-    pub fn holders(&self, item: &str) -> Vec<(TxId, LockMode)> {
-        self.items
-            .get(item)
-            .map(|l| l.holders.iter().map(|(t, m)| (*t, *m)).collect())
-            .unwrap_or_default()
-    }
-
     fn find_cycle(&self, start: TxId) -> Option<Vec<TxId>> {
         // DFS from start following waits-for edges, looking for a path
         // back to start.
@@ -195,11 +187,20 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Current holders of an item's locks.
+    fn holders(lm: &LockManager, item: &str) -> Vec<(TxId, LockMode)> {
+        lm.items
+            .get(item)
+            .map(|l| l.holders.iter().map(|(t, m)| (*t, *m)).collect())
+            .unwrap_or_default()
+    }
 
     /// Whether `tx` holds `item` in at least `mode`.
     fn holds(lm: &LockManager, tx: TxId, item: &str, mode: LockMode) -> bool {
         let strong_enough = |held| mode == LockMode::Shared || held == LockMode::Exclusive;
-        lm.holders(item)
+        holders(lm, item)
             .iter()
             .any(|&(t, held)| t == tx && strong_enough(held))
     }
@@ -330,6 +331,60 @@ mod tests {
         lm.acquire(T1, "x", LockMode::Exclusive);
         lm.release_all(T1);
         assert!(lm.release_all(T1).is_empty());
-        assert!(lm.holders("x").is_empty());
+        assert!(holders(&lm, "x").is_empty());
+    }
+
+    #[derive(Debug, Clone)]
+    enum LockOp {
+        Acquire { tx: u8, item: u8, exclusive: bool },
+        Release { tx: u8 },
+    }
+
+    fn arb_lock_ops() -> impl Strategy<Value = Vec<LockOp>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0u8..6, 0u8..4, any::<bool>()).prop_map(|(tx, item, exclusive)| {
+                    LockOp::Acquire {
+                        tx,
+                        item,
+                        exclusive,
+                    }
+                }),
+                (0u8..6).prop_map(|tx| LockOp::Release { tx }),
+            ],
+            1..60,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Safety: at no point do two transactions hold conflicting locks.
+        #[test]
+        fn lock_manager_never_grants_conflicts(ops in arb_lock_ops()) {
+            let mut lm = LockManager::new();
+            for op in ops {
+                match op {
+                    LockOp::Acquire { tx, item, exclusive } => {
+                        let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+                        let _ = lm.acquire(TxId::new(tx as u64 + 1), &format!("i{item}"), mode);
+                    }
+                    LockOp::Release { tx } => {
+                        lm.release_all(TxId::new(tx as u64 + 1));
+                    }
+                }
+                for item in 0..4u8 {
+                    let holders = holders(&lm, &format!("i{item}"));
+                    let exclusives = holders
+                        .iter()
+                        .filter(|(_, m)| *m == LockMode::Exclusive)
+                        .count();
+                    prop_assert!(exclusives <= 1, "two exclusive holders on i{}", item);
+                    if exclusives == 1 {
+                        prop_assert_eq!(holders.len(), 1, "exclusive shared with others on i{}", item);
+                    }
+                }
+            }
+        }
     }
 }

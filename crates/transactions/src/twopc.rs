@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rmodp_core::codec::{syntax_for, SyntaxId};
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
-use rmodp_netsim::sim::{Addr, Ctx, Message, Process};
+use rmodp_netsim::sim::{Addr, Ctx, Message, Process, TimerId};
 use rmodp_netsim::time::SimDuration;
 use rmodp_observe::{bus, event, EventKind, Layer};
 
@@ -65,6 +65,8 @@ struct TxProgress {
     acked: BTreeSet<Addr>,
     attempts: u32,
     outcome: TxOutcome,
+    /// The one retransmission timer armed for this transaction.
+    timer: Option<TimerId>,
 }
 
 /// The two-phase-commit coordinator process.
@@ -138,7 +140,7 @@ impl Coordinator {
             let writes = self.writes_for(tx, i);
             ctx.send(*addr, msg("prepare", tx, vec![("writes", writes)]));
         }
-        ctx.set_timer(self.retry_after, tx.raw());
+        self.arm(ctx, tx);
     }
 
     fn send_decision(&mut self, ctx: &mut Ctx<'_>, tx: TxId, commit: bool) {
@@ -149,7 +151,16 @@ impl Coordinator {
             }
             ctx.send(addr, msg(kind, tx, vec![]));
         }
-        ctx.set_timer(self.retry_after, tx.raw());
+        self.arm(ctx, tx);
+    }
+
+    /// Arms `tx`'s retransmission timer, cancelling the one it replaces.
+    fn arm(&mut self, ctx: &mut Ctx<'_>, tx: TxId) {
+        let timer = ctx.set_timer(self.retry_after, tx.raw());
+        let progress = self.transactions.get_mut(&tx).expect("known tx");
+        if let Some(old) = progress.timer.replace(timer) {
+            ctx.cancel_timer(old);
+        }
     }
 
     fn decide(&mut self, ctx: &mut Ctx<'_>, tx: TxId, commit: bool) {
@@ -224,6 +235,7 @@ impl Process for Coordinator {
                         acked: BTreeSet::new(),
                         attempts: 0,
                         outcome: TxOutcome::Pending,
+                        timer: None,
                     },
                 );
                 self.send_prepares(ctx, tx);
@@ -255,14 +267,14 @@ impl Process for Coordinator {
                 }
             }
             "ack" => {
-                let all = {
-                    let Some(progress) = self.transactions.get_mut(&tx) else {
-                        return;
-                    };
-                    progress.acked.insert(m.src);
-                    progress.acked.len() >= self.participants.len()
+                let Some(progress) = self.transactions.get_mut(&tx) else {
+                    return;
                 };
-                if all {
+                progress.acked.insert(m.src);
+                if progress.acked.len() >= self.participants.len() {
+                    if let Some(timer) = progress.timer.take() {
+                        ctx.cancel_timer(timer);
+                    }
                     ctx.note(|| format!("{tx} fully acknowledged"));
                 }
             }
@@ -275,6 +287,7 @@ impl Process for Coordinator {
         let Some(progress) = self.transactions.get_mut(&tx) else {
             return;
         };
+        progress.timer = None;
         match progress.decided {
             None => {
                 progress.attempts += 1;
@@ -439,6 +452,23 @@ mod tests {
         assert_eq!(committed(&net, 0, "x"), Some(Value::Int(10)));
         assert_eq!(committed(&net, 1, "y"), Some(Value::Int(20)));
         assert_eq!(committed(&net, 2, "z"), Some(Value::Int(30)));
+    }
+
+    #[test]
+    fn a_clean_round_leaves_no_timer_behind() {
+        let mut net = build(8, 3, LinkConfig::with_latency(SimDuration::from_millis(1)));
+        submit(&mut net, 1, vec![(0, "x", 1), (1, "y", 2), (2, "z", 3)]);
+        let acked = |net: &Net| {
+            let coordinator = net.sim.inspect::<Coordinator>(net.coord).unwrap();
+            let progress = coordinator.transactions.get(&TxId::new(1));
+            progress.map_or(0, |p| p.acked.len())
+        };
+        while acked(&net) < 3 {
+            assert!(net.sim.step(), "the round ends with every ack in");
+        }
+        let done = net.sim.now();
+        assert!(!net.sim.step(), "no timer is left armed");
+        assert_eq!(net.sim.now(), done);
     }
 
     #[test]

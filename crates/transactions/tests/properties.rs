@@ -1,6 +1,6 @@
-//! Property tests for the transaction function: lock safety, log
-//! replayability, conservation under random transactional workloads, and
-//! 2PC atomicity under message loss.
+//! Property tests for the transaction function: log replayability,
+//! conservation under random transactional workloads, and 2PC atomicity
+//! under message loss. Lock safety is `lock.rs`'s own property test.
 
 use proptest::prelude::*;
 
@@ -9,60 +9,11 @@ use rmodp_core::value::Value;
 use rmodp_netsim::sim::{Addr, Sim};
 use rmodp_netsim::time::SimDuration;
 use rmodp_netsim::topology::{LinkConfig, Topology};
-use rmodp_transactions::lock::{LockManager, LockMode};
 use rmodp_transactions::rm::{ResourceManager, RmError, TxProfile};
 use rmodp_transactions::twopc::{Coordinator, Participant, TxOutcome, TxRequest};
 
-#[derive(Debug, Clone)]
-enum LockOp {
-    Acquire { tx: u8, item: u8, exclusive: bool },
-    Release { tx: u8 },
-}
-
-fn arb_lock_ops() -> impl Strategy<Value = Vec<LockOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (0u8..6, 0u8..4, any::<bool>()).prop_map(|(tx, item, exclusive)| LockOp::Acquire {
-                tx,
-                item,
-                exclusive
-            }),
-            (0u8..6).prop_map(|tx| LockOp::Release { tx }),
-        ],
-        1..60,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Safety: at no point do two transactions hold conflicting locks.
-    #[test]
-    fn lock_manager_never_grants_conflicts(ops in arb_lock_ops()) {
-        let mut lm = LockManager::new();
-        for op in ops {
-            match op {
-                LockOp::Acquire { tx, item, exclusive } => {
-                    let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-                    let _ = lm.acquire(TxId::new(tx as u64 + 1), &format!("i{item}"), mode);
-                }
-                LockOp::Release { tx } => {
-                    lm.release_all(TxId::new(tx as u64 + 1));
-                }
-            }
-            for item in 0..4u8 {
-                let holders = lm.holders(&format!("i{item}"));
-                let exclusives = holders
-                    .iter()
-                    .filter(|(_, m)| *m == LockMode::Exclusive)
-                    .count();
-                prop_assert!(exclusives <= 1, "two exclusive holders on i{}", item);
-                if exclusives == 1 {
-                    prop_assert_eq!(holders.len(), 1, "exclusive shared with others on i{}", item);
-                }
-            }
-        }
-    }
 
     /// Durability: after any sequence of committed/aborted transactions,
     /// crash + recover reproduces exactly the committed state.

@@ -174,11 +174,6 @@ impl FailureGuard {
         self.backups.push_back(backup);
     }
 
-    /// The backup locations still available, in selection order.
-    pub fn backup_pool(&self) -> impl Iterator<Item = (NodeId, CapsuleId)> + '_ {
-        self.backups.iter().copied()
-    }
-
     /// The cluster's current home.
     pub fn home(&self) -> (NodeId, CapsuleId, ClusterId) {
         self.home
@@ -208,7 +203,7 @@ impl FailureGuard {
     }
 
     /// Whether the home node is currently crashed.
-    pub fn home_failed(&self, engine: &Engine) -> bool {
+    fn home_failed(&self, engine: &Engine) -> bool {
         !alive(engine, self.home.0)
     }
 
@@ -612,7 +607,7 @@ mod tests {
         let untouched = |w: &World, why: &str| {
             assert_eq!(w.guard.home(), old_home, "{why}");
             assert_eq!(
-                w.guard.backup_pool().collect::<Vec<_>>(),
+                w.guard.backups.iter().copied().collect::<Vec<_>>(),
                 [w.backup],
                 "{why}"
             );
@@ -645,7 +640,10 @@ mod tests {
         w.guard.log_op(&mut store, ghost, "Add", &add(1));
         assert!(matches!(w.recover(&mut store), Err(FailureError::Eng(_))));
         assert_eq!(w.guard.home(), old_home);
-        assert_eq!(w.guard.backup_pool().collect::<Vec<_>>(), [w.backup]);
+        assert_eq!(
+            w.guard.backups.iter().copied().collect::<Vec<_>>(),
+            [w.backup]
+        );
         assert_eq!(
             w.engine.nucleus(w.backup.0).unwrap().structure.census(),
             (1, 0, 0)
@@ -714,7 +712,7 @@ mod tests {
         w.recover(&mut store).unwrap();
         assert_eq!(w.guard.home().0, second);
         // The dead entry stays queued (its node may heal)…
-        assert_eq!(w.guard.backup_pool().count(), 1);
+        assert_eq!(w.guard.backups.len(), 1);
         // …and with the pool otherwise dead, recovery reports NoBackup.
         w.crash(second);
         assert!(matches!(w.recover(&mut store), Err(FailureError::NoBackup)));

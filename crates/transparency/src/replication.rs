@@ -130,7 +130,7 @@ impl ReplicatedService {
     /// Creates the front and a group containing the given replicas. No
     /// epoch is elected yet: quorum operations answer
     /// [`ReplicationError::NoLeader`] until [`fail_over`](Self::fail_over).
-    pub fn new(
+    fn new(
         engine: &mut Engine,
         infra: &mut OdpInfra,
         client: NodeId,
@@ -155,7 +155,7 @@ impl ReplicatedService {
     /// with epoch 1 elected immediately — the constructor fails with
     /// [`GroupError::NoQuorum`] if a majority of the roster is not
     /// reachable at birth.
-    pub fn quorum(
+    fn quorum(
         engine: &mut Engine,
         infra: &mut OdpInfra,
         client: NodeId,

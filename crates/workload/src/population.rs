@@ -148,7 +148,7 @@ impl PopulationScenario {
     }
 
     /// The operation name for an op code in the completion log.
-    pub fn op_name(self, code: u8) -> &'static str {
+    fn op_name(self, code: u8) -> &'static str {
         match (self, code) {
             (PopulationScenario::Bank, 0) => "Deposit",
             (PopulationScenario::Bank, _) => "Withdraw",
@@ -226,7 +226,7 @@ impl PopulationConfig {
     }
 
     /// Total capsules simulated.
-    pub fn capsules(&self) -> u64 {
+    fn capsules(&self) -> u64 {
         self.regions as u64 * self.capsules_per_region as u64
     }
 
@@ -278,7 +278,7 @@ pub struct Completion {
     pub capsule: u32,
     /// Which of the capsule's operations this was.
     pub op_seq: u32,
-    /// Scenario-relative op code (see [`PopulationScenario::op_name`]).
+    /// Scenario-relative op code (see `PopulationScenario::op_name`).
     pub op: u8,
     /// 0 = ok, 1 = rejected, 2 = not-here.
     pub status: u8,
@@ -373,12 +373,12 @@ impl ClientHubProcess {
     }
 
     /// Requests issued by this hub.
-    pub fn sent(&self) -> u64 {
+    fn sent(&self) -> u64 {
         self.sent
     }
 
     /// Completions recorded by this hub, in arrival order.
-    pub fn completions(&self) -> &[Completion] {
+    fn completions(&self) -> &[Completion] {
         &self.completions
     }
 

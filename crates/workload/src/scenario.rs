@@ -94,7 +94,7 @@ pub enum LoadModel {
 
 impl LoadModel {
     /// A short human-readable description (used in reports).
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             LoadModel::Open { arrivals } => format!("open[{}]", arrivals.describe()),
             LoadModel::Closed {

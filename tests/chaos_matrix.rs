@@ -213,11 +213,11 @@ fn retransmission_under_loss_executes_each_call_once() {
     engine
         .sim_mut()
         .topology_mut()
-        .set_link(c, s, LinkConfig::ideal());
+        .set_link(c, s, LinkConfig::with_latency(SimDuration::ZERO));
     engine
         .sim_mut()
         .topology_mut()
-        .set_link(s, c, LinkConfig::ideal());
+        .set_link(s, c, LinkConfig::with_latency(SimDuration::ZERO));
     let got = engine
         .call(channel, "Get", &Value::record::<&str, _>([]))
         .unwrap();

@@ -14,7 +14,7 @@ use rmodp::core::value::Value;
 use rmodp::engineering::behaviour::CounterBehaviour;
 use rmodp::engineering::channel::{ChannelConfig, RetryPolicy};
 use rmodp::engineering::engine::Engine;
-use rmodp::functions::{DetectorConfig, FailureDetector};
+use rmodp::functions::FailureDetector;
 use rmodp::observe::bus;
 use rmodp::transparency::replication::{quorum_counters, ReplicatedService, ReplicationError};
 use rmodp::transparency::OdpInfra;
@@ -32,7 +32,7 @@ fn quorum_schedule(seed: u64) -> String {
     let mut infra = OdpInfra::new();
     let (mut svc, replicas) = quorum_counters(&mut engine, &mut infra, client, 5).unwrap();
     let monitor = engine.add_node(SyntaxId::Binary);
-    let mut detector = FailureDetector::new(monitor, DetectorConfig::default());
+    let mut detector = FailureDetector::new(monitor);
     for r in &replicas {
         detector.watch(*r);
     }

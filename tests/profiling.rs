@@ -148,7 +148,7 @@ fn assert_exact(events: &[Event], at_least: usize) -> Vec<profile::InvocationPro
     for p in &profiles {
         assert_eq!(
             p.segment_sum(),
-            p.total_us(),
+            p.end_us - p.start_us,
             "segments must sum exactly to observed latency: {p:?}"
         );
         let known: Vec<&str> = p.segments.iter().map(|&(n, _)| n).collect();

@@ -805,6 +805,7 @@ const CALLERS: &[&str] = &["crates/*/src", "src", "examples", "benchmark/src"];
 /// the census: delete it, or add a row here.
 const KEEP: &[&str] = &[
     // Named by the paper: the viewpoint languages and the ODP functions.
+    "ActionRequest::new: §3, an action: an actor and the action it performs",
     "PolicyEngine::revoke: §3, a performative action withdrawing a policy",
     "ActionRequest::with_context: §3, the context of an action, which a policy's condition \
      ranges over",
@@ -825,19 +826,22 @@ const KEEP: &[&str] = &[
     "BindingObject::remove_endpoint: §5, a binding object loses a party",
     "Engine::announce: §5.1, an announcement: an invocation with no termination",
     "notation::parse_interface_type: §5.1, the interface-type notation",
+    "SignalSignature::new: §5.1, a signal interface signature, built only here",
     "SignalSignature::signal: §5.1, a signal interface's signals",
     "OperationSignature::check_args: §5.1, an invocation checked against its signature",
     "OperationSignature::check_termination: §5.1, a termination checked against its signature",
     "DataType::is_subtype_of: §5.1.1, data subtyping with interface refs equal by name",
+    "ObjectTemplate::interface: §5.2, an object template's interface template by name",
     "ObjectTemplate::instantiate: §5.2, creating an object",
     "ComputationalObject::state: §5.2, reading the state of an object",
     "ComputationalObject::state_mut: §5.2, writing the state of an object",
+    "ComputationalObject::interface: §5.2, an object's interface by its template",
     "ComputationalObject::create_interface: §5.2, creating an interface",
     "ComputationalObject::destroy_interface: §5.2, deleting an interface",
     "computational::branch_template: Figure 2, the bank branch object template",
     "AuditStub::entries: Figure 4, the log an auditing stub keeps of what crosses it",
     "StructurePolicy::single_object_capsules: §6, the one-object-per-capsule profile",
-    "NodeStructure::validate: §6.2, the engineering structuring rules checked",
+    "Engine::with_policy: §6.2, an engine whose nodes keep a structuring policy",
     "NucleusProcess::remove_object: §6.2, the nucleus deletes an object",
     "management::coordinated_checkpoint: §8.1, checkpointing a set of clusters",
     "management::coordinated_restore: §8.1, recovering a set of clusters",
@@ -847,6 +851,7 @@ const KEEP: &[&str] = &[
     "EventNotifier::poll: §8.2, event notification",
     "GroupManager::create: §8.2, creating a replica group",
     "GroupManager::leave: §8.2, a failed member drops out of a replica group's view",
+    "FileMedia::open: §8.2.1, the storage function's on-disk medium, which only this opens",
     "StoreEngine::abort: §8.2.1, a transaction aborted on the durable store",
     "RelationshipRepository::relate: §8.3, the relationship repository",
     "RelationshipRepository::unrelate: §8.3, the relationship repository",
@@ -873,9 +878,12 @@ const KEEP: &[&str] = &[
     "AccessController::audit: §8.4, the security audit trail",
     "PersistenceManager::deactivate_to_storage: §9, persistence transparency",
     "Relocator::deactivate: §9.2, a deactivated interface leaves the white pages",
+    "transaction::in_transaction: §9.3, transaction transparency: a body run in a \
+     transaction, retried when it loses a deadlock",
+    "TxContext::read: §9.3, a read inside a transparent transaction",
+    "TxContext::write: §9.3, a write inside a transparent transaction",
     "transaction::transfer: §9.3, the transaction transparency example",
     // Observation points: what tests read behaviour through.
-    "FailureGuard::backup_pool: the failure guard's remaining backups",
     "FailureGuard::pending_ops: the failure guard's ops logged since its checkpoint",
     "FailureGuard::lost_updates: the loss window of a guard that logs nothing, measured",
     "Engine::calls_in_flight: the engine's uncollected asynchronous calls",
@@ -885,21 +893,17 @@ const KEEP: &[&str] = &[
     "DriverProcess::awaiting: the replies a node's driver still waits for",
     "Stack::component: a channel component read by type, such as an audit stub",
     "EventNotifier::history: the notifications a topic has carried",
-    "LockManager::holders: the lock table the no-conflicting-grants property reads",
-    "ResourceManager::in_doubt: the prepared transactions a recovered manager holds",
     "PolicyEngine::audit: the policy engine's decision trail",
     "PropertyIndex::entries: an index's size, held to the offers it indexes",
     "MemMedia::synced_len: the WAL bytes a crash keeps",
     "MemMedia::truncate_wal: the crash point of the crash-at-every-prefix tests",
     "Payload::shares_buffer_with: whether a payload was copied",
     "PartitionMap::round_robin: the partition the kernel's shard tests run under",
-    "Sim::detach: how a test makes an address unroutable",
     "bus::now_us: the bus's clock, which the event queue's pops drive",
     "bus::take_events: the bus's buffered events, drained",
     "bus::peak_trace_events: the bus's bounded-collection high-water mark",
     "bus::peak_trace_bytes: the bus's bounded-collection high-water mark",
-    "Registry::gauge: a gauge read by name, as counters and histograms are",
-    "Histogram::bucket_count: a histogram's footprint",
+    "Registry::histogram: a histogram read by name, as counters are",
     "InvocationProfile::segment: a profile's attribution to one segment",
     "InvocationProfile::segment_sum: a profile's attribution, summed",
     "rmodp_profile::attribution_table: the profile rendered, pinned byte for byte",
@@ -907,9 +911,13 @@ const KEEP: &[&str] = &[
     // References a test compares against.
     "ShardedFederation::import_all: the unrouted broadcast the routed sharded import must \
      agree with",
-    "Envelope::from_bytes: the copying envelope decode the shared-buffer one must agree with",
     "InformationObject::replay_consistent: the replayed transition log the recovered state \
      must equal",
+    // Open ROADMAP items that build on them.
+    "FaultPlan::timeline: item 13, one fault path at any shard count: the timeline a \
+     sharded population run is handed",
+    "population::run_population_with: item 13, one fault path at any shard count: a \
+     population run under a fault timeline",
 ];
 
 /// The name a line defines as a `pub fn` (or `pub const fn`), if any.
@@ -1096,8 +1104,11 @@ fn definitions(source: &Source) -> Vec<(Def, String)> {
                 Some((at, owner)) if *at < indent => owner.clone(),
                 _ => source.module(),
             };
-            let at = format!("{}:{}", source.shown, i + 1);
-            found.push(((owner, name.to_owned()), at));
+            // `impl $name` in a `macro_rules!` body names no type.
+            if !owner.starts_with('$') {
+                let at = format!("{}:{}", source.shown, i + 1);
+                found.push(((owner, name.to_owned()), at));
+            }
         }
     }
     found
@@ -1136,15 +1147,40 @@ fn unique_returns(sources: &[Source]) -> BTreeMap<String, Option<Vec<String>>> {
     returns
 }
 
+/// For each `pub` field name declared exactly once under [`CALLERS`], the
+/// identifiers of its type: a file that reads `part.rm.crash()` names
+/// `ResourceManager` though it never spells it.
+fn unique_fields(sources: &[Source]) -> BTreeMap<String, Option<Vec<String>>> {
+    let mut fields = BTreeMap::new();
+    for line in sources.iter().flat_map(|source| &source.lines) {
+        let Some(field) = line.trim_start().strip_prefix("pub ") else {
+            continue;
+        };
+        let Some((name, declared)) = field.split_once(": ") else {
+            continue;
+        };
+        if !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+            continue;
+        }
+        let types = used_names(declared).into_iter().map(str::to_owned);
+        fields
+            .entry(name.to_owned())
+            .and_modify(|seen| *seen = None)
+            .or_insert_with(|| Some(types.collect()));
+    }
+    fields
+}
+
 /// The census: every `pub fn` the `defining` files declare, with where,
-/// and those a `calling` file calls. A call spelled on a type
-/// (`Type::name`) counts for that type's `name` alone. Any other call of
-/// a name counts for a definition of it when the calling file is the
-/// defining one, when no other owner defines that name, or when the file
-/// names the owner — spelling it, or calling a once-defined function that
-/// returns it; a crate root's functions are named by their crate's files
-/// and by the crate's name or alias. So a local variable never counts,
-/// and `.name()` on one type does not keep another type's `name`.
+/// and those a file other than the defining one calls. A call spelled on
+/// a type (`Type::name`) counts for that type's `name` alone. Any other
+/// call of a name counts for a definition of it when no other owner
+/// defines that name, or when the file names the owner — spelling it,
+/// calling a once-defined function that returns it, or reading a
+/// once-declared `pub` field of its type; a crate root's functions are
+/// named by their crate's files and by the crate's name or alias. So a
+/// local variable never counts, and `.name()` on one type does not keep
+/// another type's `name`.
 fn census(defining: &[Source], calling: &[Source]) -> (BTreeMap<Def, String>, BTreeSet<Def>) {
     let defined: BTreeMap<Def, String> = defining.iter().flat_map(definitions).collect();
     let mut owners: BTreeMap<&str, Vec<&Def>> = BTreeMap::new();
@@ -1152,6 +1188,7 @@ fn census(defining: &[Source], calling: &[Source]) -> (BTreeMap<Def, String>, BT
         owners.entry(def.1.as_str()).or_default().push(def);
     }
     let returns = unique_returns(calling);
+    let fields = unique_fields(calling);
     let mut called = BTreeSet::new();
     for source in calling {
         let calls: Vec<Vec<(Option<&str>, &str)>> = source.calls().collect();
@@ -1161,21 +1198,31 @@ fn census(defining: &[Source], calling: &[Source]) -> (BTreeMap<Def, String>, BT
                 named.extend(types.iter().map(String::as_str));
             }
         }
+        for line in &source.lines {
+            for (at, name) in words(line) {
+                if let (true, Some(Some(types))) = (line[..at].ends_with('.'), fields.get(name)) {
+                    named.extend(types.iter().map(String::as_str));
+                }
+            }
+        }
         let krate = source.shown.split('/').nth(1).unwrap_or_default();
+        let here = format!("{}:", source.shown);
         let names_owner = |def: &Def| {
             let root = def.0.strip_prefix("rmodp_");
             named.contains(def.0.as_str())
                 || root.is_some_and(|dir| named.contains(dir) || dir == krate)
                 || (def.0 == "rmodp" && source.shown.starts_with("src/"))
-                || defined[def].starts_with(&format!("{}:", source.shown))
         };
         for &(on_type, name) in calls.iter().flatten() {
             let Some(defs) = owners.get(name) else {
                 continue;
             };
-            let counts = |def: &&&Def| match on_type {
-                Some(owner) => def.0 == owner,
-                None => defs.len() == 1 || names_owner(def),
+            let counts = |def: &&&Def| {
+                !defined[*def].starts_with(&here)
+                    && match on_type {
+                        Some(owner) => def.0 == owner,
+                        None => defs.len() == 1 || names_owner(def),
+                    }
             };
             called.extend(defs.iter().filter(counts).map(|def| (*def).clone()));
         }
@@ -1270,7 +1317,9 @@ fn the_census_reads_definitions_and_uses() {
 
 /// One name defined on two types, only one of them called: the census
 /// keeps the one whose type the calling file names, and no local
-/// variable keeps a free function.
+/// variable keeps a free function. A call from the defining file keeps
+/// nothing, a macro's `impl $name` owns nothing, and a `pub` field names
+/// its type.
 #[test]
 fn a_name_on_two_types_counts_only_where_the_type_is_named() {
     let library = Source::new(
@@ -1330,6 +1379,45 @@ fn a_name_on_two_types_counts_only_where_the_type_is_named() {
     let caller = Source::new("src/user.rs", "fn f(_: Beta) {\n    Vec::<u8>::new();\n}\n");
     let (_, called) = census(&[library], &[caller]);
     assert!(called.is_empty(), "{called:?}");
+
+    // A call from the defining file is no caller, even of a name defined once.
+    let library = Source::new(
+        "crates/demo/src/alone.rs",
+        "pub fn helper() {}\npub fn entry() {\n    helper();\n}\n",
+    );
+    let caller = Source::new("src/user.rs", "fn f() {\n    alone::entry();\n}\n");
+    let sources = [library, caller];
+    let (_, called) = census(&sources[..1], &sources);
+    assert!(called.contains(&def("alone", "entry")));
+    assert!(
+        !called.contains(&def("alone", "helper")),
+        "only its own file calls it"
+    );
+
+    // `impl $name` in a macro body defines no owner called `$name`.
+    let library = Source::new(
+        "crates/demo/src/id.rs",
+        "macro_rules! id {\n    ($name:ident) => {\n        impl $name {\n            \
+         pub fn raw(self) -> u64 {\n                0\n            }\n        }\n    };\n}\n",
+    );
+    let (defined, _) = census(&[library], &[]);
+    assert!(defined.is_empty(), "{defined:?}");
+
+    // A `pub` field declared once names its type where it is read.
+    let library = Source::new(
+        "crates/demo/src/parts.rs",
+        "pub struct Part {\n    pub rm: Manager,\n}\n\
+         impl Manager {\n    pub fn crash(&mut self) {}\n}\n\
+         impl Other {\n    pub fn crash(&mut self) {}\n}\n",
+    );
+    let caller = Source::new(
+        "src/user.rs",
+        "fn f(part: &mut Part) {\n    part.rm.crash();\n}\n",
+    );
+    let sources = [library, caller];
+    let (_, called) = census(&sources[..1], &sources);
+    assert!(called.contains(&def("Manager", "crash")));
+    assert!(!called.contains(&def("Other", "crash")), "{called:?}");
 }
 
 /// The vendored `bytes` shim, whose accessors every codec calls per byte.

@@ -41,7 +41,7 @@ fn every_restart_reproduces_the_longest_committed_prefix() {
                 .unwrap();
         }
         engine.commit().unwrap();
-        commit_points.push((engine.media_mut().synced_len(), state_checksum(&engine)));
+        commit_points.push((engine.log_bytes(), state_checksum(&engine)));
     }
     let media = engine.into_media();
     for (cut, expected) in commit_points {
