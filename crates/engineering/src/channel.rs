@@ -19,6 +19,7 @@ use rmodp_core::codec::{self, CodecError, SyntaxId, TYPICAL_ENCODING};
 use crate::envelope::{Envelope, EnvelopeKind};
 use crate::wire;
 use rmodp_netsim::time::SimDuration;
+use rmodp_observe::Facts;
 
 /// A failure inside a channel component.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,6 +117,38 @@ impl ChannelComponent for MarshallingStub {
     }
 }
 
+/// The transfer syntaxes in declaration order, so `SYNTAXES[s as usize] == s`.
+const SYNTAXES: [SyntaxId; 2] = [SyntaxId::Binary, SyntaxId::Text];
+
+/// `Marshal`'s detail: `<from> -> <to> (<n> bytes)`, the two syntaxes
+/// packed high and low in the first word.
+fn render_marshal(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let [syntaxes, len] = facts.words;
+    let (from, to) = (
+        SYNTAXES[(syntaxes >> 32) as usize],
+        SYNTAXES[syntaxes as u32 as usize],
+    );
+    write!(f, "{from:?} -> {to:?} ({len} bytes)")
+}
+
+/// An outward `ChannelHop`'s detail: `out:<component>`.
+fn render_hop_out(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "out:{}", facts.name)
+}
+
+/// An inward `ChannelHop`'s detail: `in:<component>`.
+fn render_hop_in(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "in:{}", facts.name)
+}
+
+/// A hop's facts: the component's name.
+fn hop_facts(component: &'static str) -> Facts<'static> {
+    Facts {
+        name: component,
+        ..Facts::default()
+    }
+}
+
 /// Puts the envelope's payload into the syntax `to`, if it is in another.
 fn marshal(env: &mut Envelope, to: SyntaxId) -> Result<(), ChannelError> {
     let from = env.syntax;
@@ -132,10 +165,13 @@ fn marshal(env: &mut Envelope, to: SyntaxId) -> Result<(), ChannelError> {
     )
     .in_context()
     .channel(env.channel.raw())
-    .detail_fmt(format_args!(
-        "{from:?} -> {to:?} ({} bytes)",
-        env.payload.len()
-    ))
+    .detail_deferred(
+        || Facts {
+            words: [((from as u64) << 32) | to as u64, env.payload.len() as u64],
+            ..Facts::default()
+        },
+        render_marshal,
+    )
     .emit();
     rmodp_observe::bus::counter_add("engineering.marshals", 1);
     Ok(())
@@ -315,7 +351,7 @@ impl Stack {
             )
             .in_context()
             .channel(env.channel.raw())
-            .detail_fmt(format_args!("out:{}", c.name()))
+            .detail_deferred(|| hop_facts(c.name()), render_hop_out)
             .emit();
             rmodp_observe::bus::counter_add("engineering.channel_hops", 1);
             c.on_outgoing(env)?;
@@ -336,7 +372,7 @@ impl Stack {
             )
             .in_context()
             .channel(env.channel.raw())
-            .detail_fmt(format_args!("in:{}", c.name()))
+            .detail_deferred(|| hop_facts(c.name()), render_hop_in)
             .emit();
             rmodp_observe::bus::counter_add("engineering.channel_hops", 1);
             c.on_incoming(env)?;

@@ -14,7 +14,7 @@ use rmodp_kernel::payload::Payload;
 use rmodp_kernel::shard::ShardWorld;
 use rmodp_netsim::sim::{Addr, NodeIdx, Sim};
 use rmodp_netsim::time::{SimDuration, SimTime};
-use rmodp_observe::{bus, event, EventKind, Layer};
+use rmodp_observe::{bus, event, EventKind, Facts, Layer};
 
 use crate::behaviour::BehaviourRegistry;
 use crate::channel::{
@@ -179,6 +179,26 @@ struct Route {
     driver: Addr,
     /// The nucleus of the node the target is believed to be on.
     nucleus: Addr,
+}
+
+/// What a call's `CallStart` and (on a termination) `CallEnd` details are
+/// written from: the operation and the termination's name.
+fn call_facts<'a>(op: &'a str, termination: &'a str) -> Facts<'a> {
+    Facts {
+        texts: [op, termination],
+        ..Facts::default()
+    }
+}
+
+/// `CallStart`'s detail: `op=<op>`.
+fn render_call_start(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "op={}", facts.texts[0])
+}
+
+/// A terminated call's `CallEnd` detail: `op=<op> -> <termination>`.
+fn render_call_end(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let [op, termination] = facts.texts;
+    write!(f, "op={op} -> {termination}")
 }
 
 /// One interrogation between its `CallStart` and its `CallEnd`: what
@@ -736,7 +756,7 @@ impl Engine {
             .span(call.span)
             .parent_from_context()
             .channel(channel.raw())
-            .detail_fmt(format_args!("op={op}"))
+            .detail_deferred(|| call_facts(op, ""), render_call_start)
             .emit();
         bus::push_context(call.span);
         let (target, native) = (route.target, route.native);
@@ -764,11 +784,15 @@ impl Engine {
         if result.is_err() {
             bus::counter_add("engineering.call_errors", 1);
         }
-        event(Layer::Engineering, EventKind::CallEnd)
+        let end = event(Layer::Engineering, EventKind::CallEnd)
             .span(call.span)
-            .channel(call.channel.raw())
-            .detail_fmt(format_args!("{}", Self::call_outcome(op, &result)))
-            .emit();
+            .channel(call.channel.raw());
+        match &result {
+            Ok(t) => end
+                .detail_deferred(|| call_facts(op, &t.name), render_call_end)
+                .emit(),
+            Err(e) => end.detail_fmt(format_args!("op={op} -> error: {e}")).emit(),
+        };
         result
     }
 
@@ -789,17 +813,6 @@ impl Engine {
             reply
         });
         self.close(call, op, reply)
-    }
-
-    /// The `CallEnd` detail text for a finished call.
-    fn call_outcome<'a>(
-        op: &'a str,
-        result: &'a Result<Termination, CallError>,
-    ) -> impl fmt::Display + 'a {
-        fmt::from_fn(move |f| match result {
-            Ok(t) => write!(f, "op={op} -> {}", t.name),
-            Err(e) => write!(f, "op={op} -> error: {e}"),
-        })
     }
 
     /// Gate a call on the channel's circuit breaker: fail fast while

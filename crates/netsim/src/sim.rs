@@ -10,7 +10,7 @@ use rmodp_kernel::queue::EventQueue;
 use rmodp_kernel::rng::KernelRng;
 use rmodp_kernel::shard::{CrossShardEvent, ShardWorld};
 use rmodp_kernel::PartitionMap;
-use rmodp_observe::{bus, event, EventKind, Layer};
+use rmodp_observe::{bus, event, EventKind, Facts, Layer};
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkConfig, Topology};
@@ -44,6 +44,16 @@ impl Addr {
     /// The conventional source address for messages injected from outside
     /// the simulation (drivers, test harnesses).
     pub const EXTERNAL: Addr = Addr::new(NodeIdx(u32::MAX), 0);
+
+    /// The address as one word of event [`Facts`]: node high, port low.
+    fn word(self) -> u64 {
+        (u64::from(self.node.0) << 32) | u64::from(self.port)
+    }
+
+    /// The address [`word`](Self::word) packed.
+    fn from_word(word: u64) -> Self {
+        Addr::new(NodeIdx((word >> 32) as u32), word as u32)
+    }
 }
 
 impl fmt::Display for Addr {
@@ -54,6 +64,27 @@ impl fmt::Display for Addr {
             write!(f, "{}:{}", self.node, self.port)
         }
     }
+}
+
+/// What a `Send` or `Deliver` event's detail is written from: the peer
+/// address and the payload size.
+fn message_facts(peer: Addr, payload: &Payload) -> Facts<'static> {
+    Facts {
+        words: [peer.word(), payload.len() as u64],
+        ..Facts::default()
+    }
+}
+
+/// `Send`'s detail: `-> <dst> (<n> bytes)`.
+fn render_send(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let [dst, len] = facts.words;
+    write!(f, "-> {} ({len} bytes)", Addr::from_word(dst))
+}
+
+/// `Deliver`'s detail: `<- <src> (<n> bytes)`.
+fn render_deliver(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let [src, len] = facts.words;
+    write!(f, "<- {} ({len} bytes)", Addr::from_word(src))
 }
 
 /// A message in flight.
@@ -493,7 +524,7 @@ impl Sim {
         Self::located(EventKind::Send, src)
             .span(span)
             .parent_from_context()
-            .detail_fmt(format_args!("-> {dst} ({} bytes)", payload.len()))
+            .detail_deferred(|| message_facts(dst, &payload), render_send)
             .emit();
         bus::counter_add("netsim.sent", 1);
         if self.topology.is_crashed(dst.node) || self.topology.is_crashed(src.node) {
@@ -571,7 +602,7 @@ impl Sim {
         self.metrics.bytes_delivered += msg.payload.len() as u64;
         Self::located(EventKind::Deliver, dst)
             .span(span)
-            .detail_fmt(format_args!("<- {} ({} bytes)", msg.src, msg.payload.len()))
+            .detail_deferred(|| message_facts(msg.src, &msg.payload), render_deliver)
             .emit();
         bus::counter_add("netsim.delivered", 1);
         bus::observe(

@@ -37,15 +37,19 @@
 //! counters, sampling state, and peak trackers do not.
 //!
 //! An emit is one flag read when disabled, else one borrow of the bus
-//! that decides keep/drop first and formats the text last, once, into
-//! the buffer of the event the ring evicts: on a full ring an event, a
-//! counter, a gauge and a sample in a seen bucket allocate nothing.
+//! that decides keep/drop first and settles the text last: format
+//! arguments are formatted once, into the buffer of the event the ring
+//! evicts; deferred [`Facts`] are copied into the entry and rendered only
+//! when [`snapshot_events`] or [`take_events`] reads it, so text the ring
+//! throws away is never written. On a full ring an event, a counter, a
+//! gauge and a sample in a seen bucket allocate nothing.
 
-use crate::event::{Event, EventBuilder, SpanId};
+use crate::event::{Deferred, Event, EventBuilder, Facts, Pending, Render, SpanId};
 use crate::hash::fnv1a;
 use crate::metrics::Registry;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::{self, Write as _};
 
 /// Bounds on event collection. Default (`None`/`None`) buffers
 /// everything.
@@ -110,7 +114,7 @@ struct BusState {
     next_seq: u64,
     next_span: SpanId,
     context: Vec<SpanId>,
-    events: VecDeque<Event>,
+    events: VecDeque<Entry>,
     metrics: Registry,
     drops: DropStats,
     /// First-declared parent of each span (learned from every event,
@@ -163,10 +167,50 @@ thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
-/// The approximate buffered size of one event: the struct itself plus
-/// its detail string. The unit of [`peak_trace_bytes`].
-fn approx_event_bytes(e: &Event) -> usize {
-    std::mem::size_of::<Event>() + e.detail.len()
+/// Facts and their renderer as one `Display` value.
+struct Rendered<'f, 'a>(&'f Facts<'a>, Render);
+
+impl fmt::Display for Rendered<'_, '_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (self.1)(self.0, f)
+    }
+}
+
+/// Formats `args` into `text` (empty), or, when `text` has no buffer to
+/// reuse, into a string `fmt::format` sizes.
+fn format_into(mut text: String, args: fmt::Arguments<'_>) -> String {
+    if text.capacity() == 0 {
+        return fmt::format(args);
+    }
+    text.write_fmt(args).expect("a Display impl failed");
+    text
+}
+
+/// One buffered event. With a deferred detail, `event.detail` is empty:
+/// a spare buffer the next eager text can reuse.
+#[derive(Debug, Clone)]
+struct Entry {
+    event: Event,
+    deferred: Option<Deferred>,
+}
+
+impl Entry {
+    /// The event as a reader sees it, its deferred detail rendered.
+    fn into_event(self) -> Event {
+        let mut event = self.event;
+        if let Some(d) = self.deferred {
+            let args = format_args!("{}", Rendered(&d.facts(), d.render));
+            event.detail = format_into(std::mem::take(&mut event.detail), args);
+        }
+        event
+    }
+}
+
+/// The approximate buffered size of one event: the entry itself, inline
+/// facts included, plus its formatted detail (a deferred one has none
+/// until read). The unit of [`peak_trace_bytes`].
+fn approx_event_bytes(e: &Entry) -> usize {
+    std::mem::size_of::<Entry>() + e.event.detail.len()
 }
 
 /// Whether head-based sampling at 1-in-`denom` admits the causal tree
@@ -273,6 +317,10 @@ pub fn new_span() -> SpanId {
 /// Records an event built by [`EventBuilder`] (which has already checked
 /// that the bus is recording); returns its sequence number, or `None`
 /// if sampling discarded it.
+// Inlined into each `emit`, so the builder is not copied into an argument
+// and each site's detail form is known there: a loop of one call's
+// sixteen deferred events ran ~600 → ~500 ns (EXPERIMENTS §E18).
+#[inline]
 pub(crate) fn record(builder: EventBuilder<'_>) -> Option<u64> {
     BUS.with(|b| {
         let s = &mut *b.borrow_mut();
@@ -309,20 +357,23 @@ pub(crate) fn record(builder: EventBuilder<'_>) -> Option<u64> {
             let old = s.events.pop_front().expect("len >= cap >= 1");
             s.cur_bytes -= approx_event_bytes(&old);
             s.drops.ring_evicted += 1;
-            text = old.detail;
+            text = old.event.detail;
         }
         text.clear();
-        match builder.detail_fmt {
-            Some(args) if text.capacity() == 0 => event.detail = std::fmt::format(args),
-            Some(args) => {
-                std::fmt::Write::write_fmt(&mut text, args).expect("a Display impl failed");
-                event.detail = text;
+        let mut deferred = None;
+        match builder.pending {
+            Some(Pending::Fmt(args)) => event.detail = format_into(text, args),
+            Some(Pending::Deferred(kept)) => (deferred, event.detail) = (Some(kept), text),
+            Some(Pending::Long(facts, render)) => {
+                let args = format_args!("{}", Rendered(&facts, render));
+                event.detail = format_into(text, args);
             }
             None if event.detail.is_empty() => event.detail = text,
             None => {}
         }
-        s.cur_bytes += approx_event_bytes(&event);
-        s.events.push_back(event);
+        let entry = Entry { event, deferred };
+        s.cur_bytes += approx_event_bytes(&entry);
+        s.events.push_back(entry);
         s.peak_events = s.peak_events.max(s.events.len());
         s.peak_bytes = s.peak_bytes.max(s.cur_bytes);
         Some(seq)
@@ -334,18 +385,21 @@ pub fn event_count() -> usize {
     BUS.with(|b| b.borrow().events.len())
 }
 
-/// A copy of every buffered event, in emission order.
+/// A copy of every buffered event, in emission order, deferred details
+/// rendered.
 pub fn snapshot_events() -> Vec<Event> {
-    BUS.with(|b| b.borrow().events.iter().cloned().collect())
+    let entries: Vec<Entry> = BUS.with(|b| b.borrow().events.iter().cloned().collect());
+    entries.into_iter().map(Entry::into_event).collect()
 }
 
-/// Removes and returns every buffered event.
+/// Removes and returns every buffered event, deferred details rendered.
 pub fn take_events() -> Vec<Event> {
-    BUS.with(|b| {
+    let entries = BUS.with(|b| {
         let mut s = b.borrow_mut();
         s.cur_bytes = 0;
-        std::mem::take(&mut s.events).into_iter().collect()
-    })
+        std::mem::take(&mut s.events)
+    });
+    entries.into_iter().map(Entry::into_event).collect()
 }
 
 /// Adds to a counter in the bus's metrics registry.
@@ -392,7 +446,7 @@ pub fn counter(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventBuilder, EventKind, Layer};
+    use crate::event::{EventBuilder, EventKind, Layer, INLINE};
 
     /// Restores default collection after a test that bounds it.
     fn unbounded() {
@@ -492,6 +546,154 @@ mod tests {
         }
         assert_eq!(runs.get(), 8);
         assert_eq!(snapshot_events()[1].detail, "root 8");
+        unbounded();
+    }
+
+    thread_local! {
+        /// How often [`render_counted`] has run on this thread.
+        static RENDERS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// A renderer that counts its runs; [`eager`] writes the same text.
+    fn render_counted(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        RENDERS.with(|r| r.set(r.get() + 1));
+        let ([op, end], [n, len]) = (facts.texts, facts.words);
+        write!(f, "{}op={op} #{n} -> {end} ({len} bytes)", facts.name)
+    }
+
+    fn renders() -> u32 {
+        RENDERS.with(Cell::get)
+    }
+
+    /// Names to draw from: empty, short, multi-byte.
+    const NAMES: [&str; 6] = ["", "Deposit", "Überweisung", "NotToday", "GetBalance", "x"];
+
+    /// The names of event `i`: two of [`NAMES`], or exactly [`INLINE`]
+    /// bytes, or too long to keep inline (`i % 8 == 7`).
+    fn names(i: u64) -> [&'static str; 2] {
+        let long: &'static str = "AnOperationNameTooLongToKeepInline";
+        match i % 8 {
+            6 => [&long[..INLINE], ""],
+            7 => [long, "OK"],
+            _ => [NAMES[i as usize % 6], NAMES[(i as usize + 1) % 6]],
+        }
+    }
+
+    /// The static name of event `i`: none, or a prefix.
+    fn label(i: u64) -> &'static str {
+        ["", "in:"][i as usize % 2]
+    }
+
+    fn deferred(i: u64) -> Option<u64> {
+        EventBuilder::new(Layer::Engineering, EventKind::CallEnd)
+            .span(i + 1)
+            .detail_deferred(
+                || Facts {
+                    words: [i, 3 * i],
+                    name: label(i),
+                    texts: names(i),
+                },
+                render_counted,
+            )
+            .emit()
+    }
+
+    fn eager(i: u64) -> Option<u64> {
+        let ([op, end], name) = (names(i), label(i));
+        EventBuilder::new(Layer::Engineering, EventKind::CallEnd)
+            .span(i + 1)
+            .detail_fmt(format_args!(
+                "{name}op={op} #{i} -> {end} ({} bytes)",
+                3 * i
+            ))
+            .emit()
+    }
+
+    /// Records 40 events, each on its own root span, under `collect`.
+    fn record_40(collect: CollectConfig, emit: fn(u64) -> Option<u64>) {
+        set_collect(collect);
+        reset();
+        (0..40).for_each(|i| {
+            emit(i);
+        });
+    }
+
+    #[test]
+    fn deferred_text_reads_as_the_eager_text_after_eviction_snapshots_and_take() {
+        unbounded();
+        record_40(CollectConfig::default(), eager);
+        let full = snapshot_events();
+        assert!(full.iter().any(|e| e.detail.contains('Ü')));
+        let ring = CollectConfig {
+            ring_capacity: Some(9),
+            sample_denom: None,
+        };
+        record_40(ring, eager);
+        assert_eq!(snapshot_events(), full[31..]);
+
+        RENDERS.with(|r| r.set(0));
+        record_40(ring, deferred);
+        // Only names too long to keep inline are rendered when recorded:
+        // events 7, 15, 23, 31 and 39 (`i % 8 == 7`).
+        assert_eq!(renders(), 5);
+        assert_eq!(drop_stats().ring_evicted, 31);
+        assert_eq!(snapshot_events(), full[31..]);
+        assert_eq!(
+            snapshot_events(),
+            full[31..],
+            "a second read renders the same"
+        );
+        // Each read renders the 7 deferred details the ring holds.
+        assert_eq!(renders(), 5 + 2 * 7);
+        assert_eq!(take_events(), full[31..]);
+        assert_eq!(renders(), 5 + 3 * 7);
+
+        record_40(CollectConfig::default(), deferred);
+        assert_eq!(take_events(), full);
+        unbounded();
+    }
+
+    #[test]
+    fn a_deferred_detail_is_rendered_only_for_a_kept_event_when_read() {
+        unbounded();
+        let built = Cell::new(0u32);
+        let emit = |i: u64| {
+            EventBuilder::new(Layer::Application, EventKind::Note)
+                .span(new_span())
+                .detail_deferred(
+                    || {
+                        built.set(built.get() + 1);
+                        Facts {
+                            words: [i, 0],
+                            texts: ["op", "OK"],
+                            ..Facts::default()
+                        }
+                    },
+                    render_counted,
+                )
+                .emit()
+        };
+        RENDERS.with(|r| r.set(0));
+        set_enabled(false);
+        assert_eq!(emit(0), None);
+        assert_eq!(built.get(), 0, "a disabled bus builds no facts");
+        set_enabled(true);
+
+        set_collect(CollectConfig {
+            ring_capacity: None,
+            sample_denom: Some(4),
+        });
+        reset();
+        let kept = (0..32).filter(|&i| emit(i).is_some()).count();
+        assert!(kept > 0 && kept < 32, "kept {kept} of 32");
+        assert_eq!(built.get(), 32, "facts are built before sampling decides");
+        assert_eq!(renders(), 0, "nothing is rendered when recorded");
+        assert_eq!(snapshot_events().len(), kept);
+        assert_eq!(
+            renders() as usize,
+            kept,
+            "a dropped event is never rendered"
+        );
         unbounded();
     }
 
@@ -712,14 +914,16 @@ mod tests {
 /// a run emits, a ring of capacity `c` holds exactly the last `c` events
 /// of the same run collected unbounded, and 1-in-`d` sampling holds
 /// exactly the events whose root it admits. Texts run from 0 to 200 bytes
-/// so a recycled buffer is both longer and shorter than what it takes.
+/// so a recycled buffer is both longer and shorter than what it takes, and
+/// a deferred detail is kept inline or rendered at once.
 #[cfg(test)]
 mod pure_filters {
     use crate::bus::{self, sample_admits, CollectConfig};
     use crate::export::to_jsonl;
-    use crate::{event, Event, EventKind, Layer, SpanId};
+    use crate::{event, Event, EventKind, Facts, Layer, SpanId};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::fmt;
 
     /// Text to cut details from: 400 bytes, varied enough that a stale byte
     /// left in a recycled buffer shows.
@@ -775,15 +979,28 @@ mod pure_filters {
                     }
                     let from = (b % 200) as usize;
                     let detail = &text[from..from + len];
-                    match a % 3 {
+                    let (head, tail) = detail.split_at(len / 2);
+                    let facts = || Facts {
+                        texts: [head, tail],
+                        ..Facts::default()
+                    };
+                    match a % 4 {
                         0 => e.emit(),
                         1 => e.detail(detail).emit(),
-                        _ => e.detail_fmt(format_args!("{detail}")).emit(),
+                        2 => e.detail_fmt(format_args!("{detail}")).emit(),
+                        _ => e.detail_deferred(facts, render_parts).emit(),
                     };
                 }
             }
         }
         bus::snapshot_events()
+    }
+
+    /// A deferred detail: its two names, joined (one is too long to keep
+    /// inline whenever they total more than 22 bytes).
+    fn render_parts(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let [head, tail] = facts.texts;
+        write!(f, "{head}{tail}")
     }
 
     /// The keep/drop decision as the bus made it on ordered maps: the

@@ -1,7 +1,9 @@
 //! The structured event model: one cross-layer taxonomy of everything
 //! the RM-ODP stack does that is worth seeing, and the builder call sites
 //! emit it with. The builder carries text as unformatted
-//! `format_args!`; whether and where it is formatted is the bus's call.
+//! `format_args!`, or as [`Facts`] and the [`Render`] function that turns
+//! them into text; whether, where and when it is formatted is the bus's
+//! call.
 
 use std::fmt;
 
@@ -285,6 +287,91 @@ impl fmt::Display for Event {
     }
 }
 
+/// The plain data a deferred detail is written from (see
+/// [`EventBuilder::detail_deferred`]): numbers, a name the program holds
+/// for its whole run, and names the bus copies into the recorded event. A
+/// renderer rebuilds the typed values from the words (an address, a
+/// transfer syntax) and formats them through their own `Display`/`Debug`,
+/// so no text format is written twice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Facts<'a> {
+    /// Sizes, packed coordinates, discriminants.
+    pub words: [u64; 2],
+    /// A name kept by reference: a channel component's.
+    pub name: &'static str,
+    /// Borrowed names, copied into the event: an operation, a termination.
+    pub texts: [&'a str; 2],
+}
+
+/// Writes a deferred detail's text from its [`Facts`]. A plain `fn`, so
+/// the bus can keep it beside the facts and call it when the event is
+/// read; it must not emit.
+pub type Render = fn(&Facts<'_>, &mut fmt::Formatter<'_>) -> fmt::Result;
+
+/// How many bytes of [`Facts`] texts an entry holds inline: an operation
+/// and its termination (`Withdraw`, `NotToday`) fit with room to spare.
+pub(crate) const INLINE: usize = 22;
+
+/// A deferred detail as the builder hands it to the bus and the ring
+/// keeps it: the words, the static name, the borrowed names copied inline
+/// (`texts[0]` is the first `split` of `len` bytes), the renderer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Deferred {
+    words: [u64; 2],
+    name: &'static str,
+    split: u8,
+    len: u8,
+    bytes: [u8; INLINE],
+    pub(crate) render: Render,
+}
+
+impl Deferred {
+    /// Copies `facts`; `None` if their texts do not fit inline. Inlined
+    /// into the call site, where a constant text's length is known.
+    #[inline]
+    fn keep(facts: &Facts<'_>, render: Render) -> Option<Self> {
+        let [a, b] = facts.texts;
+        let len = a.len() + b.len();
+        if len > INLINE {
+            return None;
+        }
+        let mut bytes = [0; INLINE];
+        bytes[..a.len()].copy_from_slice(a.as_bytes());
+        bytes[a.len()..len].copy_from_slice(b.as_bytes());
+        Some(Self {
+            words: facts.words,
+            name: facts.name,
+            split: a.len() as u8,
+            len: len as u8,
+            bytes,
+            render,
+        })
+    }
+
+    /// The facts back, names borrowed from the entry.
+    pub(crate) fn facts(&self) -> Facts<'_> {
+        let (split, len) = (usize::from(self.split), usize::from(self.len));
+        let text = |bytes| std::str::from_utf8(bytes).expect("copied whole from a str");
+        Facts {
+            words: self.words,
+            name: self.name,
+            texts: [text(&self.bytes[..split]), text(&self.bytes[split..len])],
+        }
+    }
+}
+
+/// An event's detail as the builder holds it until the bus records it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Pending<'a> {
+    /// Text to format, once, if the event is kept.
+    Fmt(fmt::Arguments<'a>),
+    /// Facts kept inline, rendered only when the event is read.
+    Deferred(Deferred),
+    /// Facts whose texts are too long to keep inline: formatted, once,
+    /// if the event is kept.
+    Long(Facts<'a>, Render),
+}
+
 /// Builder for an [`Event`]; all coordinates optional.
 ///
 /// The builder reads the bus's enabled flag once, when it is created.
@@ -294,7 +381,8 @@ impl fmt::Display for Event {
 ///
 /// The lifetime is [`detail_fmt`](Self::detail_fmt)'s [`format_args!`]: it
 /// borrows temporaries that die with their statement, so a builder kept
-/// in a `let` to be emitted later does not compile.
+/// in a `let` to be emitted later does not compile. The names of
+/// [`detail_deferred`](Self::detail_deferred)'s [`Facts`] share it.
 #[derive(Debug, Clone)]
 pub struct EventBuilder<'a> {
     /// Whether the bus was recording when this builder was created.
@@ -305,7 +393,7 @@ pub struct EventBuilder<'a> {
     pub(crate) span_from_context: bool,
     pub(crate) parent_from_context: bool,
     /// Unformatted text; it wins over `event.detail`.
-    pub(crate) detail_fmt: Option<fmt::Arguments<'a>>,
+    pub(crate) pending: Option<Pending<'a>>,
 }
 
 impl<'a> EventBuilder<'a> {
@@ -332,7 +420,7 @@ impl<'a> EventBuilder<'a> {
             },
             span_from_context: false,
             parent_from_context: false,
-            detail_fmt: None,
+            pending: None,
         }
     }
 
@@ -414,7 +502,29 @@ impl<'a> EventBuilder<'a> {
     /// `Display` code runs inside the bus and must not call back into it.
     #[inline]
     pub fn detail_fmt(mut self, detail: fmt::Arguments<'a>) -> Self {
-        self.detail_fmt = Some(detail);
+        self.pending = Some(Pending::Fmt(detail));
+        self
+    }
+
+    /// Attaches text as [`Facts`] and the [`Render`] that writes it. The
+    /// `facts` closure runs only while the bus records; the bus keeps what
+    /// it returns beside the event, texts copied inline, and calls
+    /// `render` only when the event is read
+    /// ([`snapshot_events`](crate::bus::snapshot_events),
+    /// [`take_events`](crate::bus::take_events)), so an event the ring
+    /// evicts or sampling drops is never formatted. Texts too long to
+    /// copy inline are formatted when the event is recorded, as
+    /// [`detail_fmt`](Self::detail_fmt)'s are. Either way the event reads
+    /// the same text.
+    #[inline]
+    pub fn detail_deferred(mut self, facts: impl FnOnce() -> Facts<'a>, render: Render) -> Self {
+        if self.live {
+            let facts = facts();
+            self.pending = Some(match Deferred::keep(&facts, render) {
+                Some(kept) => Pending::Deferred(kept),
+                None => Pending::Long(facts, render),
+            });
+        }
         self
     }
 

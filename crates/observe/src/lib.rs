@@ -40,7 +40,7 @@ pub mod json;
 pub mod metrics;
 pub mod oracle;
 
-pub use event::{Event, EventBuilder, EventKind, Layer, SpanId};
+pub use event::{Event, EventBuilder, EventKind, Facts, Layer, Render, SpanId};
 
 /// Shorthand: starts building an event.
 #[inline]

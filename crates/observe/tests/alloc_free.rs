@@ -1,11 +1,13 @@
 //! What the bus allocates per recorded event, counted by an allocator
 //! of this test binary's own: nothing on a full ring, nothing when
-//! disabled, exactly the event's text when collection is unbounded.
+//! disabled, exactly the event's text when collection is unbounded, and
+//! nothing for a deferred detail, whose text is written only when read.
 
 use rmodp_observe::bus::{self, CollectConfig};
-use rmodp_observe::{event, EventKind, Layer, SpanId};
+use rmodp_observe::{event, EventKind, Facts, Layer, SpanId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt;
 
 thread_local! {
     // Const-initialised `Cell`s need no lazy initialisation and no
@@ -87,6 +89,40 @@ fn round(i: u64, span: SpanId) {
     bus::observe("engineering.call_us", 40 + i % 4);
 }
 
+/// A call's `CallEnd` detail, rendered when read.
+fn render_call_end(facts: &Facts<'_>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let ([op, end], [round, _]) = (facts.texts, facts.words);
+    write!(f, "op={op} round={round} -> {end}")
+}
+
+/// [`round`] with its two events' details deferred, as the call path
+/// attaches them.
+fn deferred_round(i: u64, span: SpanId) {
+    event(Layer::Engineering, EventKind::CallEnd)
+        .span(span)
+        .channel(7)
+        .detail_deferred(
+            || Facts {
+                words: [i, 0],
+                texts: ["Withdraw", "NotToday"],
+                ..Facts::default()
+            },
+            render_call_end,
+        )
+        .emit();
+    event(Layer::Netsim, EventKind::Send)
+        .in_context()
+        .node(1)
+        .detail_deferred(
+            || Facts {
+                words: [i, 40],
+                ..Facts::default()
+            },
+            |facts, f| write!(f, "-> 0:{} ({} bytes)", facts.words[0], facts.words[1]),
+        )
+        .emit();
+}
+
 /// Starts a bus with the given ring, a context pushed, and enough rounds
 /// behind it that the ring is full of buffers at least as long as any
 /// later text, every metric name is known and every bucket seen.
@@ -118,6 +154,27 @@ fn a_full_ring_records_without_allocating() {
     let last = bus::snapshot_events().pop().expect("a full ring");
     assert_eq!(last.detail, format!("out:stub#{}", ROUNDS - 1));
     assert_eq!(bus::counter("engineering.calls"), RING as u64 + ROUNDS);
+}
+
+#[test]
+fn a_full_ring_of_deferred_events_records_without_allocating() {
+    let span = warmed_up(Some(RING));
+    let counts = counted(|| (0..ROUNDS).for_each(|i| deferred_round(i, span)));
+    assert_eq!(counts, (0, 0));
+    assert_eq!(bus::event_count(), RING);
+    let last = bus::snapshot_events().pop().expect("a full ring");
+    assert_eq!(last.detail, format!("-> 0:{} (40 bytes)", ROUNDS - 1));
+}
+
+#[test]
+fn unbounded_deferred_events_allocate_no_text() {
+    let span = warmed_up(None);
+    let counts = counted(|| (0..ROUNDS).for_each(|i| deferred_round(i, span)));
+    assert_eq!(counts.0, 0);
+    // What is left is the event queue doubling in place.
+    assert!(counts.1 <= 10, "{} growths", counts.1);
+    let first = &bus::snapshot_events()[2 * RING];
+    assert_eq!(first.detail, "op=Withdraw round=0 -> NotToday");
 }
 
 #[test]

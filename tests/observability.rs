@@ -99,6 +99,98 @@ fn lossy_twopc_scenario(seed: u64) -> Vec<Event> {
     bus::snapshot_events()
 }
 
+/// The bank call loop: a text-native client calls a binary-native branch
+/// over a binary wire through the sequence binder, so every call sends,
+/// delivers, marshals, hops and opens and closes a call — the events whose
+/// text the bus renders only when read. One operation name is too long to
+/// keep inline (the branch answers it `Error`): its details are rendered
+/// when recorded. The last call finds the branch crashed and times out:
+/// its `CallEnd` is formatted eagerly.
+fn bank_calls(seed: u64, collect: bus::CollectConfig) -> Vec<Event> {
+    use rmodp::core::codec::SyntaxId;
+    use rmodp::engineering::channel::{ChannelConfig, RetryPolicy};
+    use rmodp::engineering::Engine;
+
+    bus::set_collect(collect);
+    bus::set_enabled(true);
+    let mut engine = Engine::new(seed);
+    let branch = rmodp::bank::deploy_branch(&mut engine, SyntaxId::Binary).expect("fresh engine");
+    let client = engine.add_node(SyntaxId::Text);
+    let config = ChannelConfig {
+        wire_syntax: SyntaxId::Binary,
+        sequence: true,
+        audit: false,
+        retry: Some(RetryPolicy::reliable()),
+        breaker: None,
+    };
+    let channel = engine
+        .open_channel(client, branch.manager.interface, config)
+        .expect("client and interface exist");
+    let account = |c: i64| Value::record([("c", Value::Int(c)), ("opening", Value::Int(500))]);
+    for c in 1..=4 {
+        engine
+            .call(channel, "CreateAccount", &account(c))
+            .expect("clean link");
+    }
+    for k in 0..40i64 {
+        let a = Value::Int(1 + k % 4);
+        let op = match k % 5 {
+            0 | 1 => "Deposit",
+            2 => "Withdraw",
+            3 => "GetBalance",
+            _ => "AnOperationNameTooLongToKeepInline",
+        };
+        let args = Value::record([("a", a), ("d", Value::Int(10 + 7 * k))]);
+        let _ = engine.call(channel, op, &args);
+    }
+    let server = engine.sim_node(branch.node).expect("branch node");
+    engine.sim_mut().topology_mut().crash(server);
+    let lost = engine.call(channel, "Deposit", &account(1));
+    assert!(lost.is_err(), "{lost:?}");
+    let events = bus::snapshot_events();
+    bus::set_collect(bus::CollectConfig::default());
+    events
+}
+
+/// A ring holds the tail of the stream: the JSONL of a run collected into
+/// a ring of `N` is the last `N` lines of the same run collected
+/// unbounded, byte for byte, though the ring rendered every deferred
+/// detail after evicting the events recorded before it.
+#[test]
+fn a_ring_exports_the_last_lines_of_the_unbounded_export() {
+    let full = export::to_jsonl(&bank_calls(11, bus::CollectConfig::default()));
+    let lines: Vec<&str> = full.lines().collect();
+    assert!(lines.len() > 600, "{} events", lines.len());
+    for kind in [
+        "send",
+        "deliver",
+        "marshal",
+        "channel_hop",
+        "call_start",
+        "call_end",
+    ] {
+        let needle = format!("\"kind\":\"{kind}\"");
+        assert!(full.contains(&needle), "no {kind} event");
+    }
+    assert!(full.contains("op=AnOperationNameTooLongToKeepInline -> Error"));
+    assert!(
+        full.contains("op=Deposit -> error: "),
+        "a call that timed out"
+    );
+    for n in [1, 97, 512] {
+        let ring = bus::CollectConfig {
+            ring_capacity: Some(n),
+            sample_denom: None,
+        };
+        let tail = export::to_jsonl(&bank_calls(11, ring));
+        let expected: String = lines[lines.len() - n..]
+            .iter()
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(tail, expected, "ring of {n}");
+    }
+}
+
 #[test]
 fn same_seed_produces_byte_identical_trace() {
     let a = export::to_jsonl(&migration_scenario(42));

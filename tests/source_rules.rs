@@ -156,10 +156,11 @@ const ONE_MEASUREMENT_SYSTEM: &str = "a count is pinned in a row of `ARTIFACTS` 
 const RULES: &[Rule] = &[
     Rule {
         name: "event details are format arguments",
-        why: "formatted event text has one way in, `.detail_fmt(format_args!(…))`, which the \
-              bus formats only for an event it keeps; `.detail(format!(…))` builds it whether \
-              or not anyone records it, and so does `.record(…, format!(…))`: pass a closure \
-              there (DESIGN.md, \"Observability\")",
+        why: "formatted event text goes in as `.detail_fmt(format_args!(…))`, which the bus \
+              formats only for an event it keeps, or as `.detail_deferred(|| facts, render)`, \
+              which it renders only when read; `.detail(format!(…))` builds it whether or not \
+              anyone records it, and so does `.record(…, format!(…))`: pass a closure there \
+              (DESIGN.md, \"Observability\")",
         roots: SRC,
         patterns: &[
             Literal(".detail(format!"),
@@ -849,7 +850,6 @@ const KEEP: &[&str] = &[
     "EventNotifier::subscribe: §8.2, event notification",
     "EventNotifier::unsubscribe: §8.2, event notification",
     "EventNotifier::poll: §8.2, event notification",
-    "GroupManager::create: §8.2, creating a replica group",
     "GroupManager::leave: §8.2, a failed member drops out of a replica group's view",
     "FileMedia::open: §8.2.1, the storage function's on-disk medium, which only this opens",
     "StoreEngine::abort: §8.2.1, a transaction aborted on the durable store",
@@ -1147,26 +1147,36 @@ fn unique_returns(sources: &[Source]) -> BTreeMap<String, Option<Vec<String>>> {
     returns
 }
 
-/// For each `pub` field name declared exactly once under [`CALLERS`], the
-/// identifiers of its type: a file that reads `part.rm.crash()` names
-/// `ResourceManager` though it never spells it.
-fn unique_fields(sources: &[Source]) -> BTreeMap<String, Option<Vec<String>>> {
-    let mut fields = BTreeMap::new();
-    for line in sources.iter().flat_map(|source| &source.lines) {
-        let Some(field) = line.trim_start().strip_prefix("pub ") else {
-            continue;
-        };
-        let Some((name, declared)) = field.split_once(": ") else {
-            continue;
-        };
-        if !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-            continue;
+/// For each `pub` field name declared under [`CALLERS`], each declaration's
+/// struct and the identifiers of its type: a file that reads
+/// `part.rm.crash()` names `ResourceManager` though it never spells it.
+fn pub_fields(sources: &[Source]) -> BTreeMap<String, Vec<(String, Vec<String>)>> {
+    let mut fields: BTreeMap<String, Vec<(String, Vec<String>)>> = BTreeMap::new();
+    for source in sources {
+        let mut holder = "";
+        for line in &source.lines {
+            let code = line.trim_start();
+            if let Some((_, declared)) = code.split_once("struct ") {
+                if !code.contains("//") {
+                    holder = declared
+                        .split(|c: char| !c.is_alphanumeric() && c != '_')
+                        .next()
+                        .unwrap_or_default();
+                }
+            }
+            let Some(field) = code.strip_prefix("pub ") else {
+                continue;
+            };
+            let Some((name, declared)) = field.split_once(": ") else {
+                continue;
+            };
+            if !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                continue;
+            }
+            let types = used_names(declared).into_iter().map(str::to_owned);
+            let declaration = (holder.to_owned(), types.collect());
+            fields.entry(name.to_owned()).or_default().push(declaration);
         }
-        let types = used_names(declared).into_iter().map(str::to_owned);
-        fields
-            .entry(name.to_owned())
-            .and_modify(|seen| *seen = None)
-            .or_insert_with(|| Some(types.collect()));
     }
     fields
 }
@@ -1176,8 +1186,9 @@ fn unique_fields(sources: &[Source]) -> BTreeMap<String, Option<Vec<String>>> {
 /// a type (`Type::name`) counts for that type's `name` alone. Any other
 /// call of a name counts for a definition of it when no other owner
 /// defines that name, or when the file names the owner — spelling it,
-/// calling a once-defined function that returns it, or reading a
-/// once-declared `pub` field of its type; a crate root's functions are
+/// calling a once-defined function that returns it, or reading a `pub`
+/// field of its type that is declared once or in a struct the file
+/// names; a crate root's functions are
 /// named by their crate's files and by the crate's name or alias. So a
 /// local variable never counts, and `.name()` on one type does not keep
 /// another type's `name`.
@@ -1188,7 +1199,7 @@ fn census(defining: &[Source], calling: &[Source]) -> (BTreeMap<Def, String>, BT
         owners.entry(def.1.as_str()).or_default().push(def);
     }
     let returns = unique_returns(calling);
-    let fields = unique_fields(calling);
+    let fields = pub_fields(calling);
     let mut called = BTreeSet::new();
     for source in calling {
         let calls: Vec<Vec<(Option<&str>, &str)>> = source.calls().collect();
@@ -1198,13 +1209,20 @@ fn census(defining: &[Source], calling: &[Source]) -> (BTreeMap<Def, String>, BT
                 named.extend(types.iter().map(String::as_str));
             }
         }
+        let mut read: Vec<&str> = Vec::new();
         for line in &source.lines {
             for (at, name) in words(line) {
-                if let (true, Some(Some(types))) = (line[..at].ends_with('.'), fields.get(name)) {
-                    named.extend(types.iter().map(String::as_str));
+                let Some(declared) = fields.get(name).filter(|_| line[..at].ends_with('.')) else {
+                    continue;
+                };
+                for (holder, types) in declared {
+                    if declared.len() == 1 || named.contains(holder.as_str()) {
+                        read.extend(types.iter().map(String::as_str));
+                    }
                 }
             }
         }
+        named.extend(read);
         let krate = source.shown.split('/').nth(1).unwrap_or_default();
         let here = format!("{}:", source.shown);
         let names_owner = |def: &Def| {
@@ -1319,7 +1337,7 @@ fn the_census_reads_definitions_and_uses() {
 /// keeps the one whose type the calling file names, and no local
 /// variable keeps a free function. A call from the defining file keeps
 /// nothing, a macro's `impl $name` owns nothing, and a `pub` field names
-/// its type.
+/// its type, in the struct the reader names when two declare it.
 #[test]
 fn a_name_on_two_types_counts_only_where_the_type_is_named() {
     let library = Source::new(
@@ -1418,6 +1436,30 @@ fn a_name_on_two_types_counts_only_where_the_type_is_named() {
     let (_, called) = census(&sources[..1], &sources);
     assert!(called.contains(&def("Manager", "crash")));
     assert!(!called.contains(&def("Other", "crash")), "{called:?}");
+
+    // A `pub` field declared in two structs names the type it has in the
+    // struct the reading file names.
+    let library = Source::new(
+        "crates/demo/src/infra.rs",
+        "pub struct Infra {\n    pub groups: GroupManager,\n}\n\
+         impl GroupManager {\n    pub fn create(&mut self) {}\n}\n\
+         impl Registry {\n    pub fn create(&mut self) {}\n}\n",
+    );
+    let report = Source::new(
+        "crates/other/src/report.rs",
+        "#[derive(Debug)]\npub struct Report {\n    pub groups: Vec<Verdict>,\n}\n",
+    );
+    let caller = Source::new(
+        "src/user.rs",
+        "fn f(infra: &mut Infra) {\n    infra.groups.create();\n}\n",
+    );
+    let sources = [library, report, caller];
+    let (_, called) = census(&sources[..1], &sources);
+    assert!(
+        called.contains(&def("GroupManager", "create")),
+        "{called:?}"
+    );
+    assert!(!called.contains(&def("Registry", "create")), "{called:?}");
 }
 
 /// The vendored `bytes` shim, whose accessors every codec calls per byte.
@@ -1484,6 +1526,103 @@ fn an_uninlined_body_is_found_and_a_declaration_is_not() {
         #[cfg(test)]\n\
         fn test_only() {}\n";
     assert_eq!(uninlined_bodies(text), (vec![4, 6], 3));
+}
+
+/// The events every call or message emits, as `(file, kind, sites)`: a
+/// netsim send and delivery, a marshal, a hop out and a hop in, and a
+/// call's `CallStart` and `CallEnd` on a termination (its error arm,
+/// after the first `.emit()`, stays eager). An observed call records
+/// sixteen of these and a ring keeps few, so their text is written only
+/// when read (DESIGN.md, "Emit cost model").
+const DEFERRED_SITES: &[(&str, &str, usize)] = &[
+    ("crates/netsim/src/sim.rs", "EventKind::Send", 1),
+    ("crates/netsim/src/sim.rs", "EventKind::Deliver", 1),
+    ("crates/engineering/src/channel.rs", "EventKind::Marshal", 1),
+    (
+        "crates/engineering/src/channel.rs",
+        "EventKind::ChannelHop",
+        2,
+    ),
+    (
+        "crates/engineering/src/engine.rs",
+        "EventKind::CallStart",
+        1,
+    ),
+    ("crates/engineering/src/engine.rs", "EventKind::CallEnd", 1),
+];
+
+/// The 1-based lines, above the test module, that name `kind`, each with
+/// whether the text from there to the first `.emit()` attaches its detail
+/// deferred: a `.detail_deferred(` and no `.detail_fmt(`.
+fn deferred_sites(text: &str, kind: &'static str) -> Vec<(usize, bool)> {
+    let lines: Vec<&str> = text
+        .lines()
+        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .collect();
+    let mut sites = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if !Pattern::Word(kind).matches(line, "") {
+            continue;
+        }
+        let mut statement = String::new();
+        for line in &lines[i..] {
+            statement.push_str(line);
+            if let Some(end) = statement.find(".emit()") {
+                statement.truncate(end);
+                break;
+            }
+        }
+        let deferred =
+            statement.contains(".detail_deferred(") && !statement.contains(".detail_fmt(");
+        sites.push((i + 1, deferred));
+    }
+    sites
+}
+
+#[test]
+fn per_call_events_attach_their_text_deferred() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut report = String::new();
+    for &(file, kind, count) in DEFERRED_SITES {
+        let text = fs::read_to_string(repo.join(file)).expect("readable source file");
+        let sites = deferred_sites(&text, kind);
+        if sites.len() != count {
+            report.push_str(&format!(
+                "{file}: {} `{kind}` sites, not {count}\n",
+                sites.len()
+            ));
+        }
+        for (line, _) in sites.iter().filter(|(_, deferred)| !deferred) {
+            report.push_str(&format!(
+                "{file}:{line}: `{kind}` attaches its text eagerly — write \
+                 `.detail_deferred(|| facts, render)`, so the bus renders it only when read\n"
+            ));
+        }
+    }
+    assert!(report.is_empty(), "deferred event details:\n{report}");
+}
+
+#[test]
+fn an_eager_per_call_detail_is_flagged() {
+    let text = "\
+        Self::located(EventKind::Send, src)\n\
+            .detail_deferred(|| message_facts(dst, &payload), render_send)\n\
+            .emit();\n\
+        Self::located(EventKind::Send, src)\n\
+            .detail_fmt(format_args!(\"-> {dst}\"))\n\
+            .emit();\n\
+        Self::located(EventKind::SendBatch, src).emit();\n\
+        match &result {\n\
+            Ok(t) => event(Layer::Engineering, EventKind::Send).detail_deferred(f, r).emit(),\n\
+            Err(e) => end.detail_fmt(format_args!(\"{e}\")).emit(),\n\
+        }\n\
+        event(Layer::Netsim, EventKind::Send).detail(\"x\").emit();\n\
+        #[cfg(test)]\n\
+        event(Layer::Netsim, EventKind::Send).detail_fmt(format_args!(\"{x}\")).emit();\n";
+    assert_eq!(
+        deferred_sites(text, "EventKind::Send"),
+        [(1, true), (4, false), (9, true), (12, false)]
+    );
 }
 
 fn rule_with(patterns: &'static [Pattern], above_tests_only: bool) -> Rule {
