@@ -139,7 +139,7 @@ fn power_loss_recovery(
     let mut staged = 0u64;
     for composite in (0..wl.config().composites).filter(|c| c % STRIDE == lane) {
         let key = format!("oo7/atomic/{composite}/0");
-        let mut state = engine.get(&key).expect("loaded atomic exists").clone();
+        let mut state = engine.get(&key).expect("loaded atomic exists");
         if let Some(Value::Int(v)) = state.field_mut("x") {
             *v += 1_000;
         }

@@ -24,15 +24,17 @@
 //! The layout is read in one place, `Reader::value_at`, a parser folded
 //! over a `Builder` (see the [module above](super)): with the `Value`
 //! builder it is `decode`, with a `Writer` it is
-//! [`transcode`](super::transcode).
+//! [`transcode`](super::transcode), and with the builder that builds
+//! nothing it is [`Reader::value_span`], which checks a value and hands
+//! back its bytes.
 
 use std::borrow::Cow;
 
 use bytes::{Buf, BufMut};
 
 use super::{
-    too_deep, Builder, CodecError, LastKey, SyntaxId, TransferSyntax, ValueBuilder, MAX_NESTING,
-    TYPICAL_ENCODING,
+    too_deep, Builder, Check, CodecError, LastKey, SyntaxId, TransferSyntax, ValueBuilder,
+    MAX_NESTING, TYPICAL_ENCODING,
 };
 use crate::value::Value;
 
@@ -135,6 +137,13 @@ impl<'a> Writer<'a> {
     pub fn text(&mut self, text: &str) {
         self.out.put_u8(TAG_TEXT);
         self.counted(text.as_bytes());
+    }
+
+    /// A value already encoded, copied as it is. The caller owes the
+    /// bytes the layout: what [`BinarySyntax::encode`] gave, or a span
+    /// [`Reader::value_span`] found canonical.
+    pub fn raw(&mut self, encoded: &[u8]) {
+        self.out.put_slice(encoded);
     }
 
     fn blob(&mut self, bytes: &[u8]) {
@@ -246,17 +255,25 @@ impl<'a> Builder<'a> for Writer<'_> {
     fn field(
         &mut self,
         (open, last): &mut Self::Record,
-        key: Cow<'a, str>,
+        key: Cow<'a, [u8]>,
         value: impl FnOnce(&mut Self) -> Result<(), CodecError>,
     ) -> Result<(), CodecError> {
         open.count += 1;
-        self.key(&key);
+        self.counted(&key);
         self.canonical &= last.ascends_to(key);
         value(self)
     }
 
     fn record_close(&mut self, (open, _): Self::Record) {
         self.close(open);
+    }
+}
+
+fn not_utf8(offset: usize) -> CodecError {
+    CodecError {
+        syntax: SyntaxId::Binary,
+        offset,
+        message: "invalid utf-8 in text".into(),
     }
 }
 
@@ -320,15 +337,25 @@ impl<'a> Reader<'a> {
         Ok(b.get_i64_le())
     }
 
-    /// Length-prefixed UTF-8: a record key, or a text behind its tag.
+    /// Length-prefixed UTF-8: a text behind its tag.
     fn str(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         let at = self.pos;
-        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError {
-            syntax: SyntaxId::Binary,
-            offset: at,
-            message: "invalid utf-8 in text".into(),
-        })
+        std::str::from_utf8(self.take(len)?).map_err(|_| not_utf8(at))
+    }
+
+    /// A length-prefixed record key, checked as UTF-8 and handed out as
+    /// its bytes: an ASCII key, which is nearly every one, is checked a
+    /// word at a time by `is_ascii`, and only another is given to
+    /// `from_utf8`. The refusal is the one [`str`](Self::str) gives.
+    fn key(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.u32()? as usize;
+        let at = self.pos;
+        let key = self.take(len)?;
+        if !key.is_ascii() {
+            std::str::from_utf8(key).map_err(|_| not_utf8(at))?;
+        }
+        Ok(key)
     }
 
     fn expect_tag(&mut self, tag: u8, what: &str) -> Result<(), CodecError> {
@@ -364,9 +391,12 @@ impl<'a> Reader<'a> {
     ///
     /// A [`CodecError`] if the next key is any other.
     pub fn expect_key(&mut self, key: &str) -> Result<(), CodecError> {
-        match self.str()? {
-            found if found == key => Ok(()),
-            found => Err(self.error(format!("expected key `{key}`, found `{found}`"))),
+        match self.key()? {
+            found if found == key.as_bytes() => Ok(()),
+            found => {
+                let found = String::from_utf8_lossy(found);
+                Err(self.error(format!("expected key `{key}`, found `{found}`")))
+            }
         }
     }
 
@@ -398,6 +428,22 @@ impl<'a> Reader<'a> {
     /// or nest containers deeper than [`MAX_NESTING`] levels.
     pub fn value(&mut self) -> Result<Value, CodecError> {
         self.value_at(&mut ValueBuilder, 0)
+    }
+
+    /// Reads any value without building it: the bytes it spans, and
+    /// whether they are canonical — every record's keys strictly
+    /// ascending, so that they are what [`BinarySyntax::encode`] gives
+    /// for the value [`value`](Self::value) would read. The bytes are
+    /// checked exactly as `value` checks them, with the same refusals.
+    ///
+    /// # Errors
+    ///
+    /// The [`CodecError`] [`value`](Self::value) gives at this position.
+    pub fn value_span(&mut self) -> Result<(&'a [u8], bool), CodecError> {
+        let start = self.pos;
+        let mut check = Check { canonical: true };
+        self.value_at(&mut check, 0)?;
+        Ok((&self.buf[start..self.pos], check.canonical))
     }
 
     /// Folds the next value, which sits inside `depth` enclosing
@@ -444,7 +490,7 @@ impl<'a> Reader<'a> {
                 let count = self.u32()? as usize;
                 let mut record = b.record_open(count);
                 for _ in 0..count {
-                    let key = Cow::Borrowed(self.str()?);
+                    let key = Cow::Borrowed(self.key()?);
                     b.field(&mut record, key, |b| self.value_at(b, depth + 1))?;
                 }
                 b.record_close(record)

@@ -101,6 +101,8 @@ const MAX_PREALLOCATED: usize = 1024;
 ///
 /// `'a` is the input's lifetime: texts, keys and blobs arrive borrowed
 /// from it unless the parser had to rewrite them (an escape, hex pairs).
+/// A record key arrives as bytes the parser has already checked as
+/// UTF-8, so a builder that only copies or compares it checks nothing.
 trait Builder<'a> {
     /// A finished value.
     type Value;
@@ -132,12 +134,13 @@ trait Builder<'a> {
     /// Opens a record; `hint` as for [`seq_open`](Self::seq_open).
     fn record_open(&mut self, hint: usize) -> Self::Record;
 
-    /// The record's next field is `key` with whatever `value` parses.
-    /// Keys come as the input has them: in any order, possibly repeated.
+    /// The record's next field is `key` (checked UTF-8) with whatever
+    /// `value` parses. Keys come as the input has them: in any order,
+    /// possibly repeated.
     fn field(
         &mut self,
         record: &mut Self::Record,
-        key: Cow<'a, str>,
+        key: Cow<'a, [u8]>,
         value: impl FnOnce(&mut Self) -> Result<Self::Value, CodecError>,
     ) -> Result<(), CodecError>;
 
@@ -147,7 +150,8 @@ trait Builder<'a> {
 /// The builder that makes a parser a decoder. Fields are pushed in
 /// arrival order — canonical input has them sorted — and the record sorts
 /// them at the close only if they are not. A name is copied from the
-/// borrowed key into its entry: one of up to 22 bytes allocates nothing.
+/// borrowed key's bytes into its entry: one of up to 22 bytes allocates
+/// nothing.
 struct ValueBuilder;
 
 impl<'a> Builder<'a> for ValueBuilder {
@@ -191,10 +195,10 @@ impl<'a> Builder<'a> for ValueBuilder {
     fn field(
         &mut self,
         record: &mut Vec<(Name, Value)>,
-        key: Cow<'a, str>,
+        key: Cow<'a, [u8]>,
         value: impl FnOnce(&mut Self) -> Result<Value, CodecError>,
     ) -> Result<(), CodecError> {
-        let name = Name::new(&key);
+        let name = Name::from_checked(&key);
         record.push((name, value(self)?));
         Ok(())
     }
@@ -207,16 +211,65 @@ impl<'a> Builder<'a> for ValueBuilder {
 /// The last key written to a record being transcoded. Canonical bytes
 /// carry a record's keys strictly ascending; a writer can only copy the
 /// order it is given, so each key is held against the one before it.
+/// Keys are compared as bytes, which is `str` order.
 #[derive(Default)]
-struct LastKey<'a>(Option<Cow<'a, str>>);
+struct LastKey<'a>(Option<Cow<'a, [u8]>>);
 
 impl<'a> LastKey<'a> {
     /// Whether `key` sorts after every key before it; remembers `key`.
-    fn ascends_to(&mut self, key: Cow<'a, str>) -> bool {
+    fn ascends_to(&mut self, key: Cow<'a, [u8]>) -> bool {
         let ascends = self.0.as_deref().is_none_or(|last| last < &*key);
         self.0 = Some(key);
         ascends
     }
+}
+
+/// The builder that builds nothing: it only records whether the input is
+/// canonical, every record's keys strictly ascending. Folded over binary
+/// bytes it is [`Reader::value_span`](binary::Reader::value_span), which
+/// checks a value as `decode` would and keeps its bytes.
+struct Check {
+    canonical: bool,
+}
+
+impl<'a> Builder<'a> for Check {
+    type Value = ();
+    type Seq = ();
+    type Record = LastKey<'a>;
+
+    fn scalar(&mut self, _value: Value) {}
+
+    fn text(&mut self, _text: Cow<'a, str>) {}
+
+    fn blob(&mut self, _bytes: Cow<'a, [u8]>) {}
+
+    fn seq_open(&mut self, _hint: usize) {}
+
+    fn item(
+        &mut self,
+        _seq: &mut (),
+        item: impl FnOnce(&mut Self) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        item(self)
+    }
+
+    fn seq_close(&mut self, _seq: ()) {}
+
+    fn record_open(&mut self, _hint: usize) -> LastKey<'a> {
+        LastKey::default()
+    }
+
+    fn field(
+        &mut self,
+        last: &mut LastKey<'a>,
+        key: Cow<'a, [u8]>,
+        value: impl FnOnce(&mut Self) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        self.canonical &= last.ascends_to(key);
+        value(self)
+    }
+
+    fn record_close(&mut self, _last: LastKey<'a>) {}
 }
 
 /// Folds the one value `bytes` hold in `from` into `builder`.

@@ -265,10 +265,10 @@ impl<'a> Builder<'a> for Writer<'_> {
     fn field(
         &mut self,
         last: &mut LastKey<'a>,
-        key: Cow<'a, str>,
+        key: Cow<'a, [u8]>,
         value: impl FnOnce(&mut Self) -> Result<(), CodecError>,
     ) -> Result<(), CodecError> {
-        self.key(&key);
+        self.key_bytes(&key);
         self.canonical &= last.ascends_to(key);
         value(self)
     }
@@ -524,6 +524,11 @@ impl<'a> TextParser<'a> {
                     return Err(self.error("expected record key"));
                 }
                 Cow::Borrowed(&self.src[start..self.pos])
+            };
+            // The whole input was checked as UTF-8 before parsing began.
+            let key = match key {
+                Cow::Borrowed(key) => Cow::Borrowed(key.as_bytes()),
+                Cow::Owned(key) => Cow::Owned(key.into_bytes()),
             };
             self.skip_ws();
             self.expect(":")?;

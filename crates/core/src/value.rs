@@ -515,7 +515,7 @@ const INLINE: usize = 22;
 /// names. Names are ordered as bytes, which is `str` order; the writers
 /// copy the bytes as they are. Only what hands a name out as a `&str`
 /// checks an inline one's bytes as UTF-8 again, at most 22 of them: they
-/// were copied whole from a `str`.
+/// were copied whole from a `str`, or from bytes a parser checked.
 #[derive(Clone, PartialEq, Eq)]
 pub(crate) enum Name {
     Inline { len: u8, bytes: [u8; INLINE] },
@@ -530,6 +530,21 @@ impl Name {
         }
     }
 
+    /// A name from bytes a parser has already checked as UTF-8: an inline
+    /// one is copied as it is, and only a longer one is checked again, as
+    /// it becomes the `str` on the heap.
+    #[inline]
+    pub(crate) fn from_checked(name: &[u8]) -> Self {
+        match padded(name) {
+            Some((len, bytes)) => Name::Inline { len, bytes },
+            None => Name::Heap(
+                std::str::from_utf8(name)
+                    .expect("checked by the parser")
+                    .into(),
+            ),
+        }
+    }
+
     #[inline]
     pub(crate) fn as_bytes(&self) -> &[u8] {
         match self {
@@ -541,7 +556,7 @@ impl Name {
     pub(crate) fn as_str(&self) -> &str {
         match self {
             Name::Inline { .. } => {
-                std::str::from_utf8(self.as_bytes()).expect("copied whole from a str")
+                std::str::from_utf8(self.as_bytes()).expect("copied whole from checked UTF-8")
             }
             Name::Heap(name) => name,
         }

@@ -4,6 +4,7 @@
 //! repeated, and nesting past the limit. The tables were read off the
 //! decoders before they were rewritten and must not move.
 
+use rmodp_core::codec::binary::Reader;
 use rmodp_core::codec::{
     syntax_for, transcode, BinarySyntax, CodecError, SyntaxId, TextSyntax, TransferSyntax,
     MAX_NESTING,
@@ -259,9 +260,9 @@ fn text_decoder_keeps_accepting_what_it_accepted() {
 
 /// `(syntax, input, offset, message)`: record names no encoder writes —
 /// invalid UTF-8 inside one, a length that overruns the input, a length
-/// of 2³² − 1 — and what either decoder answers, `transcode` included.
-/// The names sit on both sides of the 22 bytes a decoded name holds in
-/// place.
+/// of 2³² − 1 — and what either decoder answers, `transcode` and the
+/// binary checking reader included. The names sit on both sides of the
+/// 22 bytes a decoded name holds in place.
 const NAME_REFUSALS: &[(SyntaxId, &[u8], usize, &str)] = &[
     (
         SyntaxId::Binary,
@@ -272,6 +273,24 @@ const NAME_REFUSALS: &[(SyntaxId, &[u8], usize, &str)] = &[
     (
         SyntaxId::Binary,
         b"\x07\x01\0\0\0\x16\0\0\0aaaaaaaaaaaaaaaaaaaaa\xc3\0",
+        9,
+        "invalid utf-8 in text",
+    ),
+    (
+        SyntaxId::Binary,
+        b"\x07\x01\0\0\0\x17\0\0\0aaaaaaaaaaaaaaaaaaaaaa\xff\0",
+        9,
+        "invalid utf-8 in text",
+    ),
+    (
+        SyntaxId::Binary,
+        b"\x07\x01\0\0\0\x17\0\0\0\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\0",
+        9,
+        "invalid utf-8 in text",
+    ),
+    (
+        SyntaxId::Binary,
+        b"\x07\x01\0\0\0\x16\0\0\0\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xc3\xa9\xa9\xc3\0",
         9,
         "invalid utf-8 in text",
     ),
@@ -330,7 +349,74 @@ fn hostile_record_names_keep_their_errors() {
             assert_eq!(err, expected, "{syntax} -> {to}: {input:?}");
             assert_eq!(out, b"kept");
         }
+        if syntax == SyntaxId::Binary {
+            let err = Reader::new(input).value_span().unwrap_err();
+            assert_eq!(err, expected, "checked: {input:?}");
+        }
     }
+}
+
+/// Well-formed names on both sides of the 22 bytes held in place, ASCII
+/// and not: each reads back as itself through `decode`, `transcode` and
+/// the checking reader, which finds the bytes canonical.
+#[test]
+fn record_names_of_any_width_read_alike_everywhere() {
+    let names = [
+        "a".repeat(22),
+        "a".repeat(23),
+        "é".repeat(11),
+        format!("{}a", "é".repeat(11)),
+        "ключ".to_owned(),
+        "日本".to_owned(),
+    ];
+    for name in &names {
+        let value = Value::record([(name.as_str(), Value::Int(1))]);
+        let binary = binary_record(&[(name, &binary_int(1))]);
+        let text = TextSyntax.encode(&value);
+        assert_eq!(BinarySyntax.encode(&value), binary, "{name}");
+        assert_eq!(BinarySyntax.decode(&binary).unwrap(), value, "{name}");
+        assert_eq!(TextSyntax.decode(&text).unwrap(), value, "{name}");
+        for (from, bytes) in [(SyntaxId::Binary, &binary), (SyntaxId::Text, &text)] {
+            for (to, want) in [(SyntaxId::Binary, &binary), (SyntaxId::Text, &text)] {
+                let mut out = Vec::new();
+                transcode(from, to, bytes, &mut out).unwrap();
+                assert_eq!(&out, want, "{name}: {from} -> {to}");
+            }
+        }
+        let mut reader = Reader::new(&binary);
+        assert_eq!(reader.value_span(), Ok((&binary[..], true)), "{name}");
+        assert!(reader.at_end());
+    }
+}
+
+/// What a reader expecting one key says of another, whatever its width
+/// or alphabet: the text and the offset it has always had.
+#[test]
+fn expect_key_names_the_key_it_found() {
+    for (found, message) in [
+        ("b", "expected key `a`, found `b`"),
+        ("é", "expected key `a`, found `é`"),
+        ("ééééééééééééa", "expected key `a`, found `ééééééééééééa`"),
+    ] {
+        let binary = binary_record(&[(found, &binary_int(1))]);
+        let mut reader = Reader::new(&binary);
+        assert_eq!(reader.record_header(), Ok(1));
+        let err = reader.expect_key("a").unwrap_err();
+        let expected = CodecError {
+            syntax: SyntaxId::Binary,
+            offset: 9 + found.len(),
+            message: message.to_owned(),
+        };
+        assert_eq!(err, expected);
+    }
+    let invalid = b"\x07\x01\0\0\0\x02\0\0\0\xc3a\0";
+    let mut reader = Reader::new(invalid);
+    reader.record_header().unwrap();
+    let err = reader.expect_key("a").unwrap_err();
+    assert_eq!(
+        (err.offset, err.message.as_str()),
+        (9, "invalid utf-8 in text")
+    );
 }
 
 /// A binary record header and its pairs, keys in the order given.

@@ -8,10 +8,17 @@
 //! the log's valid frame prefix (a torn tail is cut off the medium, so
 //! nothing is ever appended behind it), classify transactions with
 //! [`analyze`], and redo the [`committed_writes`] in order, each
-//! after-image moved from the decoded record into the state. Redo is
-//! idempotent (writes carry absolute after-images; [`Value::Null`] is the
-//! delete tombstone), so replaying an over-long log onto a newer snapshot
-//! converges to the same state.
+//! after-image encoded into the state. Redo is idempotent (writes carry
+//! absolute after-images; [`Value::Null`] is the delete tombstone), so
+//! replaying an over-long log onto a newer snapshot converges to the same
+//! state.
+//!
+//! The keyspace holds each value as its canonical binary encoding (a
+//! [`Keyspace`]): the bytes a write's after-image and a snapshot entry
+//! carry. A `put` encodes its value once and the log frame and the state
+//! take those bytes; a snapshot is written from them and read back into
+//! them, each value checked but never built; [`get`](StoreEngine::get)
+//! decodes the one value it is asked for.
 //!
 //! Compaction bounds the log: when the WAL outgrows
 //! [`StoreConfig::compact_wal_bytes`], the engine stages a snapshot,
@@ -19,8 +26,8 @@
 //! between the two steps leaves snapshot + over-long log — tolerated —
 //! never a short log without its covering snapshot.
 
-use std::collections::BTreeMap;
-
+use rmodp_core::codec::binary::Reader;
+use rmodp_core::codec::{BinarySyntax, TransferSyntax};
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
 use rmodp_observe::bus;
@@ -30,7 +37,10 @@ use rmodp_transactions::log::{
     WriteAheadLog,
 };
 
-use crate::snapshot::{decode_snapshot, encode_snapshot, Snapshot};
+use crate::snapshot::{decode_snapshot, encode_snapshot, Keyspace, Snapshot};
+
+/// The one-byte encoding of [`Value::Null`], the delete tombstone.
+const TOMBSTONE: &[u8] = &[0x00];
 
 /// A store failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,6 +57,11 @@ pub enum StoreError {
     /// `begin` found every batch id below `u64::MAX` handed out (or a
     /// log already holding `u64::MAX`, which the engine never hands out).
     BatchIdsExhausted,
+    /// `put` was handed a value whose encoding the decoder refuses (it
+    /// nests containers deeper than
+    /// [`MAX_NESTING`](rmodp_core::codec::MAX_NESTING) levels), so it could
+    /// never be read back. The reason is the decoder's.
+    Unreadable(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -56,6 +71,7 @@ impl std::fmt::Display for StoreError {
             StoreError::NoOpenBatch => write!(f, "no open batch"),
             StoreError::BatchAlreadyOpen => write!(f, "a batch is already open"),
             StoreError::BatchIdsExhausted => write!(f, "batch ids exhausted"),
+            StoreError::Unreadable(why) => write!(f, "unreadable value: {why}"),
         }
     }
 }
@@ -97,8 +113,9 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 struct OpenBatch {
     tx: TxId,
-    /// Staged after-images, applied on commit ([`Value::Null`] deletes).
-    ops: Vec<(String, Value)>,
+    /// Staged after-images, encoded, applied on commit ([`TOMBSTONE`]
+    /// deletes).
+    ops: Vec<(String, Box<[u8]>)>,
 }
 
 /// Counters the engine accumulates over its lifetime (mirrored onto the
@@ -120,7 +137,7 @@ pub struct StoreStats {
 pub struct StoreEngine<M: StableMedia> {
     log: WriteAheadLog<M>,
     config: StoreConfig,
-    state: BTreeMap<String, Value>,
+    state: Keyspace,
     next_batch: u64,
     open: Option<OpenBatch>,
     stats: StoreStats,
@@ -161,7 +178,7 @@ impl<M: StableMedia> StoreEngine<M> {
             .max(max_tx.unwrap_or(0).saturating_add(1));
         for (item, after) in committed_writes(decoded.records, &analysis) {
             report.writes_replayed += 1;
-            apply_write(&mut state, item, after);
+            apply_write(&mut state, item, encode(&after));
         }
 
         let stats = StoreStats {
@@ -203,14 +220,20 @@ impl<M: StableMedia> StoreEngine<M> {
         self.stats
     }
 
-    /// The committed keyspace (reads never see an open batch's writes).
-    pub fn state(&self) -> &BTreeMap<String, Value> {
+    /// The committed keyspace, each value as its canonical binary
+    /// encoding (reads never see an open batch's writes).
+    pub fn state(&self) -> &Keyspace {
         &self.state
     }
 
-    /// Reads a committed value.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.state.get(key)
+    /// Reads a committed value, decoded from the bytes the keyspace
+    /// holds for it.
+    pub fn get(&self, key: &str) -> Option<Value> {
+        self.state.get(key).map(|bytes| {
+            BinarySyntax
+                .decode(bytes)
+                .expect("the keyspace holds checked bytes")
+        })
     }
 
     /// Number of committed keys.
@@ -274,12 +297,20 @@ impl<M: StableMedia> StoreEngine<M> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::NoOpenBatch`] without a batch.
+    /// [`StoreError::NoOpenBatch`] without a batch;
+    /// [`StoreError::Unreadable`] for a value `decode` would refuse to
+    /// read back, which is neither logged nor staged.
     pub fn put(&mut self, key: &str, value: Value) -> Result<(), StoreError> {
         let batch = self.open.as_mut().ok_or(StoreError::NoOpenBatch)?;
-        self.log
-            .append_write(batch.tx, key, self.state.get(key), &value);
-        batch.ops.push((key.to_owned(), value));
+        let after = encode(&value);
+        // The keyspace holds only bytes the decoder reads back: checked
+        // here by the one parser, as a snapshot's are at `open`.
+        Reader::new(&after)
+            .value_span()
+            .map_err(|e| StoreError::Unreadable(e.to_string()))?;
+        let before = self.state.get(key).map(|bytes| &**bytes);
+        self.log.append_write(batch.tx, key, before, &*after);
+        batch.ops.push((key.to_owned(), after));
         Ok(())
     }
 
@@ -352,7 +383,7 @@ impl<M: StableMedia> StoreEngine<M> {
             if let Some(batch) = open {
                 encode_frame_into(image, &LogRecord::Begin { tx: batch.tx });
                 for (key, value) in &batch.ops {
-                    encode_write_into(image, batch.tx, key, None, value);
+                    encode_write_into(image, batch.tx, key, None, &**value);
                 }
             }
         });
@@ -370,10 +401,15 @@ impl<M: StableMedia> StoreEngine<M> {
     }
 }
 
-/// Applies one after-image to the keyspace — the one place that reads
-/// [`Value::Null`] as a delete, for a commit and for redo alike.
-fn apply_write(state: &mut BTreeMap<String, Value>, key: String, after: Value) {
-    if matches!(after, Value::Null) {
+/// A value's canonical binary encoding, as the keyspace holds it.
+fn encode(value: &Value) -> Box<[u8]> {
+    BinarySyntax.encode(value).into_boxed_slice()
+}
+
+/// Applies one encoded after-image to the keyspace — the one place that
+/// reads the [`TOMBSTONE`] as a delete, for a commit and for redo alike.
+fn apply_write(state: &mut Keyspace, key: String, after: Box<[u8]>) {
+    if *after == *TOMBSTONE {
         state.remove(&key);
     } else {
         state.insert(key, after);
@@ -384,6 +420,7 @@ fn apply_write(state: &mut BTreeMap<String, Value>, key: String, after: Value) {
 mod tests {
     use super::*;
     use crate::MemMedia;
+    use rmodp_core::codec::MAX_NESTING;
 
     fn open_mem() -> StoreEngine<MemMedia> {
         StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap()
@@ -405,7 +442,7 @@ mod tests {
         let mut media = engine.into_media();
         media.crash();
         let engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
-        assert_eq!(engine.get("a"), Some(&Value::Int(1)));
+        assert_eq!(engine.get("a"), Some(Value::Int(1)));
         assert_eq!(engine.get("b"), None, "uncommitted batch must vanish");
         assert_eq!(engine.recovery_report().writes_replayed, 1);
     }
@@ -429,9 +466,9 @@ mod tests {
         engine.begin().unwrap();
         engine.put("x", Value::Int(99)).unwrap();
         engine.abort().unwrap();
-        assert_eq!(engine.get("x"), Some(&Value::Int(1)));
+        assert_eq!(engine.get("x"), Some(Value::Int(1)));
         let engine = StoreEngine::open(engine.into_media(), StoreConfig::default()).unwrap();
-        assert_eq!(engine.get("x"), Some(&Value::Int(1)));
+        assert_eq!(engine.get("x"), Some(Value::Int(1)));
     }
 
     #[test]
@@ -451,7 +488,7 @@ mod tests {
         assert!(engine.snapshot_bytes() > 0);
         let engine = StoreEngine::open(engine.into_media(), StoreConfig::default()).unwrap();
         assert_eq!(engine.len(), 10);
-        assert_eq!(engine.get("k9"), Some(&Value::Int(9)));
+        assert_eq!(engine.get("k9"), Some(Value::Int(9)));
     }
 
     #[test]
@@ -467,7 +504,7 @@ mod tests {
         let mut media = engine.into_media();
         media.crash();
         let engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
-        assert_eq!(engine.get("a"), Some(&Value::Int(1)), "redo is idempotent");
+        assert_eq!(engine.get("a"), Some(Value::Int(1)), "redo is idempotent");
         assert!(engine.recovery_report().snapshot_loaded);
     }
 
@@ -512,8 +549,8 @@ mod tests {
         media.crash();
         let engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
         assert_eq!(engine.get("a"), None);
-        assert_eq!(engine.get("b"), Some(&Value::Int(2)));
-        assert_eq!(engine.get("c"), Some(&Value::Int(3)));
+        assert_eq!(engine.get("b"), Some(Value::Int(2)));
+        assert_eq!(engine.get("c"), Some(Value::Int(3)));
     }
 
     #[test]
@@ -524,5 +561,34 @@ mod tests {
         assert_eq!(engine.put("k", Value::Int(1)), Err(StoreError::NoOpenBatch));
         engine.begin().unwrap();
         assert_eq!(engine.begin().unwrap_err(), StoreError::BatchAlreadyOpen);
+    }
+
+    /// `levels` sequences, each holding the next; the innermost holds 0.
+    fn nested(levels: usize) -> Value {
+        (0..levels).fold(Value::Int(0), |inner, _| Value::seq([inner]))
+    }
+
+    #[test]
+    fn a_value_decode_refuses_is_refused_by_put() {
+        let mut engine = open_mem();
+        engine.begin().unwrap();
+        let refusal = BinarySyntax
+            .decode(&BinarySyntax.encode(&nested(MAX_NESTING + 1)))
+            .unwrap_err();
+        let logged = engine.log_bytes();
+        assert_eq!(
+            engine.put("deep", nested(MAX_NESTING + 1)),
+            Err(StoreError::Unreadable(refusal.to_string()))
+        );
+        assert_eq!(engine.log_bytes(), logged, "a refused value is not logged");
+        // The deepest value decode reads is stored, and the batch goes on.
+        engine.put("deepest", nested(MAX_NESTING)).unwrap();
+        engine.commit().unwrap();
+        assert_eq!(engine.get("deep"), None);
+        assert_eq!(engine.get("deepest"), Some(nested(MAX_NESTING)));
+        engine.compact();
+        let engine = StoreEngine::open(engine.into_media(), StoreConfig::default()).unwrap();
+        assert_eq!(engine.get("deepest"), Some(nested(MAX_NESTING)));
+        assert_eq!(engine.len(), 1);
     }
 }

@@ -56,13 +56,13 @@ impl<M: StableMedia> PersistentStore for StoreEngine<M> {
 
     fn fetch(&self, key: &str) -> Option<Vec<u8>> {
         match self.get(key) {
-            Some(Value::Blob(bytes)) => Some(bytes.clone()),
+            Some(Value::Blob(bytes)) => Some(bytes),
             _ => None,
         }
     }
 
     fn remove(&mut self, key: &str) -> bool {
-        let existed = self.get(key).is_some();
+        let existed = self.state().contains_key(key);
         if existed {
             self.atomically(|s| s.delete(key).expect("a batch is open"));
         }

@@ -577,7 +577,7 @@ impl Oo7Workload {
         for composite in (0..self.config.composites).filter(|c| c % stride == lane) {
             for local in 0..self.config.atomics_per_composite {
                 let key = Self::atomic_key(composite, local);
-                let mut state = engine.get(&key).expect("loaded atomic exists").clone();
+                let mut state = engine.get(&key).expect("loaded atomic exists");
                 for coord in ["x", "y"] {
                     if let Some(Value::Int(v)) = state.field_mut(coord) {
                         *v += 1;
@@ -603,14 +603,14 @@ impl Oo7Workload {
             .expect("loaded composite exists");
         self.schemas
             .composite
-            .check(composite)
+            .check(&composite)
             .expect("stored composite conforms");
         let doc = engine
             .get(&Self::document_key(id))
             .expect("loaded document exists");
         self.schemas
             .document
-            .check(doc)
+            .check(&doc)
             .expect("stored doc conforms");
         let date = composite
             .field("build_date")
@@ -639,8 +639,7 @@ impl Oo7Workload {
             for &id in ids {
                 let stored = engine
                     .get(&Self::composite_key(id))
-                    .and_then(|c| c.field("build_date"))
-                    .and_then(Value::as_int)
+                    .and_then(|c| c.field("build_date").and_then(Value::as_int))
                     .expect("loaded composite has a date");
                 assert_eq!(stored, date, "index and store agree");
                 matches += 1;
@@ -655,7 +654,7 @@ impl Oo7Workload {
     /// a state the information viewpoint rejects.
     pub fn validate_all<M: StableMedia>(&self, engine: &StoreEngine<M>) -> u64 {
         let mut checked = 0u64;
-        for (key, state) in engine.state() {
+        for (key, bytes) in engine.state() {
             let schema = if key.starts_with("oo7/atomic/") {
                 &self.schemas.atomic
             } else if key.starts_with("oo7/composite/") {
@@ -667,8 +666,11 @@ impl Oo7Workload {
             } else {
                 continue;
             };
+            let state = BinarySyntax
+                .decode(bytes)
+                .unwrap_or_else(|e| panic!("{key} does not decode: {e}"));
             schema
-                .check(state)
+                .check(&state)
                 .unwrap_or_else(|e| panic!("{key} violates its schema: {e}"));
             checked += 1;
         }
@@ -677,14 +679,13 @@ impl Oo7Workload {
 }
 
 /// An order-sensitive checksum of the engine's whole committed state —
-/// the equality the crash-recovery assertions compare.
+/// the equality the crash-recovery assertions compare. Each value is
+/// hashed as its canonical binary encoding, which is what the keyspace
+/// holds.
 pub fn state_checksum<M: StableMedia>(engine: &StoreEngine<M>) -> u64 {
-    let mut encoded = Vec::new();
     let mut h = FNV_OFFSET_BASIS;
-    for (key, value) in engine.state() {
-        encoded.clear();
-        BinarySyntax.encode_into(value, &mut encoded);
-        h = fnv1a(&h.to_le_bytes()) ^ fnv1a(key.as_bytes()) ^ fnv1a(&encoded);
+    for (key, encoded) in engine.state() {
+        h = fnv1a(&h.to_le_bytes()) ^ fnv1a(key.as_bytes()) ^ fnv1a(encoded);
     }
     h
 }
@@ -750,6 +751,43 @@ mod tests {
         let engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
         assert_eq!(state_checksum(&engine), committed);
         assert_eq!(wl.validate_all(&engine), wl.config().total_objects());
+    }
+
+    /// The checksum as it was computed when the keyspace held values:
+    /// each one encoded afresh. Hashing the stored bytes must give it.
+    fn encoding_checksum<M: StableMedia>(engine: &StoreEngine<M>) -> u64 {
+        let mut encoded = Vec::new();
+        let mut h = FNV_OFFSET_BASIS;
+        for key in engine.state().keys() {
+            let value = engine.get(key).expect("a stored key");
+            encoded.clear();
+            BinarySyntax.encode_into(&value, &mut encoded);
+            h = fnv1a(&h.to_le_bytes()) ^ fnv1a(key.as_bytes()) ^ fnv1a(&encoded);
+        }
+        h
+    }
+
+    #[test]
+    fn the_checksum_of_the_bytes_is_the_checksum_of_the_values() {
+        // Compacting at 64 KiB, so that the reopen reads a snapshot.
+        let config = StoreConfig {
+            compact_wal_bytes: 64 << 10,
+        };
+        let mut engine = StoreEngine::open(MemMedia::new(), config).unwrap();
+        let mut wl = Oo7Workload::new(Oo7Config::small(), 7);
+        wl.load(&mut engine).unwrap();
+        assert_eq!(state_checksum(&engine), encoding_checksum(&engine));
+        for batch in 0..4 {
+            wl.update_batch(&mut engine, batch, 16).unwrap();
+        }
+        let committed = state_checksum(&engine);
+        assert_eq!(committed, encoding_checksum(&engine));
+        let mut media = engine.into_media();
+        media.crash();
+        let engine = StoreEngine::open(media, config).unwrap();
+        assert!(engine.recovery_report().snapshot_loaded);
+        assert_eq!(state_checksum(&engine), committed);
+        assert_eq!(encoding_checksum(&engine), committed);
     }
 
     #[test]

@@ -16,7 +16,9 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use rmodp_core::codec::{BinarySyntax, TransferSyntax};
 use rmodp_core::value::Value;
+use rmodp_store::snapshot::Keyspace;
 use rmodp_store::{MemMedia, StableMedia, StoreConfig, StoreEngine};
 
 use legacy::to_legacy;
@@ -45,6 +47,14 @@ fn key(k: u8) -> String {
 /// when recovery stops exactly there.
 type CommitPoint = (usize, BTreeMap<String, Value>);
 
+/// The keyspace's values, decoded.
+fn decoded(state: &Keyspace) -> BTreeMap<String, Value> {
+    state
+        .iter()
+        .map(|(key, bytes)| (key.clone(), BinarySyntax.decode(bytes).unwrap()))
+        .collect()
+}
+
 /// Runs the history, recording after each committed batch the WAL length
 /// at which its commit frame ends and the expected state at that point.
 fn run_history(history: &[Batch]) -> (MemMedia, Vec<CommitPoint>) {
@@ -60,7 +70,7 @@ fn continue_history(
 ) -> (MemMedia, Vec<CommitPoint>) {
     let mut engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
     let mut shadow = commit_points.last().expect("a start point").1.clone();
-    assert_eq!(engine.state(), &shadow);
+    assert_eq!(decoded(engine.state()), shadow);
     for (ops, commits) in history {
         engine.begin().unwrap();
         for (k, op) in ops {
@@ -109,7 +119,7 @@ fn assert_every_cut_recovers(media: &MemMedia, commit_points: &[CommitPoint]) {
             .expect("point 0 always qualifies")
             .1;
         assert_eq!(
-            recovered.state(),
+            &decoded(recovered.state()),
             expected,
             "cut at byte {cut}/{total}: recovered state must equal the committed prefix"
         );
@@ -277,10 +287,10 @@ fn a_batch_committed_behind_a_torn_tail_survives_the_next_crash() {
 
         let engine = StoreEngine::open(media, StoreConfig::default()).unwrap();
         assert!(!engine.recovery_report().tail_discarded, "{torn_bytes}");
-        assert_eq!(engine.get("first"), Some(&Value::Int(1)), "{torn_bytes}");
+        assert_eq!(engine.get("first"), Some(Value::Int(1)), "{torn_bytes}");
         assert_eq!(
             engine.get("second"),
-            Some(&Value::Int(2)),
+            Some(Value::Int(2)),
             "{torn_bytes} torn bytes: the batch committed after recovery is lost"
         );
         assert_eq!(engine.get("torn"), None, "{torn_bytes}");

@@ -12,11 +12,11 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use rmodp_core::codec::binary::Writer;
-use rmodp_core::codec::{BinarySyntax, TransferSyntax};
+use rmodp_core::codec::{BinarySyntax, CodecError, SyntaxId, TransferSyntax, MAX_NESTING};
 use rmodp_core::id::TxId;
 use rmodp_core::value::Value;
 use rmodp_observe::hash::{fnv1a, word_checksum};
-use rmodp_store::snapshot::{decode_snapshot, encode_snapshot, Snapshot};
+use rmodp_store::snapshot::{decode_snapshot, encode_snapshot, Keyspace, Snapshot};
 use rmodp_store::wal::{decode_frames, encode_frame};
 use rmodp_store::{MemMedia, StableMedia, StoreConfig, StoreEngine, StoreError};
 use rmodp_transactions::log::frame::{unframe, HEADER_LEN, WORD_CHECKSUM_FLAG};
@@ -304,14 +304,60 @@ proptest! {
         state in proptest::collection::btree_map("[a-z0-9/]{0,10}", arb_value(), 0..8),
         next_batch in any::<u64>(),
     ) {
-        let bytes = encode_snapshot(&state, next_batch);
+        let keyspace = encoded(&state);
+        let bytes = encode_snapshot(&keyspace, next_batch);
         prop_assert_eq!(
             &bytes,
             &frame(&BinarySyntax.encode(&snapshot_document(&state, next_batch)))
         );
         prop_assert_eq!(decode_snapshot(&to_legacy(&bytes)), decode_snapshot(&bytes));
-        prop_assert_eq!(decode_snapshot(&bytes), Ok(Snapshot { state, next_batch }));
+        prop_assert_eq!(decode_snapshot(&bytes), Ok(Snapshot { state: keyspace, next_batch }));
     }
+
+    /// Whichever way a value reaches the keyspace — a commit, redo of
+    /// the log, a snapshot — the keyspace holds what `encode` gives for
+    /// it, and `get` gives the value back. A null is the tombstone: its
+    /// key is absent.
+    #[test]
+    fn the_keyspace_holds_each_value_as_encode_gives_it(
+        state in proptest::collection::btree_map("[a-z0-9/]{0,10}", arb_value(), 0..8),
+    ) {
+        let expected: Keyspace = encoded(&state)
+            .into_iter()
+            .filter(|(_, bytes)| **bytes != [0x00])
+            .collect();
+        let holds = |engine: &StoreEngine<MemMedia>, how: &str| {
+            prop_assert_eq!(engine.state(), &expected, "{}", how);
+            for (key, value) in &state {
+                let stored = Some(value.clone()).filter(|v| !v.is_null());
+                prop_assert_eq!(engine.get(key), stored, "{}", how);
+            }
+            Ok(())
+        };
+        let mut engine = StoreEngine::open(MemMedia::new(), StoreConfig::default()).unwrap();
+        engine.begin().unwrap();
+        for (key, value) in &state {
+            engine.put(key, value.clone()).unwrap();
+        }
+        engine.commit().unwrap();
+        holds(&engine, "committed")?;
+        let mut engine = reopen(engine.into_media());
+        prop_assert_eq!(engine.recovery_report().writes_replayed, state.len());
+        holds(&engine, "redone from the log")?;
+        engine.compact();
+        let engine = reopen(engine.into_media());
+        prop_assert_eq!(engine.recovery_report().records_scanned, 0);
+        holds(&engine, "read from the snapshot")?;
+    }
+}
+
+/// Each value of `state` as its binary encoding: the keyspace that holds
+/// that state.
+fn encoded(state: &BTreeMap<String, Value>) -> Keyspace {
+    state
+        .iter()
+        .map(|(key, value)| (key.clone(), BinarySyntax.encode(value).into()))
+        .collect()
 }
 
 /// Where each frame of a WAL image ends, from the records it decodes to.
@@ -533,7 +579,7 @@ fn only_what_the_writers_write_is_read_back() {
         let report = engine.recovery_report();
         assert_eq!(report.records_scanned, 3, "{what}");
         assert!(report.tail_discarded, "{what}");
-        assert_eq!(engine.get("k"), Some(&int), "{what}");
+        assert_eq!(engine.get("k"), Some(int.clone()), "{what}");
         assert_eq!(engine.log_bytes(), committed.len(), "{what}");
         assert_eq!(engine.begin(), Ok(TxId::new(2)), "{what}");
     }
@@ -734,4 +780,138 @@ fn batch_ids_past_i64_max_survive_recovery_and_compaction() {
     assert_eq!(engine.log_bytes(), image.len());
     assert_eq!(engine.len(), 3);
     assert_eq!(engine.begin(), Err(StoreError::BatchIdsExhausted));
+}
+
+/// A snapshot payload of one entry, `key` holding the value bytes
+/// `value` as they are, and where in the payload those bytes begin.
+fn one_entry_snapshot(key: &str, value: &[u8]) -> (Vec<u8>, usize) {
+    let head = payload(|w| {
+        w.record_header(2);
+        w.key("entries");
+        w.seq_header(1);
+        w.record_header(2);
+        w.key("k");
+        w.text(key);
+        w.key("v");
+    });
+    let tail = payload(|w| {
+        w.key("next_batch");
+        w.value(&Value::Int(1));
+    });
+    ([&head[..], value, &tail[..]].concat(), head.len())
+}
+
+/// The medium holding `payload` as its snapshot, framed as the store
+/// frames one.
+fn snapshot_media(payload: &[u8]) -> MemMedia {
+    let mut media = MemMedia::new();
+    media.snapshot_write(&frame(payload));
+    media.sync();
+    media
+}
+
+/// A snapshot whose frame checksum holds and whose value bytes are not a
+/// value fails when the store opens, with the error `decode` gives for
+/// those bytes at their place in the payload — never later, at a read.
+#[test]
+fn a_snapshot_value_decode_refuses_fails_the_open() {
+    let text = |bytes: &[u8]| [&[0x04][..], &(bytes.len() as u32).to_le_bytes(), bytes].concat();
+    let one_field = |key: &[u8]| {
+        let mut record = vec![0x07, 1, 0, 0, 0];
+        record.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        record.extend_from_slice(key);
+        record.push(0x00);
+        record
+    };
+    let mut too_deep = [0x06, 1, 0, 0, 0].repeat(MAX_NESTING + 1);
+    too_deep.push(0x00);
+    let hostile: [(&str, Vec<u8>, &str); 7] = [
+        (
+            "bad utf-8 in a key",
+            one_field(b"a\xff"),
+            "invalid utf-8 in text",
+        ),
+        (
+            "bad utf-8 in a long key",
+            one_field(b"aaaaaaaaaaaaaaaaaaaaaaaa\xc3"),
+            "invalid utf-8 in text",
+        ),
+        (
+            "bad utf-8 in a text",
+            text(b"ok\xc3("),
+            "invalid utf-8 in text",
+        ),
+        ("a bool byte of 2", vec![0x01, 2], "bad bool byte 2"),
+        ("an unknown tag", vec![0x09], "unknown tag 0x09"),
+        (
+            "nesting 129 deep",
+            too_deep,
+            "nesting deeper than 128 levels",
+        ),
+        (
+            "a length past the end",
+            [0x05, 0xff, 0xff, 0xff, 0x7f].to_vec(),
+            "need 2147483647 bytes",
+        ),
+    ];
+    for (what, value, message) in &hostile {
+        let (payload, at) = one_entry_snapshot("key", value);
+        // What the decoder answers for the bytes from the value on: the
+        // error lies inside the value, before anything after it is read.
+        let refusal = BinarySyntax.decode(&payload[at..]).expect_err(what);
+        assert!(refusal.message.starts_with(message), "{what}: {refusal}");
+        let expected = CodecError {
+            syntax: SyntaxId::Binary,
+            offset: at + refusal.offset,
+            message: refusal.message,
+        }
+        .to_string();
+        assert_eq!(
+            decode_snapshot(&frame(&payload)),
+            Err(expected.clone()),
+            "{what}"
+        );
+        match StoreEngine::open(snapshot_media(&payload), StoreConfig::default()) {
+            Err(StoreError::CorruptSnapshot(why)) => assert_eq!(why, expected, "{what}"),
+            other => panic!("{what}: expected CorruptSnapshot, got {other:?}"),
+        }
+    }
+}
+
+/// A value whose records carry their keys out of order or repeated is
+/// one no writer here produces, but `decode` reads it; the store opens
+/// to the value `decode` gives, held as its canonical bytes.
+#[test]
+fn a_non_canonical_snapshot_value_opens_to_what_decode_gives() {
+    let int = |i: i64| BinarySyntax.encode(&Value::Int(i));
+    let record = |pairs: &[(&str, &[u8])]| {
+        payload(|w| {
+            w.record_header(pairs.len());
+            for (key, value) in pairs {
+                w.key(key);
+                w.raw(value);
+            }
+        })
+    };
+    let (one, two, three) = (int(1), int(2), int(3));
+    let inner = record(&[("z", &one), ("y", &two)]);
+    let cases = [
+        record(&[("b", &one), ("a", &two)]),
+        record(&[("a", &one), ("a", &two)]),
+        record(&[("é", &one), ("e", &two), ("é", &three)]),
+        payload(|w| {
+            w.seq_header(2);
+            w.raw(&inner);
+            w.raw(&record(&[("c", &inner), ("b", &one)]));
+        }),
+    ];
+    for value in &cases {
+        let decoded = BinarySyntax.decode(value).unwrap();
+        let canonical = BinarySyntax.encode(&decoded);
+        assert_ne!(&canonical, value, "{decoded}");
+        let (payload, _) = one_entry_snapshot("key", value);
+        let engine = reopen(snapshot_media(&payload));
+        assert_eq!(engine.get("key"), Some(decoded.clone()));
+        assert_eq!(&*engine.state()["key"], &canonical[..], "{decoded}");
+    }
 }

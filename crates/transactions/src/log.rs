@@ -71,9 +71,32 @@ impl LogRecord {
     }
 }
 
+/// A write's before- or after-image as a writer hands it to the log: a
+/// [`Value`], or the binary encoding of one already made (a store that
+/// keeps its values encoded), which is copied as it is. Either way the
+/// frame holds the same bytes.
+pub trait Image: Copy {
+    /// Writes the image as the next value.
+    fn write_to(self, w: &mut Writer<'_>);
+}
+
+impl Image for &Value {
+    fn write_to(self, w: &mut Writer<'_>) {
+        w.value(self);
+    }
+}
+
+/// Bytes [`BinarySyntax::encode`](rmodp_core::codec::BinarySyntax) gave
+/// (or checked canonical ones): the caller owes them the layout.
+impl Image for &[u8] {
+    fn write_to(self, w: &mut Writer<'_>) {
+        w.raw(self);
+    }
+}
+
 /// The fields only a write record carries, borrowed: item, before-image,
 /// after-image.
-type WriteFields<'a> = (&'a str, Option<&'a Value>, &'a Value);
+type WriteFields<'a, I> = (&'a str, Option<I>, I);
 
 /// Writes one record as a frame. With [`read_record`] this is the one
 /// definition of a record's byte form: the binary transfer syntax's
@@ -83,17 +106,22 @@ type WriteFields<'a> = (&'a str, Option<&'a Value>, &'a Value);
 /// stay distinguishable. It is written field by field, keys in the sorted
 /// order the syntax puts them in, straight from the borrowed parts; no
 /// [`Value`] of the record is built.
-fn write_record(out: &mut Vec<u8>, tag: &str, tx: TxId, write: Option<WriteFields<'_>>) {
+fn write_record<I: Image>(
+    out: &mut Vec<u8>,
+    tag: &str,
+    tx: TxId,
+    write: Option<WriteFields<'_, I>>,
+) {
     frame_into(out, |payload| {
         let mut w = Writer::new(payload);
         w.record_header(if write.is_some() { 5 } else { 2 });
         if let Some((item, before, after)) = write {
             w.key("after");
-            w.value(after);
+            after.write_to(&mut w);
             w.key("before");
             w.seq_header(usize::from(before.is_some()));
             if let Some(before) = before {
-                w.value(before);
+                before.write_to(&mut w);
             }
             w.key("item");
             w.text(item);
@@ -103,6 +131,11 @@ fn write_record(out: &mut Vec<u8>, tag: &str, tx: TxId, write: Option<WriteField
         w.key("tx");
         w.value(&Value::Int(tx.raw() as i64));
     });
+}
+
+/// Writes a record that carries no write: its tag and its transaction.
+fn write_marker(out: &mut Vec<u8>, tag: &str, tx: TxId) {
+    write_record(out, tag, tx, None::<WriteFields<'_, &Value>>);
 }
 
 /// Reads back a frame payload [`write_record`] wrote — and only that:
@@ -153,10 +186,10 @@ fn read_record(payload: &[u8]) -> Result<LogRecord, CodecError> {
 /// [`frame`](frame::frame_into()).
 pub fn encode_frame_into(out: &mut Vec<u8>, record: &LogRecord) {
     match record {
-        LogRecord::Begin { tx } => write_record(out, "begin", *tx, None),
-        LogRecord::Prepare { tx } => write_record(out, "prepare", *tx, None),
-        LogRecord::Commit { tx } => write_record(out, "commit", *tx, None),
-        LogRecord::Abort { tx } => write_record(out, "abort", *tx, None),
+        LogRecord::Begin { tx } => write_marker(out, "begin", *tx),
+        LogRecord::Prepare { tx } => write_marker(out, "prepare", *tx),
+        LogRecord::Commit { tx } => write_marker(out, "commit", *tx),
+        LogRecord::Abort { tx } => write_marker(out, "abort", *tx),
         LogRecord::Write {
             tx,
             item,
@@ -169,12 +202,12 @@ pub fn encode_frame_into(out: &mut Vec<u8>, record: &LogRecord) {
 /// Appends the frame of a [`LogRecord::Write`] to `out` from borrowed
 /// parts, for a caller that holds the item and the images elsewhere and
 /// would build the record only to have it encoded.
-pub fn encode_write_into(
+pub fn encode_write_into<I: Image>(
     out: &mut Vec<u8>,
     tx: TxId,
     item: &str,
-    before: Option<&Value>,
-    after: &Value,
+    before: Option<I>,
+    after: I,
 ) {
     write_record(out, "write", tx, Some((item, before, after)));
 }
@@ -252,7 +285,7 @@ impl<M: StableMedia> WriteAheadLog<M> {
 
     /// Appends a [`LogRecord::Write`] from borrowed parts (volatile until
     /// [`flush`](Self::flush)).
-    pub fn append_write(&mut self, tx: TxId, item: &str, before: Option<&Value>, after: &Value) {
+    pub fn append_write<I: Image>(&mut self, tx: TxId, item: &str, before: Option<I>, after: I) {
         self.frames.clear();
         encode_write_into(&mut self.frames, tx, item, before, after);
         self.media.wal_append(&self.frames);
@@ -378,6 +411,7 @@ pub fn committed_writes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmodp_core::codec::{BinarySyntax, TransferSyntax};
     use std::collections::BTreeMap;
 
     const T1: TxId = TxId::new(1);
@@ -522,6 +556,25 @@ mod tests {
         let mut borrowed = WriteAheadLog::new(MemMedia::new());
         borrowed.append_write(T1, "x", Some(&Value::Int(1)), &Value::Int(2));
         assert_eq!(borrowed.media().wal_bytes(), encode_frame(&records[2]));
+        // And so does one whose images come already encoded.
+        let encoded = |v: &Value| BinarySyntax.encode(v);
+        let mut image = Vec::new();
+        for record in &records {
+            match record {
+                LogRecord::Write {
+                    tx,
+                    item,
+                    before,
+                    after,
+                } => {
+                    let before = before.as_ref().map(encoded);
+                    let after = encoded(after);
+                    encode_write_into(&mut image, *tx, item, before.as_deref(), &*after);
+                }
+                other => encode_frame_into(&mut image, other),
+            }
+        }
+        assert_eq!(image, log.media().wal_bytes());
     }
 
     #[test]

@@ -347,8 +347,9 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "the store copies no Value",
-        why: "outside their tests the engine and the snapshot codec neither copy a Value nor \
-              call the whole-document codec (DESIGN.md, \"The byte path\")",
+        why: "outside their tests the engine and the snapshot codec copy no Value and reach \
+              the codec as `BinarySyntax`, never through `syntax_for`: a value is encoded once, \
+              by `put`, and built only where `get` decodes it (DESIGN.md, \"The byte path\")",
         roots: &["crates/store/src/engine.rs", "crates/store/src/snapshot.rs"],
         patterns: &[
             Literal("syntax_for(SyntaxId::Binary)"),
@@ -357,6 +358,18 @@ const RULES: &[Rule] = &[
         ],
         exempt: &[],
         above_tests_only: true,
+        copies: 0,
+    },
+    Rule {
+        name: "the keyspace holds canonical bytes",
+        why: "the keyspace holds each value's canonical binary encoding (`Keyspace`), and a \
+              snapshot value is read by `Reader::value_span`, which checks it with the one \
+              parser and builds nothing: no map of `Value`s, no `Reader::value` (DESIGN.md, \
+              \"Durable state\")",
+        roots: &["crates/store/src/engine.rs", "crates/store/src/snapshot.rs"],
+        patterns: &[Literal("BTreeMap<String, Value>"), Literal(".value()")],
+        exempt: &[],
+        above_tests_only: false,
         copies: 0,
     },
     Rule {
@@ -1735,6 +1748,21 @@ fn an_oracle_that_reads_the_bus_or_renders_text_is_flagged() {
         #[cfg(test)]\n\
         let events = bus::snapshot_events();\n";
     assert_eq!(offending_lines(rule, text), vec![2, 3]);
+}
+
+#[test]
+fn a_keyspace_of_values_is_flagged() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "the keyspace holds canonical bytes")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        state: BTreeMap<String, Value>,\n\
+        let value = r.value()?;\n\
+        state: Keyspace,\n\
+        let (value, canonical) = r.value_span()?;\n\
+        w.value(&Value::Int(next_batch as i64));\n";
+    assert_eq!(offending_lines(rule, text), vec![1, 2]);
 }
 
 #[test]

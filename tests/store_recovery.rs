@@ -67,7 +67,7 @@ fn oo7_library_survives_power_loss_mid_batch() {
 
     // A second update batch is staged but the power fails before commit.
     engine.begin().unwrap();
-    let state = engine.get("oo7/atomic/1/0").unwrap().clone();
+    let state = engine.get("oo7/atomic/1/0").unwrap();
     engine.put("oo7/atomic/1/0", state).unwrap();
     let mut media = engine.into_media();
     media.crash();
