@@ -2,6 +2,8 @@
 
 use rmodp_enterprise::prelude::*;
 
+use crate::information::DAILY_LIMIT;
+
 /// Object identities used by the canonical branch community.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchRoster {
@@ -65,7 +67,7 @@ pub fn branch_policies() -> PolicyEngine {
     .expect("fresh engine");
     e.adopt(
         Policy::prohibition("daily-limit", "customer", "withdraw")
-            .when("amount + withdrawn_today > 500")
+            .when(&format!("amount + withdrawn_today > {DAILY_LIMIT}"))
             .expect("static predicate"),
     )
     .expect("fresh engine");

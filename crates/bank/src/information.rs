@@ -31,7 +31,8 @@ fn account_schema(opening_balance: i64) -> StaticSchema {
 /// never goes negative, and the balance never goes negative.
 pub fn account_invariants() -> Vec<InvariantSchema> {
     vec![
-        InvariantSchema::parse("DailyLimit", "withdrawn_today <= 500").expect("static predicate"),
+        InvariantSchema::parse("DailyLimit", &format!("withdrawn_today <= {DAILY_LIMIT}"))
+            .expect("static predicate"),
         InvariantSchema::parse("NonNegativeWithdrawn", "withdrawn_today >= 0")
             .expect("static predicate"),
         InvariantSchema::parse("NonNegativeBalance", "balance >= 0").expect("static predicate"),

@@ -13,7 +13,10 @@
 //!   can be left out of what is evaluated there;
 //! - which conjuncts are **sargable atoms**: comparisons of one
 //!   property path against one scalar literal ([`Atom::of`]), the
-//!   shapes a secondary index can serve.
+//!   shapes a secondary index can serve;
+//! - which variables a list of conjuncts **requires** ([`required`]):
+//!   those bound wherever every conjunct is `true`, which the residual
+//!   filter need not check are bound.
 //!
 //! The analysis is purely syntactic and err on the side of returning
 //! *fewer* atoms: anything it cannot classify simply stays in the
@@ -21,7 +24,7 @@
 //! never change a query's meaning. An atom borrows its path and
 //! literals from the conjunct it was read from.
 
-use super::{BinOp, Expr};
+use super::{BinOp, Expr, UnOp};
 use crate::value::Value;
 
 /// One index-servable comparison: `path op rhs`, normalised so the
@@ -134,6 +137,52 @@ impl Expr {
     }
 }
 
+/// The variable paths bound in every environment where each of
+/// `conjuncts` evaluates to `true`. Only what is read on every such
+/// evaluation counts: each comparison's operands, through arithmetic;
+/// an `or`'s left operand, not its right; under `or` and `not`, which
+/// also pass a `false`, only an `and`'s first operand; never what a call,
+/// a sequence or `in` reads (`exists(x)` holds with `x` unbound).
+pub fn required<'e>(conjuncts: &[&'e Expr]) -> Vec<&'e [String]> {
+    let mut out = Vec::new();
+    for conjunct in conjuncts {
+        bound(conjunct, false, &mut out);
+    }
+    out
+}
+
+/// The variables bound whenever `e` comes to `true`, or, with `either`,
+/// to either boolean.
+fn bound<'e>(e: &'e Expr, either: bool, out: &mut Vec<&'e [String]>) {
+    use BinOp::*;
+    match e {
+        Expr::Binary(And, a, b) => {
+            bound(a, either, out);
+            if !either {
+                bound(b, false, out);
+            }
+        }
+        Expr::Binary(Or, a, _) | Expr::Unary(UnOp::Not, a) => bound(a, true, out),
+        Expr::Binary(Eq | Ne | Lt | Le | Gt | Ge, a, b) => {
+            read(a, out);
+            read(b, out);
+        }
+        _ => {}
+    }
+}
+
+/// The variables an operand reads on every evaluation that succeeds.
+fn read<'e>(e: &'e Expr, out: &mut Vec<&'e [String]>) {
+    match e {
+        Expr::Var(path) => out.push(path),
+        Expr::Binary(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem, a, b) => {
+            read(a, out);
+            read(b, out);
+        }
+        _ => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +271,32 @@ mod tests {
         let atoms = atoms(&e);
         assert_eq!(atoms.len(), 1);
         assert_eq!(atoms[0].path(), ["ppm".to_owned()]);
+    }
+
+    #[test]
+    fn required_variables_are_those_every_true_result_read() {
+        let path = |s: &str| s.split('.').map(str::to_owned).collect::<Vec<_>>();
+        for (src, required, not_required) in [
+            ("a >= 1 and b.c == 2", &["a", "b.c"][..], &[][..]),
+            ("a * 2 - c >= t", &["a", "c", "t"], &[]),
+            ("a >= 1 or g > 0", &["a"], &["g"]),
+            ("not (a >= 1 or g == true)", &["a"], &["g"]),
+            ("not (a >= 1 and g == true)", &["a"], &["g"]),
+            ("exists(g) or a >= 1", &[], &["g", "a"]),
+            ("len(g) > 0", &[], &["g"]),
+        ] {
+            let e = parse(src);
+            let found = super::required(&[&e]);
+            let requires = |r: &str| found.contains(&path(r).as_slice());
+            for r in required {
+                assert!(requires(r), "{src} requires {r}");
+            }
+            for r in not_required {
+                assert!(!requires(r), "{src} does not require {r}");
+            }
+            // A conjunction's conjuncts require what the conjunction does.
+            assert_eq!(super::required(&e.conjuncts()), found, "{src}");
+        }
     }
 
     #[test]

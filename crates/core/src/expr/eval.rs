@@ -1,4 +1,8 @@
-//! Evaluator for the expression language.
+//! Evaluator for the expression language: the tree walker ([`eval`]),
+//! which alone builds an [`EvalError`], and two error-free fast paths
+//! over the same tree ([`truth`] and [`operand`]) that
+//! [`Expr::eval_bool`](super::Expr::eval_bool) and
+//! [`Expr::eval`](super::Expr::eval) try first.
 
 use std::borrow::Cow;
 use std::cmp::Ordering::{self, Greater, Less};
@@ -182,9 +186,9 @@ fn apply_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
 
 /// Why an arithmetic step or a comparison has no result. It carries no
 /// text: the tree walker renders it into an [`EvalError`] with
-/// [`Fault::error`], a compiled predicate only needs to know it failed.
+/// [`Fault::error`], the fast paths only need to know it failed.
 #[derive(Debug, Clone, Copy)]
-pub(super) enum Fault {
+enum Fault {
     /// The operand kinds do not fit the operator.
     Kinds,
     /// A float comparison met NaN.
@@ -211,10 +215,10 @@ impl Fault {
 }
 
 /// A number as the one numeric kernel reads it, unboxed. The walker's
-/// [`arithmetic`] and [`comparison`] hand it every pair of numbers, and a
-/// compiled predicate runs it without building a [`Value`], so the two
-/// share one numeric semantics: wrapping on two ints, an int division by
-/// zero a fault, a mixed pair widened to `f64`, `==` unifying `Int` with
+/// [`arithmetic`] and [`comparison`] hand it every pair of numbers, and
+/// the fast paths run it without building a [`Value`], so the two share
+/// one numeric semantics: wrapping on two ints, an int division by zero a
+/// fault, a mixed pair widened to `f64`, `==` unifying `Int` with
 /// `Float`, an ordering against NaN a fault.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Num {
@@ -225,7 +229,7 @@ pub(super) enum Num {
 impl Num {
     /// The number `v` holds, if it is an `Int` or a `Float`.
     #[inline]
-    pub(super) fn of(v: &Value) -> Option<Num> {
+    fn of(v: &Value) -> Option<Num> {
         match v {
             Value::Int(i) => Some(Num::Int(*i)),
             Value::Float(x) => Some(Num::Float(*x)),
@@ -235,7 +239,7 @@ impl Num {
 
     /// The number as a value.
     #[inline]
-    pub(super) fn value(self) -> Value {
+    fn value(self) -> Value {
         match self {
             Num::Int(i) => Value::Int(i),
             Num::Float(x) => Value::Float(x),
@@ -252,7 +256,7 @@ impl Num {
 
     /// `self op other` for `+ - * / %`.
     #[inline]
-    pub(super) fn arithmetic(self, op: BinOp, other: Num) -> Result<Num, Fault> {
+    fn arithmetic(self, op: BinOp, other: Num) -> Result<Num, Fault> {
         use BinOp::*;
         if let (Num::Int(x), Num::Int(y)) = (self, other) {
             return match op {
@@ -278,7 +282,7 @@ impl Num {
 
     /// `self op other` for `== != < <= > >=`.
     #[inline]
-    pub(super) fn comparison(self, op: BinOp, other: Num) -> Result<bool, Fault> {
+    fn comparison(self, op: BinOp, other: Num) -> Result<bool, Fault> {
         decide(op, || self.equals(other), || self.order(other))
     }
 
@@ -321,7 +325,7 @@ fn decide(
 
 /// `a op b` for `+ - * / %`: the kernel on two numbers, concatenation of
 /// two texts or two sequences under `+`.
-pub(super) fn arithmetic(op: BinOp, a: &Value, b: &Value) -> Result<Value, Fault> {
+fn arithmetic(op: BinOp, a: &Value, b: &Value) -> Result<Value, Fault> {
     if let (Some(x), Some(y)) = (Num::of(a), Num::of(b)) {
         return x.arithmetic(op, y).map(Num::value);
     }
@@ -333,7 +337,7 @@ pub(super) fn arithmetic(op: BinOp, a: &Value, b: &Value) -> Result<Value, Fault
 }
 
 /// `a op b` for `== != < <= > >=`.
-pub(super) fn comparison(op: BinOp, a: &Value, b: &Value) -> Result<bool, Fault> {
+fn comparison(op: BinOp, a: &Value, b: &Value) -> Result<bool, Fault> {
     decide(op, || loose_eq(a, b), || compare(a, b))
 }
 
@@ -443,8 +447,112 @@ fn call<'a>(name: &str, args: &'a [Expr], env: &'a dyn Env) -> Result<Cow<'a, Va
     }
 }
 
+/// What a boolean expression comes to, building no error: `Some(b)`
+/// exactly where the walker returns `Ok(Value::Bool(b))`, `None` where it
+/// returns an error or a value of another kind. `and` and `or` stop where
+/// the walker does, `not` keeps a failure, and a comparison reads each
+/// operand once through [`operand`]; any other node is a leaf the walker
+/// evaluates.
+pub(super) fn truth(expr: &Expr, env: &dyn Env) -> Option<bool> {
+    use BinOp::*;
+    match expr {
+        Expr::Binary(And, a, b) => match truth(a, env)? {
+            true => truth(b, env),
+            false => Some(false),
+        },
+        Expr::Binary(Or, a, b) => match truth(a, env)? {
+            true => Some(true),
+            false => truth(b, env),
+        },
+        Expr::Unary(UnOp::Not, a) => truth(a, env).map(|b| !b),
+        Expr::Binary(op @ (Eq | Ne | Lt | Le | Gt | Ge), a, b) => {
+            let decided = match (operand(a, env)?, operand(b, env)?) {
+                (Val::Num(x), Val::Num(y)) => x.comparison(*op, y),
+                (a, b) => comparison(*op, &a.value(), &b.value()),
+            };
+            decided.ok()
+        }
+        leaf => match eval(leaf, env).ok()?.as_ref() {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        },
+    }
+}
+
+/// What an expression evaluates to, building no error: the walker's
+/// value, or `None` where it returns an error. A variable or a literal is
+/// read in line, inside the comparison that inlines this; arithmetic,
+/// which recurses, is one call to [`arith`], kept out of line so that
+/// inlining stops there; any other node is a leaf the walker evaluates.
+#[inline(always)]
+pub(super) fn operand<'a>(expr: &'a Expr, env: &'a dyn Env) -> Option<Val<'a>> {
+    use BinOp::*;
+    match expr {
+        Expr::Var(path) => env.lookup(path).map(Val::lent),
+        Expr::Lit(v) => Some(Val::lent(v)),
+        Expr::Binary(op @ (Add | Sub | Mul | Div | Rem), a, b) => arith(*op, a, b, env),
+        leaf => match eval(leaf, env).ok()? {
+            Cow::Borrowed(v) => Some(Val::lent(v)),
+            Cow::Owned(v) => Some(Val::owned(v)),
+        },
+    }
+}
+
+#[inline(never)]
+fn arith<'a>(op: BinOp, a: &'a Expr, b: &'a Expr, env: &'a dyn Env) -> Option<Val<'a>> {
+    match (operand(a, env)?, operand(b, env)?) {
+        (Val::Num(x), Val::Num(y)) => x.arithmetic(op, y).ok().map(Val::Num),
+        (a, b) => arithmetic(op, &a.value(), &b.value()).ok().map(Val::owned),
+    }
+}
+
+/// What an operand came to: a number, unboxed for the kernel, or any
+/// other value, lent by the environment or the expression, or computed.
+/// A computed one is boxed: it is rare (text or sequence arithmetic, a
+/// walker leaf's non-number), and with it boxed an `Option<Val>` is two
+/// words where an inline `Value` made it five — about a quarter of what
+/// the fast path gains on an opaque `ppm + 0 >= 96` (EXPERIMENTS.md,
+/// §E11).
+pub(super) enum Val<'a> {
+    Num(Num),
+    Lent(&'a Value),
+    Owned(Box<Value>),
+}
+
+impl<'a> Val<'a> {
+    /// A `match`, not `Option::map_or`, which stayed a call inside the
+    /// comparison that inlines this.
+    #[inline]
+    fn lent(v: &'a Value) -> Self {
+        match Num::of(v) {
+            Some(n) => Val::Num(n),
+            None => Val::Lent(v),
+        }
+    }
+
+    #[inline]
+    fn owned(v: Value) -> Self {
+        match Num::of(&v) {
+            Some(n) => Val::Num(n),
+            None => Val::Owned(Box::new(v)),
+        }
+    }
+
+    /// The value itself: borrowed where the walker would borrow it, a
+    /// number copied.
+    pub(super) fn value(self) -> Cow<'a, Value> {
+        match self {
+            Val::Num(n) => Cow::Owned(n.value()),
+            Val::Lent(v) => Cow::Borrowed(v),
+            Val::Owned(v) => Cow::Owned(*v),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::expr::Expr;
 
@@ -652,6 +760,13 @@ mod tests {
             ("contains(n, 1)", "type mismatch in contains: got int"),
             ("starts_with(q, s)", "type mismatch in starts_with: got seq"),
             ("frobnicate(n)", "unknown function frobnicate"),
+            // Which error is reported: the walker's, in its order, though
+            // it runs only after the fast path has failed.
+            ("ghost + 1 / 0", "undefined variable ghost"),
+            ("1 / 0 + ghost", "division by zero"),
+            ("frobnicate(ghost)", "undefined variable ghost"),
+            ("len(ghost, 1)", "undefined variable ghost"),
+            ("min(s, n)", "type mismatch in operator <: got text and int"),
         ] {
             let got = match run(src, &env) {
                 Ok(v) => v.to_string(),
@@ -664,6 +779,315 @@ mod tests {
             err.to_string(),
             "type mismatch in predicate result: got int"
         );
+    }
+
+    /// One field of every kind, and the numbers where the kernel's rules
+    /// show: `i64::MAX` (wrapping), NaN, ±inf, −0.0 and 2⁵³ + 1 (the
+    /// first int whose widening to `f64` is lossy).
+    fn edges() -> Value {
+        Value::record([
+            ("n", Value::Int(7)),
+            ("x", Value::Float(f64::NAN)),
+            ("s", Value::text("bank")),
+            ("b", Value::Bool(false)),
+            ("big", Value::Int(i64::MAX)),
+            ("nan", Value::Float(f64::NAN)),
+            ("inf", Value::Float(f64::INFINITY)),
+            ("ninf", Value::Float(f64::NEG_INFINITY)),
+            ("neg0", Value::Float(-0.0)),
+            ("p53", Value::Int((1 << 53) + 1)),
+        ])
+    }
+
+    /// [`truth`] against the walker, node by node, where `false` and an
+    /// error part ways; each row pins whether the walker says true too,
+    /// so a change to the numeric kernel both share (`>` for `>=`,
+    /// checked arithmetic for wrapping, a quiet NaN ordering) fails here.
+    #[test]
+    fn every_node_holds_exactly_when_the_walker_says_true() {
+        let env = edges();
+        for (src, expected) in [
+            ("n >= 7", true),
+            ("n > 7", false),
+            ("7 <= n", true),
+            ("n <= 6", false),
+            ("n < 8", true),
+            ("n * 2 - 1 >= 13", true),
+            ("n * 2 - 1 > 13", false),
+            ("n + 0.5 > 7", true),
+            ("n + 0.5 >= 7.5", true),
+            ("n + 0.5 > 7.5", false),
+            ("n / 0 == 0", false),
+            ("n % 0 == 0", false),
+            ("not (n / 0 == 0)", false),
+            ("n / 2 == 3", true),
+            ("n % 4 == 3", true),
+            ("n / 0.0 > 0", true),
+            ("n / 0.0 == inf", true),
+            ("big + 1 < big", true),
+            ("big * 2 == -2", true),
+            ("big - big + 1 >= 1", true),
+            ("big >= big", true),
+            ("big > big", false),
+            ("nan == nan", false),
+            ("nan != nan", true),
+            ("nan < 1", false),
+            ("not (nan < 1)", false),
+            ("not (nan == 1)", true),
+            ("x < 1", false),
+            ("not (x < 1)", false),
+            ("inf - inf == 0", false),
+            ("inf - inf != 0", true),
+            ("ninf < inf", true),
+            ("ninf * 0 >= 0", false),
+            ("neg0 == 0", true),
+            ("neg0 >= 0 and neg0 <= 0", true),
+            ("neg0 < 0", false),
+            ("p53 == 9007199254740992.0", true),
+            ("p53 == 9007199254740992", false),
+            ("p53 > 9007199254740992", true),
+            ("p53 > 9007199254740992.0", false),
+            ("not (n < 1)", true),
+            ("s == \"bank\" and n > 1 and b == false", true),
+            ("s == n", false),
+            ("s != n", true),
+            ("s < n", false),
+            ("not (s < n)", false),
+            ("s + n == s", false),
+            ("n + s != s", false),
+            ("s + \"!\" == \"bank!\"", true),
+            ("s < \"bank!\"", true),
+            ("n > 1 and ghost > 0", false),
+            ("ghost > 0 or n > 1", false),
+            ("n < 1 or ghost > 0", false),
+            ("n > 1 or ghost > 0", true),
+            ("not (n < 1 or b == true)", true),
+            ("exists(ghost) or n > 1", true),
+            ("b or n > 1", true),
+            ("n or true", false),
+            ("n", false),
+            ("true", true),
+            ("len(s) == 4 and n in [7]", true),
+            ("abs(n) >= 7", true),
+            ("-n < 0", true),
+        ] {
+            let e = Expr::parse(src).unwrap();
+            let walker = match eval(&e, &env).as_deref() {
+                Ok(Value::Bool(b)) => Some(*b),
+                _ => None,
+            };
+            assert_eq!(walker == Some(true), expected, "walker: {src}");
+            assert_eq!(truth(&e, &env), walker, "{src}");
+        }
+    }
+
+    /// [`operand`] against the walker's value, pinned as text (NaN is not
+    /// equal to itself).
+    #[test]
+    fn a_term_is_the_walker_value() {
+        let env = edges();
+        for (src, expected) in [
+            ("n", Some("7")),
+            ("n * 2 + 1", Some("15")),
+            ("s + s", Some("\"bankbank\"")),
+            ("n / 0", None),
+            ("n % 0", None),
+            ("n / 0.0", Some("inf")),
+            ("ghost + 1", None),
+            ("len(s)", Some("4")),
+            ("3", Some("3")),
+            ("big + 1", Some("-9223372036854775808")),
+            ("big * 2", Some("-2")),
+            ("nan", Some("NaN")),
+            ("nan + 1", Some("NaN")),
+            ("inf - inf", Some("NaN")),
+            ("ninf * -1", Some("inf")),
+            ("neg0", Some("-0.0")),
+            ("neg0 * 1", Some("-0.0")),
+            ("neg0 + 0", Some("0.0")),
+            ("p53 + 0.0", Some("9007199254740992.0")),
+            ("p53 - 1", Some("9007199254740992")),
+            ("n + 0.5", Some("7.5")),
+            ("s + n", None),
+            ("n - s", None),
+            ("b + 1", None),
+        ] {
+            let e = Expr::parse(src).unwrap();
+            let walker = eval(&e, &env).ok().map(|v| v.to_string());
+            assert_eq!(walker.as_deref(), expected, "walker: {src}");
+            let fast = operand(&e, &env).map(|v| v.value().to_string());
+            assert_eq!(fast, walker, "{src}");
+        }
+    }
+
+    #[test]
+    fn an_operand_result_is_two_words() {
+        assert!(std::mem::size_of::<Option<Val<'_>>>() <= 16);
+    }
+
+    /// What the random expressions read: the environment's three fields,
+    /// a record's field, a path through a non-record and an unbound name
+    /// (repeats weight the draw).
+    const PATHS: [&str; 12] = [
+        "a", "a", "a", "b", "b", "b", "c", "c", "r.y", "r.y", "a.y", "ghost",
+    ];
+
+    /// A value of every kind, weighted to the numbers where the kernel's
+    /// rules show (see [`edges`]).
+    fn arb_value() -> BoxedStrategy<Value> {
+        const FLOATS: [f64; 8] = [
+            0.0,
+            -0.0,
+            0.5,
+            2.0,
+            9007199254740992.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        const INTS: [i64; 3] = [i64::MAX, i64::MIN, (1 << 53) + 1];
+        const TEXTS: [&str; 3] = ["", "a", "bank"];
+        prop_oneof![
+            (-3i64..4).prop_map(Value::Int),
+            (-3i64..4).prop_map(Value::Int),
+            (-3i64..4).prop_map(Value::Int),
+            (0..INTS.len()).prop_map(|i| Value::Int(INTS[i])),
+            (0..FLOATS.len()).prop_map(|i| Value::Float(FLOATS[i])),
+            (0..TEXTS.len()).prop_map(|i| Value::text(TEXTS[i])),
+            any::<bool>().prop_map(Value::Bool),
+            Just(Value::seq([Value::Int(1), Value::Float(2.0)])),
+        ]
+    }
+
+    fn binary(op: BinOp, a: Expr, b: Expr) -> Expr {
+        Expr::Binary(op, Box::new(a), Box::new(b))
+    }
+
+    /// Arithmetic, negation, builtin calls (some of the wrong arity or
+    /// unknown) and sequence literals over [`PATHS`] and [`arb_value`]s:
+    /// each node [`operand`] reads in line, computes, or hands the walker.
+    fn arb_term() -> BoxedStrategy<Expr> {
+        const OPS: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem];
+        const CALLS: [&str; 5] = ["len", "abs", "min", "max", "frobnicate"];
+        let leaf = prop_oneof![
+            arb_value().prop_map(Expr::Lit),
+            (0..PATHS.len())
+                .prop_map(|i| Expr::Var(PATHS[i].split('.').map(str::to_owned).collect())),
+        ];
+        leaf.prop_recursive(2, 8, 2, |inner| {
+            prop_oneof![
+                (0..OPS.len(), inner.clone(), inner.clone())
+                    .prop_map(|(op, a, b)| binary(OPS[op], a, b)),
+                (0..OPS.len(), inner.clone(), inner.clone())
+                    .prop_map(|(op, a, b)| binary(OPS[op], a, b)),
+                inner
+                    .clone()
+                    .prop_map(|e| Expr::Unary(UnOp::Neg, Box::new(e))),
+                (0..CALLS.len(), prop::collection::vec(inner.clone(), 1..3))
+                    .prop_map(|(f, args)| Expr::Call(CALLS[f].to_owned(), args)),
+                prop::collection::vec(inner, 0..3).prop_map(Expr::SeqLit),
+            ]
+        })
+    }
+
+    /// Comparisons and memberships of [`arb_term`]s, `exists`, bare terms
+    /// and literals, under `and`, `or` and `not`: each node [`truth`]
+    /// decides, and the leaves it hands the walker.
+    fn arb_test() -> BoxedStrategy<Expr> {
+        const OPS: [BinOp; 7] = [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+            BinOp::In,
+        ];
+        let cmp =
+            (0..OPS.len(), arb_term(), arb_term()).prop_map(|(op, a, b)| binary(OPS[op], a, b));
+        let leaf = prop_oneof![
+            cmp.clone(),
+            cmp.clone(),
+            cmp,
+            (0..PATHS.len()).prop_map(|i| Expr::Call(
+                "exists".to_owned(),
+                vec![Expr::Var(PATHS[i].split('.').map(str::to_owned).collect())]
+            )),
+            arb_term(),
+        ];
+        leaf.prop_recursive(3, 16, 2, |inner| {
+            prop_oneof![
+                inner
+                    .clone()
+                    .prop_map(|e| Expr::Unary(UnOp::Not, Box::new(e))),
+                (any::<bool>(), inner.clone(), inner).prop_map(|(and, a, b)| binary(
+                    if and { BinOp::And } else { BinOp::Or },
+                    a,
+                    b
+                )),
+            ]
+        })
+    }
+
+    /// The fields of [`PATHS`], `c` now and then missing.
+    fn arb_env() -> BoxedStrategy<Value> {
+        (
+            arb_value().prop_map(Some),
+            arb_value().prop_map(Some),
+            prop::option::of(arb_value()),
+            arb_value(),
+        )
+            .prop_map(|(a, b, c, y)| {
+                let fields = [
+                    ("a", a),
+                    ("b", b),
+                    ("c", c),
+                    ("r", Some(Value::record([("y", y)]))),
+                ];
+                Value::record(fields.into_iter().filter_map(|(k, v)| Some((k, v?))))
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16384))]
+
+        /// [`truth`] and [`operand`] against the walker over random
+        /// expressions, and `Expr::eval_bool`/`eval` against the walker
+        /// with its errors, all compared as `Debug` text (NaN is not equal
+        /// to itself, and `==` would take `Int(2)` for `Float(2.0)`).
+        #[test]
+        fn the_fast_paths_are_the_walker(
+            e in prop_oneof![arb_test(), arb_test(), arb_term()],
+            env in arb_env(),
+        ) {
+            let walked = eval(&e, &env).map(Cow::into_owned);
+            let walked_bool = match &walked {
+                Ok(Value::Bool(b)) => Ok(*b),
+                Ok(other) => Err(EvalError::TypeMismatch {
+                    context: "predicate result".to_owned(),
+                    got: other.kind().to_owned(),
+                }),
+                Err(err) => Err(err.clone()),
+            };
+            prop_assert_eq!(truth(&e, &env), walked_bool.clone().ok(), "truth: {} on {}", e, env);
+            let fast = operand(&e, &env).map(|v| format!("{:?}", v.value()));
+            let walker = walked.as_ref().ok().map(|v| format!("{v:?}"));
+            prop_assert_eq!(fast, walker, "operand: {} on {}", e, env);
+            prop_assert_eq!(
+                format!("{:?}", e.eval_bool(&env)),
+                format!("{walked_bool:?}"),
+                "eval_bool: {} on {}",
+                e,
+                env
+            );
+            prop_assert_eq!(
+                format!("{:?}", e.eval(&env)),
+                format!("{walked:?}"),
+                "eval: {} on {}",
+                e,
+                env
+            );
+        }
     }
 
     #[test]

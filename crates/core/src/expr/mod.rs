@@ -11,11 +11,14 @@
 //!
 //! The pipeline is conventional: lex → [`parse`](Expr::parse)
 //! → [`eval`](Expr::eval) with optional static [`infer`](Expr::infer)ence
-//! against a record [`DataType`](crate::dtype::DataType). An expression
-//! evaluated against many environments — a trader import's constraint
-//! over every candidate offer, a schema's guard on every transition — is
-//! compiled once into a [`Predicate`] or [`Term`] that agrees with the
-//! evaluator and skips its per-node work.
+//! against a record [`DataType`](crate::dtype::DataType). There is one
+//! tree and one semantics. [`Expr::eval_bool`] and [`Expr::eval`] first
+//! run an error-free fast path over the tree, which compares and
+//! computes numbers unboxed and builds no error, and walk the tree for
+//! an [`EvalError`] only where that path fails, so a `false` is never
+//! evaluated twice. A caller that needs no error — the trader, judging
+//! every candidate offer of an import — asks [`Expr::holds`] and
+//! [`Expr::value`], the fast paths alone.
 //!
 //! # Grammar
 //!
@@ -32,18 +35,17 @@
 //! ```
 
 mod analyze;
-mod compile;
 mod eval;
 mod infer;
 mod parser;
 mod token;
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::value::Value;
 
-pub use analyze::{Atom, Comparison};
-pub use compile::{Predicate, Term};
+pub use analyze::{required, Atom, Comparison};
 pub use eval::{Env, EvalError};
 pub use infer::InferError;
 pub use parser::ParseError;
@@ -164,7 +166,10 @@ impl Expr {
     /// Returns an [`EvalError`] for unbound variables, operand type
     /// mismatches, division by zero, or bad builtin arity.
     pub fn eval(&self, env: &dyn Env) -> Result<Value, EvalError> {
-        eval::eval(self, env).map(std::borrow::Cow::into_owned)
+        match self.value(env) {
+            Some(v) => Ok(v.into_owned()),
+            None => eval::eval(self, env).map(Cow::into_owned),
+        }
     }
 
     /// Evaluates and requires a boolean result — the common case for
@@ -174,6 +179,9 @@ impl Expr {
     ///
     /// As [`Self::eval`], plus a type mismatch if the result is not a bool.
     pub fn eval_bool(&self, env: &dyn Env) -> Result<bool, EvalError> {
+        if let Some(b) = eval::truth(self, env) {
+            return Ok(b);
+        }
         match &*eval::eval(self, env)? {
             Value::Bool(b) => Ok(*b),
             other => Err(EvalError::TypeMismatch {
@@ -181,6 +189,17 @@ impl Expr {
                 got: other.kind().to_owned(),
             }),
         }
+    }
+
+    /// Whether `self.eval_bool(env) == Ok(true)`, building no error.
+    pub fn holds(&self, env: &dyn Env) -> bool {
+        eval::truth(self, env) == Some(true)
+    }
+
+    /// `self.eval(env).ok()`, building no error: borrowed where the
+    /// value is a literal of the expression or a binding of `env`.
+    pub fn value<'a>(&'a self, env: &'a dyn Env) -> Option<Cow<'a, Value>> {
+        eval::operand(self, env).map(eval::Val::value)
     }
 
     /// Infers the result type of the expression against a typed environment

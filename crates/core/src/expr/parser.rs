@@ -34,7 +34,7 @@ impl From<LexError> for ParseError {
 
 /// How deep a parsed expression may be: brackets, calls and unary operators
 /// open around any token, and operator, call or sequence nodes on any path
-/// from the root. The parser, walker, compiler and `Drop` recurse once per
+/// from the root. The parser, evaluator and `Drop` recurse once per
 /// level, so deeper text is a [`ParseError`], never a stack overflow.
 const MAX_DEPTH: usize = 128;
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use rmodp_core::codec::{transcode, BinarySyntax, SyntaxId, TextSyntax, TransferSyntax};
 use rmodp_core::dtype::DataType;
-use rmodp_core::expr::{BinOp, Expr, Predicate, Term, UnOp};
+use rmodp_core::expr::{required, BinOp, Expr, UnOp};
 use rmodp_core::naming::{BindingTarget, Name, NamingContext};
 use rmodp_core::value::{Record, Value};
 
@@ -225,36 +225,25 @@ proptest! {
         prop_assert_eq!(format!("{:?}", e.eval(&map)), rendered, "map: {}", e);
         // `eval_bool` is `eval` plus the result check.
         let as_bool = e.eval_bool(&record);
-        // Compiled once, the expression agrees with the walker: the
-        // predicate holds iff `eval_bool` is `Ok(true)` (and then binds
-        // every variable it claims to require), the term is `eval(..)`.
-        let predicate = Predicate::compile(&e);
-        let holds = predicate.holds(&record);
-        prop_assert_eq!(holds, as_bool == Ok(true), "predicate: {}", e);
-        for path in e.variables().iter().filter(|p| holds && predicate.requires(p)) {
+        // The error-free entry points are the fallible ones less their
+        // errors: the expression holds iff `eval_bool` is `Ok(true)` (and
+        // then binds every variable it requires), its value is
+        // `eval(..).ok()`. Both sides run the same fast paths; those
+        // against the tree walker are `the_fast_paths_are_the_walker`, in
+        // the evaluator's own tests, where the walker is visible.
+        let holds = e.holds(&record);
+        prop_assert_eq!(holds, as_bool == Ok(true), "holds: {}", e);
+        let conjuncts = e.conjuncts();
+        for path in required(&conjuncts).into_iter().filter(|_| holds) {
             prop_assert!(record.path(path).is_some(), "{} requires {:?}", e, path);
         }
-        // Its conjuncts compiled as one conjunction are the same predicate
+        // Its conjuncts judged one by one, in order, are the expression
         // (the trader's residual is such a list, less the conjuncts an
-        // index answered). Compiled forms are compared as `Debug` text: a
-        // NaN literal is not equal to itself.
-        let shape = |p: &dyn std::fmt::Debug| format!("{p:?}");
-        let conjunction = Predicate::all(&e.conjuncts());
-        prop_assert_eq!(shape(&conjunction), shape(&predicate), "conjunction: {}", e);
-        prop_assert_eq!(conjunction.holds(&record), holds, "conjunction: {}", e);
-        let term = Term::compile(&e).value(&record).map(|v| v.into_owned());
-        prop_assert_eq!(format!("{term:?}"), format!("{:?}", by_record.as_ref().ok()), "term: {}", e);
-        // Detached from the expression, both forms are what they were.
-        let owned = Predicate::compile(&e).into_owned();
-        prop_assert_eq!(shape(&owned), shape(&predicate), "owned predicate: {}", e);
-        prop_assert_eq!(owned.holds(&record), holds, "owned predicate: {}", e);
-        for path in e.variables() {
-            prop_assert_eq!(owned.requires(&path), predicate.requires(&path));
-        }
-        let owned_term = Term::compile(&e).into_owned();
-        prop_assert_eq!(shape(&owned_term), shape(&Term::compile(&e)), "owned term: {}", e);
-        let owned_value = owned_term.value(&record).map(|v| v.into_owned());
-        prop_assert_eq!(format!("{owned_value:?}"), format!("{term:?}"), "owned term: {}", e);
+        // index answered).
+        let every = conjuncts.iter().all(|c| c.holds(&record));
+        prop_assert_eq!(every, holds, "conjunction: {}", e);
+        let value = e.value(&record).map(|v| v.into_owned());
+        prop_assert_eq!(format!("{value:?}"), format!("{:?}", by_record.as_ref().ok()), "value: {}", e);
         match by_record {
             Ok(Value::Bool(b)) => prop_assert_eq!(as_bool, Ok(b)),
             Ok(_) => prop_assert!(as_bool.is_err(), "{}", e),

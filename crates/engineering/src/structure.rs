@@ -158,9 +158,11 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<ClusterCheckpoint, String> {
                 .and_then(Value::as_seq)
                 .ok_or("missing interfaces")?
                 .iter()
-                .filter_map(Value::as_int)
-                .map(|i| InterfaceId::new(i as u64))
-                .collect(),
+                .map(|i| {
+                    let raw = i.as_int().ok_or("non-integer id in interfaces")?;
+                    Ok(InterfaceId::new(raw as u64))
+                })
+                .collect::<Result<_, &str>>()?,
         };
         let state = o.field("state").cloned().ok_or("missing state")?;
         objects.push(ObjectCheckpoint { record, state });
@@ -434,5 +436,25 @@ mod tests {
         assert!(decode_checkpoint(&[1, 2, 3]).is_err());
         let not_a_checkpoint = syntax_for(SyntaxId::Binary).encode(&Value::Int(5));
         assert!(decode_checkpoint(&not_a_checkpoint).is_err());
+    }
+
+    /// A damaged interface list is refused, not read as a shorter one.
+    #[test]
+    fn decode_rejects_a_non_integer_interface_id() {
+        let object = Value::record([
+            ("object", Value::Int(1)),
+            ("name", Value::text("counter")),
+            ("behaviour", Value::text("counter")),
+            ("interfaces", Value::seq([Value::text("x")])),
+            ("state", Value::record([("n", Value::Int(42))])),
+        ]);
+        let damaged = Value::record([
+            ("cluster", Value::Int(3)),
+            ("epoch", Value::Int(7)),
+            ("objects", Value::seq([object])),
+        ]);
+        let bytes = syntax_for(SyntaxId::Binary).encode(&damaged);
+        let err = decode_checkpoint(&bytes).unwrap_err();
+        assert!(err.contains("interfaces"), "{err}");
     }
 }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use rmodp_core::dtype::{DataType, TypeError};
-use rmodp_core::expr::{Env, EvalError, Expr, ParseError, Predicate, Term};
+use rmodp_core::expr::{Env, EvalError, Expr, ParseError};
 use rmodp_core::value::{Record, Value};
 
 /// An error raised while building or applying schemas.
@@ -143,13 +143,11 @@ impl StaticSchema {
     }
 }
 
-/// An invariant schema: a predicate that must hold in every state,
-/// compiled once.
+/// An invariant schema: a predicate that must hold in every state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvariantSchema {
     name: String,
     predicate: Expr,
-    compiled: Predicate<'static>,
 }
 
 impl InvariantSchema {
@@ -157,7 +155,6 @@ impl InvariantSchema {
     fn new(name: impl Into<String>, predicate: Expr) -> Self {
         Self {
             name: name.into(),
-            compiled: Predicate::compile(&predicate).into_owned(),
             predicate,
         }
     }
@@ -181,15 +178,14 @@ impl InvariantSchema {
         &self.predicate
     }
 
-    /// Evaluates the invariant in a state (or any environment): compiled,
-    /// with the walker only to render an error.
+    /// Evaluates the invariant in a state (or any environment).
     ///
     /// # Errors
     ///
     /// Returns [`SchemaError::Eval`] if the predicate cannot be evaluated
     /// in this state (e.g. missing fields).
     pub fn holds(&self, state: &dyn Env) -> Result<bool, SchemaError> {
-        Ok(self.compiled.holds(state) || self.predicate.eval_bool(state)?)
+        Ok(self.predicate.eval_bool(state)?)
     }
 }
 
@@ -198,13 +194,13 @@ impl InvariantSchema {
 /// Effects are *simultaneous assignments*: every right-hand side is
 /// evaluated against the **old** state (plus parameters, plus `old.`-
 /// prefixed paths), then all assignments are applied at once. The guard
-/// and effects are compiled once, when the schema is built.
+/// and effects are parsed once, when the schema is built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicSchema {
     name: String,
     params: Vec<(String, DataType)>,
-    guard: Option<(Predicate<'static>, Expr)>,
-    effects: Vec<(String, Term<'static>, Expr)>,
+    guard: Option<Expr>,
+    effects: Vec<(String, Expr)>,
 }
 
 impl DynamicSchema {
@@ -303,24 +299,22 @@ impl DynamicSchema {
                 detail: format!("state must be a record, got {}", state.kind()),
             })?;
         let old = Transition { args, state };
-        if let Some((guard, expr)) = &self.guard {
-            if !(guard.holds(&old) || expr.eval_bool(&old)?) {
+        if let Some(guard) = &self.guard {
+            if !guard.eval_bool(&old)? {
                 return Err(SchemaError::GuardFailed {
                     schema: self.name.clone(),
                 });
             }
         }
         let mut new = Vec::with_capacity(self.effects.len());
-        for (field, term, expr) in &self.effects {
+        for (field, expr) in &self.effects {
             if record.get(field).is_none() {
                 return Err(SchemaError::UnknownField {
                     schema: self.name.clone(),
                     field: field.clone(),
                 });
             }
-            let v = term
-                .value(&old)
-                .map_or_else(|| expr.eval(&old), |v| Ok(v.into_owned()))?;
+            let v = expr.eval(&old)?;
             new.push((field.as_str(), v));
         }
         let successor = Successor { new: &new, state };
@@ -382,8 +376,8 @@ impl Env for Successor<'_> {
 pub struct DynamicSchemaBuilder {
     name: String,
     params: Vec<(String, DataType)>,
-    guard: Option<(Predicate<'static>, Expr)>,
-    effects: Vec<(String, Term<'static>, Expr)>,
+    guard: Option<Expr>,
+    effects: Vec<(String, Expr)>,
     error: Option<SchemaError>,
 }
 
@@ -397,7 +391,7 @@ impl DynamicSchemaBuilder {
     /// Sets the guard predicate (source text).
     pub fn guard(mut self, predicate: &str) -> Self {
         match Expr::parse(predicate) {
-            Ok(e) => self.guard = Some((Predicate::compile(&e).into_owned(), e)),
+            Ok(e) => self.guard = Some(e),
             Err(e) => self.error = self.error.or(Some(SchemaError::Parse(e))),
         }
         self
@@ -406,9 +400,7 @@ impl DynamicSchemaBuilder {
     /// Adds an effect `field := expr` (source text).
     pub fn effect(mut self, field: impl Into<String>, expr: &str) -> Self {
         match Expr::parse(expr) {
-            Ok(e) => self
-                .effects
-                .push((field.into(), Term::compile(&e).into_owned(), e)),
+            Ok(e) => self.effects.push((field.into(), e)),
             Err(e) => self.error = self.error.or(Some(SchemaError::Parse(e))),
         }
         self
@@ -765,10 +757,13 @@ mod tests {
         assert!(matches!(err, SchemaError::Eval(_)));
     }
 
-    /// The tree-walking transition the compiled, in-place
-    /// [`DynamicSchema::step`] is held to: guard and effects walked over
-    /// the pre-state, effects assigned into a copy, invariants walked over
-    /// the copy.
+    /// The copying transition the in-place [`DynamicSchema::step`] is
+    /// held to: guard and effects evaluated over the pre-state, effects
+    /// assigned into a copy, invariants evaluated over the copy. It
+    /// evaluates through the same `eval_bool`/`eval` as the step, so what
+    /// it checks is the order of the stages and the assignment in place;
+    /// those two against the tree walker are `rmodp_core`'s
+    /// `the_fast_paths_are_the_walker`.
     fn reference(
         schema: &DynamicSchema,
         state: &Value,
@@ -782,7 +777,7 @@ mod tests {
                 detail: format!("state must be a record, got {}", state.kind()),
             })?;
         let scope = Transition { args, state };
-        if let Some((_, guard)) = &schema.guard {
+        if let Some(guard) = &schema.guard {
             if !guard.eval_bool(&scope)? {
                 return Err(SchemaError::GuardFailed {
                     schema: schema.name.clone(),
@@ -790,7 +785,7 @@ mod tests {
             }
         }
         let mut new_state = state.clone();
-        for (field, _, expr) in &schema.effects {
+        for (field, expr) in &schema.effects {
             if record.get(field).is_none() {
                 return Err(SchemaError::UnknownField {
                     schema: schema.name.clone(),
@@ -895,11 +890,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// The compiled step in place and the walker on a copy give the
-        /// same `Ok` state or the same error, and an error leaves the
-        /// state as it was.
+        /// The step in place and the reference on a copy give the same
+        /// `Ok` state or the same error, and an error leaves the state as
+        /// it was.
         #[test]
-        fn the_step_is_the_walker_in_place(
+        fn the_step_in_place_is_the_copying_reference(
             guard in proptest::option::of(arb_test(BEFORE)),
             effects in proptest::collection::vec((0..5usize, arb_term(BEFORE)), 1..3),
             invariants in proptest::collection::vec(arb_test(AFTER), 0..3),

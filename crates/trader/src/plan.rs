@@ -24,7 +24,7 @@
 //!    which is what keeps planned matching byte-identical.
 //! 4. **Residual filter** (performed by the caller, `Trader::import`):
 //!    the conjuncts of the constraint that no used path answers
-//!    *exactly*, compiled once, are evaluated on every candidate. A
+//!    *exactly* are evaluated on every candidate. A
 //!    lookup answers its atom exactly when the offers it posts are the
 //!    offers the atom holds on, no more (`serves_exactly` says when);
 //!    every candidate lies on every used path, so such an atom is true

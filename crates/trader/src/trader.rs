@@ -4,19 +4,19 @@
 //! Imports no longer scan every offer: [`Trader::import`] compiles the
 //! request through [`crate::plan::plan_import`] against the trader's
 //! [`OfferStore`] and only evaluates what the plan's indexes did not
-//! answer exactly — compiled once per import — on the plan's
-//! candidates. [`Trader::import_scan`] keeps the original full scan on
-//! the tree walker — it is the executable
-//! specification the planner and the compiled residual are tested
-//! against (see `tests/plan_equivalence.rs`) and the baseline the
-//! `BENCH_trader.json` suite measures.
+//! answer exactly on the plan's candidates. [`Trader::import_scan`]
+//! keeps the original full scan — every constraint variable bound, the
+//! whole constraint evaluated — as the executable specification the
+//! planner and the residual are tested against (see
+//! `tests/plan_equivalence.rs`) and the baseline the `BENCH_trader.json`
+//! suite measures.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use rmodp_core::expr::{Expr, ParseError, Predicate, Term};
+use rmodp_core::expr::{required, Expr, ParseError};
 use rmodp_core::id::{IdGen, InterfaceId, OfferId};
 use rmodp_core::value::Value;
 use rmodp_typerepo::TypeRepository;
@@ -282,9 +282,9 @@ pub(crate) fn first_per_holder(found: &[Match]) -> Vec<Match> {
         .collect()
 }
 
-/// The per-offer residual on the tree walker: constraint-variable
-/// binding, constraint evaluation, preference scoring. It is the
-/// reference scan's, and the specification [`Residual`] is held to.
+/// The per-offer residual of the reference scan: constraint-variable
+/// binding, evaluation of the whole constraint, preference scoring. It
+/// is the specification [`Residual`] is held to.
 ///
 /// Offers whose properties do not bind every constraint variable, or on
 /// which an expression fails to evaluate, simply do not match — a
@@ -315,44 +315,38 @@ fn residual_match(
     })
 }
 
-/// [`residual_match`] compiled once per import, on the plan's
-/// candidates: the same offers match with the same scores. The
-/// constraint is a [`Predicate`] over the conjuncts the plan did not
-/// answer exactly (`PlannedImport::residual`): every candidate satisfies
-/// the others, so it holds exactly when the walker returns `Ok(true)` on
-/// the whole constraint. `binds` is asked only about the variables of
-/// those conjuncts that the predicate does not itself require (those
-/// reached only through an `or`'s right operand or a call such as
-/// `exists(x)`), since a predicate that holds has bound the rest, and an
-/// exactly answered atom's path is bound on every candidate — an index
-/// posts only offers with a scalar value there. The preference is a
-/// [`Term`].
+/// [`residual_match`] on the plan's candidates, set up once per import:
+/// the same offers match with the same scores. The constraint is the
+/// conjuncts the plan did not answer exactly (`PlannedImport::residual`),
+/// each judged by [`Expr::holds`]: every candidate satisfies the others,
+/// so they all hold exactly when the walker returns `Ok(true)` on the
+/// whole constraint. `binds` is asked only about the variables of those
+/// conjuncts that they do not [require](required) (those reached only
+/// through an `or`'s right operand or a call such as `exists(x)`), since
+/// conjuncts that hold have bound the rest, and an exactly answered
+/// atom's path is bound on every candidate — an index posts only offers
+/// with a scalar value there. The preference is scored by
+/// [`Expr::value`].
 struct Residual<'r> {
-    constraint: Option<Predicate<'r>>,
+    conjuncts: &'r [&'r Expr],
     unrequired: Vec<Vec<String>>,
-    score: Option<Term<'r>>,
+    score: Option<&'r Expr>,
 }
 
 impl<'r> Residual<'r> {
-    fn compile(conjuncts: &[&'r Expr], request: &'r ImportRequest) -> Self {
-        let (constraint, unrequired) = match conjuncts {
-            [] => (None, Vec::new()),
-            _ => {
-                let predicate = Predicate::all(conjuncts);
-                let vars = conjuncts
-                    .iter()
-                    .flat_map(|c| c.variables())
-                    .filter(|path| !predicate.requires(path))
-                    .collect();
-                (Some(predicate), vars)
-            }
-        };
+    fn new(conjuncts: &'r [&'r Expr], request: &'r ImportRequest) -> Self {
+        let required = required(conjuncts);
+        let unrequired = conjuncts
+            .iter()
+            .flat_map(|c| c.variables())
+            .filter(|path| !required.contains(&path.as_slice()))
+            .collect();
         let score = match &request.preference {
             Preference::FirstFound => None,
-            Preference::Max(e) | Preference::Min(e) => Some(Term::compile(e)),
+            Preference::Max(e) | Preference::Min(e) => Some(e),
         };
         Self {
-            constraint,
+            conjuncts,
             unrequired,
             score,
         }
@@ -362,14 +356,12 @@ impl<'r> Residual<'r> {
     /// import knows it hands the offer out.
     fn score(&self, offer: &ServiceOffer) -> Option<f64> {
         let properties = &offer.properties;
-        if !self.constraint.as_ref().is_none_or(|p| p.holds(properties))
-            || !offer.binds(&self.unrequired)
-        {
+        if !self.conjuncts.iter().all(|c| c.holds(properties)) || !offer.binds(&self.unrequired) {
             return None;
         }
-        match &self.score {
+        match self.score {
             None => Some(0.0),
-            Some(term) => term.value(properties)?.as_float(),
+            Some(e) => e.value(properties)?.as_float(),
         }
     }
 }
@@ -607,7 +599,7 @@ impl Trader {
     ///
     /// The request is compiled into an index-backed query plan first;
     /// only the plan's candidates reach the residual (the conjuncts no
-    /// index answered exactly, and the preference, compiled once for the
+    /// index answered exactly, and the preference, set up once for the
     /// whole import), and a [`Preference::FirstFound`] request stops at
     /// its `max_matches`-th match. Matching candidates are scored as
     /// borrowed offers; an ordered request picks its `max_matches` best
@@ -638,7 +630,7 @@ impl Trader {
             .emit();
         bus::push_context(span);
 
-        let residual = Residual::compile(&planned.residual, request);
+        let residual = Residual::new(&planned.residual, request);
         // Only an unordered request's matches are final as they are found.
         let enough = match request.preference {
             Preference::FirstFound => request.max_matches,

@@ -8,9 +8,10 @@
 //! executable: candidates are produced in ascending offer-id order (the
 //! scan's visiting order) and the residual filter re-evaluates the full
 //! constraint, so indexes can only skip non-matches, never reorder or
-//! drop matches. The planned import runs the residual compiled once per
-//! import while the scan walks the expression tree, so every case is
-//! also a compiled-versus-walker differential test. The residual leaves
+//! drop matches. The planned import judges the residual's conjuncts one
+//! by one with `Expr::holds` while the scan evaluates the whole
+//! constraint with `eval_bool`, so every case also holds the conjunct
+//! list to the whole expression. The residual leaves
 //! out the atoms an exact index answered, so the populations and
 //! literals include the values exactness rests on: ints on either side
 //! of ±2⁵³ (where `f64` widening turns lossy) and at ±2⁶³, `NaN` and
@@ -148,7 +149,7 @@ fn arb_constraint_text() -> impl Strategy<Value = String> {
             .prop_map(|t| format!("ppm >= {t} or colour == true")),
         Just("not (colour == true)".to_owned()),
         Just("ppm != 50".to_owned()),
-        // Shapes that reach each node of the compiled residual: a
+        // Shapes that reach each node of the residual's fast path: a
         // flipped literal, arithmetic, `or` (whose right operand binds
         // must still check), `not` over `or`, and a walker leaf.
         threshold.clone().prop_map(|t| format!("{t} <= ppm")),
@@ -542,9 +543,9 @@ fn top_k_selection_equals_the_full_sort() {
 /// `ppm` — against offers holding `ppm` as every kind the numeric kernel
 /// meets: ints, floats, NaN, ±inf, `i64::MAX` (where `* 2` wraps), text,
 /// and nothing. Plain and under `prefer_max("ppm")`, with and without
-/// indexes, the planned import (the compiled residual) returns the scan's
-/// (the walker's) members in the scan's order; the counts pin what the
-/// walker says (every match has a number to rank by).
+/// indexes, the planned import (the residual) returns the scan's members
+/// in the scan's order; the counts pin what the evaluator says (every
+/// match has a number to rank by).
 #[test]
 fn opaque_residuals_over_every_numeric_kind_equal_the_scan() {
     let speeds = [

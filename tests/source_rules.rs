@@ -28,6 +28,13 @@ enum Pattern {
     /// The line calls the function of this name: `name(` appears, and not
     /// as its definition `fn name(`.
     Call(&'static str),
+    /// The line names the generic type `outer` (`Cow<`) over the type
+    /// `argument` (`Expr>`): `argument` follows `outer` with no `>`
+    /// between them, and no letter, digit or `_` touches its start.
+    TypeArgument {
+        outer: &'static str,
+        argument: &'static str,
+    },
     /// The line spells a JSON key inside a string literal: `\"`, a key,
     /// then `\":` in an ordinary literal, or `"`, a key, then `":` inside
     /// a raw one (`r"…"`, `r#"…"#`). A key is a word (letters, digits,
@@ -52,6 +59,16 @@ impl Pattern {
             Pattern::Call(name) => line.match_indices(name).any(|(at, _)| {
                 line[at + name.len()..].starts_with('(') && !line[..at].ends_with("fn ")
             }),
+            Pattern::TypeArgument { outer, argument } => {
+                line.match_indices(outer).any(|(at, _)| {
+                    let rest = &line[at + outer.len()..];
+                    rest.match_indices(argument).any(|(end, _)| {
+                        let between = &rest[..end];
+                        !between.contains('>')
+                            && !between.ends_with(|c: char| c.is_alphanumeric() || c == '_')
+                    })
+                })
+            }
             Pattern::JsonKey => spells_key(line, "\\\"") || spells_key(raw, "\""),
         }
     }
@@ -134,7 +151,7 @@ struct Rule {
     copies: usize,
 }
 
-use Pattern::{Call, EagerArgument, JsonKey, Literal, Word};
+use Pattern::{Call, EagerArgument, JsonKey, Literal, TypeArgument, Word};
 
 const SRC: &[&str] = &["crates/*/src", "src"];
 
@@ -206,12 +223,12 @@ const RULES: &[Rule] = &[
         copies: 0,
     },
     Rule {
-        name: "the residual is compiled once",
-        why: "`Trader::import` runs the request compiled once (`Residual`, a \
-              `rmodp_core::expr::Predicate` and `Term`); the tree-walking `residual_match` is \
-              the reference scan's alone, called once, in `import_scan`. The two share only the \
-              numeric kernel (\"one numeric semantics\"), whose answers compile.rs's edge rows \
-              pin (DESIGN.md, \"Trader at scale\")",
+        name: "the residual is set up once",
+        why: "`Trader::import` sets the request up once (`Residual`: the kept conjuncts, each \
+              judged by `Expr::holds`, and the preference scored by `Expr::value`); \
+              `residual_match`, which binds every variable and evaluates the whole constraint, \
+              is the reference scan's alone, called once, in `import_scan` (DESIGN.md, \
+              \"Trader at scale\")",
         roots: &["crates/trader/src"],
         patterns: &[Call("residual_match")],
         exempt: &[],
@@ -222,16 +239,15 @@ const RULES: &[Rule] = &[
         name: "one judge of an exact atom",
         why: "`plan::serves_exactly` alone decides which conjuncts leave the residual: it is \
               called once, on the one line that sets `IndexStep::exact`, and `Trader::import` \
-              compiles its residual only from the conjuncts the plan kept \
-              (`PlannedImport::residual`, one `Predicate::all`); a second caller, a second \
-              writer of `exact`, or a `Predicate::compile` of the whole constraint is a second \
-              way to drop or keep a conjunct (DESIGN.md, \"Trader at scale\", step 4)",
+              builds its one `Residual` only from the conjuncts the plan kept \
+              (`Residual::new(&planned.residual, …)`); a second caller, a second writer of \
+              `exact`, or a second `Residual` (say, of the whole constraint) is a second way to \
+              drop or keep a conjunct (DESIGN.md, \"Trader at scale\", step 4)",
         roots: &["crates/trader/src"],
         patterns: &[
             Call("serves_exactly"),
             Literal("exact ="),
-            Call("Predicate::all"),
-            Literal("Predicate::compile("),
+            Call("Residual::new"),
         ],
         exempt: &[],
         above_tests_only: true,
@@ -252,34 +268,60 @@ const RULES: &[Rule] = &[
     Rule {
         name: "one numeric semantics",
         why: "numbers are combined and compared by one kernel, `Num` in \
-              crates/core/src/expr/eval.rs, which the walker's `arithmetic` and `comparison` \
-              call for every pair of numbers; the compiled form reads its operands to a `Num` \
-              and calls the same kernel. A wrapping op, an ordering of floats or a widening \
-              cast in compile.rs is a second copy of those rules, free to drift from the \
-              walker that `import_scan` and the schema fallbacks run, and a \
-              walker-against-compiled test would not say which one is right (DESIGN.md, \
-              \"Trader at scale\", step 4)",
-        roots: &["crates/core/src/expr/compile.rs"],
+              crates/core/src/expr/eval.rs, whose seven lines hold the expression language's \
+              only wrapping `+ - * / %`, float ordering and widening cast; the walker's \
+              `arithmetic` and `comparison` call it for every pair of numbers, and the fast \
+              paths (`truth`, `operand`) read their operands to a `Num` and call it too. An \
+              eighth such line is a second copy of those rules, free to drift from the first, \
+              and a fast-path-against-walker test would not say which one is right \
+              (DESIGN.md, \"Trader at scale\", step 4)",
+        roots: &["crates/core/src/expr"],
         patterns: &[
-            Literal("wrapping_"),
+            Literal("wrapping_add"),
+            Literal("wrapping_sub"),
+            Literal("wrapping_mul"),
+            Literal("wrapping_div"),
+            Literal("wrapping_rem"),
             Literal("partial_cmp"),
             Literal("as f64"),
         ],
         exempt: &[],
         above_tests_only: false,
-        copies: 0,
+        copies: 7,
     },
     Rule {
-        name: "schemas evaluate compiled",
-        why: "invariants, guards and effects run their `Predicate`/`Term`, compiled when the \
-              schema is built and computing numbers through the walker's own kernel; the walker \
-              only renders the error of one that fails — one fallback each (DESIGN.md, \
-              \"Schemas run compiled, transitions in place\")",
+        name: "schemas evaluate once",
+        why: "an invariant, a guard and an effect are each evaluated once, by \
+              `Expr::eval_bool` or `Expr::eval`, which run the error-free fast path and walk \
+              the tree only to build the error of one that fails: one call each, and no \
+              second pass to recover an error (DESIGN.md, \"Schemas evaluate once, \
+              transitions in place\")",
         roots: &["crates/information/src"],
         patterns: &[Literal(".eval("), Literal(".eval_bool(")],
         exempt: &[],
         above_tests_only: true,
         copies: 3,
+    },
+    Rule {
+        name: "one expression tree",
+        why: "an expression is its `Expr` tree and nothing else: `Expr::eval_bool`/`eval` \
+              and the error-free `Expr::holds`/`value` all run over it, so there is no \
+              compiled copy to keep beside it (`Predicate<…>`, `Term<…>`, `mod compile`) and \
+              no `Cow<…, Expr>` for a copy to borrow and then own (DESIGN.md, \"Schemas \
+              evaluate once, transitions in place\")",
+        roots: SRC,
+        patterns: &[
+            Literal("Predicate<"),
+            Literal("Term<"),
+            Literal("mod compile"),
+            TypeArgument {
+                outer: "Cow<",
+                argument: "Expr>",
+            },
+        ],
+        exempt: &[],
+        above_tests_only: false,
+        copies: 0,
     },
     Rule {
         name: "`Scope` does not come back",
@@ -1803,20 +1845,49 @@ fn a_scheduler_on_top_of_the_queue_is_flagged() {
 }
 
 #[test]
-fn numeric_rules_written_into_the_compiled_form_are_flagged() {
+fn numeric_rules_written_beside_the_kernel_are_counted() {
     let rule = RULES
         .iter()
         .find(|rule| rule.name == "one numeric semantics")
         .expect("the rule is a row of RULES");
     let text = "\
-        (Val::Int(x), Val::Int(y)) => Val::Int(x.wrapping_add(y)),\n\
-        (Val::Float(x), Val::Float(y)) => x.partial_cmp(&y),\n\
-        (Val::Int(x), Val::Float(y)) => (x as f64) == y,\n\
-        (Val::Num(x), Val::Num(y)) => x.comparison(*op, *y),\n\
+        (Val::Num(x), Val::Num(y)) => x.comparison(*op, y),\n\
+        Add => Ok(Num::Int(x.wrapping_add(y))),\n\
+        (Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_mul(*y)),\n\
+        (Value::Float(x), Value::Float(y)) => x.partial_cmp(y),\n\
+        (Value::Int(x), Value::Float(y)) => (*x as f64) == *y,\n\
+        Value::Int(i) => owned(Value::Int(i.wrapping_neg())),\n\
         #[cfg(test)]\n\
         let big = i64::MAX.wrapping_add(1);\n";
-    assert_eq!(offending_lines(rule, text), vec![1, 2, 3, 6]);
+    assert_eq!(offending_lines(rule, text), vec![2, 3, 4, 5, 8]);
     assert!(!rule.above_tests_only, "the tests pin answers, not rules");
+    assert_eq!(
+        rule.copies, 7,
+        "the kernel's five int operators, its ordering and its widening: an eighth line is \
+         a second kernel"
+    );
+}
+
+#[test]
+fn a_compiled_copy_of_an_expression_is_flagged() {
+    let rule = RULES
+        .iter()
+        .find(|rule| rule.name == "one expression tree")
+        .expect("the rule is a row of RULES");
+    let text = "\
+        mod compile;\n\
+        compiled: Predicate<'static>,\n\
+        effects: Vec<(String, Term<'static>, Expr)>,\n\
+        Walk(Cow<'e, Expr>),\n\
+        fn lend(&self) -> Option<Cow<Expr>> {\n\
+        conjuncts: &'r [&'r Expr],\n\
+        score: Option<&'r Expr>,\n\
+        effects: Vec<(String, Expr)>,\n\
+        named: BTreeMap<String, Expr>,\n\
+        fn pick(v: Cow<'_, Value>, e: &Expr) -> Option<&Expr> {\n\
+        shape: Cow<'a, SubExpr>,\n\
+        let text = bytes.into_owned();\n";
+    assert_eq!(offending_lines(rule, text), vec![1, 2, 3, 4, 5]);
 }
 
 #[test]
@@ -1845,15 +1916,16 @@ fn a_second_judge_of_exactness_is_counted() {
         path.step.exact = serves_exactly(store, &path.step, &path.atom);\n\
         fn serves_exactly(store: &OfferStore, step: &IndexStep, atom: &Atom<'_>) -> bool {\n\
         exact: false,\n\
-        let predicate = Predicate::all(conjuncts);\n\
+        let residual = Residual::new(&planned.residual, request);\n\
         step.exact = step.used && matches!(c.op, BinOp::Eq);\n\
-        let predicate = Predicate::compile(expr);\n\
+        let whole = Residual::new(&request.constraint.conjuncts(), request);\n\
+        fn new(conjuncts: &'r [&'r Expr], request: &'r ImportRequest) -> Self {\n\
         #[cfg(test)]\n\
         assert!(serves_exactly(&s, &step, &atom));\n";
     assert_eq!(offending_lines(rule, text), vec![1, 4, 5, 6]);
     assert_eq!(
         rule.copies, 2,
-        "one judge and one compile of what it left: a third line is one too many"
+        "one judge and one residual of what it left: a third line is one too many"
     );
 }
 
